@@ -101,6 +101,10 @@ fn decoy_other_zeroed(m: &Mask) -> Mask {
     Mask::zeroed(3)
 }
 
+// seed 13: ISA-specific function outside simd/jit (target-feature-confined)
+#[target_feature(enable = "avx2")]
+fn seed_target_feature() {}
+
 // PROTOCOL: drop-guard
 struct DecoyGuard {
     state: std::sync::atomic::AtomicUsize,
@@ -148,4 +152,9 @@ fn decoy_strings_and_idents() {
 #[allow(clippy::needless_return)] // decoy: rationale present, must not fire
 fn decoy_allow_with_reason() -> u32 {
     return 1;
+}
+
+#[cfg(target_feature = "avx2")] // decoy: the cfg predicate is not the attribute
+fn decoy_cfg_target_feature() {
+    let _ = "#[target_feature(enable = \"avx2\")]";
 }

@@ -156,14 +156,15 @@ mod tests {
         let rules_hit: std::collections::BTreeSet<&str> = vs.iter().map(|v| v.rule).collect();
         for r in ["unsafe-needs-safety", "relaxed-needs-ordering", "no-static-mut",
                   "no-transmute-outside-simd-jit", "allow-needs-rationale",
-                  "drop-guard-protocol", "no-blocking-under-lock"] {
+                  "drop-guard-protocol", "no-blocking-under-lock",
+                  "target-feature-confined"] {
             assert!(rules_hit.contains(r), "fixture did not trip {r}; hit: {rules_hit:?}");
         }
         // And the decoys (violating text inside strings/comments/idents)
         // must NOT fire: exactly one violation per seeded site. The two
         // allocation seeds are out of scope under the sched path and are
         // counted by the core-path lint below instead.
-        assert_eq!(vs.len(), 10, "unexpected violation set:\n{}",
+        assert_eq!(vs.len(), 11, "unexpected violation set:\n{}",
             vs.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\n"));
 
         // The allocation-accounting rule is scoped to the accounted

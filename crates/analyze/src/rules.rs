@@ -238,6 +238,27 @@ fn check_no_transmute(f: &FileCtx) -> Vec<RawViolation> {
     out
 }
 
+fn check_target_feature_confined(f: &FileCtx) -> Vec<RawViolation> {
+    let mut out = Vec::new();
+    for (i, t) in f.toks.iter().enumerate() {
+        // The attribute is `target_feature(enable = …)`; the `cfg`
+        // predicate `target_feature = "…"` is followed by `=` and passes.
+        if t.kind == TokKind::Ident
+            && f.text(i) == "target_feature"
+            && f.next_code(i).is_some_and(|n| f.is_punct(n, '('))
+        {
+            out.push(RawViolation {
+                line: t.line,
+                msg: "`#[target_feature(…)]` outside `crates/simd`/`crates/jit` — write the \
+                      body generic over `wino_simd::Simd16` and enter it through \
+                      `wino_simd::dispatch`, whose arms sit behind a CPU-detection proof token"
+                    .to_string(),
+            });
+        }
+    }
+    out
+}
+
 fn check_allow_needs_rationale(f: &FileCtx) -> Vec<RawViolation> {
     let mut out = Vec::new();
     for i in 0..f.toks.len() {
@@ -669,6 +690,15 @@ pub static RULES: &[Rule] = &[
         check: check_no_transmute,
     },
     Rule {
+        id: "target-feature-confined",
+        summary: "`#[target_feature(…)]` is confined to the SIMD and JIT crates",
+        // One dispatch mechanism: an ISA-specific function anywhere else
+        // is a second code path that nothing proves the CPU can run.
+        scope: Scope::Except(&["crates/simd", "crates/jit"]),
+        allow: &[],
+        check: check_target_feature_confined,
+    },
+    Rule {
         id: "allow-needs-rationale",
         summary: "`#[allow(…)]` requires a rationale comment",
         scope: Scope::All,
@@ -967,5 +997,16 @@ mod tests {
     fn allow_with_trailing_or_above_rationale_passes() {
         let src = "#[allow(clippy::too_many_arguments)] // mirrors the table columns\nfn f() {}\n// the pairing search state is inherently nested\n#[allow(clippy::type_complexity)]\nfn g() {}\n";
         assert_eq!(ids("crates/x/src/lib.rs", src), vec![]);
+    }
+
+    #[test]
+    fn target_feature_attribute_is_confined_to_simd_and_jit() {
+        let src = "#[target_feature(enable = \"avx2\")]\nfn f() {}\n";
+        assert_eq!(ids("crates/core/src/x.rs", src), vec![("target-feature-confined", 1)]);
+        assert!(ids("crates/simd/src/avx2.rs", src).is_empty());
+        assert!(ids("crates/jit/src/x.rs", src).is_empty());
+        // The cfg predicate and prose are not the attribute.
+        let src = "#[cfg(target_feature = \"avx2\")]\nfn f() { let _ = \"#[target_feature(\"; }\n";
+        assert!(ids("crates/core/src/x.rs", src).is_empty());
     }
 }

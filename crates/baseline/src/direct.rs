@@ -13,7 +13,7 @@
 // arrays with derived offsets, where iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
 use wino_sched::Executor;
-use wino_simd::{F32x16, S};
+use wino_simd::{Kernel, Simd16, S};
 use wino_tensor::{BlockedImage, BlockedKernels};
 
 use crate::MAX_RANK;
@@ -63,7 +63,6 @@ pub fn direct_conv(
     let in_dims = &input.dims;
     let ker_dims = &kernels.dims;
     let ker_vol: usize = ker_dims.iter().product();
-    let c_in = input.channels;
 
     // Row-major spatial strides.
     let mut in_stride = [1usize; MAX_RANK];
@@ -90,17 +89,76 @@ pub fn direct_conv(
     dims.push(output.channels / S);
     dims.extend_from_slice(&outer_dims);
 
-    let out_ptr = MutPtr(output.as_mut_ptr());
-    let out_w = out_dims[rank - 1];
-    let in_w = in_dims[rank - 1] as isize;
-    let out_spatial_vol: usize = out_dims.iter().product();
-    let in_spatial_vol: usize = in_dims.iter().product();
-    let in_cg = input.channels / S;
+    let ctx = RowCtx {
+        input,
+        kernels,
+        padding,
+        out: MutPtr(output.as_mut_ptr()),
+        dims: &dims,
+        in_stride,
+        out_stride,
+        kcoords: &kcoords,
+        out_w: out_dims[rank - 1],
+        out_spatial_vol: out_dims.iter().product(),
+        in_spatial_vol: in_dims.iter().product(),
+    };
     let stage_start = wino_probe::now_ns();
 
     let result = exec.run_grid(&dims, &|_slot, flat| {
+        wino_simd::dispatch(RowTask { ctx: &ctx, flat });
+    });
+    crate::record_coord(exec, wino_probe::SpanCategory::DirectKernel, stage_start);
+    result
+}
+
+/// What every task of one [`direct_conv`] call shares.
+struct RowCtx<'a> {
+    input: &'a BlockedImage,
+    kernels: &'a BlockedKernels,
+    padding: &'a [usize],
+    out: MutPtr,
+    /// The task grid: `B × C'/S × outer output rows`.
+    dims: &'a [usize],
+    in_stride: [usize; MAX_RANK],
+    out_stride: [usize; MAX_RANK],
+    kcoords: &'a [[usize; MAX_RANK]],
+    out_w: usize,
+    out_spatial_vol: usize,
+    in_spatial_vol: usize,
+}
+
+/// One task: the innermost output row `flat` of one channel group.
+struct RowTask<'a> {
+    ctx: &'a RowCtx<'a>,
+    flat: usize,
+}
+
+impl Kernel for RowTask<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Simd16>(self) {
+        let RowCtx {
+            input,
+            kernels,
+            padding,
+            ref out,
+            dims,
+            ref in_stride,
+            ref out_stride,
+            kcoords,
+            out_w,
+            out_spatial_vol,
+            in_spatial_vol,
+        } = *self.ctx;
+        let in_dims = &input.dims;
+        let rank = in_dims.len();
+        let in_w = in_dims[rank - 1] as isize;
+        let c_in = input.channels;
+        let in_cg = c_in / S;
+
         let mut coords = [0usize; MAX_RANK + 2];
-        decompose(flat, &dims, &mut coords[..dims.len()]);
+        decompose(self.flat, dims, &mut coords[..dims.len()]);
         let (b, og) = (coords[0], coords[1]);
         let orow = &coords[2..2 + rank - 1];
 
@@ -113,14 +171,14 @@ pub fn direct_conv(
 
         // SAFETY: each task owns one output row of one channel group.
         unsafe {
-            let dst = out_ptr.get();
+            let dst = out.get();
             let ker_ptr = kernels.as_ptr();
             let in_ptr = input.as_ptr();
 
             let mut w0 = 0usize;
             while w0 < out_w {
                 let wn = WBLK.min(out_w - w0);
-                let mut acc = [F32x16::zero(); WBLK];
+                let mut acc = [V::zero(); WBLK];
                 for c in 0..c_in {
                     let in_base_vec = ((b * in_cg + c / S) * in_spatial_vol) * S;
                     let lane = c % S;
@@ -139,9 +197,7 @@ pub fn direct_conv(
                         if !ok {
                             continue;
                         }
-                        let kv = F32x16::load(
-                            ker_ptr.add(kernels.vec_offset_flat(c, og, k)),
-                        );
+                        let kv = V::load(ker_ptr.add(kernels.vec_offset_flat(c, og, k)));
                         let wk = kc[rank - 1] as isize - padding[rank - 1] as isize;
                         let first = w0 as isize + wk;
                         let last = (w0 + wn - 1) as isize + wk;
@@ -150,7 +206,7 @@ pub fn direct_conv(
                             // reads in bounds — no per-element branches.
                             let base = in_base_vec + (row_off + first) as usize * S + lane;
                             for u in 0..wn {
-                                let s = F32x16::splat(*in_ptr.add(base + u * S));
+                                let s = V::splat(*in_ptr.add(base + u * S));
                                 acc[u] = s.mul_add(kv, acc[u]);
                             }
                         } else {
@@ -158,7 +214,7 @@ pub fn direct_conv(
                                 let x = (w0 + u) as isize + wk;
                                 if x >= 0 && x < in_w {
                                     let off = in_base_vec + (row_off + x) as usize * S + lane;
-                                    let s = F32x16::splat(*in_ptr.add(off));
+                                    let s = V::splat(*in_ptr.add(off));
                                     acc[u] = s.mul_add(kv, acc[u]);
                                 }
                             }
@@ -171,9 +227,7 @@ pub fn direct_conv(
                 w0 += wn;
             }
         }
-    });
-    crate::record_coord(exec, wino_probe::SpanCategory::DirectKernel, stage_start);
-    result
+    }
 }
 
 #[cfg(test)]

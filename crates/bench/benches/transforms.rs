@@ -5,7 +5,7 @@
 //! `wino_workloads::time_best`. Run with `cargo bench --bench transforms`.
 
 use wino_conv::vecprog::transform_all_dims;
-use wino_simd::S;
+use wino_simd::{Kernel, Simd16, S};
 use wino_transforms::{FmrPlan, MatrixProgram, PairNode, PairedProgram};
 use wino_workloads::time_best;
 
@@ -26,6 +26,26 @@ fn unpaired(p: &PairedProgram, dense: &wino_transforms::F32Matrix) -> PairedProg
     }
 }
 
+/// One `Bᵀ`-transformed 2-D tile on the active backend — one dispatch
+/// per tile, the granularity the stages use.
+struct Tile2d<'a> {
+    bt: &'a PairedProgram,
+    input: &'a [f32],
+    buf_a: &'a mut [f32],
+    buf_b: &'a mut [f32],
+}
+
+impl Kernel for Tile2d<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Simd16>(self) {
+        self.buf_a.copy_from_slice(self.input);
+        let mut dims = [self.bt.n_in; 2];
+        transform_all_dims::<V>(&[self.bt, self.bt], self.buf_a, self.buf_b, &mut dims);
+    }
+}
+
 fn main() {
     println!("bench,fmr,best_ms,melem_per_s");
     for (m, r) in [(2usize, 3usize), (4, 3), (6, 3)] {
@@ -39,9 +59,12 @@ fn main() {
         let mut buf_b = vec![0.0f32; vol * S];
         let t = time_best(REPS, || {
             for _ in 0..TILES_PER_REP {
-                buf_a.copy_from_slice(&input);
-                let mut dims = [alpha, alpha];
-                transform_all_dims(&[&plan.bt, &plan.bt], &mut buf_a, &mut buf_b, &mut dims);
+                wino_simd::dispatch(Tile2d {
+                    bt: &plan.bt,
+                    input: &input,
+                    buf_a: &mut buf_a,
+                    buf_b: &mut buf_b,
+                });
             }
         });
         println!("bt_paired,F({m}.{r}),{:.3},{:.1}", t.best_ms, elems / t.best_ms / 1e3);
@@ -50,9 +73,12 @@ fn main() {
         let bt_unpaired = unpaired(&plan.bt, &bt_dense);
         let t = time_best(REPS, || {
             for _ in 0..TILES_PER_REP {
-                buf_a.copy_from_slice(&input);
-                let mut dims = [alpha, alpha];
-                transform_all_dims(&[&bt_unpaired, &bt_unpaired], &mut buf_a, &mut buf_b, &mut dims);
+                wino_simd::dispatch(Tile2d {
+                    bt: &bt_unpaired,
+                    input: &input,
+                    buf_a: &mut buf_a,
+                    buf_b: &mut buf_b,
+                });
             }
         });
         println!("bt_unpaired,F({m}.{r}),{:.3},{:.1}", t.best_ms, elems / t.best_ms / 1e3);

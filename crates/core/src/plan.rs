@@ -516,7 +516,7 @@ impl WinogradLayer {
         use wino_jit::{JitError, JitKernel, JitOutput};
         let jit_err = |e: JitError| PlanError::Jit {
             reason: match e {
-                JitError::Avx512Unavailable => "AVX-512F not available on this CPU",
+                JitError::Avx512Unavailable => "AVX-512F not available (CPU or WINO_SIMD)",
                 JitError::BadParams(reason) => reason,
                 JitError::Os(_) => "executable mapping failed",
             },

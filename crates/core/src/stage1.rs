@@ -12,9 +12,13 @@
 //!
 //! Results are written with non-temporal streaming stores by default —
 //! they will not be touched again until stage 2 (§4.2.1).
+//!
+//! Each task — one input tile, one kernel vector group — is one
+//! [`wino_simd::dispatch`]: gather, codelets and scatter are a single
+//! body generic over the vector backend.
 
 use wino_sched::Executor;
-use wino_simd::{F32x16, S};
+use wino_simd::{Kernel, Simd16, S};
 use wino_tensor::BlockedImage;
 use wino_tensor::BlockedKernels;
 
@@ -35,7 +39,8 @@ pub(crate) fn decompose(mut flat: usize, dims: &[usize], out: &mut [usize]) {
 ///
 /// # Safety
 /// `dst` must be valid for `∏tile_dims · S` writes and 64-byte aligned.
-unsafe fn gather_tile(
+#[inline(always)]
+unsafe fn gather_tile<V: Simd16>(
     input: &BlockedImage,
     b: usize,
     cg: usize,
@@ -75,17 +80,17 @@ unsafe fn gather_tile(
         let drow = dst.add(outer * tw * S);
         if !valid {
             for k in 0..tw {
-                F32x16::zero().store(drow.add(k * S));
+                V::zero().store(drow.add(k * S));
             }
             continue;
         }
         for k in 0..tw {
             let x = ow + k as isize;
             if x < 0 || x >= w_extent {
-                F32x16::zero().store(drow.add(k * S));
+                V::zero().store(drow.add(k * S));
             } else {
                 let off = (spatial + x) as usize * S;
-                F32x16::load(src.add(off)).store(drow.add(k * S));
+                V::load(src.add(off)).store(drow.add(k * S));
             }
         }
     }
@@ -109,8 +114,8 @@ impl MutPtr {
 /// # Safety
 /// `base` computed by the caller must give exclusive, in-bounds access for
 /// this (row, col-group); `buf` holds `t_vol · S` floats.
-#[inline]
-unsafe fn scatter_vectors(
+#[inline(always)]
+unsafe fn scatter_vectors<V: Simd16>(
     buf: *const f32,
     dst: *mut f32,
     base: usize,
@@ -120,11 +125,11 @@ unsafe fn scatter_vectors(
 ) {
     if streaming {
         for t in 0..t_vol {
-            F32x16::load(buf.add(t * S)).store_nt(dst.add(base + t * t_stride));
+            V::load(buf.add(t * S)).store_nt(dst.add(base + t * t_stride));
         }
     } else {
         for t in 0..t_vol {
-            F32x16::load(buf.add(t * S)).store(dst.add(base + t * t_stride));
+            V::load(buf.add(t * S)).store(dst.add(base + t * t_stride));
         }
     }
 }
@@ -183,6 +188,22 @@ impl<'a> InputTransformCtx<'a> {
     /// own the `(row n' = b·N + n, column-group cg)` range of `u` — tasks
     /// of one fork–join must cover disjoint `(n', cg)` pairs.
     pub(crate) unsafe fn tile(&self, tb: &mut ThreadBuf, slot: usize, b: usize, cg: usize, n: usize) {
+        wino_simd::dispatch(InputTile { ctx: self, tb, slot, b, cg, n })
+    }
+
+    /// The body of [`InputTransformCtx::tile`] on backend `V`.
+    ///
+    /// # Safety
+    /// As [`InputTransformCtx::tile`].
+    #[inline(always)]
+    unsafe fn tile_on<V: Simd16>(
+        &self,
+        tb: &mut ThreadBuf,
+        slot: usize,
+        b: usize,
+        cg: usize,
+        n: usize,
+    ) {
         let rank = self.layer.rank();
         let grid = &self.layer.grid;
         let mut tc = [0usize; MAX_RANK];
@@ -195,7 +216,7 @@ impl<'a> InputTransformCtx<'a> {
 
         let gather_start = crate::spans::span_start();
         // SAFETY: buffers sized T·S at construction; tile fits.
-        gather_tile(self.input, b, cg, &origin[..rank], &grid.tile_dims, tb.a.as_mut_ptr());
+        gather_tile::<V>(self.input, b, cg, &origin[..rank], &grid.tile_dims, tb.a.as_mut_ptr());
         crate::spans::record_slot(
             self.probe,
             slot,
@@ -205,7 +226,7 @@ impl<'a> InputTransformCtx<'a> {
 
         let mut tdims = [0usize; MAX_RANK];
         tdims[..rank].copy_from_slice(&grid.tile_dims);
-        let in_a = crate::vecprog::transform_all_dims(
+        let in_a = crate::vecprog::transform_all_dims::<V>(
             &self.progs,
             tb.a.as_mut_slice(),
             tb.b.as_mut_slice(),
@@ -223,7 +244,7 @@ impl<'a> InputTransformCtx<'a> {
             + c_in;
         // SAFETY: disjoint (n', cg) ranges per the caller's contract;
         // offsets in bounds by construction of `u`.
-        scatter_vectors(result, self.u.get(), base, self.t_stride, self.t_vol, self.streaming);
+        scatter_vectors::<V>(result, self.u.get(), base, self.t_stride, self.t_vol, self.streaming);
     }
 
     /// Hint-prefetch tile `(b, cg, n)`'s innermost source row toward L2 —
@@ -250,6 +271,28 @@ impl<'a> InputTransformCtx<'a> {
         // SAFETY: the span starts inside the image allocation; prefetch
         // never faults regardless.
         unsafe { wino_simd::prefetch_span_t1(self.input.as_ptr().add(off) as *const u8, bytes) };
+    }
+}
+
+/// One [`InputTransformCtx::tile`] call, ready for whichever backend
+/// runs it.
+struct InputTile<'c, 'a> {
+    ctx: &'c InputTransformCtx<'a>,
+    tb: &'c mut ThreadBuf,
+    slot: usize,
+    b: usize,
+    cg: usize,
+    n: usize,
+}
+
+impl Kernel for InputTile<'_, '_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Simd16>(self) {
+        // SAFETY: `InputTransformCtx::tile`, the only constructor,
+        // forwards its caller's exclusivity contract.
+        unsafe { self.ctx.tile_on::<V>(self.tb, self.slot, self.b, self.cg, self.n) }
     }
 }
 
@@ -317,34 +360,72 @@ pub fn transform_kernels(
     ensure_eq("kernel out-channels", layer.shape.out_channels, kernels.out_channels)?;
     ensure_dims_eq("kernel extent", &layer.shape.kernel_dims, &kernels.dims)?;
 
-    let rank = layer.rank();
-    let t_vol = layer.t_vol();
-    let (c_blk, cp_blk) = (layer.block.c_blk, layer.block.cp_blk);
-    let col_blocks = layer.shape.out_channels / cp_blk;
-    let r_vol: usize = layer.shape.kernel_dims.iter().product();
-    let streaming = layer.opts.streaming_stores;
-
     let dims = [layer.shape.in_channels, layer.shape.out_channels / S];
-    let v_ptr = MutPtr(scratch.v.as_mut_ptr());
-    let t_stride = c_blk * cp_blk;
+    let (c_blk, cp_blk) = (layer.block.c_blk, layer.block.cp_blk);
+    let ctx = KernelTransformCtx {
+        layer,
+        kernels,
+        v: MutPtr(scratch.v.as_mut_ptr()),
+        progs: layer.plans.iter().map(|p| &p.g).collect(),
+        t_vol: layer.t_vol(),
+        r_vol: layer.shape.kernel_dims.iter().product(),
+        col_blocks: layer.shape.out_channels / cp_blk,
+        t_stride: c_blk * cp_blk,
+    };
     let scratch_ref: &Scratch = scratch;
-    let progs: Vec<&wino_transforms::PairedProgram> = layer.plans.iter().map(|p| &p.g).collect();
     let stage_start = crate::spans::span_start();
 
     exec.run_grid(&dims, &|slot, flat| {
-        let (c, og) = (flat / dims[1], flat % dims[1]);
         // SAFETY: slot exclusivity per the Executor contract.
         let tb = unsafe { scratch_ref.thread_buf(slot) };
+        wino_simd::dispatch(KernelGroup { ctx: &ctx, tb, c: flat / dims[1], og: flat % dims[1] });
+    })?;
+    crate::spans::record_coord(exec, wino_probe::SpanCategory::KernelTransform, stage_start);
+    Ok(())
+}
+
+/// What every task of one [`transform_kernels`] call shares.
+struct KernelTransformCtx<'a> {
+    layer: &'a WinogradLayer,
+    kernels: &'a BlockedKernels,
+    v: MutPtr,
+    progs: Vec<&'a wino_transforms::PairedProgram>,
+    t_vol: usize,
+    r_vol: usize,
+    col_blocks: usize,
+    t_stride: usize,
+}
+
+/// The per-task body of operation ③④: transform the kernel vectors of
+/// input channel `c`, output channel group `og`, and scatter them into
+/// `V`.
+struct KernelGroup<'c, 'a> {
+    ctx: &'c KernelTransformCtx<'a>,
+    tb: &'c mut ThreadBuf,
+    c: usize,
+    og: usize,
+}
+
+impl Kernel for KernelGroup<'_, '_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Simd16>(self) {
+        let KernelGroup { ctx, tb, c, og } = self;
+        let layer = ctx.layer;
+        let rank = layer.rank();
+        let (c_blk, cp_blk) = (layer.block.c_blk, layer.block.cp_blk);
+
         // Kernel vectors are contiguous in the blocked layout: copy r_vol
         // vectors straight in.
-        let src_off = kernels.vec_offset_flat(c, og, 0);
-        tb.a.as_mut_slice()[..r_vol * S]
-            .copy_from_slice(&kernels.as_slice()[src_off..src_off + r_vol * S]);
+        let src_off = ctx.kernels.vec_offset_flat(c, og, 0);
+        tb.a.as_mut_slice()[..ctx.r_vol * S]
+            .copy_from_slice(&ctx.kernels.as_slice()[src_off..src_off + ctx.r_vol * S]);
 
         let mut tdims = [0usize; MAX_RANK];
         tdims[..rank].copy_from_slice(&layer.shape.kernel_dims);
-        let in_a = crate::vecprog::transform_all_dims(
-            &progs,
+        let in_a = crate::vecprog::transform_all_dims::<V>(
+            &ctx.progs,
             tb.a.as_mut_slice(),
             tb.b.as_mut_slice(),
             &mut tdims[..rank],
@@ -356,12 +437,22 @@ pub fn transform_kernels(
         let (rb_i, r_in) = (c / c_blk, c % c_blk);
         let col = og * S;
         let (cb_i, c_in) = (col / cp_blk, col % cp_blk);
-        let base = ((rb_i * col_blocks + cb_i) * t_vol) * t_stride + r_in * cp_blk + c_in;
-        // SAFETY: disjoint (c, og) ranges per task.
-        unsafe { scatter_vectors(result, v_ptr.get(), base, t_stride, t_vol, streaming) };
-    })?;
-    crate::spans::record_coord(exec, wino_probe::SpanCategory::KernelTransform, stage_start);
-    Ok(())
+        let base =
+            ((rb_i * ctx.col_blocks + cb_i) * ctx.t_vol) * ctx.t_stride + r_in * cp_blk + c_in;
+        // SAFETY: `transform_kernels` hands each (c, og) to exactly one
+        // task, so the scattered ranges of `v` are disjoint; offsets are
+        // in bounds by construction of `v`.
+        unsafe {
+            scatter_vectors::<V>(
+                result,
+                ctx.v.get(),
+                base,
+                ctx.t_stride,
+                ctx.t_vol,
+                layer.opts.streaming_stores,
+            )
+        };
+    }
 }
 
 #[cfg(test)]

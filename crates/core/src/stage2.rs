@@ -17,7 +17,7 @@
 
 use wino_gemm::{microkernel, MicroArgs, Output};
 use wino_sched::Executor;
-use wino_simd::{F32x16, S};
+use wino_simd::{Kernel, Simd16, S};
 use wino_tensor::BlockedMatrices;
 
 use crate::error::{ensure_eq, WinoError};
@@ -421,21 +421,43 @@ fn scatter_pass(
         let (cb_i, c_in) = (col / cp_blk, col % cp_blk);
         let src_base = ((rb_i * col_blocks + cb_i) * t_vol) * t_stride + r_in * cp_blk + c_in;
         let dst_base = y_meta.vec_offset(b, og, n, 0);
-        // SAFETY: disjoint (b, og, n) per task; offsets in bounds.
+        // SAFETY: offsets in bounds by construction of the x/y metadata.
+        let (src, dst) = unsafe { (x.as_ptr().add(src_base), y_ptr.get().add(dst_base)) };
+        // Disjoint (b, og, n) per task, so no other task touches `dst`.
+        wino_simd::dispatch(CopyTile { src, src_stride: t_stride, dst, t_vol, streaming });
+    })?;
+    Ok(())
+}
+
+/// One task of [`scatter_pass`]: copy a tile's `t_vol` vectors from the
+/// strided `x` panels to their contiguous tile-major home in `y`.
+struct CopyTile {
+    src: *const f32,
+    src_stride: usize,
+    dst: *mut f32,
+    t_vol: usize,
+    streaming: bool,
+}
+
+impl Kernel for CopyTile {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Simd16>(self) {
+        // SAFETY: `scatter_pass`, the only constructor, passes pointers
+        // valid for `t_vol` strided reads / contiguous 64-byte aligned
+        // writes that no other task touches.
         unsafe {
-            let src = x.as_ptr();
-            let dst = y_ptr.get();
-            for t in 0..t_vol {
-                let v = F32x16::load(src.add(src_base + t * t_stride));
-                if streaming {
-                    v.store_nt(dst.add(dst_base + t * S));
+            for t in 0..self.t_vol {
+                let v = V::load(self.src.add(t * self.src_stride));
+                if self.streaming {
+                    v.store_nt(self.dst.add(t * S));
                 } else {
-                    v.store(dst.add(dst_base + t * S));
+                    v.store(self.dst.add(t * S));
                 }
             }
         }
-    })?;
-    Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! independent of `C`.
 
 use wino_sched::Executor;
-use wino_simd::{F32x16, S};
+use wino_simd::{Kernel, Simd16, S};
 use wino_tensor::BlockedImage;
 
 use crate::error::{ensure_at_least, ensure_dims_eq, ensure_eq, WinoError};
@@ -74,6 +74,15 @@ impl<'a> Stage3Ctx<'a> {
     /// own output tile `(b, og, n)` — tasks of one fork–join must cover
     /// disjoint `(b, og, n)` triples.
     pub(crate) unsafe fn tile(&self, tb: &mut ThreadBuf, b: usize, og: usize, n: usize) {
+        wino_simd::dispatch(OutputTile { ctx: self, tb, b, og, n })
+    }
+
+    /// The body of [`Stage3Ctx::tile`] on backend `V`.
+    ///
+    /// # Safety
+    /// As [`Stage3Ctx::tile`].
+    #[inline(always)]
+    unsafe fn tile_on<V: Simd16>(&self, tb: &mut ThreadBuf, b: usize, og: usize, n: usize) {
         let layer = self.layer;
         let rank = layer.rank();
         // Contiguous gather (§4.4: "fast memory access and as few TLB
@@ -82,7 +91,7 @@ impl<'a> Stage3Ctx<'a> {
 
         let mut tdims = [0usize; MAX_RANK];
         tdims[..rank].copy_from_slice(&layer.grid.tile_dims);
-        let in_a = crate::vecprog::transform_all_dims(
+        let in_a = crate::vecprog::transform_all_dims::<V>(
             &self.progs,
             tb.a.as_mut_slice(),
             tb.b.as_mut_slice(),
@@ -121,7 +130,7 @@ impl<'a> Stage3Ctx<'a> {
             let src_base = src_row * m_last;
             let spatial_w = spatial + out_origin[rank - 1];
             for k in 0..ext_last {
-                let v = F32x16::load(result.add((src_base + k) * S));
+                let v = V::load(result.add((src_base + k) * S));
                 let o = (spatial_w + k) * S;
                 if self.streaming {
                     v.store_nt(dst.add(o));
@@ -130,6 +139,26 @@ impl<'a> Stage3Ctx<'a> {
                 }
             }
         }
+    }
+}
+
+/// One [`Stage3Ctx::tile`] call, ready for whichever backend runs it.
+struct OutputTile<'c, 'a> {
+    ctx: &'c Stage3Ctx<'a>,
+    tb: &'c mut ThreadBuf,
+    b: usize,
+    og: usize,
+    n: usize,
+}
+
+impl Kernel for OutputTile<'_, '_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Simd16>(self) {
+        // SAFETY: `Stage3Ctx::tile`, the only constructor, forwards its
+        // caller's exclusivity contract.
+        unsafe { self.ctx.tile_on::<V>(self.tb, self.b, self.og, self.n) }
     }
 }
 

@@ -7,8 +7,12 @@
 //! [`PairedProgram`] (the minimal-operation form of `Bᵀ`, `G` or `Aᵀ`)
 //! along one dimension of such a tile; applying it along every dimension
 //! in turn realises the tensor–matrix mode-n products of Eqn. 8.
+//!
+//! Everything here is generic over the vector backend `V` and
+//! `#[inline(always)]`: it is compiled into the per-tile stage bodies,
+//! which are what [`wino_simd::dispatch`] enters.
 
-use wino_simd::{F32x16, S};
+use wino_simd::{Simd16, S};
 use wino_transforms::{PairNode, PairedProgram, Term};
 
 /// Dot product of a term list against a strided line of vectors.
@@ -17,11 +21,11 @@ use wino_transforms::{PairNode, PairedProgram, Term};
 /// For every term `t`, `input + (base + t.src·stride)·S` must be valid for
 /// 16 reads.
 #[inline(always)]
-unsafe fn dot_line(terms: &[Term], input: *const f32, base: usize, stride: usize) -> F32x16 {
-    let mut acc = F32x16::zero();
+unsafe fn dot_line<V: Simd16>(terms: &[Term], input: *const f32, base: usize, stride: usize) -> V {
+    let mut acc = V::zero();
     for t in terms {
-        let v = F32x16::load(input.add((base + t.src * stride) * S));
-        acc = F32x16::splat(t.coeff).mul_add(v, acc);
+        let v = V::load(input.add((base + t.src * stride) * S));
+        acc = V::splat(t.coeff).mul_add(v, acc);
     }
     acc
 }
@@ -32,7 +36,8 @@ unsafe fn dot_line(terms: &[Term], input: *const f32, base: usize, stride: usize
 ///
 /// `input` and `output` must not alias (ping-pong between two scratch
 /// buffers; the caller owns them).
-pub fn transform_dim(
+#[inline(always)]
+pub fn transform_dim<V: Simd16>(
     prog: &PairedProgram,
     input: &[f32],
     in_dims: &[usize],
@@ -71,12 +76,12 @@ pub fn transform_dim(
                 unsafe {
                     match node {
                         PairNode::Direct { out, row } => {
-                            let v = dot_line(&row.terms, in_ptr, in_base, in_stride);
+                            let v: V = dot_line(&row.terms, in_ptr, in_base, in_stride);
                             v.store(out_ptr.add((out_base + out * out_stride) * S));
                         }
                         PairNode::Pair { out_plus, out_minus, u_terms, v_terms } => {
-                            let u = dot_line(u_terms, in_ptr, in_base, in_stride);
-                            let v = dot_line(v_terms, in_ptr, in_base, in_stride);
+                            let u: V = dot_line(u_terms, in_ptr, in_base, in_stride);
+                            let v: V = dot_line(v_terms, in_ptr, in_base, in_stride);
                             (u + v).store(out_ptr.add((out_base + out_plus * out_stride) * S));
                             (u - v).store(out_ptr.add((out_base + out_minus * out_stride) * S));
                         }
@@ -91,22 +96,20 @@ pub fn transform_dim(
 /// tile in `buf_a` (shape `dims`, which is updated in place to the output
 /// shape). Uses `buf_b` as the ping-pong partner; returns `true` if the
 /// final result is in `buf_a`, `false` if in `buf_b`.
-pub fn transform_all_dims(
+#[inline(always)]
+pub fn transform_all_dims<V: Simd16>(
     progs: &[&PairedProgram],
     buf_a: &mut [f32],
     buf_b: &mut [f32],
     dims: &mut [usize],
 ) -> bool {
-    let n = dims.len();
-    assert_eq!(progs.len(), n);
+    assert_eq!(progs.len(), dims.len());
+    let (mut src, mut dst) = (buf_a, buf_b);
     let mut in_a = true;
-    for d in 0..n {
-        if in_a {
-            transform_dim(progs[d], buf_a, dims, d, buf_b);
-        } else {
-            transform_dim(progs[d], buf_b, dims, d, buf_a);
-        }
-        dims[d] = progs[d].n_out;
+    for (d, prog) in progs.iter().enumerate() {
+        transform_dim::<V>(prog, src, dims, d, dst);
+        dims[d] = prog.n_out;
+        std::mem::swap(&mut src, &mut dst);
         in_a = !in_a;
     }
     in_a
@@ -115,7 +118,60 @@ pub fn transform_all_dims(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wino_simd::{Backend, Kernel};
     use wino_transforms::{FmrPlan, MatrixProgram};
+
+    struct OneDim<'a> {
+        prog: &'a PairedProgram,
+        input: &'a [f32],
+        in_dims: &'a [usize],
+        d: usize,
+        output: &'a mut [f32],
+    }
+
+    impl Kernel for OneDim<'_> {
+        type Output = ();
+        #[inline(always)]
+        fn run<V: Simd16>(self) {
+            super::transform_dim::<V>(self.prog, self.input, self.in_dims, self.d, self.output)
+        }
+    }
+
+    struct AllDims<'a> {
+        progs: &'a [&'a PairedProgram],
+        buf_a: &'a mut [f32],
+        buf_b: &'a mut [f32],
+        dims: &'a mut [usize],
+    }
+
+    impl Kernel for AllDims<'_> {
+        type Output = bool;
+        #[inline(always)]
+        fn run<V: Simd16>(self) -> bool {
+            super::transform_all_dims::<V>(self.progs, self.buf_a, self.buf_b, self.dims)
+        }
+    }
+
+    /// [`super::transform_dim`] on the active backend.
+    fn transform_dim(
+        prog: &PairedProgram,
+        input: &[f32],
+        in_dims: &[usize],
+        d: usize,
+        output: &mut [f32],
+    ) {
+        wino_simd::dispatch(OneDim { prog, input, in_dims, d, output })
+    }
+
+    /// [`super::transform_all_dims`] on the active backend.
+    fn transform_all_dims(
+        progs: &[&PairedProgram],
+        buf_a: &mut [f32],
+        buf_b: &mut [f32],
+        dims: &mut [usize],
+    ) -> bool {
+        wino_simd::dispatch(AllDims { progs, buf_a, buf_b, dims })
+    }
 
     /// Scalar oracle: dense matrix applied along dimension d, one lane at
     /// a time.
@@ -261,5 +317,49 @@ mod tests {
         transform_dim(&plan.bt, &input, &dims, 0, &mut out1);
         transform_dim(&unpaired, &input, &dims, 0, &mut out2);
         close(&out1, &out2);
+    }
+
+    /// Every backend this process may run, F(2..6, 3), ranks 1–3, all
+    /// three transform matrices along every dimension: each within the
+    /// dense oracle's tolerance, hence of each other.
+    #[test]
+    fn every_backend_matches_dense_oracle() {
+        for backend in Backend::available() {
+            for m in 2..=6 {
+                let plan = FmrPlan::new(m, 3);
+                let t = &plan.transform;
+                let mats =
+                    [(&plan.bt, t.bt.to_f32()), (&plan.g, t.g.to_f32()), (&plan.at, t.at.to_f32())];
+                for (which, (prog, dense)) in mats.iter().enumerate() {
+                    for rank in 1..=3 {
+                        let dims = vec![prog.n_in; rank];
+                        let vol: usize = dims.iter().product();
+                        let input = filled(vol * S);
+                        for d in 0..rank {
+                            let (want, out_dims) = dense_transform_dim(dense, &input, &dims, d);
+                            let mut out = vec![0.0f32; want.len()];
+                            backend.run(OneDim {
+                                prog,
+                                input: &input,
+                                in_dims: &dims,
+                                d,
+                                output: &mut out,
+                            });
+                            assert_eq!(out_dims[d], prog.n_out);
+                            for i in 0..want.len() {
+                                assert!(
+                                    (out[i] - want[i]).abs() <= 1e-4 * want[i].abs().max(1.0),
+                                    "{} F({m},3) matrix {which} rank {rank} dim {d} elem {i}: \
+                                     {} vs {}",
+                                    backend.name(),
+                                    out[i],
+                                    want[i]
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -14,10 +14,15 @@
 //! registers. Software prefetch of upcoming `Û`/`V̂` lines is interleaved
 //! with the FMAs, and the *next* panel is prefetched to L2 while storing.
 //!
-//! `n_blk` is a compile-time constant of each monomorphised kernel; the
-//! runtime dispatcher [`microkernel`] selects among the 30 instantiations —
-//! the Rust analogue of the paper's generate-on-demand JIT (the true
-//! machine-code JIT lives in `wino-jit` and is verified against this).
+//! `n_blk` is a compile-time constant of each monomorphised kernel, and
+//! the kernel body is generic over the vector backend: [`microkernel`]
+//! enters the active backend's arm once per call ([`wino_simd::dispatch`])
+//! and selects among the 30 instantiations inside it — the Rust analogue
+//! of the paper's generate-on-demand JIT (the true machine-code JIT lives
+//! in `wino-jit` and is verified against this). The 30-row ceiling is the
+//! AVX-512 register file's; [`wino_simd::Backend::max_rows`] tells the
+//! blocking model how many rows the active backend holds without
+//! spilling.
 //!
 //! The `scatter` variant implements operation ⑥: on the *last* `k`-block
 //! the result bypasses `X̂` and is written directly to per-row
@@ -30,9 +35,10 @@
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
-use wino_simd::{prefetch_t0, prefetch_t1, F32x16, S};
+use wino_simd::{prefetch_t0, prefetch_t1, Kernel, Simd16, S};
 
-/// Maximum register rows: 32 AVX-512 registers minus 2 auxiliaries.
+/// Largest `n_blk` any backend's micro-kernel is instantiated for: 32
+/// AVX-512 registers minus 2 auxiliaries.
 pub const MAX_N_BLK: usize = 30;
 
 /// Where the kernel writes its result.
@@ -85,24 +91,24 @@ const PF_DIST: usize = 4;
 // SAFETY: callers uphold the pointer-validity contract documented on
 // `microkernel` (the only caller), with `NB` as `n_blk`.
 #[inline(always)]
-unsafe fn kernel_impl<const NB: usize>(a: &MicroArgs) {
+unsafe fn kernel_impl<V: Simd16, const NB: usize>(a: &MicroArgs) {
     let qn = a.cp_blk / S;
     for q in 0..qn {
         let xq = a.x.add(q * S);
         let vq = a.v.add(q * S);
-        let mut acc = [F32x16::zero(); NB];
+        let mut acc = [V::zero(); NB];
         if a.beta {
             for j in 0..NB {
-                acc[j] = F32x16::load(xq.add(j * a.cp_blk));
+                acc[j] = V::load(xq.add(j * a.cp_blk));
             }
         }
-        let mut vk = F32x16::load(vq);
+        let mut vk = V::load(vq);
         for k in 0..a.c_blk {
             // Look-ahead load of the next V̂ row slice (the paper's "one
             // additional vector load to register ... for in-register
             // operations in the next iteration").
             let v_next = if k + 1 < a.c_blk {
-                F32x16::load(vq.add((k + 1) * a.cp_blk))
+                V::load(vq.add((k + 1) * a.cp_blk))
             } else {
                 vk
             };
@@ -113,7 +119,7 @@ unsafe fn kernel_impl<const NB: usize>(a: &MicroArgs) {
             let uk = a.u.add(k);
             prefetch_t0(uk.add(PF_DIST) as *const u8);
             for j in 0..NB {
-                acc[j] = F32x16::splat(*uk.add(j * a.c_blk)).mul_add(vk, acc[j]);
+                acc[j] = V::splat(*uk.add(j * a.c_blk)).mul_add(vk, acc[j]);
             }
             vk = v_next;
         }
@@ -152,12 +158,39 @@ unsafe fn kernel_impl<const NB: usize>(a: &MicroArgs) {
 }
 
 macro_rules! dispatch_nb {
-    ($nb:expr, $args:expr, [$($n:literal),*]) => {
+    ($v:ty, $nb:expr, $args:expr, [$($n:literal),*]) => {
         match $nb {
-            $( $n => kernel_impl::<$n>($args), )*
+            $( $n => kernel_impl::<$v, $n>($args), )*
             other => panic!("n_blk = {other} out of range 1..={}", MAX_N_BLK),
         }
     };
+}
+
+/// One [`microkernel`] call, ready for whichever backend runs it.
+struct MicroCall<'a> {
+    n_blk: usize,
+    args: &'a MicroArgs,
+}
+
+impl Kernel for MicroCall<'_> {
+    type Output = ();
+
+    #[inline(always)]
+    fn run<V: Simd16>(self) {
+        // SAFETY: `microkernel`, the only constructor, forwards its
+        // caller's pointer-validity contract.
+        unsafe {
+            dispatch_nb!(
+                V,
+                self.n_blk,
+                self.args,
+                [
+                    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
+                    22, 23, 24, 25, 26, 27, 28, 29, 30
+                ]
+            )
+        }
+    }
 }
 
 /// Run the micro-kernel for `n_blk` rows (1..=30).
@@ -174,14 +207,7 @@ macro_rules! dispatch_nb {
 pub unsafe fn microkernel(n_blk: usize, a: &MicroArgs) {
     debug_assert!(a.cp_blk.is_multiple_of(S) && a.cp_blk > 0);
     debug_assert!(a.c_blk >= 1);
-    dispatch_nb!(
-        n_blk,
-        a,
-        [
-            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23,
-            24, 25, 26, 27, 28, 29, 30
-        ]
-    )
+    wino_simd::dispatch(MicroCall { n_blk, args: a })
 }
 
 /// Reference implementation of the same contract (plain scalar loops) —
@@ -255,10 +281,65 @@ mod tests {
         }
     }
 
+    /// Every backend this process may run (the x86 arms are compiled
+    /// into every build), every `n_blk`, β ∈ {0, 1}, both output modes:
+    /// all within the reference tolerance, hence of each other.
     #[test]
-    fn all_n_blk_values_match_reference() {
-        for n_blk in 1..=MAX_N_BLK {
-            run_and_compare(n_blk, 32, 32, false);
+    fn every_backend_matches_reference_for_every_n_blk() {
+        let (c_blk, cp_blk, group_stride) = (24, 32, 64);
+        for backend in wino_simd::Backend::available() {
+            for n_blk in 1..=MAX_N_BLK {
+                let u = filled(n_blk * c_blk, 11);
+                let v = filled(c_blk * cp_blk, 12);
+                let x0 = filled(n_blk * cp_blk, 13);
+                for (beta, scatter) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let mut x = x0.clone();
+                    let mut x_ref = x0.as_slice().to_vec();
+                    microkernel_reference(n_blk, &u, &v, &mut x_ref, c_blk, cp_blk, beta);
+
+                    let mut arena = AlignedVec::zeroed(n_blk * 2 * group_stride);
+                    let base = arena.as_mut_ptr();
+                    // SAFETY: row j's two column groups end at float
+                    // (2j + 1)·group_stride + 16, inside the arena.
+                    let row_ptrs: Vec<*mut f32> =
+                        (0..n_blk).map(|j| unsafe { base.add(j * 2 * group_stride) }).collect();
+                    let output = if scatter {
+                        Output::Scatter { row_ptrs: row_ptrs.as_ptr(), group_stride, streaming: true }
+                    } else {
+                        Output::Block
+                    };
+                    let args = MicroArgs {
+                        u: u.as_ptr(),
+                        v: v.as_ptr(),
+                        x: x.as_mut_ptr(),
+                        c_blk,
+                        cp_blk,
+                        beta,
+                        next_u: std::ptr::null(),
+                        next_x: std::ptr::null(),
+                        output,
+                    };
+                    backend.run(MicroCall { n_blk, args: &args });
+                    wino_simd::sfence();
+
+                    for j in 0..n_blk {
+                        for p in 0..cp_blk {
+                            let got = if scatter {
+                                arena[j * 2 * group_stride + (p / 16) * group_stride + p % 16]
+                            } else {
+                                x[j * cp_blk + p]
+                            };
+                            let want = x_ref[j * cp_blk + p];
+                            assert!(
+                                (got - want).abs() <= 1e-4 * want.abs().max(1.0),
+                                "{} n_blk={n_blk} beta={beta} scatter={scatter} row {j} col {p}: \
+                                 {got} vs {want}",
+                                backend.name()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

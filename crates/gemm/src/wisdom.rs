@@ -111,10 +111,18 @@ impl Wisdom {
     /// Load wisdom from a text file. Unknown or malformed lines are
     /// ignored (forward compatibility), comments start with `#`; even
     /// binary garbage only yields an empty store, never an error — the
-    /// caller's analytic-model fallback must always be reachable.
+    /// caller's analytic-model fallback must always be reachable. An
+    /// entry whose `n_blk` exceeds the active vector backend's register
+    /// ceiling ([`wino_simd::Backend::max_rows`]) was tuned on a wider
+    /// ISA and is dropped the same way.
     pub fn load(path: &Path) -> io::Result<Wisdom> {
         let bytes = std::fs::read(path)?;
-        let text = String::from_utf8_lossy(&bytes);
+        Ok(Self::parse(&String::from_utf8_lossy(&bytes), wino_simd::backend().max_rows()))
+    }
+
+    /// The lossy line parser behind [`Wisdom::load`]; `max_rows` is the
+    /// largest `n_blk` an entry may carry.
+    fn parse(text: &str, max_rows: usize) -> Wisdom {
         let w = Wisdom::new();
         for line in text.lines() {
             let line = line.trim();
@@ -124,7 +132,7 @@ impl Wisdom {
             let Some((key, rest)) = line.split_once('=') else { continue };
             let nums: Vec<usize> =
                 rest.split_whitespace().filter_map(|s| s.parse().ok()).collect();
-            if nums.len() == 3 || nums.len() == 4 {
+            if (nums.len() == 3 || nums.len() == 4) && nums[0] <= max_rows {
                 // A zero superblock would be meaningless — treat it as
                 // absent rather than propagating a degenerate extent.
                 let superblock = nums.get(3).copied().filter(|&sb| sb > 0);
@@ -137,7 +145,7 @@ impl Wisdom {
                 );
             }
         }
-        Ok(w)
+        w
     }
 
     /// Persist to a text file (sorted keys, stable diffs).
@@ -192,15 +200,15 @@ mod tests {
         let path = dir.join("wisdom.txt");
 
         let w = Wisdom::new();
-        w.insert(Wisdom::key(784, 256, 256, 36, 64), BlockShape { n_blk: 14, c_blk: 128, cp_blk: 128 });
-        w.insert(Wisdom::key(100, 64, 64, 16, 4), BlockShape { n_blk: 8, c_blk: 64, cp_blk: 64 });
+        w.insert(Wisdom::key(784, 256, 256, 36, 64), BlockShape { n_blk: 6, c_blk: 128, cp_blk: 128 });
+        w.insert(Wisdom::key(100, 64, 64, 16, 4), BlockShape { n_blk: 4, c_blk: 64, cp_blk: 64 });
         w.save(&path).unwrap();
 
         let loaded = Wisdom::load(&path).unwrap();
         assert_eq!(loaded.len(), 2);
         assert_eq!(
             loaded.get(&Wisdom::key(784, 256, 256, 36, 64)),
-            Some(BlockShape { n_blk: 14, c_blk: 128, cp_blk: 128 })
+            Some(BlockShape { n_blk: 6, c_blk: 128, cp_blk: 128 })
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -217,17 +225,17 @@ mod tests {
         let key_plain = Wisdom::key(100, 64, 64, 16, 4);
         w.insert_with_superblock(
             key_sb.clone(),
-            BlockShape { n_blk: 14, c_blk: 128, cp_blk: 128 },
+            BlockShape { n_blk: 6, c_blk: 128, cp_blk: 128 },
             4,
         );
-        w.insert(key_plain.clone(), BlockShape { n_blk: 8, c_blk: 64, cp_blk: 64 });
+        w.insert(key_plain.clone(), BlockShape { n_blk: 4, c_blk: 64, cp_blk: 64 });
         w.save(&path).unwrap();
 
         let loaded = Wisdom::load(&path).unwrap();
         assert_eq!(loaded.superblock_hint(&key_sb), Some(4));
         assert_eq!(
             loaded.get(&key_sb),
-            Some(BlockShape { n_blk: 14, c_blk: 128, cp_blk: 128 })
+            Some(BlockShape { n_blk: 6, c_blk: 128, cp_blk: 128 })
         );
         // Plain entries stay hint-free — the planner falls back to the
         // analytic footprint model.
@@ -241,10 +249,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("wino-wisdom-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wisdom.txt");
-        std::fs::write(&path, "# comment\n\ngarbage\nkey = 1 2\nok = 8 64 64\n").unwrap();
+        std::fs::write(&path, "# comment\n\ngarbage\nkey = 1 2\nok = 4 64 64\n").unwrap();
         let w = Wisdom::load(&path).unwrap();
         assert_eq!(w.len(), 1);
-        assert_eq!(w.get("ok"), Some(BlockShape { n_blk: 8, c_blk: 64, cp_blk: 64 }));
+        assert_eq!(w.get("ok"), Some(BlockShape { n_blk: 4, c_blk: 64, cp_blk: 64 }));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -264,7 +272,7 @@ mod tests {
             ("too_many", b"k = 1 2 3 4 5\n"),
             ("negative", b"k = -8 64 64\n"),
             ("overflow", b"k = 99999999999999999999999999 64 64\n"),
-            ("zero_sb", b"k = 8 64 64 0\n"),
+            ("zero_sb", b"k = 4 64 64 0\n"),
         ];
         for (name, bytes) in cases {
             let path = dir.join(format!("{name}.txt"));
@@ -274,7 +282,7 @@ mod tests {
                 // A zero superblock hint degrades to "no hint" — the
                 // blocking itself is intact, the planner uses the model.
                 "zero_sb" => {
-                    assert_eq!(w.get("k"), Some(BlockShape { n_blk: 8, c_blk: 64, cp_blk: 64 }));
+                    assert_eq!(w.get("k"), Some(BlockShape { n_blk: 4, c_blk: 64, cp_blk: 64 }));
                     assert_eq!(w.superblock_hint("k"), None);
                 }
                 _ => assert!(w.is_empty(), "case {name} produced entries"),
@@ -300,7 +308,7 @@ mod tests {
 
         let w = Wisdom::new();
         let key = Wisdom::key(784, 256, 256, 36, 64);
-        w.insert(key.clone(), BlockShape { n_blk: 14, c_blk: 128, cp_blk: 128 });
+        w.insert(key.clone(), BlockShape { n_blk: 6, c_blk: 128, cp_blk: 128 });
         w.save(&path).unwrap();
 
         // The dead process's half-written staging file (note: a *different*
@@ -309,7 +317,7 @@ mod tests {
 
         let loaded = Wisdom::load(&path).unwrap();
         assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded.get(&key), Some(BlockShape { n_blk: 14, c_blk: 128, cp_blk: 128 }));
+        assert_eq!(loaded.get(&key), Some(BlockShape { n_blk: 6, c_blk: 128, cp_blk: 128 }));
 
         // A survivor process saving over the same path is unaffected.
         w.insert(Wisdom::key(1, 2, 3, 4, 5), BlockShape { n_blk: 1, c_blk: 16, cp_blk: 16 });
@@ -337,7 +345,7 @@ mod tests {
         for i in 0..30 {
             big.insert(
                 Wisdom::key(i, 2, 3, 4, 5),
-                BlockShape { n_blk: 8, c_blk: 64, cp_blk: 64 },
+                BlockShape { n_blk: 4, c_blk: 64, cp_blk: 64 },
             );
         }
         small.save(&path).unwrap();
@@ -415,13 +423,13 @@ mod tests {
         let path = dir.join("wisdom.txt");
 
         // A pre-dispatch ("v1") file knows nothing of geometry suffixes.
-        std::fs::write(&path, "# wino-gemm wisdom v1\nr784_c256_cp256_t36_th64 = 14 128 128\n")
+        std::fs::write(&path, "# wino-gemm wisdom v1\nr784_c256_cp256_t36_th64 = 6 128 128\n")
             .unwrap();
         let w = Wisdom::load(&path).unwrap();
         // Identity-geometry lookups hit the old entry losslessly…
         assert_eq!(
             w.get(&Wisdom::scenario_key(784, 256, 256, 36, 64, &[1, 1], &[1, 1], 1)),
-            Some(BlockShape { n_blk: 14, c_blk: 128, cp_blk: 128 })
+            Some(BlockShape { n_blk: 6, c_blk: 128, cp_blk: 128 })
         );
         // …while strided/grouped lookups miss (analytic-model fallback),
         // rather than silently reusing a blocking tuned for a different
@@ -436,14 +444,14 @@ mod tests {
         // an old reader (same loader) sees every entry.
         w.insert(
             Wisdom::scenario_key(784, 256, 256, 36, 64, &[2, 2], &[1, 1], 4),
-            BlockShape { n_blk: 7, c_blk: 64, cp_blk: 64 },
+            BlockShape { n_blk: 5, c_blk: 64, cp_blk: 64 },
         );
         w.save(&path).unwrap();
         let reloaded = Wisdom::load(&path).unwrap();
         assert_eq!(reloaded.len(), 2);
         assert_eq!(
             reloaded.get(&Wisdom::scenario_key(784, 256, 256, 36, 64, &[2, 2], &[1, 1], 4)),
-            Some(BlockShape { n_blk: 7, c_blk: 64, cp_blk: 64 })
+            Some(BlockShape { n_blk: 5, c_blk: 64, cp_blk: 64 })
         );
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -461,9 +469,9 @@ mod tests {
         // planner falls back to the analytic model. Nothing panics.
         std::fs::write(
             &path,
-            "r784_c256_cp256_t36_th64_s2xbogus_d1x1_g4 = 14 128 128\n\
-             r784_c256_cp256_t36_th64_sNaN_dNaN_g-1 = 14 128 128\n\
-             r784_c256_cp256_t36_th64_s2x2 = 14 128 128\n",
+            "r784_c256_cp256_t36_th64_s2xbogus_d1x1_g4 = 6 128 128\n\
+             r784_c256_cp256_t36_th64_sNaN_dNaN_g-1 = 6 128 128\n\
+             r784_c256_cp256_t36_th64_s2x2 = 6 128 128\n",
         )
         .unwrap();
         let w = Wisdom::load(&path).unwrap();
@@ -475,5 +483,18 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn entries_above_the_register_ceiling_are_dropped() {
+        // Tuned on AVX-512 (n_blk = 14), loaded where two ymm per row
+        // leave room for 6: the wide entry is a miss, the rest survive.
+        let text = "wide = 14 128 128 4\nedge = 6 64 64\nnarrow = 4 64 64\n";
+        let w = Wisdom::parse(text, 6);
+        assert_eq!(w.get("wide"), None);
+        assert_eq!(w.superblock_hint("wide"), None);
+        assert_eq!(w.get("edge"), Some(BlockShape { n_blk: 6, c_blk: 64, cp_blk: 64 }));
+        assert_eq!(w.get("narrow"), Some(BlockShape { n_blk: 4, c_blk: 64, cp_blk: 64 }));
+        assert_eq!(Wisdom::parse(text, 30).len(), 3);
     }
 }

@@ -31,7 +31,9 @@ use crate::exec::ExecBuffer;
 /// Errors from kernel compilation.
 #[derive(Debug)]
 pub enum JitError {
-    /// The running CPU does not support AVX-512F.
+    /// AVX-512F is not available to this process: the CPU lacks it, or
+    /// `WINO_SIMD` lowered the vector backend below it
+    /// ([`wino_simd::cpu_has_avx512f`]).
     Avx512Unavailable,
     /// Parameters outside the encodable/legal range (static reason code).
     BadParams(&'static str),
@@ -42,7 +44,7 @@ pub enum JitError {
 impl std::fmt::Display for JitError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            JitError::Avx512Unavailable => write!(f, "AVX-512F not available on this CPU"),
+            JitError::Avx512Unavailable => write!(f, "AVX-512F not available (CPU or WINO_SIMD)"),
             JitError::BadParams(s) => write!(f, "bad JIT parameters: {s}"),
             JitError::Os(e) => write!(f, "executable mapping failed: {e}"),
         }

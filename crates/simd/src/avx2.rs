@@ -3,109 +3,127 @@
 //! conclusion — the data layout stays identical (S = 16), only the register
 //! tiling changes.
 
-// Rationale: on toolchains where value-only vector intrinsics are safe
-// (target-feature 1.1), the wrapping `unsafe` blocks below are redundant
-// but kept for portability to older rustc versions.
-#![allow(unused_unsafe)]
-
 use std::arch::x86_64::*;
 
-pub(crate) const NAME: &str = "avx2";
+use crate::{Kernel, Simd16};
+
+/// Proof that the running CPU has AVX2 and FMA: only `Avx2::detect`
+/// constructs one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Avx2(());
+
+impl Avx2 {
+    pub(crate) fn detect() -> Option<Self> {
+        (std::arch::is_x86_feature_detected!("avx2")
+            && std::arch::is_x86_feature_detected!("fma"))
+        .then_some(Avx2(()))
+    }
+
+    /// Run `k` with AVX2 and FMA enabled.
+    #[inline]
+    pub fn run<K: Kernel>(self, k: K) -> K::Output {
+        // SAFETY: `self` exists, so `detect` saw avx2 and fma on this CPU.
+        unsafe { arm(k) }
+    }
+}
+
+#[target_feature(enable = "avx2,fma")]
+fn arm<K: Kernel>(k: K) -> K::Output {
+    k.run::<F32x16>()
+}
 
 /// 16 packed `f32` lanes backed by two `__m256`.
+///
+/// Every intrinsic below needs avx2 (and `mul_add` fma). The type is
+/// unnameable outside this crate and reaches user code only as the `V`
+/// of [`arm`], so each method is inlined into a caller that has both.
 #[derive(Clone, Copy)]
 pub struct F32x16(__m256, __m256);
 
-impl F32x16 {
-    /// All-zero vector.
+impl crate::sealed::Sealed for F32x16 {}
+
+impl Simd16 for F32x16 {
     #[inline(always)]
-    pub fn zero() -> Self {
-        // SAFETY: register-only intrinsic, no memory access; this module
-        // only compiles when avx2+fma are statically enabled (lib.rs cfg).
+    fn zero() -> Self {
+        // SAFETY: avx2 proven (type docs); register-only.
         unsafe { F32x16(_mm256_setzero_ps(), _mm256_setzero_ps()) }
     }
 
-    /// Broadcast `x` to all lanes.
     #[inline(always)]
-    pub fn splat(x: f32) -> Self {
-        // SAFETY: register-only intrinsic, no memory access (see `zero`).
+    fn splat(x: f32) -> Self {
+        // SAFETY: avx2 proven (type docs); register-only.
         unsafe {
             let v = _mm256_set1_ps(x);
             F32x16(v, v)
         }
     }
 
-    /// Unaligned load of 16 floats.
-    ///
-    /// # Safety
-    /// `p` must be valid for reading 64 bytes.
+    // SAFETY: the caller upholds the contract on `Simd16::load`.
     #[inline(always)]
-    pub unsafe fn load(p: *const f32) -> Self {
+    unsafe fn load(p: *const f32) -> Self {
         F32x16(_mm256_loadu_ps(p), _mm256_loadu_ps(p.add(8)))
     }
 
-    /// Unaligned store of 16 floats.
-    ///
-    /// # Safety
-    /// `p` must be valid for writing 64 bytes.
+    // SAFETY: the caller upholds the contract on `Simd16::store`.
     #[inline(always)]
-    pub unsafe fn store(self, p: *mut f32) {
+    unsafe fn store(self, p: *mut f32) {
         _mm256_storeu_ps(p, self.0);
         _mm256_storeu_ps(p.add(8), self.1);
     }
 
-    /// Non-temporal (streaming) store.
-    ///
-    /// # Safety
-    /// `p` must be valid for writing 64 bytes and 64-byte aligned (32-byte
-    /// would suffice for AVX, but the layout contract is 64).
+    /// 32-byte alignment would suffice for AVX, but the layout contract
+    /// is 64.
+    // SAFETY: the caller upholds the contract on `Simd16::store_nt`.
     #[inline(always)]
-    pub unsafe fn store_nt(self, p: *mut f32) {
+    unsafe fn store_nt(self, p: *mut f32) {
         debug_assert_eq!(p as usize % 64, 0, "streaming store requires 64-byte alignment");
         _mm256_stream_ps(p, self.0);
         _mm256_stream_ps(p.add(8), self.1);
     }
 
     #[inline(always)]
-    pub(crate) fn add_v(a: Self, b: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access (see `zero`).
-        unsafe { F32x16(_mm256_add_ps(a.0, b.0), _mm256_add_ps(a.1, b.1)) }
-    }
-
-    #[inline(always)]
-    pub(crate) fn sub_v(a: Self, b: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access (see `zero`).
-        unsafe { F32x16(_mm256_sub_ps(a.0, b.0), _mm256_sub_ps(a.1, b.1)) }
-    }
-
-    #[inline(always)]
-    pub(crate) fn mul_v(a: Self, b: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access (see `zero`).
-        unsafe { F32x16(_mm256_mul_ps(a.0, b.0), _mm256_mul_ps(a.1, b.1)) }
-    }
-
-    /// Fused multiply-add: `self * b + c` in one rounding per lane.
-    #[inline(always)]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
-        // SAFETY: register-only intrinsic, no memory access (see `zero`);
-        // FMA availability is checked together with AVX2.
+    fn mul_add(self, b: Self, c: Self) -> Self {
+        // SAFETY: avx2+fma proven (type docs); register-only.
         unsafe {
-            F32x16(
-                _mm256_fmadd_ps(self.0, b.0, c.0),
-                _mm256_fmadd_ps(self.1, b.1, c.1),
-            )
+            F32x16(_mm256_fmadd_ps(self.0, b.0, c.0), _mm256_fmadd_ps(self.1, b.1, c.1))
         }
     }
 
-    /// Copy lanes out into an array.
     #[inline(always)]
-    pub fn to_array(self) -> [f32; 16] {
+    fn to_array(self) -> [f32; 16] {
         let mut out = [0.0f32; 16];
-        // SAFETY: `out` is a local [f32; 16] — 64 writable bytes.
+        // SAFETY: avx2 proven (type docs); `out` is 64 writable bytes.
         unsafe {
             _mm256_storeu_ps(out.as_mut_ptr(), self.0);
             _mm256_storeu_ps(out.as_mut_ptr().add(8), self.1);
         }
         out
+    }
+}
+
+impl std::ops::Add for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn add(self, b: Self) -> Self {
+        // SAFETY: avx2 proven (type docs); register-only.
+        unsafe { F32x16(_mm256_add_ps(self.0, b.0), _mm256_add_ps(self.1, b.1)) }
+    }
+}
+
+impl std::ops::Sub for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn sub(self, b: Self) -> Self {
+        // SAFETY: avx2 proven (type docs); register-only.
+        unsafe { F32x16(_mm256_sub_ps(self.0, b.0), _mm256_sub_ps(self.1, b.1)) }
+    }
+}
+
+impl std::ops::Mul for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn mul(self, b: Self) -> Self {
+        // SAFETY: avx2 proven (type docs); register-only.
+        unsafe { F32x16(_mm256_mul_ps(self.0, b.0), _mm256_mul_ps(self.1, b.1)) }
     }
 }

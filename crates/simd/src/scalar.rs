@@ -2,79 +2,78 @@
 //! for LLVM to auto-vectorise. Keeps the whole workspace buildable and
 //! testable on any architecture; the data layouts are unchanged.
 
-pub(crate) const NAME: &str = "scalar";
+use crate::Simd16;
 
 /// 16 `f32` lanes backed by an array.
 #[derive(Clone, Copy)]
 #[repr(C, align(64))]
 pub struct F32x16([f32; 16]);
 
-impl F32x16 {
-    /// All-zero vector.
+impl crate::sealed::Sealed for F32x16 {}
+
+impl Simd16 for F32x16 {
     #[inline(always)]
-    pub fn zero() -> Self {
+    fn zero() -> Self {
         F32x16([0.0; 16])
     }
 
-    /// Broadcast `x` to all lanes.
     #[inline(always)]
-    pub fn splat(x: f32) -> Self {
+    fn splat(x: f32) -> Self {
         F32x16([x; 16])
     }
 
-    /// Unaligned load of 16 floats.
-    ///
-    /// # Safety
-    /// `p` must be valid for reading 64 bytes.
+    // SAFETY: the caller upholds the contract on `Simd16::load`.
     #[inline(always)]
-    pub unsafe fn load(p: *const f32) -> Self {
+    unsafe fn load(p: *const f32) -> Self {
         F32x16(std::ptr::read_unaligned(p as *const [f32; 16]))
     }
 
-    /// Unaligned store of 16 floats.
-    ///
-    /// # Safety
-    /// `p` must be valid for writing 64 bytes.
+    // SAFETY: the caller upholds the contract on `Simd16::store`.
     #[inline(always)]
-    pub unsafe fn store(self, p: *mut f32) {
+    unsafe fn store(self, p: *mut f32) {
         std::ptr::write_unaligned(p as *mut [f32; 16], self.0);
     }
 
     /// "Streaming" store — a plain store on this backend.
-    ///
-    /// # Safety
-    /// `p` must be valid for writing 64 bytes and 64-byte aligned (the
-    /// layout contract shared with the SIMD backends).
+    // SAFETY: the caller upholds the contract on `Simd16::store_nt`.
     #[inline(always)]
-    pub unsafe fn store_nt(self, p: *mut f32) {
+    unsafe fn store_nt(self, p: *mut f32) {
         debug_assert_eq!(p as usize % 64, 0, "streaming store requires 64-byte alignment");
         self.store(p);
     }
 
+    /// Not fused on this backend.
     #[inline(always)]
-    pub(crate) fn add_v(a: Self, b: Self) -> Self {
-        F32x16(std::array::from_fn(|i| a.0[i] + b.0[i]))
-    }
-
-    #[inline(always)]
-    pub(crate) fn sub_v(a: Self, b: Self) -> Self {
-        F32x16(std::array::from_fn(|i| a.0[i] - b.0[i]))
-    }
-
-    #[inline(always)]
-    pub(crate) fn mul_v(a: Self, b: Self) -> Self {
-        F32x16(std::array::from_fn(|i| a.0[i] * b.0[i]))
-    }
-
-    /// Multiply-add `self * b + c` (not necessarily fused on this backend).
-    #[inline(always)]
-    pub fn mul_add(self, b: Self, c: Self) -> Self {
+    fn mul_add(self, b: Self, c: Self) -> Self {
         F32x16(std::array::from_fn(|i| self.0[i] * b.0[i] + c.0[i]))
     }
 
-    /// Copy lanes out into an array.
     #[inline(always)]
-    pub fn to_array(self) -> [f32; 16] {
+    fn to_array(self) -> [f32; 16] {
         self.0
+    }
+}
+
+impl std::ops::Add for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn add(self, b: Self) -> Self {
+        F32x16(std::array::from_fn(|i| self.0[i] + b.0[i]))
+    }
+}
+
+impl std::ops::Sub for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn sub(self, b: Self) -> Self {
+        F32x16(std::array::from_fn(|i| self.0[i] - b.0[i]))
+    }
+}
+
+impl std::ops::Mul for F32x16 {
+    type Output = Self;
+    #[inline(always)]
+    fn mul(self, b: Self) -> Self {
+        F32x16(std::array::from_fn(|i| self.0[i] * b.0[i]))
     }
 }

@@ -7,7 +7,10 @@
 #                                 (full scaled catalogue × {direct,
 #                                 im2col, best-Winograd})
 #   scripts/bench.sh --smoke    → target/BENCH_smoke.json (three pinned
-#                                 layers, 1 rep — the CI gate)
+#                                 layers, 1 rep — the CI gate; also fails
+#                                 if the report says machine.simd =
+#                                 "scalar" on a CPU with AVX2+FMA while
+#                                 WINO_SIMD is unset)
 #   scripts/bench.sh --scaling-smoke
 #                               → target/BENCH_scaling.json (strong/weak
 #                                 thread sweep over the smoke layers; the
@@ -66,4 +69,14 @@ fi
 
 run target/release/perf "${args[@]}" --out "$out"
 run target/release/perf --validate "$out"
+
+# Wrong-ISA gate: numbers measured on the scalar backend of a vector
+# machine are not numbers. /proc/cpuinfo is consulted rather than
+# wino-simd so the check does not share a bug with what it checks.
+if [ "$MODE" = smoke ] && [ -z "${WINO_SIMD:-}" ] \
+    && grep -Eq '"simd": *"scalar"' "$out" \
+    && grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null; then
+    echo "error: $out reports machine.simd = scalar, but this CPU has AVX2+FMA" >&2
+    exit 1
+fi
 echo "OK: $out"

@@ -29,14 +29,18 @@ run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features
 run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features probe -- -D warnings
 run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features probe,fault-inject -- -D warnings
 
+# ISA matrix: one binary carries the scalar, AVX2 and AVX-512 kernels,
+# and `WINO_SIMD` (a test seam — it can only lower the backend) pins
+# which one runs, so every backend this host supports goes through the
+# gates below. `WINO_SIMD=scalar` is also the only configuration in which
+# an AVX-512 host exercises the planned Jit → Mono fallback.
+#
 # Differential gate: ≥300 random layers through all three stage schedules
 # (unfused / fused-scatter / pipelined) across the full (stride, dilation,
 # groups) lattice against the f64 geometry oracle. The seed is pinned
 # (0xd1ff2026, the test's default) so CI failures reproduce locally
 # byte-for-byte; the minimal-shrink reporter names the offender.
-run "$TEST_TIMEOUT" env WINO_SWEEP_SEED=3523158054 \
-    cargo test --offline -q --test properties differential_schedule_sweep
-
+#
 # Dispatch-matrix gate: the exhaustive (rank, stride, dilation, groups)
 # grid must route every representable combination to its specified engine
 # (direct / polyphase / grouped Winograd or the designed im2col fallback
@@ -44,7 +48,19 @@ run "$TEST_TIMEOUT" env WINO_SWEEP_SEED=3523158054 \
 # provenance through `Network` reports; the geometry edge cases (stride >
 # extent, dilation past the padding, depthwise, non-divisible groups)
 # ride in the same gate.
-run "$TEST_TIMEOUT" cargo test --offline -q --test dispatch_matrix --test tile_edge_cases
+#
+# Plus the Pipelined-vs-monolithic bitwise battery and the executor/JIT
+# agreement tests, which compare runs *within* one backend.
+isas=(scalar)
+grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null && isas+=(avx2)
+grep -qw avx512f /proc/cpuinfo 2>/dev/null && isas+=(avx512)
+for isa in "${isas[@]}"; do
+    run "$TEST_TIMEOUT" env WINO_SIMD="$isa" WINO_SWEEP_SEED=3523158054 \
+        cargo test --offline -q --test properties differential_schedule_sweep
+    run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+        cargo test --offline -q --test dispatch_matrix --test tile_edge_cases \
+        --test pipeline_equivalence --test parallel_and_jit
+done
 
 # Accuracy gate: (a) every practical F(m, r) under both interpolation
 # point schedules must measure within its exact a-priori conditioning

@@ -18,11 +18,11 @@ for a in "$@"; do
   [ "$a" = "--full" ] && FULL="--full"
 done
 
-echo "== building (release, target-cpu=native) =="
+echo "== building (release; the vector backend is picked at run time) =="
 cargo build --workspace --release
 
 echo "== test suite =="
-cargo test --workspace 2>&1 | tee test_output.txt | grep -E "test result" | tail -40
+cargo test --workspace 2>&1 | grep -E "test result" | tail -40
 
 mkdir -p results
 echo "== Figure 5 (layer runtimes; ~minutes, FFT rows dominate) =="
@@ -45,6 +45,6 @@ target/release/ablations budden-net       --threads "$THREADS" > results/abl_bud
 echo "   -> results/abl_*.csv"
 
 echo "== criterion micro-benchmarks =="
-cargo bench --workspace 2>&1 | tee bench_output.txt | grep -E "time:" | tail -40
+cargo bench --workspace 2>&1 | grep -E "time:" | tail -40
 
 echo "All artefacts regenerated. Compare against EXPERIMENTS.md."

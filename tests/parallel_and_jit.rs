@@ -126,6 +126,44 @@ fn jit_gemm_agrees_with_mono_gemm_on_conv_shaped_problems() {
     }
 }
 
+/// A JIT request follows the backend the vector kernels were dispatched
+/// to: compiled when that is AVX-512, otherwise planned down to Mono with
+/// the typed reason — and then indistinguishable from a Mono plan. Under
+/// `WINO_SIMD=scalar|avx2` this is the Jit → Mono planned fallback
+/// running on an AVX-512 host.
+#[test]
+fn jit_request_follows_the_dispatched_backend() {
+    use winograd_nd_repro::conv::{plan_with_fallback, FallbackPolicy, PlanError, Stage2Backend};
+    let shape = ConvShape::new(1, 32, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
+    let jit_opts = ConvOptions { stage2: Stage2Backend::Jit, ..Default::default() };
+    let (plan, planned_fallback) =
+        plan_with_fallback(&shape, &[4, 4], jit_opts, &FallbackPolicy::default()).unwrap();
+
+    if winograd_nd_repro::simd::cpu_has_avx512f() {
+        assert_eq!(winograd_nd_repro::simd::backend_name(), "avx512");
+        assert_eq!(plan.opts.stage2, Stage2Backend::Jit);
+        assert!(planned_fallback.is_none());
+        return;
+    }
+    assert_ne!(winograd_nd_repro::simd::backend_name(), "avx512");
+    assert_eq!(plan.opts.stage2, Stage2Backend::Mono);
+    assert!(matches!(planned_fallback, Some(PlanError::Jit { .. })), "{planned_fallback:?}");
+    assert!(matches!(
+        plan_with_fallback(&shape, &[4, 4], jit_opts, &FallbackPolicy::strict()),
+        Err(PlanError::Jit { .. })
+    ));
+
+    let (input, kernels) = setup(&shape);
+    let run = |plan: &WinogradLayer| {
+        let mut scratch = Scratch::new(plan, 1);
+        let mut out = plan.new_output().unwrap();
+        plan.forward(&input, &kernels, &mut out, &mut scratch, &SerialExecutor).unwrap();
+        out.as_slice().to_vec()
+    };
+    let mono = WinogradLayer::new(shape.clone(), &[4, 4], ConvOptions::default()).unwrap();
+    assert_eq!(run(&plan), run(&mono));
+}
+
 #[test]
 fn scratch_is_shareable_across_same_shaped_layers() {
     // The paper's aux buffer is reused across layers; two different

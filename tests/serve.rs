@@ -12,6 +12,21 @@ use winograd_nd_repro::conv::{ConvOptions, LayerBackend, LayerSpec};
 use winograd_nd_repro::serve::{ModelSpec, ServeError, ServeOptions, Server, ServiceModel};
 use winograd_nd_repro::tensor::{BlockedImage, BlockedKernels, SimpleImage, SimpleKernels};
 
+/// With `fault-inject` compiled in, every forward consults the
+/// process-global armed faults, so a plain test that runs the engine
+/// while a `faults` test has one armed would consume it. Each test
+/// therefore holds the fault lock for its duration.
+fn engine_lock() -> Option<std::sync::MutexGuard<'static, ()>> {
+    #[cfg(feature = "fault-inject")]
+    {
+        Some(winograd_nd_repro::sched::fault::test_lock())
+    }
+    #[cfg(not(feature = "fault-inject"))]
+    {
+        None
+    }
+}
+
 fn model() -> (ModelSpec, Vec<BlockedKernels>) {
     let spec = ModelSpec::new(16, vec![6, 6], vec![LayerSpec::same(16, 2, 3, 2)]);
     let kernels = spec
@@ -40,6 +55,7 @@ fn request() -> BlockedImage {
 /// the typed back-pressure error — and still shuts down cleanly.
 #[test]
 fn capacity_zero_sheds_every_request() {
+    let _engine = engine_lock();
     let (spec, kernels) = model();
     let opts = ServeOptions { queue_capacity: 0, ..Default::default() };
     let server = Server::start(spec, kernels, opts).unwrap();
@@ -61,6 +77,7 @@ fn capacity_zero_sheds_every_request() {
 /// per-request accounting.
 #[test]
 fn batch_of_one_is_served_with_accounting() {
+    let _engine = engine_lock();
     let (spec, kernels) = model();
     let server = Server::start(spec, kernels, ServeOptions::default()).unwrap();
     let ticket = server.submit(request(), Duration::from_secs(30)).unwrap();
@@ -82,6 +99,7 @@ fn batch_of_one_is_served_with_accounting() {
 /// no ticket, no queue slot consumed.
 #[test]
 fn deadline_expired_at_enqueue_is_shed() {
+    let _engine = engine_lock();
     let (spec, kernels) = model();
     let server = Server::start(spec, kernels, ServeOptions::default()).unwrap();
     match server.submit(request(), Duration::ZERO) {
@@ -98,6 +116,7 @@ fn deadline_expired_at_enqueue_is_shed() {
 /// miss for any finite deadline and sheds with the estimate attached.
 #[test]
 fn predictive_admission_sheds_with_typed_estimate() {
+    let _engine = engine_lock();
     let (spec, kernels) = model();
     let opts = ServeOptions {
         service: Some(ServiceModel::from_measurement(1e6, 0.0)),
@@ -119,6 +138,7 @@ fn predictive_admission_sheds_with_typed_estimate() {
 /// every ticket resolves with an output.
 #[test]
 fn shutdown_drains_queued_requests() {
+    let _engine = engine_lock();
     let (spec, kernels) = model();
     let opts = ServeOptions { max_batch: 2, ..Default::default() };
     let server = Server::start(spec, kernels, opts).unwrap();
@@ -138,6 +158,7 @@ fn shutdown_drains_queued_requests() {
 /// into one batch that closes as soon as `max_batch` is reached.
 #[test]
 fn requests_coalesce_into_one_batch() {
+    let _engine = engine_lock();
     let (spec, kernels) = model();
     let opts = ServeOptions {
         max_batch: 4,
@@ -165,6 +186,7 @@ fn requests_coalesce_into_one_batch() {
 /// each de-batched output matches the f64 geometry oracle.
 #[test]
 fn strided_model_serves_batched_requests() {
+    let _engine = engine_lock();
     let mut spec = ModelSpec::new(16, vec![8, 8], vec![LayerSpec::same(16, 2, 3, 2)]);
     spec.opts = ConvOptions::default().with_stride(&[2, 2]);
     assert_eq!(spec.output_geometry().unwrap(), (16, vec![4, 4]));
@@ -233,6 +255,7 @@ fn strided_model_serves_batched_requests() {
 /// tallies reconcile with the server's.
 #[test]
 fn every_submission_resolves_to_exactly_one_outcome() {
+    let _engine = engine_lock();
     let (spec, kernels) = model();
     let opts = ServeOptions { queue_capacity: 4, ..Default::default() };
     let server = std::sync::Arc::new(Server::start(spec, kernels, opts).unwrap());
