@@ -1,5 +1,7 @@
 //! Lint driver: locate the workspace, walk every `crates/*/src/**/*.rs`
-//! (plus the root `src/`), and apply the [`crate::rules`] table.
+//! (plus the root `src/`), and apply the [`crate::rules`] table — also to
+//! the transform codelets `wino-conv`'s build script generates, which are
+//! source the compiler sees but no directory walk finds.
 
 use std::path::{Path, PathBuf};
 
@@ -69,6 +71,22 @@ pub struct LintStats {
     pub relaxed_tokens: usize,
 }
 
+/// Lint one source text as the workspace-relative path `rel`, adding to
+/// `violations` and `stats`.
+fn lint_source(rel: &str, src: &str, violations: &mut Vec<Violation>, stats: &mut LintStats) {
+    stats.files += 1;
+    for t in crate::lexer::lex(src) {
+        if t.kind == crate::lexer::TokKind::Ident {
+            match t.text(src) {
+                "unsafe" => stats.unsafe_tokens += 1,
+                "Relaxed" => stats.relaxed_tokens += 1,
+                _ => {}
+            }
+        }
+    }
+    violations.extend(lint_file(rel, src));
+}
+
 /// Lint the given files (absolute paths; `root` is used to relativise for
 /// scope/allowlist matching and reporting).
 pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<(Vec<Violation>, LintStats)> {
@@ -80,26 +98,23 @@ pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<(Vec<Violat
             .unwrap_or(p)
             .to_string_lossy()
             .replace('\\', "/");
-        let src = std::fs::read_to_string(p)?;
-        stats.files += 1;
-        for t in crate::lexer::lex(&src) {
-            if t.kind == crate::lexer::TokKind::Ident {
-                match t.text(&src) {
-                    "unsafe" => stats.unsafe_tokens += 1,
-                    "Relaxed" => stats.relaxed_tokens += 1,
-                    _ => {}
-                }
-            }
-        }
-        violations.extend(lint_file(&rel, &src));
+        lint_source(&rel, &std::fs::read_to_string(p)?, &mut violations, &mut stats);
     }
     Ok((violations, stats))
 }
 
-/// Lint the whole workspace rooted at `root`.
+/// The path the generated transform codelets are linted (and reported)
+/// under: inside `crates/core`, so that crate's scoped rules apply.
+pub const GENERATED_CODELETS_PATH: &str = "crates/core/src/$OUT_DIR/codelets.rs";
+
+/// Lint the whole workspace rooted at `root`, plus the codelets
+/// `wino-conv` was built with ([`wino_conv::codelet::GENERATED_SOURCE`]).
 pub fn lint_workspace(root: &Path) -> std::io::Result<(Vec<Violation>, LintStats)> {
     let files = collect_sources(root)?;
-    lint_paths(root, &files)
+    let (mut violations, mut stats) = lint_paths(root, &files)?;
+    let generated = wino_conv::codelet::GENERATED_SOURCE;
+    lint_source(GENERATED_CODELETS_PATH, generated, &mut violations, &mut stats);
+    Ok((violations, stats))
 }
 
 /// One-line-per-rule table, for `wino-lint --list-rules`.
@@ -143,6 +158,25 @@ mod tests {
         assert!(stats.unsafe_tokens > 50, "unsafe sweep lost sites: {}", stats.unsafe_tokens);
         let report: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
         assert!(violations.is_empty(), "workspace lint violations:\n{}", report.join("\n"));
+    }
+
+    #[test]
+    fn generated_codelets_are_linted_and_their_unsafe_is_covered() {
+        let src = wino_conv::codelet::GENERATED_SOURCE;
+        // 24 line codelets, the store helper, three dispatchers: each an
+        // `unsafe fn`, the codelets with an `unsafe` block inside.
+        let unsafe_tokens = crate::lexer::lex(src)
+            .iter()
+            .filter(|t| t.kind == crate::lexer::TokKind::Ident && t.text(src) == "unsafe")
+            .count();
+        assert!(unsafe_tokens >= 2 * 24 + 4, "generated source lost unsafe sites: {unsafe_tokens}");
+        assert_eq!(lint_file(GENERATED_CODELETS_PATH, src), vec![]);
+        // The coverage is real: the same text without its justifications
+        // trips the rule once per site.
+        let stripped = src.replace("// SAFETY:", "//").replace("# Safety", "#");
+        let vs = lint_file(GENERATED_CODELETS_PATH, &stripped);
+        assert!(vs.len() >= unsafe_tokens - 4, "{} violations", vs.len());
+        assert!(vs.iter().all(|v| v.rule == "unsafe-needs-safety"));
     }
 
     #[test]

@@ -1,11 +1,16 @@
-//! Transform-codelet throughput: vectorised `Bᵀ`/`Aᵀ` tile transforms per
-//! second, with and without the Fig. 2 pairing optimisation.
+//! Transform-codelet cost per tile: the generated straight-line codelets
+//! the stages run against the interpreter they replaced, for `Bᵀ`, `G`
+//! and `Aᵀ` of F(2|4|6, 3) on one L1-resident 2-D tile — and, on the
+//! interpreter, the Fig. 2 pairing optimisation against the unpaired
+//! program.
 //!
 //! Plain `harness = false` benchmark: no registry dependencies, timing via
-//! `wino_workloads::time_best`. Run with `cargo bench --bench transforms`.
+//! `wino_workloads::time_best`. Run with
+//! `cargo bench -p wino-bench --bench transforms`.
 
+use wino_conv::codelet::{transform_tile, Matrix};
 use wino_conv::vecprog::transform_all_dims;
-use wino_simd::{Kernel, Simd16, S};
+use wino_simd::{AlignedVec, Kernel, Simd16, S};
 use wino_transforms::{FmrPlan, MatrixProgram, PairNode, PairedProgram};
 use wino_workloads::time_best;
 
@@ -26,16 +31,45 @@ fn unpaired(p: &PairedProgram, dense: &wino_transforms::F32Matrix) -> PairedProg
     }
 }
 
-/// One `Bᵀ`-transformed 2-D tile on the active backend — one dispatch
-/// per tile, the granularity the stages use.
-struct Tile2d<'a> {
+/// One 2-D tile through the stages' tile driver on the active backend —
+/// one dispatch per tile, the granularity the stages use.
+struct StageTile<'a> {
+    which: Matrix,
+    plans: &'a [FmrPlan],
+    interpret: bool,
+    input: &'a [f32],
+    output: &'a mut [f32],
+    tmp_a: &'a mut [f32],
+    tmp_b: &'a mut [f32],
+}
+
+impl Kernel for StageTile<'_> {
+    type Output = bool;
+
+    #[inline(always)]
+    fn run<V: Simd16>(self) -> bool {
+        transform_tile::<V>(
+            self.which,
+            self.plans,
+            self.interpret,
+            self.input,
+            self.output,
+            self.tmp_a,
+            self.tmp_b,
+        )
+    }
+}
+
+/// One `Bᵀ`-transformed 2-D tile straight on the interpreter, for the
+/// Fig. 2 rows (an unpaired program has no generated form).
+struct InterpretedTile<'a> {
     bt: &'a PairedProgram,
     input: &'a [f32],
     buf_a: &'a mut [f32],
     buf_b: &'a mut [f32],
 }
 
-impl Kernel for Tile2d<'_> {
+impl Kernel for InterpretedTile<'_> {
     type Output = ();
 
     #[inline(always)]
@@ -47,41 +81,67 @@ impl Kernel for Tile2d<'_> {
 }
 
 fn main() {
-    println!("bench,fmr,best_ms,melem_per_s");
+    println!("# simd backend: {}", wino_simd::backend_name());
+    println!("bench,fmr,best_ms,ns_per_tile,melem_per_s");
+    let row = |bench: &str, m: usize, r: usize, best_ms: f64, elems: f64| {
+        println!(
+            "{bench},F({m}.{r}),{best_ms:.3},{:.1},{:.1}",
+            best_ms * 1e6 / TILES_PER_REP as f64,
+            elems / best_ms / 1e3
+        );
+    };
     for (m, r) in [(2usize, 3usize), (4, 3), (6, 3)] {
-        let plan = FmrPlan::new(m, r);
-        let alpha = plan.alpha();
-        let vol = alpha * alpha;
-        let input: Vec<f32> = (0..vol * S).map(|i| (i % 97) as f32 * 0.01).collect();
-        let elems = (vol * S * TILES_PER_REP) as f64;
+        let plans = [FmrPlan::new(m, r), FmrPlan::new(m, r)];
+        let alpha = plans[0].alpha();
+        let t_vol = alpha * alpha;
+        let source: Vec<f32> = (0..t_vol * S).map(|i| (i % 97) as f32 * 0.01).collect();
+        let mut output = vec![0.0f32; t_vol * S];
+        let mut tmp_a = AlignedVec::zeroed(t_vol * S);
+        let mut tmp_b = AlignedVec::zeroed(t_vol * S);
 
-        let mut buf_a = input.clone();
-        let mut buf_b = vec![0.0f32; vol * S];
-        let t = time_best(REPS, || {
-            for _ in 0..TILES_PER_REP {
-                wino_simd::dispatch(Tile2d {
-                    bt: &plan.bt,
-                    input: &input,
-                    buf_a: &mut buf_a,
-                    buf_b: &mut buf_b,
+        // Generated codelet vs interpreter, through the same driver.
+        for (name, which, in_vol) in
+            [("bt", Matrix::Bt, t_vol), ("g", Matrix::G, r * r), ("at", Matrix::At, t_vol)]
+        {
+            let input = &source[..in_vol * S];
+            let elems = (in_vol * S * TILES_PER_REP) as f64;
+            for (route, interpret) in [("interpreted", true), ("generated", false)] {
+                let t = time_best(REPS, || {
+                    for _ in 0..TILES_PER_REP {
+                        let generated = wino_simd::dispatch(StageTile {
+                            which,
+                            plans: &plans,
+                            interpret,
+                            input: std::hint::black_box(input),
+                            output: &mut output,
+                            tmp_a: tmp_a.as_mut_slice(),
+                            tmp_b: tmp_b.as_mut_slice(),
+                        });
+                        assert_eq!(generated, !interpret);
+                    }
                 });
+                std::hint::black_box(output.first());
+                row(&format!("{name}_{route}"), m, r, t.best_ms, elems);
             }
-        });
-        println!("bt_paired,F({m}.{r}),{:.3},{:.1}", t.best_ms, elems / t.best_ms / 1e3);
+        }
 
-        let bt_dense = plan.transform.bt.to_f32();
-        let bt_unpaired = unpaired(&plan.bt, &bt_dense);
-        let t = time_best(REPS, || {
-            for _ in 0..TILES_PER_REP {
-                wino_simd::dispatch(Tile2d {
-                    bt: &bt_unpaired,
-                    input: &input,
-                    buf_a: &mut buf_a,
-                    buf_b: &mut buf_b,
-                });
-            }
-        });
-        println!("bt_unpaired,F({m}.{r}),{:.3},{:.1}", t.best_ms, elems / t.best_ms / 1e3);
-        std::hint::black_box(buf_b.first());
+        // Fig. 2: paired vs unpaired program, both on the interpreter.
+        let elems = (t_vol * S * TILES_PER_REP) as f64;
+        let bt = &plans[0].bt;
+        let bt_unpaired = unpaired(bt, &plans[0].transform.bt.to_f32());
+        for (name, prog) in [("bt_paired", bt), ("bt_unpaired", &bt_unpaired)] {
+            let t = time_best(REPS, || {
+                for _ in 0..TILES_PER_REP {
+                    wino_simd::dispatch(InterpretedTile {
+                        bt: prog,
+                        input: &source,
+                        buf_a: tmp_a.as_mut_slice(),
+                        buf_b: tmp_b.as_mut_slice(),
+                    });
+                }
+            });
+            std::hint::black_box(tmp_b.as_slice().first());
+            row(name, m, r, t.best_ms, elems);
+        }
     }
 }

@@ -19,6 +19,10 @@
 //!    image — applied *after* the channel summation (Eqn. 7/8), which is
 //!    where the arithmetic savings come from.
 //!
+//! The codelets of stages 1 and 3 are straight-line code generated at
+//! build time for every `F(m, 3)` the tile search can pick ([`codelet`]);
+//! other sizes run the interpreter over the same programs ([`vecprog`]).
+//!
 //! ```
 //! use wino_tensor::{SimpleImage, SimpleKernels};
 //!
@@ -29,6 +33,7 @@
 //! assert_eq!(out.dims, vec![8, 8]);
 //! ```
 
+pub mod codelet;
 pub mod conv;
 pub mod dispatch;
 pub mod error;

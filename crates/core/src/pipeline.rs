@@ -56,10 +56,9 @@ pub(crate) fn forward_pipelined(
     ensure_eq("kernel-transform cols", layer.shape.out_channels, v.cols())?;
     ensure_eq("kernel-transform C_blk", layer.block.c_blk, v.rb())?;
     ensure_eq("kernel-transform C'_blk", layer.block.cp_blk, v.cb())?;
-    let out_dims = layer.shape.out_dims();
     ensure_eq("output batch", layer.shape.batch, output.batch)?;
     ensure_eq("output channels", layer.shape.out_channels, output.channels)?;
-    ensure_dims_eq("output extent", &out_dims, &output.dims)?;
+    ensure_dims_eq("output extent", &layer.grid.out_dims, &output.dims)?;
 
     let rows = layer.rows();
     let row_blocks = layer.row_blocks();

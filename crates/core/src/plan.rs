@@ -395,6 +395,10 @@ pub struct WinogradLayer {
     pub superblock: usize,
     pub opts: ConvOptions,
     pub(crate) jit: Option<JitStage2>,
+    /// Generated-codelet table entry per dimension
+    /// ([`crate::codelet::resolve`]) when every dimension has one; `None`
+    /// sends stages 1 and 3 through the interpreter.
+    pub(crate) codelets: Option<[usize; MAX_RANK]>,
 }
 
 impl WinogradLayer {
@@ -493,7 +497,8 @@ impl WinogradLayer {
                 wino_gemm::SUPERBLOCK_L2_BYTES,
             ),
         };
-        let layer = WinogradLayer { shape, grid, plans, block, superblock, opts, jit };
+        let codelets = crate::codelet::resolve_all(&plans);
+        let layer = WinogradLayer { shape, grid, plans, block, superblock, opts, jit, codelets };
         if let Some(mb) = opts.memory {
             let need_bytes = layer.footprint(mb.threads).total();
             if !mb.admits(need_bytes) {
@@ -606,6 +611,13 @@ impl WinogradLayer {
         self.row_blocks().div_ceil(self.superblock)
     }
 
+    /// Whether the transform stages run build-time generated straight-line
+    /// codelets (every dimension's `F(m, r)` is in the table of
+    /// [`crate::codelet`]) rather than the [`crate::vecprog`] interpreter.
+    pub fn uses_generated_codelets(&self) -> bool {
+        self.codelets.is_some()
+    }
+
     /// Allocate the output image for this layer.
     pub fn new_output(&self) -> Result<wino_tensor::BlockedImage, ShapeError> {
         wino_tensor::BlockedImage::zeros(self.shape.batch, self.shape.out_channels, &self.shape.out_dims())
@@ -661,6 +673,13 @@ impl WinogradLayer {
 pub(crate) struct ThreadBuf {
     pub a: AlignedVec,
     pub b: AlignedVec,
+}
+
+impl ThreadBuf {
+    /// `[a, b]` as the temporaries of [`crate::codelet::TileTransform::run`].
+    pub(crate) fn ptrs(&mut self) -> [*mut f32; 2] {
+        [self.a.as_mut_ptr(), self.b.as_mut_ptr()]
+    }
 }
 
 /// Per-thread buffers for the compensated stage-2 reduction

@@ -349,6 +349,52 @@ mod tests {
         assert_eq!(c.len(), 2); // [2,2] and [3,3]
     }
 
+    /// Every tile the search can propose for a 3-wide kernel plans onto
+    /// the generated codelets — `select_tile` can never silently land on
+    /// the interpreter — including the extent-clipped `m = 1` of a
+    /// one-deep dimension and mixed per-dimension sizes.
+    #[test]
+    fn every_candidate_for_3_wide_kernels_has_generated_codelets() {
+        let opts = ConvOptions::default();
+        let shapes: [(&[usize], usize); 5] =
+            [(&[40], 1), (&[20, 20], 1), (&[5, 5], 0), (&[1, 9, 30], 1), (&[3, 8, 8], 0)];
+        let mut seen = std::collections::BTreeSet::new();
+        for (img, pad) in shapes {
+            let rank = img.len();
+            let s = ConvShape::new(1, 16, 16, img, &vec![3; rank], &vec![pad; rank]).unwrap();
+            for purpose in [Purpose::Training, Purpose::Inference] {
+                let tiles = candidate_tiles(&s, purpose, &opts);
+                assert!(!tiles.is_empty());
+                for m in tiles {
+                    let layer = WinogradLayer::new(s.clone(), &m, opts).unwrap();
+                    assert!(layer.uses_generated_codelets(), "{img:?}: candidate {m:?}");
+                    seen.extend(m);
+                }
+            }
+        }
+        assert_eq!(seen.into_iter().collect::<Vec<_>>(), (1..=8).collect::<Vec<_>>());
+    }
+
+    /// Plans outside the table — other kernel widths, the integer point
+    /// schedule, one untabled dimension among tabled ones — resolve to no
+    /// codelet and run the interpreter (their oracle tests are the
+    /// existing arbitrary-kernel and point-schedule batteries).
+    #[test]
+    fn untabled_plans_resolve_to_the_interpreter() {
+        let opts = ConvOptions::default();
+        let plan = |img: &[usize], ker: &[usize], m: &[usize], opts| {
+            let pad = vec![0; img.len()];
+            let s = ConvShape::new(1, 16, 16, img, ker, &pad).unwrap();
+            WinogradLayer::new(s, m, opts).unwrap()
+        };
+        assert!(plan(&[12, 12], &[3, 3], &[4, 6], opts).uses_generated_codelets());
+        assert!(!plan(&[12, 12], &[2, 2], &[3, 3], opts).uses_generated_codelets()); // F(3, 2)
+        assert!(!plan(&[12, 12], &[5, 5], &[2, 2], opts).uses_generated_codelets()); // F(2, 5)
+        assert!(!plan(&[12, 12], &[3, 2], &[4, 4], opts).uses_generated_codelets()); // one miss
+        let integer = ConvOptions { points: wino_transforms::PointSchedule::Integer, ..opts };
+        assert!(!plan(&[12, 12], &[3, 3], &[4, 4], integer).uses_generated_codelets());
+    }
+
     #[test]
     fn budget_caps_follow_conditioning_not_a_table() {
         let opts = ConvOptions::default();

@@ -1,17 +1,22 @@
 //! Stage 1 — input and kernel transforms (§4.2, operations ①–④).
 //!
 //! * **Input transform**: over the grid `B × C/S × N_D × … × N_W`, each
-//!   task gathers one tile of `S` adjacent channels (with implicit zero
-//!   fill for padding and ceil-division overhang), applies `Bᵀ` along
-//!   every dimension with the compiled codelets, and scatters the `T`
-//!   resulting vectors into the block-panel matrices `U` — a write range
-//!   of only `T·n_blk·C_blk` floats ("scattering range of ②").
+//!   task takes one tile of `S` adjacent channels, applies `Bᵀ` along
+//!   every dimension, and scatters the `T` resulting vectors into the
+//!   block-panel matrices `U` — a write range of only `T·n_blk·C_blk`
+//!   floats ("scattering range of ②"). A tile wholly inside the image is
+//!   read in place; one that reaches into the padding or the
+//!   ceil-division overhang is first gathered, zero-filled, into a thread
+//!   buffer.
 //! * **Kernel transform**: over `C × C'/S`, each task reads the contiguous
 //!   kernel vectors, applies `G` (an expanding transform `r_d → α_d`), and
 //!   scatters into `V`.
 //!
-//! Results are written with non-temporal streaming stores by default —
-//! they will not be touched again until stage 2 (§4.2.1).
+//! Both go through `codelet::TileTransform::run`: the first pass
+//! reads its source view, the last writes `U`/`V` directly — with
+//! non-temporal streaming stores by default, since the data will not be
+//! touched again until stage 2 (§4.2.1) — and the thread buffers hold
+//! only the passes in between.
 //!
 //! Each task — one input tile, one kernel vector group — is one
 //! [`wino_simd::dispatch`]: gather, codelets and scatter are a single
@@ -22,6 +27,7 @@ use wino_simd::{Kernel, Simd16, S};
 use wino_tensor::BlockedImage;
 use wino_tensor::BlockedKernels;
 
+use crate::codelet::{row_major, Bt, Dest, Sink, Strides, TileTransform, G};
 use crate::error::{ensure_at_least, ensure_dims_eq, ensure_eq, WinoError};
 use crate::plan::{Scratch, ThreadBuf, WinogradLayer, MAX_RANK};
 
@@ -108,33 +114,7 @@ impl MutPtr {
     }
 }
 
-/// Scatter `t_vol` transformed vectors from `buf` into a block-panel
-/// matrix at logical (row, col = cg·S).
-///
-/// # Safety
-/// `base` computed by the caller must give exclusive, in-bounds access for
-/// this (row, col-group); `buf` holds `t_vol · S` floats.
-#[inline(always)]
-unsafe fn scatter_vectors<V: Simd16>(
-    buf: *const f32,
-    dst: *mut f32,
-    base: usize,
-    t_stride: usize,
-    t_vol: usize,
-    streaming: bool,
-) {
-    if streaming {
-        for t in 0..t_vol {
-            V::load(buf.add(t * S)).store_nt(dst.add(base + t * t_stride));
-        }
-    } else {
-        for t in 0..t_vol {
-            V::load(buf.add(t * S)).store(dst.add(base + t * t_stride));
-        }
-    }
-}
-
-/// The per-tile body of operation ①② — gather one tile, `Bᵀ`-transform
+/// The per-tile body of operation ①② — take one tile, `Bᵀ`-transform
 /// it, scatter the `T` vectors into `U` — factored out so the monolithic
 /// stage-1 fork–join and the superblock pipeline share one
 /// implementation.
@@ -142,13 +122,19 @@ pub(crate) struct InputTransformCtx<'a> {
     layer: &'a WinogradLayer,
     input: &'a BlockedImage,
     u: MutPtr,
+    xf: TileTransform<'a, Bt>,
+    /// Strides of a tile read in place from the image.
+    image_strides: Strides,
+    /// Strides of a tile gathered row-major into a thread buffer.
+    gathered_strides: Strides,
+    /// Strides of the `T` transform vectors in `U`: `t_stride` apart.
+    u_strides: Strides,
     n_tiles: usize,
     t_vol: usize,
     n_blk: usize,
     c_blk: usize,
     col_blocks: usize,
     t_stride: usize,
-    progs: Vec<&'a wino_transforms::PairedProgram>,
     streaming: bool,
     probe: Option<&'a wino_probe::Collector>,
 }
@@ -164,24 +150,28 @@ impl<'a> InputTransformCtx<'a> {
         streaming: bool,
         probe: Option<&'a wino_probe::Collector>,
     ) -> InputTransformCtx<'a> {
+        let t_stride = layer.block.n_blk * layer.block.c_blk;
         InputTransformCtx {
             layer,
             input,
             u: MutPtr(u),
+            xf: TileTransform::new(&layer.plans, layer.codelets),
+            image_strides: row_major(&input.dims, S),
+            gathered_strides: row_major(&layer.grid.tile_dims, S),
+            u_strides: row_major(&layer.grid.tile_dims, t_stride),
             n_tiles: layer.n_tiles(),
             t_vol: layer.t_vol(),
             n_blk: layer.block.n_blk,
             c_blk: layer.block.c_blk,
             col_blocks: layer.shape.in_channels / layer.block.c_blk,
-            t_stride: layer.block.n_blk * layer.block.c_blk,
-            progs: layer.plans.iter().map(|p| &p.bt).collect(),
+            t_stride,
             streaming,
             probe,
         }
     }
 
-    /// Gather, transform and scatter tile `(b, cg, n)` (`n` is the flat
-    /// tile index within one image).
+    /// Transform tile `(b, cg, n)` into `U` (`n` is the flat tile index
+    /// within one image).
     ///
     /// # Safety
     /// The caller must hold `tb` exclusively (Executor slot contract) and
@@ -210,29 +200,34 @@ impl<'a> InputTransformCtx<'a> {
         decompose(n, &grid.counts, &mut tc[..rank]);
         // Input-space origin of the tile (may read the padding region).
         let mut origin = [0isize; MAX_RANK];
+        let mut interior = true;
         for d in 0..rank {
             origin[d] = (tc[d] * grid.m[d]) as isize - grid.padding[d] as isize;
+            interior &= origin[d] >= 0
+                && origin[d] as usize + grid.tile_dims[d] <= self.input.dims[d];
         }
 
-        let gather_start = crate::spans::span_start();
-        // SAFETY: buffers sized T·S at construction; tile fits.
-        gather_tile::<V>(self.input, b, cg, &origin[..rank], &grid.tile_dims, tb.a.as_mut_ptr());
-        crate::spans::record_slot(
-            self.probe,
-            slot,
-            wino_probe::SpanCategory::TileExtract,
-            gather_start,
-        );
-
-        let mut tdims = [0usize; MAX_RANK];
-        tdims[..rank].copy_from_slice(&grid.tile_dims);
-        let in_a = crate::vecprog::transform_all_dims::<V>(
-            &self.progs,
-            tb.a.as_mut_slice(),
-            tb.b.as_mut_slice(),
-            &mut tdims[..rank],
-        );
-        let result = if in_a { tb.a.as_ptr() } else { tb.b.as_ptr() };
+        let tmp = tb.ptrs();
+        let (src, src_strides) = if interior {
+            // Every tile point is an image point: the first pass reads
+            // the image in place.
+            let off = self.input.vec_offset_flat(b, cg, 0)
+                + origin.iter().zip(&self.image_strides).map(|(&x, &s)| x as usize * s).sum::<usize>();
+            // SAFETY: `off` addresses the tile's first vector, inside
+            // channel group `(b, cg)` of the image.
+            (self.input.as_ptr().add(off), &self.image_strides)
+        } else {
+            let gather_start = crate::spans::span_start();
+            // SAFETY: buffers sized T·S at construction; tile fits.
+            gather_tile::<V>(self.input, b, cg, &origin[..rank], &grid.tile_dims, tmp[0]);
+            crate::spans::record_slot(
+                self.probe,
+                slot,
+                wino_probe::SpanCategory::TileExtract,
+                gather_start,
+            );
+            (tmp[0].cast_const(), &self.gathered_strides)
+        };
 
         // Scatter into U (Table 1 "Transformed inputs").
         let n_prime = b * self.n_tiles + n;
@@ -242,9 +237,16 @@ impl<'a> InputTransformCtx<'a> {
         let base = ((rb_i * self.col_blocks + cb_i) * self.t_vol) * self.t_stride
             + r_in * self.c_blk
             + c_in;
-        // SAFETY: disjoint (n', cg) ranges per the caller's contract;
-        // offsets in bounds by construction of `u`.
-        scatter_vectors::<V>(result, self.u.get(), base, self.t_stride, self.t_vol, self.streaming);
+        // SAFETY: the source view is the in-bounds image tile or the
+        // gathered tile in `tmp[0]`; disjoint (n', cg) ranges of `u` per
+        // the caller's contract, offsets in bounds by construction of
+        // `u`; the thread buffers hold T·S floats each.
+        self.xf.run::<V>(
+            src,
+            src_strides,
+            Sink::Direct(Dest { ptr: self.u.get().add(base), strides: self.u_strides, nt: self.streaming }),
+            tmp,
+        );
     }
 
     /// Hint-prefetch tile `(b, cg, n)`'s innermost source row toward L2 —
@@ -311,10 +313,11 @@ pub fn transform_inputs(
     let rank = layer.rank();
 
     // Grid: B × C/S × N_D × … × N_W (§4.5).
-    let mut dims = Vec::with_capacity(2 + rank);
-    dims.push(layer.shape.batch);
-    dims.push(layer.shape.in_channels / S);
-    dims.extend_from_slice(&layer.grid.counts);
+    let mut dims = [0usize; MAX_RANK + 2];
+    dims[0] = layer.shape.batch;
+    dims[1] = layer.shape.in_channels / S;
+    dims[2..2 + rank].copy_from_slice(&layer.grid.counts);
+    let dims = &dims[..2 + rank];
 
     let ctx = InputTransformCtx::new(
         layer,
@@ -326,9 +329,9 @@ pub fn transform_inputs(
     let scratch_ref: &Scratch = scratch;
     let stage_start = crate::spans::span_start();
 
-    exec.run_grid(&dims, &|slot, flat| {
+    exec.run_grid(dims, &|slot, flat| {
         let mut coords = [0usize; MAX_RANK + 2];
-        decompose(flat, &dims, &mut coords[..dims.len()]);
+        decompose(flat, dims, &mut coords[..dims.len()]);
         let (b, cg) = (coords[0], coords[1]);
         let mut n = 0usize; // flat tile index
         for d in 0..rank {
@@ -366,7 +369,9 @@ pub fn transform_kernels(
         layer,
         kernels,
         v: MutPtr(scratch.v.as_mut_ptr()),
-        progs: layer.plans.iter().map(|p| &p.g).collect(),
+        xf: TileTransform::new(&layer.plans, layer.codelets),
+        kernel_strides: row_major(&layer.shape.kernel_dims, S),
+        v_strides: row_major(&layer.grid.tile_dims, c_blk * cp_blk),
         t_vol: layer.t_vol(),
         r_vol: layer.shape.kernel_dims.iter().product(),
         col_blocks: layer.shape.out_channels / cp_blk,
@@ -389,7 +394,11 @@ struct KernelTransformCtx<'a> {
     layer: &'a WinogradLayer,
     kernels: &'a BlockedKernels,
     v: MutPtr,
-    progs: Vec<&'a wino_transforms::PairedProgram>,
+    xf: TileTransform<'a, G>,
+    /// Strides of the `r_vol` contiguous kernel vectors.
+    kernel_strides: Strides,
+    /// Strides of the `T` transform vectors in `V`: `t_stride` apart.
+    v_strides: Strides,
     t_vol: usize,
     r_vol: usize,
     col_blocks: usize,
@@ -413,24 +422,12 @@ impl Kernel for KernelGroup<'_, '_> {
     fn run<V: Simd16>(self) {
         let KernelGroup { ctx, tb, c, og } = self;
         let layer = ctx.layer;
-        let rank = layer.rank();
         let (c_blk, cp_blk) = (layer.block.c_blk, layer.block.cp_blk);
 
-        // Kernel vectors are contiguous in the blocked layout: copy r_vol
-        // vectors straight in.
+        // Kernel vectors are contiguous in the blocked layout: the first
+        // pass reads the r_vol vectors in place.
         let src_off = ctx.kernels.vec_offset_flat(c, og, 0);
-        tb.a.as_mut_slice()[..ctx.r_vol * S]
-            .copy_from_slice(&ctx.kernels.as_slice()[src_off..src_off + ctx.r_vol * S]);
-
-        let mut tdims = [0usize; MAX_RANK];
-        tdims[..rank].copy_from_slice(&layer.shape.kernel_dims);
-        let in_a = crate::vecprog::transform_all_dims::<V>(
-            &ctx.progs,
-            tb.a.as_mut_slice(),
-            tb.b.as_mut_slice(),
-            &mut tdims[..rank],
-        );
-        let result = if in_a { tb.a.as_ptr() } else { tb.b.as_ptr() };
+        let src = ctx.kernels.as_slice()[src_off..src_off + ctx.r_vol * S].as_ptr();
 
         // Scatter into V (Table 1 "Transformed kernels"): row = c,
         // col = og·S.
@@ -439,17 +436,20 @@ impl Kernel for KernelGroup<'_, '_> {
         let (cb_i, c_in) = (col / cp_blk, col % cp_blk);
         let base =
             ((rb_i * ctx.col_blocks + cb_i) * ctx.t_vol) * ctx.t_stride + r_in * cp_blk + c_in;
-        // SAFETY: `transform_kernels` hands each (c, og) to exactly one
-        // task, so the scattered ranges of `v` are disjoint; offsets are
-        // in bounds by construction of `v`.
+        // SAFETY: `src` is the bounds-checked kernel slice; `transform_kernels`
+        // hands each (c, og) to exactly one task, so the scattered ranges
+        // of `v` are disjoint, and offsets are in bounds by construction
+        // of `v`; `tb` is this task's (slot contract), T·S floats each.
         unsafe {
-            scatter_vectors::<V>(
-                result,
-                ctx.v.get(),
-                base,
-                ctx.t_stride,
-                ctx.t_vol,
-                layer.opts.streaming_stores,
+            ctx.xf.run::<V>(
+                src,
+                &ctx.kernel_strides,
+                Sink::Direct(Dest {
+                    ptr: ctx.v.get().add(base),
+                    strides: ctx.v_strides,
+                    nt: layer.opts.streaming_stores,
+                }),
+                tb.ptrs(),
             )
         };
     }
@@ -567,6 +567,126 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One tile of the staged reference: `gather_tile` into a buffer, the
+    /// [`crate::vecprog`] interpreter over it, the result row-major in
+    /// `out`. Shares nothing with `codelet::TileTransform`.
+    struct ReferenceTile<'a> {
+        layer: &'a WinogradLayer,
+        input: &'a BlockedImage,
+        b: usize,
+        cg: usize,
+        n: usize,
+        out: &'a mut Vec<f32>,
+    }
+
+    impl Kernel for ReferenceTile<'_> {
+        type Output = ();
+        #[inline(always)]
+        fn run<V: Simd16>(self) {
+            let grid = &self.layer.grid;
+            let rank = self.layer.rank();
+            let t_vol = self.layer.t_vol();
+            let origin = grid.input_origin(&grid.tile_coords(self.n));
+            let mut a = wino_simd::AlignedVec::try_zeroed(t_vol * S).unwrap();
+            let mut b = wino_simd::AlignedVec::try_zeroed(t_vol * S).unwrap();
+            // SAFETY: `a` holds the T·S floats of one tile.
+            unsafe {
+                gather_tile::<V>(self.input, self.b, self.cg, &origin, &grid.tile_dims, a.as_mut_ptr())
+            };
+            let progs: Vec<_> = self.layer.plans.iter().map(|p| &p.bt).collect();
+            let mut dims = grid.tile_dims.clone();
+            let in_a = crate::vecprog::transform_all_dims::<V>(
+                &progs,
+                a.as_mut_slice(),
+                b.as_mut_slice(),
+                &mut dims[..rank],
+            );
+            self.out.clear();
+            self.out.extend_from_slice(if in_a { a.as_slice() } else { b.as_slice() });
+        }
+    }
+
+    /// `transform_inputs` must leave in `U` exactly what gather + the
+    /// interpreter produce, tile by tile: the in-place read of interior
+    /// tiles, the gathered edge tiles and the direct (streaming or plain)
+    /// write to `U` are all pinned against the staged path.
+    fn assert_u_equals_staged_reference(
+        batch: usize,
+        c: usize,
+        img: &[usize],
+        pad: usize,
+        m: &[usize],
+        opts: ConvOptions,
+    ) {
+        let rank = img.len();
+        let s = ConvShape::new(batch, c, 16, img, &vec![3; rank], &vec![pad; rank]).unwrap();
+        let layer = WinogradLayer::new(s, m, opts).unwrap();
+        let simple = SimpleImage::from_fn(batch, c, img, |b, ch, x| {
+            let h = x.iter().fold(b * 31 + ch * 7, |h, &v| h * 13 + v);
+            (h % 201) as f32 * 0.01 - 1.0
+        });
+        let blocked = BlockedImage::from_simple(&simple).unwrap();
+        let mut scratch = Scratch::new(&layer, 2);
+        transform_inputs(&layer, &blocked, &mut scratch, &StaticExecutor::new(2)).unwrap();
+
+        let (t_vol, n_tiles) = (layer.t_vol(), layer.n_tiles());
+        let mut want = Vec::new();
+        let mut interior = 0usize;
+        for b in 0..batch {
+            for cg in 0..c / S {
+                for n in 0..n_tiles {
+                    let tile = ReferenceTile { layer: &layer, input: &blocked, b, cg, n, out: &mut want };
+                    wino_simd::dispatch(tile);
+                    let origin = layer.grid.input_origin(&layer.grid.tile_coords(n));
+                    interior += (0..rank).all(|d| {
+                        origin[d] >= 0
+                            && origin[d] as usize + layer.grid.tile_dims[d] <= img[d]
+                    }) as usize;
+                    for t in 0..t_vol {
+                        for lane in 0..S {
+                            let got = scratch.u.get(t, b * n_tiles + n, cg * S + lane);
+                            assert_eq!(
+                                got,
+                                want[t * S + lane],
+                                "img {img:?} pad {pad} m {m:?}: b={b} cg={cg} n={n} t={t} lane={lane}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // Each shape exercises both routes.
+        let tiles = batch * (c / S) * n_tiles;
+        assert!(interior > 0 && interior < tiles, "{interior} interior of {tiles} tiles");
+    }
+
+    #[test]
+    fn u_equals_gather_plus_interpreter_on_interior_and_edge_tiles() {
+        let plain = ConvOptions { streaming_stores: false, ..Default::default() };
+        // The benchmark's ragged shape: 158 = 26·6 + 2 outputs per side.
+        assert_u_equals_staged_reference(1, 16, &[160, 160], 0, &[6, 6], ConvOptions::default());
+        for opts in [ConvOptions::default(), plain] {
+            assert_u_equals_staged_reference(2, 32, &[15, 15], 0, &[4, 4], opts);
+            assert_u_equals_staged_reference(2, 32, &[14, 14], 1, &[4, 4], opts);
+            assert_u_equals_staged_reference(1, 16, &[22, 19], 1, &[6, 2], opts);
+            assert_u_equals_staged_reference(1, 16, &[7, 12, 12], 1, &[2, 4, 4], opts);
+            assert_u_equals_staged_reference(1, 16, &[30], 1, &[8], opts);
+        }
+    }
+
+    /// Plans outside the generated table take the interpreter fallback
+    /// of the same entry point and still match the staged reference.
+    #[test]
+    fn untabled_plans_run_the_interpreter_and_match_the_reference() {
+        let integer = ConvOptions {
+            points: wino_transforms::PointSchedule::Integer,
+            ..Default::default()
+        };
+        let s = ConvShape::new(1, 16, 16, &[14, 14], &[3, 3], &[1, 1]).unwrap();
+        assert!(!WinogradLayer::new(s, &[4, 4], integer).unwrap().uses_generated_codelets());
+        assert_u_equals_staged_reference(1, 16, &[14, 14], 1, &[4, 4], integer);
     }
 
     #[test]

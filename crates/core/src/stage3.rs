@@ -4,8 +4,10 @@
 //! vectors — a single contiguous `T·S`-float chunk thanks to stage 2's
 //! tile-major scatter — applies `Aᵀ` along every dimension (a contracting
 //! transform `α_d → m_d`), and writes the `∏m_d` output vectors into the
-//! blocked output image, clipping the ceil-division overhang of boundary
-//! tiles.
+//! blocked output image. `codelet::TileTransform::run` reads the
+//! chunk in place and, for a full `m`-tile, stores the last pass straight
+//! into the image; a boundary tile with ceil-division overhang is staged
+//! in a thread buffer and clipped from there.
 //!
 //! Note the key algebraic property (Eqn. 7/8): `Aᵀ` is applied *after* the
 //! channel reduction of stage 2 — `BNC'/S` inverse transforms total,
@@ -15,12 +17,13 @@ use wino_sched::Executor;
 use wino_simd::{Kernel, Simd16, S};
 use wino_tensor::BlockedImage;
 
+use crate::codelet::{copy_tile, row_major, At, Dest, Sink, Strides, TileTransform};
 use crate::error::{ensure_at_least, ensure_dims_eq, ensure_eq, WinoError};
 use crate::layout::TileMajor;
 use crate::plan::{Scratch, ThreadBuf, WinogradLayer, MAX_RANK};
 use crate::stage1::{decompose, MutPtr};
 
-/// The per-tile body of the inverse transform — gather one tile's `T`
+/// The per-tile body of the inverse transform — read one tile's `T`
 /// vectors, apply `Aᵀ` along every dimension, write the clipped `m`-tile
 /// to the output image — factored out so the monolithic stage-3
 /// fork–join and the superblock pipeline share one implementation.
@@ -28,12 +31,13 @@ pub(crate) struct Stage3Ctx<'a> {
     layer: &'a WinogradLayer,
     y: &'a TileMajor,
     out: MutPtr,
-    out_dims: Vec<usize>,
-    ostride: [usize; MAX_RANK],
+    xf: TileTransform<'a, At>,
+    /// Strides of a tile read in place from `y` (row-major, `S` apart).
+    y_strides: Strides,
+    /// Strides of output points in the image, in floats.
+    out_strides: Strides,
     out_channel_groups: usize,
     out_vol: usize,
-    t_vol: usize,
-    progs: Vec<&'a wino_transforms::PairedProgram>,
     streaming: bool,
 }
 
@@ -47,22 +51,16 @@ impl<'a> Stage3Ctx<'a> {
         out: *mut f32,
         streaming: bool,
     ) -> Stage3Ctx<'a> {
-        let out_dims = layer.shape.out_dims();
-        let rank = layer.rank();
-        let mut ostride = [1usize; MAX_RANK];
-        for d in (0..rank.saturating_sub(1)).rev() {
-            ostride[d] = ostride[d + 1] * out_dims[d + 1];
-        }
+        let out_dims = &layer.grid.out_dims;
         Stage3Ctx {
             layer,
             y,
             out: MutPtr(out),
-            out_vol: out_dims.iter().product(),
-            out_dims,
-            ostride,
+            xf: TileTransform::new(&layer.plans, layer.codelets),
+            y_strides: row_major(&layer.grid.tile_dims, S),
+            out_strides: row_major(out_dims, S),
             out_channel_groups: layer.shape.out_channels / S,
-            t_vol: layer.t_vol(),
-            progs: layer.plans.iter().map(|p| &p.at).collect(),
+            out_vol: out_dims.iter().product(),
             streaming,
         }
     }
@@ -83,61 +81,61 @@ impl<'a> Stage3Ctx<'a> {
     /// As [`Stage3Ctx::tile`].
     #[inline(always)]
     unsafe fn tile_on<V: Simd16>(&self, tb: &mut ThreadBuf, b: usize, og: usize, n: usize) {
-        let layer = self.layer;
-        let rank = layer.rank();
-        // Contiguous gather (§4.4: "fast memory access and as few TLB
+        let grid = &self.layer.grid;
+        let rank = self.layer.rank();
+        // Contiguous read (§4.4: "fast memory access and as few TLB
         // misses as possible").
-        tb.a.as_mut_slice()[..self.t_vol * S].copy_from_slice(self.y.tile(b, og, n));
-
-        let mut tdims = [0usize; MAX_RANK];
-        tdims[..rank].copy_from_slice(&layer.grid.tile_dims);
-        let in_a = crate::vecprog::transform_all_dims::<V>(
-            &self.progs,
-            tb.a.as_mut_slice(),
-            tb.b.as_mut_slice(),
-            &mut tdims[..rank],
-        );
-        let result = if in_a { tb.a.as_ptr() } else { tb.b.as_ptr() };
-
-        // Write the m-tile into the output image, clipped to the real
-        // output extent.
-        let mut tile_coords = [0usize; MAX_RANK];
-        decompose(n, &layer.grid.counts, &mut tile_coords[..rank]);
-        let mut out_origin = [0usize; MAX_RANK];
-        let mut extent = [0usize; MAX_RANK];
-        for d in 0..rank {
-            out_origin[d] = tile_coords[d] * layer.grid.m[d];
-            extent[d] = layer.grid.m[d].min(self.out_dims[d] - out_origin[d]);
+        let src = self.y.tile(b, og, n).as_ptr();
+        // The next task reads the next chunk. A chunk is about one 4 KiB
+        // page, where the hardware streamer stops and retrains, so ask
+        // for it while this one is transformed.
+        if n + 1 < grid.total_tiles() {
+            let next = self.y.tile(b, og, n + 1);
+            // SAFETY: the span is the next tile's slice of `y`.
+            wino_simd::prefetch_span_t1(next.as_ptr().cast(), std::mem::size_of_val(next));
         }
-        let base_vec = (b * self.out_channel_groups + og) * self.out_vol * S;
 
-        let m_last = layer.grid.m[rank - 1];
-        let ext_last = extent[rank - 1];
-        let outer_vol: usize = extent[..rank - 1].iter().product();
-        let m_outer = &layer.grid.m[..rank - 1];
-        let mut oc = [0usize; MAX_RANK];
-        // SAFETY: disjoint output tiles per the caller's contract;
-        // offsets bounded by the extent clipping above.
-        let dst = self.out.get().add(base_vec);
-        for outer in 0..outer_vol {
-            decompose(outer, &extent[..rank - 1], &mut oc[..rank.max(1) - 1]);
-            let mut spatial = 0usize;
-            let mut src_row = 0usize;
-            for d in 0..rank - 1 {
-                spatial += (out_origin[d] + oc[d]) * self.ostride[d];
-                src_row = src_row * m_outer[d].max(1) + oc[d];
-            }
-            let src_base = src_row * m_last;
-            let spatial_w = spatial + out_origin[rank - 1];
-            for k in 0..ext_last {
-                let v = V::load(result.add((src_base + k) * S));
-                let o = (spatial_w + k) * S;
-                if self.streaming {
-                    v.store_nt(dst.add(o));
-                } else {
-                    v.store(dst.add(o));
-                }
-            }
+        // Where the m-tile lands in the output image, and how much of it
+        // the real output extent keeps.
+        let mut tile_coords = [0usize; MAX_RANK];
+        decompose(n, &grid.counts, &mut tile_coords[..rank]);
+        let mut extent = [0usize; MAX_RANK];
+        let mut origin = (b * self.out_channel_groups + og) * self.out_vol * S;
+        let mut full = true;
+        for d in 0..rank {
+            let out_origin = tile_coords[d] * grid.m[d];
+            extent[d] = grid.m[d].min(grid.out_dims[d] - out_origin);
+            full &= extent[d] == grid.m[d];
+            origin += out_origin * self.out_strides[d];
+        }
+        // SAFETY: disjoint output tiles per the caller's contract; the
+        // tile's first point is inside channel group `(b, og)`.
+        let dst = self.out.get().add(origin);
+
+        if full {
+            // SAFETY: `src` is the T·S-float `y` chunk; every point of a
+            // full m-tile is an image point; `tb` holds T·S floats per
+            // buffer.
+            self.xf.run::<V>(
+                src,
+                &self.y_strides,
+                Sink::Direct(Dest { ptr: dst, strides: self.out_strides, nt: self.streaming }),
+                tb.ptrs(),
+            );
+            return;
+        }
+
+        // A boundary tile: stage the m-tile row-major, then copy the part
+        // inside the output extent.
+        // SAFETY: as above, with the result left in a thread buffer.
+        let result = self.xf.run::<V>(src, &self.y_strides, Sink::Staged, tb.ptrs());
+        let staged = row_major(&grid.m, S);
+        // SAFETY: every point of `extent` is inside both the staged
+        // m-tile and the output image.
+        if self.streaming {
+            copy_tile::<V, true>(rank, &extent, result, &staged, dst, &self.out_strides);
+        } else {
+            copy_tile::<V, false>(rank, &extent, result, &staged, dst, &self.out_strides);
         }
     }
 }
@@ -170,10 +168,9 @@ pub fn inverse_transform(
     exec: &dyn Executor,
 ) -> Result<(), WinoError> {
     ensure_at_least("scratch thread slots", exec.threads(), scratch.thread_slots())?;
-    let out_dims = layer.shape.out_dims();
     ensure_eq("output batch", layer.shape.batch, output.batch)?;
     ensure_eq("output channels", layer.shape.out_channels, output.channels)?;
-    ensure_dims_eq("output extent", &out_dims, &output.dims)?;
+    ensure_dims_eq("output extent", &layer.grid.out_dims, &output.dims)?;
 
     let n_tiles = layer.n_tiles();
     let out_channel_groups = layer.shape.out_channels / S;
@@ -207,22 +204,25 @@ mod tests {
     use wino_sched::{SerialExecutor, StaticExecutor};
     use wino_tensor::ConvShape;
 
+    fn fill_y(scratch: &mut Scratch) {
+        for (i, f) in scratch.y.as_mut_slice().iter_mut().enumerate() {
+            *f = ((i.wrapping_mul(2654435761) >> 20) & 0x1f) as f32 / 16.0 - 1.0;
+        }
+    }
+
     /// Fill y with a recognisable pattern and check the inverse transform
     /// against a dense Aᵀ·(tile)·A oracle.
     fn run_case(m: &[usize], img: &[usize], pad: usize) {
         let s = ConvShape::new(2, 16, 16, img, &[3; 2], &[pad; 2]).unwrap();
         let layer = WinogradLayer::new(s, m, ConvOptions::default()).unwrap();
         let mut scratch = Scratch::new(&layer, 2);
-        for (i, f) in scratch.y.as_mut_slice().iter_mut().enumerate() {
-            *f = ((i.wrapping_mul(2654435761) >> 20) & 0x1f) as f32 / 16.0 - 1.0;
-        }
+        fill_y(&mut scratch);
         let mut out = layer.new_output().unwrap();
         inverse_transform(&layer, &mut scratch, &mut out, &SerialExecutor).unwrap();
 
         let at0 = layer.plans[0].transform.at.to_f32();
         let at1 = layer.plans[1].transform.at.to_f32();
         let td = &layer.grid.tile_dims;
-        let out_dims = layer.shape.out_dims();
         for b in 0..2 {
             for c in [0usize, 7, 15] {
                 for n in 0..layer.n_tiles() {
@@ -247,15 +247,14 @@ mod tests {
                             );
                         }
                     }
-                    let _ = out_dims.len();
                 }
             }
         }
     }
 
     #[test]
-    fn exact_tiling() {
-        run_case(&[4, 4], &[10, 10], 1); // out 10, tiles 3x3 with overhang? 10/4 -> 3 tiles, overhang
+    fn overhanging_tiling() {
+        run_case(&[4, 4], &[10, 10], 1); // out 10 -> ceil(10/4) = 3 tiles, overhang 2
     }
 
     #[test]
@@ -267,6 +266,107 @@ mod tests {
     #[test]
     fn asymmetric_m() {
         run_case(&[2, 4], &[8, 12], 1);
+    }
+
+    /// One tile of the staged reference: copy the `y` chunk into a
+    /// buffer, run the [`crate::vecprog`] interpreter over it, leave the
+    /// row-major m-tile in `out`. Shares nothing with
+    /// `codelet::TileTransform`.
+    struct ReferenceTile<'a> {
+        layer: &'a WinogradLayer,
+        chunk: &'a [f32],
+        out: &'a mut Vec<f32>,
+    }
+
+    impl Kernel for ReferenceTile<'_> {
+        type Output = ();
+        #[inline(always)]
+        fn run<V: Simd16>(self) {
+            let t_vol = self.layer.t_vol();
+            let mut a = wino_simd::AlignedVec::try_zeroed(t_vol * S).unwrap();
+            let mut b = wino_simd::AlignedVec::try_zeroed(t_vol * S).unwrap();
+            a.as_mut_slice().copy_from_slice(self.chunk);
+            let progs: Vec<_> = self.layer.plans.iter().map(|p| &p.at).collect();
+            let mut dims = self.layer.grid.tile_dims.clone();
+            let in_a = crate::vecprog::transform_all_dims::<V>(
+                &progs,
+                a.as_mut_slice(),
+                b.as_mut_slice(),
+                &mut dims,
+            );
+            self.out.clear();
+            self.out.extend_from_slice(if in_a { a.as_slice() } else { b.as_slice() });
+        }
+    }
+
+    /// `inverse_transform` must write exactly what the staged path —
+    /// copy, interpreter, clipped copy — produces: the in-place read of
+    /// `y`, the direct (streaming or plain) write of full m-tiles and the
+    /// staged, clipped write of ragged ones are all pinned against it.
+    fn assert_output_equals_staged_reference(img: &[usize], pad: usize, m: &[usize], opts: ConvOptions) {
+        let rank = img.len();
+        let s = ConvShape::new(2, 16, 32, img, &vec![3; rank], &vec![pad; rank]).unwrap();
+        let layer = WinogradLayer::new(s, m, opts).unwrap();
+        let mut scratch = Scratch::new(&layer, 2);
+        fill_y(&mut scratch);
+        let mut out = layer.new_output().unwrap();
+        // A sentinel no transform produces: every point must be written.
+        out.as_mut_slice().fill(f32::NAN);
+        inverse_transform(&layer, &mut scratch, &mut out, &StaticExecutor::new(2)).unwrap();
+
+        let grid = &layer.grid;
+        let mut want = Vec::new();
+        let (mut full, mut ragged) = (0usize, 0usize);
+        for b in 0..2 {
+            for og in 0..2 {
+                for n in 0..layer.n_tiles() {
+                    let chunk = scratch.y.tile(b, og, n);
+                    wino_simd::dispatch(ReferenceTile { layer: &layer, chunk, out: &mut want });
+                    let tc = grid.tile_coords(n);
+                    let (origin, ext) = (grid.output_origin(&tc), grid.output_extent(&tc));
+                    if ext == grid.m {
+                        full += 1;
+                    } else {
+                        ragged += 1;
+                    }
+                    let kept: usize = ext.iter().product();
+                    for k in 0..kept {
+                        let within = wino_tensor::unflatten(k, &ext);
+                        let at: Vec<usize> = (0..rank).map(|d| origin[d] + within[d]).collect();
+                        let j = (0..rank).fold(0, |j, d| j * grid.m[d] + within[d]);
+                        for lane in 0..S {
+                            assert_eq!(
+                                out.get(b, og * S + lane, &at),
+                                want[j * S + lane],
+                                "img {img:?} pad {pad} m {m:?}: b={b} og={og} n={n} at {at:?} lane={lane}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(out.as_slice().iter().all(|v| !v.is_nan()), "an output point was never written");
+        assert!(full > 0 && ragged > 0, "{full} full, {ragged} ragged tiles");
+    }
+
+    #[test]
+    fn output_equals_copy_plus_interpreter_on_full_and_ragged_tiles() {
+        let plain = ConvOptions { streaming_stores: false, ..Default::default() };
+        // The benchmark's ragged shape: 158 = 26·6 + 2 outputs per side.
+        assert_output_equals_staged_reference(&[160, 160], 0, &[6, 6], ConvOptions::default());
+        for opts in [ConvOptions::default(), plain] {
+            assert_output_equals_staged_reference(&[15, 15], 0, &[4, 4], opts);
+            assert_output_equals_staged_reference(&[14, 14], 1, &[4, 4], opts);
+            assert_output_equals_staged_reference(&[22, 19], 1, &[6, 2], opts);
+            assert_output_equals_staged_reference(&[7, 12, 12], 1, &[2, 4, 4], opts);
+            assert_output_equals_staged_reference(&[30], 1, &[8], opts);
+        }
+        // Outside the generated table the same entry point interprets.
+        let integer = ConvOptions {
+            points: wino_transforms::PointSchedule::Integer,
+            ..Default::default()
+        };
+        assert_output_equals_staged_reference(&[14, 14], 1, &[4, 4], integer);
     }
 
     #[test]

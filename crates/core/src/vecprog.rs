@@ -1,12 +1,22 @@
-//! S-wide execution of transform codelet programs (§4.2.1).
+//! S-wide *interpreter* of transform codelet programs (§4.2.1) — the
+//! fallback and the reference.
 //!
 //! The paper's codelets operate on "S tiles at a time … tiles from S
 //! adjacent channels". In our representation a tile of vectors is a
 //! buffer of `∏ dims` elements, each element being `S = 16` consecutive
 //! floats (one vector register). [`transform_dim`] applies a compiled
 //! [`PairedProgram`] (the minimal-operation form of `Bᵀ`, `G` or `Aᵀ`)
-//! along one dimension of such a tile; applying it along every dimension
-//! in turn realises the tensor–matrix mode-n products of Eqn. 8.
+//! along one dimension of such a tile by walking its node list; applying
+//! it along every dimension in turn realises the tensor–matrix mode-n
+//! products of Eqn. 8.
+//!
+//! Layers whose every `F(m, r)` is in the build-time table of
+//! [`crate::codelet`] (all `F(m, 3)` the tile search can pick) do not come
+//! here: their stages run the generated straight-line form of the same
+//! programs. This module executes everything else — other kernel widths,
+//! `PointSchedule::Integer` — via
+//! `codelet::TileTransform`'s fallback, and is what the differential
+//! tests hold the generated code equal to, element for element.
 //!
 //! Everything here is generic over the vector backend `V` and
 //! `#[inline(always)]`: it is compiled into the per-tile stage bodies,
@@ -319,18 +329,55 @@ mod tests {
         close(&out1, &out2);
     }
 
-    /// Every backend this process may run, F(2..6, 3), ranks 1–3, all
-    /// three transform matrices along every dimension: each within the
-    /// dense oracle's tolerance, hence of each other.
+    /// [`crate::codelet::transform_dim_generated`], ready for whichever
+    /// backend runs it.
+    struct OneDimGenerated<'a> {
+        which: crate::codelet::Matrix,
+        plan: &'a FmrPlan,
+        input: &'a [f32],
+        in_dims: &'a [usize],
+        d: usize,
+        output: &'a mut [f32],
+        nt: bool,
+    }
+
+    impl Kernel for OneDimGenerated<'_> {
+        type Output = ();
+        #[inline(always)]
+        fn run<V: Simd16>(self) {
+            crate::codelet::transform_dim_generated::<V>(
+                self.which,
+                self.plan,
+                self.input,
+                self.in_dims,
+                self.d,
+                self.output,
+                self.nt,
+            )
+        }
+    }
+
+    /// Every backend this process may run, every generated-table entry
+    /// F(1..8, 3), ranks 1–3, all three transform matrices along every
+    /// dimension: the interpreter within the dense oracle's tolerance
+    /// (hence the backends of each other), and the generated codelet —
+    /// plain and streaming-store instantiation — equal to the interpreter
+    /// element for element.
     #[test]
     fn every_backend_matches_dense_oracle() {
+        use crate::codelet::Matrix;
+        use wino_simd::AlignedVec;
         for backend in Backend::available() {
-            for m in 2..=6 {
+            for m in 1..=8 {
                 let plan = FmrPlan::new(m, 3);
+                assert_eq!(crate::codelet::resolve(&plan), Some(m));
                 let t = &plan.transform;
-                let mats =
-                    [(&plan.bt, t.bt.to_f32()), (&plan.g, t.g.to_f32()), (&plan.at, t.at.to_f32())];
-                for (which, (prog, dense)) in mats.iter().enumerate() {
+                let mats = [
+                    (Matrix::Bt, &plan.bt, t.bt.to_f32()),
+                    (Matrix::G, &plan.g, t.g.to_f32()),
+                    (Matrix::At, &plan.at, t.at.to_f32()),
+                ];
+                for (which, prog, dense) in &mats {
                     for rank in 1..=3 {
                         let dims = vec![prog.n_in; rank];
                         let vol: usize = dims.iter().product();
@@ -349,11 +396,31 @@ mod tests {
                             for i in 0..want.len() {
                                 assert!(
                                     (out[i] - want[i]).abs() <= 1e-4 * want[i].abs().max(1.0),
-                                    "{} F({m},3) matrix {which} rank {rank} dim {d} elem {i}: \
+                                    "{} F({m},3) {which:?} rank {rank} dim {d} elem {i}: \
                                      {} vs {}",
                                     backend.name(),
                                     out[i],
                                     want[i]
+                                );
+                            }
+                            for nt in [false, true] {
+                                let mut generated = AlignedVec::try_zeroed(want.len()).unwrap();
+                                backend.run(OneDimGenerated {
+                                    which: *which,
+                                    plan: &plan,
+                                    input: &input,
+                                    in_dims: &dims,
+                                    d,
+                                    output: generated.as_mut_slice(),
+                                    nt,
+                                });
+                                wino_simd::sfence();
+                                assert_eq!(
+                                    generated.as_slice(),
+                                    &out[..],
+                                    "{} F({m},3) {which:?} rank {rank} dim {d} nt {nt}: \
+                                     generated codelet != interpreter",
+                                    backend.name()
                                 );
                             }
                         }

@@ -14,7 +14,10 @@
 //! * sparse [`program::MatrixProgram`]s that skip structural zeros and turn
 //!   ±1 coefficients into adds, and
 //! * [`pairing::PairedProgram`]s implementing the Fig. 2 common-pair
-//!   optimisation that shares products between `u + v` / `u - v` row pairs.
+//!   optimisation that shares products between `u + v` / `u - v` row pairs,
+//!   and
+//! * their straight-line Rust source ([`emit`]), which `wino-conv` compiles
+//!   in at build time as the codelets its transform stages run.
 //!
 //! The construction is validated *exactly* (no floating point) against
 //! brute-force correlation for every tile/kernel size in the practical
@@ -31,6 +34,7 @@
 //! ```
 
 pub mod conditioning;
+pub mod emit;
 pub mod matgen;
 pub mod pairing;
 pub mod points;
@@ -51,6 +55,8 @@ pub use rational::Rational;
 pub struct FmrPlan {
     /// The exact rational transform triple.
     pub transform: Transform1D,
+    /// The interpolation-point schedule the triple was generated with.
+    pub schedule: PointSchedule,
     /// Compiled input transform `Bᵀ` (α → α).
     pub bt: PairedProgram,
     /// Compiled kernel transform `G` (r → α).
@@ -77,6 +83,7 @@ impl FmrPlan {
             g: compile(&transform.g),
             at: compile(&transform.at),
             transform,
+            schedule,
         }
     }
 

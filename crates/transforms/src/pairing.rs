@@ -10,8 +10,10 @@
 //!
 //! [`PairedProgram::optimize`] searches all row pairs greedily, keeps the
 //! pairings that lower the operation count, and leaves the rest as direct
-//! rows. The result is still straight-line data interpreted by the scalar
-//! executor here or the S-wide vector executor in `wino-conv`.
+//! rows. The result is straight-line data: printed as Rust source by
+//! [`crate::emit`] for `wino-conv`'s build-time codelets, or interpreted by
+//! the scalar executor here and the S-wide vector executor in `wino-conv`
+//! (the fallback for sizes without a generated codelet).
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -31,6 +33,17 @@ pub enum PairNode {
         u_terms: Vec<Term>,
         v_terms: Vec<Term>,
     },
+}
+
+impl PairNode {
+    /// The node's term lists: the row and nothing for `Direct`, `u` and
+    /// `v` for `Pair`.
+    pub fn term_lists(&self) -> [&[Term]; 2] {
+        match self {
+            PairNode::Direct { row, .. } => [&row.terms, &[]],
+            PairNode::Pair { u_terms, v_terms, .. } => [u_terms, v_terms],
+        }
+    }
 }
 
 /// A transform program with Fig. 2 row pairings applied.

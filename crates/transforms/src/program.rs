@@ -9,10 +9,14 @@
 //! * coefficients ±1 become add/sub/copy instead of multiply,
 //! * everything else becomes a fused multiply–add.
 //!
-//! The program is data (a list of terms per output row), executed either by
-//! the scalar interpreter here (used by tests and the reference paths) or by
-//! the S-wide vector interpreter in `wino-conv`, which processes S = 16
-//! channels per operation exactly like the paper's codelets.
+//! The program is data (a list of terms per output row). On the hot path it
+//! is not interpreted at all: [`crate::emit`] prints its pair-optimised form
+//! as straight-line Rust, which `wino-conv` compiles in at build time for
+//! every `F(m, 3)` the tile search can pick and runs S = 16 channels per
+//! operation, exactly like the paper's generated codelets. The scalar
+//! interpreter here serves tests and the reference paths; the S-wide vector
+//! interpreter in `wino-conv` runs the sizes outside that table and is the
+//! reference the generated code is tested equal to.
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.

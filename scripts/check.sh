@@ -51,6 +51,15 @@ run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features
 #
 # Plus the Pipelined-vs-monolithic bitwise battery and the executor/JIT
 # agreement tests, which compare runs *within* one backend.
+#
+# Codelet gate: the build-time generated transform codelets must equal
+# the interpreter element for element (every table entry × Bᵀ/G/Aᵀ ×
+# rank 1–3 × every dimension, plain and streaming stores), the N-D driver
+# must agree with it on whole tiles and strided views, stage 1 / stage 3
+# must write exactly what gather + interpreter + clipped copy produce on
+# interior *and* edge tiles (pad 0, pad 1, the ragged 158 = 26·6 + 2
+# shape), and every tile the search can propose for 3-wide kernels must
+# resolve to a generated codelet while untabled plans interpret.
 isas=(scalar)
 grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null && isas+=(avx2)
 grep -qw avx512f /proc/cpuinfo 2>/dev/null && isas+=(avx512)
@@ -60,6 +69,9 @@ for isa in "${isas[@]}"; do
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q --test dispatch_matrix --test tile_edge_cases \
         --test pipeline_equivalence --test parallel_and_jit
+    run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+        cargo test --offline -q -p wino-conv --lib -- \
+        codelet:: vecprog:: stage1:: stage3:: select::
 done
 
 # Accuracy gate: (a) every practical F(m, r) under both interpolation
@@ -82,8 +94,9 @@ run "$TEST_TIMEOUT" cargo test --offline -q --features fault-inject \
 # links are the usual regression).
 RUSTDOCFLAGS="-D warnings" run "$BUILD_TIMEOUT" cargo doc --workspace --offline --no-deps
 
-# Static analysis gate: the workspace must lint clean (100% SAFETY /
-# ORDERING coverage) and the model checker must clear its interleaving
+# Static analysis gate: the workspace — including the transform codelets
+# wino-conv's build script generated for this build — must lint clean
+# (100% SAFETY / ORDERING coverage) and the model checker must clear its interleaving
 # floor on the release binary. The binary runs every scenario under
 # bounded DFS *and* DPOR and fails on its own if the two disagree on a
 # verdict, a re-injected bug goes uncaught, or DPOR explores more

@@ -1,0 +1,83 @@
+//! The transform-stage entry points allocate nothing per call: what they
+//! need per layer (resolved codelets, per-dimension programs, extents,
+//! strides) comes from the plan or lives in fixed-size arrays on the
+//! stack. A counting global allocator — counting per thread, so parallel
+//! tests do not disturb each other — watches one warmed-up call of each
+//! on the serial executor, for a plan on the generated codelets and for
+//! one on the interpreter fallback.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use winograd_nd_repro::conv::{stage1, stage3, ConvOptions, Scratch, WinogradLayer};
+use winograd_nd_repro::sched::SerialExecutor;
+use winograd_nd_repro::tensor::{BlockedImage, BlockedKernels, ConvShape};
+use winograd_nd_repro::transforms::PointSchedule;
+
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+// SAFETY: defers every request to `System` unchanged; the counter is a
+// `const`-initialised thread-local `Cell`, which never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: the caller's `GlobalAlloc::alloc` contract, forwarded.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's `GlobalAlloc::dealloc` contract, forwarded.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Heap allocations this thread makes while running `f`.
+fn allocations_in(f: impl FnOnce()) -> usize {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+fn assert_stage_calls_do_not_allocate(opts: ConvOptions, generated: bool) {
+    // Ragged in both dimensions, so gather and clipped write run too.
+    let shape = ConvShape::new(2, 32, 32, &[21, 18], &[3, 3], &[1, 1]).unwrap();
+    let layer = WinogradLayer::new(shape, &[4, 4], opts).unwrap();
+    assert_eq!(layer.uses_generated_codelets(), generated);
+    let mut input = BlockedImage::zeros(2, 32, &[21, 18]).unwrap();
+    input.as_mut_slice().iter_mut().enumerate().for_each(|(i, v)| *v = (i % 13) as f32 * 0.1);
+    let mut kernels = BlockedKernels::zeros(32, 32, &[3, 3]).unwrap();
+    kernels.as_mut_slice().iter_mut().enumerate().for_each(|(i, v)| *v = (i % 7) as f32 * 0.1);
+    let mut output = layer.new_output().unwrap();
+    let mut scratch = Scratch::new(&layer, 1);
+    let exec = SerialExecutor;
+
+    for pass in ["warm-up", "measured"] {
+        let n = allocations_in(|| stage1::transform_inputs(&layer, &input, &mut scratch, &exec).unwrap());
+        assert!(pass == "warm-up" || n == 0, "transform_inputs allocated {n} times");
+        let n =
+            allocations_in(|| stage1::transform_kernels(&layer, &kernels, &mut scratch, &exec).unwrap());
+        assert!(pass == "warm-up" || n == 0, "transform_kernels allocated {n} times");
+        let n = allocations_in(|| {
+            stage3::inverse_transform(&layer, &mut scratch, &mut output, &exec).unwrap()
+        });
+        assert!(pass == "warm-up" || n == 0, "inverse_transform allocated {n} times");
+    }
+}
+
+#[test]
+fn transform_stage_entry_points_do_not_allocate() {
+    assert_stage_calls_do_not_allocate(ConvOptions::default(), true);
+}
+
+#[test]
+fn the_interpreter_fallback_does_not_allocate_either() {
+    let integer = ConvOptions { points: PointSchedule::Integer, ..Default::default() };
+    assert_stage_calls_do_not_allocate(integer, false);
+}
