@@ -93,8 +93,7 @@ pub fn im2col_conv_geo(
     let inner = (c_per_group * ker_vol).next_multiple_of(S);
     let cp = k_per_group.next_multiple_of(S);
 
-    // 8 register rows, or as many as the vector backend holds.
-    let n_blk = 8.min(wino_simd::backend().max_rows());
+    let n_blk = 8;
     let cb = pick_cb(inner);
     let cpb = pick_cb(cp);
 

@@ -6,7 +6,9 @@
 //! multiplied by three engines:
 //!
 //! * `jit`       — run-time generated machine code (`wino-jit`),
-//! * `mono`      — const-generic monomorphised kernels (`wino-gemm`),
+//! * `mono`      — const-generic monomorphised kernels (`wino-gemm`);
+//!   both walk a panel in the `R×Q` register tiles the `tile` column
+//!   names (largest strip of the winning `n_blk`),
 //! * `generic`   — the non-specialised baseline (the MKL/LIBXSMM stand-in).
 //!
 //! `n_blk` is swept (6..=30, coarse grid) and the best value reported per
@@ -22,7 +24,7 @@
 use std::time::Instant;
 
 use wino_bench::{Args, Rows};
-use wino_gemm::{batched_gemm, batched_gemm_generic, BlockShape};
+use wino_gemm::{batched_gemm, batched_gemm_generic, BlockShape, TileTable};
 use wino_jit::JitKernelPair;
 use wino_tensor::BlockedMatrices;
 
@@ -55,8 +57,9 @@ fn main() {
 
     let mut out = Rows::new(
         args.flag("--json"),
-        &["c_blk", "cp_blk", "impl", "n_blk", "gflops", "speedup_vs_generic"],
+        &["c_blk", "cp_blk", "impl", "n_blk", "tile", "gflops", "speedup_vs_generic"],
     );
+    let table = TileTable::active();
     let sizes = [16usize, 32, 48, 64, 96, 128];
     let nb_grid = [6usize, 8, 10, 14, 22, 30];
 
@@ -115,6 +118,7 @@ fn main() {
                 cpb.to_string(),
                 "generic".to_string(),
                 "8".to_string(),
+                String::new(),
                 format!("{generic:.2}"),
                 "1.00".to_string(),
             ]);
@@ -132,6 +136,13 @@ fn main() {
                     cpb.to_string(),
                     engine.to_string(),
                     best_nb.to_string(),
+                    // The AVX2 generator keeps its own n_blk × 1 block.
+                    if engine == "jit-avx2" {
+                        format!("{best_nb}x1")
+                    } else {
+                        let (r, q) = table.largest_tile(best_nb, cpb);
+                        format!("{r}x{q}")
+                    },
                     format!("{best_g:.2}"),
                     format!("{:.2}", best_g / generic),
                 ]);

@@ -107,9 +107,18 @@ fn main() {
 
     eprintln!("# calibrating machine model ({} threads)…", exec.threads());
     let machine = calibrate(exec.as_ref());
+    // Two different ceilings, printed together so they are never
+    // confused: the roofline's "peak" is what the shipped GEMM kernel
+    // reaches in cache; the FMA-issue peak is what no kernel can pass.
     eprintln!(
-        "# peak {:.1} GFLOP/s, bandwidth {:.1} GB/s",
-        machine.peak_gflops, machine.mem_bw_gbps
+        "# peak {:.1} GFLOP/s (shipped GEMM kernel, in cache, {} threads), bandwidth {:.1} GB/s",
+        machine.peak_gflops,
+        exec.threads(),
+        machine.mem_bw_gbps
+    );
+    eprintln!(
+        "# FMA-issue peak {:.1} GFLOP/s (one thread, registers only — not in the report)",
+        wino_bench::perf::fma_issue_peak_gflops()
     );
 
     let mut entries: Vec<Json> = Vec::new();

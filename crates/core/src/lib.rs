@@ -12,7 +12,7 @@
 //!    channels at a time, and scattered — with non-temporal streaming
 //!    stores — into block-panel matrices (Table 1 layouts).
 //! 2. **Multiply** ([`stage2`]): `T` tall-skinny matrix products
-//!    `X_t = U_t·V_t` via the register-blocked micro-kernels of
+//!    `X_t = U_t·V_t` via the register-tiled micro-kernel of
 //!    `wino-gemm`, with the final reduction block scattering results
 //!    directly into a tile-major layout (operation ⑥).
 //! 3. **Inverse transform** ([`stage3`]): `Aᵀ` codelets produce the output

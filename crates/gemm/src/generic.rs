@@ -4,7 +4,7 @@
 //! It is competent — cache-blocked over the same block-panel layout, inner
 //! loops written so LLVM auto-vectorises the AXPY — but it is not
 //! specialised for the problem: no per-size monomorphisation, no register
-//! tiling of `n_blk` accumulator rows (partial sums round-trip through the
+//! tiling of the accumulators (partial sums round-trip through the
 //! `X̂` block), no software prefetch, no streaming scatter. The gap between
 //! this and `crate::blocked` is the quantity Fig. 6 measures.
 

@@ -1,4 +1,4 @@
-//! The register-blocked micro-kernel (§4.3.1).
+//! The register-tiled micro-kernel (§4.3.1).
 //!
 //! Computes `X̂ = β·X̂ + Û·V̂` on contiguous row-major blocks:
 //!
@@ -6,23 +6,38 @@
 //! * `V̂`: `C_blk × C'_blk` (resident in L2 across many Û panels),
 //! * `X̂`: `n_blk × C'_blk`.
 //!
-//! Register blocking follows the paper exactly: sub-matrices of `X̂` of
-//! size `n_blk × S` are held in `n_blk` vector registers; the loop over the
-//! `C_blk` columns of `Û` performs one scalar-broadcast FMA per register
-//! with the matching row-slice of `V̂` (1 auxiliary register) plus one
-//! look-ahead `V̂` load — hence `n_blk ≤ 30` with 32 architectural
-//! registers. Software prefetch of upcoming `Û`/`V̂` lines is interleaved
-//! with the FMAs, and the *next* panel is prefetched to L2 while storing.
+//! **Register tile.** The paper holds an `n_blk × S` sub-matrix of `X̂`
+//! in `n_blk` vector registers and issues one broadcast load from `Û`
+//! per FMA — the right balance for KNL, load-port-bound on an AVX-512
+//! Xeon. Here the accumulators form an `R × Q` tile (`R` rows × `Q`
+//! 16-lane column vectors): each step of the `C_blk` loop loads `Q`
+//! vectors of `V̂` and broadcasts `R` scalars of `Û` for `R·Q` FMAs, so
+//! every load feeds several FMAs. `R·Q` accumulators, `Q` `V̂` registers
+//! and the broadcast must fit the register file; [`TileTable`] derives
+//! the legal tiles from the backend's register count
+//! ([`Simd16::VECTOR_REGS`]): AVX-512 (and `scalar`, which mirrors it)
+//! 6×4 / 8×3 / 12×2 / 16×1, AVX2 (two `ymm` per vector) 6×1.
 //!
-//! `n_blk` is a compile-time constant of each monomorphised kernel, and
-//! the kernel body is generic over the vector backend: [`microkernel`]
-//! enters the active backend's arm once per call ([`wino_simd::dispatch`])
-//! and selects among the 30 instantiations inside it — the Rust analogue
-//! of the paper's generate-on-demand JIT (the true machine-code JIT lives
-//! in `wino-jit` and is verified against this). The 30-row ceiling is the
-//! AVX-512 register file's; [`wino_simd::Backend::max_rows`] tells the
-//! blocking model how many rows the active backend holds without
-//! spilling.
+//! **Strip walk.** `n_blk` stays what it is everywhere else — panel
+//! height, row block of the `Û`/`X̂` layouts, padding unit, wisdom key.
+//! Inside a call the panel's `C'_blk/S` column vectors are cut into
+//! near-equal column strips of at most `Q_max` vectors and, per column
+//! strip, its `n_blk` rows into near-equal row strips of at most
+//! `R_max(Q)` rows ([`strips`]); column strips are the outer loop, so the
+//! `C_blk × 16Q` slice of `V̂` stays in L1 across the row strips. Each
+//! `(R, Q)` is a monomorphised `Tile` kernel entered through the active
+//! backend's arm ([`wino_simd::Backend::run`]; the backend is looked up
+//! once per call). The shape is chosen from what the call can observe
+//! (`n_blk`, `cp_blk`, the backend), never from an option; the true
+//! machine-code JIT in `wino-jit` emits the same strips and is verified
+//! `==` against this.
+//!
+//! Every output element accumulates `fma(û[j,k], v̂[k,p], acc)` for
+//! `k = 0..C_blk` in order whatever the tile, so results do not depend on
+//! the tiling (the `1 × 1` tile is the test reference).
+//!
+//! Behind a tile's stores, the same locations of the *next* panel's `Û`
+//! and `X̂` are prefetched to L2.
 //!
 //! The `scatter` variant implements operation ⑥: on the *last* `k`-block
 //! the result bypasses `X̂` and is written directly to per-row
@@ -35,11 +50,63 @@
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
-use wino_simd::{prefetch_t0, prefetch_t1, Kernel, Simd16, S};
+use wino_simd::{prefetch_t1, Backend, Kernel, Simd16, S};
 
-/// Largest `n_blk` any backend's micro-kernel is instantiated for: 32
-/// AVX-512 registers minus 2 auxiliaries.
+/// Largest panel height (`n_blk`) the micro-kernel accepts — the paper's
+/// bound (32 AVX-512 registers minus 2 auxiliaries), kept as the row
+/// block ceiling of the layouts and of callers' row-pointer arrays.
 pub const MAX_N_BLK: usize = 30;
+
+/// The register tiles a backend can hold without spilling.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TileTable {
+    /// Accumulator budget in 16-lane vectors: three quarters of the
+    /// register file, the rest holding the `V̂` row and the broadcast.
+    acc: usize,
+}
+
+impl TileTable {
+    /// The table of a backend with `vector_regs` 16-lane registers
+    /// ([`Simd16::VECTOR_REGS`]).
+    pub const fn new(vector_regs: usize) -> TileTable {
+        TileTable { acc: vector_regs * 3 / 4 }
+    }
+
+    /// Widest tile, in column vectors: as wide as leaves at least six
+    /// rows (the FMA-latency floor of §4.3.2), at most four.
+    pub fn q_max(self) -> usize {
+        (self.acc / 6).clamp(1, 4)
+    }
+
+    /// Tallest tile of `q` column vectors. More than 16 rows of one
+    /// vector only lengthen the broadcast-per-FMA stream.
+    pub fn r_max(self, q: usize) -> usize {
+        (self.acc / q).min(16)
+    }
+
+    /// The active backend's table.
+    pub fn active() -> TileTable {
+        wino_simd::backend().run(Table)
+    }
+
+    /// The largest tile `(R, Q)` the strip walk cuts from an
+    /// `n_blk × cp_blk` panel (the other strips are at most one row or
+    /// one vector smaller) — for benchmark reports.
+    pub fn largest_tile(self, n_blk: usize, cp_blk: usize) -> (usize, usize) {
+        let q = strips(cp_blk / S, self.q_max()).next().map_or(0, |s| s.1);
+        let r = strips(n_blk, self.r_max(q.max(1))).next().map_or(0, |s| s.1);
+        (r, q)
+    }
+}
+
+/// Cut `0..n` into `⌈n / max⌉` near-equal strips `(start, len)`, longer
+/// ones first (28 rows at `max = 6`: 6, 6, 6, 5, 5).
+pub fn strips(n: usize, max: usize) -> impl Iterator<Item = (usize, usize)> {
+    let count = n.div_ceil(max);
+    // (`n = 0` has no strips; the `max(1)` only keeps its division legal.)
+    let (base, longer) = (n / count.max(1), n % count.max(1));
+    (0..count).map(move |s| (s * base + s.min(longer), base + usize::from(s < longer)))
+}
 
 /// Where the kernel writes its result.
 #[derive(Clone, Copy)]
@@ -85,110 +152,155 @@ pub struct MicroArgs {
     pub output: Output,
 }
 
-/// Look-ahead distance (in `V̂` rows) for L1 prefetches.
-const PF_DIST: usize = 4;
-
-// SAFETY: callers uphold the pointer-validity contract documented on
-// `microkernel` (the only caller), with `NB` as `n_blk`.
+/// One `R × Q` register tile: rows `j0..j0+R`, column vectors
+/// `q0..q0+Q` of the panel, over the whole reduction.
+///
+/// # Safety
+/// The pointer-validity contract documented on [`microkernel`] holds for
+/// a panel of at least `j0 + R` rows and `a.cp_blk ≥ (q0 + Q)·S`.
 #[inline(always)]
-unsafe fn kernel_impl<V: Simd16, const NB: usize>(a: &MicroArgs) {
-    let qn = a.cp_blk / S;
-    for q in 0..qn {
-        let xq = a.x.add(q * S);
-        let vq = a.v.add(q * S);
-        let mut acc = [V::zero(); NB];
-        if a.beta {
-            for j in 0..NB {
-                acc[j] = V::load(xq.add(j * a.cp_blk));
+unsafe fn tile<V: Simd16, const R: usize, const Q: usize>(a: &MicroArgs, j0: usize, q0: usize) {
+    let (c_blk, cp_blk) = (a.c_blk, a.cp_blk);
+    // SAFETY (whole body): every offset addresses row j0+j < n_blk,
+    // reduction index k < c_blk and column (q0+q)·S + lane < cp_blk of
+    // the blocks the caller vouches for; scatter rows are checked for
+    // null and written at the group offsets the `Output::Scatter`
+    // contract names. Prefetches never fault.
+    let u = a.u.add(j0 * c_blk);
+    let v = a.v.add(q0 * S);
+    let x = a.x.add(j0 * cp_blk + q0 * S);
+    let mut acc = [[V::zero(); Q]; R];
+    if a.beta {
+        for j in 0..R {
+            for q in 0..Q {
+                acc[j][q] = V::load(x.add(j * cp_blk + q * S));
             }
         }
-        let mut vk = V::load(vq);
-        for k in 0..a.c_blk {
-            // Look-ahead load of the next V̂ row slice (the paper's "one
-            // additional vector load to register ... for in-register
-            // operations in the next iteration").
-            let v_next = if k + 1 < a.c_blk {
-                V::load(vq.add((k + 1) * a.cp_blk))
-            } else {
-                vk
-            };
-            // Prefetch upcoming V̂ and Û lines to L1, interleaved with FMAs.
-            if k + PF_DIST < a.c_blk {
-                prefetch_t0(vq.add((k + PF_DIST) * a.cp_blk) as *const u8);
-            }
-            let uk = a.u.add(k);
-            prefetch_t0(uk.add(PF_DIST) as *const u8);
-            for j in 0..NB {
-                acc[j] = V::splat(*uk.add(j * a.c_blk)).mul_add(vk, acc[j]);
-            }
-            vk = v_next;
+    }
+    // No closures in here: a closure does not inherit the arm's target
+    // features, and one that fails to inline runs every vector op as an
+    // out-of-line call (measured: 2 GF/s).
+    for k in 0..c_blk {
+        let mut vk = [V::zero(); Q];
+        for q in 0..Q {
+            vk[q] = V::load(v.add(k * cp_blk + q * S));
         }
-        match a.output {
-            Output::Block => {
-                for j in 0..NB {
-                    acc[j].store(xq.add(j * a.cp_blk));
-                    // While storing each row, prefetch the same locations of
-                    // the next panels to L2 (paper: "next two matrices to be
-                    // multiplied by V̂").
-                    if !a.next_u.is_null() {
-                        prefetch_t1(a.next_u.add(j * a.c_blk) as *const u8);
-                    }
-                    if !a.next_x.is_null() {
-                        prefetch_t1(a.next_x.add(j * a.cp_blk + q * S) as *const u8);
-                    }
+        for j in 0..R {
+            let b = V::splat(*u.add(j * c_blk + k));
+            for q in 0..Q {
+                acc[j][q] = b.mul_add(vk[q], acc[j][q]);
+            }
+        }
+    }
+    // One loop nest per output flavour: a `match` inside the row loop
+    // keeps LLVM from unrolling it, and a rolled loop indexes `acc`
+    // dynamically, which parks the accumulators on the stack.
+    match a.output {
+        Output::Block => {
+            for j in 0..R {
+                for q in 0..Q {
+                    acc[j][q].store(x.add(j * cp_blk + q * S));
                 }
             }
-            Output::Scatter { row_ptrs, group_stride, streaming } => {
-                for j in 0..NB {
-                    let dst = *row_ptrs.add(j);
-                    if !dst.is_null() {
+        }
+        Output::Scatter { row_ptrs, group_stride, streaming } => {
+            for j in 0..R {
+                let dst = *row_ptrs.add(j0 + j);
+                if !dst.is_null() {
+                    for q in 0..Q {
+                        let d = dst.add((q0 + q) * group_stride);
                         if streaming {
-                            acc[j].store_nt(dst.add(q * group_stride));
+                            acc[j][q].store_nt(d);
                         } else {
-                            acc[j].store(dst.add(q * group_stride));
+                            acc[j][q].store(d);
                         }
-                    }
-                    if !a.next_u.is_null() {
-                        prefetch_t1(a.next_u.add(j * a.c_blk) as *const u8);
                     }
                 }
             }
         }
     }
-}
-
-macro_rules! dispatch_nb {
-    ($v:ty, $nb:expr, $args:expr, [$($n:literal),*]) => {
-        match $nb {
-            $( $n => kernel_impl::<$v, $n>($args), )*
-            other => panic!("n_blk = {other} out of range 1..={}", MAX_N_BLK),
+    // Behind the stores, pull the same locations of the next panels
+    // toward L2 (paper: "next two matrices to be multiplied by V̂").
+    for j in j0..j0 + R {
+        for q in q0..q0 + Q {
+            if !a.next_u.is_null() && q * S < c_blk {
+                prefetch_t1(a.next_u.add(j * c_blk + q * S) as *const u8);
+            }
+            if !a.next_x.is_null() {
+                prefetch_t1(a.next_x.add(j * cp_blk + q * S) as *const u8);
+            }
         }
-    };
+    }
 }
 
-/// One [`microkernel`] call, ready for whichever backend runs it.
-struct MicroCall<'a> {
-    n_blk: usize,
+/// One register tile of a panel as a [`Kernel`], so every `(R, Q)` is its
+/// own function per backend arm: a single arm holding all of them makes
+/// LLVM hoist every tile's address arithmetic in front of the strip walk
+/// (measured: 67 → 102 GF/s on 8-row panels of 32 × 32 blocks).
+struct Tile<'a, const R: usize, const Q: usize> {
     args: &'a MicroArgs,
+    j0: usize,
+    q0: usize,
 }
 
-impl Kernel for MicroCall<'_> {
+impl<const R: usize, const Q: usize> Kernel for Tile<'_, R, Q> {
     type Output = ();
 
     #[inline(always)]
     fn run<V: Simd16>(self) {
-        // SAFETY: `microkernel`, the only constructor, forwards its
-        // caller's pointer-validity contract.
-        unsafe {
-            dispatch_nb!(
-                V,
-                self.n_blk,
-                self.args,
-                [
-                    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21,
-                    22, 23, 24, 25, 26, 27, 28, 29, 30
-                ]
-            )
+        // A constant per instantiation, so a backend compiles only the
+        // tiles its table allows.
+        if R * Q > TileTable::new(V::VECTOR_REGS).acc {
+            unreachable!("no {R}x{Q} tile in this backend's table");
+        }
+        // SAFETY: `walk`, the only constructor, forwards the contract of
+        // `microkernel` for `n_blk` rows, and its strips stay inside
+        // `n_blk × cp_blk/S`.
+        unsafe { tile::<V, R, Q>(self.args, self.j0, self.q0) }
+    }
+}
+
+/// The backend's register-tile table.
+struct Table;
+
+impl Kernel for Table {
+    type Output = TileTable;
+
+    #[inline(always)]
+    fn run<V: Simd16>(self) -> TileTable {
+        TileTable::new(V::VECTOR_REGS)
+    }
+}
+
+/// Run the monomorphised `Tile<r, Q>` for a run-time strip height.
+macro_rules! row_strip {
+    ($b:expr, $q:literal, $r:expr, $a:expr, $j0:expr, $q0:expr, [$($n:literal),*]) => {
+        match $r {
+            $( $n => $b.run(Tile::<$n, $q> { args: $a, j0: $j0, q0: $q0 }), )*
+            r => unreachable!("no {r}x{} tile", $q),
+        }
+    };
+}
+
+/// Walk an `n_blk`-row panel on `backend`: column strips outer, row
+/// strips inner.
+///
+/// # Safety
+/// The contract of [`microkernel`].
+unsafe fn walk(backend: Backend, n_blk: usize, a: &MicroArgs) {
+    let table = backend.run(Table);
+    for (q0, q) in strips(a.cp_blk / S, table.q_max()) {
+        for (j0, r) in strips(n_blk, table.r_max(q)) {
+            match q {
+                1 => row_strip!(
+                    backend, 1, r, a, j0, q0,
+                    [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16]
+                ),
+                2 => row_strip!(backend, 2, r, a, j0, q0, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]),
+                3 => row_strip!(backend, 3, r, a, j0, q0, [1, 2, 3, 4, 5, 6, 7, 8]),
+                4 => row_strip!(backend, 4, r, a, j0, q0, [1, 2, 3, 4, 5, 6]),
+                q => unreachable!("column strip of {q} vectors"),
+            }
         }
     }
 }
@@ -205,9 +317,10 @@ impl Kernel for MicroCall<'_> {
 ///   aligned (streaming stores), and the scatter targets must not overlap
 ///   `u`/`v`/`x`.
 pub unsafe fn microkernel(n_blk: usize, a: &MicroArgs) {
+    assert!((1..=MAX_N_BLK).contains(&n_blk), "n_blk = {n_blk} out of range 1..={MAX_N_BLK}");
     debug_assert!(a.cp_blk.is_multiple_of(S) && a.cp_blk > 0);
     debug_assert!(a.c_blk >= 1);
-    wino_simd::dispatch(MicroCall { n_blk, args: a })
+    walk(wino_simd::backend(), n_blk, a)
 }
 
 /// Reference implementation of the same contract (plain scalar loops) —
@@ -281,61 +394,141 @@ mod tests {
         }
     }
 
-    /// Every backend this process may run (the x86 arms are compiled
-    /// into every build), every `n_blk`, β ∈ {0, 1}, both output modes:
-    /// all within the reference tolerance, hence of each other.
     #[test]
-    fn every_backend_matches_reference_for_every_n_blk() {
-        let (c_blk, cp_blk, group_stride) = (24, 32, 64);
-        for backend in wino_simd::Backend::available() {
-            for n_blk in 1..=MAX_N_BLK {
-                let u = filled(n_blk * c_blk, 11);
+    fn strips_are_near_equal_and_cover() {
+        assert_eq!(strips(28, 6).collect::<Vec<_>>(), [(0, 6), (6, 6), (12, 6), (18, 5), (23, 5)]);
+        assert_eq!(strips(30, 6).map(|s| s.1).collect::<Vec<_>>(), [6; 5]);
+        assert_eq!(strips(5, 4).collect::<Vec<_>>(), [(0, 3), (3, 2)]);
+        assert_eq!(strips(0, 4).count(), 0);
+        for max in 1..=16 {
+            for n in 1..=40 {
+                let cut: Vec<_> = strips(n, max).collect();
+                assert_eq!(cut.len(), n.div_ceil(max));
+                let mut next = 0;
+                for &(start, len) in &cut {
+                    assert_eq!(start, next);
+                    assert!(len >= 1 && len <= max && len + 1 >= cut[0].1);
+                    next += len;
+                }
+                assert_eq!(next, n);
+            }
+        }
+    }
+
+    #[test]
+    fn tile_tables_match_the_register_files() {
+        let zmm = TileTable::new(32);
+        assert_eq!(zmm.q_max(), 4);
+        assert_eq!([1, 2, 3, 4].map(|q| zmm.r_max(q)), [16, 12, 8, 6]);
+        // 16 ymm at two per vector: six rows of one vector (12 ymm), two
+        // for the V̂ row, one for the broadcast.
+        let ymm = TileTable::new(8);
+        assert_eq!((ymm.q_max(), ymm.r_max(1)), (1, 6));
+
+        assert_eq!(zmm.largest_tile(28, 128), (6, 4));
+        assert_eq!(zmm.largest_tile(27, 64), (6, 4));
+        assert_eq!(zmm.largest_tile(16, 48), (8, 3));
+        assert_eq!(zmm.largest_tile(25, 32), (9, 2));
+        assert_eq!(zmm.largest_tile(30, 16), (15, 1));
+        assert_eq!(ymm.largest_tile(30, 128), (6, 1));
+        assert!(Backend::available().iter().any(|b| b.run(Table) == TileTable::active()));
+    }
+
+    /// Every backend this process may run (the x86 arms are compiled
+    /// into every build) × every `n_blk` × column widths that produce
+    /// every tile width and mixed strips × β × Block / Scatter (plain and
+    /// streaming, last row a null padding row): the strip walk equals the
+    /// 1 × 1-tile walk bit for bit — the tiling changes no element's FMA
+    /// chain — and both sit within the scalar reference's tolerance.
+    #[test]
+    fn tiled_panel_equals_the_one_by_one_walk_on_every_backend() {
+        let (c_blk, group_stride) = (40, 32);
+        for backend in Backend::available() {
+            for cp_blk in [16, 32, 48, 64, 96, 128] {
+                let qn = cp_blk / S;
                 let v = filled(c_blk * cp_blk, 12);
-                let x0 = filled(n_blk * cp_blk, 13);
-                for (beta, scatter) in [(false, false), (true, false), (false, true), (true, true)] {
-                    let mut x = x0.clone();
-                    let mut x_ref = x0.as_slice().to_vec();
-                    microkernel_reference(n_blk, &u, &v, &mut x_ref, c_blk, cp_blk, beta);
-
-                    let mut arena = AlignedVec::zeroed(n_blk * 2 * group_stride);
-                    let base = arena.as_mut_ptr();
-                    // SAFETY: row j's two column groups end at float
-                    // (2j + 1)·group_stride + 16, inside the arena.
-                    let row_ptrs: Vec<*mut f32> =
-                        (0..n_blk).map(|j| unsafe { base.add(j * 2 * group_stride) }).collect();
-                    let output = if scatter {
-                        Output::Scatter { row_ptrs: row_ptrs.as_ptr(), group_stride, streaming: true }
-                    } else {
-                        Output::Block
-                    };
-                    let args = MicroArgs {
-                        u: u.as_ptr(),
-                        v: v.as_ptr(),
-                        x: x.as_mut_ptr(),
-                        c_blk,
-                        cp_blk,
-                        beta,
-                        next_u: std::ptr::null(),
-                        next_x: std::ptr::null(),
-                        output,
-                    };
-                    backend.run(MicroCall { n_blk, args: &args });
-                    wino_simd::sfence();
-
-                    for j in 0..n_blk {
-                        for p in 0..cp_blk {
-                            let got = if scatter {
-                                arena[j * 2 * group_stride + (p / 16) * group_stride + p % 16]
-                            } else {
-                                x[j * cp_blk + p]
+                for n_blk in 1..=MAX_N_BLK {
+                    let u = filled(n_blk * c_blk, 11);
+                    let x0 = filled(n_blk * cp_blk, 13);
+                    for beta in [false, true] {
+                        let mut x_ref = x0.as_slice().to_vec();
+                        microkernel_reference(n_blk, &u, &v, &mut x_ref, c_blk, cp_blk, beta);
+                        // None = Block, Some(streaming) = Scatter.
+                        for scatter in [None, Some(false), Some(true)] {
+                            let run = |tiled: bool| -> (AlignedVec, AlignedVec) {
+                                let mut x = x0.clone();
+                                let mut arena = AlignedVec::zeroed(n_blk * qn * group_stride);
+                                let base = arena.as_mut_ptr();
+                                // SAFETY: row j's groups end at float
+                                // (j·qn + qn − 1)·group_stride + 16, inside
+                                // the arena.
+                                let mut row_ptrs: Vec<*mut f32> = (0..n_blk)
+                                    .map(|j| unsafe { base.add(j * qn * group_stride) })
+                                    .collect();
+                                if n_blk > 1 {
+                                    row_ptrs[n_blk - 1] = std::ptr::null_mut();
+                                }
+                                let args = MicroArgs {
+                                    u: u.as_ptr(),
+                                    v: v.as_ptr(),
+                                    x: x.as_mut_ptr(),
+                                    c_blk,
+                                    cp_blk,
+                                    beta,
+                                    next_u: std::ptr::null(),
+                                    next_x: std::ptr::null(),
+                                    output: match scatter {
+                                        None => Output::Block,
+                                        Some(streaming) => Output::Scatter {
+                                            row_ptrs: row_ptrs.as_ptr(),
+                                            group_stride,
+                                            streaming,
+                                        },
+                                    },
+                                };
+                                if tiled {
+                                    // SAFETY: buffers sized to the block
+                                    // shape; row pointers null or aligned
+                                    // arena slots with room for qn groups.
+                                    unsafe { walk(backend, n_blk, &args) };
+                                } else {
+                                    for j0 in 0..n_blk {
+                                        for q0 in 0..qn {
+                                            backend.run(Tile::<1, 1> { args: &args, j0, q0 });
+                                        }
+                                    }
+                                }
+                                wino_simd::sfence();
+                                (x, arena)
                             };
-                            let want = x_ref[j * cp_blk + p];
-                            assert!(
-                                (got - want).abs() <= 1e-4 * want.abs().max(1.0),
-                                "{} n_blk={n_blk} beta={beta} scatter={scatter} row {j} col {p}: \
-                                 {got} vs {want}",
+                            let (x_tiled, arena_tiled) = run(true);
+                            let (x_one, arena_one) = run(false);
+                            let case = format!(
+                                "{} n_blk={n_blk} cp_blk={cp_blk} beta={beta} scatter={scatter:?}",
                                 backend.name()
                             );
+                            assert_eq!(x_tiled.as_slice(), x_one.as_slice(), "{case}");
+                            assert_eq!(arena_tiled.as_slice(), arena_one.as_slice(), "{case}");
+
+                            for j in 0..n_blk {
+                                let padding = scatter.is_some() && n_blk > 1 && j == n_blk - 1;
+                                for p in 0..cp_blk {
+                                    let slot = (j * qn + p / S) * group_stride + p % S;
+                                    let (got, want) = match (scatter, padding) {
+                                        (None, _) => (x_tiled[j * cp_blk + p], x_ref[j * cp_blk + p]),
+                                        (Some(_), false) => (arena_tiled[slot], x_ref[j * cp_blk + p]),
+                                        (Some(_), true) => (arena_tiled[slot], 0.0),
+                                    };
+                                    assert!(
+                                        (got - want).abs() <= 1e-4 * want.abs().max(1.0),
+                                        "{case} row {j} col {p}: {got} vs {want}"
+                                    );
+                                }
+                            }
+                            if scatter.is_some() {
+                                // Scatter output only reads X̂.
+                                assert_eq!(x_tiled.as_slice(), x0.as_slice(), "{case}");
+                            }
                         }
                     }
                 }

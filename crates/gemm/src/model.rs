@@ -13,11 +13,13 @@
 //! Xeon Phi 7210: 4.5 TFLOPS / 100 GFloat/s) or the kernel is memory-bound.
 //! The constraints on the search space come from §4.3.2 verbatim.
 
+use crate::micro::MAX_N_BLK;
+
 /// A choice of the three blocking parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct BlockShape {
-    /// Register rows of `Û`/`X̂` (6 up to the backend's
-    /// [`max_rows`](wino_simd::Backend::max_rows), at most 30).
+    /// Panel height: rows of `Û`/`X̂` per micro-kernel call (6 up to
+    /// [`MAX_N_BLK`]; the kernel cuts them into register-tile strips).
     pub n_blk: usize,
     /// Reduction block (`C_blk`), multiple of 16.
     pub c_blk: usize,
@@ -96,10 +98,10 @@ impl BlockShape {
 /// input channels, `cp` output channels and `rows` panel rows, applying
 /// the paper's constraints:
 ///
-/// * `6 ≤ n_blk ≤ max_rows` (FMA-latency floor; register ceiling of the
-///   active vector backend, [`wino_simd::Backend::max_rows`] — 30 with
-///   32 zmm registers, 6 with 16 ymm at two per row) — relaxed to `rows`
-///   when the panel is shorter than 6 rows;
+/// * `6 ≤ n_blk ≤ 30` (FMA-latency floor; the paper's register ceiling,
+///   [`MAX_N_BLK`] — on every backend, since the micro-kernel bounds its
+///   own register use with strips of the panel) — relaxed to `rows` when
+///   the panel is shorter than 6 rows;
 /// * `C_blk | c`, `C'_blk | cp`, both multiples of 16, each in `[32, 512]`
 ///   (relaxed to 16 when the channel count itself is 16);
 /// * `C_blk · C'_blk ≤ 128²`.
@@ -112,7 +114,7 @@ pub fn candidate_shapes(c: usize, cp: usize, rows: usize) -> Vec<BlockShape> {
             .collect()
     };
     let nb_lo = 6.min(rows.max(1));
-    let nb_hi = wino_simd::backend().max_rows().min(rows.max(1)).max(nb_lo);
+    let nb_hi = MAX_N_BLK.min(rows.max(1)).max(nb_lo);
     let mut out = Vec::new();
     for &cb in &channel_blocks(c) {
         for &cpb in &channel_blocks(cp) {
@@ -184,7 +186,7 @@ mod tests {
             let cands = candidate_shapes(c, cp, 1000);
             assert!(!cands.is_empty(), "C={c} C'={cp}");
             for s in cands {
-                assert!(s.n_blk >= 6 && s.n_blk <= wino_simd::backend().max_rows());
+                assert!(s.n_blk >= 6 && s.n_blk <= MAX_N_BLK);
                 assert_eq!(c % s.c_blk, 0);
                 assert_eq!(cp % s.cp_blk, 0);
                 assert_eq!(s.c_blk % 16, 0);

@@ -20,6 +20,7 @@ use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
+use crate::micro::MAX_N_BLK;
 use crate::model::BlockShape;
 
 /// One remembered tuning result: the blocking plus (optionally) the
@@ -112,17 +113,15 @@ impl Wisdom {
     /// ignored (forward compatibility), comments start with `#`; even
     /// binary garbage only yields an empty store, never an error — the
     /// caller's analytic-model fallback must always be reachable. An
-    /// entry whose `n_blk` exceeds the active vector backend's register
-    /// ceiling ([`wino_simd::Backend::max_rows`]) was tuned on a wider
-    /// ISA and is dropped the same way.
+    /// entry whose `n_blk` no micro-kernel accepts (outside
+    /// `1..=`[`MAX_N_BLK`]) is malformed and ignored the same way.
     pub fn load(path: &Path) -> io::Result<Wisdom> {
         let bytes = std::fs::read(path)?;
-        Ok(Self::parse(&String::from_utf8_lossy(&bytes), wino_simd::backend().max_rows()))
+        Ok(Self::parse(&String::from_utf8_lossy(&bytes)))
     }
 
-    /// The lossy line parser behind [`Wisdom::load`]; `max_rows` is the
-    /// largest `n_blk` an entry may carry.
-    fn parse(text: &str, max_rows: usize) -> Wisdom {
+    /// The lossy line parser behind [`Wisdom::load`].
+    fn parse(text: &str) -> Wisdom {
         let w = Wisdom::new();
         for line in text.lines() {
             let line = line.trim();
@@ -132,7 +131,7 @@ impl Wisdom {
             let Some((key, rest)) = line.split_once('=') else { continue };
             let nums: Vec<usize> =
                 rest.split_whitespace().filter_map(|s| s.parse().ok()).collect();
-            if (nums.len() == 3 || nums.len() == 4) && nums[0] <= max_rows {
+            if (nums.len() == 3 || nums.len() == 4) && (1..=MAX_N_BLK).contains(&nums[0]) {
                 // A zero superblock would be meaningless — treat it as
                 // absent rather than propagating a degenerate extent.
                 let superblock = nums.get(3).copied().filter(|&sb| sb > 0);
@@ -486,15 +485,17 @@ mod tests {
     }
 
     #[test]
-    fn entries_above_the_register_ceiling_are_dropped() {
-        // Tuned on AVX-512 (n_blk = 14), loaded where two ymm per row
-        // leave room for 6: the wide entry is a miss, the rest survive.
-        let text = "wide = 14 128 128 4\nedge = 6 64 64\nnarrow = 4 64 64\n";
-        let w = Wisdom::parse(text, 6);
-        assert_eq!(w.get("wide"), None);
-        assert_eq!(w.superblock_hint("wide"), None);
-        assert_eq!(w.get("edge"), Some(BlockShape { n_blk: 6, c_blk: 64, cp_blk: 64 }));
-        assert_eq!(w.get("narrow"), Some(BlockShape { n_blk: 4, c_blk: 64, cp_blk: 64 }));
-        assert_eq!(Wisdom::parse(text, 30).len(), 3);
+    fn entries_no_kernel_accepts_are_malformed() {
+        // Every panel height 1..=30 is loadable on every backend (the
+        // micro-kernel strips it); 0 and 31 would panic there, so they
+        // are dropped here.
+        let text = "tall = 30 128 128 4\nshort = 1 64 64\nzero = 0 64 64\nover = 31 64 64 2\n";
+        let w = Wisdom::parse(text);
+        assert_eq!(w.get("tall"), Some(BlockShape { n_blk: 30, c_blk: 128, cp_blk: 128 }));
+        assert_eq!(w.superblock_hint("tall"), Some(4));
+        assert_eq!(w.get("short"), Some(BlockShape { n_blk: 1, c_blk: 64, cp_blk: 64 }));
+        assert_eq!(w.get("zero"), None);
+        assert_eq!(w.get("over"), None);
+        assert_eq!(w.superblock_hint("over"), None);
     }
 }

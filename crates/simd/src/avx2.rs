@@ -43,6 +43,8 @@ pub struct F32x16(__m256, __m256);
 impl crate::sealed::Sealed for F32x16 {}
 
 impl Simd16 for F32x16 {
+    const VECTOR_REGS: usize = 8;
+
     #[inline(always)]
     fn zero() -> Self {
         // SAFETY: avx2 proven (type docs); register-only.

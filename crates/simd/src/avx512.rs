@@ -40,6 +40,8 @@ pub struct F32x16(__m512);
 impl crate::sealed::Sealed for F32x16 {}
 
 impl Simd16 for F32x16 {
+    const VECTOR_REGS: usize = 32;
+
     #[inline(always)]
     fn zero() -> Self {
         // SAFETY: avx512f proven (type docs); register-only.

@@ -125,20 +125,6 @@ impl Backend {
         }
     }
 
-    /// Most accumulator rows (`n_blk`) the register-blocked micro-kernel
-    /// holds without spilling: vector registers minus the two `V̂`
-    /// auxiliaries, over registers per 16-lane row. `scalar` has no
-    /// register file of its own and keeps the paper's range.
-    pub fn max_rows(self) -> usize {
-        match self {
-            Backend::Scalar => 30,
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2(_) => 6,
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx512(_) => 30,
-        }
-    }
-
     /// Run `k` on this backend.
     #[inline]
     pub fn run<K: Kernel>(self, k: K) -> K::Output {

@@ -94,6 +94,12 @@ pub trait Simd16:
     + std::ops::Mul<Output = Self>
     + sealed::Sealed
 {
+    /// How many vectors of this type the register file holds: 32 `zmm`,
+    /// or 16 `ymm` at two per vector. `scalar` has no register file of
+    /// its own and mirrors AVX-512, so it walks the same register tiles.
+    /// The GEMM micro-kernel sizes its accumulator tile from this.
+    const VECTOR_REGS: usize;
+
     /// All-zero vector.
     fn zero() -> Self;
 

@@ -12,6 +12,8 @@ pub struct F32x16([f32; 16]);
 impl crate::sealed::Sealed for F32x16 {}
 
 impl Simd16 for F32x16 {
+    const VECTOR_REGS: usize = 32;
+
     #[inline(always)]
     fn zero() -> Self {
         F32x16([0.0; 16])

@@ -10,7 +10,9 @@
 #                                 layers, 1 rep — the CI gate; also fails
 #                                 if the report says machine.simd =
 #                                 "scalar" on a CPU with AVX2+FMA while
-#                                 WINO_SIMD is unset)
+#                                 WINO_SIMD is unset, or if the Mono GEMM
+#                                 at the widest planned n_blk runs below
+#                                 0.8x its own n_blk = 8 rate)
 #   scripts/bench.sh --scaling-smoke
 #                               → target/BENCH_scaling.json (strong/weak
 #                                 thread sweep over the smoke layers; the
@@ -78,5 +80,13 @@ if [ "$MODE" = smoke ] && [ -z "${WINO_SIMD:-}" ] \
     && grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null; then
     echo "error: $out reports machine.simd = scalar, but this CPU has AVX2+FMA" >&2
     exit 1
+fi
+
+# Cliff gate: the GEMM micro-kernel at the panel heights the planner
+# actually picks must keep up with the n_blk = 8 it is usually benched
+# at (the n_blk x 1 register block ran 28-row panels at 0.45x). The
+# bench compares the two in one process, so host-state noise cancels.
+if [ "$MODE" = smoke ]; then
+    run cargo bench --offline -q -p wino-bench --features probe --bench gemm -- --check
 fi
 echo "OK: $out"

@@ -60,6 +60,12 @@ run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features
 # interior *and* edge tiles (pad 0, pad 1, the ragged 158 = 26·6 + 2
 # shape), and every tile the search can propose for 3-wide kernels must
 # resolve to a generated codelet while untabled plans interpret.
+#
+# Micro-kernel gate: the register-tiled stage-2 kernels must equal their
+# own 1 × 1-tile walk bit for bit on every backend up to the pinned one
+# (AVX2 cuts a 30-row panel into five strips of six), and under avx512
+# the JIT's machine code must equal the Rust kernel bit for bit (the JIT
+# tests skip themselves below it).
 isas=(scalar)
 grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null && isas+=(avx2)
 grep -qw avx512f /proc/cpuinfo 2>/dev/null && isas+=(avx512)
@@ -72,6 +78,8 @@ for isa in "${isas[@]}"; do
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
         codelet:: vecprog:: stage1:: stage3:: select::
+    run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+        cargo test --offline -q -p wino-gemm -p wino-jit --lib
 done
 
 # Accuracy gate: (a) every practical F(m, r) under both interpolation
