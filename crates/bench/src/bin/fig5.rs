@@ -22,8 +22,8 @@
 //! patience on few cores).
 
 use wino_bench::{
-    make_executor, run_direct, run_dispatch, run_fft, run_im2col, run_im2col_geo, run_winograd,
-    Args, Measurement, Rows,
+    make_executor, run_baseline_im2col, run_baseline_im2col_geo, run_direct, run_dispatch, run_fft,
+    run_winograd, Args, Measurement, Rows,
 };
 use wino_conv::ConvOptions;
 use wino_workloads::{full_catalog, scaled_catalog, tile_sweep};
@@ -77,7 +77,7 @@ fn main() {
 
         // Baselines first (the speedup denominators).
         rows.push(run_direct(layer, exec.as_ref(), reps));
-        rows.push(run_im2col(layer, exec.as_ref(), reps));
+        rows.push(run_baseline_im2col(layer, exec.as_ref(), reps));
         if layer.rank() == 3 || args.flag("--fft-all") {
             rows.push(run_fft(layer, exec.as_ref(), reps));
         }
@@ -141,7 +141,7 @@ fn main() {
             ConvOptions::default().with_stride(&vec![2; layer.rank()]),
             ConvOptions::default().with_groups(2),
         ] {
-            let Some(base) = run_im2col_geo(layer, opts, exec.as_ref(), reps) else {
+            let Some(base) = run_baseline_im2col_geo(layer, opts, exec.as_ref(), reps) else {
                 continue;
             };
             let denom = base.timing.best_ms;

@@ -25,8 +25,8 @@ use wino_bench::perf::{
 };
 use wino_bench::{
     direct_output, dispatch_output, geo_layer_truth, im2col_geo_output, im2col_output,
-    layer_truth, make_executor, max_rel_error, run_direct, run_dispatch, run_im2col,
-    run_im2col_geo, run_winograd, winograd_output, Args, Measurement,
+    layer_truth, make_executor, max_rel_error, run_baseline_im2col, run_baseline_im2col_geo,
+    run_direct, run_dispatch, run_winograd, winograd_output, Args, Measurement,
 };
 use wino_conv::{plan_dispatch, ConvOptions, ExecutionReport, FallbackPolicy, LayerBackend};
 use wino_probe::{parse_json, validate_schema, Json, StageReport, SCHEMA_VERSION};
@@ -161,7 +161,7 @@ fn main() {
         // execution provenance to report.
         push(&d, probe_direct(layer, exec.as_ref(), &machine), d_acc, None);
 
-        let i = run_im2col(layer, exec.as_ref(), reps);
+        let i = run_baseline_im2col(layer, exec.as_ref(), reps);
         let i_acc = Accuracy {
             max_rel_error: err_of(&im2col_output(layer, exec.as_ref())),
             predicted_bound: None,
@@ -264,7 +264,7 @@ fn main() {
                 None => eprintln!("warning: no dispatch plan accepted for {}", layer.id()),
             }
 
-            if let Some(meas) = run_im2col_geo(layer, opts, exec.as_ref(), reps) {
+            if let Some(meas) = run_baseline_im2col_geo(layer, opts, exec.as_ref(), reps) {
                 let acc = Accuracy {
                     max_rel_error: im2col_geo_output(layer, opts, exec.as_ref())
                         .as_ref()

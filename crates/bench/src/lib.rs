@@ -3,7 +3,7 @@
 //! Shared plumbing for the benchmark binaries that regenerate the paper's
 //! tables and figures (see `EXPERIMENTS.md` for the index):
 //!
-//! * timed runners ([`run_winograd`], [`run_direct`], [`run_im2col`],
+//! * timed runners ([`run_winograd`], [`run_direct`], [`run_baseline_im2col`],
 //!   [`run_fft`]) producing [`Measurement`] rows with the Fig. 5
 //!   direct-FLOPs effective-GFLOP/s normaliser,
 //! * the [`perf`] module: machine calibration, per-stage work models and
@@ -316,7 +316,7 @@ pub fn im2col_geo_output(layer: &Layer, opts: ConvOptions, exec: &dyn Executor) 
 /// Time the geometry-aware im2col + GEMM baseline — the universal
 /// fallback every dispatch route is judged against. `None` if the layer
 /// is unrepresentable under `opts`.
-pub fn run_im2col_geo(
+pub fn run_baseline_im2col_geo(
     layer: &Layer,
     opts: ConvOptions,
     exec: &dyn Executor,
@@ -400,7 +400,7 @@ pub fn run_direct(layer: &Layer, exec: &dyn Executor, reps: usize) -> Measuremen
 }
 
 /// Time the im2col + GEMM baseline.
-pub fn run_im2col(layer: &Layer, exec: &dyn Executor, reps: usize) -> Measurement {
+pub fn run_baseline_im2col(layer: &Layer, exec: &dyn Executor, reps: usize) -> Measurement {
     let (input, kernels) = layer_data(layer, 42);
     let mut output =
         BlockedImage::zeros(layer.shape.batch, layer.shape.out_channels, &layer.shape.out_dims())

@@ -4,8 +4,8 @@
 //! [`crate::WinogradLayer`] is a stride-1, dense algorithm; this module is
 //! the layer above it that closes the rest of the scenario matrix:
 //!
-//! * **identity geometry** — the plain three-stage pipeline, planned via
-//!   [`plan_with_fallback`] exactly as before ([`Route::Direct`]);
+//! * **identity geometry** — the plain three-stage pipeline
+//!   ([`Route::Direct`]);
 //! * **stride ≥ 2** — the sub-lattice (polyphase) decomposition
 //!   ([`Route::Polyphase`]): writing every kernel tap `t` as
 //!   `t = φ + j·s`, the strided output
@@ -25,6 +25,11 @@
 //!   [`FallbackReason`] recording *why* Winograd declined. A representable
 //!   layer is never rejected; only unrepresentable geometry
 //!   ([`wino_tensor::ShapeError`]) is a [`PlanError`].
+//!
+//! A [`DispatchPlan`] is also the only layer plan [`crate::Network`]
+//! holds: which candidate a route is built for, and which one replaces it
+//! when planning or execution fails, is the degradation table in
+//! [`crate::select`].
 
 // Index-based loops walk several arrays with derived offsets; iterator
 // rewrites obscure the math (same policy as the stage code).
@@ -33,12 +38,13 @@
 use wino_probe::{SpanCategory, StageWork, WorkModel, ALL_CATEGORIES};
 use wino_sched::Executor;
 use wino_simd::S;
-use wino_tensor::{unflatten, BlockedImage, BlockedKernels, ConvGeometry, ConvShape};
+use wino_tensor::{unflatten, BlockedImage, BlockedKernels, ConvGeometry, ConvShape, TensorError};
 
+use crate::conv::TransformedKernels;
 use crate::error::WinoError;
 use crate::net::{FallbackReason, LayerBackend};
 use crate::plan::{ConvOptions, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK};
-use crate::select::{plan_with_fallback, FallbackPolicy};
+use crate::select::{degrade, plan_walk, Candidate, Cause, FallbackPolicy};
 
 /// One phase of the polyphase (sub-lattice) decomposition: the stride-1
 /// Winograd sub-problem convolving the `offset`-decimated input with the
@@ -70,7 +76,17 @@ pub enum Route {
     Im2col,
 }
 
-/// A planned route for one layer shape under one [`ConvGeometry`].
+/// The kernels one layer execution runs on.
+#[derive(Clone, Copy)]
+pub(crate) enum Kernels<'a> {
+    /// Raw kernels: every route, and every rescue, can use them.
+    Raw(&'a BlockedKernels),
+    /// Memoised transforms (§4.2 "Inference only"): [`Route::Direct`] only.
+    Memo(&'a TransformedKernels),
+}
+
+/// The planned route for one layer shape under one [`ConvGeometry`] — the
+/// only kind of layer plan a [`crate::Network`] holds.
 #[derive(Debug)]
 pub struct DispatchPlan {
     /// The layer's stride-1 description: input extents, *undilated*
@@ -83,6 +99,10 @@ pub struct DispatchPlan {
     /// Output extents under the geometry.
     out_dims: Vec<usize>,
     pub route: Route,
+    /// The options the layer was planned under and the table row the
+    /// route realises — where a run-time re-plan starts from.
+    opts: ConvOptions,
+    pub(crate) cand: Candidate,
 }
 
 /// Plan a route for `shape` under the geometry carried by `opts`
@@ -91,15 +111,28 @@ pub struct DispatchPlan {
 /// Returns the plan plus the typed reason Winograd was (partly) declined,
 /// if any — [`FallbackReason::Dilated`] and
 /// [`FallbackReason::GroupTooNarrow`] mark *designed* im2col routes and
-/// are reported under every policy; plan failures are absorbed into
-/// im2col only when `policy.im2col_on_plan_failure` allows. `Err` is
-/// reserved for unrepresentable layers ([`PlanError::Shape`]) and for
-/// plan failures a strict policy refuses to absorb.
+/// are reported under every policy; plan failures walk the degradation
+/// table (JIT → Mono, a larger tile under a memory budget, im2col) as far
+/// as `policy` allows. `Err` is reserved for unrepresentable layers
+/// ([`PlanError::Shape`]) and for plan failures the policy refuses to
+/// absorb.
 pub fn plan_dispatch(
     shape: &ConvShape,
     m: &[usize],
     opts: ConvOptions,
     policy: &FallbackPolicy,
+) -> Result<(DispatchPlan, Option<FallbackReason>), PlanError> {
+    plan_at_rung(shape, m, opts, policy, 0)
+}
+
+/// [`plan_dispatch`] starting from the candidate the serve breaker's
+/// `rung` selects (0 = as configured).
+pub(crate) fn plan_at_rung(
+    shape: &ConvShape,
+    m: &[usize],
+    opts: ConvOptions,
+    policy: &FallbackPolicy,
+    rung: u8,
 ) -> Result<(DispatchPlan, Option<FallbackReason>), PlanError> {
     let rank = shape.rank();
     if rank > MAX_RANK {
@@ -108,35 +141,40 @@ pub fn plan_dispatch(
     let geo = opts.geometry(rank);
     geo.validate(shape)?; // unrepresentable layers are hard errors
     let out_dims = geo.out_dims(shape)?;
-    let sub_opts = opts.with_identity_geometry();
-    let done = |route, fb| {
-        Ok((
-            DispatchPlan { shape: shape.clone(), geo: geo.clone(), out_dims: out_dims.clone(), route },
-            fb,
-        ))
-    };
-
-    if geo.is_identity() {
-        // Mirror the monolithic planning path exactly.
-        return match plan_with_fallback(shape, m, sub_opts, policy) {
-            Ok((p, jit)) => done(
-                Route::Direct(Box::new(p)),
-                jit.map(FallbackReason::JitUnavailable),
-            ),
-            Err(e @ PlanError::Shape(_)) => Err(e),
-            Err(e) if policy.im2col_on_plan_failure => {
-                done(Route::Im2col, Some(FallbackReason::PlanFailed(e)))
-            }
-            Err(e) => Err(e),
-        };
+    let asked = Candidate::Winograd { m: m.to_vec(), stage2: opts.stage2, retile: 0 };
+    let start = degrade(&asked, Cause::BreakerRung(rung), &out_dims, policy).unwrap_or(asked);
+    let ((mut plan, designed), absorbed) =
+        plan_walk(start, &out_dims, policy, |c| build(shape, &geo, &out_dims, opts, c))?;
+    if let Candidate::Winograd { retile, .. } = &mut plan.cand {
+        *retile = 0; // the planned tile is the run-time walk's point of reference
     }
+    let reason = absorbed
+        .map(|e| FallbackReason::absorbed(e, plan.cand == Candidate::Im2col))
+        .or(designed);
+    Ok((plan, reason))
+}
 
+/// Plan exactly `cand` for the layer — no fallback; errors go back to the
+/// table walk. The second value is the designed-route provenance (an
+/// im2col route, designed or not, realises the im2col candidate whatever
+/// was asked).
+fn build(
+    shape: &ConvShape,
+    geo: &ConvGeometry,
+    out_dims: &[usize],
+    opts: ConvOptions,
+    cand: &Candidate,
+) -> Result<(DispatchPlan, Option<FallbackReason>), PlanError> {
+    let done = |route, designed| {
+        let cand = if matches!(route, Route::Im2col) { Candidate::Im2col } else { cand.clone() };
+        let (shape, geo, out_dims) = (shape.clone(), geo.clone(), out_dims.to_vec());
+        Ok((DispatchPlan { shape, geo, out_dims, route, opts, cand }, designed))
+    };
     // Dilation is outside what the Winograd transform stencils express:
     // a designed im2col route, not a failure.
     if geo.dilation.iter().any(|&d| d > 1) {
         return done(Route::Im2col, Some(FallbackReason::Dilated));
     }
-
     // Narrow groups (depthwise included) cannot fill the S-wide channel
     // vectors of the blocked layout: designed im2col route.
     let c_per_group = shape.in_channels / geo.groups;
@@ -144,34 +182,30 @@ pub fn plan_dispatch(
     if geo.groups > 1 && (!c_per_group.is_multiple_of(S) || !k_per_group.is_multiple_of(S)) {
         return done(Route::Im2col, Some(FallbackReason::GroupTooNarrow { c_per_group }));
     }
+    let Candidate::Winograd { m, stage2, .. } = cand else {
+        return done(Route::Im2col, None);
+    };
+    let sub_opts = ConvOptions { stage2: *stage2, ..opts.with_identity_geometry() };
+    if geo.is_identity() {
+        let plan = WinogradLayer::new(shape.clone(), m, sub_opts)?;
+        return done(Route::Direct(Box::new(plan)), None);
+    }
 
     // From here every sub-problem is a plain stride-1 Winograd plan over
     // the per-group channel counts (== the global ones when groups == 1).
+    let rank = shape.rank();
+    let plan_sub = |dims: &[usize], kernel: &[usize], padding: &[usize]| {
+        let sub = ConvShape::new(shape.batch, c_per_group, k_per_group, dims, kernel, padding)?;
+        plan_sub(&sub, m, sub_opts)
+    };
     if geo.stride.iter().all(|&s| s == 1) {
-        let gshape = ConvShape::new(
-            shape.batch,
-            c_per_group,
-            k_per_group,
-            &shape.image_dims,
-            &shape.kernel_dims,
-            &shape.padding,
-        )?;
-        return match plan_sub(&gshape, m, sub_opts, policy) {
-            Ok((p, jit)) => done(
-                Route::Grouped { plan: Box::new(p) },
-                jit.map(FallbackReason::JitUnavailable),
-            ),
-            Err(e) if policy.im2col_on_plan_failure => {
-                done(Route::Im2col, Some(FallbackReason::PlanFailed(e)))
-            }
-            Err(e) => Err(e),
-        };
+        let plan = plan_sub(&shape.image_dims, &shape.kernel_dims, &shape.padding)?;
+        return done(Route::Grouped { plan: Box::new(plan) }, None);
     }
 
     // Polyphase decomposition for stride ≥ 2.
     let n_phases: usize = geo.stride.iter().product();
     let mut phases = Vec::new();
-    let mut jit_fb = None;
     for flat in 0..n_phases {
         let offset = unflatten(flat, &geo.stride);
         let mut r_phi = Vec::with_capacity(rank);
@@ -190,54 +224,58 @@ pub fn plan_dispatch(
         // Trim the decimated input so the valid (unpadded) phase conv
         // emits exactly `out_dims` — no cropping afterwards.
         let ext: Vec<usize> = (0..rank).map(|d| out_dims[d] + r_phi[d] - 1).collect();
-        let pshape = ConvShape::new(
-            shape.batch,
-            c_per_group,
-            k_per_group,
-            &ext,
-            &r_phi,
-            &vec![0; rank],
-        )?;
-        match plan_sub(&pshape, m, sub_opts, policy) {
-            Ok((p, jit)) => {
-                jit_fb = jit_fb.or(jit);
-                phases.push(Phase { offset, plan: p });
-            }
-            Err(e) if policy.im2col_on_plan_failure => {
-                return done(Route::Im2col, Some(FallbackReason::PlanFailed(e)));
-            }
-            Err(e) => return Err(e),
-        }
+        phases.push(Phase { offset, plan: plan_sub(&ext, &r_phi, &vec![0; rank])? });
     }
-    done(Route::Polyphase { phases }, jit_fb.map(FallbackReason::JitUnavailable))
+    done(Route::Polyphase { phases }, None)
 }
 
 /// Plan one stride-1 sub-problem: try the caller's tile clipped to the
 /// sub-problem's output extents, then the minimal tile. Clipping keeps
 /// the intent (larger tiles where they fit) while tolerating the small,
 /// skewed extents polyphase phases produce.
-fn plan_sub(
-    shape: &ConvShape,
-    m: &[usize],
-    opts: ConvOptions,
-    policy: &FallbackPolicy,
-) -> Result<(WinogradLayer, Option<PlanError>), PlanError> {
+fn plan_sub(shape: &ConvShape, m: &[usize], opts: ConvOptions) -> Result<WinogradLayer, PlanError> {
     let out = shape.out_dims();
     let rank = shape.rank();
     let clip = |mm: &[usize]| -> Vec<usize> {
         (0..rank).map(|d| mm.get(d).copied().unwrap_or(2).min(out[d]).max(1)).collect()
     };
     let first = clip(m);
-    match plan_with_fallback(shape, &first, opts, policy) {
-        Ok(ok) => Ok(ok),
-        Err(e) => {
-            let minimal = clip(&vec![2; rank]);
-            if minimal == first {
-                return Err(e);
-            }
-            plan_with_fallback(shape, &minimal, opts, policy).map_err(|_| e)
+    WinogradLayer::new(shape.clone(), &first, opts).or_else(|e| {
+        let minimal = clip(&vec![2; rank]);
+        if minimal == first {
+            return Err(e);
         }
+        WinogradLayer::new(shape.clone(), &minimal, opts)
+    })
+}
+
+/// Make `slot` hold a scratch shaped for `p` with at least `threads`
+/// thread slots, through the fallible allocation seam: a refused buffer is
+/// [`WinoError::Alloc`] (and enters the degradation table), never an abort.
+pub(crate) fn ensure_scratch<'s>(
+    slot: &'s mut Option<Scratch>,
+    p: &WinogradLayer,
+    threads: usize,
+) -> Result<&'s mut Scratch, WinoError> {
+    let b = p.block;
+    let (c, cp) = (p.shape.in_channels, p.shape.out_channels);
+    let (t, rows) = (p.t_vol(), p.rows());
+    let fits = slot.as_ref().is_some_and(|sc| {
+        let (u, v, y) = (&sc.u, &sc.v, &sc.y);
+        (u.t_count(), u.rows(), u.cols(), u.rb(), u.cb()) == (t, rows, c, b.n_blk, b.c_blk)
+            && (v.t_count(), v.rows(), v.cols(), v.rb(), v.cb()) == (t, c, cp, b.c_blk, b.cp_blk)
+            && (y.n_tiles(), y.batch(), y.t_vol()) == (p.n_tiles(), p.shape.batch, t)
+            && y.channel_groups() == cp / S
+            && sc.thread_slots() >= threads
+    });
+    if !fits {
+        // Release the mismatched scratch before allocating the new one:
+        // under memory pressure holding both arenas at once is exactly
+        // what pushes the allocator over the edge.
+        *slot = None;
+        *slot = Some(Scratch::try_new(p, threads)?);
     }
+    Ok(slot.as_mut().expect("scratch ensured above"))
 }
 
 impl DispatchPlan {
@@ -251,22 +289,46 @@ impl DispatchPlan {
         BlockedImage::zeros(self.shape.batch, self.shape.out_channels, &self.out_dims)
     }
 
+    /// Fallible [`Self::new_output`]: a typed allocation failure instead
+    /// of an abort when the allocator refuses the buffer.
+    pub fn try_new_output(&self) -> Result<BlockedImage, TensorError> {
+        BlockedImage::try_zeros(self.shape.batch, self.shape.out_channels, &self.out_dims)
+    }
+
     /// Kernel input-channel count under the grouped convention: `C / G`.
     pub fn kernel_in_channels(&self) -> usize {
         self.shape.in_channels / self.geo.groups
     }
 
+    /// The dense Winograd plan of a [`Route::Direct`] layer — the one
+    /// route with memoisable kernel transforms and accuracy sentinels.
+    pub fn winograd(&self) -> Option<&WinogradLayer> {
+        match &self.route {
+            Route::Direct(p) => Some(p),
+            _ => None,
+        }
+    }
+
     /// The backend this route reports as ([`LayerBackend::name`]).
     pub fn backend(&self) -> LayerBackend {
-        match &self.route {
-            Route::Direct(p) => match p.opts.stage2 {
+        match (&self.route, &self.cand) {
+            (Route::Im2col, _) => LayerBackend::Im2col,
+            (_, Candidate::Winograd { retile, .. }) if *retile != 0 => {
+                LayerBackend::WinogradDemoted
+            }
+            (Route::Polyphase { .. }, _) => LayerBackend::WinogradPoly,
+            (Route::Grouped { .. }, _) => LayerBackend::WinogradGrouped,
+            (Route::Direct(p), _) => match p.opts.stage2 {
                 Stage2Backend::Jit => LayerBackend::WinogradJit,
                 Stage2Backend::Mono => LayerBackend::WinogradMono,
             },
-            Route::Polyphase { .. } => LayerBackend::WinogradPoly,
-            Route::Grouped { .. } => LayerBackend::WinogradGrouped,
-            Route::Im2col => LayerBackend::Im2col,
         }
+    }
+
+    /// This layer on another row of the degradation table (the run-time
+    /// walk's re-plan).
+    pub(crate) fn replan(&self, cand: &Candidate) -> Result<DispatchPlan, PlanError> {
+        Ok(build(&self.shape, &self.geo, &self.out_dims, self.opts, cand)?.0)
     }
 
     /// Analytic memory footprint of executing this route at `threads`
@@ -277,42 +339,30 @@ impl DispatchPlan {
     /// * **Grouped** — the shared per-group scratch is exact; the output
     ///   component counts the full output plus one per-group transient
     ///   (`out_g` is assembled per group, then copied).
-    /// * **Polyphase** — phases run sequentially, each allocating its own
-    ///   scratch; the scratch components are the *maximum* over phases,
-    ///   the output component adds the full output, the per-phase
-    ///   accumulator image, and the largest decimated phase input. Phase
-    ///   kernel copies (`C·C'·r_φ` floats) are omitted as second-order.
+    /// * **Polyphase** — phases run sequentially, taking turns in the
+    ///   layer's scratch slot; the scratch components are the *maximum*
+    ///   over phases, the output component adds the full output, the
+    ///   per-phase accumulator image, and the largest decimated phase
+    ///   input. Phase kernel copies (`C·C'·r_φ` floats) are omitted as
+    ///   second-order.
     /// * **Im2col** — the lowering matrices (`A`, packed `W`, `X`) from
     ///   [`Self::im2col_work_model`] are reported as scratch, plus the
     ///   output.
     pub fn footprint(&self, threads: usize) -> crate::MemoryFootprint {
         let out_bytes =
             BlockedImage::bytes_for(self.shape.batch, self.shape.out_channels, &self.out_dims);
+        let mut fp = crate::MemoryFootprint::empty(threads);
         match &self.route {
-            Route::Direct(p) => p.footprint(threads),
+            Route::Direct(p) => return p.footprint(threads),
             Route::Grouped { plan } => {
-                let mut fp = plan.footprint(threads);
+                fp = plan.footprint(threads);
                 // Full output plus the per-group transient the loop holds.
                 fp.output_bytes += out_bytes;
-                fp
             }
             Route::Polyphase { phases } => {
-                let mut fp = crate::MemoryFootprint {
-                    scratch_bytes: 0,
-                    tile_major_bytes: 0,
-                    transformed_kernel_bytes: 0,
-                    per_thread_bytes: 0,
-                    output_bytes: 0,
-                    threads,
-                };
                 let mut max_phase_in = 0;
                 for ph in phases {
-                    let p = ph.plan.footprint(threads);
-                    fp.scratch_bytes = fp.scratch_bytes.max(p.scratch_bytes);
-                    fp.tile_major_bytes = fp.tile_major_bytes.max(p.tile_major_bytes);
-                    fp.transformed_kernel_bytes =
-                        fp.transformed_kernel_bytes.max(p.transformed_kernel_bytes);
-                    fp.per_thread_bytes = fp.per_thread_bytes.max(p.per_thread_bytes);
+                    fp.fold(&ph.plan.footprint(threads), usize::max);
                     max_phase_in = max_phase_in.max(BlockedImage::bytes_for(
                         self.shape.batch,
                         self.shape.in_channels,
@@ -321,23 +371,15 @@ impl DispatchPlan {
                 }
                 // Output + the per-phase accumulator + the decimated copy.
                 fp.output_bytes = 2 * out_bytes + max_phase_in;
-                fp
             }
             Route::Im2col => {
                 let wm = self.im2col_work_model();
-                let lowering = wm
-                    .get(SpanCategory::ElementwiseGemm)
-                    .map_or(0, |w| w.bytes as usize);
-                crate::MemoryFootprint {
-                    scratch_bytes: lowering,
-                    tile_major_bytes: 0,
-                    transformed_kernel_bytes: 0,
-                    per_thread_bytes: 0,
-                    output_bytes: out_bytes,
-                    threads,
-                }
+                fp.scratch_bytes =
+                    wm.get(SpanCategory::ElementwiseGemm).map_or(0, |w| w.bytes as usize);
+                fp.output_bytes = out_bytes;
             }
         }
+        fp
     }
 
     /// FLOPs of the equivalent direct convolution under this geometry —
@@ -411,11 +453,12 @@ impl DispatchPlan {
         model
     }
 
-    /// Execute the route. `kernels` follow the grouped convention
-    /// (`in_channels == C / groups`, global output channels); `output`
-    /// must be pre-sized to [`DispatchPlan::out_dims`]. Deterministic for
-    /// a fixed plan: phases and groups run in a fixed order, so repeated
-    /// calls (and different executors) are bitwise identical.
+    /// Execute the route with a scratch of its own. `kernels` follow the
+    /// grouped convention (`in_channels == C / groups`, global output
+    /// channels); `output` must be pre-sized to
+    /// [`DispatchPlan::out_dims`]. Deterministic for a fixed plan: phases
+    /// and groups run in a fixed order, so repeated calls (and different
+    /// executors) are bitwise identical.
     pub fn forward(
         &self,
         input: &BlockedImage,
@@ -423,49 +466,73 @@ impl DispatchPlan {
         output: &mut BlockedImage,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
+        self.forward_in(&mut None, input, Kernels::Raw(kernels), output, exec)
+    }
+
+    /// [`Self::forward`] through a caller-owned scratch `slot` — a
+    /// [`crate::Network`] layer's resident one. Every buffer the route
+    /// needs beyond `output` is allocated fallibly.
+    pub(crate) fn forward_in(
+        &self,
+        slot: &mut Option<Scratch>,
+        input: &BlockedImage,
+        kernels: Kernels<'_>,
+        output: &mut BlockedImage,
+        exec: &dyn Executor,
+    ) -> Result<(), WinoError> {
         assert_eq!(input.dims, self.shape.image_dims, "input extent mismatch");
         assert_eq!(input.channels, self.shape.in_channels, "input channel mismatch");
+        assert_eq!(output.dims, self.out_dims, "output extent mismatch");
+        let threads = exec.threads();
+        let kernels = match (kernels, &self.route) {
+            (Kernels::Raw(k), _) => k,
+            (Kernels::Memo(tk), Route::Direct(plan)) => {
+                let sc = ensure_scratch(slot, plan, threads)?;
+                return plan.forward_fx(input, tk, output, sc, exec);
+            }
+            (Kernels::Memo(_), _) => {
+                return Err(WinoError::Unsupported(
+                    "memoised kernel transforms for an im2col-planned layer",
+                ))
+            }
+        };
         assert_eq!(kernels.in_channels, self.kernel_in_channels(), "grouped kernel convention");
         assert_eq!(kernels.out_channels, self.shape.out_channels, "output channel mismatch");
-        assert_eq!(output.dims, self.out_dims, "output extent mismatch");
         let groups = self.geo.groups;
         let c_pg = self.shape.in_channels / groups;
         let k_pg = self.shape.out_channels / groups;
-        match &self.route {
-            Route::Direct(plan) => {
-                let mut sc = Scratch::new(plan, exec.threads());
-                plan.forward(input, kernels, output, &mut sc, exec)
+        // One group's (or, dense, the whole) sub-convolution into `out`.
+        let per_group = |plan: &WinogradLayer,
+                         sc: &mut Scratch,
+                         inp: &BlockedImage,
+                         ker: &BlockedKernels,
+                         out: &mut BlockedImage|
+         -> Result<(), WinoError> {
+            if groups == 1 {
+                return plan.forward(inp, ker, out, sc, exec);
             }
-            Route::Grouped { plan } => {
-                let mut sc = Scratch::new(plan, exec.threads());
-                for g in 0..groups {
-                    let in_g = input.channel_block(g * c_pg, c_pg)?;
-                    let k_g = kernels.group_block(0, c_pg, g * k_pg, k_pg)?;
-                    let mut out_g = plan.new_output()?;
-                    plan.forward(&in_g, &k_g, &mut out_g, &mut sc, exec)?;
-                    output.write_channel_block(g * k_pg, &out_g)?;
-                }
-                Ok(())
+            for g in 0..groups {
+                let in_g = inp.channel_block(g * c_pg, c_pg)?;
+                let k_g = ker.group_block(0, c_pg, g * k_pg, k_pg)?;
+                let mut out_g = plan.try_new_output()?;
+                plan.forward(&in_g, &k_g, &mut out_g, sc, exec)?;
+                out.write_channel_block(g * k_pg, &out_g)?;
+            }
+            Ok(())
+        };
+        match &self.route {
+            Route::Direct(plan) | Route::Grouped { plan } => {
+                per_group(plan, ensure_scratch(slot, plan, threads)?, input, kernels, output)
             }
             Route::Polyphase { phases } => {
                 output.fill_zero();
-                for ph in phases {
-                    let pin = decimate(input, &ph.offset, &self.geo.stride, &self.shape.padding, &ph.plan.shape.image_dims);
-                    let pker = phase_kernels(kernels, &ph.offset, &self.geo.stride, &ph.plan.shape.kernel_dims)?;
-                    let mut sc = Scratch::new(&ph.plan, exec.threads());
-                    let mut ptmp =
-                        BlockedImage::zeros(self.shape.batch, self.shape.out_channels, &self.out_dims)?;
-                    if groups == 1 {
-                        ph.plan.forward(&pin, &pker, &mut ptmp, &mut sc, exec)?;
-                    } else {
-                        for g in 0..groups {
-                            let in_g = pin.channel_block(g * c_pg, c_pg)?;
-                            let k_g = pker.group_block(0, c_pg, g * k_pg, k_pg)?;
-                            let mut out_g = ph.plan.new_output()?;
-                            ph.plan.forward(&in_g, &k_g, &mut out_g, &mut sc, exec)?;
-                            ptmp.write_channel_block(g * k_pg, &out_g)?;
-                        }
-                    }
+                let (stride, padding) = (&self.geo.stride, &self.shape.padding);
+                for Phase { offset, plan } in phases {
+                    let pin = decimate(input, offset, stride, padding, &plan.shape.image_dims)?;
+                    let pker = phase_kernels(kernels, offset, stride, &plan.shape.kernel_dims)?;
+                    let mut ptmp = self.try_new_output()?;
+                    let sc = ensure_scratch(slot, plan, threads)?;
+                    per_group(plan, sc, &pin, &pker, &mut ptmp)?;
                     output.accumulate(&ptmp)?;
                 }
                 Ok(())
@@ -508,10 +575,9 @@ fn decimate(
     stride: &[usize],
     padding: &[usize],
     ext: &[usize],
-) -> BlockedImage {
+) -> Result<BlockedImage, TensorError> {
     let rank = input.dims.len();
-    let mut out = BlockedImage::zeros(input.batch, input.channels, ext)
-        .expect("phase extents validated at plan time");
+    let mut out = BlockedImage::try_zeros(input.batch, input.channels, ext)?;
     let ext_vol: usize = ext.iter().product();
     let cgs = input.channel_groups();
     let mut in_stride = [1usize; MAX_RANK];
@@ -546,7 +612,7 @@ fn decimate(
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// The phase kernel `w_φ[j] = w[φ + j·s]` of extent `r_φ`.

@@ -55,8 +55,8 @@ pub enum WinoError {
     /// degradation ladder to absorb it (e.g. a guarded training step).
     Sentinel(SentinelError),
     /// The allocator (or the fault injector) refused a buffer — the
-    /// run-time entry into the memory degradation ladder: `exec_layer`
-    /// retries with demoted tiles, then the im2col rescue, before this
+    /// run-time memory cause of the degradation table: a `Network` layer
+    /// retries on larger tiles, then the im2col rescue, before this
     /// surfaces as a failure.
     Alloc(AllocError),
     /// Kernel list length does not match the network's layer count.

@@ -49,6 +49,30 @@ pub struct MemoryFootprint {
 }
 
 impl MemoryFootprint {
+    /// No bytes at all, priced at `threads` thread slots — the identity
+    /// the per-route and per-network aggregations start from.
+    pub fn empty(threads: usize) -> MemoryFootprint {
+        MemoryFootprint {
+            scratch_bytes: 0,
+            tile_major_bytes: 0,
+            transformed_kernel_bytes: 0,
+            per_thread_bytes: 0,
+            output_bytes: 0,
+            threads,
+        }
+    }
+
+    /// Fold `other` into `self` component by component (`+` aggregates
+    /// buffers that are live together, `max` ones that take turns).
+    pub fn fold(&mut self, other: &MemoryFootprint, f: fn(usize, usize) -> usize) {
+        self.scratch_bytes = f(self.scratch_bytes, other.scratch_bytes);
+        self.tile_major_bytes = f(self.tile_major_bytes, other.tile_major_bytes);
+        self.transformed_kernel_bytes =
+            f(self.transformed_kernel_bytes, other.transformed_kernel_bytes);
+        self.per_thread_bytes = f(self.per_thread_bytes, other.per_thread_bytes);
+        self.output_bytes = f(self.output_bytes, other.output_bytes);
+    }
+
     /// Footprint of `layer` executed with `threads` thread slots.
     ///
     /// Mirrors `Scratch::build`, `WinogradLayer::new_output` and

@@ -58,7 +58,7 @@ pub use error::{check_finite, NumericError, WinoError};
 pub use footprint::MemoryFootprint;
 pub use layout::TileMajor;
 pub use net::{
-    Activation, ExecutionReport, FallbackReason, LayerBackend, LayerPlan, LayerSpec, NetLayer,
+    Activation, ExecutionReport, FallbackReason, LayerBackend, LayerSpec, NetLayer,
     Network,
 };
 pub use plan::{

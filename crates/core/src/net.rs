@@ -3,29 +3,30 @@
 //! "While the size of the auxiliary buffer can be a couple of times larger
 //! than the memory required for storing the computed images, the same
 //! memory buffer can be reused for the computation of each layer." —
-//! [`Network`] realises that: it plans a sequence of convolutional layers
-//! (each with its own `F(m, r)`), allocates **one** [`Scratch`] sized to
-//! the maximum requirement, and runs the whole net through it. Layer
-//! outputs stay in the blocked layout, so no reshuffling happens between
-//! layers (§4.1).
+//! [`Network`] plans a sequence of convolutional layers (each with its
+//! own `F(m, r)`) and reuses the auxiliary memory *across passes*: one
+//! resident [`Scratch`] slot per layer, so a repeat forward allocates
+//! nothing but the layer outputs. Layer outputs stay in the blocked
+//! layout, so no reshuffling happens between layers (§4.1).
 //!
-//! The module also owns the *execution-time* half of the
-//! graceful-degradation chain (`Jit → Mono → im2col`,
-//! [`crate::FallbackPolicy`]): a layer whose Winograd plan cannot be built
-//! is planned as an im2col layer instead ([`LayerPlan::Im2col`]), and a
-//! layer whose output trips the numeric guard is re-executed through
-//! `wino-baseline`'s im2col convolution. Every [`Network::run_layer`] /
-//! [`Network::run_net`] call reports which backend actually ran and why
-//! via [`ExecutionReport`].
+//! Every layer is a [`DispatchPlan`], and the module owns the *run-time*
+//! walk over the degradation table of [`crate::select`] (DESIGN.md §5):
+//! one per-layer function executes the planned candidate, guards its
+//! output (numeric guard, then accuracy sentinels) and, when an
+//! allocation is refused or a guard trips, re-plans the layer on whichever
+//! candidate the table offers next — a re-tiled Winograd plan or the
+//! im2col rescue — until one stands or the policy allows no further row.
+//! Every [`Network::run_layer`] / [`Network::run_net`] call reports which
+//! backend actually ran and why via [`ExecutionReport`].
 
 use wino_sched::Executor;
-use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices, ConvShape};
+use wino_tensor::{BlockedImage, BlockedKernels, ConvShape};
 
 use crate::conv::TransformedKernels;
-use crate::dispatch::{plan_dispatch, DispatchPlan, Route};
+use crate::dispatch::{ensure_scratch, plan_at_rung, DispatchPlan, Kernels};
 use crate::error::{check_finite, NumericError, WinoError};
-use crate::plan::{ConvOptions, PlanError, Scratch, Stage2Backend, WinogradLayer};
-use crate::select::{plan_with_fallback, FallbackPolicy};
+use crate::plan::{ConvOptions, PlanError, Scratch};
+use crate::select::{degrade, Candidate, Cause, FallbackPolicy};
 use crate::sentinel::{verify_sample, SentinelError};
 
 /// Pointwise activation applied between layers.
@@ -42,58 +43,6 @@ impl Activation {
             for v in img.as_mut_slice() {
                 *v = v.max(0.0);
             }
-        }
-    }
-}
-
-/// How a layer is planned to execute. One value exists per network
-/// layer, so the size skew between the variants is irrelevant.
-#[allow(clippy::large_enum_variant)] // one value per layer; Box would only add a pointer chase
-pub enum LayerPlan {
-    /// The paper's three-stage Winograd pipeline.
-    Winograd(WinogradLayer),
-    /// The `wino-baseline` im2col convolution — the end of the
-    /// degradation chain, planned when no Winograd plan exists and the
-    /// policy allows absorbing that.
-    Im2col { shape: ConvShape },
-    /// A non-identity (stride/dilation/groups) geometry routed through
-    /// [`crate::dispatch`]: polyphase Winograd, grouped Winograd, or the
-    /// geometry-aware im2col fallback.
-    Dispatch(DispatchPlan),
-}
-
-impl LayerPlan {
-    /// The layer geometry, whichever backend executes it.
-    pub fn shape(&self) -> &ConvShape {
-        match self {
-            LayerPlan::Winograd(p) => &p.shape,
-            LayerPlan::Im2col { shape } => shape,
-            LayerPlan::Dispatch(p) => &p.shape,
-        }
-    }
-
-    /// The Winograd plan, if this layer has one.
-    pub fn winograd(&self) -> Option<&WinogradLayer> {
-        match self {
-            LayerPlan::Winograd(p) => Some(p),
-            LayerPlan::Im2col { .. } | LayerPlan::Dispatch(_) => None,
-        }
-    }
-
-    /// The dispatch route, for layers with a non-identity geometry.
-    pub fn dispatch(&self) -> Option<&DispatchPlan> {
-        match self {
-            LayerPlan::Dispatch(p) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// Output extent per dimension — geometry-aware, unlike
-    /// `shape().out_dims()`.
-    pub fn out_dims(&self) -> Vec<usize> {
-        match self {
-            LayerPlan::Dispatch(p) => p.out_dims().to_vec(),
-            other => other.shape().out_dims(),
         }
     }
 }
@@ -168,6 +117,19 @@ pub enum FallbackReason {
 }
 
 impl FallbackReason {
+    /// The one `PlanError → FallbackReason` mapping: `e` is the first
+    /// error a plan-time walk absorbed, `im2col` whether the walk ended
+    /// on the im2col route rather than on a downgraded Winograd plan.
+    pub(crate) fn absorbed(e: PlanError, im2col: bool) -> FallbackReason {
+        match e {
+            PlanError::MemoryBudget { need_bytes, .. } => {
+                FallbackReason::Memory { bytes: need_bytes }
+            }
+            PlanError::Jit { .. } if !im2col => FallbackReason::JitUnavailable(e),
+            _ => FallbackReason::PlanFailed(e),
+        }
+    }
+
     /// Stable serialization code — one of
     /// [`wino_probe::FALLBACK_CODES`], as emitted into
     /// `layers[i].execution.fallback` of a `BENCH_*.json` report. The
@@ -219,10 +181,11 @@ pub struct ExecutionReport {
 
 /// One planned layer of a [`Network`].
 pub struct NetLayer {
-    pub plan: LayerPlan,
+    pub plan: DispatchPlan,
     pub activation: Activation,
-    /// Downgrade recorded at plan time (`Jit → Mono` or
-    /// `plan failure → im2col`); echoed into every [`ExecutionReport`].
+    /// Downgrade recorded at plan time (`Jit → Mono`, a memory re-tile,
+    /// `plan failure → im2col`) or the designed-route provenance; echoed
+    /// into every [`ExecutionReport`].
     pub planned_fallback: Option<FallbackReason>,
 }
 
@@ -234,9 +197,10 @@ pub struct Network {
     /// every pass. Per-layer slots (rather than one shared arena rebuilt
     /// per transition) keep repeat forwards allocation-free — the serving
     /// hot path's invariant — at the cost of summing, not maxing, the
-    /// scratch footprint. A slot is `None` when the layer has no Winograd
-    /// plan or its seeding allocation was refused (the execution-time
-    /// ladder then deals with it when the layer runs).
+    /// scratch footprint. A slot is `None` for an im2col layer, before the
+    /// first forward of a grouped or polyphase one (whose phases then take
+    /// turns in it), or when its seeding allocation was refused (the
+    /// run-time walk then deals with it when the layer runs).
     scratch: Vec<Option<Scratch>>,
 }
 
@@ -268,9 +232,10 @@ impl Network {
 
     /// Plan a network, degrading per `policy` instead of failing where the
     /// policy allows it: a JIT plan failure retries with
-    /// [`Stage2Backend::Mono`], and a layer with no Winograd plan at all
-    /// is planned as an im2col layer. Downgrades are recorded on the
-    /// [`NetLayer`] and surface in every [`ExecutionReport`].
+    /// [`crate::Stage2Backend::Mono`], a plan over its memory budget
+    /// re-tiles, and a layer with no Winograd plan at all is planned on
+    /// [`crate::Route::Im2col`]. Downgrades are recorded on the [`NetLayer`] and
+    /// surface in every [`ExecutionReport`].
     ///
     /// Geometry errors ([`PlanError::Shape`]) always fail: no backend can
     /// execute an ill-formed layer.
@@ -283,112 +248,59 @@ impl Network {
         threads: usize,
         policy: &FallbackPolicy,
     ) -> Result<Network, PlanError> {
+        Self::at_rung(batch, in_channels, image_dims, specs, opts, threads, policy, 0)
+    }
+
+    /// [`Network::with_policy`] on the candidate a serving circuit
+    /// breaker's `rung` selects for every layer: 0 plans as configured, 1
+    /// forces stage 2 onto the monomorphised kernels, 2 and beyond plan
+    /// every layer on [`crate::Route::Im2col`] — as far as `policy` allows those
+    /// rows (a strict policy plans every rung as configured).
+    #[allow(clippy::too_many_arguments)] // with_policy's seven plus the rung
+    pub fn at_rung(
+        batch: usize,
+        in_channels: usize,
+        image_dims: &[usize],
+        specs: &[LayerSpec],
+        opts: ConvOptions,
+        threads: usize,
+        policy: &FallbackPolicy,
+        rung: u8,
+    ) -> Result<Network, PlanError> {
         assert!(!specs.is_empty(), "network needs at least one layer");
         let mut layers = Vec::with_capacity(specs.len());
         let mut c = in_channels;
         let mut dims = image_dims.to_vec();
-        let identity = opts.has_identity_geometry(image_dims.len());
         for spec in specs {
             let shape =
                 ConvShape::new(batch, c, spec.out_channels, &dims, &spec.kernel, &spec.padding)?;
+            let (plan, planned_fallback) = plan_at_rung(&shape, &spec.m, opts, policy, rung)?;
             c = spec.out_channels;
-            let (plan, planned_fallback) = if identity {
-                dims = shape.out_dims();
-                match plan_with_fallback(&shape, &spec.m, opts, policy) {
-                    Ok((p, None)) => (LayerPlan::Winograd(p), None),
-                    Ok((p, Some(PlanError::MemoryBudget { need_bytes, .. }))) => {
-                        (LayerPlan::Winograd(p), Some(FallbackReason::Memory { bytes: need_bytes }))
-                    }
-                    Ok((p, Some(e))) => {
-                        (LayerPlan::Winograd(p), Some(FallbackReason::JitUnavailable(e)))
-                    }
-                    Err(e @ PlanError::Shape(_)) => return Err(e),
-                    Err(PlanError::MemoryBudget { need_bytes, .. })
-                        if policy.im2col_on_plan_failure =>
-                    {
-                        // No supported tile fits the budget: the im2col
-                        // rescue ends the plan-time memory ladder.
-                        (LayerPlan::Im2col { shape }, Some(FallbackReason::Memory { bytes: need_bytes }))
-                    }
-                    Err(e) if policy.im2col_on_plan_failure => {
-                        (LayerPlan::Im2col { shape }, Some(FallbackReason::PlanFailed(e)))
-                    }
-                    Err(e) => return Err(e),
-                }
-            } else {
-                // Non-identity geometry: route through the dispatch
-                // layer. Chaining uses the geometry's output extents.
-                let (dp, fb) = plan_dispatch(&shape, &spec.m, opts, policy)?;
-                dims = dp.out_dims().to_vec();
-                match dp {
-                    // An identity-geometry route can't reach here, but a
-                    // Direct plan still executes through the ordinary
-                    // Winograd machinery (scratch reuse, sentinels).
-                    DispatchPlan { route: Route::Direct(p), .. } => {
-                        (LayerPlan::Winograd(*p), fb)
-                    }
-                    dp => (LayerPlan::Dispatch(dp), fb),
-                }
-            };
+            // Chaining uses the geometry's output extents.
+            dims = plan.out_dims().to_vec();
             layers.push(NetLayer { plan, activation: spec.activation, planned_fallback });
         }
-
         // One resident scratch per layer, so repeat passes never rebuild.
-        let scratch = Self::seed_scratches(&layers, threads);
+        // Pre-seeding (of the dense layers; a grouped one fills its slot
+        // on first use) is an optimisation, not a requirement: a refused
+        // allocation leaves the slot empty and the run-time walk deals
+        // with memory pressure when the layer actually runs.
+        let scratch = layers
+            .iter()
+            .map(|l| l.plan.winograd().and_then(|p| Scratch::try_new(p, threads).ok()))
+            .collect();
         Ok(Network { layers, scratch })
     }
 
-    fn seed_scratches(layers: &[NetLayer], threads: usize) -> Vec<Option<Scratch>> {
-        // Pre-seeding is an optimisation, not a requirement: a refused
-        // allocation leaves the slot empty and the execution-time ladder
-        // (`ensure_scratch` + `exec_layer`) deals with memory pressure
-        // when the layer actually runs.
-        layers
-            .iter()
-            .map(|l| match &l.plan {
-                LayerPlan::Winograd(p) => Scratch::try_new(p, threads).ok(),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// The network's analytic memory footprint at `threads` thread slots:
-    /// every component is a *sum* over the layers — each layer holds its
-    /// own resident scratch slot (the price of allocation-free repeat
-    /// forwards), its own memoised kernels and its own output. Layers
-    /// without a Winograd plan contribute their output (and, for dispatch
-    /// routes, the route's own model — see [`DispatchPlan::footprint`]).
+    /// every component is a *sum* over the layers' route models
+    /// ([`DispatchPlan::footprint`]) — each layer holds its own resident
+    /// scratch slot (the price of allocation-free repeat forwards), its
+    /// own memoised kernels and its own output.
     pub fn footprint(&self, threads: usize) -> crate::MemoryFootprint {
-        let mut acc = crate::MemoryFootprint {
-            scratch_bytes: 0,
-            tile_major_bytes: 0,
-            transformed_kernel_bytes: 0,
-            per_thread_bytes: 0,
-            output_bytes: 0,
-            threads,
-        };
+        let mut acc = crate::MemoryFootprint::empty(threads);
         for l in &self.layers {
-            let fp = match &l.plan {
-                LayerPlan::Winograd(p) => p.footprint(threads),
-                LayerPlan::Dispatch(dp) => dp.footprint(threads),
-                LayerPlan::Im2col { shape } => crate::MemoryFootprint {
-                    scratch_bytes: 0,
-                    tile_major_bytes: 0,
-                    transformed_kernel_bytes: 0,
-                    per_thread_bytes: 0,
-                    output_bytes: BlockedImage::bytes_for(
-                        shape.batch,
-                        shape.out_channels,
-                        &shape.out_dims(),
-                    ),
-                    threads,
-                },
-            };
-            acc.scratch_bytes += fp.scratch_bytes;
-            acc.tile_major_bytes += fp.tile_major_bytes;
-            acc.per_thread_bytes += fp.per_thread_bytes;
-            acc.transformed_kernel_bytes += fp.transformed_kernel_bytes;
-            acc.output_bytes += fp.output_bytes;
+            acc.fold(&l.plan.footprint(threads), |a, b| a + b);
         }
         acc
     }
@@ -407,9 +319,9 @@ impl Network {
     }
 
     /// Memoise all kernel transforms for inference (§4.2 "Inference
-    /// only"); pass the result to [`Self::forward_fx`]. Layers planned as
-    /// im2col have no kernel transform and make this an
-    /// [`WinoError::Unsupported`] error.
+    /// only"); pass the result to [`Self::forward_fx`]. Only
+    /// [`crate::Route::Direct`] layers have a kernel transform; any other makes
+    /// this an [`WinoError::Unsupported`] error.
     pub fn prepare_kernels(
         &mut self,
         kernels: &[BlockedKernels],
@@ -419,59 +331,24 @@ impl Network {
             return Err(WinoError::LayerCount { expected: self.layers.len(), got: kernels.len() });
         }
         let mut out = Vec::with_capacity(kernels.len());
-        for (i, (layer, kernel)) in self.layers.iter().zip(kernels).enumerate() {
+        for ((layer, slot), kernel) in self.layers.iter().zip(&mut self.scratch).zip(kernels) {
             let Some(plan) = layer.plan.winograd() else {
                 return Err(WinoError::Unsupported(
                     "kernel transforms for an im2col-planned layer",
                 ));
             };
-            Self::ensure_scratch(&mut self.scratch[i], plan, exec.threads())?;
-            let sc = self.scratch[i].as_mut().expect("scratch ensured above");
+            let sc = ensure_scratch(slot, plan, exec.threads())?;
             out.push(plan.prepare_kernels(kernel, sc, exec)?);
         }
         Ok(out)
     }
 
-    fn ensure_scratch(
-        scratch: &mut Option<Scratch>,
-        p: &WinogradLayer,
-        threads: usize,
-    ) -> Result<(), WinoError> {
-        let need_u = |m: &BlockedMatrices, t, rows, cols, rb, cb| -> bool {
-            m.t_count() == t && m.rows() == rows && m.cols() == cols && m.rb() == rb && m.cb() == cb
-        };
-        let b = p.block;
-        let ok = scratch.as_ref().is_some_and(|sc| {
-            need_u(&sc.u, p.t_vol(), p.rows(), p.shape.in_channels, b.n_blk, b.c_blk)
-                && need_u(
-                    &sc.v,
-                    p.t_vol(),
-                    p.shape.in_channels,
-                    p.shape.out_channels,
-                    b.c_blk,
-                    b.cp_blk,
-                )
-                && sc.y.n_tiles() == p.n_tiles()
-                && sc.y.batch() == p.shape.batch
-                && sc.y.channel_groups() == p.shape.out_channels / wino_simd::S
-                && sc.y.t_vol() == p.t_vol()
-                && sc.thread_slots() >= threads
-        });
-        if !ok {
-            // Release the mismatched scratch before allocating the new
-            // one: under memory pressure holding both arenas at once is
-            // exactly what pushes the allocator over the edge.
-            *scratch = None;
-            *scratch = Some(Scratch::try_new(p, threads)?);
-        }
-        Ok(())
-    }
-
-    /// Execute one layer: Winograd forward plus the policy's
-    /// execution-time degradations (numeric guard, im2col re-execution).
+    /// Execute one layer: the planned route plus the policy's run-time
+    /// degradations (memory re-tile, numeric guard, accuracy sentinels,
+    /// im2col rescue).
     ///
-    /// Pool errors ([`WinoError::Pool`]) are **not** absorbed by im2col —
-    /// a panicked worker or tripped watchdog means the executor itself is
+    /// Pool errors ([`WinoError::Pool`]) are **not** absorbed — a
+    /// panicked worker or tripped watchdog means the executor itself is
     /// suspect, so they always propagate.
     pub fn run_layer(
         &mut self,
@@ -485,7 +362,32 @@ impl Network {
             .layers
             .get(index)
             .ok_or(WinoError::Unsupported("layer index out of range"))?;
-        Self::exec_layer(&mut self.scratch[index], layer, index, input, kernels, exec, policy)
+        let slot = &mut self.scratch[index];
+        exec_layer(slot, layer, index, input, Kernels::Raw(kernels), exec, policy)
+    }
+
+    /// The one layer loop: chain `exec_layer` over the network.
+    fn run<'k>(
+        &mut self,
+        input: &BlockedImage,
+        kernels: impl ExactSizeIterator<Item = Kernels<'k>>,
+        exec: &dyn Executor,
+        policy: &FallbackPolicy,
+    ) -> Result<(BlockedImage, Vec<ExecutionReport>), WinoError> {
+        if kernels.len() != self.layers.len() {
+            return Err(WinoError::LayerCount { expected: self.layers.len(), got: kernels.len() });
+        }
+        let mut reports = Vec::with_capacity(self.layers.len());
+        let mut current: Option<BlockedImage> = None;
+        for (i, ((layer, slot), kernel)) in
+            self.layers.iter().zip(&mut self.scratch).zip(kernels).enumerate()
+        {
+            let inp = current.as_ref().unwrap_or(input);
+            let (out, report) = exec_layer(slot, layer, i, inp, kernel, exec, policy)?;
+            reports.push(report);
+            current = Some(out);
+        }
+        Ok((current.expect("at least one layer"), reports))
     }
 
     /// Run the whole network (training mode: kernels transformed every
@@ -498,19 +400,7 @@ impl Network {
         exec: &dyn Executor,
         policy: &FallbackPolicy,
     ) -> Result<(BlockedImage, Vec<ExecutionReport>), WinoError> {
-        if kernels.len() != self.layers.len() {
-            return Err(WinoError::LayerCount { expected: self.layers.len(), got: kernels.len() });
-        }
-        let mut reports = Vec::with_capacity(self.layers.len());
-        let mut current: Option<BlockedImage> = None;
-        for (i, (layer, kernel)) in self.layers.iter().zip(kernels).enumerate() {
-            let inp = current.as_ref().unwrap_or(input);
-            let (out, report) =
-                Self::exec_layer(&mut self.scratch[i], layer, i, inp, kernel, exec, policy)?;
-            reports.push(report);
-            current = Some(out);
-        }
-        Ok((current.expect("at least one layer"), reports))
+        self.run(input, kernels.iter().map(Kernels::Raw), exec, policy)
     }
 
     /// Run the network strictly (training mode; no degradation, no
@@ -524,346 +414,137 @@ impl Network {
         self.run_net(input, kernels, exec, &FallbackPolicy::strict()).map(|(out, _)| out)
     }
 
-    /// Run the network in inference mode with memoised kernel transforms.
+    /// Run the network strictly in inference mode with memoised kernel
+    /// transforms.
     pub fn forward_fx(
         &mut self,
         input: &BlockedImage,
         kernels: &[TransformedKernels],
         exec: &dyn Executor,
     ) -> Result<BlockedImage, WinoError> {
-        if kernels.len() != self.layers.len() {
-            return Err(WinoError::LayerCount { expected: self.layers.len(), got: kernels.len() });
-        }
-        let mut current: Option<BlockedImage> = None;
-        for (i, (layer, kernel)) in self.layers.iter().zip(kernels).enumerate() {
-            let Some(plan) = layer.plan.winograd() else {
-                return Err(WinoError::Unsupported(
-                    "memoised kernel transforms for an im2col-planned layer",
-                ));
-            };
-            Self::ensure_scratch(&mut self.scratch[i], plan, exec.threads())?;
-            let sc = self.scratch[i].as_mut().expect("scratch ensured above");
-            let mut out = plan.try_new_output()?;
-            {
-                let inp = current.as_ref().unwrap_or(input);
-                plan.forward_fx(inp, kernel, &mut out, sc, exec)?;
-            }
-            layer.activation.apply(&mut out);
-            current = Some(out);
-        }
-        Ok(current.expect("at least one layer"))
+        self.run(input, kernels.iter().map(Kernels::Memo), exec, &FallbackPolicy::strict())
+            .map(|(out, _)| out)
     }
+}
 
-    fn exec_layer(
-        scratch: &mut Option<Scratch>,
-        layer: &NetLayer,
-        index: usize,
-        input: &BlockedImage,
-        kernels: &BlockedKernels,
-        exec: &dyn Executor,
-        policy: &FallbackPolicy,
-    ) -> Result<(BlockedImage, ExecutionReport), WinoError> {
-        let mut report =
-            ExecutionReport { layer: index, backend: LayerBackend::Im2col, fallback: layer.planned_fallback };
-        // Subnormal operands put x86 cores into microcode assists (50–100×
-        // per affected FMA); flush them for the duration of the layer.
-        // MXCSR is per-thread, so this covers the coordinator's share of
-        // the work — full coverage under a serial executor (see
-        // `wino_simd::denormals` for the model).
-        let _ftz = wino_simd::FlushDenormals::engage();
-        let mut out = match &layer.plan {
-            LayerPlan::Winograd(plan) => {
-                report.backend = match plan.opts.stage2 {
-                    Stage2Backend::Jit => LayerBackend::WinogradJit,
-                    Stage2Backend::Mono => LayerBackend::WinogradMono,
-                };
-                let out = match Self::winograd_attempt(scratch, plan, input, kernels, exec) {
-                    Ok(out) => out,
-                    Err(WinoError::Alloc(cause)) => {
-                        // Run-time memory ladder: re-tile, then im2col,
-                        // then the typed failure. The replacement output
-                        // is already guarded; skip the normal guard flow.
-                        let (out, backend, reason) = Self::memory_ladder(
-                            scratch, plan, cause, input, kernels, exec, policy,
-                        )?;
-                        report.backend = backend;
-                        report.fallback = Some(reason);
-                        let mut out = out;
-                        layer.activation.apply(&mut out);
-                        return Ok((out, report));
-                    }
-                    Err(e) => return Err(e),
-                };
-                // The guard must run BEFORE the activation: ReLU computes
-                // `f32::max(x, 0.0)`, which maps NaN to 0.0 and would hide
-                // the corruption.
-                let guard = if policy.check_numerics {
-                    check_finite("output", out.as_slice())
-                } else {
-                    Ok(())
-                };
-                match guard {
-                    Ok(()) => {
-                        // Guard passed: the output is finite — now the
-                        // accuracy sentinels check it is also *right*.
-                        match Self::sentinel_check(plan, index, input, kernels, &out, exec, policy)? {
-                            None => out,
-                            Some((replaced, backend, reason)) => {
-                                report.backend = backend;
-                                report.fallback = Some(reason);
-                                replaced
-                            }
-                        }
-                    }
-                    Err(e) if policy.im2col_on_numeric => {
-                        report.backend = LayerBackend::Im2col;
-                        report.fallback = Some(FallbackReason::NumericGuard(e));
-                        let rescue_start = crate::spans::span_start();
-                        let rescued = Self::im2col_layer(&plan.shape, input, kernels, exec)?;
-                        crate::spans::record_coord(
-                            exec,
-                            wino_probe::SpanCategory::FallbackRescue,
-                            rescue_start,
-                        );
-                        // A second trip proves the corruption is not
-                        // Winograd-specific (e.g. non-finite layer input);
-                        // surface it instead of letting the activation
-                        // below map the NaNs to 0.0.
-                        check_finite("im2col rescue output", rescued.as_slice())?;
-                        rescued
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-            LayerPlan::Im2col { shape } => Self::im2col_layer(shape, input, kernels, exec)?,
-            LayerPlan::Dispatch(dp) => {
-                report.backend = dp.backend();
-                let mut out = dp.new_output()?;
-                dp.forward(input, kernels, &mut out, exec)?;
-                let guard = if policy.check_numerics {
-                    check_finite("output", out.as_slice())
-                } else {
-                    Ok(())
-                };
-                match guard {
-                    Ok(()) => out,
-                    Err(e)
-                        if policy.im2col_on_numeric && !matches!(dp.route, Route::Im2col) =>
-                    {
-                        report.backend = LayerBackend::Im2col;
-                        report.fallback = Some(FallbackReason::NumericGuard(e));
-                        let rescue_start = crate::spans::span_start();
-                        let mut rescued = dp.new_output()?;
-                        wino_baseline::im2col_conv_geo(
-                            input,
-                            kernels,
-                            &dp.shape.padding,
-                            &dp.geo,
-                            &mut rescued,
-                            exec,
-                        )?;
-                        crate::spans::record_coord(
-                            exec,
-                            wino_probe::SpanCategory::FallbackRescue,
-                            rescue_start,
-                        );
-                        // As with the identity path: a second trip means
-                        // the corruption is not Winograd-specific.
-                        check_finite("im2col rescue output", rescued.as_slice())?;
-                        rescued
-                    }
-                    Err(e) => return Err(e.into()),
-                }
-            }
-        };
-        layer.activation.apply(&mut out);
-        Ok((out, report))
+/// Run `plan` once and judge what it produced: the numeric guard (NaN/Inf
+/// — always on for a rescue, whose second trip proves the corruption is
+/// not Winograd-specific, e.g. a non-finite layer input), then the
+/// accuracy sentinels (finite but wrong). A refused allocation, a guard
+/// trip and a sentinel trip come back as the typed [`WinoError`] the
+/// run-time walk maps to its [`Cause`].
+#[allow(clippy::too_many_arguments)] // exec_layer's context plus the candidate under test
+fn attempt(
+    plan: &DispatchPlan,
+    slot: &mut Option<Scratch>,
+    index: usize,
+    input: &BlockedImage,
+    kernels: Kernels<'_>,
+    exec: &dyn Executor,
+    policy: &FallbackPolicy,
+    rescue: bool,
+) -> Result<BlockedImage, WinoError> {
+    let mut out = plan.try_new_output()?;
+    let t0 = crate::spans::span_start();
+    plan.forward_in(slot, input, kernels, &mut out, exec)?;
+    if rescue {
+        crate::spans::record_coord(exec, wino_probe::SpanCategory::FallbackRescue, t0);
+        check_finite("im2col rescue output", out.as_slice())?;
+    } else if policy.check_numerics {
+        check_finite("output", out.as_slice())?;
     }
-
-    /// The sentinel half of the execution-time degradation ladder. `None`
-    /// means the output passed (or sampling is off); `Some` carries the
-    /// replacement output plus how it was produced. The ladder: demote
-    /// every tile dimension by 2 and re-run (better-conditioned
-    /// transforms; skipped when `demote_tile` is off or the tile is
-    /// already minimal), re-verify the demoted output, and if it still
-    /// trips, rescue through im2col — whose longer f32 accumulation the
-    /// sentinels do not judge, but whose arithmetic contains no transform
-    /// amplification to corrupt.
-    #[allow(clippy::too_many_arguments)] // mirrors exec_layer's context
-    fn sentinel_check(
-        plan: &WinogradLayer,
-        index: usize,
-        input: &BlockedImage,
-        kernels: &BlockedKernels,
-        out: &BlockedImage,
-        exec: &dyn Executor,
-        policy: &FallbackPolicy,
-    ) -> Result<Option<(BlockedImage, LayerBackend, FallbackReason)>, WinoError> {
-        let cfg = &policy.sentinel;
-        if cfg.samples == 0 {
-            // Disabled: no RNG, no oracle, no counters — provably free.
-            return Ok(None);
-        }
+    // Disabled sentinels do no work at all: no RNG, no oracle, no counters.
+    let sampled = policy.sentinel.samples > 0;
+    if let (Some(w), Kernels::Raw(k), true) = (plan.winograd(), kernels, sampled) {
         let t0 = crate::spans::span_start();
-        let verdict = verify_sample(plan, input, kernels, out, cfg, index);
+        let verdict = verify_sample(w, input, k, &out, &policy.sentinel, index);
         crate::spans::record_coord(exec, wino_probe::SpanCategory::SentinelVerify, t0);
-        let trip = match verdict {
-            Ok(checked) => {
-                wino_probe::Counter::SentinelTilesChecked.add(checked as u64);
-                return Ok(None);
+        let checked = verdict.inspect_err(|_| wino_probe::Counter::SentinelTrips.add(1))?;
+        wino_probe::Counter::SentinelTilesChecked.add(checked as u64);
+    }
+    Ok(out)
+}
+
+/// Execute one layer — shared by every route, by [`Network::run_net`] and
+/// by [`Network::forward_fx`]: attempt the planned candidate, and while
+/// the attempt fails for a cause the degradation table covers, re-plan
+/// the layer on the next candidate and attempt that. The guard runs
+/// BEFORE the activation: ReLU computes `f32::max(x, 0.0)`, which maps
+/// NaN to 0.0 and would hide the corruption.
+fn exec_layer(
+    slot: &mut Option<Scratch>,
+    layer: &NetLayer,
+    index: usize,
+    input: &BlockedImage,
+    kernels: Kernels<'_>,
+    exec: &dyn Executor,
+    policy: &FallbackPolicy,
+) -> Result<(BlockedImage, ExecutionReport), WinoError> {
+    let mut report = ExecutionReport {
+        layer: index,
+        backend: layer.plan.backend(),
+        fallback: layer.planned_fallback,
+    };
+    // Subnormal operands put x86 cores into microcode assists (50–100×
+    // per affected FMA); flush them for the duration of the layer.
+    // MXCSR is per-thread, so this covers the coordinator's share of
+    // the work — full coverage under a serial executor (see
+    // `wino_simd::denormals` for the model).
+    let _ftz = wino_simd::FlushDenormals::engage();
+    // A degraded execution's re-planned candidate. It runs through the
+    // same slot (never two arenas at once); `ensure_scratch` re-shapes it,
+    // and again for the planned candidate on the next forward.
+    let mut replanned: Option<DispatchPlan> = None;
+    loop {
+        let plan = replanned.as_ref().unwrap_or(&layer.plan);
+        let rescue = replanned.is_some() && plan.cand == Candidate::Im2col;
+        let failure = match attempt(plan, slot, index, input, kernels, exec, policy, rescue) {
+            Ok(mut out) => {
+                if replanned.is_some() {
+                    tally(&report, rescue);
+                }
+                layer.activation.apply(&mut out);
+                return Ok((out, report));
             }
             Err(e) => e,
         };
-        wino_probe::Counter::SentinelTrips.add(1);
-        let reason = FallbackReason::SentinelTrip(trip);
-
-        if cfg.demote_tile {
-            let dm: Vec<usize> = plan
-                .grid
-                .m
-                .iter()
-                .map(|&m| if m <= 2 { m } else { (m - 2).max(2) })
-                .collect();
-            if dm != plan.grid.m {
-                if let Ok(demoted) = WinogradLayer::new(plan.shape.clone(), &dm, plan.opts) {
-                    let mut sc = Scratch::new(&demoted, exec.threads());
-                    let mut out2 = demoted.new_output()?;
-                    demoted.forward(input, kernels, &mut out2, &mut sc, exec)?;
-                    let t0 = crate::spans::span_start();
-                    let verdict = check_finite("demoted output", out2.as_slice())
-                        .map_err(|_| ())
-                        .and_then(|()| {
-                            verify_sample(&demoted, input, kernels, &out2, cfg, index)
-                                .map_err(|_| ())
-                        });
-                    crate::spans::record_coord(
-                        exec,
-                        wino_probe::SpanCategory::SentinelVerify,
-                        t0,
-                    );
-                    if let Ok(checked) = verdict {
-                        wino_probe::Counter::SentinelTilesChecked.add(checked as u64);
-                        wino_probe::Counter::SentinelDemotions.add(1);
-                        return Ok(Some((out2, LayerBackend::WinogradDemoted, reason)));
-                    }
-                }
-            }
+        let (mut cause, reason) = match &failure {
+            WinoError::Alloc(e) => (Cause::Memory, FallbackReason::Memory { bytes: e.bytes }),
+            WinoError::Numeric(e) => (Cause::NonFinite, FallbackReason::NumericGuard(*e)),
+            WinoError::Sentinel(e) => (Cause::Sentinel, FallbackReason::SentinelTrip(*e)),
+            _ => return Err(failure),
+        };
+        if cause == Cause::Memory {
+            *slot = None; // the arena may be most of the pressure: release it before the retry
         }
-
-        let t0 = crate::spans::span_start();
-        let rescued = Self::im2col_layer(&plan.shape, input, kernels, exec)?;
-        crate::spans::record_coord(exec, wino_probe::SpanCategory::FallbackRescue, t0);
-        check_finite("im2col rescue output", rescued.as_slice())?;
-        wino_probe::Counter::SentinelRescues.add(1);
-        Ok(Some((rescued, LayerBackend::Im2col, reason)))
-    }
-
-    /// One Winograd forward through the fallible allocation seams: any
-    /// refused buffer (scratch regrow, output image) surfaces as
-    /// [`WinoError::Alloc`] for the memory ladder instead of aborting.
-    fn winograd_attempt(
-        scratch: &mut Option<Scratch>,
-        plan: &WinogradLayer,
-        input: &BlockedImage,
-        kernels: &BlockedKernels,
-        exec: &dyn Executor,
-    ) -> Result<BlockedImage, WinoError> {
-        Self::ensure_scratch(scratch, plan, exec.threads())?;
-        let sc = scratch.as_mut().expect("scratch ensured above");
-        let mut out = plan.try_new_output()?;
-        plan.forward(input, kernels, &mut out, sc, exec)?;
-        Ok(out)
-    }
-
-    /// The run-time memory degradation ladder, entered when an allocation
-    /// is refused mid-execution: (1) drop the resident scratch and re-tile
-    /// towards larger `m` — the memory-cheap direction, see
-    /// [`crate::select::fit_tile_to_memory`] — retrying each supported
-    /// tile through the fallible seams; (2) rescue through im2col, whose
-    /// footprint has no transformed-data scratch; (3) surface the typed
-    /// [`WinoError::Alloc`]. Non-allocation errors (pool failures) always
-    /// propagate. The returned output is numeric-guarded here because the
-    /// caller's guard flow is bypassed.
-    #[allow(clippy::too_many_arguments)] // mirrors exec_layer's context
-    fn memory_ladder(
-        scratch: &mut Option<Scratch>,
-        plan: &WinogradLayer,
-        cause: wino_simd::AllocError,
-        input: &BlockedImage,
-        kernels: &BlockedKernels,
-        exec: &dyn Executor,
-        policy: &FallbackPolicy,
-    ) -> Result<(BlockedImage, LayerBackend, FallbackReason), WinoError> {
-        let reason = FallbackReason::Memory { bytes: cause.bytes };
-        // The resident arena may be most of the pressure; release it
-        // before any retry.
-        *scratch = None;
-        if policy.retile_on_memory {
-            let out_dims = plan.shape.out_dims();
-            let mut mm = plan.grid.m.clone();
-            loop {
-                let mut grew = false;
-                for (d, v) in mm.iter_mut().enumerate() {
-                    if *v + 2 <= crate::select::SEARCH_MAX_M.min(out_dims[d]) {
-                        *v += 2;
-                        grew = true;
-                    }
-                }
-                if !grew {
-                    break;
-                }
-                let Ok(retiled) = WinogradLayer::new(plan.shape.clone(), &mm, plan.opts) else {
-                    continue;
-                };
-                let Ok(mut sc) = Scratch::try_new(&retiled, exec.threads()) else {
-                    continue;
-                };
-                let mut out = match retiled.try_new_output() {
-                    Ok(out) => out,
-                    Err(_) => continue,
-                };
-                match retiled.forward(input, kernels, &mut out, &mut sc, exec) {
-                    Ok(()) => {
-                        if policy.check_numerics {
-                            check_finite("output", out.as_slice())?;
-                        }
-                        wino_probe::Counter::MemoryDemotions.add(1);
-                        return Ok((out, LayerBackend::WinogradDemoted, reason));
-                    }
-                    Err(WinoError::Alloc(_)) => continue,
-                    Err(e) => return Err(e),
-                }
+        // Walk the table until a candidate plans; none left = the failure.
+        let mut cand = plan.cand.clone();
+        let next = loop {
+            let Some(next) = degrade(&cand, cause, plan.out_dims(), policy) else {
+                return Err(failure);
+            };
+            match layer.plan.replan(&next) {
+                Ok(p) => break p,
+                Err(e) => (cand, cause) = (next, Cause::from(&e)),
             }
+        };
+        if replanned.is_none() {
+            report.fallback = Some(reason); // the first run-time cause stands
         }
-        if policy.im2col_on_plan_failure {
-            let rescue_start = crate::spans::span_start();
-            let rescued = Self::im2col_layer(&plan.shape, input, kernels, exec)?;
-            crate::spans::record_coord(
-                exec,
-                wino_probe::SpanCategory::FallbackRescue,
-                rescue_start,
-            );
-            if policy.check_numerics {
-                check_finite("im2col rescue output", rescued.as_slice())?;
-            }
-            wino_probe::Counter::MemoryRescues.add(1);
-            return Ok((rescued, LayerBackend::Im2col, reason));
-        }
-        Err(WinoError::Alloc(cause))
+        report.backend = next.backend();
+        replanned = Some(next);
     }
+}
 
-    fn im2col_layer(
-        shape: &ConvShape,
-        input: &BlockedImage,
-        kernels: &BlockedKernels,
-        exec: &dyn Executor,
-    ) -> Result<BlockedImage, WinoError> {
-        // `try_zeros`: the im2col rescue is the second rung of the memory
-        // ladder, so its own output allocation must stay fallible too.
-        let mut out =
-            BlockedImage::try_zeros(shape.batch, shape.out_channels, &shape.out_dims())?;
-        wino_baseline::im2col_conv(input, kernels, &shape.padding, &mut out, exec)?;
-        Ok(out)
+/// Count a degraded execution that stood, by the ladder it came down.
+fn tally(report: &ExecutionReport, rescue: bool) {
+    use wino_probe::Counter;
+    match (report.fallback, rescue) {
+        (Some(FallbackReason::Memory { .. }), false) => Counter::MemoryDemotions.add(1),
+        (Some(FallbackReason::Memory { .. }), true) => Counter::MemoryRescues.add(1),
+        (Some(FallbackReason::SentinelTrip(_)), false) => Counter::SentinelDemotions.add(1),
+        (Some(FallbackReason::SentinelTrip(_)), true) => Counter::SentinelRescues.add(1),
+        _ => {}
     }
 }
 
@@ -894,6 +575,7 @@ impl LayerSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::WinogradLayer;
     use wino_sched::SerialExecutor;
     use wino_tensor::{SimpleImage, SimpleKernels};
 
@@ -939,7 +621,7 @@ mod tests {
         net.layers()
             .iter()
             .map(|l| {
-                let s = l.plan.shape();
+                let s = &l.plan.shape;
                 let k = SimpleKernels::from_fn(s.out_channels, s.in_channels, &s.kernel_dims, |co, ci, xy| {
                     ((co * 7 + ci * 3 + xy.iter().sum::<usize>() + seed) % 13) as f32 * 0.05 - 0.3
                 });
@@ -1346,7 +1028,7 @@ mod tests {
         let mut net =
             Network::with_policy(1, 32, &[10, 10], &specs, opts, 1, &FallbackPolicy::default())
                 .unwrap();
-        let dp = net.layers()[0].plan.dispatch().expect("grouped layer routes via dispatch");
+        let dp = &net.layers()[0].plan;
         assert!(matches!(dp.route, crate::dispatch::Route::Grouped { .. }));
         assert_eq!(dp.kernel_in_channels(), 16);
 
@@ -1374,6 +1056,129 @@ mod tests {
             net.prepare_kernels(&kernels, &SerialExecutor),
             Err(WinoError::Unsupported(_))
         ));
+    }
+
+    #[test]
+    fn budget_retiled_routes_report_memory_not_jit() {
+        // Regression: `plan_dispatch` used to wrap every downgrade in
+        // `JitUnavailable` and every absorbed error in `PlanFailed`, so
+        // only an identity layer planned by `Network` itself reported
+        // `memory`. One mapping now serves every route.
+        use crate::{MemoryBudget, Route};
+        let base = ConvOptions::default();
+        let per_group = ConvShape::new(1, 16, 16, &[20, 20], &[3, 3], &[1, 1]).unwrap();
+        let need = |m: usize| {
+            WinogradLayer::new(per_group.clone(), &[m, m], base).unwrap().footprint(1).total()
+        };
+        // Admits the per-group F(4,3) plan but not the requested F(2,3).
+        let budget = ConvOptions { memory: Some(MemoryBudget::new(need(4))), ..base };
+        let specs = [LayerSpec::same(32, 2, 3, 2)];
+        let policy = FallbackPolicy::default();
+
+        let grouped = budget.with_groups(2);
+        let mut net = Network::with_policy(1, 32, &[20, 20], &specs, grouped, 1, &policy).unwrap();
+        let layer = &net.layers()[0];
+        assert!(
+            matches!(&layer.plan.route, Route::Grouped { plan } if plan.grid.m == [4, 4]),
+            "the grouped sub-plan must have been re-tiled to fit"
+        );
+        assert_eq!(layer.planned_fallback, Some(FallbackReason::Memory { bytes: need(2) }));
+        // A plan-time re-tile is the planned tile, not a run-time demotion.
+        assert_eq!(layer.plan.backend(), LayerBackend::WinogradGrouped);
+
+        // …and the report echoes it while the layer still computes the
+        // right convolution.
+        let img = SimpleImage::from_fn(1, 32, &[20, 20], |_, c, xy| {
+            ((c * 2 + xy[0] + xy[1] * 3) % 13) as f32 * 0.06 - 0.4
+        });
+        let k = SimpleKernels::from_fn(32, 16, &[3, 3], |co, ci, xy| {
+            ((co * 5 + ci * 3 + xy[0] + xy[1]) % 11) as f32 * 0.05 - 0.25
+        });
+        let kernels = vec![BlockedKernels::from_simple(&k).unwrap()];
+        let input = BlockedImage::from_simple(&img).unwrap();
+        let (out, reports) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+        assert_eq!(reports[0].backend, LayerBackend::WinogradGrouped);
+        assert_eq!(reports[0].fallback.map(|r| r.code()), Some("memory"));
+        let want = oracle_layer(&img, &kernels[0], &[1, 1], &grouped.geometry(2), true);
+        assert_close(&out, &want, 2e-3, "budget-retiled grouped net");
+
+        // The same provenance on the dense and the polyphase route.
+        let narrow = [LayerSpec::same(16, 2, 3, 2)];
+        let dense = Network::with_policy(1, 16, &[20, 20], &narrow, budget, 1, &policy).unwrap();
+        let layer = &dense.layers()[0];
+        assert_eq!(layer.plan.winograd().unwrap().grid.m, [4, 4]);
+        assert_eq!(layer.planned_fallback, Some(FallbackReason::Memory { bytes: need(2) }));
+        let strided = ConvOptions { memory: Some(MemoryBudget::new(1 << 14)), ..base }
+            .with_stride(&[2, 2]);
+        let poly = Network::with_policy(1, 16, &[20, 20], &narrow, strided, 1, &policy).unwrap();
+        assert!(matches!(
+            poly.layers()[0].planned_fallback,
+            Some(FallbackReason::Memory { .. })
+        ));
+
+        // Absorbed side: a budget no tile meets plans im2col — for the
+        // memory reason, not a generic plan failure — and is the typed
+        // budget error under a strict policy.
+        let tiny = ConvOptions { memory: Some(MemoryBudget::new(1)), ..base }.with_groups(2);
+        let net = Network::with_policy(1, 32, &[20, 20], &specs, tiny, 1, &policy).unwrap();
+        assert!(matches!(net.layers()[0].plan.route, Route::Im2col));
+        assert!(matches!(net.layers()[0].planned_fallback, Some(FallbackReason::Memory { .. })));
+        assert!(matches!(
+            Network::new(1, 32, &[20, 20], &specs, tiny, 1),
+            Err(PlanError::MemoryBudget { budget_bytes: 1, .. })
+        ));
+    }
+
+    /// Serial executor that records whether every fork–join it ran found
+    /// flush-to-zero engaged on the (coordinator = compute) thread.
+    struct FtzWitness(std::sync::atomic::AtomicUsize);
+
+    impl Executor for FtzWitness {
+        fn run_grid(
+            &self,
+            dims: &[usize],
+            task: &(dyn Fn(usize, usize) + Sync),
+        ) -> Result<(), wino_sched::PoolError> {
+            if wino_simd::FlushDenormals::active() {
+                // ORDERING: Relaxed — single-threaded test tally.
+                self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            SerialExecutor.run_grid(dims, task)
+        }
+
+        fn threads(&self) -> usize {
+            1
+        }
+
+        fn name(&self) -> &'static str {
+            "ftz-witness"
+        }
+    }
+
+    #[test]
+    fn forward_fx_engages_flush_to_zero_like_run_net() {
+        // Regression: `forward_fx` was its own layer loop and never
+        // engaged FTZ/DAZ, while `run_net` did. Both now run the one
+        // per-layer function.
+        let specs = vec![LayerSpec::same(16, 2, 3, 2), LayerSpec::same(16, 2, 3, 2)];
+        let mut net = Network::new(1, 16, &[10, 10], &specs, ConvOptions::default(), 1).unwrap();
+        let img = SimpleImage::from_fn(1, 16, &[10, 10], |_, c, xy| (c + xy[0]) as f32 * 0.02);
+        let input = BlockedImage::from_simple(&img).unwrap();
+        let kernels = kernels_for(&net, 2);
+        let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+
+        let witness = FtzWitness(Default::default());
+        let engaged = wino_simd::denormals::engaged_count();
+        assert!(!wino_simd::FlushDenormals::active(), "the test thread starts without FTZ");
+        net.forward_fx(&input, &fx, &witness).unwrap();
+        // The process-wide engage counter moved once per layer at least
+        // (other tests may move it too)…
+        assert!(wino_simd::denormals::engaged_count() >= engaged + 2);
+        // …and, on this thread, every stage fork–join ran under the guard
+        // (three per layer in FX mode), which was released afterwards.
+        let grids = witness.0.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(grids, if cfg!(target_arch = "x86_64") { 6 } else { 0 });
+        assert!(!wino_simd::FlushDenormals::active());
     }
 
     #[test]

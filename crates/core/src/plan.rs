@@ -749,8 +749,8 @@ impl Scratch {
 
     /// Fallible [`Scratch::new`]: a typed [`wino_simd::AllocError`]
     /// instead of an abort when any of the scratch buffers is refused.
-    /// The run-time memory degradation ladder (`Network::ensure_scratch`)
-    /// allocates through this seam.
+    /// Every `Network` layer's resident scratch slot, and every retry of
+    /// the run-time degradation walk, allocates through this seam.
     pub fn try_new(layer: &WinogradLayer, threads: usize) -> Result<Scratch, wino_simd::AllocError> {
         Scratch::try_build(layer, threads, None)
     }

@@ -9,11 +9,11 @@
 //! (f32: `m ≤ 6` per dimension for training, `m ≤ 8` for inference) bound
 //! the search space.
 //!
-//! The module also hosts the *plan-time* half of the graceful-degradation
-//! chain (`Jit → Mono → im2col`): [`FallbackPolicy`] says which downgrades
-//! are allowed and [`plan_with_fallback`] applies the first link — retrying
-//! a failed JIT plan with the monomorphised stage-2 backend. The remaining
-//! links (im2col on plan failure or on a numeric-guard trip) live in
+//! The module also hosts the one degradation table (DESIGN.md §5):
+//! [`FallbackPolicy`] says which rows are allowed, `degrade` maps a
+//! (candidate, cause) pair to the next candidate, and `plan_walk` is the
+//! plan-time walk over it that [`plan_with_fallback`] and
+//! [`crate::dispatch::plan_dispatch`] share. The run-time walk lives in
 //! [`crate::net`], which owns layer execution.
 
 use wino_sched::Executor;
@@ -94,11 +94,137 @@ impl FallbackPolicy {
     }
 }
 
+/// One row of the degradation table: what a layer runs on.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Candidate {
+    /// A Winograd route — direct, grouped or polyphase, as the geometry
+    /// dictates — at tile `m` on stage-2 engine `stage2`. `retile` counts
+    /// the re-tile steps taken from the planned tile (grown for memory:
+    /// positive; shrunk for accuracy: negative); a walk only ever moves
+    /// away from zero, which is what keeps it from revisiting a tile.
+    Winograd { m: Vec<usize>, stage2: Stage2Backend, retile: i8 },
+    /// The geometry-aware im2col baseline: the last row of every column.
+    Im2col,
+}
+
+/// Why the current candidate cannot stand.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Cause {
+    /// JIT code generation failed ([`PlanError::Jit`]).
+    Jit,
+    /// Any other plan failure.
+    Plan,
+    /// Over the [`crate::MemoryBudget`], or the allocator refused a buffer.
+    Memory,
+    /// The numeric guard found NaN/Inf in the output.
+    NonFinite,
+    /// A sampled output tile exceeded its a-priori error bound.
+    Sentinel,
+    /// The serve breaker stands this many rungs below the configured
+    /// engine (asked of the *configured* candidate, not walked).
+    BreakerRung(u8),
+}
+
+impl From<&PlanError> for Cause {
+    fn from(e: &PlanError) -> Cause {
+        match e {
+            PlanError::Jit { .. } => Cause::Jit,
+            PlanError::MemoryBudget { .. } => Cause::Memory,
+            _ => Cause::Plan,
+        }
+    }
+}
+
+/// The accuracy ladder's step for one dimension: `m − 2`, floor 2.
+fn shrink_dim(m: usize) -> usize {
+    if m <= 2 { m } else { (m - 2).max(2) }
+}
+
+/// The memory ladder's step: `m + 2` in every dimension that stays within
+/// [`SEARCH_MAX_M`] and the output extent. Growing is the memory-cheap
+/// direction — the transformed-data scratch scales with
+/// `∏((m_d+r_d−1)/m_d)`, which shrinks as the tile grows.
+fn grow_tile(m: &[usize], out_dims: &[usize]) -> Vec<usize> {
+    let cap = |d: usize| SEARCH_MAX_M.min(out_dims[d]);
+    m.iter().enumerate().map(|(d, &v)| if v + 2 <= cap(d) { v + 2 } else { v }).collect()
+}
+
+/// The degradation table (DESIGN.md §5): the candidate that replaces
+/// `cur` when `cause` rules it out, or `None` when `policy` allows no
+/// further row and the failure must surface. Pure; every ladder in the
+/// workspace — plan-time budgets, run-time rescue, the serve breaker's
+/// rungs — is a walk over this function.
+pub(crate) fn degrade(
+    cur: &Candidate,
+    cause: Cause,
+    out_dims: &[usize],
+    policy: &FallbackPolicy,
+) -> Option<Candidate> {
+    let Candidate::Winograd { m, stage2, retile } = cur else {
+        return None; // im2col is the bottom of every column
+    };
+    let at = |m: Vec<usize>, stage2, step: i8| {
+        Some(Candidate::Winograd { m, stage2, retile: retile + step })
+    };
+    let jit = *stage2 == Stage2Backend::Jit;
+    let im2col = |allowed: bool| allowed.then_some(Candidate::Im2col);
+    match cause {
+        Cause::Jit | Cause::BreakerRung(1) if jit && policy.jit_to_mono => {
+            at(m.clone(), Stage2Backend::Mono, 0)
+        }
+        Cause::BreakerRung(0 | 1) => None,
+        Cause::Jit | Cause::Plan | Cause::BreakerRung(_) => im2col(policy.im2col_on_plan_failure),
+        Cause::Memory => {
+            let grown = grow_tile(m, out_dims);
+            if policy.retile_on_memory && *retile >= 0 && grown != *m {
+                at(grown, *stage2, 1)
+            } else {
+                im2col(policy.im2col_on_plan_failure)
+            }
+        }
+        Cause::NonFinite => im2col(policy.im2col_on_numeric),
+        Cause::Sentinel if policy.sentinel.samples == 0 => None,
+        Cause::Sentinel => {
+            let shrunk: Vec<usize> = m.iter().map(|&v| shrink_dim(v)).collect();
+            if policy.sentinel.demote_tile && *retile == 0 && shrunk != *m {
+                at(shrunk, *stage2, -1)
+            } else {
+                Some(Candidate::Im2col)
+            }
+        }
+    }
+}
+
+/// The plan-time walk over [`degrade`]: `build` the `start` candidate and,
+/// on a plan error, whichever candidate the table offers next. Returns
+/// what was built and the first error the walk absorbed (`None` = `start`
+/// planned cleanly). Geometry errors
+/// ([`PlanError::Shape`]) always fail: no candidate can execute an
+/// ill-formed layer.
+pub(crate) fn plan_walk<T>(
+    start: Candidate,
+    out_dims: &[usize],
+    policy: &FallbackPolicy,
+    mut build: impl FnMut(&Candidate) -> Result<T, PlanError>,
+) -> Result<(T, Option<PlanError>), PlanError> {
+    let (mut cand, mut first) = (start, None);
+    loop {
+        match build(&cand) {
+            Ok(built) => return Ok((built, first)),
+            Err(e @ PlanError::Shape(_)) => return Err(e),
+            Err(e) => {
+                cand = degrade(&cand, Cause::from(&e), out_dims, policy).ok_or(e)?;
+                first.get_or_insert(e);
+            }
+        }
+    }
+}
+
 /// Plan a layer, applying the policy's plan-time degradations.
 ///
 /// `Ok((plan, Some(e)))` means the requested plan failed with `e` and the
 /// returned plan carries a downgrade: [`Stage2Backend::Mono`] after a JIT
-/// failure, or a re-tiled `m` after a [`PlanError::MemoryBudget`]
+/// failure, or a re-tiled (larger) `m` after a [`PlanError::MemoryBudget`]
 /// rejection. Failures the policy does not cover (or a retry that also
 /// fails) are returned as `Err` — the caller decides whether im2col
 /// absorbs them.
@@ -108,60 +234,16 @@ pub fn plan_with_fallback(
     opts: ConvOptions,
     policy: &FallbackPolicy,
 ) -> Result<(WinogradLayer, Option<PlanError>), PlanError> {
-    match WinogradLayer::new(shape.clone(), m, opts) {
-        Ok(plan) => Ok((plan, None)),
-        Err(e @ PlanError::Jit { .. }) if policy.jit_to_mono && opts.stage2 == Stage2Backend::Jit => {
-            let mono = ConvOptions { stage2: Stage2Backend::Mono, ..opts };
-            let plan = WinogradLayer::new(shape.clone(), m, mono)?;
-            Ok((plan, Some(e)))
+    let winograd_only = FallbackPolicy { im2col_on_plan_failure: false, ..*policy };
+    let start = Candidate::Winograd { m: m.to_vec(), stage2: opts.stage2, retile: 0 };
+    plan_walk(start, &shape.out_dims(), &winograd_only, |cand| match cand {
+        Candidate::Winograd { m, stage2, .. } => {
+            let mut opts = opts;
+            opts.stage2 = *stage2;
+            WinogradLayer::new(shape.clone(), m, opts)
         }
-        Err(e @ PlanError::MemoryBudget { .. }) if policy.retile_on_memory => {
-            match fit_tile_to_memory(shape, m, &opts) {
-                Some(mm) => {
-                    let plan = WinogradLayer::new(shape.clone(), &mm, opts)?;
-                    Ok((plan, Some(e)))
-                }
-                None => Err(e),
-            }
-        }
-        Err(e) => Err(e),
-    }
-}
-
-/// Find a tile that fits `opts.memory` by growing `m` from the rejected
-/// tile (steps of 2 per dimension, capped by `SEARCH_MAX_M` and the
-/// output extent). Growing is the memory-cheap direction: the
-/// transformed-data scratch scales with `∏((m_d+r_d−1)/m_d)`, which
-/// shrinks as the tile grows. Candidates that fail to plan for other
-/// reasons (no codelet, accuracy budget) are skipped. `None` when
-/// `opts.memory` is unset or no supported tile fits.
-pub fn fit_tile_to_memory(
-    shape: &ConvShape,
-    m: &[usize],
-    opts: &ConvOptions,
-) -> Option<Vec<usize>> {
-    let mb = opts.memory?;
-    // Probe plans without the budget so the footprint can be evaluated.
-    let probe = ConvOptions { memory: None, ..*opts };
-    let out = shape.out_dims();
-    let mut mm: Vec<usize> = m.to_vec();
-    loop {
-        let mut grew = false;
-        for (d, v) in mm.iter_mut().enumerate() {
-            if *v + 2 <= SEARCH_MAX_M.min(out[d]) {
-                *v += 2;
-                grew = true;
-            }
-        }
-        if !grew {
-            return None;
-        }
-        if let Ok(layer) = WinogradLayer::new(shape.clone(), &mm, probe) {
-            if mb.admits(layer.footprint(mb.threads).total()) {
-                return Some(mm);
-            }
-        }
-    }
+        Candidate::Im2col => unreachable!("plan-time im2col needs im2col_on_plan_failure"),
+    })
 }
 
 /// What the selected plan will be used for — a preset over
@@ -248,7 +330,7 @@ pub fn fit_tile_to_budget(
             while mm > 2
                 && !budget.admits_gamma(Conditioning::for_schedule(mm, r, opts.points).gamma)
             {
-                mm -= 2.min(mm - 2);
+                mm = shrink_dim(mm);
             }
             mm
         })
@@ -512,10 +594,142 @@ mod tests {
             plan_with_fallback(&s, &[2, 2], tiny, &FallbackPolicy::default()),
             Err(PlanError::MemoryBudget { .. })
         ));
-        assert_eq!(fit_tile_to_memory(&s, &[2, 2], &tiny), None);
+        // …because the grow step itself runs out at min(8, out_d).
+        let winograd_only =
+            FallbackPolicy { im2col_on_plan_failure: false, ..FallbackPolicy::default() };
+        let top = Candidate::Winograd { m: vec![8, 8], stage2: Stage2Backend::Mono, retile: 3 };
+        assert_eq!(degrade(&top, Cause::Memory, &s.out_dims(), &winograd_only), None);
 
         // No memory budget configured: nothing to fit against.
-        assert_eq!(fit_tile_to_memory(&s, &[2, 2], &base), None);
+        let (plan, fb) = plan_with_fallback(&s, &[2, 2], base, &FallbackPolicy::default()).unwrap();
+        assert_eq!((plan.grid.m.as_slice(), fb), (&[2, 2][..], None));
+    }
+
+    const CAUSES: [Cause; 8] = [
+        Cause::Jit,
+        Cause::Plan,
+        Cause::Memory,
+        Cause::NonFinite,
+        Cause::Sentinel,
+        Cause::BreakerRung(0),
+        Cause::BreakerRung(1),
+        Cause::BreakerRung(2),
+    ];
+
+    fn wino(m: &[usize], stage2: Stage2Backend, retile: i8) -> Candidate {
+        Candidate::Winograd { m: m.to_vec(), stage2, retile }
+    }
+
+    /// Every candidate the table can hold for a 2-D layer with a
+    /// `cap`-wide output: tiles 2..=8 × both engines × planned / grown /
+    /// shrunk, plus im2col.
+    fn all_candidates() -> Vec<Candidate> {
+        let mut all = vec![Candidate::Im2col];
+        for m in 2..=8 {
+            for stage2 in [Stage2Backend::Jit, Stage2Backend::Mono] {
+                for retile in [-1, 0, 1, 2] {
+                    all.push(wino(&[m, m], stage2, retile));
+                }
+            }
+        }
+        all
+    }
+
+    #[test]
+    fn degrade_strict_policy_never_offers_a_candidate() {
+        let strict = FallbackPolicy::strict();
+        for cand in all_candidates() {
+            for cause in CAUSES {
+                assert_eq!(degrade(&cand, cause, &[20, 20], &strict), None, "{cand:?} {cause:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn degrade_table_keeps_the_pinned_orders() {
+        use Stage2Backend::{Jit, Mono};
+        let out = [20, 5];
+        let all = FallbackPolicy::with_sentinel(4, 1);
+        let step = |c: &Candidate, cause| degrade(c, cause, &out, &all);
+
+        // im2col is the bottom of every column.
+        for cause in CAUSES {
+            assert_eq!(step(&Candidate::Im2col, cause), None, "{cause:?}");
+        }
+        // JIT → Mono at the same tile; a Mono plan that fails has only im2col.
+        assert_eq!(step(&wino(&[6, 4], Jit, 0), Cause::Jit), Some(wino(&[6, 4], Mono, 0)));
+        assert_eq!(step(&wino(&[6, 4], Mono, 0), Cause::Jit), Some(Candidate::Im2col));
+        assert_eq!(step(&wino(&[6, 4], Jit, 0), Cause::Plan), Some(Candidate::Im2col));
+        // Memory: m + 2 per dimension, capped at min(8, out_d), then im2col.
+        assert_eq!(step(&wino(&[2, 2], Mono, 0), Cause::Memory), Some(wino(&[4, 4], Mono, 1)));
+        assert_eq!(step(&wino(&[4, 4], Mono, 1), Cause::Memory), Some(wino(&[6, 4], Mono, 2)));
+        assert_eq!(step(&wino(&[6, 4], Mono, 2), Cause::Memory), Some(wino(&[8, 4], Mono, 3)));
+        assert_eq!(step(&wino(&[8, 4], Mono, 3), Cause::Memory), Some(Candidate::Im2col));
+        // Sentinel: m − 2 once with floor 2, then im2col.
+        assert_eq!(step(&wino(&[6, 3], Jit, 0), Cause::Sentinel), Some(wino(&[4, 2], Jit, -1)));
+        assert_eq!(step(&wino(&[4, 2], Jit, -1), Cause::Sentinel), Some(Candidate::Im2col));
+        assert_eq!(step(&wino(&[2, 2], Mono, 0), Cause::Sentinel), Some(Candidate::Im2col));
+        // Non-finite output: im2col straight away.
+        assert_eq!(step(&wino(&[4, 4], Mono, 0), Cause::NonFinite), Some(Candidate::Im2col));
+        // The two re-tile directions never mix.
+        assert_eq!(step(&wino(&[4, 2], Mono, -1), Cause::Memory), Some(Candidate::Im2col));
+        assert_eq!(step(&wino(&[4, 4], Mono, 1), Cause::Sentinel), Some(Candidate::Im2col));
+        // Breaker rungs, asked of the configured candidate.
+        assert_eq!(step(&wino(&[4, 4], Jit, 0), Cause::BreakerRung(0)), None);
+        let mono = wino(&[4, 4], Mono, 0);
+        assert_eq!(step(&wino(&[4, 4], Jit, 0), Cause::BreakerRung(1)), Some(mono));
+        assert_eq!(step(&wino(&[4, 4], Mono, 0), Cause::BreakerRung(1)), None);
+        assert_eq!(step(&wino(&[4, 4], Jit, 0), Cause::BreakerRung(2)), Some(Candidate::Im2col));
+
+        // Each policy flag gates exactly its own rows.
+        let off = |f: fn(&mut FallbackPolicy)| {
+            let mut p = all;
+            f(&mut p);
+            p
+        };
+        let c = wino(&[4, 4], Jit, 0);
+        let no_mono = off(|p| p.jit_to_mono = false);
+        assert_eq!(degrade(&c, Cause::Jit, &out, &no_mono), Some(Candidate::Im2col));
+        assert_eq!(degrade(&c, Cause::BreakerRung(1), &out, &no_mono), None);
+        let no_im2col = off(|p| p.im2col_on_plan_failure = false);
+        assert_eq!(degrade(&c, Cause::Plan, &out, &no_im2col), None);
+        assert_eq!(degrade(&c, Cause::BreakerRung(2), &out, &no_im2col), None);
+        assert_eq!(degrade(&wino(&[8, 4], Mono, 3), Cause::Memory, &out, &no_im2col), None);
+        let no_retile = off(|p| p.retile_on_memory = false);
+        assert_eq!(degrade(&c, Cause::Memory, &out, &no_retile), Some(Candidate::Im2col));
+        let no_rescue = off(|p| p.im2col_on_numeric = false);
+        assert_eq!(degrade(&c, Cause::NonFinite, &out, &no_rescue), None);
+        let no_demote = off(|p| p.sentinel.demote_tile = false);
+        assert_eq!(degrade(&c, Cause::Sentinel, &out, &no_demote), Some(Candidate::Im2col));
+    }
+
+    /// Memory grows `m`, accuracy shrinks it: whatever order the causes
+    /// arrive in, one walk must never stand on the same (tile, engine)
+    /// twice, and must end.
+    #[test]
+    fn degrade_walks_never_revisit_a_candidate() {
+        let policy = FallbackPolicy::with_sentinel(4, 1);
+        let run_time = [Cause::Jit, Cause::Plan, Cause::Memory, Cause::NonFinite, Cause::Sentinel];
+        let mut rng = wino_rng::Rng::seed_from_u64(0x7ab1e);
+        for start in all_candidates().into_iter().filter(|c| {
+            matches!(c, Candidate::Winograd { retile: 0, .. })
+        }) {
+            for _ in 0..64 {
+                let mut seen = vec![];
+                let mut cand = Some(start.clone());
+                while let Some(c) = cand {
+                    let key = match &c {
+                        Candidate::Winograd { m, stage2, .. } => Some((m.clone(), *stage2)),
+                        Candidate::Im2col => None,
+                    };
+                    assert!(!seen.contains(&key), "{start:?} revisits {c:?} after {seen:?}");
+                    seen.push(key);
+                    assert!(seen.len() <= 8, "{start:?}: walk does not end: {seen:?}");
+                    let cause = run_time[rng.range_usize(0, run_time.len() - 1)];
+                    cand = degrade(&c, cause, &[20, 20], &policy);
+                }
+            }
+        }
     }
 
     #[test]

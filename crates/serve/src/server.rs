@@ -29,9 +29,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wino_conv::{
-    Activation, ExecutionReport, FallbackPolicy, LayerBackend, Network, Stage2Backend, WinoError,
-};
+use wino_conv::{ExecutionReport, FallbackPolicy, Network, WinoError};
 use wino_probe::Counter;
 use wino_sched::{default_deadline, Executor, PoolError, SerialExecutor, StaticExecutor};
 use wino_tensor::{BlockedImage, BlockedKernels, ShapeError};
@@ -246,16 +244,7 @@ impl Server {
         };
         // Fail fast on ill-formed geometry: if no batch-1 plan exists
         // even under the fallback policy, serving can never succeed.
-        let probe_net = Network::with_policy(
-            1,
-            spec.in_channels,
-            &spec.image_dims,
-            &spec.layers,
-            spec.opts,
-            threads,
-            &opts.policy,
-        )
-        .map_err(WinoError::Plan)?;
+        let probe_net = plan_model(&spec, 1, threads, &opts.policy, DegradeLevel::Full)?;
         // Fit the linear byte-pricing model for memory admission: the
         // analytic footprint of the batch-1 plan anchors the line, and
         // a batch-2 plan gives the marginal per-image slope. If no
@@ -263,19 +252,11 @@ impl Server {
         // per image — the conservative direction for admission.
         let memory = opts.memory_ceiling.map(|ceiling_bytes| {
             let fp1 = probe_net.footprint(threads).total();
-            let per_image_bytes = Network::with_policy(
-                2,
-                spec.in_channels,
-                &spec.image_dims,
-                &spec.layers,
-                spec.opts,
-                threads,
-                &opts.policy,
-            )
-            .ok()
-            .map(|net2| net2.footprint(threads).total().saturating_sub(fp1))
-            .filter(|&d| d > 0)
-            .unwrap_or(fp1);
+            let per_image_bytes = plan_model(&spec, 2, threads, &opts.policy, DegradeLevel::Full)
+                .ok()
+                .map(|net2| net2.footprint(threads).total().saturating_sub(fp1))
+                .filter(|&d| d > 0)
+                .unwrap_or(fp1);
             MemoryAdmission {
                 ceiling_bytes,
                 base_bytes: fp1.saturating_sub(per_image_bytes),
@@ -294,14 +275,11 @@ impl Server {
         let image_dims = spec.image_dims.clone();
         let worker = {
             let shared = Arc::clone(&shared);
-            let policy = opts.policy;
-            let breaker = opts.breaker;
-            let age = opts.max_batch_age;
+            let engine = Engine::new(spec, kernels, opts.policy, threads);
+            let (breaker, age) = (opts.breaker, opts.max_batch_age);
             std::thread::Builder::new()
                 .name("wino-serve-batcher".into())
-                .spawn(move || {
-                    batcher_main(shared, spec, kernels, policy, breaker, threads, max_batch, age)
-                })
+                .spawn(move || batcher_main(shared, engine, breaker, max_batch, age))
                 .expect("spawning the batcher thread")
         };
         Ok(Server {
@@ -543,14 +521,29 @@ impl WorkerExec {
     }
 }
 
-/// Plan cache + degraded execution paths. Owned by the batcher thread.
+/// Plan `spec` for `batch` images on the candidate the degradation table
+/// ([`Network::at_rung`]) gives every layer at the breaker's `level`: as
+/// configured, stage 2 forced to Mono, or the (geometry-aware,
+/// numeric-guarded) im2col route.
+fn plan_model(
+    spec: &ModelSpec,
+    batch: usize,
+    threads: usize,
+    policy: &FallbackPolicy,
+    level: DegradeLevel,
+) -> Result<Network, WinoError> {
+    let (c, dims) = (spec.in_channels, &spec.image_dims);
+    Network::at_rung(batch, c, dims, &spec.layers, spec.opts, threads, policy, level as u8)
+        .map_err(WinoError::Plan)
+}
+
+/// Plan cache over the breaker's rungs. Owned by the batcher thread.
 struct Engine {
     spec: ModelSpec,
     kernels: Vec<BlockedKernels>,
     policy: FallbackPolicy,
     threads: usize,
-    /// Cached network plans keyed by `(batch, ladder rung)`; the im2col
-    /// rung bypasses `Network` entirely.
+    /// Cached network plans keyed by `(batch, ladder rung)`.
     plans: HashMap<(usize, u8), Network>,
 }
 
@@ -564,72 +557,21 @@ impl Engine {
         Engine { spec, kernels, policy, threads, plans: HashMap::new() }
     }
 
+    /// Run one batch on the network planned for the breaker's `level` —
+    /// all three rungs are the same run loop.
     fn run(
         &mut self,
         input: &BlockedImage,
         level: DegradeLevel,
         exec: &dyn Executor,
     ) -> Result<(BlockedImage, Vec<ExecutionReport>), WinoError> {
-        match level {
-            DegradeLevel::Full | DegradeLevel::Mono => {
-                let net = match self.plans.entry((input.batch, level as u8)) {
-                    std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        let mut opts = self.spec.opts;
-                        if level == DegradeLevel::Mono {
-                            opts.stage2 = Stage2Backend::Mono;
-                        }
-                        v.insert(
-                            Network::with_policy(
-                                input.batch,
-                                self.spec.in_channels,
-                                &self.spec.image_dims,
-                                &self.spec.layers,
-                                opts,
-                                self.threads,
-                                &self.policy,
-                            )
-                            .map_err(WinoError::Plan)?,
-                        )
-                    }
-                };
-                net.run_net(input, &self.kernels, exec, &self.policy)
+        let net = match self.plans.entry((input.batch, level as u8)) {
+            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+            std::collections::hash_map::Entry::Vacant(v) => {
+                v.insert(plan_model(&self.spec, input.batch, self.threads, &self.policy, level)?)
             }
-            DegradeLevel::Im2col => self.run_im2col(input, exec),
-        }
-    }
-
-    /// The bottom rung: chain the layers through the im2col baseline,
-    /// applying activations by hand. No Winograd machinery at all. The
-    /// baseline is geometry-aware, so strided/dilated/grouped specs run
-    /// on this rung exactly like the dispatch-planned ones above it.
-    fn run_im2col(
-        &self,
-        input: &BlockedImage,
-        exec: &dyn Executor,
-    ) -> Result<(BlockedImage, Vec<ExecutionReport>), WinoError> {
-        let geo = self.spec.opts.geometry(self.spec.image_dims.len());
-        let shapes = self.spec.chained_shapes(input.batch).map_err(WinoError::Shape)?;
-        let mut reports = Vec::with_capacity(shapes.len());
-        let mut cur = input.clone();
-        for (i, ((shape, out_dims), kern)) in shapes.iter().zip(&self.kernels).enumerate() {
-            let mut out = BlockedImage::zeros(input.batch, shape.out_channels, out_dims)
-                .map_err(WinoError::Shape)?;
-            wino_baseline::im2col_conv_geo(&cur, kern, &shape.padding, &geo, &mut out, exec)
-                .map_err(WinoError::Pool)?;
-            if self.spec.layers[i].activation == Activation::Relu {
-                for v in out.as_mut_slice() {
-                    *v = v.max(0.0);
-                }
-            }
-            reports.push(ExecutionReport {
-                layer: i,
-                backend: LayerBackend::Im2col,
-                fallback: None,
-            });
-            cur = out;
-        }
-        Ok((cur, reports))
+        };
+        net.run_net(input, &self.kernels, exec, &self.policy)
     }
 }
 
@@ -684,22 +626,17 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-#[allow(clippy::too_many_arguments)] // spawn-boundary plumbing: every argument is distinct server state
 fn batcher_main(
     shared: Arc<Shared>,
-    spec: ModelSpec,
-    kernels: Vec<BlockedKernels>,
-    policy: FallbackPolicy,
+    mut engine: Engine,
     breaker_cfg: BreakerConfig,
-    threads: usize,
     max_batch: usize,
     max_age: Duration,
 ) {
-    let watchdog = spec.opts.watchdog.unwrap_or_else(default_deadline);
-    let channels = spec.in_channels;
-    let dims = spec.image_dims.clone();
-    let mut exec = WorkerExec::new(threads, watchdog);
-    let mut engine = Engine::new(spec, kernels, policy, threads);
+    let watchdog = engine.spec.opts.watchdog.unwrap_or_else(default_deadline);
+    let channels = engine.spec.in_channels;
+    let dims = engine.spec.image_dims.clone();
+    let mut exec = WorkerExec::new(engine.threads, watchdog);
     let breaker = &shared.breaker;
     let mut batch_id: u64 = 0;
     let stats = &shared.stats;
@@ -823,7 +760,7 @@ fn batcher_main(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wino_conv::LayerSpec;
+    use wino_conv::{LayerBackend, LayerSpec};
     use wino_tensor::SimpleKernels;
 
     fn spec_1layer() -> ModelSpec {

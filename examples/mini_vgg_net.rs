@@ -36,7 +36,7 @@ fn main() {
         .iter()
         .enumerate()
         .map(|(i, l)| {
-            let s = l.plan.shape();
+            let s = &l.plan.shape;
             let k = SimpleKernels::from_fn(s.out_channels, s.in_channels, &[3, 3], |co, ci, xy| {
                 ((co * 5 + ci * 3 + xy[0] + xy[1] * 2 + i * 7) % 17) as f32 * 0.02 - 0.15
             });
@@ -44,7 +44,7 @@ fn main() {
         })
         .collect();
 
-    let img = wino_workloads::uniform_input(net.layers()[0].plan.shape(), 77);
+    let img = wino_workloads::uniform_input(&net.layers()[0].plan.shape, 77);
     let input = BlockedImage::from_simple(&img).unwrap();
 
     let train = net.forward(&input, &kernels, &SerialExecutor).unwrap();

@@ -181,4 +181,14 @@ run "$TEST_TIMEOUT" env MALLOC_ARENA_MAX=2 bash -c \
 run "$TEST_TIMEOUT" cargo run --offline --release -q -p wino-bench --bin perf -- \
     --validate target/BENCH_serve_rlimit.json
 
+# Benchmark gate: `benchmark/` is its own workspace, so nothing above
+# compiles it — a rename in wino-conv / wino-serve would break the repo's
+# benchmark silently. Build it, run its unit tests, and run every workload
+# once with 1-second windows: shape only (it must link, run and emit a
+# well-formed summary), no thresholds — those are the driver's, from
+# BENCHMARK.json.
+run "$BUILD_TIMEOUT" cargo build --release --offline --manifest-path benchmark/Cargo.toml
+run "$TEST_TIMEOUT" cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+run "$TEST_TIMEOUT" bash benchmark/run.sh --quick
+
 echo "All checks passed."

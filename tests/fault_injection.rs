@@ -638,3 +638,172 @@ fn denormal_storm_is_caught_under_serial_executor_with_ftz_engaged() {
 
     fault::reset();
 }
+
+// ---------------------------------------------------------------------------
+// OOM battery, continued: the routes and rescues that used to allocate
+// through aborting constructors (`Scratch::new` per grouped / polyphase
+// forward and in the sentinel demotion). Every refusal must now surface as
+// a typed `WinoError::Alloc` inside the engine and walk the degradation
+// table: the outcome is a rescued, numerically correct output or the
+// typed error — never an abort.
+// ---------------------------------------------------------------------------
+
+const WIDE: usize = 32;
+
+/// A one-layer 32 → 32 channel network under `opts`' geometry, with its
+/// grouped-convention kernels and input.
+fn geo_net(opts: ConvOptions, policy: &FallbackPolicy) -> (Network, BlockedImage, BlockedKernels) {
+    let spec = LayerSpec { out_channels: WIDE, ..spec(&[2, 2]) };
+    let net = Network::with_policy(1, WIDE, &[8, 8], &[spec], opts, 1, policy)
+        .expect("geometry layer must plan");
+    let img = SimpleImage::from_fn(1, WIDE, &[8, 8], |_, c, xy| {
+        ((c * 7 + xy[0] * 3 + xy[1]) % 23) as f32 * 0.04 - 0.4
+    });
+    let ker = SimpleKernels::from_fn(WIDE, WIDE / opts.groups, &[3, 3], |co, ci, xy| {
+        ((co * 5 + ci * 11 + xy[0] + xy[1] * 2) % 17) as f32 * 0.05 - 0.4
+    });
+    (net, BlockedImage::from_simple(&img).unwrap(), BlockedKernels::from_simple(&ker).unwrap())
+}
+
+/// Arm `shots` consecutive refusals before one forward of a (warm)
+/// geometry-routed layer, for every shot count up to total pressure.
+/// Returns how many runs were rescued and how many failed typed.
+fn oom_sweep_over_route(opts: ConvOptions, planned: LayerBackend) -> (u32, u32) {
+    let policy = FallbackPolicy::default();
+    let (mut net, input, kernels) = geo_net(opts, &policy);
+    let (reference, report) = net
+        .run_layer(0, &input, &kernels, &SerialExecutor, &policy)
+        .expect("clean warm-up run");
+    assert_eq!((report.backend, report.fallback), (planned, None));
+
+    let (mut rescued, mut typed) = (0, 0);
+    for shots in (1..=12).chain([u32::MAX]) {
+        mem_fault::reset();
+        mem_fault::arm_fail_every(1, shots);
+        let outcome = net.run_layer(0, &input, &kernels, &SerialExecutor, &policy);
+        assert!(mem_fault::injected_failures() >= 1, "shots={shots}: a shot must have landed");
+        mem_fault::reset();
+        match outcome {
+            Ok((out, report)) => {
+                assert!(
+                    matches!(report.fallback, Some(FallbackReason::Memory { .. })),
+                    "shots={shots}: survivors report the memory reason, got {:?}",
+                    report.fallback
+                );
+                let tol = match report.backend {
+                    LayerBackend::WinogradDemoted => 1e-2, // grown tiles round worse
+                    LayerBackend::Im2col => 1e-4,
+                    other => panic!("shots={shots}: unexpected backend {other:?}"),
+                };
+                assert_close(&out, &reference, tol, &format!("{planned:?} shots={shots}"));
+                rescued += 1;
+            }
+            Err(WinoError::Alloc(cause)) => {
+                assert!(cause.injected, "shots={shots}: failure must be the injected one");
+                typed += 1;
+            }
+            Err(other) => panic!("shots={shots}: expected a rescue or Alloc, got {other:?}"),
+        }
+        // Pressure lifted: the layer is back on its planned route.
+        let (out, report) = net
+            .run_layer(0, &input, &kernels, &SerialExecutor, &policy)
+            .expect("post-pressure run");
+        assert_eq!((report.backend, report.fallback), (planned, None), "shots={shots}");
+        assert_eq!(out.as_slice(), reference.as_slice(), "shots={shots}: recovery is exact");
+    }
+    (rescued, typed)
+}
+
+#[test]
+fn oom_during_a_grouped_layer_is_rescued_or_typed() {
+    let _guard = fault::test_lock();
+    fault::reset();
+    let opts = ConvOptions::default().with_groups(2);
+    let (rescued, typed) = oom_sweep_over_route(opts, LayerBackend::WinogradGrouped);
+    assert!(rescued > 0, "light pressure on a grouped layer must be absorbed");
+    assert!(typed > 0, "total pressure must fail typed, not abort");
+}
+
+#[test]
+fn oom_during_a_polyphase_layer_is_rescued_or_typed() {
+    let _guard = fault::test_lock();
+    fault::reset();
+    let opts = ConvOptions::default().with_stride(&[2, 2]);
+    let (rescued, typed) = oom_sweep_over_route(opts, LayerBackend::WinogradPoly);
+    assert!(rescued > 0, "light pressure on a polyphase layer must be absorbed");
+    assert!(typed > 0, "total pressure must fail typed, not abort");
+}
+
+/// A refusal landing *inside* the sentinel demotion (its output or any
+/// buffer of its scratch): the table moves on to the im2col rescue, and
+/// the report still names the sentinel trip that started the walk.
+#[test]
+fn oom_during_a_sentinel_demotion_is_rescued_or_typed() {
+    let _guard = fault::test_lock();
+
+    let reference = clean_reference(&[4, 4]);
+    let policy = sentinel_all();
+    // Allocation #1 is the planned attempt's output (its scratch is
+    // resident); #2 onwards belong to the demotion.
+    let mut rescued = 0;
+    for (k, shots) in [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2), (2, u32::MAX)] {
+        fault::reset();
+        mem_fault::reset();
+        let mut net = test_net(&[4, 4], &policy);
+        let (input, kernels) = test_data();
+        fault::arm_corrupt(2, CorruptKind::SilentBias, 1);
+        mem_fault::arm_fail_every(k, shots);
+        let outcome = net.run_layer(0, &input, &kernels, &SerialExecutor, &policy);
+        let landed = mem_fault::injected_failures();
+        mem_fault::reset();
+        assert!(landed >= 1, "k={k} shots={shots}: a shot must have landed");
+        match outcome {
+            Ok((out, report)) => {
+                assert_eq!(report.backend, LayerBackend::Im2col, "k={k} shots={shots}");
+                assert!(
+                    matches!(report.fallback, Some(FallbackReason::SentinelTrip(_))),
+                    "k={k} shots={shots}: got {:?}",
+                    report.fallback
+                );
+                assert_close(&out, &reference, 1e-4, "im2col rescue after a refused demotion");
+                rescued += 1;
+            }
+            Err(WinoError::Alloc(cause)) => assert!(cause.injected, "k={k} shots={shots}"),
+            Err(other) => panic!("k={k} shots={shots}: expected a rescue or Alloc, got {other:?}"),
+        }
+    }
+    assert!(rescued >= 5, "a single refused demotion buffer must be rescued ({rescued} of 7)");
+    fault::reset();
+}
+
+/// Grouped layers hold a resident scratch: a repeat `run_net` allocates
+/// the per-group operand copies and the outputs — and no scratch arena.
+#[test]
+fn grouped_network_repeat_run_allocates_no_scratch() {
+    let _guard = fault::test_lock();
+    mem_fault::reset();
+
+    let policy = FallbackPolicy::default();
+    let groups = 2;
+    let opts = ConvOptions::default().with_groups(groups);
+    let (mut net, input, kernels) = geo_net(opts, &policy);
+    let kernels = [kernels];
+    let calls = || winograd_nd_repro::simd::thread_alloc_calls();
+
+    let before = calls();
+    net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+    let cold = calls() - before;
+    let resident = net.scratch_bytes();
+    assert!(resident > 0, "the grouped layer must keep its scratch");
+
+    // Per group: the input block, the kernel block and the group's
+    // output; plus the layer output.
+    let steady = 3 * groups as u64 + 1;
+    assert!(cold > steady, "the first run builds the scratch ({cold} allocations)");
+    for round in 0..3 {
+        let before = calls();
+        net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+        assert_eq!(calls() - before, steady, "round {round} rebuilt scratch");
+        assert_eq!(net.scratch_bytes(), resident);
+    }
+}
