@@ -3,9 +3,6 @@
 //!
 //! * `streaming-stores` — non-temporal vs regular stores in the transform
 //!   stages (§4.2.1 / conclusions: "~25 % on the transform stages").
-//! * `fused-scatter`    — the full schedule axis: operation ⑥ inside the
-//!   GEMM vs a separate copy pass (§4.3.1: ">20 % overall"), plus the
-//!   superblock pipeline that fuses all three stages into one fork–join.
 //! * `blocking-model`   — Eq. 11 compute-to-memory ratios vs measured
 //!   throughput across `(C_blk, C'_blk)` (§4.3.2).
 //! * `scheduling`       — static GCD partition + spin barrier vs rayon
@@ -58,24 +55,6 @@ fn streaming_stores(exec: &dyn Executor, reps: usize, json: bool) {
                 streaming.to_string(),
                 format!("{:.3}", t_transform.best_ms),
                 format!("{:.3}", t_full.best_ms),
-            ]);
-        }
-    }
-    out.finish();
-}
-
-fn schedules(exec: &dyn Executor, reps: usize, json: bool) {
-    let mut out = Rows::new(json, &["layer", "schedule", "full_ms"]);
-    for label in ["VGG 3.2", "VGG 4.2", "C3D C3b"] {
-        let layer = pick_layer(label);
-        for schedule in wino_conv::Schedule::ALL {
-            let opts = ConvOptions { schedule, ..Default::default() };
-            let m = vec![4; layer.rank()];
-            let meas = run_winograd(&layer, &m, false, opts, exec, reps).unwrap();
-            out.push(&[
-                label.to_string(),
-                schedule.name().to_string(),
-                format!("{:.3}", meas.timing.best_ms),
             ]);
         }
     }
@@ -172,7 +151,6 @@ fn main() {
     let json = args.flag("--json");
     match sub.as_str() {
         "streaming-stores" => streaming_stores(exec.as_ref(), reps, json),
-        "fused-scatter" => schedules(exec.as_ref(), reps, json),
         "blocking-model" => blocking_model(reps, json),
         "scheduling" => {
             let threads = args.usize_or("--threads", wino_sched::configured_threads());
@@ -182,7 +160,7 @@ fn main() {
         other => {
             eprintln!(
                 "unknown subcommand {other:?}; expected one of: streaming-stores, \
-                 fused-scatter, blocking-model, scheduling, budden-net"
+                 blocking-model, scheduling, budden-net"
             );
             std::process::exit(2);
         }

@@ -10,8 +10,8 @@
 //!
 //! ```text
 //! cargo run -p wino-bench --release --bin fig5 -- [--full] [--threads N]
-//!     [--reps N] [--net VGG|FusionNet|C3D|3DUNet] [--fft-all] [--pipelined]
-//!     [--jit] [--list] [--json]
+//!     [--reps N] [--net VGG|FusionNet|C3D|3DUNet] [--fft-all] [--jit]
+//!     [--list] [--json]
 //! ```
 //!
 //! `--json` replaces the CSV with a JSON array of the same rows (one
@@ -96,17 +96,6 @@ fn main() {
             if let Some(meas) =
                 run_winograd(layer, &m, true, ConvOptions::default(), exec.as_ref(), reps)
             {
-                rows.push(meas);
-            }
-        }
-
-        // Optional: the superblock pipeline (stages 1–3 in one
-        // fork–join) on F(4ᵈ).
-        if args.flag("--pipelined") {
-            let opts =
-                ConvOptions { schedule: wino_conv::Schedule::Pipelined, ..Default::default() };
-            let m = vec![4usize; layer.rank()];
-            if let Some(meas) = run_winograd(layer, &m, false, opts, exec.as_ref(), reps) {
                 rows.push(meas);
             }
         }

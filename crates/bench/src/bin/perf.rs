@@ -173,35 +173,21 @@ fn main() {
             Some(ExecutionReport { layer: 0, backend: LayerBackend::Im2col, fallback: None }),
         );
 
-        // The best tile (by default-schedule time) is then measured under
-        // every schedule — the unfused / fused-scatter / pipelined axis
-        // of the tentpole comparison, one report row each.
         match best_winograd(layer, exec.as_ref(), reps) {
-            Some((m, _)) => {
-                for schedule in wino_conv::Schedule::ALL {
-                    let opts = ConvOptions { schedule, ..Default::default() };
-                    match run_winograd(layer, &m, false, opts, exec.as_ref(), reps) {
-                        Some(meas) => {
-                            let acc = winograd_output(layer, &m, opts, exec.as_ref())
-                                .map(|(out, bound)| Accuracy {
-                                    max_rel_error: err_of(&out),
-                                    predicted_bound: Some(bound),
-                                })
-                                .unwrap_or_default();
-                            push(
-                                &meas,
-                                probe_winograd(layer, &m, opts, exec.as_ref(), &machine),
-                                acc,
-                                probe_execution(layer, &m, opts, exec.as_ref()),
-                            );
-                        }
-                        None => eprintln!(
-                            "warning: schedule {} rejected for {}",
-                            schedule.name(),
-                            layer.id()
-                        ),
-                    }
-                }
+            Some((m, meas)) => {
+                let opts = ConvOptions::default();
+                let acc = winograd_output(layer, &m, opts, exec.as_ref())
+                    .map(|(out, bound)| Accuracy {
+                        max_rel_error: err_of(&out),
+                        predicted_bound: Some(bound),
+                    })
+                    .unwrap_or_default();
+                push(
+                    &meas,
+                    probe_winograd(layer, &m, opts, exec.as_ref(), &machine),
+                    acc,
+                    probe_execution(layer, &m, opts, exec.as_ref()),
+                );
             }
             None => eprintln!("warning: no Winograd plan accepted for {}", layer.id()),
         }

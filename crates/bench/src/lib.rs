@@ -357,17 +357,10 @@ pub fn run_winograd(
     let mut output = plan.new_output().ok()?;
     let mut scratch = Scratch::new(&plan, exec.threads());
     let m_str: Vec<String> = m.iter().map(|x| x.to_string()).collect();
-    // Non-default schedules are part of the row identity — a pipelined
-    // and a fused-scatter run of the same tile must not collapse into
-    // one label.
-    let sched = match opts.schedule {
-        wino_conv::Schedule::FusedScatter => String::new(),
-        s => format!(" [{}]", s.name()),
-    };
     let name = if fx {
-        format!("winograd-fx F({}){sched}", m_str.join("x"))
+        format!("winograd-fx F({})", m_str.join("x"))
     } else {
-        format!("winograd F({}){sched}", m_str.join("x"))
+        format!("winograd F({})", m_str.join("x"))
     };
     let timing = if fx {
         let tk = plan.prepare_kernels(&kernels, &mut scratch, exec).ok()?;

@@ -5,8 +5,8 @@ use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices, ConvShape, SimpleImage, SimpleKernels};
 
 use crate::error::WinoError;
-use crate::plan::{ConvOptions, Schedule, Scratch, WinogradLayer};
-use crate::{pipeline, stage1, stage2, stage3};
+use crate::plan::{ConvOptions, Scratch, WinogradLayer};
+use crate::{stage1, stage2, stage3};
 
 /// Memoised kernel transforms (`W` of Table 1) for inference-only use —
 /// the paper's "FX" columns in Fig. 5. Bound to the layer plan that
@@ -37,15 +37,6 @@ impl WinogradLayer {
         scratch: &mut Scratch,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
-        if self.opts.schedule == Schedule::Pipelined {
-            stage1::transform_kernels(self, kernels, scratch, exec)?;
-            // Move `v` out so the pipeline can borrow the rest of the
-            // scratch mutably; restored below.
-            let v = std::mem::replace(&mut scratch.v, BlockedMatrices::placeholder());
-            let r = pipeline::forward_pipelined(self, input, &v, output, scratch, exec);
-            scratch.v = v;
-            return r;
-        }
         stage1::transform_inputs(self, input, scratch, exec)?;
         stage1::transform_kernels(self, kernels, scratch, exec)?;
         stage2::multiply(self, scratch, exec)?;
@@ -74,9 +65,6 @@ impl WinogradLayer {
         scratch: &mut Scratch,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
-        if self.opts.schedule == Schedule::Pipelined {
-            return pipeline::forward_pipelined(self, input, &kernels.v, output, scratch, exec);
-        }
         stage1::transform_inputs(self, input, scratch, exec)?;
         stage2::multiply_with(self, scratch, &kernels.v, exec)?;
         stage3::inverse_transform(self, scratch, output, exec)
@@ -334,15 +322,14 @@ mod tests {
         }
         use crate::plan::Stage2Backend;
         // Shapes chosen to cover: single k-block + tail panel, multiple
-        // k-blocks, 3-D, and the unfused path.
-        #[allow(clippy::type_complexity)] // (out dims, tile dims, C, C', fused) case table
-        let cases: Vec<(Vec<usize>, Vec<usize>, usize, usize, bool)> = vec![
-            (vec![10, 10], vec![4, 4], 32, 32, true),   // tail panel likely
-            (vec![10, 10], vec![2, 2], 64, 32, true),   // k_blocks > 1 possible
-            (vec![6, 8, 8], vec![2, 2, 2], 16, 16, true),
-            (vec![9, 9], vec![4, 4], 32, 48, false),    // unfused + jit blocks
+        // k-blocks, 3-D, and a column block three vectors wide (C' = 48).
+        let cases: Vec<(Vec<usize>, Vec<usize>, usize, usize)> = vec![
+            (vec![10, 10], vec![4, 4], 32, 32),   // tail panel likely
+            (vec![10, 10], vec![2, 2], 64, 32),   // k_blocks > 1 possible
+            (vec![6, 8, 8], vec![2, 2, 2], 16, 16),
+            (vec![9, 9], vec![4, 4], 32, 48),     // three column groups per row
         ];
-        for (dims, m, c, cp, fused) in cases {
+        for (dims, m, c, cp) in cases {
             let pad = vec![1usize; dims.len()];
             let kd = vec![3usize; dims.len()];
             let shape = ConvShape::new(1, c, cp, &dims, &kd, &pad).unwrap();
@@ -352,8 +339,7 @@ mod tests {
             let kernels = BlockedKernels::from_simple(&ker).unwrap();
 
             let run = |backend| {
-                let schedule = if fused { Schedule::FusedScatter } else { Schedule::Unfused };
-                let opts = ConvOptions { stage2: backend, schedule, ..Default::default() };
+                let opts = ConvOptions { stage2: backend, ..Default::default() };
                 let layer = WinogradLayer::new(shape.clone(), &m, opts).unwrap();
                 let mut scratch = Scratch::new(&layer, 1);
                 let mut out = layer.new_output().unwrap();
@@ -365,7 +351,7 @@ mod tests {
             // Both stage-2 engines run the same fused FMA chain per
             // element (the JIT exists only beside the AVX-512 arm), so
             // whole layers agree bit for bit.
-            assert_eq!(mono, jit, "dims {dims:?} m {m:?} C={c} C'={cp} fused={fused}");
+            assert_eq!(mono, jit, "dims {dims:?} m {m:?} C={c} C'={cp}");
         }
     }
 
@@ -406,90 +392,46 @@ mod tests {
         let shape = ConvShape::new(1, 32, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
         let mut results = Vec::new();
         for streaming in [true, false] {
-            for schedule in crate::plan::Schedule::ALL {
-                let opts = ConvOptions {
-                    streaming_stores: streaming,
-                    schedule,
-                    ..Default::default()
-                };
-                let layer = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
-                let input = BlockedImage::from_simple(&img).unwrap();
-                let kernels = BlockedKernels::from_simple(&ker).unwrap();
-                let mut out = layer.new_output().unwrap();
-                let mut scratch = Scratch::new(&layer, 1);
-                layer.forward(&input, &kernels, &mut out, &mut scratch, &SerialExecutor).unwrap();
-                results.push(out.to_simple().data);
-            }
-        }
-        for r in &results[1..] {
-            assert_eq!(r, &results[0]);
-        }
-    }
-
-    #[test]
-    fn compensated_reduction_is_no_less_accurate() {
-        // Deep channel reduction (C = 256 ⇒ many k blocks) with the
-        // smallest tile, so the channel-accumulation error dominates the
-        // transform error and the Kahan fold has something to win.
-        let dims = [10usize, 10];
-        let img = test_img(1, 256, &dims);
-        let ker = test_ker(16, 256, &[3, 3]);
-        let shape = ConvShape::new(1, 256, 16, &dims, &[3, 3], &[1, 1]).unwrap();
-        let want = direct_reference(&img, &ker, &[1, 1]);
-
-        let run = |compensated: bool| {
-            let opts = ConvOptions { compensated, ..Default::default() };
-            let layer = WinogradLayer::new(shape.clone(), &[2, 2], opts).unwrap();
+            let opts = ConvOptions { streaming_stores: streaming, ..Default::default() };
+            let layer = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
             let input = BlockedImage::from_simple(&img).unwrap();
             let kernels = BlockedKernels::from_simple(&ker).unwrap();
             let mut out = layer.new_output().unwrap();
             let mut scratch = Scratch::new(&layer, 1);
             layer.forward(&input, &kernels, &mut out, &mut scratch, &SerialExecutor).unwrap();
-            out.to_simple()
-        };
-        let max_err = |got: &SimpleImage| {
-            got.data
-                .iter()
-                .zip(&want.data)
-                .map(|(&g, &w)| (g - w).abs() / w.abs().max(1.0))
-                .fold(0.0f32, f32::max)
-        };
-        let plain = max_err(&run(false));
-        let comp = max_err(&run(true));
-        assert!(comp <= 1e-4, "compensated err {comp} too large");
-        assert!(
-            comp <= plain,
-            "Kahan reduction lost accuracy: compensated {comp} > plain {plain}"
-        );
-    }
-
-    #[test]
-    fn compensated_agrees_across_schedules_and_executors() {
-        // The compensated fold is order-deterministic, so every schedule
-        // and executor must produce bitwise-identical output.
-        let img = test_img(1, 64, &[10, 10]);
-        let ker = test_ker(32, 64, &[3, 3]);
-        let shape = ConvShape::new(1, 64, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
-        let input = BlockedImage::from_simple(&img).unwrap();
-        let kernels = BlockedKernels::from_simple(&ker).unwrap();
-        let mut results = Vec::new();
-        for schedule in crate::plan::Schedule::ALL {
-            let opts = ConvOptions { compensated: true, schedule, ..Default::default() };
-            let layer = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
-            for threads in [1usize, 4] {
-                let mut scratch = Scratch::new(&layer, threads);
-                let mut out = layer.new_output().unwrap();
-                if threads == 1 {
-                    layer.forward(&input, &kernels, &mut out, &mut scratch, &SerialExecutor).unwrap();
-                } else {
-                    let pool = StaticExecutor::new(threads);
-                    layer.forward(&input, &kernels, &mut out, &mut scratch, &pool).unwrap();
-                }
-                results.push(out.to_simple().data);
-            }
+            results.push(out.to_simple().data);
         }
         for r in &results[1..] {
             assert_eq!(r, &results[0]);
         }
+    }
+
+    /// One fork–join per stage: input transform, kernel transform, the
+    /// batched products (operation ⑥ rides inside them), inverse transform
+    /// — and FX mode skips the kernel transform. Only meaningful with span
+    /// recording on.
+    #[test]
+    fn forward_is_four_fork_joins_and_forward_fx_three() {
+        if !wino_probe::ENABLED {
+            return;
+        }
+        let shape = ConvShape::new(1, 32, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
+        let input = BlockedImage::from_simple(&test_img(1, 32, &[10, 10])).unwrap();
+        let kernels = BlockedKernels::from_simple(&test_ker(32, 32, &[3, 3])).unwrap();
+        let layer = WinogradLayer::new(shape, &[4, 4], ConvOptions::default()).unwrap();
+        let mut scratch = Scratch::new(&layer, 1);
+        let tk = layer.prepare_kernels(&kernels, &mut scratch, &SerialExecutor).unwrap();
+        let mut out = layer.new_output().unwrap();
+        let mut exec = wino_sched::ProbedExecutor::new(SerialExecutor);
+        let fork_joins = |exec: &mut wino_sched::ProbedExecutor<SerialExecutor>| {
+            exec.take_events()
+                .iter()
+                .filter(|e| e.category == wino_probe::SpanCategory::ForkJoin)
+                .count()
+        };
+        layer.forward(&input, &kernels, &mut out, &mut scratch, &exec).unwrap();
+        assert_eq!(fork_joins(&mut exec), 4);
+        layer.forward_fx(&input, &tk, &mut out, &mut scratch, &exec).unwrap();
+        assert_eq!(fork_joins(&mut exec), 3);
     }
 }

@@ -39,8 +39,7 @@ pub struct MemoryFootprint {
     /// same shape as scratch `v`.
     pub transformed_kernel_bytes: usize,
     /// Per-thread codelet buffers, totalled across all `threads` slots:
-    /// two `T·S` ping-pong tile buffers each, plus two panel-sized
-    /// compensation buffers when the plan is compensated.
+    /// two `T·S` ping-pong tile buffers each.
     pub per_thread_bytes: usize,
     /// The blocked output image.
     pub output_bytes: usize,
@@ -88,10 +87,7 @@ impl MemoryFootprint {
         let y = TileMajor::bytes_for(layer.shape.batch, cp, layer.n_tiles(), t);
 
         let slots = threads.max(1);
-        let mut per_slot = 2 * t * S * 4;
-        if layer.opts.compensated {
-            per_slot += 2 * b.n_blk * b.cp_blk * 4;
-        }
+        let per_slot = 2 * t * S * 4;
 
         MemoryFootprint {
             scratch_bytes: u + v + x + y,
@@ -153,18 +149,6 @@ mod tests {
             assert_eq!(fp.transformed_kernel_bytes, s.v.bytes());
             assert_eq!(fp.scratch_bytes, s.bytes());
         }
-    }
-
-    #[test]
-    fn compensated_plans_price_the_panel_buffers() {
-        let shape = ConvShape::new(1, 16, 16, &[8, 8], &[3, 3], &[1, 1]).unwrap();
-        let opts = ConvOptions { compensated: true, ..ConvOptions::default() };
-        let l = WinogradLayer::new(shape, &[2, 2], opts).unwrap();
-        let fp = l.footprint(2);
-        let before = wino_simd::thread_alloc_bytes();
-        let _s = Scratch::new(&l, 2);
-        let observed = (wino_simd::thread_alloc_bytes() - before) as usize;
-        assert_eq!(fp.scratch_bytes + fp.per_thread_bytes, observed);
     }
 
     #[test]

@@ -40,7 +40,6 @@ pub mod error;
 pub mod footprint;
 pub mod layout;
 pub mod net;
-pub(crate) mod pipeline;
 pub mod plan;
 pub mod select;
 pub mod sentinel;
@@ -62,8 +61,8 @@ pub use net::{
     Network,
 };
 pub use plan::{
-    AccuracyBudget, ConvOptions, MemoryBudget, PlanError, Schedule, Scratch, Stage2Backend,
-    WinogradLayer, MAX_RANK,
+    AccuracyBudget, ConvOptions, MemoryBudget, PlanError, Scratch, Stage2Backend, WinogradLayer,
+    MAX_RANK,
 };
 pub use select::{candidate_tiles, plan_with_fallback, select_tile, FallbackPolicy, Purpose, Selection};
 pub use sentinel::{sample_units, verify_sample, SentinelConfig, SentinelError};

@@ -734,32 +734,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_network_matches_default_schedule() {
-        // The whole network runs under the superblock pipeline — each
-        // layer collapses to one stage fork–join — and must match the
-        // monolithic schedule bitwise, in training and FX mode alike.
-        let specs = vec![LayerSpec::same(32, 2, 3, 4), LayerSpec::same(16, 2, 3, 2)];
-        let img = SimpleImage::from_fn(1, 16, &[12, 12], |_, c, xy| {
-            ((c + xy[0] * 5 + xy[1]) % 9) as f32 * 0.07 - 0.3
-        });
-        let input = BlockedImage::from_simple(&img).unwrap();
-
-        let mut mono = Network::new(1, 16, &[12, 12], &specs, ConvOptions::default(), 1).unwrap();
-        let kernels = kernels_for(&mono, 3);
-        let want = mono.forward(&input, &kernels, &SerialExecutor).unwrap();
-
-        let opts = ConvOptions { schedule: crate::Schedule::Pipelined, ..Default::default() };
-        let mut pipe = Network::new(1, 16, &[12, 12], &specs, opts, 2).unwrap();
-        let pool = wino_sched::StaticExecutor::new(2);
-        let got = pipe.forward(&input, &kernels, &pool).unwrap();
-        assert_eq!(got.as_slice(), want.as_slice());
-
-        let tks = pipe.prepare_kernels(&kernels, &pool).unwrap();
-        let fx = pipe.forward_fx(&input, &tks, &pool).unwrap();
-        assert_eq!(fx.as_slice(), want.as_slice());
-    }
-
-    #[test]
     fn valid_padding_shrinks_through_layers() {
         let specs = vec![
             LayerSpec {

@@ -104,61 +104,16 @@ pub enum Stage2Backend {
     Jit,
 }
 
-/// How the three pipeline stages are scheduled across fork–joins.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum Schedule {
-    /// One fork–join per stage plus a separate ⑥ scatter pass: stage 2
-    /// writes the blocked `I'_tmp`, a fourth fork–join copies it into the
-    /// tile-major layout. The ablation baseline.
-    Unfused,
-    /// One fork–join per stage, with operation ⑥ fused into the last
-    /// reduction block of the stage-2 micro-kernel (>20 % overall in the
-    /// paper). Default.
-    #[default]
-    FusedScatter,
-    /// Stages 1→2→3 executed per L2-resident superblock inside a single
-    /// fork–join: each task transforms, multiplies and inverse-transforms
-    /// its own slice of panel rows while the data is still cache-hot,
-    /// instead of streaming `Î`/`X̂` through DRAM between barriers.
-    Pipelined,
-}
-
-impl Schedule {
-    /// Every schedule, in ablation order.
-    pub const ALL: [Schedule; 3] = [Schedule::Unfused, Schedule::FusedScatter, Schedule::Pipelined];
-
-    /// Stable kebab-case name for reports and CSV columns.
-    pub fn name(self) -> &'static str {
-        match self {
-            Schedule::Unfused => "unfused",
-            Schedule::FusedScatter => "fused-scatter",
-            Schedule::Pipelined => "pipelined",
-        }
-    }
-
-    /// Whether operation ⑥ (the tile-major scatter) runs inside the
-    /// stage-2 micro-kernel rather than as a separate copy pass.
-    pub fn fuses_scatter(self) -> bool {
-        !matches!(self, Schedule::Unfused)
-    }
-}
-
 /// Tuning and ablation switches.
 #[derive(Clone, Copy, Debug)]
 pub struct ConvOptions {
     /// Use non-temporal streaming stores in the transform stages
     /// (§4.2.1; the paper credits them with ~25 % on those stages).
     pub streaming_stores: bool,
-    /// Stage scheduling: how many fork–joins per layer and where
-    /// operation ⑥ runs. See [`Schedule`].
-    pub schedule: Schedule,
-    /// Explicit blocking parameters; `None` uses the Eq. 11 model default
-    /// (or wisdom, via the higher-level API).
+    /// Explicit blocking parameters; `None` uses the Eq. 11 model
+    /// default. `examples/autotune_wisdom.rs` shows how to feed a tuned
+    /// or remembered shape (`wino_gemm::autotune_with_wisdom`) in here.
     pub block: Option<BlockShape>,
-    /// Explicit superblock extent (row blocks per superblock) for the
-    /// pipelined schedule; `None` uses the L2 footprint model
-    /// ([`wino_gemm::SUPERBLOCK_L2_BYTES`]) or a wisdom hint.
-    pub superblock: Option<usize>,
     /// Interpolation-point schedule for the transform generation (the
     /// Table 3 conditioning ablation).
     pub points: PointSchedule,
@@ -173,12 +128,6 @@ pub struct ConvOptions {
     /// when the plan's analytic [`crate::MemoryFootprint`] exceeds it
     /// (`plan_with_fallback` re-tiles until the plan fits).
     pub memory: Option<MemoryBudget>,
-    /// Opt-in compensated (Kahan–Neumaier) channel reduction in stage 2
-    /// for high-accuracy plans: each `C_blk` reduction block is computed
-    /// separately and folded into the accumulator with an error-
-    /// compensation term instead of the plain β-accumulating
-    /// micro-kernel. Mono backend only.
-    pub compensated: bool,
     /// Barrier watchdog deadline for fork–join pools built on behalf of
     /// this configuration (e.g. by the serving layer's worker executor).
     /// `None` (the default) defers to [`wino_sched::default_deadline`] —
@@ -200,6 +149,8 @@ pub struct ConvOptions {
     /// assert_eq!(opts.stride[..2], [2, 2]);
     /// assert_eq!(opts.stride[2..], [1, 1, 1, 1]); // beyond-rank entries stay 1
     /// assert!(!opts.geometry(2).is_identity());
+    /// // Entries past MAX_RANK are ignored like any other beyond-rank entry.
+    /// assert_eq!(ConvOptions::default().with_stride(&[2; 9]).stride, [2; 6]);
     /// ```
     pub stride: [usize; MAX_RANK],
     /// Kernel tap spacing per spatial dimension (entries beyond the
@@ -211,6 +162,7 @@ pub struct ConvOptions {
     /// use wino_conv::ConvOptions;
     /// let opts = ConvOptions::default().with_dilation(&[2]);
     /// assert_eq!(opts.geometry(1).dilation, vec![2]);
+    /// assert_eq!(ConvOptions::default().with_dilation(&[3; 9]).dilation, [3; 6]);
     /// ```
     pub dilation: [usize; MAX_RANK],
     /// Channel group count (1 = dense). Input channels `[g·C/G, (g+1)·C/G)`
@@ -231,13 +183,15 @@ pub struct ConvOptions {
 impl ConvOptions {
     /// Builder-style stride override (remaining dimensions keep 1).
     pub fn with_stride(mut self, stride: &[usize]) -> ConvOptions {
-        self.stride[..stride.len()].copy_from_slice(stride);
+        let n = stride.len().min(MAX_RANK);
+        self.stride[..n].copy_from_slice(&stride[..n]);
         self
     }
 
     /// Builder-style dilation override (remaining dimensions keep 1).
     pub fn with_dilation(mut self, dilation: &[usize]) -> ConvOptions {
-        self.dilation[..dilation.len()].copy_from_slice(dilation);
+        let n = dilation.len().min(MAX_RANK);
+        self.dilation[..n].copy_from_slice(&dilation[..n]);
         self
     }
 
@@ -277,14 +231,11 @@ impl Default for ConvOptions {
     fn default() -> Self {
         ConvOptions {
             streaming_stores: true,
-            schedule: Schedule::default(),
             block: None,
-            superblock: None,
             points: PointSchedule::default(),
             stage2: Stage2Backend::default(),
             budget: None,
             memory: None,
-            compensated: false,
             watchdog: None,
             stride: [1; MAX_RANK],
             dilation: [1; MAX_RANK],
@@ -367,7 +318,7 @@ impl From<ShapeError> for PlanError {
 pub(crate) struct JitStage2 {
     pub block0: Option<wino_jit::JitKernel>,
     pub block1: Option<wino_jit::JitKernel>,
-    pub scatter_full: Option<wino_jit::JitKernel>,
+    pub scatter_full: wino_jit::JitKernel,
     pub scatter_tail: Option<wino_jit::JitKernel>,
     /// Rows of the final, partially filled panel (0 = all panels full).
     pub tail: usize,
@@ -389,10 +340,6 @@ pub struct WinogradLayer {
     pub plans: Vec<FmrPlan>,
     /// Stage-2 blocking `(n_blk, C_blk, C'_blk)`.
     pub block: BlockShape,
-    /// Row blocks per superblock of the pipelined schedule (≥ 1), from
-    /// the L2 footprint model unless overridden via
-    /// [`ConvOptions::superblock`]. Unused by the monolithic schedules.
-    pub superblock: usize,
     pub opts: ConvOptions,
     pub(crate) jit: Option<JitStage2>,
     /// Generated-codelet table entry per dimension
@@ -437,11 +384,6 @@ impl WinogradLayer {
             }
             plans.push(plan);
         }
-        if opts.compensated && opts.stage2 == Stage2Backend::Jit {
-            return Err(PlanError::Jit {
-                reason: "compensated accumulation requires the mono stage-2 backend",
-            });
-        }
         let rows = grid.total_tiles() * shape.batch;
         let block = match opts.block {
             Some(b) => {
@@ -469,36 +411,10 @@ impl WinogradLayer {
         };
         let jit = match opts.stage2 {
             Stage2Backend::Mono => None,
-            Stage2Backend::Jit => {
-                if opts.schedule == Schedule::Pipelined {
-                    // The JIT kernels hard-code the streaming scatter;
-                    // rejecting here lets `plan_with_fallback` degrade to
-                    // the mono backend instead of silently changing the
-                    // store policy mid-pipeline.
-                    return Err(PlanError::Jit {
-                        reason: "pipelined schedule requires the mono stage-2 backend",
-                    });
-                }
-                Some(Self::build_jit(&shape, &grid, block, rows, opts)?)
-            }
-        };
-        let t_vol = grid.tile_volume();
-        let superblock = match opts.superblock {
-            Some(sb) => {
-                if sb == 0 {
-                    return Err(PlanError::BadBlocking { reason: "superblock must be ≥ 1" });
-                }
-                sb
-            }
-            None => block.superblock_row_blocks(
-                t_vol,
-                shape.in_channels,
-                shape.out_channels,
-                wino_gemm::SUPERBLOCK_L2_BYTES,
-            ),
+            Stage2Backend::Jit => Some(Self::build_jit(&shape, &grid, block, rows)?),
         };
         let codelets = crate::codelet::resolve_all(&plans);
-        let layer = WinogradLayer { shape, grid, plans, block, superblock, opts, jit, codelets };
+        let layer = WinogradLayer { shape, grid, plans, block, opts, jit, codelets };
         if let Some(mb) = opts.memory {
             let need_bytes = layer.footprint(mb.threads).total();
             if !mb.admits(need_bytes) {
@@ -516,7 +432,6 @@ impl WinogradLayer {
         grid: &TileGrid,
         block: BlockShape,
         rows: usize,
-        opts: ConvOptions,
     ) -> Result<JitStage2, PlanError> {
         use wino_jit::{JitError, JitKernel, JitOutput};
         let jit_err = |e: JitError| PlanError::Jit {
@@ -534,47 +449,30 @@ impl WinogradLayer {
         let group_stride = n_tiles * t_vol * S;
         let (nb, cb, cpb) = (block.n_blk, block.c_blk, block.cp_blk);
 
-        let fused = opts.schedule.fuses_scatter();
-        let need_block0 = !fused || k_blocks > 1;
-        let need_block1 = k_blocks > 1 && (!fused || k_blocks > 2);
-        let scatter_beta = k_blocks > 1;
-        let block0 = if need_block0 {
+        // The last reduction block always runs a scatter kernel, so the
+        // plain block kernels cover only the k-blocks before it.
+        let block0 = if k_blocks > 1 {
             Some(JitKernel::compile(nb, cb, cpb, false).map_err(jit_err)?)
         } else {
             None
         };
-        let block1 = if need_block1 {
+        let block1 = if k_blocks > 2 {
             Some(JitKernel::compile(nb, cb, cpb, true).map_err(jit_err)?)
         } else {
             None
         };
-        let (scatter_full, scatter_tail) = if fused {
-            let full = JitKernel::compile_with_output(
-                nb,
+        let scatter = |panel_rows: usize| {
+            JitKernel::compile_with_output(
+                panel_rows,
                 cb,
                 cpb,
-                scatter_beta,
+                k_blocks > 1,
                 JitOutput::Scatter { group_stride },
             )
-            .map_err(jit_err)?;
-            let tail_kernel = if tail != 0 {
-                Some(
-                    JitKernel::compile_with_output(
-                        tail,
-                        cb,
-                        cpb,
-                        scatter_beta,
-                        JitOutput::Scatter { group_stride },
-                    )
-                    .map_err(jit_err)?,
-                )
-            } else {
-                None
-            };
-            (Some(full), tail_kernel)
-        } else {
-            (None, None)
+            .map_err(jit_err)
         };
+        let scatter_full = scatter(nb)?;
+        let scatter_tail = if tail != 0 { Some(scatter(tail)?) } else { None };
         Ok(JitStage2 { block0, block1, scatter_full, scatter_tail, tail })
     }
 
@@ -599,16 +497,9 @@ impl WinogradLayer {
         self.n_tiles() * self.shape.batch
     }
 
-    /// `n_blk`-row panels per transformed matrix (the unit the pipelined
-    /// schedule groups into superblocks).
+    /// `n_blk`-row panels per transformed matrix.
     pub fn row_blocks(&self) -> usize {
         self.rows().div_ceil(self.block.n_blk)
-    }
-
-    /// Superblocks the pipelined schedule partitions this layer into —
-    /// the task-grid extent of its single fork–join.
-    pub fn num_superblocks(&self) -> usize {
-        self.row_blocks().div_ceil(self.superblock)
     }
 
     /// Whether the transform stages run build-time generated straight-line
@@ -682,32 +573,6 @@ impl ThreadBuf {
     }
 }
 
-/// Per-thread buffers for the compensated stage-2 reduction
-/// ([`ConvOptions::compensated`]): one panel-sized product buffer and one
-/// panel-sized Kahan compensation buffer. Allocated only for compensated
-/// plans.
-pub(crate) struct CompBuf {
-    /// One reduction block's product `U_k · V_k` (β = 0 target).
-    pub tmp: AlignedVec,
-    /// Running Kahan–Neumaier compensation for the panel accumulator.
-    pub comp: AlignedVec,
-}
-
-/// One thread slot's [`CompBuf`], shareable across the executor's workers.
-pub(crate) struct CompBufCell(UnsafeCell<CompBuf>);
-
-// SAFETY: each executor thread slot accesses only its own cell (the
-// Executor slot contract); see `Scratch::thread_buf` for the same pattern.
-unsafe impl Sync for CompBufCell {}
-
-impl CompBufCell {
-    /// Raw pointer to the slot's buffers; the caller upholds the slot
-    /// exclusivity contract before dereferencing.
-    pub(crate) fn get(&self) -> *mut CompBuf {
-        self.0.get()
-    }
-}
-
 /// The paper's auxiliary memory: transformed inputs `I` (`u`), transformed
 /// kernels `W` (`v`), blocked intermediate `I'_tmp` (`x`), tile-major
 /// transformed outputs `I'` (`y`), plus per-thread codelet buffers.
@@ -720,14 +585,11 @@ pub struct Scratch {
     pub x: BlockedMatrices,
     pub y: TileMajor,
     bufs: Vec<UnsafeCell<ThreadBuf>>,
-    /// Compensated-reduction panels, one per thread slot; empty unless
-    /// the layer was planned with [`ConvOptions::compensated`].
-    cbufs: Vec<CompBufCell>,
 }
 
 // SAFETY: each executor thread slot accesses only its own `bufs[slot]`
-// and `cbufs[slot]` (guaranteed by the Executor contract), and the
-// matrices are written at disjoint offsets per task.
+// (guaranteed by the Executor contract), and the matrices are written at
+// disjoint offsets per task.
 unsafe impl Sync for Scratch {}
 
 impl Scratch {
@@ -793,17 +655,7 @@ impl Scratch {
                 b: AlignedVec::try_zeroed(t * S)?,
             }));
         }
-        let mut cbufs = Vec::new();
-        if layer.opts.compensated {
-            let panel = b.n_blk * b.cp_blk;
-            for _ in 0..threads.max(1) {
-                cbufs.push(CompBufCell(UnsafeCell::new(CompBuf {
-                    tmp: AlignedVec::try_zeroed(panel)?,
-                    comp: AlignedVec::try_zeroed(panel)?,
-                })));
-            }
-        }
-        Ok(Scratch { u, v, x, y, bufs, cbufs })
+        Ok(Scratch { u, v, x, y, bufs })
     }
 
     fn build(
@@ -839,20 +691,7 @@ impl Scratch {
                 })
             })
             .collect();
-        let cbufs = if layer.opts.compensated {
-            let panel = b.n_blk * b.cp_blk;
-            (0..threads.max(1))
-                .map(|_| {
-                    CompBufCell(UnsafeCell::new(CompBuf {
-                        tmp: AlignedVec::zeroed(panel), // ALLOC: as above
-                        comp: AlignedVec::zeroed(panel), // ALLOC: as above
-                    }))
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
-        Scratch { u, v, x, y, bufs, cbufs }
+        Scratch { u, v, x, y, bufs }
     }
 
     /// Total auxiliary bytes (the paper's memory-overhead number).
@@ -876,17 +715,6 @@ impl Scratch {
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn thread_buf(&self, slot: usize) -> &mut ThreadBuf {
         &mut *self.bufs[slot].get()
-    }
-
-    /// The compensated-reduction buffers, or `None` for plans without
-    /// [`ConvOptions::compensated`]. Each slot's buffer is subject to the
-    /// same Executor slot-exclusivity contract as [`Scratch::thread_buf`].
-    pub(crate) fn comp_bufs(&self) -> Option<&[CompBufCell]> {
-        if self.cbufs.is_empty() {
-            None
-        } else {
-            Some(&self.cbufs)
-        }
     }
 }
 
@@ -985,52 +813,6 @@ mod tests {
     }
 
     #[test]
-    fn superblock_geometry_is_planned() {
-        let layer = WinogradLayer::new(shape2d(), &[4, 4], ConvOptions::default()).unwrap();
-        assert!(layer.superblock >= 1);
-        assert!(layer.num_superblocks() >= 1);
-        // Superblocks tile the row blocks exactly.
-        assert!(layer.num_superblocks() * layer.superblock >= layer.row_blocks());
-        assert!((layer.num_superblocks() - 1) * layer.superblock < layer.row_blocks());
-    }
-
-    #[test]
-    fn superblock_override_is_honoured_and_validated() {
-        let opts = ConvOptions { superblock: Some(2), ..Default::default() };
-        let layer = WinogradLayer::new(shape2d(), &[4, 4], opts).unwrap();
-        assert_eq!(layer.superblock, 2);
-        let opts = ConvOptions { superblock: Some(0), ..Default::default() };
-        assert!(matches!(
-            WinogradLayer::new(shape2d(), &[4, 4], opts),
-            Err(PlanError::BadBlocking { .. })
-        ));
-    }
-
-    #[test]
-    fn pipelined_rejects_jit_backend() {
-        let opts = ConvOptions {
-            schedule: Schedule::Pipelined,
-            stage2: Stage2Backend::Jit,
-            ..Default::default()
-        };
-        assert!(matches!(
-            WinogradLayer::new(shape2d(), &[4, 4], opts),
-            Err(PlanError::Jit { .. })
-        ));
-    }
-
-    #[test]
-    fn schedule_names_and_fusion() {
-        assert_eq!(Schedule::ALL.len(), 3);
-        assert_eq!(Schedule::default(), Schedule::FusedScatter);
-        assert!(!Schedule::Unfused.fuses_scatter());
-        assert!(Schedule::FusedScatter.fuses_scatter());
-        assert!(Schedule::Pipelined.fuses_scatter());
-        let names: Vec<&str> = Schedule::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["unfused", "fused-scatter", "pipelined"]);
-    }
-
-    #[test]
     fn budget_admits_and_rejects_by_conditioning() {
         // γ(4,3)·ε ≈ 5.72e-6, γ(6,3)·ε ≈ 8.07e-6, γ(8,3)·ε ≈ 1.07e-4
         // (mixed points). A 6e-6 budget sits between m=4 and m=5.
@@ -1059,27 +841,6 @@ mod tests {
             assert!(b.is_finite() && b > 0.0);
             last = b;
         }
-    }
-
-    #[test]
-    fn compensated_plans_get_buffers_and_reject_jit() {
-        let opts = ConvOptions { compensated: true, ..Default::default() };
-        let layer = WinogradLayer::new(shape2d(), &[4, 4], opts).unwrap();
-        let scratch = Scratch::new(&layer, 2);
-        assert_eq!(scratch.comp_bufs().map(<[_]>::len), Some(2));
-        // Plain plans allocate none.
-        let plain = WinogradLayer::new(shape2d(), &[4, 4], ConvOptions::default()).unwrap();
-        assert!(Scratch::new(&plain, 2).comp_bufs().is_none());
-        // The JIT kernels hard-code β-accumulation; compensated requires mono.
-        let opts = ConvOptions {
-            compensated: true,
-            stage2: Stage2Backend::Jit,
-            ..Default::default()
-        };
-        assert!(matches!(
-            WinogradLayer::new(shape2d(), &[4, 4], opts),
-            Err(PlanError::Jit { .. })
-        ));
     }
 
     #[test]

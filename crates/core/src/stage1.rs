@@ -115,9 +115,8 @@ impl MutPtr {
 }
 
 /// The per-tile body of operation ①② — take one tile, `Bᵀ`-transform
-/// it, scatter the `T` vectors into `U` — factored out so the monolithic
-/// stage-1 fork–join and the superblock pipeline share one
-/// implementation.
+/// it, scatter the `T` vectors into `U` — with the state every task of
+/// one [`transform_inputs`] call shares.
 pub(crate) struct InputTransformCtx<'a> {
     layer: &'a WinogradLayer,
     input: &'a BlockedImage,
@@ -140,14 +139,12 @@ pub(crate) struct InputTransformCtx<'a> {
 }
 
 impl<'a> InputTransformCtx<'a> {
-    /// Build the shared state. `streaming` selects NT stores for the `U`
-    /// scatter (the monolithic schedules want them; the pipeline keeps
-    /// `U` cache-resident and passes `false`).
+    /// Build the shared state; the `U` scatter uses NT stores when
+    /// [`crate::ConvOptions::streaming_stores`] is set.
     pub(crate) fn new(
         layer: &'a WinogradLayer,
         input: &'a BlockedImage,
         u: *mut f32,
-        streaming: bool,
         probe: Option<&'a wino_probe::Collector>,
     ) -> InputTransformCtx<'a> {
         let t_stride = layer.block.n_blk * layer.block.c_blk;
@@ -165,7 +162,7 @@ impl<'a> InputTransformCtx<'a> {
             c_blk: layer.block.c_blk,
             col_blocks: layer.shape.in_channels / layer.block.c_blk,
             t_stride,
-            streaming,
+            streaming: layer.opts.streaming_stores,
             probe,
         }
     }
@@ -248,32 +245,6 @@ impl<'a> InputTransformCtx<'a> {
             tmp,
         );
     }
-
-    /// Hint-prefetch tile `(b, cg, n)`'s innermost source row toward L2 —
-    /// called by the pipeline one tile ahead of the gather.
-    pub(crate) fn prefetch_tile(&self, b: usize, cg: usize, n: usize) {
-        let rank = self.layer.rank();
-        let grid = &self.layer.grid;
-        let mut tc = [0usize; MAX_RANK];
-        decompose(n, &grid.counts, &mut tc[..rank]);
-        // First in-bounds point of the tile.
-        let mut pt = [0usize; MAX_RANK];
-        for (d, p) in pt[..rank].iter_mut().enumerate() {
-            let x = (tc[d] * grid.m[d]) as isize - grid.padding[d] as isize;
-            *p = x.clamp(0, self.input.dims[d] as isize - 1) as usize;
-        }
-        let mut spatial = 0usize;
-        for (&dim, &p) in self.input.dims.iter().zip(&pt[..rank]) {
-            spatial = spatial * dim + p;
-        }
-        let off = self.input.vec_offset_flat(b, cg, 0) + spatial * S;
-        let bytes = grid.tile_dims[rank - 1].min(self.input.dims[rank - 1] - pt[rank - 1])
-            * S
-            * std::mem::size_of::<f32>();
-        // SAFETY: the span starts inside the image allocation; prefetch
-        // never faults regardless.
-        unsafe { wino_simd::prefetch_span_t1(self.input.as_ptr().add(off) as *const u8, bytes) };
-    }
 }
 
 /// One [`InputTransformCtx::tile`] call, ready for whichever backend
@@ -319,13 +290,7 @@ pub fn transform_inputs(
     dims[2..2 + rank].copy_from_slice(&layer.grid.counts);
     let dims = &dims[..2 + rank];
 
-    let ctx = InputTransformCtx::new(
-        layer,
-        input,
-        scratch.u.as_mut_ptr(),
-        layer.opts.streaming_stores,
-        exec.probe(),
-    );
+    let ctx = InputTransformCtx::new(layer, input, scratch.u.as_mut_ptr(), exec.probe());
     let scratch_ref: &Scratch = scratch;
     let stage_start = crate::spans::span_start();
 

@@ -7,9 +7,8 @@
 //! the result bypasses `X̂` and is scattered by the micro-kernel itself —
 //! with non-temporal streaming stores — into the tile-major layout
 //! [`crate::layout::TileMajor`] that stage 3 reads contiguously. The paper
-//! measured >20 % end-to-end gain from this fusion; the
-//! [`crate::Schedule::Unfused`] schedule reverts to plain GEMM + a
-//! separate copy pass (the ablation baseline).
+//! measured >20 % end-to-end gain from this fusion over a separate copy
+//! pass (reproduced: EXPERIMENTS.md, "§4.3.1").
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -17,18 +16,17 @@
 
 use wino_gemm::{microkernel, MicroArgs, Output};
 use wino_sched::Executor;
-use wino_simd::{Kernel, Simd16, S};
+use wino_simd::S;
 use wino_tensor::BlockedMatrices;
 
 use crate::error::{ensure_eq, WinoError};
 use crate::layout::TileMajor;
-use crate::plan::{CompBufCell, Scratch, WinogradLayer};
+use crate::plan::{Scratch, WinogradLayer};
 use crate::stage1::MutPtr;
 
 /// The per-panel body of operations ⑤⑥ — one `(t, j, i)` panel's full
-/// reduction over the `k` blocks, with the optional fused scatter —
-/// factored out so the monolithic stage-2 fork–join and the superblock
-/// pipeline share one implementation.
+/// reduction over the `k` blocks, the last of which scatters — with the
+/// state every task of one [`multiply_with`] call shares.
 pub(crate) struct Stage2Ctx<'a> {
     layer: &'a WinogradLayer,
     u: &'a BlockedMatrices,
@@ -45,18 +43,12 @@ pub(crate) struct Stage2Ctx<'a> {
     k_blocks: usize,
     c_blk: usize,
     cp_blk: usize,
-    fused: bool,
-    /// NT stores for the fused ⑥ scatter. The monolithic schedules tie
-    /// this to [`crate::ConvOptions::streaming_stores`]; the pipeline
-    /// passes `false` so `y` stays cache-resident for its own stage 3.
-    scatter_streaming: bool,
-    /// Per-slot buffers for the compensated reduction, present exactly
-    /// when the plan opted into [`crate::ConvOptions::compensated`].
-    cbufs: Option<&'a [CompBufCell]>,
+    /// NT stores for the ⑥ scatter
+    /// ([`crate::ConvOptions::streaming_stores`]).
+    streaming: bool,
 }
 
 impl<'a> Stage2Ctx<'a> {
-    #[allow(clippy::too_many_arguments)] // one argument per pipeline-shared buffer
     pub(crate) fn new(
         layer: &'a WinogradLayer,
         u: &'a BlockedMatrices,
@@ -65,8 +57,6 @@ impl<'a> Stage2Ctx<'a> {
         x_meta: &'a BlockedMatrices,
         y: *mut f32,
         y_meta: &'a TileMajor,
-        scatter_streaming: bool,
-        cbufs: Option<&'a [CompBufCell]>,
     ) -> Stage2Ctx<'a> {
         Stage2Ctx {
             layer,
@@ -84,43 +74,28 @@ impl<'a> Stage2Ctx<'a> {
             k_blocks: layer.shape.in_channels / layer.block.c_blk,
             c_blk: layer.block.c_blk,
             cp_blk: layer.block.cp_blk,
-            fused: layer.opts.schedule.fuses_scatter(),
-            scatter_streaming,
-            cbufs,
+            streaming: layer.opts.streaming_stores,
         }
     }
 
     /// Multiply panel `(t, j, i)`: the full `k`-block reduction, with the
-    /// fused ⑥ scatter on the last block when the schedule fuses.
+    /// fused ⑥ scatter on the last block.
     ///
     /// # Safety
     /// The caller must own panel `(t, j, i)` of `x` and the corresponding
     /// tile rows of `y` — tasks of one fork–join must cover disjoint
-    /// `(t, j, i)` triples — and must hold thread slot `slot` (the
-    /// Executor slot contract; only the compensated path touches the
-    /// per-slot buffers).
-    pub(crate) unsafe fn panel(&self, slot: usize, t: usize, j: usize, i: usize) {
-        // Per-row scatter destinations for the fused final block.
+    /// `(t, j, i)` triples.
+    pub(crate) unsafe fn panel(&self, t: usize, j: usize, i: usize) {
+        // Per-row scatter destinations for the final block.
         let mut row_ptrs = [std::ptr::null_mut::<f32>(); wino_gemm::MAX_N_BLK];
-        if self.fused {
-            let og0 = (j * self.cp_blk) / S;
-            for jj in 0..self.n_blk {
-                let n_prime = i * self.n_blk + jj;
-                if n_prime < self.rows {
-                    let (b, n) = (n_prime / self.n_tiles, n_prime % self.n_tiles);
-                    // SAFETY: offset within y by construction.
-                    row_ptrs[jj] = self.y.get().add(self.y_meta.vec_offset(b, og0, n, t));
-                }
+        let og0 = (j * self.cp_blk) / S;
+        for jj in 0..self.n_blk {
+            let n_prime = i * self.n_blk + jj;
+            if n_prime < self.rows {
+                let (b, n) = (n_prime / self.n_tiles, n_prime % self.n_tiles);
+                // SAFETY: offset within y by construction.
+                row_ptrs[jj] = self.y.get().add(self.y_meta.vec_offset(b, og0, n, t));
             }
-        }
-
-        // High-accuracy plans reduce with Kahan compensation instead of
-        // the plain β-accumulating micro-kernel chain.
-        if let Some(cbufs) = self.cbufs {
-            // SAFETY: same panel ownership as below; slot exclusivity is
-            // the caller's contract.
-            self.compensated_panel(cbufs, slot, t, j, i, &row_ptrs);
-            return;
         }
 
         // The paper's JIT backend: dispatch to pre-compiled machine code.
@@ -135,11 +110,11 @@ impl<'a> Stage2Ctx<'a> {
                 let u_ptr = self.u.as_ptr().add(self.u.block_offset(i, k, t));
                 let v_p = self.v.as_ptr().add(self.v.block_offset(k, j, t));
                 let x_p = self.x.get().add(self.x_meta.block_offset(i, j, t));
-                if self.fused && is_last_k {
+                if is_last_k {
                     let kern = if is_tail_panel {
                         jk.scatter_tail.as_ref().expect("tail kernel compiled")
                     } else {
-                        jk.scatter_full.as_ref().expect("scatter kernel compiled")
+                        &jk.scatter_full
                     };
                     kern.call_scatter(u_ptr, v_p, x_p, row_ptrs.as_ptr());
                 } else if k == 0 {
@@ -163,11 +138,11 @@ impl<'a> Stage2Ctx<'a> {
             } else {
                 (std::ptr::null(), std::ptr::null())
             };
-            let output = if self.fused && is_last_k {
+            let output = if is_last_k {
                 Output::Scatter {
                     row_ptrs: row_ptrs.as_ptr(),
                     group_stride: self.group_stride,
-                    streaming: self.scatter_streaming,
+                    streaming: self.streaming,
                 }
             } else {
                 Output::Block
@@ -197,92 +172,12 @@ impl<'a> Stage2Ctx<'a> {
             microkernel(self.n_blk, &args);
         }
     }
-
-    /// The [`crate::ConvOptions::compensated`] reduction for panel
-    /// `(t, j, i)`: each `C_blk` reduction block is multiplied into a
-    /// per-slot product buffer (β = 0) and folded into the `x` panel with
-    /// a Kahan–Neumaier compensation term, so the channel reduction's
-    /// rounding error stays O(ε) instead of O(K·ε). The fused ⑥ scatter
-    /// is done scalar from the compensated panel (the micro-kernel's
-    /// in-register scatter would bypass the compensation).
-    ///
-    /// # Safety
-    /// Same panel-ownership contract as [`Stage2Ctx::panel`], plus
-    /// exclusive use of `cbufs[slot]` (the Executor slot contract).
-    unsafe fn compensated_panel(
-        &self,
-        cbufs: &[CompBufCell],
-        slot: usize,
-        t: usize,
-        j: usize,
-        i: usize,
-        row_ptrs: &[*mut f32],
-    ) {
-        // SAFETY: the caller holds `slot`, making this buffer exclusive.
-        let buf = &mut *cbufs[slot].get();
-        let panel_len = self.n_blk * self.cp_blk;
-        let tmp = buf.tmp.as_mut_ptr();
-        let comp = &mut buf.comp.as_mut_slice()[..panel_len];
-        // SAFETY: panel (t, j, i) of x is owned by this task.
-        let x_p = self.x.get().add(self.x_meta.block_offset(i, j, t));
-
-        for k in 0..self.k_blocks {
-            let args = MicroArgs {
-                // SAFETY: block offsets in bounds by panel metadata.
-                u: self.u.as_ptr().add(self.u.block_offset(i, k, t)),
-                v: self.v.as_ptr().add(self.v.block_offset(k, j, t)),
-                x: tmp,
-                c_blk: self.c_blk,
-                cp_blk: self.cp_blk,
-                beta: false,
-                next_u: std::ptr::null(),
-                next_x: std::ptr::null(),
-                output: Output::Block,
-            };
-            // SAFETY: tmp is an exclusive panel-sized aligned buffer.
-            microkernel(self.n_blk, &args);
-            if k == 0 {
-                // SAFETY: tmp and the x panel are panel_len floats each.
-                std::ptr::copy_nonoverlapping(tmp as *const f32, x_p, panel_len);
-                comp.fill(0.0);
-            } else {
-                for e in 0..panel_len {
-                    // Kahan: fold the block product into the accumulator,
-                    // carrying the rounding remainder in `comp`.
-                    // SAFETY: e < panel_len, in bounds of tmp and x panel.
-                    let y = *tmp.add(e) - comp[e];
-                    let s = *x_p.add(e);
-                    let sum = s + y;
-                    comp[e] = (sum - s) - y;
-                    *x_p.add(e) = sum;
-                }
-            }
-        }
-
-        if self.fused {
-            // Scalar operation ⑥ for the compensated panel: each panel
-            // row scatters as cp_blk/S channel-group vectors with
-            // `group_stride` between groups (same addressing as the
-            // micro-kernel's fused scatter, minus the NT stores).
-            for (jj, &rp) in row_ptrs.iter().enumerate().take(self.n_blk) {
-                if rp.is_null() {
-                    continue;
-                }
-                for c in 0..self.cp_blk {
-                    // SAFETY: same destination addressing as the fused
-                    // micro-kernel scatter; rp spans cp_blk/S groups.
-                    *rp.add((c / S) * self.group_stride + c % S) =
-                        *x_p.add(jj * self.cp_blk + c);
-                }
-            }
-        }
-    }
 }
 
-/// Operation ⑤(+⑥): multiply transformed inputs by transformed kernels.
+/// Operation ⑤+⑥: multiply transformed inputs by transformed kernels.
 /// Reads `scratch.u` / `scratch.v`, produces the tile-major `scratch.y`
-/// (via fused scatter, or via `scratch.x` plus a copy pass when the fusion
-/// is disabled).
+/// (`scratch.x` holds the partial sums of all but the last reduction
+/// block).
 pub fn multiply(
     layer: &WinogradLayer,
     scratch: &mut Scratch,
@@ -313,37 +208,21 @@ pub fn multiply_with(
     let t_vol = layer.t_vol();
     let row_blocks = scratch.u.row_blocks();
     let col_blocks = v_ext.col_blocks();
-    let fused = layer.opts.schedule.fuses_scatter();
 
     let dims = [t_vol, col_blocks, row_blocks];
     let x_ptr = scratch.x.as_mut_ptr();
     let y_ptr = scratch.y.as_mut_ptr();
-    let ctx = Stage2Ctx::new(
-        layer,
-        &scratch.u,
-        v_ext,
-        x_ptr,
-        &scratch.x,
-        y_ptr,
-        &scratch.y,
-        layer.opts.streaming_stores,
-        scratch.comp_bufs(),
-    );
+    let ctx = Stage2Ctx::new(layer, &scratch.u, v_ext, x_ptr, &scratch.x, y_ptr, &scratch.y);
     let stage_start = crate::spans::span_start();
 
-    exec.run_grid(&dims, &|slot, flat| {
+    exec.run_grid(&dims, &|_slot, flat| {
         let i = flat % row_blocks;
         let j = (flat / row_blocks) % col_blocks;
         let t = flat / (row_blocks * col_blocks);
         // SAFETY: the grid enumerates each (t, j, i) exactly once, so
-        // tasks own disjoint panels, and `slot` is held by this task.
-        unsafe { ctx.panel(slot, t, j, i) };
+        // tasks own disjoint panels.
+        unsafe { ctx.panel(t, j, i) };
     })?;
-    // The unfused copy pass is still operation ⑥ — part of this stage's
-    // coordinator span, so fused/unfused ablations compare like for like.
-    if !fused {
-        scatter_pass(layer, scratch, exec)?;
-    }
     crate::spans::record_coord(exec, wino_probe::SpanCategory::ElementwiseGemm, stage_start);
     #[cfg(feature = "fault-inject")]
     if wino_sched::fault::take_poison_stage(2) {
@@ -392,86 +271,16 @@ fn corrupt_y(y: &mut [f32], kind: wino_sched::fault::CorruptKind) {
     }
 }
 
-/// The unfused alternative to operation ⑥: copy `scratch.x` into the
-/// tile-major `scratch.y` in a separate parallel pass.
-fn scatter_pass(
-    layer: &WinogradLayer,
-    scratch: &mut Scratch,
-    exec: &dyn Executor,
-) -> Result<(), WinoError> {
-    let t_vol = layer.t_vol();
-    let n_tiles = layer.n_tiles();
-    let (n_blk, cp_blk) = (layer.block.n_blk, layer.block.cp_blk);
-    let col_blocks = scratch.x.col_blocks();
-    let t_stride = n_blk * cp_blk;
-    let streaming = layer.opts.streaming_stores;
-
-    let dims = [layer.shape.batch, layer.shape.out_channels / S, n_tiles];
-    let y_ptr = MutPtr(scratch.y.as_mut_ptr());
-    let x = &scratch.x;
-    let y_meta = &scratch.y;
-
-    exec.run_grid(&dims, &|_slot, flat| {
-        let n = flat % n_tiles;
-        let og = (flat / n_tiles) % dims[1];
-        let b = flat / (n_tiles * dims[1]);
-        let n_prime = b * n_tiles + n;
-        let (rb_i, r_in) = (n_prime / n_blk, n_prime % n_blk);
-        let col = og * S;
-        let (cb_i, c_in) = (col / cp_blk, col % cp_blk);
-        let src_base = ((rb_i * col_blocks + cb_i) * t_vol) * t_stride + r_in * cp_blk + c_in;
-        let dst_base = y_meta.vec_offset(b, og, n, 0);
-        // SAFETY: offsets in bounds by construction of the x/y metadata.
-        let (src, dst) = unsafe { (x.as_ptr().add(src_base), y_ptr.get().add(dst_base)) };
-        // Disjoint (b, og, n) per task, so no other task touches `dst`.
-        wino_simd::dispatch(CopyTile { src, src_stride: t_stride, dst, t_vol, streaming });
-    })?;
-    Ok(())
-}
-
-/// One task of [`scatter_pass`]: copy a tile's `t_vol` vectors from the
-/// strided `x` panels to their contiguous tile-major home in `y`.
-struct CopyTile {
-    src: *const f32,
-    src_stride: usize,
-    dst: *mut f32,
-    t_vol: usize,
-    streaming: bool,
-}
-
-impl Kernel for CopyTile {
-    type Output = ();
-
-    #[inline(always)]
-    fn run<V: Simd16>(self) {
-        // SAFETY: `scatter_pass`, the only constructor, passes pointers
-        // valid for `t_vol` strided reads / contiguous 64-byte aligned
-        // writes that no other task touches.
-        unsafe {
-            for t in 0..self.t_vol {
-                let v = V::load(self.src.add(t * self.src_stride));
-                if self.streaming {
-                    v.store_nt(self.dst.add(t * S));
-                } else {
-                    v.store(self.dst.add(t * S));
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ConvOptions, Schedule, WinogradLayer};
+    use crate::plan::{ConvOptions, WinogradLayer};
     use wino_sched::{SerialExecutor, StaticExecutor};
     use wino_tensor::ConvShape;
 
-    fn make(fused: bool, c: usize, cp: usize) -> (WinogradLayer, Scratch) {
+    fn make(c: usize, cp: usize) -> (WinogradLayer, Scratch) {
         let s = ConvShape::new(2, c, cp, &[10, 10], &[3, 3], &[1, 1]).unwrap();
-        let schedule = if fused { Schedule::FusedScatter } else { Schedule::Unfused };
-        let opts = ConvOptions { schedule, ..Default::default() };
-        let layer = WinogradLayer::new(s, &[4, 4], opts).unwrap();
+        let layer = WinogradLayer::new(s, &[4, 4], ConvOptions::default()).unwrap();
         let scratch = Scratch::new(&layer, 4);
         (layer, scratch)
     }
@@ -514,28 +323,20 @@ mod tests {
 
     #[test]
     fn fused_scatter_produces_correct_y() {
-        let (layer, mut scratch) = make(true, 32, 32);
-        fill_uv(&mut scratch);
-        multiply(&layer, &mut scratch, &SerialExecutor).unwrap();
-        check_y(&layer, &scratch);
-    }
-
-    #[test]
-    fn unfused_matches_fused() {
-        let (layer_f, mut sf) = make(true, 32, 48);
-        let (layer_u, mut su) = make(false, 32, 48);
-        fill_uv(&mut sf);
-        fill_uv(&mut su);
-        assert_eq!(sf.u.as_slice(), su.u.as_slice());
-        multiply(&layer_f, &mut sf, &SerialExecutor).unwrap();
-        multiply(&layer_u, &mut su, &SerialExecutor).unwrap();
-        assert_eq!(sf.y.as_slice(), su.y.as_slice());
+        // C' = 48 plans one column block three vectors wide, so rows also
+        // scatter `group_stride` and `2·group_stride` away.
+        for cp in [32, 48] {
+            let (layer, mut scratch) = make(32, cp);
+            fill_uv(&mut scratch);
+            multiply(&layer, &mut scratch, &SerialExecutor).unwrap();
+            check_y(&layer, &scratch);
+        }
     }
 
     #[test]
     fn parallel_matches_serial() {
-        let (layer, mut s1) = make(true, 32, 32);
-        let (_, mut s2) = make(true, 32, 32);
+        let (layer, mut s1) = make(32, 32);
+        let (_, mut s2) = make(32, 32);
         fill_uv(&mut s1);
         fill_uv(&mut s2);
         multiply(&layer, &mut s1, &SerialExecutor).unwrap();

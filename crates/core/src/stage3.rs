@@ -25,8 +25,8 @@ use crate::stage1::{decompose, MutPtr};
 
 /// The per-tile body of the inverse transform — read one tile's `T`
 /// vectors, apply `Aᵀ` along every dimension, write the clipped `m`-tile
-/// to the output image — factored out so the monolithic stage-3
-/// fork–join and the superblock pipeline share one implementation.
+/// to the output image — with the state every task of one
+/// [`inverse_transform`] call shares.
 pub(crate) struct Stage3Ctx<'a> {
     layer: &'a WinogradLayer,
     y: &'a TileMajor,
@@ -42,15 +42,9 @@ pub(crate) struct Stage3Ctx<'a> {
 }
 
 impl<'a> Stage3Ctx<'a> {
-    /// Build the shared state. The output write is the pipeline's *final*
-    /// scatter, so `streaming` follows
-    /// [`crate::ConvOptions::streaming_stores`] in every schedule.
-    pub(crate) fn new(
-        layer: &'a WinogradLayer,
-        y: &'a TileMajor,
-        out: *mut f32,
-        streaming: bool,
-    ) -> Stage3Ctx<'a> {
+    /// Build the shared state; the output write uses NT stores when
+    /// [`crate::ConvOptions::streaming_stores`] is set.
+    pub(crate) fn new(layer: &'a WinogradLayer, y: &'a TileMajor, out: *mut f32) -> Stage3Ctx<'a> {
         let out_dims = &layer.grid.out_dims;
         Stage3Ctx {
             layer,
@@ -61,7 +55,7 @@ impl<'a> Stage3Ctx<'a> {
             out_strides: row_major(out_dims, S),
             out_channel_groups: layer.shape.out_channels / S,
             out_vol: out_dims.iter().product(),
-            streaming,
+            streaming: layer.opts.streaming_stores,
         }
     }
 
@@ -175,7 +169,7 @@ pub fn inverse_transform(
     let n_tiles = layer.n_tiles();
     let out_channel_groups = layer.shape.out_channels / S;
     let dims = [layer.shape.batch, out_channel_groups, n_tiles];
-    let ctx = Stage3Ctx::new(layer, &scratch.y, output.as_mut_ptr(), layer.opts.streaming_stores);
+    let ctx = Stage3Ctx::new(layer, &scratch.y, output.as_mut_ptr());
     let scratch_ref: &Scratch = scratch;
     let stage_start = crate::spans::span_start();
 

@@ -111,24 +111,6 @@ impl WinogradLayer {
                 bytes: (y_elems + batch * cp * out_vol) * F32_BYTES,
             },
         );
-        // The pipelined schedule runs stages 1–3 in one fork–join, so its
-        // single span covers all three stage-work entries. Flops are the
-        // plain sum; bytes keep the per-stage ideal-cache accounting
-        // (image + U in, U+V in / Y out, Y in + image out), which
-        // overstates DRAM traffic when superblocks stay L2-resident —
-        // again the conservative direction for a roofline.
-        model.set(
-            SpanCategory::SuperblockPipeline,
-            StageWork {
-                flops: rows * c * bt_ops + 2 * t_vol * rows * c * cp + rows * cp * at_ops,
-                bytes: (batch * c * in_vol
-                    + 2 * u_elems
-                    + v_elems
-                    + 2 * y_elems
-                    + batch * cp * out_vol)
-                    * F32_BYTES,
-            },
-        );
         model
     }
 }
@@ -183,26 +165,11 @@ mod tests {
             SpanCategory::KernelTransform,
             SpanCategory::ElementwiseGemm,
             SpanCategory::OutputTransform,
-            SpanCategory::SuperblockPipeline,
         ] {
             let s = w.get(cat).unwrap();
             assert!(s.flops > 0, "{cat:?} flops");
             assert!(s.bytes > 0, "{cat:?} bytes");
         }
-    }
-
-    #[test]
-    fn pipeline_work_is_the_sum_of_its_stages() {
-        let w = layer_2d().work_model();
-        let sum: u128 = [
-            SpanCategory::InputTransform,
-            SpanCategory::ElementwiseGemm,
-            SpanCategory::OutputTransform,
-        ]
-        .iter()
-        .map(|&c| w.get(c).unwrap().flops)
-        .sum();
-        assert_eq!(w.get(SpanCategory::SuperblockPipeline).unwrap().flops, sum);
     }
 
     #[test]

@@ -28,11 +28,6 @@ pub use generic::batched_gemm_generic;
 pub use micro::{
     microkernel, microkernel_reference, strips, MicroArgs, Output, TileTable, MAX_N_BLK,
 };
-pub use model::{
-    candidate_shapes, default_shape, BlockShape, KNL_MACHINE_RATIO, MAX_V_ELEMS,
-    SUPERBLOCK_L2_BYTES,
-};
-pub use tune::{
-    autotune, autotune_with_wisdom, superblock_with_wisdom, time_shape, TuneConfig, TuneResult,
-};
+pub use model::{candidate_shapes, default_shape, BlockShape, KNL_MACHINE_RATIO, MAX_V_ELEMS};
+pub use tune::{autotune, autotune_with_wisdom, time_shape, TuneConfig, TuneResult};
 pub use wisdom::Wisdom;

@@ -41,11 +41,9 @@
 //!
 //! The `scatter` variant implements operation ⑥: on the *last* `k`-block
 //! the result bypasses `X̂` and is written directly to per-row
-//! destinations (the tile-major `I'` layout) — with non-temporal
-//! streaming stores in the monolithic schedules (the paper credits this
-//! with >20 % overall speedup), or with regular stores when the
-//! superblock-pipelined schedule wants the scattered tiles to stay
-//! cache-hot for the immediately following inverse transform.
+//! destinations (the tile-major `I'` layout; the paper credits this
+//! fusion with >20 % overall speedup) — with non-temporal streaming
+//! stores or regular ones, as the caller asks.
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -117,10 +115,9 @@ pub enum Output {
     /// `row_ptrs[j] + q·group_stride` for each S-wide column group `q`.
     /// A null `row_ptrs[j]` skips the row (padding rows of the final,
     /// partially filled `n_blk` panel). With `streaming` the rows are
-    /// written with non-temporal stores (the monolithic ⑥ write, which
-    /// bypasses the caches on its way to `I'`); without it they use
-    /// regular stores so the scattered tiles stay cache-resident for an
-    /// immediately following pipelined stage 3.
+    /// written with non-temporal stores, which bypass the caches on
+    /// their way to `I'`; otherwise with regular stores, which leave
+    /// the scattered tiles cache-resident for the inverse transform.
     Scatter {
         row_ptrs: *const *mut f32,
         group_stride: usize,

@@ -34,13 +34,6 @@ pub const KNL_MACHINE_RATIO: f64 = 45.0;
 /// Hard bound on `C_blk · C'_blk` (L2 budget for `V̂`): `128²` floats.
 pub const MAX_V_ELEMS: usize = 128 * 128;
 
-/// Per-core L2 budget (bytes) for one *superblock* of the pipelined
-/// schedule: the slice of `Û`, `X̂` and tile-major `I'` a single task
-/// produces, consumes and scatters between two barriers. Half of the
-/// paper's 1 MB-per-tile L2 (shared by 2 cores on KNL), matching the
-/// budget that [`MAX_V_ELEMS`] reserves for `V̂`.
-pub const SUPERBLOCK_L2_BYTES: usize = 512 * 1024;
-
 impl BlockShape {
     /// Eq. 11: FLOPs per float moved for one micro-kernel call.
     pub fn compute_to_memory_ratio(&self, beta: bool) -> f64 {
@@ -68,29 +61,6 @@ impl BlockShape {
         } else {
             self.n_blk - rem
         }
-    }
-
-    /// Working-set bytes of one pipelined superblock spanning `row_blocks`
-    /// consecutive `n_blk`-row panels: for every one of the `t_vol` tile
-    /// matrices the superblock's rows of `Û` (`C` floats each), `X̂` and the
-    /// tile-major `I'` (`C'` floats each), plus one L2-resident `V̂` block.
-    pub fn superblock_bytes(&self, row_blocks: usize, t_vol: usize, c: usize, cp: usize) -> usize {
-        let rows = row_blocks * self.n_blk;
-        4 * (t_vol * rows * (c + 2 * cp) + self.c_blk * self.cp_blk)
-    }
-
-    /// Largest number of consecutive `n_blk`-row panels whose pipelined
-    /// working set ([`BlockShape::superblock_bytes`]) fits in `budget`
-    /// bytes — the superblock footprint constraint of the `Pipelined`
-    /// schedule. Always at least 1: a layer whose single row-block
-    /// overflows the budget still has to execute.
-    pub fn superblock_row_blocks(&self, t_vol: usize, c: usize, cp: usize, budget: usize) -> usize {
-        let per_block = 4 * t_vol * self.n_blk * (c + 2 * cp);
-        let v = self.v_bytes();
-        if per_block == 0 || v >= budget {
-            return 1;
-        }
-        ((budget - v) / per_block).max(1)
     }
 }
 
@@ -226,46 +196,5 @@ mod tests {
         assert_eq!(s.row_padding(64), 0);
         assert_eq!(s.row_padding(65), 7);
         assert_eq!(s.row_padding(63), 1);
-    }
-
-    #[test]
-    fn superblock_bytes_grows_linearly_in_row_blocks() {
-        let s = BlockShape { n_blk: 8, c_blk: 64, cp_blk: 64 };
-        let (t_vol, c, cp) = (36, 64, 64);
-        let one = s.superblock_bytes(1, t_vol, c, cp);
-        let two = s.superblock_bytes(2, t_vol, c, cp);
-        assert!(two > one);
-        // Doubling the row blocks adds exactly one more panel slice; the
-        // V̂ term is shared.
-        assert_eq!(two - one, 4 * t_vol * s.n_blk * (c + 2 * cp));
-    }
-
-    #[test]
-    fn superblock_row_blocks_respects_budget() {
-        let s = BlockShape { n_blk: 8, c_blk: 64, cp_blk: 64 };
-        let (t_vol, c, cp) = (36, 64, 64);
-        let k = s.superblock_row_blocks(t_vol, c, cp, SUPERBLOCK_L2_BYTES);
-        assert!(k >= 1);
-        assert!(s.superblock_bytes(k, t_vol, c, cp) <= SUPERBLOCK_L2_BYTES);
-        // One more row block would overflow the budget.
-        assert!(s.superblock_bytes(k + 1, t_vol, c, cp) > SUPERBLOCK_L2_BYTES);
-    }
-
-    #[test]
-    fn superblock_row_blocks_floors_at_one() {
-        // A budget too small for even one row block (or the V̂ block
-        // alone) still yields 1: the layer must execute regardless.
-        let s = BlockShape { n_blk: 30, c_blk: 128, cp_blk: 128 };
-        assert_eq!(s.superblock_row_blocks(216, 512, 512, 1024), 1);
-        assert_eq!(s.superblock_row_blocks(216, 512, 512, s.v_bytes()), 1);
-    }
-
-    #[test]
-    fn superblock_shrinks_with_larger_tiles() {
-        // Bigger tile volume (F(4,3) 3-D vs 2-D) → fewer resident blocks.
-        let s = BlockShape { n_blk: 8, c_blk: 64, cp_blk: 64 };
-        let k2d = s.superblock_row_blocks(36, 64, 64, SUPERBLOCK_L2_BYTES);
-        let k3d = s.superblock_row_blocks(216, 64, 64, SUPERBLOCK_L2_BYTES);
-        assert!(k3d <= k2d);
     }
 }

@@ -126,7 +126,9 @@ pub fn autotune(
 }
 
 /// [`autotune`] with wisdom caching: returns the remembered shape when the
-/// problem was tuned before, otherwise tunes and records.
+/// problem was tuned before, otherwise tunes and records. A remembered
+/// shape that does not divide `c` / `cp` (a stale or hand-edited file) is
+/// a miss: the problem is re-tuned and the entry overwritten.
 pub fn autotune_with_wisdom(
     wisdom: &Wisdom,
     t_count: usize,
@@ -138,36 +140,13 @@ pub fn autotune_with_wisdom(
 ) -> BlockShape {
     let key = Wisdom::key(rows, c, cp, t_count, exec.threads());
     if let Some(shape) = wisdom.get(&key) {
-        return shape;
+        if c.is_multiple_of(shape.c_blk) && cp.is_multiple_of(shape.cp_blk) {
+            return shape;
+        }
     }
     let result = autotune(t_count, rows, c, cp, exec, cfg);
     wisdom.insert(key, result.shape);
     result.shape
-}
-
-/// Superblock extent (row blocks per superblock) for the pipelined
-/// schedule: the wisdom hint when this problem was seen before, otherwise
-/// the [`crate::model::SUPERBLOCK_L2_BYTES`] footprint model — whose
-/// answer is recorded alongside the block shape so a saved wisdom file
-/// pins the whole pipeline geometry, not just the GEMM blocking.
-pub fn superblock_with_wisdom(
-    wisdom: &Wisdom,
-    t_count: usize,
-    rows: usize,
-    c: usize,
-    cp: usize,
-    threads: usize,
-    shape: BlockShape,
-) -> usize {
-    let key = Wisdom::key(rows, c, cp, t_count, threads);
-    if let Some(sb) = wisdom.superblock_hint(&key) {
-        return sb;
-    }
-    let sb = shape.superblock_row_blocks(t_count, c, cp, crate::model::SUPERBLOCK_L2_BYTES);
-    // Keep a previously tuned shape if the entry already exists.
-    let shape = wisdom.get(&key).unwrap_or(shape);
-    wisdom.insert_with_superblock(key, shape, sb);
-    sb
 }
 
 #[cfg(test)]
@@ -197,18 +176,16 @@ mod tests {
     }
 
     #[test]
-    fn superblock_hint_is_remembered_and_recorded() {
+    fn stale_hit_that_does_not_divide_the_channels_is_retuned() {
+        // A shape remembered for another layer (or edited by hand) under
+        // this key: 64 divides neither C = 32 nor C' = 32.
         let w = Wisdom::new();
-        let shape = BlockShape { n_blk: 8, c_blk: 32, cp_blk: 32 };
-        // First ask: model answer, recorded as a hint.
-        let sb = superblock_with_wisdom(&w, 8, 100, 32, 32, 4, shape);
-        assert!(sb >= 1);
-        let key = Wisdom::key(100, 32, 32, 8, 4);
-        assert_eq!(w.superblock_hint(&key), Some(sb));
-        // A pre-seeded hint wins over the model.
-        let key2 = Wisdom::key(50, 32, 32, 8, 4);
-        w.insert_with_superblock(key2, shape, 7);
-        assert_eq!(superblock_with_wisdom(&w, 8, 50, 32, 32, 4, shape), 7);
+        let key = Wisdom::key(32, 32, 32, 2, 1);
+        w.insert(key.clone(), BlockShape { n_blk: 8, c_blk: 64, cp_blk: 64 });
+        let cfg = TuneConfig { reps: 1, max_candidates: 2 };
+        let s = autotune_with_wisdom(&w, 2, 32, 32, 32, &SerialExecutor, cfg);
+        assert_eq!((32 % s.c_blk, 32 % s.cp_blk), (0, 0));
+        assert_eq!(w.get(&key), Some(s), "the stale entry is overwritten");
     }
 
     #[test]

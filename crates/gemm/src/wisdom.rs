@@ -7,34 +7,25 @@
 //! ```text
 //! # wino-gemm wisdom v1
 //! r784_c256_cp256_t36_th64 = 14 128 128
-//! r784_c256_cp256_t36_th64 = 14 128 128 4
 //! ```
 //!
-//! The optional fourth number is the tuned *superblock* extent (row
-//! blocks per superblock) of the pipelined schedule; three-number lines
-//! from older wisdom files load fine and fall back to the analytic
-//! footprint model ([`crate::model::BlockShape::superblock_row_blocks`]).
+//! Some older files carry a fourth number per line; it is read and
+//! ignored, and never written.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Mutex;
 
+use wino_simd::S;
+
 use crate::micro::MAX_N_BLK;
 use crate::model::BlockShape;
-
-/// One remembered tuning result: the blocking plus (optionally) the
-/// pipelined superblock extent in row blocks.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Entry {
-    shape: BlockShape,
-    superblock: Option<usize>,
-}
 
 /// Thread-safe wisdom map: problem key → best blocking.
 #[derive(Debug, Default)]
 pub struct Wisdom {
-    map: Mutex<HashMap<String, Entry>>,
+    map: Mutex<HashMap<String, BlockShape>>,
 }
 
 impl Wisdom {
@@ -80,25 +71,11 @@ impl Wisdom {
     }
 
     pub fn get(&self, key: &str) -> Option<BlockShape> {
-        self.map.lock().unwrap().get(key).map(|e| e.shape)
-    }
-
-    /// Tuned superblock extent (row blocks) for the pipelined schedule,
-    /// if this entry carries one. `None` means "use the analytic model".
-    pub fn superblock_hint(&self, key: &str) -> Option<usize> {
-        self.map.lock().unwrap().get(key).and_then(|e| e.superblock)
+        self.map.lock().unwrap().get(key).copied()
     }
 
     pub fn insert(&self, key: String, shape: BlockShape) {
-        self.map.lock().unwrap().insert(key, Entry { shape, superblock: None });
-    }
-
-    /// Insert a blocking together with a tuned superblock extent.
-    pub fn insert_with_superblock(&self, key: String, shape: BlockShape, superblock: usize) {
-        self.map
-            .lock()
-            .unwrap()
-            .insert(key, Entry { shape, superblock: Some(superblock) });
+        self.map.lock().unwrap().insert(key, shape);
     }
 
     pub fn len(&self) -> usize {
@@ -113,8 +90,10 @@ impl Wisdom {
     /// ignored (forward compatibility), comments start with `#`; even
     /// binary garbage only yields an empty store, never an error — the
     /// caller's analytic-model fallback must always be reachable. An
-    /// entry whose `n_blk` no micro-kernel accepts (outside
-    /// `1..=`[`MAX_N_BLK`]) is malformed and ignored the same way.
+    /// entry no micro-kernel accepts — `n_blk` outside
+    /// `1..=`[`MAX_N_BLK`], or a `c_blk` / `cp_blk` that is zero or not a
+    /// multiple of the vector width — is malformed and ignored the same
+    /// way.
     pub fn load(path: &Path) -> io::Result<Wisdom> {
         let bytes = std::fs::read(path)?;
         Ok(Self::parse(&String::from_utf8_lossy(&bytes)))
@@ -131,16 +110,15 @@ impl Wisdom {
             let Some((key, rest)) = line.split_once('=') else { continue };
             let nums: Vec<usize> =
                 rest.split_whitespace().filter_map(|s| s.parse().ok()).collect();
-            if (nums.len() == 3 || nums.len() == 4) && (1..=MAX_N_BLK).contains(&nums[0]) {
-                // A zero superblock would be meaningless — treat it as
-                // absent rather than propagating a degenerate extent.
-                let superblock = nums.get(3).copied().filter(|&sb| sb > 0);
-                w.map.lock().unwrap().insert(
+            let channel_block = |b: usize| b > 0 && b.is_multiple_of(S);
+            if (nums.len() == 3 || nums.len() == 4)
+                && (1..=MAX_N_BLK).contains(&nums[0])
+                && channel_block(nums[1])
+                && channel_block(nums[2])
+            {
+                w.insert(
                     key.trim().to_string(),
-                    Entry {
-                        shape: BlockShape { n_blk: nums[0], c_blk: nums[1], cp_blk: nums[2] },
-                        superblock,
-                    },
+                    BlockShape { n_blk: nums[0], c_blk: nums[1], cp_blk: nums[2] },
                 );
             }
         }
@@ -160,14 +138,8 @@ impl Wisdom {
         keys.sort();
         let mut text = String::from("# wino-gemm wisdom v1\n");
         for k in keys {
-            let e = map[k];
-            let s = e.shape;
-            match e.superblock {
-                Some(sb) => {
-                    text.push_str(&format!("{k} = {} {} {} {sb}\n", s.n_blk, s.c_blk, s.cp_blk));
-                }
-                None => text.push_str(&format!("{k} = {} {} {}\n", s.n_blk, s.c_blk, s.cp_blk)),
-            }
+            let s = map[k];
+            text.push_str(&format!("{k} = {} {} {}\n", s.n_blk, s.c_blk, s.cp_blk));
         }
         // Same directory as the target so the rename cannot cross a
         // filesystem boundary (rename(2) is only atomic within one).
@@ -190,7 +162,7 @@ impl Wisdom {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{default_shape, SUPERBLOCK_L2_BYTES};
+    use crate::model::default_shape;
 
     #[test]
     fn roundtrip_through_file() {
@@ -213,37 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn superblock_entries_roundtrip() {
-        let dir =
-            std::env::temp_dir().join(format!("wino-wisdom-sb-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wisdom.txt");
-
-        let w = Wisdom::new();
-        let key_sb = Wisdom::key(784, 256, 256, 36, 64);
-        let key_plain = Wisdom::key(100, 64, 64, 16, 4);
-        w.insert_with_superblock(
-            key_sb.clone(),
-            BlockShape { n_blk: 6, c_blk: 128, cp_blk: 128 },
-            4,
-        );
-        w.insert(key_plain.clone(), BlockShape { n_blk: 4, c_blk: 64, cp_blk: 64 });
-        w.save(&path).unwrap();
-
-        let loaded = Wisdom::load(&path).unwrap();
-        assert_eq!(loaded.superblock_hint(&key_sb), Some(4));
-        assert_eq!(
-            loaded.get(&key_sb),
-            Some(BlockShape { n_blk: 6, c_blk: 128, cp_blk: 128 })
-        );
-        // Plain entries stay hint-free — the planner falls back to the
-        // analytic footprint model.
-        assert_eq!(loaded.superblock_hint(&key_plain), None);
-        assert!(loaded.get(&key_plain).is_some());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn malformed_lines_are_skipped() {
         let dir = std::env::temp_dir().join(format!("wino-wisdom-bad-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -262,36 +203,42 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
 
         // A grab bag of damage: binary noise, truncated mid-line, too
-        // many fields, negative and overflowing numbers, a zero
-        // superblock. None may panic; none may produce a usable entry
-        // except the intact ones.
+        // many fields, negative and overflowing numbers, channel blocks
+        // no kernel accepts. None may panic; none may produce a usable
+        // entry except the intact ones.
         let cases: &[(&str, &[u8])] = &[
             ("binary", b"\x00\xff\xfe wino \x01\x02 = 8 64"),
             ("truncated", b"r784_c256_cp256_t36_th64 = 14 12"),
             ("too_many", b"k = 1 2 3 4 5\n"),
             ("negative", b"k = -8 64 64\n"),
             ("overflow", b"k = 99999999999999999999999999 64 64\n"),
-            ("zero_sb", b"k = 4 64 64 0\n"),
+            ("zero_c_blk", b"k = 8 0 64\n"),
+            ("zero_cp_blk", b"k = 8 64 0\n"),
+            ("unaligned_c_blk", b"k = 8 24 64\n"),
+            ("unaligned_cp_blk", b"k = 8 64 40\n"),
+            ("legacy_four", b"k = 4 64 64 7\n"),
         ];
         for (name, bytes) in cases {
             let path = dir.join(format!("{name}.txt"));
             std::fs::write(&path, bytes).unwrap();
             let w = Wisdom::load(&path).unwrap();
             match *name {
-                // A zero superblock hint degrades to "no hint" — the
-                // blocking itself is intact, the planner uses the model.
-                "zero_sb" => {
+                // The fourth number of an older file is read and ignored:
+                // the blocking is intact, and saving writes three numbers.
+                "legacy_four" => {
                     assert_eq!(w.get("k"), Some(BlockShape { n_blk: 4, c_blk: 64, cp_blk: 64 }));
-                    assert_eq!(w.superblock_hint("k"), None);
+                    w.save(&path).unwrap();
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    assert_eq!(text, "# wino-gemm wisdom v1\nk = 4 64 64\n");
                 }
                 _ => assert!(w.is_empty(), "case {name} produced entries"),
             }
         }
 
         // After any of these failures the caller's fallback — the
-        // analytic model — must still produce a legal plan.
+        // analytic model — must still produce a legal blocking.
         let shape = default_shape(64, 64, 784);
-        assert!(shape.superblock_row_blocks(36, 64, 64, SUPERBLOCK_L2_BYTES) >= 1);
+        assert_eq!((64 % shape.c_blk, 64 % shape.cp_blk), (0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -478,7 +425,6 @@ mod tests {
             for groups in [1usize, 4] {
                 let key = Wisdom::scenario_key(784, 256, 256, 36, 64, stride, &[1, 1], groups);
                 assert_eq!(w.get(&key), None, "corrupt suffix resolved for {key}");
-                assert_eq!(w.superblock_hint(&key), None);
             }
         }
         std::fs::remove_dir_all(&dir).ok();
@@ -492,10 +438,8 @@ mod tests {
         let text = "tall = 30 128 128 4\nshort = 1 64 64\nzero = 0 64 64\nover = 31 64 64 2\n";
         let w = Wisdom::parse(text);
         assert_eq!(w.get("tall"), Some(BlockShape { n_blk: 30, c_blk: 128, cp_blk: 128 }));
-        assert_eq!(w.superblock_hint("tall"), Some(4));
         assert_eq!(w.get("short"), Some(BlockShape { n_blk: 1, c_blk: 64, cp_blk: 64 }));
         assert_eq!(w.get("zero"), None);
         assert_eq!(w.get("over"), None);
-        assert_eq!(w.superblock_hint("over"), None);
     }
 }

@@ -19,10 +19,6 @@ pub enum SpanCategory {
     /// Stage 3: `Aᵀ` inverse transform into the output image (also the
     /// im2col baseline's scatter back to the blocked layout).
     OutputTransform,
-    /// The pipelined schedule's fused stage chain: stages 1→2→3 executed
-    /// per L2-resident superblock inside a single fork–join (coordinator
-    /// wall time of that fork–join).
-    SuperblockPipeline,
     /// Per-task gather of one input tile (a sub-span of InputTransform —
     /// worker-thread CPU time, not wall time).
     TileExtract,
@@ -49,12 +45,11 @@ pub enum SpanCategory {
 }
 
 /// All categories, in the order stage reports list them.
-pub const ALL_CATEGORIES: [SpanCategory; 13] = [
+pub const ALL_CATEGORIES: [SpanCategory; 12] = [
     SpanCategory::InputTransform,
     SpanCategory::KernelTransform,
     SpanCategory::ElementwiseGemm,
     SpanCategory::OutputTransform,
-    SpanCategory::SuperblockPipeline,
     SpanCategory::TileExtract,
     SpanCategory::BarrierWait,
     SpanCategory::ForkJoin,
@@ -74,7 +69,6 @@ impl SpanCategory {
             SpanCategory::KernelTransform => "kernel-transform",
             SpanCategory::ElementwiseGemm => "elementwise-gemm",
             SpanCategory::OutputTransform => "output-transform",
-            SpanCategory::SuperblockPipeline => "superblock-pipeline",
             SpanCategory::TileExtract => "tile-extract",
             SpanCategory::BarrierWait => "barrier-wait",
             SpanCategory::ForkJoin => "fork-join",
@@ -135,7 +129,6 @@ mod tests {
     #[test]
     fn stage_classification() {
         assert!(SpanCategory::InputTransform.is_stage());
-        assert!(SpanCategory::SuperblockPipeline.is_stage());
         assert!(SpanCategory::DirectKernel.is_stage());
         assert!(!SpanCategory::ForkJoin.is_stage());
         assert!(!SpanCategory::BarrierWait.is_stage());

@@ -218,9 +218,8 @@ impl Executor for DynamicExecutor {
     ) -> Result<(), PoolError> {
         let total: usize = dims.iter().product();
         // Shrink the claim chunk when the grid is small relative to the
-        // thread count (e.g. the pipelined schedule's per-layer queue of a
-        // handful of superblocks) so every slot still gets work; coarse
-        // chunks would let one thread claim the whole grid.
+        // thread count (a handful of tasks) so every slot still gets
+        // work; coarse chunks would let one thread claim the whole grid.
         let chunk = DYNAMIC_CHUNK.min(total.div_ceil(self.threads)).max(1);
         let next = AtomicUsize::new(0);
         let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
@@ -323,8 +322,8 @@ mod tests {
         check_covers(&e, &[6, 6]);
         check_covers(&e, &[1]);
         check_covers(&e, &[37]); // not a multiple of the claim chunk
-        // Grids smaller than threads × chunk (a superblock queue): the
-        // adaptive chunk must still cover every index exactly once.
+        // Grids smaller than threads × chunk: the adaptive chunk must
+        // still cover every index exactly once.
         check_covers(&e, &[3]);
         check_covers(&e, &[5]);
     }

@@ -192,9 +192,8 @@ pub unsafe fn prefetch_t1(p: *const u8) {
 }
 
 /// Prefetch every cache line of the `bytes`-long span starting at `p`
-/// into L2 (hint T1). Used by the superblock pipeline to pull the next
-/// superblock's input tiles toward the core while the current one is
-/// still being computed.
+/// into L2 (hint T1). Stage 3 uses it to pull the next tile's chunk of
+/// `I'` toward the core while the current one is transformed.
 ///
 /// # Safety
 /// See [`prefetch_t0`]; the span should lie within one real allocation.

@@ -16,6 +16,21 @@ run() {
     timeout --kill-after=30 "$1" "${@:2}"
 }
 
+# As `run`, for `cargo test` invocations that pass name filters: a filter
+# that matches nothing still exits 0, so a renamed test would silently
+# empty its gate. Fails unless the run reports at least one test passed.
+run_filtered() {
+    local log passed
+    log=$(mktemp)
+    run "$@" 2>&1 | tee "$log"
+    passed=$(awk '/^test result:/ { n += $4 } END { print n + 0 }' "$log")
+    rm -f "$log"
+    if [ "$passed" -eq 0 ]; then
+        echo "error: no test matched the filters of: ${*:2}" >&2
+        return 1
+    fi
+}
+
 run "$BUILD_TIMEOUT" cargo build --workspace --offline --release
 run "$BUILD_TIMEOUT" cargo build --workspace --offline --all-targets
 # Feature matrix: default × probe × fault-inject, plus both together —
@@ -35,11 +50,11 @@ run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features
 # gates below. `WINO_SIMD=scalar` is also the only configuration in which
 # an AVX-512 host exercises the planned Jit → Mono fallback.
 #
-# Differential gate: ≥300 random layers through all three stage schedules
-# (unfused / fused-scatter / pipelined) across the full (stride, dilation,
-# groups) lattice against the f64 geometry oracle. The seed is pinned
-# (0xd1ff2026, the test's default) so CI failures reproduce locally
-# byte-for-byte; the minimal-shrink reporter names the offender.
+# Differential gate: ≥300 random layers across the full (stride, dilation,
+# groups) lattice through the dispatch layer against the f64 geometry
+# oracle. The seed is pinned (0xd1ff2026, the test's default) so CI
+# failures reproduce locally byte-for-byte; the minimal-shrink reporter
+# names the offender.
 #
 # Dispatch-matrix gate: the exhaustive (rank, stride, dilation, groups)
 # grid must route every representable combination to its specified engine
@@ -49,8 +64,9 @@ run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features
 # extent, dilation past the padding, depthwise, non-divisible groups)
 # ride in the same gate.
 #
-# Plus the Pipelined-vs-monolithic bitwise battery and the executor/JIT
-# agreement tests, which compare runs *within* one backend.
+# Plus the cross-implementation equivalence battery (Winograd, direct,
+# im2col, FFT against the f64 oracle) and the executor/JIT agreement
+# tests, which compare runs *within* one backend.
 #
 # Codelet gate: the build-time generated transform codelets must equal
 # the interpreter element for element (every table entry × Bᵀ/G/Aᵀ ×
@@ -70,12 +86,12 @@ isas=(scalar)
 grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null && isas+=(avx2)
 grep -qw avx512f /proc/cpuinfo 2>/dev/null && isas+=(avx512)
 for isa in "${isas[@]}"; do
-    run "$TEST_TIMEOUT" env WINO_SIMD="$isa" WINO_SWEEP_SEED=3523158054 \
-        cargo test --offline -q --test properties differential_schedule_sweep
+    run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" WINO_SWEEP_SEED=3523158054 \
+        cargo test --offline -q --test properties differential_geometry_sweep
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q --test dispatch_matrix --test tile_edge_cases \
         --test pipeline_equivalence --test parallel_and_jit
-    run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+    run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
         codelet:: vecprog:: stage1:: stage3:: select::
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
@@ -87,15 +103,15 @@ done
 # bound (the `accuracy` binary exits non-zero on a violation); (b) the
 # three smoke layers must come through budget-driven tile selection and a
 # sentinel-sampled forward with zero trips; (c) the sentinel sample and
-# verdicts must be schedule/executor-deterministic under the pinned CI
-# seed; (d) the denormal-storm and silent-corruption regressions must be
+# verdicts must be executor-deterministic under the pinned CI seed;
+# (d) the denormal-storm and silent-corruption regressions must be
 # caught and rescued under fault injection.
 run "$TEST_TIMEOUT" cargo run --offline --release -q -p wino-bench --bin accuracy
 run "$TEST_TIMEOUT" cargo run --offline --release -q -p wino-bench --bin accuracy -- \
     --sentinel-smoke
 run "$TEST_TIMEOUT" env WINO_SWEEP_SEED=3523158054 \
     cargo test --offline -q --test sentinel
-run "$TEST_TIMEOUT" cargo test --offline -q --features fault-inject \
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q --features fault-inject \
     --test fault_injection -- denormal_storm silent_corruption
 
 # Documentation gate: rustdoc must build warning-free (broken intra-doc
@@ -125,7 +141,7 @@ run "$ANALYZE_TIMEOUT" cargo run --offline --release -q -p wino-analyze --bin wi
 # Topology gate: the sysfs parser must round-trip the pinned fixture
 # trees (1-socket, 2-socket SMT, CCX) through the WINO_TOPOLOGY spec
 # grammar — the contract that lets CI pin any machine shape it wants.
-run "$TEST_TIMEOUT" cargo test --offline -q -p wino-sched topology
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-sched topology
 
 # Observability gate: an instrumented smoke run must emit a perf report
 # that validates against the versioned schema (docs/bench-schema.md).
@@ -141,7 +157,7 @@ scripts/bench.sh --scaling-smoke
 # price the allocator's real traffic within 10% — the per-component
 # exact-match unit tests plus the end-to-end cold-start prediction test
 # (plan + kernel memoisation + forward) in wino-conv.
-run "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv footprint
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv footprint
 
 # Serving gate: a fault-injected overload soak — ≥10k requests fired at
 # ~2× the measured sustainable rate, with worker panics, barrier stalls

@@ -38,7 +38,6 @@ target/release/table3 --threads "$THREADS" | tee results/table3.txt
 
 echo "== ablations =="
 target/release/ablations streaming-stores --threads "$THREADS" > results/abl_stream.csv
-target/release/ablations fused-scatter    --threads "$THREADS" > results/abl_fused.csv
 target/release/ablations blocking-model                        > results/abl_block.csv
 target/release/ablations scheduling       --threads "$THREADS" > results/abl_sched.csv
 target/release/ablations budden-net       --threads "$THREADS" > results/abl_budden.csv

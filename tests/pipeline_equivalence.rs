@@ -4,9 +4,7 @@
 //! direct convolution as the arbiter.
 
 use winograd_nd_repro::baseline::{direct_conv, direct_f64, element_errors, im2col_conv};
-use winograd_nd_repro::conv::{
-    convolve_simple, ConvOptions, Schedule, Scratch, WinogradLayer,
-};
+use winograd_nd_repro::conv::{convolve_simple, ConvOptions, Scratch, WinogradLayer};
 use winograd_nd_repro::fft::fft_conv;
 use winograd_nd_repro::sched::SerialExecutor;
 use winograd_nd_repro::tensor::{BlockedImage, BlockedKernels, ConvShape, SimpleImage, SimpleKernels};
@@ -36,39 +34,22 @@ fn check_all(shape: ConvShape, m: &[usize], tol: f64) {
     let ker = kernels(&shape, 2);
     let truth = direct_f64(&img, &ker, &shape.padding);
 
-    // Winograd, under every stage schedule. The schedules only move the
-    // fork–join barriers, so beyond the accuracy bound they must agree
-    // with each other bitwise.
-    let mut per_schedule: Vec<Vec<f32>> = Vec::new();
-    for schedule in Schedule::ALL {
-        let opts = ConvOptions { schedule, ..Default::default() };
-        let plan = WinogradLayer::new(shape.clone(), m, opts).unwrap();
-        let bi = BlockedImage::from_simple(&img).unwrap();
-        let bk = BlockedKernels::from_simple(&ker).unwrap();
-        let mut scratch = Scratch::new(&plan, 1);
-        let mut out = plan.new_output().unwrap();
-        plan.forward(&bi, &bk, &mut out, &mut scratch, &SerialExecutor).unwrap();
-        let (e, _) = element_errors(&out.to_simple(), &truth);
-        assert!(e < tol, "winograd F({m:?}) [{}]: max err {e}", schedule.name());
-        per_schedule.push(out.as_slice().to_vec());
-    }
-    for (s, r) in Schedule::ALL.iter().zip(&per_schedule).skip(1) {
-        assert_eq!(
-            r, &per_schedule[0],
-            "schedule {} diverged from {} for F({m:?})",
-            s.name(),
-            Schedule::ALL[0].name()
-        );
-    }
+    // Winograd through an explicit plan.
+    let plan = WinogradLayer::new(shape.clone(), m, ConvOptions::default()).unwrap();
+    let bi = BlockedImage::from_simple(&img).unwrap();
+    let bk = BlockedKernels::from_simple(&ker).unwrap();
+    let mut scratch = Scratch::new(&plan, 1);
+    let mut out = plan.new_output().unwrap();
+    plan.forward(&bi, &bk, &mut out, &mut scratch, &SerialExecutor).unwrap();
+    let (e, _) = element_errors(&out.to_simple(), &truth);
+    assert!(e < tol, "winograd F({m:?}) plan: max err {e}");
 
-    // The one-shot convenience API (default schedule).
+    // The one-shot convenience API.
     let wino = convolve_simple(&img, &ker, &shape.padding, m).unwrap();
     let (e, _) = element_errors(&wino, &truth);
     assert!(e < tol, "winograd F({m:?}): max err {e}");
 
     // Direct (blocked, vectorised).
-    let bi = BlockedImage::from_simple(&img).unwrap();
-    let bk = BlockedKernels::from_simple(&ker).unwrap();
     let mut out = BlockedImage::zeros(shape.batch, shape.out_channels, &truth.dims).unwrap();
     direct_conv(&bi, &bk, &shape.padding, &mut out, &SerialExecutor).unwrap();
     let (e, _) = element_errors(&out.to_simple(), &truth);

@@ -3,7 +3,7 @@
 //! The accuracy sentinels (`wino_conv::sentinel`) are only trustworthy
 //! evidence if they are *reproducible*: the same seed must check the
 //! same output tiles and reach the same verdicts no matter which
-//! execution schedule or executor produced the output. And when sampling
+//! executor produced the output. And when sampling
 //! is disabled they must be provably free — no oracle convolutions, no
 //! counter movement — so the default policy costs nothing.
 //!
@@ -14,7 +14,7 @@
 
 use winograd_nd_repro::conv::{
     sample_units, verify_sample, Activation, ConvOptions, FallbackPolicy, LayerSpec, Network,
-    Schedule, Scratch, SentinelConfig, WinogradLayer,
+    Scratch, SentinelConfig, WinogradLayer,
 };
 use winograd_nd_repro::probe::Counter;
 use winograd_nd_repro::sched::{Executor, SerialExecutor, StaticExecutor};
@@ -45,7 +45,7 @@ fn forward(
 }
 
 /// Same seed ⇒ identical sampled tile set and identical verdicts across
-/// every execution schedule and both executor kinds. The sample depends
+/// both executor kinds. The sample depends
 /// only on (seed, layer index, geometry) — never on how the forward was
 /// parallelised.
 #[test]
@@ -57,42 +57,36 @@ fn sentinel_sample_and_verdicts_match_across_schedules_and_executors() {
 
     let mut want_units: Option<Vec<usize>> = None;
     let mut want_checked: Option<usize> = None;
-    for schedule in Schedule::ALL {
-        let opts = ConvOptions { schedule, ..Default::default() };
-        let plan = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
-        for threads in [1usize, 4] {
-            let exec: Box<dyn Executor> = if threads == 1 {
-                Box::new(SerialExecutor)
-            } else {
-                Box::new(StaticExecutor::new(threads))
-            };
-            let out = forward(&plan, &input, &kernels, exec.as_ref());
+    let plan = WinogradLayer::new(shape, &[4, 4], ConvOptions::default()).unwrap();
+    for threads in [1usize, 4] {
+        let exec: Box<dyn Executor> = if threads == 1 {
+            Box::new(SerialExecutor)
+        } else {
+            Box::new(StaticExecutor::new(threads))
+        };
+        let out = forward(&plan, &input, &kernels, exec.as_ref());
 
-            let units = sample_units(&plan, &cfg, 0);
-            match &want_units {
-                None => want_units = Some(units),
-                Some(w) => assert_eq!(
-                    &units, w,
-                    "{}/{threads}t: sampled unit set must not depend on the executor",
-                    schedule.name()
-                ),
-            }
-            let checked = verify_sample(&plan, &input, &kernels, &out, &cfg, 0)
-                .unwrap_or_else(|e| {
-                    panic!("{}/{threads}t: clean forward tripped: {e}", schedule.name())
-                });
-            match want_checked {
-                None => want_checked = Some(checked),
-                Some(w) => assert_eq!(checked, w, "{}/{threads}t", schedule.name()),
-            }
+        let units = sample_units(&plan, &cfg, 0);
+        match &want_units {
+            None => want_units = Some(units),
+            Some(w) => assert_eq!(
+                &units, w,
+                "{threads}t: sampled unit set must not depend on the executor"
+            ),
+        }
+        let checked = verify_sample(&plan, &input, &kernels, &out, &cfg, 0)
+            .unwrap_or_else(|e| panic!("{threads}t: clean forward tripped: {e}"));
+        match want_checked {
+            None => want_checked = Some(checked),
+            Some(w) => assert_eq!(checked, w, "{threads}t"),
         }
     }
     assert_eq!(want_checked, Some(6));
 }
 
-/// A corruption trips the *same sampled unit* under every schedule and
-/// executor — the verdict, like the sample, is a function of the seed
-/// and the data, not of the execution strategy.
+/// A corruption trips the *same sampled unit* under every executor —
+/// the verdict, like the sample, is a function of the seed and the data,
+/// not of the execution strategy.
 #[test]
 fn corruption_trips_the_same_unit_under_every_schedule() {
     let seed = sweep_seed();
@@ -100,34 +94,29 @@ fn corruption_trips_the_same_unit_under_every_schedule() {
     let (input, kernels) = layer_data(&shape, seed);
 
     let mut want_unit: Option<usize> = None;
-    for schedule in Schedule::ALL {
-        let opts = ConvOptions { schedule, ..Default::default() };
-        let plan = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
-        // Sample everything so the verdict is exact, not probabilistic.
-        let n = (plan.shape.batch * plan.grid.total_tiles()) as u32;
-        let cfg = SentinelConfig::sampled(n, seed);
-        for threads in [1usize, 4] {
-            let exec: Box<dyn Executor> = if threads == 1 {
-                Box::new(SerialExecutor)
-            } else {
-                Box::new(StaticExecutor::new(threads))
-            };
-            let mut out = forward(&plan, &input, &kernels, exec.as_ref());
-            for v in out.as_mut_slice().iter_mut() {
-                *v += 64.0; // finite, invisible to check_finite
-            }
-            let trip = verify_sample(&plan, &input, &kernels, &out, &cfg, 0)
-                .expect_err("uniform corruption must trip");
-            assert!(trip.rel_err > trip.bound);
-            match want_unit {
-                None => want_unit = Some(trip.unit),
-                Some(w) => assert_eq!(
-                    trip.unit,
-                    w,
-                    "{}/{threads}t: the first tripping unit must be deterministic",
-                    schedule.name()
-                ),
-            }
+    let plan = WinogradLayer::new(shape, &[4, 4], ConvOptions::default()).unwrap();
+    // Sample everything so the verdict is exact, not probabilistic.
+    let n = (plan.shape.batch * plan.grid.total_tiles()) as u32;
+    let cfg = SentinelConfig::sampled(n, seed);
+    for threads in [1usize, 4] {
+        let exec: Box<dyn Executor> = if threads == 1 {
+            Box::new(SerialExecutor)
+        } else {
+            Box::new(StaticExecutor::new(threads))
+        };
+        let mut out = forward(&plan, &input, &kernels, exec.as_ref());
+        for v in out.as_mut_slice().iter_mut() {
+            *v += 64.0; // finite, invisible to check_finite
+        }
+        let trip = verify_sample(&plan, &input, &kernels, &out, &cfg, 0)
+            .expect_err("uniform corruption must trip");
+        assert!(trip.rel_err > trip.bound);
+        match want_unit {
+            None => want_unit = Some(trip.unit),
+            Some(w) => assert_eq!(
+                trip.unit, w,
+                "{threads}t: the first tripping unit must be deterministic"
+            ),
         }
     }
 }

@@ -2,13 +2,11 @@
 //! and the clipped inverse-transform write are most likely to go wrong —
 //! tiles overhanging the border in *every* dimension simultaneously,
 //! 1-wide and 1-deep inputs, and tiles larger than the spatial extent
-//! itself. Every case runs under all three stage schedules (so both the
-//! monolithic and the superblock-pipelined tile paths are exercised) and
-//! is checked against the f64 direct oracle; the schedules must also
-//! agree with each other bitwise.
+//! itself. Every case is checked against the f64 direct oracle, serially
+//! and on a 3-thread pool, which must agree bitwise.
 
 use winograd_nd_repro::baseline::{direct_f64, element_errors};
-use winograd_nd_repro::conv::{ConvOptions, Schedule, Scratch, WinogradLayer};
+use winograd_nd_repro::conv::{ConvOptions, Scratch, WinogradLayer};
 use winograd_nd_repro::sched::{SerialExecutor, StaticExecutor};
 use winograd_nd_repro::tensor::{
     BlockedImage, BlockedKernels, ConvShape, SimpleImage, SimpleKernels,
@@ -34,8 +32,8 @@ fn kernels(cp: usize, c: usize, kd: &[usize], seed: usize) -> SimpleKernels {
     })
 }
 
-/// Run `(dims, kd, pad, m)` under every schedule (serial and a 3-thread
-/// pool for the pipelined path) and check against the direct oracle.
+/// Run `(dims, kd, pad, m)` serially and on a 3-thread pool and check
+/// against the direct oracle.
 fn check_case(dims: &[usize], kd: &[usize], pad: &[usize], m: &[usize], label: &str) {
     let (c, cp) = (16, 16);
     let img = image(1, c, dims, 7);
@@ -45,40 +43,21 @@ fn check_case(dims: &[usize], kd: &[usize], pad: &[usize], m: &[usize], label: &
     let bi = BlockedImage::from_simple(&img).unwrap();
     let bk = BlockedKernels::from_simple(&ker).unwrap();
 
-    let mut reference: Option<Vec<f32>> = None;
-    for schedule in Schedule::ALL {
-        let opts = ConvOptions { schedule, ..Default::default() };
-        let plan = WinogradLayer::new(shape.clone(), m, opts)
-            .unwrap_or_else(|e| panic!("{label} [{}]: plan rejected: {e:?}", schedule.name()));
-        let mut scratch = Scratch::new(&plan, 1);
-        let mut out = plan.new_output().unwrap();
-        plan.forward(&bi, &bk, &mut out, &mut scratch, &SerialExecutor).unwrap();
-        let (e, _) = element_errors(&out.to_simple(), &truth);
-        assert!(e < 2e-3, "{label} [{}]: max err {e}", schedule.name());
-        match &reference {
-            None => reference = Some(out.as_slice().to_vec()),
-            Some(r) => assert_eq!(
-                out.as_slice(),
-                &r[..],
-                "{label} [{}]: diverged from first schedule",
-                schedule.name()
-            ),
-        }
+    let plan = WinogradLayer::new(shape, m, ConvOptions::default())
+        .unwrap_or_else(|e| panic!("{label}: plan rejected: {e:?}"));
+    let mut scratch = Scratch::new(&plan, 1);
+    let mut out = plan.new_output().unwrap();
+    plan.forward(&bi, &bk, &mut out, &mut scratch, &SerialExecutor).unwrap();
+    let (e, _) = element_errors(&out.to_simple(), &truth);
+    assert!(e < 2e-3, "{label}: max err {e}");
 
-        // The parallel pipelined path partitions superblocks across
-        // slots — edge tiles must land identically.
-        if schedule == Schedule::Pipelined {
-            let pool = StaticExecutor::new(3);
-            let mut scratch_p = Scratch::new(&plan, 3);
-            let mut out_p = plan.new_output().unwrap();
-            plan.forward(&bi, &bk, &mut out_p, &mut scratch_p, &pool).unwrap();
-            assert_eq!(
-                out_p.as_slice(),
-                &reference.as_ref().unwrap()[..],
-                "{label}: parallel pipelined diverged"
-            );
-        }
-    }
+    // The pool partitions the tiles across slots — edge tiles must land
+    // identically.
+    let pool = StaticExecutor::new(3);
+    let mut scratch_p = Scratch::new(&plan, 3);
+    let mut out_p = plan.new_output().unwrap();
+    plan.forward(&bi, &bk, &mut out_p, &mut scratch_p, &pool).unwrap();
+    assert_eq!(out_p.as_slice(), out.as_slice(), "{label}: parallel diverged from serial");
 }
 
 #[test]
@@ -134,8 +113,7 @@ use winograd_nd_repro::tensor::ShapeError;
 
 /// As [`check_case`], but through the dispatch layer with a full
 /// (stride, dilation, groups) geometry. The per-path tolerance is loose
-/// enough for Winograd routes and tight for im2col ones; all schedules
-/// must agree bitwise regardless of route.
+/// enough for Winograd routes and tight for im2col ones.
 #[allow(clippy::too_many_arguments)]
 fn check_geo_case(
     dims: &[usize],
@@ -151,35 +129,22 @@ fn check_geo_case(
     let img = image(1, c, dims, 7);
     let ker = kernels(cp, c / groups, kd, 11);
     let shape = ConvShape::new(1, c, cp, dims, kd, pad).unwrap();
-    let base = ConvOptions::default()
+    let opts = ConvOptions::default()
         .with_stride(stride)
         .with_dilation(dilation)
         .with_groups(groups);
-    let truth = direct_f64_geo(&img, &ker, pad, &base.geometry(dims.len()));
+    let truth = direct_f64_geo(&img, &ker, pad, &opts.geometry(dims.len()));
     let bi = BlockedImage::from_simple(&img).unwrap();
     let bk = BlockedKernels::from_simple(&ker).unwrap();
 
-    let mut reference: Option<Vec<f32>> = None;
-    for schedule in Schedule::ALL {
-        let opts = ConvOptions { schedule, ..base };
-        let (dp, _fb) = plan_dispatch(&shape, m, opts, &FallbackPolicy::default())
-            .unwrap_or_else(|e| panic!("{label} [{}]: rejected: {e:?}", schedule.name()));
-        let mut out = dp.new_output().unwrap();
-        dp.forward(&bi, &bk, &mut out, &SerialExecutor)
-            .unwrap_or_else(|e| panic!("{label} [{}]: forward failed: {e:?}", schedule.name()));
-        assert_eq!(out.dims, truth.dims, "{label} [{}]", schedule.name());
-        let (e, _) = element_errors(&out.to_simple(), &truth);
-        assert!(e < 2e-3, "{label} [{}]: max err {e}", schedule.name());
-        match &reference {
-            None => reference = Some(out.as_slice().to_vec()),
-            Some(r) => assert_eq!(
-                out.as_slice(),
-                &r[..],
-                "{label} [{}]: diverged from first schedule",
-                schedule.name()
-            ),
-        }
-    }
+    let (dp, _fb) = plan_dispatch(&shape, m, opts, &FallbackPolicy::default())
+        .unwrap_or_else(|e| panic!("{label}: rejected: {e:?}"));
+    let mut out = dp.new_output().unwrap();
+    dp.forward(&bi, &bk, &mut out, &SerialExecutor)
+        .unwrap_or_else(|e| panic!("{label}: forward failed: {e:?}"));
+    assert_eq!(out.dims, truth.dims, "{label}");
+    let (e, _) = element_errors(&out.to_simple(), &truth);
+    assert!(e < 2e-3, "{label}: max err {e}");
 }
 
 #[test]
