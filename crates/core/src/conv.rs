@@ -1,12 +1,18 @@
 //! The public convolution entry points: training mode (transform kernels
 //! every call) and inference "FX" mode (memoised kernel transforms).
+//!
+//! Each is one branch over the plan's schedule
+//! ([`WinogradLayer::is_fused`]): the ring-fused driver (`fused.rs` — one
+//! fork–join, `Û` and `X̂` in a per-thread ring) when the plan is fused and
+//! the executor has no more threads than the plan has panels, else the
+//! paper's three stages. Both compute the same bits.
 
 use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices, ConvShape, SimpleImage, SimpleKernels};
 
 use crate::error::WinoError;
 use crate::plan::{ConvOptions, Scratch, WinogradLayer};
-use crate::{stage1, stage2, stage3};
+use crate::{fused, stage1, stage2, stage3};
 
 /// Memoised kernel transforms (`W` of Table 1) for inference-only use —
 /// the paper's "FX" columns in Fig. 5. Bound to the layer plan that
@@ -25,7 +31,8 @@ impl TransformedKernels {
 
 impl WinogradLayer {
     /// Full convolution, training mode: transforms inputs *and* kernels,
-    /// multiplies, inverse-transforms into `output`.
+    /// multiplies, inverse-transforms into `output` — in four fork–joins
+    /// on the staged schedule, two on the fused one.
     ///
     /// `scratch` must come from [`Scratch::new`] for this layer (or an
     /// identically shaped one) with at least `exec.threads()` slots.
@@ -37,6 +44,10 @@ impl WinogradLayer {
         scratch: &mut Scratch,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
+        if self.runs_fused(exec) {
+            stage1::transform_kernels(self, kernels, scratch, exec)?;
+            return fused::forward(self, input, &scratch.v, output, scratch, exec);
+        }
         stage1::transform_inputs(self, input, scratch, exec)?;
         stage1::transform_kernels(self, kernels, scratch, exec)?;
         stage2::multiply(self, scratch, exec)?;
@@ -56,7 +67,8 @@ impl WinogradLayer {
     }
 
     /// Inference-mode convolution using memoised kernel transforms — the
-    /// kernel-transform stage is skipped entirely.
+    /// kernel-transform stage is skipped entirely (three fork–joins on the
+    /// staged schedule, one on the fused one).
     pub fn forward_fx(
         &self,
         input: &BlockedImage,
@@ -65,6 +77,9 @@ impl WinogradLayer {
         scratch: &mut Scratch,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
+        if self.runs_fused(exec) {
+            return fused::forward(self, input, &kernels.v, output, scratch, exec);
+        }
         stage1::transform_inputs(self, input, scratch, exec)?;
         stage2::multiply_with(self, scratch, &kernels.v, exec)?;
         stage3::inverse_transform(self, scratch, output, exec)
@@ -406,10 +421,11 @@ mod tests {
         }
     }
 
-    /// One fork–join per stage: input transform, kernel transform, the
-    /// batched products (operation ⑥ rides inside them), inverse transform
-    /// — and FX mode skips the kernel transform. Only meaningful with span
-    /// recording on.
+    /// The staged schedule is one fork–join per stage: input transform,
+    /// kernel transform, the batched products (operation ⑥ rides inside
+    /// them), inverse transform — and FX mode skips the kernel transform.
+    /// The fused one is the kernel transform plus one fork–join for
+    /// everything else. Only meaningful with span recording on.
     #[test]
     fn forward_is_four_fork_joins_and_forward_fx_three() {
         if !wino_probe::ENABLED {
@@ -418,20 +434,69 @@ mod tests {
         let shape = ConvShape::new(1, 32, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
         let input = BlockedImage::from_simple(&test_img(1, 32, &[10, 10])).unwrap();
         let kernels = BlockedKernels::from_simple(&test_ker(32, 32, &[3, 3])).unwrap();
+        for (opts, fork_joins) in
+            [(ConvOptions::default(), [2, 1]), (crate::plan::split_reduction(), [4, 3])]
+        {
+            let layer = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
+            assert_eq!(layer.is_fused(), fork_joins == [2, 1]);
+            let mut scratch = Scratch::new(&layer, 1);
+            let tk = layer.prepare_kernels(&kernels, &mut scratch, &SerialExecutor).unwrap();
+            let mut out = layer.new_output().unwrap();
+            let mut exec = wino_sched::ProbedExecutor::new(SerialExecutor);
+            let count = |exec: &mut wino_sched::ProbedExecutor<SerialExecutor>| {
+                exec.take_events()
+                    .iter()
+                    .filter(|e| e.category == wino_probe::SpanCategory::ForkJoin)
+                    .count()
+            };
+            layer.forward(&input, &kernels, &mut out, &mut scratch, &exec).unwrap();
+            assert_eq!(count(&mut exec), fork_joins[0]);
+            layer.forward_fx(&input, &tk, &mut out, &mut scratch, &exec).unwrap();
+            assert_eq!(count(&mut exec), fork_joins[1]);
+        }
+    }
+
+    /// Under a probe a fused pass still reports the three stages: one
+    /// coordinator span each, back to back, covering the fork–join.
+    #[test]
+    fn a_fused_pass_reports_three_stage_spans_that_cover_its_fork_join() {
+        if !wino_probe::ENABLED {
+            return;
+        }
+        use wino_probe::{SpanCategory, COORDINATOR};
+        let shape = ConvShape::new(2, 32, 32, &[18, 18], &[3, 3], &[1, 1]).unwrap();
+        let input = BlockedImage::from_simple(&test_img(2, 32, &[18, 18])).unwrap();
+        let kernels = BlockedKernels::from_simple(&test_ker(32, 32, &[3, 3])).unwrap();
         let layer = WinogradLayer::new(shape, &[4, 4], ConvOptions::default()).unwrap();
-        let mut scratch = Scratch::new(&layer, 1);
-        let tk = layer.prepare_kernels(&kernels, &mut scratch, &SerialExecutor).unwrap();
-        let mut out = layer.new_output().unwrap();
-        let mut exec = wino_sched::ProbedExecutor::new(SerialExecutor);
-        let fork_joins = |exec: &mut wino_sched::ProbedExecutor<SerialExecutor>| {
-            exec.take_events()
+        assert!(layer.is_fused());
+        for threads in [1, 2] {
+            let mut exec = wino_sched::ProbedExecutor::new(StaticExecutor::new(threads));
+            let mut scratch = Scratch::new(&layer, threads);
+            let tk = layer.prepare_kernels(&kernels, &mut scratch, &exec).unwrap();
+            exec.take_events();
+            let mut out = layer.new_output().unwrap();
+            layer.forward_fx(&input, &tk, &mut out, &mut scratch, &exec).unwrap();
+            let events = exec.take_events();
+            let fork_join: Vec<_> =
+                events.iter().filter(|e| e.category == SpanCategory::ForkJoin).collect();
+            assert_eq!(fork_join.len(), 1);
+            let stages: Vec<_> = events
                 .iter()
-                .filter(|e| e.category == wino_probe::SpanCategory::ForkJoin)
-                .count()
-        };
-        layer.forward(&input, &kernels, &mut out, &mut scratch, &exec).unwrap();
-        assert_eq!(fork_joins(&mut exec), 4);
-        layer.forward_fx(&input, &tk, &mut out, &mut scratch, &exec).unwrap();
-        assert_eq!(fork_joins(&mut exec), 3);
+                .filter(|e| e.thread == COORDINATOR && e.category.is_stage())
+                .collect();
+            let categories: Vec<_> = stages.iter().map(|e| e.category).collect();
+            assert_eq!(
+                categories,
+                [SpanCategory::InputTransform, SpanCategory::ElementwiseGemm, SpanCategory::OutputTransform]
+            );
+            assert!(stages.windows(2).all(|w| w[0].end_ns == w[1].start_ns), "back to back");
+            assert!(stages.iter().all(|e| e.duration_ns() > 0), "every phase took time");
+            let wall: u64 = stages.iter().map(|e| e.duration_ns()).sum();
+            let fork_join = fork_join[0].duration_ns();
+            assert!(
+                wall >= fork_join && (wall - fork_join) * 20 <= fork_join,
+                "{threads} threads: stage spans {wall} ns, fork–join {fork_join} ns"
+            );
+        }
     }
 }

@@ -257,17 +257,7 @@ pub(crate) fn ensure_scratch<'s>(
     p: &WinogradLayer,
     threads: usize,
 ) -> Result<&'s mut Scratch, WinoError> {
-    let b = p.block;
-    let (c, cp) = (p.shape.in_channels, p.shape.out_channels);
-    let (t, rows) = (p.t_vol(), p.rows());
-    let fits = slot.as_ref().is_some_and(|sc| {
-        let (u, v, y) = (&sc.u, &sc.v, &sc.y);
-        (u.t_count(), u.rows(), u.cols(), u.rb(), u.cb()) == (t, rows, c, b.n_blk, b.c_blk)
-            && (v.t_count(), v.rows(), v.cols(), v.rb(), v.cb()) == (t, c, cp, b.c_blk, b.cp_blk)
-            && (y.n_tiles(), y.batch(), y.t_vol()) == (p.n_tiles(), p.shape.batch, t)
-            && y.channel_groups() == cp / S
-            && sc.thread_slots() >= threads
-    });
+    let fits = slot.as_ref().is_some_and(|sc| sc.fits(p, threads));
     if !fits {
         // Release the mismatched scratch before allocating the new one:
         // under memory pressure holding both arenas at once is exactly

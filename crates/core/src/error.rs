@@ -31,11 +31,23 @@ impl std::fmt::Display for NumericError {
 impl std::error::Error for NumericError {}
 
 /// Scan a buffer for non-finite values; `Err` carries the first offender.
+///
+/// NaN and ±Inf are exactly the values whose exponent bits are all ones.
+/// That test is OR-reduced over a chunk without an early exit, so the loop
+/// vectorises and the scan runs at memory speed (the guard reads every
+/// layer output of a guarded `run_net`); only a chunk that tripped is
+/// walked for the index.
 pub fn check_finite(stage: &'static str, data: &[f32]) -> Result<(), NumericError> {
-    match data.iter().position(|v| !v.is_finite()) {
-        None => Ok(()),
-        Some(index) => Err(NumericError { stage, index }),
+    const EXP: u32 = 0x7f80_0000;
+    const CHUNK: usize = 1024;
+    for (c, chunk) in data.chunks(CHUNK).enumerate() {
+        let tripped = chunk.iter().fold(0u32, |acc, v| acc | u32::from(v.to_bits() & EXP == EXP));
+        if tripped != 0 {
+            let at = chunk.iter().position(|v| !v.is_finite()).expect("the chunk tripped");
+            return Err(NumericError { stage, index: c * CHUNK + at });
+        }
     }
+    Ok(())
 }
 
 /// Any failure of the convolution engine, from planning to execution.
@@ -194,6 +206,31 @@ mod tests {
         assert_eq!(e.stage, "output");
         let e = check_finite("u", &[f32::NEG_INFINITY]).unwrap_err();
         assert_eq!(e.index, 0);
+    }
+
+    #[test]
+    fn check_finite_agrees_with_the_scalar_scan_across_chunks() {
+        // Several chunks plus a ragged tail; every extreme finite value
+        // passes, and each kind of offender is found where the plain
+        // `is_finite` scan finds it — first, last and on chunk boundaries.
+        let n = 3 * 1024 + 37;
+        let mut data: Vec<f32> = (0..n).map(|i| (i as f32 - 1500.0) * 0.25).collect();
+        data[5] = f32::MAX;
+        data[6] = f32::MIN;
+        data[7] = f32::MIN_POSITIVE / 4.0; // subnormal
+        data[8] = -0.0;
+        assert!(check_finite("output", &data).is_ok());
+        for at in [0, 1023, 1024, 2047, 3 * 1024, n - 1] {
+            for bad in [f32::NAN, -f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut d = data.clone();
+                d[at] = bad;
+                d[n - 1] = f32::NAN; // a later offender never wins
+                let want = d.iter().position(|v| !v.is_finite());
+                assert_eq!(check_finite("output", &d).unwrap_err().index, at);
+                assert_eq!(want, Some(at));
+            }
+        }
+        assert!(check_finite("output", &[]).is_ok());
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Analytic memory accounting for planned layers.
 //!
 //! A [`MemoryFootprint`] states, without allocating anything, exactly how
-//! many bytes a plan will ask the allocator for: the four transformed-data
-//! scratch buffers ([`Scratch`](crate::Scratch)), the per-thread codelet
-//! buffers, the memoised kernel-transform clone
+//! many bytes a plan will ask the allocator for: the transformed-data
+//! scratch ([`Scratch`](crate::Scratch) — four layer-sized buffers for a
+//! staged plan, the kernel transforms plus one ring per thread slot for a
+//! fused one), the per-thread codelet buffers, the memoised
+//! kernel-transform clone
 //! ([`TransformedKernels`](crate::TransformedKernels)) and the output
 //! image. Each component reuses the container's own `bytes_for` helper
 //! with the same parameters the real constructor receives, so the model
@@ -29,11 +31,15 @@ use crate::plan::WinogradLayer;
 /// Byte-exact breakdown of a plan's allocations at a given thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryFootprint {
-    /// The four large transformed-data buffers: `u` + `v` + `x`
-    /// ([`BlockedMatrices`]) and `y` ([`TileMajor`]).
+    /// What [`Scratch::new`](crate::Scratch::new) holds besides the
+    /// codelet buffers. A staged plan: `u` + `v` + `x`
+    /// ([`BlockedMatrices`]) and `y` ([`TileMajor`]). A fused plan
+    /// ([`WinogradLayer::is_fused`]): `v` and one ring per thread slot —
+    /// `T·n_blk·(C + C')` floats each, independent of the layer's extent.
     pub scratch_bytes: usize,
     /// The tile-major transformed-output buffer `y` alone (also counted
     /// in `scratch_bytes`; broken out because serving sizes it per batch).
+    /// 0 for a fused plan.
     pub tile_major_bytes: usize,
     /// The memoised kernel-transform clone (`TransformedKernels`) — the
     /// same shape as scratch `v`.
@@ -81,16 +87,24 @@ impl MemoryFootprint {
         let rows = layer.rows();
         let (c, cp) = (layer.shape.in_channels, layer.shape.out_channels);
         let b = layer.block;
-        let u = BlockedMatrices::bytes_for(t, rows, c, b.n_blk, b.c_blk);
-        let v = BlockedMatrices::bytes_for(t, c, cp, b.c_blk, b.cp_blk);
-        let x = BlockedMatrices::bytes_for(t, rows, cp, b.n_blk, b.cp_blk);
-        let y = TileMajor::bytes_for(layer.shape.batch, cp, layer.n_tiles(), t);
-
         let slots = threads.max(1);
+        let v = BlockedMatrices::bytes_for(t, c, cp, b.c_blk, b.cp_blk);
+        // A fused plan's scratch never holds `u`, `x`, `y` unless a staged
+        // function is called on it; its rings take their place.
+        let (u, x, y) = if layer.is_fused() {
+            (0, 0, 0)
+        } else {
+            (
+                BlockedMatrices::bytes_for(t, rows, c, b.n_blk, b.c_blk),
+                BlockedMatrices::bytes_for(t, rows, cp, b.n_blk, b.cp_blk),
+                TileMajor::bytes_for(layer.shape.batch, cp, layer.n_tiles(), t),
+            )
+        };
+        let rings = slots * layer.ring_floats() * 4;
         let per_slot = 2 * t * S * 4;
 
         MemoryFootprint {
-            scratch_bytes: u + v + x + y,
+            scratch_bytes: u + v + x + y + rings,
             tile_major_bytes: y,
             transformed_kernel_bytes: v,
             per_thread_bytes: slots * per_slot,
@@ -124,7 +138,7 @@ impl MemoryFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ConvOptions, Scratch};
+    use crate::plan::{split_reduction, ConvOptions, Scratch};
     use wino_tensor::ConvShape;
 
     fn layer(batch: usize, c: usize, cp: usize, dims: &[usize]) -> WinogradLayer {
@@ -134,21 +148,31 @@ mod tests {
 
     #[test]
     fn scratch_component_matches_observed_allocation() {
-        let l = layer(1, 16, 16, &[8, 8]);
-        for threads in [1usize, 4] {
-            let fp = l.footprint(threads);
-            let before = wino_simd::thread_alloc_bytes();
-            let s = Scratch::new(&l, threads);
-            let observed = wino_simd::thread_alloc_bytes() - before;
-            assert_eq!(
-                fp.scratch_bytes + fp.per_thread_bytes,
-                observed as usize,
-                "threads={threads}"
-            );
-            assert_eq!(fp.tile_major_bytes, s.y.bytes());
-            assert_eq!(fp.transformed_kernel_bytes, s.v.bytes());
-            assert_eq!(fp.scratch_bytes, s.bytes());
+        let fused = layer(1, 16, 16, &[8, 8]);
+        let shape = ConvShape::new(1, 32, 16, &[8, 8], &[3, 3], &[1, 1]).unwrap();
+        let staged = WinogradLayer::new(shape, &[2, 2], split_reduction()).unwrap();
+        assert!(fused.is_fused() && !staged.is_fused());
+        for l in [&fused, &staged] {
+            for threads in [1usize, 4] {
+                let fp = l.footprint(threads);
+                let before = wino_simd::thread_alloc_bytes();
+                let s = Scratch::new(l, threads);
+                let observed = wino_simd::thread_alloc_bytes() - before;
+                let case = format!("fused={} threads={threads}", l.is_fused());
+                assert_eq!(fp.scratch_bytes + fp.per_thread_bytes, observed as usize, "{case}");
+                assert_eq!(fp.tile_major_bytes, s.y.bytes(), "{case}");
+                assert_eq!(fp.transformed_kernel_bytes, s.v.bytes(), "{case}");
+                assert_eq!(fp.scratch_bytes, s.bytes(), "{case}");
+            }
         }
+        // A ring per slot is all that grows with the thread count, and
+        // once the ring is as tall as the L2 allows nothing of a fused
+        // plan's scratch grows with the image or the batch.
+        let ring = fused.ring_floats() * 4;
+        assert_eq!(fused.footprint(4).scratch_bytes - fused.footprint(1).scratch_bytes, 3 * ring);
+        assert_eq!(fused.footprint(1).tile_major_bytes, 0);
+        let (small, large) = (layer(1, 16, 16, &[32, 32]), layer(4, 16, 16, &[64, 64]));
+        assert_eq!(small.footprint(1).scratch_bytes, large.footprint(1).scratch_bytes);
     }
 
     #[test]
@@ -176,13 +200,15 @@ mod tests {
     /// The memory ladder moves towards *larger* tiles — opposite of the
     /// accuracy ladder. The transformed-data inflation factor is
     /// `((m+r−1)/m)^d` per dimension, which shrinks as `m` grows, and the
-    /// big scratch buffers dominate the per-thread `T·S` buffers that
-    /// grow with `m`.
+    /// big scratch buffers of a staged plan dominate the per-thread `T·S`
+    /// buffers that grow with `m`. (A fused plan has no layer-sized
+    /// scratch to shrink: its `V̂` and rings grow with `T`.)
     #[test]
-    fn larger_tiles_shrink_the_footprint() {
-        let shape = ConvShape::new(1, 16, 16, &[16, 16], &[3, 3], &[1, 1]).unwrap();
-        let m4 = WinogradLayer::new(shape.clone(), &[4, 4], ConvOptions::default()).unwrap();
-        let m2 = WinogradLayer::new(shape, &[2, 2], ConvOptions::default()).unwrap();
+    fn larger_tiles_shrink_a_staged_footprint() {
+        let shape = ConvShape::new(1, 32, 16, &[16, 16], &[3, 3], &[1, 1]).unwrap();
+        let m4 = WinogradLayer::new(shape.clone(), &[4, 4], split_reduction()).unwrap();
+        let m2 = WinogradLayer::new(shape, &[2, 2], split_reduction()).unwrap();
+        assert!(!m4.is_fused() && !m2.is_fused());
         assert!(
             m4.footprint(1).scratch_bytes < m2.footprint(1).scratch_bytes,
             "F(4,3) must need less transformed-data scratch than F(2,3)"

@@ -67,6 +67,15 @@ impl TileMajor {
         Ok(Self::assemble(batch, out_channels, n_tiles, t_vol, data))
     }
 
+    /// A zero-sized stand-in for the `y` a fused plan's scratch has not
+    /// needed yet ([`crate::Scratch`]). Allocates nothing; indexing it
+    /// panics.
+    pub(crate) fn placeholder() -> TileMajor {
+        // ALLOC: zero-length — a dangling aligned pointer, no allocator
+        // call, nothing to account.
+        Self::assemble(0, 0, 0, 0, AlignedVec::zeroed(0))
+    }
+
     /// Bytes a `new(batch, out_channels, n_tiles, t_vol)` instance
     /// allocates — the analytic side of the memory-footprint model.
     pub fn bytes_for(batch: usize, out_channels: usize, n_tiles: usize, t_vol: usize) -> usize {

@@ -19,6 +19,13 @@
 //!    image — applied *after* the channel summation (Eqn. 7/8), which is
 //!    where the arithmetic savings come from.
 //!
+//! That is the *staged* schedule. A layer whose transformed kernels fit
+//! the L2 beside a per-thread ring runs the same three steps per
+//! `n_blk`-row panel inside one fork–join instead — the transformed
+//! inputs and outputs of a panel live in the ring and never leave the
+//! core — with bit-identical results; [`WinogradLayer::is_fused`] says
+//! which schedule a plan got, from its sizes and the detected L2 alone.
+//!
 //! The codelets of stages 1 and 3 are straight-line code generated at
 //! build time for every `F(m, 3)` the tile search can pick ([`codelet`]);
 //! other sizes run the interpreter over the same programs ([`vecprog`]).
@@ -38,6 +45,7 @@ pub mod conv;
 pub mod dispatch;
 pub mod error;
 pub mod footprint;
+mod fused;
 pub mod layout;
 pub mod net;
 pub mod plan;

@@ -5,9 +5,10 @@
 //! memory buffer can be reused for the computation of each layer." —
 //! [`Network`] plans a sequence of convolutional layers (each with its
 //! own `F(m, r)`) and reuses the auxiliary memory *across passes*: one
-//! resident [`Scratch`] slot per layer, so a repeat forward allocates
-//! nothing but the layer outputs. Layer outputs stay in the blocked
-//! layout, so no reshuffling happens between layers (§4.1).
+//! resident [`Scratch`] slot per layer and one resident image per
+//! intermediate activation, so a repeat forward allocates nothing but the
+//! output it returns. Layer outputs stay in the blocked layout, so no
+//! reshuffling happens between layers (§4.1).
 //!
 //! Every layer is a [`DispatchPlan`], and the module owns the *run-time*
 //! walk over the degradation table of [`crate::select`] (DESIGN.md §5):
@@ -202,6 +203,14 @@ pub struct Network {
     /// turns in it), or when its seeding allocation was refused (the
     /// run-time walk then deals with it when the layer runs).
     scratch: Vec<Option<Scratch>>,
+    /// The intermediate activations (every layer's output but the last,
+    /// which the caller receives), parked here between passes: a batch-8
+    /// activation is megabytes, which the allocator hands out as a fresh
+    /// mapping — zero-filled and page-faulted in again on every forward.
+    /// A slot is `None` until the first pass has produced it and after a
+    /// pass that failed at or past its layer; every route overwrites the
+    /// whole image it is handed, so a parked one is never cleared.
+    acts: Vec<Option<BlockedImage>>,
 }
 
 impl Network {
@@ -289,14 +298,15 @@ impl Network {
             .iter()
             .map(|l| l.plan.winograd().and_then(|p| Scratch::try_new(p, threads).ok()))
             .collect();
-        Ok(Network { layers, scratch })
+        let acts = layers.iter().map(|_| None).collect();
+        Ok(Network { layers, scratch, acts })
     }
 
     /// The network's analytic memory footprint at `threads` thread slots:
     /// every component is a *sum* over the layers' route models
     /// ([`DispatchPlan::footprint`]) — each layer holds its own resident
-    /// scratch slot (the price of allocation-free repeat forwards), its
-    /// own memoised kernels and its own output.
+    /// scratch slot and its own resident output (the price of
+    /// allocation-free repeat forwards) and its own memoised kernels.
     pub fn footprint(&self, threads: usize) -> crate::MemoryFootprint {
         let mut acc = crate::MemoryFootprint::empty(threads);
         for l in &self.layers {
@@ -363,10 +373,12 @@ impl Network {
             .get(index)
             .ok_or(WinoError::Unsupported("layer index out of range"))?;
         let slot = &mut self.scratch[index];
-        exec_layer(slot, layer, index, input, Kernels::Raw(kernels), exec, policy)
+        exec_layer(slot, layer, index, input, Kernels::Raw(kernels), exec, policy, None)
     }
 
-    /// The one layer loop: chain `exec_layer` over the network.
+    /// The one layer loop: chain `exec_layer` over the network. Each
+    /// intermediate layer writes into its parked activation, which goes
+    /// back to its slot once the next layer has consumed it.
     fn run<'k>(
         &mut self,
         input: &BlockedImage,
@@ -378,14 +390,18 @@ impl Network {
             return Err(WinoError::LayerCount { expected: self.layers.len(), got: kernels.len() });
         }
         let mut reports = Vec::with_capacity(self.layers.len());
+        let last = self.layers.len() - 1;
         let mut current: Option<BlockedImage> = None;
         for (i, ((layer, slot), kernel)) in
             self.layers.iter().zip(&mut self.scratch).zip(kernels).enumerate()
         {
             let inp = current.as_ref().unwrap_or(input);
-            let (out, report) = exec_layer(slot, layer, i, inp, kernel, exec, policy)?;
+            let parked = if i < last { self.acts[i].take() } else { None };
+            let (out, report) = exec_layer(slot, layer, i, inp, kernel, exec, policy, parked)?;
             reports.push(report);
-            current = Some(out);
+            if let Some(consumed) = current.replace(out) {
+                self.acts[i - 1] = Some(consumed);
+            }
         }
         Ok((current.expect("at least one layer"), reports))
     }
@@ -432,7 +448,10 @@ impl Network {
 /// not Winograd-specific, e.g. a non-finite layer input), then the
 /// accuracy sentinels (finite but wrong). A refused allocation, a guard
 /// trip and a sentinel trip come back as the typed [`WinoError`] the
-/// run-time walk maps to its [`Cause`].
+/// run-time walk maps to its [`Cause`]. The output is written into
+/// `parked` when the caller has one (a `Network`'s resident intermediate
+/// activation of this layer, so of every candidate's output shape; taken,
+/// so a failed attempt releases it), else into a fresh allocation.
 #[allow(clippy::too_many_arguments)] // exec_layer's context plus the candidate under test
 fn attempt(
     plan: &DispatchPlan,
@@ -443,8 +462,12 @@ fn attempt(
     exec: &dyn Executor,
     policy: &FallbackPolicy,
     rescue: bool,
+    parked: &mut Option<BlockedImage>,
 ) -> Result<BlockedImage, WinoError> {
-    let mut out = plan.try_new_output()?;
+    let mut out = match parked.take() {
+        Some(img) => img,
+        None => plan.try_new_output()?,
+    };
     let t0 = crate::spans::span_start();
     plan.forward_in(slot, input, kernels, &mut out, exec)?;
     if rescue {
@@ -471,6 +494,7 @@ fn attempt(
 /// the layer on the next candidate and attempt that. The guard runs
 /// BEFORE the activation: ReLU computes `f32::max(x, 0.0)`, which maps
 /// NaN to 0.0 and would hide the corruption.
+#[allow(clippy::too_many_arguments)] // the layer, its two resident buffers, and the call's context
 fn exec_layer(
     slot: &mut Option<Scratch>,
     layer: &NetLayer,
@@ -479,6 +503,7 @@ fn exec_layer(
     kernels: Kernels<'_>,
     exec: &dyn Executor,
     policy: &FallbackPolicy,
+    mut parked: Option<BlockedImage>,
 ) -> Result<(BlockedImage, ExecutionReport), WinoError> {
     let mut report = ExecutionReport {
         layer: index,
@@ -498,7 +523,7 @@ fn exec_layer(
     loop {
         let plan = replanned.as_ref().unwrap_or(&layer.plan);
         let rescue = replanned.is_some() && plan.cand == Candidate::Im2col;
-        let failure = match attempt(plan, slot, index, input, kernels, exec, policy, rescue) {
+        let failure = match attempt(plan, slot, index, input, kernels, exec, policy, rescue, &mut parked) {
             Ok(mut out) => {
                 if replanned.is_some() {
                     tally(&report, rescue);
@@ -631,26 +656,50 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_run_allocates_one_output_per_layer() {
+    fn steady_state_run_allocates_only_the_returned_output() {
         // The serving hot path relies on this: once the scratch arena
-        // and memoised transforms are resident, a repeat forward pass
-        // allocates exactly the per-layer output images and nothing
-        // else (no scratch regrow, no hidden temporaries).
-        let specs = vec![LayerSpec::same(32, 2, 3, 2), LayerSpec::same(16, 2, 3, 2)];
+        // and the intermediate activations are resident, a repeat forward
+        // pass allocates exactly the image it returns and nothing else
+        // (no per-layer output, no scratch regrow, no hidden temporaries)
+        // — and computes the same bits into the reused images.
+        let specs = vec![
+            LayerSpec::same(32, 2, 3, 2),
+            LayerSpec::same(16, 2, 3, 2),
+            LayerSpec::same(16, 2, 3, 4),
+        ];
         let mut net = Network::new(1, 16, &[12, 12], &specs, ConvOptions::default(), 1).unwrap();
         let img = SimpleImage::from_fn(1, 16, &[12, 12], |_, c, xy| {
             ((c + xy[0] * 3 + xy[1]) % 11) as f32 * 0.1 - 0.5
         });
         let input = BlockedImage::from_simple(&img).unwrap();
+        let other = BlockedImage::from_simple(&SimpleImage::from_fn(1, 16, &[12, 12], |_, c, xy| {
+            ((c * 5 + xy[0] + xy[1] * 2) % 7) as f32 * 0.2 - 0.6
+        }))
+        .unwrap();
         let kernels = kernels_for(&net, 0);
         let policy = FallbackPolicy::default();
-        net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+        let before = wino_simd::thread_alloc_calls();
+        let (first, _) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+        assert_eq!(wino_simd::thread_alloc_calls() - before, 3, "a cold pass builds every output");
         for round in 0..3 {
+            // A different input in between: a parked activation holds
+            // stale values that the next pass must overwrite entirely.
+            net.run_net(&other, &kernels, &SerialExecutor, &policy).unwrap();
             let before = wino_simd::thread_alloc_calls();
-            net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+            let (out, _) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
             let delta = wino_simd::thread_alloc_calls() - before;
-            assert_eq!(delta, 2, "round {round}: expected one output per layer");
+            assert_eq!(delta, 1, "round {round}: expected the returned output only");
+            assert_eq!(out.as_slice(), first.as_slice(), "round {round}");
         }
+        // An unguarded pass over a NaN input parks NaN-ridden activations,
+        // a guarded one fails in the first layer and releases what it
+        // held; the next pass overwrites the former and rebuilds the latter.
+        let mut bad = input.clone();
+        bad.as_mut_slice()[0] = f32::NAN;
+        assert!(net.run_net(&bad, &kernels, &SerialExecutor, &FallbackPolicy::strict()).is_ok());
+        assert!(net.run_net(&bad, &kernels, &SerialExecutor, &policy).is_err());
+        let (out, _) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+        assert_eq!(out.as_slice(), first.as_slice(), "after a failed pass");
     }
 
     #[test]
@@ -661,30 +710,35 @@ mod tests {
         // what the allocator actually handed out. Everything runs on
         // this thread (serial executor), so the per-thread byte tally
         // is exact and immune to concurrent tests.
-        let specs = vec![LayerSpec::same(32, 2, 3, 2), LayerSpec::same(16, 2, 3, 4)];
-        let img = SimpleImage::from_fn(1, 16, &[12, 12], |_, c, xy| {
-            ((c + xy[0] * 3 + xy[1]) % 11) as f32 * 0.1 - 0.5
-        });
-        let input = BlockedImage::from_simple(&img).unwrap();
+        // Once on fused plans (rings, no layer-sized scratch), once on staged
+        // ones (two reduction blocks over ≥ 32 channels).
+        for (opts, c_in, fused) in
+            [(ConvOptions::default(), 16, true), (crate::plan::split_reduction(), 32, false)]
+        {
+            let specs = vec![LayerSpec::same(32, 2, 3, 2), LayerSpec::same(16, 2, 3, 4)];
+            let img = SimpleImage::from_fn(1, c_in, &[12, 12], |_, c, xy| {
+                ((c + xy[0] * 3 + xy[1]) % 11) as f32 * 0.1 - 0.5
+            });
+            let input = BlockedImage::from_simple(&img).unwrap();
 
-        let before = wino_simd::thread_alloc_bytes();
-        let mut net =
-            Network::new(1, 16, &[12, 12], &specs, ConvOptions::default(), 1).unwrap();
-        let kernels = kernels_for(&net, 3);
-        let kernel_bytes: usize = kernels.iter().map(|k| k.as_slice().len() * 4).sum();
-        let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
-        let _out = net.forward_fx(&input, &fx, &SerialExecutor).unwrap();
-        // The raw kernel tensors are inputs, not part of the plan's
-        // footprint — subtract them from the observation.
-        let observed =
-            (wino_simd::thread_alloc_bytes() - before) as usize - kernel_bytes;
+            let before = wino_simd::thread_alloc_bytes();
+            let mut net = Network::new(1, c_in, &[12, 12], &specs, opts, 1).unwrap();
+            assert!(net.layers().iter().all(|l| l.plan.winograd().unwrap().is_fused() == fused));
+            let kernels = kernels_for(&net, 3);
+            let kernel_bytes: usize = kernels.iter().map(|k| k.as_slice().len() * 4).sum();
+            let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+            let _out = net.forward_fx(&input, &fx, &SerialExecutor).unwrap();
+            // The raw kernel tensors are inputs, not part of the plan's
+            // footprint — subtract them from the observation.
+            let observed = (wino_simd::thread_alloc_bytes() - before) as usize - kernel_bytes;
 
-        let modeled = net.footprint(1).total();
-        let ratio = observed as f64 / modeled as f64;
-        assert!(
-            (0.9..=1.1).contains(&ratio),
-            "modeled {modeled} vs observed {observed} bytes (ratio {ratio:.3})"
-        );
+            let modeled = net.footprint(1).total();
+            let ratio = observed as f64 / modeled as f64;
+            assert!(
+                (0.9..=1.1).contains(&ratio),
+                "fused={fused}: modeled {modeled} vs observed {observed} bytes (ratio {ratio:.3})"
+            );
+        }
     }
 
     #[test]
@@ -1039,18 +1093,20 @@ mod tests {
         // only an identity layer planned by `Network` itself reported
         // `memory`. One mapping now serves every route.
         use crate::{MemoryBudget, Route};
-        let base = ConvOptions::default();
-        let per_group = ConvShape::new(1, 16, 16, &[20, 20], &[3, 3], &[1, 1]).unwrap();
+        // Staged plans (two reduction blocks over 32 channels): the memory
+        // ladder's larger tiles shrink their layer-sized scratch.
+        let base = crate::plan::split_reduction();
+        let per_group = ConvShape::new(1, 32, 32, &[20, 20], &[3, 3], &[1, 1]).unwrap();
         let need = |m: usize| {
             WinogradLayer::new(per_group.clone(), &[m, m], base).unwrap().footprint(1).total()
         };
         // Admits the per-group F(4,3) plan but not the requested F(2,3).
         let budget = ConvOptions { memory: Some(MemoryBudget::new(need(4))), ..base };
-        let specs = [LayerSpec::same(32, 2, 3, 2)];
+        let specs = [LayerSpec::same(64, 2, 3, 2)];
         let policy = FallbackPolicy::default();
 
         let grouped = budget.with_groups(2);
-        let mut net = Network::with_policy(1, 32, &[20, 20], &specs, grouped, 1, &policy).unwrap();
+        let mut net = Network::with_policy(1, 64, &[20, 20], &specs, grouped, 1, &policy).unwrap();
         let layer = &net.layers()[0];
         assert!(
             matches!(&layer.plan.route, Route::Grouped { plan } if plan.grid.m == [4, 4]),
@@ -1062,10 +1118,10 @@ mod tests {
 
         // …and the report echoes it while the layer still computes the
         // right convolution.
-        let img = SimpleImage::from_fn(1, 32, &[20, 20], |_, c, xy| {
+        let img = SimpleImage::from_fn(1, 64, &[20, 20], |_, c, xy| {
             ((c * 2 + xy[0] + xy[1] * 3) % 13) as f32 * 0.06 - 0.4
         });
-        let k = SimpleKernels::from_fn(32, 16, &[3, 3], |co, ci, xy| {
+        let k = SimpleKernels::from_fn(64, 32, &[3, 3], |co, ci, xy| {
             ((co * 5 + ci * 3 + xy[0] + xy[1]) % 11) as f32 * 0.05 - 0.25
         });
         let kernels = vec![BlockedKernels::from_simple(&k).unwrap()];
@@ -1077,14 +1133,14 @@ mod tests {
         assert_close(&out, &want, 2e-3, "budget-retiled grouped net");
 
         // The same provenance on the dense and the polyphase route.
-        let narrow = [LayerSpec::same(16, 2, 3, 2)];
-        let dense = Network::with_policy(1, 16, &[20, 20], &narrow, budget, 1, &policy).unwrap();
+        let narrow = [LayerSpec::same(32, 2, 3, 2)];
+        let dense = Network::with_policy(1, 32, &[20, 20], &narrow, budget, 1, &policy).unwrap();
         let layer = &dense.layers()[0];
         assert_eq!(layer.plan.winograd().unwrap().grid.m, [4, 4]);
         assert_eq!(layer.planned_fallback, Some(FallbackReason::Memory { bytes: need(2) }));
         let strided = ConvOptions { memory: Some(MemoryBudget::new(1 << 14)), ..base }
             .with_stride(&[2, 2]);
-        let poly = Network::with_policy(1, 16, &[20, 20], &narrow, strided, 1, &policy).unwrap();
+        let poly = Network::with_policy(1, 32, &[20, 20], &narrow, strided, 1, &policy).unwrap();
         assert!(matches!(
             poly.layers()[0].planned_fallback,
             Some(FallbackReason::Memory { .. })
@@ -1094,11 +1150,11 @@ mod tests {
         // memory reason, not a generic plan failure — and is the typed
         // budget error under a strict policy.
         let tiny = ConvOptions { memory: Some(MemoryBudget::new(1)), ..base }.with_groups(2);
-        let net = Network::with_policy(1, 32, &[20, 20], &specs, tiny, 1, &policy).unwrap();
+        let net = Network::with_policy(1, 64, &[20, 20], &specs, tiny, 1, &policy).unwrap();
         assert!(matches!(net.layers()[0].plan.route, Route::Im2col));
         assert!(matches!(net.layers()[0].planned_fallback, Some(FallbackReason::Memory { .. })));
         assert!(matches!(
-            Network::new(1, 32, &[20, 20], &specs, tiny, 1),
+            Network::new(1, 64, &[20, 20], &specs, tiny, 1),
             Err(PlanError::MemoryBudget { budget_bytes: 1, .. })
         ));
     }
@@ -1136,6 +1192,7 @@ mod tests {
         // per-layer function.
         let specs = vec![LayerSpec::same(16, 2, 3, 2), LayerSpec::same(16, 2, 3, 2)];
         let mut net = Network::new(1, 16, &[10, 10], &specs, ConvOptions::default(), 1).unwrap();
+        assert!(net.layers().iter().all(|l| l.plan.winograd().unwrap().is_fused()));
         let img = SimpleImage::from_fn(1, 16, &[10, 10], |_, c, xy| (c + xy[0]) as f32 * 0.02);
         let input = BlockedImage::from_simple(&img).unwrap();
         let kernels = kernels_for(&net, 2);
@@ -1148,10 +1205,10 @@ mod tests {
         // The process-wide engage counter moved once per layer at least
         // (other tests may move it too)…
         assert!(wino_simd::denormals::engaged_count() >= engaged + 2);
-        // …and, on this thread, every stage fork–join ran under the guard
-        // (three per layer in FX mode), which was released afterwards.
+        // …and, on this thread, every fork–join ran under the guard (one
+        // per fused layer in FX mode), which was released afterwards.
         let grids = witness.0.load(std::sync::atomic::Ordering::Relaxed);
-        assert_eq!(grids, if cfg!(target_arch = "x86_64") { 6 } else { 0 });
+        assert_eq!(grids, if cfg!(target_arch = "x86_64") { 2 } else { 0 });
         assert!(!wino_simd::FlushDenormals::active());
     }
 

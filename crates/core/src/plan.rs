@@ -2,10 +2,15 @@
 //!
 //! A [`WinogradLayer`] fixes everything known at "instantiation time" in
 //! the paper's C++ artifact: the layer shape, the `F(m, r)` transform
-//! programs per dimension, and the stage-2 blocking parameters. A
-//! [`Scratch`] is the paper's auxiliary buffer (§4.4 "Memory overhead"):
-//! it holds `I` (transformed inputs), `W` (transformed kernels), `I'_tmp`
-//! and tile-major `I'`, and is reused across layers.
+//! programs per dimension, the stage-2 blocking parameters, and which of
+//! the two schedules runs the layer: the paper's three stages, or — when
+//! `V̂` plus a per-thread ring fit the L2 — the ring-fused driver of
+//! `fused.rs` ([`WinogradLayer::is_fused`]). A [`Scratch`] is the
+//! paper's auxiliary buffer (§4.4 "Memory overhead"), reused across
+//! layers. For a staged plan it holds `I` (transformed inputs), `W`
+//! (transformed kernels), `I'_tmp` and tile-major `I'`; for a fused plan
+//! it holds `W` and one ring per thread slot, and the layer-sized three
+//! appear only if a staged function is ever called on it.
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -312,9 +317,9 @@ impl From<ShapeError> for PlanError {
 }
 
 /// Pre-compiled machine-code kernels for the JIT stage-2 backend: the
-/// β = 0/1 block kernels for intermediate reduction blocks and the
-/// streaming-scatter kernels (full-height and tail panels) for the final
-/// one.
+/// β = 0/1 block kernels for intermediate reduction blocks, the scatter
+/// kernels (full-height and tail panels) for the final one and, for a
+/// fused plan, the pair that scatters a ring panel.
 pub(crate) struct JitStage2 {
     pub block0: Option<wino_jit::JitKernel>,
     pub block1: Option<wino_jit::JitKernel>,
@@ -322,6 +327,10 @@ pub(crate) struct JitStage2 {
     pub scatter_tail: Option<wino_jit::JitKernel>,
     /// Rows of the final, partially filled panel (0 = all panels full).
     pub tail: usize,
+    /// β = 0 plain-store scatter kernels of a `ring_rows`-row panel and of
+    /// the last, shorter one, with the ring's group stride baked in.
+    pub ring_full: Option<wino_jit::JitKernel>,
+    pub ring_tail: Option<wino_jit::JitKernel>,
 }
 
 impl std::fmt::Debug for JitStage2 {
@@ -341,6 +350,9 @@ pub struct WinogradLayer {
     /// Stage-2 blocking `(n_blk, C_blk, C'_blk)`.
     pub block: BlockShape,
     pub opts: ConvOptions,
+    /// Panel height of the ring-fused driver (`fused::ring_rows`); `None`
+    /// runs the three stages.
+    pub(crate) ring_rows: Option<usize>,
     pub(crate) jit: Option<JitStage2>,
     /// Generated-codelet table entry per dimension
     /// ([`crate::codelet::resolve`]) when every dimension has one; `None`
@@ -409,12 +421,23 @@ impl WinogradLayer {
             }
             None => default_shape(shape.in_channels, shape.out_channels, rows),
         };
+        let ring_rows = crate::fused::ring_rows(
+            grid.tile_volume(),
+            shape.in_channels,
+            shape.out_channels,
+            shape.in_channels / block.c_blk,
+            rows,
+            wino_sched::l2_bytes_per_thread(),
+            opts.block.map(|b| b.n_blk),
+        );
         let jit = match opts.stage2 {
             Stage2Backend::Mono => None,
-            Stage2Backend::Jit => Some(Self::build_jit(&shape, &grid, block, rows)?),
+            Stage2Backend::Jit => {
+                Some(Self::build_jit(&shape, &grid, block, rows, opts.streaming_stores, ring_rows)?)
+            }
         };
         let codelets = crate::codelet::resolve_all(&plans);
-        let layer = WinogradLayer { shape, grid, plans, block, opts, jit, codelets };
+        let layer = WinogradLayer { shape, grid, plans, block, opts, ring_rows, jit, codelets };
         if let Some(mb) = opts.memory {
             let need_bytes = layer.footprint(mb.threads).total();
             if !mb.admits(need_bytes) {
@@ -432,6 +455,8 @@ impl WinogradLayer {
         grid: &TileGrid,
         block: BlockShape,
         rows: usize,
+        streaming: bool,
+        ring_rows: Option<usize>,
     ) -> Result<JitStage2, PlanError> {
         use wino_jit::{JitError, JitKernel, JitOutput};
         let jit_err = |e: JitError| PlanError::Jit {
@@ -461,19 +486,24 @@ impl WinogradLayer {
         } else {
             None
         };
-        let scatter = |panel_rows: usize| {
-            JitKernel::compile_with_output(
-                panel_rows,
-                cb,
-                cpb,
-                k_blocks > 1,
-                JitOutput::Scatter { group_stride },
-            )
-            .map_err(jit_err)
+        let scatter = |panel_rows: usize, output: JitOutput| {
+            JitKernel::compile_with_output(panel_rows, cb, cpb, k_blocks > 1, output)
+                .map_err(jit_err)
         };
-        let scatter_full = scatter(nb)?;
-        let scatter_tail = if tail != 0 { Some(scatter(tail)?) } else { None };
-        Ok(JitStage2 { block0, block1, scatter_full, scatter_tail, tail })
+        let staged = JitOutput::Scatter { group_stride, streaming };
+        let scatter_full = scatter(nb, staged)?;
+        let scatter_tail = if tail != 0 { Some(scatter(tail, staged)?) } else { None };
+        // A ring panel's `X̂` chunks go back into the core's own cache (one
+        // reduction block, so β = 0): plain stores, the ring's group stride.
+        let (mut ring_full, mut ring_tail) = (None, None);
+        if let Some(n) = ring_rows {
+            let ring = JitOutput::Scatter { group_stride: n * t_vol * S, streaming: false };
+            ring_full = Some(scatter(n, ring)?);
+            if !rows.is_multiple_of(n) {
+                ring_tail = Some(scatter(rows % n, ring)?);
+            }
+        }
+        Ok(JitStage2 { block0, block1, scatter_full, scatter_tail, tail, ring_full, ring_tail })
     }
 
     /// Number of spatial dimensions.
@@ -500,6 +530,25 @@ impl WinogradLayer {
     /// `n_blk`-row panels per transformed matrix.
     pub fn row_blocks(&self) -> usize {
         self.rows().div_ceil(self.block.n_blk)
+    }
+
+    /// Whether `forward` / `forward_fx` run this plan through the
+    /// ring-fused driver (`fused.rs`: input transform → products → inverse
+    /// transform per row panel through a per-thread, cache-resident ring,
+    /// in one fork–join) instead of the three stages. Decided at plan time
+    /// from the sizes of `V̂` and of a per-thread ring against the detected
+    /// L2 ([`wino_sched::l2_bytes_per_thread`]). A call whose executor has
+    /// more threads than the plan has ring panels runs the three stages
+    /// all the same; results are bit-identical either way.
+    pub fn is_fused(&self) -> bool {
+        self.ring_rows.is_some()
+    }
+
+    /// Floats of one thread slot's ring: an `n_blk`-row block of `Û` plus
+    /// the same rows' tile-major `X̂` chunks. 0 for a staged plan.
+    pub(crate) fn ring_floats(&self) -> usize {
+        let (c, cp) = (self.shape.in_channels, self.shape.out_channels);
+        self.ring_rows.map_or(0, |n| self.t_vol() * n * (c + cp))
     }
 
     /// Whether the transform stages run build-time generated straight-line
@@ -560,10 +609,20 @@ impl WinogradLayer {
     }
 }
 
-/// Per-thread ping-pong tile buffers (each `T·S` floats).
+/// One executor thread slot's private working memory.
 pub(crate) struct ThreadBuf {
+    /// Ping-pong tile buffers (each `T·S` floats).
     pub a: AlignedVec,
     pub b: AlignedVec,
+    /// A fused plan's ring ([`WinogradLayer::ring_floats`]): one
+    /// `n_blk`-row block of `Û` (`[t][n_blk][C]`), then the same rows'
+    /// tile-major `X̂` chunks (`[C'/S][n_blk][T][S]`). Every panel the slot
+    /// processes goes through these same addresses. Empty for a staged
+    /// plan.
+    pub ring: AlignedVec,
+    /// Nanoseconds this slot spent in the three phases of the fused
+    /// fork–join in flight (written only while a probe collects spans).
+    pub phase_ns: [u64; 3],
 }
 
 impl ThreadBuf {
@@ -573,40 +632,135 @@ impl ThreadBuf {
     }
 }
 
-/// The paper's auxiliary memory: transformed inputs `I` (`u`), transformed
-/// kernels `W` (`v`), blocked intermediate `I'_tmp` (`x`), tile-major
-/// transformed outputs `I'` (`y`), plus per-thread codelet buffers.
+/// Everything the shapes of a [`Scratch`]'s buffers derive from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ScratchShape {
+    t_vol: usize,
+    batch: usize,
+    n_tiles: usize,
+    c: usize,
+    cp: usize,
+    block: BlockShape,
+    ring_floats: usize,
+}
+
+impl ScratchShape {
+    fn of(layer: &WinogradLayer) -> ScratchShape {
+        ScratchShape {
+            t_vol: layer.t_vol(),
+            batch: layer.shape.batch,
+            n_tiles: layer.n_tiles(),
+            c: layer.shape.in_channels,
+            cp: layer.shape.out_channels,
+            block: layer.block,
+            ring_floats: layer.ring_floats(),
+        }
+    }
+
+    /// `(t, rows, cols, rb, cb)` of the transformed inputs `u`.
+    fn u(&self) -> [usize; 5] {
+        [self.t_vol, self.batch * self.n_tiles, self.c, self.block.n_blk, self.block.c_blk]
+    }
+
+    /// … of the transformed kernels `v`.
+    fn v(&self) -> [usize; 5] {
+        [self.t_vol, self.c, self.cp, self.block.c_blk, self.block.cp_blk]
+    }
+
+    /// … of the blocked intermediate `x`.
+    fn x(&self) -> [usize; 5] {
+        [self.t_vol, self.batch * self.n_tiles, self.cp, self.block.n_blk, self.block.cp_blk]
+    }
+}
+
+/// How a [`Scratch`] buffer is allocated: aborting on a refusal or with a
+/// typed error, plainly zeroed or first-touched through an executor.
+#[derive(Clone, Copy)]
+struct Seam<'e> {
+    fallible: bool,
+    exec: Option<&'e dyn wino_sched::Executor>,
+}
+
+impl Seam<'_> {
+    fn matrices(
+        self,
+        [t, rows, cols, rb, cb]: [usize; 5],
+    ) -> Result<BlockedMatrices, wino_simd::AllocError> {
+        Ok(match (self.fallible, self.exec) {
+            (true, Some(e)) => BlockedMatrices::try_new_first_touch(t, rows, cols, rb, cb, e)?,
+            (true, None) => BlockedMatrices::try_new(t, rows, cols, rb, cb)?,
+            (false, Some(e)) => BlockedMatrices::new_first_touch(t, rows, cols, rb, cb, e),
+            (false, None) => BlockedMatrices::new(t, rows, cols, rb, cb),
+        })
+    }
+
+    fn tile_major(self, s: &ScratchShape) -> Result<TileMajor, wino_simd::AllocError> {
+        let (b, cp, n, t) = (s.batch, s.cp, s.n_tiles, s.t_vol);
+        Ok(match (self.fallible, self.exec) {
+            (true, Some(e)) => TileMajor::try_new_first_touch(b, cp, n, t, e)?,
+            (true, None) => TileMajor::try_new(b, cp, n, t)?,
+            (false, Some(e)) => TileMajor::new_first_touch(b, cp, n, t, e),
+            (false, None) => TileMajor::new(b, cp, n, t),
+        })
+    }
+
+    /// A zeroed per-slot buffer (placed by its slot afterwards, if at all).
+    fn zeroed(self, len: usize) -> Result<AlignedVec, wino_simd::AllocError> {
+        if self.fallible {
+            return AlignedVec::try_zeroed(len);
+        }
+        // ALLOC: the infallible Scratch constructors abort on a refusal
+        // by contract; `try_new` is the accounted path.
+        Ok(AlignedVec::zeroed(len))
+    }
+}
+
+/// The paper's auxiliary memory, sized once at construction and reused
+/// across invocations (and across layers of the same plan): transformed
+/// kernels `W` (`v`) and per-thread codelet buffers always; for a staged
+/// plan also transformed inputs `I` (`u`), the blocked intermediate
+/// `I'_tmp` (`x`) and the tile-major transformed outputs `I'` (`y`); for a
+/// fused plan ([`WinogradLayer::is_fused`]) one ring per thread slot
+/// instead.
 ///
-/// Reused across invocations (and across layers of the same plan); sized
-/// once at construction.
+/// On a fused plan `u`, `x` and `y` start out empty. The first call of a
+/// staged function ([`crate::stage1::transform_inputs`],
+/// [`crate::stage2::multiply`], [`crate::stage3::inverse_transform`]) —
+/// or of a forward on an executor with more threads than the plan has
+/// ring panels — allocates them, fallibly, at the shapes a staged plan's
+/// have.
 pub struct Scratch {
     pub u: BlockedMatrices,
     pub v: BlockedMatrices,
     pub x: BlockedMatrices,
     pub y: TileMajor,
     bufs: Vec<UnsafeCell<ThreadBuf>>,
+    shape: ScratchShape,
 }
 
 // SAFETY: each executor thread slot accesses only its own `bufs[slot]`
-// (guaranteed by the Executor contract), and the matrices are written at
-// disjoint offsets per task.
+// (guaranteed by the Executor contract) — ring included — and the
+// matrices are written at disjoint offsets per task.
 unsafe impl Sync for Scratch {}
 
 impl Scratch {
     /// Allocate scratch for `layer`, usable with executors of up to
     /// `threads` thread slots.
     pub fn new(layer: &WinogradLayer, threads: usize) -> Scratch {
-        Scratch::build(layer, threads, None)
+        Scratch::build(layer, threads, Seam { fallible: false, exec: None })
+            .expect("the infallible seam aborts instead of returning a refusal")
     }
 
-    /// As [`Scratch::new`], but the four large transformed-data buffers
-    /// (`u`, `v`, `x`, `y`) are zeroed — and therefore NUMA-placed —
-    /// through `exec` (`wino_tensor::first_touch`): each executor thread
-    /// first-touches the region of scratch that the same executor's
-    /// partition will steer it at during the forward pass. Thread-slot
-    /// count is taken from `exec.threads()`.
+    /// As [`Scratch::new`], but the large buffers are zeroed — and
+    /// therefore NUMA-placed — through `exec`
+    /// (`wino_tensor::first_touch`): each executor thread first-touches
+    /// the region of the transformed-data buffers that the same executor's
+    /// partition will steer it at during the forward pass, and each ring
+    /// is touched from its own slot. Thread-slot count is taken from
+    /// `exec.threads()`.
     pub fn new_first_touch(layer: &WinogradLayer, exec: &dyn wino_sched::Executor) -> Scratch {
-        Scratch::build(layer, exec.threads(), Some(exec))
+        Scratch::build(layer, exec.threads(), Seam { fallible: false, exec: Some(exec) })
+            .expect("the infallible seam aborts instead of returning a refusal")
     }
 
     /// Fallible [`Scratch::new`]: a typed [`wino_simd::AllocError`]
@@ -614,7 +768,7 @@ impl Scratch {
     /// Every `Network` layer's resident scratch slot, and every retry of
     /// the run-time degradation walk, allocates through this seam.
     pub fn try_new(layer: &WinogradLayer, threads: usize) -> Result<Scratch, wino_simd::AllocError> {
-        Scratch::try_build(layer, threads, None)
+        Scratch::build(layer, threads, Seam { fallible: true, exec: None })
     }
 
     /// Fallible [`Scratch::new_first_touch`].
@@ -622,88 +776,76 @@ impl Scratch {
         layer: &WinogradLayer,
         exec: &dyn wino_sched::Executor,
     ) -> Result<Scratch, wino_simd::AllocError> {
-        Scratch::try_build(layer, exec.threads(), Some(exec))
-    }
-
-    fn try_build(
-        layer: &WinogradLayer,
-        threads: usize,
-        exec: Option<&dyn wino_sched::Executor>,
-    ) -> Result<Scratch, wino_simd::AllocError> {
-        let t = layer.t_vol();
-        let rows = layer.rows();
-        let (c, cp) = (layer.shape.in_channels, layer.shape.out_channels);
-        let b = layer.block;
-        let (u, v, x, y) = match exec {
-            Some(e) => (
-                BlockedMatrices::try_new_first_touch(t, rows, c, b.n_blk, b.c_blk, e)?,
-                BlockedMatrices::try_new_first_touch(t, c, cp, b.c_blk, b.cp_blk, e)?,
-                BlockedMatrices::try_new_first_touch(t, rows, cp, b.n_blk, b.cp_blk, e)?,
-                TileMajor::try_new_first_touch(layer.shape.batch, cp, layer.n_tiles(), t, e)?,
-            ),
-            None => (
-                BlockedMatrices::try_new(t, rows, c, b.n_blk, b.c_blk)?,
-                BlockedMatrices::try_new(t, c, cp, b.c_blk, b.cp_blk)?,
-                BlockedMatrices::try_new(t, rows, cp, b.n_blk, b.cp_blk)?,
-                TileMajor::try_new(layer.shape.batch, cp, layer.n_tiles(), t)?,
-            ),
-        };
-        let mut bufs = Vec::with_capacity(threads.max(1));
-        for _ in 0..threads.max(1) {
-            bufs.push(UnsafeCell::new(ThreadBuf {
-                a: AlignedVec::try_zeroed(t * S)?,
-                b: AlignedVec::try_zeroed(t * S)?,
-            }));
-        }
-        Ok(Scratch { u, v, x, y, bufs })
+        Scratch::build(layer, exec.threads(), Seam { fallible: true, exec: Some(exec) })
     }
 
     fn build(
         layer: &WinogradLayer,
         threads: usize,
-        exec: Option<&dyn wino_sched::Executor>,
-    ) -> Scratch {
-        let t = layer.t_vol();
-        let rows = layer.rows();
-        let (c, cp) = (layer.shape.in_channels, layer.shape.out_channels);
-        let b = layer.block;
-        let (u, v, x, y) = match exec {
-            Some(e) => (
-                BlockedMatrices::new_first_touch(t, rows, c, b.n_blk, b.c_blk, e),
-                BlockedMatrices::new_first_touch(t, c, cp, b.c_blk, b.cp_blk, e),
-                BlockedMatrices::new_first_touch(t, rows, cp, b.n_blk, b.cp_blk, e),
-                TileMajor::new_first_touch(layer.shape.batch, cp, layer.n_tiles(), t, e),
-            ),
-            None => (
-                BlockedMatrices::new(t, rows, c, b.n_blk, b.c_blk),
-                BlockedMatrices::new(t, c, cp, b.c_blk, b.cp_blk),
-                BlockedMatrices::new(t, rows, cp, b.n_blk, b.cp_blk),
-                TileMajor::new(layer.shape.batch, cp, layer.n_tiles(), t),
-            ),
-        };
-        let bufs = (0..threads.max(1))
-            .map(|_| {
-                UnsafeCell::new(ThreadBuf {
-                    // ALLOC: `build` is the infallible Scratch half;
-                    // `try_build` below is the accounted path.
-                    a: AlignedVec::zeroed(t * S),
-                    b: AlignedVec::zeroed(t * S), // ALLOC: as above
-                })
-            })
-            .collect();
-        Scratch { u, v, x, y, bufs }
+        seam: Seam<'_>,
+    ) -> Result<Scratch, wino_simd::AllocError> {
+        let shape = ScratchShape::of(layer);
+        let t = shape.t_vol;
+        let staged = !layer.is_fused();
+        let u = if staged { seam.matrices(shape.u())? } else { BlockedMatrices::placeholder() };
+        let v = seam.matrices(shape.v())?;
+        let x = if staged { seam.matrices(shape.x())? } else { BlockedMatrices::placeholder() };
+        let y = if staged { seam.tile_major(&shape)? } else { TileMajor::placeholder() };
+        let mut bufs = Vec::with_capacity(threads.max(1));
+        for _ in 0..threads.max(1) {
+            bufs.push(UnsafeCell::new(ThreadBuf {
+                a: seam.zeroed(t * S)?,
+                b: seam.zeroed(t * S)?,
+                ring: seam.zeroed(shape.ring_floats)?,
+                phase_ns: [0; 3],
+            }));
+        }
+        let scratch = Scratch { u, v, x, y, bufs, shape };
+        if let (Some(exec), true) = (seam.exec, shape.ring_floats > 0) {
+            // Fresh zero pages are committed where they are first written:
+            // write each ring from the slot that will work in it. A slot
+            // the executor skips keeps its (valid, all-zero) ring.
+            let _ = exec.run_grid(&[scratch.bufs.len()], &|slot, _| {
+                // SAFETY: slot exclusivity per the Executor contract.
+                unsafe { scratch.thread_buf(slot) }.ring.fill_zero();
+            });
+        }
+        Ok(scratch)
     }
 
-    /// Total auxiliary bytes (the paper's memory-overhead number).
+    /// Make sure the layer-sized `u`, `x` and `y` of the three stages
+    /// exist — a fused plan's scratch starts without them. All three or
+    /// none: a refusal leaves the scratch as it was.
+    pub(crate) fn materialise(&mut self) -> Result<(), wino_simd::AllocError> {
+        if self.u.t_count() == 0 {
+            let seam = Seam { fallible: true, exec: None };
+            let (u, x) = (seam.matrices(self.shape.u())?, seam.matrices(self.shape.x())?);
+            (self.u, self.x, self.y) = (u, x, seam.tile_major(&self.shape)?);
+        }
+        Ok(())
+    }
+
+    /// Whether this scratch was built for a plan shaped like `layer` and
+    /// has at least `threads` thread slots.
+    pub(crate) fn fits(&self, layer: &WinogradLayer, threads: usize) -> bool {
+        self.shape == ScratchShape::of(layer) && self.bufs.len() >= threads
+    }
+
+    /// Total auxiliary bytes held right now (the paper's memory-overhead
+    /// number): the transformed-data buffers present plus the rings.
     pub fn bytes(&self) -> usize {
-        self.u.bytes() + self.v.bytes() + self.x.bytes() + self.y.bytes()
+        self.u.bytes()
+            + self.v.bytes()
+            + self.x.bytes()
+            + self.y.bytes()
+            + self.bufs.len() * self.shape.ring_floats * std::mem::size_of::<f32>()
     }
 
     pub(crate) fn thread_slots(&self) -> usize {
         self.bufs.len()
     }
 
-    /// Exclusive access to thread `slot`'s ping-pong buffers.
+    /// Exclusive access to thread `slot`'s buffers.
     ///
     /// # Safety
     /// At most one task may hold a given slot's buffers at a time (the
@@ -716,6 +858,16 @@ impl Scratch {
     pub(crate) unsafe fn thread_buf(&self, slot: usize) -> &mut ThreadBuf {
         &mut *self.bufs[slot].get()
     }
+}
+
+/// Options whose explicit blocking cuts the reduction of any layer with
+/// `C ≥ 32` into two or more blocks: partial sums have no place in a ring,
+/// so the plan is staged whatever the host's L2 — the unit tests' way to a
+/// staged plan on a small shape.
+#[cfg(test)]
+pub(crate) fn split_reduction() -> ConvOptions {
+    let block = BlockShape { n_blk: 6, c_blk: 16, cp_blk: 16 };
+    ConvOptions { block: Some(block), ..Default::default() }
 }
 
 #[cfg(test)]
@@ -776,32 +928,78 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn scratch_sizes() {
-        let layer = WinogradLayer::new(shape2d(), &[4, 4], ConvOptions::default()).unwrap();
-        let scratch = Scratch::new(&layer, 4);
+    fn assert_staged_shapes(scratch: &Scratch) {
         assert_eq!(scratch.u.t_count(), 36);
         assert_eq!(scratch.u.rows(), 18);
         assert_eq!(scratch.u.cols(), 32);
+        assert_eq!((scratch.x.rows(), scratch.x.cols()), (18, 32));
+        assert_eq!(scratch.y.n_tiles(), 9);
+    }
+
+    #[test]
+    fn scratch_sizes() {
+        // A staged plan holds the four layer-sized buffers and no ring.
+        let staged = WinogradLayer::new(shape2d(), &[4, 4], split_reduction()).unwrap();
+        assert!(!staged.is_fused());
+        let scratch = Scratch::new(&staged, 4);
+        assert_staged_shapes(&scratch);
         assert_eq!(scratch.v.rows(), 32);
         assert_eq!(scratch.v.cols(), 32);
-        assert_eq!(scratch.y.n_tiles(), 9);
         assert_eq!(scratch.thread_slots(), 4);
-        assert!(scratch.bytes() > 0);
+        let four = scratch.u.bytes() + scratch.v.bytes() + scratch.x.bytes() + scratch.y.bytes();
+        assert_eq!(scratch.bytes(), four);
+
+        // A fused plan holds `v` and one ring per slot…
+        let fused = WinogradLayer::new(shape2d(), &[4, 4], ConvOptions::default()).unwrap();
+        assert!(fused.is_fused());
+        let mut scratch = Scratch::new(&fused, 4);
+        assert_eq!((scratch.v.rows(), scratch.v.cols()), (32, 32));
+        let ring = fused.ring_floats();
+        assert_eq!(ring, 36 * fused.ring_rows.unwrap() * (32 + 32));
+        assert_eq!(scratch.bytes(), scratch.v.bytes() + 4 * ring * 4);
+        assert_eq!(scratch.u.bytes() + scratch.x.bytes() + scratch.y.bytes(), 0);
+        // …and grows the other three, at a staged plan's shapes, the first
+        // time a stage asks for them.
+        let resident = scratch.bytes();
+        scratch.materialise().unwrap();
+        assert_staged_shapes(&scratch);
+        assert!(scratch.bytes() > resident);
+        let held = scratch.u.as_ptr();
+        scratch.materialise().unwrap();
+        assert_eq!(scratch.u.as_ptr(), held, "a second call allocates nothing");
     }
 
     #[test]
     fn scratch_first_touch_matches_plain_scratch() {
-        let layer = WinogradLayer::new(shape2d(), &[4, 4], ConvOptions::default()).unwrap();
-        let exec = wino_sched::StaticExecutor::new(3);
-        let ft = Scratch::new_first_touch(&layer, &exec);
-        let plain = Scratch::new(&layer, 3);
-        assert_eq!(ft.bytes(), plain.bytes());
-        assert_eq!(ft.thread_slots(), 3);
-        // First-touch zeroing must produce exactly the all-zero state the
-        // plain constructor guarantees.
-        assert!(ft.u.as_slice().iter().all(|&x| x == 0.0));
-        assert!(ft.x.as_slice().iter().all(|&x| x == 0.0));
+        for opts in [split_reduction(), ConvOptions::default()] {
+            let layer = WinogradLayer::new(shape2d(), &[4, 4], opts).unwrap();
+            let exec = wino_sched::StaticExecutor::new(3);
+            let ft = Scratch::new_first_touch(&layer, &exec);
+            let plain = Scratch::new(&layer, 3);
+            assert_eq!(ft.bytes(), plain.bytes());
+            assert_eq!(ft.thread_slots(), 3);
+            // First-touch zeroing must produce exactly the all-zero state
+            // the plain constructor guarantees.
+            assert!(ft.u.as_slice().iter().all(|&x| x == 0.0));
+            assert!(ft.x.as_slice().iter().all(|&x| x == 0.0));
+            for slot in 0..3 {
+                // SAFETY: no fork–join is running on `ft`.
+                let ring = &unsafe { ft.thread_buf(slot) }.ring;
+                assert_eq!(ring.len(), layer.ring_floats());
+                assert!(ring.iter().all(|&x| x == 0.0));
+            }
+        }
+    }
+
+    #[test]
+    fn a_scratch_fits_plans_of_its_own_shape_only() {
+        let fused = WinogradLayer::new(shape2d(), &[4, 4], ConvOptions::default()).unwrap();
+        let staged = WinogradLayer::new(shape2d(), &[4, 4], split_reduction()).unwrap();
+        let other_tile = WinogradLayer::new(shape2d(), &[2, 2], ConvOptions::default()).unwrap();
+        let scratch = Scratch::new(&fused, 2);
+        assert!(scratch.fits(&fused, 2) && scratch.fits(&fused, 1));
+        assert!(!scratch.fits(&fused, 3), "too few thread slots");
+        assert!(!scratch.fits(&staged, 1) && !scratch.fits(&other_tile, 1));
     }
 
     #[test]

@@ -562,8 +562,9 @@ mod tests {
     #[test]
     fn memory_budget_retiles_to_a_smaller_footprint() {
         use crate::plan::MemoryBudget;
-        let s = ConvShape::new(1, 16, 16, &[20, 20], &[3, 3], &[1, 1]).unwrap();
-        let base = ConvOptions::default();
+        // A staged plan: its layer-sized scratch is what larger tiles shrink.
+        let s = ConvShape::new(1, 32, 16, &[20, 20], &[3, 3], &[1, 1]).unwrap();
+        let base = crate::plan::split_reduction();
         let need2 = WinogradLayer::new(s.clone(), &[2, 2], base).unwrap().footprint(1).total();
         let need4 = WinogradLayer::new(s.clone(), &[4, 4], base).unwrap().footprint(1).total();
         assert!(need4 < need2, "larger tiles must be the memory-cheap direction");

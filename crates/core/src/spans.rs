@@ -2,11 +2,12 @@
 //!
 //! Stage code records one *coordinator* span per invocation around its
 //! fork–join (category = the stage), plus optional per-task worker spans
-//! (e.g. `tile-extract`). The collector comes from
-//! [`wino_sched::Executor::probe`] — plain executors return `None` and
-//! everything here is free; `wino_sched::ProbedExecutor` returns its
-//! collector. With `wino-probe`'s `enabled` feature off, every call
-//! const-folds to nothing.
+//! (e.g. `tile-extract`); the ring-fused driver, whose one fork–join does
+//! the work of three stages, cuts its interval into three such spans. The
+//! collector comes from [`wino_sched::Executor::probe`] — plain executors
+//! return `None` and everything here is free;
+//! `wino_sched::ProbedExecutor` returns its collector. With `wino-probe`'s
+//! `enabled` feature off, every call const-folds to nothing.
 
 use wino_probe::{SpanCategory, COORDINATOR};
 use wino_sched::Executor;
@@ -24,13 +25,20 @@ pub(crate) fn span_start() -> u64 {
 /// code right after `run_grid` returns.
 #[inline]
 pub(crate) fn record_coord(exec: &dyn Executor, cat: SpanCategory, start: u64) {
+    record_coord_span(exec, cat, start, wino_probe::now_ns());
+}
+
+/// [`record_coord`] with an explicit end — for the fused fork–join, whose
+/// one interval is reported as three stage spans.
+#[inline]
+pub(crate) fn record_coord_span(exec: &dyn Executor, cat: SpanCategory, start: u64, end: u64) {
     if !wino_probe::ENABLED {
         return;
     }
     if let Some(c) = exec.probe() {
         // SAFETY: called on the coordinator thread between fork–joins per
         // this function's contract, so the coordinator buffer is exclusive.
-        unsafe { c.record(COORDINATOR, cat, start, wino_probe::now_ns()) };
+        unsafe { c.record(COORDINATOR, cat, start, end) };
     }
 }
 

@@ -21,6 +21,11 @@
 //! Each task — one input tile, one kernel vector group — is one
 //! [`wino_simd::dispatch`]: gather, codelets and scatter are a single
 //! body generic over the vector backend.
+//!
+//! The per-tile body serves both schedules. [`transform_inputs`] aims it
+//! at the layer-sized `U` of the three stages; the ring-fused driver
+//! (`fused.rs`) aims it, with plain stores, at one `n_blk`-row block of
+//! `U` in the calling thread's ring.
 
 use wino_sched::Executor;
 use wino_simd::{Kernel, Simd16, S};
@@ -115,12 +120,11 @@ impl MutPtr {
 }
 
 /// The per-tile body of operation ①② — take one tile, `Bᵀ`-transform
-/// it, scatter the `T` vectors into `U` — with the state every task of
-/// one [`transform_inputs`] call shares.
+/// it, scatter the `T` vectors into a block-panel `U` — with the state
+/// every task of one fork–join shares.
 pub(crate) struct InputTransformCtx<'a> {
     layer: &'a WinogradLayer,
     input: &'a BlockedImage,
-    u: MutPtr,
     xf: TileTransform<'a, Bt>,
     /// Strides of a tile read in place from the image.
     image_strides: Strides,
@@ -128,7 +132,6 @@ pub(crate) struct InputTransformCtx<'a> {
     gathered_strides: Strides,
     /// Strides of the `T` transform vectors in `U`: `t_stride` apart.
     u_strides: Strides,
-    n_tiles: usize,
     t_vol: usize,
     n_blk: usize,
     c_blk: usize,
@@ -139,43 +142,51 @@ pub(crate) struct InputTransformCtx<'a> {
 }
 
 impl<'a> InputTransformCtx<'a> {
-    /// Build the shared state; the `U` scatter uses NT stores when
-    /// [`crate::ConvOptions::streaming_stores`] is set.
+    /// Build the shared state for a `U` whose row blocks are `n_blk` rows
+    /// high, scattered into with NT stores when `streaming`.
     pub(crate) fn new(
         layer: &'a WinogradLayer,
         input: &'a BlockedImage,
-        u: *mut f32,
+        n_blk: usize,
+        streaming: bool,
         probe: Option<&'a wino_probe::Collector>,
     ) -> InputTransformCtx<'a> {
-        let t_stride = layer.block.n_blk * layer.block.c_blk;
+        let t_stride = n_blk * layer.block.c_blk;
         InputTransformCtx {
             layer,
             input,
-            u: MutPtr(u),
             xf: TileTransform::new(&layer.plans, layer.codelets),
             image_strides: row_major(&input.dims, S),
             gathered_strides: row_major(&layer.grid.tile_dims, S),
             u_strides: row_major(&layer.grid.tile_dims, t_stride),
-            n_tiles: layer.n_tiles(),
             t_vol: layer.t_vol(),
-            n_blk: layer.block.n_blk,
+            n_blk,
             c_blk: layer.block.c_blk,
             col_blocks: layer.shape.in_channels / layer.block.c_blk,
             t_stride,
-            streaming: layer.opts.streaming_stores,
+            streaming,
             probe,
         }
     }
 
-    /// Transform tile `(b, cg, n)` into `U` (`n` is the flat tile index
-    /// within one image).
+    /// Transform tile `(b, cg, n)` (`n` is the flat tile index within one
+    /// image) into row `row` of the `U` starting at `u`.
     ///
     /// # Safety
-    /// The caller must hold `tb` exclusively (Executor slot contract) and
-    /// own the `(row n' = b·N + n, column-group cg)` range of `u` — tasks
-    /// of one fork–join must cover disjoint `(n', cg)` pairs.
-    pub(crate) unsafe fn tile(&self, tb: &mut ThreadBuf, slot: usize, b: usize, cg: usize, n: usize) {
-        wino_simd::dispatch(InputTile { ctx: self, tb, slot, b, cg, n })
+    /// The caller must hold `tb` exclusively (Executor slot contract);
+    /// `u` must be a block-panel `U` of this context's `n_blk` with more
+    /// than `row` rows, and the caller must own its `(row, column-group
+    /// cg)` range — concurrent tasks must cover disjoint `(u, row, cg)`.
+    pub(crate) unsafe fn tile(
+        &self,
+        tb: &mut ThreadBuf,
+        slot: usize,
+        (u, row): (*mut f32, usize),
+        b: usize,
+        cg: usize,
+        n: usize,
+    ) {
+        wino_simd::dispatch(InputTile { ctx: self, tb, slot, dest: (u, row), b, cg, n })
     }
 
     /// The body of [`InputTransformCtx::tile`] on backend `V`.
@@ -187,6 +198,7 @@ impl<'a> InputTransformCtx<'a> {
         &self,
         tb: &mut ThreadBuf,
         slot: usize,
+        (u, row): (*mut f32, usize),
         b: usize,
         cg: usize,
         n: usize,
@@ -227,21 +239,20 @@ impl<'a> InputTransformCtx<'a> {
         };
 
         // Scatter into U (Table 1 "Transformed inputs").
-        let n_prime = b * self.n_tiles + n;
-        let (rb_i, r_in) = (n_prime / self.n_blk, n_prime % self.n_blk);
+        let (rb_i, r_in) = (row / self.n_blk, row % self.n_blk);
         let col = cg * S;
         let (cb_i, c_in) = (col / self.c_blk, col % self.c_blk);
         let base = ((rb_i * self.col_blocks + cb_i) * self.t_vol) * self.t_stride
             + r_in * self.c_blk
             + c_in;
         // SAFETY: the source view is the in-bounds image tile or the
-        // gathered tile in `tmp[0]`; disjoint (n', cg) ranges of `u` per
+        // gathered tile in `tmp[0]`; disjoint (row, cg) ranges of `u` per
         // the caller's contract, offsets in bounds by construction of
         // `u`; the thread buffers hold T·S floats each.
         self.xf.run::<V>(
             src,
             src_strides,
-            Sink::Direct(Dest { ptr: self.u.get().add(base), strides: self.u_strides, nt: self.streaming }),
+            Sink::Direct(Dest { ptr: u.add(base), strides: self.u_strides, nt: self.streaming }),
             tmp,
         );
     }
@@ -253,6 +264,7 @@ struct InputTile<'c, 'a> {
     ctx: &'c InputTransformCtx<'a>,
     tb: &'c mut ThreadBuf,
     slot: usize,
+    dest: (*mut f32, usize),
     b: usize,
     cg: usize,
     n: usize,
@@ -265,11 +277,19 @@ impl Kernel for InputTile<'_, '_> {
     fn run<V: Simd16>(self) {
         // SAFETY: `InputTransformCtx::tile`, the only constructor,
         // forwards its caller's exclusivity contract.
-        unsafe { self.ctx.tile_on::<V>(self.tb, self.slot, self.b, self.cg, self.n) }
+        unsafe { self.ctx.tile_on::<V>(self.tb, self.slot, self.dest, self.b, self.cg, self.n) }
     }
 }
 
-/// Operation ①②: transform all input tiles into `scratch.u`.
+/// `input` must be the image `layer` was planned for.
+pub(crate) fn check_input(layer: &WinogradLayer, input: &BlockedImage) -> Result<(), WinoError> {
+    ensure_eq("input batch", layer.shape.batch, input.batch)?;
+    ensure_eq("input channels", layer.shape.in_channels, input.channels)?;
+    ensure_dims_eq("input extent", &layer.shape.image_dims, &input.dims)
+}
+
+/// Operation ①②: transform all input tiles into `scratch.u` (allocated
+/// first if this is a fused plan's scratch that has not held one yet).
 pub fn transform_inputs(
     layer: &WinogradLayer,
     input: &BlockedImage,
@@ -277,11 +297,11 @@ pub fn transform_inputs(
     exec: &dyn Executor,
 ) -> Result<(), WinoError> {
     ensure_at_least("scratch thread slots", exec.threads(), scratch.thread_slots())?;
-    ensure_eq("input batch", layer.shape.batch, input.batch)?;
-    ensure_eq("input channels", layer.shape.in_channels, input.channels)?;
-    ensure_dims_eq("input extent", &layer.shape.image_dims, &input.dims)?;
+    check_input(layer, input)?;
+    scratch.materialise()?;
 
     let rank = layer.rank();
+    let n_tiles = layer.n_tiles();
 
     // Grid: B × C/S × N_D × … × N_W (§4.5).
     let mut dims = [0usize; MAX_RANK + 2];
@@ -290,7 +310,14 @@ pub fn transform_inputs(
     dims[2..2 + rank].copy_from_slice(&layer.grid.counts);
     let dims = &dims[..2 + rank];
 
-    let ctx = InputTransformCtx::new(layer, input, scratch.u.as_mut_ptr(), exec.probe());
+    let ctx = InputTransformCtx::new(
+        layer,
+        input,
+        layer.block.n_blk,
+        layer.opts.streaming_stores,
+        exec.probe(),
+    );
+    let u = MutPtr(scratch.u.as_mut_ptr());
     let scratch_ref: &Scratch = scratch;
     let stage_start = crate::spans::span_start();
 
@@ -305,8 +332,8 @@ pub fn transform_inputs(
         // SAFETY: slot exclusivity per the Executor contract.
         let tb = unsafe { scratch_ref.thread_buf(slot) };
         // SAFETY: the grid enumerates each (b, cg, n) exactly once, so
-        // tasks cover disjoint (n', cg) ranges of `u`.
-        unsafe { ctx.tile(tb, slot, b, cg, n) };
+        // tasks cover disjoint (n' = b·N + n, cg) ranges of `u`.
+        unsafe { ctx.tile(tb, slot, (u.get(), b * n_tiles + n), b, cg, n) };
     })?;
     crate::spans::record_coord(exec, wino_probe::SpanCategory::InputTransform, stage_start);
     #[cfg(feature = "fault-inject")]
@@ -666,6 +693,7 @@ mod tests {
         transform_inputs(&layer, &blocked, &mut s1, &SerialExecutor).unwrap();
         let pool = StaticExecutor::new(4);
         transform_inputs(&layer, &blocked, &mut s2, &pool).unwrap();
+        assert!(!s1.u.as_slice().is_empty(), "the stage allocates a fused plan's `u`");
         assert_eq!(s1.u.as_slice(), s2.u.as_slice());
     }
 
@@ -683,6 +711,7 @@ mod tests {
         };
         let a = mk(true);
         let b = mk(false);
+        assert!(!a.u.as_slice().is_empty());
         assert_eq!(a.u.as_slice(), b.u.as_slice());
     }
 }

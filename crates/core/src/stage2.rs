@@ -9,6 +9,11 @@
 //! [`crate::layout::TileMajor`] that stage 3 reads contiguously. The paper
 //! measured >20 % end-to-end gain from this fusion over a separate copy
 //! pass (reproduced: EXPERIMENTS.md, "§4.3.1").
+//!
+//! This is the schedule of every layer whose `V̂` does not fit the L2
+//! beside a ring, and the reference the ring-fused driver (`fused.rs`)
+//! is tested `==` against; that driver calls the same micro-kernels on one
+//! `n_blk`-row panel at a time, scattering into its thread's ring.
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -191,6 +196,18 @@ pub fn multiply(
     result
 }
 
+/// `v` must be kernel transforms of `layer`'s shape and blocking.
+pub(crate) fn check_kernel_transforms(
+    layer: &WinogradLayer,
+    v: &BlockedMatrices,
+) -> Result<(), WinoError> {
+    ensure_eq("kernel-transform tile count", layer.t_vol(), v.t_count())?;
+    ensure_eq("kernel-transform rows", layer.shape.in_channels, v.rows())?;
+    ensure_eq("kernel-transform cols", layer.shape.out_channels, v.cols())?;
+    ensure_eq("kernel-transform C_blk", layer.block.c_blk, v.rb())?;
+    ensure_eq("kernel-transform C'_blk", layer.block.cp_blk, v.cb())
+}
+
 /// As [`multiply`], but against externally stored kernel transforms — the
 /// inference-only "FX" mode (§4.2 "Inference only"): `V` is memoised once
 /// per network and `scratch.v` is never touched.
@@ -200,11 +217,8 @@ pub fn multiply_with(
     v_ext: &wino_tensor::BlockedMatrices,
     exec: &dyn Executor,
 ) -> Result<(), WinoError> {
-    ensure_eq("kernel-transform tile count", layer.t_vol(), v_ext.t_count())?;
-    ensure_eq("kernel-transform rows", layer.shape.in_channels, v_ext.rows())?;
-    ensure_eq("kernel-transform cols", layer.shape.out_channels, v_ext.cols())?;
-    ensure_eq("kernel-transform C_blk", layer.block.c_blk, v_ext.rb())?;
-    ensure_eq("kernel-transform C'_blk", layer.block.cp_blk, v_ext.cb())?;
+    check_kernel_transforms(layer, v_ext)?;
+    scratch.materialise()?;
     let t_vol = layer.t_vol();
     let row_blocks = scratch.u.row_blocks();
     let col_blocks = v_ext.col_blocks();
@@ -235,12 +249,13 @@ pub fn multiply_with(
     Ok(())
 }
 
-/// Apply one armed corruption to the transformed-output tensor `y` —
-/// the deterministic fault model for the accuracy-sentinel tests. All
-/// three kinds keep the data *finite*, so `check_finite` cannot see
-/// them: only output verification can.
+/// Apply one armed corruption to the transformed-output tensor `y` (or
+/// to one panel's tile-major chunks in a ring) — the deterministic fault
+/// model for the accuracy-sentinel tests. All three kinds keep the data
+/// *finite*, so `check_finite` cannot see them: only output verification
+/// can.
 #[cfg(feature = "fault-inject")]
-fn corrupt_y(y: &mut [f32], kind: wino_sched::fault::CorruptKind) {
+pub(crate) fn corrupt_y(y: &mut [f32], kind: wino_sched::fault::CorruptKind) {
     use wino_sched::fault::CorruptKind;
     match kind {
         // Flip a high mantissa/exponent bit of one element: a large but
@@ -285,7 +300,12 @@ mod tests {
         (layer, scratch)
     }
 
+    /// Fill `U` and `V` by hand. On these small shapes the plans are
+    /// fused, whose scratch holds no `u` until a stage asks: allocate it
+    /// first, or the fill — and every check after it — would be vacuous.
     fn fill_uv(scratch: &mut Scratch) {
+        scratch.materialise().unwrap();
+        assert!(!scratch.u.as_slice().is_empty() && !scratch.y.as_slice().is_empty());
         for (i, f) in scratch.u.as_mut_slice().iter_mut().enumerate() {
             *f = ((i.wrapping_mul(2654435761) >> 18) & 0x3f) as f32 / 32.0 - 1.0;
         }

@@ -12,6 +12,10 @@
 //! Note the key algebraic property (Eqn. 7/8): `Aᵀ` is applied *after* the
 //! channel reduction of stage 2 — `BNC'/S` inverse transforms total,
 //! independent of `C`.
+//!
+//! The per-tile body serves both schedules: [`inverse_transform`] feeds it
+//! the chunks of the layer-sized `y`, the ring-fused driver (`fused.rs`)
+//! the chunks its thread's ring holds for the panel in flight.
 
 use wino_sched::Executor;
 use wino_simd::{Kernel, Simd16, S};
@@ -25,14 +29,14 @@ use crate::stage1::{decompose, MutPtr};
 
 /// The per-tile body of the inverse transform — read one tile's `T`
 /// vectors, apply `Aᵀ` along every dimension, write the clipped `m`-tile
-/// to the output image — with the state every task of one
-/// [`inverse_transform`] call shares.
+/// to the output image — with the state every task of one fork–join
+/// shares.
 pub(crate) struct Stage3Ctx<'a> {
     layer: &'a WinogradLayer,
-    y: &'a TileMajor,
     out: MutPtr,
     xf: TileTransform<'a, At>,
-    /// Strides of a tile read in place from `y` (row-major, `S` apart).
+    /// Strides of a tile read in place from its `T·S`-float chunk
+    /// (row-major, `S` apart).
     y_strides: Strides,
     /// Strides of output points in the image, in floats.
     out_strides: Strides,
@@ -44,11 +48,10 @@ pub(crate) struct Stage3Ctx<'a> {
 impl<'a> Stage3Ctx<'a> {
     /// Build the shared state; the output write uses NT stores when
     /// [`crate::ConvOptions::streaming_stores`] is set.
-    pub(crate) fn new(layer: &'a WinogradLayer, y: &'a TileMajor, out: *mut f32) -> Stage3Ctx<'a> {
+    pub(crate) fn new(layer: &'a WinogradLayer, out: *mut f32) -> Stage3Ctx<'a> {
         let out_dims = &layer.grid.out_dims;
         Stage3Ctx {
             layer,
-            y,
             out: MutPtr(out),
             xf: TileTransform::new(&layer.plans, layer.codelets),
             y_strides: row_major(&layer.grid.tile_dims, S),
@@ -59,14 +62,24 @@ impl<'a> Stage3Ctx<'a> {
         }
     }
 
-    /// Inverse-transform tile `(b, og, n)` and write its clipped output.
+    /// Inverse-transform tile `(b, og, n)` from the `T·S` floats at `src`
+    /// — a contiguous read (§4.4: "fast memory access and as few TLB
+    /// misses as possible") — and write its clipped output.
     ///
     /// # Safety
-    /// The caller must hold `tb` exclusively (Executor slot contract) and
-    /// own output tile `(b, og, n)` — tasks of one fork–join must cover
-    /// disjoint `(b, og, n)` triples.
-    pub(crate) unsafe fn tile(&self, tb: &mut ThreadBuf, b: usize, og: usize, n: usize) {
-        wino_simd::dispatch(OutputTile { ctx: self, tb, b, og, n })
+    /// The caller must hold `tb` exclusively (Executor slot contract),
+    /// `src` must be valid for `T·S` reads and 64-byte aligned, and the
+    /// caller must own output tile `(b, og, n)` — concurrent tasks must
+    /// cover disjoint `(b, og, n)` triples.
+    pub(crate) unsafe fn tile(
+        &self,
+        tb: &mut ThreadBuf,
+        src: *const f32,
+        b: usize,
+        og: usize,
+        n: usize,
+    ) {
+        wino_simd::dispatch(OutputTile { ctx: self, tb, src, b, og, n })
     }
 
     /// The body of [`Stage3Ctx::tile`] on backend `V`.
@@ -74,20 +87,16 @@ impl<'a> Stage3Ctx<'a> {
     /// # Safety
     /// As [`Stage3Ctx::tile`].
     #[inline(always)]
-    unsafe fn tile_on<V: Simd16>(&self, tb: &mut ThreadBuf, b: usize, og: usize, n: usize) {
+    unsafe fn tile_on<V: Simd16>(
+        &self,
+        tb: &mut ThreadBuf,
+        src: *const f32,
+        b: usize,
+        og: usize,
+        n: usize,
+    ) {
         let grid = &self.layer.grid;
         let rank = self.layer.rank();
-        // Contiguous read (§4.4: "fast memory access and as few TLB
-        // misses as possible").
-        let src = self.y.tile(b, og, n).as_ptr();
-        // The next task reads the next chunk. A chunk is about one 4 KiB
-        // page, where the hardware streamer stops and retrains, so ask
-        // for it while this one is transformed.
-        if n + 1 < grid.total_tiles() {
-            let next = self.y.tile(b, og, n + 1);
-            // SAFETY: the span is the next tile's slice of `y`.
-            wino_simd::prefetch_span_t1(next.as_ptr().cast(), std::mem::size_of_val(next));
-        }
 
         // Where the m-tile lands in the output image, and how much of it
         // the real output extent keeps.
@@ -138,6 +147,7 @@ impl<'a> Stage3Ctx<'a> {
 struct OutputTile<'c, 'a> {
     ctx: &'c Stage3Ctx<'a>,
     tb: &'c mut ThreadBuf,
+    src: *const f32,
     b: usize,
     og: usize,
     n: usize,
@@ -150,11 +160,19 @@ impl Kernel for OutputTile<'_, '_> {
     fn run<V: Simd16>(self) {
         // SAFETY: `Stage3Ctx::tile`, the only constructor, forwards its
         // caller's exclusivity contract.
-        unsafe { self.ctx.tile_on::<V>(self.tb, self.b, self.og, self.n) }
+        unsafe { self.ctx.tile_on::<V>(self.tb, self.src, self.b, self.og, self.n) }
     }
 }
 
-/// Apply the inverse transforms and write the output image.
+/// `output` must be the image `layer` produces.
+pub(crate) fn check_output(layer: &WinogradLayer, output: &BlockedImage) -> Result<(), WinoError> {
+    ensure_eq("output batch", layer.shape.batch, output.batch)?;
+    ensure_eq("output channels", layer.shape.out_channels, output.channels)?;
+    ensure_dims_eq("output extent", &layer.grid.out_dims, &output.dims)
+}
+
+/// Apply the inverse transforms to `scratch.y` and write the output
+/// image.
 pub fn inverse_transform(
     layer: &WinogradLayer,
     scratch: &mut Scratch,
@@ -162,26 +180,35 @@ pub fn inverse_transform(
     exec: &dyn Executor,
 ) -> Result<(), WinoError> {
     ensure_at_least("scratch thread slots", exec.threads(), scratch.thread_slots())?;
-    ensure_eq("output batch", layer.shape.batch, output.batch)?;
-    ensure_eq("output channels", layer.shape.out_channels, output.channels)?;
-    ensure_dims_eq("output extent", &layer.grid.out_dims, &output.dims)?;
+    check_output(layer, output)?;
+    scratch.materialise()?;
 
     let n_tiles = layer.n_tiles();
     let out_channel_groups = layer.shape.out_channels / S;
     let dims = [layer.shape.batch, out_channel_groups, n_tiles];
-    let ctx = Stage3Ctx::new(layer, &scratch.y, output.as_mut_ptr());
+    let ctx = Stage3Ctx::new(layer, output.as_mut_ptr());
     let scratch_ref: &Scratch = scratch;
+    let y: &TileMajor = &scratch_ref.y;
     let stage_start = crate::spans::span_start();
 
     exec.run_grid(&dims, &|slot, flat| {
         let n = flat % n_tiles;
         let og = (flat / n_tiles) % out_channel_groups;
         let b = flat / (n_tiles * out_channel_groups);
+        // The next task reads the next chunk. A chunk is about one 4 KiB
+        // page, where the hardware streamer stops and retrains, so ask
+        // for it while this one is transformed.
+        if n + 1 < n_tiles {
+            let next = y.tile(b, og, n + 1);
+            // SAFETY: the span is the next tile's slice of `y`.
+            unsafe { wino_simd::prefetch_span_t1(next.as_ptr().cast(), std::mem::size_of_val(next)) };
+        }
         // SAFETY: slot exclusivity per the Executor contract.
         let tb = unsafe { scratch_ref.thread_buf(slot) };
-        // SAFETY: the grid enumerates each (b, og, n) exactly once, so
-        // tasks own disjoint output tiles.
-        unsafe { ctx.tile(tb, b, og, n) };
+        // SAFETY: the source is tile (b, og, n)'s chunk of `y`; the grid
+        // enumerates each (b, og, n) exactly once, so tasks own disjoint
+        // output tiles.
+        unsafe { ctx.tile(tb, y.tile(b, og, n).as_ptr(), b, og, n) };
     })?;
     crate::spans::record_coord(exec, wino_probe::SpanCategory::OutputTransform, stage_start);
     #[cfg(feature = "fault-inject")]
@@ -198,7 +225,12 @@ mod tests {
     use wino_sched::{SerialExecutor, StaticExecutor};
     use wino_tensor::ConvShape;
 
+    /// Fill `y` by hand. On these small shapes the plans are fused, whose
+    /// scratch holds no `y` until a stage asks: allocate it first, or the
+    /// fill — and every check after it — would be vacuous.
     fn fill_y(scratch: &mut Scratch) {
+        scratch.materialise().unwrap();
+        assert!(!scratch.y.as_slice().is_empty());
         for (i, f) in scratch.y.as_mut_slice().iter_mut().enumerate() {
             *f = ((i.wrapping_mul(2654435761) >> 20) & 0x1f) as f32 / 16.0 - 1.0;
         }
@@ -368,9 +400,7 @@ mod tests {
         let s = ConvShape::new(2, 16, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
         let layer = WinogradLayer::new(s, &[4, 4], ConvOptions::default()).unwrap();
         let mut scratch = Scratch::new(&layer, 4);
-        for (i, f) in scratch.y.as_mut_slice().iter_mut().enumerate() {
-            *f = (i % 97) as f32 * 0.01;
-        }
+        fill_y(&mut scratch);
         let mut o1 = layer.new_output().unwrap();
         let mut o2 = layer.new_output().unwrap();
         inverse_transform(&layer, &mut scratch, &mut o1, &SerialExecutor).unwrap();

@@ -283,10 +283,15 @@ mod tests {
         a.mov_load64(Gpr::Rdx, Gpr::Rdi, 8);
         assert_eq!(a.code, vec![0x48, 0x8B, 0x97, 8, 0, 0, 0]);
 
-        // vmovntps [r8 + 0x40], zmm3 — base extension via EVEX.B̄ = 0.
+        // vmovntps [r8 + 0x40], zmm3 — base extension via EVEX.B̄ = 0 —
+        // and its plain twin vmovups [r8 + 0x40], zmm3: the two forms of
+        // the ⑥ scatter differ in the opcode byte only.
         let mut a = Asm::new();
         a.vmovntps(Gpr::R8, 0x40, 3);
         assert_eq!(a.code, vec![0x62, 0xD1, 0x7C, 0x48, 0x2B, 0x98, 0x40, 0, 0, 0]);
+        let mut a = Asm::new();
+        a.vmovups_store(Gpr::R8, 0x40, 3);
+        assert_eq!(a.code, vec![0x62, 0xD1, 0x7C, 0x48, 0x11, 0x98, 0x40, 0, 0, 0]);
     }
 
     /// The rolled loop's integer repertoire, against GNU as (which picks

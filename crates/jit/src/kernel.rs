@@ -17,7 +17,8 @@
 //!                       Q × zmm_{j,q} += bcst · V̂_q    (register FMAs)
 //!       add rdi, 16 ; add rsi, 4·row(V̂) ; dec rax ; jnz k
 //!     C_blk mod 4 further steps, straight-line
-//!     store the tile to X̂, or stream it to row_ptrs[j] + column offset
+//!     store the tile to X̂, or write it — streaming or plain stores — to
+//!       row_ptrs[j] + column offset
 //!     advance rdi / rdx / rcx to the next row strip, rewind rsi
 //!   rewind the row pointers, advance rsi / rdx / r11 to the next columns
 //! vzeroupper ; ret
@@ -86,11 +87,13 @@ const B_REG: u8 = 28;
 pub enum JitOutput {
     /// Store accumulators back into the contiguous `X̂` block.
     Block,
-    /// Operation ⑥: scatter row `j` with non-temporal streaming stores to
-    /// `row_ptrs[j] + q·group_stride` floats for each 16-wide column
-    /// group `q` (`row_ptrs` is the kernel's 4th argument). The group
-    /// stride is baked into the code — it is a per-plan constant.
-    Scatter { group_stride: usize },
+    /// Operation ⑥: scatter row `j` to `row_ptrs[j] + q·group_stride`
+    /// floats for each 16-wide column group `q` (`row_ptrs` is the
+    /// kernel's 4th argument) — with non-temporal stores when `streaming`
+    /// (the consumer is a barrier away), with plain ones otherwise (it
+    /// reads the rows back out of this core's cache). Both are baked into
+    /// the code: they are per-plan constants.
+    Scatter { group_stride: usize, streaming: bool },
 }
 
 /// Emit `body` `count` times: once as is, or as a loop counted down in
@@ -175,14 +178,18 @@ fn emit_tile(a: &mut Asm, r: usize, q: usize, c_blk: usize, cp_blk: usize, beta:
                 }
             }
         }
-        JitOutput::Scatter { group_stride } => {
+        JitOutput::Scatter { group_stride, streaming } => {
             // Operation ⑥: fetch each row's destination from the pointer
-            // table, move to this column strip, stream the registers out.
+            // table, move to this column strip, write the registers out.
             for j in 0..r {
                 a.mov_load64(Gpr::R8, Gpr::Rcx, (j * 8) as i32);
                 a.add_reg(Gpr::R8, Gpr::R11);
                 for qq in 0..q {
-                    a.vmovntps(Gpr::R8, disp(qq * group_stride), acc(j, qq));
+                    if streaming {
+                        a.vmovntps(Gpr::R8, disp(qq * group_stride), acc(j, qq));
+                    } else {
+                        a.vmovups_store(Gpr::R8, disp(qq * group_stride), acc(j, qq));
+                    }
                 }
             }
             a.add_imm32(Gpr::Rcx, (r * 8) as i32);
@@ -210,7 +217,7 @@ fn emit(n_blk: usize, c_blk: usize, cp_blk: usize, beta: bool, output: JitOutput
             a.add_imm32(Gpr::Rdi, -disp(n_blk * c_blk));
             a.add_imm32(Gpr::Rdx, disp(q * 16) - disp(n_blk * cp_blk));
             a.add_imm32(Gpr::Rsi, disp(q * 16));
-            if let JitOutput::Scatter { group_stride } = output {
+            if let JitOutput::Scatter { group_stride, .. } = output {
                 a.add_imm32(Gpr::Rcx, -((n_blk * 8) as i32));
                 a.add_imm32(Gpr::R11, disp(q * group_stride));
             }
@@ -266,7 +273,7 @@ impl JitKernel {
         }
         // A column strip (≤ 4 groups) is addressed by displacement and
         // stepped over with one `add imm32`.
-        if let JitOutput::Scatter { group_stride } = output {
+        if let JitOutput::Scatter { group_stride, .. } = output {
             if group_stride > i32::MAX as usize / 16 {
                 return Err(JitError::BadParams("scatter group stride too large for disp32"));
             }
@@ -328,10 +335,11 @@ impl JitKernel {
     /// * `row_ptrs` holds `n_blk` non-null pointers, each 64-byte aligned
     ///   and valid for `(cp_blk/16 - 1)·group_stride + 16` float writes,
     ///   disjoint from `u`/`v`/`x`,
-    /// * `x` is read when `β = 1` (never written).
+    /// * `x` is read when `β = 1` (never written; with `β = 0` it is not
+    ///   dereferenced at all).
     ///
-    /// Streaming stores require an `sfence` (or barrier) before the data
-    /// is read by another thread.
+    /// A `streaming` kernel's stores require an `sfence` (or barrier)
+    /// before the data is read by another thread.
     #[inline]
     pub unsafe fn call_scatter(
         &self,
@@ -531,9 +539,12 @@ mod tests {
         if !have_avx512() {
             return;
         }
-        for (n_blk, c_blk, cp_blk, beta) in
-            [(3usize, 16usize, 32usize, false), (8, 48, 64, true), (1, 5, 16, false)]
-        {
+        for (n_blk, c_blk, cp_blk, beta, streaming) in [
+            (3usize, 16usize, 32usize, false, true),
+            (8, 48, 64, true, true),
+            (8, 48, 64, true, false),
+            (1, 5, 16, false, false),
+        ] {
             let u = filled(n_blk * c_blk, 11);
             let v = filled(c_blk * cp_blk, 12);
             let x0 = filled(n_blk * cp_blk, 13);
@@ -552,7 +563,7 @@ mod tests {
                 c_blk,
                 cp_blk,
                 beta,
-                JitOutput::Scatter { group_stride },
+                JitOutput::Scatter { group_stride, streaming },
             )
             .unwrap();
             // SAFETY: buffers match the compiled block shape; row pointers
@@ -567,7 +578,7 @@ mod tests {
                         let want = x_ref[j * cp_blk + q * 16 + lane];
                         assert!(
                             (got - want).abs() <= 1e-4 * want.abs().max(1.0),
-                            "n_blk={n_blk} beta={beta} row {j} group {q} lane {lane}: {got} vs {want}"
+                            "n_blk={n_blk} beta={beta} streaming={streaming} row {j} group {q} lane {lane}: {got} vs {want}"
                         );
                     }
                 }
@@ -583,8 +594,16 @@ mod tests {
     /// `k = 0..c_blk` in order, from `X̂` (β = 1) or zero. Instruction
     /// scheduling cannot change a chain of fused operations, and no
     /// unfused path exists on AVX-512 — only the `scalar` backend rounds
-    /// twice, and the JIT does not run beside it.
-    fn assert_jit_equals_mono(n_blk: usize, c_blk: usize, cp_blk: usize, beta: bool, scatter: bool) {
+    /// twice, and the JIT does not run beside it. `scatter` is `None` for
+    /// the block output, `Some(streaming)` for operation ⑥ with the same
+    /// store flavour on both sides.
+    fn assert_jit_equals_mono(
+        n_blk: usize,
+        c_blk: usize,
+        cp_blk: usize,
+        beta: bool,
+        scatter: Option<bool>,
+    ) {
         let u = filled(n_blk * c_blk, 21);
         let v = filled(c_blk * cp_blk, 22);
         let x0 = filled(n_blk * cp_blk, 23);
@@ -599,13 +618,15 @@ mod tests {
             let row_ptrs: Vec<*mut f32> =
                 (0..n_blk).map(|j| unsafe { base.add(j * qn * group_stride) }).collect();
             if jit {
-                let output =
-                    if scatter { JitOutput::Scatter { group_stride } } else { JitOutput::Block };
+                let output = match scatter {
+                    Some(streaming) => JitOutput::Scatter { group_stride, streaming },
+                    None => JitOutput::Block,
+                };
                 let kern = JitKernel::compile_with_output(n_blk, c_blk, cp_blk, beta, output).unwrap();
                 // SAFETY: buffers match the compiled block shape; row
                 // pointers are aligned arena slots with room for qn groups.
                 unsafe {
-                    if scatter {
+                    if scatter.is_some() {
                         kern.call_scatter(u.as_ptr(), v.as_ptr(), x.as_ptr(), row_ptrs.as_ptr());
                     } else {
                         kern.call(u.as_ptr(), v.as_ptr(), x.as_mut_ptr());
@@ -621,14 +642,13 @@ mod tests {
                     beta,
                     next_u: std::ptr::null(),
                     next_x: std::ptr::null(),
-                    output: if scatter {
-                        wino_gemm::Output::Scatter {
+                    output: match scatter {
+                        Some(streaming) => wino_gemm::Output::Scatter {
                             row_ptrs: row_ptrs.as_ptr(),
                             group_stride,
-                            streaming: true,
-                        }
-                    } else {
-                        wino_gemm::Output::Block
+                            streaming,
+                        },
+                        None => wino_gemm::Output::Block,
                     },
                 };
                 // SAFETY: same buffers and contract as the JIT branch.
@@ -637,26 +657,32 @@ mod tests {
             wino_simd::sfence();
             (x.as_slice().to_vec(), arena.as_slice().to_vec())
         };
-        let case = format!("n_blk={n_blk} c_blk={c_blk} cp_blk={cp_blk} beta={beta} scatter={scatter}");
+        let case = format!("n_blk={n_blk} c_blk={c_blk} cp_blk={cp_blk} beta={beta} scatter={scatter:?}");
         let ((x_jit, y_jit), (x_rust, y_rust)) = (run(true), run(false));
         assert_eq!(x_jit, x_rust, "X̂: {case}");
         assert_eq!(y_jit, y_rust, "scatter arena: {case}");
-        if scatter {
+        if scatter.is_some() {
             assert_eq!(x_jit, x0.as_slice(), "scatter output only reads X̂: {case}");
         }
     }
 
+    /// The streaming scatter of the staged path and the plain-store one
+    /// of the ring-fused path, on a full panel and on a tail panel.
     #[test]
     fn scatter_kernel_agrees_with_rust_scatter_microkernel() {
         if !have_avx512() {
             return;
         }
-        assert_jit_equals_mono(4, 32, 32, false, true);
+        for streaming in [true, false] {
+            assert_jit_equals_mono(4, 32, 32, false, Some(streaming));
+            assert_jit_equals_mono(12, 64, 64, false, Some(streaming));
+            assert_jit_equals_mono(9, 64, 64, false, Some(streaming));
+        }
     }
 
     /// Every panel height × every tile width and mixed column strips × β
-    /// × both outputs, on a reduction that takes the rolled loop and the
-    /// remainder steps.
+    /// × all three outputs, on a reduction that takes the rolled loop and
+    /// the remainder steps.
     #[test]
     fn every_strip_shape_equals_the_rust_kernel() {
         if !have_avx512() {
@@ -665,7 +691,7 @@ mod tests {
         for n_blk in 1..=MAX_N_BLK {
             for cp_blk in [16, 32, 48, 64, 96, 128] {
                 for beta in [false, true] {
-                    for scatter in [false, true] {
+                    for scatter in [None, Some(true), Some(false)] {
                         assert_jit_equals_mono(n_blk, 22, cp_blk, beta, scatter);
                     }
                 }
@@ -683,7 +709,7 @@ mod tests {
         }
         for n_blk in [1, 2, 3, 4, 5, 28] {
             for c_blk in [1, 3, 4, 33] {
-                for scatter in [false, true] {
+                for scatter in [None, Some(true), Some(false)] {
                     assert_jit_equals_mono(n_blk, c_blk, 64, true, scatter);
                     assert_jit_equals_mono(n_blk, c_blk, 48, false, scatter);
                 }
@@ -697,7 +723,11 @@ mod tests {
     /// Emission needs no AVX-512, so this runs everywhere.
     #[test]
     fn code_size_is_independent_of_c_blk_and_small() {
-        for output in [JitOutput::Block, JitOutput::Scatter { group_stride: 4096 }] {
+        for output in [
+            JitOutput::Block,
+            JitOutput::Scatter { group_stride: 4096, streaming: true },
+            JitOutput::Scatter { group_stride: 4096, streaming: false },
+        ] {
             for n_blk in [1, 8, 28, 30] {
                 let sizes = [32, 128, 512].map(|c_blk| emit(n_blk, c_blk, 32, true, output).len());
                 assert!(sizes[0] == sizes[1] && sizes[1] == sizes[2], "{n_blk} {output:?}: {sizes:?}");
@@ -710,7 +740,8 @@ mod tests {
                 for n_blk in [s.n_blk, 1 + s.n_blk % 5] {
                     for (beta, output) in [
                         (false, JitOutput::Block),
-                        (true, JitOutput::Scatter { group_stride: 4096 }),
+                        (true, JitOutput::Scatter { group_stride: 4096, streaming: true }),
+                        (false, JitOutput::Scatter { group_stride: 4096, streaming: false }),
                     ] {
                         let bytes = emit(n_blk, s.c_blk, s.cp_blk, beta, output).len();
                         assert!(bytes < 16 * 1024, "{s:?} n_blk={n_blk} {output:?}: {bytes} bytes");
@@ -739,7 +770,8 @@ mod tests {
         assert!(matches!(JitKernel::compile(8, 16, 15, false), Err(JitError::BadParams(_))));
         assert!(matches!(JitKernel::compile(8, 0, 16, false), Err(JitError::BadParams(_))));
         // A group stride whose column-strip step would wrap an imm32.
-        let huge = JitOutput::Scatter { group_stride: (i32::MAX as usize / 16) + 1 };
+        let huge =
+            JitOutput::Scatter { group_stride: (i32::MAX as usize / 16) + 1, streaming: true };
         assert!(matches!(
             JitKernel::compile_with_output(8, 16, 16, false, huge),
             Err(JitError::BadParams(_))

@@ -82,7 +82,8 @@ fn jit_scatter_kernel_matches_reference() {
             c_blk,
             cp_blk,
             beta,
-            JitOutput::Scatter { group_stride },
+            // Both store flavours of operation ⑥, by the case's parity.
+            JitOutput::Scatter { group_stride, streaming: seed.is_multiple_of(2) },
         )
         .unwrap();
         unsafe { kern.call_scatter(u.as_ptr(), v.as_ptr(), x0.as_ptr(), row_ptrs.as_ptr()) };

@@ -390,6 +390,81 @@ pub fn configured_threads() -> usize {
     Topology::detect().total_cpus()
 }
 
+/// The L2 share assumed when neither sysfs nor CPUID describes the cache.
+const FALLBACK_L2_BYTES: usize = 1 << 20;
+
+/// The L2 capacity one hardware thread can count on, in bytes: the size of
+/// the first online CPU's L2 divided by the CPUs that share it (SMT
+/// siblings, or a cluster behind one L2). Read once per process from
+/// sysfs (`cpuN/cache/index2`), else from CPUID leaf 4 on x86-64, else
+/// 1 MiB. `wino-conv` sizes its per-thread ring from it and decides from
+/// it whether a layer's kernel transforms stay cache-resident.
+pub fn l2_bytes_per_thread() -> usize {
+    static L2: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *L2.get_or_init(|| {
+        l2_share_from_sysfs(Path::new("/sys/devices/system/cpu"))
+            .or_else(l2_share_from_cpuid)
+            .unwrap_or(FALLBACK_L2_BYTES)
+    })
+}
+
+/// Parse a sysfs cache `size` file: `"2048K"`, `"1M"`, or plain bytes.
+fn parse_cache_size(s: &str) -> Option<usize> {
+    let s = s.trim();
+    let (digits, unit) = match s.as_bytes().last()? {
+        b'K' | b'k' => (&s[..s.len() - 1], 1 << 10),
+        b'M' | b'm' => (&s[..s.len() - 1], 1 << 20),
+        _ => (s, 1),
+    };
+    digits.parse::<usize>().ok()?.checked_mul(unit).filter(|&bytes| bytes > 0)
+}
+
+/// The first online CPU's share of its L2 in a sysfs CPU directory (a
+/// live `/sys/devices/system/cpu` or a fixture tree): `index2/size` over
+/// the online CPUs of `index2/shared_cpu_list` (the CPU alone when the
+/// list is missing). `None` when the tree has no `index2`, or it is not a
+/// level-2 cache.
+fn l2_share_from_sysfs(cpu_dir: &Path) -> Option<usize> {
+    let read = |p: std::path::PathBuf| std::fs::read_to_string(p).ok();
+    let online = parse_cpulist(&read(cpu_dir.join("online"))?).ok()?;
+    let cache = cpu_dir.join(format!("cpu{}/cache/index2", online.first()?));
+    if read(cache.join("level")).is_some_and(|level| level.trim() != "2") {
+        return None;
+    }
+    let size = parse_cache_size(&read(cache.join("size"))?)?;
+    let sharers = read(cache.join("shared_cpu_list"))
+        .and_then(|list| parse_cpulist(&list).ok())
+        .map_or(1, |cpus| cpus.iter().filter(|c| online.contains(c)).count());
+    Some(size / sharers.max(1))
+}
+
+/// The calling CPU's share of its L2 from CPUID leaf 4 (deterministic
+/// cache parameters): ways × partitions × line × sets of the level-2 data
+/// or unified cache, over the logical processors the leaf says share it.
+#[cfg(target_arch = "x86_64")]
+fn l2_share_from_cpuid() -> Option<usize> {
+    use std::arch::x86_64::{__cpuid, __cpuid_count};
+    if __cpuid(0).eax < 4 {
+        return None;
+    }
+    // Sub-leaves enumerate the caches; type 0 ends the list.
+    (0..32)
+        .map(|sub| __cpuid_count(4, sub))
+        .take_while(|r| r.eax & 0x1f != 0)
+        .find(|r| (r.eax >> 5) & 0x7 == 2 && matches!(r.eax & 0x1f, 1 | 3))
+        .map(|r| {
+            let field = |reg: u32, shift: u32, bits: u32| ((reg >> shift) & ((1 << bits) - 1)) as usize + 1;
+            let bytes = field(r.ebx, 22, 10) * field(r.ebx, 12, 10) * field(r.ebx, 0, 12) * (r.ecx as usize + 1);
+            bytes / field(r.eax, 14, 12)
+        })
+}
+
+/// No CPUID off x86-64.
+#[cfg(not(target_arch = "x86_64"))]
+fn l2_share_from_cpuid() -> Option<usize> {
+    None
+}
+
 /// Typed failure of [`pin_current_thread`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AffinityError {
@@ -597,6 +672,35 @@ mod tests {
             }
             assert_eq!(back.smt_per_core(), t.smt_per_core(), "{name}");
         }
+    }
+
+    // ---- L2 share ----
+
+    #[test]
+    fn cache_size_parses_sysfs_spellings_and_rejects_garbage() {
+        assert_eq!(parse_cache_size("2048K\n"), Some(2 << 20));
+        assert_eq!(parse_cache_size("1M"), Some(1 << 20));
+        assert_eq!(parse_cache_size(" 65536 "), Some(65536));
+        for bad in ["", "K", "big", "12Q", "-4K", "0K", "1.5M"] {
+            assert_eq!(parse_cache_size(bad), None, "'{bad}'");
+        }
+    }
+
+    #[test]
+    fn l2_share_is_private_halved_under_smt_and_absent_without_index2() {
+        // A private 2 MiB L2, a 1 MiB L2 shared by two SMT siblings, and a
+        // tree that describes no L2 at all.
+        assert_eq!(l2_share_from_sysfs(&fixture("one-socket")), Some(2 << 20));
+        assert_eq!(l2_share_from_sysfs(&fixture("ccx")), Some(512 << 10));
+        assert_eq!(l2_share_from_sysfs(&fixture("two-socket")), None);
+        assert_eq!(l2_share_from_sysfs(Path::new("/nonexistent-sysfs")), None);
+    }
+
+    #[test]
+    fn detected_l2_is_cached_and_plausible() {
+        let l2 = l2_bytes_per_thread();
+        assert!((32 << 10..=256 << 20).contains(&l2), "{l2} B of L2 per thread");
+        assert_eq!(l2_bytes_per_thread(), l2);
     }
 
     #[test]

@@ -187,8 +187,9 @@ pub struct ServeStats {
     /// Aligned-buffer allocation calls made by the batcher thread so
     /// far (monotonic; republished after every batch). In steady state
     /// the per-batch delta is exactly the unavoidable output buffers —
-    /// one per layer plus one per request — because the assembly buffer
-    /// and engine scratch are reused.
+    /// the batch's output plus one per request — because the assembly
+    /// buffer, the engine scratch and the intermediate activations are
+    /// reused.
     pub batcher_alloc_calls: u64,
     /// Ladder rung the breaker currently stands on.
     pub level: DegradeLevel,
@@ -913,16 +914,28 @@ mod tests {
         // Warm-up: the first request plans the network, allocates its
         // scratch arena, memoises the kernel transforms and builds the
         // assembly buffer.
-        server.submit(input(), Duration::from_secs(30)).unwrap().wait().output.unwrap();
-        let mut last = server.stats().batcher_alloc_calls;
+        // One request, then the batcher's tally once it has moved past
+        // `prev`: the batcher republishes it after it has resolved the
+        // batch, so wait for the new value instead of racing the store.
+        let serve_one = |prev: u64| {
+            server.submit(input(), Duration::from_secs(30)).unwrap().wait().output.unwrap();
+            let waited = Instant::now();
+            loop {
+                let now = server.stats().batcher_alloc_calls;
+                if now != prev || waited.elapsed() > Duration::from_secs(5) {
+                    return now;
+                }
+                std::thread::yield_now();
+            }
+        };
+        let mut last = serve_one(0);
         assert!(last > 0, "warm-up must have allocated");
         // Steady state: every round costs exactly the unavoidable
         // output buffers — one engine output (single layer) plus one
         // per-request split — and nothing else. A reallocating scratch
         // arena or assembly buffer would show up as a larger delta.
         for round in 0..6 {
-            server.submit(input(), Duration::from_secs(30)).unwrap().wait().output.unwrap();
-            let now = server.stats().batcher_alloc_calls;
+            let now = serve_one(last);
             assert_eq!(now - last, 2, "round {round} allocated scratch on the hot path");
             last = now;
         }

@@ -12,7 +12,12 @@
 #                                 "scalar" on a CPU with AVX2+FMA while
 #                                 WINO_SIMD is unset, or if the Mono GEMM
 #                                 at the widest planned n_blk runs below
-#                                 0.8x its own n_blk = 8 rate)
+#                                 0.8x its own n_blk = 8 rate; then runs
+#                                 the `fusion` binary at 3 reps for shape
+#                                 only — it asserts fused == staged bit
+#                                 for bit itself, and the table must hold
+#                                 a fused and a staged row — no timing
+#                                 gate: this host's spread is +-20 %)
 #   scripts/bench.sh --scaling-smoke
 #                               → target/BENCH_scaling.json (strong/weak
 #                                 thread sweep over the smoke layers; the
@@ -88,5 +93,16 @@ fi
 # bench compares the two in one process, so host-state noise cancels.
 if [ "$MODE" = smoke ]; then
     run cargo bench --offline -q -p wino-bench --features probe --bench gemm -- --check
+fi
+
+# Fusion shape gate: every table layer plans, both schedules run, and the
+# ring-fused forward_fx equals the three staged calls (the binary panics
+# otherwise). The rule must put layers on both sides of the L2.
+if [ "$MODE" = smoke ]; then
+    run target/release/fusion --reps 3 | tee target/fusion_smoke.csv
+    grep -q ',true,' target/fusion_smoke.csv && grep -q ',false,' target/fusion_smoke.csv || {
+        echo "error: fusion table lacks a fused or a staged row" >&2
+        exit 1
+    }
 fi
 echo "OK: $out"

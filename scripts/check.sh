@@ -77,6 +77,11 @@ run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features
 # shape), and every tile the search can propose for 3-wide kernels must
 # resolve to a generated codelet while untabled plans interpret.
 #
+# Schedule gate: on every backend the ring-fused driver must equal the
+# three public stage calls bit for bit (rank 1–3, ragged and straddling
+# panels, tail panels, Mono and — under avx512 — JIT, both store
+# flavours, every executor incl. the more-threads-than-panels fallback).
+#
 # Micro-kernel gate: the register-tiled stage-2 kernels must equal their
 # own 1 × 1-tile walk bit for bit on every backend up to the pinned one
 # (AVX2 cuts a 30-row panel into five strips of six), and under avx512
@@ -91,6 +96,8 @@ for isa in "${isas[@]}"; do
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q --test dispatch_matrix --test tile_edge_cases \
         --test pipeline_equivalence --test parallel_and_jit
+    run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+        cargo test --offline -q --test fused_equivalence
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
         codelet:: vecprog:: stage1:: stage3:: select::

@@ -744,7 +744,8 @@ fn oom_during_a_sentinel_demotion_is_rescued_or_typed() {
     let reference = clean_reference(&[4, 4]);
     let policy = sentinel_all();
     // Allocation #1 is the planned attempt's output (its scratch is
-    // resident); #2 onwards belong to the demotion.
+    // resident); #2–#6 are the demotion's: its output, then the scratch of
+    // a fused plan — `v`, the two codelet buffers and the ring.
     let mut rescued = 0;
     for (k, shots) in [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2), (2, u32::MAX)] {
         fault::reset();
@@ -773,6 +774,17 @@ fn oom_during_a_sentinel_demotion_is_rescued_or_typed() {
         }
     }
     assert!(rescued >= 5, "a single refused demotion buffer must be rescued ({rescued} of 7)");
+
+    // …and there is no #7: a shot aimed past the demotion's five buffers
+    // finds nothing to refuse, and the demoted re-run stands.
+    fault::reset();
+    let mut net = test_net(&[4, 4], &policy);
+    let (input, kernels) = test_data();
+    fault::arm_corrupt(2, CorruptKind::SilentBias, 1);
+    mem_fault::arm_fail_every(7, 1);
+    let (_, report) = net.run_layer(0, &input, &kernels, &SerialExecutor, &policy).unwrap();
+    assert_eq!(mem_fault::injected_failures(), 0, "the demotion allocates five buffers");
+    assert_eq!(report.backend, LayerBackend::WinogradDemoted);
     fault::reset();
 }
 

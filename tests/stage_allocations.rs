@@ -4,7 +4,8 @@
 //! stack. A counting global allocator — counting per thread, so parallel
 //! tests do not disturb each other — watches one warmed-up call of each
 //! on the serial executor, for a plan on the generated codelets and for
-//! one on the interpreter fallback.
+//! one on the interpreter fallback; and one repeat `forward_fx` through
+//! the ring-fused driver, whose rings are part of the scratch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -58,6 +59,19 @@ fn assert_stage_calls_do_not_allocate(opts: ConvOptions, generated: bool) {
     let mut scratch = Scratch::new(&layer, 1);
     let exec = SerialExecutor;
 
+    // The forward pass of a fused plan allocates nothing, not even the
+    // first time: the rings came with the scratch.
+    assert!(layer.is_fused());
+    let memo = layer.prepare_kernels(&kernels, &mut scratch, &exec).unwrap();
+    for pass in ["first", "repeat"] {
+        let n = allocations_in(|| {
+            layer.forward_fx(&input, &memo, &mut output, &mut scratch, &exec).unwrap()
+        });
+        assert_eq!(n, 0, "{pass} fused forward_fx allocated {n} times");
+    }
+
+    // The stage calls below allocate the layer-sized `u`, `x`, `y` such a
+    // scratch starts without — in the warm-up pass only.
     for pass in ["warm-up", "measured"] {
         let n = allocations_in(|| stage1::transform_inputs(&layer, &input, &mut scratch, &exec).unwrap());
         assert!(pass == "warm-up" || n == 0, "transform_inputs allocated {n} times");
