@@ -195,8 +195,8 @@ fn main() {
 
     // Dispatch-matrix scenario rows: the first 2-D layer of the
     // selection re-measured under a stride-2 and a grouped geometry —
-    // the routed Winograd engine (polyphase / grouped) against the
-    // geometry-aware im2col fallback it must beat. Each pair shares one
+    // the routed Winograd engine (its stride-1 plan plus the subsample /
+    // grouped) against the geometry-aware im2col fallback it must beat. Each pair shares one
     // f64 oracle; execution provenance is the dispatcher's own
     // plan-time (backend, reason), which the net-report tests prove is
     // what `Network` would report.

@@ -30,7 +30,10 @@ pub mod perf;
 pub mod scaling;
 
 use wino_baseline::{direct_conv, im2col_conv, im2col_conv_geo};
-use wino_conv::{plan_dispatch, ConvOptions, FallbackPolicy, Scratch, WinogradLayer};
+use wino_conv::{
+    plan_dispatch, Activation, ConvOptions, FallbackPolicy, LayerSpec, Network, Scratch,
+    WinogradLayer,
+};
 use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, ConvGeometry, ConvShape, SimpleImage};
 use wino_workloads::{effective_gflops, time_best, uniform_input, xavier_kernels, Layer, Timing};
@@ -276,12 +279,17 @@ pub fn dispatch_output(
     Some(output)
 }
 
-/// Time the dispatch layer's routed engine (polyphase / grouped Winograd
-/// or the designed im2col fallback) for one tile choice under the
-/// geometry carried by `opts`. The row is labelled by the route's
-/// reported backend plus the geometry suffix (`"winograd-poly F(4x4)
-/// s2x2"`); GFLOP/s use the geometry's own direct-FLOP normaliser.
-/// `None` if the layer is unrepresentable under `opts`.
+/// Time the dispatch layer's routed engine (dense / grouped Winograd,
+/// subsampled under a stride, or the designed im2col fallback) for one
+/// tile choice under the geometry carried by `opts`, as a one-layer
+/// [`Network`] runs it: the layer's scratch — and a strided layer's
+/// stride-1 image — stay resident across the reps, as
+/// [`run_winograd`]'s `Scratch` does and as `wino-serve` holds them;
+/// each rep allocates the output it returns. The row is labelled by the
+/// route's reported backend plus the geometry suffix
+/// (`"winograd-mono F(4x4) s2x2"`); GFLOP/s use the geometry's own
+/// direct-FLOP normaliser. `None` if the layer is unrepresentable under
+/// `opts`.
 pub fn run_dispatch(
     layer: &Layer,
     m: &[usize],
@@ -289,16 +297,28 @@ pub fn run_dispatch(
     exec: &dyn Executor,
     reps: usize,
 ) -> Option<Measurement> {
-    let (dp, _) = plan_dispatch(&layer.shape, m, opts, &FallbackPolicy::default()).ok()?;
+    let s = &layer.shape;
+    let spec = LayerSpec {
+        out_channels: s.out_channels,
+        kernel: s.kernel_dims.clone(),
+        padding: s.padding.clone(),
+        m: m.to_vec(),
+        activation: Activation::None,
+    };
+    let policy = FallbackPolicy::default();
+    let (c, dims, threads) = (s.in_channels, &s.image_dims, exec.threads());
+    let mut net = Network::with_policy(s.batch, c, dims, &[spec], opts, threads, &policy).ok()?;
+    let dp = &net.layers()[0].plan;
     let (input, kernels) = geo_layer_data(layer, dp.geo.groups, 42);
-    let mut output = dp.new_output().ok()?;
     let m_str: Vec<String> = m.iter().map(|x| x.to_string()).collect();
     let name = format!("{} F({}){}", dp.backend().name(), m_str.join("x"), geo_suffix(&dp.geo));
+    let flops = dp.direct_flops();
+    let unguarded = FallbackPolicy::strict(); // time the engine, not the numeric guard
     let timing = time_best(reps, || {
-        dp.forward(&input, &kernels, &mut output, exec).expect("benchmark dispatch forward failed");
+        let out = net.run_layer(0, &input, &kernels, exec, &unguarded);
+        std::hint::black_box(out.expect("benchmark dispatch forward failed"));
     });
-    std::hint::black_box(output.as_slice().first());
-    let gflops = geo_gflops(dp.direct_flops(), timing.best_ms);
+    let gflops = geo_gflops(flops, timing.best_ms);
     Some(Measurement { layer: layer.id(), implementation: name, timing, gflops })
 }
 

@@ -279,7 +279,8 @@ pub fn probe_im2col(layer: &Layer, exec: &dyn Executor, machine: &MachineModel) 
 }
 
 /// One instrumented pass through the dispatch layer's routed engine
-/// (polyphase / grouped Winograd or the designed im2col fallback),
+/// (dense / grouped Winograd, subsampled under a stride, or the designed
+/// im2col fallback),
 /// folded against [`wino_conv::DispatchPlan::work_model`]. `None` if the
 /// layer is unrepresentable under `opts`' geometry or probing is
 /// compiled out.

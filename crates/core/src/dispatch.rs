@@ -4,75 +4,56 @@
 //! [`crate::WinogradLayer`] is a stride-1, dense algorithm; this module is
 //! the layer above it that closes the rest of the scenario matrix:
 //!
-//! * **identity geometry** — the plain three-stage pipeline
-//!   ([`Route::Direct`]);
-//! * **stride ≥ 2** — the sub-lattice (polyphase) decomposition
-//!   ([`Route::Polyphase`]): writing every kernel tap `t` as
-//!   `t = φ + j·s`, the strided output
-//!   `y[o] = Σ_t w[t]·x̂[o·s + t]` (`x̂` = zero-padded input) regroups into
-//!   `Σ_φ Σ_j w_φ[j] · x̃_φ[o + j]` — one *stride-1, unpadded* convolution
-//!   per phase `φ` on the decimated input `x̃_φ[i] = x̂[φ + i·s]` with the
-//!   phase kernel `w_φ[j] = w[φ + j·s]` of extent `r_φ = ⌈(r − φ)/s⌉`.
-//!   Each phase runs the existing Winograd pipeline and the phase outputs
-//!   are summed. Phases accumulate in a fixed order, so the result is
-//!   bitwise identical across executors;
+//! * **dense layers** — the plain three-stage pipeline ([`Route::Direct`]);
 //! * **groups with vector-wide per-group channels** — the C/C' loops are
 //!   blocked per group around one shared sub-plan ([`Route::Grouped`]):
 //!   all groups share the same spatial shape, so one plan plus one scratch
 //!   serves every group;
-//! * **everything else** (dilation, narrow/depthwise groups, sub-plan
+//! * **everything else** (dilation, narrow/depthwise groups, plan
 //!   failures) — the im2col baseline ([`Route::Im2col`]), with a typed
 //!   [`FallbackReason`] recording *why* Winograd declined. A representable
 //!   layer is never rejected; only unrepresentable geometry
 //!   ([`wino_tensor::ShapeError`]) is a [`PlanError`].
+//!
+//! **Stride is an epilogue, not a route.** A strided output is the
+//! stride-1 output sampled every `s`-th site, so the two Winograd routes
+//! are planned on the stride-1 shape whatever the stride, and
+//! [`DispatchPlan::forward`] runs them into a stride-1 image kept beside
+//! the layer's scratch and copies every `s`-th site into the output.
+//! Discarding `1 − 1/∏s` of the result still beats both a sub-lattice
+//! decomposition and im2col on every catalogue layer at stride 2
+//! (EXPERIMENTS.md, "Dispatch matrix"): the dense plan runs generated
+//! codelets out of a resident, allocation-free scratch. The im2col route
+//! strides natively.
 //!
 //! A [`DispatchPlan`] is also the only layer plan [`crate::Network`]
 //! holds: which candidate a route is built for, and which one replaces it
 //! when planning or execution fails, is the degradation table in
 //! [`crate::select`].
 
-// Index-based loops walk several arrays with derived offsets; iterator
-// rewrites obscure the math (same policy as the stage code).
-#![allow(clippy::needless_range_loop)]
-
 use wino_probe::{SpanCategory, StageWork, WorkModel, ALL_CATEGORIES};
 use wino_sched::Executor;
 use wino_simd::S;
-use wino_tensor::{unflatten, BlockedImage, BlockedKernels, ConvGeometry, ConvShape, TensorError};
+use wino_tensor::{BlockedImage, BlockedKernels, ConvGeometry, ConvShape, TensorError};
 
 use crate::conv::TransformedKernels;
-use crate::error::WinoError;
+use crate::error::{ensure_dims_eq, ensure_eq, WinoError};
 use crate::net::{FallbackReason, LayerBackend};
 use crate::plan::{ConvOptions, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK};
 use crate::select::{degrade, plan_walk, Candidate, Cause, FallbackPolicy};
 
-/// One phase of the polyphase (sub-lattice) decomposition: the stride-1
-/// Winograd sub-problem convolving the `offset`-decimated input with the
-/// `offset`-decimated kernel taps.
-#[derive(Debug)]
-pub struct Phase {
-    /// Phase offset `φ_d ∈ [0, stride_d)` per dimension.
-    pub offset: Vec<usize>,
-    /// The stride-1 plan for this phase (`r_φ[d] = ⌈(r_d − φ_d)/s_d⌉`
-    /// taps over the trimmed extent `out_d + r_φ[d] − 1`, no padding).
-    pub plan: WinogradLayer,
-}
-
 /// Which engine a dispatched layer runs on.
 #[derive(Debug)]
 pub enum Route {
-    /// Identity geometry: the plain three-stage Winograd pipeline.
+    /// Dense (`groups == 1`, undilated): the plain three-stage Winograd
+    /// pipeline on the layer's stride-1 shape.
     Direct(Box<WinogradLayer>),
-    /// Stride ≥ 2 (optionally grouped): sum of per-phase stride-1
-    /// Winograd convolutions. Phases where some `r_φ[d] = 0` contribute
-    /// nothing and are omitted.
-    Polyphase { phases: Vec<Phase> },
-    /// Stride 1, groups > 1 with `C/G` and `C'/G` both multiples of the
-    /// vector width: one shared per-group Winograd plan, C/C' loops
+    /// Groups > 1 with `C/G` and `C'/G` both multiples of the vector
+    /// width: one shared per-group stride-1 Winograd plan, C/C' loops
     /// blocked per group.
     Grouped { plan: Box<WinogradLayer> },
     /// The im2col baseline over the full geometry — the universal
-    /// fallback (dilation, narrow groups, sub-plan failure).
+    /// fallback (dilation, narrow groups, plan failure).
     Im2col,
 }
 
@@ -81,8 +62,34 @@ pub enum Route {
 pub(crate) enum Kernels<'a> {
     /// Raw kernels: every route, and every rescue, can use them.
     Raw(&'a BlockedKernels),
-    /// Memoised transforms (§4.2 "Inference only"): [`Route::Direct`] only.
+    /// Memoised transforms (§4.2 "Inference only"): a layer with a
+    /// [`DispatchPlan::winograd`] plan only.
     Memo(&'a TransformedKernels),
+}
+
+/// Why a layer without a [`DispatchPlan::winograd`] plan declines
+/// [`Kernels::Memo`].
+pub(crate) const NO_MEMO: &str =
+    "only dense stride-1 Winograd layers have a memoised kernel transform";
+
+/// What one layer keeps between forwards — a [`crate::Network`] layer's
+/// resident state. A slot serves one layer, whose every candidate shares
+/// the stride-1 output shape.
+#[derive(Default)]
+pub(crate) struct Slot {
+    /// The Winograd routes' scratch ([`ensure_scratch`] re-shapes it).
+    pub scratch: Option<Scratch>,
+    /// A strided layer's stride-1 result. Never cleared: the route
+    /// overwrites every element of it.
+    pub dense: Option<BlockedImage>,
+}
+
+impl Slot {
+    /// Bytes currently held.
+    pub fn bytes(&self) -> usize {
+        let dense = |d: &BlockedImage| BlockedImage::bytes_for(d.batch, d.channels, &d.dims);
+        self.scratch.as_ref().map_or(0, Scratch::bytes) + self.dense.as_ref().map_or(0, dense)
+    }
 }
 
 /// The planned route for one layer shape under one [`ConvGeometry`] — the
@@ -185,68 +192,14 @@ fn build(
     let Candidate::Winograd { m, stage2, .. } = cand else {
         return done(Route::Im2col, None);
     };
+    // A plain stride-1 Winograd plan whatever `geo.stride` is — the
+    // stride is `forward_in`'s epilogue — over the per-group channel
+    // counts (== the global ones when groups == 1).
     let sub_opts = ConvOptions { stage2: *stage2, ..opts.with_identity_geometry() };
-    if geo.is_identity() {
-        let plan = WinogradLayer::new(shape.clone(), m, sub_opts)?;
-        return done(Route::Direct(Box::new(plan)), None);
-    }
-
-    // From here every sub-problem is a plain stride-1 Winograd plan over
-    // the per-group channel counts (== the global ones when groups == 1).
-    let rank = shape.rank();
-    let plan_sub = |dims: &[usize], kernel: &[usize], padding: &[usize]| {
-        let sub = ConvShape::new(shape.batch, c_per_group, k_per_group, dims, kernel, padding)?;
-        plan_sub(&sub, m, sub_opts)
-    };
-    if geo.stride.iter().all(|&s| s == 1) {
-        let plan = plan_sub(&shape.image_dims, &shape.kernel_dims, &shape.padding)?;
-        return done(Route::Grouped { plan: Box::new(plan) }, None);
-    }
-
-    // Polyphase decomposition for stride ≥ 2.
-    let n_phases: usize = geo.stride.iter().product();
-    let mut phases = Vec::new();
-    for flat in 0..n_phases {
-        let offset = unflatten(flat, &geo.stride);
-        let mut r_phi = Vec::with_capacity(rank);
-        for d in 0..rank {
-            if shape.kernel_dims[d] <= offset[d] {
-                // No kernel tap lands on this phase in dimension d: the
-                // whole phase contributes nothing.
-                r_phi.clear();
-                break;
-            }
-            r_phi.push((shape.kernel_dims[d] - offset[d]).div_ceil(geo.stride[d]));
-        }
-        if r_phi.is_empty() {
-            continue;
-        }
-        // Trim the decimated input so the valid (unpadded) phase conv
-        // emits exactly `out_dims` — no cropping afterwards.
-        let ext: Vec<usize> = (0..rank).map(|d| out_dims[d] + r_phi[d] - 1).collect();
-        phases.push(Phase { offset, plan: plan_sub(&ext, &r_phi, &vec![0; rank])? });
-    }
-    done(Route::Polyphase { phases }, None)
-}
-
-/// Plan one stride-1 sub-problem: try the caller's tile clipped to the
-/// sub-problem's output extents, then the minimal tile. Clipping keeps
-/// the intent (larger tiles where they fit) while tolerating the small,
-/// skewed extents polyphase phases produce.
-fn plan_sub(shape: &ConvShape, m: &[usize], opts: ConvOptions) -> Result<WinogradLayer, PlanError> {
-    let out = shape.out_dims();
-    let rank = shape.rank();
-    let clip = |mm: &[usize]| -> Vec<usize> {
-        (0..rank).map(|d| mm.get(d).copied().unwrap_or(2).min(out[d]).max(1)).collect()
-    };
-    let first = clip(m);
-    WinogradLayer::new(shape.clone(), &first, opts).or_else(|e| {
-        let minimal = clip(&vec![2; rank]);
-        if minimal == first {
-            return Err(e);
-        }
-        WinogradLayer::new(shape.clone(), &minimal, opts)
-    })
+    let (dims, kernel, padding) = (&shape.image_dims, &shape.kernel_dims, &shape.padding);
+    let sub = ConvShape::new(shape.batch, c_per_group, k_per_group, dims, kernel, padding)?;
+    let plan = Box::new(WinogradLayer::new(sub, m, sub_opts)?);
+    done(if geo.groups == 1 { Route::Direct(plan) } else { Route::Grouped { plan } }, None)
 }
 
 /// Make `slot` hold a scratch shaped for `p` with at least `threads`
@@ -290,23 +243,29 @@ impl DispatchPlan {
         self.shape.in_channels / self.geo.groups
     }
 
-    /// The dense Winograd plan of a [`Route::Direct`] layer — the one
-    /// route with memoisable kernel transforms and accuracy sentinels.
+    /// The dense Winograd plan of an identity-geometry layer — the one
+    /// kind with memoisable kernel transforms and accuracy sentinels.
     pub fn winograd(&self) -> Option<&WinogradLayer> {
         match &self.route {
-            Route::Direct(p) => Some(p),
+            Route::Direct(p) if !self.strided() => Some(p),
             _ => None,
         }
     }
 
-    /// The backend this route reports as ([`LayerBackend::name`]).
+    /// Whether the route's stride-1 result is subsampled into the output
+    /// (im2col strides natively).
+    fn strided(&self) -> bool {
+        !matches!(self.route, Route::Im2col) && self.geo.stride.iter().any(|&s| s > 1)
+    }
+
+    /// The backend this route reports as ([`LayerBackend::name`]): the
+    /// engine it runs — the stride is in [`Self::geo`].
     pub fn backend(&self) -> LayerBackend {
         match (&self.route, &self.cand) {
             (Route::Im2col, _) => LayerBackend::Im2col,
             (_, Candidate::Winograd { retile, .. }) if *retile != 0 => {
                 LayerBackend::WinogradDemoted
             }
-            (Route::Polyphase { .. }, _) => LayerBackend::WinogradPoly,
             (Route::Grouped { .. }, _) => LayerBackend::WinogradGrouped,
             (Route::Direct(p), _) => match p.opts.stage2 {
                 Stage2Backend::Jit => LayerBackend::WinogradJit,
@@ -322,78 +281,68 @@ impl DispatchPlan {
     }
 
     /// Analytic memory footprint of executing this route at `threads`
-    /// thread slots. [`Route::Direct`] is byte-exact (it delegates to
-    /// [`WinogradLayer::footprint`]). The other routes are documented
-    /// approximations covering the dominant allocations:
+    /// thread slots. [`Route::Direct`] is byte-exact: the plan's own
+    /// [`WinogradLayer::footprint`], whose output is the stride-1 image,
+    /// plus — strided — the subsampled output. The other routes:
     ///
     /// * **Grouped** — the shared per-group scratch is exact; the output
-    ///   component counts the full output plus one per-group transient
-    ///   (`out_g` is assembled per group, then copied).
-    /// * **Polyphase** — phases run sequentially, taking turns in the
-    ///   layer's scratch slot; the scratch components are the *maximum*
-    ///   over phases, the output component adds the full output, the
-    ///   per-phase accumulator image, and the largest decimated phase
-    ///   input. Phase kernel copies (`C·C'·r_φ` floats) are omitted as
-    ///   second-order.
+    ///   component counts the route's full stride-1 result plus one
+    ///   per-group transient (`out_g` is assembled per group, then
+    ///   copied), plus — strided — the subsampled output.
     /// * **Im2col** — the lowering matrices (`A`, packed `W`, `X`) from
     ///   [`Self::im2col_work_model`] are reported as scratch, plus the
     ///   output.
+    ///
+    /// Only a [`Self::winograd`] layer prices a memoised kernel transform.
     pub fn footprint(&self, threads: usize) -> crate::MemoryFootprint {
-        let out_bytes =
-            BlockedImage::bytes_for(self.shape.batch, self.shape.out_channels, &self.out_dims);
-        let mut fp = crate::MemoryFootprint::empty(threads);
-        match &self.route {
-            Route::Direct(p) => return p.footprint(threads),
+        let (batch, cp) = (self.shape.batch, self.shape.out_channels);
+        let out_bytes = BlockedImage::bytes_for(batch, cp, &self.out_dims);
+        let mut fp = match &self.route {
+            Route::Direct(p) => p.footprint(threads),
             Route::Grouped { plan } => {
-                fp = plan.footprint(threads);
-                // Full output plus the per-group transient the loop holds.
-                fp.output_bytes += out_bytes;
-            }
-            Route::Polyphase { phases } => {
-                let mut max_phase_in = 0;
-                for ph in phases {
-                    fp.fold(&ph.plan.footprint(threads), usize::max);
-                    max_phase_in = max_phase_in.max(BlockedImage::bytes_for(
-                        self.shape.batch,
-                        self.shape.in_channels,
-                        &ph.plan.shape.image_dims,
-                    ));
-                }
-                // Output + the per-phase accumulator + the decimated copy.
-                fp.output_bytes = 2 * out_bytes + max_phase_in;
+                let mut fp = plan.footprint(threads);
+                fp.output_bytes += BlockedImage::bytes_for(batch, cp, &self.shape.out_dims());
+                fp
             }
             Route::Im2col => {
                 let wm = self.im2col_work_model();
+                let mut fp = crate::MemoryFootprint::empty(threads);
                 fp.scratch_bytes =
                     wm.get(SpanCategory::ElementwiseGemm).map_or(0, |w| w.bytes as usize);
                 fp.output_bytes = out_bytes;
+                return fp;
             }
+        };
+        if self.strided() {
+            fp.output_bytes += out_bytes;
+        }
+        if self.winograd().is_none() {
+            fp.transformed_kernel_bytes = 0;
         }
         fp
     }
 
     /// FLOPs of the equivalent direct convolution under this geometry —
     /// the effective-GFLOP/s normaliser (grouped layers do `1/G` of the
-    /// dense work).
+    /// dense work, strided ones `1/∏s`).
     pub fn direct_flops(&self) -> u128 {
         2 * self.geo.direct_macs(&self.shape).expect("geometry validated at plan time")
     }
 
-    /// Per-stage operation/traffic model: the sub-plans' models summed
-    /// (each per-group plan runs `G` times), or the im2col lowering+GEMM
-    /// model for the fallback route.
+    /// Per-stage operation/traffic model of the work the route performs:
+    /// the stride-1 plan's model (a per-group plan runs `G` times; a
+    /// strided layer computes the whole stride-1 image), or the im2col
+    /// lowering+GEMM model for the fallback route.
     pub fn work_model(&self) -> WorkModel {
-        let g = self.geo.groups as u128;
-        let mut model = WorkModel::new();
         match &self.route {
             Route::Direct(p) => p.work_model(),
             Route::Grouped { plan } => {
-                merge_scaled(&mut model, &plan.work_model(), g);
-                model
-            }
-            Route::Polyphase { phases } => {
-                for ph in phases {
-                    merge_scaled(&mut model, &ph.plan.work_model(), g);
+                let (per_group, mut model) = (plan.work_model(), WorkModel::new());
+                let g = self.geo.groups as u128;
+                for cat in ALL_CATEGORIES {
+                    if let Some(w) = per_group.get(cat) {
+                        model.set(cat, StageWork { flops: w.flops * g, bytes: w.bytes * g });
+                    }
                 }
                 model
             }
@@ -443,12 +392,16 @@ impl DispatchPlan {
         model
     }
 
-    /// Execute the route with a scratch of its own. `kernels` follow the
+    /// Execute the route with a slot of its own — scratch and, strided,
+    /// stride-1 image are built and dropped inside the call; a
+    /// [`crate::Network`] keeps them. `kernels` follow the
     /// grouped convention (`in_channels == C / groups`, global output
     /// channels); `output` must be pre-sized to
-    /// [`DispatchPlan::out_dims`]. Deterministic for a fixed plan: phases
-    /// and groups run in a fixed order, so repeated calls (and different
-    /// executors) are bitwise identical.
+    /// [`DispatchPlan::out_dims`] — a mismatched operand is a typed
+    /// [`wino_tensor::ShapeError`]. Deterministic for a fixed plan: groups
+    /// run in a fixed order, so repeated calls (and different executors)
+    /// are bitwise identical, and a strided layer's output is bitwise the
+    /// subsampled output of the same layer planned at stride 1.
     pub fn forward(
         &self,
         input: &BlockedImage,
@@ -456,190 +409,119 @@ impl DispatchPlan {
         output: &mut BlockedImage,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
-        self.forward_in(&mut None, input, Kernels::Raw(kernels), output, exec)
+        self.forward_in(&mut Slot::default(), input, Kernels::Raw(kernels), output, exec)
     }
 
-    /// [`Self::forward`] through a caller-owned scratch `slot` — a
+    /// [`Self::forward`] through a caller-owned `slot` — a
     /// [`crate::Network`] layer's resident one. Every buffer the route
     /// needs beyond `output` is allocated fallibly.
     pub(crate) fn forward_in(
         &self,
-        slot: &mut Option<Scratch>,
+        slot: &mut Slot,
         input: &BlockedImage,
         kernels: Kernels<'_>,
         output: &mut BlockedImage,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
-        assert_eq!(input.dims, self.shape.image_dims, "input extent mismatch");
-        assert_eq!(input.channels, self.shape.in_channels, "input channel mismatch");
-        assert_eq!(output.dims, self.out_dims, "output extent mismatch");
+        let s = &self.shape;
+        ensure_eq("input batch", s.batch, input.batch)?;
+        ensure_eq("input channels", s.in_channels, input.channels)?;
+        ensure_dims_eq("input extent", &s.image_dims, &input.dims)?;
+        ensure_eq("output batch", s.batch, output.batch)?;
+        ensure_eq("output channels", s.out_channels, output.channels)?;
+        ensure_dims_eq("output extent", &self.out_dims, &output.dims)?;
+        if let Kernels::Raw(k) = kernels {
+            ensure_eq("kernel in_channels (C / groups)", self.kernel_in_channels(), k.in_channels)?;
+            ensure_eq("kernel out_channels", s.out_channels, k.out_channels)?;
+        }
+        if !self.strided() {
+            return self.run_route(&mut slot.scratch, input, kernels, output, exec);
+        }
+        // Stride as an epilogue: the route's stride-1 result, resident
+        // with the scratch, then every `s`-th site of it.
+        if slot.dense.is_none() {
+            slot.dense = Some(BlockedImage::try_zeros(s.batch, s.out_channels, &s.out_dims())?);
+        }
+        let dense = slot.dense.as_mut().expect("dense image ensured above");
+        self.run_route(&mut slot.scratch, input, kernels, dense, exec)?;
+        subsample(dense, &self.geo.stride, output);
+        Ok(())
+    }
+
+    /// Run the route into `out`, overwriting every element of it: the
+    /// layer's output, or (Winograd routes of a strided layer) its
+    /// stride-1 image.
+    fn run_route(
+        &self,
+        slot: &mut Option<Scratch>,
+        input: &BlockedImage,
+        kernels: Kernels<'_>,
+        out: &mut BlockedImage,
+        exec: &dyn Executor,
+    ) -> Result<(), WinoError> {
         let threads = exec.threads();
-        let kernels = match (kernels, &self.route) {
+        let kernels = match (kernels, self.winograd()) {
             (Kernels::Raw(k), _) => k,
-            (Kernels::Memo(tk), Route::Direct(plan)) => {
+            (Kernels::Memo(tk), Some(plan)) => {
                 let sc = ensure_scratch(slot, plan, threads)?;
-                return plan.forward_fx(input, tk, output, sc, exec);
+                return plan.forward_fx(input, tk, out, sc, exec);
             }
-            (Kernels::Memo(_), _) => {
-                return Err(WinoError::Unsupported(
-                    "memoised kernel transforms for an im2col-planned layer",
-                ))
-            }
-        };
-        assert_eq!(kernels.in_channels, self.kernel_in_channels(), "grouped kernel convention");
-        assert_eq!(kernels.out_channels, self.shape.out_channels, "output channel mismatch");
-        let groups = self.geo.groups;
-        let c_pg = self.shape.in_channels / groups;
-        let k_pg = self.shape.out_channels / groups;
-        // One group's (or, dense, the whole) sub-convolution into `out`.
-        let per_group = |plan: &WinogradLayer,
-                         sc: &mut Scratch,
-                         inp: &BlockedImage,
-                         ker: &BlockedKernels,
-                         out: &mut BlockedImage|
-         -> Result<(), WinoError> {
-            if groups == 1 {
-                return plan.forward(inp, ker, out, sc, exec);
-            }
-            for g in 0..groups {
-                let in_g = inp.channel_block(g * c_pg, c_pg)?;
-                let k_g = ker.group_block(0, c_pg, g * k_pg, k_pg)?;
-                let mut out_g = plan.try_new_output()?;
-                plan.forward(&in_g, &k_g, &mut out_g, sc, exec)?;
-                out.write_channel_block(g * k_pg, &out_g)?;
-            }
-            Ok(())
+            (Kernels::Memo(_), None) => return Err(WinoError::Unsupported(NO_MEMO)),
         };
         match &self.route {
-            Route::Direct(plan) | Route::Grouped { plan } => {
-                per_group(plan, ensure_scratch(slot, plan, threads)?, input, kernels, output)
+            Route::Direct(plan) => {
+                plan.forward(input, kernels, out, ensure_scratch(slot, plan, threads)?, exec)
             }
-            Route::Polyphase { phases } => {
-                output.fill_zero();
-                let (stride, padding) = (&self.geo.stride, &self.shape.padding);
-                for Phase { offset, plan } in phases {
-                    let pin = decimate(input, offset, stride, padding, &plan.shape.image_dims)?;
-                    let pker = phase_kernels(kernels, offset, stride, &plan.shape.kernel_dims)?;
-                    let mut ptmp = self.try_new_output()?;
-                    let sc = ensure_scratch(slot, plan, threads)?;
-                    per_group(plan, sc, &pin, &pker, &mut ptmp)?;
-                    output.accumulate(&ptmp)?;
+            Route::Grouped { plan } => {
+                let sc = ensure_scratch(slot, plan, threads)?;
+                let (c_pg, k_pg) = (plan.shape.in_channels, plan.shape.out_channels);
+                for g in 0..self.geo.groups {
+                    let in_g = input.channel_block(g * c_pg, c_pg)?;
+                    let k_g = kernels.group_block(0, c_pg, g * k_pg, k_pg)?;
+                    let mut out_g = plan.try_new_output()?;
+                    plan.forward(&in_g, &k_g, &mut out_g, sc, exec)?;
+                    out.write_channel_block(g * k_pg, &out_g)?;
                 }
                 Ok(())
             }
             Route::Im2col => {
-                output.fill_zero();
-                wino_baseline::im2col_conv_geo(
-                    input,
-                    kernels,
-                    &self.shape.padding,
-                    &self.geo,
-                    output,
-                    exec,
-                )?;
-                Ok(())
+                out.fill_zero();
+                let (padding, geo) = (&self.shape.padding, &self.geo);
+                Ok(wino_baseline::im2col_conv_geo(input, kernels, padding, geo, out, exec)?)
             }
         }
     }
 }
 
-/// Accumulate `times · other` into `acc`, category by category.
-fn merge_scaled(acc: &mut WorkModel, other: &WorkModel, times: u128) {
-    for cat in ALL_CATEGORIES {
-        if let Some(w) = other.get(cat) {
-            let cur = acc.get(cat).unwrap_or_default();
-            acc.set(
-                cat,
-                StageWork { flops: cur.flops + w.flops * times, bytes: cur.bytes + w.bytes * times },
-            );
+/// `out[b, c, o] = dense[b, c, o · stride]`: every `stride`-th site of a
+/// stride-1 result, whole `S`-wide channel vectors, the innermost
+/// dimension at a constant step.
+fn subsample(dense: &BlockedImage, stride: &[usize], out: &mut BlockedImage) {
+    let last = out.dims.len() - 1;
+    let (width, step) = (out.dims[last], stride[last] * S);
+    let (rows, dense_vol) = (out.spatial_volume() / width, dense.spatial_volume());
+    for r in 0..out.batch * out.channel_groups() * rows {
+        // Row `r` of the output = (image, outer coordinates); the same
+        // coordinates, scaled by the stride, locate its row in `dense`.
+        let (mut rem, mut at, mut pitch) = (r % rows, 0, dense.dims[last]);
+        for d in (0..last).rev() {
+            at += (rem % out.dims[d]) * stride[d] * pitch;
+            rem /= out.dims[d];
+            pitch *= dense.dims[d];
+        }
+        let src_row = &dense.as_slice()[(r / rows * dense_vol + at) * S..];
+        let dst_row = &mut out.as_mut_slice()[r * width * S..][..width * S];
+        for (x, site) in dst_row.chunks_exact_mut(S).enumerate() {
+            site.copy_from_slice(&src_row[x * step..][..S]);
         }
     }
-}
-
-/// The decimated phase input `x̃_φ[i] = x̂[φ + i·s]` (`x̂` = zero-padded
-/// input), trimmed to `ext` — entries sampling the padding read zero.
-/// Copies whole S-wide channel vectors per spatial site.
-fn decimate(
-    input: &BlockedImage,
-    offset: &[usize],
-    stride: &[usize],
-    padding: &[usize],
-    ext: &[usize],
-) -> Result<BlockedImage, TensorError> {
-    let rank = input.dims.len();
-    let mut out = BlockedImage::try_zeros(input.batch, input.channels, ext)?;
-    let ext_vol: usize = ext.iter().product();
-    let cgs = input.channel_groups();
-    let mut in_stride = [1usize; MAX_RANK];
-    for d in (0..rank.saturating_sub(1)).rev() {
-        in_stride[d] = in_stride[d + 1] * input.dims[d + 1];
-    }
-    let mut ic = vec![0usize; rank];
-    for i in 0..ext_vol {
-        let mut flat = i;
-        for d in (0..rank).rev() {
-            ic[d] = flat % ext[d];
-            flat /= ext[d];
-        }
-        let mut inside = true;
-        let mut src_spatial = 0usize;
-        for d in 0..rank {
-            let x = (offset[d] + ic[d] * stride[d]) as isize - padding[d] as isize;
-            if x < 0 || x >= input.dims[d] as isize {
-                inside = false;
-                break;
-            }
-            src_spatial += x as usize * in_stride[d];
-        }
-        if !inside {
-            continue; // zero-initialised
-        }
-        for b in 0..input.batch {
-            for cg in 0..cgs {
-                let so = input.vec_offset_flat(b, cg, src_spatial);
-                let dof = out.vec_offset_flat(b, cg, i);
-                out.as_mut_slice()[dof..dof + S].copy_from_slice(&input.as_slice()[so..so + S]);
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// The phase kernel `w_φ[j] = w[φ + j·s]` of extent `r_φ`.
-fn phase_kernels(
-    kernels: &BlockedKernels,
-    offset: &[usize],
-    stride: &[usize],
-    r_phi: &[usize],
-) -> Result<BlockedKernels, wino_tensor::ShapeError> {
-    let rank = r_phi.len();
-    let mut out = BlockedKernels::zeros(kernels.in_channels, kernels.out_channels, r_phi)?;
-    let taps: usize = r_phi.iter().product();
-    let mut j = vec![0usize; rank];
-    let mut t = vec![0usize; rank];
-    for flat in 0..taps {
-        let mut f = flat;
-        for d in (0..rank).rev() {
-            j[d] = f % r_phi[d];
-            f /= r_phi[d];
-        }
-        for d in 0..rank {
-            t[d] = offset[d] + j[d] * stride[d];
-        }
-        for co in 0..kernels.out_channels {
-            for ci in 0..kernels.in_channels {
-                out.set(co, ci, &j, kernels.get(co, ci, &t));
-            }
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wino_sched::SerialExecutor;
-    use wino_tensor::{ShapeError, SimpleImage, SimpleKernels};
+    use wino_tensor::{unflatten, ShapeError, SimpleImage, SimpleKernels};
 
     fn image(batch: usize, c: usize, dims: &[usize]) -> SimpleImage {
         SimpleImage::from_fn(batch, c, dims, |b, c, xy| {
@@ -697,21 +579,21 @@ mod tests {
     }
 
     #[test]
-    fn stride2_polyphase_matches_oracle() {
+    fn stride2_matches_oracle() {
         let s = ConvShape::new(2, 16, 32, &[13, 13], &[3, 3], &[1, 1]).unwrap();
         let opts = ConvOptions::default().with_stride(&[2, 2]);
         let (backend, fb) = check(&s, &[4, 4], opts, 1e-3);
-        assert_eq!(backend, LayerBackend::WinogradPoly);
+        assert_eq!(backend, LayerBackend::WinogradMono);
         assert!(fb.is_none());
     }
 
     #[test]
     fn stride2_even_kernel_and_no_padding() {
-        // r = 2, stride 2: phase 1 has r_φ = 1 → F(m, 1) sub-plans.
+        // r = 2: an even kernel, whose stride-1 plan is F(4, 2).
         let s = ConvShape::new(1, 16, 16, &[12, 12], &[2, 2], &[0, 0]).unwrap();
         let opts = ConvOptions::default().with_stride(&[2, 2]);
         let (backend, _) = check(&s, &[4, 4], opts, 1e-3);
-        assert_eq!(backend, LayerBackend::WinogradPoly);
+        assert_eq!(backend, LayerBackend::WinogradMono);
     }
 
     #[test]
@@ -719,7 +601,7 @@ mod tests {
         let s = ConvShape::new(1, 16, 16, &[7, 9, 8], &[3, 3, 3], &[1, 1, 1]).unwrap();
         let opts = ConvOptions::default().with_stride(&[2, 1, 2]);
         let (backend, _) = check(&s, &[2, 2, 2], opts, 1e-3);
-        assert_eq!(backend, LayerBackend::WinogradPoly);
+        assert_eq!(backend, LayerBackend::WinogradMono);
     }
 
     #[test]
@@ -736,7 +618,7 @@ mod tests {
         let s = ConvShape::new(1, 32, 32, &[9, 9], &[3, 3], &[1, 1]).unwrap();
         let opts = ConvOptions::default().with_stride(&[2, 2]).with_groups(2);
         let (backend, fb) = check(&s, &[2, 2], opts, 1e-3);
-        assert_eq!(backend, LayerBackend::WinogradPoly);
+        assert_eq!(backend, LayerBackend::WinogradGrouped);
         assert!(fb.is_none());
     }
 
@@ -781,32 +663,126 @@ mod tests {
 
     #[test]
     fn stride_larger_than_extent_still_executes() {
-        // One output sample per dimension; every phase but the first few
-        // vanishes (r_φ = 0) and the survivors have single-tap kernels.
+        // Two output samples per dimension, 5 apart in the 9×9 stride-1
+        // image.
         let s = ConvShape::new(1, 16, 16, &[9, 9], &[3, 3], &[1, 1]).unwrap();
         let opts = ConvOptions::default().with_stride(&[5, 5]);
         let (dp, fb) = plan_dispatch(&s, &[2, 2], opts, &FallbackPolicy::default()).unwrap();
         assert!(fb.is_none());
         assert_eq!(dp.out_dims(), &[2, 2]);
         let (backend, _) = check(&s, &[2, 2], opts, 1e-3);
-        assert_eq!(backend, LayerBackend::WinogradPoly);
+        assert_eq!(backend, LayerBackend::WinogradMono);
     }
 
     #[test]
-    fn polyphase_is_bitwise_executor_invariant() {
-        let s = ConvShape::new(1, 16, 16, &[11, 11], &[3, 3], &[1, 1]).unwrap();
-        let si = image(1, 16, &[11, 11]);
-        let sk = kernels(16, 16, &[3, 3]);
-        let bi = BlockedImage::from_simple(&si).unwrap();
-        let bk = BlockedKernels::from_simple(&sk).unwrap();
-        let opts = ConvOptions::default().with_stride(&[2, 2]);
-        let (dp, _) = plan_dispatch(&s, &[2, 2], opts, &FallbackPolicy::default()).unwrap();
-        let mut serial = dp.new_output().unwrap();
-        dp.forward(&bi, &bk, &mut serial, &SerialExecutor).unwrap();
-        let pool = wino_sched::StaticExecutor::new(3);
-        let mut out = dp.new_output().unwrap();
-        dp.forward(&bi, &bk, &mut out, &pool).unwrap();
-        assert_eq!(out.as_slice(), serial.as_slice());
+    fn strided_output_is_the_subsampled_stride1_output() {
+        // A stronger oracle than a tolerance: a strided layer's output is
+        // bit for bit every `s`-th site of the same layer planned at
+        // stride 1 — whatever the rank, stride, padding, kernel parity,
+        // grouping, stage-2 engine or executor.
+        use wino_sched::{DynamicExecutor, StaticExecutor};
+        type Case<'a> = (&'a [usize], &'a [usize], &'a [usize], &'a [usize], usize);
+        let cases: [Case; 9] = [
+            (&[17], &[3], &[1], &[2], 1),
+            (&[12], &[4], &[0], &[3], 1), // even kernel, no padding
+            (&[11, 11], &[3, 3], &[1, 1], &[2, 2], 1),
+            (&[10, 13], &[3, 3], &[0, 1], &[3, 2], 1), // mixed
+            (&[9, 12], &[2, 2], &[0, 0], &[2, 1], 1),  // even kernel, one unit stride
+            (&[6, 7], &[3, 3], &[1, 1], &[9, 8], 1),   // stride larger than the extent
+            (&[9, 9], &[3, 3], &[1, 1], &[2, 2], 2),   // grouped
+            (&[6, 7, 8], &[3, 3, 3], &[1, 1, 1], &[2, 2, 2], 1),
+            (&[5, 8, 7], &[3, 2, 3], &[1, 0, 1], &[1, 3, 2], 2), // grouped, mixed, 3-D
+        ];
+        let mut engines = vec![Stage2Backend::Mono];
+        if wino_simd::cpu_has_avx512f() {
+            engines.push(Stage2Backend::Jit);
+        }
+        let execs: [Box<dyn Executor>; 4] = [
+            Box::new(SerialExecutor),
+            Box::new(StaticExecutor::new(2)),
+            Box::new(StaticExecutor::new(3)),
+            Box::new(DynamicExecutor::new(4)),
+        ];
+        for (dims, kernel, padding, stride, groups) in cases {
+            let c = 16 * groups;
+            let s = ConvShape::new(2, c, c, dims, kernel, padding).unwrap();
+            let bi = BlockedImage::from_simple(&image(2, c, dims)).unwrap();
+            let bk = BlockedKernels::from_simple(&kernels(c, 16, kernel)).unwrap();
+            for &stage2 in &engines {
+                let label = format!("{dims:?} k{kernel:?} p{padding:?} s{stride:?} g{groups} {stage2:?}");
+                let dense_opts = ConvOptions { stage2, ..ConvOptions::default() }.with_groups(groups);
+                let policy = FallbackPolicy::strict();
+                let m = vec![2; dims.len()];
+                let (dense, _) = plan_dispatch(&s, &m, dense_opts, &policy).expect(&label);
+                let (strided, fb) =
+                    plan_dispatch(&s, &m, dense_opts.with_stride(stride), &policy).expect(&label);
+                assert!(fb.is_none(), "{label}");
+                assert_eq!(strided.backend(), dense.backend(), "{label}: reports the engine");
+                assert!(strided.winograd().is_none(), "{label}: memo and sentinels stay dense-only");
+
+                let mut full = dense.new_output().unwrap();
+                dense.forward(&bi, &bk, &mut full, &SerialExecutor).unwrap();
+                let mut want = strided.new_output().unwrap();
+                let out_vol: usize = strided.out_dims().iter().product();
+                for b in 0..2 {
+                    for cg in 0..c / S {
+                        for o in 0..out_vol {
+                            let at: Vec<usize> = unflatten(o, strided.out_dims())
+                                .iter()
+                                .zip(stride)
+                                .map(|(x, st)| x * st)
+                                .collect();
+                            let (src, dst) = (full.vec_offset(b, cg, &at), want.vec_offset_flat(b, cg, o));
+                            want.as_mut_slice()[dst..dst + S]
+                                .copy_from_slice(&full.as_slice()[src..src + S]);
+                        }
+                    }
+                }
+                for exec in &execs {
+                    let mut got = strided.new_output().unwrap();
+                    got.as_mut_slice().fill(f32::NAN); // every element is overwritten
+                    strided.forward(&bi, &bk, &mut got, exec.as_ref()).unwrap();
+                    assert_eq!(got.as_slice(), want.as_slice(), "{label} on {}", exec.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mismatched_operands_fail_typed() {
+        // Regression: these were `assert_eq!`s — a wrong operand panicked
+        // on every route, where `WinogradLayer::forward` returns
+        // `Shape(Mismatch)`.
+        let s = ConvShape::new(1, 16, 32, &[12, 12], &[3, 3], &[1, 1]).unwrap();
+        let good_in = BlockedImage::zeros(1, 16, &[12, 12]).unwrap();
+        let good_k = BlockedKernels::zeros(16, 32, &[3, 3]).unwrap();
+        let routes = [
+            ConvOptions::default(),
+            ConvOptions::default().with_stride(&[2, 2]),
+            ConvOptions::default().with_dilation(&[2, 2]), // im2col
+        ];
+        for opts in routes {
+            let (dp, _) = plan_dispatch(&s, &[2, 2], opts, &FallbackPolicy::default()).unwrap();
+            let mut out = dp.new_output().unwrap();
+            let mismatch = |r: Result<(), WinoError>, what: &str| match r {
+                Err(WinoError::Shape(ShapeError::Mismatch { what: w, .. })) => assert_eq!(w, what),
+                other => panic!("{what}: expected a typed mismatch, got {other:?}"),
+            };
+            let run = |i: &BlockedImage, k: &BlockedKernels, o: &mut BlockedImage| {
+                dp.forward(i, k, o, &SerialExecutor)
+            };
+            let short = BlockedImage::zeros(1, 16, &[10, 12]).unwrap();
+            mismatch(run(&short, &good_k, &mut out), "input extent");
+            let wide = BlockedImage::zeros(1, 32, &[12, 12]).unwrap();
+            mismatch(run(&wide, &good_k, &mut out), "input channels");
+            let batched = BlockedImage::zeros(2, 16, &[12, 12]).unwrap();
+            mismatch(run(&batched, &good_k, &mut out), "input batch");
+            let bad_k = BlockedKernels::zeros(8, 32, &[3, 3]).unwrap();
+            mismatch(run(&good_in, &bad_k, &mut out), "kernel in_channels (C / groups)");
+            let mut bad_out = BlockedImage::zeros(1, 32, &[12, 13]).unwrap();
+            mismatch(run(&good_in, &good_k, &mut bad_out), "output extent");
+            run(&good_in, &good_k, &mut out).expect("the matching operands run");
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub mod vecprog;
 pub mod work;
 
 pub use conv::{convolve_simple, TransformedKernels};
-pub use dispatch::{plan_dispatch, DispatchPlan, Phase, Route};
+pub use dispatch::{plan_dispatch, DispatchPlan, Route};
 pub use error::{check_finite, NumericError, WinoError};
 pub use footprint::MemoryFootprint;
 pub use layout::TileMajor;

@@ -5,10 +5,10 @@
 //! memory buffer can be reused for the computation of each layer." —
 //! [`Network`] plans a sequence of convolutional layers (each with its
 //! own `F(m, r)`) and reuses the auxiliary memory *across passes*: one
-//! resident [`Scratch`] slot per layer and one resident image per
-//! intermediate activation, so a repeat forward allocates nothing but the
-//! output it returns. Layer outputs stay in the blocked layout, so no
-//! reshuffling happens between layers (§4.1).
+//! resident slot per layer (its [`Scratch`] and, strided, its stride-1
+//! image) and one resident image per intermediate activation, so a repeat
+//! forward allocates nothing but the output it returns. Layer outputs stay
+//! in the blocked layout, so no reshuffling happens between layers (§4.1).
 //!
 //! Every layer is a [`DispatchPlan`], and the module owns the *run-time*
 //! walk over the degradation table of [`crate::select`] (DESIGN.md §5):
@@ -24,7 +24,7 @@ use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, ConvShape};
 
 use crate::conv::TransformedKernels;
-use crate::dispatch::{ensure_scratch, plan_at_rung, DispatchPlan, Kernels};
+use crate::dispatch::{ensure_scratch, plan_at_rung, DispatchPlan, Kernels, Slot, NO_MEMO};
 use crate::error::{check_finite, NumericError, WinoError};
 use crate::plan::{ConvOptions, PlanError, Scratch};
 use crate::select::{degrade, Candidate, Cause, FallbackPolicy};
@@ -48,7 +48,9 @@ impl Activation {
     }
 }
 
-/// Which implementation computed a layer's output.
+/// Which implementation computed a layer's output. A strided layer
+/// reports the engine that ran its stride-1 plan; the stride itself is in
+/// [`DispatchPlan::geo`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LayerBackend {
     WinogradJit,
@@ -59,9 +61,6 @@ pub enum LayerBackend {
     /// transformed-data scratch). The paired [`FallbackReason`] says
     /// which ladder ran.
     WinogradDemoted,
-    /// Stride ≥ 2 executed as a sum of per-phase stride-1 Winograd
-    /// convolutions (the sub-lattice / polyphase decomposition).
-    WinogradPoly,
     /// Grouped convolution executed by blocking the C/C' loops around a
     /// shared per-group Winograd plan.
     WinogradGrouped,
@@ -77,7 +76,6 @@ impl LayerBackend {
             LayerBackend::WinogradJit => "winograd-jit",
             LayerBackend::WinogradMono => "winograd-mono",
             LayerBackend::WinogradDemoted => "winograd-demoted",
-            LayerBackend::WinogradPoly => "winograd-poly",
             LayerBackend::WinogradGrouped => "winograd-grouped",
             LayerBackend::Im2col => "im2col",
         }
@@ -194,15 +192,16 @@ pub struct NetLayer {
 /// scratch.
 pub struct Network {
     layers: Vec<NetLayer>,
-    /// One scratch slot per layer, built once at plan time and reused on
-    /// every pass. Per-layer slots (rather than one shared arena rebuilt
-    /// per transition) keep repeat forwards allocation-free — the serving
-    /// hot path's invariant — at the cost of summing, not maxing, the
-    /// scratch footprint. A slot is `None` for an im2col layer, before the
-    /// first forward of a grouped or polyphase one (whose phases then take
-    /// turns in it), or when its seeding allocation was refused (the
-    /// run-time walk then deals with it when the layer runs).
-    scratch: Vec<Option<Scratch>>,
+    /// One slot per layer — its scratch, seeded at plan time, and (a
+    /// strided layer) the stride-1 image its first forward builds —
+    /// reused on every pass. Per-layer slots (rather than one shared arena
+    /// rebuilt per transition) keep repeat forwards allocation-free — the
+    /// serving hot path's invariant — at the cost of summing, not maxing,
+    /// the scratch footprint. A slot is empty for an im2col layer, before
+    /// the first forward of a grouped or strided one, or when its seeding
+    /// allocation was refused (the run-time walk then deals with it when
+    /// the layer runs).
+    slots: Vec<Slot>,
     /// The intermediate activations (every layer's output but the last,
     /// which the caller receives), parked here between passes: a batch-8
     /// activation is megabytes, which the allocator hands out as a fresh
@@ -264,7 +263,9 @@ impl Network {
     /// breaker's `rung` selects for every layer: 0 plans as configured, 1
     /// forces stage 2 onto the monomorphised kernels, 2 and beyond plan
     /// every layer on [`crate::Route::Im2col`] — as far as `policy` allows those
-    /// rows (a strict policy plans every rung as configured).
+    /// rows (a strict policy plans every rung as configured). A strided or
+    /// grouped layer stands on the same rungs as a dense one: its route is
+    /// built from the same candidate.
     #[allow(clippy::too_many_arguments)] // with_policy's seven plus the rung
     pub fn at_rung(
         batch: usize,
@@ -289,24 +290,22 @@ impl Network {
             dims = plan.out_dims().to_vec();
             layers.push(NetLayer { plan, activation: spec.activation, planned_fallback });
         }
-        // One resident scratch per layer, so repeat passes never rebuild.
-        // Pre-seeding (of the dense layers; a grouped one fills its slot
-        // on first use) is an optimisation, not a requirement: a refused
-        // allocation leaves the slot empty and the run-time walk deals
-        // with memory pressure when the layer actually runs.
-        let scratch = layers
-            .iter()
-            .map(|l| l.plan.winograd().and_then(|p| Scratch::try_new(p, threads).ok()))
-            .collect();
+        // One resident slot per layer, so repeat passes never rebuild.
+        // Pre-seeding (of the dense stride-1 layers; any other fills its
+        // slot on first use) is an optimisation, not a requirement: a
+        // refused allocation leaves the slot empty and the run-time walk
+        // deals with memory pressure when the layer actually runs.
+        let seed = |l: &NetLayer| l.plan.winograd().and_then(|p| Scratch::try_new(p, threads).ok());
+        let slots = layers.iter().map(|l| Slot { scratch: seed(l), dense: None }).collect();
         let acts = layers.iter().map(|_| None).collect();
-        Ok(Network { layers, scratch, acts })
+        Ok(Network { layers, slots, acts })
     }
 
     /// The network's analytic memory footprint at `threads` thread slots:
     /// every component is a *sum* over the layers' route models
     /// ([`DispatchPlan::footprint`]) — each layer holds its own resident
-    /// scratch slot and its own resident output (the price of
-    /// allocation-free repeat forwards) and its own memoised kernels.
+    /// slot and its own resident output (the price of allocation-free
+    /// repeat forwards) and its own memoised kernels.
     pub fn footprint(&self, threads: usize) -> crate::MemoryFootprint {
         let mut acc = crate::MemoryFootprint::empty(threads);
         for l in &self.layers {
@@ -323,15 +322,17 @@ impl Network {
         &self.layers
     }
 
-    /// Auxiliary bytes currently held across all layer slots.
+    /// Auxiliary bytes currently held across all layer slots: every
+    /// scratch plus every strided layer's stride-1 image.
     pub fn scratch_bytes(&self) -> usize {
-        self.scratch.iter().flatten().map(Scratch::bytes).sum()
+        self.slots.iter().map(Slot::bytes).sum()
     }
 
     /// Memoise all kernel transforms for inference (§4.2 "Inference
-    /// only"); pass the result to [`Self::forward_fx`]. Only
-    /// [`crate::Route::Direct`] layers have a kernel transform; any other makes
-    /// this an [`WinoError::Unsupported`] error.
+    /// only"); pass the result to [`Self::forward_fx`]. Only dense
+    /// stride-1 Winograd layers ([`DispatchPlan::winograd`]) have a
+    /// memoised kernel transform; any other makes this an
+    /// [`WinoError::Unsupported`] error.
     pub fn prepare_kernels(
         &mut self,
         kernels: &[BlockedKernels],
@@ -341,13 +342,9 @@ impl Network {
             return Err(WinoError::LayerCount { expected: self.layers.len(), got: kernels.len() });
         }
         let mut out = Vec::with_capacity(kernels.len());
-        for ((layer, slot), kernel) in self.layers.iter().zip(&mut self.scratch).zip(kernels) {
-            let Some(plan) = layer.plan.winograd() else {
-                return Err(WinoError::Unsupported(
-                    "kernel transforms for an im2col-planned layer",
-                ));
-            };
-            let sc = ensure_scratch(slot, plan, exec.threads())?;
+        for ((layer, slot), kernel) in self.layers.iter().zip(&mut self.slots).zip(kernels) {
+            let plan = layer.plan.winograd().ok_or(WinoError::Unsupported(NO_MEMO))?;
+            let sc = ensure_scratch(&mut slot.scratch, plan, exec.threads())?;
             out.push(plan.prepare_kernels(kernel, sc, exec)?);
         }
         Ok(out)
@@ -372,7 +369,7 @@ impl Network {
             .layers
             .get(index)
             .ok_or(WinoError::Unsupported("layer index out of range"))?;
-        let slot = &mut self.scratch[index];
+        let slot = &mut self.slots[index];
         exec_layer(slot, layer, index, input, Kernels::Raw(kernels), exec, policy, None)
     }
 
@@ -393,7 +390,7 @@ impl Network {
         let last = self.layers.len() - 1;
         let mut current: Option<BlockedImage> = None;
         for (i, ((layer, slot), kernel)) in
-            self.layers.iter().zip(&mut self.scratch).zip(kernels).enumerate()
+            self.layers.iter().zip(&mut self.slots).zip(kernels).enumerate()
         {
             let inp = current.as_ref().unwrap_or(input);
             let parked = if i < last { self.acts[i].take() } else { None };
@@ -455,7 +452,7 @@ impl Network {
 #[allow(clippy::too_many_arguments)] // exec_layer's context plus the candidate under test
 fn attempt(
     plan: &DispatchPlan,
-    slot: &mut Option<Scratch>,
+    slot: &mut Slot,
     index: usize,
     input: &BlockedImage,
     kernels: Kernels<'_>,
@@ -496,7 +493,7 @@ fn attempt(
 /// NaN to 0.0 and would hide the corruption.
 #[allow(clippy::too_many_arguments)] // the layer, its two resident buffers, and the call's context
 fn exec_layer(
-    slot: &mut Option<Scratch>,
+    slot: &mut Slot,
     layer: &NetLayer,
     index: usize,
     input: &BlockedImage,
@@ -517,8 +514,8 @@ fn exec_layer(
     // `wino_simd::denormals` for the model).
     let _ftz = wino_simd::FlushDenormals::engage();
     // A degraded execution's re-planned candidate. It runs through the
-    // same slot (never two arenas at once); `ensure_scratch` re-shapes it,
-    // and again for the planned candidate on the next forward.
+    // same slot (never two arenas at once); `ensure_scratch` re-shapes its
+    // scratch, and again for the planned candidate on the next forward.
     let mut replanned: Option<DispatchPlan> = None;
     loop {
         let plan = replanned.as_ref().unwrap_or(&layer.plan);
@@ -540,7 +537,7 @@ fn exec_layer(
             _ => return Err(failure),
         };
         if cause == Cause::Memory {
-            *slot = None; // the arena may be most of the pressure: release it before the retry
+            *slot = Slot::default(); // the arena may be most of the pressure: release it before the retry
         }
         // Walk the table until a candidate plans; none left = the failure.
         let mut cand = plan.cand.clone();
@@ -613,7 +610,6 @@ mod tests {
             LayerBackend::WinogradJit,
             LayerBackend::WinogradMono,
             LayerBackend::WinogradDemoted,
-            LayerBackend::WinogradPoly,
             LayerBackend::WinogradGrouped,
             LayerBackend::Im2col,
         ] {
@@ -655,19 +651,27 @@ mod tests {
             .collect()
     }
 
+    /// The stride-1 plan a Winograd-routed layer executes.
+    fn engine_plan(l: &NetLayer) -> &WinogradLayer {
+        match &l.plan.route {
+            crate::Route::Direct(p) | crate::Route::Grouped { plan: p } => p,
+            crate::Route::Im2col => panic!("an im2col layer has no Winograd plan"),
+        }
+    }
+
     #[test]
     fn steady_state_run_allocates_only_the_returned_output() {
-        // The serving hot path relies on this: once the scratch arena
-        // and the intermediate activations are resident, a repeat forward
-        // pass allocates exactly the image it returns and nothing else
-        // (no per-layer output, no scratch regrow, no hidden temporaries)
-        // — and computes the same bits into the reused images.
+        // The serving hot path relies on this: once the scratch arena,
+        // a strided layer's stride-1 image and the intermediate
+        // activations are resident, a repeat forward pass allocates
+        // exactly the image it returns and nothing else (no per-layer
+        // output, no scratch regrow, no hidden temporaries) — and
+        // computes the same bits into the reused images.
         let specs = vec![
             LayerSpec::same(32, 2, 3, 2),
             LayerSpec::same(16, 2, 3, 2),
             LayerSpec::same(16, 2, 3, 4),
         ];
-        let mut net = Network::new(1, 16, &[12, 12], &specs, ConvOptions::default(), 1).unwrap();
         let img = SimpleImage::from_fn(1, 16, &[12, 12], |_, c, xy| {
             ((c + xy[0] * 3 + xy[1]) % 11) as f32 * 0.1 - 0.5
         });
@@ -676,30 +680,45 @@ mod tests {
             ((c * 5 + xy[0] + xy[1] * 2) % 7) as f32 * 0.2 - 0.6
         }))
         .unwrap();
-        let kernels = kernels_for(&net, 0);
         let policy = FallbackPolicy::default();
-        let before = wino_simd::thread_alloc_calls();
-        let (first, _) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
-        assert_eq!(wino_simd::thread_alloc_calls() - before, 3, "a cold pass builds every output");
-        for round in 0..3 {
-            // A different input in between: a parked activation holds
-            // stale values that the next pass must overwrite entirely.
-            net.run_net(&other, &kernels, &SerialExecutor, &policy).unwrap();
+        for opts in [ConvOptions::default(), ConvOptions::default().with_stride(&[2, 2])] {
+            let strided = !opts.has_identity_geometry(2);
+            let mut net = Network::new(1, 16, &[12, 12], &specs, opts, 1).unwrap();
+            let kernels = kernels_for(&net, 0);
             let before = wino_simd::thread_alloc_calls();
+            let (first, _) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+            let cold = wino_simd::thread_alloc_calls() - before;
+            if strided {
+                // Nothing of a strided layer is seeded at plan time: its
+                // scratch and its stride-1 image are built here.
+                assert!(cold > 3 + 3, "a cold strided pass builds every slot ({cold})");
+                assert_eq!(first.dims, [2, 2]); // 12 → 6 → 3 → 2
+            } else {
+                assert_eq!(cold, 3, "a cold pass builds every output");
+            }
+            let resident = net.scratch_bytes();
+            for round in 0..3 {
+                // A different input in between: a parked activation (and a
+                // stride-1 image) holds stale values that the next pass
+                // must overwrite entirely.
+                net.run_net(&other, &kernels, &SerialExecutor, &policy).unwrap();
+                let before = wino_simd::thread_alloc_calls();
+                let (out, _) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+                let delta = wino_simd::thread_alloc_calls() - before;
+                assert_eq!(delta, 1, "round {round}: expected the returned output only");
+                assert_eq!(out.as_slice(), first.as_slice(), "round {round}");
+                assert_eq!(net.scratch_bytes(), resident, "round {round}");
+            }
+            // An unguarded pass over a NaN input parks NaN-ridden activations,
+            // a guarded one fails in the first layer and releases what it
+            // held; the next pass overwrites the former and rebuilds the latter.
+            let mut bad = input.clone();
+            bad.as_mut_slice()[0] = f32::NAN;
+            assert!(net.run_net(&bad, &kernels, &SerialExecutor, &FallbackPolicy::strict()).is_ok());
+            assert!(net.run_net(&bad, &kernels, &SerialExecutor, &policy).is_err());
             let (out, _) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
-            let delta = wino_simd::thread_alloc_calls() - before;
-            assert_eq!(delta, 1, "round {round}: expected the returned output only");
-            assert_eq!(out.as_slice(), first.as_slice(), "round {round}");
+            assert_eq!(out.as_slice(), first.as_slice(), "after a failed pass");
         }
-        // An unguarded pass over a NaN input parks NaN-ridden activations,
-        // a guarded one fails in the first layer and releases what it
-        // held; the next pass overwrites the former and rebuilds the latter.
-        let mut bad = input.clone();
-        bad.as_mut_slice()[0] = f32::NAN;
-        assert!(net.run_net(&bad, &kernels, &SerialExecutor, &FallbackPolicy::strict()).is_ok());
-        assert!(net.run_net(&bad, &kernels, &SerialExecutor, &policy).is_err());
-        let (out, _) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
-        assert_eq!(out.as_slice(), first.as_slice(), "after a failed pass");
     }
 
     #[test]
@@ -711,10 +730,14 @@ mod tests {
         // this thread (serial executor), so the per-thread byte tally
         // is exact and immune to concurrent tests.
         // Once on fused plans (rings, no layer-sized scratch), once on staged
-        // ones (two reduction blocks over ≥ 32 channels).
-        for (opts, c_in, fused) in
-            [(ConvOptions::default(), 16, true), (crate::plan::split_reduction(), 32, false)]
-        {
+        // ones (two reduction blocks over ≥ 32 channels), once strided (no
+        // memoised kernels; a stride-1 image beside every scratch).
+        let strided = ConvOptions::default().with_stride(&[2, 2]);
+        for (opts, c_in, fused) in [
+            (ConvOptions::default(), 16, true),
+            (crate::plan::split_reduction(), 32, false),
+            (strided, 16, true),
+        ] {
             let specs = vec![LayerSpec::same(32, 2, 3, 2), LayerSpec::same(16, 2, 3, 4)];
             let img = SimpleImage::from_fn(1, c_in, &[12, 12], |_, c, xy| {
                 ((c + xy[0] * 3 + xy[1]) % 11) as f32 * 0.1 - 0.5
@@ -723,11 +746,15 @@ mod tests {
 
             let before = wino_simd::thread_alloc_bytes();
             let mut net = Network::new(1, c_in, &[12, 12], &specs, opts, 1).unwrap();
-            assert!(net.layers().iter().all(|l| l.plan.winograd().unwrap().is_fused() == fused));
+            assert!(net.layers().iter().all(|l| engine_plan(l).is_fused() == fused));
             let kernels = kernels_for(&net, 3);
             let kernel_bytes: usize = kernels.iter().map(|k| k.as_slice().len() * 4).sum();
-            let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
-            let _out = net.forward_fx(&input, &fx, &SerialExecutor).unwrap();
+            let _out = if opts.has_identity_geometry(2) {
+                let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+                net.forward_fx(&input, &fx, &SerialExecutor).unwrap()
+            } else {
+                net.forward(&input, &kernels, &SerialExecutor).unwrap()
+            };
             // The raw kernel tensors are inputs, not part of the plan's
             // footprint — subtract them from the observation.
             let observed = (wino_simd::thread_alloc_bytes() - before) as usize - kernel_bytes;
@@ -736,7 +763,7 @@ mod tests {
             let ratio = observed as f64 / modeled as f64;
             assert!(
                 (0.9..=1.1).contains(&ratio),
-                "fused={fused}: modeled {modeled} vs observed {observed} bytes (ratio {ratio:.3})"
+                "{opts:?}: modeled {modeled} vs observed {observed} bytes (ratio {ratio:.3})"
             );
         }
     }
@@ -844,6 +871,35 @@ mod tests {
         assert!(matches!(err, WinoError::LayerCount { expected: 1, got: 0 }));
         let err = net.run_net(&input, &[], &SerialExecutor, &FallbackPolicy::default()).unwrap_err();
         assert!(matches!(err, WinoError::LayerCount { expected: 1, got: 0 }));
+    }
+
+    #[test]
+    fn mismatched_operands_are_typed_not_a_panic() {
+        // Regression: `forward_in` asserted its operands, so a wrong image
+        // or kernel bank panicked through every `Network` entry point.
+        use wino_tensor::ShapeError;
+        let specs = vec![LayerSpec::same(16, 2, 3, 2)];
+        let mut net = Network::new(1, 16, &[12, 12], &specs, ConvOptions::default(), 1).unwrap();
+        let kernels = kernels_for(&net, 1);
+        let policy = FallbackPolicy::default();
+        let what = |r: Result<BlockedImage, WinoError>| match r {
+            Err(WinoError::Shape(ShapeError::Mismatch { what, .. })) => what,
+            other => panic!("expected a typed mismatch, got {:?}", other.map(|o| o.dims)),
+        };
+        let short = BlockedImage::zeros(1, 16, &[10, 12]).unwrap();
+        let run = net.run_net(&short, &kernels, &SerialExecutor, &policy).map(|(o, _)| o);
+        assert_eq!(what(run), "input extent");
+        let run = net.run_layer(0, &short, &kernels[0], &SerialExecutor, &policy).map(|(o, _)| o);
+        assert_eq!(what(run), "input extent");
+        let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+        assert_eq!(what(net.forward_fx(&short, &fx, &SerialExecutor)), "input extent");
+        let wide = BlockedImage::zeros(1, 32, &[12, 12]).unwrap();
+        assert_eq!(what(net.forward(&wide, &kernels, &SerialExecutor)), "input channels");
+        let good = BlockedImage::zeros(1, 16, &[12, 12]).unwrap();
+        let narrow = [BlockedKernels::zeros(8, 16, &[3, 3]).unwrap()];
+        let run = net.forward(&good, &narrow, &SerialExecutor);
+        assert_eq!(what(run), "kernel in_channels (C / groups)");
+        net.forward(&good, &kernels, &SerialExecutor).expect("the matching operands run");
     }
 
     #[test]
@@ -1016,9 +1072,10 @@ mod tests {
     }
 
     #[test]
-    fn strided_network_chains_geometry_and_reports_polyphase() {
+    fn strided_network_chains_geometry_and_reports_the_engine() {
         // Two stride-2 layers: 12×12 → 6×6 → 3×3, every layer executed by
-        // the polyphase route and reported as such.
+        // its stride-1 plan plus the subsample, and reported as the engine
+        // that ran.
         let specs = vec![LayerSpec::same(16, 2, 3, 2), LayerSpec::same(16, 2, 3, 2)];
         let opts = ConvOptions::default().with_stride(&[2, 2]);
         let mut net =
@@ -1035,8 +1092,8 @@ mod tests {
         let (out, reports) =
             net.run_net(&input, &kernels, &SerialExecutor, &FallbackPolicy::default()).unwrap();
         for r in &reports {
-            assert_eq!(r.backend, LayerBackend::WinogradPoly);
-            assert!(r.fallback.is_none(), "polyphase is a first-class route, not a fallback");
+            assert_eq!(r.backend, LayerBackend::WinogradMono);
+            assert!(r.fallback.is_none(), "stride is an epilogue, not a fallback");
         }
         assert_eq!(out.dims, vec![3, 3]);
 
@@ -1132,7 +1189,7 @@ mod tests {
         let want = oracle_layer(&img, &kernels[0], &[1, 1], &grouped.geometry(2), true);
         assert_close(&out, &want, 2e-3, "budget-retiled grouped net");
 
-        // The same provenance on the dense and the polyphase route.
+        // The same provenance on the dense layer, strided or not.
         let narrow = [LayerSpec::same(32, 2, 3, 2)];
         let dense = Network::with_policy(1, 32, &[20, 20], &narrow, budget, 1, &policy).unwrap();
         let layer = &dense.layers()[0];
@@ -1140,9 +1197,9 @@ mod tests {
         assert_eq!(layer.planned_fallback, Some(FallbackReason::Memory { bytes: need(2) }));
         let strided = ConvOptions { memory: Some(MemoryBudget::new(1 << 14)), ..base }
             .with_stride(&[2, 2]);
-        let poly = Network::with_policy(1, 32, &[20, 20], &narrow, strided, 1, &policy).unwrap();
+        let net = Network::with_policy(1, 32, &[20, 20], &narrow, strided, 1, &policy).unwrap();
         assert!(matches!(
-            poly.layers()[0].planned_fallback,
+            net.layers()[0].planned_fallback,
             Some(FallbackReason::Memory { .. })
         ));
 

@@ -143,10 +143,10 @@ pub struct ConvOptions {
     /// deadline they were given.
     pub watchdog: Option<std::time::Duration>,
     /// Output sampling step per spatial dimension (entries beyond the
-    /// layer's rank are ignored; all 1s by default). Stride-2 layers
-    /// still run Winograd, via the sub-lattice (polyphase) decomposition
-    /// in [`crate::dispatch`]; [`WinogradLayer::new`] itself only accepts
-    /// the identity geometry.
+    /// layer's rank are ignored; all 1s by default). A strided layer
+    /// still runs Winograd: [`crate::dispatch`] executes its stride-1
+    /// plan and keeps every `s`-th output site. [`WinogradLayer::new`]
+    /// itself only accepts the identity geometry.
     ///
     /// ```
     /// use wino_conv::ConvOptions;

@@ -97,8 +97,8 @@ impl FallbackPolicy {
 /// One row of the degradation table: what a layer runs on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Candidate {
-    /// A Winograd route — direct, grouped or polyphase, as the geometry
-    /// dictates — at tile `m` on stage-2 engine `stage2`. `retile` counts
+    /// A Winograd route — direct or grouped, as the geometry dictates,
+    /// subsampled under a stride — at tile `m` on stage-2 engine `stage2`. `retile` counts
     /// the re-tile steps taken from the planned tile (grown for memory:
     /// positive; shrunk for accuracy: negative); a walk only ever moves
     /// away from zero, which is what keeps it from revisiting a tile.

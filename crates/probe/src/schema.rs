@@ -64,11 +64,10 @@ pub const SCALING_MODES: [&str; 2] = ["strong", "weak"];
 /// The stable names of `wino_conv::LayerBackend` variants as serialized
 /// into `layers[i].execution.backend` and serve `backends` tallies. The
 /// producer crates assert their `name()` methods stay inside this set.
-pub const BACKEND_NAMES: [&str; 6] = [
+pub const BACKEND_NAMES: [&str; 5] = [
     "winograd-jit",
     "winograd-mono",
     "winograd-demoted",
-    "winograd-poly",
     "winograd-grouped",
     "im2col",
 ];

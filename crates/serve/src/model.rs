@@ -41,7 +41,7 @@ impl ModelSpec {
 
     /// Per-layer `(shape, output dims)` at the given batch size, chained
     /// through `opts`' conv geometry — with a stride each layer's input
-    /// is the *decimated* output of the previous one, not the identity
+    /// is the *subsampled* output of the previous one, not the identity
     /// extent [`ConvShape::out_dims`] reports.
     pub fn chained_shapes(
         &self,
@@ -214,11 +214,11 @@ mod tests {
     }
 
     #[test]
-    fn strided_spec_chains_decimated_dims() {
+    fn strided_spec_chains_subsampled_dims() {
         let mut sp = spec();
         sp.opts = sp.opts.with_stride(&[2, 2]);
         // 8×8 → 4×4 → 2×2: each layer's input is the previous layer's
-        // *decimated* output.
+        // *subsampled* output.
         let chained = sp.chained_shapes(1).unwrap();
         assert_eq!(chained[0].1, vec![4, 4]);
         assert_eq!(chained[1].0.image_dims, vec![4, 4]);

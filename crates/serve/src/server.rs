@@ -829,9 +829,9 @@ mod tests {
 
     #[test]
     fn strided_spec_ladder_rungs_agree() {
-        // A stride-2 spec: the Full rung runs the polyphase dispatcher,
-        // the bottom rung the geometry-aware im2col baseline — same
-        // decimated output, same convolution.
+        // A stride-2 spec: the Full rung runs the stride-1 Winograd plan
+        // and keeps every second site, the bottom rung the geometry-aware
+        // im2col baseline — same subsampled output, same convolution.
         let mut spec = spec_1layer();
         spec.opts = spec.opts.with_stride(&[2, 2]);
         let kernels = kernels_for(&spec);
@@ -839,7 +839,7 @@ mod tests {
         let img = input();
         let (full, reports_full) = engine.run(&img, DegradeLevel::Full, &SerialExecutor).unwrap();
         assert_eq!(full.dims, vec![3, 3]); // (6 + 2 − 3)/2 + 1
-        assert_eq!(reports_full[0].backend, LayerBackend::WinogradPoly);
+        assert_eq!(reports_full[0].backend, LayerBackend::WinogradMono);
         let (base, reports) = engine.run(&img, DegradeLevel::Im2col, &SerialExecutor).unwrap();
         assert_eq!(base.dims, vec![3, 3]);
         assert_eq!(reports[0].backend, LayerBackend::Im2col);

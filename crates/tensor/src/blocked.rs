@@ -216,23 +216,6 @@ impl BlockedImage {
         Ok(())
     }
 
-    /// Elementwise `self += other` — the accumulation step of the
-    /// polyphase (sub-lattice) stride decomposition, where every phase
-    /// contributes a full-size partial output in the same blocked layout.
-    pub fn accumulate(&mut self, other: &BlockedImage) -> Result<(), ShapeError> {
-        if other.batch != self.batch || other.channels != self.channels || other.dims != self.dims {
-            return Err(ShapeError::Mismatch {
-                what: "accumulate operand length",
-                expected: self.data.len(),
-                got: other.data.len(),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += *b;
-        }
-        Ok(())
-    }
-
     /// Convert from the interchange layout.
     pub fn from_simple(img: &SimpleImage) -> Result<Self, ShapeError> {
         let mut out = Self::zeros(img.batch, img.channels, &img.dims)?;
@@ -541,18 +524,6 @@ mod tests {
         // Misaligned or out-of-range blocks are typed errors.
         assert!(blocked.channel_block(8, 16).is_err());
         assert!(blocked.channel_block(32, 32).is_err());
-    }
-
-    #[test]
-    fn accumulate_adds_elementwise() {
-        let a0 = SimpleImage::from_fn(1, 16, &[2, 2], |_, c, xy| (c + xy[0]) as f32);
-        let b0 = SimpleImage::from_fn(1, 16, &[2, 2], |_, _, xy| (xy[1] * 10) as f32);
-        let mut a = BlockedImage::from_simple(&a0).unwrap();
-        let b = BlockedImage::from_simple(&b0).unwrap();
-        a.accumulate(&b).unwrap();
-        assert_eq!(a.get(0, 3, &[1, 1]), (3 + 1) as f32 + 10.0);
-        let wrong = BlockedImage::zeros(1, 16, &[3, 3]).unwrap();
-        assert!(a.accumulate(&wrong).is_err());
     }
 
     #[test]

@@ -93,8 +93,9 @@ impl ConvShape {
 /// scenario axes of a general convolution on top of a stride-1
 /// [`ConvShape`]. The identity geometry (all ones) is the plain Winograd
 /// case; everything else is routed by the dispatch layer in `wino-conv`:
-/// stride 2 through the sub-lattice (polyphase) decomposition, groups by
-/// blocking the C/C' loops, dilation through the im2col baseline.
+/// a stride by sampling every `s`-th site of the stride-1 Winograd
+/// result, groups by blocking the C/C' loops, dilation through the im2col
+/// baseline.
 ///
 /// Output extents under a geometry follow the standard formula
 ///

@@ -7,7 +7,14 @@
 #                                 (full scaled catalogue × {direct,
 #                                 im2col, best-Winograd})
 #   scripts/bench.sh --smoke    → target/BENCH_smoke.json (three pinned
-#                                 layers, 1 rep — the CI gate; also fails
+#                                 layers, 1 rep, plus the first 2-D one
+#                                 under stride 2 and under groups 2: the
+#                                 routed engine — a strided layer's row
+#                                 is its stride-1 plan plus the
+#                                 subsample, labelled by the engine, e.g.
+#                                 `winograd-mono F(4x4) s2x2` — against
+#                                 the geometry-aware im2col row of the
+#                                 same run — the CI gate; also fails
 #                                 if the report says machine.simd =
 #                                 "scalar" on a CPU with AVX2+FMA while
 #                                 WINO_SIMD is unset, or if the Mono GEMM

@@ -58,11 +58,17 @@ run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features
 #
 # Dispatch-matrix gate: the exhaustive (rank, stride, dilation, groups)
 # grid must route every representable combination to its specified engine
-# (direct / polyphase / grouped Winograd or the designed im2col fallback
-# with the right typed reason), match the oracle, and surface the same
-# provenance through `Network` reports; the geometry edge cases (stride >
-# extent, dilation past the padding, depthwise, non-divisible groups)
-# ride in the same gate.
+# (direct / grouped Winograd — at any stride: stride is an epilogue, not
+# a route — or the designed im2col fallback with the right typed reason),
+# match the oracle, and surface the same provenance through `Network`
+# reports; the geometry edge cases (stride > extent, dilation past the
+# padding, depthwise, non-divisible groups) ride in the same gate.
+#
+# Stride gate: on every backend a strided layer's output must equal, bit
+# for bit, the hand-subsampled output of the same layer planned at
+# stride 1 (rank 1–3, strides 2 / 3 / mixed / larger than the extent,
+# even kernels, dense and grouped, Mono and — under avx512 — JIT, every
+# executor).
 #
 # Plus the cross-implementation equivalence battery (Winograd, direct,
 # im2col, FFT against the f64 oracle) and the executor/JIT agreement
@@ -100,7 +106,8 @@ for isa in "${isas[@]}"; do
         cargo test --offline -q --test fused_equivalence
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
-        codelet:: vecprog:: stage1:: stage3:: select::
+        codelet:: vecprog:: stage1:: stage3:: select:: \
+        dispatch::tests::strided_output_is_the_subsampled_stride1_output
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-gemm -p wino-jit --lib
 done

@@ -1,8 +1,10 @@
 //! The dispatch matrix, exhaustively: every (rank, stride, dilation,
 //! groups) combination on a small-shape grid must *route* somewhere
-//! valid — direct Winograd, polyphase Winograd, grouped Winograd, or the
-//! designed im2col fallback with a typed [`FallbackReason`] — and the
-//! chosen route's output must match the f64 direct oracle. No panics, no
+//! valid — direct Winograd, grouped Winograd, or the designed im2col
+//! fallback with a typed [`FallbackReason`] — and the chosen route's
+//! output must match the f64 direct oracle. Stride is a swept axis, not a
+//! route: a strided scenario takes the route its groups dictate and is
+//! judged against the strided oracle. No panics, no
 //! `PlanError` rejections for representable layers; the only hard errors
 //! are genuinely unrepresentable geometries (groups not dividing the
 //! channel counts), and those are *typed*.
@@ -28,21 +30,19 @@ const K: usize = 32;
 #[derive(Debug, PartialEq, Clone, Copy)]
 enum Expect {
     Direct,
-    Polyphase,
     Grouped,
     /// Designed im2col route with this provenance code.
     Im2col(&'static str),
 }
 
-/// The routing table: precedence is dilation > group width > stride >
-/// grouping. Every arm of the real dispatcher maps to exactly one row.
-fn expected(stride: usize, dilation: usize, groups: usize) -> Expect {
+/// The routing table: precedence is dilation > group width > grouping;
+/// the stride chooses nothing. Every arm of the real dispatcher maps to
+/// exactly one row.
+fn expected(dilation: usize, groups: usize) -> Expect {
     if dilation > 1 {
         Expect::Im2col("dilated")
     } else if C / groups < 16 {
         Expect::Im2col("group-narrow")
-    } else if stride > 1 {
-        Expect::Polyphase
     } else if groups > 1 {
         Expect::Grouped
     } else {
@@ -77,7 +77,7 @@ fn every_scenario_routes_and_matches_the_oracle() {
             for dilation in [1usize, 2] {
                 for groups in [1usize, 2, C] {
                     combos += 1;
-                    let want = expected(stride, dilation, groups);
+                    let want = expected(dilation, groups);
                     let label =
                         format!("rank={rank} s={stride} d={dilation} g={groups} ({want:?})");
 
@@ -104,11 +104,6 @@ fn every_scenario_routes_and_matches_the_oracle() {
                         Expect::Direct => {
                             assert!(matches!(dp.route, Route::Direct(_)), "{label}");
                             assert!(fb.is_none(), "{label}: {fb:?}");
-                        }
-                        Expect::Polyphase => {
-                            assert!(matches!(dp.route, Route::Polyphase { .. }), "{label}");
-                            assert!(fb.is_none(), "{label}: {fb:?}");
-                            assert_eq!(dp.backend(), LayerBackend::WinogradPoly, "{label}");
                         }
                         Expect::Grouped => {
                             assert!(matches!(dp.route, Route::Grouped { .. }), "{label}");
@@ -158,7 +153,7 @@ fn network_reports_carry_the_same_provenance() {
     for stride in [1usize, 2] {
         for dilation in [1usize, 2] {
             for groups in [1usize, 2, C] {
-                let want = expected(stride, dilation, groups);
+                let want = expected(dilation, groups);
                 let label = format!("s={stride} d={dilation} g={groups} ({want:?})");
                 let specs = vec![LayerSpec {
                     out_channels: K,
@@ -199,10 +194,6 @@ fn network_reports_carry_the_same_provenance() {
                             "{label}: {:?}",
                             report.backend
                         );
-                        assert!(report.fallback.is_none(), "{label}");
-                    }
-                    Expect::Polyphase => {
-                        assert_eq!(report.backend, LayerBackend::WinogradPoly, "{label}");
                         assert!(report.fallback.is_none(), "{label}");
                     }
                     Expect::Grouped => {

@@ -641,7 +641,7 @@ fn denormal_storm_is_caught_under_serial_executor_with_ftz_engaged() {
 
 // ---------------------------------------------------------------------------
 // OOM battery, continued: the routes and rescues that used to allocate
-// through aborting constructors (`Scratch::new` per grouped / polyphase
+// through aborting constructors (`Scratch::new` per grouped / strided
 // forward and in the sentinel demotion). Every refusal must now surface as
 // a typed `WinoError::Alloc` inside the engine and walk the degradation
 // table: the outcome is a rescued, numerically correct output or the
@@ -725,13 +725,51 @@ fn oom_during_a_grouped_layer_is_rescued_or_typed() {
 }
 
 #[test]
-fn oom_during_a_polyphase_layer_is_rescued_or_typed() {
+fn oom_during_a_strided_layer_is_rescued_or_typed() {
     let _guard = fault::test_lock();
     fault::reset();
     let opts = ConvOptions::default().with_stride(&[2, 2]);
-    let (rescued, typed) = oom_sweep_over_route(opts, LayerBackend::WinogradPoly);
-    assert!(rescued > 0, "light pressure on a polyphase layer must be absorbed");
-    assert!(typed > 0, "total pressure must fail typed, not abort");
+    // Warm, each attempt's first allocation is its output, so `shots`
+    // consecutive refusals take one attempt each: the planned F(2×2), the
+    // re-tiled F(4×4) — where the 4×4 strided output caps the memory
+    // ladder — and the im2col rescue. One and two shots are absorbed; from
+    // the third on the rescue's own output is refused.
+    let (rescued, typed) = oom_sweep_over_route(opts, LayerBackend::WinogradMono);
+    assert_eq!((rescued, typed), (2, 11));
+
+    // Cold, a strided layer builds its whole slot in the forward: #1 the
+    // output, #2 the stride-1 image, #3–#6 the scratch of a fused plan
+    // (`v`, the two codelet buffers, the ring). A single refusal on any of
+    // them drops the slot, re-tiles and stands — and there is no #7.
+    let policy = FallbackPolicy::default();
+    let (mut reference_net, input, kernels) = geo_net(opts, &policy);
+    let (reference, _) =
+        reference_net.run_layer(0, &input, &kernels, &SerialExecutor, &policy).unwrap();
+    for k in 1..=7 {
+        let (mut net, ..) = geo_net(opts, &policy);
+        assert_eq!(net.scratch_bytes(), 0, "nothing of a strided layer is seeded at plan time");
+        mem_fault::reset();
+        mem_fault::arm_fail_every(k, 1);
+        let (out, report) = net
+            .run_layer(0, &input, &kernels, &SerialExecutor, &policy)
+            .unwrap_or_else(|e| panic!("k={k}: a single refusal must be absorbed, got {e:?}"));
+        let landed = mem_fault::injected_failures();
+        mem_fault::reset();
+        if k == 7 {
+            assert_eq!(landed, 0, "a cold strided forward allocates six buffers");
+            assert_eq!((report.backend, report.fallback), (LayerBackend::WinogradMono, None));
+            assert_eq!(out.as_slice(), reference.as_slice());
+            continue;
+        }
+        assert_eq!(landed, 1, "k={k}");
+        assert_eq!(report.backend, LayerBackend::WinogradDemoted, "k={k}");
+        assert!(matches!(report.fallback, Some(FallbackReason::Memory { .. })), "k={k}");
+        assert_close(&out, &reference, 1e-2, &format!("strided re-tile, k={k}"));
+        // Pressure lifted: back on the planned route, bit for bit.
+        let (out, report) = net.run_layer(0, &input, &kernels, &SerialExecutor, &policy).unwrap();
+        assert_eq!((report.backend, report.fallback), (LayerBackend::WinogradMono, None), "k={k}");
+        assert_eq!(out.as_slice(), reference.as_slice(), "k={k}: recovery is exact");
+    }
 }
 
 /// A refusal landing *inside* the sentinel demotion (its output or any

@@ -187,7 +187,7 @@ impl SweepCase {
     /// Geometry the dispatcher is expected to accept: the padded image
     /// covers the *effective* (dilated) kernel in every dimension, and
     /// the group count divides both channel counts. Stride never affects
-    /// representability — it only decimates the output.
+    /// representability — it only subsamples the output.
     fn valid(&self) -> bool {
         let spatial = self
             .dims
@@ -231,14 +231,15 @@ fn draw_case(rng: &mut Rng) -> SweepCase {
 
 /// Run one case through the dispatch layer. `None` means it passed;
 /// `Some` carries the failure description. Every route — direct
-/// Winograd, polyphase, grouped, im2col — is judged against the same f64
-/// oracle.
+/// Winograd, grouped, im2col — at every stride is judged against the same
+/// f64 oracle.
 fn sweep_failure(case: &SweepCase) -> Option<String> {
     run_case(case).err()
 }
 
-/// [`sweep_failure`], telling on success how many of the route's Winograd
-/// plans run the ring-fused driver and how many the three stages.
+/// [`sweep_failure`], telling on success whether the route's stride-1
+/// Winograd plan (none on im2col) runs the ring-fused driver or the three
+/// stages.
 fn run_case(case: &SweepCase) -> Result<[usize; 2], String> {
     let cg = case.c / case.groups;
     let img = SimpleImage::from_fn(case.batch, case.c, &case.dims, |b, ch, xy| {
@@ -299,13 +300,11 @@ fn run_case(case: &SweepCase) -> Result<[usize; 2], String> {
     if max_err >= 5e-3 {
         return Err(format!("max err {max_err} vs oracle"));
     }
-    let plans = match &dp.route {
-        Route::Direct(plan) | Route::Grouped { plan } => vec![&**plan],
-        Route::Polyphase { phases } => phases.iter().map(|phase| &phase.plan).collect(),
-        Route::Im2col => Vec::new(),
-    };
-    let fused = plans.iter().filter(|plan| plan.is_fused()).count();
-    Ok([fused, plans.len() - fused])
+    Ok(match &dp.route {
+        Route::Direct(plan) | Route::Grouped { plan } if plan.is_fused() => [1, 0],
+        Route::Direct(_) | Route::Grouped { .. } => [0, 1],
+        Route::Im2col => [0, 0],
+    })
 }
 
 /// Greedy minimal shrink: repeatedly try the structured reductions below
@@ -409,8 +408,10 @@ fn differential_geometry_sweep() {
              minimal:  {minimal:?}\n  -> {min_err}"
         );
     }
-    // Both schedules went past the oracle.
-    assert!(fused >= 20 && staged >= 5, "{fused} fused plans, {staged} staged (seed {seed:#x})");
+    // Both schedules went past the oracle. One stride-1 plan per Winograd-
+    // routed case: 22 fused + 17 staged at the pinned seed on a 2 MiB L2
+    // (the staged ones split their reduction, whatever the L2).
+    assert!(fused >= 15 && staged >= 15, "{fused} fused plans, {staged} staged (seed {seed:#x})");
 }
 
 #[test]

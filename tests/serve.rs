@@ -180,9 +180,9 @@ fn requests_coalesce_into_one_batch() {
     assert!(stats.batches <= 3, "coalescing must not dispatch one batch per request");
 }
 
-/// Batched serving of a *strided* model: stride-2 layers route through
-/// the polyphase Winograd dispatcher, requests still coalesce into
-/// batches, every response carries the decimated output geometry, and
+/// Batched serving of a *strided* model: stride-2 layers run their
+/// stride-1 Winograd plan plus the subsample, requests still coalesce into
+/// batches, every response carries the strided output geometry, and
 /// each de-batched output matches the f64 geometry oracle.
 #[test]
 fn strided_model_serves_batched_requests() {
@@ -228,8 +228,8 @@ fn strided_model_serves_batched_requests() {
         assert_eq!(resp.report.layers.len(), 1);
         assert_eq!(
             resp.report.layers[0].backend,
-            LayerBackend::WinogradPoly,
-            "full rung must execute the polyphase route"
+            LayerBackend::WinogradMono,
+            "full rung must execute the Winograd engine"
         );
         // De-batched output vs the f64 oracle (ReLU applied, as the
         // layer spec asks for).

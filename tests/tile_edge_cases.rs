@@ -150,11 +150,11 @@ fn check_geo_case(
 #[test]
 fn stride_larger_than_spatial_extent() {
     // Stride 5 on a 9-point image with a 3-point kernel: two output
-    // points per dimension, sampled 5 apart — the polyphase
-    // decomposition degenerates to nearly one point per phase.
+    // points per dimension, sampled 5 apart out of the 9×9 stride-1
+    // result.
     check_geo_case(&[9, 9], &[3, 3], &[1, 1], &[2, 2], &[5, 5], &[1, 1], 1, "stride 5 on 9");
-    // Stride 8 leaves exactly one output point: the entire image
-    // collapses into a single sample per phase.
+    // Stride 8 leaves exactly one output point: the first site of the
+    // stride-1 result.
     check_geo_case(&[9], &[3], &[1], &[2], &[8], &[1], 1, "stride 8, single output");
 }
 
