@@ -1,8 +1,6 @@
 //! Ablation harness for the individual optimisation claims the paper
 //! makes outside its numbered figures:
 //!
-//! * `streaming-stores` — non-temporal vs regular stores in the transform
-//!   stages (§4.2.1 / conclusions: "~25 % on the transform stages").
 //! * `blocking-model`   — Eq. 11 compute-to-memory ratios vs measured
 //!   throughput across `(C_blk, C'_blk)` (§4.3.2).
 //! * `scheduling`       — static GCD partition + spin barrier vs rayon
@@ -16,50 +14,17 @@
 //!
 //! `--json` replaces each subcommand's CSV with a JSON array of the same
 //! rows.
+//!
+//! (§4.2.1's non-temporal stores have no row: which stores bypass the
+//! cache is the plan's decision, `WinogradLayer::streams`, not an option —
+//! EXPERIMENTS.md, "§4.2.1 — store flavour is a rule", keeps the table.)
 
-use wino_bench::{layer_data, make_executor, run_direct, run_winograd, Args, Rows};
-use wino_conv::{stage1, ConvOptions, Scratch, WinogradLayer};
+use wino_bench::{make_executor, run_direct, run_winograd, Args, Rows};
+use wino_conv::ConvOptions;
 use wino_gemm::{batched_gemm, candidate_shapes, BlockShape};
 use wino_sched::{DynamicExecutor, Executor, SerialExecutor, StaticExecutor};
 use wino_tensor::BlockedMatrices;
-use wino_workloads::{budden_sample_net, mvox_per_sec, scaled_catalog, time_best, Layer};
-
-fn pick_layer(label: &str) -> Layer {
-    scaled_catalog()
-        .into_iter()
-        .find(|l| l.id() == label)
-        .expect("layer in scaled catalogue")
-}
-
-fn streaming_stores(exec: &dyn Executor, reps: usize, json: bool) {
-    let mut out = Rows::new(json, &["layer", "streaming", "transform_ms", "full_ms"]);
-    for label in ["VGG 3.2", "C3D C3b"] {
-        let layer = pick_layer(label);
-        for streaming in [true, false] {
-            let opts = ConvOptions { streaming_stores: streaming, ..Default::default() };
-            let plan = WinogradLayer::new(layer.shape.clone(), vec![4; layer.rank()].as_slice(), opts)
-                .unwrap();
-            let (input, kernels) = layer_data(&layer, 1);
-            let mut scratch = Scratch::new(&plan, exec.threads());
-            let t_transform = time_best(reps, || {
-                stage1::transform_inputs(&plan, &input, &mut scratch, exec)
-                    .expect("stage-1 transform failed");
-            });
-            let mut output = plan.new_output().unwrap();
-            let t_full = time_best(reps, || {
-                plan.forward(&input, &kernels, &mut output, &mut scratch, exec)
-                    .expect("forward failed");
-            });
-            out.push(&[
-                label.to_string(),
-                streaming.to_string(),
-                format!("{:.3}", t_transform.best_ms),
-                format!("{:.3}", t_full.best_ms),
-            ]);
-        }
-    }
-    out.finish();
-}
+use wino_workloads::{budden_sample_net, mvox_per_sec, scaled_catalog, time_best};
 
 fn blocking_model(reps: usize, json: bool) {
     // Serial on purpose: the model is per-core.
@@ -100,7 +65,8 @@ fn blocking_model(reps: usize, json: bool) {
 
 fn scheduling(threads: usize, reps: usize, json: bool) {
     let mut out = Rows::new(json, &["layer", "executor", "threads", "full_ms"]);
-    let layer = pick_layer("VGG 3.2");
+    let layer =
+        scaled_catalog().into_iter().find(|l| l.id() == "VGG 3.2").expect("layer in scaled catalogue");
     let m = vec![4usize; 2];
     let execs: Vec<(Box<dyn Executor>, &str)> = vec![
         (Box::new(SerialExecutor), "serial"),
@@ -150,7 +116,6 @@ fn main() {
     let sub = args.positional().first().map(|s| s.to_string()).unwrap_or_default();
     let json = args.flag("--json");
     match sub.as_str() {
-        "streaming-stores" => streaming_stores(exec.as_ref(), reps, json),
         "blocking-model" => blocking_model(reps, json),
         "scheduling" => {
             let threads = args.usize_or("--threads", wino_sched::configured_threads());
@@ -159,8 +124,8 @@ fn main() {
         "budden-net" => budden_net(exec.as_ref(), reps, args.usize_or("--image", 256), json),
         other => {
             eprintln!(
-                "unknown subcommand {other:?}; expected one of: streaming-stores, \
-                 blocking-model, scheduling, budden-net"
+                "unknown subcommand {other:?}; expected one of: blocking-model, scheduling, \
+                 budden-net"
             );
             std::process::exit(2);
         }

@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use wino_bench::perf::{calibrate, memory_json, today_utc};
 use wino_bench::{make_executor, Args};
-use wino_conv::{ConvOptions, FallbackPolicy, LayerSpec, Network};
+use wino_conv::{FallbackPolicy, LayerSpec, Network};
 use wino_probe::{parse_json, validate_schema, Counter, Json, MachineModel, SCHEMA_VERSION};
 use wino_serve::{
     BreakerConfig, DegradeLevel, ModelSpec, ServeError, ServeOptions, ServeStats, Server,
@@ -38,16 +38,12 @@ use wino_tensor::{BlockedImage, BlockedKernels, SimpleKernels};
 /// The served workload: two 3×3 "same" layers on 16-channel 12×12
 /// images — small enough that a 10k-request soak finishes in seconds,
 /// real enough to exercise every pipeline stage.
-fn model_spec(watchdog_ms: Option<u64>) -> ModelSpec {
-    let mut spec = ModelSpec::new(
+fn model_spec() -> ModelSpec {
+    ModelSpec::new(
         16,
         vec![12, 12],
         vec![LayerSpec::same(16, 2, 3, 2), LayerSpec::same(16, 2, 3, 2)],
-    );
-    if let Some(ms) = watchdog_ms {
-        spec.opts.watchdog = Some(Duration::from_millis(ms));
-    }
-    spec
+    )
 }
 
 fn model_kernels(spec: &ModelSpec) -> Vec<BlockedKernels> {
@@ -81,7 +77,7 @@ fn measure_per_image_ms(spec: &ModelSpec, kernels: &[BlockedKernels], threads: u
         spec.in_channels,
         &spec.image_dims,
         &spec.layers,
-        ConvOptions { watchdog: None, ..spec.opts },
+        spec.opts,
         threads,
         &policy,
     )
@@ -332,7 +328,7 @@ fn main() {
         }));
     }
 
-    let spec = model_spec(soak.then_some(watchdog_ms));
+    let spec = model_spec();
     let kernels = model_kernels(&spec);
 
     eprintln!("# calibrating machine model ({threads} threads)…");
@@ -361,6 +357,7 @@ fn main() {
         queue_capacity,
         max_batch: args.usize_or("--max-batch", 0),
         threads,
+        watchdog: soak.then(|| Duration::from_millis(watchdog_ms)),
         service: Some(admission),
         // The injector arms one fault at a time and the in-batch retry
         // clears it, so consecutive-failure streaks never form: the soak
@@ -383,7 +380,7 @@ fn main() {
         fp_spec.in_channels,
         &fp_spec.image_dims,
         &fp_spec.layers,
-        ConvOptions { watchdog: None, ..fp_spec.opts },
+        fp_spec.opts,
         threads,
         &FallbackPolicy::default(),
     )

@@ -400,24 +400,89 @@ mod tests {
         assert_eq!(out_fx.as_slice(), out_ser.as_slice());
     }
 
+    /// A store flavour cannot change a value. Each layer is planned on a
+    /// host whose cache holds nothing (every hand-off streams) and on one
+    /// whose cache holds everything (none does), staged and fused, Mono and
+    /// — under AVX-512 — JIT, and run on every executor: all outputs of
+    /// one layer, training mode and FX, are the same bits. The layers
+    /// cover rank 1–3, ragged edges in every dimension, a tile larger than
+    /// the image, panels that straddle images, tail panels and a column
+    /// block three vectors wide.
     #[test]
-    fn ablation_toggles_do_not_change_results() {
-        let img = test_img(1, 32, &[10, 10]);
-        let ker = test_ker(32, 32, &[3, 3]);
-        let shape = ConvShape::new(1, 32, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
-        let mut results = Vec::new();
-        for streaming in [true, false] {
-            let opts = ConvOptions { streaming_stores: streaming, ..Default::default() };
-            let layer = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
-            let input = BlockedImage::from_simple(&img).unwrap();
-            let kernels = BlockedKernels::from_simple(&ker).unwrap();
-            let mut out = layer.new_output().unwrap();
-            let mut scratch = Scratch::new(&layer, 1);
-            layer.forward(&input, &kernels, &mut out, &mut scratch, &SerialExecutor).unwrap();
-            results.push(out.to_simple().data);
+    fn both_store_flavours_compute_the_same_bits_on_every_schedule_engine_and_executor() {
+        use crate::plan::{Host, Stage2Backend};
+        use wino_gemm::BlockShape;
+        // (batch, (C, C'), image, kernel width, padding, m, explicit blocking)
+        type Case =
+            (usize, (usize, usize), &'static [usize], usize, usize, &'static [usize], Option<BlockShape>);
+        let blocked = |n_blk, c_blk, cp_blk| Some(BlockShape { n_blk, c_blk, cp_blk });
+        let cases: [Case; 11] = [
+            (2, (16, 16), &[37], 3, 1, &[4], None),
+            (1, (32, 32), &[15, 18], 3, 0, &[4, 4], None),
+            (1, (16, 32), &[22, 19], 3, 1, &[6, 2], None),
+            (1, (16, 16), &[6, 9, 9], 3, 1, &[2, 4, 4], None),
+            (1, (32, 16), &[7, 10, 8], 3, 0, &[2, 2, 2], None),
+            (2, (16, 16), &[3, 3], 3, 1, &[4, 4], None),
+            (1, (32, 48), &[12, 12], 3, 1, &[4, 4], None),
+            // The benchmark's ragged F(6²): 158 = 26·6 + 2 outputs a side.
+            (1, (16, 16), &[160, 160], 3, 0, &[6, 6], None),
+            // 9 tiles per image in 6-row panels: the second panel holds the
+            // end of image 0 and the start of image 1.
+            (2, (32, 32), &[10, 10], 3, 1, &[4, 4], blocked(6, 32, 32)),
+            // 25 rows in 6-row panels: a one-row tail; three column blocks.
+            (1, (32, 48), &[10, 10], 3, 1, &[2, 2], blocked(6, 32, 16)),
+            // F(3², 2²): outside the codelet table, the interpreter's stores.
+            (1, (16, 32), &[11, 12], 2, 0, &[3, 3], None),
+        ];
+        let executors: [Box<dyn Executor>; 5] = [
+            Box::new(SerialExecutor),
+            Box::new(StaticExecutor::new(2)),
+            Box::new(StaticExecutor::new(3)),
+            Box::new(StaticExecutor::new(4)),
+            Box::new(DynamicExecutor::new(4)),
+        ];
+        let mut engines = vec![Stage2Backend::Mono];
+        if wino_simd::cpu_has_avx512f() {
+            engines.push(Stage2Backend::Jit);
         }
-        for r in &results[1..] {
-            assert_eq!(r, &results[0]);
+        for (batch, (c, cp), dims, r, pad, m, block) in cases {
+            let rank = dims.len();
+            let kernel = vec![r; rank];
+            let shape = ConvShape::new(batch, c, cp, dims, &kernel, &vec![pad; rank]).unwrap();
+            let input = BlockedImage::from_simple(&test_img(batch, c, dims)).unwrap();
+            let kernels = BlockedKernels::from_simple(&test_ker(cp, c, &kernel)).unwrap();
+            let mut plans = Vec::new();
+            for fused in [true, false] {
+                for &stage2 in &engines {
+                    for streams in [true, false] {
+                        let opts = ConvOptions { stage2, block, ..Default::default() };
+                        let host = Host::test(fused, streams);
+                        let plan = WinogradLayer::new_on(shape.clone(), m, opts, host).unwrap();
+                        assert_eq!((plan.is_fused(), plan.streams), (fused, streams), "{dims:?}");
+                        assert_eq!(plan.uses_generated_codelets(), r == 3, "{dims:?}");
+                        plans.push(plan);
+                    }
+                }
+            }
+            let mut want: Option<Vec<f32>> = None;
+            for (plan, exec) in plans.iter().flat_map(|p| executors.iter().map(move |e| (p, e.as_ref()))) {
+                let mut scratch = Scratch::new(plan, exec.threads());
+                let memo = plan.prepare_kernels(&kernels, &mut scratch, exec).unwrap();
+                let (mut train, mut fx) = (plan.new_output().unwrap(), plan.new_output().unwrap());
+                plan.forward(&input, &kernels, &mut train, &mut scratch, exec).unwrap();
+                plan.forward_fx(&input, &memo, &mut fx, &mut scratch, exec).unwrap();
+                let want = want.get_or_insert_with(|| train.as_slice().to_vec());
+                let what = format!(
+                    "{dims:?} m {m:?}: fused {}, {:?}, streams {}, {} × {}",
+                    plan.is_fused(),
+                    plan.opts.stage2,
+                    plan.streams,
+                    exec.name(),
+                    exec.threads()
+                );
+                assert!(train.as_slice() == &want[..], "{what}: forward");
+                assert!(fx.as_slice() == &want[..], "{what}: forward_fx");
+            }
         }
     }
 

@@ -28,6 +28,47 @@ use wino_tensor::{BlockedImage, BlockedMatrices};
 use crate::layout::TileMajor;
 use crate::plan::WinogradLayer;
 
+/// Bytes of each buffer a forward pass of one plan reads or writes, as
+/// allocated — the one count behind [`MemoryFootprint`], the traffic of
+/// [`WinogradLayer::work_model`] and the plan's store flavour
+/// (`fused::streams`).
+pub(crate) struct BufferBytes {
+    /// The input image and the raw kernels.
+    pub input: usize,
+    pub kernels: usize,
+    /// Transformed inputs `Û`, blocked intermediate `X̂` and its tile-major
+    /// form `Y`: layer-sized in a staged plan's scratch, 0 for a fused
+    /// plan, whose ring takes their place and never leaves the core.
+    pub u: usize,
+    pub x: usize,
+    pub y: usize,
+    /// Transformed kernels `V̂`.
+    pub v: usize,
+    /// One thread slot's ring; 0 for a staged plan.
+    pub ring: usize,
+    /// The output image.
+    pub output: usize,
+}
+
+impl BufferBytes {
+    pub(crate) fn of(layer: &WinogradLayer) -> BufferBytes {
+        let (t, rows, blk) = (layer.t_vol(), layer.rows(), layer.block);
+        let shape = &layer.shape;
+        let (batch, c, cp) = (shape.batch, shape.in_channels, shape.out_channels);
+        let staged = |bytes: usize| if layer.is_fused() { 0 } else { bytes };
+        BufferBytes {
+            input: BlockedImage::bytes_for(batch, c, &shape.image_dims),
+            kernels: c * cp * shape.kernel_dims.iter().product::<usize>() * 4,
+            u: staged(BlockedMatrices::bytes_for(t, rows, c, blk.n_blk, blk.c_blk)),
+            x: staged(BlockedMatrices::bytes_for(t, rows, cp, blk.n_blk, blk.cp_blk)),
+            y: staged(TileMajor::bytes_for(batch, cp, layer.n_tiles(), t)),
+            v: BlockedMatrices::bytes_for(t, c, cp, blk.c_blk, blk.cp_blk),
+            ring: layer.ring_floats() * 4,
+            output: BlockedImage::bytes_for(batch, cp, &shape.out_dims()),
+        }
+    }
+}
+
 /// Byte-exact breakdown of a plan's allocations at a given thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryFootprint {
@@ -83,36 +124,14 @@ impl MemoryFootprint {
     /// Mirrors `Scratch::build`, `WinogradLayer::new_output` and
     /// `Network::prepare` parameter-for-parameter.
     pub fn of_layer(layer: &WinogradLayer, threads: usize) -> MemoryFootprint {
-        let t = layer.t_vol();
-        let rows = layer.rows();
-        let (c, cp) = (layer.shape.in_channels, layer.shape.out_channels);
-        let b = layer.block;
         let slots = threads.max(1);
-        let v = BlockedMatrices::bytes_for(t, c, cp, b.c_blk, b.cp_blk);
-        // A fused plan's scratch never holds `u`, `x`, `y` unless a staged
-        // function is called on it; its rings take their place.
-        let (u, x, y) = if layer.is_fused() {
-            (0, 0, 0)
-        } else {
-            (
-                BlockedMatrices::bytes_for(t, rows, c, b.n_blk, b.c_blk),
-                BlockedMatrices::bytes_for(t, rows, cp, b.n_blk, b.cp_blk),
-                TileMajor::bytes_for(layer.shape.batch, cp, layer.n_tiles(), t),
-            )
-        };
-        let rings = slots * layer.ring_floats() * 4;
-        let per_slot = 2 * t * S * 4;
-
+        let b = BufferBytes::of(layer);
         MemoryFootprint {
-            scratch_bytes: u + v + x + y + rings,
-            tile_major_bytes: y,
-            transformed_kernel_bytes: v,
-            per_thread_bytes: slots * per_slot,
-            output_bytes: BlockedImage::bytes_for(
-                layer.shape.batch,
-                cp,
-                &layer.shape.out_dims(),
-            ),
+            scratch_bytes: b.u + b.v + b.x + b.y + slots * b.ring,
+            tile_major_bytes: b.y,
+            transformed_kernel_bytes: b.v,
+            per_thread_bytes: slots * 2 * layer.t_vol() * S * 4,
+            output_bytes: b.output,
             threads,
         }
     }

@@ -2,8 +2,9 @@
 //! transform per row panel, in one fork–join.
 //!
 //! The three stages hand `Û` and `X̂` from one fork–join to the next
-//! through layer-sized buffers: written (with non-temporal stores) by one
-//! stage, read back cold by the next, a barrier later. On a core whose
+//! through layer-sized buffers: written by one stage — past the cache,
+//! when they are too large to stay in it ([`streams`]) — and read back by
+//! the next, a barrier later. On a core whose
 //! FMA ports outrun its memory system that round trip, not arithmetic, is
 //! what the transform stages cost. Here a task takes one `n_blk`-row panel
 //! all the way through instead:
@@ -39,6 +40,7 @@ use wino_simd::S;
 use wino_tensor::{BlockedImage, BlockedMatrices};
 
 use crate::error::{ensure_at_least, WinoError};
+use crate::footprint::MemoryFootprint;
 use crate::plan::{Scratch, WinogradLayer};
 use crate::spans::{record_coord_span, span_start};
 use crate::stage1::InputTransformCtx;
@@ -87,6 +89,30 @@ pub(crate) fn ring_rows(
         most.min(rows / MIN_PANELS).max(STRIP_ROWS) / STRIP_ROWS * STRIP_ROWS
     });
     (n_blk <= fit).then_some(n_blk)
+}
+
+/// The part of the reported last-level cache a plan's hand-off may fill and
+/// still be found there by its consumer: a fifth. Measured, not derived
+/// (EXPERIMENTS.md, "§4.2.1 — store flavour is a rule"): on the host the
+/// sweeps ran on the two flavours cross at 50–56 MiB of 260 — the cache is
+/// the chip's, shared with the input image, `V̂`'s readers and every other
+/// tenant — and no sitting has measured a loss for streaming above a fifth
+/// or for plain stores below it.
+const LLC_SHARE: usize = 5;
+
+/// Whether a plan stores what it hands from one fork–join to the next —
+/// `Û`, `V̂`, the tile-major `X̂`, the output image — with non-temporal
+/// stores, given its `footprint` and the host's last-level cache.
+///
+/// Streams iff scratch plus output exceed the cache's [`LLC_SHARE`]-th.
+/// Under that the consumer finds the producer's lines cached, and a store
+/// past the cache turns each of those hits into a DRAM read; over it the
+/// lines are evicted before they are read, and a plain store's
+/// read-for-ownership and the eviction of `V̂` are pure loss (the paper's
+/// case, §4.2.1: a KNL has no L3). A fused plan's scratch is `V̂` and its
+/// rings, so only a large output image streams it.
+pub(crate) fn streams(footprint: &MemoryFootprint, llc_bytes: usize) -> bool {
+    footprint.scratch_bytes + footprint.output_bytes > llc_bytes / LLC_SHARE
 }
 
 impl WinogradLayer {
@@ -397,6 +423,54 @@ mod tests {
         for regs in [8, 32] {
             let table = wino_gemm::TileTable::new(regs);
             assert_eq!(table.r_max(table.q_max()), STRIP_ROWS);
+        }
+    }
+
+    fn hand_off(scratch_bytes: usize, output_bytes: usize) -> MemoryFootprint {
+        MemoryFootprint { scratch_bytes, output_bytes, ..MemoryFootprint::empty(1) }
+    }
+
+    /// At a fifth of the cache the hand-off still counts as resident; one
+    /// byte more streams it. Only scratch and output count.
+    #[test]
+    fn a_plan_streams_once_its_hand_off_exceeds_a_fifth_of_the_llc() {
+        let llc = 260 * MIB;
+        assert!(!streams(&hand_off(40 * MIB, 12 * MIB - 1), llc));
+        assert!(!streams(&hand_off(40 * MIB, 12 * MIB), llc));
+        assert!(streams(&hand_off(40 * MIB, 12 * MIB + 1), llc));
+        assert!(streams(&hand_off(0, 52 * MIB + 1), llc) && streams(&hand_off(52 * MIB + 1, 0), llc));
+        let mut other = hand_off(0, 0);
+        (other.transformed_kernel_bytes, other.per_thread_bytes) = (llc, llc);
+        assert!(!streams(&other, llc));
+        // A host without an L3 reports its L2: everything layer-sized streams.
+        assert!(streams(&hand_off(MIB, MIB), 2 * MIB) && !streams(&hand_off(MIB / 8, MIB / 8), 2 * MIB));
+    }
+
+    /// The two layers of EXPERIMENTS.md's sweep on the measured host (2 MiB
+    /// of L2, 260 MiB of L3). The staged one hands `Û`, `V̂`, `X̂`, `Y` and
+    /// its output on, ≈ 24 MiB an image beside 9 MiB of `V̂`; the fused one's
+    /// scratch is `V̂` and a ring — about an L2 whatever the batch — so only
+    /// its output image, 12.25 MiB an image, can stream it.
+    #[test]
+    fn the_sweep_layers_stream_from_the_batch_that_outgrows_their_share_of_the_llc() {
+        use crate::plan::{ConvOptions, Host};
+        let host = Host { l2_bytes: 2 * MIB, llc_bytes: 260 * MIB };
+        let plan = |batch, c, side: usize| {
+            let shape = wino_tensor::ConvShape::new(batch, c, c, &[side, side], &[3, 3], &[1, 1]).unwrap();
+            WinogradLayer::new_on(shape, &[4, 4], ConvOptions::default(), host).unwrap()
+        };
+        for (batch, streaming) in [(1, false), (2, true), (64, true)] {
+            let staged = plan(batch, 256, 56);
+            let fp = staged.footprint(1);
+            assert!(!staged.is_fused());
+            assert_eq!(staged.streams, fp.scratch_bytes + fp.output_bytes > 52 * MIB, "B = {batch}");
+            assert_eq!(staged.streams, streaming, "staged, B = {batch}");
+        }
+        for (batch, streaming) in [(1, false), (4, false), (5, true), (32, true)] {
+            let fused = plan(batch, 64, 224);
+            assert!(fused.is_fused() && fused.footprint(1).scratch_bytes < 2 * MIB);
+            assert_eq!(fused.footprint(1).output_bytes, batch * 64 * 224 * 224 * 4);
+            assert_eq!(fused.streams, streaming, "fused, B = {batch}");
         }
     }
 }

@@ -10,7 +10,9 @@
 //! 1. **Transform** ([`stage1`]): input tiles (overlap-add, §3.1–3.2) and
 //!    kernels are transformed by vectorised codelets operating on `S = 16`
 //!    channels at a time, and scattered — with non-temporal streaming
-//!    stores — into block-panel matrices (Table 1 layouts).
+//!    stores when the plan's hand-off buffers outgrow the last-level cache
+//!    ([`WinogradLayer::streams`]) — into block-panel matrices (Table 1
+//!    layouts).
 //! 2. **Multiply** ([`stage2`]): `T` tall-skinny matrix products
 //!    `X_t = U_t·V_t` via the register-tiled micro-kernel of
 //!    `wino-gemm`, with the final reduction block scattering results

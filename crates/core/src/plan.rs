@@ -2,10 +2,11 @@
 //!
 //! A [`WinogradLayer`] fixes everything known at "instantiation time" in
 //! the paper's C++ artifact: the layer shape, the `F(m, r)` transform
-//! programs per dimension, the stage-2 blocking parameters, and which of
-//! the two schedules runs the layer: the paper's three stages, or — when
-//! `V̂` plus a per-thread ring fit the L2 — the ring-fused driver of
-//! `fused.rs` ([`WinogradLayer::is_fused`]). A [`Scratch`] is the
+//! programs per dimension, the stage-2 blocking parameters, which of
+//! the two schedules runs the layer — the paper's three stages, or, when
+//! `V̂` plus a per-thread ring fit the L2, the ring-fused driver of
+//! `fused.rs` ([`WinogradLayer::is_fused`]) — and whether its stores
+//! bypass the cache ([`WinogradLayer::streams`]). A [`Scratch`] is the
 //! paper's auxiliary buffer (§4.4 "Memory overhead"), reused across
 //! layers. For a staged plan it holds `I` (transformed inputs), `W`
 //! (transformed kernels), `I'_tmp` and tile-major `I'`; for a fused plan
@@ -112,9 +113,6 @@ pub enum Stage2Backend {
 /// Tuning and ablation switches.
 #[derive(Clone, Copy, Debug)]
 pub struct ConvOptions {
-    /// Use non-temporal streaming stores in the transform stages
-    /// (§4.2.1; the paper credits them with ~25 % on those stages).
-    pub streaming_stores: bool,
     /// Explicit blocking parameters; `None` uses the Eq. 11 model
     /// default. `examples/autotune_wisdom.rs` shows how to feed a tuned
     /// or remembered shape (`wino_gemm::autotune_with_wisdom`) in here.
@@ -133,15 +131,6 @@ pub struct ConvOptions {
     /// when the plan's analytic [`crate::MemoryFootprint`] exceeds it
     /// (`plan_with_fallback` re-tiles until the plan fits).
     pub memory: Option<MemoryBudget>,
-    /// Barrier watchdog deadline for fork–join pools built on behalf of
-    /// this configuration (e.g. by the serving layer's worker executor).
-    /// `None` (the default) defers to [`wino_sched::default_deadline`] —
-    /// the `WINO_WATCHDOG_MS` environment override, or the built-in
-    /// 30 s default — so soak tests on contended CI machines can widen
-    /// the watchdog without spurious timeouts. Plans themselves never
-    /// build pools; executors constructed by callers keep whatever
-    /// deadline they were given.
-    pub watchdog: Option<std::time::Duration>,
     /// Output sampling step per spatial dimension (entries beyond the
     /// layer's rank are ignored; all 1s by default). A strided layer
     /// still runs Winograd: [`crate::dispatch`] executes its stride-1
@@ -235,13 +224,11 @@ impl ConvOptions {
 impl Default for ConvOptions {
     fn default() -> Self {
         ConvOptions {
-            streaming_stores: true,
             block: None,
             points: PointSchedule::default(),
             stage2: Stage2Backend::default(),
             budget: None,
             memory: None,
-            watchdog: None,
             stride: [1; MAX_RANK],
             dilation: [1; MAX_RANK],
             groups: 1,
@@ -353,6 +340,10 @@ pub struct WinogradLayer {
     /// Panel height of the ring-fused driver (`fused::ring_rows`); `None`
     /// runs the three stages.
     pub(crate) ring_rows: Option<usize>,
+    /// Whether the stores that hand data to a later fork–join — `Û`, `V̂`,
+    /// the ⑥ scatter, the output image — are non-temporal
+    /// (`fused::streams`).
+    pub(crate) streams: bool,
     pub(crate) jit: Option<JitStage2>,
     /// Generated-codelet table entry per dimension
     /// ([`crate::codelet::resolve`]) when every dimension has one; `None`
@@ -360,9 +351,31 @@ pub struct WinogradLayer {
     pub(crate) codelets: Option<[usize; MAX_RANK]>,
 }
 
+/// The two cache sizes a plan's schedule and store flavour are decided
+/// from.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Host {
+    /// L2 one thread can count on ([`wino_sched::l2_bytes_per_thread`]).
+    pub l2_bytes: usize,
+    /// Last-level cache ([`wino_sched::llc_bytes`]).
+    pub llc_bytes: usize,
+}
+
 impl WinogradLayer {
-    /// Plan `F(m₁×…×m_n, r₁×…×r_n)` for the given layer.
+    /// Plan `F(m₁×…×m_n, r₁×…×r_n)` for the given layer on this host.
     pub fn new(shape: ConvShape, m: &[usize], opts: ConvOptions) -> Result<WinogradLayer, PlanError> {
+        let host =
+            Host { l2_bytes: wino_sched::l2_bytes_per_thread(), llc_bytes: wino_sched::llc_bytes() };
+        WinogradLayer::new_on(shape, m, opts, host)
+    }
+
+    /// [`WinogradLayer::new`] for a host with the given caches.
+    pub(crate) fn new_on(
+        shape: ConvShape,
+        m: &[usize],
+        opts: ConvOptions,
+        host: Host,
+    ) -> Result<WinogradLayer, PlanError> {
         let rank = shape.rank();
         if rank > MAX_RANK {
             return Err(PlanError::RankTooHigh { rank });
@@ -427,17 +440,16 @@ impl WinogradLayer {
             shape.out_channels,
             shape.in_channels / block.c_blk,
             rows,
-            wino_sched::l2_bytes_per_thread(),
+            host.l2_bytes,
             opts.block.map(|b| b.n_blk),
         );
-        let jit = match opts.stage2 {
-            Stage2Backend::Mono => None,
-            Stage2Backend::Jit => {
-                Some(Self::build_jit(&shape, &grid, block, rows, opts.streaming_stores, ring_rows)?)
-            }
-        };
         let codelets = crate::codelet::resolve_all(&plans);
-        let layer = WinogradLayer { shape, grid, plans, block, opts, ring_rows, jit, codelets };
+        let mut layer =
+            WinogradLayer { shape, grid, plans, block, opts, ring_rows, streams: false, jit: None, codelets };
+        layer.streams = crate::fused::streams(&layer.footprint(1), host.llc_bytes);
+        if opts.stage2 == Stage2Backend::Jit {
+            layer.jit = Some(layer.build_jit()?);
+        }
         if let Some(mb) = opts.memory {
             let need_bytes = layer.footprint(mb.threads).total();
             if !mb.admits(need_bytes) {
@@ -450,14 +462,7 @@ impl WinogradLayer {
     /// Compile the stage-2 machine-code kernels (the paper generates them
     /// "on demand, … compiled to a shared library, and loaded" — here they
     /// are emitted straight into executable pages at plan time).
-    fn build_jit(
-        shape: &ConvShape,
-        grid: &TileGrid,
-        block: BlockShape,
-        rows: usize,
-        streaming: bool,
-        ring_rows: Option<usize>,
-    ) -> Result<JitStage2, PlanError> {
+    fn build_jit(&self) -> Result<JitStage2, PlanError> {
         use wino_jit::{JitError, JitKernel, JitOutput};
         let jit_err = |e: JitError| PlanError::Jit {
             reason: match e {
@@ -466,10 +471,11 @@ impl WinogradLayer {
                 JitError::Os(_) => "executable mapping failed",
             },
         };
-        let k_blocks = shape.in_channels / block.c_blk;
+        let (block, rows) = (self.block, self.rows());
+        let k_blocks = self.shape.in_channels / block.c_blk;
         let tail = rows % block.n_blk;
-        let t_vol = grid.tile_volume();
-        let n_tiles: usize = grid.counts.iter().product();
+        let t_vol = self.t_vol();
+        let n_tiles: usize = self.grid.counts.iter().product();
         // Tile-major group stride (floats): see `TileMajor::group_stride`.
         let group_stride = n_tiles * t_vol * S;
         let (nb, cb, cpb) = (block.n_blk, block.c_blk, block.cp_blk);
@@ -490,13 +496,13 @@ impl WinogradLayer {
             JitKernel::compile_with_output(panel_rows, cb, cpb, k_blocks > 1, output)
                 .map_err(jit_err)
         };
-        let staged = JitOutput::Scatter { group_stride, streaming };
+        let staged = JitOutput::Scatter { group_stride, streaming: self.streams };
         let scatter_full = scatter(nb, staged)?;
         let scatter_tail = if tail != 0 { Some(scatter(tail, staged)?) } else { None };
         // A ring panel's `X̂` chunks go back into the core's own cache (one
         // reduction block, so β = 0): plain stores, the ring's group stride.
         let (mut ring_full, mut ring_tail) = (None, None);
-        if let Some(n) = ring_rows {
+        if let Some(n) = self.ring_rows {
             let ring = JitOutput::Scatter { group_stride: n * t_vol * S, streaming: false };
             ring_full = Some(scatter(n, ring)?);
             if !rows.is_multiple_of(n) {
@@ -542,6 +548,18 @@ impl WinogradLayer {
     /// all the same; results are bit-identical either way.
     pub fn is_fused(&self) -> bool {
         self.ring_rows.is_some()
+    }
+
+    /// Whether this plan's stores to `Û`, `V̂`, the tile-major `X̂` and the
+    /// output image are non-temporal (§4.2.1) rather than plain. Decided
+    /// at plan time: streaming iff the bytes a forward pass hands from one
+    /// fork–join to the next — the plan's scratch plus its output image —
+    /// exceed a fifth of the detected last-level cache
+    /// ([`wino_sched::llc_bytes`]), the share past which the next fork–join
+    /// does not find them there anyway. A fused plan's ring is always
+    /// stored plainly. Results are bit-identical either way.
+    pub fn streams(&self) -> bool {
+        self.streams
     }
 
     /// Floats of one thread slot's ring: an `n_blk`-row block of `Û` plus
@@ -857,6 +875,18 @@ impl Scratch {
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn thread_buf(&self, slot: usize) -> &mut ThreadBuf {
         &mut *self.bufs[slot].get()
+    }
+}
+
+#[cfg(test)]
+impl Host {
+    /// A host on which every layer with one reduction block plans `fused`
+    /// (else none does) and every plan `streams` its stores (else none).
+    pub(crate) fn test(fused: bool, streams: bool) -> Host {
+        Host {
+            l2_bytes: if fused { usize::MAX } else { 0 },
+            llc_bytes: if streams { 0 } else { usize::MAX },
+        }
     }
 }
 

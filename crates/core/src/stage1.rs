@@ -14,9 +14,10 @@
 //!
 //! Both go through `codelet::TileTransform::run`: the first pass
 //! reads its source view, the last writes `U`/`V` directly — with
-//! non-temporal streaming stores by default, since the data will not be
-//! touched again until stage 2 (§4.2.1) — and the thread buffers hold
-//! only the passes in between.
+//! non-temporal streaming stores (§4.2.1) when the plan streams
+//! ([`WinogradLayer::streams`]: the data will be out of the cache before
+//! stage 2 touches it again) — and the thread buffers hold only the passes
+//! in between.
 //!
 //! Each task — one input tile, one kernel vector group — is one
 //! [`wino_simd::dispatch`]: gather, codelets and scatter are a single
@@ -314,7 +315,7 @@ pub fn transform_inputs(
         layer,
         input,
         layer.block.n_blk,
-        layer.opts.streaming_stores,
+        layer.streams,
         exec.probe(),
     );
     let u = MutPtr(scratch.u.as_mut_ptr());
@@ -439,7 +440,7 @@ impl Kernel for KernelGroup<'_, '_> {
                 Sink::Direct(Dest {
                     ptr: ctx.v.get().add(base),
                     strides: ctx.v_strides,
-                    nt: layer.opts.streaming_stores,
+                    nt: layer.streams,
                 }),
                 tb.ptrs(),
             )
@@ -450,7 +451,7 @@ impl Kernel for KernelGroup<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::ConvOptions;
+    use crate::plan::{ConvOptions, Host};
     use wino_sched::{SerialExecutor, StaticExecutor};
     use wino_tensor::{ConvShape, SimpleImage, SimpleKernels};
 
@@ -611,10 +612,12 @@ mod tests {
         pad: usize,
         m: &[usize],
         opts: ConvOptions,
+        streams: bool,
     ) {
         let rank = img.len();
         let s = ConvShape::new(batch, c, 16, img, &vec![3; rank], &vec![pad; rank]).unwrap();
-        let layer = WinogradLayer::new(s, m, opts).unwrap();
+        let layer = WinogradLayer::new_on(s, m, opts, Host::test(true, streams)).unwrap();
+        assert_eq!(layer.streams, streams);
         let simple = SimpleImage::from_fn(batch, c, img, |b, ch, x| {
             let h = x.iter().fold(b * 31 + ch * 7, |h, &v| h * 13 + v);
             (h % 201) as f32 * 0.01 - 1.0
@@ -656,15 +659,15 @@ mod tests {
 
     #[test]
     fn u_equals_gather_plus_interpreter_on_interior_and_edge_tiles() {
-        let plain = ConvOptions { streaming_stores: false, ..Default::default() };
         // The benchmark's ragged shape: 158 = 26·6 + 2 outputs per side.
-        assert_u_equals_staged_reference(1, 16, &[160, 160], 0, &[6, 6], ConvOptions::default());
-        for opts in [ConvOptions::default(), plain] {
-            assert_u_equals_staged_reference(2, 32, &[15, 15], 0, &[4, 4], opts);
-            assert_u_equals_staged_reference(2, 32, &[14, 14], 1, &[4, 4], opts);
-            assert_u_equals_staged_reference(1, 16, &[22, 19], 1, &[6, 2], opts);
-            assert_u_equals_staged_reference(1, 16, &[7, 12, 12], 1, &[2, 4, 4], opts);
-            assert_u_equals_staged_reference(1, 16, &[30], 1, &[8], opts);
+        let opts = ConvOptions::default();
+        assert_u_equals_staged_reference(1, 16, &[160, 160], 0, &[6, 6], opts, true);
+        for streams in [true, false] {
+            assert_u_equals_staged_reference(2, 32, &[15, 15], 0, &[4, 4], opts, streams);
+            assert_u_equals_staged_reference(2, 32, &[14, 14], 1, &[4, 4], opts, streams);
+            assert_u_equals_staged_reference(1, 16, &[22, 19], 1, &[6, 2], opts, streams);
+            assert_u_equals_staged_reference(1, 16, &[7, 12, 12], 1, &[2, 4, 4], opts, streams);
+            assert_u_equals_staged_reference(1, 16, &[30], 1, &[8], opts, streams);
         }
     }
 
@@ -678,7 +681,7 @@ mod tests {
         };
         let s = ConvShape::new(1, 16, 16, &[14, 14], &[3, 3], &[1, 1]).unwrap();
         assert!(!WinogradLayer::new(s, &[4, 4], integer).unwrap().uses_generated_codelets());
-        assert_u_equals_staged_reference(1, 16, &[14, 14], 1, &[4, 4], integer);
+        assert_u_equals_staged_reference(1, 16, &[14, 14], 1, &[4, 4], integer, true);
     }
 
     #[test]
@@ -695,23 +698,5 @@ mod tests {
         transform_inputs(&layer, &blocked, &mut s2, &pool).unwrap();
         assert!(!s1.u.as_slice().is_empty(), "the stage allocates a fused plan's `u`");
         assert_eq!(s1.u.as_slice(), s2.u.as_slice());
-    }
-
-    #[test]
-    fn streaming_toggle_gives_identical_results() {
-        let shape = ConvShape::new(1, 16, 16, &[8, 8], &[3, 3], &[1, 1]).unwrap();
-        let img = SimpleImage::from_fn(1, 16, &[8, 8], |_, c, xy| (c + xy[0] + xy[1]) as f32);
-        let blocked = BlockedImage::from_simple(&img).unwrap();
-        let mk = |streaming| {
-            let opts = ConvOptions { streaming_stores: streaming, ..Default::default() };
-            let layer = WinogradLayer::new(shape.clone(), &[2, 2], opts).unwrap();
-            let mut s = Scratch::new(&layer, 1);
-            transform_inputs(&layer, &blocked, &mut s, &SerialExecutor).unwrap();
-            s
-        };
-        let a = mk(true);
-        let b = mk(false);
-        assert!(!a.u.as_slice().is_empty());
-        assert_eq!(a.u.as_slice(), b.u.as_slice());
     }
 }

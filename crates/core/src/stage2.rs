@@ -5,7 +5,8 @@
 //! `T × (C'/C'_blk) × (NB/n_blk)` (row panels least significant so each
 //! thread reuses its L2-resident `V̂`, §4.5). On the final reduction block
 //! the result bypasses `X̂` and is scattered by the micro-kernel itself —
-//! with non-temporal streaming stores — into the tile-major layout
+//! with non-temporal streaming stores when the plan streams
+//! ([`WinogradLayer::streams`]) — into the tile-major layout
 //! [`crate::layout::TileMajor`] that stage 3 reads contiguously. The paper
 //! measured >20 % end-to-end gain from this fusion over a separate copy
 //! pass (reproduced: EXPERIMENTS.md, "§4.3.1").
@@ -48,8 +49,7 @@ pub(crate) struct Stage2Ctx<'a> {
     k_blocks: usize,
     c_blk: usize,
     cp_blk: usize,
-    /// NT stores for the ⑥ scatter
-    /// ([`crate::ConvOptions::streaming_stores`]).
+    /// NT stores for the ⑥ scatter ([`WinogradLayer::streams`]).
     streaming: bool,
 }
 
@@ -79,7 +79,7 @@ impl<'a> Stage2Ctx<'a> {
             k_blocks: layer.shape.in_channels / layer.block.c_blk,
             c_blk: layer.block.c_blk,
             cp_blk: layer.block.cp_blk,
-            streaming: layer.opts.streaming_stores,
+            streaming: layer.streams,
         }
     }
 

@@ -46,8 +46,8 @@ pub(crate) struct Stage3Ctx<'a> {
 }
 
 impl<'a> Stage3Ctx<'a> {
-    /// Build the shared state; the output write uses NT stores when
-    /// [`crate::ConvOptions::streaming_stores`] is set.
+    /// Build the shared state; the output write uses NT stores when the
+    /// plan streams ([`WinogradLayer::streams`]).
     pub(crate) fn new(layer: &'a WinogradLayer, out: *mut f32) -> Stage3Ctx<'a> {
         let out_dims = &layer.grid.out_dims;
         Stage3Ctx {
@@ -58,7 +58,7 @@ impl<'a> Stage3Ctx<'a> {
             out_strides: row_major(out_dims, S),
             out_channel_groups: layer.shape.out_channels / S,
             out_vol: out_dims.iter().product(),
-            streaming: layer.opts.streaming_stores,
+            streaming: layer.streams,
         }
     }
 
@@ -221,7 +221,7 @@ pub fn inverse_transform(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ConvOptions, WinogradLayer};
+    use crate::plan::{ConvOptions, Host, WinogradLayer};
     use wino_sched::{SerialExecutor, StaticExecutor};
     use wino_tensor::ConvShape;
 
@@ -329,10 +329,17 @@ mod tests {
     /// copy, interpreter, clipped copy — produces: the in-place read of
     /// `y`, the direct (streaming or plain) write of full m-tiles and the
     /// staged, clipped write of ragged ones are all pinned against it.
-    fn assert_output_equals_staged_reference(img: &[usize], pad: usize, m: &[usize], opts: ConvOptions) {
+    fn assert_output_equals_staged_reference(
+        img: &[usize],
+        pad: usize,
+        m: &[usize],
+        opts: ConvOptions,
+        streams: bool,
+    ) {
         let rank = img.len();
         let s = ConvShape::new(2, 16, 32, img, &vec![3; rank], &vec![pad; rank]).unwrap();
-        let layer = WinogradLayer::new(s, m, opts).unwrap();
+        let layer = WinogradLayer::new_on(s, m, opts, Host::test(true, streams)).unwrap();
+        assert_eq!(layer.streams, streams);
         let mut scratch = Scratch::new(&layer, 2);
         fill_y(&mut scratch);
         let mut out = layer.new_output().unwrap();
@@ -377,22 +384,22 @@ mod tests {
 
     #[test]
     fn output_equals_copy_plus_interpreter_on_full_and_ragged_tiles() {
-        let plain = ConvOptions { streaming_stores: false, ..Default::default() };
+        let opts = ConvOptions::default();
         // The benchmark's ragged shape: 158 = 26·6 + 2 outputs per side.
-        assert_output_equals_staged_reference(&[160, 160], 0, &[6, 6], ConvOptions::default());
-        for opts in [ConvOptions::default(), plain] {
-            assert_output_equals_staged_reference(&[15, 15], 0, &[4, 4], opts);
-            assert_output_equals_staged_reference(&[14, 14], 1, &[4, 4], opts);
-            assert_output_equals_staged_reference(&[22, 19], 1, &[6, 2], opts);
-            assert_output_equals_staged_reference(&[7, 12, 12], 1, &[2, 4, 4], opts);
-            assert_output_equals_staged_reference(&[30], 1, &[8], opts);
+        assert_output_equals_staged_reference(&[160, 160], 0, &[6, 6], opts, true);
+        for streams in [true, false] {
+            assert_output_equals_staged_reference(&[15, 15], 0, &[4, 4], opts, streams);
+            assert_output_equals_staged_reference(&[14, 14], 1, &[4, 4], opts, streams);
+            assert_output_equals_staged_reference(&[22, 19], 1, &[6, 2], opts, streams);
+            assert_output_equals_staged_reference(&[7, 12, 12], 1, &[2, 4, 4], opts, streams);
+            assert_output_equals_staged_reference(&[30], 1, &[8], opts, streams);
         }
         // Outside the generated table the same entry point interprets.
         let integer = ConvOptions {
             points: wino_transforms::PointSchedule::Integer,
             ..Default::default()
         };
-        assert_output_equals_staged_reference(&[14, 14], 1, &[4, 4], integer);
+        assert_output_equals_staged_reference(&[14, 14], 1, &[4, 4], integer, true);
     }
 
     #[test]

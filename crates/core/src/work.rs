@@ -26,16 +26,20 @@
 //! * **output-transform** — `Aᵀ` contracts `α_d → m_d` in dimension
 //!   order: `ρ · C' · Σ_d (∏_{e<d} m_e · ∏_{e>d} α_e) · O(Aᵀ_d)`.
 //!
-//! Byte counts move each buffer once at 4 B/f32: the stage's inputs are
-//! read, its outputs written (e.g. elementwise-gemm reads `U` and `V`,
-//! writes `Y`). Real caches re-read evicted panels, so measured intensity
-//! is an upper bound — which is the correct direction for a roofline.
+//! Byte counts move each buffer that leaves the core once, at its
+//! allocated size (`footprint::BufferBytes`, the count the memory
+//! footprint and the store-flavour rule use): the stage's inputs are read,
+//! its outputs written. On a staged plan the elementwise-gemm reads `U`
+//! and `V` and writes `Y`; a fused plan ([`WinogradLayer::is_fused`]) keeps
+//! `U` and `Y` in its rings, so its three phases move the image in, `V`,
+//! and the image out. Real caches re-read evicted panels, so measured
+//! intensity is an upper bound — which is the correct direction for a
+//! roofline.
 
 use wino_probe::{SpanCategory, StageWork, WorkModel};
 
+use crate::footprint::BufferBytes;
 use crate::plan::WinogradLayer;
-
-const F32_BYTES: u128 = 4;
 
 impl WinogradLayer {
     /// The per-stage operation/traffic model for one forward pass of this
@@ -46,13 +50,9 @@ impl WinogradLayer {
         let t_vol = self.t_vol() as u128;
         let c = self.shape.in_channels as u128;
         let cp = self.shape.out_channels as u128;
-        let batch = self.shape.batch as u128;
         let alpha = &self.grid.tile_dims;
         let m = &self.grid.m;
         let r = &self.shape.kernel_dims;
-        let in_vol: u128 = self.shape.image_dims.iter().map(|&d| d as u128).product();
-        let out_vol: u128 = self.shape.out_dims().iter().map(|&d| d as u128).product();
-        let r_vol: u128 = r.iter().map(|&d| d as u128).product();
 
         // Σ_d applications·ops for each transform family.
         let mut bt_ops = 0u128;
@@ -78,37 +78,36 @@ impl WinogradLayer {
             at_ops += at_apps * o_at;
         }
 
-        let u_elems = t_vol * rows * c;
-        let v_elems = t_vol * c * cp;
-        let y_elems = t_vol * rows * cp;
+        let b = BufferBytes::of(self);
+        let bytes = |moved: &[usize]| moved.iter().map(|&n| n as u128).sum::<u128>();
 
         let mut model = WorkModel::new();
         model.set(
             SpanCategory::InputTransform,
             StageWork {
                 flops: rows * c * bt_ops,
-                bytes: (batch * c * in_vol + u_elems) * F32_BYTES,
+                bytes: bytes(&[b.input, b.u]),
             },
         );
         model.set(
             SpanCategory::KernelTransform,
             StageWork {
                 flops: c * cp * g_ops,
-                bytes: (c * cp * r_vol + v_elems) * F32_BYTES,
+                bytes: bytes(&[b.kernels, b.v]),
             },
         );
         model.set(
             SpanCategory::ElementwiseGemm,
             StageWork {
                 flops: 2 * t_vol * rows * c * cp,
-                bytes: (u_elems + v_elems + y_elems) * F32_BYTES,
+                bytes: bytes(&[b.u, b.v, b.y]),
             },
         );
         model.set(
             SpanCategory::OutputTransform,
             StageWork {
                 flops: rows * cp * at_ops,
-                bytes: (y_elems + batch * cp * out_vol) * F32_BYTES,
+                bytes: bytes(&[b.y, b.output]),
             },
         );
         model
@@ -148,13 +147,32 @@ mod tests {
         assert_eq!(w.get(SpanCategory::InputTransform).unwrap().flops, expect);
     }
 
+    /// One layer, both schedules, counted by hand: 2 × 32 → 32 channels,
+    /// 10² image, pad 1, F(2², 3²) — T = 16, 50 rows. A staged plan (two
+    /// 16-channel reduction blocks, 6-row panels: 54 allocated rows) moves
+    /// `U` and `Y` between its stages; a fused one only the images and `V`.
     #[test]
-    fn gemm_bytes_move_u_v_y_once() {
-        let l = layer_2d();
-        let w = l.work_model().get(SpanCategory::ElementwiseGemm).unwrap();
-        let t = l.t_vol() as u128;
-        let rows = l.rows() as u128;
-        assert_eq!(w.bytes, (t * rows * 32 + t * 32 * 32 + t * rows * 32) * 4);
+    fn fused_and_staged_byte_totals_by_hand_count() {
+        let image = 2 * 32 * 10 * 10 * 4; // in = out: 32 channels, 10² both
+        let raw_kernels = 32 * 32 * 9 * 4;
+        let v = 16 * 32 * 32 * 4;
+        let (u, y) = (16 * 54 * 32 * 4, 16 * 50 * 32 * 4);
+        let bytes = |l: &WinogradLayer| {
+            let w = l.work_model();
+            [
+                SpanCategory::InputTransform,
+                SpanCategory::KernelTransform,
+                SpanCategory::ElementwiseGemm,
+                SpanCategory::OutputTransform,
+            ]
+            .map(|cat| w.get(cat).unwrap().bytes)
+        };
+        let s = ConvShape::new(2, 32, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
+        let staged = WinogradLayer::new(s, &[2, 2], crate::plan::split_reduction()).unwrap();
+        assert!(!staged.is_fused() && layer_2d().is_fused());
+        assert_eq!(bytes(&staged), [image + u, raw_kernels + v, u + v + y, y + image]);
+        assert_eq!(bytes(&layer_2d()), [image, raw_kernels + v, v, image]);
+        assert_eq!(staged.work_model().total_flops(), layer_2d().work_model().total_flops());
     }
 
     #[test]

@@ -51,6 +51,6 @@ pub use handoff::JobExitLatch;
 pub use pool::{default_deadline, PoolError, ThreadPool, DEFAULT_DEADLINE};
 pub use shard::ShardedPool;
 pub use topology::{
-    configured_threads, l2_bytes_per_thread, parse_cpulist, pin_current_thread, render_cpulist,
+    configured_threads, l2_bytes_per_thread, llc_bytes, parse_cpulist, pin_current_thread, render_cpulist,
     Domain, Topology, TopologySource,
 };

@@ -393,19 +393,41 @@ pub fn configured_threads() -> usize {
 /// The L2 share assumed when neither sysfs nor CPUID describes the cache.
 const FALLBACK_L2_BYTES: usize = 1 << 20;
 
+/// `(bytes, sharers)` of the first online CPU's level-`level` cache: from
+/// sysfs, else from CPUID leaf 4 on x86-64.
+fn detected_cache(level: u32) -> Option<(usize, usize)> {
+    cache_from_sysfs(Path::new("/sys/devices/system/cpu"), level).or_else(|| cache_from_cpuid(level))
+}
+
+/// The last-level figure of the caches `cache` describes by level: the
+/// whole of the highest level past the L2, else one CPU's share of the L2.
+fn llc_of(cache: impl Fn(u32) -> Option<(usize, usize)>) -> Option<usize> {
+    let whole = [4, 3].into_iter().find_map(&cache).map(|(bytes, _)| bytes);
+    whole.or_else(|| cache(2).map(|(bytes, sharers)| bytes / sharers.max(1)))
+}
+
 /// The L2 capacity one hardware thread can count on, in bytes: the size of
 /// the first online CPU's L2 divided by the CPUs that share it (SMT
-/// siblings, or a cluster behind one L2). Read once per process from
-/// sysfs (`cpuN/cache/index2`), else from CPUID leaf 4 on x86-64, else
-/// 1 MiB. `wino-conv` sizes its per-thread ring from it and decides from
-/// it whether a layer's kernel transforms stay cache-resident.
+/// siblings, or a cluster behind one L2), or 1 MiB when neither sysfs nor
+/// CPUID describes it. Read once per process. `wino-conv` sizes its
+/// per-thread ring from it and decides from it whether a layer's kernel
+/// transforms stay cache-resident.
 pub fn l2_bytes_per_thread() -> usize {
     static L2: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *L2.get_or_init(|| {
-        l2_share_from_sysfs(Path::new("/sys/devices/system/cpu"))
-            .or_else(l2_share_from_cpuid)
-            .unwrap_or(FALLBACK_L2_BYTES)
+        detected_cache(2).map_or(FALLBACK_L2_BYTES, |(bytes, sharers)| bytes / sharers.max(1))
     })
+}
+
+/// The size of the last-level cache, in bytes: the whole of the highest
+/// cache level past the L2 that the first online CPU reports — the threads
+/// of one fork–join share it, and so do the buffers they hand from one
+/// fork–join to the next — or, on a host without one (a KNL), the figure
+/// of [`l2_bytes_per_thread`]. Read once per process. `wino-conv` decides
+/// from it whether a plan's stores bypass the cache.
+pub fn llc_bytes() -> usize {
+    static LLC: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *LLC.get_or_init(|| llc_of(detected_cache).unwrap_or(FALLBACK_L2_BYTES))
 }
 
 /// Parse a sysfs cache `size` file: `"2048K"`, `"1M"`, or plain bytes.
@@ -419,30 +441,32 @@ fn parse_cache_size(s: &str) -> Option<usize> {
     digits.parse::<usize>().ok()?.checked_mul(unit).filter(|&bytes| bytes > 0)
 }
 
-/// The first online CPU's share of its L2 in a sysfs CPU directory (a
-/// live `/sys/devices/system/cpu` or a fixture tree): `index2/size` over
-/// the online CPUs of `index2/shared_cpu_list` (the CPU alone when the
-/// list is missing). `None` when the tree has no `index2`, or it is not a
-/// level-2 cache.
-fn l2_share_from_sysfs(cpu_dir: &Path) -> Option<usize> {
+/// `(bytes, online sharers)` of the first online CPU's level-`level` cache
+/// in a sysfs CPU directory (a live `/sys/devices/system/cpu` or a fixture
+/// tree): `index{level}/size`, and the online CPUs of
+/// `index{level}/shared_cpu_list` (the CPU alone when the list is
+/// missing). `None` when the tree has no such index, its `size` does not
+/// parse, or its `level` file names another level.
+fn cache_from_sysfs(cpu_dir: &Path, level: u32) -> Option<(usize, usize)> {
     let read = |p: std::path::PathBuf| std::fs::read_to_string(p).ok();
     let online = parse_cpulist(&read(cpu_dir.join("online"))?).ok()?;
-    let cache = cpu_dir.join(format!("cpu{}/cache/index2", online.first()?));
-    if read(cache.join("level")).is_some_and(|level| level.trim() != "2") {
+    let cache = cpu_dir.join(format!("cpu{}/cache/index{level}", online.first()?));
+    if read(cache.join("level")).is_some_and(|l| l.trim().parse::<u32>() != Ok(level)) {
         return None;
     }
     let size = parse_cache_size(&read(cache.join("size"))?)?;
     let sharers = read(cache.join("shared_cpu_list"))
         .and_then(|list| parse_cpulist(&list).ok())
         .map_or(1, |cpus| cpus.iter().filter(|c| online.contains(c)).count());
-    Some(size / sharers.max(1))
+    Some((size, sharers))
 }
 
-/// The calling CPU's share of its L2 from CPUID leaf 4 (deterministic
-/// cache parameters): ways × partitions × line × sets of the level-2 data
-/// or unified cache, over the logical processors the leaf says share it.
+/// `(bytes, sharers)` of the calling CPU's level-`level` data or unified
+/// cache from CPUID leaf 4 (deterministic cache parameters): ways ×
+/// partitions × line × sets, and the logical processors the leaf says
+/// share it.
 #[cfg(target_arch = "x86_64")]
-fn l2_share_from_cpuid() -> Option<usize> {
+fn cache_from_cpuid(level: u32) -> Option<(usize, usize)> {
     use std::arch::x86_64::{__cpuid, __cpuid_count};
     if __cpuid(0).eax < 4 {
         return None;
@@ -451,17 +475,17 @@ fn l2_share_from_cpuid() -> Option<usize> {
     (0..32)
         .map(|sub| __cpuid_count(4, sub))
         .take_while(|r| r.eax & 0x1f != 0)
-        .find(|r| (r.eax >> 5) & 0x7 == 2 && matches!(r.eax & 0x1f, 1 | 3))
+        .find(|r| (r.eax >> 5) & 0x7 == level && matches!(r.eax & 0x1f, 1 | 3))
         .map(|r| {
             let field = |reg: u32, shift: u32, bits: u32| ((reg >> shift) & ((1 << bits) - 1)) as usize + 1;
             let bytes = field(r.ebx, 22, 10) * field(r.ebx, 12, 10) * field(r.ebx, 0, 12) * (r.ecx as usize + 1);
-            bytes / field(r.eax, 14, 12)
+            (bytes, field(r.eax, 14, 12))
         })
 }
 
 /// No CPUID off x86-64.
 #[cfg(not(target_arch = "x86_64"))]
-fn l2_share_from_cpuid() -> Option<usize> {
+fn cache_from_cpuid(_level: u32) -> Option<(usize, usize)> {
     None
 }
 
@@ -690,10 +714,26 @@ mod tests {
     fn l2_share_is_private_halved_under_smt_and_absent_without_index2() {
         // A private 2 MiB L2, a 1 MiB L2 shared by two SMT siblings, and a
         // tree that describes no L2 at all.
-        assert_eq!(l2_share_from_sysfs(&fixture("one-socket")), Some(2 << 20));
-        assert_eq!(l2_share_from_sysfs(&fixture("ccx")), Some(512 << 10));
-        assert_eq!(l2_share_from_sysfs(&fixture("two-socket")), None);
-        assert_eq!(l2_share_from_sysfs(Path::new("/nonexistent-sysfs")), None);
+        let l2 = |tree: &Path| cache_from_sysfs(tree, 2).map(|(bytes, sharers)| bytes / sharers);
+        assert_eq!(l2(&fixture("one-socket")), Some(2 << 20));
+        assert_eq!(l2(&fixture("ccx")), Some(512 << 10));
+        assert_eq!(l2(&fixture("two-socket")), None);
+        assert_eq!(l2(Path::new("/nonexistent-sysfs")), None);
+    }
+
+    #[test]
+    fn llc_is_the_whole_l3_else_the_l2_share_else_absent() {
+        // An 8 MiB L3 shared by four CPUs counts whole. A tree whose L3
+        // `size` is garbage has no usable L3 and falls back to its L2
+        // share; one whose `index3` carries no size, beside no L2, has no
+        // figure at all (`llc_bytes` then assumes the 1 MiB of the L2 fallback).
+        let llc = |tree: &str| llc_of(|level| cache_from_sysfs(&fixture(tree), level));
+        assert_eq!(llc("one-socket"), Some(8 << 20));
+        assert_eq!(llc("ccx"), Some(512 << 10));
+        assert_eq!(llc("two-socket"), None);
+        // `index2` is not consulted for level 3, nor the other way round.
+        assert_eq!(cache_from_sysfs(&fixture("one-socket"), 3), Some((8 << 20, 4)));
+        assert_eq!(cache_from_sysfs(&fixture("one-socket"), 4), None);
     }
 
     #[test]
@@ -701,6 +741,13 @@ mod tests {
         let l2 = l2_bytes_per_thread();
         assert!((32 << 10..=256 << 20).contains(&l2), "{l2} B of L2 per thread");
         assert_eq!(l2_bytes_per_thread(), l2);
+    }
+
+    #[test]
+    fn detected_llc_is_cached_and_plausible() {
+        let llc = llc_bytes();
+        assert!(llc >= l2_bytes_per_thread() && llc <= 4 << 30, "{llc} B of last-level cache");
+        assert_eq!(llc_bytes(), llc);
     }
 
     #[test]

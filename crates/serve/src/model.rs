@@ -28,8 +28,7 @@ pub struct ModelSpec {
     pub image_dims: Vec<usize>,
     /// The layer stack.
     pub layers: Vec<LayerSpec>,
-    /// Planning options; `opts.watchdog` also configures the serving
-    /// pool's barrier watchdog.
+    /// Planning options of every layer.
     pub opts: ConvOptions,
 }
 

@@ -53,6 +53,12 @@ pub struct ServeOptions {
     pub max_batch_age: Duration,
     /// Worker threads (1 ⇒ serial executor, no pool to poison).
     pub threads: usize,
+    /// Barrier watchdog deadline of the worker pool (and of every pool
+    /// rebuilt after a fault). `None` defers to
+    /// [`wino_sched::default_deadline`] — the `WINO_WATCHDOG_MS`
+    /// environment override, or the built-in 30 s — so soak tests on
+    /// contended CI machines can widen it without spurious timeouts.
+    pub watchdog: Option<Duration>,
     /// Admission-control oracle; `None` disables predictive shedding
     /// (capacity and deadline shedding remain).
     pub service: Option<ServiceModel>,
@@ -76,6 +82,7 @@ impl Default for ServeOptions {
             max_batch: 0,
             max_batch_age: Duration::from_millis(2),
             threads: 1,
+            watchdog: None,
             service: None,
             memory_ceiling: None,
             breaker: BreakerConfig::default(),
@@ -278,9 +285,10 @@ impl Server {
             let shared = Arc::clone(&shared);
             let engine = Engine::new(spec, kernels, opts.policy, threads);
             let (breaker, age) = (opts.breaker, opts.max_batch_age);
+            let watchdog = opts.watchdog.unwrap_or_else(default_deadline);
             std::thread::Builder::new()
                 .name("wino-serve-batcher".into())
-                .spawn(move || batcher_main(shared, engine, breaker, max_batch, age))
+                .spawn(move || batcher_main(shared, engine, breaker, max_batch, age, watchdog))
                 .expect("spawning the batcher thread")
         };
         Ok(Server {
@@ -633,8 +641,8 @@ fn batcher_main(
     breaker_cfg: BreakerConfig,
     max_batch: usize,
     max_age: Duration,
+    watchdog: Duration,
 ) {
-    let watchdog = engine.spec.opts.watchdog.unwrap_or_else(default_deadline);
     let channels = engine.spec.in_channels;
     let dims = engine.spec.image_dims.clone();
     let mut exec = WorkerExec::new(engine.threads, watchdog);

@@ -80,13 +80,21 @@ run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features
 # must agree with it on whole tiles and strided views, stage 1 / stage 3
 # must write exactly what gather + interpreter + clipped copy produce on
 # interior *and* edge tiles (pad 0, pad 1, the ragged 158 = 26·6 + 2
-# shape), and every tile the search can propose for 3-wide kernels must
+# shape; planned on a host that streams every store and on one that
+# streams none), and every tile the search can propose for 3-wide kernels must
 # resolve to a generated codelet while untabled plans interpret.
 #
 # Schedule gate: on every backend the ring-fused driver must equal the
 # three public stage calls bit for bit (rank 1–3, ragged and straddling
-# panels, tail panels, Mono and — under avx512 — JIT, both store
-# flavours, every executor incl. the more-threads-than-panels fallback).
+# panels, tail panels, Mono and — under avx512 — JIT, every executor incl.
+# the more-threads-than-panels fallback).
+#
+# Store-flavour gate: which stores bypass the cache is the plan's decision
+# (`WinogradLayer::streams`), so both flavours are reachable only in-crate:
+# `conv::tests::both_store_flavours_…` plans each layer of the schedule
+# gate on a host that streams everything and on one that streams nothing
+# — staged and fused, Mono and JIT, every executor — and asserts one set
+# of output bits.
 #
 # Micro-kernel gate: the register-tiled stage-2 kernels must equal their
 # own 1 × 1-tile walk bit for bit on every backend up to the pinned one
@@ -108,6 +116,8 @@ for isa in "${isas[@]}"; do
         cargo test --offline -q -p wino-conv --lib -- \
         codelet:: vecprog:: stage1:: stage3:: select:: \
         dispatch::tests::strided_output_is_the_subsampled_stride1_output
+    run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+        cargo test --offline -q -p wino-conv --lib -- conv::tests::both_store_flavours
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-gemm -p wino-jit --lib
 done

@@ -37,7 +37,8 @@ echo "== Table 3 (element errors, both point schedules) =="
 target/release/table3 --threads "$THREADS" | tee results/table3.txt
 
 echo "== ablations =="
-target/release/ablations streaming-stores --threads "$THREADS" > results/abl_stream.csv
+# (No streaming-stores row: store flavour is a plan-time rule — EXPERIMENTS.md,
+# "§4.2.1 — store flavour is a rule".)
 target/release/ablations blocking-model                        > results/abl_block.csv
 target/release/ablations scheduling       --threads "$THREADS" > results/abl_sched.csv
 target/release/ablations budden-net       --threads "$THREADS" > results/abl_budden.csv

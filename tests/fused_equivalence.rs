@@ -185,37 +185,30 @@ fn fused_forward_equals_the_three_stages_bit_for_bit() {
         .unwrap();
         let (input, kernels) = data(&shape);
         for &stage2 in &backends {
-            for streaming_stores in [true, false] {
-                let opts = ConvOptions {
-                    stage2,
-                    streaming_stores,
-                    block: case.block,
-                    points: case.points,
-                    ..Default::default()
-                };
-                let what = format!("{} ({stage2:?}, streaming {streaming_stores})", case.name);
-                let plan = WinogradLayer::new(shape.clone(), case.m, opts).unwrap();
-                assert!(plan.is_fused(), "{what}: a fused plan is what this test is about");
-                assert_eq!(
-                    plan.uses_generated_codelets(),
-                    case.points == PointSchedule::Mixed && case.kernel == 3,
-                    "{what}"
-                );
-                let want = staged(&plan, &input, &kernels);
-                for (e, exec) in executors.iter().enumerate() {
-                    let what = format!("{what} on {} × {}", exec.name(), exec.threads());
-                    let [train, fx] = forwards(&plan, &input, &kernels, exec.as_ref());
-                    assert!(train.0 == want, "{what}: forward differs from the three stages");
-                    assert!(fx.0 == want, "{what}: forward_fx differs from the three stages");
-                    let grids = [train.1, fx.1];
-                    match grids {
-                        FUSED => ring_runs[e] += 1,
-                        STAGED => fallback_runs += 1,
-                        other => panic!("{what}: {other:?} fork–joins"),
-                    }
-                    if exec.threads() == 1 {
-                        assert_eq!(grids, FUSED, "{what}: one thread always has a panel");
-                    }
+            let opts =
+                ConvOptions { stage2, block: case.block, points: case.points, ..Default::default() };
+            let what = format!("{} ({stage2:?})", case.name);
+            let plan = WinogradLayer::new(shape.clone(), case.m, opts).unwrap();
+            assert!(plan.is_fused(), "{what}: a fused plan is what this test is about");
+            assert_eq!(
+                plan.uses_generated_codelets(),
+                case.points == PointSchedule::Mixed && case.kernel == 3,
+                "{what}"
+            );
+            let want = staged(&plan, &input, &kernels);
+            for (e, exec) in executors.iter().enumerate() {
+                let what = format!("{what} on {} × {}", exec.name(), exec.threads());
+                let [train, fx] = forwards(&plan, &input, &kernels, exec.as_ref());
+                assert!(train.0 == want, "{what}: forward differs from the three stages");
+                assert!(fx.0 == want, "{what}: forward_fx differs from the three stages");
+                let grids = [train.1, fx.1];
+                match grids {
+                    FUSED => ring_runs[e] += 1,
+                    STAGED => fallback_runs += 1,
+                    other => panic!("{what}: {other:?} fork–joins"),
+                }
+                if exec.threads() == 1 {
+                    assert_eq!(grids, FUSED, "{what}: one thread always has a panel");
                 }
             }
         }

@@ -1,5 +1,5 @@
 //! Integration of the parallel substrate and the JIT with the full
-//! pipeline: every executor and every ablation toggle must produce
+//! pipeline: every executor and every stage-2 engine must produce
 //! bit-identical outputs, and JIT-generated GEMM kernels must agree with
 //! the monomorphised engine on convolution-shaped problems.
 
@@ -42,22 +42,29 @@ fn all_executors_and_thread_counts_agree() {
     assert_eq!(run(&DynamicExecutor::new(4)), reference, "dynamic executor");
 }
 
+/// The one plan option left that must not change a bit: the stage-2
+/// engine. (Which stores bypass the cache is no option — the plan decides;
+/// `wino-conv`'s in-crate battery runs both flavours.)
 #[test]
 fn ablation_toggles_preserve_results_in_parallel() {
+    use winograd_nd_repro::conv::Stage2Backend;
     let shape = ConvShape::new(1, 32, 48, &[12, 12], &[3, 3], &[1, 1]).unwrap();
     let (input, kernels) = setup(&shape);
-    let exec = StaticExecutor::new(4);
-    let mut outputs = Vec::new();
-    for streaming in [true, false] {
-        let opts = ConvOptions { streaming_stores: streaming, ..Default::default() };
+    let mut engines = vec![Stage2Backend::Mono];
+    if winograd_nd_repro::simd::cpu_has_avx512f() {
+        engines.push(Stage2Backend::Jit);
+    }
+    let run = |stage2, exec: &dyn Executor| {
+        let opts = ConvOptions { stage2, ..Default::default() };
         let plan = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
         let mut scratch = Scratch::new(&plan, exec.threads());
         let mut out = plan.new_output().unwrap();
-        plan.forward(&input, &kernels, &mut out, &mut scratch, &exec).unwrap();
-        outputs.push(out.as_slice().to_vec());
-    }
-    for o in &outputs[1..] {
-        assert_eq!(o, &outputs[0]);
+        plan.forward(&input, &kernels, &mut out, &mut scratch, exec).unwrap();
+        out.as_slice().to_vec()
+    };
+    let reference = run(Stage2Backend::Mono, &SerialExecutor);
+    for stage2 in engines {
+        assert_eq!(run(stage2, &StaticExecutor::new(4)), reference, "{stage2:?}");
     }
 }
 

@@ -509,9 +509,9 @@ mod faults {
         let _guard = fault::test_lock();
         fault::reset();
 
-        let (mut spec, kernels) = model();
-        spec.opts.watchdog = Some(Duration::from_millis(150));
-        let server = Server::start(spec, kernels, pooled_opts()).unwrap();
+        let (spec, kernels) = model();
+        let opts = ServeOptions { watchdog: Some(Duration::from_millis(150)), ..pooled_opts() };
+        let server = Server::start(spec, kernels, opts).unwrap();
 
         fault::arm_stall(1, When::Next, Duration::from_millis(800));
         let resp = server.submit(request(), Duration::from_secs(30)).unwrap().wait();
