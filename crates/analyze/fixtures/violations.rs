@@ -85,7 +85,17 @@ fn seed_first_touch(len: usize, exec: &dyn Executor) -> AlignedVec {
     wino_tensor::zeroed_first_touch(len, exec)
 }
 
+// seed 14: direct clock reads in a convolution crate
+// (clock-through-span-helpers, when linted as crates/core — two sites)
+fn seed_clock_reads() -> (u64, std::time::Instant) {
+    (wino_probe::now_ns(), std::time::Instant::now())
+}
+
 // ---- decoys: none of these may fire ----
+
+fn decoy_gated_timestamp(exec: &dyn Executor) -> u64 {
+    wino_sched::probed::span_start(exec.probe())
+}
 
 fn decoy_fallible_alloc(len: usize) -> Result<AlignedVec, AllocError> {
     AlignedVec::try_zeroed(len)

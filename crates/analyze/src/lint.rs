@@ -208,5 +208,8 @@ mod tests {
         let alloc: Vec<_> = vs.iter().filter(|v| v.rule == "alloc-needs-accounting").collect();
         assert_eq!(alloc.len(), 2, "alloc-needs-accounting fixture sites:\n{}",
             vs.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\n"));
+        // So is the clock rule: the two seeded reads, not the helper decoy.
+        let clock = vs.iter().filter(|v| v.rule == "clock-through-span-helpers").count();
+        assert_eq!(clock, 2);
     }
 }

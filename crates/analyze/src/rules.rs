@@ -106,6 +106,14 @@ impl<'a> FileCtx<'a> {
         (i + 1..self.toks.len()).find(|&j| !self.is_comment(j))
     }
 
+    /// Whether token `i` is the last segment of the path `<ty>::<i>`.
+    fn qualified_by(&self, i: usize, ty: &str) -> bool {
+        let Some(c1) = self.prev_code(i) else { return false };
+        let Some(c2) = self.prev_code(c1) else { return false };
+        let Some(c3) = self.prev_code(c2) else { return false };
+        self.is_punct(c1, ':') && self.is_punct(c2, ':') && self.text(c3) == ty
+    }
+
     /// Whether token `i` carries an adjacent justification comment
     /// containing any of `markers`.
     ///
@@ -181,14 +189,8 @@ fn check_unsafe_needs_safety(f: &FileCtx) -> Vec<RawViolation> {
 fn check_relaxed_needs_ordering(f: &FileCtx) -> Vec<RawViolation> {
     let mut out = Vec::new();
     for (i, t) in f.toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || f.text(i) != "Relaxed" {
-            continue;
-        }
-        // Must be `Ordering::Relaxed` (two `:` puncts then `Ordering`).
-        let Some(c1) = f.prev_code(i) else { continue };
-        let Some(c2) = f.prev_code(c1) else { continue };
-        let Some(c3) = f.prev_code(c2) else { continue };
-        if !(f.is_punct(c1, ':') && f.is_punct(c2, ':') && f.text(c3) == "Ordering") {
+        // Must be `Ordering::Relaxed`.
+        if t.kind != TokKind::Ident || f.text(i) != "Relaxed" || !f.qualified_by(i, "Ordering") {
             continue;
         }
         if !f.annotated(i, &["ORDERING:"]) {
@@ -622,10 +624,7 @@ fn check_alloc_needs_accounting(f: &FileCtx) -> Vec<RawViolation> {
         } else if RAW_ALLOC_CALLS.contains(&name) {
             // Must be `AlignedVec::<name>` — plain `zeroed`/`uninit`
             // methods on other types are not allocation seams.
-            let Some(c1) = f.prev_code(i) else { continue };
-            let Some(c2) = f.prev_code(c1) else { continue };
-            let Some(c3) = f.prev_code(c2) else { continue };
-            f.is_punct(c1, ':') && f.is_punct(c2, ':') && f.text(c3) == "AlignedVec"
+            f.qualified_by(i, "AlignedVec")
         } else {
             continue;
         };
@@ -640,6 +639,31 @@ fn check_alloc_needs_accounting(f: &FileCtx) -> Vec<RawViolation> {
                      `try_*` constructor (typed AllocError) or justify the abort-on-OOM path \
                      with an adjacent `// ALLOC:` comment"
                 ),
+            });
+        }
+    }
+    out
+}
+
+fn check_clock_through_span_helpers(f: &FileCtx) -> Vec<RawViolation> {
+    let mut out = Vec::new();
+    for (i, t) in f.toks.iter().enumerate() {
+        if t.kind != TokKind::Ident {
+            continue;
+        }
+        let read = match f.text(i) {
+            "now_ns" => true,
+            // `Instant::now`, called or passed as a function.
+            "now" => f.qualified_by(i, "Instant"),
+            _ => false,
+        };
+        if read {
+            out.push(RawViolation {
+                line: t.line,
+                msg: "clock read in a convolution crate — take the timestamp through \
+                      `wino_sched::probed::span_start(exec.probe())`, which reads the clock \
+                      only when the run carries a collector"
+                    .to_string(),
             });
         }
     }
@@ -732,6 +756,16 @@ pub static RULES: &[Rule] = &[
                      through, and its tests must drive the raw path directly",
         }],
         check: check_alloc_needs_accounting,
+    },
+    Rule {
+        id: "clock-through-span-helpers",
+        summary: "the convolution crates read the clock only through `wino_sched::probed`",
+        // Whether a run is instrumented has one gate, `exec.probe()`; the
+        // helpers honour it, a direct `now_ns()` / `Instant::now()` in a
+        // stage or tile loop would be paid by every uninstrumented run.
+        scope: Scope::Only(&["crates/core/src", "crates/baseline/src"]),
+        allow: &[],
+        check: check_clock_through_span_helpers,
     },
     Rule {
         id: "no-blocking-under-lock",
@@ -984,6 +1018,21 @@ mod tests {
         // `.zeroed()` on some other type, `Mask::zeroed`, or prose in a
         // comment must not fire; only the AlignedVec seam counts.
         let src = "fn f(m: &Mask) { let _ = Mask::zeroed(3); let _ = m.uninit(); }\n// AlignedVec::zeroed in prose\nfn g() {}\n";
+        assert_eq!(ids("crates/core/src/x.rs", src), vec![]);
+    }
+
+    #[test]
+    fn clock_reads_in_the_convolution_crates_go_through_the_span_helpers() {
+        let rule = "clock-through-span-helpers";
+        let src = "fn f() {\n    let t0 = wino_probe::now_ns();\n    let t1 = std::time::Instant::now();\n    let e = EPOCH.get_or_init(Instant::now);\n}\n";
+        assert_eq!(ids("crates/core/src/x.rs", src), vec![(rule, 2), (rule, 3), (rule, 4)]);
+        assert_eq!(ids("crates/baseline/src/x.rs", src), vec![(rule, 2), (rule, 3), (rule, 4)]);
+        // Out of scope: the helpers' own crate, the clock's, the harnesses.
+        assert_eq!(ids("crates/sched/src/probed.rs", src), vec![]);
+        assert_eq!(ids("crates/probe/src/clock.rs", src), vec![]);
+        assert_eq!(ids("crates/bench/src/x.rs", src), vec![]);
+        // The helpers, another type's `now`, and prose are not clock reads.
+        let src = "fn f(exec: &dyn Executor) {\n    let t0 = span_start(exec.probe());\n    let d = Date::now();\n    let s = \"Instant::now() now_ns()\"; // now_ns()\n}\n";
         assert_eq!(ids("crates/core/src/x.rs", src), vec![]);
     }
 

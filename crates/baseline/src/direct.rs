@@ -12,6 +12,7 @@
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
+use wino_sched::probed::{record_coord, span_start};
 use wino_sched::Executor;
 use wino_simd::{Kernel, Simd16, S};
 use wino_tensor::{BlockedImage, BlockedKernels};
@@ -102,12 +103,14 @@ pub fn direct_conv(
         out_spatial_vol: out_dims.iter().product(),
         in_spatial_vol: in_dims.iter().product(),
     };
-    let stage_start = wino_probe::now_ns();
+    let probe = exec.probe();
+    let stage_start = span_start(probe);
 
     let result = exec.run_grid(&dims, &|_slot, flat| {
         wino_simd::dispatch(RowTask { ctx: &ctx, flat });
     });
-    crate::record_coord(exec, wino_probe::SpanCategory::DirectKernel, stage_start);
+    // SAFETY: the coordinator thread, after the join.
+    unsafe { record_coord(probe, wino_probe::SpanCategory::DirectKernel, stage_start) };
     result
 }
 

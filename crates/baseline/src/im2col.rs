@@ -12,6 +12,7 @@
 //! isolates the *algorithm* (lowering + one big GEMM vs transform + many
 //! small GEMMs), not the kernel quality.
 
+use wino_sched::probed::{record_coord, span_start};
 use wino_sched::Executor;
 use wino_simd::S;
 use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices, ConvGeometry};
@@ -106,9 +107,10 @@ pub fn im2col_conv_geo(
     let in_cg = c_in / S;
     let out_cg = output.channels / S;
 
+    let probe = exec.probe();
     for g in 0..geo.groups {
         // Lower the group's input slice. Column index = cl·ker_vol + k.
-        let lower_start = wino_probe::now_ns();
+        let lower_start = span_start(probe);
         let mut a = BlockedMatrices::new(1, rows, inner, n_blk, cb);
         {
             let mut oc = [0usize; MAX_RANK];
@@ -157,18 +159,20 @@ pub fn im2col_conv_geo(
             }
         }
 
-        crate::record_coord(exec, wino_probe::SpanCategory::Im2colLower, lower_start);
+        // SAFETY: the coordinator thread, no fork–join in flight.
+        unsafe { record_coord(probe, wino_probe::SpanCategory::Im2colLower, lower_start) };
 
         // One GEMM per group.
-        let gemm_start = wino_probe::now_ns();
+        let gemm_start = span_start(probe);
         let mut x = BlockedMatrices::new(1, rows, cp, n_blk, cpb);
         wino_gemm::batched_gemm_parallel(&a, &w, &mut x, exec)?;
-        crate::record_coord(exec, wino_probe::SpanCategory::ElementwiseGemm, gemm_start);
+        // SAFETY: the coordinator thread, after the GEMM's join.
+        unsafe { record_coord(probe, wino_probe::SpanCategory::ElementwiseGemm, gemm_start) };
 
         // Scatter back into the blocked output image (accounted to the
         // lowering category: it is the same data-movement overhead, just on
         // the way out).
-        let scatter_start = wino_probe::now_ns();
+        let scatter_start = span_start(probe);
         for b in 0..input.batch {
             for o in 0..out_vol {
                 let row = b * out_vol + o;
@@ -179,7 +183,8 @@ pub fn im2col_conv_geo(
                 }
             }
         }
-        crate::record_coord(exec, wino_probe::SpanCategory::Im2colLower, scatter_start);
+        // SAFETY: the coordinator thread, no fork–join in flight.
+        unsafe { record_coord(probe, wino_probe::SpanCategory::Im2colLower, scatter_start) };
     }
     Ok(())
 }

@@ -19,23 +19,3 @@ pub use reference::{direct_f64, direct_f64_geo, element_errors};
 
 /// Maximum supported spatial rank (mirrors `wino_conv::MAX_RANK`).
 pub const MAX_RANK: usize = 6;
-
-/// Record a coordinator probe span of `cat` from `start` to now on
-/// `exec`'s collector, if it carries one. Free when probing is disabled.
-/// Must be called from the fork-issuing thread with no fork–join in
-/// flight (the position of baseline code around its `run_grid` calls).
-#[inline]
-pub(crate) fn record_coord(
-    exec: &dyn wino_sched::Executor,
-    cat: wino_probe::SpanCategory,
-    start: u64,
-) {
-    if !wino_probe::ENABLED {
-        return;
-    }
-    if let Some(c) = exec.probe() {
-        // SAFETY: coordinator thread between fork–joins per this
-        // function's contract, so the coordinator buffer is exclusive.
-        unsafe { c.record(wino_probe::COORDINATOR, cat, start, wino_probe::now_ns()) };
-    }
-}

@@ -24,7 +24,7 @@
 
 use wino_baseline::{direct_f64, element_errors};
 use wino_bench::{make_executor, Args, Rows};
-use wino_conv::select::{select_tile, Purpose};
+use wino_conv::select::{candidate_tiles, Purpose};
 use wino_conv::{verify_sample, ConvOptions, Scratch, SentinelConfig, WinogradLayer};
 use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, ConvShape};
@@ -56,8 +56,10 @@ fn measure(
 
 /// `--sentinel-smoke`: the end-to-end half of the CI accuracy gate. Each
 /// pinned smoke layer (the same trio `scripts/bench.sh --smoke` times) is
-/// planned through budget-driven tile selection ([`Purpose::Inference`],
-/// so the cap comes from the exact conditioning, not a table), run once,
+/// planned at the largest tile its accuracy budget admits — the last
+/// [`candidate_tiles`] entry the planner accepts under
+/// [`Purpose::Inference`]'s budget, so the cap comes from the exact
+/// conditioning, not a table — run once,
 /// and a pinned-seed sample of its output tiles is re-verified against
 /// the f64 oracle. A clean build must produce zero trips; any trip —
 /// i.e. an error above the plan's a-priori bound — exits non-zero.
@@ -68,22 +70,27 @@ fn sentinel_smoke(exec: &dyn Executor) -> ! {
     for layer in scaled_catalog().into_iter().filter(|l| SMOKE_LAYERS.contains(&l.id().as_str()))
     {
         let shape = &layer.shape;
-        let sel = select_tile(shape, ConvOptions::default(), Purpose::Inference, exec, 1)
+        let purpose = Purpose::Inference;
+        let opts = ConvOptions { budget: Some(purpose.budget()), ..Default::default() };
+        let plan = candidate_tiles(shape, purpose, &opts)
+            .iter()
+            .rev()
+            .find_map(|m| WinogradLayer::new(shape.clone(), m, opts).ok())
             .expect("smoke layers must plan");
         let img = uniform_input(shape, 42);
         let ker = xavier_kernels(shape, 42 ^ 0xabcd);
         let input = BlockedImage::from_simple(&img).unwrap();
         let kernels = BlockedKernels::from_simple(&ker).unwrap();
-        let mut out = sel.plan.new_output().unwrap();
-        let mut scratch = Scratch::new(&sel.plan, exec.threads());
-        sel.plan.forward(&input, &kernels, &mut out, &mut scratch, exec).expect("smoke forward");
-        match verify_sample(&sel.plan, &input, &kernels, &out, &cfg, 0) {
+        let mut out = plan.new_output().unwrap();
+        let mut scratch = Scratch::new(&plan, exec.threads());
+        plan.forward(&input, &kernels, &mut out, &mut scratch, exec).expect("smoke forward");
+        match verify_sample(&plan, &input, &kernels, &out, &cfg, 0) {
             Ok(checked) => eprintln!(
                 "# {}: budget-selected m = {:?}, {checked} sentinel tiles clean \
                  (bound {:.2e})",
                 layer.id(),
-                sel.m,
-                sel.plan.predicted_bound()
+                plan.grid.m,
+                plan.predicted_bound()
             ),
             Err(e) => {
                 failures += 1;

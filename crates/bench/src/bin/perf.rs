@@ -10,11 +10,8 @@
 //! barrier-imbalance statistics. The machine model is calibrated at
 //! startup with GEMM and bandwidth microbenchmarks.
 //!
-//! Requires the `probe` feature — an uninstrumented build cannot produce
-//! stage rows and says so instead of emitting an invalid report:
-//!
 //! ```text
-//! cargo run -p wino-bench --release --features probe --bin perf -- \
+//! cargo run -p wino-bench --release --bin perf -- \
 //!     [--smoke | --all] [--threads N] [--reps N] [--out FILE] [--date YYYY-MM-DD]
 //! cargo run -p wino-bench --bin perf -- --validate FILE
 //! ```
@@ -87,14 +84,6 @@ fn main() {
     if let Some(path) = args.value("--validate") {
         validate_file(path);
     }
-    if !wino_probe::ENABLED {
-        eprintln!(
-            "error: this binary was built without instrumentation, so it cannot \
-             collect stage breakdowns.\nRebuild with: cargo run -p wino-bench \
-             --release --features probe --bin perf"
-        );
-        std::process::exit(2);
-    }
 
     let reps = args.usize_or("--reps", 3);
     let exec = make_executor(&args);
@@ -159,7 +148,7 @@ fn main() {
         };
         // The direct baseline sits outside the degradation ladder — no
         // execution provenance to report.
-        push(&d, probe_direct(layer, exec.as_ref(), &machine), d_acc, None);
+        push(&d, Some(probe_direct(layer, exec.as_ref(), &machine)), d_acc, None);
 
         let i = run_baseline_im2col(layer, exec.as_ref(), reps);
         let i_acc = Accuracy {
@@ -168,7 +157,7 @@ fn main() {
         };
         push(
             &i,
-            probe_im2col(layer, exec.as_ref(), &machine),
+            Some(probe_im2col(layer, exec.as_ref(), &machine)),
             i_acc,
             Some(ExecutionReport { layer: 0, backend: LayerBackend::Im2col, fallback: None }),
         );

@@ -5,13 +5,13 @@
 //! thread count in a 1..=N sweep, twice: **strong** (fixed problem) and
 //! **weak** (batch grows with the thread count). Each point's executor
 //! is shaped by the detected topology (serial at 1, flat static within
-//! one domain, a sharded pool across domains); with the `probe` feature
-//! one extra instrumented pass per point records fork–join barrier skew.
+//! one domain, a sharded pool across domains); one extra instrumented
+//! pass per strong point records fork–join barrier skew.
 //! Points, per-layer Amdahl serial-fraction fits, and the topology
 //! provenance land in a schema-v4 `BENCH_scaling.json`.
 //!
 //! ```text
-//! cargo run -p wino-bench --release --features probe --bin scaling -- \
+//! cargo run -p wino-bench --release --bin scaling -- \
 //!     [--max-threads N] [--reps N] [--floor F] [--check] [--out FILE] [--date YYYY-MM-DD]
 //! cargo run -p wino-bench --bin scaling -- --validate FILE
 //! ```
@@ -87,8 +87,8 @@ fn thread_counts(max: usize) -> Vec<usize> {
 }
 
 /// One instrumented pass: (max_skew_us, mean_skew_us) across its
-/// fork–joins. `None` when probing is compiled out (no events) or the
-/// plan/forward fails. The fold uses an empty work model — only the
+/// fork–joins. `None` when the plan/forward fails. The fold uses an
+/// empty work model — only the
 /// barrier statistics are read, no roofline is needed.
 fn barrier_skew(layer: &Layer, m: &[usize], exec: &dyn Executor) -> Option<(f64, f64)> {
     let plan = wino_conv::WinogradLayer::new(layer.shape.clone(), m, ConvOptions::default()).ok()?;
@@ -99,9 +99,6 @@ fn barrier_skew(layer: &Layer, m: &[usize], exec: &dyn Executor) -> Option<(f64,
     plan.forward(&input, &kernels, &mut output, &mut scratch, &probed).ok()?;
     std::hint::black_box(output.as_slice().first());
     let events = probed.take_events();
-    if events.is_empty() {
-        return None;
-    }
     let machine = MachineModel { peak_gflops: 1.0, mem_bw_gbps: 1.0, threads: exec.threads() };
     let report = fold(&events, &WorkModel::new(), &machine);
     Some((report.barrier.max_skew_us, report.barrier.mean_skew_us))
@@ -157,9 +154,6 @@ fn main() {
         topo.to_spec(),
     );
     eprintln!("# sweep: threads {counts:?}, host threads {host}, reps {reps}");
-    if !wino_probe::ENABLED {
-        eprintln!("# probe feature off: points will carry no barrier-skew columns");
-    }
 
     // The machine block reuses the perf harness's calibration, run on the
     // full-width executor so roofline context matches the widest points.

@@ -7,7 +7,7 @@
 //!   [`run_fft`]) producing [`Measurement`] rows with the Fig. 5
 //!   direct-FLOPs effective-GFLOP/s normaliser,
 //! * the [`perf`] module: machine calibration, per-stage work models and
-//!   instrumented runs behind the `probe` feature, and the versioned
+//!   instrumented runs under a `ProbedExecutor`, and the versioned
 //!   `BENCH_*.json` document assembly (`docs/bench-schema.md`),
 //! * a tiny flag parser ([`Args`]) and executor factory
 //!   ([`make_executor`]) shared by every binary.

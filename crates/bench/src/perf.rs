@@ -219,8 +219,8 @@ fn prod(dims: &[usize]) -> usize {
 }
 
 /// One instrumented Winograd pass, folded against the plan's own
-/// [`WinogradLayer::work_model`]. `None` if the plan is rejected, the
-/// forward fails, or probing is compiled out (no events to fold).
+/// [`WinogradLayer::work_model`]. `None` if the plan is rejected or the
+/// forward fails.
 pub fn probe_winograd(
     layer: &Layer,
     m: &[usize],
@@ -235,16 +235,12 @@ pub fn probe_winograd(
     let mut scratch = Scratch::new(&plan, probed.threads());
     plan.forward(&input, &kernels, &mut output, &mut scratch, &probed).ok()?;
     std::hint::black_box(output.as_slice().first());
-    let events = probed.take_events();
-    if events.is_empty() {
-        return None;
-    }
-    Some(fold(&events, &plan.work_model(), machine))
+    Some(fold(&probed.take_events(), &plan.work_model(), machine))
 }
 
 /// One instrumented direct-convolution pass, folded against
-/// [`direct_work_model`]. `None` when probing is compiled out.
-pub fn probe_direct(layer: &Layer, exec: &dyn Executor, machine: &MachineModel) -> Option<StageReport> {
+/// [`direct_work_model`].
+pub fn probe_direct(layer: &Layer, exec: &dyn Executor, machine: &MachineModel) -> StageReport {
     let (input, kernels) = layer_data(layer, 42);
     let mut output =
         BlockedImage::zeros(layer.shape.batch, layer.shape.out_channels, &layer.shape.out_dims())
@@ -253,16 +249,11 @@ pub fn probe_direct(layer: &Layer, exec: &dyn Executor, machine: &MachineModel) 
     direct_conv(&input, &kernels, &layer.shape.padding, &mut output, &probed)
         .expect("probed direct_conv failed");
     std::hint::black_box(output.as_slice().first());
-    let events = probed.take_events();
-    if events.is_empty() {
-        return None;
-    }
-    Some(fold(&events, &direct_work_model(&layer.shape), machine))
+    fold(&probed.take_events(), &direct_work_model(&layer.shape), machine)
 }
 
 /// One instrumented im2col pass, folded against [`im2col_work_model`].
-/// `None` when probing is compiled out.
-pub fn probe_im2col(layer: &Layer, exec: &dyn Executor, machine: &MachineModel) -> Option<StageReport> {
+pub fn probe_im2col(layer: &Layer, exec: &dyn Executor, machine: &MachineModel) -> StageReport {
     let (input, kernels) = layer_data(layer, 42);
     let mut output =
         BlockedImage::zeros(layer.shape.batch, layer.shape.out_channels, &layer.shape.out_dims())
@@ -271,19 +262,14 @@ pub fn probe_im2col(layer: &Layer, exec: &dyn Executor, machine: &MachineModel) 
     im2col_conv(&input, &kernels, &layer.shape.padding, &mut output, &probed)
         .expect("probed im2col_conv failed");
     std::hint::black_box(output.as_slice().first());
-    let events = probed.take_events();
-    if events.is_empty() {
-        return None;
-    }
-    Some(fold(&events, &im2col_work_model(&layer.shape), machine))
+    fold(&probed.take_events(), &im2col_work_model(&layer.shape), machine)
 }
 
 /// One instrumented pass through the dispatch layer's routed engine
 /// (dense / grouped Winograd, subsampled under a stride, or the designed
 /// im2col fallback),
 /// folded against [`wino_conv::DispatchPlan::work_model`]. `None` if the
-/// layer is unrepresentable under `opts`' geometry or probing is
-/// compiled out.
+/// layer is unrepresentable under `opts`' geometry.
 pub fn probe_dispatch(
     layer: &Layer,
     m: &[usize],
@@ -297,17 +283,13 @@ pub fn probe_dispatch(
     let mut probed = ProbedExecutor::new(exec);
     dp.forward(&input, &kernels, &mut output, &probed).ok()?;
     std::hint::black_box(output.as_slice().first());
-    let events = probed.take_events();
-    if events.is_empty() {
-        return None;
-    }
-    Some(fold(&events, &dp.work_model(), machine))
+    Some(fold(&probed.take_events(), &dp.work_model(), machine))
 }
 
 /// One instrumented geometry-aware im2col pass, folded against the same
 /// geometry's [`wino_conv::DispatchPlan::im2col_work_model`] — the
-/// baseline side of every dispatch comparison row. `None` when probing
-/// is compiled out.
+/// baseline side of every dispatch comparison row. `None` if the layer is
+/// unrepresentable under `opts`' geometry.
 pub fn probe_im2col_geo(
     layer: &Layer,
     opts: ConvOptions,
@@ -325,11 +307,7 @@ pub fn probe_im2col_geo(
     let mut probed = ProbedExecutor::new(exec);
     im2col_conv_geo(&input, &kernels, &layer.shape.padding, &dp.geo, &mut output, &probed).ok()?;
     std::hint::black_box(output.as_slice().first());
-    let events = probed.take_events();
-    if events.is_empty() {
-        return None;
-    }
-    Some(fold(&events, &dp.im2col_work_model(), machine))
+    Some(fold(&probed.take_events(), &dp.im2col_work_model(), machine))
 }
 
 /// One uninstrumented pass through the `Network` execution path to learn

@@ -33,8 +33,8 @@ pub struct ScalingPoint {
     pub mean_ms: f64,
     pub speedup: f64,
     pub efficiency: f64,
-    /// Worst/mean fork–join arrival skew (µs) of one probed pass; absent
-    /// when instrumentation is compiled out.
+    /// Worst/mean fork–join arrival skew (µs) of one probed pass (strong
+    /// points only).
     pub max_skew_us: Option<f64>,
     pub mean_skew_us: Option<f64>,
 }

@@ -1,12 +1,8 @@
 //! Integration tests for the observability pipeline at the bench level:
-//! report math against hand-computed FLOP/byte counts, determinism of
-//! instrumented runs, and the disabled-build no-op guarantee.
-//!
-//! Every test runs in both feature configurations; span-dependent
-//! assertions gate on the runtime [`wino_probe::ENABLED`] const so
-//! `cargo test` passes with and without `--features probe`.
+//! report math against hand-computed FLOP/byte counts, and determinism
+//! and stage coverage of instrumented runs.
 
-use wino_bench::perf::{direct_work_model, im2col_work_model, probe_direct, probe_winograd};
+use wino_bench::perf::{direct_work_model, im2col_work_model, probe_winograd};
 use wino_conv::ConvOptions;
 use wino_probe::{fold, MachineModel, SpanCategory, SpanEvent, StageReport, COORDINATOR};
 use wino_sched::{Executor, SerialExecutor, StaticExecutor};
@@ -88,9 +84,6 @@ fn fingerprint(report: &StageReport) -> Vec<(&'static str, usize)> {
 
 #[test]
 fn instrumented_runs_are_deterministic() {
-    if !wino_probe::ENABLED {
-        return;
-    }
     let layer = small_layer();
     let machine = MachineModel::assumed();
     for exec in [
@@ -108,9 +101,6 @@ fn instrumented_runs_are_deterministic() {
 
 #[test]
 fn winograd_report_covers_all_pipeline_stages() {
-    if !wino_probe::ENABLED {
-        return;
-    }
     let layer = small_layer();
     let report = probe_winograd(
         &layer,
@@ -130,22 +120,4 @@ fn winograd_report_covers_all_pipeline_stages() {
     for s in report.stages.iter().filter(|s| s.category.is_stage()) {
         assert!(s.gflops.is_some() && s.arith_intensity.is_some(), "{}", s.category.name());
     }
-}
-
-#[test]
-fn disabled_probe_is_a_noop_at_conv_level() {
-    if wino_probe::ENABLED {
-        return;
-    }
-    // Uninstrumented builds: the probed runners execute the convolution
-    // but fold nothing — the API stays linkable and returns None.
-    let layer = small_layer();
-    let machine = MachineModel::assumed();
-    assert!(probe_direct(&layer, &SerialExecutor, &machine).is_none());
-    assert!(probe_winograd(&layer, &[4, 4], ConvOptions::default(), &SerialExecutor, &machine)
-        .is_none());
-    // And a ProbedExecutor wrapper records no events at all.
-    let mut probed = wino_sched::ProbedExecutor::new(SerialExecutor);
-    probed.run_grid(&[8], &|_, _| {}).unwrap();
-    assert!(probed.take_events().is_empty());
 }

@@ -490,12 +490,11 @@ mod tests {
     /// kernel transform, the batched products (operation ⑥ rides inside
     /// them), inverse transform — and FX mode skips the kernel transform.
     /// The fused one is the kernel transform plus one fork–join for
-    /// everything else. Only meaningful with span recording on.
+    /// everything else. Each `run_grid` is one `fork-join` span and each
+    /// stage one coordinator span, and collecting them changes no output bit.
     #[test]
     fn forward_is_four_fork_joins_and_forward_fx_three() {
-        if !wino_probe::ENABLED {
-            return;
-        }
+        use wino_probe::{SpanCategory, COORDINATOR};
         let shape = ConvShape::new(1, 32, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
         let input = BlockedImage::from_simple(&test_img(1, 32, &[10, 10])).unwrap();
         let kernels = BlockedKernels::from_simple(&test_ker(32, 32, &[3, 3])).unwrap();
@@ -506,18 +505,53 @@ mod tests {
             assert_eq!(layer.is_fused(), fork_joins == [2, 1]);
             let mut scratch = Scratch::new(&layer, 1);
             let tk = layer.prepare_kernels(&kernels, &mut scratch, &SerialExecutor).unwrap();
+            let mut plain = layer.new_output().unwrap();
+            layer.forward(&input, &kernels, &mut plain, &mut scratch, &SerialExecutor).unwrap();
             let mut out = layer.new_output().unwrap();
             let mut exec = wino_sched::ProbedExecutor::new(SerialExecutor);
+            // (fork–joins, coordinator stage spans) since the last call.
             let count = |exec: &mut wino_sched::ProbedExecutor<SerialExecutor>| {
-                exec.take_events()
-                    .iter()
-                    .filter(|e| e.category == wino_probe::SpanCategory::ForkJoin)
-                    .count()
+                let events = exec.take_events();
+                (
+                    events.iter().filter(|e| e.category == SpanCategory::ForkJoin).count(),
+                    events.iter().filter(|e| e.thread == COORDINATOR && e.category.is_stage()).count(),
+                )
             };
             layer.forward(&input, &kernels, &mut out, &mut scratch, &exec).unwrap();
-            assert_eq!(count(&mut exec), fork_joins[0]);
+            assert_eq!(count(&mut exec), (fork_joins[0], 4));
+            assert!(out.as_slice() == plain.as_slice(), "probed forward");
             layer.forward_fx(&input, &tk, &mut out, &mut scratch, &exec).unwrap();
-            assert_eq!(count(&mut exec), fork_joins[1]);
+            assert_eq!(count(&mut exec), (fork_joins[1], 3));
+            assert!(out.as_slice() == plain.as_slice(), "probed forward_fx");
+        }
+    }
+
+    /// Whether a run is instrumented is whether its executor carries a
+    /// collector: on a plain one the span helpers read no clock, and a
+    /// staged and a fused pass leave the per-slot phase tallies untouched.
+    #[test]
+    fn a_plain_executor_records_nothing_and_reads_no_clock() {
+        assert_eq!(wino_sched::probed::span_start(None), 0);
+        let shape = ConvShape::new(2, 32, 32, &[18, 18], &[3, 3], &[1, 1]).unwrap();
+        let input = BlockedImage::from_simple(&test_img(2, 32, &[18, 18])).unwrap();
+        let kernels = BlockedKernels::from_simple(&test_ker(32, 32, &[3, 3])).unwrap();
+        let executors: [Box<dyn Executor>; 2] =
+            [Box::new(SerialExecutor), Box::new(StaticExecutor::new(2))];
+        for opts in [ConvOptions::default(), crate::plan::split_reduction()] {
+            let layer = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
+            for exec in &executors {
+                assert!(exec.probe().is_none());
+                let mut scratch = Scratch::new(&layer, exec.threads());
+                let tk = layer.prepare_kernels(&kernels, &mut scratch, exec.as_ref()).unwrap();
+                let mut out = layer.new_output().unwrap();
+                layer.forward(&input, &kernels, &mut out, &mut scratch, exec.as_ref()).unwrap();
+                layer.forward_fx(&input, &tk, &mut out, &mut scratch, exec.as_ref()).unwrap();
+                for slot in 0..scratch.thread_slots() {
+                    // SAFETY: no fork–join is in flight and `scratch` is ours.
+                    let tb = unsafe { scratch.thread_buf(slot) };
+                    assert_eq!(tb.phase_ns, [0; 3], "fused {}, slot {slot}", layer.is_fused());
+                }
+            }
         }
     }
 
@@ -525,9 +559,6 @@ mod tests {
     /// coordinator span each, back to back, covering the fork–join.
     #[test]
     fn a_fused_pass_reports_three_stage_spans_that_cover_its_fork_join() {
-        if !wino_probe::ENABLED {
-            return;
-        }
         use wino_probe::{SpanCategory, COORDINATOR};
         let shape = ConvShape::new(2, 32, 32, &[18, 18], &[3, 3], &[1, 1]).unwrap();
         let input = BlockedImage::from_simple(&test_img(2, 32, &[18, 18])).unwrap();

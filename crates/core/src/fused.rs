@@ -34,7 +34,8 @@
 #![allow(clippy::needless_range_loop)]
 
 use wino_gemm::{microkernel, MicroArgs, Output, MAX_N_BLK};
-use wino_probe::SpanCategory;
+use wino_probe::{Collector, SpanCategory};
+use wino_sched::probed::{record_coord_span, span_start};
 use wino_sched::Executor;
 use wino_simd::S;
 use wino_tensor::{BlockedImage, BlockedMatrices};
@@ -42,7 +43,6 @@ use wino_tensor::{BlockedImage, BlockedMatrices};
 use crate::error::{ensure_at_least, WinoError};
 use crate::footprint::MemoryFootprint;
 use crate::plan::{Scratch, WinogradLayer};
-use crate::spans::{record_coord_span, span_start};
 use crate::stage1::InputTransformCtx;
 use crate::stage3::Stage3Ctx;
 use crate::{stage1, stage2, stage3};
@@ -168,12 +168,11 @@ pub(crate) fn forward(
     let u_floats = layer.t_vol() * n_blk * layer.shape.in_channels;
     let chunk = layer.t_vol() * S;
     let probe = exec.probe();
-    let timed = wino_probe::ENABLED && probe.is_some();
     let input_ctx = InputTransformCtx::new(layer, input, n_blk, false, probe);
     let output_ctx = Stage3Ctx::new(layer, output.as_mut_ptr());
     #[cfg(feature = "fault-inject")]
     let faults = Faults::take();
-    let start = span_start();
+    let start = span_start(probe);
 
     let joined = exec.run_grid(&[rows.div_ceil(n_blk)], &|slot, i| {
         // SAFETY: slot exclusivity per the Executor contract.
@@ -184,7 +183,7 @@ pub(crate) fn forward(
         let ring_x = unsafe { ring_u.add(u_floats) };
         let row0 = i * n_blk;
         let panel_rows = n_blk.min(rows - row0);
-        let t0 = span_start();
+        let t0 = span_start(probe);
 
         for cg in 0..in_groups {
             for r in 0..panel_rows {
@@ -199,7 +198,7 @@ pub(crate) fn forward(
             // SAFETY: the ring's first float, this slot's.
             unsafe { *ring_u = f32::NAN };
         }
-        let t1 = span_start();
+        let t1 = span_start(probe);
 
         // SAFETY: `ring_u` holds the panel's Û block, `ring_x` has room for
         // its chunks, `v` was checked against the plan; all this slot's.
@@ -217,7 +216,7 @@ pub(crate) fn forward(
                 stage2::corrupt_y(x, kind);
             }
         }
-        let t2 = span_start();
+        let t2 = span_start(probe);
 
         for og in 0..out_groups {
             for r in 0..panel_rows {
@@ -228,16 +227,16 @@ pub(crate) fn forward(
                 unsafe { output_ctx.tile(tb, ring_x.add((og * n_blk + r) * chunk), b, og, n) };
             }
         }
-        if timed {
-            let t3 = span_start();
+        if probe.is_some() {
+            let t3 = span_start(probe);
             for (total, spent) in tb.phase_ns.iter_mut().zip([t1 - t0, t2 - t1, t3 - t2]) {
                 *total += spent;
             }
         }
     });
 
-    if timed {
-        let end = span_start();
+    if probe.is_some() {
+        let end = span_start(probe);
         // Collect the tallies — and clear them, whether or not the
         // fork–join came through, for the next pass.
         let mut phase_ns = [0u64; 3];
@@ -250,7 +249,7 @@ pub(crate) fn forward(
             }
         }
         if joined.is_ok() {
-            record_phases(exec, start, end, phase_ns);
+            record_phases(probe, start, end, phase_ns);
         }
     }
     joined?;
@@ -332,13 +331,16 @@ unsafe fn multiply_panel(
 /// Report the fused fork–join `[start, end]` as the three stage spans a
 /// staged pass records, back to back, each with the share of the interval
 /// the thread slots spent in its phase (`phase_ns`, summed over slots).
-fn record_phases(exec: &dyn Executor, start: u64, end: u64, phase_ns: [u64; 3]) {
+fn record_phases(probe: Option<&Collector>, start: u64, end: u64, phase_ns: [u64; 3]) {
     let total = u128::from(phase_ns.iter().sum::<u64>().max(1));
     let cut = |spent: u64| start + (u128::from(end - start) * u128::from(spent) / total) as u64;
     let (a, b) = (cut(phase_ns[0]), cut(phase_ns[0] + phase_ns[1]));
-    record_coord_span(exec, SpanCategory::InputTransform, start, a);
-    record_coord_span(exec, SpanCategory::ElementwiseGemm, a, b);
-    record_coord_span(exec, SpanCategory::OutputTransform, b, end);
+    // SAFETY: the coordinator thread, after the fused fork–join joined.
+    unsafe {
+        record_coord_span(probe, SpanCategory::InputTransform, start, a);
+        record_coord_span(probe, SpanCategory::ElementwiseGemm, a, b);
+        record_coord_span(probe, SpanCategory::OutputTransform, b, end);
+    }
 }
 
 #[cfg(test)]

@@ -53,7 +53,6 @@ pub mod net;
 pub mod plan;
 pub mod select;
 pub mod sentinel;
-pub(crate) mod spans;
 pub mod training;
 pub mod stage1;
 pub mod stage2;
@@ -74,5 +73,5 @@ pub use plan::{
     AccuracyBudget, ConvOptions, MemoryBudget, PlanError, Scratch, Stage2Backend, WinogradLayer,
     MAX_RANK,
 };
-pub use select::{candidate_tiles, plan_with_fallback, select_tile, FallbackPolicy, Purpose, Selection};
+pub use select::{candidate_tiles, plan_with_fallback, FallbackPolicy, Purpose};
 pub use sentinel::{sample_units, verify_sample, SentinelConfig, SentinelError};

@@ -20,6 +20,7 @@
 //! Every [`Network::run_layer`] / [`Network::run_net`] call reports which
 //! backend actually ran and why via [`ExecutionReport`].
 
+use wino_sched::probed::{record_coord, span_start};
 use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, ConvShape};
 
@@ -465,10 +466,12 @@ fn attempt(
         Some(img) => img,
         None => plan.try_new_output()?,
     };
-    let t0 = crate::spans::span_start();
+    let probe = exec.probe();
+    let t0 = span_start(probe);
     plan.forward_in(slot, input, kernels, &mut out, exec)?;
     if rescue {
-        crate::spans::record_coord(exec, wino_probe::SpanCategory::FallbackRescue, t0);
+        // SAFETY: the coordinator thread, between fork–joins.
+        unsafe { record_coord(probe, wino_probe::SpanCategory::FallbackRescue, t0) };
         check_finite("im2col rescue output", out.as_slice())?;
     } else if policy.check_numerics {
         check_finite("output", out.as_slice())?;
@@ -476,9 +479,10 @@ fn attempt(
     // Disabled sentinels do no work at all: no RNG, no oracle, no counters.
     let sampled = policy.sentinel.samples > 0;
     if let (Some(w), Kernels::Raw(k), true) = (plan.winograd(), kernels, sampled) {
-        let t0 = crate::spans::span_start();
+        let t0 = span_start(probe);
         let verdict = verify_sample(w, input, k, &out, &policy.sentinel, index);
-        crate::spans::record_coord(exec, wino_probe::SpanCategory::SentinelVerify, t0);
+        // SAFETY: the coordinator thread, between fork–joins.
+        unsafe { record_coord(probe, wino_probe::SpanCategory::SentinelVerify, t0) };
         let checked = verdict.inspect_err(|_| wino_probe::Counter::SentinelTrips.add(1))?;
         wino_probe::Counter::SentinelTilesChecked.add(checked as u64);
     }

@@ -3,11 +3,10 @@
 //! §5.1 shows that the best tile size depends on the layer: large `m`
 //! saves multiplications but pads the output grid (ceil-division
 //! overhang) and grows the transform cost quadratically. The paper picks
-//! `m` per layer empirically (the Fig. 5 sweep); this module packages
-//! that workflow: enumerate candidate tile vectors, time a real forward
-//! pass for each, return the fastest plan. Numerical limits from Table 3
-//! (f32: `m ≤ 6` per dimension for training, `m ≤ 8` for inference) bound
-//! the search space.
+//! `m` per layer empirically (the Fig. 5 sweep, which `fig5` runs); this
+//! module enumerates the candidate tile vectors such a sweep may try
+//! ([`candidate_tiles`]). Numerical limits from Table 3 (f32: `m ≤ 6` per
+//! dimension for training, `m ≤ 8` for inference) bound the search space.
 //!
 //! The module also hosts the one degradation table (DESIGN.md §5):
 //! [`FallbackPolicy`] says which rows are allowed, `degrade` maps a
@@ -16,12 +15,10 @@
 //! [`crate::dispatch::plan_dispatch`] share. The run-time walk lives in
 //! [`crate::net`], which owns layer execution.
 
-use wino_sched::Executor;
-use wino_tensor::{BlockedImage, BlockedKernels, ConvShape};
+use wino_tensor::ConvShape;
 use wino_transforms::Conditioning;
 
-use crate::error::WinoError;
-use crate::plan::{AccuracyBudget, ConvOptions, PlanError, Scratch, Stage2Backend, WinogradLayer};
+use crate::plan::{AccuracyBudget, ConvOptions, PlanError, Stage2Backend, WinogradLayer};
 use crate::sentinel::SentinelConfig;
 
 /// Which degradations the execution layer may apply instead of failing.
@@ -337,80 +334,9 @@ pub fn fit_tile_to_budget(
         .collect()
 }
 
-/// Result of a tile-size search.
-pub struct Selection {
-    pub plan: WinogradLayer,
-    pub m: Vec<usize>,
-    pub best_ms: f64,
-    /// All timed candidates `(m, ms)`, fastest first.
-    pub trials: Vec<(Vec<usize>, f64)>,
-}
-
-/// Empirically select the fastest `F(m, r)` for a layer by timing one
-/// warm-up plus `reps` forward passes per candidate on synthetic data.
-///
-/// Unplannable candidates are skipped; an execution failure (worker panic,
-/// watchdog timeout) aborts the search, since later timings on a degraded
-/// pool would be meaningless. Returns an error only if *no* candidate is
-/// plannable or execution failed.
-pub fn select_tile(
-    shape: &ConvShape,
-    opts: ConvOptions,
-    purpose: Purpose,
-    exec: &dyn Executor,
-    reps: usize,
-) -> Result<Selection, WinoError> {
-    // The purpose's budget becomes a plan-time invariant: even if the
-    // candidate enumeration and the planner ever disagree, the planner's
-    // own conditioning check rejects an over-budget tile. An explicit
-    // (tighter or looser) budget in `opts` wins.
-    let opts = ConvOptions { budget: opts.budget.or(Some(purpose.budget())), ..opts };
-    let mut input = BlockedImage::zeros(shape.batch, shape.in_channels, &shape.image_dims)?;
-    for (i, v) in input.as_mut_slice().iter_mut().enumerate() {
-        *v = ((i * 2654435761) >> 22 & 0xff) as f32 / 1275.0 - 0.1;
-    }
-    let mut kernels =
-        BlockedKernels::zeros(shape.in_channels, shape.out_channels, &shape.kernel_dims)?;
-    for (i, v) in kernels.as_mut_slice().iter_mut().enumerate() {
-        *v = ((i * 0x9E3779B9) >> 22 & 0xff) as f32 / 2550.0 - 0.05;
-    }
-
-    let mut trials: Vec<(Vec<usize>, f64)> = Vec::new();
-    let mut last_err = None;
-    for m in candidate_tiles(shape, purpose, &opts) {
-        let plan = match WinogradLayer::new(shape.clone(), &m, opts) {
-            Ok(p) => p,
-            Err(e) => {
-                last_err = Some(e);
-                continue;
-            }
-        };
-        let mut scratch = Scratch::new(&plan, exec.threads());
-        let mut out = plan.new_output()?;
-        plan.forward(&input, &kernels, &mut out, &mut scratch, exec)?; // warm-up
-        let mut best = f64::INFINITY;
-        for _ in 0..reps.max(1) {
-            let t0 = std::time::Instant::now();
-            plan.forward(&input, &kernels, &mut out, &mut scratch, exec)?;
-            best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-        }
-        std::hint::black_box(out.as_slice().first());
-        trials.push((m, best));
-    }
-    trials.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap());
-    match trials.first().cloned() {
-        Some((m, best_ms)) => {
-            let plan = WinogradLayer::new(shape.clone(), &m, opts)?;
-            Ok(Selection { plan, m, best_ms, trials })
-        }
-        None => Err(last_err.unwrap_or(PlanError::BadTileSize { dim: 0, m: 0 }).into()),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wino_sched::SerialExecutor;
 
     #[test]
     fn candidates_respect_purpose_and_extent() {
@@ -432,7 +358,7 @@ mod tests {
     }
 
     /// Every tile the search can propose for a 3-wide kernel plans onto
-    /// the generated codelets — `select_tile` can never silently land on
+    /// the generated codelets — a tile sweep can never silently land on
     /// the interpreter — including the extent-clipped `m = 1` of a
     /// one-deep dimension and mixed per-dimension sizes.
     #[test]
@@ -524,29 +450,6 @@ mod tests {
             Err(PlanError::AccuracyBudget { dim: 0, m: 8 })
         ));
         assert!(WinogradLayer::new(s, &[4, 4], tight_opts).is_ok());
-    }
-
-    #[test]
-    fn selection_returns_fastest_plannable_tile() {
-        let s = ConvShape::new(1, 16, 16, &[14, 14], &[3, 3], &[1, 1]).unwrap();
-        let sel =
-            select_tile(&s, ConvOptions::default(), Purpose::Training, &SerialExecutor, 1).unwrap();
-        assert_eq!(sel.m.len(), 2);
-        assert!(sel.best_ms > 0.0);
-        assert!(!sel.trials.is_empty());
-        // Trials are sorted fastest-first and the plan matches the winner.
-        for w in sel.trials.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert_eq!(sel.plan.grid.m, sel.m);
-    }
-
-    #[test]
-    fn selection_works_for_3d() {
-        let s = ConvShape::new(1, 16, 16, &[6, 8, 8], &[3, 3, 3], &[1, 1, 1]).unwrap();
-        let sel =
-            select_tile(&s, ConvOptions::default(), Purpose::Training, &SerialExecutor, 1).unwrap();
-        assert_eq!(sel.m.len(), 3);
     }
 
     #[test]

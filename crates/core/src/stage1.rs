@@ -28,6 +28,7 @@
 //! (`fused.rs`) aims it, with plain stores, at one `n_blk`-row block of
 //! `U` in the calling thread's ring.
 
+use wino_sched::probed::{record_coord, record_slot, span_start};
 use wino_sched::Executor;
 use wino_simd::{Kernel, Simd16, S};
 use wino_tensor::BlockedImage;
@@ -227,15 +228,11 @@ impl<'a> InputTransformCtx<'a> {
             // channel group `(b, cg)` of the image.
             (self.input.as_ptr().add(off), &self.image_strides)
         } else {
-            let gather_start = crate::spans::span_start();
+            let gather_start = span_start(self.probe);
             // SAFETY: buffers sized T·S at construction; tile fits.
             gather_tile::<V>(self.input, b, cg, &origin[..rank], &grid.tile_dims, tmp[0]);
-            crate::spans::record_slot(
-                self.probe,
-                slot,
-                wino_probe::SpanCategory::TileExtract,
-                gather_start,
-            );
+            // SAFETY: this task holds `slot` per this function's contract.
+            record_slot(self.probe, slot, wino_probe::SpanCategory::TileExtract, gather_start);
             (tmp[0].cast_const(), &self.gathered_strides)
         };
 
@@ -311,16 +308,11 @@ pub fn transform_inputs(
     dims[2..2 + rank].copy_from_slice(&layer.grid.counts);
     let dims = &dims[..2 + rank];
 
-    let ctx = InputTransformCtx::new(
-        layer,
-        input,
-        layer.block.n_blk,
-        layer.streams,
-        exec.probe(),
-    );
+    let probe = exec.probe();
+    let ctx = InputTransformCtx::new(layer, input, layer.block.n_blk, layer.streams, probe);
     let u = MutPtr(scratch.u.as_mut_ptr());
     let scratch_ref: &Scratch = scratch;
-    let stage_start = crate::spans::span_start();
+    let stage_start = span_start(probe);
 
     exec.run_grid(dims, &|slot, flat| {
         let mut coords = [0usize; MAX_RANK + 2];
@@ -336,7 +328,8 @@ pub fn transform_inputs(
         // tasks cover disjoint (n' = b·N + n, cg) ranges of `u`.
         unsafe { ctx.tile(tb, slot, (u.get(), b * n_tiles + n), b, cg, n) };
     })?;
-    crate::spans::record_coord(exec, wino_probe::SpanCategory::InputTransform, stage_start);
+    // SAFETY: the coordinator thread, after the join.
+    unsafe { record_coord(probe, wino_probe::SpanCategory::InputTransform, stage_start) };
     #[cfg(feature = "fault-inject")]
     if wino_sched::fault::take_poison_stage(1) {
         scratch.u.as_mut_slice()[0] = f32::NAN;
@@ -371,14 +364,16 @@ pub fn transform_kernels(
         t_stride: c_blk * cp_blk,
     };
     let scratch_ref: &Scratch = scratch;
-    let stage_start = crate::spans::span_start();
+    let probe = exec.probe();
+    let stage_start = span_start(probe);
 
     exec.run_grid(&dims, &|slot, flat| {
         // SAFETY: slot exclusivity per the Executor contract.
         let tb = unsafe { scratch_ref.thread_buf(slot) };
         wino_simd::dispatch(KernelGroup { ctx: &ctx, tb, c: flat / dims[1], og: flat % dims[1] });
     })?;
-    crate::spans::record_coord(exec, wino_probe::SpanCategory::KernelTransform, stage_start);
+    // SAFETY: the coordinator thread, after the join.
+    unsafe { record_coord(probe, wino_probe::SpanCategory::KernelTransform, stage_start) };
     Ok(())
 }
 

@@ -21,6 +21,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use wino_gemm::{microkernel, MicroArgs, Output};
+use wino_sched::probed::{record_coord, span_start};
 use wino_sched::Executor;
 use wino_simd::S;
 use wino_tensor::BlockedMatrices;
@@ -227,7 +228,8 @@ pub fn multiply_with(
     let x_ptr = scratch.x.as_mut_ptr();
     let y_ptr = scratch.y.as_mut_ptr();
     let ctx = Stage2Ctx::new(layer, &scratch.u, v_ext, x_ptr, &scratch.x, y_ptr, &scratch.y);
-    let stage_start = crate::spans::span_start();
+    let probe = exec.probe();
+    let stage_start = span_start(probe);
 
     exec.run_grid(&dims, &|_slot, flat| {
         let i = flat % row_blocks;
@@ -237,7 +239,8 @@ pub fn multiply_with(
         // tasks own disjoint panels.
         unsafe { ctx.panel(t, j, i) };
     })?;
-    crate::spans::record_coord(exec, wino_probe::SpanCategory::ElementwiseGemm, stage_start);
+    // SAFETY: the coordinator thread, after the join.
+    unsafe { record_coord(probe, wino_probe::SpanCategory::ElementwiseGemm, stage_start) };
     #[cfg(feature = "fault-inject")]
     if wino_sched::fault::take_poison_stage(2) {
         scratch.y.as_mut_slice()[0] = f32::NAN;

@@ -17,6 +17,7 @@
 //! the chunks of the layer-sized `y`, the ring-fused driver (`fused.rs`)
 //! the chunks its thread's ring holds for the panel in flight.
 
+use wino_sched::probed::{record_coord, span_start};
 use wino_sched::Executor;
 use wino_simd::{Kernel, Simd16, S};
 use wino_tensor::BlockedImage;
@@ -189,7 +190,8 @@ pub fn inverse_transform(
     let ctx = Stage3Ctx::new(layer, output.as_mut_ptr());
     let scratch_ref: &Scratch = scratch;
     let y: &TileMajor = &scratch_ref.y;
-    let stage_start = crate::spans::span_start();
+    let probe = exec.probe();
+    let stage_start = span_start(probe);
 
     exec.run_grid(&dims, &|slot, flat| {
         let n = flat % n_tiles;
@@ -210,7 +212,8 @@ pub fn inverse_transform(
         // output tiles.
         unsafe { ctx.tile(tb, y.tile(b, og, n).as_ptr(), b, og, n) };
     })?;
-    crate::spans::record_coord(exec, wino_probe::SpanCategory::OutputTransform, stage_start);
+    // SAFETY: the coordinator thread, after the join.
+    unsafe { record_coord(probe, wino_probe::SpanCategory::OutputTransform, stage_start) };
     #[cfg(feature = "fault-inject")]
     if wino_sched::fault::take_poison_stage(3) {
         output.as_mut_slice()[0] = f32::NAN;

@@ -1,61 +1,19 @@
-//! Monotonic time sources for span timestamps.
+//! The monotonic time source for span timestamps.
 //!
-//! The canonical clock is [`now_ns`]: nanoseconds since a process-local
-//! epoch, read from [`std::time::Instant`] (monotonic, immune to wall-clock
-//! steps). On x86-64 a raw [`cycles`] reading is also available for
-//! ad-hoc cycle accounting; span events always store nanoseconds so that
-//! reports are comparable across hosts with different TSC frequencies.
-//!
-//! With the `enabled` feature off, [`now_ns`] is a `const`-foldable zero:
-//! instrumented call sites guarded by [`crate::ENABLED`] compile away
-//! entirely.
+//! [`now_ns`] is nanoseconds since a process-local epoch, read from
+//! [`std::time::Instant`] (monotonic, immune to wall-clock steps), so
+//! reports are comparable across hosts. It always reads the clock: a hot
+//! path that must not pay for that when nobody collects takes its
+//! timestamps through `wino_sched::probed::span_start`, which reads it
+//! only when handed a collector.
 
-#[cfg(feature = "enabled")]
 use std::sync::OnceLock;
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 /// Nanoseconds since the first call in this process (monotonic).
-#[cfg(feature = "enabled")]
 pub fn now_ns() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// Nanoseconds since the process epoch — disabled build: always 0.
-#[cfg(not(feature = "enabled"))]
-#[inline(always)]
-pub fn now_ns() -> u64 {
-    0
-}
-
-/// Current time if instrumentation is enabled, else 0 without touching
-/// the clock. Use this on hot paths: the disabled form is a constant and
-/// the surrounding recording branch folds away.
-#[inline(always)]
-pub fn tick() -> u64 {
-    if crate::ENABLED {
-        now_ns()
-    } else {
-        0
-    }
-}
-
-/// Raw time-stamp-counter reading (x86-64 only). Frequency is
-/// machine-dependent; use only for relative cycle accounting on one host.
-/// Not serialising: pair with a fence if you need precise ordering
-/// against surrounding loads/stores.
-#[cfg(target_arch = "x86_64")]
-pub fn cycles() -> u64 {
-    // SAFETY: `rdtsc` is unprivileged and has no memory effects; it is
-    // safe to execute on every x86-64 CPU.
-    unsafe { core::arch::x86_64::_rdtsc() }
-}
-
-/// Raw cycle counter — unavailable on this architecture, returns 0.
-#[cfg(not(target_arch = "x86_64"))]
-pub fn cycles() -> u64 {
-    0
 }
 
 #[cfg(test)]
@@ -63,28 +21,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn now_is_monotonic_or_zero() {
+    fn now_is_monotonic() {
         let a = now_ns();
         let b = now_ns();
-        if crate::ENABLED {
-            assert!(b >= a);
-        } else {
-            assert_eq!((a, b), (0, 0));
-        }
-    }
-
-    #[test]
-    fn tick_matches_feature_state() {
-        if !crate::ENABLED {
-            assert_eq!(tick(), 0);
-        }
-    }
-
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn cycles_advances() {
-        let a = cycles();
-        let b = cycles();
         assert!(b >= a);
     }
 }

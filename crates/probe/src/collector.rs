@@ -10,22 +10,18 @@
 //! merged only at fork–join boundaries, when every worker has provably
 //! exited the job closure.
 //!
-//! With the crate's `enabled` feature off the buffers are never
-//! allocated and [`Collector::record`] is an empty inline function.
+//! A collector exists only where a run is instrumented (inside a
+//! `wino_sched::ProbedExecutor`); code that is handed none records nothing.
 
-#[cfg(feature = "enabled")]
 use std::cell::UnsafeCell;
 
-use crate::event::{SpanCategory, SpanEvent};
-#[cfg(any(feature = "enabled", test))]
-use crate::event::COORDINATOR;
+use crate::event::{SpanCategory, SpanEvent, COORDINATOR};
 
 /// Per-slot span buffers. See the module docs for the threading contract.
 #[derive(Debug)]
 pub struct Collector {
     slots: usize,
     /// `slots + 1` buffers: index `slots` is the coordinator's.
-    #[cfg(feature = "enabled")]
     bufs: Vec<UnsafeCell<Vec<SpanEvent>>>,
 }
 
@@ -41,7 +37,6 @@ impl Collector {
     pub fn new(slots: usize) -> Collector {
         Collector {
             slots,
-            #[cfg(feature = "enabled")]
             bufs: (0..slots + 1).map(|_| UnsafeCell::new(Vec::new())).collect(),
         }
     }
@@ -51,31 +46,24 @@ impl Collector {
         self.slots
     }
 
-    /// Append one span to `thread`'s buffer ([`COORDINATOR`](crate::event::COORDINATOR) for the
-    /// fork-issuing thread). No-op when the `enabled` feature is off.
+    /// Append one span to `thread`'s buffer ([`COORDINATOR`] for the
+    /// fork-issuing thread).
     ///
     /// # Safety
     /// At most one thread may record to a given `thread` id at a time,
-    /// and `thread` must be `< slots` or [`COORDINATOR`](crate::event::COORDINATOR). Worker slots
+    /// and `thread` must be `< slots` or [`COORDINATOR`]. Worker slots
     /// satisfy this through the Executor slot contract; the coordinator
     /// id must only be used outside in-flight fork–joins.
     #[inline]
     pub unsafe fn record(&self, thread: u32, category: SpanCategory, start_ns: u64, end_ns: u64) {
-        #[cfg(feature = "enabled")]
-        {
-            let idx = if thread == COORDINATOR { self.slots } else { thread as usize };
-            // SAFETY: exclusive buffer access per this function's contract.
-            let buf = unsafe { &mut *self.bufs[idx].get() };
-            buf.push(SpanEvent { category, thread, start_ns, end_ns });
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (thread, category, start_ns, end_ns);
-        }
+        let idx = if thread == COORDINATOR { self.slots } else { thread as usize };
+        // SAFETY: exclusive buffer access per this function's contract.
+        let buf = unsafe { &mut *self.bufs[idx].get() };
+        buf.push(SpanEvent { category, thread, start_ns, end_ns });
     }
 
     /// Merge and clear every per-thread buffer, returning the events
-    /// sorted by start time. Always empty in disabled builds.
+    /// sorted by start time.
     ///
     /// # Safety
     /// No thread may be recording into this collector during the call —
@@ -83,46 +71,14 @@ impl Collector {
     /// flight. Calling it after a `run_grid` returned (its join is the
     /// synchronisation point) satisfies this.
     pub unsafe fn drain(&self) -> Vec<SpanEvent> {
-        #[cfg(feature = "enabled")]
-        {
-            let mut out = Vec::new();
-            for b in &self.bufs {
-                // SAFETY: no concurrent recording per this function's
-                // contract, so the exclusive reference is unique.
-                out.append(unsafe { &mut *b.get() });
-            }
-            out.sort_by_key(|e| (e.start_ns, e.thread));
-            out
+        let mut out = Vec::new();
+        for b in &self.bufs {
+            // SAFETY: no concurrent recording per this function's
+            // contract, so the exclusive reference is unique.
+            out.append(unsafe { &mut *b.get() });
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Vec::new()
-        }
-    }
-
-    /// Total buffered events. Same exclusivity contract as [`Collector::drain`].
-    ///
-    /// # Safety
-    /// See [`Collector::drain`].
-    pub unsafe fn len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            // SAFETY: no concurrent recording per this function's contract.
-            self.bufs.iter().map(|b| unsafe { (*b.get()).len() }).sum()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
-    }
-
-    /// Whether no events are buffered. Same contract as [`Collector::drain`].
-    ///
-    /// # Safety
-    /// See [`Collector::drain`].
-    pub unsafe fn is_empty(&self) -> bool {
-        // SAFETY: forwarded contract.
-        unsafe { self.len() == 0 }
+        out.sort_by_key(|e| (e.start_ns, e.thread));
+        out
     }
 }
 
@@ -141,37 +97,16 @@ mod tests {
         }
         // SAFETY: no recording in flight.
         let events = unsafe { c.drain() };
-        if crate::ENABLED {
-            assert_eq!(events.len(), 3);
-            // Sorted by start time.
-            assert_eq!(events[0].category, SpanCategory::ForkJoin);
-            assert_eq!(events[1].start_ns, 5);
-            assert_eq!(events[2].thread, 0);
-            // Drained: second drain is empty.
-            // SAFETY: no recording in flight.
-            assert!(unsafe { c.drain() }.is_empty());
-        } else {
-            assert!(events.is_empty());
-        }
-    }
-
-    #[test]
-    fn disabled_build_records_nothing() {
-        let c = Collector::new(4);
-        // SAFETY: single-threaded test.
-        unsafe { c.record(3, SpanCategory::Other, 1, 2) };
+        assert_eq!(events.len(), 3);
+        // Sorted by start time.
+        assert_eq!(events[0].category, SpanCategory::ForkJoin);
+        assert_eq!(events[1].start_ns, 5);
+        assert_eq!(events[2].thread, 0);
+        // Drained: second drain is empty.
         // SAFETY: no recording in flight.
-        let n = unsafe { c.len() };
-        if crate::ENABLED {
-            assert_eq!(n, 1);
-        } else {
-            assert_eq!(n, 0);
-            // SAFETY: no recording in flight.
-            assert!(unsafe { c.is_empty() });
-        }
+        assert!(unsafe { c.drain() }.is_empty());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn concurrent_slots_do_not_interfere() {
         let c = Collector::new(4);
@@ -187,6 +122,6 @@ mod tests {
             }
         });
         // SAFETY: all writers joined by the scope.
-        assert_eq!(unsafe { c.len() }, 400);
+        assert_eq!(unsafe { c.drain() }.len(), 400);
     }
 }

@@ -1,19 +1,19 @@
 //! Always-on monotonic counters for rare, discrete events.
 //!
-//! The span substrate ([`crate::Collector`]) measures *time* and compiles
-//! out without the `enabled` feature; the numerical-robustness subsystem
+//! The span substrate ([`crate::Collector`]) measures *time*, and only on
+//! a run that carries a collector; the numerical-robustness subsystem
 //! additionally needs to *count* things that are cheap, rare and
 //! semantically load-bearing — how many output tiles the accuracy
 //! sentinels re-verified, how many tripped, how the degradation ladder
 //! resolved them. Tests assert on these (e.g. "sample rate 0 ⇒ zero
-//! tiles checked"), so unlike spans they are compiled unconditionally:
+//! tiles checked"), so unlike spans they count on every run:
 //! one relaxed atomic add per *sampled tile*, nothing per output element.
 //!
 //! Counters are process-global and monotonic; [`reset_all`] exists for
 //! tests and report boundaries. The serving layer (`wino-serve`) adds
 //! its own family — admission/shed tallies, batch outcomes, breaker
 //! trips, pool rebuilds and a high-water queue depth — with the same
-//! compiled-unconditionally contract: the overload gates assert on them.
+//! every-run contract: the overload gates assert on them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

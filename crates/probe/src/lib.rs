@@ -13,10 +13,10 @@
 //! * **Recording** ([`Collector`], [`SpanCategory`], [`now_ns`]):
 //!   monotonic span timers writing to per-thread append-only buffers —
 //!   no locks or shared cache lines on the hot path; buffers merge only
-//!   at fork–join boundaries. Behind the `enabled` feature the whole
-//!   substrate compiles to no-ops while staying API-compatible, so
-//!   instrumented code carries no `cfg` noise (gate on the [`ENABLED`]
-//!   const, which folds the branch away).
+//!   at fork–join boundaries. Always compiled; whether a run is
+//!   instrumented is decided at run time, by whether its executor carries
+//!   a collector (`wino_sched::Executor::probe`) — code handed none reads
+//!   no clock and writes no buffer.
 //! * **Analysis** ([`fold`], [`StageReport`], [`WorkModel`],
 //!   [`MachineModel`]): folds events into per-stage wall/CPU time,
 //!   effective GFLOP/s, arithmetic intensity, bytes moved, a software
@@ -43,14 +43,9 @@
 //! let machine = MachineModel { peak_gflops: 100.0, mem_bw_gbps: 50.0, threads: 4 };
 //! let report = fold(&events, &work, &machine);
 //!
-//! if wino_probe::ENABLED {
-//!     // 4 GFLOP in 2 ms → 2000 GFLOP/s, arithmetic intensity 4 FLOP/byte.
-//!     let gemm = &report.stages[0];
-//!     assert_eq!(gemm.arith_intensity, Some(4.0));
-//! } else {
-//!     // Disabled builds record nothing — and that is a guarantee.
-//!     assert!(events.is_empty());
-//! }
+//! // 4 GFLOP in 2 ms → 2000 GFLOP/s, arithmetic intensity 4 FLOP/byte.
+//! let gemm = &report.stages[0];
+//! assert_eq!(gemm.arith_intensity, Some(4.0));
 //! ```
 
 pub mod clock;
@@ -61,7 +56,7 @@ pub mod json;
 pub mod report;
 pub mod schema;
 
-pub use clock::{cycles, now_ns, tick};
+pub use clock::now_ns;
 pub use collector::Collector;
 pub use counters::Counter;
 pub use event::{SpanCategory, SpanEvent, ALL_CATEGORIES, COORDINATOR};
@@ -71,7 +66,3 @@ pub use schema::{
     validate as validate_schema, BACKEND_NAMES, FALLBACK_CODES, SCALING_MODES, SCHEMA_VERSION,
     SMOKE_SKEW_BUDGET_US,
 };
-
-/// Whether instrumentation is compiled in (the `enabled` cargo feature).
-/// A `const`, so `if ENABLED { … }` guards fold away in disabled builds.
-pub const ENABLED: bool = cfg!(feature = "enabled");

@@ -231,7 +231,7 @@ fn validate_layer(i: usize, layer: &Json, errs: &mut Vec<String>) {
                 }
             }
             if stages.is_empty() {
-                errs.push(format!("{} is empty (was the probe feature enabled?)", ctx("stages")));
+                errs.push(format!("{} is empty (did the run carry a ProbedExecutor?)", ctx("stages")));
             } else if with_work == 0 {
                 errs.push(format!(
                     "{} has no stage with gflops + arith_intensity (work model missing)",

@@ -14,10 +14,15 @@
 //!   task — the cheapest possible hot-path footprint; the coordinator
 //!   reads them only after the inner `run_grid` joined, which is the
 //!   synchronisation point.
-//! * With the `probe` feature off (more precisely: with `wino-probe`'s
-//!   `enabled` feature off anywhere in the build), every branch below is
-//!   guarded by the `wino_probe::ENABLED` const and folds away — the
-//!   wrapper then delegates with zero added work.
+//! * Whether a run is instrumented has one gate: whether its executor
+//!   carries a collector. Stage code asks [`Executor::probe`] once per
+//!   call and takes every timestamp through the helpers below
+//!   ([`span_start`], [`record_coord`], [`record_coord_span`],
+//!   [`record_slot`]), which read no clock and write no buffer when
+//!   handed `None` — so a run on a plain executor pays one predictable
+//!   branch per span site and nothing else. `wino-lint`'s
+//!   `clock-through-span-helpers` rule keeps direct clock reads out of
+//!   the convolution crates.
 //!
 //! A `ProbedExecutor` must not execute two grids concurrently (no
 //! executor in this crate supports that anyway: the static pool's
@@ -26,10 +31,60 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use wino_probe::{Collector, SpanCategory, COORDINATOR};
+use wino_probe::{now_ns, Collector, SpanCategory, COORDINATOR};
 
 use crate::pool::PoolError;
 use crate::Executor;
+
+/// Timestamp for a later `record_*` call on the same `probe`: 0, without
+/// reading the clock, when the run carries no collector.
+#[inline]
+pub fn span_start(probe: Option<&Collector>) -> u64 {
+    probe.map_or(0, |_| now_ns())
+}
+
+/// Record a coordinator span of `cat` from `start` to now, if the run
+/// carries a collector.
+///
+/// # Safety
+/// Must be called from the fork-issuing thread with no fork–join on
+/// `probe`'s executor in flight — the position of stage code right after
+/// `run_grid` returns — so that the coordinator buffer is exclusive.
+#[inline]
+pub unsafe fn record_coord(probe: Option<&Collector>, cat: SpanCategory, start: u64) {
+    // SAFETY: forwarded contract.
+    unsafe { record_coord_span(probe, cat, start, span_start(probe)) };
+}
+
+/// [`record_coord`] with an explicit end — for the fused fork–join, whose
+/// one interval is reported as three stage spans.
+///
+/// # Safety
+/// See [`record_coord`].
+#[inline]
+pub unsafe fn record_coord_span(probe: Option<&Collector>, cat: SpanCategory, start: u64, end: u64) {
+    if let Some(c) = probe {
+        // SAFETY: coordinator thread between fork–joins per this
+        // function's contract, so the coordinator buffer is exclusive.
+        unsafe { c.record(COORDINATOR, cat, start, end) };
+    }
+}
+
+/// Record a worker span of `cat` from `start` to now under `slot`, if the
+/// run carries a collector.
+///
+/// # Safety
+/// Must be called from inside a `run_grid` task of `probe`'s executor
+/// that holds `slot` (the Executor slot-exclusivity contract makes the
+/// slot's buffer exclusive).
+#[inline]
+pub unsafe fn record_slot(probe: Option<&Collector>, slot: usize, cat: SpanCategory, start: u64) {
+    if let Some(c) = probe {
+        // SAFETY: the caller holds `slot`, so its buffer is exclusively
+        // this thread's for the call.
+        unsafe { c.record(slot as u32, cat, start, now_ns()) };
+    }
+}
 
 /// Wraps any executor and records fork–join + barrier-wait spans.
 pub struct ProbedExecutor<E> {
@@ -73,24 +128,21 @@ impl<E: Executor> Executor for ProbedExecutor<E> {
         dims: &[usize],
         task: &(dyn Fn(usize, usize) + Sync),
     ) -> Result<(), PoolError> {
-        if !wino_probe::ENABLED {
-            return self.inner.run_grid(dims, task);
-        }
         for a in &self.arrivals {
             // ORDERING: Relaxed — the grid's fork (inside inner.run_grid)
             // publishes this reset to workers; timestamps are only read
             // back after the join below.
             a.store(0, Ordering::Relaxed);
         }
-        let t_fork = wino_probe::now_ns();
+        let t_fork = now_ns();
         let result = self.inner.run_grid(dims, &|slot, idx| {
             task(slot, idx);
             // ORDERING: Relaxed — last-write-wins arrival timestamp; the
             // inner executor's join is the happens-before edge to the
             // coordinator's read.
-            self.arrivals[slot].store(wino_probe::now_ns().max(1), Ordering::Relaxed);
+            self.arrivals[slot].store(now_ns().max(1), Ordering::Relaxed);
         });
-        let t_join = wino_probe::now_ns();
+        let t_join = now_ns();
         // SAFETY: the inner run_grid joined every worker, so no task is
         // recording; the coordinator buffer and the worker buffers are
         // exclusively ours until this method returns.
@@ -137,19 +189,15 @@ mod tests {
         e.run_grid(&[32], &|_, _| {}).unwrap();
         e.run_grid(&[8, 8], &|_, _| {}).unwrap();
         let events = e.take_events();
-        if wino_probe::ENABLED {
-            assert_eq!(by_cat(&events, SpanCategory::ForkJoin).len(), 2);
-            // Every slot got work on both grids (32 and 64 tasks over 3
-            // threads), so 3 waits per fork–join.
-            assert_eq!(by_cat(&events, SpanCategory::BarrierWait).len(), 6);
-            for w in by_cat(&events, SpanCategory::BarrierWait) {
-                assert!((w.thread as usize) < 3);
-            }
-            // Drained: a second take is empty.
-            assert!(e.take_events().is_empty());
-        } else {
-            assert!(events.is_empty());
+        assert_eq!(by_cat(&events, SpanCategory::ForkJoin).len(), 2);
+        // Every slot got work on both grids (32 and 64 tasks over 3
+        // threads), so 3 waits per fork–join.
+        assert_eq!(by_cat(&events, SpanCategory::BarrierWait).len(), 6);
+        for w in by_cat(&events, SpanCategory::BarrierWait) {
+            assert!((w.thread as usize) < 3);
         }
+        // Drained: a second take is empty.
+        assert!(e.take_events().is_empty());
     }
 
     #[test]
@@ -188,11 +236,6 @@ mod tests {
         e.run_grid(&[16], &|_, _| {}).unwrap();
         assert_eq!(e.threads(), 2);
         assert_eq!(e.name(), "static");
-        let events = e.take_events();
-        if wino_probe::ENABLED {
-            assert!(!events.is_empty());
-        } else {
-            assert!(events.is_empty());
-        }
+        assert!(!e.take_events().is_empty());
     }
 }

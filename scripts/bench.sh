@@ -58,7 +58,7 @@ run() {
     timeout --kill-after=30 "$BENCH_TIMEOUT" "$@"
 }
 
-run cargo build --offline --release -p wino-bench --features probe
+run cargo build --offline --release -p wino-bench
 
 if [ "$MODE" = scaling ]; then
     out=target/BENCH_scaling.json
@@ -99,7 +99,7 @@ fi
 # at (the n_blk x 1 register block ran 28-row panels at 0.45x). The
 # bench compares the two in one process, so host-state noise cancels.
 if [ "$MODE" = smoke ]; then
-    run cargo bench --offline -q -p wino-bench --features probe --bench gemm -- --check
+    run cargo bench --offline -q -p wino-bench --bench gemm -- --check
 fi
 
 # Fusion shape gate: every table layer plans, both schedules run, and the

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full local gate: build, test (both feature configurations) and lint,
+# Full local gate: build, test (with and without fault injection) and lint,
 # each under a timeout so a hung fork–join can never wedge CI. Run from
 # the repo root: scripts/check.sh
 set -euo pipefail
@@ -33,16 +33,25 @@ run_filtered() {
 
 run "$BUILD_TIMEOUT" cargo build --workspace --offline --release
 run "$BUILD_TIMEOUT" cargo build --workspace --offline --all-targets
-# Feature matrix: default × probe × fault-inject, plus both together —
-# the instrumented fault paths must hold under every configuration.
+# Feature matrix: default × fault-inject. Instrumentation is not a build
+# configuration — the span tests run in both (a run is instrumented iff
+# its executor carries a collector).
 run "$TEST_TIMEOUT" cargo test --workspace --offline -q
 run "$TEST_TIMEOUT" cargo test --workspace --offline -q --features fault-inject
-run "$TEST_TIMEOUT" cargo test --workspace --offline -q --features probe
-run "$TEST_TIMEOUT" cargo test --workspace --offline -q --features probe,fault-inject
 run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets -- -D warnings
 run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features fault-inject -- -D warnings
-run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features probe -- -D warnings
-run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features probe,fault-inject -- -D warnings
+
+# Span gate: the tests that say what the one instrumentation gate is — a
+# probed pass reports a `fork-join` per `run_grid` and the stage spans
+# (three back to back under the fused one), a plain executor records
+# nothing and reads no clock, the `ProbedExecutor` wrapper records, and
+# the bench-level fold sees every stage. Named, so a rename cannot empty it.
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv --lib -- \
+    conv::tests::forward_is_four_fork_joins \
+    conv::tests::a_fused_pass_reports_three_stage_spans \
+    conv::tests::a_plain_executor_records_nothing
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-sched probed::
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 
 # ISA matrix: one binary carries the scalar, AVX2 and AVX-512 kernels,
 # and `WINO_SIMD` (a test seam — it can only lower the backend) pins
@@ -172,7 +181,7 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-sched topology
 scripts/bench.sh --smoke
 
 # Scaling gate: a strong/weak thread sweep over the smoke layers must
-# emit a valid schema-v4 scaling report, hold parallel efficiency ≥ 0.6
+# emit a valid schema-v5 scaling report, hold parallel efficiency ≥ 0.6
 # at the host thread count on at least one smoke layer, and keep barrier
 # skew under the probe budget (docs/scaling.md).
 scripts/bench.sh --scaling-smoke

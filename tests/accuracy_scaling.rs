@@ -161,20 +161,27 @@ fn every_scaled_layer_plans_and_runs() {
 
 #[test]
 fn tile_selection_picks_a_valid_plan() {
-    use winograd_nd_repro::conv::select::{select_tile, Purpose};
+    use winograd_nd_repro::conv::select::{candidate_tiles, Purpose};
     let shape = ConvShape::new(1, 16, 16, &[18, 18], &[3, 3], &[1, 1]).unwrap();
-    let sel = select_tile(&shape, ConvOptions::default(), Purpose::Training, &SerialExecutor, 1)
+    // The largest tile the planner accepts under the purpose's budget.
+    let purpose = Purpose::Training;
+    let opts = ConvOptions { budget: Some(purpose.budget()), ..Default::default() };
+    let candidates = candidate_tiles(&shape, purpose, &opts);
+    assert_eq!(candidates.len(), 5);
+    let plan = candidates
+        .iter()
+        .rev()
+        .find_map(|m| WinogradLayer::new(shape.clone(), m, opts).ok())
         .unwrap();
-    assert!(sel.m.iter().all(|&m| (2..=6).contains(&m)));
-    assert_eq!(sel.trials.len(), 5);
+    assert!(plan.grid.m.iter().all(|&m| (2..=6).contains(&m)));
     // The selected plan actually convolves correctly.
     let img = uniform_input(&shape, 8);
     let ker = xavier_kernels(&shape, 9);
     let input = BlockedImage::from_simple(&img).unwrap();
     let kernels = BlockedKernels::from_simple(&ker).unwrap();
-    let mut out = sel.plan.new_output().unwrap();
-    let mut scratch = Scratch::new(&sel.plan, 1);
-    sel.plan.forward(&input, &kernels, &mut out, &mut scratch, &SerialExecutor).unwrap();
+    let mut out = plan.new_output().unwrap();
+    let mut scratch = Scratch::new(&plan, 1);
+    plan.forward(&input, &kernels, &mut out, &mut scratch, &SerialExecutor).unwrap();
     let truth = direct_f64(&img, &ker, &shape.padding);
     let (max_err, _) = element_errors(&out.to_simple(), &truth);
     assert!(max_err < 1e-3);
