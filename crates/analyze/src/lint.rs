@@ -162,14 +162,21 @@ mod tests {
 
     #[test]
     fn generated_codelets_are_linted_and_their_unsafe_is_covered() {
-        let src = wino_conv::codelet::GENERATED_SOURCE;
-        // 24 line codelets, the store helper, three dispatchers: each an
-        // `unsafe fn`, the codelets with an `unsafe` block inside.
+        use wino_conv::codelet::{GENERATED_SOURCE as src, TABLE_MAX_M as M, TABLE_MAX_R as R};
+        // One line codelet per distinct program of the table: `G` and `Aᵀ`
+        // of every `F(m, r)`, `Bᵀ` once per `α = m + r − 1`. Each is an
+        // `unsafe fn` with an `unsafe` block inside, and is one arm — one
+        // `table_row!` wrapper, whose own `unsafe` is linted with
+        // `codelet.rs` — of its family's dispatcher.
+        let codelets = 2 * M * R + (M + R - 1);
+        assert_eq!(src.matches("pub(crate) unsafe fn ").count(), codelets + 1, "codelets + `put`");
+        assert_eq!(src.matches("=> table_row!(V, NT, pass, ").count(), codelets);
         let unsafe_tokens = crate::lexer::lex(src)
             .iter()
             .filter(|t| t.kind == crate::lexer::TokKind::Ident && t.text(src) == "unsafe")
             .count();
-        assert!(unsafe_tokens >= 2 * 24 + 4, "generated source lost unsafe sites: {unsafe_tokens}");
+        // … plus the store helper and the three dispatchers.
+        assert_eq!(unsafe_tokens, 2 * codelets + 4, "generated source lost unsafe sites");
         assert_eq!(lint_file(GENERATED_CODELETS_PATH, src), vec![]);
         // The coverage is real: the same text without its justifications
         // trips the rule once per site.

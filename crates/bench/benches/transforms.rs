@@ -1,8 +1,8 @@
 //! Transform-codelet cost per tile: the generated straight-line codelets
-//! the stages run against the interpreter they replaced, for `Bᵀ`, `G`
-//! and `Aᵀ` of F(2|4|6, 3) on one L1-resident 2-D tile — and, on the
-//! interpreter, the Fig. 2 pairing optimisation against the unpaired
-//! program.
+//! the stages run, for `Bᵀ`, `G` and `Aᵀ` of F(2|4|6, 3), F(3, 4) and
+//! F(2, 5) on one L1-resident 2-D tile — and, on the reference
+//! interpreter (`vecprog`), the Fig. 2 pairing optimisation against the
+//! unpaired program.
 //!
 //! Plain `harness = false` benchmark: no registry dependencies, timing via
 //! `wino_workloads::time_best`. Run with
@@ -36,7 +36,6 @@ fn unpaired(p: &PairedProgram, dense: &wino_transforms::F32Matrix) -> PairedProg
 struct StageTile<'a> {
     which: Matrix,
     plans: &'a [FmrPlan],
-    interpret: bool,
     input: &'a [f32],
     output: &'a mut [f32],
     tmp_a: &'a mut [f32],
@@ -44,14 +43,13 @@ struct StageTile<'a> {
 }
 
 impl Kernel for StageTile<'_> {
-    type Output = bool;
+    type Output = ();
 
     #[inline(always)]
-    fn run<V: Simd16>(self) -> bool {
+    fn run<V: Simd16>(self) {
         transform_tile::<V>(
             self.which,
             self.plans,
-            self.interpret,
             self.input,
             self.output,
             self.tmp_a,
@@ -90,7 +88,7 @@ fn main() {
             elems / best_ms / 1e3
         );
     };
-    for (m, r) in [(2usize, 3usize), (4, 3), (6, 3)] {
+    for (m, r) in [(2usize, 3usize), (4, 3), (6, 3), (3, 4), (2, 5)] {
         let plans = [FmrPlan::new(m, r), FmrPlan::new(m, r)];
         let alpha = plans[0].alpha();
         let t_vol = alpha * alpha;
@@ -99,30 +97,26 @@ fn main() {
         let mut tmp_a = AlignedVec::zeroed(t_vol * S);
         let mut tmp_b = AlignedVec::zeroed(t_vol * S);
 
-        // Generated codelet vs interpreter, through the same driver.
+        // The generated codelets, through the stages' driver.
         for (name, which, in_vol) in
             [("bt", Matrix::Bt, t_vol), ("g", Matrix::G, r * r), ("at", Matrix::At, t_vol)]
         {
             let input = &source[..in_vol * S];
             let elems = (in_vol * S * TILES_PER_REP) as f64;
-            for (route, interpret) in [("interpreted", true), ("generated", false)] {
-                let t = time_best(REPS, || {
-                    for _ in 0..TILES_PER_REP {
-                        let generated = wino_simd::dispatch(StageTile {
-                            which,
-                            plans: &plans,
-                            interpret,
-                            input: std::hint::black_box(input),
-                            output: &mut output,
-                            tmp_a: tmp_a.as_mut_slice(),
-                            tmp_b: tmp_b.as_mut_slice(),
-                        });
-                        assert_eq!(generated, !interpret);
-                    }
-                });
-                std::hint::black_box(output.first());
-                row(&format!("{name}_{route}"), m, r, t.best_ms, elems);
-            }
+            let t = time_best(REPS, || {
+                for _ in 0..TILES_PER_REP {
+                    wino_simd::dispatch(StageTile {
+                        which,
+                        plans: &plans,
+                        input: std::hint::black_box(input),
+                        output: &mut output,
+                        tmp_a: tmp_a.as_mut_slice(),
+                        tmp_b: tmp_b.as_mut_slice(),
+                    });
+                }
+            });
+            std::hint::black_box(output.first());
+            row(&format!("{name}_generated"), m, r, t.best_ms, elems);
         }
 
         // Fig. 2: paired vs unpaired program, both on the interpreter.

@@ -1,14 +1,19 @@
 //! Accuracy table: a-priori error bounds vs measured errors for every
 //! practical `F(m, r)`.
 //!
-//! For each `m ∈ {2, 4, 6, 8}`, `r ∈ {3, 5}` and both interpolation-point
-//! schedules, one synthetic layer is convolved and its measured max
-//! relative error (against the f64 direct oracle) is printed next to the
-//! exact-conditioning bound the planner and the runtime sentinels use
+//! For each `m ∈ {2, 4, 6, 8}` and `r ∈ {3, 5}` one synthetic layer is
+//! convolved and its measured max relative error (against the f64 direct
+//! oracle) is printed next to the exact-conditioning bound the planner
+//! and the runtime sentinels use
 //! ([`wino_conv::WinogradLayer::predicted_bound`], built from
-//! [`wino_transforms::Conditioning`]). Every row must satisfy
+//! [`wino_transforms::Conditioning`]). Every measured row must satisfy
 //! `measured ≤ predicted` — the binary exits non-zero otherwise, so the
 //! table doubles as the accuracy gate in `scripts/check.sh`.
+//!
+//! The engine plans the mixed (Wincnn-style) interpolation points only.
+//! The `integer` rows are the conditioning ablation's other half, from
+//! [`Conditioning`] alone: the exact γ of the integer schedule and the
+//! bound it would predict for the same layer, with no measured column.
 //!
 //! ```text
 //! cargo run -p wino-bench --release --bin accuracy -- [--threads N] [--json]
@@ -20,7 +25,8 @@
 //! non-zero on any trip (see [`sentinel_smoke`]).
 //!
 //! Columns: `m, r, points, gamma, predicted_bound, measured_rel_err,
-//! headroom` (headroom = predicted / measured; ≥ 1 when the bound holds).
+//! headroom` (headroom = predicted / measured; ≥ 1 when the bound holds;
+//! both empty on an `integer` row).
 
 use wino_baseline::{direct_f64, element_errors};
 use wino_bench::{make_executor, Args, Rows};
@@ -36,13 +42,12 @@ use wino_workloads::{scaled_catalog, uniform_input, xavier_kernels};
 fn measure(
     shape: &ConvShape,
     m: usize,
-    points: PointSchedule,
     truth_max: f64,
     truth: &wino_tensor::SimpleImage,
     exec: &dyn Executor,
 ) -> (f64, f64) {
-    let opts = ConvOptions { points, ..Default::default() };
-    let plan = WinogradLayer::new(shape.clone(), &[m, m], opts).expect("accuracy plans are valid");
+    let plan = WinogradLayer::new(shape.clone(), &[m, m], ConvOptions::default())
+        .expect("accuracy plans are valid");
     let img = uniform_input(shape, 2024);
     let ker = xavier_kernels(shape, 7);
     let input = BlockedImage::from_simple(&img).unwrap();
@@ -72,7 +77,7 @@ fn sentinel_smoke(exec: &dyn Executor) -> ! {
         let shape = &layer.shape;
         let purpose = Purpose::Inference;
         let opts = ConvOptions { budget: Some(purpose.budget()), ..Default::default() };
-        let plan = candidate_tiles(shape, purpose, &opts)
+        let plan = candidate_tiles(shape, purpose)
             .iter()
             .rev()
             .find_map(|m| WinogradLayer::new(shape.clone(), m, opts).ok())
@@ -129,28 +134,41 @@ fn main() {
         let truth = direct_f64(&img, &ker, &shape.padding);
         let truth_max = truth.data.iter().fold(0.0f64, |a, &v| a.max((v as f64).abs()));
 
-        for points in [PointSchedule::Mixed, PointSchedule::Integer] {
-            for m in [2usize, 4, 6, 8] {
-                let gamma = Conditioning::for_schedule(m, r, points).gamma;
-                let (measured, predicted) =
-                    measure(&shape, m, points, truth_max, &truth, exec.as_ref());
-                if measured > predicted {
-                    violations += 1;
-                    eprintln!(
-                        "VIOLATION: F({m}²,{r}²) {points:?}: measured {measured:.3e} \
-                         exceeds predicted bound {predicted:.3e}"
-                    );
-                }
-                sink.push(&[
-                    m.to_string(),
-                    r.to_string(),
-                    format!("{points:?}").to_lowercase(),
-                    format!("{gamma:.4e}"),
-                    format!("{predicted:.4e}"),
-                    format!("{measured:.4e}"),
-                    format!("{:.1}", predicted / measured.max(f64::MIN_POSITIVE)),
-                ]);
+        for m in [2usize, 4, 6, 8] {
+            let gamma = Conditioning::for_schedule(m, r, PointSchedule::Mixed).gamma;
+            let (measured, predicted) = measure(&shape, m, truth_max, &truth, exec.as_ref());
+            if measured > predicted {
+                violations += 1;
+                eprintln!(
+                    "VIOLATION: F({m}²,{r}²): measured {measured:.3e} exceeds predicted bound \
+                     {predicted:.3e}"
+                );
             }
+            sink.push(&[
+                m.to_string(),
+                r.to_string(),
+                "mixed".into(),
+                format!("{gamma:.4e}"),
+                format!("{predicted:.4e}"),
+                format!("{measured:.4e}"),
+                format!("{:.1}", predicted / measured.max(f64::MIN_POSITIVE)),
+            ]);
+        }
+        for m in [2usize, 4, 6, 8] {
+            // `predicted_bound`'s formula, with the integer schedule's γ
+            // in both dimensions.
+            let gamma = Conditioning::for_schedule(m, r, PointSchedule::Integer).gamma;
+            let terms = (shape.in_channels * r * r) as f64;
+            let predicted = f64::from(f32::EPSILON) * gamma * gamma * terms;
+            sink.push(&[
+                m.to_string(),
+                r.to_string(),
+                "integer".into(),
+                format!("{gamma:.4e}"),
+                format!("{predicted:.4e}"),
+                String::new(),
+                String::new(),
+            ]);
         }
     }
     sink.finish();

@@ -14,31 +14,30 @@
 //!
 //! `--json` replaces the formatted tables with one JSON array of rows
 //! `{block, case, train_max, train_avg, infer_max, infer_avg}`.
+//!
+//! The engine plans the Wincnn-style fractional points only; for the
+//! integer schedule `accuracy` prints the exact γ beside the mixed one.
 
 use wino_baseline::{direct_conv, direct_f64, element_errors};
 use wino_bench::{make_executor, Args, Rows};
 use wino_conv::{ConvOptions, Scratch, WinogradLayer};
 use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, ConvShape, SimpleImage, SimpleKernels};
-use wino_transforms::PointSchedule;
 use wino_workloads::{pretrained_kernels, uniform_input, xavier_kernels};
 
 struct Case {
     name: String,
     m: Option<Vec<usize>>, // None = direct f32 control
-    points: PointSchedule,
 }
 
 fn winograd_out(
     shape: &ConvShape,
     m: &[usize],
-    points: PointSchedule,
     img: &SimpleImage,
     ker: &SimpleKernels,
     exec: &dyn Executor,
 ) -> SimpleImage {
-    let opts = ConvOptions { points, ..Default::default() };
-    let layer = WinogradLayer::new(shape.clone(), m, opts)
+    let layer = WinogradLayer::new(shape.clone(), m, ConvOptions::default())
         .expect("table3 plans must be valid");
     let input = BlockedImage::from_simple(img).unwrap();
     let kernels = BlockedKernels::from_simple(ker).unwrap();
@@ -78,8 +77,8 @@ fn run_block(
                 direct_out(shape, &img, &infer_ker, exec),
             ),
             Some(m) => (
-                winograd_out(shape, m, case.points, &img, &train_ker, exec),
-                winograd_out(shape, m, case.points, &img, &infer_ker, exec),
+                winograd_out(shape, m, &img, &train_ker, exec),
+                winograd_out(shape, m, &img, &infer_ker, exec),
             ),
         };
         let (tmax, tavg) = element_errors(&out_train, &truth_train);
@@ -127,8 +126,8 @@ fn main() {
         Rows::new(true, &["block", "case", "train_max", "train_avg", "infer_max", "infer_avg"])
     });
 
-    let mk = |name: &str, m: Vec<usize>, points| Case { name: name.into(), m: Some(m), points };
-    let direct = || Case { name: "Direct".into(), m: None, points: PointSchedule::Mixed };
+    let mk = |name: &str, m: Vec<usize>| Case { name: name.into(), m: Some(m) };
+    let direct = || Case { name: "Direct".into(), m: None };
 
     let shape2d = ConvShape::new(1, 64, 64, &[img2d, img2d], &[3, 3], &[1, 1]).unwrap();
     let tiles2d: Vec<(&str, Vec<usize>)> = vec![
@@ -139,20 +138,11 @@ fn main() {
         ("F(8²,3²)", vec![8, 8]),
     ];
     let mut cases2d = vec![direct()];
-    cases2d.extend(tiles2d.iter().map(|(n, m)| mk(n, m.clone(), PointSchedule::Mixed)));
+    cases2d.extend(tiles2d.iter().map(|(n, m)| mk(n, m.clone())));
     run_block(
         "VGG-style 2D layer (Table 3, top) — Wincnn-style fractional points",
         &shape2d,
         &cases2d,
-        exec.as_ref(),
-        &mut sink,
-    );
-    let mut cases2di = vec![direct()];
-    cases2di.extend(tiles2d.iter().map(|(n, m)| mk(n, m.clone(), PointSchedule::Integer)));
-    run_block(
-        "VGG-style 2D layer — integer-only interpolation points (conditioning ablation)",
-        &shape2d,
-        &cases2di,
         exec.as_ref(),
         &mut sink,
     );
@@ -166,20 +156,11 @@ fn main() {
         ("F(8x6²,3³)", vec![8, 6, 6]),
     ];
     let mut cases3d = vec![direct()];
-    cases3d.extend(tiles3d.iter().map(|(n, m)| mk(n, m.clone(), PointSchedule::Mixed)));
+    cases3d.extend(tiles3d.iter().map(|(n, m)| mk(n, m.clone())));
     run_block(
         "C3D-style 3D layer (Table 3, bottom) — Wincnn-style fractional points",
         &shape3d,
         &cases3d,
-        exec.as_ref(),
-        &mut sink,
-    );
-    let mut cases3di = vec![direct()];
-    cases3di.extend(tiles3d.iter().map(|(n, m)| mk(n, m.clone(), PointSchedule::Integer)));
-    run_block(
-        "C3D-style 3D layer — integer-only interpolation points (conditioning ablation)",
-        &shape3d,
-        &cases3di,
         exec.as_ref(),
         &mut sink,
     );

@@ -1,17 +1,27 @@
 //! Generated transform codelets and the N-D tile driver (§4.2.1).
 //!
-//! The paper's transform stages run *generated* straight-line codelets.
-//! Ours are printed at build time: `build.rs` lowers the Fig. 2 pair
-//! programs of `Bᵀ`, `G` and `Aᵀ` for `F(m, 3)`, `m ∈ 1..=8`
+//! The paper's transform stages run *generated* straight-line codelets,
+//! for arbitrary kernel and tile sizes. Ours are printed at build time:
+//! `build.rs` lowers the Fig. 2 pair programs of `Bᵀ`, `G` and `Aᵀ` for
+//! every `F(m, r)`, `m ∈ 1..=`[`TABLE_MAX_M`], `r ∈ 1..=`[`TABLE_MAX_R`]
 //! (`PointSchedule::Mixed`) through [`wino_transforms::emit`] into one
 //! `unsafe fn …<V: Simd16, const NT: bool>(inp, in_stride, out,
 //! out_stride)` per matrix — inputs loaded once, coefficients as
 //! literals, `±1` as add/sub — and this module includes the result.
-//! [`resolve`] maps a dimension's [`FmrPlan`] to its table entry at plan
-//! time; a layer whose every dimension has one runs the generated code,
-//! any other (`F(3, 2)`, `F(2, 5)`, `PointSchedule::Integer`, …) runs the
-//! [`crate::vecprog`] interpreter over the same programs. Both perform
-//! the same arithmetic in the same order, so they agree under f32 `==`.
+//! That rectangle is everything the engine plans: `WinogradLayer::new`
+//! rejects a dimension outside it ([`in_table`]) with
+//! `PlanError::BadTileSize`, so [`resolve`] is total over planned layers
+//! and the stages have one transform route. The [`crate::vecprog`]
+//! interpreter performs the same arithmetic in the same order over the
+//! same programs and is what the tests hold every row equal to (f32
+//! `==`); no engine path calls it.
+//!
+//! A table row is *one compiled function per backend and store flavour*:
+//! the generated dispatcher hands a pass to `V::enter`
+//! ([`wino_simd::Simd16::enter`]), one direct call per pass per tile, so
+//! the stage bodies that share the table (stage 1's tile and kernel
+//! tasks, stage 3, the fused driver, [`transform_tile`]) carry a `match`
+//! of calls rather than a copy of every codelet.
 //!
 //! `TileTransform::run` is the one entry point of stages 1 and 3: it
 //! applies the per-dimension line codelet along every dimension of a
@@ -31,6 +41,8 @@ use std::marker::PhantomData;
 
 use wino_simd::{Simd16, S};
 use wino_transforms::{FmrPlan, PairedProgram, PointSchedule};
+
+pub use generated::{TABLE_MAX_M, TABLE_MAX_R};
 
 use crate::plan::MAX_RANK;
 
@@ -77,7 +89,7 @@ pub(crate) struct Pass {
 impl Pass {
     /// A pass along dimension `d` of a tile whose *visited* extents are
     /// `dims` (entry `d` is not read). `d = rank` visits every element —
-    /// the copy passes of the interpreter fallback.
+    /// a copy pass ([`copy_tile`]).
     #[inline(always)]
     fn new(
         (inp, in_strides): (*const f32, Strides),
@@ -154,21 +166,40 @@ macro_rules! for_each_line {
     }};
 }
 
+/// One table row: sweep `$codelet` over every line of `$pass` as a single
+/// out-of-line call into `$V`'s arm. Expands inside [`Family::pass`].
+macro_rules! table_row {
+    ($V:ident, $NT:ident, $pass:expr, $codelet:ident) => {{
+        struct Row<'a, const NT: bool>(&'a $crate::codelet::Pass);
+        impl<const NT: bool> wino_simd::Kernel for Row<'_, NT> {
+            type Output = ();
+            #[inline(always)]
+            fn run<V: wino_simd::Simd16>(self) {
+                // SAFETY: a `Row` is built only by the expansion below,
+                // under `Family::pass`'s contract: every line the pass
+                // visits is valid for this row's codelet.
+                unsafe { for_each_line!(self.0, $codelet::<V, NT>) }
+            }
+        }
+        $V::enter(Row::<$NT>($pass))
+    }};
+}
+
 /// One of the three transform matrices, as a type: the stage bodies are
-/// monomorphised per matrix, so each carries only its own codelets.
+/// monomorphised per matrix, so each dispatches only over its own rows.
 pub(crate) trait Family {
     /// This family's program of a dimension's plan.
     fn program(plan: &FmrPlan) -> &PairedProgram;
 
-    /// Sweep the generated `F(m, 3)` codelet of this family over `pass`.
+    /// Sweep this family's generated `F(m, r)` codelet over `pass`.
     ///
     /// # Safety
-    /// `m` must be a table entry ([`resolve`]), and for every multi-index
-    /// the pass visits, the line at that offset must satisfy the
-    /// codelet's contract: `n_in` readable vectors `in_stride` apart,
+    /// `row = (m, r)` must be a table row ([`resolve`]), and for every
+    /// multi-index the pass visits, the line at that offset must satisfy
+    /// the codelet's contract: `n_in` readable vectors `in_stride` apart,
     /// `n_out` writable ones `out_stride` apart (64-byte aligned when
     /// `NT`), no written vector overlapping a read one.
-    unsafe fn pass<V: Simd16, const NT: bool>(m: usize, pass: &Pass);
+    unsafe fn pass<V: Simd16, const NT: bool>(row: (usize, usize), pass: &Pass);
 }
 
 /// The input transform `Bᵀ` (`α → α`).
@@ -189,24 +220,25 @@ mod generated {
 /// (`wino-lint` checks it like any other file).
 pub const GENERATED_SOURCE: &str = include_str!(concat!(env!("OUT_DIR"), "/codelets.rs"));
 
-/// The generated-codelet table entry for one dimension's plan — its `m`
-/// — or `None` when `F(m, r)` under the plan's point schedule is not in
-/// the table and the interpreter runs instead.
-pub fn resolve(plan: &FmrPlan) -> Option<usize> {
-    (plan.schedule == PointSchedule::Mixed
-        && plan.r() == generated::TABLE_R
-        && generated::TABLE_M.contains(&plan.m()))
-    .then(|| plan.m())
+/// Whether `F(m, r)` has a table row — i.e. whether the engine plans it.
+pub fn in_table(m: usize, r: usize) -> bool {
+    (1..=TABLE_MAX_M).contains(&m) && (1..=TABLE_MAX_R).contains(&r)
 }
 
-/// [`resolve`] for every dimension of a layer: the per-dimension table
-/// entries when all of them hit, else `None`.
-pub(crate) fn resolve_all(plans: &[FmrPlan]) -> Option<[usize; MAX_RANK]> {
-    let mut table = [0usize; MAX_RANK];
-    for (entry, plan) in table.iter_mut().zip(plans) {
-        *entry = resolve(plan)?;
-    }
-    Some(table)
+/// The table row `(m, r)` of one dimension's plan.
+///
+/// # Panics
+/// If the plan is outside the table or was not generated under
+/// `PointSchedule::Mixed` (the codelets' coefficients are that
+/// schedule's). `WinogradLayer::new` produces neither.
+pub fn resolve(plan: &FmrPlan) -> (usize, usize) {
+    let (m, r) = (plan.m(), plan.r());
+    assert!(
+        plan.schedule == PointSchedule::Mixed && in_table(m, r),
+        "no generated codelets for F({m}, {r}) under {:?} points",
+        plan.schedule
+    );
+    (m, r)
 }
 
 /// A destination view: output vector `(j₀, …)` goes to
@@ -226,13 +258,12 @@ pub(crate) enum Sink {
     Staged,
 }
 
-/// One matrix family applied along every dimension of a tile: the
-/// per-dimension programs of a layer plus its resolved table entries.
-/// Built per stage call from the plan; holds no heap memory.
-pub(crate) struct TileTransform<'a, F> {
+/// One matrix family applied along every dimension of a tile: a layer's
+/// resolved table rows and tile extents. Built per stage call from the
+/// plan; holds no heap memory.
+pub(crate) struct TileTransform<F> {
     rank: usize,
-    progs: [&'a PairedProgram; MAX_RANK],
-    table: Option<[usize; MAX_RANK]>,
+    rows: [(usize, usize); MAX_RANK],
     /// Input / output extents (vectors) per dimension.
     pub(crate) in_dims: [usize; MAX_RANK],
     pub(crate) out_dims: [usize; MAX_RANK],
@@ -242,16 +273,17 @@ pub(crate) struct TileTransform<'a, F> {
     family: PhantomData<F>,
 }
 
-impl<'a, F: Family> TileTransform<'a, F> {
-    /// `plans` are the layer's per-dimension plans (rank ≥ 1); `table`
-    /// their [`resolve_all`] (or `None` to force the interpreter).
-    pub(crate) fn new(plans: &'a [FmrPlan], table: Option<[usize; MAX_RANK]>) -> Self {
+impl<F: Family> TileTransform<F> {
+    /// `plans` are the layer's per-dimension plans (rank ≥ 1), each of
+    /// which must [`resolve`].
+    pub(crate) fn new(plans: &[FmrPlan]) -> Self {
         let rank = plans.len();
-        let mut progs = [F::program(&plans[0]); MAX_RANK];
+        let mut rows = [(0usize, 0usize); MAX_RANK];
         let (mut in_dims, mut out_dims) = ([1usize; MAX_RANK], [1usize; MAX_RANK]);
         for d in 0..rank {
-            progs[d] = F::program(&plans[d]);
-            (in_dims[d], out_dims[d]) = (progs[d].n_in, progs[d].n_out);
+            rows[d] = resolve(&plans[d]);
+            let prog = F::program(&plans[d]);
+            (in_dims[d], out_dims[d]) = (prog.n_in, prog.n_out);
         }
         let mut dims = in_dims;
         let mut tmp_vectors: usize = dims[..rank].iter().product();
@@ -259,7 +291,7 @@ impl<'a, F: Family> TileTransform<'a, F> {
             dims[d] = out_dims[d];
             tmp_vectors = tmp_vectors.max(dims[..rank].iter().product());
         }
-        TileTransform { rank, progs, table, in_dims, out_dims, tmp_vectors, family: PhantomData }
+        TileTransform { rank, rows, in_dims, out_dims, tmp_vectors, family: PhantomData }
     }
 
     /// Transform one tile: read input vector `(i₀, …)` at
@@ -268,8 +300,11 @@ impl<'a, F: Family> TileTransform<'a, F> {
     /// Returns where the output starts (`sink`'s pointer, or the thread
     /// buffer a [`Sink::Staged`] result was left in, row-major).
     ///
-    /// Intermediate passes go through `tmp`; a rank-1 transform with a
-    /// direct sink touches neither buffer.
+    /// Pass `d` reads the previous pass's output (the source for `d = 0`)
+    /// and writes `tmp[(d + 1) % 2]` row-major — `b, a, b, …`, so a source
+    /// in `tmp[0]` is consumed before it is overwritten — except the
+    /// last, which writes the sink, non-temporally when `nt`. A rank-1
+    /// transform with a direct sink touches neither buffer.
     ///
     /// # Safety
     /// * every input vector must be valid for 16 reads, every
@@ -290,42 +325,13 @@ impl<'a, F: Family> TileTransform<'a, F> {
         let rank = self.rank;
         let dst = match sink {
             Sink::Direct(dst) => dst,
-            // Where pass `rank − 1` would ping-pong to — also where the
-            // interpreter leaves its result.
+            // Where pass `rank − 1` ping-pongs to.
             Sink::Staged => Dest {
                 ptr: tmp[rank % 2],
                 strides: row_major(&self.out_dims[..rank], S),
                 nt: false,
             },
         };
-        // SAFETY: the caller's contract, forwarded.
-        unsafe {
-            match &self.table {
-                Some(ms) => self.generated::<V>(ms, src, src_strides, &dst, tmp),
-                None => self.interpreted::<V>(src, src_strides, &dst, tmp),
-            }
-        }
-        dst.ptr
-    }
-
-    /// [`Self::run`] through the generated codelets `ms[d]`: pass `d`
-    /// reads the previous pass's output (the source for `d = 0`) and
-    /// writes `tmp[(d + 1) % 2]` row-major — `b, a, b, …`, so a source in
-    /// `tmp[0]` is consumed before it is overwritten — except the last,
-    /// which writes the destination view, non-temporally when `nt`.
-    ///
-    /// # Safety
-    /// As [`Self::run`]; `ms` must be this transform's table entries.
-    #[inline(always)]
-    unsafe fn generated<V: Simd16>(
-        &self,
-        ms: &[usize; MAX_RANK],
-        src: *const f32,
-        src_strides: &Strides,
-        dst: &Dest,
-        tmp: [*mut f32; 2],
-    ) {
-        let rank = self.rank;
         let mut dims = self.in_dims;
         let (mut inp, mut in_strides) = (src, *src_strides);
         for d in 0..rank {
@@ -334,70 +340,23 @@ impl<'a, F: Family> TileTransform<'a, F> {
             let (out, out_strides) =
                 if last { (dst.ptr, dst.strides) } else { (tmp[(d + 1) % 2], row_major(&dims[..rank], S)) };
             let pass = Pass::new((inp, in_strides), (out, out_strides), rank, d, dims);
-            // SAFETY: `ms[d]` is a table entry whose codelet reads
-            // `progs[d].n_in` and writes `progs[d].n_out` vectors per
-            // line; the views cover exactly those extents (caller's
-            // contract for source and sink, `tmp_vectors` for the
-            // intermediates), and a pass's input and output are distinct
-            // buffers. One call site per store flavour keeps the
-            // monomorphised body at two copies of each codelet.
+            // SAFETY: `rows[d]` is the table row of dimension `d`'s plan,
+            // whose codelet reads `in_dims[d]` and writes `out_dims[d]`
+            // vectors per line; the views cover exactly those extents
+            // (caller's contract for source and sink, `tmp_vectors` for
+            // the intermediates), and a pass's input and output are
+            // distinct buffers. A backend without streaming stores runs
+            // (and compiles) the plain flavour only.
             unsafe {
-                if dst.nt && last {
-                    F::pass::<V, true>(ms[d], &pass);
+                if dst.nt && last && V::STREAMS {
+                    F::pass::<V, true>(self.rows[d], &pass);
                 } else {
-                    F::pass::<V, false>(ms[d], &pass);
+                    F::pass::<V, false>(self.rows[d], &pass);
                 }
             }
             (inp, in_strides) = (out.cast_const(), out_strides);
         }
-    }
-
-    /// [`Self::run`] through the interpreter — the path for plans outside
-    /// the generated table: stage the tile row-major in `tmp[0]`, run
-    /// [`crate::vecprog::transform_all_dims`], copy the result out.
-    ///
-    /// # Safety
-    /// As [`Self::run`].
-    #[inline(always)]
-    unsafe fn interpreted<V: Simd16>(
-        &self,
-        src: *const f32,
-        src_strides: &Strides,
-        dst: &Dest,
-        tmp: [*mut f32; 2],
-    ) {
-        let rank = self.rank;
-        let mut dims = self.in_dims;
-        // SAFETY: the caller's contract covers the source view and `tmp`
-        // (each `tmp_vectors·S` floats, which bounds every tile volume
-        // of the transform); the two slices are distinct buffers.
-        let result = unsafe {
-            if src != tmp[0].cast_const() {
-                let staged = row_major(&dims[..rank], S);
-                copy_tile::<V, false>(rank, &dims, src, src_strides, tmp[0], &staged);
-            }
-            let len = self.tmp_vectors * S;
-            let (a, b) = (
-                std::slice::from_raw_parts_mut(tmp[0], len),
-                std::slice::from_raw_parts_mut(tmp[1], len),
-            );
-            let in_a =
-                crate::vecprog::transform_all_dims::<V>(&self.progs[..rank], a, b, &mut dims[..rank]);
-            if in_a { tmp[0] } else { tmp[1] }
-        };
-        if result == dst.ptr {
-            return; // a staged sink: the interpreter already left it there
-        }
-        let staged = row_major(&dims[..rank], S);
-        // SAFETY: `result` holds the `dims` output tile row-major; the
-        // caller's contract covers the destination view.
-        unsafe {
-            if dst.nt {
-                copy_tile::<V, true>(rank, &dims, result, &staged, dst.ptr, &dst.strides);
-            } else {
-                copy_tile::<V, false>(rank, &dims, result, &staged, dst.ptr, &dst.strides);
-            }
-        }
+        dst.ptr
     }
 }
 
@@ -443,9 +402,7 @@ pub enum Matrix {
 }
 
 /// Transform one row-major tile of vectors along every dimension with
-/// `which` matrix of `plans` — through the generated codelets when every
-/// dimension [`resolve`]s and `interpret` is false, through the
-/// interpreter otherwise. Returns whether the generated codelets ran.
+/// `which` matrix of `plans`, through the generated codelets.
 ///
 /// This is the safe, contiguous-to-contiguous face of the stages' tile
 /// driver, for benchmarks and differential tests. `input` holds
@@ -454,38 +411,34 @@ pub enum Matrix {
 /// floats always suffices.
 ///
 /// # Panics
-/// If a slice is too short or a temporary is not 64-byte aligned.
+/// If a plan does not [`resolve`], a slice is too short or a temporary is
+/// not 64-byte aligned.
 #[inline(always)]
 pub fn transform_tile<V: Simd16>(
     which: Matrix,
     plans: &[FmrPlan],
-    interpret: bool,
     input: &[f32],
     output: &mut [f32],
     tmp_a: &mut [f32],
     tmp_b: &mut [f32],
-) -> bool {
+) {
     #[inline(always)]
     fn go<V: Simd16, F: Family>(
         plans: &[FmrPlan],
-        interpret: bool,
         input: &[f32],
         output: &mut [f32],
         tmp_a: &mut [f32],
         tmp_b: &mut [f32],
-    ) -> bool {
-        let table = if interpret { None } else { resolve_all(plans) };
-        let xf = TileTransform::<F>::new(plans, table);
+    ) {
+        let xf = TileTransform::<F>::new(plans);
         let rank = plans.len();
         let (in_dims, out_dims) = (xf.in_dims, xf.out_dims);
         let need = xf.tmp_vectors * S;
+        let aligned = |s: &[f32]| (s.as_ptr() as usize).is_multiple_of(64);
         assert!(input.len() >= in_dims[..rank].iter().product::<usize>() * S, "input too short");
         assert!(output.len() >= out_dims[..rank].iter().product::<usize>() * S, "output too short");
         assert!(tmp_a.len() >= need && tmp_b.len() >= need, "temporaries too short");
-        assert!(
-            (tmp_a.as_ptr() as usize).is_multiple_of(64) && (tmp_b.as_ptr() as usize).is_multiple_of(64),
-            "temporaries must be 64-byte aligned"
-        );
+        assert!(aligned(tmp_a) && aligned(tmp_b), "temporaries must be 64-byte aligned");
         let sink = Sink::Direct(Dest {
             ptr: output.as_mut_ptr(),
             strides: row_major(&out_dims[..rank], S),
@@ -502,17 +455,16 @@ pub fn transform_tile<V: Simd16>(
                 [tmp_a.as_mut_ptr(), tmp_b.as_mut_ptr()],
             );
         }
-        table.is_some()
     }
     assert!((1..=MAX_RANK).contains(&plans.len()), "rank must be 1..={MAX_RANK}");
     match which {
-        Matrix::Bt => go::<V, Bt>(plans, interpret, input, output, tmp_a, tmp_b),
-        Matrix::G => go::<V, G>(plans, interpret, input, output, tmp_a, tmp_b),
-        Matrix::At => go::<V, At>(plans, interpret, input, output, tmp_a, tmp_b),
+        Matrix::Bt => go::<V, Bt>(plans, input, output, tmp_a, tmp_b),
+        Matrix::G => go::<V, G>(plans, input, output, tmp_a, tmp_b),
+        Matrix::At => go::<V, At>(plans, input, output, tmp_a, tmp_b),
     }
 }
 
-/// Test seam: sweep the generated `F(m, 3)` codelet of `which` matrix
+/// Test seam: sweep the generated `F(m, r)` codelet of `which` matrix
 /// along dimension `d` of a row-major tile — the generated twin of
 /// [`crate::vecprog::transform_dim`], with the same buffer conventions.
 /// `nt` selects the streaming-store instantiation (`output` must then be
@@ -537,7 +489,7 @@ pub(crate) fn transform_dim_generated<V: Simd16>(
         output: &mut [f32],
         nt: bool,
     ) {
-        let m = resolve(plan).expect("a table entry");
+        let row = resolve(plan);
         let prog = F::program(plan);
         let rank = in_dims.len();
         assert_eq!(in_dims[d], prog.n_in);
@@ -551,13 +503,13 @@ pub(crate) fn transform_dim_generated<V: Simd16>(
         assert!(!nt || (output.as_ptr() as usize).is_multiple_of(64));
         let pass =
             Pass::new((input.as_ptr(), in_strides), (output.as_mut_ptr(), out_strides), rank, d, dims);
-        // SAFETY: both row-major views were length-checked above, and `m`
-        // is the table entry whose codelet has `prog`'s extents.
+        // SAFETY: both row-major views were length-checked above, and
+        // `row` is the table row whose codelet has `prog`'s extents.
         unsafe {
             if nt {
-                F::pass::<V, true>(m, &pass);
+                F::pass::<V, true>(row, &pass);
             } else {
-                F::pass::<V, false>(m, &pass);
+                F::pass::<V, false>(row, &pass);
             }
         }
     }
@@ -566,6 +518,12 @@ pub(crate) fn transform_dim_generated<V: Simd16>(
         Matrix::G => go::<V, G>(plan, input, in_dims, d, output, nt),
         Matrix::At => go::<V, At>(plan, input, in_dims, d, output, nt),
     }
+}
+
+/// Every `(m, r)` of the table.
+#[cfg(test)]
+pub(crate) fn table_rows() -> impl Iterator<Item = (usize, usize)> {
+    (1..=TABLE_MAX_R).flat_map(|r| (1..=TABLE_MAX_M).map(move |m| (m, r)))
 }
 
 #[cfg(test)]
@@ -578,43 +536,56 @@ mod tests {
     }
 
     #[test]
-    fn the_table_is_f_m_3_under_mixed_points() {
-        for m in 1..=8 {
-            assert_eq!(resolve(&FmrPlan::new(m, 3)), Some(m), "F({m}, 3)");
+    fn the_table_is_the_whole_rectangle() {
+        assert_eq!(table_rows().count(), 40);
+        for (m, r) in table_rows() {
+            assert!(in_table(m, r), "F({m}, {r})");
+            assert_eq!(resolve(&FmrPlan::new(m, r)), (m, r));
         }
-        // Outside the table: other kernel widths, larger tiles, the
-        // integer point schedule (even where its matrices coincide).
-        for (m, r) in [(3, 2), (2, 5), (9, 3), (4, 4), (6, 2)] {
-            assert_eq!(resolve(&FmrPlan::new(m, r)), None, "F({m}, {r})");
+        for (m, r) in [(0, 3), (9, 3), (4, 6), (4, 0), (9, 6)] {
+            assert!(!in_table(m, r), "F({m}, {r})");
         }
-        for m in 1..=8 {
-            let integer = FmrPlan::with_schedule(m, 3, PointSchedule::Integer);
-            assert_eq!(resolve(&integer), None, "integer-point F({m}, 3)");
+    }
+
+    #[test]
+    #[should_panic(expected = "no generated codelets for F(9, 3)")]
+    fn a_plan_outside_the_table_does_not_resolve() {
+        resolve(&FmrPlan::new(9, 3));
+    }
+
+    /// The integer schedule's matrices differ from the codelets' even
+    /// where the shape has a row.
+    #[test]
+    #[should_panic(expected = "under Integer points")]
+    fn an_integer_point_plan_does_not_resolve() {
+        resolve(&FmrPlan::with_schedule(4, 3, PointSchedule::Integer));
+    }
+
+    fn program(which: Matrix, plan: &FmrPlan) -> &PairedProgram {
+        match which {
+            Matrix::Bt => &plan.bt,
+            Matrix::G => &plan.g,
+            Matrix::At => &plan.at,
         }
-        // One miss sends the whole layer to the interpreter.
-        assert!(resolve_all(&[FmrPlan::new(4, 3), FmrPlan::new(6, 3)]).is_some());
-        assert!(resolve_all(&[FmrPlan::new(4, 3), FmrPlan::new(3, 2)]).is_none());
     }
 
     /// One whole-tile transform through [`transform_tile`].
     struct WholeTile<'a> {
         which: Matrix,
         plans: &'a [FmrPlan],
-        interpret: bool,
         input: &'a [f32],
         output: &'a mut [f32],
         tmp: &'a mut [AlignedVec; 2],
     }
 
     impl Kernel for WholeTile<'_> {
-        type Output = bool;
+        type Output = ();
         #[inline(always)]
-        fn run<V: Simd16>(self) -> bool {
+        fn run<V: Simd16>(self) {
             let [a, b] = self.tmp;
             transform_tile::<V>(
                 self.which,
                 self.plans,
-                self.interpret,
                 self.input,
                 self.output,
                 a.as_mut_slice(),
@@ -623,57 +594,80 @@ mod tests {
         }
     }
 
+    /// The reference for a whole tile: the [`crate::vecprog`] interpreter
+    /// over a row-major copy.
+    struct Interpreted<'a> {
+        which: Matrix,
+        plans: &'a [FmrPlan],
+        input: &'a [f32],
+    }
+
+    impl Kernel for Interpreted<'_> {
+        type Output = Vec<f32>;
+        #[inline(always)]
+        fn run<V: Simd16>(self) -> Vec<f32> {
+            let progs: Vec<&PairedProgram> = self.plans.iter().map(|p| program(self.which, p)).collect();
+            let mut dims: Vec<usize> = progs.iter().map(|p| p.n_in).collect();
+            let t_vol: usize = self.plans.iter().map(FmrPlan::alpha).product();
+            let (mut a, mut b) = (vec![0.0f32; t_vol * S], vec![0.0f32; t_vol * S]);
+            a[..self.input.len()].copy_from_slice(self.input);
+            let in_a = crate::vecprog::transform_all_dims::<V>(&progs, &mut a, &mut b, &mut dims);
+            let mut out = if in_a { a } else { b };
+            out.truncate(dims.iter().product::<usize>() * S);
+            out
+        }
+    }
+
     /// The N-D driver over generated codelets reproduces the
-    /// interpreter's tile exactly: ranks 1–3, asymmetric tile sizes, all
-    /// three matrices, every backend this process may run.
+    /// interpreter's tile exactly: every table row, ranks 1–3, asymmetric
+    /// tile sizes and kernel widths, all three matrices, every backend
+    /// this process may run. (Streaming last passes: the per-dimension
+    /// battery of `vecprog::tests` and the strided views below.)
     #[test]
     fn whole_tiles_equal_the_interpreter_exactly() {
-        let shapes: [&[usize]; 7] = [&[6], &[1], &[2, 2], &[6, 6], &[4, 8], &[2, 4, 6], &[7, 1, 3]];
+        let mut shapes: Vec<Vec<(usize, usize)>> = table_rows().map(|row| vec![row]).collect();
+        shapes.extend(
+            [
+                &[(2, 3), (2, 3)][..],
+                &[(6, 3), (6, 3)],
+                &[(4, 3), (8, 3)],
+                &[(2, 3), (4, 3), (6, 3)],
+                &[(7, 3), (1, 3), (3, 3)],
+                // Mixed kernel widths: [3, 2], [1, 3, 3], [5, 4], and the
+                // largest tile of the table.
+                &[(4, 3), (3, 2)],
+                &[(2, 1), (4, 3), (2, 3)],
+                &[(2, 5), (3, 4)],
+                &[(8, 5), (8, 5)],
+            ]
+            .map(<[_]>::to_vec),
+        );
         for backend in Backend::available() {
-            for ms in shapes {
-                let plans: Vec<FmrPlan> = ms.iter().map(|&m| FmrPlan::new(m, 3)).collect();
+            for shape in &shapes {
+                let plans: Vec<FmrPlan> = shape.iter().map(|&(m, r)| FmrPlan::new(m, r)).collect();
                 for which in [Matrix::Bt, Matrix::G, Matrix::At] {
-                    let prog = |p: &'_ FmrPlan| match which {
-                        Matrix::Bt => (p.bt.n_in, p.bt.n_out),
-                        Matrix::G => (p.g.n_in, p.g.n_out),
-                        Matrix::At => (p.at.n_in, p.at.n_out),
-                    };
-                    let in_vol: usize = plans.iter().map(|p| prog(p).0).product();
-                    let out_vol: usize = plans.iter().map(|p| prog(p).1).product();
+                    let in_vol: usize = plans.iter().map(|p| program(which, p).n_in).product();
                     let t_vol: usize = plans.iter().map(FmrPlan::alpha).product();
                     let input = filled(in_vol * S);
+                    let want = backend.run(Interpreted { which, plans: &plans, input: &input });
                     let mut tmp = [0, 1].map(|_| AlignedVec::try_zeroed(t_vol * S).unwrap());
-                    let mut got = vec![f32::NAN; out_vol * S];
-                    let mut want = vec![f32::NAN; out_vol * S];
-                    let ran_generated = backend.run(WholeTile {
+                    let mut got = vec![f32::NAN; want.len()];
+                    backend.run(WholeTile {
                         which,
                         plans: &plans,
-                        interpret: false,
                         input: &input,
                         output: &mut got,
                         tmp: &mut tmp,
                     });
-                    assert!(ran_generated, "F({ms:?}, 3) is in the table");
-                    let ran_generated = backend.run(WholeTile {
-                        which,
-                        plans: &plans,
-                        interpret: true,
-                        input: &input,
-                        output: &mut want,
-                        tmp: &mut tmp,
-                    });
-                    assert!(!ran_generated);
-                    assert_eq!(got, want, "{} {which:?} of F({ms:?}, 3)", backend.name());
+                    assert_eq!(got, want, "{} {which:?} of F{shape:?}", backend.name());
                 }
             }
         }
     }
 
-    /// One [`TileTransform::run`] of `Bᵀ` over caller-built views (a
-    /// single call per dispatch keeps the debug-build frame small).
+    /// One [`TileTransform::run`] of `Bᵀ` over caller-built views.
     struct StridedRun<'a> {
         plans: &'a [FmrPlan],
-        interpret: bool,
         src: *const f32,
         src_strides: Strides,
         /// The streaming direct sink, or `None` for a staged one.
@@ -685,8 +679,7 @@ mod tests {
         type Output = *const f32;
         #[inline(always)]
         fn run<V: Simd16>(self) -> *const f32 {
-            let table = if self.interpret { None } else { resolve_all(self.plans) };
-            let xf = TileTransform::<Bt>::new(self.plans, table);
+            let xf = TileTransform::<Bt>::new(self.plans);
             let sink = match self.direct {
                 Some((ptr, strides)) => Sink::Direct(Dest { ptr, strides, nt: true }),
                 None => Sink::Staged,
@@ -698,13 +691,14 @@ mod tests {
     }
 
     /// A strided source, a `t_stride`-spaced streaming sink and a staged
-    /// sink all deliver the same values as the row-major transform —
-    /// through the generated codelets and through the interpreter.
+    /// sink all deliver the same values as the row-major interpreter.
     #[test]
     fn strided_streaming_and_staged_views_agree_with_row_major() {
+        let shapes: [&[(usize, usize)]; 4] =
+            [&[(4, 3)], &[(6, 3), (6, 3)], &[(2, 3), (4, 3), (6, 3)], &[(3, 4), (2, 5)]];
         for backend in Backend::available() {
-            for ms in [&[4usize][..], &[6, 6], &[2, 4, 6]] {
-                let plans: Vec<FmrPlan> = ms.iter().map(|&m| FmrPlan::new(m, 3)).collect();
+            for shape in shapes {
+                let plans: Vec<FmrPlan> = shape.iter().map(|&(m, r)| FmrPlan::new(m, r)).collect();
                 let rank = plans.len();
                 let dims: Vec<usize> = plans.iter().map(FmrPlan::alpha).collect();
                 let t_vol: usize = dims.iter().product();
@@ -715,7 +709,7 @@ mod tests {
                 let image_strides = row_major(&image_dims, S);
                 let origin: usize = (0..rank).map(|d| (d + 1) * image_strides[d]).sum();
 
-                // Reference: copy the tile out and transform it row-major.
+                // Reference: copy the tile out and interpret it row-major.
                 let mut tile = vec![0.0f32; t_vol * S];
                 for t in 0..t_vol {
                     let (mut rem, mut off) = (t, origin);
@@ -725,57 +719,45 @@ mod tests {
                     }
                     tile[t * S..(t + 1) * S].copy_from_slice(&image[off..off + S]);
                 }
+                let want = backend.run(Interpreted { which: Matrix::Bt, plans: &plans, input: &tile });
+
+                // Direct: read in place, stream to vectors `t_stride` apart.
                 let mut tmp = [0, 1].map(|_| AlignedVec::try_zeroed(t_vol * S).unwrap());
-                let mut want = vec![0.0f32; t_vol * S];
-                backend.run(WholeTile {
-                    which: Matrix::Bt,
+                let t_stride = 3 * S;
+                let mut u = AlignedVec::try_zeroed(t_vol * t_stride).unwrap();
+                let [a, b] = &mut tmp;
+                let raw = [a.as_mut_ptr(), b.as_mut_ptr()];
+                backend.run(StridedRun {
                     plans: &plans,
-                    interpret: true,
-                    input: &tile,
-                    output: &mut want,
-                    tmp: &mut tmp,
+                    // SAFETY: `origin` is inside `image`.
+                    src: unsafe { image.as_ptr().add(origin) },
+                    src_strides: image_strides,
+                    direct: Some((u.as_mut_ptr(), row_major(&dims, t_stride))),
+                    tmp: raw,
                 });
-
-                for interpret in [false, true] {
-                    // Direct: read in place, stream to vectors `t_stride` apart.
-                    let t_stride = 3 * S;
-                    let mut u = AlignedVec::try_zeroed(t_vol * t_stride).unwrap();
-                    let [a, b] = &mut tmp;
-                    let raw = [a.as_mut_ptr(), b.as_mut_ptr()];
-                    backend.run(StridedRun {
-                        plans: &plans,
-                        interpret,
-                        // SAFETY: `origin` is inside `image`.
-                        src: unsafe { image.as_ptr().add(origin) },
-                        src_strides: image_strides,
-                        direct: Some((u.as_mut_ptr(), row_major(&dims, t_stride))),
-                        tmp: raw,
-                    });
-                    wino_simd::sfence();
-                    for t in 0..t_vol {
-                        assert_eq!(
-                            u.as_slice()[t * t_stride..t * t_stride + S],
-                            want[t * S..(t + 1) * S],
-                            "{} F({ms:?}, 3) interpret={interpret} vector {t}",
-                            backend.name()
-                        );
-                    }
-
-                    // Staged, from a source gathered into `tmp[0]` itself.
-                    a.as_mut_slice()[..t_vol * S].copy_from_slice(&tile);
-                    let staged = backend.run(StridedRun {
-                        plans: &plans,
-                        interpret,
-                        src: raw[0].cast_const(),
-                        src_strides: row_major(&dims, S),
-                        direct: None,
-                        tmp: raw,
-                    });
-                    // SAFETY: a staged run returns the thread buffer that
-                    // holds the row-major output tile.
-                    let staged = unsafe { std::slice::from_raw_parts(staged, t_vol * S) };
-                    assert_eq!(staged, &want[..], "{} F({ms:?}, 3) staged", backend.name());
+                wino_simd::sfence();
+                for t in 0..t_vol {
+                    assert_eq!(
+                        u.as_slice()[t * t_stride..t * t_stride + S],
+                        want[t * S..(t + 1) * S],
+                        "{} F{shape:?} vector {t}",
+                        backend.name()
+                    );
                 }
+
+                // Staged, from a source gathered into `tmp[0]` itself.
+                a.as_mut_slice()[..t_vol * S].copy_from_slice(&tile);
+                let staged = backend.run(StridedRun {
+                    plans: &plans,
+                    src: raw[0].cast_const(),
+                    src_strides: row_major(&dims, S),
+                    direct: None,
+                    tmp: raw,
+                });
+                // SAFETY: a staged run returns the thread buffer that
+                // holds the row-major output tile.
+                let staged = unsafe { std::slice::from_raw_parts(staged, t_vol * S) };
+                assert_eq!(staged, &want[..], "{} F{shape:?} staged", backend.name());
             }
         }
     }

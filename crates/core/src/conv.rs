@@ -416,7 +416,7 @@ mod tests {
         type Case =
             (usize, (usize, usize), &'static [usize], usize, usize, &'static [usize], Option<BlockShape>);
         let blocked = |n_blk, c_blk, cp_blk| Some(BlockShape { n_blk, c_blk, cp_blk });
-        let cases: [Case; 11] = [
+        let cases: [Case; 12] = [
             (2, (16, 16), &[37], 3, 1, &[4], None),
             (1, (32, 32), &[15, 18], 3, 0, &[4, 4], None),
             (1, (16, 32), &[22, 19], 3, 1, &[6, 2], None),
@@ -431,8 +431,9 @@ mod tests {
             (2, (32, 32), &[10, 10], 3, 1, &[4, 4], blocked(6, 32, 32)),
             // 25 rows in 6-row panels: a one-row tail; three column blocks.
             (1, (32, 48), &[10, 10], 3, 1, &[2, 2], blocked(6, 32, 16)),
-            // F(3², 2²): outside the codelet table, the interpreter's stores.
+            // Kernels other than 3 wide: F(3², 2²), F(2², 5²).
             (1, (16, 32), &[11, 12], 2, 0, &[3, 3], None),
+            (1, (16, 16), &[13, 12], 5, 2, &[2, 2], None),
         ];
         let executors: [Box<dyn Executor>; 5] = [
             Box::new(SerialExecutor),
@@ -459,7 +460,6 @@ mod tests {
                         let host = Host::test(fused, streams);
                         let plan = WinogradLayer::new_on(shape.clone(), m, opts, host).unwrap();
                         assert_eq!((plan.is_fused(), plan.streams), (fused, streams), "{dims:?}");
-                        assert_eq!(plan.uses_generated_codelets(), r == 3, "{dims:?}");
                         plans.push(plan);
                     }
                 }

@@ -29,8 +29,11 @@
 //! which schedule a plan got, from its sizes and the detected L2 alone.
 //!
 //! The codelets of stages 1 and 3 are straight-line code generated at
-//! build time for every `F(m, 3)` the tile search can pick ([`codelet`]);
-//! other sizes run the interpreter over the same programs ([`vecprog`]).
+//! build time for every `F(m, r)` with `m ≤ 8` and `r ≤ 5` ([`codelet`]),
+//! which is everything [`WinogradLayer::new`] plans — a larger tile or a
+//! wider kernel is `PlanError::BadTileSize`, which [`dispatch`] turns
+//! into the im2col route. The interpreter over the same programs
+//! ([`vecprog`]) is the reference they are tested against.
 //!
 //! ```
 //! use wino_tensor::{SimpleImage, SimpleKernels};

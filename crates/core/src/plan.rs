@@ -21,7 +21,7 @@ use std::cell::UnsafeCell;
 use wino_gemm::{default_shape, BlockShape};
 use wino_simd::{AlignedVec, S};
 use wino_tensor::{BlockedMatrices, ConvShape, ShapeError, TileGrid};
-use wino_transforms::{FmrPlan, PointSchedule};
+use wino_transforms::FmrPlan;
 
 use crate::layout::TileMajor;
 
@@ -117,9 +117,6 @@ pub struct ConvOptions {
     /// default. `examples/autotune_wisdom.rs` shows how to feed a tuned
     /// or remembered shape (`wino_gemm::autotune_with_wisdom`) in here.
     pub block: Option<BlockShape>,
-    /// Interpolation-point schedule for the transform generation (the
-    /// Table 3 conditioning ablation).
-    pub points: PointSchedule,
     /// Stage-2 kernel engine.
     pub stage2: Stage2Backend,
     /// A-priori accuracy budget. `None` (the default) admits any tile;
@@ -225,7 +222,6 @@ impl Default for ConvOptions {
     fn default() -> Self {
         ConvOptions {
             block: None,
-            points: PointSchedule::default(),
             stage2: Stage2Backend::default(),
             budget: None,
             memory: None,
@@ -247,7 +243,9 @@ pub enum PlanError {
     Shape(ShapeError),
     /// Rank exceeds [`MAX_RANK`].
     RankTooHigh { rank: usize },
-    /// Requested tile size is numerically or structurally unusable.
+    /// `F(m, r)` of dimension `dim` has no transform codelets: `m` is
+    /// outside `1..=8` or the dimension's kernel is wider than 5
+    /// ([`crate::codelet::in_table`]).
     BadTileSize { dim: usize, m: usize },
     /// Blocking parameters incompatible with the channel counts.
     BadBlocking { reason: &'static str },
@@ -276,7 +274,7 @@ impl std::fmt::Display for PlanError {
                 write!(f, "rank {rank} exceeds supported maximum {MAX_RANK}")
             }
             PlanError::BadTileSize { dim, m } => {
-                write!(f, "output tile size m={m} for dimension {dim} is unusable")
+                write!(f, "no transform codelets for tile size m={m} in dimension {dim}")
             }
             PlanError::BadBlocking { reason } => write!(f, "bad blocking: {reason}"),
             PlanError::Jit { reason } => write!(f, "jit backend unavailable: {reason}"),
@@ -345,10 +343,6 @@ pub struct WinogradLayer {
     /// (`fused::streams`).
     pub(crate) streams: bool,
     pub(crate) jit: Option<JitStage2>,
-    /// Generated-codelet table entry per dimension
-    /// ([`crate::codelet::resolve`]) when every dimension has one; `None`
-    /// sends stages 1 and 3 through the interpreter.
-    pub(crate) codelets: Option<[usize; MAX_RANK]>,
 }
 
 /// The two cache sizes a plan's schedule and store flavour are decided
@@ -398,10 +392,12 @@ impl WinogradLayer {
         let grid = TileGrid::new(&shape, m)?;
         let mut plans = Vec::with_capacity(rank);
         for d in 0..rank {
-            if m[d] == 0 || m[d] + shape.kernel_dims[d] - 1 > wino_transforms::points::MAX_FINITE_POINTS + 1 {
+            // The transform stages run generated codelets and nothing
+            // else: a dimension without a table row does not plan.
+            if !crate::codelet::in_table(m[d], shape.kernel_dims[d]) {
                 return Err(PlanError::BadTileSize { dim: d, m: m[d] });
             }
-            let plan = FmrPlan::with_schedule(m[d], shape.kernel_dims[d], opts.points);
+            let plan = FmrPlan::new(m[d], shape.kernel_dims[d]);
             if let Some(budget) = opts.budget {
                 if !budget.admits_gamma(plan.conditioning().gamma) {
                     return Err(PlanError::AccuracyBudget { dim: d, m: m[d] });
@@ -443,9 +439,8 @@ impl WinogradLayer {
             host.l2_bytes,
             opts.block.map(|b| b.n_blk),
         );
-        let codelets = crate::codelet::resolve_all(&plans);
         let mut layer =
-            WinogradLayer { shape, grid, plans, block, opts, ring_rows, streams: false, jit: None, codelets };
+            WinogradLayer { shape, grid, plans, block, opts, ring_rows, streams: false, jit: None };
         layer.streams = crate::fused::streams(&layer.footprint(1), host.llc_bytes);
         if opts.stage2 == Stage2Backend::Jit {
             layer.jit = Some(layer.build_jit()?);
@@ -567,13 +562,6 @@ impl WinogradLayer {
     pub(crate) fn ring_floats(&self) -> usize {
         let (c, cp) = (self.shape.in_channels, self.shape.out_channels);
         self.ring_rows.map_or(0, |n| self.t_vol() * n * (c + cp))
-    }
-
-    /// Whether the transform stages run build-time generated straight-line
-    /// codelets (every dimension's `F(m, r)` is in the table of
-    /// [`crate::codelet`]) rather than the [`crate::vecprog`] interpreter.
-    pub fn uses_generated_codelets(&self) -> bool {
-        self.codelets.is_some()
     }
 
     /// Allocate the output image for this layer.

@@ -16,7 +16,7 @@
 //! [`crate::net`], which owns layer execution.
 
 use wino_tensor::ConvShape;
-use wino_transforms::Conditioning;
+use wino_transforms::{Conditioning, PointSchedule};
 
 use crate::plan::{AccuracyBudget, ConvOptions, PlanError, Stage2Backend, WinogradLayer};
 use crate::sentinel::SentinelConfig;
@@ -261,10 +261,16 @@ pub enum Purpose {
     Inference,
 }
 
+/// The exact amplification factor of the `F(m, r)` the engine would plan.
+fn gamma(m: usize, r: usize) -> f64 {
+    Conditioning::for_schedule(m, r, PointSchedule::Mixed).gamma
+}
+
 /// The largest tile the search may try per dimension, whatever the
-/// budget admits — beyond `m = 8` the f32 transforms are useless even
-/// for inference (Table 3).
-pub(crate) const SEARCH_MAX_M: usize = 8;
+/// budget admits: the edge of the generated-codelet table, i.e. of what
+/// plans at all (beyond `m = 8` the f32 transforms are useless even for
+/// inference, Table 3).
+pub(crate) const SEARCH_MAX_M: usize = crate::codelet::TABLE_MAX_M;
 
 impl Purpose {
     /// The accuracy budget this preset stands for.
@@ -276,12 +282,12 @@ impl Purpose {
     }
 
     /// Largest `m ≤` [`SEARCH_MAX_M`] whose `F(m, r)` conditioning fits
-    /// the budget under `opts.points` (0 if even `m = 2` does not fit).
-    fn max_m(self, r: usize, opts: &ConvOptions) -> usize {
+    /// the budget (0 if even `m = 2` does not fit).
+    fn max_m(self, r: usize) -> usize {
         let budget = self.budget();
         (2..=SEARCH_MAX_M)
             .rev()
-            .find(|&m| budget.admits_gamma(Conditioning::for_schedule(m, r, opts.points).gamma))
+            .find(|&m| budget.admits_gamma(gamma(m, r)))
             .unwrap_or(0)
     }
 }
@@ -290,11 +296,10 @@ impl Purpose {
 /// dimension, clipped so no dimension's tile exceeds its output extent
 /// (larger would be pure padding) nor the purpose's budget-derived
 /// conditioning cap for that dimension's kernel size.
-pub fn candidate_tiles(shape: &ConvShape, purpose: Purpose, opts: &ConvOptions) -> Vec<Vec<usize>> {
+pub fn candidate_tiles(shape: &ConvShape, purpose: Purpose) -> Vec<Vec<usize>> {
     let out = shape.out_dims();
     let rank = shape.rank();
-    let caps: Vec<usize> =
-        shape.kernel_dims.iter().map(|&r| purpose.max_m(r, opts)).collect();
+    let caps: Vec<usize> = shape.kernel_dims.iter().map(|&r| purpose.max_m(r)).collect();
     let mut cands = Vec::new();
     for m in 2..=SEARCH_MAX_M {
         let tile: Vec<usize> = (0..rank).map(|d| m.min(out[d]).min(caps[d])).collect();
@@ -314,19 +319,12 @@ pub fn candidate_tiles(shape: &ConvShape, purpose: Purpose, opts: &ConvOptions) 
 /// tile, which may equal `m`; a dimension already at 2 stays at 2 even
 /// when the budget is unreachable (the caller decides whether to plan it
 /// anyway or fall back to a different backend).
-pub fn fit_tile_to_budget(
-    shape: &ConvShape,
-    m: &[usize],
-    budget: AccuracyBudget,
-    opts: &ConvOptions,
-) -> Vec<usize> {
+pub fn fit_tile_to_budget(shape: &ConvShape, m: &[usize], budget: AccuracyBudget) -> Vec<usize> {
     m.iter()
         .zip(&shape.kernel_dims)
         .map(|(&m0, &r)| {
             let mut mm = m0;
-            while mm > 2
-                && !budget.admits_gamma(Conditioning::for_schedule(mm, r, opts.points).gamma)
-            {
+            while mm > 2 && !budget.admits_gamma(gamma(mm, r)) {
                 mm = shrink_dim(mm);
             }
             mm
@@ -342,90 +340,90 @@ mod tests {
     fn candidates_respect_purpose_and_extent() {
         // The budget-derived caps must reproduce Table 3's hard-coded
         // limits for r = 3: training m ≤ 6, inference m ≤ 8.
-        let opts = ConvOptions::default();
         let s = ConvShape::new(1, 16, 16, &[20, 20], &[3, 3], &[1, 1]).unwrap();
-        let train = candidate_tiles(&s, Purpose::Training, &opts);
+        let train = candidate_tiles(&s, Purpose::Training);
         assert!(train.iter().all(|m| m.iter().all(|&x| x <= 6)));
         assert_eq!(train.len(), 5); // m = 2..=6
-        let infer = candidate_tiles(&s, Purpose::Inference, &opts);
+        let infer = candidate_tiles(&s, Purpose::Inference);
         assert_eq!(infer.len(), 7); // m = 2..=8
 
         // Tiny output: tiles clipped to the output extent, deduplicated.
         let tiny = ConvShape::new(1, 16, 16, &[5, 5], &[3, 3], &[0, 0]).unwrap();
-        let c = candidate_tiles(&tiny, Purpose::Inference, &opts);
+        let c = candidate_tiles(&tiny, Purpose::Inference);
         assert!(c.iter().all(|m| m.iter().all(|&x| x <= 3)));
         assert_eq!(c.len(), 2); // [2,2] and [3,3]
     }
 
-    /// Every tile the search can propose for a 3-wide kernel plans onto
-    /// the generated codelets — a tile sweep can never silently land on
-    /// the interpreter — including the extent-clipped `m = 1` of a
-    /// one-deep dimension and mixed per-dimension sizes.
+    /// Every tile the search can propose, for every kernel width of the
+    /// table and both purposes, plans — i.e. has generated codelets —
+    /// including the extent-clipped `m = 1` of a one-deep dimension and
+    /// mixed per-dimension sizes; and neither re-tiling ladder steps
+    /// outside the table.
     #[test]
-    fn every_candidate_for_3_wide_kernels_has_generated_codelets() {
+    fn every_candidate_and_every_ladder_step_stays_inside_the_table() {
+        use crate::codelet::{in_table, resolve, TABLE_MAX_R};
         let opts = ConvOptions::default();
-        let shapes: [(&[usize], usize); 5] =
-            [(&[40], 1), (&[20, 20], 1), (&[5, 5], 0), (&[1, 9, 30], 1), (&[3, 8, 8], 0)];
+        let shapes: [&[usize]; 5] = [&[40], &[20, 20], &[5, 5], &[1, 9, 30], &[3, 8, 8]];
         let mut seen = std::collections::BTreeSet::new();
-        for (img, pad) in shapes {
-            let rank = img.len();
-            let s = ConvShape::new(1, 16, 16, img, &vec![3; rank], &vec![pad; rank]).unwrap();
-            for purpose in [Purpose::Training, Purpose::Inference] {
-                let tiles = candidate_tiles(&s, purpose, &opts);
-                assert!(!tiles.is_empty());
-                for m in tiles {
-                    let layer = WinogradLayer::new(s.clone(), &m, opts).unwrap();
-                    assert!(layer.uses_generated_codelets(), "{img:?}: candidate {m:?}");
-                    seen.extend(m);
+        for r in 1..=TABLE_MAX_R {
+            for img in shapes {
+                let rank = img.len();
+                let s = ConvShape::new(1, 16, 16, img, &vec![r; rank], &vec![r / 2; rank]).unwrap();
+                for purpose in [Purpose::Training, Purpose::Inference] {
+                    let tiles = candidate_tiles(&s, purpose);
+                    assert!(!tiles.is_empty(), "r={r} {img:?} {purpose:?}");
+                    for m in tiles {
+                        let layer = WinogradLayer::new(s.clone(), &m, opts)
+                            .unwrap_or_else(|e| panic!("r={r} {img:?}: candidate {m:?}: {e}"));
+                        seen.extend(layer.plans.iter().map(resolve));
+                    }
                 }
             }
         }
-        assert_eq!(seen.into_iter().collect::<Vec<_>>(), (1..=8).collect::<Vec<_>>());
+        // The sweep reached every tile size at r = 3 and the table's far
+        // corner (inference admits `m = 8` even at r = 5).
+        for m in 1..=SEARCH_MAX_M {
+            assert!(seen.contains(&(m, 3)), "F({m}, 3) never proposed");
+        }
+        assert!(seen.contains(&(SEARCH_MAX_M, TABLE_MAX_R)), "{seen:?}");
+
+        for m in 1..=SEARCH_MAX_M {
+            assert!((1..=m).contains(&shrink_dim(m)), "shrink_dim({m})");
+            for g in grow_tile(&[m, m], &[100, 3]) {
+                assert!(g >= m.min(3) && in_table(g, 1), "grow_tile([{m}, {m}]) -> {g}");
+            }
+        }
     }
 
-    /// Plans outside the table — other kernel widths, the integer point
-    /// schedule, one untabled dimension among tabled ones — resolve to no
-    /// codelet and run the interpreter (their oracle tests are the
-    /// existing arbitrary-kernel and point-schedule batteries).
+    /// The edge of what plans is the edge of the table: `F(8, 5)` plans,
+    /// one step past either side is `BadTileSize`, whatever the policy's
+    /// Winograd rows offer.
     #[test]
-    fn untabled_plans_resolve_to_the_interpreter() {
+    fn plans_end_where_the_table_ends() {
         let opts = ConvOptions::default();
-        let plan = |img: &[usize], ker: &[usize], m: &[usize], opts| {
-            let pad = vec![0; img.len()];
-            let s = ConvShape::new(1, 16, 16, img, ker, &pad).unwrap();
-            WinogradLayer::new(s, m, opts).unwrap()
+        let plan = |img: &[usize], ker: &[usize], m: &[usize]| {
+            let s = ConvShape::new(1, 16, 16, img, ker, &vec![0; img.len()]).unwrap();
+            WinogradLayer::new(s, m, opts).map(|l| l.grid.tile_dims.clone())
         };
-        assert!(plan(&[12, 12], &[3, 3], &[4, 6], opts).uses_generated_codelets());
-        assert!(!plan(&[12, 12], &[2, 2], &[3, 3], opts).uses_generated_codelets()); // F(3, 2)
-        assert!(!plan(&[12, 12], &[5, 5], &[2, 2], opts).uses_generated_codelets()); // F(2, 5)
-        assert!(!plan(&[12, 12], &[3, 2], &[4, 4], opts).uses_generated_codelets()); // one miss
-        let integer = ConvOptions { points: wino_transforms::PointSchedule::Integer, ..opts };
-        assert!(!plan(&[12, 12], &[3, 3], &[4, 4], integer).uses_generated_codelets());
+        assert_eq!(plan(&[20, 20], &[5, 5], &[8, 8]).unwrap(), vec![12, 12]);
+        assert_eq!(plan(&[20, 20], &[3, 2], &[4, 3]).unwrap(), vec![6, 4]);
+        assert_eq!(plan(&[20, 20], &[3, 3], &[9, 4]).unwrap_err(), PlanError::BadTileSize { dim: 0, m: 9 });
+        assert_eq!(plan(&[20, 20], &[3, 6], &[4, 4]).unwrap_err(), PlanError::BadTileSize { dim: 1, m: 4 });
     }
 
     #[test]
     fn budget_caps_follow_conditioning_not_a_table() {
-        let opts = ConvOptions::default();
         // r = 5 transforms are much worse conditioned: the training
         // budget that allows m = 6 at r = 3 only admits m = 3 at r = 5
         // (γ(4,5)·ε ≈ 1.03e-5 > 1e-5). A hard-coded "m ≤ 6" table would
         // get this wrong.
         let s5 = ConvShape::new(1, 16, 16, &[20, 20], &[5, 5], &[2, 2]).unwrap();
-        let train5 = candidate_tiles(&s5, Purpose::Training, &opts);
+        let train5 = candidate_tiles(&s5, Purpose::Training);
         assert!(
             train5.iter().all(|m| m.iter().all(|&x| x <= 3)),
             "r=5 training candidates exceed the conditioning cap: {train5:?}"
         );
         assert!(!train5.is_empty());
-
-        // The integer point schedule conditions worse than the mixed one,
-        // so its caps are at most as large.
-        let int_opts = ConvOptions { points: wino_transforms::PointSchedule::Integer, ..opts };
-        let s3 = ConvShape::new(1, 16, 16, &[20, 20], &[3, 3], &[1, 1]).unwrap();
-        let mixed = candidate_tiles(&s3, Purpose::Inference, &opts);
-        let integer = candidate_tiles(&s3, Purpose::Inference, &int_opts);
-        let max_of = |c: &[Vec<usize>]| c.iter().flat_map(|m| m.iter().copied()).max().unwrap();
-        assert!(max_of(&integer) <= max_of(&mixed));
     }
 
     #[test]
@@ -435,12 +433,12 @@ mod tests {
         let s = ConvShape::new(1, 16, 16, &[20, 20], &[3, 3], &[1, 1]).unwrap();
         let opts = ConvOptions::default();
         let tight = AccuracyBudget::new(6e-6);
-        assert_eq!(fit_tile_to_budget(&s, &[8, 8], tight, &opts), vec![4, 4]);
+        assert_eq!(fit_tile_to_budget(&s, &[8, 8], tight), vec![4, 4]);
         // Already-fitting tiles pass through unchanged.
-        assert_eq!(fit_tile_to_budget(&s, &[4, 2], tight, &opts), vec![4, 2]);
+        assert_eq!(fit_tile_to_budget(&s, &[4, 2], tight), vec![4, 2]);
         // An unreachable budget floors at 2 instead of looping.
         let impossible = AccuracyBudget::new(1e-12);
-        assert_eq!(fit_tile_to_budget(&s, &[8, 8], impossible, &opts), vec![2, 2]);
+        assert_eq!(fit_tile_to_budget(&s, &[8, 8], impossible), vec![2, 2]);
 
         // And the planner agrees end-to-end: m = 8 is rejected under the
         // tight budget, the demoted tile plans cleanly.

@@ -127,7 +127,7 @@ impl MutPtr {
 pub(crate) struct InputTransformCtx<'a> {
     layer: &'a WinogradLayer,
     input: &'a BlockedImage,
-    xf: TileTransform<'a, Bt>,
+    xf: TileTransform<Bt>,
     /// Strides of a tile read in place from the image.
     image_strides: Strides,
     /// Strides of a tile gathered row-major into a thread buffer.
@@ -157,7 +157,7 @@ impl<'a> InputTransformCtx<'a> {
         InputTransformCtx {
             layer,
             input,
-            xf: TileTransform::new(&layer.plans, layer.codelets),
+            xf: TileTransform::new(&layer.plans),
             image_strides: row_major(&input.dims, S),
             gathered_strides: row_major(&layer.grid.tile_dims, S),
             u_strides: row_major(&layer.grid.tile_dims, t_stride),
@@ -355,7 +355,7 @@ pub fn transform_kernels(
         layer,
         kernels,
         v: MutPtr(scratch.v.as_mut_ptr()),
-        xf: TileTransform::new(&layer.plans, layer.codelets),
+        xf: TileTransform::new(&layer.plans),
         kernel_strides: row_major(&layer.shape.kernel_dims, S),
         v_strides: row_major(&layer.grid.tile_dims, c_blk * cp_blk),
         t_vol: layer.t_vol(),
@@ -382,7 +382,7 @@ struct KernelTransformCtx<'a> {
     layer: &'a WinogradLayer,
     kernels: &'a BlockedKernels,
     v: MutPtr,
-    xf: TileTransform<'a, G>,
+    xf: TileTransform<G>,
     /// Strides of the `r_vol` contiguous kernel vectors.
     kernel_strides: Strides,
     /// Strides of the `T` transform vectors in `V`: `t_stride` apart.
@@ -604,14 +604,14 @@ mod tests {
         batch: usize,
         c: usize,
         img: &[usize],
+        ker: &[usize],
         pad: usize,
         m: &[usize],
-        opts: ConvOptions,
         streams: bool,
     ) {
         let rank = img.len();
-        let s = ConvShape::new(batch, c, 16, img, &vec![3; rank], &vec![pad; rank]).unwrap();
-        let layer = WinogradLayer::new_on(s, m, opts, Host::test(true, streams)).unwrap();
+        let s = ConvShape::new(batch, c, 16, img, ker, &vec![pad; rank]).unwrap();
+        let layer = WinogradLayer::new_on(s, m, ConvOptions::default(), Host::test(true, streams)).unwrap();
         assert_eq!(layer.streams, streams);
         let simple = SimpleImage::from_fn(batch, c, img, |b, ch, x| {
             let h = x.iter().fold(b * 31 + ch * 7, |h, &v| h * 13 + v);
@@ -655,28 +655,27 @@ mod tests {
     #[test]
     fn u_equals_gather_plus_interpreter_on_interior_and_edge_tiles() {
         // The benchmark's ragged shape: 158 = 26·6 + 2 outputs per side.
-        let opts = ConvOptions::default();
-        assert_u_equals_staged_reference(1, 16, &[160, 160], 0, &[6, 6], opts, true);
+        assert_u_equals_staged_reference(1, 16, &[160, 160], &[3, 3], 0, &[6, 6], true);
         for streams in [true, false] {
-            assert_u_equals_staged_reference(2, 32, &[15, 15], 0, &[4, 4], opts, streams);
-            assert_u_equals_staged_reference(2, 32, &[14, 14], 1, &[4, 4], opts, streams);
-            assert_u_equals_staged_reference(1, 16, &[22, 19], 1, &[6, 2], opts, streams);
-            assert_u_equals_staged_reference(1, 16, &[7, 12, 12], 1, &[2, 4, 4], opts, streams);
-            assert_u_equals_staged_reference(1, 16, &[30], 1, &[8], opts, streams);
+            assert_u_equals_staged_reference(2, 32, &[15, 15], &[3, 3], 0, &[4, 4], streams);
+            assert_u_equals_staged_reference(2, 32, &[14, 14], &[3, 3], 1, &[4, 4], streams);
+            assert_u_equals_staged_reference(1, 16, &[22, 19], &[3, 3], 1, &[6, 2], streams);
+            assert_u_equals_staged_reference(1, 16, &[7, 12, 12], &[3, 3, 3], 1, &[2, 4, 4], streams);
+            assert_u_equals_staged_reference(1, 16, &[30], &[3], 1, &[8], streams);
         }
     }
 
-    /// Plans outside the generated table take the interpreter fallback
-    /// of the same entry point and still match the staged reference.
+    /// Kernel widths other than 3 — per dimension — run their own table
+    /// rows through the same entry point.
     #[test]
-    fn untabled_plans_run_the_interpreter_and_match_the_reference() {
-        let integer = ConvOptions {
-            points: wino_transforms::PointSchedule::Integer,
-            ..Default::default()
-        };
-        let s = ConvShape::new(1, 16, 16, &[14, 14], &[3, 3], &[1, 1]).unwrap();
-        assert!(!WinogradLayer::new(s, &[4, 4], integer).unwrap().uses_generated_codelets());
-        assert_u_equals_staged_reference(1, 16, &[14, 14], 1, &[4, 4], integer, true);
+    fn u_equals_the_reference_for_other_kernel_widths() {
+        for (img, ker, pad, m) in [
+            (&[14usize, 14][..], &[4usize, 4][..], 1, &[3usize, 3][..]),
+            (&[13, 15], &[5, 2], 1, &[2, 3]),
+            (&[6, 11, 11], &[1, 3, 2], 0, &[2, 4, 3]),
+        ] {
+            assert_u_equals_staged_reference(1, 16, img, ker, pad, m, true);
+        }
     }
 
     #[test]

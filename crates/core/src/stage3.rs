@@ -35,7 +35,7 @@ use crate::stage1::{decompose, MutPtr};
 pub(crate) struct Stage3Ctx<'a> {
     layer: &'a WinogradLayer,
     out: MutPtr,
-    xf: TileTransform<'a, At>,
+    xf: TileTransform<At>,
     /// Strides of a tile read in place from its `T·S`-float chunk
     /// (row-major, `S` apart).
     y_strides: Strides,
@@ -54,7 +54,7 @@ impl<'a> Stage3Ctx<'a> {
         Stage3Ctx {
             layer,
             out: MutPtr(out),
-            xf: TileTransform::new(&layer.plans, layer.codelets),
+            xf: TileTransform::new(&layer.plans),
             y_strides: row_major(&layer.grid.tile_dims, S),
             out_strides: row_major(out_dims, S),
             out_channel_groups: layer.shape.out_channels / S,
@@ -334,14 +334,14 @@ mod tests {
     /// staged, clipped write of ragged ones are all pinned against it.
     fn assert_output_equals_staged_reference(
         img: &[usize],
+        ker: &[usize],
         pad: usize,
         m: &[usize],
-        opts: ConvOptions,
         streams: bool,
     ) {
         let rank = img.len();
-        let s = ConvShape::new(2, 16, 32, img, &vec![3; rank], &vec![pad; rank]).unwrap();
-        let layer = WinogradLayer::new_on(s, m, opts, Host::test(true, streams)).unwrap();
+        let s = ConvShape::new(2, 16, 32, img, ker, &vec![pad; rank]).unwrap();
+        let layer = WinogradLayer::new_on(s, m, ConvOptions::default(), Host::test(true, streams)).unwrap();
         assert_eq!(layer.streams, streams);
         let mut scratch = Scratch::new(&layer, 2);
         fill_y(&mut scratch);
@@ -387,22 +387,19 @@ mod tests {
 
     #[test]
     fn output_equals_copy_plus_interpreter_on_full_and_ragged_tiles() {
-        let opts = ConvOptions::default();
         // The benchmark's ragged shape: 158 = 26·6 + 2 outputs per side.
-        assert_output_equals_staged_reference(&[160, 160], 0, &[6, 6], opts, true);
+        assert_output_equals_staged_reference(&[160, 160], &[3, 3], 0, &[6, 6], true);
         for streams in [true, false] {
-            assert_output_equals_staged_reference(&[15, 15], 0, &[4, 4], opts, streams);
-            assert_output_equals_staged_reference(&[14, 14], 1, &[4, 4], opts, streams);
-            assert_output_equals_staged_reference(&[22, 19], 1, &[6, 2], opts, streams);
-            assert_output_equals_staged_reference(&[7, 12, 12], 1, &[2, 4, 4], opts, streams);
-            assert_output_equals_staged_reference(&[30], 1, &[8], opts, streams);
+            assert_output_equals_staged_reference(&[15, 15], &[3, 3], 0, &[4, 4], streams);
+            assert_output_equals_staged_reference(&[14, 14], &[3, 3], 1, &[4, 4], streams);
+            assert_output_equals_staged_reference(&[22, 19], &[3, 3], 1, &[6, 2], streams);
+            assert_output_equals_staged_reference(&[7, 12, 12], &[3, 3, 3], 1, &[2, 4, 4], streams);
+            assert_output_equals_staged_reference(&[30], &[3], 1, &[8], streams);
         }
-        // Outside the generated table the same entry point interprets.
-        let integer = ConvOptions {
-            points: wino_transforms::PointSchedule::Integer,
-            ..Default::default()
-        };
-        assert_output_equals_staged_reference(&[14, 14], 1, &[4, 4], integer, true);
+        // Kernel widths other than 3, per dimension: their own table rows.
+        assert_output_equals_staged_reference(&[14, 14], &[4, 4], 1, &[3, 3], true);
+        assert_output_equals_staged_reference(&[13, 15], &[5, 2], 1, &[2, 3], true);
+        assert_output_equals_staged_reference(&[6, 11, 11], &[1, 3, 2], 0, &[2, 4, 3], true);
     }
 
     #[test]

@@ -28,6 +28,7 @@ impl Avx2 {
 }
 
 #[target_feature(enable = "avx2,fma")]
+#[inline(never)]
 fn arm<K: Kernel>(k: K) -> K::Output {
     k.run::<F32x16>()
 }
@@ -44,6 +45,7 @@ impl crate::sealed::Sealed for F32x16 {}
 
 impl Simd16 for F32x16 {
     const VECTOR_REGS: usize = 8;
+    const STREAMS: bool = true;
 
     #[inline(always)]
     fn zero() -> Self {
@@ -89,6 +91,13 @@ impl Simd16 for F32x16 {
         unsafe {
             F32x16(_mm256_fmadd_ps(self.0, b.0, c.0), _mm256_fmadd_ps(self.1, b.1, c.1))
         }
+    }
+
+    #[inline(always)]
+    fn enter<K: Kernel>(k: K) -> K::Output {
+        // SAFETY: avx2 and fma proven (type docs): this `V` exists only
+        // inside `arm`, which only a detected token enters.
+        unsafe { arm(k) }
     }
 
     #[inline(always)]

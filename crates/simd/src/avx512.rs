@@ -24,6 +24,7 @@ impl Avx512 {
 }
 
 #[target_feature(enable = "avx512f")]
+#[inline(never)]
 fn arm<K: Kernel>(k: K) -> K::Output {
     k.run::<F32x16>()
 }
@@ -41,6 +42,7 @@ impl crate::sealed::Sealed for F32x16 {}
 
 impl Simd16 for F32x16 {
     const VECTOR_REGS: usize = 32;
+    const STREAMS: bool = true;
 
     #[inline(always)]
     fn zero() -> Self {
@@ -77,6 +79,13 @@ impl Simd16 for F32x16 {
     fn mul_add(self, b: Self, c: Self) -> Self {
         // SAFETY: avx512f proven (type docs); register-only.
         unsafe { F32x16(_mm512_fmadd_ps(self.0, b.0, c.0)) }
+    }
+
+    #[inline(always)]
+    fn enter<K: Kernel>(k: K) -> K::Output {
+        // SAFETY: avx512f proven (type docs): this `V` exists only
+        // inside `arm`, which only a detected token enters.
+        unsafe { arm(k) }
     }
 
     #[inline(always)]

@@ -84,9 +84,10 @@ mod sealed {
 /// backend whose CPU support was proven — which is what makes the safe
 /// constructors below sound.
 ///
-/// Every method is `#[inline(always)]` in every backend; code generic
-/// over `V` must be too, all the way up to [`Kernel::run`], or it is
-/// compiled without the arm's target features.
+/// Every method but [`Simd16::enter`] (whose point is the call) is
+/// `#[inline(always)]` in every backend; code generic over `V` must be
+/// too, all the way up to [`Kernel::run`], or it is compiled without the
+/// arm's target features.
 pub trait Simd16:
     Copy
     + std::ops::Add<Output = Self>
@@ -99,6 +100,11 @@ pub trait Simd16:
     /// its own and mirrors AVX-512, so it walks the same register tiles.
     /// The GEMM micro-kernel sizes its accumulator tile from this.
     const VECTOR_REGS: usize;
+
+    /// Whether [`Simd16::store_nt`] differs from [`Simd16::store`] on
+    /// this backend. Where it does not (`scalar`), code monomorphised per
+    /// store flavour may run its plain instantiation for both.
+    const STREAMS: bool;
 
     /// All-zero vector.
     fn zero() -> Self;
@@ -133,6 +139,15 @@ pub trait Simd16:
 
     /// Copy lanes out into an array.
     fn to_array(self) -> [f32; 16];
+
+    /// Run `k` on this backend as one out-of-line call: [`dispatch`] for
+    /// code that already holds `V`. A body generic over `V` that would
+    /// otherwise inline one large kernel per `match` arm — the
+    /// transform-codelet table — calls `V::enter(kernel)` instead, so
+    /// each kernel is compiled once per backend rather than once per
+    /// including body (and, unoptimised, has a stack frame of its own).
+    /// `V` is known statically: no detection, no branch, only the call.
+    fn enter<K: Kernel>(k: K) -> K::Output;
 
     /// Load 16 floats from a slice (bounds-checked).
     #[inline(always)]

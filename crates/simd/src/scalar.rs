@@ -2,7 +2,7 @@
 //! for LLVM to auto-vectorise. Keeps the whole workspace buildable and
 //! testable on any architecture; the data layouts are unchanged.
 
-use crate::Simd16;
+use crate::{Kernel, Simd16};
 
 /// 16 `f32` lanes backed by an array.
 #[derive(Clone, Copy)]
@@ -13,6 +13,7 @@ impl crate::sealed::Sealed for F32x16 {}
 
 impl Simd16 for F32x16 {
     const VECTOR_REGS: usize = 32;
+    const STREAMS: bool = false;
 
     #[inline(always)]
     fn zero() -> Self {
@@ -48,6 +49,11 @@ impl Simd16 for F32x16 {
     #[inline(always)]
     fn mul_add(self, b: Self, c: Self) -> Self {
         F32x16(std::array::from_fn(|i| self.0[i] * b.0[i] + c.0[i]))
+    }
+
+    #[inline(never)]
+    fn enter<K: Kernel>(k: K) -> K::Output {
+        k.run::<F32x16>()
     }
 
     #[inline(always)]

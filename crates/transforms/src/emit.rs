@@ -16,8 +16,8 @@
 //! becomes `acc ± x`.
 //!
 //! This crate stays dependency-free: the output is text. `wino-conv`'s
-//! build script writes [`PRELUDE`] and one function per table entry into
-//! `OUT_DIR` and `include!`s the file.
+//! build script writes [`PRELUDE`] and one function per distinct program
+//! of its `F(m, r)` table into `OUT_DIR` and `include!`s the file.
 
 use std::fmt::Write;
 

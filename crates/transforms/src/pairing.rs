@@ -13,7 +13,7 @@
 //! rows. The result is straight-line data: printed as Rust source by
 //! [`crate::emit`] for `wino-conv`'s build-time codelets, or interpreted by
 //! the scalar executor here and the S-wide vector executor in `wino-conv`
-//! (the fallback for sizes without a generated codelet).
+//! (the reference the generated codelets are tested against).
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -21,7 +21,7 @@
 use crate::program::{MatrixProgram, OpCount, RowProgram, Term};
 
 /// One node of a paired program.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum PairNode {
     /// `out[row] = Σ terms` — an unpaired row.
     Direct { out: usize, row: RowProgram },
@@ -47,7 +47,7 @@ impl PairNode {
 }
 
 /// A transform program with Fig. 2 row pairings applied.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct PairedProgram {
     pub n_out: usize,
     pub n_in: usize,

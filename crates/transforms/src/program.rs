@@ -12,11 +12,11 @@
 //! The program is data (a list of terms per output row). On the hot path it
 //! is not interpreted at all: [`crate::emit`] prints its pair-optimised form
 //! as straight-line Rust, which `wino-conv` compiles in at build time for
-//! every `F(m, 3)` the tile search can pick and runs S = 16 channels per
-//! operation, exactly like the paper's generated codelets. The scalar
-//! interpreter here serves tests and the reference paths; the S-wide vector
-//! interpreter in `wino-conv` runs the sizes outside that table and is the
-//! reference the generated code is tested equal to.
+//! every `F(m, r)` it plans and runs S = 16 channels per operation,
+//! exactly like the paper's generated codelets. The scalar interpreter
+//! here serves tests and the reference paths; the S-wide vector
+//! interpreter in `wino-conv` is the reference the generated code is
+//! tested equal to.
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -103,7 +103,7 @@ impl MatrixProgram {
     /// Apply to a strided line of scalars: `out[i] = Σ coeff·input[src]`.
     ///
     /// `input` and `output` may not alias. Used by the reference/test paths;
-    /// hot paths use the S-wide interpreter in `wino-conv`.
+    /// hot paths run the generated codelets of `wino-conv`.
     pub fn apply_strided(
         &self,
         input: &[f32],

@@ -83,15 +83,20 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # im2col, FFT against the f64 oracle) and the executor/JIT agreement
 # tests, which compare runs *within* one backend.
 #
-# Codelet gate: the build-time generated transform codelets must equal
-# the interpreter element for element (every table entry × Bᵀ/G/Aᵀ ×
-# rank 1–3 × every dimension, plain and streaming stores), the N-D driver
-# must agree with it on whole tiles and strided views, stage 1 / stage 3
-# must write exactly what gather + interpreter + clipped copy produce on
+# Codelet gate: the stages run build-time generated transform codelets and
+# nothing else, so (named below — a rename must touch this script) every
+# row of the table, F(1..=8, 1..=5), must equal the reference interpreter
+# element for element (× Bᵀ/G/Aᵀ × rank 1–3 × every dimension, mixed
+# kernel widths per dimension, plain and streaming stores), every tile the
+# search or a re-tiling ladder can reach for every kernel width of the
+# table must plan, and the table's edge is the planner's edge: F(8, 5)
+# plans, F(9, 3) and r = 6 are `BadTileSize`, and an r = 7 layer runs
+# im2col with `plan-failed` through the dispatcher and `Network`. Beside
+# them (by module): the N-D driver on strided views, and stage 1 / stage 3
+# writing exactly what gather + interpreter + clipped copy produce on
 # interior *and* edge tiles (pad 0, pad 1, the ragged 158 = 26·6 + 2
-# shape; planned on a host that streams every store and on one that
-# streams none), and every tile the search can propose for 3-wide kernels must
-# resolve to a generated codelet while untabled plans interpret.
+# shape, kernels other than 3 wide; planned on a host that streams every
+# store and on one that streams none).
 #
 # Schedule gate: on every backend the ring-fused driver must equal the
 # three public stage calls bit for bit (rank 1–3, ragged and straddling
@@ -123,6 +128,15 @@ for isa in "${isas[@]}"; do
         cargo test --offline -q --test fused_equivalence
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
+        codelet::tests::whole_tiles_equal_the_interpreter_exactly \
+        vecprog::tests::every_backend_matches_dense_oracle \
+        select::tests::every_candidate_and_every_ladder_step_stays_inside_the_table \
+        select::tests::plans_end_where_the_table_ends
+    run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+        cargo test --offline -q --test dispatch_matrix \
+        a_kernel_wider_than_the_codelet_table_runs_im2col_with_provenance
+    run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+        cargo test --offline -q -p wino-conv --lib -- \
         codelet:: vecprog:: stage1:: stage3:: select:: \
         dispatch::tests::strided_output_is_the_subsampled_stride1_output
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
@@ -131,9 +145,10 @@ for isa in "${isas[@]}"; do
         cargo test --offline -q -p wino-gemm -p wino-jit --lib
 done
 
-# Accuracy gate: (a) every practical F(m, r) under both interpolation
-# point schedules must measure within its exact a-priori conditioning
-# bound (the `accuracy` binary exits non-zero on a violation); (b) the
+# Accuracy gate: (a) every practical F(m, r) must measure within its
+# exact a-priori conditioning bound (the `accuracy` binary exits non-zero
+# on a violation; its integer-point rows are conditioning only — the
+# engine plans the mixed schedule); (b) the
 # three smoke layers must come through budget-driven tile selection and a
 # sentinel-sampled forward with zero trips; (c) the sentinel sample and
 # verdicts must be executor-deterministic under the pinned CI seed;

@@ -1,22 +1,21 @@
 //! Integration tests for the evaluation-side claims: Table 3's error
-//! monotonicity, the FLOP accounting used in Fig. 5 reporting, the
-//! point-schedule conditioning ablation, and wisdom-guided planning.
+//! monotonicity, the FLOP accounting used in Fig. 5 reporting, and
+//! wisdom-guided planning. (The point-schedule conditioning ablation is
+//! exact arithmetic: `wino_transforms::conditioning`'s tests.)
 
 use winograd_nd_repro::baseline::{direct_f64, element_errors};
 use winograd_nd_repro::conv::{ConvOptions, Scratch, WinogradLayer};
 use winograd_nd_repro::sched::SerialExecutor;
 use winograd_nd_repro::tensor::{BlockedImage, BlockedKernels, ConvShape};
-use winograd_nd_repro::transforms::PointSchedule;
 use winograd_nd_repro::workloads::{
     effective_gflops, full_catalog, scaled_catalog, uniform_input, xavier_kernels,
 };
 
-fn winograd_error(shape: &ConvShape, m: &[usize], points: PointSchedule) -> (f64, f64) {
+fn winograd_error(shape: &ConvShape, m: &[usize]) -> (f64, f64) {
     let img = uniform_input(shape, 99);
     let ker = xavier_kernels(shape, 100);
     let truth = direct_f64(&img, &ker, &shape.padding);
-    let opts = ConvOptions { points, ..Default::default() };
-    let plan = WinogradLayer::new(shape.clone(), m, opts).unwrap();
+    let plan = WinogradLayer::new(shape.clone(), m, ConvOptions::default()).unwrap();
     let input = BlockedImage::from_simple(&img).unwrap();
     let kernels = BlockedKernels::from_simple(&ker).unwrap();
     let mut out = plan.new_output().unwrap();
@@ -28,8 +27,8 @@ fn winograd_error(shape: &ConvShape, m: &[usize], points: PointSchedule) -> (f64
 #[test]
 fn table3_error_grows_monotonically_with_tile_size() {
     // The Table 3 law, stated against the a-priori error model instead
-    // of sampling luck: for every practical F(m, r) under both point
-    // schedules, the *measured* max relative error stays within the
+    // of sampling luck: for every practical F(m, r) the *measured* max
+    // relative error stays within the
     // exact-conditioning bound (`predicted_bound`, the runtime-sentinel
     // trip threshold), and the *predicted* bounds — which drive
     // budget-based tile selection — are strictly monotone in m.
@@ -41,50 +40,32 @@ fn table3_error_grows_monotonically_with_tile_size() {
         let truth = direct_f64(&img, &ker, &shape.padding);
         let truth_inf =
             truth.data.iter().fold(0.0f64, |a, &v| a.max((v as f64).abs())).max(1.0);
-        for schedule in [PointSchedule::Mixed, PointSchedule::Integer] {
-            let mut last_bound = 0.0f64;
-            for m in [2usize, 4, 6, 8] {
-                let opts = ConvOptions { points: schedule, ..Default::default() };
-                let plan = WinogradLayer::new(shape.clone(), &[m, m], opts).unwrap();
-                let bound = plan.predicted_bound();
+        let mut last_bound = 0.0f64;
+        for m in [2usize, 4, 6, 8] {
+            let plan = WinogradLayer::new(shape.clone(), &[m, m], ConvOptions::default()).unwrap();
+            let bound = plan.predicted_bound();
 
-                let input = BlockedImage::from_simple(&img).unwrap();
-                let kernels = BlockedKernels::from_simple(&ker).unwrap();
-                let mut out = plan.new_output().unwrap();
-                let mut scratch = Scratch::new(&plan, 1);
-                plan.forward(&input, &kernels, &mut out, &mut scratch, &SerialExecutor)
-                    .unwrap();
-                let (max_err, avg_err) = element_errors(&out.to_simple(), &truth);
-                let measured = max_err / truth_inf;
+            let input = BlockedImage::from_simple(&img).unwrap();
+            let kernels = BlockedKernels::from_simple(&ker).unwrap();
+            let mut out = plan.new_output().unwrap();
+            let mut scratch = Scratch::new(&plan, 1);
+            plan.forward(&input, &kernels, &mut out, &mut scratch, &SerialExecutor).unwrap();
+            let (max_err, avg_err) = element_errors(&out.to_simple(), &truth);
+            let measured = max_err / truth_inf;
 
-                assert!(
-                    measured <= bound,
-                    "F({m}²,{r}²) {schedule:?}: measured rel err {measured:.3e} \
-                     exceeds a-priori bound {bound:.3e}"
-                );
-                assert!(
-                    bound > last_bound,
-                    "F({m}²,{r}²) {schedule:?}: predicted bound must be strictly \
-                     monotone in m ({bound:.3e} vs prev {last_bound:.3e})"
-                );
-                assert!(avg_err < max_err);
-                last_bound = bound;
-            }
+            assert!(
+                measured <= bound,
+                "F({m}²,{r}²): measured rel err {measured:.3e} exceeds a-priori bound {bound:.3e}"
+            );
+            assert!(
+                bound > last_bound,
+                "F({m}²,{r}²): predicted bound must be strictly monotone in m \
+                 ({bound:.3e} vs prev {last_bound:.3e})"
+            );
+            assert!(avg_err < max_err);
+            last_bound = bound;
         }
     }
-}
-
-#[test]
-fn fractional_points_beat_integer_points_for_large_tiles() {
-    // The conditioning ablation that reconciles our Table 3 with the
-    // paper's: integer-only interpolation points are far worse for m ≥ 6.
-    let shape = ConvShape::new(1, 32, 32, &[20, 20], &[3, 3], &[1, 1]).unwrap();
-    let (mixed, _) = winograd_error(&shape, &[6, 6], PointSchedule::Mixed);
-    let (integer, _) = winograd_error(&shape, &[6, 6], PointSchedule::Integer);
-    assert!(
-        integer > mixed * 10.0,
-        "integer points should be ≥10× worse at F(6²): {integer} vs {mixed}"
-    );
 }
 
 #[test]
@@ -96,7 +77,7 @@ fn f2_is_more_accurate_than_direct_f32() {
     let ker = xavier_kernels(&shape, 6);
     let truth = direct_f64(&img, &ker, &shape.padding);
 
-    let (wino_max, _) = winograd_error(&shape, &[2, 2], PointSchedule::Mixed);
+    let (wino_max, _) = winograd_error(&shape, &[2, 2]);
 
     let input = BlockedImage::from_simple(&img).unwrap();
     let kernels = BlockedKernels::from_simple(&ker).unwrap();
@@ -166,7 +147,7 @@ fn tile_selection_picks_a_valid_plan() {
     // The largest tile the planner accepts under the purpose's budget.
     let purpose = Purpose::Training;
     let opts = ConvOptions { budget: Some(purpose.budget()), ..Default::default() };
-    let candidates = candidate_tiles(&shape, purpose, &opts);
+    let candidates = candidate_tiles(&shape, purpose);
     assert_eq!(candidates.len(), 5);
     let plan = candidates
         .iter()

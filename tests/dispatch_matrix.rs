@@ -251,3 +251,44 @@ fn monolithic_planner_declines_geometry_with_a_pointer() {
         ));
     }
 }
+
+#[test]
+fn a_kernel_wider_than_the_codelet_table_runs_im2col_with_provenance() {
+    // The Winograd stages run generated codelets and nothing else, and
+    // the table ends at r = 5: a 7-wide kernel has no Winograd plan
+    // (`BadTileSize`), which the default policy turns into the im2col
+    // route with `plan-failed` — from the dispatcher and through
+    // `Network` alike — and the strict policy surfaces.
+    let shape = ConvShape::new(1, C, K, &[12, 12], &[7, 7], &[3, 3]).unwrap();
+    let opts = ConvOptions::default();
+    assert!(matches!(
+        plan_dispatch(&shape, &[2, 2], opts, &FallbackPolicy::strict()),
+        Err(PlanError::BadTileSize { dim: 0, m: 2 })
+    ));
+    let (dp, fb) = plan_dispatch(&shape, &[2, 2], opts, &FallbackPolicy::default()).unwrap();
+    assert!(matches!(dp.route, Route::Im2col));
+    assert_eq!(fb.as_ref().map(|r| r.code()), Some("plan-failed"), "{fb:?}");
+
+    let img = SimpleImage::from_fn(1, C, &[12, 12], |_, ch, xy| {
+        ((ch * 17 + xy[0] * 31 + xy[1]) % 211) as f32 / 211.0 * 0.2 - 0.1
+    });
+    let ker = SimpleKernels::from_fn(K, C, &[7, 7], |co, ci, xy| {
+        ((co * 19 + ci * 5 + xy[0] * 13 + xy[1]) % 97) as f32 / 97.0 * 0.4 - 0.2
+    });
+    let truth = direct_f64_geo(&img, &ker, &shape.padding, &opts.geometry(2));
+    let input = BlockedImage::from_simple(&img).unwrap();
+    let kernels = vec![BlockedKernels::from_simple(&ker).unwrap()];
+    let mut out = dp.new_output().unwrap();
+    dp.forward(&input, &kernels[0], &mut out, &SerialExecutor).unwrap();
+    let (max_err, _) = element_errors(&out.to_simple(), &truth);
+    assert!(max_err < 1e-4, "dispatcher: max err {max_err}");
+
+    let specs = vec![LayerSpec { activation: Activation::None, ..LayerSpec::same(K, 2, 7, 2) }];
+    let policy = FallbackPolicy::default();
+    let mut net = Network::with_policy(1, C, &[12, 12], &specs, opts, 1, &policy).unwrap();
+    let (out, reports) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+    assert_eq!(reports[0].backend, LayerBackend::Im2col);
+    assert_eq!(reports[0].fallback.as_ref().map(|r| r.code()), Some("plan-failed"));
+    let (max_err, _) = element_errors(&out.to_simple(), &truth);
+    assert!(max_err < 1e-4, "network: max err {max_err}");
+}

@@ -19,7 +19,6 @@ use winograd_nd_repro::sched::{
     DynamicExecutor, Executor, PoolError, SerialExecutor, StaticExecutor,
 };
 use winograd_nd_repro::tensor::{BlockedImage, BlockedKernels, ConvShape, SimpleImage, SimpleKernels};
-use winograd_nd_repro::transforms::PointSchedule;
 
 /// Counts the fork–joins issued through it.
 struct Counting<'e> {
@@ -57,7 +56,6 @@ struct Case {
     m: &'static [usize],
     /// Explicit blocking (panel height = ring height), or the planner's.
     block: Option<BlockShape>,
-    points: PointSchedule,
 }
 
 const fn case(
@@ -68,7 +66,7 @@ const fn case(
     pad: usize,
     m: &'static [usize],
 ) -> Case {
-    Case { name, batch, c, cp, dims, kernel: 3, pad, m, block: None, points: PointSchedule::Mixed }
+    Case { name, batch, c, cp, dims, kernel: 3, pad, m, block: None }
 }
 
 fn cases() -> Vec<Case> {
@@ -92,12 +90,10 @@ fn cases() -> Vec<Case> {
             block: Some(BlockShape { n_blk: 6, c_blk: 32, cp_blk: 16 }),
             ..case("a tail panel, three column blocks", 1, (32, 48), &[10, 10], 1, &[2, 2])
         },
-        // Outside the generated codelet table: the interpreter route.
-        Case {
-            points: PointSchedule::Integer,
-            ..case("integer points (interpreted)", 1, (16, 16), &[14, 14], 1, &[4, 4])
-        },
-        Case { kernel: 2, ..case("F(3, 2) (interpreted)", 1, (16, 32), &[11, 12], 0, &[3, 3]) },
+        // Kernels other than 3 wide.
+        Case { kernel: 2, ..case("F(3², 2²)", 1, (16, 32), &[11, 12], 0, &[3, 3]) },
+        Case { kernel: 4, ..case("F(3², 4²)", 1, (16, 16), &[14, 14], 1, &[3, 3]) },
+        Case { kernel: 5, ..case("F(2², 5²)", 1, (16, 16), &[13, 12], 2, &[2, 2]) },
     ]
 }
 
@@ -185,16 +181,10 @@ fn fused_forward_equals_the_three_stages_bit_for_bit() {
         .unwrap();
         let (input, kernels) = data(&shape);
         for &stage2 in &backends {
-            let opts =
-                ConvOptions { stage2, block: case.block, points: case.points, ..Default::default() };
+            let opts = ConvOptions { stage2, block: case.block, ..Default::default() };
             let what = format!("{} ({stage2:?})", case.name);
             let plan = WinogradLayer::new(shape.clone(), case.m, opts).unwrap();
             assert!(plan.is_fused(), "{what}: a fused plan is what this test is about");
-            assert_eq!(
-                plan.uses_generated_codelets(),
-                case.points == PointSchedule::Mixed && case.kernel == 3,
-                "{what}"
-            );
             let want = staged(&plan, &input, &kernels);
             for (e, exec) in executors.iter().enumerate() {
                 let what = format!("{what} on {} × {}", exec.name(), exec.threads());

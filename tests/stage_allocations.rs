@@ -1,11 +1,10 @@
 //! The transform-stage entry points allocate nothing per call: what they
-//! need per layer (resolved codelets, per-dimension programs, extents,
-//! strides) comes from the plan or lives in fixed-size arrays on the
-//! stack. A counting global allocator — counting per thread, so parallel
-//! tests do not disturb each other — watches one warmed-up call of each
-//! on the serial executor, for a plan on the generated codelets and for
-//! one on the interpreter fallback; and one repeat `forward_fx` through
-//! the ring-fused driver, whose rings are part of the scratch.
+//! need per layer (resolved table rows, extents, strides) comes from the
+//! plan or lives in fixed-size arrays on the stack. A counting global
+//! allocator — counting per thread, so parallel tests do not disturb each
+//! other — watches one warmed-up call of each on the serial executor, for
+//! a 3-wide kernel and for a `[5, 2]` one; and one repeat `forward_fx`
+//! through the ring-fused driver, whose rings are part of the scratch.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -13,7 +12,6 @@ use std::cell::Cell;
 use winograd_nd_repro::conv::{stage1, stage3, ConvOptions, Scratch, WinogradLayer};
 use winograd_nd_repro::sched::SerialExecutor;
 use winograd_nd_repro::tensor::{BlockedImage, BlockedKernels, ConvShape};
-use winograd_nd_repro::transforms::PointSchedule;
 
 thread_local! {
     static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
@@ -46,14 +44,13 @@ fn allocations_in(f: impl FnOnce()) -> usize {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-fn assert_stage_calls_do_not_allocate(opts: ConvOptions, generated: bool) {
+fn assert_stage_calls_do_not_allocate(kernel: &[usize], m: &[usize]) {
     // Ragged in both dimensions, so gather and clipped write run too.
-    let shape = ConvShape::new(2, 32, 32, &[21, 18], &[3, 3], &[1, 1]).unwrap();
-    let layer = WinogradLayer::new(shape, &[4, 4], opts).unwrap();
-    assert_eq!(layer.uses_generated_codelets(), generated);
+    let shape = ConvShape::new(2, 32, 32, &[21, 18], kernel, &[1, 1]).unwrap();
+    let layer = WinogradLayer::new(shape, m, ConvOptions::default()).unwrap();
     let mut input = BlockedImage::zeros(2, 32, &[21, 18]).unwrap();
     input.as_mut_slice().iter_mut().enumerate().for_each(|(i, v)| *v = (i % 13) as f32 * 0.1);
-    let mut kernels = BlockedKernels::zeros(32, 32, &[3, 3]).unwrap();
+    let mut kernels = BlockedKernels::zeros(32, 32, kernel).unwrap();
     kernels.as_mut_slice().iter_mut().enumerate().for_each(|(i, v)| *v = (i % 7) as f32 * 0.1);
     let mut output = layer.new_output().unwrap();
     let mut scratch = Scratch::new(&layer, 1);
@@ -87,11 +84,10 @@ fn assert_stage_calls_do_not_allocate(opts: ConvOptions, generated: bool) {
 
 #[test]
 fn transform_stage_entry_points_do_not_allocate() {
-    assert_stage_calls_do_not_allocate(ConvOptions::default(), true);
+    assert_stage_calls_do_not_allocate(&[3, 3], &[4, 4]);
 }
 
 #[test]
-fn the_interpreter_fallback_does_not_allocate_either() {
-    let integer = ConvOptions { points: PointSchedule::Integer, ..Default::default() };
-    assert_stage_calls_do_not_allocate(integer, false);
+fn other_kernel_widths_do_not_allocate_either() {
+    assert_stage_calls_do_not_allocate(&[5, 2], &[2, 3]);
 }
