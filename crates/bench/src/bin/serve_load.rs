@@ -236,7 +236,11 @@ fn serve_document(
             Json::Num(if stats.submitted > 0 { shed as f64 / stats.submitted as f64 } else { 0.0 }),
         ),
         ("breaker_trips".into(), Json::Num(stats.breaker_trips as f64)),
+        ("breaker_recoveries".into(), Json::Num(stats.breaker_recoveries as f64)),
         ("pool_rebuilds".into(), Json::Num(stats.pool_rebuilds as f64)),
+        ("batches".into(), Json::Num(stats.batches as f64)),
+        ("batch_failures".into(), Json::Num(stats.batch_failures as f64)),
+        ("peak_depth".into(), Json::Num(stats.peak_depth as f64)),
         ("offered_rps".into(), Json::Num(offered_rps)),
         ("sustainable_rps".into(), Json::Num(sustainable_rps)),
         ("duration_s".into(), Json::Num(duration_s)),

@@ -119,10 +119,9 @@ pub struct DispatchPlan {
 /// if any — [`FallbackReason::Dilated`] and
 /// [`FallbackReason::GroupTooNarrow`] mark *designed* im2col routes and
 /// are reported under every policy; plan failures walk the degradation
-/// table (JIT → Mono, a larger tile under a memory budget, im2col) as far
-/// as `policy` allows. `Err` is reserved for unrepresentable layers
-/// ([`PlanError::Shape`]) and for plan failures the policy refuses to
-/// absorb.
+/// table (JIT → Mono, then im2col) under [`FallbackPolicy::default`].
+/// `Err` is reserved for unrepresentable layers ([`PlanError::Shape`])
+/// and for plan failures under [`FallbackPolicy::strict`].
 pub fn plan_dispatch(
     shape: &ConvShape,
     m: &[usize],

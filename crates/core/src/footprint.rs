@@ -15,9 +15,7 @@
 //!
 //! Consumers:
 //!
-//! * plan-time admission — [`ConvOptions::memory`](crate::ConvOptions)
-//!   rejects plans whose `total()` exceeds the budget, steering the
-//!   selector towards smaller tiles;
+//! * the plan's store flavour and work model (`BufferBytes`);
 //! * serve-time admission — `wino-serve` prices a concurrent batch in
 //!   bytes before accepting it;
 //! * the BENCH schema's `memory` section.

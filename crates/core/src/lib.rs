@@ -73,8 +73,7 @@ pub use net::{
     Network,
 };
 pub use plan::{
-    AccuracyBudget, ConvOptions, MemoryBudget, PlanError, Scratch, Stage2Backend, WinogradLayer,
-    MAX_RANK,
+    AccuracyBudget, ConvOptions, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK,
 };
 pub use select::{candidate_tiles, plan_with_fallback, FallbackPolicy, Purpose};
 pub use sentinel::{sample_units, verify_sample, SentinelConfig, SentinelError};

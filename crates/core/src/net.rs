@@ -22,7 +22,7 @@
 
 use wino_sched::probed::{record_coord, span_start};
 use wino_sched::Executor;
-use wino_tensor::{BlockedImage, BlockedKernels, ConvShape};
+use wino_tensor::{BlockedImage, BlockedKernels, ConvShape, ShapeError};
 
 use crate::conv::TransformedKernels;
 use crate::dispatch::{ensure_scratch, plan_at_rung, DispatchPlan, Kernels, Slot, NO_MEMO};
@@ -107,12 +107,9 @@ pub enum FallbackReason {
     /// width (depthwise included), so the blocked Winograd layout cannot
     /// carry it; it runs via the geometry-aware im2col baseline.
     GroupTooNarrow { c_per_group: usize },
-    /// The layer could not be executed (or planned) within available
-    /// memory: the plan exceeded a [`crate::MemoryBudget`] or the
-    /// allocator refused a buffer at run time. `bytes` is the offending
-    /// request — the plan footprint at plan time, the refused allocation
-    /// at run time. The memory ladder re-tiled the layer or rescued it
-    /// through im2col (see [`ExecutionReport::backend`]).
+    /// The allocator refused a buffer while the layer ran; `bytes` is the
+    /// refused request. The memory ladder re-tiled the layer or rescued
+    /// it through im2col (see [`ExecutionReport::backend`]).
     Memory { bytes: usize },
 }
 
@@ -122,9 +119,6 @@ impl FallbackReason {
     /// on the im2col route rather than on a downgraded Winograd plan.
     pub(crate) fn absorbed(e: PlanError, im2col: bool) -> FallbackReason {
         match e {
-            PlanError::MemoryBudget { need_bytes, .. } => {
-                FallbackReason::Memory { bytes: need_bytes }
-            }
             PlanError::Jit { .. } if !im2col => FallbackReason::JitUnavailable(e),
             _ => FallbackReason::PlanFailed(e),
         }
@@ -183,9 +177,9 @@ pub struct ExecutionReport {
 pub struct NetLayer {
     pub plan: DispatchPlan,
     pub activation: Activation,
-    /// Downgrade recorded at plan time (`Jit → Mono`, a memory re-tile,
-    /// `plan failure → im2col`) or the designed-route provenance; echoed
-    /// into every [`ExecutionReport`].
+    /// Downgrade recorded at plan time (`Jit → Mono`, `plan failure →
+    /// im2col`) or the designed-route provenance; echoed into every
+    /// [`ExecutionReport`].
     pub planned_fallback: Option<FallbackReason>,
 }
 
@@ -239,15 +233,16 @@ impl Network {
         )
     }
 
-    /// Plan a network, degrading per `policy` instead of failing where the
-    /// policy allows it: a JIT plan failure retries with
-    /// [`crate::Stage2Backend::Mono`], a plan over its memory budget
-    /// re-tiles, and a layer with no Winograd plan at all is planned on
-    /// [`crate::Route::Im2col`]. Downgrades are recorded on the [`NetLayer`] and
-    /// surface in every [`ExecutionReport`].
+    /// Plan a network under `policy`: under [`FallbackPolicy::default`] a
+    /// JIT plan failure retries with [`crate::Stage2Backend::Mono`] and a
+    /// layer with no Winograd plan at all is planned on
+    /// [`crate::Route::Im2col`]; under [`FallbackPolicy::strict`] either is
+    /// the error. Downgrades are recorded on the [`NetLayer`] and surface
+    /// in every [`ExecutionReport`].
     ///
     /// Geometry errors ([`PlanError::Shape`]) always fail: no backend can
-    /// execute an ill-formed layer.
+    /// execute an ill-formed layer — nor an empty stack
+    /// ([`ShapeError::ZeroDim`]).
     pub fn with_policy(
         batch: usize,
         in_channels: usize,
@@ -263,10 +258,10 @@ impl Network {
     /// [`Network::with_policy`] on the candidate a serving circuit
     /// breaker's `rung` selects for every layer: 0 plans as configured, 1
     /// forces stage 2 onto the monomorphised kernels, 2 and beyond plan
-    /// every layer on [`crate::Route::Im2col`] — as far as `policy` allows those
-    /// rows (a strict policy plans every rung as configured). A strided or
-    /// grouped layer stands on the same rungs as a dense one: its route is
-    /// built from the same candidate.
+    /// every layer on [`crate::Route::Im2col`] — under
+    /// [`FallbackPolicy::default`]; [`FallbackPolicy::strict`] plans every
+    /// rung as configured. A strided or grouped layer stands on the same
+    /// rungs as a dense one: its route is built from the same candidate.
     #[allow(clippy::too_many_arguments)] // with_policy's seven plus the rung
     pub fn at_rung(
         batch: usize,
@@ -278,7 +273,9 @@ impl Network {
         policy: &FallbackPolicy,
         rung: u8,
     ) -> Result<Network, PlanError> {
-        assert!(!specs.is_empty(), "network needs at least one layer");
+        if specs.is_empty() {
+            return Err(ShapeError::ZeroDim.into());
+        }
         let mut layers = Vec::with_capacity(specs.len());
         let mut c = in_channels;
         let mut dims = image_dims.to_vec();
@@ -351,9 +348,10 @@ impl Network {
         Ok(out)
     }
 
-    /// Execute one layer: the planned route plus the policy's run-time
-    /// degradations (memory re-tile, numeric guard, accuracy sentinels,
-    /// im2col rescue).
+    /// Execute one layer: the planned route plus, under
+    /// [`FallbackPolicy::default`], the run-time degradations (memory
+    /// re-tile, numeric guard, im2col rescue) and, whenever sampling is on,
+    /// the accuracy sentinels.
     ///
     /// Pool errors ([`WinoError::Pool`]) are **not** absorbed — a
     /// panicked worker or tripped watchdog means the executor itself is
@@ -442,9 +440,9 @@ impl Network {
 }
 
 /// Run `plan` once and judge what it produced: the numeric guard (NaN/Inf
-/// — always on for a rescue, whose second trip proves the corruption is
-/// not Winograd-specific, e.g. a non-finite layer input), then the
-/// accuracy sentinels (finite but wrong). A refused allocation, a guard
+/// — on iff `policy.degrade`, and always for a rescue, whose second trip
+/// proves the corruption is not Winograd-specific, e.g. a non-finite
+/// layer input), then the accuracy sentinels (finite but wrong). A refused allocation, a guard
 /// trip and a sentinel trip come back as the typed [`WinoError`] the
 /// run-time walk maps to its [`Cause`]. The output is written into
 /// `parked` when the caller has one (a `Network`'s resident intermediate
@@ -473,7 +471,7 @@ fn attempt(
         // SAFETY: the coordinator thread, between fork–joins.
         unsafe { record_coord(probe, wino_probe::SpanCategory::FallbackRescue, t0) };
         check_finite("im2col rescue output", out.as_slice())?;
-    } else if policy.check_numerics {
+    } else if policy.degrade {
         check_finite("output", out.as_slice())?;
     }
     // Disabled sentinels do no work at all: no RNG, no oracle, no counters.
@@ -1148,76 +1146,18 @@ mod tests {
     }
 
     #[test]
-    fn budget_retiled_routes_report_memory_not_jit() {
-        // Regression: `plan_dispatch` used to wrap every downgrade in
-        // `JitUnavailable` and every absorbed error in `PlanFailed`, so
-        // only an identity layer planned by `Network` itself reported
-        // `memory`. One mapping now serves every route.
-        use crate::{MemoryBudget, Route};
-        // Staged plans (two reduction blocks over 32 channels): the memory
-        // ladder's larger tiles shrink their layer-sized scratch.
-        let base = crate::plan::split_reduction();
-        let per_group = ConvShape::new(1, 32, 32, &[20, 20], &[3, 3], &[1, 1]).unwrap();
-        let need = |m: usize| {
-            WinogradLayer::new(per_group.clone(), &[m, m], base).unwrap().footprint(1).total()
+    fn an_empty_layer_stack_is_a_typed_error_not_a_panic() {
+        // Regression: all three constructors reached an `assert!` and
+        // aborted their caller.
+        use wino_tensor::ShapeError;
+        let opts = ConvOptions::default();
+        let zero_dim = |r: Result<Network, PlanError>| {
+            matches!(r, Err(PlanError::Shape(ShapeError::ZeroDim)))
         };
-        // Admits the per-group F(4,3) plan but not the requested F(2,3).
-        let budget = ConvOptions { memory: Some(MemoryBudget::new(need(4))), ..base };
-        let specs = [LayerSpec::same(64, 2, 3, 2)];
+        assert!(zero_dim(Network::new(1, 16, &[8, 8], &[], opts, 1)));
         let policy = FallbackPolicy::default();
-
-        let grouped = budget.with_groups(2);
-        let mut net = Network::with_policy(1, 64, &[20, 20], &specs, grouped, 1, &policy).unwrap();
-        let layer = &net.layers()[0];
-        assert!(
-            matches!(&layer.plan.route, Route::Grouped { plan } if plan.grid.m == [4, 4]),
-            "the grouped sub-plan must have been re-tiled to fit"
-        );
-        assert_eq!(layer.planned_fallback, Some(FallbackReason::Memory { bytes: need(2) }));
-        // A plan-time re-tile is the planned tile, not a run-time demotion.
-        assert_eq!(layer.plan.backend(), LayerBackend::WinogradGrouped);
-
-        // …and the report echoes it while the layer still computes the
-        // right convolution.
-        let img = SimpleImage::from_fn(1, 64, &[20, 20], |_, c, xy| {
-            ((c * 2 + xy[0] + xy[1] * 3) % 13) as f32 * 0.06 - 0.4
-        });
-        let k = SimpleKernels::from_fn(64, 32, &[3, 3], |co, ci, xy| {
-            ((co * 5 + ci * 3 + xy[0] + xy[1]) % 11) as f32 * 0.05 - 0.25
-        });
-        let kernels = vec![BlockedKernels::from_simple(&k).unwrap()];
-        let input = BlockedImage::from_simple(&img).unwrap();
-        let (out, reports) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
-        assert_eq!(reports[0].backend, LayerBackend::WinogradGrouped);
-        assert_eq!(reports[0].fallback.map(|r| r.code()), Some("memory"));
-        let want = oracle_layer(&img, &kernels[0], &[1, 1], &grouped.geometry(2), true);
-        assert_close(&out, &want, 2e-3, "budget-retiled grouped net");
-
-        // The same provenance on the dense layer, strided or not.
-        let narrow = [LayerSpec::same(32, 2, 3, 2)];
-        let dense = Network::with_policy(1, 32, &[20, 20], &narrow, budget, 1, &policy).unwrap();
-        let layer = &dense.layers()[0];
-        assert_eq!(layer.plan.winograd().unwrap().grid.m, [4, 4]);
-        assert_eq!(layer.planned_fallback, Some(FallbackReason::Memory { bytes: need(2) }));
-        let strided = ConvOptions { memory: Some(MemoryBudget::new(1 << 14)), ..base }
-            .with_stride(&[2, 2]);
-        let net = Network::with_policy(1, 32, &[20, 20], &narrow, strided, 1, &policy).unwrap();
-        assert!(matches!(
-            net.layers()[0].planned_fallback,
-            Some(FallbackReason::Memory { .. })
-        ));
-
-        // Absorbed side: a budget no tile meets plans im2col — for the
-        // memory reason, not a generic plan failure — and is the typed
-        // budget error under a strict policy.
-        let tiny = ConvOptions { memory: Some(MemoryBudget::new(1)), ..base }.with_groups(2);
-        let net = Network::with_policy(1, 64, &[20, 20], &specs, tiny, 1, &policy).unwrap();
-        assert!(matches!(net.layers()[0].plan.route, Route::Im2col));
-        assert!(matches!(net.layers()[0].planned_fallback, Some(FallbackReason::Memory { .. })));
-        assert!(matches!(
-            Network::new(1, 64, &[20, 20], &specs, tiny, 1),
-            Err(PlanError::MemoryBudget { budget_bytes: 1, .. })
-        ));
+        assert!(zero_dim(Network::with_policy(1, 16, &[8, 8], &[], opts, 1, &policy)));
+        assert!(zero_dim(Network::at_rung(1, 16, &[8, 8], &[], opts, 1, &policy, 2)));
     }
 
     /// Serial executor that records whether every fork–join it ran found

@@ -61,43 +61,6 @@ impl AccuracyBudget {
     }
 }
 
-/// A ceiling on the bytes a plan may allocate — the memory twin of
-/// [`AccuracyBudget`]. Enforced at plan time from the analytic
-/// [`crate::MemoryFootprint`]: a plan whose footprint (scratch,
-/// tile-major, per-thread and output buffers, at [`MemoryBudget::threads`]
-/// thread slots) exceeds `max_bytes` fails with
-/// [`PlanError::MemoryBudget`]; [`crate::select::plan_with_fallback`]
-/// then re-tiles towards *larger* `m` until the plan fits — the
-/// transformed-data inflation factor `∏((m_d+r_d−1)/m_d)` shrinks as the
-/// tile grows, so larger tiles are the memory-cheap direction (the
-/// opposite of the accuracy ladder).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MemoryBudget {
-    /// Largest admissible plan footprint in bytes.
-    pub max_bytes: usize,
-    /// Thread-slot count the footprint is evaluated at (per-thread
-    /// codelet buffers scale with it). Defaults to 1.
-    pub threads: usize,
-}
-
-impl MemoryBudget {
-    /// A budget of `max_bytes`, evaluated at one thread slot.
-    pub fn new(max_bytes: usize) -> MemoryBudget {
-        MemoryBudget { max_bytes, threads: 1 }
-    }
-
-    /// The same budget evaluated at `threads` thread slots.
-    pub fn with_threads(mut self, threads: usize) -> MemoryBudget {
-        self.threads = threads.max(1);
-        self
-    }
-
-    /// Whether a plan needing `bytes` fits this budget.
-    pub fn admits(self, bytes: usize) -> bool {
-        bytes <= self.max_bytes
-    }
-}
-
 /// Which engine executes stage 2's micro-kernels.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Stage2Backend {
@@ -123,11 +86,6 @@ pub struct ConvOptions {
     /// `Some(b)` makes planning fail with [`PlanError::AccuracyBudget`]
     /// when a dimension's predicted amplification exceeds the budget.
     pub budget: Option<AccuracyBudget>,
-    /// Memory budget. `None` (the default) admits any footprint;
-    /// `Some(b)` makes planning fail with [`PlanError::MemoryBudget`]
-    /// when the plan's analytic [`crate::MemoryFootprint`] exceeds it
-    /// (`plan_with_fallback` re-tiles until the plan fits).
-    pub memory: Option<MemoryBudget>,
     /// Output sampling step per spatial dimension (entries beyond the
     /// layer's rank are ignored; all 1s by default). A strided layer
     /// still runs Winograd: [`crate::dispatch`] executes its stride-1
@@ -224,7 +182,6 @@ impl Default for ConvOptions {
             block: None,
             stage2: Stage2Backend::default(),
             budget: None,
-            memory: None,
             stride: [1; MAX_RANK],
             dilation: [1; MAX_RANK],
             groups: 1,
@@ -256,10 +213,6 @@ pub enum PlanError {
     /// [`AccuracyBudget`] in dimension `dim` — demote `m` (the planner's
     /// `candidate_tiles` does this automatically).
     AccuracyBudget { dim: usize, m: usize },
-    /// The plan's analytic footprint exceeds its [`MemoryBudget`] —
-    /// demote `m` ([`crate::select::plan_with_fallback`] does this
-    /// automatically).
-    MemoryBudget { need_bytes: usize, budget_bytes: usize },
     /// The options carry a non-identity stride/dilation/groups geometry,
     /// which the monolithic planner does not execute — route the layer
     /// through [`crate::dispatch`] instead.
@@ -281,10 +234,6 @@ impl std::fmt::Display for PlanError {
             PlanError::AccuracyBudget { dim, m } => write!(
                 f,
                 "tile size m={m} for dimension {dim} exceeds the accuracy budget"
-            ),
-            PlanError::MemoryBudget { need_bytes, budget_bytes } => write!(
-                f,
-                "plan footprint {need_bytes} B exceeds the memory budget {budget_bytes} B"
             ),
             PlanError::Geometry { reason } => {
                 write!(f, "non-identity conv geometry: {reason}")
@@ -444,12 +393,6 @@ impl WinogradLayer {
         layer.streams = crate::fused::streams(&layer.footprint(1), host.llc_bytes);
         if opts.stage2 == Stage2Backend::Jit {
             layer.jit = Some(layer.build_jit()?);
-        }
-        if let Some(mb) = opts.memory {
-            let need_bytes = layer.footprint(mb.threads).total();
-            if !mb.admits(need_bytes) {
-                return Err(PlanError::MemoryBudget { need_bytes, budget_bytes: mb.max_bytes });
-            }
         }
         Ok(layer)
     }

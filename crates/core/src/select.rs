@@ -9,11 +9,12 @@
 //! dimension for training, `m ≤ 8` for inference) bound the search space.
 //!
 //! The module also hosts the one degradation table (DESIGN.md §5):
-//! [`FallbackPolicy`] says which rows are allowed, `degrade` maps a
-//! (candidate, cause) pair to the next candidate, and `plan_walk` is the
-//! plan-time walk over it that [`plan_with_fallback`] and
-//! [`crate::dispatch::plan_dispatch`] share. The run-time walk lives in
-//! [`crate::net`], which owns layer execution.
+//! `degrade` maps a (candidate, cause) pair to the next candidate — every
+//! row under [`FallbackPolicy::default`], none but the sentinel's under
+//! [`FallbackPolicy::strict`] — and `plan_walk` is the plan-time walk over
+//! it that [`plan_with_fallback`] and [`crate::dispatch::plan_dispatch`]
+//! share. The run-time walk lives in [`crate::net`], which owns layer
+//! execution.
 
 use wino_tensor::ConvShape;
 use wino_transforms::{Conditioning, PointSchedule};
@@ -21,67 +22,44 @@ use wino_transforms::{Conditioning, PointSchedule};
 use crate::plan::{AccuracyBudget, ConvOptions, PlanError, Stage2Backend, WinogradLayer};
 use crate::sentinel::SentinelConfig;
 
-/// Which degradations the execution layer may apply instead of failing.
+/// How the execution layer meets a failure: with the next row of the
+/// degradation table, or with the typed error. One switch, two presets —
+/// the only two values any caller runs:
 ///
-/// The full chain, applied in order: a JIT plan failure retries with the
-/// Mono backend; a plan failure of any backend falls back to im2col; a
-/// numeric-guard trip re-executes the layer with im2col. Disable links to
-/// make the corresponding failure a hard error instead.
+/// * [`FallbackPolicy::default`] degrades: a JIT plan failure retries on
+///   [`Stage2Backend::Mono`], a refused allocation re-tiles, a layer with
+///   no Winograd plan runs via im2col, and every layer output is guarded
+///   for NaN/Inf with an im2col rescue.
+/// * [`FallbackPolicy::strict`] surfaces every failure as its typed error
+///   (the behaviour of the plain [`WinogradLayer::new`] /
+///   [`crate::Network::new`] APIs).
+///
+/// The accuracy sentinel is orthogonal to the switch
+/// ([`FallbackPolicy::with_sentinel`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FallbackPolicy {
-    /// On [`PlanError::Jit`], replan with [`Stage2Backend::Mono`].
-    pub jit_to_mono: bool,
-    /// If no Winograd plan exists at all, run the layer via the
-    /// `wino-baseline` im2col convolution.
-    pub im2col_on_plan_failure: bool,
-    /// On [`PlanError::MemoryBudget`], re-plan with a smaller-footprint
-    /// tile. Note the direction: memory re-tiling *grows* `m` (the
-    /// transformed-data inflation `∏((m_d+r_d−1)/m_d)` shrinks as the
-    /// tile grows), the opposite of the accuracy ladder. If no supported
-    /// tile fits the budget the error stands (and, under
-    /// `im2col_on_plan_failure`, the layer falls back to im2col, whose
-    /// footprint is not scratch-bound).
-    pub retile_on_memory: bool,
-    /// Scan each layer's output for NaN/Inf after execution.
-    pub check_numerics: bool,
-    /// If the numeric guard trips, re-execute the layer via im2col
-    /// (requires `check_numerics`; without this, a trip is an error).
-    pub im2col_on_numeric: bool,
+    /// Walk the degradation table (`default()`) or surface the failure
+    /// (`strict()`).
+    pub degrade: bool,
     /// Accuracy-sentinel sampling: re-verify a seeded random sample of
     /// output tiles against the f64 oracle after each layer forward. A
-    /// trip (error above the a-priori bound) enters the degradation
-    /// ladder: tile demotion first (if `sentinel.demote_tile`), then
-    /// im2col. Disabled (`samples == 0`) by default — the spot check
-    /// costs an f64 direct convolution per sampled tile.
+    /// trip demotes the tile once, then rescues through im2col — under
+    /// either preset. Disabled (`samples == 0`) by default — the spot
+    /// check costs an f64 direct convolution per sampled tile.
     pub sentinel: SentinelConfig,
 }
 
 impl Default for FallbackPolicy {
-    /// Everything enabled: maximum graceful degradation.
+    /// Every degradation on, sentinels off.
     fn default() -> Self {
-        FallbackPolicy {
-            jit_to_mono: true,
-            im2col_on_plan_failure: true,
-            retile_on_memory: true,
-            check_numerics: true,
-            im2col_on_numeric: true,
-            sentinel: SentinelConfig::off(),
-        }
+        FallbackPolicy { degrade: true, sentinel: SentinelConfig::off() }
     }
 }
 
 impl FallbackPolicy {
-    /// No degradation: every failure is a hard error (the behaviour of the
-    /// plain [`WinogradLayer::new`] / [`crate::Network::new`] APIs).
+    /// No degradation: every failure is a hard error.
     pub fn strict() -> Self {
-        FallbackPolicy {
-            jit_to_mono: false,
-            im2col_on_plan_failure: false,
-            retile_on_memory: false,
-            check_numerics: false,
-            im2col_on_numeric: false,
-            sentinel: SentinelConfig::off(),
-        }
+        FallbackPolicy { degrade: false, sentinel: SentinelConfig::off() }
     }
 
     /// Default degradations plus sentinel sampling of `samples` tiles per
@@ -111,7 +89,7 @@ pub(crate) enum Cause {
     Jit,
     /// Any other plan failure.
     Plan,
-    /// Over the [`crate::MemoryBudget`], or the allocator refused a buffer.
+    /// The allocator refused a buffer (a run-time cause only).
     Memory,
     /// The numeric guard found NaN/Inf in the output.
     NonFinite,
@@ -126,7 +104,6 @@ impl From<&PlanError> for Cause {
     fn from(e: &PlanError) -> Cause {
         match e {
             PlanError::Jit { .. } => Cause::Jit,
-            PlanError::MemoryBudget { .. } => Cause::Memory,
             _ => Cause::Plan,
         }
     }
@@ -149,7 +126,7 @@ fn grow_tile(m: &[usize], out_dims: &[usize]) -> Vec<usize> {
 /// The degradation table (DESIGN.md §5): the candidate that replaces
 /// `cur` when `cause` rules it out, or `None` when `policy` allows no
 /// further row and the failure must surface. Pure; every ladder in the
-/// workspace — plan-time budgets, run-time rescue, the serve breaker's
+/// workspace — plan-time fallback, run-time rescue, the serve breaker's
 /// rungs — is a walk over this function.
 pub(crate) fn degrade(
     cur: &Candidate,
@@ -163,31 +140,33 @@ pub(crate) fn degrade(
     let at = |m: Vec<usize>, stage2, step: i8| {
         Some(Candidate::Winograd { m, stage2, retile: retile + step })
     };
-    let jit = *stage2 == Stage2Backend::Jit;
-    let im2col = |allowed: bool| allowed.then_some(Candidate::Im2col);
     match cause {
-        Cause::Jit | Cause::BreakerRung(1) if jit && policy.jit_to_mono => {
-            at(m.clone(), Stage2Backend::Mono, 0)
-        }
-        Cause::BreakerRung(0 | 1) => None,
-        Cause::Jit | Cause::Plan | Cause::BreakerRung(_) => im2col(policy.im2col_on_plan_failure),
-        Cause::Memory => {
-            let grown = grow_tile(m, out_dims);
-            if policy.retile_on_memory && *retile >= 0 && grown != *m {
-                at(grown, *stage2, 1)
-            } else {
-                im2col(policy.im2col_on_plan_failure)
-            }
-        }
-        Cause::NonFinite => im2col(policy.im2col_on_numeric),
+        // The sentinel rows stand under either preset: `samples` alone
+        // governs them.
         Cause::Sentinel if policy.sentinel.samples == 0 => None,
         Cause::Sentinel => {
             let shrunk: Vec<usize> = m.iter().map(|&v| shrink_dim(v)).collect();
-            if policy.sentinel.demote_tile && *retile == 0 && shrunk != *m {
+            if *retile == 0 && shrunk != *m {
                 at(shrunk, *stage2, -1)
             } else {
                 Some(Candidate::Im2col)
             }
+        }
+        _ if !policy.degrade => None,
+        Cause::Jit | Cause::BreakerRung(1) if *stage2 == Stage2Backend::Jit => {
+            at(m.clone(), Stage2Backend::Mono, 0)
+        }
+        Cause::BreakerRung(0 | 1) => None,
+        Cause::Memory => {
+            let grown = grow_tile(m, out_dims);
+            if *retile >= 0 && grown != *m {
+                at(grown, *stage2, 1)
+            } else {
+                Some(Candidate::Im2col)
+            }
+        }
+        Cause::Jit | Cause::Plan | Cause::NonFinite | Cause::BreakerRung(_) => {
+            Some(Candidate::Im2col)
         }
     }
 }
@@ -217,29 +196,31 @@ pub(crate) fn plan_walk<T>(
     }
 }
 
-/// Plan a layer, applying the policy's plan-time degradations.
+/// Plan a layer on the Winograd rows of the degradation table.
 ///
 /// `Ok((plan, Some(e)))` means the requested plan failed with `e` and the
 /// returned plan carries a downgrade: [`Stage2Backend::Mono`] after a JIT
-/// failure, or a re-tiled (larger) `m` after a [`PlanError::MemoryBudget`]
-/// rejection. Failures the policy does not cover (or a retry that also
-/// fails) are returned as `Err` — the caller decides whether im2col
-/// absorbs them.
+/// failure under [`FallbackPolicy::default`]. The walk stops before the
+/// im2col row: any other failure (or a retry that also fails) is returned
+/// as `Err` — the caller decides whether im2col absorbs it.
 pub fn plan_with_fallback(
     shape: &ConvShape,
     m: &[usize],
     opts: ConvOptions,
     policy: &FallbackPolicy,
 ) -> Result<(WinogradLayer, Option<PlanError>), PlanError> {
-    let winograd_only = FallbackPolicy { im2col_on_plan_failure: false, ..*policy };
     let start = Candidate::Winograd { m: m.to_vec(), stage2: opts.stage2, retile: 0 };
-    plan_walk(start, &shape.out_dims(), &winograd_only, |cand| match cand {
+    let mut last = None;
+    plan_walk(start, &shape.out_dims(), policy, |cand| match cand {
         Candidate::Winograd { m, stage2, .. } => {
             let mut opts = opts;
             opts.stage2 = *stage2;
-            WinogradLayer::new(shape.clone(), m, opts)
+            let plan = WinogradLayer::new(shape.clone(), m, opts);
+            last = plan.as_ref().err().copied();
+            plan
         }
-        Candidate::Im2col => unreachable!("plan-time im2col needs im2col_on_plan_failure"),
+        // The im2col row is not built: the failure that led to it surfaces.
+        Candidate::Im2col => Err(last.expect("im2col follows a failed Winograd row")),
     })
 }
 
@@ -452,59 +433,12 @@ mod tests {
 
     #[test]
     fn policy_defaults_and_strict() {
-        let p = FallbackPolicy::default();
-        assert!(p.jit_to_mono && p.im2col_on_plan_failure && p.check_numerics && p.im2col_on_numeric);
-        assert!(p.retile_on_memory);
-        let s = FallbackPolicy::strict();
-        assert!(!s.jit_to_mono && !s.im2col_on_plan_failure && !s.check_numerics && !s.im2col_on_numeric);
-        assert!(!s.retile_on_memory);
-    }
-
-    #[test]
-    fn memory_budget_retiles_to_a_smaller_footprint() {
-        use crate::plan::MemoryBudget;
-        // A staged plan: its layer-sized scratch is what larger tiles shrink.
-        let s = ConvShape::new(1, 32, 16, &[20, 20], &[3, 3], &[1, 1]).unwrap();
-        let base = crate::plan::split_reduction();
-        let need2 = WinogradLayer::new(s.clone(), &[2, 2], base).unwrap().footprint(1).total();
-        let need4 = WinogradLayer::new(s.clone(), &[4, 4], base).unwrap().footprint(1).total();
-        assert!(need4 < need2, "larger tiles must be the memory-cheap direction");
-
-        // A budget that admits F(4,3) but not F(2,3): planning [2,2] is
-        // rejected, the fallback re-tiles to [4,4].
-        let opts = ConvOptions { memory: Some(MemoryBudget::new(need4)), ..base };
-        assert!(matches!(
-            WinogradLayer::new(s.clone(), &[2, 2], opts),
-            Err(PlanError::MemoryBudget { budget_bytes, .. }) if budget_bytes == need4
-        ));
-        let (plan, fb) =
-            plan_with_fallback(&s, &[2, 2], opts, &FallbackPolicy::default()).unwrap();
-        assert_eq!(plan.grid.m, vec![4, 4]);
-        assert!(matches!(fb, Some(PlanError::MemoryBudget { .. })));
-        assert!(plan.footprint(1).total() <= need4);
-
-        // The strict policy surfaces the rejection instead.
-        assert!(matches!(
-            plan_with_fallback(&s, &[2, 2], opts, &FallbackPolicy::strict()),
-            Err(PlanError::MemoryBudget { .. })
-        ));
-
-        // An unreachable budget exhausts the ladder: the original error
-        // stands (net-level code then decides whether im2col absorbs it).
-        let tiny = ConvOptions { memory: Some(MemoryBudget::new(1024)), ..base };
-        assert!(matches!(
-            plan_with_fallback(&s, &[2, 2], tiny, &FallbackPolicy::default()),
-            Err(PlanError::MemoryBudget { .. })
-        ));
-        // …because the grow step itself runs out at min(8, out_d).
-        let winograd_only =
-            FallbackPolicy { im2col_on_plan_failure: false, ..FallbackPolicy::default() };
-        let top = Candidate::Winograd { m: vec![8, 8], stage2: Stage2Backend::Mono, retile: 3 };
-        assert_eq!(degrade(&top, Cause::Memory, &s.out_dims(), &winograd_only), None);
-
-        // No memory budget configured: nothing to fit against.
-        let (plan, fb) = plan_with_fallback(&s, &[2, 2], base, &FallbackPolicy::default()).unwrap();
-        assert_eq!((plan.grid.m.as_slice(), fb), (&[2, 2][..], None));
+        // One switch; the sentinel rides beside it and is off in both presets.
+        let (p, s) = (FallbackPolicy::default(), FallbackPolicy::strict());
+        assert!(p.degrade && !s.degrade);
+        assert_eq!((p.sentinel, s.sentinel), (SentinelConfig::off(), SentinelConfig::off()));
+        let sampled = FallbackPolicy::with_sentinel(4, 1);
+        assert_eq!(sampled, FallbackPolicy { sentinel: SentinelConfig::sampled(4, 1), ..p });
     }
 
     const CAUSES: [Cause; 8] = [
@@ -583,26 +517,114 @@ mod tests {
         assert_eq!(step(&wino(&[4, 4], Mono, 0), Cause::BreakerRung(1)), None);
         assert_eq!(step(&wino(&[4, 4], Jit, 0), Cause::BreakerRung(2)), Some(Candidate::Im2col));
 
-        // Each policy flag gates exactly its own rows.
-        let off = |f: fn(&mut FallbackPolicy)| {
-            let mut p = all;
-            f(&mut p);
-            p
-        };
-        let c = wino(&[4, 4], Jit, 0);
-        let no_mono = off(|p| p.jit_to_mono = false);
-        assert_eq!(degrade(&c, Cause::Jit, &out, &no_mono), Some(Candidate::Im2col));
-        assert_eq!(degrade(&c, Cause::BreakerRung(1), &out, &no_mono), None);
-        let no_im2col = off(|p| p.im2col_on_plan_failure = false);
-        assert_eq!(degrade(&c, Cause::Plan, &out, &no_im2col), None);
-        assert_eq!(degrade(&c, Cause::BreakerRung(2), &out, &no_im2col), None);
-        assert_eq!(degrade(&wino(&[8, 4], Mono, 3), Cause::Memory, &out, &no_im2col), None);
-        let no_retile = off(|p| p.retile_on_memory = false);
-        assert_eq!(degrade(&c, Cause::Memory, &out, &no_retile), Some(Candidate::Im2col));
-        let no_rescue = off(|p| p.im2col_on_numeric = false);
-        assert_eq!(degrade(&c, Cause::NonFinite, &out, &no_rescue), None);
-        let no_demote = off(|p| p.sentinel.demote_tile = false);
-        assert_eq!(degrade(&c, Cause::Sentinel, &out, &no_demote), Some(Candidate::Im2col));
+    }
+
+    /// `degrade` at `out = [20, 5]` for every candidate of
+    /// [`all_candidates`] (rows, in order) × every cause of [`CAUSES`]
+    /// (columns, in order) under `with_sentinel(4, 1)` — generated at
+    /// 49e6796, when the policy still had five per-row flags and a
+    /// sentinel demotion switch. `-` none, `i` im2col, `{m0}x{m1}{J|M}{retile:+}` a
+    /// Winograd row.
+    const PARENT_TABLE: &str = "\
+i       -      -      -      -      -      -      -      -
+2x2J-1  2x2M-1 i      i      i      i      -      2x2M-1 i
+2x2J+0  2x2M+0 i      4x4J+1 i      i      -      2x2M+0 i
+2x2J+1  2x2M+1 i      4x4J+2 i      i      -      2x2M+1 i
+2x2J+2  2x2M+2 i      4x4J+3 i      i      -      2x2M+2 i
+2x2M-1  i      i      i      i      i      -      -      i
+2x2M+0  i      i      4x4M+1 i      i      -      -      i
+2x2M+1  i      i      4x4M+2 i      i      -      -      i
+2x2M+2  i      i      4x4M+3 i      i      -      -      i
+3x3J-1  3x3M-1 i      i      i      i      -      3x3M-1 i
+3x3J+0  3x3M+0 i      5x5J+1 i      2x2J-1 -      3x3M+0 i
+3x3J+1  3x3M+1 i      5x5J+2 i      i      -      3x3M+1 i
+3x3J+2  3x3M+2 i      5x5J+3 i      i      -      3x3M+2 i
+3x3M-1  i      i      i      i      i      -      -      i
+3x3M+0  i      i      5x5M+1 i      2x2M-1 -      -      i
+3x3M+1  i      i      5x5M+2 i      i      -      -      i
+3x3M+2  i      i      5x5M+3 i      i      -      -      i
+4x4J-1  4x4M-1 i      i      i      i      -      4x4M-1 i
+4x4J+0  4x4M+0 i      6x4J+1 i      2x2J-1 -      4x4M+0 i
+4x4J+1  4x4M+1 i      6x4J+2 i      i      -      4x4M+1 i
+4x4J+2  4x4M+2 i      6x4J+3 i      i      -      4x4M+2 i
+4x4M-1  i      i      i      i      i      -      -      i
+4x4M+0  i      i      6x4M+1 i      2x2M-1 -      -      i
+4x4M+1  i      i      6x4M+2 i      i      -      -      i
+4x4M+2  i      i      6x4M+3 i      i      -      -      i
+5x5J-1  5x5M-1 i      i      i      i      -      5x5M-1 i
+5x5J+0  5x5M+0 i      7x5J+1 i      3x3J-1 -      5x5M+0 i
+5x5J+1  5x5M+1 i      7x5J+2 i      i      -      5x5M+1 i
+5x5J+2  5x5M+2 i      7x5J+3 i      i      -      5x5M+2 i
+5x5M-1  i      i      i      i      i      -      -      i
+5x5M+0  i      i      7x5M+1 i      3x3M-1 -      -      i
+5x5M+1  i      i      7x5M+2 i      i      -      -      i
+5x5M+2  i      i      7x5M+3 i      i      -      -      i
+6x6J-1  6x6M-1 i      i      i      i      -      6x6M-1 i
+6x6J+0  6x6M+0 i      8x6J+1 i      4x4J-1 -      6x6M+0 i
+6x6J+1  6x6M+1 i      8x6J+2 i      i      -      6x6M+1 i
+6x6J+2  6x6M+2 i      8x6J+3 i      i      -      6x6M+2 i
+6x6M-1  i      i      i      i      i      -      -      i
+6x6M+0  i      i      8x6M+1 i      4x4M-1 -      -      i
+6x6M+1  i      i      8x6M+2 i      i      -      -      i
+6x6M+2  i      i      8x6M+3 i      i      -      -      i
+7x7J-1  7x7M-1 i      i      i      i      -      7x7M-1 i
+7x7J+0  7x7M+0 i      i      i      5x5J-1 -      7x7M+0 i
+7x7J+1  7x7M+1 i      i      i      i      -      7x7M+1 i
+7x7J+2  7x7M+2 i      i      i      i      -      7x7M+2 i
+7x7M-1  i      i      i      i      i      -      -      i
+7x7M+0  i      i      i      i      5x5M-1 -      -      i
+7x7M+1  i      i      i      i      i      -      -      i
+7x7M+2  i      i      i      i      i      -      -      i
+8x8J-1  8x8M-1 i      i      i      i      -      8x8M-1 i
+8x8J+0  8x8M+0 i      i      i      6x6J-1 -      8x8M+0 i
+8x8J+1  8x8M+1 i      i      i      i      -      8x8M+1 i
+8x8J+2  8x8M+2 i      i      i      i      -      8x8M+2 i
+8x8M-1  i      i      i      i      i      -      -      i
+8x8M+0  i      i      i      i      6x6M-1 -      -      i
+8x8M+1  i      i      i      i      i      -      -      i
+8x8M+2  i      i      i      i      i      -      -      i";
+
+    fn cell(c: &Option<Candidate>) -> String {
+        match c {
+            None => "-".into(),
+            Some(Candidate::Im2col) => "i".into(),
+            Some(Candidate::Winograd { m, stage2, retile }) => {
+                let engine = if *stage2 == Stage2Backend::Jit { "J" } else { "M" };
+                format!("{}x{}{engine}{retile:+}", m[0], m[1])
+            }
+        }
+    }
+
+    /// The parent's answer, cell for cell, under every preset — and under
+    /// `strict()` with sampling on, where only the sentinel column walks.
+    #[test]
+    fn degrade_table_is_the_parents_under_every_preset() {
+        let sampled_strict =
+            FallbackPolicy { sentinel: SentinelConfig::sampled(4, 1), ..FallbackPolicy::strict() };
+        // (preset, non-sentinel columns stand, sentinel column stands)
+        let presets = [
+            (FallbackPolicy::default(), true, false),
+            (FallbackPolicy::strict(), false, false),
+            (FallbackPolicy::with_sentinel(4, 1), true, true),
+            (sampled_strict, false, true),
+        ];
+        let rows: Vec<&str> = PARENT_TABLE.lines().collect();
+        let cands = all_candidates();
+        assert_eq!(rows.len(), cands.len());
+        for (cand, row) in cands.iter().zip(rows) {
+            let mut cells = row.split_whitespace();
+            assert_eq!(cells.next(), Some(cell(&Some(cand.clone()))).as_deref(), "row order");
+            let pinned: Vec<&str> = cells.collect();
+            assert_eq!(pinned.len(), CAUSES.len(), "{row}");
+            for (&cause, &want) in CAUSES.iter().zip(&pinned) {
+                for (policy, rows_stand, sentinel_stands) in presets {
+                    let stands = if cause == Cause::Sentinel { sentinel_stands } else { rows_stand };
+                    let want = if stands { want } else { "-" };
+                    let got = cell(&degrade(cand, cause, &[20, 5], &policy));
+                    assert_eq!(got, want, "{policy:?}: {cand:?} on {cause:?}");
+                }
+            }
+        }
     }
 
     /// Memory grows `m`, accuracy shrinks it: whatever order the causes
@@ -645,7 +667,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_fallback_downgrades_jit_to_mono() {
+    fn plan_fallback_downgrades_a_jit_plan_to_mono() {
         if wino_simd::cpu_has_avx512f() {
             // The JIT plan would succeed here; the downgrade path is
             // covered on non-AVX-512 hosts and by the net-level tests.

@@ -12,7 +12,8 @@
 //! error exceeds the bound *cannot* be ordinary f32 rounding — the bound
 //! is a worst case — so a trip is hard evidence of corruption and feeds
 //! the degradation ladder in [`crate::Network`]: demote the tile size,
-//! and if the re-run still trips, rescue through im2col.
+//! and if the re-run still trips, rescue through im2col — whenever
+//! sampling is on, under either [`crate::FallbackPolicy`] preset.
 //!
 //! Sampling is deterministic: the unit set is drawn by a seeded
 //! Fisher–Yates prefix (`wino-rng`), so the same seed checks the same
@@ -34,21 +35,17 @@ pub struct SentinelConfig {
     /// Base seed for the tile sample; combined with the layer index so
     /// different layers check different tiles while staying reproducible.
     pub seed: u64,
-    /// On a trip, first re-run the layer with every tile dimension
-    /// demoted by 2 (better-conditioned transforms) before falling back
-    /// to im2col.
-    pub demote_tile: bool,
 }
 
 impl SentinelConfig {
     /// Disabled: sample nothing.
     pub fn off() -> SentinelConfig {
-        SentinelConfig { samples: 0, seed: 0, demote_tile: true }
+        SentinelConfig { samples: 0, seed: 0 }
     }
 
     /// Check `samples` tiles per layer under the given seed.
     pub fn sampled(samples: u32, seed: u64) -> SentinelConfig {
-        SentinelConfig { samples, seed, demote_tile: true }
+        SentinelConfig { samples, seed }
     }
 }
 

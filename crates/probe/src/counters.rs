@@ -10,10 +10,9 @@
 //! one relaxed atomic add per *sampled tile*, nothing per output element.
 //!
 //! Counters are process-global and monotonic; [`reset_all`] exists for
-//! tests and report boundaries. The serving layer (`wino-serve`) adds
-//! its own family — admission/shed tallies, batch outcomes, breaker
-//! trips, pool rebuilds and a high-water queue depth — with the same
-//! every-run contract: the overload gates assert on them.
+//! tests and report boundaries. Beside the sentinel family sit the
+//! allocator tallies and the memory ladder's outcomes. (The serving
+//! layer keeps its tallies per server, in `wino_serve::ServeStats`.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,49 +27,21 @@ pub enum Counter {
     SentinelDemotions,
     /// Layers rescued by the im2col baseline after demotion also failed.
     SentinelRescues,
-    /// Requests accepted into the serve queue.
-    ServeAdmitted,
-    /// Requests rejected at enqueue because the queue was full.
-    ServeShedOverload,
-    /// Requests rejected with an already-expired (or expired-in-queue)
-    /// deadline.
-    ServeShedDeadline,
-    /// Requests shed at admission because the roofline service-time
-    /// estimate predicted a deadline miss.
-    ServeShedPredicted,
-    /// Batches the serve executor dispatched.
-    ServeBatches,
-    /// Batch executions that failed with a typed error (before retry
-    /// accounting — each failed attempt counts once).
-    ServeBatchFailures,
-    /// Circuit-breaker trips (each one degrades the serving ladder).
-    ServeBreakerTrips,
-    /// Circuit-breaker recoveries (consecutive successes promoted the
-    /// ladder back up one level).
-    ServeBreakerRecoveries,
-    /// Fork–join pools rebuilt after poisoning.
-    ServePoolRebuilds,
-    /// High-water mark of the serve queue depth (recorded with
-    /// [`Counter::record_max`], not [`Counter::add`]).
-    ServeQueuePeakDepth,
     /// High-water mark of live `AlignedVec` bytes (recorded with
     /// [`Counter::record_max`] by `wino-simd` at every allocation).
     AllocBytesPeak,
     /// Aligned-buffer allocations performed (every `AlignedVec`
     /// constructed, fallible or not; zero-length buffers excluded).
     AllocCalls,
-    /// Layers replanned with smaller tiles because an allocation failed
-    /// or a memory budget was exceeded.
+    /// Layers re-tiled to a smaller footprint because an allocation was
+    /// refused.
     MemoryDemotions,
     /// Layers rescued by the im2col baseline after a memory demotion
     /// also failed to allocate.
     MemoryRescues,
-    /// Requests shed at admission because the modeled concurrent-batch
-    /// footprint would exceed the configured memory ceiling.
-    ServeShedMemory,
 }
 
-const N: usize = 19;
+const N: usize = 8;
 
 static COUNTERS: [AtomicU64; N] = [const { AtomicU64::new(0) }; N];
 
@@ -81,21 +52,10 @@ impl Counter {
         Counter::SentinelTrips,
         Counter::SentinelDemotions,
         Counter::SentinelRescues,
-        Counter::ServeAdmitted,
-        Counter::ServeShedOverload,
-        Counter::ServeShedDeadline,
-        Counter::ServeShedPredicted,
-        Counter::ServeBatches,
-        Counter::ServeBatchFailures,
-        Counter::ServeBreakerTrips,
-        Counter::ServeBreakerRecoveries,
-        Counter::ServePoolRebuilds,
-        Counter::ServeQueuePeakDepth,
         Counter::AllocBytesPeak,
         Counter::AllocCalls,
         Counter::MemoryDemotions,
         Counter::MemoryRescues,
-        Counter::ServeShedMemory,
     ];
 
     /// Stable kebab-case name used in JSON reports.
@@ -105,21 +65,10 @@ impl Counter {
             Counter::SentinelTrips => "sentinel-trips",
             Counter::SentinelDemotions => "sentinel-demotions",
             Counter::SentinelRescues => "sentinel-rescues",
-            Counter::ServeAdmitted => "serve-admitted",
-            Counter::ServeShedOverload => "serve-shed-overload",
-            Counter::ServeShedDeadline => "serve-shed-deadline",
-            Counter::ServeShedPredicted => "serve-shed-predicted",
-            Counter::ServeBatches => "serve-batches",
-            Counter::ServeBatchFailures => "serve-batch-failures",
-            Counter::ServeBreakerTrips => "serve-breaker-trips",
-            Counter::ServeBreakerRecoveries => "serve-breaker-recoveries",
-            Counter::ServePoolRebuilds => "serve-pool-rebuilds",
-            Counter::ServeQueuePeakDepth => "serve-queue-peak-depth",
             Counter::AllocBytesPeak => "alloc-bytes-peak",
             Counter::AllocCalls => "alloc-calls",
             Counter::MemoryDemotions => "memory-demotions",
             Counter::MemoryRescues => "memory-rescues",
-            Counter::ServeShedMemory => "serve-shed-memory",
         }
     }
 
@@ -134,7 +83,7 @@ impl Counter {
     }
 
     /// Raise the counter to `v` if it is currently lower (high-water
-    /// marks such as [`Counter::ServeQueuePeakDepth`]).
+    /// marks such as [`Counter::AllocBytesPeak`]).
     pub fn record_max(self, v: u64) {
         // Monotonic high-water mark: atomicity is all that matters.
         self.cell().fetch_max(v, Ordering::Relaxed);
@@ -184,11 +133,11 @@ mod tests {
     fn record_max_keeps_high_water() {
         let _g = lock();
         reset_all();
-        Counter::ServeQueuePeakDepth.record_max(5);
-        Counter::ServeQueuePeakDepth.record_max(3);
-        assert_eq!(Counter::ServeQueuePeakDepth.get(), 5, "lower value must not shrink the mark");
-        Counter::ServeQueuePeakDepth.record_max(9);
-        assert_eq!(Counter::ServeQueuePeakDepth.get(), 9);
+        Counter::AllocBytesPeak.record_max(5);
+        Counter::AllocBytesPeak.record_max(3);
+        assert_eq!(Counter::AllocBytesPeak.get(), 5, "lower value must not shrink the mark");
+        Counter::AllocBytesPeak.record_max(9);
+        assert_eq!(Counter::AllocBytesPeak.get(), 9);
         reset_all();
     }
 

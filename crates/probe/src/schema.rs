@@ -284,7 +284,10 @@ fn validate_serve(serve: &Json, errs: &mut Vec<String>) {
     }
     // Optional numeric columns (run parameters and extra percentiles).
     // v5: `shed_memory` — requests refused by the byte-budget admission
-    // gate; optional so pre-memory-ceiling runs stay valid.
+    // gate; optional so pre-memory-ceiling runs stay valid. Additive within
+    // v5: the batcher tallies `batches`, `batch_failures`,
+    // `breaker_recoveries` and `peak_depth`, which the per-server stats
+    // keep (there is no process-global serve counter family).
     for key in [
         "pool_rebuilds",
         "offered_rps",
@@ -296,6 +299,10 @@ fn validate_serve(serve: &Json, errs: &mut Vec<String>) {
         "p95_ms",
         "shed_memory",
         "memory_ceiling_bytes",
+        "batches",
+        "batch_failures",
+        "breaker_recoveries",
+        "peak_depth",
     ] {
         if let Some(v) = serve.get(key) {
             if v.as_f64().is_none() {
@@ -470,10 +477,11 @@ mod tests {
             "p50_ms": 4.2, "p99_ms": 18.9, "goodput_rps": 830.0, "shed_rate": 0.09,
             "breaker_trips": 3, "pool_rebuilds": 1, "offered_rps": 2000.0,
             "duration_s": 5.0, "deadline_ms": 25.0, "max_batch": 8,
+            "batches": 1400, "batch_failures": 9, "breaker_recoveries": 3, "peak_depth": 64,
             "backends": {"winograd-mono": 9000, "im2col": 50},
             "fallbacks": {"numeric-guard": 2}
           },
-          "counters": {"serve-admitted": 9100, "serve-breaker-trips": 3}
+          "counters": {"alloc-calls": 30500, "memory-demotions": 0}
         }"#
         .to_string()
     }
@@ -598,6 +606,10 @@ mod tests {
         let bad = valid_serve_doc().replace("\"shed_rate\": 0.09", "\"shed_rate\": \"low\"");
         let errs = validate(&parse(&bad).unwrap()).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("serve.shed_rate")));
+        // Non-numeric optional column (a batcher tally).
+        let bad = valid_serve_doc().replace("\"peak_depth\": 64", "\"peak_depth\": \"deep\"");
+        let errs = validate(&parse(&bad).unwrap()).unwrap_err();
+        assert!(errs.iter().any(|e| e.contains("serve.peak_depth")), "{errs:?}");
         // Unknown backend tally name.
         let bad = valid_serve_doc().replace("\"im2col\": 50", "\"abacus\": 50");
         let errs = validate(&parse(&bad).unwrap()).unwrap_err();

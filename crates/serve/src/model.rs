@@ -12,8 +12,6 @@
 //! policy cost; admitting one that cannot make it wastes machine time
 //! twice (on the doomed request and on everyone queued behind it).
 
-use std::time::Duration;
-
 use wino_conv::{ConvOptions, LayerSpec};
 use wino_probe::MachineModel;
 use wino_tensor::{ConvShape, ShapeError};
@@ -168,11 +166,6 @@ impl ServiceModel {
     pub fn sustainable_rps(&self, batch: usize) -> f64 {
         let b = batch.max(1);
         b as f64 / (self.batch_ms(b) / 1e3)
-    }
-
-    /// `drain_ms` as a [`Duration`] (saturating, for deadline math).
-    pub fn drain_duration(&self, queued: usize, max_batch: usize) -> Duration {
-        Duration::from_secs_f64((self.drain_ms(queued, max_batch) / 1e3).max(0.0))
     }
 }
 

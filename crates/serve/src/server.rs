@@ -30,7 +30,6 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use wino_conv::{ExecutionReport, FallbackPolicy, Network, WinoError};
-use wino_probe::Counter;
 use wino_sched::{default_deadline, Executor, PoolError, SerialExecutor, StaticExecutor};
 use wino_tensor::{BlockedImage, BlockedKernels, ShapeError};
 
@@ -71,8 +70,6 @@ pub struct ServeOptions {
     pub memory_ceiling: Option<usize>,
     /// Breaker and retry tunables.
     pub breaker: BreakerConfig,
-    /// Execution-time fallback policy threaded into the engine.
-    pub policy: FallbackPolicy,
 }
 
 impl Default for ServeOptions {
@@ -86,7 +83,6 @@ impl Default for ServeOptions {
             service: None,
             memory_ceiling: None,
             breaker: BreakerConfig::default(),
-            policy: FallbackPolicy::default(),
         }
     }
 }
@@ -117,18 +113,7 @@ impl MemoryAdmission {
     }
 }
 
-impl ServeOptions {
-    /// The defaults with `threads` sized by the detected topology
-    /// ([`wino_sched::configured_threads`] — honours the `WINO_THREADS`
-    /// and `WINO_TOPOLOGY` overrides), the one sanctioned way to build a
-    /// full-width server without an ad-hoc `available_parallelism` read.
-    pub fn with_detected_threads() -> Self {
-        ServeOptions { threads: wino_sched::configured_threads(), ..Default::default() }
-    }
-}
-
-/// Internal per-server tallies (monotonic atomics; also mirrored into
-/// the process-global [`Counter`] family for the probe reports).
+/// Internal per-server tallies (monotonic atomics).
 #[derive(Default)]
 struct Stats {
     submitted: AtomicU64,
@@ -152,11 +137,10 @@ struct Stats {
 }
 
 impl Stats {
-    fn bump(&self, cell: &AtomicU64, counter: Counter) {
+    fn bump(cell: &AtomicU64) {
         // ORDERING: Relaxed — monotonic tallies; atomicity suffices and
         // nothing is published under them.
         cell.fetch_add(1, Ordering::Relaxed);
-        counter.add(1);
     }
 }
 
@@ -231,8 +215,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Validate the spec (a batch-1 plan must exist under `opts.policy`),
-    /// then spawn the batcher thread.
+    /// Validate the spec (a batch-1 plan must exist under
+    /// [`FallbackPolicy::default`], the policy the server runs), then
+    /// spawn the batcher thread.
     pub fn start(
         spec: ModelSpec,
         kernels: Vec<BlockedKernels>,
@@ -252,7 +237,7 @@ impl Server {
         };
         // Fail fast on ill-formed geometry: if no batch-1 plan exists
         // even under the fallback policy, serving can never succeed.
-        let probe_net = plan_model(&spec, 1, threads, &opts.policy, DegradeLevel::Full)?;
+        let probe_net = plan_model(&spec, 1, threads, DegradeLevel::Full)?;
         // Fit the linear byte-pricing model for memory admission: the
         // analytic footprint of the batch-1 plan anchors the line, and
         // a batch-2 plan gives the marginal per-image slope. If no
@@ -260,7 +245,7 @@ impl Server {
         // per image — the conservative direction for admission.
         let memory = opts.memory_ceiling.map(|ceiling_bytes| {
             let fp1 = probe_net.footprint(threads).total();
-            let per_image_bytes = plan_model(&spec, 2, threads, &opts.policy, DegradeLevel::Full)
+            let per_image_bytes = plan_model(&spec, 2, threads, DegradeLevel::Full)
                 .ok()
                 .map(|net2| net2.footprint(threads).total().saturating_sub(fp1))
                 .filter(|&d| d > 0)
@@ -283,7 +268,7 @@ impl Server {
         let image_dims = spec.image_dims.clone();
         let worker = {
             let shared = Arc::clone(&shared);
-            let engine = Engine::new(spec, kernels, opts.policy, threads);
+            let engine = Engine::new(spec, kernels, threads);
             let (breaker, age) = (opts.breaker, opts.max_batch_age);
             let watchdog = opts.watchdog.unwrap_or_else(default_deadline);
             std::thread::Builder::new()
@@ -324,7 +309,7 @@ impl Server {
         self.check_shape(&input)?;
         let now = Instant::now();
         if deadline <= now {
-            stats.bump(&stats.shed_deadline, Counter::ServeShedDeadline);
+            Stats::bump(&stats.shed_deadline);
             return Err(ServeError::DeadlineExceeded {
                 missed_by_ms: (now - deadline).as_secs_f64() * 1e3,
             });
@@ -337,7 +322,7 @@ impl Server {
                 + self.max_batch_age.as_secs_f64() * 1e3;
             let budget_ms = (deadline - now).as_secs_f64() * 1e3;
             if estimated_ms > budget_ms {
-                stats.bump(&stats.shed_predicted, Counter::ServeShedPredicted);
+                Stats::bump(&stats.shed_predicted);
                 return Err(ServeError::PredictedMiss { estimated_ms, budget_ms });
             }
         }
@@ -349,7 +334,7 @@ impl Server {
                 + self.shared.in_flight.load(Ordering::Relaxed)
                 + 1;
             if !mem.admits(images) {
-                stats.bump(&stats.shed_memory, Counter::ServeShedMemory);
+                Stats::bump(&stats.shed_memory);
                 return Err(ServeError::MemoryPressure {
                     need_bytes: mem.need_bytes(images),
                     ceiling_bytes: mem.ceiling_bytes,
@@ -364,14 +349,13 @@ impl Server {
             Pending { id, input, enqueued: now, deadline, slot: Arc::clone(&slot) };
         match self.shared.queue.push(pending) {
             Ok(depth) => {
-                stats.bump(&stats.admitted, Counter::ServeAdmitted);
+                Stats::bump(&stats.admitted);
                 // ORDERING: Relaxed — monotonic high-water mark, no ordering contract.
                 stats.peak_depth.fetch_max(depth as u64, Ordering::Relaxed);
-                Counter::ServeQueuePeakDepth.record_max(depth as u64);
                 Ok(Ticket::new(slot, id))
             }
             Err(PushReject::Full { depth }) => {
-                stats.bump(&stats.shed_overload, Counter::ServeShedOverload);
+                Stats::bump(&stats.shed_overload);
                 Err(ServeError::Overloaded { depth, capacity: self.shared.queue.capacity() })
             }
             Err(PushReject::ShutDown) => Err(ServeError::ShutDown),
@@ -538,32 +522,26 @@ fn plan_model(
     spec: &ModelSpec,
     batch: usize,
     threads: usize,
-    policy: &FallbackPolicy,
     level: DegradeLevel,
 ) -> Result<Network, WinoError> {
-    let (c, dims) = (spec.in_channels, &spec.image_dims);
+    let (c, dims, policy) = (spec.in_channels, &spec.image_dims, &FallbackPolicy::default());
     Network::at_rung(batch, c, dims, &spec.layers, spec.opts, threads, policy, level as u8)
         .map_err(WinoError::Plan)
 }
 
-/// Plan cache over the breaker's rungs. Owned by the batcher thread.
+/// Plan cache over the breaker's rungs, run under
+/// [`FallbackPolicy::default`]. Owned by the batcher thread.
 struct Engine {
     spec: ModelSpec,
     kernels: Vec<BlockedKernels>,
-    policy: FallbackPolicy,
     threads: usize,
     /// Cached network plans keyed by `(batch, ladder rung)`.
     plans: HashMap<(usize, u8), Network>,
 }
 
 impl Engine {
-    fn new(
-        spec: ModelSpec,
-        kernels: Vec<BlockedKernels>,
-        policy: FallbackPolicy,
-        threads: usize,
-    ) -> Engine {
-        Engine { spec, kernels, policy, threads, plans: HashMap::new() }
+    fn new(spec: ModelSpec, kernels: Vec<BlockedKernels>, threads: usize) -> Engine {
+        Engine { spec, kernels, threads, plans: HashMap::new() }
     }
 
     /// Run one batch on the network planned for the breaker's `level` —
@@ -577,10 +555,10 @@ impl Engine {
         let net = match self.plans.entry((input.batch, level as u8)) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(plan_model(&self.spec, input.batch, self.threads, &self.policy, level)?)
+                v.insert(plan_model(&self.spec, input.batch, self.threads, level)?)
             }
         };
-        net.run_net(input, &self.kernels, exec, &self.policy)
+        net.run_net(input, &self.kernels, exec, &FallbackPolicy::default())
     }
 }
 
@@ -657,7 +635,7 @@ fn batcher_main(
         let (live, expired): (Vec<Pending>, Vec<Pending>) =
             batch.into_iter().partition(|p| p.deadline > now);
         for p in expired {
-            stats.bump(&stats.shed_deadline, Counter::ServeShedDeadline);
+            Stats::bump(&stats.shed_deadline);
             let mut report = ServeReport::unserved(p.id, breaker.level());
             report.queue_wait_ms = ms(now - p.enqueued);
             report.total_ms = report.queue_wait_ms;
@@ -679,7 +657,7 @@ fn batcher_main(
         let mut retries: u32 = 0;
         let outcome = loop {
             let level = breaker.level();
-            stats.bump(&stats.batches, Counter::ServeBatches);
+            Stats::bump(&stats.batches);
             // The pool already converts worker panics into typed
             // errors; this catch_unwind is the coordinator-side belt to
             // that suspender — a panic on the batcher thread itself
@@ -696,17 +674,17 @@ fn batcher_main(
             match attempt {
                 Ok((out, reports)) => {
                     if breaker.on_success() {
-                        stats.bump(&stats.breaker_recoveries, Counter::ServeBreakerRecoveries);
+                        Stats::bump(&stats.breaker_recoveries);
                     }
                     break Ok((out, reports, level));
                 }
                 Err(e) => {
-                    stats.bump(&stats.batch_failures, Counter::ServeBatchFailures);
+                    Stats::bump(&stats.batch_failures);
                     if breaker.on_failure() {
-                        stats.bump(&stats.breaker_trips, Counter::ServeBreakerTrips);
+                        Stats::bump(&stats.breaker_trips);
                     }
                     if exec.heal() {
-                        stats.bump(&stats.pool_rebuilds, Counter::ServePoolRebuilds);
+                        Stats::bump(&stats.pool_rebuilds);
                     }
                     if retries >= breaker_cfg.max_retries {
                         break Err((e, level));
@@ -821,7 +799,7 @@ mod tests {
     fn im2col_rung_matches_winograd_rung() {
         let spec = spec_1layer();
         let kernels = kernels_for(&spec);
-        let mut engine = Engine::new(spec, kernels, FallbackPolicy::default(), 1);
+        let mut engine = Engine::new(spec, kernels, 1);
         let img = input();
         let (full, _) = engine.run(&img, DegradeLevel::Full, &SerialExecutor).unwrap();
         let (base, reports) = engine.run(&img, DegradeLevel::Im2col, &SerialExecutor).unwrap();
@@ -843,7 +821,7 @@ mod tests {
         let mut spec = spec_1layer();
         spec.opts = spec.opts.with_stride(&[2, 2]);
         let kernels = kernels_for(&spec);
-        let mut engine = Engine::new(spec, kernels, FallbackPolicy::default(), 1);
+        let mut engine = Engine::new(spec, kernels, 1);
         let img = input();
         let (full, reports_full) = engine.run(&img, DegradeLevel::Full, &SerialExecutor).unwrap();
         assert_eq!(full.dims, vec![3, 3]); // (6 + 2 − 3)/2 + 1

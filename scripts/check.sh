@@ -153,14 +153,20 @@ done
 # sentinel-sampled forward with zero trips; (c) the sentinel sample and
 # verdicts must be executor-deterministic under the pinned CI seed;
 # (d) the denormal-storm and silent-corruption regressions must be
-# caught and rescued under fault injection.
+# caught and rescued under fault injection, and (e) injected allocation
+# refusals must be re-tiled, rescued or typed on every route — the `oom_*`
+# tests are the only drivers of the degradation table's memory rows (there
+# is no plan-time budget), so they are named here.
 run "$TEST_TIMEOUT" cargo run --offline --release -q -p wino-bench --bin accuracy
 run "$TEST_TIMEOUT" cargo run --offline --release -q -p wino-bench --bin accuracy -- \
     --sentinel-smoke
 run "$TEST_TIMEOUT" env WINO_SWEEP_SEED=3523158054 \
     cargo test --offline -q --test sentinel
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q --features fault-inject \
-    --test fault_injection -- denormal_storm silent_corruption
+    --test fault_injection -- denormal_storm silent_corruption \
+    oom_during_plan_seeding_is_deferred_not_fatal oom_ladder_depth_tracks_shot_count \
+    oom_injection_disarmed_is_a_clean_run oom_during_a_grouped_layer_is_rescued_or_typed \
+    oom_during_a_strided_layer_is_rescued_or_typed oom_during_a_sentinel_demotion_is_rescued_or_typed
 
 # Documentation gate: rustdoc must build warning-free (broken intra-doc
 # links are the usual regression).
@@ -204,7 +210,9 @@ scripts/bench.sh --scaling-smoke
 # Memory-accounting gate: the analytic `MemoryFootprint` model must
 # price the allocator's real traffic within 10% — the per-component
 # exact-match unit tests plus the end-to-end cold-start prediction test
-# (plan + kernel memoisation + forward) in wino-conv.
+# (plan + kernel memoisation + forward) in wino-conv. The model prices
+# what the allocator will hand out and feeds serve admission (the rlimit
+# soak below); it is not a plan-time admission test.
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv footprint
 
 # Serving gate: a fault-injected overload soak — ≥10k requests fired at

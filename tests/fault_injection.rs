@@ -178,27 +178,6 @@ fn poisoned_stage_degrades_to_im2col() {
     fault::reset();
 }
 
-/// With im2col rescue disabled, the same guard trip is a typed error —
-/// never a silent NaN output.
-#[test]
-fn numeric_guard_without_rescue_is_a_typed_error() {
-    let _guard = fault::test_lock();
-    fault::reset();
-
-    let policy = FallbackPolicy { im2col_on_numeric: false, ..FallbackPolicy::default() };
-    let exec = StaticExecutor::new(THREADS);
-    let mut net = test_net(&[2, 2], &policy);
-    let (input, kernels) = test_data();
-
-    fault::arm_poison_stage(2);
-    let err = net
-        .run_layer(0, &input, &kernels, &exec, &policy)
-        .expect_err("guard trip without rescue must error");
-    assert!(matches!(err, WinoError::Numeric(_)), "expected Numeric, got {err:?}");
-
-    fault::reset();
-}
-
 /// A layer with no valid Winograd plan (tile far larger than the image)
 /// is planned and executed via im2col under the permissive policy, with
 /// the plan failure visible in the report — and the output still matches
@@ -411,61 +390,13 @@ fn persistent_corruption_falls_through_demotion_to_im2col() {
 
 // ---------------------------------------------------------------------------
 // OOM battery: injected allocation refusals (`wino_simd::fault`) against
-// every layer of the resource-exhaustion story — plan-time accounting,
-// the run-time memory ladder, and the serving hot path. The memory
-// injector is process-global like the worker-fault hooks, so these tests
-// share [`fault::test_lock`].
+// every layer of the resource-exhaustion story — plan-time scratch seeding,
+// the run-time memory ladder, and the serving hot path; the only drivers
+// of the table's memory rows. The memory injector is process-global like
+// the worker-fault hooks, so these tests share [`fault::test_lock`].
 // ---------------------------------------------------------------------------
 
-use winograd_nd_repro::conv::{MemoryBudget, PlanError};
 use winograd_nd_repro::simd::fault as mem_fault;
-
-/// Plan-time memory accounting: a budget no tile can meet degrades the
-/// layer to im2col under the permissive policy (with the pressure visible
-/// as `FallbackReason::Memory`), and is a typed `PlanError::MemoryBudget`
-/// under the strict one. No injector involved — this is the analytic
-/// model refusing, not the allocator.
-#[test]
-fn oom_at_plan_time_degrades_or_fails_typed() {
-    let _guard = fault::test_lock();
-    fault::reset();
-    mem_fault::reset();
-
-    let opts = ConvOptions {
-        memory: Some(MemoryBudget::new(1).with_threads(THREADS)),
-        ..ConvOptions::default()
-    };
-
-    // Strict: the budget miss is a typed plan failure.
-    let err = match Network::with_policy(
-        1, 16, &[8, 8], &[spec(&[2, 2])], opts, THREADS, &FallbackPolicy::strict(),
-    ) {
-        Err(e) => e,
-        Ok(_) => panic!("1-byte budget must not plan strictly"),
-    };
-    assert!(
-        matches!(err, PlanError::MemoryBudget { need_bytes, budget_bytes }
-            if need_bytes > budget_bytes && budget_bytes == 1),
-        "expected MemoryBudget, got {err:?}"
-    );
-
-    // Permissive: planned as im2col, pressure recorded, output correct.
-    let mut net = Network::with_policy(
-        1, 16, &[8, 8], &[spec(&[2, 2])], opts, THREADS, &FallbackPolicy::default(),
-    )
-    .expect("permissive policy must absorb the budget miss");
-    let (input, kernels) = test_data();
-    let (out, report) = net
-        .run_layer(0, &input, &kernels, &SerialExecutor, &FallbackPolicy::default())
-        .expect("im2col-planned layer must run");
-    assert_eq!(report.backend, LayerBackend::Im2col);
-    assert!(
-        matches!(report.fallback, Some(FallbackReason::Memory { bytes }) if bytes > 1),
-        "report must carry the memory reason, got {:?}",
-        report.fallback
-    );
-    assert_close(&out, &clean_reference(&[2, 2]), 1e-4, "budget-degraded layer");
-}
 
 /// Refused allocations during network construction hit only the scratch
 /// pre-seeding, which is an optimisation: planning succeeds, the slots
