@@ -1,20 +1,23 @@
-//! The measurement behind the ring-fused forward pass (EXPERIMENTS.md,
-//! "§4.3 extension — ring-fused forward"): for each layer of that table,
-//! plan it, alternate the three staged calls and `forward_fx` in one
-//! process — so host-state drift hits both alike — check the two outputs
-//! are equal bit for bit, and print the medians.
+//! The measurement behind the two rings (EXPERIMENTS.md, "§4.3 extension —
+//! ring-fused forward" and "— the dual ring"): for each layer of that
+//! table, plan it, alternate the three staged calls and `forward_fx`, and
+//! the four staged calls and `forward` with raw kernels, in one process —
+//! so host-state drift hits both sides alike — check each pair of outputs
+//! is equal bit for bit, and print the medians.
 //!
 //! ```text
 //! cargo run -p wino-bench --release --bin fusion -- [--reps N] [--threads N] [--n-blk N] [--json]
 //! ```
 //!
-//! Whether `forward_fx` runs the ring is the plan's decision
-//! (`WinogradLayer::is_fused`, from the sizes of `V̂` and a ring against
-//! the detected L2), never this binary's: on a plan the rule turns down
-//! both columns time the three stages and `ratio` reads 1 within noise.
-//! `--n-blk N` asks for `N`-row panels through `ConvOptions::block` (the
-//! panel-height sweep); a height whose ring does not fit stages the plan.
-//! `--threads` (default 2) applies to the rows the table runs on the
+//! Which schedule a plan runs is the plan's decision (`schedule`: `ring`
+//! — `WinogradLayer::is_fused`, from the sizes of `V̂` and a ring against
+//! the detected L2 —, `dual` — `WinogradLayer::is_dual`, training mode
+//! only — or `staged`), never this binary's: where a pass runs the three
+//! stages both of its columns time them and its ratio reads 1 within
+//! noise — a dual plan's `ratio` among them, its FX mode being staged.
+//! `--n-blk N` asks for `N`-row panels through `ConvOptions::block`
+//! (the panel-height sweep); a height whose ring does not fit stages the
+//! plan. `--threads` (default 2) applies to the rows the table runs on the
 //! pool; the serve layers run on one thread, as the server runs them.
 
 use std::time::Instant;
@@ -87,8 +90,8 @@ fn main() {
     let mut out = Rows::new(
         args.flag("--json"),
         &[
-            "layer", "threads", "T", "v_bytes", "ring_bytes", "l2_bytes", "n_blk", "fused",
-            "staged_ms", "fused_ms", "ratio",
+            "layer", "threads", "T", "v_bytes", "ring_bytes", "l2_bytes", "n_blk", "schedule",
+            "staged_ms", "fused_ms", "ratio", "staged_train_ms", "train_ms", "train_ratio",
         ],
     );
     for r in &ROWS {
@@ -107,43 +110,78 @@ fn main() {
 
         let input = BlockedImage::from_simple(&uniform_input(&shape, 1)).unwrap();
         let kernels = BlockedKernels::from_simple(&xavier_kernels(&shape, 2)).unwrap();
-        // One scratch per side: the staged calls grow a fused plan's
-        // scratch by the layer-sized buffers the ring exists to avoid.
+        // One scratch per side: the staged calls grow a ring or dual plan's
+        // scratch by the layer-sized buffers its ring exists to avoid.
         let mut ring_scratch = Scratch::new(&plan, exec.threads());
-        // What a fused plan's scratch holds beside `v` is one ring per slot.
-        let ring_bytes = if plan.is_fused() {
-            (ring_scratch.bytes() - ring_scratch.v.bytes()) / exec.threads()
-        } else {
-            0
-        };
-        let ring_rows = ring_bytes / (plan.t_vol() * (r.c + r.cp) * 4);
         let mut staged_scratch = Scratch::new(&plan, exec.threads());
+        // What a ring or dual plan's scratch holds beside its `v` or `u` is
+        // one ring per slot — read before `prepare_kernels` grows a dual
+        // plan's `v`.
+        let s = &ring_scratch;
+        let layer_sized = s.u.bytes() + s.v.bytes() + s.x.bytes() + s.y.bytes();
+        let ring_bytes = (s.bytes() - layer_sized) / exec.threads();
+        let ring_rows = ring_bytes / (plan.t_vol() * (r.c + r.cp) * 4);
+        let schedule = match (plan.is_fused(), plan.is_dual()) {
+            (true, _) => "ring",
+            (_, true) => "dual",
+            _ => "staged",
+        };
         let memo = plan.prepare_kernels(&kernels, &mut ring_scratch, exec).unwrap();
         stage1::transform_kernels(&plan, &kernels, &mut staged_scratch, exec).unwrap();
-        let (mut staged_out, mut fused_out) = (plan.new_output().unwrap(), plan.new_output().unwrap());
+        let new_output = || plan.new_output().unwrap();
+        let (mut staged_out, mut fused_out) = (new_output(), new_output());
+        let (mut staged_train_out, mut train_out) = (new_output(), new_output());
 
-        let (mut staged_ms, mut fused_ms) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+        // Each pair alternates on its own, so that neither side's passes
+        // evict what the other pair's keep in the cache.
+        let time = |pass: &mut dyn FnMut()| {
+            let t = Instant::now();
+            pass();
+            t.elapsed().as_secs_f64() * 1e3
+        };
+        let mut ms: [Vec<f64>; 4] = Default::default();
         for rep in 0..=reps {
-            let t = Instant::now();
-            stage1::transform_inputs(&plan, &input, &mut staged_scratch, exec).unwrap();
-            stage2::multiply(&plan, &mut staged_scratch, exec).unwrap();
-            stage3::inverse_transform(&plan, &mut staged_scratch, &mut staged_out, exec).unwrap();
-            let staged = t.elapsed().as_secs_f64() * 1e3;
-            let t = Instant::now();
-            plan.forward_fx(&input, &memo, &mut fused_out, &mut ring_scratch, exec).unwrap();
-            let fused = t.elapsed().as_secs_f64() * 1e3;
+            let staged = time(&mut || {
+                stage1::transform_inputs(&plan, &input, &mut staged_scratch, exec).unwrap();
+                stage2::multiply(&plan, &mut staged_scratch, exec).unwrap();
+                stage3::inverse_transform(&plan, &mut staged_scratch, &mut staged_out, exec)
+                    .unwrap();
+            });
+            let fused = time(&mut || {
+                plan.forward_fx(&input, &memo, &mut fused_out, &mut ring_scratch, exec).unwrap();
+            });
             if rep > 0 {
                 // (Round 0 warms both sides up.)
-                staged_ms.push(staged);
-                fused_ms.push(fused);
+                ms[0].push(staged);
+                ms[1].push(fused);
             }
         }
-        assert!(
-            staged_out.as_slice() == fused_out.as_slice(),
-            "{}: forward_fx differs from the three stages",
-            r.name
-        );
-        let (staged, fused) = (median(&mut staged_ms), median(&mut fused_ms));
+        for rep in 0..=reps {
+            let staged = time(&mut || {
+                stage1::transform_inputs(&plan, &input, &mut staged_scratch, exec).unwrap();
+                stage1::transform_kernels(&plan, &kernels, &mut staged_scratch, exec).unwrap();
+                stage2::multiply(&plan, &mut staged_scratch, exec).unwrap();
+                stage3::inverse_transform(&plan, &mut staged_scratch, &mut staged_train_out, exec)
+                    .unwrap();
+            });
+            let train = time(&mut || {
+                plan.forward(&input, &kernels, &mut train_out, &mut ring_scratch, exec).unwrap();
+            });
+            if rep > 0 {
+                ms[2].push(staged);
+                ms[3].push(train);
+            }
+        }
+        let passes =
+            [(&fused_out, "forward_fx"), (&staged_train_out, "the four stages"), (&train_out, "forward")];
+        for (got, pass) in passes {
+            assert!(
+                staged_out.as_slice() == got.as_slice(),
+                "{}: {pass} differs from the three stages",
+                r.name
+            );
+        }
+        let [staged, fused, staged_train, train] = ms.each_mut().map(|side| median(side));
         out.push(&[
             r.name.to_string(),
             exec.threads().to_string(),
@@ -152,10 +190,13 @@ fn main() {
             ring_bytes.to_string(),
             l2_bytes.to_string(),
             if plan.is_fused() { ring_rows } else { plan.block.n_blk }.to_string(),
-            plan.is_fused().to_string(),
+            schedule.to_string(),
             format!("{staged:.3}"),
             format!("{fused:.3}"),
             format!("{:.3}", fused / staged),
+            format!("{staged_train:.3}"),
+            format!("{train:.3}"),
+            format!("{:.3}", train / staged_train),
         ]);
     }
     out.finish();

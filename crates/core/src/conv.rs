@@ -1,11 +1,15 @@
 //! The public convolution entry points: training mode (transform kernels
 //! every call) and inference "FX" mode (memoised kernel transforms).
 //!
-//! Each is one branch over the plan's schedule
-//! ([`WinogradLayer::is_fused`]): the ring-fused driver (`fused.rs` — one
-//! fork–join, `Û` and `X̂` in a per-thread ring) when the plan is fused and
-//! the executor has no more threads than the plan has panels, else the
-//! paper's three stages. Both compute the same bits.
+//! Each is one branch over the plan's schedule: the ring-fused driver
+//! (`fused.rs` — one fork–join, `Û` and `X̂` in a per-thread ring) when
+//! the plan is a ring plan ([`WinogradLayer::is_fused`]) and the executor
+//! has no more threads than the plan has panels; in training mode, the
+//! dual ring (`fused.rs` too — the input transform, then one fork–join,
+//! blocks of `V̂` in a per-thread ring) when the plan is a dual plan
+//! ([`WinogradLayer::is_dual`]) and the executor has no more threads than
+//! the plan has column groups; else the paper's three stages. All compute
+//! the same bits.
 
 use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices, ConvShape, SimpleImage, SimpleKernels};
@@ -32,7 +36,7 @@ impl TransformedKernels {
 impl WinogradLayer {
     /// Full convolution, training mode: transforms inputs *and* kernels,
     /// multiplies, inverse-transforms into `output` — in four fork–joins
-    /// on the staged schedule, two on the fused one.
+    /// on the staged schedule, two on the ring and on the dual ring.
     ///
     /// `scratch` must come from [`Scratch::new`] for this layer (or an
     /// identically shaped one) with at least `exec.threads()` slots.
@@ -44,6 +48,9 @@ impl WinogradLayer {
         scratch: &mut Scratch,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
+        if self.runs_dual(exec) {
+            return fused::forward_dual(self, input, kernels, output, scratch, exec);
+        }
         if self.runs_fused(exec) {
             stage1::transform_kernels(self, kernels, scratch, exec)?;
             return fused::forward(self, input, &scratch.v, output, scratch, exec);
@@ -67,8 +74,9 @@ impl WinogradLayer {
     }
 
     /// Inference-mode convolution using memoised kernel transforms — the
-    /// kernel-transform stage is skipped entirely (three fork–joins on the
-    /// staged schedule, one on the fused one).
+    /// kernel-transform stage is skipped entirely (one fork–join on the
+    /// ring, three on the staged schedule — which a dual plan runs, its
+    /// `V̂` being memoised).
     pub fn forward_fx(
         &self,
         input: &BlockedImage,
@@ -402,21 +410,23 @@ mod tests {
 
     /// A store flavour cannot change a value. Each layer is planned on a
     /// host whose cache holds nothing (every hand-off streams) and on one
-    /// whose cache holds everything (none does), staged and fused, Mono and
-    /// — under AVX-512 — JIT, and run on every executor: all outputs of
-    /// one layer, training mode and FX, are the same bits. The layers
-    /// cover rank 1–3, ragged edges in every dimension, a tile larger than
-    /// the image, panels that straddle images, tail panels and a column
-    /// block three vectors wide.
+    /// whose cache holds everything (none does), on each of the three
+    /// schedules — staged, ring, dual — Mono and — under AVX-512 — JIT, and
+    /// run on every executor: all outputs of one layer, training mode and
+    /// FX, are the same bits. The layers cover rank 1–3, ragged edges in
+    /// every dimension, a tile larger than the image, panels that straddle
+    /// images, tail panels, a column block three vectors wide and a split
+    /// reduction (which the ring turns down: that layer plans staged
+    /// twice).
     #[test]
     fn both_store_flavours_compute_the_same_bits_on_every_schedule_engine_and_executor() {
-        use crate::plan::{Host, Stage2Backend};
+        use crate::plan::{Host, Pin, Stage2Backend};
         use wino_gemm::BlockShape;
         // (batch, (C, C'), image, kernel width, padding, m, explicit blocking)
         type Case =
             (usize, (usize, usize), &'static [usize], usize, usize, &'static [usize], Option<BlockShape>);
         let blocked = |n_blk, c_blk, cp_blk| Some(BlockShape { n_blk, c_blk, cp_blk });
-        let cases: [Case; 12] = [
+        let cases: [Case; 13] = [
             (2, (16, 16), &[37], 3, 1, &[4], None),
             (1, (32, 32), &[15, 18], 3, 0, &[4, 4], None),
             (1, (16, 32), &[22, 19], 3, 1, &[6, 2], None),
@@ -431,6 +441,8 @@ mod tests {
             (2, (32, 32), &[10, 10], 3, 1, &[4, 4], blocked(6, 32, 32)),
             // 25 rows in 6-row panels: a one-row tail; three column blocks.
             (1, (32, 48), &[10, 10], 3, 1, &[2, 2], blocked(6, 32, 16)),
+            // Two reduction blocks: β = 0, then the β = 1 scatter.
+            (2, (32, 32), &[9, 9], 3, 1, &[4, 4], blocked(6, 16, 16)),
             // Kernels other than 3 wide: F(3², 2²), F(2², 5²).
             (1, (16, 32), &[11, 12], 2, 0, &[3, 3], None),
             (1, (16, 16), &[13, 12], 5, 2, &[2, 2], None),
@@ -453,13 +465,15 @@ mod tests {
             let input = BlockedImage::from_simple(&test_img(batch, c, dims)).unwrap();
             let kernels = BlockedKernels::from_simple(&test_ker(cp, c, &kernel)).unwrap();
             let mut plans = Vec::new();
-            for fused in [true, false] {
+            for pin in [Pin::Ring, Pin::Dual, Pin::Staged] {
                 for &stage2 in &engines {
                     for streams in [true, false] {
                         let opts = ConvOptions { stage2, block, ..Default::default() };
-                        let host = Host::test(fused, streams);
+                        let host = Host::test(pin, streams);
                         let plan = WinogradLayer::new_on(shape.clone(), m, opts, host).unwrap();
-                        assert_eq!((plan.is_fused(), plan.streams), (fused, streams), "{dims:?}");
+                        let ring = pin == Pin::Ring && c == plan.block.c_blk;
+                        let kind = (plan.is_fused(), plan.is_dual(), plan.streams);
+                        assert_eq!(kind, (ring, pin == Pin::Dual, streams), "{dims:?}");
                         plans.push(plan);
                     }
                 }
@@ -473,8 +487,8 @@ mod tests {
                 plan.forward_fx(&input, &memo, &mut fx, &mut scratch, exec).unwrap();
                 let want = want.get_or_insert_with(|| train.as_slice().to_vec());
                 let what = format!(
-                    "{dims:?} m {m:?}: fused {}, {:?}, streams {}, {} × {}",
-                    plan.is_fused(),
+                    "{dims:?} m {m:?}: {:?}, {:?}, streams {}, {} × {}",
+                    plan.schedule,
                     plan.opts.stage2,
                     plan.streams,
                     exec.name(),
@@ -489,20 +503,26 @@ mod tests {
     /// The staged schedule is one fork–join per stage: input transform,
     /// kernel transform, the batched products (operation ⑥ rides inside
     /// them), inverse transform — and FX mode skips the kernel transform.
-    /// The fused one is the kernel transform plus one fork–join for
-    /// everything else. Each `run_grid` is one `fork-join` span and each
-    /// stage one coordinator span, and collecting them changes no output bit.
+    /// The ring is the kernel transform plus one fork–join for everything
+    /// else. The dual ring is the input transform plus one fork–join for
+    /// everything else, and runs FX mode staged. Each `run_grid` is one
+    /// `fork-join` span and each stage one coordinator span, and
+    /// collecting them changes no output bit.
     #[test]
     fn forward_is_four_fork_joins_and_forward_fx_three() {
+        use crate::plan::{split_reduction, Host, Pin};
         use wino_probe::{SpanCategory, COORDINATOR};
         let shape = ConvShape::new(1, 32, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
         let input = BlockedImage::from_simple(&test_img(1, 32, &[10, 10])).unwrap();
         let kernels = BlockedKernels::from_simple(&test_ker(32, 32, &[3, 3])).unwrap();
-        for (opts, fork_joins) in
-            [(ConvOptions::default(), [2, 1]), (crate::plan::split_reduction(), [4, 3])]
-        {
-            let layer = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
-            assert_eq!(layer.is_fused(), fork_joins == [2, 1]);
+        for (opts, pin, fork_joins) in [
+            (ConvOptions::default(), Pin::Ring, [2, 1]),
+            (split_reduction(), Pin::Staged, [4, 3]),
+            (split_reduction(), Pin::Dual, [2, 3]),
+        ] {
+            let host = Host::test(pin, false);
+            let layer = WinogradLayer::new_on(shape.clone(), &[4, 4], opts, host).unwrap();
+            assert_eq!((layer.is_fused(), layer.is_dual()), (pin == Pin::Ring, pin == Pin::Dual));
             let mut scratch = Scratch::new(&layer, 1);
             let tk = layer.prepare_kernels(&kernels, &mut scratch, &SerialExecutor).unwrap();
             let mut plain = layer.new_output().unwrap();
@@ -518,27 +538,31 @@ mod tests {
                 )
             };
             layer.forward(&input, &kernels, &mut out, &mut scratch, &exec).unwrap();
-            assert_eq!(count(&mut exec), (fork_joins[0], 4));
+            assert_eq!(count(&mut exec), (fork_joins[0], 4), "{pin:?}");
             assert!(out.as_slice() == plain.as_slice(), "probed forward");
             layer.forward_fx(&input, &tk, &mut out, &mut scratch, &exec).unwrap();
-            assert_eq!(count(&mut exec), (fork_joins[1], 3));
+            assert_eq!(count(&mut exec), (fork_joins[1], 3), "{pin:?}");
             assert!(out.as_slice() == plain.as_slice(), "probed forward_fx");
         }
     }
 
     /// Whether a run is instrumented is whether its executor carries a
     /// collector: on a plain one the span helpers read no clock, and a
-    /// staged and a fused pass leave the per-slot phase tallies untouched.
+    /// staged, a ring and a dual pass leave the per-slot phase tallies
+    /// untouched.
     #[test]
     fn a_plain_executor_records_nothing_and_reads_no_clock() {
+        use crate::plan::{split_reduction, Host, Pin};
         assert_eq!(wino_sched::probed::span_start(None), 0);
         let shape = ConvShape::new(2, 32, 32, &[18, 18], &[3, 3], &[1, 1]).unwrap();
         let input = BlockedImage::from_simple(&test_img(2, 32, &[18, 18])).unwrap();
         let kernels = BlockedKernels::from_simple(&test_ker(32, 32, &[3, 3])).unwrap();
         let executors: [Box<dyn Executor>; 2] =
             [Box::new(SerialExecutor), Box::new(StaticExecutor::new(2))];
-        for opts in [ConvOptions::default(), crate::plan::split_reduction()] {
-            let layer = WinogradLayer::new(shape.clone(), &[4, 4], opts).unwrap();
+        let split = split_reduction();
+        for (opts, pin) in [(ConvOptions::default(), Pin::Ring), (split, Pin::Staged), (split, Pin::Dual)] {
+            let host = Host::test(pin, false);
+            let layer = WinogradLayer::new_on(shape.clone(), &[4, 4], opts, host).unwrap();
             for exec in &executors {
                 assert!(exec.probe().is_none());
                 let mut scratch = Scratch::new(&layer, exec.threads());
@@ -549,7 +573,7 @@ mod tests {
                 for slot in 0..scratch.thread_slots() {
                     // SAFETY: no fork–join is in flight and `scratch` is ours.
                     let tb = unsafe { scratch.thread_buf(slot) };
-                    assert_eq!(tb.phase_ns, [0; 3], "fused {}, slot {slot}", layer.is_fused());
+                    assert_eq!(tb.phase_ns, [0; 3], "{:?}, slot {slot}", layer.schedule);
                 }
             }
         }
@@ -589,6 +613,55 @@ mod tests {
             assert!(stages.iter().all(|e| e.duration_ns() > 0), "every phase took time");
             let wall: u64 = stages.iter().map(|e| e.duration_ns()).sum();
             let fork_join = fork_join[0].duration_ns();
+            assert!(
+                wall >= fork_join && (wall - fork_join) * 20 <= fork_join,
+                "{threads} threads: stage spans {wall} ns, fork–join {fork_join} ns"
+            );
+        }
+    }
+
+    /// Under a probe a dual pass reports the four stages: the input
+    /// transform's own span over the first fork–join, then one coordinator
+    /// span each for the kernel transform, the products and the inverse
+    /// transform, back to back, covering the second — cut from the slots'
+    /// phase tallies.
+    #[test]
+    fn a_dual_pass_reports_four_stage_spans_that_cover_its_fork_joins() {
+        use crate::plan::{split_reduction, Host, Pin};
+        use wino_probe::{SpanCategory, COORDINATOR};
+        let shape = ConvShape::new(2, 32, 32, &[18, 18], &[3, 3], &[1, 1]).unwrap();
+        let input = BlockedImage::from_simple(&test_img(2, 32, &[18, 18])).unwrap();
+        let kernels = BlockedKernels::from_simple(&test_ker(32, 32, &[3, 3])).unwrap();
+        let host = Host::test(Pin::Dual, false);
+        let layer = WinogradLayer::new_on(shape, &[4, 4], split_reduction(), host).unwrap();
+        assert!(layer.is_dual());
+        for threads in [1, 2] {
+            let mut exec = wino_sched::ProbedExecutor::new(StaticExecutor::new(threads));
+            let mut scratch = Scratch::new(&layer, threads);
+            let mut out = layer.new_output().unwrap();
+            layer.forward(&input, &kernels, &mut out, &mut scratch, &exec).unwrap();
+            let events = exec.take_events();
+            let fork_joins: Vec<_> =
+                events.iter().filter(|e| e.category == SpanCategory::ForkJoin).collect();
+            assert_eq!(fork_joins.len(), 2);
+            let stages: Vec<_> = events
+                .iter()
+                .filter(|e| e.thread == COORDINATOR && e.category.is_stage())
+                .collect();
+            let categories: Vec<_> = stages.iter().map(|e| e.category).collect();
+            assert_eq!(
+                categories,
+                [
+                    SpanCategory::InputTransform,
+                    SpanCategory::KernelTransform,
+                    SpanCategory::ElementwiseGemm,
+                    SpanCategory::OutputTransform
+                ]
+            );
+            assert!(stages[1..].windows(2).all(|w| w[0].end_ns == w[1].start_ns), "back to back");
+            assert!(stages.iter().all(|e| e.duration_ns() > 0), "every phase took time");
+            let wall: u64 = stages[1..].iter().map(|e| e.duration_ns()).sum();
+            let fork_join = fork_joins[1].duration_ns();
             assert!(
                 wall >= fork_join && (wall - fork_join) * 20 <= fork_join,
                 "{threads} threads: stage spans {wall} ns, fork–join {fork_join} ns"

@@ -4,7 +4,8 @@
 //! many bytes a plan will ask the allocator for: the transformed-data
 //! scratch ([`Scratch`](crate::Scratch) — four layer-sized buffers for a
 //! staged plan, the kernel transforms plus one ring per thread slot for a
-//! fused one), the per-thread codelet buffers, the memoised
+//! ring plan, the input transforms plus one ring per thread slot for a
+//! dual plan), the per-thread codelet buffers, the memoised
 //! kernel-transform clone
 //! ([`TransformedKernels`](crate::TransformedKernels)) and the output
 //! image. Each component reuses the container's own `bytes_for` helper
@@ -23,6 +24,7 @@
 use wino_simd::S;
 use wino_tensor::{BlockedImage, BlockedMatrices};
 
+use crate::fused::Schedule;
 use crate::layout::TileMajor;
 use crate::plan::WinogradLayer;
 
@@ -35,13 +37,17 @@ pub(crate) struct BufferBytes {
     pub input: usize,
     pub kernels: usize,
     /// Transformed inputs `Û`, blocked intermediate `X̂` and its tile-major
-    /// form `Y`: layer-sized in a staged plan's scratch, 0 for a fused
-    /// plan, whose ring takes their place and never leaves the core.
+    /// form `Y`: layer-sized in a staged plan's scratch; a ring plan's ring
+    /// takes the place of all three, a dual plan's of `X̂` and `Y` — a
+    /// ring never leaves the core.
     pub u: usize,
     pub x: usize,
     pub y: usize,
-    /// Transformed kernels `V̂`.
+    /// Transformed kernels `V̂` in the scratch: 0 for a dual plan, whose
+    /// ring holds one block of them at a time.
     pub v: usize,
+    /// Transformed kernels `V̂` as `prepare_kernels` memoises them.
+    pub memo: usize,
     /// One thread slot's ring; 0 for a staged plan.
     pub ring: usize,
     /// The output image.
@@ -53,14 +59,17 @@ impl BufferBytes {
         let (t, rows, blk) = (layer.t_vol(), layer.rows(), layer.block);
         let shape = &layer.shape;
         let (batch, c, cp) = (shape.batch, shape.in_channels, shape.out_channels);
-        let staged = |bytes: usize| if layer.is_fused() { 0 } else { bytes };
+        let staged = layer.schedule == Schedule::Staged;
+        let held = |held: bool, bytes: usize| if held { bytes } else { 0 };
+        let memo = BlockedMatrices::bytes_for(t, c, cp, blk.c_blk, blk.cp_blk);
         BufferBytes {
             input: BlockedImage::bytes_for(batch, c, &shape.image_dims),
             kernels: c * cp * shape.kernel_dims.iter().product::<usize>() * 4,
-            u: staged(BlockedMatrices::bytes_for(t, rows, c, blk.n_blk, blk.c_blk)),
-            x: staged(BlockedMatrices::bytes_for(t, rows, cp, blk.n_blk, blk.cp_blk)),
-            y: staged(TileMajor::bytes_for(batch, cp, layer.n_tiles(), t)),
-            v: BlockedMatrices::bytes_for(t, c, cp, blk.c_blk, blk.cp_blk),
+            u: held(!layer.is_fused(), BlockedMatrices::bytes_for(t, rows, c, blk.n_blk, blk.c_blk)),
+            x: held(staged, BlockedMatrices::bytes_for(t, rows, cp, blk.n_blk, blk.cp_blk)),
+            y: held(staged, TileMajor::bytes_for(batch, cp, layer.n_tiles(), t)),
+            v: held(!layer.is_dual(), memo),
+            memo,
             ring: layer.ring_floats() * 4,
             output: BlockedImage::bytes_for(batch, cp, &shape.out_dims()),
         }
@@ -72,16 +81,20 @@ impl BufferBytes {
 pub struct MemoryFootprint {
     /// What [`Scratch::new`](crate::Scratch::new) holds besides the
     /// codelet buffers. A staged plan: `u` + `v` + `x`
-    /// ([`BlockedMatrices`]) and `y` ([`TileMajor`]). A fused plan
+    /// ([`BlockedMatrices`]) and `y` ([`TileMajor`]). A ring plan
     /// ([`WinogradLayer::is_fused`]): `v` and one ring per thread slot —
     /// `T·n_blk·(C + C')` floats each, independent of the layer's extent.
+    /// A dual plan ([`WinogradLayer::is_dual`]): `u` and one ring per
+    /// thread slot — a block of `V̂`, an accumulator and a column group's
+    /// chunks, `T·cols·(C_blk + 2·rows)` floats each (rows padded for the
+    /// accumulator).
     pub scratch_bytes: usize,
     /// The tile-major transformed-output buffer `y` alone (also counted
     /// in `scratch_bytes`; broken out because serving sizes it per batch).
     /// 0 for a fused plan.
     pub tile_major_bytes: usize,
     /// The memoised kernel-transform clone (`TransformedKernels`) — the
-    /// same shape as scratch `v`.
+    /// shape of a staged plan's scratch `v`.
     pub transformed_kernel_bytes: usize,
     /// Per-thread codelet buffers, totalled across all `threads` slots:
     /// two `T·S` ping-pong tile buffers each.
@@ -127,7 +140,7 @@ impl MemoryFootprint {
         MemoryFootprint {
             scratch_bytes: b.u + b.v + b.x + b.y + slots * b.ring,
             tile_major_bytes: b.y,
-            transformed_kernel_bytes: b.v,
+            transformed_kernel_bytes: b.memo,
             per_thread_bytes: slots * 2 * layer.t_vol() * S * 4,
             output_bytes: b.output,
             threads,
@@ -155,7 +168,7 @@ impl MemoryFootprint {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{split_reduction, ConvOptions, Scratch};
+    use crate::plan::{split_reduction, ConvOptions, Host, Pin, Scratch};
     use wino_tensor::ConvShape;
 
     fn layer(batch: usize, c: usize, cp: usize, dims: &[usize]) -> WinogradLayer {
@@ -167,19 +180,27 @@ mod tests {
     fn scratch_component_matches_observed_allocation() {
         let fused = layer(1, 16, 16, &[8, 8]);
         let shape = ConvShape::new(1, 32, 16, &[8, 8], &[3, 3], &[1, 1]).unwrap();
-        let staged = WinogradLayer::new(shape, &[2, 2], split_reduction()).unwrap();
-        assert!(fused.is_fused() && !staged.is_fused());
-        for l in [&fused, &staged] {
+        let pinned = |pin| {
+            let host = Host::test(pin, false);
+            WinogradLayer::new_on(shape.clone(), &[2, 2], split_reduction(), host).unwrap()
+        };
+        let (staged, dual) = (pinned(Pin::Staged), pinned(Pin::Dual));
+        assert!(fused.is_fused() && dual.is_dual() && !staged.is_fused() && !staged.is_dual());
+        for l in [&fused, &staged, &dual] {
             for threads in [1usize, 4] {
                 let fp = l.footprint(threads);
                 let before = wino_simd::thread_alloc_bytes();
-                let s = Scratch::new(l, threads);
+                let mut s = Scratch::new(l, threads);
                 let observed = wino_simd::thread_alloc_bytes() - before;
-                let case = format!("fused={} threads={threads}", l.is_fused());
+                let case = format!("{:?} threads={threads}", l.schedule);
                 assert_eq!(fp.scratch_bytes + fp.per_thread_bytes, observed as usize, "{case}");
                 assert_eq!(fp.tile_major_bytes, s.y.bytes(), "{case}");
-                assert_eq!(fp.transformed_kernel_bytes, s.v.bytes(), "{case}");
                 assert_eq!(fp.scratch_bytes, s.bytes(), "{case}");
+                // The memo has the shape of a staged scratch's `v`, which a
+                // dual scratch grows only for a kernel transform.
+                assert_eq!(s.v.bytes() == 0, l.is_dual(), "{case}");
+                s.materialise_v().unwrap();
+                assert_eq!(fp.transformed_kernel_bytes, s.v.bytes(), "{case}");
             }
         }
         // A ring per slot is all that grows with the thread count, and
@@ -190,6 +211,10 @@ mod tests {
         assert_eq!(fused.footprint(1).tile_major_bytes, 0);
         let (small, large) = (layer(1, 16, 16, &[32, 32]), layer(4, 16, 16, &[64, 64]));
         assert_eq!(small.footprint(1).scratch_bytes, large.footprint(1).scratch_bytes);
+        // A dual plan's scratch is `Û` and its rings: no `V̂`, `X̂` or `Y`.
+        let b = BufferBytes::of(&dual);
+        assert_eq!((b.v, b.x, b.y), (0, 0, 0));
+        assert_eq!(dual.footprint(2).scratch_bytes, b.u + 2 * dual.ring_floats() * 4);
     }
 
     #[test]
@@ -223,9 +248,10 @@ mod tests {
     #[test]
     fn larger_tiles_shrink_a_staged_footprint() {
         let shape = ConvShape::new(1, 32, 16, &[16, 16], &[3, 3], &[1, 1]).unwrap();
-        let m4 = WinogradLayer::new(shape.clone(), &[4, 4], split_reduction()).unwrap();
-        let m2 = WinogradLayer::new(shape, &[2, 2], split_reduction()).unwrap();
-        assert!(!m4.is_fused() && !m2.is_fused());
+        let host = Host::test(Pin::Staged, false);
+        let m4 = WinogradLayer::new_on(shape.clone(), &[4, 4], split_reduction(), host).unwrap();
+        let m2 = WinogradLayer::new_on(shape, &[2, 2], split_reduction(), host).unwrap();
+        assert!(!m4.is_fused() && !m2.is_fused() && !m4.is_dual() && !m2.is_dual());
         assert!(
             m4.footprint(1).scratch_bytes < m2.footprint(1).scratch_bytes,
             "F(4,3) must need less transformed-data scratch than F(2,3)"

@@ -25,7 +25,11 @@
 //! the L2 beside a per-thread ring runs the same three steps per
 //! `n_blk`-row panel inside one fork–join instead — the transformed
 //! inputs and outputs of a panel live in the ring and never leave the
-//! core — with bit-identical results; [`WinogradLayer::is_fused`] says
+//! core. A training-mode layer with few rows and a large `V̂` runs the
+//! dual: the input transform, then one fork–join whose tasks transform
+//! one block of kernels at a time into a per-thread ring and multiply it
+//! there, so `V̂` is never materialised. Results are bit-identical on all
+//! three; [`WinogradLayer::is_fused`] and [`WinogradLayer::is_dual`] say
 //! which schedule a plan got, from its sizes and the detected L2 alone.
 //!
 //! The codelets of stages 1 and 3 are straight-line code generated at

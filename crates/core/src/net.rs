@@ -732,23 +732,25 @@ mod tests {
         // this thread (serial executor), so the per-thread byte tally
         // is exact and immune to concurrent tests.
         // Once on fused plans (rings, no layer-sized scratch), once on staged
-        // ones (two reduction blocks over ≥ 32 channels), once strided (no
-        // memoised kernels; a stride-1 image beside every scratch).
+        // ones (two reduction blocks over ≥ 32 channels, and at least 32
+        // rows, which the dual ring turns down), once strided (no memoised
+        // kernels; a stride-1 image beside every scratch).
         let strided = ConvOptions::default().with_stride(&[2, 2]);
-        for (opts, c_in, fused) in [
-            (ConvOptions::default(), 16, true),
-            (crate::plan::split_reduction(), 32, false),
-            (strided, 16, true),
+        for (opts, c_in, side, fused) in [
+            (ConvOptions::default(), 16, 12, true),
+            (crate::plan::split_reduction(), 32, 24, false),
+            (strided, 16, 12, true),
         ] {
             let specs = vec![LayerSpec::same(32, 2, 3, 2), LayerSpec::same(16, 2, 3, 4)];
-            let img = SimpleImage::from_fn(1, c_in, &[12, 12], |_, c, xy| {
+            let img = SimpleImage::from_fn(1, c_in, &[side, side], |_, c, xy| {
                 ((c + xy[0] * 3 + xy[1]) % 11) as f32 * 0.1 - 0.5
             });
             let input = BlockedImage::from_simple(&img).unwrap();
 
             let before = wino_simd::thread_alloc_bytes();
-            let mut net = Network::new(1, c_in, &[12, 12], &specs, opts, 1).unwrap();
+            let mut net = Network::new(1, c_in, &[side, side], &specs, opts, 1).unwrap();
             assert!(net.layers().iter().all(|l| engine_plan(l).is_fused() == fused));
+            assert!(net.layers().iter().all(|l| !engine_plan(l).is_dual()));
             let kernels = kernels_for(&net, 3);
             let kernel_bytes: usize = kernels.iter().map(|k| k.as_slice().len() * 4).sum();
             let _out = if opts.has_identity_geometry(2) {

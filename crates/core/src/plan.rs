@@ -3,15 +3,18 @@
 //! A [`WinogradLayer`] fixes everything known at "instantiation time" in
 //! the paper's C++ artifact: the layer shape, the `F(m, r)` transform
 //! programs per dimension, the stage-2 blocking parameters, which of
-//! the two schedules runs the layer — the paper's three stages, or, when
-//! `V̂` plus a per-thread ring fit the L2, the ring-fused driver of
-//! `fused.rs` ([`WinogradLayer::is_fused`]) — and whether its stores
-//! bypass the cache ([`WinogradLayer::streams`]). A [`Scratch`] is the
-//! paper's auxiliary buffer (§4.4 "Memory overhead"), reused across
-//! layers. For a staged plan it holds `I` (transformed inputs), `W`
-//! (transformed kernels), `I'_tmp` and tile-major `I'`; for a fused plan
-//! it holds `W` and one ring per thread slot, and the layer-sized three
-//! appear only if a staged function is ever called on it.
+//! three schedules runs the layer — the paper's three stages; when `V̂`
+//! plus a per-thread ring fit the L2, the ring-fused driver of `fused.rs`
+//! ([`WinogradLayer::is_fused`]); when rows are few and a block of `V̂`
+//! plus a slice of `Û` fit it instead, the dual ring of the same file
+//! ([`WinogradLayer::is_dual`]) — and whether its stores bypass the cache
+//! ([`WinogradLayer::streams`]). A [`Scratch`] is the paper's auxiliary
+//! buffer (§4.4 "Memory overhead"), reused across layers. For a staged
+//! plan it holds `I` (transformed inputs), `W` (transformed kernels),
+//! `I'_tmp` and tile-major `I'`; for a ring plan `W` and one ring per
+//! thread slot; for a dual plan `I` and one ring per thread slot. What a
+//! plan's scratch starts without appears only if a staged function is
+//! ever called on it.
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -23,6 +26,7 @@ use wino_simd::{AlignedVec, S};
 use wino_tensor::{BlockedMatrices, ConvShape, ShapeError, TileGrid};
 use wino_transforms::FmrPlan;
 
+use crate::fused::Schedule;
 use crate::layout::TileMajor;
 
 /// Maximum supported spatial rank (the stages use fixed-size index
@@ -250,26 +254,59 @@ impl From<ShapeError> for PlanError {
     }
 }
 
-/// Pre-compiled machine-code kernels for the JIT stage-2 backend: the
-/// β = 0/1 block kernels for intermediate reduction blocks, the scatter
-/// kernels (full-height and tail panels) for the final one and, for a
-/// fused plan, the pair that scatters a ring panel.
-pub(crate) struct JitStage2 {
+/// Pre-compiled machine-code kernels for one stage-2 blocking: the β = 0/1
+/// block kernels for intermediate reduction blocks and the scatter kernels
+/// (full-height and tail panels) for the final one.
+pub(crate) struct JitKernels {
     pub block0: Option<wino_jit::JitKernel>,
     pub block1: Option<wino_jit::JitKernel>,
     pub scatter_full: wino_jit::JitKernel,
     pub scatter_tail: Option<wino_jit::JitKernel>,
     /// Rows of the final, partially filled panel (0 = all panels full).
     pub tail: usize,
-    /// β = 0 plain-store scatter kernels of a `ring_rows`-row panel and of
-    /// the last, shorter one, with the ring's group stride baked in.
-    pub ring_full: Option<wino_jit::JitKernel>,
-    pub ring_tail: Option<wino_jit::JitKernel>,
+}
+
+impl JitKernels {
+    /// Compile the kernels of `block` for a layer of `c` input channels and
+    /// `rows` panel rows whose last reduction block scatters to `output`.
+    fn compile(
+        block: BlockShape,
+        c: usize,
+        rows: usize,
+        output: wino_jit::JitOutput,
+    ) -> Result<JitKernels, wino_jit::JitError> {
+        use wino_jit::JitKernel;
+        let BlockShape { n_blk, c_blk, cp_blk } = block;
+        let k_blocks = c / c_blk;
+        let tail = rows % n_blk;
+        // The last reduction block always runs a scatter kernel, so the
+        // plain block kernels cover only the k-blocks before it.
+        let plain = |beta| JitKernel::compile(n_blk, c_blk, cp_blk, beta);
+        let block0 = (k_blocks > 1).then(|| plain(false)).transpose()?;
+        let block1 = (k_blocks > 2).then(|| plain(true)).transpose()?;
+        let scatter =
+            |panel_rows| JitKernel::compile_with_output(panel_rows, c_blk, cp_blk, k_blocks > 1, output);
+        let scatter_tail = (tail != 0).then(|| scatter(tail)).transpose()?;
+        Ok(JitKernels { block0, block1, scatter_full: scatter(n_blk)?, scatter_tail, tail })
+    }
+}
+
+/// The JIT stage-2 backend of a plan: the three stages' kernels and, for
+/// a ring or dual plan, those that scatter into a thread's ring.
+pub(crate) struct JitStage2 {
+    /// At the plan's blocking, scattering into the tile-major `Y`.
+    pub staged: JitKernels,
+    /// Plain-store kernels that scatter into a thread's ring, its group
+    /// stride baked in: a ring plan's at the ring's panel height (one
+    /// reduction block, so β = 0 scatters only); a dual plan's at the dual
+    /// ring's blocking — `None` when that and the store flavour are the
+    /// staged kernels' own, which then serve it.
+    pub ring: Option<JitKernels>,
 }
 
 impl std::fmt::Debug for JitStage2 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JitStage2 {{ tail: {} }}", self.tail)
+        write!(f, "JitStage2 {{ tail: {}, ring: {} }}", self.staged.tail, self.ring.is_some())
     }
 }
 
@@ -284,9 +321,8 @@ pub struct WinogradLayer {
     /// Stage-2 blocking `(n_blk, C_blk, C'_blk)`.
     pub block: BlockShape,
     pub opts: ConvOptions,
-    /// Panel height of the ring-fused driver (`fused::ring_rows`); `None`
-    /// runs the three stages.
-    pub(crate) ring_rows: Option<usize>,
+    /// Which driver runs the plan (`fused::schedule`).
+    pub(crate) schedule: Schedule,
     /// Whether the stores that hand data to a later fork–join — `Û`, `V̂`,
     /// the ⑥ scatter, the output image — are non-temporal
     /// (`fused::streams`).
@@ -302,14 +338,28 @@ pub(crate) struct Host {
     pub l2_bytes: usize,
     /// Last-level cache ([`wino_sched::llc_bytes`]).
     pub llc_bytes: usize,
+    /// The schedule kind a test plans whatever the caches say
+    /// ([`Host::test`]).
+    #[cfg(test)]
+    pub pin: Option<Pin>,
+}
+
+impl Host {
+    /// The caches of the machine this process runs on.
+    fn detected() -> Host {
+        Host {
+            l2_bytes: wino_sched::l2_bytes_per_thread(),
+            llc_bytes: wino_sched::llc_bytes(),
+            #[cfg(test)]
+            pin: None,
+        }
+    }
 }
 
 impl WinogradLayer {
     /// Plan `F(m₁×…×m_n, r₁×…×r_n)` for the given layer on this host.
     pub fn new(shape: ConvShape, m: &[usize], opts: ConvOptions) -> Result<WinogradLayer, PlanError> {
-        let host =
-            Host { l2_bytes: wino_sched::l2_bytes_per_thread(), llc_bytes: wino_sched::llc_bytes() };
-        WinogradLayer::new_on(shape, m, opts, host)
+        WinogradLayer::new_on(shape, m, opts, Host::detected())
     }
 
     /// [`WinogradLayer::new`] for a host with the given caches.
@@ -379,17 +429,13 @@ impl WinogradLayer {
             }
             None => default_shape(shape.in_channels, shape.out_channels, rows),
         };
-        let ring_rows = crate::fused::ring_rows(
-            grid.tile_volume(),
-            shape.in_channels,
-            shape.out_channels,
-            shape.in_channels / block.c_blk,
-            rows,
-            host.l2_bytes,
-            opts.block.map(|b| b.n_blk),
-        );
+        let (t_vol, c, cp) = (grid.tile_volume(), shape.in_channels, shape.out_channels);
+        let explicit = opts.block.is_some();
+        let schedule = crate::fused::schedule(t_vol, c, cp, rows, host.l2_bytes, block, explicit);
+        #[cfg(test)]
+        let schedule = host.pin.map_or(schedule, |pin| pin.schedule(t_vol, c, cp, rows, block, explicit));
         let mut layer =
-            WinogradLayer { shape, grid, plans, block, opts, ring_rows, streams: false, jit: None };
+            WinogradLayer { shape, grid, plans, block, opts, schedule, streams: false, jit: None };
         layer.streams = crate::fused::streams(&layer.footprint(1), host.llc_bytes);
         if opts.stage2 == Stage2Backend::Jit {
             layer.jit = Some(layer.build_jit()?);
@@ -401,7 +447,7 @@ impl WinogradLayer {
     /// "on demand, … compiled to a shared library, and loaded" — here they
     /// are emitted straight into executable pages at plan time).
     fn build_jit(&self) -> Result<JitStage2, PlanError> {
-        use wino_jit::{JitError, JitKernel, JitOutput};
+        use wino_jit::{JitError, JitOutput};
         let jit_err = |e: JitError| PlanError::Jit {
             reason: match e {
                 JitError::Avx512Unavailable => "AVX-512F not available (CPU or WINO_SIMD)",
@@ -409,45 +455,29 @@ impl WinogradLayer {
                 JitError::Os(_) => "executable mapping failed",
             },
         };
-        let (block, rows) = (self.block, self.rows());
-        let k_blocks = self.shape.in_channels / block.c_blk;
-        let tail = rows % block.n_blk;
-        let t_vol = self.t_vol();
-        let n_tiles: usize = self.grid.counts.iter().product();
-        // Tile-major group stride (floats): see `TileMajor::group_stride`.
-        let group_stride = n_tiles * t_vol * S;
-        let (nb, cb, cpb) = (block.n_blk, block.c_blk, block.cp_blk);
-
-        // The last reduction block always runs a scatter kernel, so the
-        // plain block kernels cover only the k-blocks before it.
-        let block0 = if k_blocks > 1 {
-            Some(JitKernel::compile(nb, cb, cpb, false).map_err(jit_err)?)
-        } else {
-            None
-        };
-        let block1 = if k_blocks > 2 {
-            Some(JitKernel::compile(nb, cb, cpb, true).map_err(jit_err)?)
-        } else {
-            None
-        };
-        let scatter = |panel_rows: usize, output: JitOutput| {
-            JitKernel::compile_with_output(panel_rows, cb, cpb, k_blocks > 1, output)
+        let (c, rows, t_vol) = (self.shape.in_channels, self.rows(), self.t_vol());
+        let compile = |block, group_stride, streaming| {
+            JitKernels::compile(block, c, rows, JitOutput::Scatter { group_stride, streaming })
                 .map_err(jit_err)
         };
-        let staged = JitOutput::Scatter { group_stride, streaming: self.streams };
-        let scatter_full = scatter(nb, staged)?;
-        let scatter_tail = if tail != 0 { Some(scatter(tail, staged)?) } else { None };
-        // A ring panel's `X̂` chunks go back into the core's own cache (one
-        // reduction block, so β = 0): plain stores, the ring's group stride.
-        let (mut ring_full, mut ring_tail) = (None, None);
-        if let Some(n) = self.ring_rows {
-            let ring = JitOutput::Scatter { group_stride: n * t_vol * S, streaming: false };
-            ring_full = Some(scatter(n, ring)?);
-            if !rows.is_multiple_of(n) {
-                ring_tail = Some(scatter(rows % n, ring)?);
+        // Tile-major group stride (floats): see `TileMajor::group_stride`.
+        let group_stride = self.n_tiles() * t_vol * S;
+        let staged = compile(self.block, group_stride, self.streams)?;
+        // What a ring scatters stays in the core's own cache: plain stores —
+        // a ring panel's `X̂` chunks at the ring's group stride, or a dual
+        // column group's tile-major chunks at the staged one.
+        let ring = match self.schedule {
+            Schedule::Staged => None,
+            Schedule::Ring { rows: n } => {
+                Some(compile(BlockShape { n_blk: n, ..self.block }, n * t_vol * S, false)?)
             }
-        }
-        Ok(JitStage2 { block0, block1, scatter_full, scatter_tail, tail, ring_full, ring_tail })
+            Schedule::Dual { c_blk, cols } => {
+                let block = BlockShape { c_blk, cp_blk: cols, ..self.block };
+                let own = block != self.block || self.streams;
+                own.then(|| compile(block, group_stride, false)).transpose()?
+            }
+        };
+        Ok(JitStage2 { staged, ring })
     }
 
     /// Number of spatial dimensions.
@@ -485,7 +515,26 @@ impl WinogradLayer {
     /// more threads than the plan has ring panels runs the three stages
     /// all the same; results are bit-identical either way.
     pub fn is_fused(&self) -> bool {
-        self.ring_rows.is_some()
+        matches!(self.schedule, Schedule::Ring { .. })
+    }
+
+    /// Whether `forward` runs this plan through the dual ring (`fused.rs`:
+    /// the input transform, then one fork–join in which each task
+    /// transforms `C_blk × cols` blocks of `V̂` into a per-thread ring,
+    /// multiplies `Û`'s slices against them into a cache-resident
+    /// accumulator and inverse-transforms its column group) instead of the
+    /// three stages — `V̂` is never materialised. Decided at plan time:
+    /// the ring turned the plan down, a slice of `Û`, a block of `V̂` and
+    /// the accumulator fit ¾ of the detected L2, and re-reading `Û` once
+    /// per column group moves fewer bytes than `V̂`'s round trip. The dual
+    /// ring multiplies at its own `(C_blk, cols)` — one vector each way
+    /// unless `ConvOptions::block` says otherwise — while
+    /// [`WinogradLayer::block`] stays the three stages': `forward_fx`
+    /// (whose `V̂` is memoised), the public stage functions and a call whose
+    /// executor has more threads than the plan has column groups run them
+    /// exactly as on a staged plan. Results are bit-identical either way.
+    pub fn is_dual(&self) -> bool {
+        matches!(self.schedule, Schedule::Dual { .. })
     }
 
     /// Whether this plan's stores to `Û`, `V̂`, the tile-major `X̂` and the
@@ -494,17 +543,27 @@ impl WinogradLayer {
     /// fork–join to the next — the plan's scratch plus its output image —
     /// exceed a fifth of the detected last-level cache
     /// ([`wino_sched::llc_bytes`]), the share past which the next fork–join
-    /// does not find them there anyway. A fused plan's ring is always
-    /// stored plainly. Results are bit-identical either way.
+    /// does not find them there anyway. What a ring or dual plan keeps in
+    /// its per-thread rings is always stored plainly. Results are
+    /// bit-identical either way.
     pub fn streams(&self) -> bool {
         self.streams
     }
 
-    /// Floats of one thread slot's ring: an `n_blk`-row block of `Û` plus
-    /// the same rows' tile-major `X̂` chunks. 0 for a staged plan.
+    /// Floats of one thread slot's ring. A ring plan's: an `n_blk`-row
+    /// block of `Û` plus the same rows' tile-major `X̂` chunks. A dual
+    /// plan's: a `C_blk × cols` block of `V̂`, the `cols`-wide accumulator
+    /// (every row block, padding included) and the rows' tile-major chunks.
+    /// 0 for a staged plan.
     pub(crate) fn ring_floats(&self) -> usize {
-        let (c, cp) = (self.shape.in_channels, self.shape.out_channels);
-        self.ring_rows.map_or(0, |n| self.t_vol() * n * (c + cp))
+        let (c, cp, t_vol) = (self.shape.in_channels, self.shape.out_channels, self.t_vol());
+        match self.schedule {
+            Schedule::Staged => 0,
+            Schedule::Ring { rows: n } => t_vol * n * (c + cp),
+            Schedule::Dual { c_blk, cols } => {
+                t_vol * cols * (c_blk + self.row_blocks() * self.block.n_blk + self.rows())
+            }
+        }
     }
 
     /// Allocate the output image for this layer.
@@ -563,13 +622,16 @@ pub(crate) struct ThreadBuf {
     /// Ping-pong tile buffers (each `T·S` floats).
     pub a: AlignedVec,
     pub b: AlignedVec,
-    /// A fused plan's ring ([`WinogradLayer::ring_floats`]): one
-    /// `n_blk`-row block of `Û` (`[t][n_blk][C]`), then the same rows'
-    /// tile-major `X̂` chunks (`[C'/S][n_blk][T][S]`). Every panel the slot
-    /// processes goes through these same addresses. Empty for a staged
-    /// plan.
+    /// A ring or dual plan's ring ([`WinogradLayer::ring_floats`]). A ring
+    /// plan's: one `n_blk`-row block of `Û` (`[t][n_blk][C]`), then the
+    /// same rows' tile-major `X̂` chunks (`[C'/S][n_blk][T][S]`). A dual
+    /// plan's: one block of `V̂` (`[t][C_blk][cols]`), the accumulator
+    /// (`[row block][t][n_blk][cols]`), then the tile-major chunks of one
+    /// column group (`[B][cols/S][N][T][S]`). Every panel or column group
+    /// the slot processes goes through these same addresses. Empty for a
+    /// staged plan.
     pub ring: AlignedVec,
-    /// Nanoseconds this slot spent in the three phases of the fused
+    /// Nanoseconds this slot spent in the three phases of the ring or dual
     /// fork–join in flight (written only while a probe collects spans).
     pub phase_ns: [u64; 3],
 }
@@ -590,6 +652,7 @@ struct ScratchShape {
     c: usize,
     cp: usize,
     block: BlockShape,
+    schedule: Schedule,
     ring_floats: usize,
 }
 
@@ -602,6 +665,7 @@ impl ScratchShape {
             c: layer.shape.in_channels,
             cp: layer.shape.out_channels,
             block: layer.block,
+            schedule: layer.schedule,
             ring_floats: layer.ring_floats(),
         }
     }
@@ -665,19 +729,25 @@ impl Seam<'_> {
 }
 
 /// The paper's auxiliary memory, sized once at construction and reused
-/// across invocations (and across layers of the same plan): transformed
-/// kernels `W` (`v`) and per-thread codelet buffers always; for a staged
-/// plan also transformed inputs `I` (`u`), the blocked intermediate
-/// `I'_tmp` (`x`) and the tile-major transformed outputs `I'` (`y`); for a
-/// fused plan ([`WinogradLayer::is_fused`]) one ring per thread slot
-/// instead.
+/// across invocations (and across layers of the same plan): per-thread
+/// codelet buffers always; for a staged plan transformed inputs `I` (`u`),
+/// transformed kernels `W` (`v`), the blocked intermediate `I'_tmp` (`x`)
+/// and the tile-major transformed outputs `I'` (`y`); for a ring plan
+/// ([`WinogradLayer::is_fused`]) `v` and one ring per thread slot; for a
+/// dual plan ([`WinogradLayer::is_dual`]) `u` and one ring per thread slot.
 ///
-/// On a fused plan `u`, `x` and `y` start out empty. The first call of a
-/// staged function ([`crate::stage1::transform_inputs`],
-/// [`crate::stage2::multiply`], [`crate::stage3::inverse_transform`]) —
-/// or of a forward on an executor with more threads than the plan has
-/// ring panels — allocates them, fallibly, at the shapes a staged plan's
-/// have.
+/// What a plan's scratch starts without — a ring plan's `u`, `x` and `y`,
+/// a dual plan's `v`, `x` and `y` — the first call that needs it
+/// allocates, fallibly, at the shapes a staged plan's have: a staged
+/// function ([`crate::stage1::transform_inputs`],
+/// [`crate::stage1::transform_kernels`], [`crate::stage2::multiply`],
+/// [`crate::stage3::inverse_transform`]), `prepare_kernels`, a dual plan's
+/// `forward_fx`, or a forward on an executor with more threads than the
+/// plan has ring panels or column groups.
+///
+/// `u` is laid out at the plan's blocking. A dual forward pass lays the
+/// same bytes out at the dual ring's `C_blk` instead — the row blocks, and
+/// so the size, are the same — and reads only what it wrote itself.
 pub struct Scratch {
     pub u: BlockedMatrices,
     pub v: BlockedMatrices,
@@ -735,10 +805,12 @@ impl Scratch {
     ) -> Result<Scratch, wino_simd::AllocError> {
         let shape = ScratchShape::of(layer);
         let t = shape.t_vol;
-        let staged = !layer.is_fused();
-        let u = if staged { seam.matrices(shape.u())? } else { BlockedMatrices::placeholder() };
-        let v = seam.matrices(shape.v())?;
-        let x = if staged { seam.matrices(shape.x())? } else { BlockedMatrices::placeholder() };
+        let staged = layer.schedule == Schedule::Staged;
+        let held =
+            |held: bool, dims| if held { seam.matrices(dims) } else { Ok(BlockedMatrices::placeholder()) };
+        let u = held(!layer.is_fused(), shape.u())?;
+        let v = held(!layer.is_dual(), shape.v())?;
+        let x = held(staged, shape.x())?;
         let y = if staged { seam.tile_major(&shape)? } else { TileMajor::placeholder() };
         let mut bufs = Vec::with_capacity(threads.max(1));
         for _ in 0..threads.max(1) {
@@ -762,14 +834,34 @@ impl Scratch {
         Ok(scratch)
     }
 
-    /// Make sure the layer-sized `u`, `x` and `y` of the three stages
-    /// exist — a fused plan's scratch starts without them. All three or
-    /// none: a refusal leaves the scratch as it was.
+    /// Make sure the layer-sized `u`, `x` and `y` the stages hand on
+    /// exist — a ring or dual plan's scratch starts without some of them.
+    /// All that are missing or none: a refusal leaves the scratch as it
+    /// was.
     pub(crate) fn materialise(&mut self) -> Result<(), wino_simd::AllocError> {
-        if self.u.t_count() == 0 {
-            let seam = Seam { fallible: true, exec: None };
-            let (u, x) = (seam.matrices(self.shape.u())?, seam.matrices(self.shape.x())?);
-            (self.u, self.x, self.y) = (u, x, seam.tile_major(&self.shape)?);
+        let seam = Seam { fallible: true, exec: None };
+        let missing =
+            |m: &BlockedMatrices, dims| (m.t_count() == 0).then(|| seam.matrices(dims)).transpose();
+        let u = missing(&self.u, self.shape.u())?;
+        let x = missing(&self.x, self.shape.x())?;
+        let y = (self.y.t_vol() == 0).then(|| seam.tile_major(&self.shape)).transpose()?;
+        if let Some(u) = u {
+            self.u = u;
+        }
+        if let Some(x) = x {
+            self.x = x;
+        }
+        if let Some(y) = y {
+            self.y = y;
+        }
+        Ok(())
+    }
+
+    /// Make sure the layer-sized kernel transforms `v` exist — a dual
+    /// plan's scratch starts without them.
+    pub(crate) fn materialise_v(&mut self) -> Result<(), wino_simd::AllocError> {
+        if self.v.t_count() == 0 {
+            self.v = Seam { fallible: true, exec: None }.matrices(self.shape.v())?;
         }
         Ok(())
     }
@@ -809,22 +901,59 @@ impl Scratch {
     }
 }
 
+/// A schedule kind a test pins ([`Host::test`]).
+#[cfg(test)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Pin {
+    Staged,
+    /// The ring, on every layer with one reduction block (else staged).
+    Ring,
+    /// The dual ring at the `(C_blk, cols)` the rule would pick, on every
+    /// layer.
+    Dual,
+}
+
+#[cfg(test)]
+impl Pin {
+    /// The schedule this pin plans for a layer of the given sizes.
+    fn schedule(
+        self,
+        t_vol: usize,
+        c: usize,
+        cp: usize,
+        rows: usize,
+        block: BlockShape,
+        explicit: bool,
+    ) -> Schedule {
+        match self {
+            Pin::Staged => Schedule::Staged,
+            Pin::Ring => {
+                let n_blk = explicit.then_some(block.n_blk);
+                crate::fused::ring_rows(t_vol, c, cp, c / block.c_blk, rows, usize::MAX, n_blk)
+                    .map_or(Schedule::Staged, |rows| Schedule::Ring { rows })
+            }
+            Pin::Dual => {
+                let (c_blk, cols) = crate::fused::dual_blocking(block, explicit);
+                Schedule::Dual { c_blk, cols }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 impl Host {
-    /// A host on which every layer with one reduction block plans `fused`
-    /// (else none does) and every plan `streams` its stores (else none).
-    pub(crate) fn test(fused: bool, streams: bool) -> Host {
-        Host {
-            l2_bytes: if fused { usize::MAX } else { 0 },
-            llc_bytes: if streams { 0 } else { usize::MAX },
-        }
+    /// A host on which every plan runs the `pin`ned schedule kind and
+    /// every plan `streams` its stores (else none).
+    pub(crate) fn test(pin: Pin, streams: bool) -> Host {
+        Host { l2_bytes: 0, llc_bytes: if streams { 0 } else { usize::MAX }, pin: Some(pin) }
     }
 }
 
 /// Options whose explicit blocking cuts the reduction of any layer with
 /// `C ≥ 32` into two or more blocks: partial sums have no place in a ring,
-/// so the plan is staged whatever the host's L2 — the unit tests' way to a
-/// staged plan on a small shape.
+/// so the ring turns the plan down whatever the host's L2 — and on fewer
+/// than 32 rows the dual ring takes it. The unit tests' way to a plan that
+/// is not a ring on a small shape.
 #[cfg(test)]
 pub(crate) fn split_reduction() -> ConvOptions {
     let block = BlockShape { n_blk: 6, c_blk: 16, cp_blk: 16 };
@@ -900,8 +1029,9 @@ mod tests {
     #[test]
     fn scratch_sizes() {
         // A staged plan holds the four layer-sized buffers and no ring.
-        let staged = WinogradLayer::new(shape2d(), &[4, 4], split_reduction()).unwrap();
-        assert!(!staged.is_fused());
+        let host = Host::test(Pin::Staged, false);
+        let staged = WinogradLayer::new_on(shape2d(), &[4, 4], split_reduction(), host).unwrap();
+        assert!(!staged.is_fused() && !staged.is_dual());
         let scratch = Scratch::new(&staged, 4);
         assert_staged_shapes(&scratch);
         assert_eq!(scratch.v.rows(), 32);
@@ -916,7 +1046,8 @@ mod tests {
         let mut scratch = Scratch::new(&fused, 4);
         assert_eq!((scratch.v.rows(), scratch.v.cols()), (32, 32));
         let ring = fused.ring_floats();
-        assert_eq!(ring, 36 * fused.ring_rows.unwrap() * (32 + 32));
+        let Schedule::Ring { rows } = fused.schedule else { unreachable!() };
+        assert_eq!(ring, 36 * rows * (32 + 32));
         assert_eq!(scratch.bytes(), scratch.v.bytes() + 4 * ring * 4);
         assert_eq!(scratch.u.bytes() + scratch.x.bytes() + scratch.y.bytes(), 0);
         // …and grows the other three, at a staged plan's shapes, the first
@@ -928,6 +1059,33 @@ mod tests {
         let held = scratch.u.as_ptr();
         scratch.materialise().unwrap();
         assert_eq!(scratch.u.as_ptr(), held, "a second call allocates nothing");
+
+        // A dual plan holds `u` and one ring per slot — a 16 × 16 block of
+        // V̂, the accumulator over three 6-row blocks and 18 rows of
+        // chunks — and grows `x` and `y` for a stage, `v` for a kernel
+        // transform.
+        let host = Host::test(Pin::Dual, false);
+        let dual = WinogradLayer::new_on(shape2d(), &[4, 4], split_reduction(), host).unwrap();
+        assert_eq!(dual.schedule, Schedule::Dual { c_blk: 16, cols: 16 });
+        let mut scratch = Scratch::new(&dual, 4);
+        assert_eq!(dual.ring_floats(), 36 * 16 * (16 + 18 + 18));
+        assert_eq!(scratch.bytes(), scratch.u.bytes() + 4 * dual.ring_floats() * 4);
+        assert_eq!(scratch.v.bytes() + scratch.x.bytes() + scratch.y.bytes(), 0);
+        let held = scratch.u.as_ptr();
+        scratch.materialise().unwrap();
+        assert_staged_shapes(&scratch);
+        assert_eq!((scratch.u.as_ptr(), scratch.v.bytes()), (held, 0), "`u` kept, no `v`");
+        scratch.materialise_v().unwrap();
+        assert_eq!((scratch.v.rows(), scratch.v.cols()), (32, 32));
+
+        // The dual ring's blocking is its own; the plan's stays the three
+        // stages', which a dual scratch's buffers are shaped by.
+        let dual = WinogradLayer::new_on(shape2d(), &[4, 4], ConvOptions::default(), host).unwrap();
+        let eq11 = default_shape(32, 32, 18);
+        assert_eq!((dual.schedule, dual.block), (Schedule::Dual { c_blk: S, cols: S }, eq11));
+        let scratch = Scratch::new(&dual, 1);
+        assert_eq!((scratch.u.rb(), scratch.u.cb()), (eq11.n_blk, eq11.c_blk));
+        assert_ne!(eq11.c_blk, S);
     }
 
     #[test]
@@ -961,6 +1119,13 @@ mod tests {
         assert!(scratch.fits(&fused, 2) && scratch.fits(&fused, 1));
         assert!(!scratch.fits(&fused, 3), "too few thread slots");
         assert!(!scratch.fits(&staged, 1) && !scratch.fits(&other_tile, 1));
+        // The same blocking on another schedule is another scratch.
+        let opts = split_reduction();
+        let pinned = |pin| {
+            WinogradLayer::new_on(shape2d(), &[4, 4], opts, Host::test(pin, false)).unwrap()
+        };
+        let (dual, staged) = (pinned(Pin::Dual), pinned(Pin::Staged));
+        assert!(!Scratch::new(&dual, 1).fits(&staged, 1) && !Scratch::new(&staged, 1).fits(&dual, 1));
     }
 
     #[test]

@@ -23,10 +23,13 @@
 //! [`wino_simd::dispatch`]: gather, codelets and scatter are a single
 //! body generic over the vector backend.
 //!
-//! The per-tile body serves both schedules. [`transform_inputs`] aims it
-//! at the layer-sized `U` of the three stages; the ring-fused driver
-//! (`fused.rs`) aims it, with plain stores, at one `n_blk`-row block of
-//! `U` in the calling thread's ring.
+//! The per-tile bodies serve every schedule. [`transform_inputs`] aims the
+//! input one at the layer-sized `U` of the three stages; the ring-fused
+//! driver (`fused.rs`) aims it, with plain stores, at one `n_blk`-row block
+//! of `U` in the calling thread's ring. [`transform_kernels`] aims the
+//! kernel one at the layer-sized `V`; the dual ring (`fused.rs` too) aims
+//! it, with plain stores, at one `C_blk × C'_blk` block of `V` in the
+//! calling thread's ring.
 
 use wino_sched::probed::{record_coord, record_slot, span_start};
 use wino_sched::Executor;
@@ -144,16 +147,16 @@ pub(crate) struct InputTransformCtx<'a> {
 }
 
 impl<'a> InputTransformCtx<'a> {
-    /// Build the shared state for a `U` whose row blocks are `n_blk` rows
-    /// high, scattered into with NT stores when `streaming`.
+    /// Build the shared state for a `U` of `n_blk × c_blk` blocks,
+    /// scattered into with NT stores when `streaming`.
     pub(crate) fn new(
         layer: &'a WinogradLayer,
         input: &'a BlockedImage,
-        n_blk: usize,
+        (n_blk, c_blk): (usize, usize),
         streaming: bool,
         probe: Option<&'a wino_probe::Collector>,
     ) -> InputTransformCtx<'a> {
-        let t_stride = n_blk * layer.block.c_blk;
+        let t_stride = n_blk * c_blk;
         InputTransformCtx {
             layer,
             input,
@@ -163,8 +166,8 @@ impl<'a> InputTransformCtx<'a> {
             u_strides: row_major(&layer.grid.tile_dims, t_stride),
             t_vol: layer.t_vol(),
             n_blk,
-            c_blk: layer.block.c_blk,
-            col_blocks: layer.shape.in_channels / layer.block.c_blk,
+            c_blk,
+            col_blocks: layer.shape.in_channels / c_blk,
             t_stride,
             streaming,
             probe,
@@ -287,7 +290,7 @@ pub(crate) fn check_input(layer: &WinogradLayer, input: &BlockedImage) -> Result
 }
 
 /// Operation ①②: transform all input tiles into `scratch.u` (allocated
-/// first if this is a fused plan's scratch that has not held one yet).
+/// first if this is a ring plan's scratch that has not held one yet).
 pub fn transform_inputs(
     layer: &WinogradLayer,
     input: &BlockedImage,
@@ -297,7 +300,20 @@ pub fn transform_inputs(
     ensure_at_least("scratch thread slots", exec.threads(), scratch.thread_slots())?;
     check_input(layer, input)?;
     scratch.materialise()?;
+    input_transform_pass(layer, input, (layer.block.n_blk, layer.block.c_blk), scratch, exec)
+}
 
+/// The fork–join of [`transform_inputs`] into `u`'s bytes laid out in
+/// `n_blk × c_blk` blocks, on a scratch whose `u` exists and whose slots
+/// and input have been checked — also the first of the dual ring's two
+/// (`fused::forward_dual`), at its own `C_blk`.
+pub(crate) fn input_transform_pass(
+    layer: &WinogradLayer,
+    input: &BlockedImage,
+    u_block: (usize, usize),
+    scratch: &mut Scratch,
+    exec: &dyn Executor,
+) -> Result<(), WinoError> {
     let rank = layer.rank();
     let n_tiles = layer.n_tiles();
 
@@ -309,7 +325,9 @@ pub fn transform_inputs(
     let dims = &dims[..2 + rank];
 
     let probe = exec.probe();
-    let ctx = InputTransformCtx::new(layer, input, layer.block.n_blk, layer.streams, probe);
+    // Only the column blocks may differ from `u`'s: the bytes are the same.
+    debug_assert_eq!(u_block.0, scratch.u.rb(), "U's row blocks");
+    let ctx = InputTransformCtx::new(layer, input, u_block, layer.streams, probe);
     let u = MutPtr(scratch.u.as_mut_ptr());
     let scratch_ref: &Scratch = scratch;
     let stage_start = span_start(probe);
@@ -337,7 +355,15 @@ pub fn transform_inputs(
     Ok(())
 }
 
-/// Operation ③④: transform all kernels into `scratch.v`.
+/// `kernels` must be the kernel bank `layer` was planned for.
+pub(crate) fn check_kernels(layer: &WinogradLayer, kernels: &BlockedKernels) -> Result<(), WinoError> {
+    ensure_eq("kernel in-channels", layer.shape.in_channels, kernels.in_channels)?;
+    ensure_eq("kernel out-channels", layer.shape.out_channels, kernels.out_channels)?;
+    ensure_dims_eq("kernel extent", &layer.shape.kernel_dims, &kernels.dims)
+}
+
+/// Operation ③④: transform all kernels into `scratch.v` (allocated first
+/// if this is a dual plan's scratch that has not held one yet).
 pub fn transform_kernels(
     layer: &WinogradLayer,
     kernels: &BlockedKernels,
@@ -345,43 +371,35 @@ pub fn transform_kernels(
     exec: &dyn Executor,
 ) -> Result<(), WinoError> {
     ensure_at_least("scratch thread slots", exec.threads(), scratch.thread_slots())?;
-    ensure_eq("kernel in-channels", layer.shape.in_channels, kernels.in_channels)?;
-    ensure_eq("kernel out-channels", layer.shape.out_channels, kernels.out_channels)?;
-    ensure_dims_eq("kernel extent", &layer.shape.kernel_dims, &kernels.dims)?;
+    check_kernels(layer, kernels)?;
+    scratch.materialise_v()?;
 
     let dims = [layer.shape.in_channels, layer.shape.out_channels / S];
-    let (c_blk, cp_blk) = (layer.block.c_blk, layer.block.cp_blk);
-    let ctx = KernelTransformCtx {
-        layer,
-        kernels,
-        v: MutPtr(scratch.v.as_mut_ptr()),
-        xf: TileTransform::new(&layer.plans),
-        kernel_strides: row_major(&layer.shape.kernel_dims, S),
-        v_strides: row_major(&layer.grid.tile_dims, c_blk * cp_blk),
-        t_vol: layer.t_vol(),
-        r_vol: layer.shape.kernel_dims.iter().product(),
-        col_blocks: layer.shape.out_channels / cp_blk,
-        t_stride: c_blk * cp_blk,
-    };
+    let block = (layer.block.c_blk, layer.block.cp_blk);
+    let ctx = KernelTransformCtx::new(layer, kernels, block, layer.streams);
+    let v = MutPtr(scratch.v.as_mut_ptr());
     let scratch_ref: &Scratch = scratch;
     let probe = exec.probe();
     let stage_start = span_start(probe);
 
     exec.run_grid(&dims, &|slot, flat| {
+        let (c, og) = (flat / dims[1], flat % dims[1]);
         // SAFETY: slot exclusivity per the Executor contract.
         let tb = unsafe { scratch_ref.thread_buf(slot) };
-        wino_simd::dispatch(KernelGroup { ctx: &ctx, tb, c: flat / dims[1], og: flat % dims[1] });
+        // SAFETY: the grid hands each (c, og) to exactly one task, so the
+        // scattered (row c, column og·S) ranges of `v` are disjoint.
+        unsafe { ctx.group(tb, (v.get(), c, og * S), c, og) };
     })?;
     // SAFETY: the coordinator thread, after the join.
     unsafe { record_coord(probe, wino_probe::SpanCategory::KernelTransform, stage_start) };
     Ok(())
 }
 
-/// What every task of one [`transform_kernels`] call shares.
-struct KernelTransformCtx<'a> {
-    layer: &'a WinogradLayer,
+/// The per-task body of operation ③④ — transform the kernel vectors of
+/// one (input channel, output channel group), scatter them into a `V` —
+/// with the state every task of one fork–join shares.
+pub(crate) struct KernelTransformCtx<'a> {
     kernels: &'a BlockedKernels,
-    v: MutPtr,
     xf: TileTransform<G>,
     /// Strides of the `r_vol` contiguous kernel vectors.
     kernel_strides: Strides,
@@ -389,16 +407,64 @@ struct KernelTransformCtx<'a> {
     v_strides: Strides,
     t_vol: usize,
     r_vol: usize,
+    c_blk: usize,
+    cp_blk: usize,
     col_blocks: usize,
     t_stride: usize,
+    streaming: bool,
 }
 
-/// The per-task body of operation ③④: transform the kernel vectors of
-/// input channel `c`, output channel group `og`, and scatter them into
-/// `V`.
+impl<'a> KernelTransformCtx<'a> {
+    /// Build the shared state for a `V` of `c_blk × cp_blk` blocks,
+    /// scattered into with NT stores when `streaming`.
+    pub(crate) fn new(
+        layer: &WinogradLayer,
+        kernels: &'a BlockedKernels,
+        (c_blk, cp_blk): (usize, usize),
+        streaming: bool,
+    ) -> KernelTransformCtx<'a> {
+        KernelTransformCtx {
+            kernels,
+            xf: TileTransform::new(&layer.plans),
+            kernel_strides: row_major(&layer.shape.kernel_dims, S),
+            v_strides: row_major(&layer.grid.tile_dims, c_blk * cp_blk),
+            t_vol: layer.t_vol(),
+            r_vol: layer.shape.kernel_dims.iter().product(),
+            c_blk,
+            cp_blk,
+            col_blocks: layer.shape.out_channels / cp_blk,
+            t_stride: c_blk * cp_blk,
+            streaming,
+        }
+    }
+
+    /// Transform the kernel vectors of input channel `c`, output channel
+    /// group `og`, into row `row`, columns `col..col + S` of the `V` at
+    /// `v` — the layer's (`row = c`, `col = og·S`) or one `C_blk × C'_blk`
+    /// block of it.
+    ///
+    /// # Safety
+    /// The caller must hold `tb` exclusively (Executor slot contract); `v`
+    /// must be a `V` of this context's blocking holding row `row` and
+    /// column `col`, and the caller must own that `(row, col)` range —
+    /// concurrent tasks must cover disjoint `(v, row, col)`.
+    pub(crate) unsafe fn group(
+        &self,
+        tb: &mut ThreadBuf,
+        (v, row, col): (*mut f32, usize, usize),
+        c: usize,
+        og: usize,
+    ) {
+        wino_simd::dispatch(KernelGroup { ctx: self, tb, dest: (v, row, col), c, og })
+    }
+}
+
+/// One [`KernelTransformCtx::group`] call, ready for whichever backend
+/// runs it.
 struct KernelGroup<'c, 'a> {
     ctx: &'c KernelTransformCtx<'a>,
     tb: &'c mut ThreadBuf,
+    dest: (*mut f32, usize, usize),
     c: usize,
     og: usize,
 }
@@ -408,35 +474,28 @@ impl Kernel for KernelGroup<'_, '_> {
 
     #[inline(always)]
     fn run<V: Simd16>(self) {
-        let KernelGroup { ctx, tb, c, og } = self;
-        let layer = ctx.layer;
-        let (c_blk, cp_blk) = (layer.block.c_blk, layer.block.cp_blk);
+        let KernelGroup { ctx, tb, dest: (v, row, col), c, og } = self;
+        let (c_blk, cp_blk) = (ctx.c_blk, ctx.cp_blk);
 
         // Kernel vectors are contiguous in the blocked layout: the first
         // pass reads the r_vol vectors in place.
         let src_off = ctx.kernels.vec_offset_flat(c, og, 0);
         let src = ctx.kernels.as_slice()[src_off..src_off + ctx.r_vol * S].as_ptr();
 
-        // Scatter into V (Table 1 "Transformed kernels"): row = c,
-        // col = og·S.
-        let (rb_i, r_in) = (c / c_blk, c % c_blk);
-        let col = og * S;
+        // Scatter into V (Table 1 "Transformed kernels").
+        let (rb_i, r_in) = (row / c_blk, row % c_blk);
         let (cb_i, c_in) = (col / cp_blk, col % cp_blk);
         let base =
             ((rb_i * ctx.col_blocks + cb_i) * ctx.t_vol) * ctx.t_stride + r_in * cp_blk + c_in;
-        // SAFETY: `src` is the bounds-checked kernel slice; `transform_kernels`
-        // hands each (c, og) to exactly one task, so the scattered ranges
-        // of `v` are disjoint, and offsets are in bounds by construction
-        // of `v`; `tb` is this task's (slot contract), T·S floats each.
+        // SAFETY: `src` is the bounds-checked kernel slice; the caller of
+        // `KernelTransformCtx::group` owns the (row, col) range of `v` and
+        // vouches that it is in bounds; `tb` is this task's (slot
+        // contract), T·S floats each.
         unsafe {
             ctx.xf.run::<V>(
                 src,
                 &ctx.kernel_strides,
-                Sink::Direct(Dest {
-                    ptr: ctx.v.get().add(base),
-                    strides: ctx.v_strides,
-                    nt: layer.streams,
-                }),
+                Sink::Direct(Dest { ptr: v.add(base), strides: ctx.v_strides, nt: ctx.streaming }),
                 tb.ptrs(),
             )
         };
@@ -446,7 +505,7 @@ impl Kernel for KernelGroup<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ConvOptions, Host};
+    use crate::plan::{ConvOptions, Host, Pin};
     use wino_sched::{SerialExecutor, StaticExecutor};
     use wino_tensor::{ConvShape, SimpleImage, SimpleKernels};
 
@@ -611,7 +670,8 @@ mod tests {
     ) {
         let rank = img.len();
         let s = ConvShape::new(batch, c, 16, img, ker, &vec![pad; rank]).unwrap();
-        let layer = WinogradLayer::new_on(s, m, ConvOptions::default(), Host::test(true, streams)).unwrap();
+        let host = Host::test(Pin::Ring, streams);
+        let layer = WinogradLayer::new_on(s, m, ConvOptions::default(), host).unwrap();
         assert_eq!(layer.streams, streams);
         let simple = SimpleImage::from_fn(batch, c, img, |b, ch, x| {
             let h = x.iter().fold(b * 31 + ch * 7, |h, &v| h * 13 + v);

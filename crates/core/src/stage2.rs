@@ -11,10 +11,11 @@
 //! measured >20 % end-to-end gain from this fusion over a separate copy
 //! pass (reproduced: EXPERIMENTS.md, "§4.3.1").
 //!
-//! This is the schedule of every layer whose `V̂` does not fit the L2
-//! beside a ring, and the reference the ring-fused driver (`fused.rs`)
-//! is tested `==` against; that driver calls the same micro-kernels on one
-//! `n_blk`-row panel at a time, scattering into its thread's ring.
+//! This is the schedule of every layer neither ring takes, and the
+//! reference both rings of `fused.rs` are tested `==` against: the
+//! ring-fused driver calls the same micro-kernels on one `n_blk`-row panel
+//! at a time, the dual ring on one `C_blk × C'_blk` block of `V̂` at a
+//! time, each scattering into its thread's ring.
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -105,7 +106,7 @@ impl<'a> Stage2Ctx<'a> {
         }
 
         // The paper's JIT backend: dispatch to pre-compiled machine code.
-        if let Some(jk) = &self.layer.jit {
+        if let Some(jk) = self.layer.jit.as_ref().map(|jit| &jit.staged) {
             let is_tail_panel = jk.tail != 0 && i + 1 == self.row_blocks;
             for k in 0..self.k_blocks {
                 let is_last_k = k + 1 == self.k_blocks;
@@ -189,12 +190,11 @@ pub fn multiply(
     scratch: &mut Scratch,
     exec: &dyn Executor,
 ) -> Result<(), WinoError> {
-    // Zero-sized placeholder: swapping `v` out must not allocate — the
-    // serving hot path counts on repeat forwards being allocation-free.
-    let v = std::mem::replace(&mut scratch.v, wino_tensor::BlockedMatrices::placeholder());
-    let result = multiply_with(layer, scratch, &v, exec);
-    scratch.v = v;
-    result
+    scratch.materialise_v()?;
+    scratch.materialise()?;
+    let Scratch { u, v, x, y, .. } = scratch;
+    check_kernel_transforms(layer, v)?;
+    multiply_into(layer, u, v, x, y, exec)
 }
 
 /// `v` must be kernel transforms of `layer`'s shape and blocking.
@@ -220,14 +220,26 @@ pub fn multiply_with(
 ) -> Result<(), WinoError> {
     check_kernel_transforms(layer, v_ext)?;
     scratch.materialise()?;
+    multiply_into(layer, &scratch.u, v_ext, &mut scratch.x, &mut scratch.y, exec)
+}
+
+/// The fork–join of [`multiply`] / [`multiply_with`] on checked,
+/// allocated buffers.
+fn multiply_into(
+    layer: &WinogradLayer,
+    u: &BlockedMatrices,
+    v: &BlockedMatrices,
+    x: &mut BlockedMatrices,
+    y: &mut TileMajor,
+    exec: &dyn Executor,
+) -> Result<(), WinoError> {
     let t_vol = layer.t_vol();
-    let row_blocks = scratch.u.row_blocks();
-    let col_blocks = v_ext.col_blocks();
+    let row_blocks = u.row_blocks();
+    let col_blocks = v.col_blocks();
 
     let dims = [t_vol, col_blocks, row_blocks];
-    let x_ptr = scratch.x.as_mut_ptr();
-    let y_ptr = scratch.y.as_mut_ptr();
-    let ctx = Stage2Ctx::new(layer, &scratch.u, v_ext, x_ptr, &scratch.x, y_ptr, &scratch.y);
+    let (x_ptr, y_ptr) = (x.as_mut_ptr(), y.as_mut_ptr());
+    let ctx = Stage2Ctx::new(layer, u, v, x_ptr, x, y_ptr, y);
     let probe = exec.probe();
     let stage_start = span_start(probe);
 
@@ -243,11 +255,11 @@ pub fn multiply_with(
     unsafe { record_coord(probe, wino_probe::SpanCategory::ElementwiseGemm, stage_start) };
     #[cfg(feature = "fault-inject")]
     if wino_sched::fault::take_poison_stage(2) {
-        scratch.y.as_mut_slice()[0] = f32::NAN;
+        y.as_mut_slice()[0] = f32::NAN;
     }
     #[cfg(feature = "fault-inject")]
     if let Some(kind) = wino_sched::fault::take_corruption(2) {
-        corrupt_y(scratch.y.as_mut_slice(), kind);
+        corrupt_y(y.as_mut_slice(), kind);
     }
     Ok(())
 }

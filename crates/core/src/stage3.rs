@@ -13,9 +13,10 @@
 //! channel reduction of stage 2 — `BNC'/S` inverse transforms total,
 //! independent of `C`.
 //!
-//! The per-tile body serves both schedules: [`inverse_transform`] feeds it
-//! the chunks of the layer-sized `y`, the ring-fused driver (`fused.rs`)
-//! the chunks its thread's ring holds for the panel in flight.
+//! The per-tile body serves every schedule: [`inverse_transform`] feeds it
+//! the chunks of the layer-sized `y`, the ring-fused driver and the dual
+//! ring (`fused.rs`) the chunks their thread's ring holds for the panel or
+//! column group in flight.
 
 use wino_sched::probed::{record_coord, span_start};
 use wino_sched::Executor;
@@ -224,7 +225,7 @@ pub fn inverse_transform(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ConvOptions, Host, WinogradLayer};
+    use crate::plan::{ConvOptions, Host, Pin, WinogradLayer};
     use wino_sched::{SerialExecutor, StaticExecutor};
     use wino_tensor::ConvShape;
 
@@ -341,7 +342,8 @@ mod tests {
     ) {
         let rank = img.len();
         let s = ConvShape::new(2, 16, 32, img, ker, &vec![pad; rank]).unwrap();
-        let layer = WinogradLayer::new_on(s, m, ConvOptions::default(), Host::test(true, streams)).unwrap();
+        let host = Host::test(Pin::Ring, streams);
+        let layer = WinogradLayer::new_on(s, m, ConvOptions::default(), host).unwrap();
         assert_eq!(layer.streams, streams);
         let mut scratch = Scratch::new(&layer, 2);
         fill_y(&mut scratch);

@@ -29,7 +29,7 @@
 use wino_tensor::{BlockedImage, BlockedKernels, ConvShape, SimpleImage, SimpleKernels};
 
 use crate::conv::convolve_simple;
-use crate::error::{check_finite, WinoError};
+use crate::error::{check_finite, ensure_dims_eq, ensure_eq, WinoError};
 use crate::plan::{ConvOptions, WinogradLayer};
 use crate::sentinel::{verify_sample, SentinelConfig};
 
@@ -55,17 +55,21 @@ pub fn flip_transpose_kernels(k: &SimpleKernels) -> SimpleKernels {
 
 /// `∂L/∂input` for a stride-1 convolution layer, computed with the
 /// Winograd engine (`m` is the output-tile size of the *gradient*
-/// convolution). `grad_output` must have the layer's output shape.
+/// convolution) — through [`WinogradLayer::forward`], so on whichever
+/// schedule the gradient convolution plans (a deep layer's few rows often
+/// make it the dual ring). `grad_output` must have the layer's output
+/// shape and `kernels` its channels: anything else is a typed
+/// [`WinoError::Shape`].
 pub fn backward_data(
     shape: &ConvShape,
     grad_output: &SimpleImage,
     kernels: &SimpleKernels,
     m: &[usize],
 ) -> Result<SimpleImage, WinoError> {
-    assert_eq!(grad_output.dims, shape.out_dims(), "grad_output has wrong shape");
-    assert_eq!(grad_output.channels, shape.out_channels);
-    assert_eq!(kernels.out_channels, shape.out_channels);
-    assert_eq!(kernels.in_channels, shape.in_channels);
+    ensure_dims_eq("grad_output extent", &shape.out_dims(), &grad_output.dims)?;
+    ensure_eq("grad_output channels", shape.out_channels, grad_output.channels)?;
+    ensure_eq("kernel out-channels", shape.out_channels, kernels.out_channels)?;
+    ensure_eq("kernel in-channels", shape.in_channels, kernels.in_channels)?;
     // Guard the *incoming* gradient first: mid-training NaN (exploding
     // loss, poisoned optimiser state) would otherwise spread through the
     // transforms into every grad_input element with no attribution.
@@ -138,14 +142,15 @@ pub fn backward_data_with_sentinel(
 /// `∂L/∂W` for a stride-1 convolution layer (direct reference
 /// implementation, `f64` accumulation), guarded like [`backward_data`]:
 /// non-finite inputs or outputs are a typed error, never a silently
-/// poisoned weight update.
+/// poisoned weight update, and so is an `input` or `grad_output` whose
+/// extent is not the layer's.
 pub fn backward_filter(
     shape: &ConvShape,
     input: &SimpleImage,
     grad_output: &SimpleImage,
 ) -> Result<SimpleKernels, WinoError> {
-    assert_eq!(input.dims, shape.image_dims);
-    assert_eq!(grad_output.dims, shape.out_dims());
+    ensure_dims_eq("input extent", &shape.image_dims, &input.dims)?;
+    ensure_dims_eq("grad_output extent", &shape.out_dims(), &grad_output.dims)?;
     check_finite("input", &input.data)?;
     check_finite("grad_output", &grad_output.data)?;
     let rank = shape.rank();
@@ -305,6 +310,76 @@ mod tests {
         let off = SentinelConfig::off();
         let gx2 = backward_data_with_sentinel(&shape, &gy, &w, &[2, 2], &off, 0).unwrap();
         assert_eq!(gx2.data, plain.data);
+    }
+
+    /// A tensor of the wrong shape is the caller's error, typed — not an
+    /// abort in the middle of a training step.
+    #[test]
+    fn backward_data_types_mis_shaped_tensors() {
+        use wino_tensor::ShapeError;
+        let (shape, _, w, gy) = setup(1);
+        let mismatch = |r: Result<SimpleImage, WinoError>| match r {
+            Err(WinoError::Shape(ShapeError::Mismatch { what, .. })) => what,
+            other => panic!("expected Shape(Mismatch), got {other:?}"),
+        };
+        let short = SimpleImage::zeros(1, 16, &[10, 9]);
+        assert_eq!(mismatch(backward_data(&shape, &short, &w, &[2, 2])), "grad_output extent");
+        let narrow = SimpleImage::zeros(1, 32, &[10, 10]);
+        assert_eq!(mismatch(backward_data(&shape, &narrow, &w, &[2, 2])), "grad_output channels");
+        let other = SimpleKernels::zeros(32, 16, &[3, 3]);
+        assert_eq!(mismatch(backward_data(&shape, &gy, &other, &[2, 2])), "kernel out-channels");
+        let other = SimpleKernels::zeros(16, 32, &[3, 3]);
+        assert_eq!(mismatch(backward_data(&shape, &gy, &other, &[2, 2])), "kernel in-channels");
+        assert!(backward_data(&shape, &gy, &w, &[2, 2]).is_ok());
+    }
+
+    #[test]
+    fn backward_filter_types_mis_shaped_tensors() {
+        use wino_tensor::ShapeError;
+        let (shape, x, _, gy) = setup(1);
+        let mismatch = |r: Result<SimpleKernels, WinoError>| match r {
+            Err(WinoError::Shape(ShapeError::Mismatch { what, .. })) => what,
+            other => panic!("expected Shape(Mismatch), got {other:?}"),
+        };
+        let short = SimpleImage::zeros(1, 16, &[9, 10]);
+        assert_eq!(mismatch(backward_filter(&shape, &short, &gy)), "input extent");
+        assert_eq!(mismatch(backward_filter(&shape, &x, &short)), "grad_output extent");
+        let flat = SimpleImage::zeros(1, 16, &[100]);
+        assert!(matches!(
+            backward_filter(&shape, &flat, &gy),
+            Err(WinoError::Shape(ShapeError::RankMismatch { expected: 2, got: 1 }))
+        ));
+    }
+
+    /// `backward_data` runs through `forward`, so a deep layer's gradient —
+    /// 16 rows, 4.7 MiB of `V̂` — takes the dual ring at its own 16 × 16
+    /// blocking, and computes what the three stages compute at the plan's
+    /// Eq. 11 one, bit for bit.
+    #[test]
+    fn backward_data_on_a_dual_gradient_shape_equals_its_staged_result() {
+        use crate::plan::{Host, Pin, Scratch};
+        let shape = ConvShape::new(1, 256, 128, &[16, 16], &[3, 3], &[1, 1]).unwrap();
+        let w = SimpleKernels::from_fn(128, 256, &[3, 3], |co, ci, xy| {
+            ((co * 3 + ci * 7 + xy[0] + xy[1] * 5) % 17) as f32 * 0.01 - 0.08
+        });
+        let gy = SimpleImage::from_fn(1, 128, &shape.out_dims(), |_, c, xy| {
+            ((c * 5 + xy[0] * 3 + xy[1]) % 19) as f32 * 0.05 - 0.45
+        });
+        let gx = backward_data(&shape, &gy, &w, &[4, 4]).unwrap();
+
+        let gshape = gradient_shape(&shape).unwrap();
+        let dual = WinogradLayer::new(gshape.clone(), &[4, 4], ConvOptions::default()).unwrap();
+        assert!(dual.is_dual(), "{:?}", dual.block);
+        let host = Host::test(Pin::Staged, false);
+        let staged = WinogradLayer::new_on(gshape, &[4, 4], ConvOptions::default(), host).unwrap();
+        assert_eq!(staged.block, dual.block);
+        assert_ne!(dual.dual_block(), dual.block);
+        let input = BlockedImage::from_simple(&gy).unwrap();
+        let kernels = BlockedKernels::from_simple(&flip_transpose_kernels(&w)).unwrap();
+        let mut out = staged.new_output().unwrap();
+        let mut scratch = Scratch::new(&staged, 1);
+        staged.forward(&input, &kernels, &mut out, &mut scratch, &wino_sched::SerialExecutor).unwrap();
+        assert!(out.to_simple().data == gx.data);
     }
 
     /// The gradient-conv shape round-trips: its output grid is the

@@ -30,15 +30,18 @@
 //! allocated size (`footprint::BufferBytes`, the count the memory
 //! footprint and the store-flavour rule use): the stage's inputs are read,
 //! its outputs written. On a staged plan the elementwise-gemm reads `U`
-//! and `V` and writes `Y`; a fused plan ([`WinogradLayer::is_fused`]) keeps
+//! and `V` and writes `Y`; a ring plan ([`WinogradLayer::is_fused`]) keeps
 //! `U` and `Y` in its rings, so its three phases move the image in, `V`,
-//! and the image out. Real caches re-read evicted panels, so measured
-//! intensity is an upper bound — which is the correct direction for a
-//! roofline.
+//! and the image out; a dual plan ([`WinogradLayer::is_dual`]) keeps `V`
+//! and `Y` in its rings, so its kernel transform moves only the raw
+//! kernels and its elementwise-gemm reads `U` once per `cols`-wide column
+//! group. Real caches re-read evicted panels, so measured intensity is an
+//! upper bound — which is the correct direction for a roofline.
 
 use wino_probe::{SpanCategory, StageWork, WorkModel};
 
 use crate::footprint::BufferBytes;
+use crate::fused::Schedule;
 use crate::plan::WinogradLayer;
 
 impl WinogradLayer {
@@ -80,6 +83,11 @@ impl WinogradLayer {
 
         let b = BufferBytes::of(self);
         let bytes = |moved: &[usize]| moved.iter().map(|&n| n as u128).sum::<u128>();
+        // A dual plan's column groups each read all of `U`.
+        let u_reads = match self.schedule {
+            Schedule::Dual { cols, .. } => self.shape.out_channels / cols,
+            _ => 1,
+        };
 
         let mut model = WorkModel::new();
         model.set(
@@ -100,7 +108,7 @@ impl WinogradLayer {
             SpanCategory::ElementwiseGemm,
             StageWork {
                 flops: 2 * t_vol * rows * c * cp,
-                bytes: bytes(&[b.u, b.v, b.y]),
+                bytes: bytes(&[u_reads * b.u, b.v, b.y]),
             },
         );
         model.set(
@@ -147,10 +155,13 @@ mod tests {
         assert_eq!(w.get(SpanCategory::InputTransform).unwrap().flops, expect);
     }
 
-    /// One layer, both schedules, counted by hand: 2 × 32 → 32 channels,
-    /// 10² image, pad 1, F(2², 3²) — T = 16, 50 rows. A staged plan (two
-    /// 16-channel reduction blocks, 6-row panels: 54 allocated rows) moves
-    /// `U` and `Y` between its stages; a fused one only the images and `V`.
+    /// One layer, all three schedules, counted by hand: 2 × 32 → 32
+    /// channels, 10² image, pad 1, F(2², 3²) — T = 16, 50 rows. A staged
+    /// plan (two 16-channel reduction blocks, 6-row panels: 54 allocated
+    /// rows) moves `U` and `Y` between its stages; a fused one only the
+    /// images and `V`; a dual one (the same blocking, pinned) the images,
+    /// the raw kernels and `U` — written once, read once per 16-wide column
+    /// group.
     #[test]
     fn fused_and_staged_byte_totals_by_hand_count() {
         let image = 2 * 32 * 10 * 10 * 4; // in = out: 32 channels, 10² both
@@ -168,11 +179,16 @@ mod tests {
             .map(|cat| w.get(cat).unwrap().bytes)
         };
         let s = ConvShape::new(2, 32, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
-        let staged = WinogradLayer::new(s, &[2, 2], crate::plan::split_reduction()).unwrap();
-        assert!(!staged.is_fused() && layer_2d().is_fused());
+        let staged = WinogradLayer::new(s.clone(), &[2, 2], crate::plan::split_reduction()).unwrap();
+        assert!(!staged.is_fused() && !staged.is_dual() && layer_2d().is_fused());
         assert_eq!(bytes(&staged), [image + u, raw_kernels + v, u + v + y, y + image]);
         assert_eq!(bytes(&layer_2d()), [image, raw_kernels + v, v, image]);
         assert_eq!(staged.work_model().total_flops(), layer_2d().work_model().total_flops());
+        let host = crate::plan::Host::test(crate::plan::Pin::Dual, false);
+        let dual = WinogradLayer::new_on(s, &[2, 2], crate::plan::split_reduction(), host).unwrap();
+        assert!(dual.is_dual());
+        assert_eq!(bytes(&dual), [image + u, raw_kernels, 2 * u, image]);
+        assert_eq!(dual.work_model().total_flops(), staged.work_model().total_flops());
     }
 
     #[test]

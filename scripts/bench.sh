@@ -21,9 +21,10 @@
 #                                 at the widest planned n_blk runs below
 #                                 0.8x its own n_blk = 8 rate; then runs
 #                                 the `fusion` binary at 3 reps for shape
-#                                 only — it asserts fused == staged bit
-#                                 for bit itself, and the table must hold
-#                                 a fused and a staged row — no timing
+#                                 only — it asserts ring, dual == staged
+#                                 bit for bit itself, and the table must
+#                                 hold a ring and a staged row, and a dual
+#                                 one on an L2 of 2 MiB or more — no timing
 #                                 gate: this host's spread is +-20 %)
 #   scripts/bench.sh --scaling-smoke
 #                               → target/BENCH_scaling.json (strong/weak
@@ -102,13 +103,20 @@ if [ "$MODE" = smoke ]; then
     run cargo bench --offline -q -p wino-bench --bench gemm -- --check
 fi
 
-# Fusion shape gate: every table layer plans, both schedules run, and the
-# ring-fused forward_fx equals the three staged calls (the binary panics
-# otherwise). The rule must put layers on both sides of the L2.
+# Fusion shape gate: every table layer plans, every schedule runs, and the
+# ring-fused forward_fx and the dual ring's forward equal the staged calls
+# (the binary panics otherwise). The rule must put layers on both sides of
+# the L2, and `train3d_jit`'s layer on the dual ring wherever the L2 holds
+# its working set (the table's `l2_bytes` column: 2 MiB or more).
 if [ "$MODE" = smoke ]; then
     run target/release/fusion --reps 3 | tee target/fusion_smoke.csv
-    grep -q ',true,' target/fusion_smoke.csv && grep -q ',false,' target/fusion_smoke.csv || {
-        echo "error: fusion table lacks a fused or a staged row" >&2
+    grep -q ',ring,' target/fusion_smoke.csv && grep -q ',staged,' target/fusion_smoke.csv || {
+        echo "error: fusion table lacks a ring or a staged row" >&2
+        exit 1
+    }
+    grep -q ',dual,' target/fusion_smoke.csv \
+        || awk -F, '$6 ~ /^[0-9]+$/ && $6 >= 2097152 { big = 1 } END { exit big }' target/fusion_smoke.csv || {
+        echo "error: fusion table lacks a dual row on a 2 MiB L2" >&2
         exit 1
     }
 fi

@@ -43,12 +43,14 @@ run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features
 
 # Span gate: the tests that say what the one instrumentation gate is — a
 # probed pass reports a `fork-join` per `run_grid` and the stage spans
-# (three back to back under the fused one), a plain executor records
+# (three back to back under the ring's one fork–join, and under the dual
+# ring's second, after its input transform's), a plain executor records
 # nothing and reads no clock, the `ProbedExecutor` wrapper records, and
 # the bench-level fold sees every stage. Named, so a rename cannot empty it.
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv --lib -- \
     conv::tests::forward_is_four_fork_joins \
     conv::tests::a_fused_pass_reports_three_stage_spans \
+    conv::tests::a_dual_pass_reports_four_stage_spans \
     conv::tests::a_plain_executor_records_nothing
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-sched probed::
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
@@ -98,17 +100,24 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # shape, kernels other than 3 wide; planned on a host that streams every
 # store and on one that streams none).
 #
-# Schedule gate: on every backend the ring-fused driver must equal the
-# three public stage calls bit for bit (rank 1–3, ragged and straddling
-# panels, tail panels, Mono and — under avx512 — JIT, every executor incl.
-# the more-threads-than-panels fallback).
+# Schedule gate: on every backend the ring-fused driver and the dual ring
+# (`fused::forward_dual`: the input transform, then one fork–join whose
+# tasks transform a block of kernels into their ring and multiply it
+# there) must equal the public stage calls bit for bit — the ring on rank
+# 1–3, ragged and straddling panels and tail panels; the dual on one and
+# two reduction blocks, rank 2 and 3, column groups not a multiple of the
+# thread count, rows past MAX_N_BLK and `train3d_jit`'s layer (the dual
+# at one vector each way, the three stages at Eq. 11's) — Mono and, under
+# avx512, JIT, every executor incl. the more-threads-than-panels and
+# more-threads-than-column-groups fallbacks. The dual tests are named
+# below as well, so a rename cannot empty that half.
 #
 # Store-flavour gate: which stores bypass the cache is the plan's decision
 # (`WinogradLayer::streams`), so both flavours are reachable only in-crate:
 # `conv::tests::both_store_flavours_…` plans each layer of the schedule
 # gate on a host that streams everything and on one that streams nothing
-# — staged and fused, Mono and JIT, every executor — and asserts one set
-# of output bits.
+# — pinned staged, ring and dual (`plan::Host::test`), Mono and JIT, every
+# executor — and asserts one set of output bits.
 #
 # Micro-kernel gate: the register-tiled stage-2 kernels must equal their
 # own 1 × 1-tile walk bit for bit on every backend up to the pinned one
@@ -126,6 +135,10 @@ for isa in "${isas[@]}"; do
         --test pipeline_equivalence --test parallel_and_jit
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q --test fused_equivalence
+    run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+        cargo test --offline -q --test fused_equivalence -- \
+        dual_forward_equals_the_three_stages_bit_for_bit \
+        fewer_column_groups_than_threads_runs_the_three_stages
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
         codelet::tests::whole_tiles_equal_the_interpreter_exactly \
@@ -209,8 +222,10 @@ scripts/bench.sh --scaling-smoke
 
 # Memory-accounting gate: the analytic `MemoryFootprint` model must
 # price the allocator's real traffic within 10% — the per-component
-# exact-match unit tests plus the end-to-end cold-start prediction test
-# (plan + kernel memoisation + forward) in wino-conv. The model prices
+# exact-match unit tests (a ring, a dual and a staged plan's scratch:
+# `footprint::tests::scratch_component_matches_observed_allocation`) plus
+# the end-to-end cold-start prediction test (plan + kernel memoisation +
+# forward) in wino-conv. The model prices
 # what the allocator will hand out and feeds serve admission (the rlimit
 # soak below); it is not a plan-time admission test.
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv footprint

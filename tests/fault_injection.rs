@@ -249,6 +249,62 @@ fn run_net_reports_attribute_fallbacks_per_layer() {
     fault::reset();
 }
 
+/// The dual ring — a layer whose `V̂` outweighs its `Û`, run without ever
+/// materialising `V̂` — honours the same hooks from inside its two
+/// fork–joins: a NaN in any stage is caught by the guard and rescued by
+/// im2col, and a finite corruption of its chunks trips the sentinel.
+#[test]
+fn the_dual_ring_honours_every_stage_hook() {
+    use winograd_nd_repro::gemm::BlockShape;
+    let _guard = fault::test_lock();
+
+    // Two 16-channel reduction blocks (the ring turns the layer down),
+    // 16 rows and four 16-wide column groups, one per thread.
+    let block = Some(BlockShape { n_blk: 6, c_blk: 16, cp_blk: 16 });
+    let opts = ConvOptions { block, ..Default::default() };
+    let layer = [LayerSpec { out_channels: 64, ..spec(&[2, 2]) }];
+    let net = |policy: &FallbackPolicy| {
+        let net = Network::with_policy(1, 32, &[8, 8], &layer, opts, THREADS, policy).unwrap();
+        assert!(net.layers()[0].plan.winograd().is_some_and(|p| p.is_dual()));
+        net
+    };
+    let img = SimpleImage::from_fn(1, 32, &[8, 8], |_, c, xy| {
+        ((c * 7 + xy[0] * 3 + xy[1]) % 23) as f32 * 0.04 - 0.4
+    });
+    let ker = SimpleKernels::from_fn(64, 32, &[3, 3], |co, ci, xy| {
+        ((co * 5 + ci * 11 + xy[0] + xy[1] * 2) % 17) as f32 * 0.05 - 0.4
+    });
+    let (input, kernels) =
+        (BlockedImage::from_simple(&img).unwrap(), BlockedKernels::from_simple(&ker).unwrap());
+    fault::reset();
+    let reference = net(&FallbackPolicy::strict())
+        .forward(&input, std::slice::from_ref(&kernels), &SerialExecutor)
+        .expect("clean reference run");
+
+    for stage in 1u8..=3 {
+        fault::reset();
+        let policy = FallbackPolicy::default();
+        fault::arm_poison_stage(stage);
+        let (out, report) = net(&policy)
+            .run_layer(0, &input, &kernels, &StaticExecutor::new(THREADS), &policy)
+            .unwrap_or_else(|e| panic!("stage {stage} poison must be rescued: {e}"));
+        assert_eq!(report.backend, LayerBackend::Im2col, "stage {stage}");
+        assert!(matches!(report.fallback, Some(FallbackReason::NumericGuard(_))), "stage {stage}");
+        assert_close(&out, &reference, 1e-4, &format!("stage {stage} im2col rescue"));
+    }
+    for kind in [CorruptKind::SilentBias, CorruptKind::BitFlip, CorruptKind::DenormalStorm] {
+        fault::reset();
+        let policy = sentinel_all();
+        fault::arm_corrupt(2, kind, 1);
+        let (out, report) = net(&policy)
+            .run_layer(0, &input, &kernels, &StaticExecutor::new(THREADS), &policy)
+            .unwrap_or_else(|e| panic!("{kind:?} must be rescued, not an error: {e}"));
+        assert!(matches!(report.fallback, Some(FallbackReason::SentinelTrip(_))), "{kind:?}");
+        assert_close(&out, &reference, 1e-4, &format!("{kind:?} rescue"));
+    }
+    fault::reset();
+}
+
 // ---------------------------------------------------------------------------
 // Silent-corruption injection vs the accuracy sentinels. These corruptions
 // are all *finite* — `check_finite` provably cannot see them — so they

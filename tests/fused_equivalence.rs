@@ -1,13 +1,14 @@
-//! The ring-fused driver computes exactly what the three stages compute.
+//! The ring-fused driver and the dual ring compute exactly what the three
+//! stages compute.
 //!
-//! Both schedules run the same tiles through the same codelets and the
-//! same FMA chain per element, so `forward` / `forward_fx` on a fused plan
-//! must equal, bit for bit, the reference assembled here from the three
-//! *public* stage calls on the same plan. Every case asserts
-//! `is_fused()`, and a counting executor reports how many fork–joins the
-//! call under test made (one when the ring driver ran, three when it fell
-//! back to the stages), so the battery cannot silently compare the staged
-//! path with itself.
+//! All three schedules run the same tiles through the same codelets and
+//! the same FMA chain per element, so `forward` / `forward_fx` on a ring or
+//! dual plan must equal, bit for bit, the reference assembled here from
+//! the *public* stage calls on the same plan. Every case asserts
+//! `is_fused()` or `is_dual()`, and a counting executor reports how many
+//! fork–joins the call under test made (fewer when a ring ran than when
+//! it fell back to the stages), so the battery cannot silently compare the
+//! staged path with itself.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -147,9 +148,11 @@ fn forwards(
     [run(false), run(true)]
 }
 
-/// Which fork–join counts mean the ring driver ran (`forward`,
-/// `forward_fx`) and which the three stages.
+/// Which fork–join counts (`forward`, `forward_fx`) mean the ring driver
+/// ran, which the dual ring (FX mode is staged on a dual plan) and which
+/// the three stages.
 const FUSED: [usize; 2] = [2, 1];
+const DUAL: [usize; 2] = [2, 3];
 const STAGED: [usize; 2] = [4, 3];
 
 #[test]
@@ -231,15 +234,123 @@ fn more_threads_than_panels_runs_the_three_stages() {
 /// (trivially) the stages' result.
 #[test]
 fn a_staged_plan_runs_the_three_stages() {
-    let shape = ConvShape::new(1, 32, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
-    // Two reduction blocks: partial sums have no place in a ring.
+    let shape = ConvShape::new(1, 32, 32, &[16, 16], &[3, 3], &[1, 1]).unwrap();
+    // Two reduction blocks: partial sums have no place in a ring. 64 rows
+    // in 32-wide column groups: re-reading `Û` per group would move as many
+    // bytes as `V̂`'s round trip, so the dual ring turns it down too.
     let block = Some(BlockShape { n_blk: 6, c_blk: 16, cp_blk: 32 });
     let plan = WinogradLayer::new(shape.clone(), &[2, 2], ConvOptions { block, ..Default::default() })
         .unwrap();
-    assert!(!plan.is_fused());
+    assert!(!plan.is_fused() && !plan.is_dual());
     let (input, kernels) = data(&shape);
     let want = staged(&plan, &input, &kernels);
     let [train, fx] = forwards(&plan, &input, &kernels, &SerialExecutor);
     assert_eq!([train.1, fx.1], STAGED);
     assert!(train.0 == want && fx.0 == want);
+}
+
+/// The dual battery: blockings that make the ring turn a layer down and
+/// the dual ring take it on any L2 of 1 MiB or more, plus the benchmark's
+/// `train3d_jit` layer at the planner's own blockings — Eq. 11's for the
+/// three stages, one vector each way for the dual ring.
+fn dual_cases() -> Vec<Case> {
+    let blocked =
+        |(n_blk, c_blk, cp_blk), case: Case| Case { block: Some(BlockShape { n_blk, c_blk, cp_blk }), ..case };
+    vec![
+        // Two reduction blocks, two column groups: three and four threads
+        // fall back to the stages.
+        blocked((6, 16, 16), case("rank 2, k_blocks 2", 1, (32, 32), &[10, 10], 1, &[2, 2])),
+        // Three 32-wide column groups — not a multiple of two threads.
+        blocked((6, 16, 32), case("rank 3, three groups", 1, (32, 96), &[4, 6, 6], 1, &[2, 2, 2])),
+        // One reduction block: the ring turns the layer down because its
+        // 4 MiB of `V̂` does not fit the L2; 32 column groups.
+        blocked((6, 32, 16), case("k_blocks 1, V̂ past the L2", 1, (32, 512), &[12, 12], 1, &[6, 6])),
+        // 50 rows (more than MAX_N_BLK) in 24-row blocks: a 2-row tail.
+        blocked((24, 16, 32), case("rows past MAX_N_BLK", 2, (32, 64), &[10, 10], 1, &[2, 2])),
+        case("train3d_jit's layer", 1, (128, 128), &[4, 14, 14], 1, &[4, 4, 4]),
+    ]
+}
+
+#[test]
+fn dual_forward_equals_the_three_stages_bit_for_bit() {
+    let executors: [Box<dyn Executor>; 4] = [
+        Box::new(SerialExecutor),
+        Box::new(StaticExecutor::new(2)),
+        Box::new(StaticExecutor::new(3)),
+        Box::new(DynamicExecutor::new(4)),
+    ];
+    let mut backends = vec![Stage2Backend::Mono];
+    if winograd_nd_repro::simd::cpu_has_avx512f() {
+        backends.push(Stage2Backend::Jit);
+    } else {
+        eprintln!("skipping the JIT half: no AVX-512F");
+    }
+    // The benchmark's host has a 2 MiB L2; the 1 MiB assumed when none is
+    // detected is too small for train3d_jit's ring.
+    let l2_holds_train3d = winograd_nd_repro::sched::l2_bytes_per_thread() >= 2 << 20;
+    let (mut dual_runs, mut fallback_runs) = ([0usize; 4], 0usize);
+    for case in dual_cases() {
+        let rank = case.dims.len();
+        let shape = ConvShape::new(
+            case.batch,
+            case.c,
+            case.cp,
+            case.dims,
+            &vec![case.kernel; rank],
+            &vec![case.pad; rank],
+        )
+        .unwrap();
+        let (input, kernels) = data(&shape);
+        for &stage2 in &backends {
+            let opts = ConvOptions { stage2, block: case.block, ..Default::default() };
+            let what = format!("{} ({stage2:?})", case.name);
+            let plan = WinogradLayer::new(shape.clone(), case.m, opts).unwrap();
+            if case.block.is_none() && !l2_holds_train3d {
+                eprintln!("{what}: skipped, the detected L2 is under 2 MiB");
+                continue;
+            }
+            assert!(plan.is_dual() && !plan.is_fused(), "{what}: a dual plan is what this test is about");
+            if case.block.is_none() {
+                // The dual ring multiplies one vector each way; the plan's
+                // own blocking — the three stages', `want`'s — stays Eq. 11's.
+                let eq11 = winograd_nd_repro::gemm::default_shape(case.c, case.cp, plan.rows());
+                assert!(plan.block == eq11 && eq11.c_blk > 16, "{what}: {:?}", plan.block);
+            }
+            let want = staged(&plan, &input, &kernels);
+            for (e, exec) in executors.iter().enumerate() {
+                let what = format!("{what} on {} × {}", exec.name(), exec.threads());
+                let [train, fx] = forwards(&plan, &input, &kernels, exec.as_ref());
+                assert!(train.0 == want, "{what}: forward differs from the three stages");
+                assert!(fx.0 == want, "{what}: forward_fx differs from the three stages");
+                match [train.1, fx.1] {
+                    DUAL => dual_runs[e] += 1,
+                    STAGED => fallback_runs += 1,
+                    other => panic!("{what}: {other:?} fork–joins"),
+                }
+            }
+        }
+    }
+    // Every executor drove the dual ring (the serial one on every plan),
+    // and some plan had fewer column groups than threads.
+    assert!(dual_runs[0] >= 4 * backends.len(), "{dual_runs:?}");
+    assert!(dual_runs.iter().all(|&runs| runs >= backends.len()), "{dual_runs:?}");
+    assert!(fallback_runs > 0, "no case had fewer column groups than threads");
+}
+
+/// The two sides of the thread-count rule on one dual plan: three column
+/// groups are enough for three threads and not for four.
+#[test]
+fn fewer_column_groups_than_threads_runs_the_three_stages() {
+    let shape = ConvShape::new(1, 32, 48, &[10, 10], &[3, 3], &[1, 1]).unwrap();
+    let block = Some(BlockShape { n_blk: 6, c_blk: 16, cp_blk: 16 });
+    let plan = WinogradLayer::new(shape.clone(), &[2, 2], ConvOptions { block, ..Default::default() })
+        .unwrap();
+    assert!(plan.is_dual());
+    let (input, kernels) = data(&shape);
+    let want = staged(&plan, &input, &kernels);
+    for (threads, grids) in [(1, DUAL), (3, DUAL), (4, STAGED)] {
+        let [train, fx] = forwards(&plan, &input, &kernels, &StaticExecutor::new(threads));
+        assert_eq!([train.1, fx.1], grids, "{threads} threads");
+        assert!(train.0 == want && fx.0 == want, "{threads} threads");
+    }
 }

@@ -3,13 +3,15 @@
 //! plan or lives in fixed-size arrays on the stack. A counting global
 //! allocator — counting per thread, so parallel tests do not disturb each
 //! other — watches one warmed-up call of each on the serial executor, for
-//! a 3-wide kernel and for a `[5, 2]` one; and one repeat `forward_fx`
-//! through the ring-fused driver, whose rings are part of the scratch.
+//! a 3-wide kernel and for a `[5, 2]` one; one repeat `forward_fx`
+//! through the ring-fused driver, whose rings are part of the scratch; and
+//! `forward` through the dual ring, whose `Û` and rings are too.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use winograd_nd_repro::conv::{stage1, stage3, ConvOptions, Scratch, WinogradLayer};
+use winograd_nd_repro::gemm::BlockShape;
 use winograd_nd_repro::sched::SerialExecutor;
 use winograd_nd_repro::tensor::{BlockedImage, BlockedKernels, ConvShape};
 
@@ -90,4 +92,30 @@ fn transform_stage_entry_points_do_not_allocate() {
 #[test]
 fn other_kernel_widths_do_not_allocate_either() {
     assert_stage_calls_do_not_allocate(&[5, 2], &[2, 3]);
+}
+
+/// A dual plan's training-mode pass allocates nothing, not even the first
+/// time: it never materialises `V̂`, and `Û` and the rings came with the
+/// scratch.
+#[test]
+fn a_dual_forward_does_not_allocate() {
+    let shape = ConvShape::new(1, 32, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
+    let block = Some(BlockShape { n_blk: 6, c_blk: 16, cp_blk: 16 });
+    let layer = WinogradLayer::new(shape, &[2, 2], ConvOptions { block, ..Default::default() }).unwrap();
+    assert!(layer.is_dual());
+    let mut input = BlockedImage::zeros(1, 32, &[10, 10]).unwrap();
+    input.as_mut_slice().iter_mut().enumerate().for_each(|(i, v)| *v = (i % 13) as f32 * 0.1);
+    let mut kernels = BlockedKernels::zeros(32, 32, &[3, 3]).unwrap();
+    kernels.as_mut_slice().iter_mut().enumerate().for_each(|(i, v)| *v = (i % 7) as f32 * 0.1);
+    let mut output = layer.new_output().unwrap();
+    // The backend probe allocates once per process, on the first dispatch.
+    let _ = winograd_nd_repro::simd::backend();
+    let mut scratch = Scratch::new(&layer, 1);
+    for pass in ["first", "repeat"] {
+        let n = allocations_in(|| {
+            layer.forward(&input, &kernels, &mut output, &mut scratch, &SerialExecutor).unwrap()
+        });
+        assert_eq!(n, 0, "{pass} dual forward allocated {n} times");
+    }
+    assert_eq!(scratch.v.bytes(), 0, "no `V̂`");
 }
