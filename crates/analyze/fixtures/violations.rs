@@ -79,12 +79,6 @@ fn seed_raw_alloc(len: usize) -> AlignedVec {
     AlignedVec::zeroed(len)
 }
 
-// seed 12: first-touch seam call without accounting rationale
-// (alloc-needs-accounting, when linted as crates/core)
-fn seed_first_touch(len: usize, exec: &dyn Executor) -> AlignedVec {
-    wino_tensor::zeroed_first_touch(len, exec)
-}
-
 // seed 14: direct clock reads in a convolution crate
 // (clock-through-span-helpers, when linted as crates/core — two sites)
 fn seed_clock_reads() -> (u64, std::time::Instant) {

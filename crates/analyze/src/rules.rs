@@ -617,18 +617,12 @@ fn check_alloc_needs_accounting(f: &FileCtx) -> Vec<RawViolation> {
             continue;
         }
         let name = f.text(i);
-        let raw = if name == "zeroed_first_touch" {
-            // Free function: any call site counts, but not the `fn`
-            // definition itself (the seam module is allowlisted anyway).
-            f.prev_code(i).is_none_or(|p| f.text(p) != "fn")
-        } else if RAW_ALLOC_CALLS.contains(&name) {
-            // Must be `AlignedVec::<name>` — plain `zeroed`/`uninit`
-            // methods on other types are not allocation seams.
-            f.qualified_by(i, "AlignedVec")
-        } else {
-            continue;
-        };
-        if !raw || f.next_code(i).is_none_or(|n| !f.is_punct(n, '(')) {
+        // Must be `AlignedVec::<name>` — plain `zeroed`/`uninit` methods
+        // on other types are not allocation seams.
+        if !RAW_ALLOC_CALLS.contains(&name)
+            || !f.qualified_by(i, "AlignedVec")
+            || f.next_code(i).is_none_or(|n| !f.is_punct(n, '('))
+        {
             continue;
         }
         if !f.annotated(i, &["ALLOC:"]) {
@@ -749,12 +743,7 @@ pub static RULES: &[Rule] = &[
         // ladder and the byte-budget admission that the serving layer
         // relies on.
         scope: Scope::Only(&["crates/core", "crates/serve", "crates/tensor"]),
-        allow: &[AllowEntry {
-            path: "crates/tensor/src/first_touch.rs",
-            reason: "this module IS the first-touch allocation seam: its body wraps the raw \
-                     constructors into the fallible/infallible pair every caller routes \
-                     through, and its tests must drive the raw path directly",
-        }],
+        allow: &[],
         check: check_alloc_needs_accounting,
     },
     Rule {
@@ -999,18 +988,6 @@ mod tests {
         assert_eq!(ids("crates/core/src/x.rs", src), vec![]);
         let src = "fn f(len: usize) -> AlignedVec { AlignedVec::zeroed(len) } // ALLOC: test helper\n";
         assert_eq!(ids("crates/core/src/x.rs", src), vec![]);
-    }
-
-    #[test]
-    fn first_touch_calls_are_seams_too() {
-        let src = "fn f(len: usize, e: &dyn Executor) {\n    let v = wino_tensor::zeroed_first_touch(len, e);\n}\n";
-        assert_eq!(ids("crates/core/src/x.rs", src), vec![("alloc-needs-accounting", 2)]);
-        // The definition site (`fn zeroed_first_touch(…)`) is not a call.
-        let src = "pub fn zeroed_first_touch(len: usize) -> AlignedVec { loop {} }\n";
-        assert_eq!(ids("crates/core/src/x.rs", src), vec![]);
-        // The seam module itself is allowlisted.
-        let src = "fn f(len: usize) -> AlignedVec { AlignedVec::zeroed(len) }\n";
-        assert_eq!(ids("crates/tensor/src/first_touch.rs", src), vec![]);
     }
 
     #[test]

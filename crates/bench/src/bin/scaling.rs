@@ -3,12 +3,11 @@
 //!
 //! For each smoke layer, one fixed Winograd plan is timed at every
 //! thread count in a 1..=N sweep, twice: **strong** (fixed problem) and
-//! **weak** (batch grows with the thread count). Each point's executor
-//! is shaped by the detected topology (serial at 1, flat static within
-//! one domain, a sharded pool across domains); one extra instrumented
-//! pass per strong point records fork–join barrier skew.
-//! Points, per-layer Amdahl serial-fraction fits, and the topology
-//! provenance land in a schema-v4 `BENCH_scaling.json`.
+//! **weak** (batch grows with the thread count). Each point runs serial
+//! at 1 thread and on one flat static pool past it; one extra
+//! instrumented pass per strong point records fork–join barrier skew.
+//! Points and per-layer Amdahl serial-fraction fits land in a schema-v5
+//! `BENCH_scaling.json`.
 //!
 //! ```text
 //! cargo run -p wino-bench --release --bin scaling -- \
@@ -19,17 +18,20 @@
 //! `--check` makes the run a gate: at the host thread count, at least
 //! one smoke layer must reach parallel efficiency ≥ the floor (default
 //! 0.6), and no gate point's probed barrier skew may exceed
-//! [`wino_probe::SMOKE_SKEW_BUDGET_US`]. Exit 1 on violation.
+//! [`wino_probe::SMOKE_SKEW_BUDGET_US`]. Exit 1 on violation — and before
+//! the sweep when `--max-threads` never reaches the host thread count.
 
 use wino_bench::perf::{calibrate, today_utc};
-use wino_bench::scaling::{executor_for, fit_serial_fraction, scaling_document, ScalingPoint};
+use wino_bench::scaling::{
+    check_reaches_host, executor_for, fit_serial_fraction, scaling_document, thread_counts, ScalingPoint,
+};
 use wino_bench::{make_executor, run_winograd, Args};
 use wino_conv::ConvOptions;
 use wino_probe::{
     fold, parse_json, validate_schema, Json, MachineModel, WorkModel, SCHEMA_VERSION,
     SMOKE_SKEW_BUDGET_US,
 };
-use wino_sched::{configured_threads, Executor, ProbedExecutor, Topology};
+use wino_sched::{configured_threads, Executor, ProbedExecutor};
 use wino_tensor::ConvShape;
 use wino_workloads::{scaled_catalog, Layer};
 
@@ -69,21 +71,6 @@ fn validate_file(path: &str) -> ! {
             std::process::exit(1);
         }
     }
-}
-
-/// The sweep's thread counts: 1, the powers of two up to `max`, and
-/// `max` itself — the classic scaling-plot x-axis, deduplicated.
-fn thread_counts(max: usize) -> Vec<usize> {
-    let mut counts = vec![1];
-    let mut n = 2;
-    while n < max {
-        counts.push(n);
-        n *= 2;
-    }
-    if max > 1 {
-        counts.push(max);
-    }
-    counts
 }
 
 /// One instrumented pass: (max_skew_us, mean_skew_us) across its
@@ -134,9 +121,14 @@ fn main() {
         .map(|v| v.parse::<f64>().expect("--floor takes a number"))
         .unwrap_or(DEFAULT_FLOOR);
     let check = args.flag("--check");
-    let topo = Topology::detect();
     let host = configured_threads();
     let max = args.usize_or("--max-threads", host);
+    if check {
+        if let Err(e) = check_reaches_host(host, max) {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
     let counts = thread_counts(max);
 
     let layers: Vec<Layer> = scaled_catalog()
@@ -145,14 +137,6 @@ fn main() {
         .collect();
     assert!(!layers.is_empty(), "smoke layer selection is empty");
 
-    eprintln!(
-        "# topology: {} domain(s), {} cpu(s), smt {}, source {} ({})",
-        topo.domains().len(),
-        topo.total_cpus(),
-        topo.smt_per_core(),
-        topo.source().name(),
-        topo.to_spec(),
-    );
     eprintln!("# sweep: threads {counts:?}, host threads {host}, reps {reps}");
 
     // The machine block reuses the perf harness's calibration, run on the
@@ -171,7 +155,7 @@ fn main() {
         let mut strong: Vec<(usize, f64)> = Vec::new();
 
         for &n in &counts {
-            let (exec, kind) = executor_for(&topo, n);
+            let (exec, kind) = executor_for(n);
 
             // Strong: fixed problem.
             let Some(meas) = run_winograd(layer, &m, false, ConvOptions::default(), exec.as_ref(), reps)
@@ -244,8 +228,7 @@ fn main() {
     assert!(!points.is_empty(), "sweep produced no points");
 
     let date = args.value("--date").map(str::to_string).unwrap_or_else(today_utc);
-    let doc =
-        scaling_document("wino-bench scaling", &date, &machine, &topo, host, floor, &points, &fits);
+    let doc = scaling_document("wino-bench scaling", &date, &machine, host, floor, &points, &fits);
 
     // Self-check before writing, exactly like the perf harness.
     let rendered = doc.render_pretty();
@@ -271,7 +254,10 @@ fn main() {
         // count: that is the configuration users actually run.
         let gate: Vec<&ScalingPoint> =
             points.iter().filter(|p| p.mode == "strong" && p.threads == host).collect();
-        assert!(!gate.is_empty(), "no strong point at host thread count {host}");
+        if gate.is_empty() {
+            eprintln!("GATE FAIL: no strong point at the host thread count {host} (every plan rejected?)");
+            std::process::exit(1);
+        }
         let best_eff = gate.iter().map(|p| p.efficiency).fold(0.0f64, f64::max);
         let worst_skew = gate.iter().filter_map(|p| p.max_skew_us).fold(0.0f64, f64::max);
         let mut failed = false;

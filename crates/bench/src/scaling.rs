@@ -1,6 +1,6 @@
-//! Strong/weak-scaling sweep support: per-thread-count executors built
-//! from the detected topology, speedup/efficiency accounting, the
-//! least-squares Amdahl fit, and assembly of the schema-v4 `scaling`
+//! Strong/weak-scaling sweep support: the sweep's thread counts and
+//! per-thread-count executors, speedup/efficiency accounting, the
+//! least-squares Amdahl fit, and assembly of the schema-v5 `scaling`
 //! document (`docs/bench-schema.md`, `src/bin/scaling.rs`).
 //!
 //! Two sweep modes (the classic pair — see `docs/scaling.md`):
@@ -13,12 +13,10 @@
 //!   reported `speedup` is the scaled speedup `n·T(1)/T(n)`.
 
 use wino_probe::{Json, MachineModel};
-use wino_sched::{
-    render_cpulist, Executor, SerialExecutor, ShardedPool, StaticExecutor, Topology,
-};
+use wino_sched::{Executor, SerialExecutor, StaticExecutor};
 
 /// One measured point of a scaling sweep (`scaling.points[i]` in the
-/// schema-v4 report).
+/// schema-v5 report).
 #[derive(Clone, Debug)]
 pub struct ScalingPoint {
     pub layer: String,
@@ -27,7 +25,7 @@ pub struct ScalingPoint {
     pub threads: usize,
     /// Batch size of the (possibly grown) problem at this point.
     pub batch: usize,
-    /// Executor kind the point ran under (`serial`/`static`/`sharded`).
+    /// Executor kind the point ran under (`serial` or `static`).
     pub executor: &'static str,
     pub best_ms: f64,
     pub mean_ms: f64,
@@ -40,7 +38,7 @@ pub struct ScalingPoint {
 }
 
 impl ScalingPoint {
-    /// The point as a schema-v4 `scaling.points[]` element.
+    /// The point as a schema-v5 `scaling.points[]` element.
     pub fn to_json(&self) -> Json {
         let mut fields = vec![
             ("layer".into(), Json::Str(self.layer.clone())),
@@ -63,37 +61,43 @@ impl ScalingPoint {
     }
 }
 
-/// Build the executor a sweep point with `n` threads runs under, shaped
-/// by the host topology. `n = 1` is the serial executor (the scaling
-/// baseline must pay no fork–join cost it does not need); on a
-/// single-domain machine — or when `n` does not reach past the first
-/// domain, or oversubscribes the topology — a flat [`StaticExecutor`];
-/// otherwise a [`ShardedPool`] over the first `n` CPUs in domain order,
-/// preserving the domain boundaries between them. Returns the executor
-/// plus its schema `executor` label.
-pub fn executor_for(topo: &Topology, n: usize) -> (Box<dyn Executor>, &'static str) {
+/// The sweep's thread counts: 1, the powers of two up to `max`, and
+/// `max` itself — the classic scaling-plot x-axis, deduplicated.
+pub fn thread_counts(max: usize) -> Vec<usize> {
+    let mut counts = vec![1];
+    let mut n = 2;
+    while n < max {
+        counts.push(n);
+        n *= 2;
+    }
+    if max > 1 {
+        counts.push(max);
+    }
+    counts
+}
+
+/// `--check` gates on the strong points at the host thread count: refuse,
+/// before any layer is timed, a `--max-threads` whose sweep never reaches
+/// it.
+pub fn check_reaches_host(host: usize, max: usize) -> Result<(), String> {
+    if thread_counts(max).contains(&host) {
+        return Ok(());
+    }
+    Err(format!(
+        "--check gates at the host thread count {host}, but --max-threads {max} sweeps {:?}",
+        thread_counts(max)
+    ))
+}
+
+/// Build the executor a sweep point with `n` threads runs under: the
+/// serial executor at `n ≤ 1` (the scaling baseline must pay no fork–join
+/// cost it does not need), one flat [`StaticExecutor`] otherwise. Returns
+/// the executor plus its schema `executor` label.
+pub fn executor_for(n: usize) -> (Box<dyn Executor>, &'static str) {
     if n <= 1 {
         return (Box::new(SerialExecutor), "serial");
     }
-    let mut groups: Vec<&[usize]> = Vec::new();
-    let mut left = n;
-    for d in topo.domains() {
-        if left == 0 {
-            break;
-        }
-        let take = d.cpus.len().min(left);
-        groups.push(&d.cpus[..take]);
-        left -= take;
-    }
-    if left > 0 || groups.len() <= 1 {
-        // Oversubscribed (more threads than the topology has CPUs) or
-        // confined to one domain: sharding buys nothing.
-        return (Box::new(StaticExecutor::new(n)), "static");
-    }
-    let spec: Vec<String> = groups.iter().map(|g| render_cpulist(g)).collect();
-    let topo = Topology::from_spec(&spec.join(";"))
-        .expect("cpulists rendered from a valid topology re-parse");
-    (Box::new(ShardedPool::new(&topo)), "sharded")
+    (Box::new(StaticExecutor::new(n)), "static")
 }
 
 /// Least-squares Amdahl fit over strong-scaling `(threads, best_ms)`
@@ -125,32 +129,22 @@ pub fn fit_serial_fraction(points: &[(usize, f64)]) -> Option<f64> {
     Some((num / den).clamp(0.0, 1.0))
 }
 
-/// Assemble a complete schema-v4 scaling document: the standard header
-/// ([`crate::perf::perf_document`]'s machine block), the topology the
-/// sweep saw, every point, and the per-layer Amdahl fits.
-#[allow(clippy::too_many_arguments)]
+/// Assemble a complete schema-v5 scaling document: the standard header
+/// ([`crate::perf::perf_document`]'s machine block), every point, and the
+/// per-layer Amdahl fits.
 pub fn scaling_document(
     generated_by: &str,
     date: &str,
     machine: &MachineModel,
-    topo: &Topology,
     host_threads: usize,
     efficiency_floor: f64,
     points: &[ScalingPoint],
     fits: &[(String, f64)],
 ) -> Json {
-    let topology = Json::Obj(vec![
-        ("domains".into(), Json::Num(topo.domains().len() as f64)),
-        ("cpus".into(), Json::Num(topo.total_cpus() as f64)),
-        ("smt".into(), Json::Num(topo.smt_per_core() as f64)),
-        ("source".into(), Json::Str(topo.source().name().into())),
-        ("spec".into(), Json::Str(topo.to_spec())),
-    ]);
     let scaling = Json::Obj(vec![
         ("host_threads".into(), Json::Num(host_threads as f64)),
         ("efficiency_floor".into(), Json::Num(efficiency_floor)),
         ("skew_budget_us".into(), Json::Num(wino_probe::SMOKE_SKEW_BUDGET_US)),
-        ("topology".into(), topology),
         ("points".into(), Json::Arr(points.iter().map(ScalingPoint::to_json).collect())),
         (
             "fits".into(),
@@ -215,40 +209,31 @@ mod tests {
     }
 
     #[test]
-    fn executor_choice_tracks_topology_shape() {
-        let flat = Topology::flat(8);
-        assert_eq!(executor_for(&flat, 1).1, "serial");
-        assert_eq!(executor_for(&flat, 4).1, "static");
-
-        let two = Topology::from_spec("2x4").unwrap();
-        // Within the first domain: flat. Past it: sharded. Beyond the
-        // machine: flat again (oversubscribed).
-        assert_eq!(executor_for(&two, 3).1, "static");
-        let (exec, kind) = executor_for(&two, 6);
-        assert_eq!(kind, "sharded");
-        assert_eq!(exec.threads(), 6);
-        assert_eq!(executor_for(&two, 9).1, "static");
+    fn executor_is_serial_at_one_thread_and_static_past_it() {
+        for (n, kind) in [(0, "serial"), (1, "serial"), (2, "static"), (5, "static")] {
+            let (exec, got) = executor_for(n);
+            assert_eq!(got, kind, "n={n}");
+            assert_eq!(exec.threads(), n.max(1), "n={n}");
+        }
     }
 
     #[test]
-    fn sharded_point_executor_covers_a_grid() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let topo = Topology::from_spec("2x2").unwrap();
-        let (exec, kind) = executor_for(&topo, 4);
-        assert_eq!(kind, "sharded");
-        let hits = AtomicUsize::new(0);
-        exec.run_grid(&[6, 5], &|_s, _i| {
-            // ORDERING: pure counter; the run_grid join orders it.
-            hits.fetch_add(1, Ordering::Relaxed);
-        })
-        .unwrap();
-        assert_eq!(hits.load(Ordering::Relaxed), 30);
+    fn check_needs_a_sweep_that_reaches_the_host_width() {
+        assert_eq!(thread_counts(1), vec![1]);
+        assert_eq!(thread_counts(6), vec![1, 2, 4, 6]);
+        assert_eq!(check_reaches_host(2, 2), Ok(()));
+        assert_eq!(check_reaches_host(4, 8), Ok(()));
+        assert_eq!(check_reaches_host(1, 1), Ok(()));
+        // Below the host width, and past it without sweeping it.
+        for (host, max) in [(2, 1), (3, 8)] {
+            let err = check_reaches_host(host, max).unwrap_err();
+            assert!(err.contains(&format!("count {host}")) && err.contains(&format!("--max-threads {max}")), "{err}");
+        }
     }
 
     #[test]
     fn scaling_document_passes_its_own_schema() {
         let machine = MachineModel { peak_gflops: 50.0, mem_bw_gbps: 12.0, threads: 4 };
-        let topo = Topology::from_spec("2x2").unwrap();
         let points = vec![
             ScalingPoint {
                 layer: "VGG 3.2".into(),
@@ -268,7 +253,7 @@ mod tests {
                 mode: "weak",
                 threads: 4,
                 batch: 8,
-                executor: "sharded",
+                executor: "static",
                 best_ms: 4.4,
                 mean_ms: 4.6,
                 speedup: 3.6,
@@ -282,7 +267,6 @@ mod tests {
             "unit-test",
             "2026-08-09",
             &machine,
-            &topo,
             4,
             0.6,
             &points,

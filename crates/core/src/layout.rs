@@ -26,22 +26,6 @@ impl TileMajor {
         Self::assemble(batch, out_channels, n_tiles, t_vol, AlignedVec::zeroed(len))
     }
 
-    /// As [`Self::new`], zeroed — and therefore NUMA-placed — through
-    /// `exec` (see `wino_tensor::first_touch`).
-    pub fn new_first_touch(
-        batch: usize,
-        out_channels: usize,
-        n_tiles: usize,
-        t_vol: usize,
-        exec: &dyn wino_sched::Executor,
-    ) -> TileMajor {
-        let len = Self::elems(batch, out_channels, n_tiles, t_vol);
-        // ALLOC: infallible first-touch half; `try_new_first_touch` is the
-        // accounted path.
-        let data = wino_tensor::zeroed_first_touch(len, exec);
-        Self::assemble(batch, out_channels, n_tiles, t_vol, data)
-    }
-
     /// Fallible [`Self::new`]: a typed [`wino_simd::AllocError`] instead
     /// of an abort when the allocator refuses the buffer.
     pub fn try_new(
@@ -52,19 +36,6 @@ impl TileMajor {
     ) -> Result<TileMajor, wino_simd::AllocError> {
         let len = Self::elems(batch, out_channels, n_tiles, t_vol);
         Ok(Self::assemble(batch, out_channels, n_tiles, t_vol, AlignedVec::try_zeroed(len)?))
-    }
-
-    /// Fallible [`Self::new_first_touch`].
-    pub fn try_new_first_touch(
-        batch: usize,
-        out_channels: usize,
-        n_tiles: usize,
-        t_vol: usize,
-        exec: &dyn wino_sched::Executor,
-    ) -> Result<TileMajor, wino_simd::AllocError> {
-        let len = Self::elems(batch, out_channels, n_tiles, t_vol);
-        let data = wino_tensor::try_zeroed_first_touch(len, exec)?;
-        Ok(Self::assemble(batch, out_channels, n_tiles, t_vol, data))
     }
 
     /// A zero-sized stand-in for the `y` a fused plan's scratch has not

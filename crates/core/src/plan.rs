@@ -686,38 +686,33 @@ impl ScratchShape {
     }
 }
 
-/// How a [`Scratch`] buffer is allocated: aborting on a refusal or with a
-/// typed error, plainly zeroed or first-touched through an executor.
+/// How a [`Scratch`] buffer is allocated: aborting on a refusal, or with a
+/// typed error.
 #[derive(Clone, Copy)]
-struct Seam<'e> {
+struct Seam {
     fallible: bool,
-    exec: Option<&'e dyn wino_sched::Executor>,
 }
 
-impl Seam<'_> {
+impl Seam {
     fn matrices(
         self,
         [t, rows, cols, rb, cb]: [usize; 5],
     ) -> Result<BlockedMatrices, wino_simd::AllocError> {
-        Ok(match (self.fallible, self.exec) {
-            (true, Some(e)) => BlockedMatrices::try_new_first_touch(t, rows, cols, rb, cb, e)?,
-            (true, None) => BlockedMatrices::try_new(t, rows, cols, rb, cb)?,
-            (false, Some(e)) => BlockedMatrices::new_first_touch(t, rows, cols, rb, cb, e),
-            (false, None) => BlockedMatrices::new(t, rows, cols, rb, cb),
-        })
+        if self.fallible {
+            return BlockedMatrices::try_new(t, rows, cols, rb, cb);
+        }
+        Ok(BlockedMatrices::new(t, rows, cols, rb, cb))
     }
 
     fn tile_major(self, s: &ScratchShape) -> Result<TileMajor, wino_simd::AllocError> {
         let (b, cp, n, t) = (s.batch, s.cp, s.n_tiles, s.t_vol);
-        Ok(match (self.fallible, self.exec) {
-            (true, Some(e)) => TileMajor::try_new_first_touch(b, cp, n, t, e)?,
-            (true, None) => TileMajor::try_new(b, cp, n, t)?,
-            (false, Some(e)) => TileMajor::new_first_touch(b, cp, n, t, e),
-            (false, None) => TileMajor::new(b, cp, n, t),
-        })
+        if self.fallible {
+            return TileMajor::try_new(b, cp, n, t);
+        }
+        Ok(TileMajor::new(b, cp, n, t))
     }
 
-    /// A zeroed per-slot buffer (placed by its slot afterwards, if at all).
+    /// A zeroed per-slot buffer.
     fn zeroed(self, len: usize) -> Result<AlignedVec, wino_simd::AllocError> {
         if self.fallible {
             return AlignedVec::try_zeroed(len);
@@ -766,19 +761,7 @@ impl Scratch {
     /// Allocate scratch for `layer`, usable with executors of up to
     /// `threads` thread slots.
     pub fn new(layer: &WinogradLayer, threads: usize) -> Scratch {
-        Scratch::build(layer, threads, Seam { fallible: false, exec: None })
-            .expect("the infallible seam aborts instead of returning a refusal")
-    }
-
-    /// As [`Scratch::new`], but the large buffers are zeroed — and
-    /// therefore NUMA-placed — through `exec`
-    /// (`wino_tensor::first_touch`): each executor thread first-touches
-    /// the region of the transformed-data buffers that the same executor's
-    /// partition will steer it at during the forward pass, and each ring
-    /// is touched from its own slot. Thread-slot count is taken from
-    /// `exec.threads()`.
-    pub fn new_first_touch(layer: &WinogradLayer, exec: &dyn wino_sched::Executor) -> Scratch {
-        Scratch::build(layer, exec.threads(), Seam { fallible: false, exec: Some(exec) })
+        Scratch::build(layer, threads, Seam { fallible: false })
             .expect("the infallible seam aborts instead of returning a refusal")
     }
 
@@ -787,22 +770,10 @@ impl Scratch {
     /// Every `Network` layer's resident scratch slot, and every retry of
     /// the run-time degradation walk, allocates through this seam.
     pub fn try_new(layer: &WinogradLayer, threads: usize) -> Result<Scratch, wino_simd::AllocError> {
-        Scratch::build(layer, threads, Seam { fallible: true, exec: None })
+        Scratch::build(layer, threads, Seam { fallible: true })
     }
 
-    /// Fallible [`Scratch::new_first_touch`].
-    pub fn try_new_first_touch(
-        layer: &WinogradLayer,
-        exec: &dyn wino_sched::Executor,
-    ) -> Result<Scratch, wino_simd::AllocError> {
-        Scratch::build(layer, exec.threads(), Seam { fallible: true, exec: Some(exec) })
-    }
-
-    fn build(
-        layer: &WinogradLayer,
-        threads: usize,
-        seam: Seam<'_>,
-    ) -> Result<Scratch, wino_simd::AllocError> {
+    fn build(layer: &WinogradLayer, threads: usize, seam: Seam) -> Result<Scratch, wino_simd::AllocError> {
         let shape = ScratchShape::of(layer);
         let t = shape.t_vol;
         let staged = layer.schedule == Schedule::Staged;
@@ -821,17 +792,7 @@ impl Scratch {
                 phase_ns: [0; 3],
             }));
         }
-        let scratch = Scratch { u, v, x, y, bufs, shape };
-        if let (Some(exec), true) = (seam.exec, shape.ring_floats > 0) {
-            // Fresh zero pages are committed where they are first written:
-            // write each ring from the slot that will work in it. A slot
-            // the executor skips keeps its (valid, all-zero) ring.
-            let _ = exec.run_grid(&[scratch.bufs.len()], &|slot, _| {
-                // SAFETY: slot exclusivity per the Executor contract.
-                unsafe { scratch.thread_buf(slot) }.ring.fill_zero();
-            });
-        }
-        Ok(scratch)
+        Ok(Scratch { u, v, x, y, bufs, shape })
     }
 
     /// Make sure the layer-sized `u`, `x` and `y` the stages hand on
@@ -839,7 +800,7 @@ impl Scratch {
     /// All that are missing or none: a refusal leaves the scratch as it
     /// was.
     pub(crate) fn materialise(&mut self) -> Result<(), wino_simd::AllocError> {
-        let seam = Seam { fallible: true, exec: None };
+        let seam = Seam { fallible: true };
         let missing =
             |m: &BlockedMatrices, dims| (m.t_count() == 0).then(|| seam.matrices(dims)).transpose();
         let u = missing(&self.u, self.shape.u())?;
@@ -861,7 +822,7 @@ impl Scratch {
     /// plan's scratch starts without them.
     pub(crate) fn materialise_v(&mut self) -> Result<(), wino_simd::AllocError> {
         if self.v.t_count() == 0 {
-            self.v = Seam { fallible: true, exec: None }.matrices(self.shape.v())?;
+            self.v = Seam { fallible: true }.matrices(self.shape.v())?;
         }
         Ok(())
     }
@@ -1086,28 +1047,6 @@ mod tests {
         let scratch = Scratch::new(&dual, 1);
         assert_eq!((scratch.u.rb(), scratch.u.cb()), (eq11.n_blk, eq11.c_blk));
         assert_ne!(eq11.c_blk, S);
-    }
-
-    #[test]
-    fn scratch_first_touch_matches_plain_scratch() {
-        for opts in [split_reduction(), ConvOptions::default()] {
-            let layer = WinogradLayer::new(shape2d(), &[4, 4], opts).unwrap();
-            let exec = wino_sched::StaticExecutor::new(3);
-            let ft = Scratch::new_first_touch(&layer, &exec);
-            let plain = Scratch::new(&layer, 3);
-            assert_eq!(ft.bytes(), plain.bytes());
-            assert_eq!(ft.thread_slots(), 3);
-            // First-touch zeroing must produce exactly the all-zero state
-            // the plain constructor guarantees.
-            assert!(ft.u.as_slice().iter().all(|&x| x == 0.0));
-            assert!(ft.x.as_slice().iter().all(|&x| x == 0.0));
-            for slot in 0..3 {
-                // SAFETY: no fork–join is running on `ft`.
-                let ring = &unsafe { ft.thread_buf(slot) }.ring;
-                assert_eq!(ring.len(), layer.ring_floats());
-                assert!(ring.iter().all(|&x| x == 0.0));
-            }
-        }
     }
 
     #[test]

@@ -366,7 +366,9 @@ fn validate_scaling(scaling: &Json, errs: &mut Vec<String>) {
             errs.push("scaling.skew_budget_us is not a number".into());
         }
     }
-    // Optional topology provenance: how the sweep saw the machine.
+    // Optional topology provenance: how the sweep saw the machine. No
+    // longer emitted (the sweep runs one flat pool); older reports that
+    // carry it are still checked the same way.
     if let Some(topo) = scaling.get("topology") {
         for key in ["domains", "cpus", "smt"] {
             if topo.get(key).and_then(Json::as_f64).is_none() {
@@ -496,7 +498,7 @@ mod tests {
             "host_threads": 4, "efficiency_floor": 0.6, "skew_budget_us": 25000,
             "topology": {"domains": 2, "cpus": 4, "smt": 1, "source": "env", "spec": "0-1;2-3"},
             "points": [
-              {"layer": "VGG 3.2", "mode": "strong", "threads": 1, "executor": "sharded",
+              {"layer": "VGG 3.2", "mode": "strong", "threads": 1, "executor": "static",
                "best_ms": 4.0, "mean_ms": 4.2, "speedup": 1.0, "efficiency": 1.0,
                "max_skew_us": 0.0, "mean_skew_us": 0.0},
               {"layer": "VGG 3.2", "mode": "strong", "threads": 4,
@@ -545,7 +547,7 @@ mod tests {
         let bad = valid_scaling_doc().replace("\"points\": [", "\"pointz\": [");
         let errs = validate(&parse(&bad).unwrap()).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("scaling.points missing")), "{errs:?}");
-        // Topology provenance is type-checked when present.
+        // The optional `topology` object is type-checked when present.
         let bad = valid_scaling_doc().replace("\"source\": \"env\"", "\"source\": 3");
         let errs = validate(&parse(&bad).unwrap()).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("scaling.topology.source")), "{errs:?}");

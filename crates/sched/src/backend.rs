@@ -197,10 +197,10 @@ impl DynamicExecutor {
         DynamicExecutor { threads }
     }
 
-    /// Executor sized by [`crate::topology::configured_threads`]
+    /// Executor sized by [`crate::host::configured_threads`]
     /// (`WINO_THREADS` override, else every online CPU).
     pub fn with_available_parallelism() -> DynamicExecutor {
-        DynamicExecutor::new(crate::topology::configured_threads())
+        DynamicExecutor::new(crate::host::configured_threads())
     }
 }
 

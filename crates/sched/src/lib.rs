@@ -7,17 +7,13 @@
 //! [`Executor`] backends (static / dynamic / serial) so the scheduling
 //! ablation can swap strategies without touching the convolution code.
 //!
-//! ## Topology awareness
+//! ## Host
 //!
-//! [`Topology`] describes the machine as cache-sharing CPU *domains*
-//! (detected from sysfs, overridden with `WINO_TOPOLOGY`, or flat), and
 //! [`configured_threads`] is the single sanctioned thread-count source
-//! (`WINO_THREADS` override included) — no caller should read
-//! `available_parallelism` directly. On multi-domain machines,
-//! [`ShardedPool`] runs one [`ThreadPool`] per domain so barrier traffic
-//! never crosses a cache boundary, with optional best-effort affinity
-//! pinning and per-domain failure isolation. See `DESIGN.md` §11 and
-//! `docs/scaling.md` for the policy and the measured scaling story.
+//! (`WINO_THREADS` override, else every online CPU) — no caller should
+//! read `available_parallelism` directly — and [`l2_bytes_per_thread`] /
+//! [`llc_bytes`] are the two cache figures the planner's rules read. See
+//! `DESIGN.md` §11 and `docs/scaling.md`.
 //!
 //! ## Failure model
 //!
@@ -37,10 +33,9 @@ pub mod barrier;
 pub mod fault;
 pub mod grid;
 pub mod handoff;
+pub mod host;
 pub mod pool;
 pub mod probed;
-pub mod shard;
-pub mod topology;
 
 pub use atomics::{AtomicUsizeOps, Atomics, Clock, StdAtomics, StdClock};
 pub use backend::{DynamicExecutor, Executor, SerialExecutor, StaticExecutor};
@@ -49,8 +44,4 @@ pub use barrier::{BarrierError, SpinBarrier, SpinBarrierIn};
 pub use grid::{GridPartition, TaskBox};
 pub use handoff::JobExitLatch;
 pub use pool::{default_deadline, PoolError, ThreadPool, DEFAULT_DEADLINE};
-pub use shard::ShardedPool;
-pub use topology::{
-    configured_threads, l2_bytes_per_thread, llc_bytes, parse_cpulist, pin_current_thread, render_cpulist,
-    Domain, Topology, TopologySource,
-};
+pub use host::{configured_threads, l2_bytes_per_thread, llc_bytes, parse_cpulist};

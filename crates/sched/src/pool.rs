@@ -202,24 +202,7 @@ impl ThreadPool {
 
     /// As [`ThreadPool::new`] with an explicit barrier watchdog deadline.
     pub fn with_deadline(n_threads: usize, deadline: Duration) -> ThreadPool {
-        ThreadPool::with_deadline_pinned(n_threads, deadline, None)
-    }
-
-    /// As [`ThreadPool::with_deadline`], optionally pinning every spawned
-    /// worker to `pin_cpus` (a topology domain's CPU set) before it first
-    /// parks at the start barrier. Pinning is best effort: if the kernel
-    /// refuses (or the target has no affinity syscall) the worker runs
-    /// unpinned — locality is an optimisation, never a correctness
-    /// requirement. The calling thread (tid 0) is *not* pinned here; a
-    /// driver that wants matching affinity pins itself (see
-    /// [`crate::shard::ShardedPool`]).
-    pub fn with_deadline_pinned(
-        n_threads: usize,
-        deadline: Duration,
-        pin_cpus: Option<Vec<usize>>,
-    ) -> ThreadPool {
         assert!(n_threads > 0);
-        let pin_cpus = pin_cpus.map(Arc::<[usize]>::from);
         let shared = Arc::new(Shared {
             start: SpinBarrier::new(n_threads),
             end: SpinBarrier::new(n_threads),
@@ -232,15 +215,9 @@ impl ThreadPool {
         let workers = (1..n_threads)
             .map(|tid| {
                 let shared = Arc::clone(&shared);
-                let pin = pin_cpus.clone();
                 std::thread::Builder::new()
                     .name(format!("wino-worker-{tid}"))
-                    .spawn(move || {
-                        if let Some(cpus) = pin {
-                            let _ = crate::topology::pin_current_thread(&cpus);
-                        }
-                        worker_loop(&shared, tid)
-                    })
+                    .spawn(move || worker_loop(&shared, tid))
                     .expect("failed to spawn worker")
             })
             .collect();
@@ -248,11 +225,10 @@ impl ThreadPool {
     }
 
     /// Pool sized by the process-wide thread policy
-    /// ([`crate::topology::configured_threads`]): the `WINO_THREADS`
-    /// override when set, otherwise every online CPU of the detected
-    /// topology.
+    /// ([`crate::host::configured_threads`]): the `WINO_THREADS`
+    /// override when set, otherwise every online CPU.
     pub fn with_available_parallelism() -> ThreadPool {
-        ThreadPool::new(crate::topology::configured_threads())
+        ThreadPool::new(crate::host::configured_threads())
     }
 
     pub fn n_threads(&self) -> usize {

@@ -177,13 +177,8 @@ impl AlignedVec {
         try_alloc(len, true, false).unwrap_or_else(|_| handle_alloc_error(Self::layout(len)))
     }
 
-    /// Allocate `len` floats, 64-byte aligned, **uninitialised** — the
-    /// building block for first-touch placement: `alloc_zeroed` hands back
-    /// copy-on-write zero pages whose physical frames are committed on the
-    /// *allocating* thread's NUMA node at first write, so a NUMA-aware
-    /// caller allocates uninitialised and zeroes each region from the
-    /// thread that will use it (see `wino-tensor`'s first-touch
-    /// constructors).
+    /// Allocate `len` floats, 64-byte aligned, **uninitialised**, for a
+    /// caller that writes every element itself before reading any.
     ///
     /// # Safety
     /// Every element must be written (e.g. zeroed) before the buffer is

@@ -38,23 +38,6 @@ impl BlockedImage {
         Ok(Self::assemble(batch, channels, dims, AlignedVec::zeroed(len)))
     }
 
-    /// As [`Self::zeros`], but the buffer is zeroed — and therefore
-    /// NUMA-placed — through `exec` (see [`crate::first_touch`]): each
-    /// executor thread first-touches the region of the image the
-    /// partitioner will later steer it at.
-    pub fn zeros_first_touch(
-        batch: usize,
-        channels: usize,
-        dims: &[usize],
-        exec: &dyn wino_sched::Executor,
-    ) -> Result<Self, ShapeError> {
-        let len = Self::validate(batch, channels, dims)?;
-        // ALLOC: infallible first-touch half; `try_zeros_first_touch` is
-        // the accounted path.
-        let data = crate::first_touch::zeroed_first_touch(len, exec);
-        Ok(Self::assemble(batch, channels, dims, data))
-    }
-
     /// Fallible [`Self::zeros`]: a typed [`TensorError::Alloc`] instead of
     /// an abort when the allocator refuses the buffer.
     pub fn try_zeros(
@@ -64,18 +47,6 @@ impl BlockedImage {
     ) -> Result<Self, TensorError> {
         let len = Self::validate(batch, channels, dims)?;
         let data = AlignedVec::try_zeroed(len)?;
-        Ok(Self::assemble(batch, channels, dims, data))
-    }
-
-    /// Fallible [`Self::zeros_first_touch`].
-    pub fn try_zeros_first_touch(
-        batch: usize,
-        channels: usize,
-        dims: &[usize],
-        exec: &dyn wino_sched::Executor,
-    ) -> Result<Self, TensorError> {
-        let len = Self::validate(batch, channels, dims)?;
-        let data = crate::first_touch::try_zeroed_first_touch(len, exec)?;
         Ok(Self::assemble(batch, channels, dims, data))
     }
 

@@ -21,13 +21,11 @@
 //! layer, [`TileGrid`] the overlap-add tiling (§3.1–3.2).
 
 pub mod blocked;
-pub mod first_touch;
 pub mod geometry;
 pub mod matrices;
 pub mod simple;
 
 pub use blocked::{BlockedImage, BlockedKernels};
-pub use first_touch::{try_zeroed_first_touch, zeroed_first_touch};
 pub use geometry::{ConvGeometry, ConvShape, TileGrid};
 pub use matrices::BlockedMatrices;
 pub use simple::{SimpleImage, SimpleKernels};

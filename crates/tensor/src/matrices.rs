@@ -48,24 +48,6 @@ impl BlockedMatrices {
         Self::assemble(t_count, rows, cols, rb, cb, AlignedVec::zeroed(len))
     }
 
-    /// As [`Self::new`], but the backing buffer is zeroed — and therefore
-    /// NUMA-placed — through `exec` (see [`crate::first_touch`]). Used for
-    /// the transformed-data scratch, the largest allocations of a plan.
-    pub fn new_first_touch(
-        t_count: usize,
-        rows: usize,
-        cols: usize,
-        rb: usize,
-        cb: usize,
-        exec: &dyn wino_sched::Executor,
-    ) -> Self {
-        let len = Self::validate(t_count, rows, cols, rb, cb);
-        // ALLOC: infallible first-touch half; `try_new_first_touch` is the
-        // accounted path.
-        let data = crate::first_touch::zeroed_first_touch(len, exec);
-        Self::assemble(t_count, rows, cols, rb, cb, data)
-    }
-
     /// Fallible [`Self::new`]: a typed [`wino_simd::AllocError`] instead
     /// of an abort when the allocator refuses the buffer. Shape
     /// constraints remain assertions — they are planner invariants, not
@@ -79,20 +61,6 @@ impl BlockedMatrices {
     ) -> Result<Self, wino_simd::AllocError> {
         let len = Self::validate(t_count, rows, cols, rb, cb);
         Ok(Self::assemble(t_count, rows, cols, rb, cb, AlignedVec::try_zeroed(len)?))
-    }
-
-    /// Fallible [`Self::new_first_touch`].
-    pub fn try_new_first_touch(
-        t_count: usize,
-        rows: usize,
-        cols: usize,
-        rb: usize,
-        cb: usize,
-        exec: &dyn wino_sched::Executor,
-    ) -> Result<Self, wino_simd::AllocError> {
-        let len = Self::validate(t_count, rows, cols, rb, cb);
-        let data = crate::first_touch::try_zeroed_first_touch(len, exec)?;
-        Ok(Self::assemble(t_count, rows, cols, rb, cb, data))
     }
 
     /// A zero-sized stand-in for temporarily moving a real buffer out of

@@ -205,10 +205,11 @@ run "$ANALYZE_TIMEOUT" cargo run --offline --release -q -p wino-analyze --bin wi
     --scenario serve- --scenario reinject-leaked-waiter \
     --execs 10000 --random 2000 --min-interleavings 10000
 
-# Topology gate: the sysfs parser must round-trip the pinned fixture
-# trees (1-socket, 2-socket SMT, CCX) through the WINO_TOPOLOGY spec
-# grammar — the contract that lets CI pin any machine shape it wants.
-run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-sched topology
+# Host-detection gate: the thread count and the two cache figures the
+# planner reads, over the pinned sysfs fixture trees (1-socket, 2-socket,
+# CCX) and the live host. The filter is the module path, so every test in
+# `wino_sched::host` runs and a renamed test cannot empty the gate.
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-sched host::
 
 # Observability gate: an instrumented smoke run must emit a perf report
 # that validates against the versioned schema (docs/bench-schema.md).
