@@ -2,16 +2,15 @@
 //!
 //! For each Table 2 layer, measures our Winograd implementation over the
 //! `F(m, r)` sweep (training and inference-"FX" variants), the vectorised
-//! direct convolution, the im2col + GEMM convolution, and (for 3-D layers,
-//! as in the paper) the FFT convolution — printing one CSV row per
-//! (layer, implementation) with best/mean milliseconds and effective
-//! GFLOP/s, plus the speedup of the best Winograd variant over the best
-//! non-Winograd baseline.
+//! direct convolution and the im2col + GEMM convolution — printing one CSV
+//! row per (layer, implementation) with best/mean milliseconds and
+//! effective GFLOP/s, plus the speedup of the best Winograd variant over
+//! the best non-Winograd baseline. The paper's FFT rows on the 3-D layers
+//! are not measured (EXPERIMENTS.md, Fig. 5).
 //!
 //! ```text
 //! cargo run -p wino-bench --release --bin fig5 -- [--full] [--threads N]
-//!     [--reps N] [--net VGG|FusionNet|C3D|3DUNet] [--fft-all] [--jit]
-//!     [--list] [--json]
+//!     [--reps N] [--net VGG|FusionNet|C3D|3DUNet] [--jit] [--list] [--json]
 //! ```
 //!
 //! `--json` replaces the CSV with a JSON array of the same rows (one
@@ -22,7 +21,7 @@
 //! patience on few cores).
 
 use wino_bench::{
-    make_executor, run_baseline_im2col, run_baseline_im2col_geo, run_direct, run_dispatch, run_fft,
+    make_executor, run_baseline_im2col, run_baseline_im2col_geo, run_direct, run_dispatch,
     run_winograd, Args, Measurement, Rows,
 };
 use wino_conv::ConvOptions;
@@ -78,9 +77,6 @@ fn main() {
         // Baselines first (the speedup denominators).
         rows.push(run_direct(layer, exec.as_ref(), reps));
         rows.push(run_baseline_im2col(layer, exec.as_ref(), reps));
-        if layer.rank() == 3 || args.flag("--fft-all") {
-            rows.push(run_fft(layer, exec.as_ref(), reps));
-        }
         let best_baseline = rows
             .iter()
             .map(|m| m.timing.best_ms)

@@ -85,26 +85,6 @@ fn main() {
                         let pair = JitKernelPair::compile(nb, cb, cpb).expect("jit compile");
                         best_of(reps, || wino_jit::jit_batched_gemm(&u, &v, &mut x, &pair))
                     }
-                    "jit-avx2" => {
-                        let kern = wino_jit::Avx2Kernel::compile(nb, cb, cpb, false)
-                            .expect("avx2 jit compile");
-                        best_of(reps, || {
-                            for t in 0..u.t_count() {
-                                for j in 0..v.col_blocks() {
-                                    for i in 0..u.row_blocks() {
-                                        // SAFETY: single k block (C = C_blk), offsets in bounds.
-                                        unsafe {
-                                            kern.call(
-                                                u.as_ptr().add(u.block_offset(i, 0, t)),
-                                                v.as_ptr().add(v.block_offset(0, j, t)),
-                                                x.as_mut_ptr().add(x.block_offset(i, j, t)),
-                                            )
-                                        };
-                                    }
-                                }
-                            }
-                        })
-                    }
                     _ => unreachable!(),
                 };
                 std::hint::black_box(x.as_slice()[0]);
@@ -122,37 +102,29 @@ fn main() {
                 format!("{generic:.2}"),
                 "1.00".to_string(),
             ]);
-            let mut report_capped = |engine: &str, cap: usize| {
+            let mut report = |engine: &str| {
                 let (mut best_g, mut best_nb) = (0.0f64, 0usize);
-                for &nb in nb_grid.iter().filter(|&&nb| nb <= cap) {
+                for &nb in &nb_grid {
                     let g = bench(nb, engine);
                     if g > best_g {
                         best_g = g;
                         best_nb = nb;
                     }
                 }
+                let (r, q) = table.largest_tile(best_nb, cpb);
                 out.push(&[
                     cb.to_string(),
                     cpb.to_string(),
                     engine.to_string(),
                     best_nb.to_string(),
-                    // The AVX2 generator keeps its own n_blk × 1 block.
-                    if engine == "jit-avx2" {
-                        format!("{best_nb}x1")
-                    } else {
-                        let (r, q) = table.largest_tile(best_nb, cpb);
-                        format!("{r}x{q}")
-                    },
+                    format!("{r}x{q}"),
                     format!("{best_g:.2}"),
                     format!("{:.2}", best_g / generic),
                 ]);
             };
-            report_capped("mono", usize::MAX);
+            report("mono");
             if have_jit {
-                report_capped("jit", usize::MAX);
-            }
-            if wino_simd::cpu_has_avx2_fma() {
-                report_capped("jit-avx2", wino_jit::MAX_N_BLK_AVX2);
+                report("jit");
             }
         }
     }

@@ -3,9 +3,9 @@
 //! Shared plumbing for the benchmark binaries that regenerate the paper's
 //! tables and figures (see `EXPERIMENTS.md` for the index):
 //!
-//! * timed runners ([`run_winograd`], [`run_direct`], [`run_baseline_im2col`],
-//!   [`run_fft`]) producing [`Measurement`] rows with the Fig. 5
-//!   direct-FLOPs effective-GFLOP/s normaliser,
+//! * timed runners ([`run_winograd`], [`run_direct`], [`run_baseline_im2col`])
+//!   producing [`Measurement`] rows with the Fig. 5 direct-FLOPs
+//!   effective-GFLOP/s normaliser,
 //! * the [`perf`] module: machine calibration, per-stage work models and
 //!   instrumented runs under a `ProbedExecutor`, and the versioned
 //!   `BENCH_*.json` document assembly (`docs/bench-schema.md`),
@@ -426,16 +426,13 @@ pub fn run_baseline_im2col(layer: &Layer, exec: &dyn Executor, reps: usize) -> M
     measurement(layer, "im2col-gemm".into(), &layer.shape, timing)
 }
 
-/// Time the FFT baseline (operates on interchange tensors).
-pub fn run_fft(layer: &Layer, exec: &dyn Executor, reps: usize) -> Measurement {
-    let img = uniform_input(&layer.shape, 42);
-    let ker = xavier_kernels(&layer.shape, 42 ^ 0xabcd);
-    let timing = time_best(reps, || {
-        let out = wino_fft::fft_conv(&img, &ker, &layer.shape.padding, exec)
-            .expect("benchmark fft_conv failed");
-        std::hint::black_box(out.data.first().copied());
-    });
-    measurement(layer, "fft".into(), &layer.shape, timing)
+/// The value of flag `name` in `raw` as a count: `Ok(None)` when the flag
+/// is absent, an `Err` naming the flag when it is the last argument or its
+/// value is not a non-negative integer.
+pub fn parse_usize_flag(raw: &[String], name: &str) -> Result<Option<usize>, String> {
+    let Some(i) = raw.iter().position(|a| a == name) else { return Ok(None) };
+    let Some(v) = raw.get(i + 1) else { return Err(format!("{name} needs a value")) };
+    v.parse().map(Some).map_err(|_| format!("{name} {v}: not a non-negative integer"))
 }
 
 /// Minimal flag parser: `--key value` pairs plus bare flags.
@@ -460,8 +457,17 @@ impl Args {
             .map(|s| s.as_str())
     }
 
+    /// The count flag `name`, or `default` when it is absent. A missing
+    /// or malformed value ends the process with status 2
+    /// ([`parse_usize_flag`]).
     pub fn usize_or(&self, name: &str, default: usize) -> usize {
-        self.value(name).and_then(|v| v.parse().ok()).unwrap_or(default)
+        match parse_usize_flag(&self.raw, name) {
+            Ok(v) => v.unwrap_or(default),
+            Err(msg) => {
+                eprintln!("error: {msg}");
+                std::process::exit(2)
+            }
+        }
     }
 
     pub fn positional(&self) -> Vec<&str> {
@@ -497,5 +503,28 @@ pub fn make_executor(args: &Args) -> Box<dyn Executor> {
         Box::new(wino_sched::SerialExecutor)
     } else {
         Box::new(wino_sched::StaticExecutor::new(threads))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_usize_flag;
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn count_flags_parse_or_name_the_bad_value() {
+        assert_eq!(parse_usize_flag(&argv("--rows 64 --reps 3"), "--reps"), Ok(Some(3)));
+        assert_eq!(parse_usize_flag(&argv("--rows 64"), "--reps"), Ok(None));
+        assert_eq!(
+            parse_usize_flag(&argv("--reps abc --rows 64"), "--reps"),
+            Err("--reps abc: not a non-negative integer".to_string())
+        );
+        assert_eq!(
+            parse_usize_flag(&argv("--rows 64 --threads"), "--threads"),
+            Err("--threads needs a value".to_string())
+        );
     }
 }

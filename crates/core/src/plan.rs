@@ -81,8 +81,9 @@ pub enum Stage2Backend {
 #[derive(Clone, Copy, Debug)]
 pub struct ConvOptions {
     /// Explicit blocking parameters; `None` uses the Eq. 11 model
-    /// default. `examples/autotune_wisdom.rs` shows how to feed a tuned
-    /// or remembered shape (`wino_gemm::autotune_with_wisdom`) in here.
+    /// default (`wino_gemm::default_shape`). An explicit shape also pins
+    /// the ring's panel height and the dual ring's `(C_blk, C'_blk)`;
+    /// tests and `fusion --n-blk` set it to sweep blockings.
     pub block: Option<BlockShape>,
     /// Stage-2 kernel engine.
     pub stage2: Stage2Backend,

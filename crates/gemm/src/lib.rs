@@ -12,16 +12,15 @@
 //! * [`generic`] — a non-specialised stand-in for library GEMMs (Fig. 6's
 //!   comparison point).
 //! * [`model`] — Eq. 11 compute-to-memory analysis and the §4.3.2
-//!   constraint system for legal blockings.
-//! * [`tune`] / [`wisdom`] — FFTW-style empirical parameter search with a
-//!   persistent wisdom file.
+//!   constraint system for legal blockings; every plan's default
+//!   blocking is [`default_shape`]. The paper's FFTW-style empirical
+//!   search is not reproduced: it did not beat the model (EXPERIMENTS.md,
+//!   "§4.3.2 — tuned vs Eq. 11").
 
 pub mod blocked;
 pub mod generic;
 pub mod micro;
 pub mod model;
-pub mod tune;
-pub mod wisdom;
 
 pub use blocked::{batched_gemm, batched_gemm_parallel, dense_reference};
 pub use generic::batched_gemm_generic;
@@ -29,5 +28,3 @@ pub use micro::{
     microkernel, microkernel_reference, strips, MicroArgs, Output, TileTable, MAX_N_BLK,
 };
 pub use model::{candidate_shapes, default_shape, BlockShape, KNL_MACHINE_RATIO, MAX_V_ELEMS};
-pub use tune::{autotune, autotune_with_wisdom, time_shape, TuneConfig, TuneResult};
-pub use wisdom::Wisdom;

@@ -19,7 +19,7 @@
 //! 6×4 / 8×3 / 12×2 / 16×1, AVX2 (two `ymm` per vector) 6×1.
 //!
 //! **Strip walk.** `n_blk` stays what it is everywhere else — panel
-//! height, row block of the `Û`/`X̂` layouts, padding unit, wisdom key.
+//! height, row block of the `Û`/`X̂` layouts, padding unit.
 //! Inside a call the panel's `C'_blk/S` column vectors are cut into
 //! near-equal column strips of at most `Q_max` vectors and, per column
 //! strip, its `n_blk` rows into near-equal row strips of at most

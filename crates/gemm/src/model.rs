@@ -103,7 +103,7 @@ pub fn candidate_shapes(c: usize, cp: usize, rows: usize) -> Vec<BlockShape> {
 /// ratio, tie-broken by squarer blocks (ratio ties are common — e.g.
 /// 256×64 and 128×128 both score 85.33 — and square `V̂` blocks amortise
 /// better across both panel directions), then least row padding, then
-/// larger `n_blk`. The empirical autotuner (`crate::tune`) refines this.
+/// larger `n_blk`.
 pub fn default_shape(c: usize, cp: usize, rows: usize) -> BlockShape {
     let cands = candidate_shapes(c, cp, rows);
     assert!(!cands.is_empty(), "no legal blocking for C={c}, C'={cp}");
@@ -188,6 +188,22 @@ mod tests {
         let s = default_shape(512, 512, 960);
         assert_eq!((s.c_blk, s.cp_blk), (128, 128));
         assert!(s.n_blk >= 6);
+    }
+
+    #[test]
+    fn default_shape_is_legal_on_every_layer() {
+        let channels = [16, 32, 64, 128, 256, 512, 1024];
+        for c in channels {
+            for cp in channels {
+                for rows in [1, 5, 6, 9, 30, 31, 1600] {
+                    let s = default_shape(c, cp, rows);
+                    let at = format!("C={c} C'={cp} rows={rows}: {s:?}");
+                    assert_eq!((c % s.c_blk, cp % s.cp_blk), (0, 0), "{at}");
+                    assert!(s.c_blk * s.cp_blk <= MAX_V_ELEMS, "{at}");
+                    assert!((6.min(rows)..=MAX_N_BLK.min(rows)).contains(&s.n_blk), "{at}");
+                }
+            }
+        }
     }
 
     #[test]

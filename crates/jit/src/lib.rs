@@ -17,12 +17,13 @@
 //! Requires AVX-512F at runtime (checked; compilation returns
 //! [`kernel::JitError::Avx512Unavailable`] otherwise) and Linux `mmap`
 //! (the `libc` dependency — see DESIGN.md's dependency justification).
+//! EVEX is the only encoding: below AVX-512, stage 2 runs `wino-gemm`'s
+//! kernels on `wino-simd`'s AVX2 backend. The paper's §6 AVX2 generator
+//! is not reproduced (EXPERIMENTS.md, "§6 — AVX2 JIT vs Mono").
 
-pub mod avx2;
 pub mod encode;
 pub mod exec;
 pub mod kernel;
 
-pub use avx2::{Avx2Kernel, MAX_N_BLK_AVX2};
 pub use exec::ExecBuffer;
 pub use kernel::{jit_batched_gemm, JitError, JitKernel, JitKernelPair, JitOutput};

@@ -87,7 +87,7 @@ impl ModelSpec {
 /// Suggested batch ceiling from the blocking model: the smallest batch
 /// whose tile grid keeps `threads` workers load-balanced (≥ 4 tile
 /// work-units per thread in the *least* parallel layer — the same
-/// saturation reasoning the tuner's Eq. 11 blocking uses), capped at 16
+/// saturation reasoning the Eq. 11 blocking model uses), capped at 16
 /// so batching never trades unbounded latency for throughput.
 pub fn suggested_max_batch(spec: &ModelSpec, threads: usize) -> Result<usize, ShapeError> {
     let mut min_tiles = usize::MAX;

@@ -81,9 +81,10 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # even kernels, dense and grouped, Mono and — under avx512 — JIT, every
 # executor).
 #
-# Plus the cross-implementation equivalence battery (Winograd, direct,
-# im2col, FFT against the f64 oracle) and the executor/JIT agreement
-# tests, which compare runs *within* one backend.
+# Plus the cross-implementation equivalence battery (Winograd through a
+# plan and through the one-shot API, direct and im2col, each against the
+# f64 oracle) and the executor/JIT agreement tests, which compare runs
+# *within* one backend.
 #
 # Codelet gate: the stages run build-time generated transform codelets and
 # nothing else, so (named below — a rename must touch this script) every
@@ -124,6 +125,9 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # (AVX2 cuts a 30-row panel into five strips of six), and under avx512
 # the JIT's machine code must equal the Rust kernel bit for bit (the JIT
 # tests skip themselves below it).
+#
+# Figure gate: `fig6` on a small panel (its `jit` rows only under avx512)
+# must exit 0 on every backend.
 isas=(scalar)
 grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo 2>/dev/null && isas+=(avx2)
 grep -qw avx512f /proc/cpuinfo 2>/dev/null && isas+=(avx512)
@@ -156,7 +160,12 @@ for isa in "${isas[@]}"; do
         cargo test --offline -q -p wino-conv --lib -- conv::tests::both_store_flavours
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-gemm -p wino-jit --lib
+    run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+        cargo run --offline --release -q -p wino-bench --bin fig6 -- --rows 64 --t 1 --reps 1
 done
+# ... and `fig5` once over the rank-3 layers of one network.
+run "$TEST_TIMEOUT" cargo run --offline --release -q -p wino-bench --bin fig5 -- \
+    --net 3DUNet --reps 1
 
 # Accuracy gate: (a) every practical F(m, r) must measure within its
 # exact a-priori conditioning bound (the `accuracy` binary exits non-zero

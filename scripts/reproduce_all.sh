@@ -25,7 +25,7 @@ echo "== test suite =="
 cargo test --workspace 2>&1 | grep -E "test result" | tail -40
 
 mkdir -p results
-echo "== Figure 5 (layer runtimes; ~minutes, FFT rows dominate) =="
+echo "== Figure 5 (layer runtimes; ~minutes) =="
 target/release/fig5 --reps 2 --jit --threads "$THREADS" $FULL > results/fig5_results.csv
 echo "   -> results/fig5_results.csv"
 

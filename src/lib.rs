@@ -12,13 +12,13 @@
 //!   generation + codelet compilation;
 //! * [`tensor`] (`wino-tensor`) — the blocked data layouts of Table 1;
 //! * [`simd`] (`wino-simd`) — the 16-lane vector substrate;
-//! * [`gemm`] (`wino-gemm`) — specialised batched GEMM + autotuner;
-//! * [`jit`] (`wino-jit`) — runtime x86-64 code generation of the GEMM
+//! * [`gemm`] (`wino-gemm`) — specialised batched GEMM + the Eq. 11
+//!   blocking model;
+//! * [`jit`] (`wino-jit`) — runtime AVX-512 code generation of the GEMM
 //!   micro-kernel;
 //! * [`sched`] (`wino-sched`) — static scheduler, spin barrier, executors;
 //! * [`baseline`] (`wino-baseline`) — direct / im2col / reference
 //!   convolutions;
-//! * [`fft`] (`wino-fft`) — FFT substrate and FFT convolution baseline;
 //! * [`workloads`] (`wino-workloads`) — the Table 2 catalogue, data
 //!   generators and metrics;
 //! * [`rng`] (`wino-rng`) — seeded PRNG for data generation and
@@ -31,7 +31,6 @@
 
 pub use wino_baseline as baseline;
 pub use wino_conv as conv;
-pub use wino_fft as fft;
 pub use wino_gemm as gemm;
 pub use wino_jit as jit;
 pub use wino_probe as probe;

@@ -1,6 +1,6 @@
 //! Integration tests for the evaluation-side claims: Table 3's error
 //! monotonicity, the FLOP accounting used in Fig. 5 reporting, and
-//! wisdom-guided planning. (The point-schedule conditioning ablation is
+//! planning over the catalogue. (The point-schedule conditioning ablation is
 //! exact arithmetic: `wino_transforms::conditioning`'s tests.)
 
 use winograd_nd_repro::baseline::{direct_f64, element_errors};
