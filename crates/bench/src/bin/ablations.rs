@@ -9,11 +9,8 @@
 //!   sample network (§5.1), Winograd vs direct.
 //!
 //! ```text
-//! cargo run -p wino-bench --release --bin ablations -- <subcommand> [--threads N] [--reps N] [--json]
+//! cargo run -p wino-bench --release --bin ablations -- <subcommand> [--threads N] [--reps N]
 //! ```
-//!
-//! `--json` replaces each subcommand's CSV with a JSON array of the same
-//! rows.
 //!
 //! (§4.2.1's non-temporal stores have no row: which stores bypass the
 //! cache is the plan's decision, `WinogradLayer::streams`, not an option —
@@ -26,9 +23,9 @@ use wino_sched::{DynamicExecutor, Executor, SerialExecutor, StaticExecutor};
 use wino_tensor::BlockedMatrices;
 use wino_workloads::{budden_sample_net, mvox_per_sec, scaled_catalog, time_best};
 
-fn blocking_model(reps: usize, json: bool) {
+fn blocking_model(reps: usize) {
     // Serial on purpose: the model is per-core.
-    let mut out = Rows::new(json, &["n_blk", "c_blk", "cp_blk", "eq11_ratio_beta1", "gflops"]);
+    let mut out = Rows::new(&["n_blk", "c_blk", "cp_blk", "eq11_ratio_beta1", "gflops"]);
     let (t, rows, c, cp) = (8usize, 1024usize, 512usize, 512usize);
     let mut shapes: Vec<BlockShape> = candidate_shapes(c, cp, rows)
         .into_iter()
@@ -60,11 +57,10 @@ fn blocking_model(reps: usize, json: bool) {
             format!("{gflops:.2}"),
         ]);
     }
-    out.finish();
 }
 
-fn scheduling(threads: usize, reps: usize, json: bool) {
-    let mut out = Rows::new(json, &["layer", "executor", "threads", "full_ms"]);
+fn scheduling(threads: usize, reps: usize) {
+    let mut out = Rows::new(&["layer", "executor", "threads", "full_ms"]);
     let layer =
         scaled_catalog().into_iter().find(|l| l.id() == "VGG 3.2").expect("layer in scaled catalogue");
     let m = vec![4usize; 2];
@@ -83,11 +79,10 @@ fn scheduling(threads: usize, reps: usize, json: bool) {
             format!("{:.3}", meas.timing.best_ms),
         ]);
     }
-    out.finish();
 }
 
-fn budden_net(exec: &dyn Executor, reps: usize, image: usize, json: bool) {
-    let mut out = Rows::new(json, &["layer", "impl", "best_ms", "mvox_per_s"]);
+fn budden_net(exec: &dyn Executor, reps: usize, image: usize) {
+    let mut out = Rows::new(&["layer", "impl", "best_ms", "mvox_per_s"]);
     for layer in budden_sample_net(image) {
         // 4×4 kernels: F(3×3, 4×4) gives α = 6 tiles.
         let meas = run_winograd(&layer, &[3, 3], false, ConvOptions::default(), exec, reps)
@@ -106,7 +101,6 @@ fn budden_net(exec: &dyn Executor, reps: usize, image: usize, json: bool) {
             format!("{:.1}", mvox_per_sec(&layer.shape, d.timing.best_ms)),
         ]);
     }
-    out.finish();
 }
 
 fn main() {
@@ -114,14 +108,13 @@ fn main() {
     let reps = args.usize_or("--reps", 3);
     let exec = make_executor(&args);
     let sub = args.positional().first().map(|s| s.to_string()).unwrap_or_default();
-    let json = args.flag("--json");
     match sub.as_str() {
-        "blocking-model" => blocking_model(reps, json),
+        "blocking-model" => blocking_model(reps),
         "scheduling" => {
             let threads = args.usize_or("--threads", wino_sched::configured_threads());
-            scheduling(threads.max(2), reps, json)
+            scheduling(threads.max(2), reps)
         }
-        "budden-net" => budden_net(exec.as_ref(), reps, args.usize_or("--image", 256), json),
+        "budden-net" => budden_net(exec.as_ref(), reps, args.usize_or("--image", 256)),
         other => {
             eprintln!(
                 "unknown subcommand {other:?}; expected one of: blocking-model, scheduling, \

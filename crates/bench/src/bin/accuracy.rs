@@ -16,7 +16,7 @@
 //! bound it would predict for the same layer, with no measured column.
 //!
 //! ```text
-//! cargo run -p wino-bench --release --bin accuracy -- [--threads N] [--json]
+//! cargo run -p wino-bench --release --bin accuracy -- [--threads N]
 //! cargo run -p wino-bench --release --bin accuracy -- --sentinel-smoke
 //! ```
 //!
@@ -117,10 +117,8 @@ fn main() {
     if args.flag("--sentinel-smoke") {
         sentinel_smoke(exec.as_ref());
     }
-    let mut sink = Rows::new(
-        args.flag("--json"),
-        &["m", "r", "points", "gamma", "predicted_bound", "measured_rel_err", "headroom"],
-    );
+    let mut sink =
+        Rows::new(&["m", "r", "points", "gamma", "predicted_bound", "measured_rel_err", "headroom"]);
 
     let mut violations = 0usize;
     for r in [3usize, 5] {
@@ -171,7 +169,6 @@ fn main() {
             ]);
         }
     }
-    sink.finish();
     if violations > 0 {
         eprintln!("error: {violations} bound violation(s)");
         std::process::exit(1);

@@ -10,11 +10,8 @@
 //!
 //! ```text
 //! cargo run -p wino-bench --release --bin fig5 -- [--full] [--threads N]
-//!     [--reps N] [--net VGG|FusionNet|C3D|3DUNet] [--jit] [--list] [--json]
+//!     [--reps N] [--net VGG|FusionNet|C3D|3DUNet] [--jit] [--list]
 //! ```
-//!
-//! `--json` replaces the CSV with a JSON array of the same rows (one
-//! object per row, keyed by column name).
 //!
 //! Defaults to the scaled catalogue (see `wino_workloads::scaled_catalog`);
 //! `--full` uses the paper's exact layer sizes (needs ≥16 GB and a lot of
@@ -61,10 +58,8 @@ fn main() {
         reps,
         wino_simd::backend_name()
     );
-    let mut out = Rows::new(
-        args.flag("--json"),
-        &["layer", "impl", "best_ms", "mean_ms", "effective_gflops", "speedup_vs_best_baseline"],
-    );
+    let mut out =
+        Rows::new(&["layer", "impl", "best_ms", "mean_ms", "effective_gflops", "speedup_vs_best_baseline"]);
 
     for layer in &layers {
         if let Some(f) = &net_filter {
@@ -147,5 +142,4 @@ fn main() {
             }
         }
     }
-    out.finish();
 }

@@ -16,10 +16,8 @@
 //! computing n_blk rows … were considered and the fastest one recorded").
 //!
 //! ```text
-//! cargo run -p wino-bench --release --bin fig6 -- [--rows N] [--t N] [--reps N] [--json]
+//! cargo run -p wino-bench --release --bin fig6 -- [--rows N] [--t N] [--reps N]
 //! ```
-//!
-//! `--json` replaces the CSV with a JSON array of the same rows.
 
 use std::time::Instant;
 
@@ -55,10 +53,7 @@ fn main() {
         eprintln!("# warning: no AVX-512F — jit column skipped");
     }
 
-    let mut out = Rows::new(
-        args.flag("--json"),
-        &["c_blk", "cp_blk", "impl", "n_blk", "tile", "gflops", "speedup_vs_generic"],
-    );
+    let mut out = Rows::new(&["c_blk", "cp_blk", "impl", "n_blk", "tile", "gflops", "speedup_vs_generic"]);
     let table = TileTable::active();
     let sizes = [16usize, 32, 48, 64, 96, 128];
     let nb_grid = [6usize, 8, 10, 14, 22, 30];
@@ -128,5 +123,4 @@ fn main() {
             }
         }
     }
-    out.finish();
 }

@@ -6,7 +6,7 @@
 //! is equal bit for bit, and print the medians.
 //!
 //! ```text
-//! cargo run -p wino-bench --release --bin fusion -- [--reps N] [--threads N] [--n-blk N] [--json]
+//! cargo run -p wino-bench --release --bin fusion -- [--reps N] [--threads N] [--n-blk N]
 //! ```
 //!
 //! Which schedule a plan runs is the plan's decision (`schedule`: `ring`
@@ -87,13 +87,10 @@ fn main() {
     let l2_bytes = wino_sched::l2_bytes_per_thread();
     let jit_available = wino_simd::cpu_has_avx512f();
 
-    let mut out = Rows::new(
-        args.flag("--json"),
-        &[
-            "layer", "threads", "T", "v_bytes", "ring_bytes", "l2_bytes", "n_blk", "schedule",
-            "staged_ms", "fused_ms", "ratio", "staged_train_ms", "train_ms", "train_ratio",
-        ],
-    );
+    let mut out = Rows::new(&[
+        "layer", "threads", "T", "v_bytes", "ring_bytes", "l2_bytes", "n_blk", "schedule",
+        "staged_ms", "fused_ms", "ratio", "staged_train_ms", "train_ms", "train_ratio",
+    ]);
     for r in &ROWS {
         let exec: &dyn Executor = if r.pooled { pool.as_ref() } else { &SerialExecutor };
         let rank = r.dims.len();
@@ -199,5 +196,4 @@ fn main() {
             format!("{:.3}", train / staged_train),
         ]);
     }
-    out.finish();
 }

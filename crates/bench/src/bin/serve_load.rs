@@ -1,5 +1,5 @@
 //! Open-loop load generator for the serving layer — the overload gate's
-//! evidence, emitted as a schema-v3 `BENCH_serve.json` document.
+//! evidence, printed to stderr as `#` lines.
 //!
 //! Open-loop means arrivals follow a fixed schedule regardless of
 //! completions (the standard way to expose coordinated omission): the
@@ -12,8 +12,7 @@
 //! ```text
 //! cargo run -p wino-bench --release --bin serve_load -- \
 //!     [--requests N] [--threads N] [--deadline-ms D] [--load F] \
-//!     [--queue N] [--max-batch N] [--watchdog-ms W] [--out FILE] \
-//!     [--date YYYY-MM-DD] [--soak]
+//!     [--queue N] [--max-batch N] [--watchdog-ms W] [--memory-ceiling-mib M] [--soak]
 //! ```
 //!
 //! `--soak` (requires the `fault-inject` feature) arms worker panics,
@@ -25,13 +24,11 @@
 
 use std::time::{Duration, Instant};
 
-use wino_bench::perf::{calibrate, memory_json, today_utc};
+use wino_bench::perf::calibrate;
 use wino_bench::{make_executor, Args};
 use wino_conv::{FallbackPolicy, LayerSpec, Network};
-use wino_probe::{parse_json, validate_schema, Counter, Json, MachineModel, SCHEMA_VERSION};
 use wino_serve::{
-    BreakerConfig, DegradeLevel, ModelSpec, ServeError, ServeOptions, ServeStats, Server,
-    ServiceModel, Ticket,
+    BreakerConfig, DegradeLevel, ModelSpec, ServeError, ServeOptions, Server, ServiceModel, Ticket,
 };
 use wino_tensor::{BlockedImage, BlockedKernels, SimpleKernels};
 
@@ -141,8 +138,6 @@ struct Tally {
     shed_memory: u64,
     shut_down: u64,
     latencies_ms: Vec<f64>,
-    backends: std::collections::BTreeMap<&'static str, u64>,
-    fallbacks: std::collections::BTreeMap<&'static str, u64>,
 }
 
 impl Tally {
@@ -165,12 +160,6 @@ impl Tally {
                     self.completed_in_deadline += 1;
                 }
                 self.latencies_ms.push(resp.report.total_ms);
-                for l in &resp.report.layers {
-                    *self.backends.entry(l.backend.name()).or_default() += 1;
-                    if let Some(f) = &l.fallback {
-                        *self.fallbacks.entry(f.code()).or_default() += 1;
-                    }
-                }
             }
             Err(e) => self.record_rejection(e),
         }
@@ -186,108 +175,6 @@ impl Tally {
         v[idx.min(v.len() - 1)]
     }
 
-    fn mean(&self) -> f64 {
-        if self.latencies_ms.is_empty() {
-            return 0.0;
-        }
-        self.latencies_ms.iter().sum::<f64>() / self.latencies_ms.len() as f64
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // report assembly: each argument is one measured quantity
-fn serve_document(
-    date: &str,
-    machine: &MachineModel,
-    stats: &ServeStats,
-    tally: &Tally,
-    offered_rps: f64,
-    sustainable_rps: f64,
-    duration_s: f64,
-    deadline_ms: f64,
-    max_batch: usize,
-    modeled_bytes: usize,
-    memory_ceiling: Option<usize>,
-) -> Json {
-    let shed =
-        stats.shed_overload + stats.shed_deadline + stats.shed_predicted + stats.shed_memory;
-    let mut serve = vec![
-        ("requests".into(), Json::Num(stats.submitted as f64)),
-        ("admitted".into(), Json::Num(stats.admitted as f64)),
-        ("completed".into(), Json::Num(stats.completed as f64)),
-        ("failed".into(), Json::Num(stats.failed as f64)),
-        ("shed_overload".into(), Json::Num(stats.shed_overload as f64)),
-        ("shed_deadline".into(), Json::Num(stats.shed_deadline as f64)),
-        ("shed_predicted".into(), Json::Num(stats.shed_predicted as f64)),
-        ("shed_memory".into(), Json::Num(stats.shed_memory as f64)),
-        ("p50_ms".into(), Json::Num(tally.percentile(0.50))),
-        ("p95_ms".into(), Json::Num(tally.percentile(0.95))),
-        ("p99_ms".into(), Json::Num(tally.percentile(0.99))),
-        ("mean_ms".into(), Json::Num(tally.mean())),
-        (
-            "goodput_rps".into(),
-            Json::Num(if duration_s > 0.0 {
-                tally.completed_in_deadline as f64 / duration_s
-            } else {
-                0.0
-            }),
-        ),
-        (
-            "shed_rate".into(),
-            Json::Num(if stats.submitted > 0 { shed as f64 / stats.submitted as f64 } else { 0.0 }),
-        ),
-        ("breaker_trips".into(), Json::Num(stats.breaker_trips as f64)),
-        ("breaker_recoveries".into(), Json::Num(stats.breaker_recoveries as f64)),
-        ("pool_rebuilds".into(), Json::Num(stats.pool_rebuilds as f64)),
-        ("batches".into(), Json::Num(stats.batches as f64)),
-        ("batch_failures".into(), Json::Num(stats.batch_failures as f64)),
-        ("peak_depth".into(), Json::Num(stats.peak_depth as f64)),
-        ("offered_rps".into(), Json::Num(offered_rps)),
-        ("sustainable_rps".into(), Json::Num(sustainable_rps)),
-        ("duration_s".into(), Json::Num(duration_s)),
-        ("deadline_ms".into(), Json::Num(deadline_ms)),
-        ("max_batch".into(), Json::Num(max_batch as f64)),
-        (
-            "backends".into(),
-            Json::Obj(
-                tally.backends.iter().map(|(k, v)| (k.to_string(), Json::Num(*v as f64))).collect(),
-            ),
-        ),
-        (
-            "fallbacks".into(),
-            Json::Obj(
-                tally
-                    .fallbacks
-                    .iter()
-                    .map(|(k, v)| (k.to_string(), Json::Num(*v as f64)))
-                    .collect(),
-            ),
-        ),
-    ];
-    if let Some(c) = memory_ceiling {
-        serve.push(("memory_ceiling_bytes".into(), Json::Num(c as f64)));
-    }
-    Json::Obj(vec![
-        ("schema_version".into(), Json::Num(SCHEMA_VERSION as f64)),
-        ("generated_by".into(), Json::Str("wino-bench serve_load".into())),
-        ("date".into(), Json::Str(date.to_string())),
-        (
-            "machine".into(),
-            Json::Obj(vec![
-                ("peak_gflops".into(), Json::Num(machine.peak_gflops)),
-                ("mem_bw_gbps".into(), Json::Num(machine.mem_bw_gbps)),
-                ("threads".into(), Json::Num(machine.threads as f64)),
-                ("simd".into(), Json::Str(wino_simd::backend_name().to_string())),
-            ]),
-        ),
-        ("serve".into(), Json::Obj(serve)),
-        ("memory".into(), memory_json(modeled_bytes, memory_ceiling)),
-        (
-            "counters".into(),
-            Json::Obj(
-                Counter::ALL.iter().map(|c| (c.name().to_string(), Json::Num(c.get() as f64))).collect(),
-            ),
-        ),
-    ])
 }
 
 fn main() {
@@ -457,42 +344,13 @@ fn main() {
         level.name()
     );
     eprintln!(
-        "# latency p50 {:.2} / p95 {:.2} / p99 {:.2} ms (deadline {deadline_ms} ms)",
+        "# latency p50 {:.2} / p95 {:.2} / p99 {:.2} ms (deadline {deadline_ms} ms); goodput \
+         {:.0} rps in deadline over {duration_s:.2} s",
         tally.percentile(0.50),
         tally.percentile(0.95),
-        tally.percentile(0.99)
+        tally.percentile(0.99),
+        tally.completed_in_deadline as f64 / duration_s
     );
-
-    let date = args.value("--date").map(str::to_string).unwrap_or_else(today_utc);
-    let doc = serve_document(
-        &date,
-        &machine,
-        &stats,
-        &tally,
-        offered_rps,
-        sustainable_rps,
-        duration_s,
-        deadline_ms,
-        max_batch,
-        modeled_bytes,
-        memory_ceiling,
-    );
-    let rendered = doc.render_pretty();
-    let reparsed = parse_json(&rendered).expect("emitted JSON must re-parse");
-    if let Err(errs) = validate_schema(&reparsed) {
-        eprintln!("error: assembled report fails its own schema:");
-        for e in &errs {
-            eprintln!("  - {e}");
-        }
-        std::process::exit(1);
-    }
-    match args.value("--out") {
-        Some(path) => {
-            std::fs::write(path, &rendered).expect("write report");
-            eprintln!("# wrote {path}");
-        }
-        None => print!("{rendered}"),
-    }
 
     if soak {
         // The gate's contract. Reaching this point at all means no panic

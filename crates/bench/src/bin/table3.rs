@@ -9,17 +9,14 @@
 //! convolution as the control column.
 //!
 //! ```text
-//! cargo run -p wino-bench --release --bin table3 -- [--threads N] [--small] [--json]
+//! cargo run -p wino-bench --release --bin table3 -- [--threads N] [--small]
 //! ```
-//!
-//! `--json` replaces the formatted tables with one JSON array of rows
-//! `{block, case, train_max, train_avg, infer_max, infer_avg}`.
 //!
 //! The engine plans the Wincnn-style fractional points only; for the
 //! integer schedule `accuracy` prints the exact γ beside the mixed one.
 
 use wino_baseline::{direct_conv, direct_f64, element_errors};
-use wino_bench::{make_executor, Args, Rows};
+use wino_bench::{make_executor, Args};
 use wino_conv::{ConvOptions, Scratch, WinogradLayer};
 use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, ConvShape, SimpleImage, SimpleKernels};
@@ -55,13 +52,7 @@ fn direct_out(shape: &ConvShape, img: &SimpleImage, ker: &SimpleKernels, exec: &
     out.to_simple()
 }
 
-fn run_block(
-    title: &str,
-    shape: &ConvShape,
-    cases: &[Case],
-    exec: &dyn Executor,
-    sink: &mut Option<Rows>,
-) {
+fn run_block(title: &str, shape: &ConvShape, cases: &[Case], exec: &dyn Executor) {
     eprintln!("# computing ground truth for {title}…");
     let img = uniform_input(shape, 2024);
     let train_ker = xavier_kernels(shape, 7);
@@ -86,20 +77,6 @@ fn run_block(
         rows.push((case.name.clone(), [tmax, tavg, imax, iavg]));
     }
 
-    if let Some(out) = sink {
-        for (name, e) in &rows {
-            out.push(&[
-                title.to_string(),
-                name.clone(),
-                format!("{:.2E}", e[0]),
-                format!("{:.2E}", e[1]),
-                format!("{:.2E}", e[2]),
-                format!("{:.2E}", e[3]),
-            ]);
-        }
-        return;
-    }
-
     println!("\n== {title} ==");
     print!("{:<12}", "");
     for (name, _) in &rows {
@@ -122,9 +99,6 @@ fn main() {
     // representative; --small shrinks further for quick checks.
     let small = args.flag("--small");
     let (img2d, img3d) = if small { (28, [8, 14, 14]) } else { (56, [12, 28, 28]) };
-    let mut sink = args.flag("--json").then(|| {
-        Rows::new(true, &["block", "case", "train_max", "train_avg", "infer_max", "infer_avg"])
-    });
 
     let mk = |name: &str, m: Vec<usize>| Case { name: name.into(), m: Some(m) };
     let direct = || Case { name: "Direct".into(), m: None };
@@ -144,7 +118,6 @@ fn main() {
         &shape2d,
         &cases2d,
         exec.as_ref(),
-        &mut sink,
     );
 
     let shape3d = ConvShape::new(1, 64, 64, &img3d, &[3, 3, 3], &[1, 1, 1]).unwrap();
@@ -162,9 +135,5 @@ fn main() {
         &shape3d,
         &cases3d,
         exec.as_ref(),
-        &mut sink,
     );
-    if let Some(out) = sink {
-        out.finish();
-    }
 }

@@ -6,9 +6,8 @@
 //! * timed runners ([`run_winograd`], [`run_direct`], [`run_baseline_im2col`])
 //!   producing [`Measurement`] rows with the Fig. 5 direct-FLOPs
 //!   effective-GFLOP/s normaliser,
-//! * the [`perf`] module: machine calibration, per-stage work models and
-//!   instrumented runs under a `ProbedExecutor`, and the versioned
-//!   `BENCH_*.json` document assembly (`docs/bench-schema.md`),
+//! * the [`perf`] module: machine calibration,
+//! * the [`scaling`] module: the strong/weak thread sweep's accounting,
 //! * a tiny flag parser ([`Args`]) and executor factory
 //!   ([`make_executor`]) shared by every binary.
 //!
@@ -31,11 +30,10 @@ pub mod scaling;
 
 use wino_baseline::{direct_conv, im2col_conv, im2col_conv_geo};
 use wino_conv::{
-    plan_dispatch, Activation, ConvOptions, FallbackPolicy, LayerSpec, Network, Scratch,
-    WinogradLayer,
+    Activation, ConvOptions, FallbackPolicy, LayerSpec, Network, Scratch, WinogradLayer,
 };
 use wino_sched::Executor;
-use wino_tensor::{BlockedImage, BlockedKernels, ConvGeometry, ConvShape, SimpleImage};
+use wino_tensor::{BlockedImage, BlockedKernels, ConvGeometry, ConvShape};
 use wino_workloads::{effective_gflops, time_best, uniform_input, xavier_kernels, Layer, Timing};
 
 /// One measured row of a Fig. 5-style report.
@@ -68,53 +66,22 @@ impl Measurement {
     }
 }
 
-/// Row sink shared by the figure binaries: CSV on stdout by default, or
-/// (with `--json`) a buffered array of objects — one per row, keyed by
-/// column name — printed by [`Rows::finish`]. Cells that parse as
-/// numbers become JSON numbers; empty cells become `null`.
+/// Row sink shared by the figure binaries: a CSV header on creation, then
+/// one CSV line per [`Rows::push`].
 pub struct Rows {
     columns: &'static [&'static str],
-    json: bool,
-    buf: Vec<wino_probe::Json>,
 }
 
 impl Rows {
-    pub fn new(json: bool, columns: &'static [&'static str]) -> Rows {
-        if !json {
-            println!("{}", columns.join(","));
-        }
-        Rows { columns, json, buf: Vec::new() }
+    pub fn new(columns: &'static [&'static str]) -> Rows {
+        println!("{}", columns.join(","));
+        Rows { columns }
     }
 
     /// Emit one row of preformatted cells (must match the column count).
     pub fn push(&mut self, values: &[String]) {
-        use wino_probe::Json;
         assert_eq!(values.len(), self.columns.len(), "row width != column count");
-        if self.json {
-            let fields = self
-                .columns
-                .iter()
-                .zip(values)
-                .map(|(c, v)| {
-                    let cell = if v.is_empty() {
-                        Json::Null
-                    } else {
-                        v.parse::<f64>().map(Json::Num).unwrap_or_else(|_| Json::Str(v.clone()))
-                    };
-                    ((*c).to_string(), cell)
-                })
-                .collect();
-            self.buf.push(Json::Obj(fields));
-        } else {
-            println!("{}", values.join(","));
-        }
-    }
-
-    /// Print the buffered JSON array (no-op in CSV mode).
-    pub fn finish(self) {
-        if self.json {
-            print!("{}", wino_probe::Json::Arr(self.buf).render_pretty());
-        }
+        println!("{}", values.join(","));
     }
 }
 
@@ -135,64 +102,6 @@ pub fn layer_data(layer: &Layer, seed: u64) -> (BlockedImage, BlockedKernels) {
         BlockedImage::from_simple(&img).expect("catalogue layers are blockable"),
         BlockedKernels::from_simple(&ker).expect("catalogue kernels are blockable"),
     )
-}
-
-/// f64 ground truth for a layer's deterministic bench data (the same
-/// seed-42 input/kernels every `run_*` runner times). One `direct_f64`
-/// pass per layer — compute it once and reuse it across implementations.
-pub fn layer_truth(layer: &Layer) -> SimpleImage {
-    let img = uniform_input(&layer.shape, 42);
-    let ker = xavier_kernels(&layer.shape, 42 ^ 0xabcd);
-    wino_baseline::direct_f64(&img, &ker, &layer.shape.padding)
-}
-
-/// Max relative output error against a [`layer_truth`] oracle:
-/// `max|got − truth| / max(‖truth‖∞, 1)` — the same normalisation the
-/// runtime accuracy sentinels use, so report numbers are directly
-/// comparable to `predicted_bound`.
-pub fn max_rel_error(out: &BlockedImage, truth: &SimpleImage) -> f64 {
-    let (max_abs, _) = wino_baseline::element_errors(&out.to_simple(), truth);
-    let inf = truth.data.iter().fold(0.0f64, |a, &v| a.max((v as f64).abs()));
-    max_abs / inf.max(1.0)
-}
-
-/// One untimed Winograd forward on the bench data, returning the output
-/// plus the plan's a-priori error bound. `None` if the plan is rejected.
-pub fn winograd_output(
-    layer: &Layer,
-    m: &[usize],
-    opts: ConvOptions,
-    exec: &dyn Executor,
-) -> Option<(BlockedImage, f64)> {
-    let plan = WinogradLayer::new(layer.shape.clone(), m, opts).ok()?;
-    let (input, kernels) = layer_data(layer, 42);
-    let mut output = plan.new_output().ok()?;
-    let mut scratch = Scratch::new(&plan, exec.threads());
-    plan.forward(&input, &kernels, &mut output, &mut scratch, exec).ok()?;
-    let bound = plan.predicted_bound();
-    Some((output, bound))
-}
-
-/// One untimed direct-convolution forward on the bench data.
-pub fn direct_output(layer: &Layer, exec: &dyn Executor) -> BlockedImage {
-    let (input, kernels) = layer_data(layer, 42);
-    let mut output =
-        BlockedImage::zeros(layer.shape.batch, layer.shape.out_channels, &layer.shape.out_dims())
-            .unwrap();
-    direct_conv(&input, &kernels, &layer.shape.padding, &mut output, exec)
-        .expect("accuracy direct_conv failed");
-    output
-}
-
-/// One untimed im2col forward on the bench data.
-pub fn im2col_output(layer: &Layer, exec: &dyn Executor) -> BlockedImage {
-    let (input, kernels) = layer_data(layer, 42);
-    let mut output =
-        BlockedImage::zeros(layer.shape.batch, layer.shape.out_channels, &layer.shape.out_dims())
-            .unwrap();
-    im2col_conv(&input, &kernels, &layer.shape.padding, &mut output, exec)
-        .expect("accuracy im2col_conv failed");
-    output
 }
 
 /// Row-name suffix encoding a non-identity geometry (`" s2x2"`,
@@ -244,41 +153,6 @@ pub fn geo_layer_data(layer: &Layer, groups: usize, seed: u64) -> (BlockedImage,
     )
 }
 
-/// f64 ground truth for [`geo_layer_data`]'s seed-42 bench data under
-/// the geometry carried by `opts` — the oracle behind every geometry
-/// row's `max_rel_error` column.
-pub fn geo_layer_truth(layer: &Layer, opts: ConvOptions) -> SimpleImage {
-    let s = &layer.shape;
-    let geo = opts.geometry(s.rank());
-    let img = uniform_input(s, 42);
-    let gshape = ConvShape::new(
-        s.batch,
-        s.in_channels / geo.groups,
-        s.out_channels,
-        &s.image_dims,
-        &s.kernel_dims,
-        &s.padding,
-    )
-    .expect("per-group shape of a catalogue layer is valid");
-    let ker = xavier_kernels(&gshape, 42 ^ 0xabcd);
-    wino_baseline::direct_f64_geo(&img, &ker, &s.padding, &geo)
-}
-
-/// One untimed dispatched forward on the geometry bench data. `None` if
-/// the layer is unrepresentable under `opts` or the route fails.
-pub fn dispatch_output(
-    layer: &Layer,
-    m: &[usize],
-    opts: ConvOptions,
-    exec: &dyn Executor,
-) -> Option<BlockedImage> {
-    let (dp, _) = plan_dispatch(&layer.shape, m, opts, &FallbackPolicy::default()).ok()?;
-    let (input, kernels) = geo_layer_data(layer, dp.geo.groups, 42);
-    let mut output = dp.new_output().ok()?;
-    dp.forward(&input, &kernels, &mut output, exec).ok()?;
-    Some(output)
-}
-
 /// Time the dispatch layer's routed engine (dense / grouped Winograd,
 /// subsampled under a stride, or the designed im2col fallback) for one
 /// tile choice under the geometry carried by `opts`, as a one-layer
@@ -320,17 +194,6 @@ pub fn run_dispatch(
     });
     let gflops = geo_gflops(flops, timing.best_ms);
     Some(Measurement { layer: layer.id(), implementation: name, timing, gflops })
-}
-
-/// One untimed geometry-aware im2col forward on the geometry bench data.
-pub fn im2col_geo_output(layer: &Layer, opts: ConvOptions, exec: &dyn Executor) -> Option<BlockedImage> {
-    let s = &layer.shape;
-    let geo = opts.geometry(s.rank());
-    let (input, kernels) = geo_layer_data(layer, geo.groups, 42);
-    let mut output =
-        BlockedImage::zeros(s.batch, s.out_channels, &geo.out_dims(s).ok()?).ok()?;
-    im2col_conv_geo(&input, &kernels, &s.padding, &geo, &mut output, exec).ok()?;
-    Some(output)
 }
 
 /// Time the geometry-aware im2col + GEMM baseline — the universal
@@ -480,7 +343,7 @@ impl Args {
             }
             if let Some(stripped) = a.strip_prefix("--") {
                 // Known value-taking flags consume the next token.
-                if ["threads", "reps", "net", "image", "out", "date", "rows", "t", "validate"]
+                if ["threads", "reps", "net", "image", "rows", "t"]
                     .contains(&stripped)
                 {
                     skip = true;

@@ -1,7 +1,6 @@
-//! Strong/weak-scaling sweep support: the sweep's thread counts and
-//! per-thread-count executors, speedup/efficiency accounting, the
-//! least-squares Amdahl fit, and assembly of the schema-v5 `scaling`
-//! document (`docs/bench-schema.md`, `src/bin/scaling.rs`).
+//! Strong/weak-scaling sweep support (`src/bin/scaling.rs`): the sweep's
+//! thread counts and per-thread-count executors, the CSV row of one
+//! point, and the least-squares Amdahl fit.
 //!
 //! Two sweep modes (the classic pair — see `docs/scaling.md`):
 //!
@@ -12,15 +11,13 @@
 //!   T(1)/T(n)` — ideal weak scaling holds the wall time flat — and the
 //!   reported `speedup` is the scaled speedup `n·T(1)/T(n)`.
 
-use wino_probe::{Json, MachineModel};
 use wino_sched::{Executor, SerialExecutor, StaticExecutor};
 
-/// One measured point of a scaling sweep (`scaling.points[i]` in the
-/// schema-v5 report).
+/// One measured point of a scaling sweep: one CSV row of `scaling`.
 #[derive(Clone, Debug)]
 pub struct ScalingPoint {
     pub layer: String,
-    /// `"strong"` or `"weak"` ([`wino_probe::SCALING_MODES`]).
+    /// `"strong"` or `"weak"`.
     pub mode: &'static str,
     pub threads: usize,
     /// Batch size of the (possibly grown) problem at this point.
@@ -38,26 +35,29 @@ pub struct ScalingPoint {
 }
 
 impl ScalingPoint {
-    /// The point as a schema-v5 `scaling.points[]` element.
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("layer".into(), Json::Str(self.layer.clone())),
-            ("mode".into(), Json::Str(self.mode.into())),
-            ("threads".into(), Json::Num(self.threads as f64)),
-            ("batch".into(), Json::Num(self.batch as f64)),
-            ("executor".into(), Json::Str(self.executor.into())),
-            ("best_ms".into(), Json::Num(self.best_ms)),
-            ("mean_ms".into(), Json::Num(self.mean_ms)),
-            ("speedup".into(), Json::Num(self.speedup)),
-            ("efficiency".into(), Json::Num(self.efficiency)),
-        ];
-        if let Some(s) = self.max_skew_us {
-            fields.push(("max_skew_us".into(), Json::Num(s)));
-        }
-        if let Some(s) = self.mean_skew_us {
-            fields.push(("mean_skew_us".into(), Json::Num(s)));
-        }
-        Json::Obj(fields)
+    /// The columns of [`ScalingPoint::cells`].
+    pub const COLUMNS: [&'static str; 11] = [
+        "layer", "mode", "threads", "batch", "executor", "best_ms", "mean_ms", "speedup",
+        "efficiency", "max_skew_us", "mean_skew_us",
+    ];
+
+    /// The point as formatted CSV cells; a skew column is empty on a weak
+    /// point, which runs no probed pass.
+    pub fn cells(&self) -> Vec<String> {
+        let skew = |s: Option<f64>| s.map_or_else(String::new, |s| format!("{s:.1}"));
+        vec![
+            self.layer.clone(),
+            self.mode.to_string(),
+            self.threads.to_string(),
+            self.batch.to_string(),
+            self.executor.to_string(),
+            format!("{:.3}", self.best_ms),
+            format!("{:.3}", self.mean_ms),
+            format!("{:.2}", self.speedup),
+            format!("{:.3}", self.efficiency),
+            skew(self.max_skew_us),
+            skew(self.mean_skew_us),
+        ]
     }
 }
 
@@ -92,7 +92,7 @@ pub fn check_reaches_host(host: usize, max: usize) -> Result<(), String> {
 /// Build the executor a sweep point with `n` threads runs under: the
 /// serial executor at `n ≤ 1` (the scaling baseline must pay no fork–join
 /// cost it does not need), one flat [`StaticExecutor`] otherwise. Returns
-/// the executor plus its schema `executor` label.
+/// the executor plus its `executor` column label.
 pub fn executor_for(n: usize) -> (Box<dyn Executor>, &'static str) {
     if n <= 1 {
         return (Box::new(SerialExecutor), "serial");
@@ -127,54 +127,6 @@ pub fn fit_serial_fraction(points: &[(usize, f64)]) -> Option<f64> {
         return None;
     }
     Some((num / den).clamp(0.0, 1.0))
-}
-
-/// Assemble a complete schema-v5 scaling document: the standard header
-/// ([`crate::perf::perf_document`]'s machine block), every point, and the
-/// per-layer Amdahl fits.
-pub fn scaling_document(
-    generated_by: &str,
-    date: &str,
-    machine: &MachineModel,
-    host_threads: usize,
-    efficiency_floor: f64,
-    points: &[ScalingPoint],
-    fits: &[(String, f64)],
-) -> Json {
-    let scaling = Json::Obj(vec![
-        ("host_threads".into(), Json::Num(host_threads as f64)),
-        ("efficiency_floor".into(), Json::Num(efficiency_floor)),
-        ("skew_budget_us".into(), Json::Num(wino_probe::SMOKE_SKEW_BUDGET_US)),
-        ("points".into(), Json::Arr(points.iter().map(ScalingPoint::to_json).collect())),
-        (
-            "fits".into(),
-            Json::Arr(
-                fits.iter()
-                    .map(|(layer, s)| {
-                        Json::Obj(vec![
-                            ("layer".into(), Json::Str(layer.clone())),
-                            ("serial_fraction".into(), Json::Num(*s)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]);
-    Json::Obj(vec![
-        ("schema_version".into(), Json::Num(wino_probe::SCHEMA_VERSION as f64)),
-        ("generated_by".into(), Json::Str(generated_by.into())),
-        ("date".into(), Json::Str(date.into())),
-        (
-            "machine".into(),
-            Json::Obj(vec![
-                ("peak_gflops".into(), Json::Num(machine.peak_gflops)),
-                ("mem_bw_gbps".into(), Json::Num(machine.mem_bw_gbps)),
-                ("threads".into(), Json::Num(machine.threads as f64)),
-                ("simd".into(), Json::Str(wino_simd::backend_name().into())),
-            ]),
-        ),
-        ("scaling".into(), scaling),
-    ])
 }
 
 #[cfg(test)]
@@ -229,50 +181,5 @@ mod tests {
             let err = check_reaches_host(host, max).unwrap_err();
             assert!(err.contains(&format!("count {host}")) && err.contains(&format!("--max-threads {max}")), "{err}");
         }
-    }
-
-    #[test]
-    fn scaling_document_passes_its_own_schema() {
-        let machine = MachineModel { peak_gflops: 50.0, mem_bw_gbps: 12.0, threads: 4 };
-        let points = vec![
-            ScalingPoint {
-                layer: "VGG 3.2".into(),
-                mode: "strong",
-                threads: 1,
-                batch: 2,
-                executor: "serial",
-                best_ms: 4.0,
-                mean_ms: 4.1,
-                speedup: 1.0,
-                efficiency: 1.0,
-                max_skew_us: Some(0.0),
-                mean_skew_us: Some(0.0),
-            },
-            ScalingPoint {
-                layer: "VGG 3.2".into(),
-                mode: "weak",
-                threads: 4,
-                batch: 8,
-                executor: "static",
-                best_ms: 4.4,
-                mean_ms: 4.6,
-                speedup: 3.6,
-                efficiency: 0.91,
-                max_skew_us: None,
-                mean_skew_us: None,
-            },
-        ];
-        let fits = vec![("VGG 3.2".to_string(), 0.12)];
-        let doc = scaling_document(
-            "unit-test",
-            "2026-08-09",
-            &machine,
-            4,
-            0.6,
-            &points,
-            &fits,
-        );
-        let reparsed = wino_probe::parse_json(&doc.render_pretty()).unwrap();
-        wino_probe::validate_schema(&reparsed).unwrap();
     }
 }

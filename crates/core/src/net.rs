@@ -69,9 +69,7 @@ pub enum LayerBackend {
 }
 
 impl LayerBackend {
-    /// Stable serialization name — one of
-    /// [`wino_probe::BACKEND_NAMES`], as emitted into
-    /// `layers[i].execution.backend` of a `BENCH_*.json` report.
+    /// Stable kebab-case name, as `fig5`'s dispatch rows print it.
     pub fn name(self) -> &'static str {
         match self {
             LayerBackend::WinogradJit => "winograd-jit",
@@ -124,11 +122,8 @@ impl FallbackReason {
         }
     }
 
-    /// Stable serialization code — one of
-    /// [`wino_probe::FALLBACK_CODES`], as emitted into
-    /// `layers[i].execution.fallback` of a `BENCH_*.json` report. The
-    /// inner error detail is for `Display`, not the machine-readable
-    /// shape.
+    /// Stable kebab-case code, as the dispatch tests match it. The inner
+    /// error detail is for `Display`.
     pub fn code(&self) -> &'static str {
         match self {
             FallbackReason::JitUnavailable(_) => "jit-unavailable",
@@ -602,43 +597,6 @@ mod tests {
     use crate::WinogradLayer;
     use wino_sched::SerialExecutor;
     use wino_tensor::{SimpleImage, SimpleKernels};
-
-    #[test]
-    fn serialization_names_match_schema_sets() {
-        // The schema validator (wino-probe) pins the wire names; the
-        // producers here must stay inside those sets or reports fail
-        // validation at emit time.
-        for b in [
-            LayerBackend::WinogradJit,
-            LayerBackend::WinogradMono,
-            LayerBackend::WinogradDemoted,
-            LayerBackend::WinogradGrouped,
-            LayerBackend::Im2col,
-        ] {
-            assert!(
-                wino_probe::BACKEND_NAMES.contains(&b.name()),
-                "{:?} serializes to unknown name {}",
-                b,
-                b.name()
-            );
-        }
-        let reasons = [
-            FallbackReason::JitUnavailable(PlanError::RankTooHigh { rank: 9 }),
-            FallbackReason::PlanFailed(PlanError::RankTooHigh { rank: 9 }),
-            FallbackReason::NumericGuard(NumericError { stage: "output", index: 0 }),
-            FallbackReason::SentinelTrip(SentinelError { unit: 0, rel_err: 1.0, bound: 0.5 }),
-            FallbackReason::Dilated,
-            FallbackReason::GroupTooNarrow { c_per_group: 1 },
-            FallbackReason::Memory { bytes: 4096 },
-        ];
-        for r in &reasons {
-            assert!(
-                wino_probe::FALLBACK_CODES.contains(&r.code()),
-                "{r:?} serializes to unknown code {}",
-                r.code()
-            );
-        }
-    }
 
     fn kernels_for(net: &Network, seed: usize) -> Vec<BlockedKernels> {
         net.layers()

@@ -61,8 +61,7 @@ pub const ALL_CATEGORIES: [SpanCategory; 12] = [
 ];
 
 impl SpanCategory {
-    /// Stable kebab-case name used in JSON reports (see
-    /// `docs/bench-schema.md`).
+    /// Stable kebab-case name.
     pub fn name(self) -> &'static str {
         match self {
             SpanCategory::InputTransform => "input-transform",
@@ -78,11 +77,6 @@ impl SpanCategory {
             SpanCategory::DirectKernel => "direct-kernel",
             SpanCategory::Other => "other",
         }
-    }
-
-    /// Inverse of [`SpanCategory::name`].
-    pub fn from_name(s: &str) -> Option<SpanCategory> {
-        ALL_CATEGORIES.iter().copied().find(|c| c.name() == s)
     }
 
     /// Whether this category is a pipeline *stage* (reported with work
@@ -117,14 +111,6 @@ impl SpanEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn names_round_trip() {
-        for c in ALL_CATEGORIES {
-            assert_eq!(SpanCategory::from_name(c.name()), Some(c));
-        }
-        assert_eq!(SpanCategory::from_name("nope"), None);
-    }
 
     #[test]
     fn stage_classification() {

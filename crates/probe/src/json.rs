@@ -1,11 +1,11 @@
 //! A minimal JSON value, writer and parser.
 //!
-//! The repo is dependency-free by policy, so `BENCH_*.json` emission and
-//! schema validation cannot lean on `serde`. This module implements the
-//! small subset needed: a [`Json`] tree, a deterministic renderer
-//! (object keys keep insertion order, floats print with enough digits to
-//! round-trip), and a strict recursive-descent parser used by the
-//! `--validate` path of the bench binaries.
+//! The repo is dependency-free by policy, so the benchmark's report
+//! cannot lean on `serde`. This module implements the small subset
+//! needed: a [`Json`] tree, a deterministic renderer (object keys keep
+//! insertion order, floats print with enough digits to round-trip), and
+//! a strict recursive-descent parser the benchmark reads its own
+//! reports back with.
 
 use std::fmt::Write as _;
 
@@ -65,7 +65,7 @@ impl Json {
         s
     }
 
-    /// Render with 2-space indentation (the `BENCH_*.json` on-disk form).
+    /// Render with 2-space indentation (the on-disk form).
     pub fn render_pretty(&self) -> String {
         let mut s = String::new();
         self.write(&mut s, Some(2), 0);

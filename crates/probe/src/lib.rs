@@ -20,8 +20,10 @@
 //! * **Analysis** ([`fold`], [`StageReport`], [`WorkModel`],
 //!   [`MachineModel`]): folds events into per-stage wall/CPU time,
 //!   effective GFLOP/s, arithmetic intensity, bytes moved, a software
-//!   roofline estimate, and barrier-imbalance statistics; renders the
-//!   versioned JSON perf-report schema ([`schema`], `docs/bench-schema.md`).
+//!   roofline estimate, and barrier-imbalance statistics.
+//!
+//! [`Json`] / [`parse_json`] are the dependency-free JSON reader and
+//! writer the benchmark's flat report is built with.
 //!
 //! The crate is dependency-free and knows nothing about convolution:
 //! executors record fork–joins, stage code records categorised spans, and
@@ -54,7 +56,6 @@ pub mod counters;
 pub mod event;
 pub mod json;
 pub mod report;
-pub mod schema;
 
 pub use clock::now_ns;
 pub use collector::Collector;
@@ -62,7 +63,3 @@ pub use counters::Counter;
 pub use event::{SpanCategory, SpanEvent, ALL_CATEGORIES, COORDINATOR};
 pub use json::{parse as parse_json, Json, ParseError};
 pub use report::{fold, BarrierStats, MachineModel, StageReport, StageRow, StageWork, WorkModel};
-pub use schema::{
-    validate as validate_schema, BACKEND_NAMES, FALLBACK_CODES, SCALING_MODES, SCHEMA_VERSION,
-    SMOKE_SKEW_BUDGET_US,
-};

@@ -30,7 +30,6 @@
 //!   and `total_wait_ms` sums every worker's arrival→join wait.
 
 use crate::event::{SpanCategory, SpanEvent, ALL_CATEGORIES, COORDINATOR};
-use crate::json::Json;
 
 /// Operation/traffic estimate for one stage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -86,7 +85,7 @@ pub struct MachineModel {
 impl MachineModel {
     /// A deliberately conservative placeholder (one core, scalar-ish) for
     /// contexts that cannot calibrate. Real reports should use measured
-    /// values — `wino-bench` calibrates at startup.
+    /// values — `wino_bench::perf::calibrate` measures them.
     pub fn assumed() -> MachineModel {
         MachineModel { peak_gflops: 8.0, mem_bw_gbps: 10.0, threads: 1 }
     }
@@ -237,77 +236,6 @@ fn barrier_stats(events: &[SpanEvent]) -> BarrierStats {
     stats
 }
 
-impl StageReport {
-    /// JSON form of the per-stage rows (see `docs/bench-schema.md`).
-    pub fn stages_json(&self) -> Json {
-        Json::Arr(
-            self.stages
-                .iter()
-                .map(|s| {
-                    let mut fields = vec![
-                        ("stage".to_string(), Json::Str(s.category.name().to_string())),
-                        ("wall_ms".to_string(), Json::Num(s.wall_ms)),
-                        ("cpu_ms".to_string(), Json::Num(s.cpu_ms)),
-                        ("spans".to_string(), Json::Num(s.spans as f64)),
-                    ];
-                    if let Some(g) = s.gflops {
-                        fields.push(("gflops".to_string(), Json::Num(g)));
-                    }
-                    if let Some(ai) = s.arith_intensity {
-                        fields.push(("arith_intensity".to_string(), Json::Num(ai)));
-                    }
-                    if let Some(b) = s.bytes {
-                        fields.push(("bytes".to_string(), Json::Num(b as f64)));
-                    }
-                    if let Some(r) = s.roofline_gflops {
-                        fields.push(("roofline_gflops".to_string(), Json::Num(r)));
-                    }
-                    Json::Obj(fields)
-                })
-                .collect(),
-        )
-    }
-
-    /// JSON form of the barrier statistics.
-    pub fn barrier_json(&self) -> Json {
-        Json::Obj(vec![
-            ("fork_joins".to_string(), Json::Num(self.barrier.fork_joins as f64)),
-            ("max_skew_us".to_string(), Json::Num(self.barrier.max_skew_us)),
-            ("mean_skew_us".to_string(), Json::Num(self.barrier.mean_skew_us)),
-            ("total_wait_ms".to_string(), Json::Num(self.barrier.total_wait_ms)),
-        ])
-    }
-
-    /// Plain-text table for terminal output.
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str("stage              wall_ms    cpu_ms    GFLOP/s      AI  roofline\n");
-        for s in &self.stages {
-            let fmt_opt = |v: Option<f64>| match v {
-                Some(x) => format!("{x:9.2}"),
-                None => format!("{:>9}", "-"),
-            };
-            out.push_str(&format!(
-                "{:<18} {:8.3} {:9.3} {} {} {}\n",
-                s.category.name(),
-                s.wall_ms,
-                s.cpu_ms,
-                fmt_opt(s.gflops),
-                fmt_opt(s.arith_intensity.map(|x| (x * 100.0).round() / 100.0)),
-                fmt_opt(s.roofline_gflops),
-            ));
-        }
-        out.push_str(&format!(
-            "barrier: {} fork-joins, max skew {:.1} µs, mean {:.1} µs, total wait {:.3} ms\n",
-            self.barrier.fork_joins,
-            self.barrier.max_skew_us,
-            self.barrier.mean_skew_us,
-            self.barrier.total_wait_ms
-        ));
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,21 +315,5 @@ mod tests {
         w.set(SpanCategory::ElementwiseGemm, StageWork { flops: 2, bytes: 3 });
         assert_eq!(w.get(SpanCategory::ElementwiseGemm).unwrap().flops, 2);
         assert_eq!(w.total_flops(), 2);
-    }
-
-    #[test]
-    fn json_shapes() {
-        let events = [ev(SpanCategory::ElementwiseGemm, COORDINATOR, 0, 1_000_000)];
-        let mut work = WorkModel::new();
-        work.set(SpanCategory::ElementwiseGemm, StageWork { flops: 1_000_000, bytes: 500 });
-        let r = fold(&events, &work, &MachineModel::assumed());
-        let stages = r.stages_json();
-        let row = &stages.as_arr().unwrap()[0];
-        assert_eq!(row.get("stage").unwrap().as_str(), Some("elementwise-gemm"));
-        assert!(row.get("gflops").is_some());
-        assert!(row.get("arith_intensity").is_some());
-        let b = r.barrier_json();
-        assert_eq!(b.get("fork_joins").unwrap().as_f64(), Some(0.0));
-        assert!(!r.to_table().is_empty());
     }
 }

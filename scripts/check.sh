@@ -167,6 +167,13 @@ done
 run "$TEST_TIMEOUT" cargo run --offline --release -q -p wino-bench --bin fig5 -- \
     --net 3DUNet --reps 1
 
+# Wrong-ISA gate: with `WINO_SIMD` unset, the backend dispatch picks must
+# match what std's independent feature detection sees on this CPU (numbers
+# measured on the scalar backend of a vector machine are not numbers).
+# Outside the loop above: the test skips itself when `WINO_SIMD` is set.
+run_filtered "$TEST_TIMEOUT" env -u WINO_SIMD cargo test --offline -q -p wino-simd --lib -- \
+    dispatch::tests::detected_features_select_the_matching_backend
+
 # Accuracy gate: (a) every practical F(m, r) must measure within its
 # exact a-priori conditioning bound (the `accuracy` binary exits non-zero
 # on a violation; its integer-point rows are conditioning only — the
@@ -220,14 +227,12 @@ run "$ANALYZE_TIMEOUT" cargo run --offline --release -q -p wino-analyze --bin wi
 # `wino_sched::host` runs and a renamed test cannot empty the gate.
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-sched host::
 
-# Observability gate: an instrumented smoke run must emit a perf report
-# that validates against the versioned schema (docs/bench-schema.md).
+# Bench smoke gates: the GEMM cliff gate and the `fusion` shape gate.
 scripts/bench.sh --smoke
 
 # Scaling gate: a strong/weak thread sweep over the smoke layers must
-# emit a valid schema-v5 scaling report, hold parallel efficiency ≥ 0.6
-# at the host thread count on at least one smoke layer, and keep barrier
-# skew under the probe budget (docs/scaling.md).
+# hold parallel efficiency ≥ 0.6 at the host thread count on at least one
+# smoke layer, and keep barrier skew under 25 ms (docs/scaling.md).
 scripts/bench.sh --scaling-smoke
 
 # Memory-accounting gate: the analytic `MemoryFootprint` model must
@@ -246,18 +251,14 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv footprint
 # asserts the robustness contract (zero escaped panics, every request
 # resolved to a typed outcome, conservation of tallies, breaker trips
 # AND full recovery, pool rebuilds, admitted p99 within deadline) and
-# exits non-zero on any violation; the emitted BENCH_serve.json must
-# then validate against the same versioned schema as the perf reports.
-# stderr is captured (and replayed) so the rlimit gate below can parse
-# the `# modeled_footprint_bytes` line.
+# exits non-zero on any violation. stderr is captured (and replayed) so
+# the rlimit gate below can parse the `# modeled_footprint_bytes` line.
 run "$TEST_TIMEOUT" cargo run --offline --release -q -p wino-bench \
     --features fault-inject --bin serve_load -- \
-    --soak --requests 10000 --out target/BENCH_serve.json \
+    --soak --requests 10000 \
     2> target/serve_load.stderr \
     || { cat target/serve_load.stderr >&2; exit 1; }
 cat target/serve_load.stderr >&2
-run "$TEST_TIMEOUT" cargo run --offline --release -q -p wino-bench --bin perf -- \
-    --validate target/BENCH_serve.json
 
 # Rlimit gate: replay the soak under a hard address-space cap sized from
 # the modeled footprint — 1.5× modeled plus a fixed 1 GiB of headroom
@@ -265,7 +266,7 @@ run "$TEST_TIMEOUT" cargo run --offline --release -q -p wino-bench --bin perf --
 # (MALLOC_ARENA_MAX bounds glibc's per-arena VA reservations) — with
 # byte-budget admission engaged. The contract: zero aborts under the
 # cap (any allocation refusal must surface as a typed outcome, walked
-# through the memory ladder), and the report must still validate. The
+# through the memory ladder), and the soak contract must still hold. The
 # serve_load binary was just built with fault-inject by the soak above.
 modeled=$(awk '/^# modeled_footprint_bytes /{print $3}' target/serve_load.stderr | tail -n 1)
 [ -n "$modeled" ] && [ "$modeled" -gt 0 ]
@@ -273,10 +274,7 @@ cap_kib=$(( (modeled * 3 / 2 + 1073741824) / 1024 ))
 echo "==> rlimit soak: modeled ${modeled} B, ulimit -v ${cap_kib} KiB"
 run "$TEST_TIMEOUT" env MALLOC_ARENA_MAX=2 bash -c \
     "ulimit -v $cap_kib; exec target/release/serve_load \
-     --soak --requests 10000 --memory-ceiling-mib 64 \
-     --out target/BENCH_serve_rlimit.json"
-run "$TEST_TIMEOUT" cargo run --offline --release -q -p wino-bench --bin perf -- \
-    --validate target/BENCH_serve_rlimit.json
+     --soak --requests 10000 --memory-ceiling-mib 64"
 
 # Benchmark gate: `benchmark/` is its own workspace, so nothing above
 # compiles it — a rename in wino-conv / wino-serve would break the repo's
