@@ -85,7 +85,37 @@ fn seed_clock_reads() -> (u64, std::time::Instant) {
     (wino_probe::now_ns(), std::time::Instant::now())
 }
 
+// seed 15: a public item nothing names (pub-needs-caller — cross-file,
+// so it fires when the fixture is the whole corpus)
+pub fn seed_uncalled_pub() {}
+
+// seed 16: a public item reached only through a re-export (pub-needs-caller:
+// a `pub use` is not a caller)
+mod seed_inner {
+    pub struct SeedReexported;
+}
+pub use seed_inner::SeedReexported;
+
+// seed 17: a public item named only in text (pub-needs-caller): this
+// comment says SEED_NAMED_IN_TEXT, and so does the string below — neither
+// is a caller.
+pub const SEED_NAMED_IN_TEXT: u32 = 0;
+fn seed_text_mention() -> &'static str {
+    "SEED_NAMED_IN_TEXT"
+}
+
 // ---- decoys: none of these may fire ----
+
+pub(crate) fn decoy_crate_visible() {}
+
+#[cfg(test)]
+pub fn decoy_test_only() {}
+
+pub fn decoy_called_in_this_file() {}
+
+fn decoy_caller() {
+    decoy_called_in_this_file();
+}
 
 fn decoy_gated_timestamp(exec: &dyn Executor) -> u64 {
     wino_sched::probed::span_start(exec.probe())

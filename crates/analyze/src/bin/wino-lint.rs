@@ -7,7 +7,8 @@
 //!   wino-lint FILE...             lint specific files (paths may be
 //!                                 absolute or workspace-relative)
 //!   wino-lint --as-path REL FILE  lint FILE as if it lived at REL
-//!                                 (fixture testing: scoped rules apply)
+//!                                 (fixture testing: scoped rules apply,
+//!                                 cross-file rules see FILE alone)
 //!   wino-lint --list-rules        print the rule table and exit
 //!   wino-lint --root DIR          override workspace root discovery
 
@@ -59,7 +60,7 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let violations = wino_analyze::rules::lint_file(&rel, &src);
+        let violations = lint::lint_alone(&rel, &src);
         for v in &violations {
             println!("{v}");
         }

@@ -1,11 +1,12 @@
 //! Lint driver: locate the workspace, walk every `crates/*/src/**/*.rs`
 //! (plus the root `src/`), and apply the [`crate::rules`] table — also to
 //! the transform codelets `wino-conv`'s build script generates, which are
-//! source the compiler sees but no directory walk finds.
+//! source the compiler sees but no directory walk finds. The cross-file
+//! rules also read the tests, benches, examples and benchmark sources.
 
 use std::path::{Path, PathBuf};
 
-use crate::rules::{lint_file, Violation, RULES};
+use crate::rules::{lint_corpus, lint_file, FileCtx, Violation, RULES};
 
 /// Locate the workspace root: the nearest ancestor of `start` whose
 /// `Cargo.toml` declares `[workspace]`.
@@ -33,34 +34,48 @@ pub fn default_root() -> Option<PathBuf> {
 /// All lintable sources: `crates/*/src/**/*.rs` and `src/**/*.rs`,
 /// workspace-relative, sorted.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    collect(root, &["src"], &["src"])
+}
+
+/// The other sources a public item's callers may live in: every crate's
+/// tests, benches and build script, the root package's tests and
+/// examples, and the benchmark package.
+fn collect_callers(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+    let top = ["tests", "examples", "benchmark/src", "benchmark/tests"];
+    collect(root, &["tests", "benches", "build.rs"], &top)
+}
+
+/// `.rs` files under `crates/*/<per_crate>` and `<top>`, sorted.
+fn collect(root: &Path, per_crate: &[&str], top: &[&str]) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
-    let crates_dir = root.join("crates");
-    if let Ok(entries) = std::fs::read_dir(&crates_dir) {
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
         for entry in entries.flatten() {
-            let src = entry.path().join("src");
-            if src.is_dir() {
-                walk_rs(&src, &mut out)?;
+            for sub in per_crate {
+                walk_rs(&entry.path().join(sub), &mut out)?;
             }
         }
     }
-    let root_src = root.join("src");
-    if root_src.is_dir() {
-        walk_rs(&root_src, &mut out)?;
+    for sub in top {
+        walk_rs(&root.join(sub), &mut out)?;
     }
     out.sort();
     Ok(out)
 }
 
-fn walk_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(dir)?.flatten() {
-        let p = entry.path();
-        if p.is_dir() {
-            walk_rs(&p, out)?;
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
+/// `path` itself if it is a `.rs` file, else every `.rs` file below it.
+fn walk_rs(path: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+    if path.is_dir() {
+        for entry in std::fs::read_dir(path)?.flatten() {
+            walk_rs(&entry.path(), out)?;
         }
+    } else if path.is_file() && path.extension().is_some_and(|e| e == "rs") {
+        out.push(path.to_path_buf());
     }
     Ok(())
+}
+
+fn relative(root: &Path, p: &Path) -> String {
+    p.strip_prefix(root).unwrap_or(p).to_string_lossy().replace('\\', "/")
 }
 
 /// Coverage counters reported alongside violations.
@@ -93,14 +108,17 @@ pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<(Vec<Violat
     let mut violations = Vec::new();
     let mut stats = LintStats::default();
     for p in paths {
-        let rel = p
-            .strip_prefix(root)
-            .unwrap_or(p)
-            .to_string_lossy()
-            .replace('\\', "/");
-        lint_source(&rel, &std::fs::read_to_string(p)?, &mut violations, &mut stats);
+        lint_source(&relative(root, p), &std::fs::read_to_string(p)?, &mut violations, &mut stats);
     }
     Ok((violations, stats))
+}
+
+/// Every rule over one source text linted as `rel`, the cross-file rules
+/// seeing it as the whole workspace — how the seeded fixture is checked.
+pub fn lint_alone(rel: &str, src: &str) -> Vec<Violation> {
+    let mut violations = lint_file(rel, src);
+    violations.extend(lint_corpus(&[FileCtx::new(rel, src)]));
+    violations
 }
 
 /// The path the generated transform codelets are linted (and reported)
@@ -108,12 +126,20 @@ pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> std::io::Result<(Vec<Violat
 pub const GENERATED_CODELETS_PATH: &str = "crates/core/src/$OUT_DIR/codelets.rs";
 
 /// Lint the whole workspace rooted at `root`, plus the codelets
-/// `wino-conv` was built with ([`wino_conv::codelet::GENERATED_SOURCE`]).
+/// `wino-conv` was built with ([`wino_conv::codelet::GENERATED_SOURCE`]):
+/// the per-file rules over each, then the cross-file rules over them and
+/// the sources their callers may live in.
 pub fn lint_workspace(root: &Path) -> std::io::Result<(Vec<Violation>, LintStats)> {
     let files = collect_sources(root)?;
     let (mut violations, mut stats) = lint_paths(root, &files)?;
     let generated = wino_conv::codelet::GENERATED_SOURCE;
     lint_source(GENERATED_CODELETS_PATH, generated, &mut violations, &mut stats);
+    let mut texts = vec![(GENERATED_CODELETS_PATH.to_string(), generated.to_string())];
+    for p in files.iter().chain(&collect_callers(root)?) {
+        texts.push((relative(root, p), std::fs::read_to_string(p)?));
+    }
+    let corpus: Vec<FileCtx> = texts.iter().map(|(rel, src)| FileCtx::new(rel, src)).collect();
+    violations.extend(lint_corpus(&corpus));
     Ok((violations, stats))
 }
 
@@ -192,21 +218,30 @@ mod tests {
         let fixture = root.join("crates/analyze/fixtures/violations.rs");
         let src = std::fs::read_to_string(&fixture).unwrap();
         // Lint it as if it lived in the substrate crate so every scoped
-        // rule applies.
-        let vs = crate::rules::lint_file("crates/sched/src/violations.rs", &src);
+        // rule applies. The cross-file rules see the fixture as the whole
+        // workspace.
+        let vs = lint_alone("crates/sched/src/violations.rs", &src);
         let rules_hit: std::collections::BTreeSet<&str> = vs.iter().map(|v| v.rule).collect();
-        for r in ["unsafe-needs-safety", "relaxed-needs-ordering", "no-static-mut",
-                  "no-transmute-outside-simd-jit", "allow-needs-rationale",
-                  "drop-guard-protocol", "no-blocking-under-lock",
-                  "target-feature-confined"] {
+        let core_only = ["alloc-needs-accounting", "clock-through-span-helpers"];
+        for r in RULES.iter().map(|r| r.id).filter(|r| !core_only.contains(r)) {
             assert!(rules_hit.contains(r), "fixture did not trip {r}; hit: {rules_hit:?}");
         }
         // And the decoys (violating text inside strings/comments/idents)
         // must NOT fire: exactly one violation per seeded site. The
-        // allocation seed is out of scope under the sched path and is
-        // counted by the core-path lint below instead.
-        assert_eq!(vs.len(), 11, "unexpected violation set:\n{}",
+        // allocation and clock seeds are out of scope under the sched path
+        // and are counted by the core-path lint below instead.
+        assert_eq!(vs.len(), 14, "unexpected violation set:\n{}",
             vs.iter().map(|v| v.to_string()).collect::<Vec<_>>().join("\n"));
+        let uncalled: Vec<&str> = vs
+            .iter()
+            .filter(|v| v.rule == "pub-needs-caller")
+            .map(|v| v.msg.split('`').nth(1).unwrap_or(""))
+            .collect();
+        assert_eq!(uncalled, [
+            "pub fn seed_uncalled_pub",
+            "pub struct SeedReexported",
+            "pub const SEED_NAMED_IN_TEXT",
+        ]);
 
         // The allocation-accounting rule is scoped to the accounted
         // crates; re-lint the fixture as one of them and check exactly

@@ -5,8 +5,10 @@
 //!
 //! New crates inherit every rule automatically (the driver lints
 //! `crates/*/src/**/*.rs`); to add a rule, append an entry here and give
-//! it a `check` function over the lexed token stream (see DESIGN.md
-//! §"Static analysis & concurrency verification").
+//! it a `Check`: a function over one file's lexed token stream, or — for
+//! a rule about callers, like `pub-needs-caller` — over every workspace
+//! source at once (see DESIGN.md §"Static analysis & concurrency
+//! verification").
 
 use crate::lexer::{lex, TokKind, Token};
 
@@ -44,7 +46,16 @@ pub struct Rule {
     pub scope: Scope,
     /// Files exempt from this rule, each with a recorded reason.
     pub allow: &'static [AllowEntry],
-    pub check: fn(&FileCtx) -> Vec<RawViolation>,
+    check: Check,
+}
+
+/// What a rule's check sees.
+enum Check {
+    /// One file at a time ([`lint_file`]).
+    File(fn(&FileCtx) -> Vec<RawViolation>),
+    /// Every workspace source at once ([`lint_corpus`]): the check
+    /// returns the index of the file each violation is in.
+    Corpus(fn(&[FileCtx]) -> Vec<(usize, RawViolation)>),
 }
 
 /// A violation before path/allowlist resolution: line + message.
@@ -104,6 +115,22 @@ impl<'a> FileCtx<'a> {
     /// Next non-comment token index after `i`.
     fn next_code(&self, i: usize) -> Option<usize> {
         (i + 1..self.toks.len()).find(|&j| !self.is_comment(j))
+    }
+
+    /// The `}` closing the `{` at `open` (or the end of the file).
+    fn close_brace(&self, open: usize) -> usize {
+        let mut depth = 0i32;
+        for k in open..self.toks.len() {
+            if self.is_punct(k, '{') {
+                depth += 1;
+            } else if self.is_punct(k, '}') {
+                depth -= 1;
+                if depth == 0 {
+                    return k;
+                }
+            }
+        }
+        self.toks.len()
     }
 
     /// Whether token `i` is the last segment of the path `<ty>::<i>`.
@@ -374,18 +401,8 @@ fn find_drop_body(f: &FileCtx, name: &str) -> Option<(usize, usize)> {
                 && f.next_code(j).is_some_and(|k| f.text(k) == "drop")
             {
                 let fn_open = (j + 1..f.toks.len()).find(|&k| f.is_punct(k, '{'))?;
-                let mut depth = 0i32;
-                for k in fn_open..f.toks.len() {
-                    if f.is_punct(k, '{') {
-                        depth += 1;
-                    } else if f.is_punct(k, '}') {
-                        depth -= 1;
-                        if depth == 0 {
-                            return Some((fn_open + 1, k));
-                        }
-                    }
-                }
-                return None;
+                let close = f.close_brace(fn_open);
+                return (close < f.toks.len()).then_some((fn_open + 1, close));
             }
         }
         return None;
@@ -608,7 +625,7 @@ fn check_no_blocking_under_lock(f: &FileCtx) -> Vec<RawViolation> {
 /// The raw infallible [`AlignedVec`] constructors. Their `try_*`
 /// siblings return a typed `AllocError` and are always clean; these
 /// abort the process when the allocator refuses.
-const RAW_ALLOC_CALLS: &[&str] = &["zeroed", "uninit", "from_slice"];
+const RAW_ALLOC_CALLS: &[&str] = &["zeroed", "from_slice"];
 
 fn check_alloc_needs_accounting(f: &FileCtx) -> Vec<RawViolation> {
     let mut out = Vec::new();
@@ -617,8 +634,8 @@ fn check_alloc_needs_accounting(f: &FileCtx) -> Vec<RawViolation> {
             continue;
         }
         let name = f.text(i);
-        // Must be `AlignedVec::<name>` — plain `zeroed`/`uninit` methods
-        // on other types are not allocation seams.
+        // Must be `AlignedVec::<name>` — plain `zeroed` methods on other
+        // types are not allocation seams.
         if !RAW_ALLOC_CALLS.contains(&name)
             || !f.qualified_by(i, "AlignedVec")
             || f.next_code(i).is_none_or(|n| !f.is_punct(n, '('))
@@ -664,6 +681,147 @@ fn check_clock_through_span_helpers(f: &FileCtx) -> Vec<RawViolation> {
     out
 }
 
+/// The keywords a `pub` item the caller rule checks starts with.
+const ITEM_KEYWORDS: &[&str] = &["fn", "const", "static", "struct", "enum", "trait", "type"];
+
+impl FileCtx<'_> {
+    /// The code token after `pub` at `i` and its optional `(…)` restriction.
+    fn after_pub(&self, i: usize) -> Option<(usize, bool)> {
+        let j = self.next_code(i)?;
+        if !self.is_punct(j, '(') {
+            return Some((j, false));
+        }
+        let close = (j..self.toks.len()).find(|&k| self.is_punct(k, ')'))?;
+        Some((self.next_code(close)?, true))
+    }
+
+    /// If the bare `pub` at `i` starts an item, the item's keyword and the
+    /// index of its name.
+    fn pub_item(&self, i: usize) -> Option<(&str, usize)> {
+        let (mut j, restricted) = self.after_pub(i)?;
+        if restricted {
+            return None;
+        }
+        // Qualifiers: `const fn`, `unsafe`, `async`, `extern "C"`.
+        while matches!(self.text(j), "unsafe" | "async" | "extern")
+            || self.toks[j].kind == TokKind::Str
+            || (self.text(j) == "const" && self.next_code(j).is_some_and(|n| self.text(n) == "fn"))
+        {
+            j = self.next_code(j)?;
+        }
+        let name = self.next_code(j)?;
+        let is_item = self.toks[j].kind == TokKind::Ident && ITEM_KEYWORDS.contains(&self.text(j));
+        (is_item && self.toks[name].kind == TokKind::Ident && self.text(name) != "_")
+            .then(|| (self.text(j), name))
+    }
+
+    /// Per token: whether it is compiled only under test — inside a
+    /// `mod tests { … }` or an item carrying `#[cfg(test)]`.
+    fn test_mask(&self) -> Vec<bool> {
+        let mut mask = vec![false; self.toks.len()];
+        let code: Vec<usize> = (0..self.toks.len()).filter(|&i| !self.is_comment(i)).collect();
+        let is = |w: &[usize], pat: &[&str]| {
+            w.len() >= pat.len() && w.iter().zip(pat).all(|(&k, p)| self.text(k) == *p)
+        };
+        for (c, &i) in code.iter().enumerate() {
+            let w = &code[c..];
+            let end = if is(w, &["mod", "tests", "{"]) {
+                self.close_brace(w[2])
+            } else if is(w, &["#", "[", "cfg", "(", "test", ")", "]"]) {
+                // The item ends at its first `;` or braced body outside
+                // any `(…)` / `[…]`, past further attributes.
+                let mut depth = 0i32;
+                let mut end = self.toks.len();
+                for &k in &w[7..] {
+                    match self.text(k) {
+                        "(" | "[" => depth += 1,
+                        ")" | "]" => depth -= 1,
+                        ";" if depth == 0 => end = k,
+                        "{" if depth == 0 => end = self.close_brace(k),
+                        _ => continue,
+                    }
+                    if end < self.toks.len() {
+                        break;
+                    }
+                }
+                end
+            } else {
+                continue;
+            };
+            mask[i..=end.min(self.toks.len() - 1)].fill(true);
+        }
+        mask
+    }
+
+    /// Per token: whether it is inside a `pub use …;` re-export.
+    fn reexport_mask(&self) -> Vec<bool> {
+        let mut mask = vec![false; self.toks.len()];
+        for i in 0..self.toks.len() {
+            if self.toks[i].kind != TokKind::Ident || self.text(i) != "pub" {
+                continue;
+            }
+            if let Some((j, _)) = self.after_pub(i).filter(|&(j, _)| self.text(j) == "use") {
+                let end = (j..self.toks.len()).find(|&k| self.is_punct(k, ';'));
+                mask[i..=end.unwrap_or(self.toks.len() - 1)].fill(true);
+            }
+        }
+        mask
+    }
+}
+
+/// Whether `path` is in a crate's library or binary sources, where a
+/// `pub` item is public surface.
+fn defines_public_items(path: &str) -> bool {
+    let mut parts = path.split('/');
+    parts.next() == Some("crates") && parts.nth(1) == Some("src")
+}
+
+fn check_pub_needs_caller(files: &[FileCtx]) -> Vec<(usize, RawViolation)> {
+    use std::collections::HashMap;
+    // Every identifier token outside a re-export, workspace-wide, and per
+    // file those inside its test code.
+    let mut total: HashMap<&str, usize> = HashMap::new();
+    let mut in_tests: Vec<HashMap<&str, usize>> = Vec::new();
+    let mut test_masks = Vec::new();
+    for f in files {
+        let (test, reexport) = (f.test_mask(), f.reexport_mask());
+        let mut tests = HashMap::new();
+        for (i, t) in f.toks.iter().enumerate() {
+            if t.kind == TokKind::Ident && !reexport[i] {
+                *total.entry(f.text(i)).or_default() += 1;
+                if test[i] {
+                    *tests.entry(f.text(i)).or_default() += 1;
+                }
+            }
+        }
+        in_tests.push(tests);
+        test_masks.push(test);
+    }
+    let mut out = Vec::new();
+    for (fi, (f, test)) in files.iter().zip(&test_masks).enumerate() {
+        if !defines_public_items(f.path) {
+            continue;
+        }
+        let pubs = (0..f.toks.len())
+            .filter(|&i| !test[i] && f.toks[i].kind == TokKind::Ident && f.text(i) == "pub");
+        for (kw, n) in pubs.filter_map(|i| f.pub_item(i)) {
+            let name = f.text(n);
+            // Less the definition itself and its own file's tests.
+            let callers = total[name] - 1 - in_tests[fi].get(name).copied().unwrap_or(0);
+            if callers == 0 {
+                out.push((fi, RawViolation {
+                    line: f.toks[n].line,
+                    msg: format!(
+                        "`pub {kw} {name}` is named nowhere but its own file's tests — delete \
+                         it, or move it into `mod tests`"
+                    ),
+                }));
+            }
+        }
+    }
+    out
+}
+
 /// The workspace rule table. Order is the reporting order.
 pub static RULES: &[Rule] = &[
     Rule {
@@ -671,7 +829,7 @@ pub static RULES: &[Rule] = &[
         summary: "every `unsafe` block/fn/impl carries an adjacent `// SAFETY:` justification",
         scope: Scope::All,
         allow: &[],
-        check: check_unsafe_needs_safety,
+        check: Check::File(check_unsafe_needs_safety),
     },
     Rule {
         id: "relaxed-needs-ordering",
@@ -686,14 +844,14 @@ pub static RULES: &[Rule] = &[
                      `Relaxed` in the file would carry the same vacuous justification — the \
                      MXCSR state it describes is per-thread and needs no happens-before",
         }],
-        check: check_relaxed_needs_ordering,
+        check: Check::File(check_relaxed_needs_ordering),
     },
     Rule {
         id: "no-static-mut",
         summary: "`static mut` is forbidden workspace-wide",
         scope: Scope::All,
         allow: &[],
-        check: check_no_static_mut,
+        check: Check::File(check_no_static_mut),
     },
     Rule {
         id: "no-transmute-outside-simd-jit",
@@ -705,7 +863,7 @@ pub static RULES: &[Rule] = &[
                      is the fork–join protocol proven by the model checker (no participant \
                      can dereference the pointer after `run` returns)",
         }],
-        check: check_no_transmute,
+        check: Check::File(check_no_transmute),
     },
     Rule {
         id: "target-feature-confined",
@@ -714,14 +872,14 @@ pub static RULES: &[Rule] = &[
         // is a second code path that nothing proves the CPU can run.
         scope: Scope::Except(&["crates/simd", "crates/jit"]),
         allow: &[],
-        check: check_target_feature_confined,
+        check: Check::File(check_target_feature_confined),
     },
     Rule {
         id: "allow-needs-rationale",
         summary: "`#[allow(…)]` requires a rationale comment",
         scope: Scope::All,
         allow: &[],
-        check: check_allow_needs_rationale,
+        check: Check::File(check_allow_needs_rationale),
     },
     Rule {
         id: "drop-guard-protocol",
@@ -731,7 +889,7 @@ pub static RULES: &[Rule] = &[
         // everywhere a guard type might live.
         scope: Scope::All,
         allow: &[],
-        check: check_drop_guard_protocol,
+        check: Check::File(check_drop_guard_protocol),
     },
     Rule {
         id: "alloc-needs-accounting",
@@ -744,7 +902,7 @@ pub static RULES: &[Rule] = &[
         // relies on.
         scope: Scope::Only(&["crates/core", "crates/serve", "crates/tensor"]),
         allow: &[],
-        check: check_alloc_needs_accounting,
+        check: Check::File(check_alloc_needs_accounting),
     },
     Rule {
         id: "clock-through-span-helpers",
@@ -754,33 +912,69 @@ pub static RULES: &[Rule] = &[
         // stage or tile loop would be paid by every uninstrumented run.
         scope: Scope::Only(&["crates/core/src", "crates/baseline/src"]),
         allow: &[],
-        check: check_clock_through_span_helpers,
+        check: Check::File(check_clock_through_span_helpers),
     },
     Rule {
         id: "no-blocking-under-lock",
         summary: "no blocking/spinning call while a spin-lock guard is live in serve/sched",
         scope: Scope::Only(&["crates/serve", "crates/sched"]),
         allow: &[],
-        check: check_no_blocking_under_lock,
+        check: Check::File(check_no_blocking_under_lock),
+    },
+    Rule {
+        id: "pub-needs-caller",
+        summary: "a bare `pub` item in `crates/*/src` is named somewhere besides its own \
+                  file's tests and `pub use` re-exports",
+        // The callers may live in any workspace source; the check itself
+        // only looks for definitions in `crates/*/src`.
+        scope: Scope::All,
+        allow: &[AllowEntry {
+            path: "crates/core/src/training.rs",
+            reason: "the training gradients (input and kernel gradient as Winograd convolutions, \
+                     DESIGN.md §1 row 7) are API for a training loop this workspace does not \
+                     contain; their callers are the gradient tests",
+        }],
+        check: Check::Corpus(check_pub_needs_caller),
     },
 ];
 
-/// Run every applicable rule over one file.
+impl Rule {
+    fn applies(&self, path: &str) -> bool {
+        self.scope.applies(path) && !self.allow.iter().any(|a| a.path == path)
+    }
+}
+
+/// Run every applicable per-file rule over one file.
 pub fn lint_file(path: &str, src: &str) -> Vec<Violation> {
     let ctx = FileCtx::new(path, src);
     let mut out = Vec::new();
     for rule in RULES {
-        if !rule.scope.applies(path) {
+        let Check::File(check) = rule.check else { continue };
+        if !rule.applies(path) {
             continue;
         }
-        if rule.allow.iter().any(|a| a.path == path) {
-            continue;
-        }
-        for rv in (rule.check)(&ctx) {
+        for rv in check(&ctx) {
             out.push(Violation { path: path.to_string(), line: rv.line, rule: rule.id, msg: rv.msg });
         }
     }
     out.sort_by_key(|v| v.line);
+    out
+}
+
+/// Run every cross-file rule over `files`, the whole set of sources the
+/// rules may look for callers in.
+pub(crate) fn lint_corpus(files: &[FileCtx]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for rule in RULES {
+        let Check::Corpus(check) = rule.check else { continue };
+        for (i, rv) in check(files) {
+            let path = files[i].path;
+            if rule.applies(path) {
+                out.push(Violation { path: path.to_string(), line: rv.line, rule: rule.id, msg: rv.msg });
+            }
+        }
+    }
+    out.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
     out
 }
 
@@ -1011,6 +1205,23 @@ mod tests {
         // The helpers, another type's `now`, and prose are not clock reads.
         let src = "fn f(exec: &dyn Executor) {\n    let t0 = span_start(exec.probe());\n    let d = Date::now();\n    let s = \"Instant::now() now_ns()\"; // now_ns()\n}\n";
         assert_eq!(ids("crates/core/src/x.rs", src), vec![]);
+    }
+
+    #[test]
+    fn pub_needs_caller_counts_other_files_but_not_its_own_tests() {
+        let lib = "pub fn used() {}\npub fn tested() {}\n#[cfg(test)]\nmod tests {\n    fn t() { super::tested(); }\n}\n";
+        let caller = "fn main() { wino_x::used(); }\n";
+        let corpus = |files: &[(&'static str, &'static str)]| {
+            let ctxs: Vec<FileCtx> = files.iter().map(|&(p, s)| FileCtx::new(p, s)).collect();
+            lint_corpus(&ctxs).into_iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>()
+        };
+        let lib_path = "crates/x/src/lib.rs";
+        assert_eq!(corpus(&[(lib_path, lib), ("crates/x/tests/t.rs", caller)]), [
+            ("pub-needs-caller", 2)
+        ]);
+        // Only `crates/*/src` is public surface; the allowlist holds.
+        assert_eq!(corpus(&[("crates/x/tests/t.rs", lib)]), []);
+        assert_eq!(corpus(&[("crates/core/src/training.rs", lib)]), []);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! Fork–join synchronisation cost (§4.5): the custom spin barrier and
-//! static pool against `std::sync::Barrier` and dynamic fork–join, on an
-//! empty task — the pure synchronisation overhead the paper's custom
+//! static pool against `std::sync::Barrier`, on an empty task — the pure synchronisation overhead the paper's custom
 //! primitive is designed to minimise.
 //!
 //! Plain `harness = false` benchmark: no registry dependencies. Run with
 //! `cargo bench --bench barrier`.
 
-use wino_sched::{DynamicExecutor, Executor, SpinBarrier, StaticExecutor, ThreadPool};
+use wino_sched::{Executor, SpinBarrier, StaticExecutor, ThreadPool};
 
 const THREADS: usize = 4;
 const ROUNDS: usize = 20_000;
@@ -43,16 +42,6 @@ fn main() {
         .expect("static grid failed");
     });
     println!("static_grid_64_tasks,{THREADS},{ns:.1}");
-
-    let dyn_exec = DynamicExecutor::new(THREADS);
-    let ns = time_per_round(ROUNDS / 10, || {
-        dyn_exec
-            .run_grid(&[64], &|_, i| {
-                std::hint::black_box(i);
-            })
-            .expect("dynamic grid failed");
-    });
-    println!("dynamic_grid_64_tasks,{THREADS},{ns:.1}");
 
     // Drop the spin pools before benchmarking the blocking std barrier:
     // their busy-wait workers would starve it on oversubscribed machines.

@@ -3,8 +3,6 @@
 //!
 //! * `blocking-model`   — Eq. 11 compute-to-memory ratios vs measured
 //!   throughput across `(C_blk, C'_blk)` (§4.3.2).
-//! * `scheduling`       — static GCD partition + spin barrier vs rayon
-//!   work stealing vs serial (§4.5).
 //! * `budden-net`       — throughput (MVox/s) on the Budden et al. 4×4
 //!   sample network (§5.1), Winograd vs direct.
 //!
@@ -19,9 +17,9 @@
 use wino_bench::{make_executor, run_direct, run_winograd, Args, Rows};
 use wino_conv::ConvOptions;
 use wino_gemm::{batched_gemm, candidate_shapes, BlockShape};
-use wino_sched::{DynamicExecutor, Executor, SerialExecutor, StaticExecutor};
+use wino_sched::Executor;
 use wino_tensor::BlockedMatrices;
-use wino_workloads::{budden_sample_net, mvox_per_sec, scaled_catalog, time_best};
+use wino_workloads::{budden_sample_net, mvox_per_sec, time_best};
 
 fn blocking_model(reps: usize) {
     // Serial on purpose: the model is per-core.
@@ -59,28 +57,6 @@ fn blocking_model(reps: usize) {
     }
 }
 
-fn scheduling(threads: usize, reps: usize) {
-    let mut out = Rows::new(&["layer", "executor", "threads", "full_ms"]);
-    let layer =
-        scaled_catalog().into_iter().find(|l| l.id() == "VGG 3.2").expect("layer in scaled catalogue");
-    let m = vec![4usize; 2];
-    let execs: Vec<(Box<dyn Executor>, &str)> = vec![
-        (Box::new(SerialExecutor), "serial"),
-        (Box::new(StaticExecutor::new(threads)), "static"),
-        (Box::new(DynamicExecutor::new(threads)), "dynamic"),
-    ];
-    for (exec, name) in &execs {
-        let meas =
-            run_winograd(&layer, &m, false, ConvOptions::default(), exec.as_ref(), reps).unwrap();
-        out.push(&[
-            layer.id(),
-            (*name).to_string(),
-            exec.threads().to_string(),
-            format!("{:.3}", meas.timing.best_ms),
-        ]);
-    }
-}
-
 fn budden_net(exec: &dyn Executor, reps: usize, image: usize) {
     let mut out = Rows::new(&["layer", "impl", "best_ms", "mvox_per_s"]);
     for layer in budden_sample_net(image) {
@@ -106,20 +82,16 @@ fn budden_net(exec: &dyn Executor, reps: usize, image: usize) {
 fn main() {
     let args = Args::from_env();
     let reps = args.usize_or("--reps", 3);
-    let exec = make_executor(&args);
     let sub = args.positional().first().map(|s| s.to_string()).unwrap_or_default();
     match sub.as_str() {
         "blocking-model" => blocking_model(reps),
-        "scheduling" => {
-            let threads = args.usize_or("--threads", wino_sched::configured_threads());
-            scheduling(threads.max(2), reps)
+        // The pool is built here only: an idle static pool's workers spin,
+        // so one beside a serial measurement would time that spinning too.
+        "budden-net" => {
+            budden_net(make_executor(&args).as_ref(), reps, args.usize_or("--image", 256))
         }
-        "budden-net" => budden_net(exec.as_ref(), reps, args.usize_or("--image", 256)),
         other => {
-            eprintln!(
-                "unknown subcommand {other:?}; expected one of: blocking-model, scheduling, \
-                 budden-net"
-            );
+            eprintln!("unknown subcommand {other:?}; expected one of: blocking-model, budden-net");
             std::process::exit(2);
         }
     }

@@ -21,8 +21,7 @@
 //!     timing: Timing { best_ms: 1.0, mean_ms: 1.5, reps: 3 },
 //!     gflops: 42.0,
 //! };
-//! assert_eq!(Measurement::csv_header(), "layer,impl,best_ms,mean_ms,effective_gflops");
-//! assert_eq!(m.to_csv(), "VGG 3.2,direct,1.000,1.500,42.00");
+//! assert_eq!(m.csv_cells().join(","), "VGG 3.2,direct,1.000,1.500,42.00");
 //! ```
 
 pub mod perf;
@@ -46,11 +45,8 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    pub fn csv_header() -> &'static str {
-        "layer,impl,best_ms,mean_ms,effective_gflops"
-    }
-
-    /// The [`Measurement::csv_header`] columns as formatted cells.
+    /// The row as formatted cells: layer, impl, best and mean ms,
+    /// effective GFLOP/s.
     pub fn csv_cells(&self) -> Vec<String> {
         vec![
             self.layer.clone(),
@@ -59,10 +55,6 @@ impl Measurement {
             format!("{:.3}", self.timing.mean_ms),
             format!("{:.2}", self.gflops),
         ]
-    }
-
-    pub fn to_csv(&self) -> String {
-        self.csv_cells().join(",")
     }
 }
 

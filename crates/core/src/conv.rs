@@ -124,7 +124,7 @@ pub fn convolve_simple(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wino_sched::{DynamicExecutor, SerialExecutor, StaticExecutor};
+    use wino_sched::{SerialExecutor, StaticExecutor};
 
     /// f64 direct cross-correlation oracle on simple tensors.
     pub fn direct_reference(img: &SimpleImage, ker: &SimpleKernels, padding: &[usize]) -> SimpleImage {
@@ -302,7 +302,6 @@ mod tests {
         let serial = run(&SerialExecutor);
         let stat = StaticExecutor::new(4);
         assert_eq!(run(&stat).data, serial.data);
-        assert_eq!(run(&DynamicExecutor::new(4)).data, serial.data);
     }
 
     #[test]
@@ -447,12 +446,11 @@ mod tests {
             (1, (16, 32), &[11, 12], 2, 0, &[3, 3], None),
             (1, (16, 16), &[13, 12], 5, 2, &[2, 2], None),
         ];
-        let executors: [Box<dyn Executor>; 5] = [
+        let executors: [Box<dyn Executor>; 4] = [
             Box::new(SerialExecutor),
             Box::new(StaticExecutor::new(2)),
             Box::new(StaticExecutor::new(3)),
             Box::new(StaticExecutor::new(4)),
-            Box::new(DynamicExecutor::new(4)),
         ];
         let mut engines = vec![Stage2Backend::Mono];
         if wino_simd::cpu_has_avx512f() {

@@ -31,7 +31,7 @@
 //! when planning or execution fails, is the degradation table in
 //! [`crate::select`].
 
-use wino_probe::{SpanCategory, StageWork, WorkModel, ALL_CATEGORIES};
+use wino_probe::{SpanCategory, StageWork, WorkModel};
 use wino_sched::Executor;
 use wino_simd::S;
 use wino_tensor::{BlockedImage, BlockedKernels, ConvGeometry, ConvShape, TensorError};
@@ -326,27 +326,6 @@ impl DispatchPlan {
     /// dense work, strided ones `1/∏s`).
     pub fn direct_flops(&self) -> u128 {
         2 * self.geo.direct_macs(&self.shape).expect("geometry validated at plan time")
-    }
-
-    /// Per-stage operation/traffic model of the work the route performs:
-    /// the stride-1 plan's model (a per-group plan runs `G` times; a
-    /// strided layer computes the whole stride-1 image), or the im2col
-    /// lowering+GEMM model for the fallback route.
-    pub fn work_model(&self) -> WorkModel {
-        match &self.route {
-            Route::Direct(p) => p.work_model(),
-            Route::Grouped { plan } => {
-                let (per_group, mut model) = (plan.work_model(), WorkModel::new());
-                let g = self.geo.groups as u128;
-                for cat in ALL_CATEGORIES {
-                    if let Some(w) = per_group.get(cat) {
-                        model.set(cat, StageWork { flops: w.flops * g, bytes: w.bytes * g });
-                    }
-                }
-                model
-            }
-            Route::Im2col => self.im2col_work_model(),
-        }
     }
 
     /// The im2col lowering+GEMM model for this plan's geometry,
@@ -679,7 +658,7 @@ mod tests {
         // bit for bit every `s`-th site of the same layer planned at
         // stride 1 — whatever the rank, stride, padding, kernel parity,
         // grouping, stage-2 engine or executor.
-        use wino_sched::{DynamicExecutor, StaticExecutor};
+        use wino_sched::StaticExecutor;
         type Case<'a> = (&'a [usize], &'a [usize], &'a [usize], &'a [usize], usize);
         let cases: [Case; 9] = [
             (&[17], &[3], &[1], &[2], 1),
@@ -700,7 +679,7 @@ mod tests {
             Box::new(SerialExecutor),
             Box::new(StaticExecutor::new(2)),
             Box::new(StaticExecutor::new(3)),
-            Box::new(DynamicExecutor::new(4)),
+            Box::new(StaticExecutor::new(4)),
         ];
         for (dims, kernel, padding, stride, groups) in cases {
             let c = 16 * groups;
@@ -789,20 +768,16 @@ mod tests {
         let s = ConvShape::new(1, 32, 32, &[12, 12], &[3, 3], &[1, 1]).unwrap();
         let strided = ConvOptions::default().with_stride(&[2, 2]);
         let (dp, _) = plan_dispatch(&s, &[2, 2], strided, &FallbackPolicy::default()).unwrap();
-        let wm = dp.work_model();
-        assert!(wm.total_flops() > 0);
-        assert!(wm.get(SpanCategory::ElementwiseGemm).is_some());
         assert!(dp.direct_flops() > 0);
 
         let grouped = ConvOptions::default().with_groups(2);
         let (dg, _) = plan_dispatch(&s, &[2, 2], grouped, &FallbackPolicy::default()).unwrap();
         // Grouped direct work is half the dense layer's.
         assert_eq!(dg.direct_flops() * 2, s.direct_flops());
-        assert!(dg.work_model().total_flops() > 0);
 
         let dilated = ConvOptions::default().with_dilation(&[2, 2]);
         let (di, _) = plan_dispatch(&s, &[2, 2], dilated, &FallbackPolicy::default()).unwrap();
-        let wm = di.work_model();
+        let wm = di.im2col_work_model();
         assert!(wm.get(SpanCategory::Im2colLower).is_some());
         assert!(wm.get(SpanCategory::ElementwiseGemm).unwrap().flops > 0);
     }

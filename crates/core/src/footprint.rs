@@ -156,13 +156,6 @@ impl MemoryFootprint {
             + self.per_thread_bytes
             + self.output_bytes
     }
-
-    /// The per-inference marginal cost once a plan's scratch and kernels
-    /// are resident: the output image alone. Serving uses this to price
-    /// additional in-flight requests against the byte ceiling.
-    pub fn marginal_bytes(&self) -> usize {
-        self.output_bytes
-    }
 }
 
 #[cfg(test)]
@@ -235,7 +228,6 @@ mod tests {
             fp.total(),
             fp.scratch_bytes + fp.transformed_kernel_bytes + fp.per_thread_bytes + fp.output_bytes
         );
-        assert_eq!(fp.marginal_bytes(), fp.output_bytes);
         assert_eq!(fp.threads, 3);
     }
 

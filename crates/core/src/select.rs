@@ -295,24 +295,6 @@ pub fn candidate_tiles(shape: &ConvShape, purpose: Purpose) -> Vec<Vec<usize>> {
     cands
 }
 
-/// Demote a tile vector per dimension (steps of 2, floor 2) until every
-/// dimension's `F(m, r)` conditioning fits `budget`. Returns the fitted
-/// tile, which may equal `m`; a dimension already at 2 stays at 2 even
-/// when the budget is unreachable (the caller decides whether to plan it
-/// anyway or fall back to a different backend).
-pub fn fit_tile_to_budget(shape: &ConvShape, m: &[usize], budget: AccuracyBudget) -> Vec<usize> {
-    m.iter()
-        .zip(&shape.kernel_dims)
-        .map(|(&m0, &r)| {
-            let mut mm = m0;
-            while mm > 2 && !budget.admits_gamma(gamma(mm, r)) {
-                mm = shrink_dim(mm);
-            }
-            mm
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -408,21 +390,12 @@ mod tests {
     }
 
     #[test]
-    fn tight_budget_demotes_m8_to_m4() {
+    fn tight_budget_rejects_m8_and_plans_m4() {
         // γ(4,3)·ε ≈ 5.7e-6 fits a 6e-6 budget; γ(6,3)·ε ≈ 8.1e-6 does
-        // not — so a planned F(8×8, 3×3) must demote two steps to 4.
+        // not — so the planner rejects F(8×8, 3×3) and plans F(4×4, 3×3).
         let s = ConvShape::new(1, 16, 16, &[20, 20], &[3, 3], &[1, 1]).unwrap();
         let opts = ConvOptions::default();
         let tight = AccuracyBudget::new(6e-6);
-        assert_eq!(fit_tile_to_budget(&s, &[8, 8], tight), vec![4, 4]);
-        // Already-fitting tiles pass through unchanged.
-        assert_eq!(fit_tile_to_budget(&s, &[4, 2], tight), vec![4, 2]);
-        // An unreachable budget floors at 2 instead of looping.
-        let impossible = AccuracyBudget::new(1e-12);
-        assert_eq!(fit_tile_to_budget(&s, &[8, 8], impossible), vec![2, 2]);
-
-        // And the planner agrees end-to-end: m = 8 is rejected under the
-        // tight budget, the demoted tile plans cleanly.
         let tight_opts = ConvOptions { budget: Some(tight), ..opts };
         assert!(matches!(
             WinogradLayer::new(s.clone(), &[8, 8], tight_opts),

@@ -27,4 +27,4 @@ pub use generic::batched_gemm_generic;
 pub use micro::{
     microkernel, microkernel_reference, strips, MicroArgs, Output, TileTable, MAX_N_BLK,
 };
-pub use model::{candidate_shapes, default_shape, BlockShape, KNL_MACHINE_RATIO, MAX_V_ELEMS};
+pub use model::{candidate_shapes, default_shape, BlockShape, MAX_V_ELEMS};

@@ -27,10 +27,6 @@ pub struct BlockShape {
     pub cp_blk: usize,
 }
 
-/// The Xeon Phi 7210's compute-to-memory ratio from the paper:
-/// ≈4.5 TFLOPS / (400 GB/s ÷ 4 B) = 45 FLOPs per float moved.
-pub const KNL_MACHINE_RATIO: f64 = 45.0;
-
 /// Hard bound on `C_blk · C'_blk` (L2 budget for `V̂`): `128²` floats.
 pub const MAX_V_ELEMS: usize = 128 * 128;
 
@@ -40,17 +36,6 @@ impl BlockShape {
         let b = if beta { 1.0 } else { 0.0 };
         let (cb, cpb) = (self.c_blk as f64, self.cp_blk as f64);
         2.0 * cb * cpb / ((b + 1.0) * cpb + cb)
-    }
-
-    /// Bytes of L2 occupied by one `V̂` block.
-    pub fn v_bytes(&self) -> usize {
-        self.c_blk * self.cp_blk * 4
-    }
-
-    /// Whether the shape is compute-bound on a machine with the given
-    /// FLOP/float ratio (steady state: β = 1).
-    pub fn is_compute_bound(&self, machine_ratio: f64) -> bool {
-        self.compute_to_memory_ratio(true) >= machine_ratio
     }
 
     /// Rows of padding introduced when multiplying `rows` panel rows.
@@ -133,21 +118,6 @@ mod tests {
         assert!((s.compute_to_memory_ratio(true) - 85.33).abs() < 0.01);
         let s = BlockShape { n_blk: 8, c_blk: 64, cp_blk: 64 };
         assert!((s.compute_to_memory_ratio(true) - 42.67).abs() < 0.01);
-    }
-
-    #[test]
-    fn compute_bound_classification() {
-        let big = BlockShape { n_blk: 8, c_blk: 128, cp_blk: 128 };
-        assert!(big.is_compute_bound(KNL_MACHINE_RATIO));
-        let small = BlockShape { n_blk: 8, c_blk: 64, cp_blk: 64 };
-        assert!(!small.is_compute_bound(KNL_MACHINE_RATIO));
-    }
-
-    #[test]
-    fn v_fits_l2_budget() {
-        // 128×128 V̂ needs 64 KB, within the paper's 1 MB-per-2-cores L2.
-        let s = BlockShape { n_blk: 8, c_blk: 128, cp_blk: 128 };
-        assert_eq!(s.v_bytes(), 64 * 1024);
     }
 
     #[test]

@@ -150,17 +150,6 @@ impl Asm {
         self.evex(Map::M0F, Pp::P66, 0xEF, zmm, Some(zmm), Rm::Zmm(zmm));
     }
 
-    /// `prefetcht1 [base + disp]` (legacy encoding).
-    pub fn prefetcht1(&mut self, base: Gpr, disp: i32) {
-        let b = base as u8;
-        debug_assert!(b & 7 != 4);
-        if b >= 8 {
-            self.code.push(0x41); // REX.B
-        }
-        self.code.extend_from_slice(&[0x0F, 0x18, 0b10_010_000 | (b & 7)]);
-        self.code.extend_from_slice(&disp.to_le_bytes());
-    }
-
     /// `mov dst, qword [base + disp]` — 64-bit GPR load (used to fetch
     /// per-row scatter destinations from the pointer table).
     pub fn mov_load64(&mut self, dst: Gpr, base: Gpr, disp: i32) {
@@ -258,11 +247,6 @@ mod tests {
         a.vzero(7);
         assert_eq!(a.code, vec![0x62, 0xF1, 0x45, 0x48, 0xEF, 0xFF]);
 
-        // prefetcht1 [rsi+0x80]
-        let mut a = Asm::new();
-        a.prefetcht1(Gpr::Rsi, 0x80);
-        assert_eq!(a.code, vec![0x0F, 0x18, 0x96, 0x80, 0, 0, 0]);
-
         // sfence / vzeroupper / ret
         let mut a = Asm::new();
         a.sfence();
@@ -348,11 +332,6 @@ mod tests {
         let mut a = Asm::new();
         a.vfmadd231ps(3, 28, 25);
         assert_eq!(a.code, vec![0x62, 0x92, 0x1D, 0x40, 0xB8, 0xD9]);
-
-        // prefetcht1 [r9+0x40] — REX.B for the extended base.
-        let mut a = Asm::new();
-        a.prefetcht1(Gpr::R9, 0x40);
-        assert_eq!(a.code, vec![0x41, 0x0F, 0x18, 0x91, 0x40, 0, 0, 0]);
     }
 
     #[test]

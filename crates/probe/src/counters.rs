@@ -9,8 +9,7 @@
 //! tiles checked"), so unlike spans they count on every run:
 //! one relaxed atomic add per *sampled tile*, nothing per output element.
 //!
-//! Counters are process-global and monotonic; [`reset_all`] exists for
-//! tests and report boundaries. Beside the sentinel family sit the
+//! Counters are process-global and monotonic. Beside the sentinel family sit the
 //! allocator tallies and the memory ladder's outcomes. (The serving
 //! layer keeps its tallies per server, in `wino_serve::ServeStats`.)
 
@@ -58,7 +57,7 @@ impl Counter {
         Counter::MemoryRescues,
     ];
 
-    /// Stable kebab-case name used in JSON reports.
+    /// Stable kebab-case name.
     pub fn name(self) -> &'static str {
         match self {
             Counter::SentinelTilesChecked => "sentinel-tiles-checked",
@@ -95,16 +94,16 @@ impl Counter {
     }
 }
 
-/// Zero every counter (test scaffolding / report boundaries).
-pub fn reset_all() {
-    for c in Counter::ALL {
-        c.cell().store(0, Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Zero every counter.
+    fn reset_all() {
+        for c in Counter::ALL {
+            c.cell().store(0, Ordering::Relaxed);
+        }
+    }
 
     // Counters are process-global; tests that write them must not
     // interleave (reset_all would erase a sibling's tallies mid-assert).

@@ -57,12 +57,6 @@ impl Rng {
         result
     }
 
-    /// Uniform `u32`.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform integer in `[0, bound)`. `bound` must be nonzero.
     #[inline]
     pub fn below(&mut self, bound: usize) -> usize {
@@ -100,13 +94,6 @@ impl Rng {
     #[inline]
     pub fn next_bool(&mut self) -> bool {
         self.next_u64() & 1 == 1
-    }
-
-    /// Fill a slice with uniform `[lo, hi)` floats.
-    pub fn fill_f32(&mut self, out: &mut [f32], lo: f32, hi: f32) {
-        for v in out {
-            *v = self.range_f32(lo, hi);
-        }
     }
 }
 

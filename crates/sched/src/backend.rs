@@ -1,8 +1,7 @@
-//! Execution backends: the paper's static scheduler, plus a dynamic
-//! work-stealing-style executor and a serial executor used as comparison
-//! points in the §4.5 scheduling ablation.
+//! Execution backends: the paper's static scheduler and a serial
+//! executor.
 //!
-//! All backends share one failure contract: `run_grid` returns
+//! Both backends share one failure contract: `run_grid` returns
 //! `Err(PoolError::Panicked { .. })` if any task panicked (the panic is
 //! contained, never propagated), and the static backend additionally
 //! surfaces barrier watchdog failures as `PoolError::Barrier`. On `Ok(())`
@@ -10,8 +9,6 @@
 //! partially executed and the output buffers must be treated as garbage.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::pool::PoolError;
 use crate::{GridPartition, ThreadPool};
@@ -146,10 +143,6 @@ impl StaticExecutor {
         StaticExecutor { pool: ThreadPool::with_deadline(threads, deadline) }
     }
 
-    pub fn with_available_parallelism() -> StaticExecutor {
-        StaticExecutor { pool: ThreadPool::with_available_parallelism() }
-    }
-
     /// The underlying fork–join pool.
     pub fn pool(&self) -> &ThreadPool {
         &self.pool
@@ -174,97 +167,6 @@ impl Executor for StaticExecutor {
 
     fn name(&self) -> &'static str {
         "static"
-    }
-}
-
-/// Dynamically load-balanced executor — the comparison point for the §4.5
-/// ablation ("static scheduling vs dynamic"). Tasks are claimed in small
-/// chunks from a shared atomic counter by scoped worker threads, the
-/// textbook dynamic-scheduling strategy the paper's static partition is
-/// measured against. (The seed used `rayon` here; this dependency-free
-/// replacement keeps the ablation available in offline builds.)
-pub struct DynamicExecutor {
-    threads: usize,
-}
-
-/// Tasks claimed per counter increment: amortises contention while keeping
-/// the load balancing fine-grained.
-const DYNAMIC_CHUNK: usize = 8;
-
-impl DynamicExecutor {
-    pub fn new(threads: usize) -> DynamicExecutor {
-        assert!(threads > 0);
-        DynamicExecutor { threads }
-    }
-
-    /// Executor sized by [`crate::host::configured_threads`]
-    /// (`WINO_THREADS` override, else every online CPU).
-    pub fn with_available_parallelism() -> DynamicExecutor {
-        DynamicExecutor::new(crate::host::configured_threads())
-    }
-}
-
-impl Default for DynamicExecutor {
-    fn default() -> Self {
-        DynamicExecutor::with_available_parallelism()
-    }
-}
-
-impl Executor for DynamicExecutor {
-    fn run_grid(
-        &self,
-        dims: &[usize],
-        task: &(dyn Fn(usize, usize) + Sync),
-    ) -> Result<(), PoolError> {
-        let total: usize = dims.iter().product();
-        // Shrink the claim chunk when the grid is small relative to the
-        // thread count (a handful of tasks) so every slot still gets
-        // work; coarse chunks would let one thread claim the whole grid.
-        let chunk = DYNAMIC_CHUNK.min(total.div_ceil(self.threads)).max(1);
-        let next = AtomicUsize::new(0);
-        let panics: Mutex<Vec<(usize, String)>> = Mutex::new(Vec::new());
-
-        let worker = |slot: usize| {
-            let result = catch_unwind(AssertUnwindSafe(|| loop {
-                // ORDERING: Relaxed — the counter only partitions indices;
-                // task data is published by scope-spawn and joined below.
-                let lo = next.fetch_add(chunk, Ordering::Relaxed);
-                if lo >= total {
-                    break;
-                }
-                for i in lo..(lo + chunk).min(total) {
-                    task(slot, i);
-                }
-            }));
-            if let Err(payload) = result {
-                let msg = crate::pool::panic_message(payload);
-                panics.lock().unwrap_or_else(|e| e.into_inner()).push((slot, msg));
-            }
-            wino_simd::sfence();
-        };
-
-        std::thread::scope(|s| {
-            for slot in 1..self.threads {
-                s.spawn(move || worker(slot));
-            }
-            worker(0);
-        });
-
-        let mut collected = panics.into_inner().unwrap_or_else(|e| e.into_inner());
-        if collected.is_empty() {
-            Ok(())
-        } else {
-            collected.sort_by_key(|(slot, _)| *slot);
-            Err(PoolError::Panicked { panics: collected })
-        }
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn name(&self) -> &'static str {
-        "dynamic"
     }
 }
 
@@ -317,18 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_covers() {
-        let e = DynamicExecutor::new(4);
-        check_covers(&e, &[6, 6]);
-        check_covers(&e, &[1]);
-        check_covers(&e, &[37]); // not a multiple of the claim chunk
-        // Grids smaller than threads × chunk: the adaptive chunk must
-        // still cover every index exactly once.
-        check_covers(&e, &[3]);
-        check_covers(&e, &[5]);
-    }
-
-    #[test]
     fn static_reuses_pool_across_grids() {
         let e = StaticExecutor::new(3);
         for _ in 0..20 {
@@ -358,7 +248,6 @@ mod tests {
         let e = StaticExecutor::new(2);
         assert_eq!(e.threads(), 2);
         assert_eq!(e.name(), "static");
-        assert_eq!(DynamicExecutor::new(2).name(), "dynamic");
     }
 
     #[test]
@@ -388,20 +277,5 @@ mod tests {
             .expect_err("task panicked");
         assert!(matches!(err, PoolError::Panicked { .. }));
         check_covers(&e, &[8, 8]);
-    }
-
-    #[test]
-    fn dynamic_contains_task_panics() {
-        let e = DynamicExecutor::new(3);
-        let err = e
-            .run_grid(&[100], &|_, i| {
-                if i == 50 {
-                    panic!("dynamic task 50");
-                }
-            })
-            .expect_err("task panicked");
-        assert!(matches!(err, PoolError::Panicked { .. }));
-        // The executor is stateless; a fresh grid still covers fully.
-        check_covers(&e, &[100]);
     }
 }

@@ -106,15 +106,6 @@ impl<A: Atomics> SpinBarrierIn<A> {
         }
     }
 
-    pub fn participants(&self) -> usize {
-        self.total
-    }
-
-    /// Whether a watchdog has poisoned this barrier.
-    pub fn is_poisoned(&self) -> bool {
-        self.state.load(Ordering::Acquire) & POISON != 0
-    }
-
     /// Mark the barrier unusable; concurrent and future waiters fail fast
     /// with [`BarrierError::Poisoned`]. Unlike the watchdog's poison-CAS,
     /// this unconditionally kills the barrier whatever generation it is in.
@@ -222,6 +213,13 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Arc;
     use std::time::Instant;
+
+    impl<A: Atomics> SpinBarrierIn<A> {
+        /// Whether a watchdog has poisoned this barrier.
+        fn is_poisoned(&self) -> bool {
+            self.state.load(Ordering::Acquire) & POISON != 0
+        }
+    }
 
     #[test]
     fn single_participant_never_blocks() {

@@ -31,13 +31,10 @@ use std::time::Duration;
 // The allocation-failure injector lives next to the allocator it arms
 // (`wino-simd`); re-exported here so fault batteries have one façade —
 // and one [`test_lock`] — for every injectable failure in the engine.
-pub use wino_simd::fault::{
-    arm_fail_after_bytes, arm_fail_every, arm_fail_random, injected_failures,
-    reset as reset_alloc,
-};
+pub use wino_simd::fault::{arm_fail_every, injected_failures, reset as reset_alloc};
 
 /// Which fork–join (pool epoch) a fault targets. Pools count fork–joins
-/// from 0; [`crate::ThreadPool::forkjoins`] reports the next epoch.
+/// from 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum When {
     /// Fire at the given pool epoch.

@@ -69,13 +69,6 @@ impl TaskBox {
             }
         }
     }
-
-    /// Collect flat indices (test helper).
-    pub fn flat_indices(&self, dims: &[usize]) -> Vec<usize> {
-        let mut v = Vec::with_capacity(self.len());
-        self.for_each_flat(dims, |i| v.push(i));
-        v
-    }
 }
 
 fn gcd(mut a: usize, mut b: usize) -> usize {
@@ -109,16 +102,6 @@ impl GridPartition {
     /// Total tasks in the grid.
     pub fn total(&self) -> usize {
         self.dims.iter().product()
-    }
-
-    /// Largest per-thread task count (load-balance metric).
-    pub fn max_load(&self) -> usize {
-        self.boxes.iter().map(TaskBox::len).max().unwrap_or(0)
-    }
-
-    /// Smallest per-thread task count.
-    pub fn min_load(&self) -> usize {
-        self.boxes.iter().map(TaskBox::len).min().unwrap_or(0)
     }
 }
 
@@ -166,6 +149,27 @@ fn split(b: TaskBox, threads: usize, out: &mut Vec<TaskBox>) {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    impl TaskBox {
+        /// Collect flat indices.
+        fn flat_indices(&self, dims: &[usize]) -> Vec<usize> {
+            let mut v = Vec::with_capacity(self.len());
+            self.for_each_flat(dims, |i| v.push(i));
+            v
+        }
+    }
+
+    impl GridPartition {
+        /// Largest per-thread task count (load-balance metric).
+        fn max_load(&self) -> usize {
+            self.boxes.iter().map(TaskBox::len).max().unwrap_or(0)
+        }
+
+        /// Smallest per-thread task count.
+        fn min_load(&self) -> usize {
+            self.boxes.iter().map(TaskBox::len).min().unwrap_or(0)
+        }
+    }
 
     fn check_exact_cover(dims: &[usize], threads: usize) -> GridPartition {
         let p = GridPartition::new(dims, threads);

@@ -3,9 +3,8 @@
 //! The parallel-execution substrate (paper §4.5): static scheduling through
 //! recursive-GCD grid partitioning ([`GridPartition`]), a custom busy-wait
 //! [`SpinBarrier`] built from atomics with an optional watchdog deadline, a
-//! persistent panic-safe fork–join [`ThreadPool`], and pluggable
-//! [`Executor`] backends (static / dynamic / serial) so the scheduling
-//! ablation can swap strategies without touching the convolution code.
+//! persistent panic-safe fork–join [`ThreadPool`], and the [`Executor`]
+//! trait the convolution code runs through (static or serial).
 //!
 //! ## Host
 //!
@@ -38,7 +37,7 @@ pub mod pool;
 pub mod probed;
 
 pub use atomics::{AtomicUsizeOps, Atomics, Clock, StdAtomics, StdClock};
-pub use backend::{DynamicExecutor, Executor, SerialExecutor, StaticExecutor};
+pub use backend::{Executor, SerialExecutor, StaticExecutor};
 pub use probed::ProbedExecutor;
 pub use barrier::{BarrierError, SpinBarrier, SpinBarrierIn};
 pub use grid::{GridPartition, TaskBox};

@@ -74,16 +74,6 @@ pub enum PoolError {
     Unusable,
 }
 
-impl PoolError {
-    /// The tids reported as panicked (empty for non-panic errors).
-    pub fn panicking_tids(&self) -> Vec<usize> {
-        match self {
-            PoolError::Panicked { panics } => panics.iter().map(|(t, _)| *t).collect(),
-            _ => Vec::new(),
-        }
-    }
-}
-
 impl std::fmt::Display for PoolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -224,13 +214,6 @@ impl ThreadPool {
         ThreadPool { shared, workers, n_threads, deadline, dead: AtomicBool::new(false) }
     }
 
-    /// Pool sized by the process-wide thread policy
-    /// ([`crate::host::configured_threads`]): the `WINO_THREADS`
-    /// override when set, otherwise every online CPU.
-    pub fn with_available_parallelism() -> ThreadPool {
-        ThreadPool::new(crate::host::configured_threads())
-    }
-
     pub fn n_threads(&self) -> usize {
         self.n_threads
     }
@@ -238,11 +221,6 @@ impl ThreadPool {
     /// The configured barrier watchdog deadline.
     pub fn deadline(&self) -> Duration {
         self.deadline
-    }
-
-    /// Fork–joins started so far (the epoch the *next* `run` will use).
-    pub fn forkjoins(&self) -> u64 {
-        self.shared.epoch.load(Ordering::Acquire)
     }
 
     /// Whether the pool has been disabled by a barrier failure.
@@ -426,6 +404,16 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::time::Instant;
 
+    impl PoolError {
+        /// The tids reported as panicked (empty for non-panic errors).
+        fn panicking_tids(&self) -> Vec<usize> {
+            match self {
+                PoolError::Panicked { panics } => panics.iter().map(|(t, _)| *t).collect(),
+                _ => Vec::new(),
+            }
+        }
+    }
+
     #[test]
     fn single_thread_pool_runs_inline() {
         let pool = ThreadPool::new(1);
@@ -495,7 +483,7 @@ mod tests {
         }
         // ORDERING: Relaxed — read after run() returned.
         assert_eq!(total.load(Ordering::Relaxed), 600);
-        assert_eq!(pool.forkjoins(), 200);
+        assert_eq!(pool.shared.epoch.load(Ordering::Acquire), 200);
     }
 
     #[test]

@@ -175,7 +175,7 @@ pub enum DegradeLevel {
 }
 
 impl DegradeLevel {
-    /// Stable kebab-case name used in JSON reports.
+    /// Stable kebab-case name, as `serve_load` prints it.
     pub fn name(self) -> &'static str {
         match self {
             DegradeLevel::Full => "full",

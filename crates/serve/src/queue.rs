@@ -117,12 +117,6 @@ impl<A: Atomics, T> SlotIn<A, T> {
         true
     }
 
-    /// Whether a resolution has been published (diagnostic; the answer
-    /// can be stale by the time the caller acts on it).
-    pub fn is_resolved(&self) -> bool {
-        self.state.load(Ordering::Acquire) >= READY
-    }
-
     fn try_take(&self) -> Option<T> {
         // ORDERING: Relaxed on failure — not-READY-yet carries no data;
         // the caller just keeps spinning.
@@ -150,20 +144,6 @@ impl<A: Atomics, T> SlotIn<A, T> {
                 return resp;
             }
             let _ = A::spin(&mut spin, None);
-        }
-    }
-
-    /// As [`SlotIn::take_blocking`] with a timeout in the [`Atomics`]
-    /// timebase; `None` if the slot has not resolved within it.
-    pub fn take_timeout(&self, timeout: Duration) -> Option<T> {
-        let mut spin = A::SpinState::default();
-        loop {
-            if let Some(resp) = self.try_take() {
-                return Some(resp);
-            }
-            if A::spin(&mut spin, Some(timeout)).is_some() {
-                return self.try_take();
-            }
         }
     }
 }
@@ -195,12 +175,6 @@ impl<A: Atomics, T> TicketIn<A, T> {
     /// drain, or the queue entry's own drop guard.
     pub fn wait(self) -> T {
         self.slot.take_blocking()
-    }
-
-    /// As [`Ticket::wait`] with a timeout; `None` if the request has
-    /// not resolved yet (the ticket remains redeemable).
-    pub fn wait_for(&self, timeout: Duration) -> Option<T> {
-        self.slot.take_timeout(timeout)
     }
 }
 
@@ -537,14 +511,6 @@ mod tests {
         assert!(slot.resolve(1));
         assert!(!slot.resolve(2), "second resolution must lose");
         assert_eq!(slot.take_blocking(), 1);
-    }
-
-    #[test]
-    fn take_timeout_returns_none_until_resolved() {
-        let slot: Arc<SlotIn<StdAtomics, u32>> = SlotIn::new();
-        assert_eq!(slot.take_timeout(Duration::from_millis(1)), None);
-        assert!(slot.resolve(9));
-        assert_eq!(slot.take_timeout(Duration::from_millis(1)), Some(9));
     }
 
     #[test]

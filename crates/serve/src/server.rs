@@ -306,7 +306,7 @@ impl Server {
         let stats = &self.shared.stats;
         // ORDERING: Relaxed — monotonic tally, no ordering contract.
         stats.submitted.fetch_add(1, Ordering::Relaxed);
-        self.check_shape(&input)?;
+        self.check_shape(&input).inspect_err(|_| Stats::bump(&stats.failed))?;
         let now = Instant::now();
         if deadline <= now {
             Stats::bump(&stats.shed_deadline);
@@ -942,5 +942,11 @@ mod tests {
         }
         let wrong_rank = BlockedImage::zeros(1, 16, &[6, 6, 6]).unwrap();
         assert!(server.submit(wrong_rank, Duration::from_secs(1)).is_err());
+        let batch_2 = BlockedImage::zeros(2, 16, &[6, 6]).unwrap();
+        assert!(server.submit(batch_2, Duration::from_secs(1)).is_err());
+        // Each rejection is booked as failed, so the tallies still sum to
+        // `submitted`.
+        let stats = server.shutdown();
+        assert_eq!((stats.submitted, stats.admitted, stats.failed), (3, 0, 3));
     }
 }

@@ -7,18 +7,18 @@
 //!
 //! Allocation here is the memory-robustness seam for the whole engine:
 //!
-//! * the `try_*` constructors return a typed [`AllocError`] instead of
+//! * [`AlignedVec::try_zeroed`] returns a typed [`AllocError`] instead of
 //!   aborting, so planners and the serving layer can degrade (smaller
 //!   tiles, im2col, shedding) instead of dying;
 //! * every allocation is tallied — a process-global live-byte gauge feeds
 //!   the `alloc-bytes-peak` probe counter and `alloc-calls` counts every
 //!   buffer ever created, so footprint models can be validated against
 //!   what was actually allocated;
-//! * under the `fault-inject` feature the `try_*` path consults the
-//!   [`crate::fault`] injector, which can deterministically fail the
-//!   k-th allocation or the first allocation past a byte budget. The
-//!   infallible wrappers never consult the injector: arming a fault can
-//!   make a `try_*` call fail, never abort the process.
+//! * under the `fault-inject` feature `try_zeroed` consults the
+//!   [`crate::fault`] injector, which can deterministically fail every
+//!   k-th allocation. The infallible wrappers never consult the injector:
+//!   arming a fault can make a `try_zeroed` call fail, never abort the
+//!   process.
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
@@ -36,13 +36,6 @@ thread_local! {
     // test threads allocate, which the process-global counters are not.
     static THREAD_ALLOC_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static THREAD_ALLOC_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Bytes of [`AlignedVec`] storage currently live across the process —
-/// the gauge behind the `alloc-bytes-peak` counter.
-pub fn live_alloc_bytes() -> u64 {
-    // ORDERING: Relaxed — a monitoring gauge; readers tolerate staleness.
-    LIVE_BYTES.load(Ordering::Relaxed)
 }
 
 /// [`AlignedVec`] allocations made *by the calling thread* since it
@@ -114,24 +107,23 @@ fn account(bytes: usize) {
     THREAD_ALLOC_BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
-/// One fallible allocation. `injectable` is true only on the `try_*`
-/// path: the infallible wrappers skip the fault injector so arming a
-/// fault can never abort the process through them.
-fn try_alloc(len: usize, zeroed: bool, injectable: bool) -> Result<AlignedVec, AllocError> {
+/// One fallible, zero-filled allocation. `injectable` is true only for
+/// `try_zeroed`: the infallible wrappers skip the fault injector so arming
+/// a fault can never abort the process through them.
+fn try_alloc(len: usize, injectable: bool) -> Result<AlignedVec, AllocError> {
     if len == 0 {
         return Ok(AlignedVec { ptr: std::ptr::NonNull::<f32>::dangling().as_ptr(), len: 0 });
     }
     let layout = AlignedVec::layout(len);
     let bytes = layout.size();
     #[cfg(feature = "fault-inject")]
-    if injectable && crate::fault::should_fail(bytes) {
+    if injectable && crate::fault::should_fail() {
         return Err(AllocError { len, bytes, injected: true });
     }
     #[cfg(not(feature = "fault-inject"))]
     let _ = injectable;
     // SAFETY: layout has non-zero size here.
-    let ptr = unsafe { if zeroed { alloc_zeroed(layout) } else { std::alloc::alloc(layout) } }
-        as *mut f32;
+    let ptr = unsafe { alloc_zeroed(layout) } as *mut f32;
     if ptr.is_null() {
         return Err(AllocError { len, bytes, injected: false });
     }
@@ -141,31 +133,10 @@ fn try_alloc(len: usize, zeroed: bool, injectable: bool) -> Result<AlignedVec, A
 
 impl AlignedVec {
     /// Allocate `len` floats, zero-filled and 64-byte aligned, or return
-    /// a typed [`AllocError`] — never aborts. Does not consult the fault
-    /// injector's byte/call budget beyond... it *is* the injectable seam:
-    /// an armed injector fails this call with `injected: true`.
+    /// a typed [`AllocError`] — never aborts. This is the injectable seam:
+    /// an armed fault injector fails this call with `injected: true`.
     pub fn try_zeroed(len: usize) -> Result<AlignedVec, AllocError> {
-        try_alloc(len, true, true)
-    }
-
-    /// Fallible variant of [`AlignedVec::uninit`].
-    ///
-    /// # Safety
-    /// Every element must be written (e.g. zeroed) before the buffer is
-    /// read or exposed to safe code.
-    pub unsafe fn try_uninit(len: usize) -> Result<AlignedVec, AllocError> {
-        try_alloc(len, false, true)
-    }
-
-    /// Allocate `len` floats (zeroed), then run `init` on the fresh
-    /// slice — the fallible generalisation of [`AlignedVec::from_slice`].
-    pub fn try_with(
-        len: usize,
-        init: impl FnOnce(&mut [f32]),
-    ) -> Result<AlignedVec, AllocError> {
-        let mut v = Self::try_zeroed(len)?;
-        init(v.as_mut_slice());
-        Ok(v)
+        try_alloc(len, true)
     }
 
     /// Allocate `len` floats, zero-filled and 64-byte aligned.
@@ -174,18 +145,7 @@ impl AlignedVec {
     /// OOM (the historical behaviour). It never consults the fault
     /// injector, so armed faults cannot abort through it.
     pub fn zeroed(len: usize) -> AlignedVec {
-        try_alloc(len, true, false).unwrap_or_else(|_| handle_alloc_error(Self::layout(len)))
-    }
-
-    /// Allocate `len` floats, 64-byte aligned, **uninitialised**, for a
-    /// caller that writes every element itself before reading any.
-    ///
-    /// # Safety
-    /// Every element must be written (e.g. zeroed) before the buffer is
-    /// read or exposed to safe code — the contents start out uninitialised
-    /// and reading them is undefined behaviour.
-    pub unsafe fn uninit(len: usize) -> AlignedVec {
-        try_alloc(len, false, false).unwrap_or_else(|_| handle_alloc_error(Self::layout(len)))
+        try_alloc(len, false).unwrap_or_else(|_| handle_alloc_error(Self::layout(len)))
     }
 
     /// Allocate and fill from a slice.
@@ -329,20 +289,6 @@ mod tests {
         assert_eq!(v.as_ptr() as usize % 64, 0);
         assert!(v.iter().all(|&x| x == 0.0));
         assert_eq!(v.bytes(), 256);
-
-        let w = AlignedVec::try_with(8, |s| {
-            for (i, x) in s.iter_mut().enumerate() {
-                *x = i as f32;
-            }
-        })
-        .unwrap();
-        assert_eq!(w.as_slice(), &[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-
-        // SAFETY: fully overwritten before any read below.
-        let mut u = unsafe { AlignedVec::try_uninit(16) }.unwrap();
-        u.fill_zero();
-        assert!(u.iter().all(|&x| x == 0.0));
-
         assert!(AlignedVec::try_zeroed(0).unwrap().is_empty());
     }
 
@@ -355,7 +301,8 @@ mod tests {
         assert_eq!(thread_alloc_bytes(), bytes0 + 4096);
         // The process-wide gauge counts our buffer (plus whatever sibling
         // test threads hold — it can only be checked as a lower bound).
-        assert!(live_alloc_bytes() >= 4096);
+        // ORDERING: Relaxed — a statistics gauge, read for a lower bound.
+        assert!(LIVE_BYTES.load(Ordering::Relaxed) >= 4096);
         drop(v);
         // Zero-length buffers are free and uncounted.
         let _e = AlignedVec::try_zeroed(0).unwrap();

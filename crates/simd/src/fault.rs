@@ -1,76 +1,41 @@
 //! Deterministic allocation-failure injection (`fault-inject` builds).
 //!
-//! The OOM analogue of `wino-sched`'s worker-fault hooks: tests arm a
-//! failure mode and every subsequent `AlignedVec::try_*` allocation
-//! consults [`should_fail`] before touching the system allocator. Three
-//! modes cover the interesting failure geometries:
+//! The OOM analogue of `wino-sched`'s worker-fault hooks: tests arm the
+//! injector and every subsequent `AlignedVec::try_zeroed` call consults it
+//! before touching the system allocator. Armed, it fails every k-th
+//! injectable allocation (models intermittent pressure; `k = 1` fails
+//! everything).
 //!
-//! * **after-bytes** — succeed until a cumulative byte budget is spent,
-//!   then fail (models a shrinking headroom: big plan-time buffers die
-//!   first, small ones still fit);
-//! * **every-kth** — fail every k-th injectable allocation (models
-//!   intermittent pressure; `k = 1` fails everything);
-//! * **random** — fail each allocation with probability `1/denom` from a
-//!   seeded xorshift stream (deterministic given the seed, so a failing
-//!   battery run reproduces byte-for-byte).
-//!
-//! Every mode carries a shot count: each injected failure consumes one
-//! shot and the injector disarms when they run out, so a test can prove
-//! "exactly n failures deep" ladder behaviour. Only the `try_*`
-//! constructors are injectable — the infallible wrappers bypass the
-//! injector by design, so arming faults can never abort the process.
+//! It carries a shot count: each injected failure consumes one shot and
+//! the injector disarms when they run out, so a test can prove "exactly n
+//! failures deep" ladder behaviour. Only `try_zeroed` is injectable — the
+//! infallible wrappers bypass the injector by design, so arming faults can
+//! never abort the process.
 
 use std::sync::Mutex;
 
 #[derive(Clone, Copy, Debug)]
-enum Mode {
-    /// Fail once `seen_bytes` would exceed the budget.
-    AfterBytes { budget: u64 },
-    /// Fail when `seen_calls % k == 0` (1-based call index).
-    EveryKth { k: u64 },
-    /// Fail when the seeded stream rolls a 0 out of `denom`.
-    Random { state: u64, denom: u64 },
-}
-
-#[derive(Clone, Copy, Debug)]
 struct State {
-    mode: Option<Mode>,
+    /// Fail when `seen_calls % k == 0` (1-based call index); `None` while
+    /// disarmed.
+    every: Option<u64>,
     /// Remaining injected failures before the injector disarms.
     shots: u32,
-    /// Bytes successfully admitted since arming (after-bytes mode).
-    seen_bytes: u64,
-    /// Injectable allocations observed since arming (every-kth mode).
+    /// Injectable allocations observed since arming.
     seen_calls: u64,
     /// Total failures injected since the last [`reset`].
     injected: u64,
 }
 
-const IDLE: State = State { mode: None, shots: 0, seen_bytes: 0, seen_calls: 0, injected: 0 };
+const IDLE: State = State { every: None, shots: 0, seen_calls: 0, injected: 0 };
 
 static STATE: Mutex<State> = Mutex::new(IDLE);
-
-fn arm(mode: Mode, shots: u32) {
-    let mut s = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    *s = State { mode: Some(mode), shots, ..IDLE };
-}
-
-/// Fail every injectable allocation once `budget` cumulative bytes have
-/// been admitted, for up to `shots` failures.
-pub fn arm_fail_after_bytes(budget: u64, shots: u32) {
-    arm(Mode::AfterBytes { budget }, shots);
-}
 
 /// Fail every `k`-th injectable allocation (1-based; `k = 1` fails every
 /// one), for up to `shots` failures.
 pub fn arm_fail_every(k: u64, shots: u32) {
-    arm(Mode::EveryKth { k: k.max(1) }, shots);
-}
-
-/// Fail each injectable allocation with probability `1/denom`, drawn
-/// from a xorshift stream seeded with `seed`, for up to `shots`
-/// failures. Deterministic for a fixed seed and allocation order.
-pub fn arm_fail_random(seed: u64, denom: u64, shots: u32) {
-    arm(Mode::Random { state: seed.max(1), denom: denom.max(1) }, shots);
+    let mut s = STATE.lock().unwrap_or_else(|e| e.into_inner());
+    *s = State { every: Some(k.max(1)), shots, ..IDLE };
 }
 
 /// Disarm the injector and zero its tallies.
@@ -84,37 +49,23 @@ pub fn injected_failures() -> u64 {
     STATE.lock().unwrap_or_else(|e| e.into_inner()).injected
 }
 
-/// Consulted by `AlignedVec::try_*` for every injectable allocation of
-/// `bytes`. Returns true when this allocation must fail.
-#[doc(hidden)]
-pub fn should_fail(bytes: usize) -> bool {
+/// Consulted by `AlignedVec::try_zeroed` for every injectable allocation.
+/// Returns true when this allocation must fail.
+pub(crate) fn should_fail() -> bool {
     let mut s = STATE.lock().unwrap_or_else(|e| e.into_inner());
-    let Some(mode) = s.mode else { return false };
+    let Some(k) = s.every else { return false };
     if s.shots == 0 {
-        s.mode = None;
+        s.every = None;
         return false;
     }
     s.seen_calls += 1;
-    let fail = match mode {
-        Mode::AfterBytes { budget } => s.seen_bytes + bytes as u64 > budget,
-        Mode::EveryKth { k } => s.seen_calls.is_multiple_of(k),
-        Mode::Random { mut state, denom } => {
-            // xorshift64: deterministic per-seed stream.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            s.mode = Some(Mode::Random { state, denom });
-            state % denom == 0
-        }
-    };
+    let fail = s.seen_calls.is_multiple_of(k);
     if fail {
         s.shots -= 1;
         s.injected += 1;
         if s.shots == 0 {
-            s.mode = None;
+            s.every = None;
         }
-    } else {
-        s.seen_bytes += bytes as u64;
     }
     fail
 }
@@ -131,21 +82,6 @@ mod tests {
     }
 
     #[test]
-    fn after_bytes_budget_fails_past_the_line() {
-        let _g = lock();
-        reset();
-        arm_fail_after_bytes(8192, u32::MAX);
-        assert!(AlignedVec::try_zeroed(1024).is_ok()); // 4096 bytes in
-        assert!(AlignedVec::try_zeroed(1024).is_ok()); // 8192 bytes in
-        let e = AlignedVec::try_zeroed(16).unwrap_err();
-        assert!(e.injected);
-        assert_eq!(e.bytes, 64);
-        assert_eq!(injected_failures(), 1);
-        reset();
-        assert!(AlignedVec::try_zeroed(16).is_ok());
-    }
-
-    #[test]
     fn every_kth_fails_on_schedule_and_shots_disarm() {
         let _g = lock();
         reset();
@@ -156,21 +92,6 @@ mod tests {
         assert_eq!(outcomes, [true, true, false, true, true, false, true, true, true]);
         assert_eq!(injected_failures(), 2);
         reset();
-    }
-
-    #[test]
-    fn random_mode_is_deterministic_per_seed() {
-        let _g = lock();
-        let run = |seed| -> Vec<bool> {
-            reset();
-            arm_fail_random(seed, 3, u32::MAX);
-            let v = (0..32).map(|_| AlignedVec::try_zeroed(8).is_ok()).collect();
-            reset();
-            v
-        };
-        assert_eq!(run(42), run(42));
-        assert!(run(42).iter().any(|ok| !ok), "denom 3 over 32 draws should fail sometimes");
-        assert!(run(42).iter().any(|ok| *ok));
     }
 
     #[test]

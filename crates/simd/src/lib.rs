@@ -33,16 +33,14 @@
 //! * **non-temporal streaming stores** ([`Simd16::store_nt`]) used when the
 //!   produced data "will not be used in the near future" (§4.2.1, §4.3.1) —
 //!   they bypass the cache hierarchy, avoiding pollution;
-//! * **software prefetch** hints ([`prefetch_t0`], [`prefetch_t1`]) used by
-//!   the matrix-multiplication micro-kernels (§4.3.1);
+//! * **software prefetch** hints ([`prefetch_t1`], [`prefetch_span_t1`])
+//!   used by the matrix-multiplication micro-kernels (§4.3.1) and stage 3;
 //! * **64-byte aligned buffers** ([`AlignedVec`]) — the paper's layouts are
 //!   64-byte aligned so every access can be an aligned vector load/store
 //!   (§4.1).
 
 mod alloc;
-pub use alloc::{
-    live_alloc_bytes, thread_alloc_bytes, thread_alloc_calls, AlignedVec, AllocError,
-};
+pub use alloc::{thread_alloc_bytes, thread_alloc_calls, AlignedVec, AllocError};
 
 #[cfg(feature = "fault-inject")]
 pub mod fault;
@@ -181,23 +179,11 @@ pub fn sfence() {
     std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst);
 }
 
-/// Prefetch the cache line containing `p` into L1 (hint T0).
+/// Prefetch the cache line containing `p` into L2 (hint T1).
 ///
 /// # Safety
 /// Prefetch never faults, but callers should pass addresses derived from
 /// real allocations so provenance stays intact.
-#[inline(always)]
-pub unsafe fn prefetch_t0(p: *const u8) {
-    #[cfg(target_arch = "x86_64")]
-    std::arch::x86_64::_mm_prefetch::<{ std::arch::x86_64::_MM_HINT_T0 }>(p as *const i8);
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
-/// Prefetch the cache line containing `p` into L2 (hint T1).
-///
-/// # Safety
-/// See [`prefetch_t0`].
 #[inline(always)]
 pub unsafe fn prefetch_t1(p: *const u8) {
     #[cfg(target_arch = "x86_64")]
@@ -211,7 +197,7 @@ pub unsafe fn prefetch_t1(p: *const u8) {
 /// `I'` toward the core while the current one is transformed.
 ///
 /// # Safety
-/// See [`prefetch_t0`]; the span should lie within one real allocation.
+/// See [`prefetch_t1`]; the span should lie within one real allocation.
 #[inline]
 pub unsafe fn prefetch_span_t1(p: *const u8, bytes: usize) {
     let mut off = 0;
@@ -231,10 +217,9 @@ mod tests {
         let data = [0u8; 128];
         // SAFETY: prefetch is a hint; it never faults, even on null.
         unsafe {
-            prefetch_t0(data.as_ptr());
             prefetch_t1(data.as_ptr().add(64));
             // Prefetching invalid addresses must not fault either.
-            prefetch_t0(std::ptr::null());
+            prefetch_t1(std::ptr::null());
         }
     }
 

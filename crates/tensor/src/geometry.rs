@@ -256,11 +256,6 @@ impl TileGrid {
         self.tile_dims.iter().product()
     }
 
-    /// Output elements per tile: `∏ m_d`.
-    pub fn out_tile_volume(&self) -> usize {
-        self.m.iter().product()
-    }
-
     /// Multi-index of tile `flat` (row-major over `counts`).
     pub fn tile_coords(&self, flat: usize) -> Vec<usize> {
         unflatten(flat, &self.counts)
@@ -344,7 +339,6 @@ mod tests {
         assert_eq!(g.counts, vec![28, 28]);
         assert_eq!(g.total_tiles(), 784);
         assert_eq!(g.tile_volume(), 36);
-        assert_eq!(g.out_tile_volume(), 16);
     }
 
     #[test]

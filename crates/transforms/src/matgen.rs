@@ -35,13 +35,6 @@ impl RatMatrix {
         RatMatrix { rows, cols, data: vec![Rational::ZERO; rows * cols] }
     }
 
-    pub fn from_rows(rows: Vec<Vec<Rational>>) -> Self {
-        let r = rows.len();
-        let c = rows.first().map_or(0, |row| row.len());
-        assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
-        RatMatrix { rows: r, cols: c, data: rows.into_iter().flatten().collect() }
-    }
-
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -74,25 +67,6 @@ impl RatMatrix {
         t
     }
 
-    /// Exact matrix product.
-    pub fn matmul(&self, rhs: &RatMatrix) -> RatMatrix {
-        assert_eq!(self.cols, rhs.rows, "dimension mismatch in matmul");
-        let mut out = RatMatrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.at(i, k);
-                if a.is_zero() {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    let v = out.at(i, j) + a * rhs.at(k, j);
-                    out.set(i, j, v);
-                }
-            }
-        }
-        out
-    }
-
     /// Exact matrix–vector product.
     pub fn matvec(&self, x: &[Rational]) -> Vec<Rational> {
         assert_eq!(self.cols, x.len());
@@ -113,11 +87,6 @@ impl RatMatrix {
             cols: self.cols,
             data: self.data.iter().map(|r| r.to_f32()).collect(),
         }
-    }
-
-    /// Number of structurally non-zero entries.
-    pub fn nnz(&self) -> usize {
-        self.data.iter().filter(|r| !r.is_zero()).count()
     }
 }
 
@@ -327,6 +296,20 @@ mod tests {
         Rational::from_int(n)
     }
 
+    impl RatMatrix {
+        fn from_rows(rows: Vec<Vec<Rational>>) -> Self {
+            let r = rows.len();
+            let c = rows.first().map_or(0, |row| row.len());
+            assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
+            RatMatrix { rows: r, cols: c, data: rows.into_iter().flatten().collect() }
+        }
+
+        /// Number of structurally non-zero entries.
+        fn nnz(&self) -> usize {
+            self.data.iter().filter(|r| !r.is_zero()).count()
+        }
+    }
+
     #[test]
     fn f23_matches_paper_equation_5() {
         // The paper's Eq. 5 matrices for F(2, 3), up to the documented
@@ -448,12 +431,6 @@ mod tests {
     #[test]
     fn matrix_ops() {
         let a = RatMatrix::from_rows(vec![vec![int(1), int(2)], vec![int(3), int(4)]]);
-        let b = RatMatrix::from_rows(vec![vec![int(0), int(1)], vec![int(1), int(0)]]);
-        let c = a.matmul(&b);
-        assert_eq!(c.at(0, 0), int(2));
-        assert_eq!(c.at(0, 1), int(1));
-        assert_eq!(c.at(1, 0), int(4));
-        assert_eq!(c.at(1, 1), int(3));
         let t = a.transpose();
         assert_eq!(t.at(0, 1), int(3));
         assert_eq!(a.matvec(&[int(1), int(1)]), vec![int(3), int(7)]);

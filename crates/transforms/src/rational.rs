@@ -58,20 +58,8 @@ impl Rational {
         Rational { num: n, den: 1 }
     }
 
-    pub fn numerator(self) -> i128 {
-        self.num
-    }
-
-    pub fn denominator(self) -> i128 {
-        self.den
-    }
-
     pub fn is_zero(self) -> bool {
         self.num == 0
-    }
-
-    pub fn is_one(self) -> bool {
-        self.num == 1 && self.den == 1
     }
 
     pub fn is_negative(self) -> bool {
@@ -236,8 +224,7 @@ mod tests {
         assert_eq!(r(-2, -4), r(1, 2));
         assert_eq!(r(2, -4), r(-1, 2));
         assert_eq!(r(0, -7), Rational::ZERO);
-        assert_eq!(r(6, 3).numerator(), 2);
-        assert_eq!(r(6, 3).denominator(), 1);
+        assert_eq!((r(6, 3).num, r(6, 3).den), (2, 1));
     }
 
     #[test]
@@ -267,11 +254,11 @@ mod tests {
     fn assign_ops() {
         let mut x = r(1, 2);
         x += r(1, 2);
-        assert!(x.is_one());
+        assert_eq!(x, Rational::ONE);
         x -= r(1, 4);
         assert_eq!(x, r(3, 4));
         x *= r(4, 3);
-        assert!(x.is_one());
+        assert_eq!(x, Rational::ONE);
     }
 
     #[test]
@@ -294,7 +281,6 @@ mod tests {
     #[test]
     fn predicates() {
         assert!(Rational::ZERO.is_zero());
-        assert!(Rational::ONE.is_one());
         assert!(r(-1, 5).is_negative());
         assert!(!r(1, 5).is_negative());
         assert_eq!(r(-2, 3).abs(), r(2, 3));

@@ -210,6 +210,12 @@ RUSTDOCFLAGS="-D warnings" run "$BUILD_TIMEOUT" cargo doc --workspace --offline 
 # interleavings than DFS on any scenario.
 run "$ANALYZE_TIMEOUT" cargo run --offline --release -q -p wino-analyze --bin wino-lint
 run "$TEST_TIMEOUT" cargo test --offline -q -p wino-analyze
+# Named, so a rename cannot drop them: the workspace lints clean under
+# every rule — the cross-file `pub-needs-caller` (no public item whose only
+# callers are its own tests) included — and the seeded fixture trips every
+# rule on its seeds only.
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-analyze --lib -- \
+    lint::tests::workspace_is_clean lint::tests::seeded_violation_fixture_trips_every_rule
 run "$ANALYZE_TIMEOUT" cargo run --offline --release -q -p wino-analyze --bin wino-model -- \
     --min-interleavings 10000
 

@@ -40,7 +40,6 @@ echo "== ablations =="
 # (No streaming-stores row: store flavour is a plan-time rule — EXPERIMENTS.md,
 # "§4.2.1 — store flavour is a rule".)
 target/release/ablations blocking-model                        > results/abl_block.csv
-target/release/ablations scheduling       --threads "$THREADS" > results/abl_sched.csv
 target/release/ablations budden-net       --threads "$THREADS" > results/abl_budden.csv
 echo "   -> results/abl_*.csv"
 

@@ -16,9 +16,7 @@ use winograd_nd_repro::conv::{
     stage1, stage2, stage3, ConvOptions, Scratch, Stage2Backend, WinogradLayer,
 };
 use winograd_nd_repro::gemm::BlockShape;
-use winograd_nd_repro::sched::{
-    DynamicExecutor, Executor, PoolError, SerialExecutor, StaticExecutor,
-};
+use winograd_nd_repro::sched::{Executor, PoolError, SerialExecutor, StaticExecutor};
 use winograd_nd_repro::tensor::{BlockedImage, BlockedKernels, ConvShape, SimpleImage, SimpleKernels};
 
 /// Counts the fork–joins issued through it.
@@ -161,7 +159,7 @@ fn fused_forward_equals_the_three_stages_bit_for_bit() {
         Box::new(SerialExecutor),
         Box::new(StaticExecutor::new(2)),
         Box::new(StaticExecutor::new(3)),
-        Box::new(DynamicExecutor::new(4)),
+        Box::new(StaticExecutor::new(4)),
     ];
     let mut backends = vec![Stage2Backend::Mono];
     if winograd_nd_repro::simd::cpu_has_avx512f() {
@@ -277,7 +275,7 @@ fn dual_forward_equals_the_three_stages_bit_for_bit() {
         Box::new(SerialExecutor),
         Box::new(StaticExecutor::new(2)),
         Box::new(StaticExecutor::new(3)),
-        Box::new(DynamicExecutor::new(4)),
+        Box::new(StaticExecutor::new(4)),
     ];
     let mut backends = vec![Stage2Backend::Mono];
     if winograd_nd_repro::simd::cpu_has_avx512f() {

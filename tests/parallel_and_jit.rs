@@ -6,7 +6,7 @@
 use winograd_nd_repro::conv::{ConvOptions, Scratch, WinogradLayer};
 use winograd_nd_repro::gemm;
 use winograd_nd_repro::jit::{jit_batched_gemm, JitKernelPair};
-use winograd_nd_repro::sched::{DynamicExecutor, Executor, SerialExecutor, StaticExecutor};
+use winograd_nd_repro::sched::{Executor, SerialExecutor, StaticExecutor};
 use winograd_nd_repro::tensor::{BlockedImage, BlockedKernels, BlockedMatrices, ConvShape, SimpleImage, SimpleKernels};
 
 fn setup(shape: &ConvShape) -> (BlockedImage, BlockedKernels) {
@@ -39,7 +39,6 @@ fn all_executors_and_thread_counts_agree() {
         let exec = StaticExecutor::new(threads);
         assert_eq!(run(&exec), reference, "static executor with {threads} threads");
     }
-    assert_eq!(run(&DynamicExecutor::new(4)), reference, "dynamic executor");
 }
 
 /// The one plan option left that must not change a bit: the stage-2
