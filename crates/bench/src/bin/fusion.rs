@@ -16,15 +16,16 @@
 //! stages both of its columns time them and its ratio reads 1 within
 //! noise — a dual plan's `ratio` among them, its FX mode being staged.
 //! `--n-blk N` asks for `N`-row panels through `ConvOptions::block`
-//! (the panel-height sweep); a height whose ring does not fit stages the
-//! plan. `--threads` (default 2) applies to the rows the table runs on the
-//! pool; the serve layers run on one thread, as the server runs them.
+//! (the panel-height sweep, `N` in 1..=30 or the binary exits 2); a height
+//! whose ring does not fit stages the plan. `--threads` (default 2)
+//! applies to the rows the table runs on the pool; the serve layers run on
+//! one thread, as the server runs them.
 
 use std::time::Instant;
 
-use wino_bench::{Args, Rows};
+use wino_bench::{parse_usize_flag, Args, Rows};
 use wino_conv::{stage1, stage2, stage3, ConvOptions, Scratch, Stage2Backend, WinogradLayer};
-use wino_gemm::BlockShape;
+use wino_gemm::{BlockShape, MAX_N_BLK};
 use wino_sched::{Executor, SerialExecutor, StaticExecutor};
 use wino_tensor::{BlockedImage, BlockedKernels, ConvShape};
 use wino_workloads::{uniform_input, xavier_kernels};
@@ -81,7 +82,16 @@ fn main() {
     let args = Args::from_env();
     let reps = args.usize_or("--reps", 100).max(1);
     let threads = args.usize_or("--threads", 2).max(1);
-    let n_blk = args.value("--n-blk").map(|v| v.parse::<usize>().expect("--n-blk takes a row count"));
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let n_blk = parse_usize_flag(&argv, "--n-blk")
+        .and_then(|n_blk| match n_blk {
+            Some(n) if !(1..=MAX_N_BLK).contains(&n) => Err(format!("--n-blk {n}: not in 1..={MAX_N_BLK}")),
+            n_blk => Ok(n_blk),
+        })
+        .unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2)
+        });
     let pool: Box<dyn Executor> =
         if threads == 1 { Box::new(SerialExecutor) } else { Box::new(StaticExecutor::new(threads)) };
     let l2_bytes = wino_sched::l2_bytes_per_thread();
@@ -102,7 +112,7 @@ fn main() {
         let mut plan = WinogradLayer::new(shape.clone(), &m, opts).expect("table layers plan");
         if let Some(n_blk) = n_blk {
             opts.block = Some(BlockShape { n_blk, ..plan.block });
-            plan = WinogradLayer::new(shape.clone(), &m, opts).expect("a panel height in 1..=30");
+            plan = WinogradLayer::new(shape.clone(), &m, opts).expect("a checked panel height plans");
         }
 
         let input = BlockedImage::from_simple(&uniform_input(&shape, 1)).unwrap();

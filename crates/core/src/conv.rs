@@ -425,7 +425,7 @@ mod tests {
         type Case =
             (usize, (usize, usize), &'static [usize], usize, usize, &'static [usize], Option<BlockShape>);
         let blocked = |n_blk, c_blk, cp_blk| Some(BlockShape { n_blk, c_blk, cp_blk });
-        let cases: [Case; 13] = [
+        let cases: [Case; 14] = [
             (2, (16, 16), &[37], 3, 1, &[4], None),
             (1, (32, 32), &[15, 18], 3, 0, &[4, 4], None),
             (1, (16, 32), &[22, 19], 3, 1, &[6, 2], None),
@@ -442,6 +442,8 @@ mod tests {
             (1, (32, 48), &[10, 10], 3, 1, &[2, 2], blocked(6, 32, 16)),
             // Two reduction blocks: β = 0, then the β = 1 scatter.
             (2, (32, 32), &[9, 9], 3, 1, &[4, 4], blocked(6, 16, 16)),
+            // Three: β = 0, the β = 1 block kernel, then the β = 1 scatter.
+            (1, (48, 32), &[10, 10], 3, 1, &[4, 4], blocked(6, 16, 16)),
             // Kernels other than 3 wide: F(3², 2²), F(2², 5²).
             (1, (16, 32), &[11, 12], 2, 0, &[3, 3], None),
             (1, (16, 16), &[13, 12], 5, 2, &[2, 2], None),

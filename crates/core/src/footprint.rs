@@ -1,7 +1,7 @@
 //! Analytic memory accounting for planned layers.
 //!
 //! A [`MemoryFootprint`] states, without allocating anything, exactly how
-//! many bytes a plan will ask the allocator for: the transformed-data
+//! many bytes of buffers a plan will allocate: the transformed-data
 //! scratch ([`Scratch`](crate::Scratch) — four layer-sized buffers for a
 //! staged plan, the kernel transforms plus one ring per thread slot for a
 //! ring plan, the input transforms plus one ring per thread slot for a
@@ -19,7 +19,8 @@
 //! * the plan's store flavour and work model (`BufferBytes`);
 //! * serve-time admission — `wino-serve` prices a concurrent batch in
 //!   bytes before accepting it;
-//! * the BENCH schema's `memory` section.
+//! * the benchmark's `conv.footprint_model_mb` and `serve_load`'s
+//!   `modeled_footprint_bytes`.
 
 use wino_simd::S;
 use wino_tensor::{BlockedImage, BlockedMatrices};
@@ -133,7 +134,7 @@ impl MemoryFootprint {
     /// Footprint of `layer` executed with `threads` thread slots.
     ///
     /// Mirrors `Scratch::build`, `WinogradLayer::new_output` and
-    /// `Network::prepare` parameter-for-parameter.
+    /// `WinogradLayer::prepare_kernels` parameter-for-parameter.
     pub fn of_layer(layer: &WinogradLayer, threads: usize) -> MemoryFootprint {
         let slots = threads.max(1);
         let b = BufferBytes::of(layer);
@@ -147,7 +148,7 @@ impl MemoryFootprint {
         }
     }
 
-    /// All components summed — what a fresh `prepare` + forward pass asks
+    /// All components summed — what a fresh `prepare_kernels` + forward pass asks
     /// the allocator for (scratch, memoised kernels, per-thread buffers,
     /// output).
     pub fn total(&self) -> usize {

@@ -14,10 +14,11 @@
 //!   1. operation ①②: `InputTransformCtx::tile` for the panel's tiles ×
 //!      `C/S` channel groups, into the calling thread's *ring* — one
 //!      `n_blk`-row block of `Û`, `[t][n_blk][C]`, plain stores;
-//!   2. operation ⑤⑥: for every column block `j` and every `t`, the stage-2
-//!      micro-kernel (JIT or Mono, the register tiles of the staged path)
-//!      on that block against `V̂[t][j]`, scattering with plain stores into
-//!      the ring's tile-major half, `[C'/S][n_blk][T][S]`;
+//!   2. operation ⑤⑥: for every column block `j` and every `t`, one
+//!      [`Gemm::block`](stage2::Gemm::block) call of the plan's ring kernels
+//!      — its engine's, at the ring's panel height — on that block against
+//!      `V̂[t][j]`, scattering with plain stores into the ring's tile-major
+//!      half, `[C'/S][n_blk][T][S]`;
 //!   3. `Stage3Ctx::tile` for the panel's tiles × `C'/S` groups, from those
 //!      chunks straight into the output image;
 //!
@@ -36,11 +37,10 @@
 //!      input channels × `cols/S` output groups, into the calling thread's
 //!      ring — one `C_blk × cols` block of `V̂`, `[t][C_blk][cols]`, plain
 //!      stores to the same addresses every block;
-//!   2. operation ⑤: the β = 0 / β = 1 block kernels of that blocking on
-//!      `Û`'s `C_blk` slice against that block, into an accumulator
-//!      `[row block][t][n_blk][cols]` that stays in the ring; on the last
-//!      block operation ⑥ scatters it, plain, into the ring's tile-major
-//!      chunks `[B][cols/S][N][T][S]`;
+//!   2. operation ⑤: `Gemm::block` at that blocking on `Û`'s `C_blk` slice
+//!      against that block, into an accumulator `[row block][t][n_blk][cols]`
+//!      that stays in the ring; on the last block operation ⑥ scatters it,
+//!      plain, into the ring's tile-major chunks `[B][cols/S][N][T][S]`;
 //!
 //!   and then `Stage3Ctx::tile` for the group's tiles straight into the
 //!   output image. `V̂` is never materialised; `Û` is read once per column
@@ -48,16 +48,18 @@
 //! * **the three stages** for every other plan, and for any call with more
 //!   executor threads than ring panels or dual column groups.
 //!
-//! Tiles, codelets and every element's FMA chain — one FMA per input
-//! channel, in ascending order, partial sums stored and reloaded exactly
-//! at each reduction-block boundary, wherever the blocking puts those —
-//! are the staged path's: results are bit-identical.
+//! Both rings multiply through the kernels the plan built once beside the
+//! staged ones ([`WinogradLayer::ring_gemm`]). Tiles, codelets and every
+//! element's FMA chain — one FMA per input channel, in ascending order,
+//! partial sums stored and reloaded exactly at each reduction-block
+//! boundary, wherever the blocking puts those — are the staged path's:
+//! results are bit-identical.
 
 // Index-based loops walk several arrays with derived offsets; iterator
 // rewrites obscure the math (same policy as the stage code).
 #![allow(clippy::needless_range_loop)]
 
-use wino_gemm::{microkernel, BlockShape, MicroArgs, Output, MAX_N_BLK};
+use wino_gemm::{BlockShape, MAX_N_BLK};
 use wino_probe::{Collector, SpanCategory};
 use wino_sched::probed::{record_coord_span, span_start};
 use wino_sched::Executor;
@@ -239,13 +241,12 @@ impl WinogradLayer {
         matches!(self.schedule, Schedule::Dual { cols, .. } if exec.threads() <= groups(cols))
     }
 
-    /// The stage-2 blocking `(n_blk, C_blk, cols)` the dual ring runs this
-    /// plan at — a dual plan's.
-    pub(crate) fn dual_block(&self) -> BlockShape {
-        let Schedule::Dual { c_blk, cols } = self.schedule else {
-            unreachable!("the dual ring runs dual plans only")
-        };
-        BlockShape { c_blk, cp_blk: cols, ..self.block }
+    /// The stage-2 kernels of a ring or dual plan's ring, at the ring's
+    /// panel height or the dual ring's `(n_blk, C_blk, cols)`: its own, or —
+    /// a dual plan at the staged blocking and store flavour — the staged
+    /// ones.
+    pub(crate) fn ring_gemm(&self) -> &stage2::Gemm {
+        self.ring_gemm.as_ref().unwrap_or(&self.gemm)
     }
 }
 
@@ -390,14 +391,6 @@ unsafe fn multiply_panel(
 ) {
     let (t_vol, c, cp_blk) = (layer.t_vol(), layer.shape.in_channels, layer.block.cp_blk);
     let chunk = t_vol * S;
-    let jit = layer.jit.as_ref().map(|jk| {
-        let ring = jk.ring.as_ref().expect("ring kernels compiled for a fused plan");
-        if panel_rows == n_blk {
-            &ring.scatter_full
-        } else {
-            ring.scatter_tail.as_ref().expect("a tail kernel compiled for the last panel")
-        }
-    });
     let mut row_ptrs = [std::ptr::null_mut::<f32>(); MAX_N_BLK];
     // Column blocks outermost: within one, V̂'s `t` blocks are contiguous
     // and Û's too, so both stream.
@@ -408,37 +401,13 @@ unsafe fn multiply_panel(
                 // SAFETY: position `t` of chunk (og0, r), inside `ring_x`.
                 row_ptrs[r] = ring_x.add((og0 * n_blk + r) * chunk + t * S);
             }
-            // SAFETY: block `t` of the ring's Û; block (0, j, t) of `v`.
-            let (u_blk, v_blk) =
-                (ring_u.add(t * n_blk * c), v.as_ptr().add(v.block_offset(0, j, t)));
-            // With β = 0 a scatter kernel never dereferences its `x`; the
-            // ring is merely a valid address to hand it.
-            match jit {
-                // SAFETY: compiled for (panel_rows, C, C'_blk, β = 0) with
-                // the ring's group stride; `row_ptrs[..panel_rows]` are
-                // non-null, aligned, and a group stride apart per column
-                // group inside `ring_x`.
-                Some(kernel) => kernel.call_scatter(u_blk, v_blk, ring_x, row_ptrs.as_ptr()),
-                // SAFETY: as above, for the Rust kernel.
-                None => microkernel(
-                    panel_rows,
-                    &MicroArgs {
-                        u: u_blk,
-                        v: v_blk,
-                        x: ring_x,
-                        c_blk: c,
-                        cp_blk,
-                        beta: false,
-                        next_u: std::ptr::null(),
-                        next_x: std::ptr::null(),
-                        output: Output::Scatter {
-                            row_ptrs: row_ptrs.as_ptr(),
-                            group_stride: n_blk * chunk,
-                            streaming: false,
-                        },
-                    },
-                ),
-            }
+            // SAFETY: block `t` of the ring's Û and block (0, j, t) of `v`
+            // against the ring's kernels, whose group stride is the ring's;
+            // `row_ptrs[..panel_rows]` are aligned rows of `ring_x`. With
+            // β = 0 the scatter never dereferences its `x`: the ring is
+            // merely a valid address to hand it.
+            let blocks = (ring_u.add(t * n_blk * c), v.as_ptr().add(v.block_offset(0, j, t)), ring_x);
+            layer.ring_gemm().block(panel_rows, 0, blocks, &row_ptrs, stage2::NO_PREFETCH);
         }
     }
 }
@@ -455,7 +424,7 @@ pub(crate) fn forward_dual(
     scratch: &mut Scratch,
     exec: &dyn Executor,
 ) -> Result<(), WinoError> {
-    let BlockShape { n_blk, c_blk, cp_blk: cols } = layer.dual_block();
+    let BlockShape { n_blk, c_blk, cp_blk: cols } = layer.ring_gemm().shape();
     ensure_at_least("scratch thread slots", exec.threads(), scratch.thread_slots())?;
     stage1::check_input(layer, input)?;
     stage1::check_kernels(layer, kernels)?;
@@ -567,75 +536,29 @@ unsafe fn multiply_block(
     chunks: *mut f32,
     k: usize,
 ) {
-    let BlockShape { n_blk, c_blk, cp_blk: cols } = layer.dual_block();
+    let gemm = layer.ring_gemm();
+    let BlockShape { n_blk, c_blk, cp_blk: cols } = gemm.shape();
     let (rows, n_tiles, t_vol) = (layer.rows(), layer.n_tiles(), layer.t_vol());
     let k_blocks = layer.shape.in_channels / c_blk;
-    let last_k = k + 1 == k_blocks;
-    let row_blocks = u.row_blocks();
-    // The chunks are a `TileMajor` of `cols` channels: the staged group stride.
-    let group_stride = n_tiles * t_vol * S;
-    let jit = layer.jit.as_ref().map(|jk| jk.ring.as_ref().unwrap_or(&jk.staged));
     let mut row_ptrs = [std::ptr::null_mut::<f32>(); MAX_N_BLK];
     for t in 0..t_vol {
         let v_blk = ring_v.add(t * c_blk * cols);
-        for i in 0..row_blocks {
+        for i in 0..u.row_blocks() {
+            let panel_rows = n_blk.min(rows - i * n_blk);
+            if k + 1 == k_blocks {
+                for r in 0..panel_rows {
+                    let (b, n) = ((i * n_blk + r) / n_tiles, (i * n_blk + r) % n_tiles);
+                    // SAFETY: position `t` of chunk (b, 0, n).
+                    row_ptrs[r] = chunks.add((b * (cols / S) * n_tiles + n) * t_vol * S + t * S);
+                }
+            }
             // Block (i, k, t) of a `BlockedMatrices` of `C_blk`-wide blocks.
             let u_blk = u.as_ptr().add(((i * k_blocks + k) * t_vol + t) * n_blk * c_blk);
             let x_blk = acc.add((i * t_vol + t) * n_blk * cols);
-            if last_k {
-                for r in 0..n_blk {
-                    let row = i * n_blk + r;
-                    // Padding rows of the last row block scatter nowhere.
-                    row_ptrs[r] = if row < rows {
-                        let (b, n) = (row / n_tiles, row % n_tiles);
-                        // SAFETY: position `t` of chunk (b, 0, n).
-                        chunks.add((b * (cols / S) * n_tiles + n) * t_vol * S + t * S)
-                    } else {
-                        std::ptr::null_mut()
-                    };
-                }
-            }
-            match jit {
-                Some(jk) => {
-                    if last_k {
-                        let kernel = if jk.tail != 0 && i + 1 == row_blocks {
-                            jk.scatter_tail.as_ref().expect("tail kernel compiled")
-                        } else {
-                            &jk.scatter_full
-                        };
-                        // SAFETY: compiled for (n_blk or tail, C_blk, cols,
-                        // β = k > 0) with the chunks' group stride, plain
-                        // stores; the tail kernel's rows are the non-null ones.
-                        kernel.call_scatter(u_blk, v_blk, x_blk, row_ptrs.as_ptr());
-                    } else if k == 0 {
-                        // SAFETY: compiled for (n_blk, C_blk, cols, β = 0).
-                        jk.block0.as_ref().expect("block0 compiled").call(u_blk, v_blk, x_blk);
-                    } else {
-                        // SAFETY: compiled for (n_blk, C_blk, cols, β = 1).
-                        jk.block1.as_ref().expect("block1 compiled").call(u_blk, v_blk, x_blk);
-                    }
-                }
-                // SAFETY: as above, for the Rust kernel; the row pointers
-                // are null or aligned chunk rows, disjoint from u / v / x.
-                None => microkernel(
-                    n_blk,
-                    &MicroArgs {
-                        u: u_blk,
-                        v: v_blk,
-                        x: x_blk,
-                        c_blk,
-                        cp_blk: cols,
-                        beta: k > 0,
-                        next_u: std::ptr::null(),
-                        next_x: std::ptr::null(),
-                        output: if last_k {
-                            Output::Scatter { row_ptrs: row_ptrs.as_ptr(), group_stride, streaming: false }
-                        } else {
-                            Output::Block
-                        },
-                    },
-                ),
-            }
+            // SAFETY: the dual ring's kernels, scattering at the chunks'
+            // group stride — they are a `TileMajor` of `cols` channels —
+            // with plain stores; the blocks and the rows are the caller's.
+            gemm.block(panel_rows, k, (u_blk, v_blk, x_blk), &row_ptrs, stage2::NO_PREFETCH);
         }
     }
 }

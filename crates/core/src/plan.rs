@@ -28,6 +28,7 @@ use wino_transforms::FmrPlan;
 
 use crate::fused::Schedule;
 use crate::layout::TileMajor;
+use crate::stage2::Gemm;
 
 /// Maximum supported spatial rank (the stages use fixed-size index
 /// buffers; 6 covers any practical ConvNet with room to spare).
@@ -255,62 +256,6 @@ impl From<ShapeError> for PlanError {
     }
 }
 
-/// Pre-compiled machine-code kernels for one stage-2 blocking: the β = 0/1
-/// block kernels for intermediate reduction blocks and the scatter kernels
-/// (full-height and tail panels) for the final one.
-pub(crate) struct JitKernels {
-    pub block0: Option<wino_jit::JitKernel>,
-    pub block1: Option<wino_jit::JitKernel>,
-    pub scatter_full: wino_jit::JitKernel,
-    pub scatter_tail: Option<wino_jit::JitKernel>,
-    /// Rows of the final, partially filled panel (0 = all panels full).
-    pub tail: usize,
-}
-
-impl JitKernels {
-    /// Compile the kernels of `block` for a layer of `c` input channels and
-    /// `rows` panel rows whose last reduction block scatters to `output`.
-    fn compile(
-        block: BlockShape,
-        c: usize,
-        rows: usize,
-        output: wino_jit::JitOutput,
-    ) -> Result<JitKernels, wino_jit::JitError> {
-        use wino_jit::JitKernel;
-        let BlockShape { n_blk, c_blk, cp_blk } = block;
-        let k_blocks = c / c_blk;
-        let tail = rows % n_blk;
-        // The last reduction block always runs a scatter kernel, so the
-        // plain block kernels cover only the k-blocks before it.
-        let plain = |beta| JitKernel::compile(n_blk, c_blk, cp_blk, beta);
-        let block0 = (k_blocks > 1).then(|| plain(false)).transpose()?;
-        let block1 = (k_blocks > 2).then(|| plain(true)).transpose()?;
-        let scatter =
-            |panel_rows| JitKernel::compile_with_output(panel_rows, c_blk, cp_blk, k_blocks > 1, output);
-        let scatter_tail = (tail != 0).then(|| scatter(tail)).transpose()?;
-        Ok(JitKernels { block0, block1, scatter_full: scatter(n_blk)?, scatter_tail, tail })
-    }
-}
-
-/// The JIT stage-2 backend of a plan: the three stages' kernels and, for
-/// a ring or dual plan, those that scatter into a thread's ring.
-pub(crate) struct JitStage2 {
-    /// At the plan's blocking, scattering into the tile-major `Y`.
-    pub staged: JitKernels,
-    /// Plain-store kernels that scatter into a thread's ring, its group
-    /// stride baked in: a ring plan's at the ring's panel height (one
-    /// reduction block, so β = 0 scatters only); a dual plan's at the dual
-    /// ring's blocking — `None` when that and the store flavour are the
-    /// staged kernels' own, which then serve it.
-    pub ring: Option<JitKernels>,
-}
-
-impl std::fmt::Debug for JitStage2 {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "JitStage2 {{ tail: {}, ring: {} }}", self.staged.tail, self.ring.is_some())
-    }
-}
-
 /// A fully planned N-D Winograd convolution for one layer shape and one
 /// choice of `F(m, r)`.
 #[derive(Debug)]
@@ -328,7 +273,15 @@ pub struct WinogradLayer {
     /// the ⑥ scatter, the output image — are non-temporal
     /// (`fused::streams`).
     pub(crate) streams: bool,
-    pub(crate) jit: Option<JitStage2>,
+    /// Stage 2 at [`WinogradLayer::block`] on `opts.stage2`, scattering
+    /// into the tile-major `Y`, streaming when the plan streams.
+    pub(crate) gemm: Gemm,
+    /// A ring or dual plan's stage 2, scattering plainly into a thread's
+    /// ring: a ring plan's at the ring's panel height, a dual plan's at
+    /// the dual ring's blocking — `None` when that and the store flavour
+    /// are `gemm`'s own, which then serves it
+    /// ([`WinogradLayer::ring_gemm`]).
+    pub(crate) ring_gemm: Option<Gemm>,
 }
 
 /// The two cache sizes a plan's schedule and store flavour are decided
@@ -435,50 +388,31 @@ impl WinogradLayer {
         let schedule = crate::fused::schedule(t_vol, c, cp, rows, host.l2_bytes, block, explicit);
         #[cfg(test)]
         let schedule = host.pin.map_or(schedule, |pin| pin.schedule(t_vol, c, cp, rows, block, explicit));
-        let mut layer =
-            WinogradLayer { shape, grid, plans, block, opts, schedule, streams: false, jit: None };
+        // The store flavour comes from the footprint, which the kernels do
+        // not change: plan it on Rust kernels, which compile nothing, then
+        // build the plan's own — each JIT kernel is compiled once.
+        let engine = opts.stage2;
+        let gemm = |block, stride, streaming| Gemm::new(engine, block, c, rows, stride, streaming);
+        let mono = Gemm::new(Stage2Backend::Mono, block, c, rows, 0, false)?;
+        let mut layer = WinogradLayer {
+            shape, grid, plans, block, opts, schedule, streams: false, gemm: mono, ring_gemm: None,
+        };
         layer.streams = crate::fused::streams(&layer.footprint(1), host.llc_bytes);
-        if opts.stage2 == Stage2Backend::Jit {
-            layer.jit = Some(layer.build_jit()?);
-        }
-        Ok(layer)
-    }
-
-    /// Compile the stage-2 machine-code kernels (the paper generates them
-    /// "on demand, … compiled to a shared library, and loaded" — here they
-    /// are emitted straight into executable pages at plan time).
-    fn build_jit(&self) -> Result<JitStage2, PlanError> {
-        use wino_jit::{JitError, JitOutput};
-        let jit_err = |e: JitError| PlanError::Jit {
-            reason: match e {
-                JitError::Avx512Unavailable => "AVX-512F not available (CPU or WINO_SIMD)",
-                JitError::BadParams(reason) => reason,
-                JitError::Os(_) => "executable mapping failed",
-            },
-        };
-        let (c, rows, t_vol) = (self.shape.in_channels, self.rows(), self.t_vol());
-        let compile = |block, group_stride, streaming| {
-            JitKernels::compile(block, c, rows, JitOutput::Scatter { group_stride, streaming })
-                .map_err(jit_err)
-        };
         // Tile-major group stride (floats): see `TileMajor::group_stride`.
-        let group_stride = self.n_tiles() * t_vol * S;
-        let staged = compile(self.block, group_stride, self.streams)?;
+        let group_stride = layer.n_tiles() * t_vol * S;
+        layer.gemm = gemm(block, group_stride, layer.streams)?;
         // What a ring scatters stays in the core's own cache: plain stores —
         // a ring panel's `X̂` chunks at the ring's group stride, or a dual
         // column group's tile-major chunks at the staged one.
-        let ring = match self.schedule {
+        layer.ring_gemm = match schedule {
             Schedule::Staged => None,
-            Schedule::Ring { rows: n } => {
-                Some(compile(BlockShape { n_blk: n, ..self.block }, n * t_vol * S, false)?)
-            }
+            Schedule::Ring { rows: n } => Some(gemm(BlockShape { n_blk: n, ..block }, n * t_vol * S, false)?),
             Schedule::Dual { c_blk, cols } => {
-                let block = BlockShape { c_blk, cp_blk: cols, ..self.block };
-                let own = block != self.block || self.streams;
-                own.then(|| compile(block, group_stride, false)).transpose()?
+                let dual = BlockShape { c_blk, cp_blk: cols, ..block };
+                (dual != block || layer.streams).then(|| gemm(dual, group_stride, false)).transpose()?
             }
         };
-        Ok(JitStage2 { staged, ring })
+        Ok(layer)
     }
 
     /// Number of spatial dimensions.

@@ -11,17 +11,22 @@
 //! measured >20 % end-to-end gain from this fusion over a separate copy
 //! pass (reproduced: EXPERIMENTS.md, "§4.3.1").
 //!
-//! This is the schedule of every layer neither ring takes, and the
-//! reference both rings of `fused.rs` are tested `==` against: the
-//! ring-fused driver calls the same micro-kernels on one `n_blk`-row panel
-//! at a time, the dual ring on one `C_blk × C'_blk` block of `V̂` at a
-//! time, each scattering into its thread's ring.
+//! `Gemm` is the stage-2 engine of one blocking: built once per plan on
+//! the plan's [`Stage2Backend`] — the Rust micro-kernel or machine code
+//! generated per `(n_blk, C_blk, C'_blk, β)` (§4.3.1) — and called one
+//! reduction block of one panel at a time through `Gemm::block`. Every
+//! schedule multiplies through it: the three stages here, at the plan's
+//! blocking into `Y`; the ring of `fused.rs` one `n_blk`-row panel at a
+//! time and the dual ring one `C_blk × C'_blk` block of `V̂` at a time,
+//! each scattering into its thread's ring. The three stages are the
+//! reference both rings are tested `==` against.
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]
 
-use wino_gemm::{microkernel, MicroArgs, Output};
+use wino_gemm::{microkernel, BlockShape, MicroArgs, Output, MAX_N_BLK};
+use wino_jit::{JitError, JitKernel, JitOutput};
 use wino_sched::probed::{record_coord, span_start};
 use wino_sched::Executor;
 use wino_simd::S;
@@ -29,155 +34,162 @@ use wino_tensor::BlockedMatrices;
 
 use crate::error::{ensure_eq, WinoError};
 use crate::layout::TileMajor;
-use crate::plan::{Scratch, WinogradLayer};
+use crate::plan::{PlanError, Scratch, Stage2Backend, WinogradLayer};
 use crate::stage1::MutPtr;
 
-/// The per-panel body of operations ⑤⑥ — one `(t, j, i)` panel's full
-/// reduction over the `k` blocks, the last of which scatters — with the
-/// state every task of one [`multiply_with`] call shares.
-pub(crate) struct Stage2Ctx<'a> {
-    layer: &'a WinogradLayer,
-    u: &'a BlockedMatrices,
-    v: &'a BlockedMatrices,
-    x: MutPtr,
-    y: MutPtr,
-    x_meta: &'a BlockedMatrices,
-    y_meta: &'a TileMajor,
-    group_stride: usize,
-    n_tiles: usize,
-    rows: usize,
-    n_blk: usize,
-    row_blocks: usize,
+/// No next panel to prefetch.
+pub(crate) const NO_PREFETCH: (*const f32, *const f32) = (std::ptr::null(), std::ptr::null());
+
+/// The stage-2 kernels of one blocking on one engine, whose last
+/// reduction block scatters each row's `C'_blk` columns to `C'_blk/S`
+/// vectors `group_stride` floats apart.
+pub(crate) struct Gemm {
+    block: BlockShape,
     k_blocks: usize,
-    c_blk: usize,
-    cp_blk: usize,
-    /// NT stores for the ⑥ scatter ([`WinogradLayer::streams`]).
+    group_stride: usize,
+    /// NT stores for the scatter ([`WinogradLayer::streams`]).
     streaming: bool,
+    /// [`Stage2Backend::Jit`]'s machine code; `None` runs the Rust
+    /// micro-kernel.
+    jit: Option<JitKernels>,
 }
 
-impl<'a> Stage2Ctx<'a> {
+/// The machine code of one blocking: the β = 0 / β = 1 block kernels of
+/// the reduction blocks before the last, and the scatter kernels of the
+/// last — full-height panels and the tail panel.
+struct JitKernels {
+    block0: Option<JitKernel>,
+    block1: Option<JitKernel>,
+    full: JitKernel,
+    tail: Option<JitKernel>,
+}
+
+impl Gemm {
+    /// The kernels of `block` on `engine`, for a layer of `c` input
+    /// channels and `rows` panel rows. The JIT compiles them here, once —
+    /// the paper generates them "on demand, … compiled to a shared library,
+    /// and loaded"; here they are emitted straight into executable pages.
     pub(crate) fn new(
-        layer: &'a WinogradLayer,
-        u: &'a BlockedMatrices,
-        v: &'a BlockedMatrices,
-        x: *mut f32,
-        x_meta: &'a BlockedMatrices,
-        y: *mut f32,
-        y_meta: &'a TileMajor,
-    ) -> Stage2Ctx<'a> {
-        Stage2Ctx {
-            layer,
-            u,
-            v,
-            x: MutPtr(x),
-            y: MutPtr(y),
-            x_meta,
-            y_meta,
-            group_stride: y_meta.group_stride(),
-            n_tiles: layer.n_tiles(),
-            rows: layer.rows(),
-            n_blk: layer.block.n_blk,
-            row_blocks: layer.row_blocks(),
-            k_blocks: layer.shape.in_channels / layer.block.c_blk,
-            c_blk: layer.block.c_blk,
-            cp_blk: layer.block.cp_blk,
-            streaming: layer.streams,
-        }
+        engine: Stage2Backend,
+        block: BlockShape,
+        c: usize,
+        rows: usize,
+        group_stride: usize,
+        streaming: bool,
+    ) -> Result<Gemm, PlanError> {
+        let k_blocks = c / block.c_blk;
+        let jit = match engine {
+            Stage2Backend::Mono => None,
+            Stage2Backend::Jit => {
+                let output = JitOutput::Scatter { group_stride, streaming };
+                let compiled = JitKernels::compile(block, k_blocks, rows % block.n_blk, output);
+                Some(compiled.map_err(|e| PlanError::Jit {
+                    reason: match e {
+                        JitError::Avx512Unavailable => "AVX-512F not available (CPU or WINO_SIMD)",
+                        JitError::BadParams(reason) => reason,
+                        JitError::Os(_) => "executable mapping failed",
+                    },
+                })?)
+            }
+        };
+        Ok(Gemm { block, k_blocks, group_stride, streaming, jit })
     }
 
-    /// Multiply panel `(t, j, i)`: the full `k`-block reduction, with the
-    /// fused ⑥ scatter on the last block.
+    /// The blocking these kernels multiply at.
+    pub(crate) fn shape(&self) -> BlockShape {
+        self.block
+    }
+
+    /// Reduction block `k` of one panel with `rows` real rows (fewer than
+    /// `n_blk` only in the tail panel): `x = u·v`, or `x += u·v` past the
+    /// first block; the last block instead scatters each row `r` to
+    /// `row_ptrs[r]` (see [`Gemm`]). The Rust kernel prefetches the `next`
+    /// panel's `u` and `x` ([`NO_PREFETCH`]: none), and multiplies only
+    /// the real rows on the last block — tiling never changes an element's
+    /// FMA chain, so that is the JIT's tail kernel bit for bit.
     ///
     /// # Safety
-    /// The caller must own panel `(t, j, i)` of `x` and the corresponding
-    /// tile rows of `y` — tasks of one fork–join must cover disjoint
-    /// `(t, j, i)` triples.
-    pub(crate) unsafe fn panel(&self, t: usize, j: usize, i: usize) {
-        // Per-row scatter destinations for the final block.
-        let mut row_ptrs = [std::ptr::null_mut::<f32>(); wino_gemm::MAX_N_BLK];
-        let og0 = (j * self.cp_blk) / S;
-        for jj in 0..self.n_blk {
-            let n_prime = i * self.n_blk + jj;
-            if n_prime < self.rows {
-                let (b, n) = (n_prime / self.n_tiles, n_prime % self.n_tiles);
-                // SAFETY: offset within y by construction.
-                row_ptrs[jj] = self.y.get().add(self.y_meta.vec_offset(b, og0, n, t));
+    /// `u`, `v` and `x` must be valid `n_blk × C_blk`, `C_blk × C'_blk` and
+    /// `n_blk × C'_blk` blocks (`x` is not dereferenced by a β = 0
+    /// scatter); on the last block `row_ptrs[..rows]` must be 64-byte
+    /// aligned and valid for the scatter, and disjoint from `u`, `v`, `x`.
+    /// The caller owns what is written.
+    pub(crate) unsafe fn block(
+        &self,
+        rows: usize,
+        k: usize,
+        (u, v, x): (*const f32, *const f32, *mut f32),
+        row_ptrs: &[*mut f32; MAX_N_BLK],
+        next: (*const f32, *const f32),
+    ) {
+        let BlockShape { n_blk, c_blk, cp_blk } = self.block;
+        let last = k + 1 == self.k_blocks;
+        match &self.jit {
+            Some(jk) if last => {
+                let tail = || jk.tail.as_ref().expect("tail kernel compiled");
+                let kernel = if rows < n_blk { tail() } else { &jk.full };
+                // SAFETY: compiled for (rows, C_blk, C'_blk, β = k > 0) at this
+                // group stride and store flavour; the caller's contract.
+                kernel.call_scatter(u, v, x, row_ptrs.as_ptr());
             }
-        }
-
-        // The paper's JIT backend: dispatch to pre-compiled machine code.
-        if let Some(jk) = self.layer.jit.as_ref().map(|jit| &jit.staged) {
-            let is_tail_panel = jk.tail != 0 && i + 1 == self.row_blocks;
-            for k in 0..self.k_blocks {
-                let is_last_k = k + 1 == self.k_blocks;
-                // SAFETY: identical pointer contract as the mono path
-                // below; scatter row_ptrs[..n_blk or ..tail] are non-null
-                // by construction (padding rows only exist in the tail
-                // panel, which uses the tail kernel).
-                let u_ptr = self.u.as_ptr().add(self.u.block_offset(i, k, t));
-                let v_p = self.v.as_ptr().add(self.v.block_offset(k, j, t));
-                let x_p = self.x.get().add(self.x_meta.block_offset(i, j, t));
-                if is_last_k {
-                    let kern = if is_tail_panel {
-                        jk.scatter_tail.as_ref().expect("tail kernel compiled")
+            // SAFETY: compiled for (n_blk, C_blk, C'_blk, β = 0); the caller's contract.
+            Some(jk) if k == 0 => jk.block0.as_ref().expect("block0 compiled").call(u, v, x),
+            // SAFETY: compiled for (n_blk, C_blk, C'_blk, β = 1); the caller's contract.
+            Some(jk) => jk.block1.as_ref().expect("block1 compiled").call(u, v, x),
+            // SAFETY: the caller's contract is the micro-kernel's.
+            None => microkernel(
+                if last { rows } else { n_blk },
+                &MicroArgs {
+                    u,
+                    v,
+                    x,
+                    c_blk,
+                    cp_blk,
+                    beta: k > 0,
+                    next_u: next.0,
+                    next_x: next.1,
+                    output: if last {
+                        Output::Scatter {
+                            row_ptrs: row_ptrs.as_ptr(),
+                            group_stride: self.group_stride,
+                            streaming: self.streaming,
+                        }
                     } else {
-                        &jk.scatter_full
-                    };
-                    kern.call_scatter(u_ptr, v_p, x_p, row_ptrs.as_ptr());
-                } else if k == 0 {
-                    jk.block0.as_ref().expect("block0 compiled").call(u_ptr, v_p, x_p);
-                } else {
-                    jk.block1.as_ref().expect("block1 compiled").call(u_ptr, v_p, x_p);
-                }
-            }
-            return;
+                        Output::Block
+                    },
+                },
+            ),
         }
+    }
+}
 
-        let last_i = self.row_blocks - 1;
-        for k in 0..self.k_blocks {
-            let is_last_k = k + 1 == self.k_blocks;
-            let next = if i < last_i {
-                (
-                    self.u.as_ptr().wrapping_add(self.u.block_offset(i + 1, k, t)),
-                    self.x.get().wrapping_add(self.x_meta.block_offset(i + 1, j, t))
-                        as *const f32,
-                )
-            } else {
-                (std::ptr::null(), std::ptr::null())
-            };
-            let output = if is_last_k {
-                Output::Scatter {
-                    row_ptrs: row_ptrs.as_ptr(),
-                    group_stride: self.group_stride,
-                    streaming: self.streaming,
-                }
-            } else {
-                Output::Block
-            };
-            // SAFETY: block offsets for (t, i, j, k) are in bounds of
-            // their panel allocations by construction of the panel
-            // metadata; panel (t, j, i) is owned by this task.
-            let (u_blk, v_blk, x_blk) = (
-                self.u.as_ptr().add(self.u.block_offset(i, k, t)),
-                self.v.as_ptr().add(self.v.block_offset(k, j, t)),
-                self.x.get().add(self.x_meta.block_offset(i, j, t)),
-            );
-            let args = MicroArgs {
-                u: u_blk,
-                v: v_blk,
-                x: x_blk,
-                c_blk: self.c_blk,
-                cp_blk: self.cp_blk,
-                beta: k > 0,
-                next_u: next.0,
-                next_x: next.1,
-                output,
-            };
-            // SAFETY: panel (t, j, i) is owned by this task; pointers are
-            // in bounds; scatter targets are 64-byte aligned (all offsets
-            // are multiples of S) and disjoint from u/v/x.
-            microkernel(self.n_blk, &args);
-        }
+impl JitKernels {
+    /// Compile `block`'s kernels for `k_blocks` reduction blocks and a tail
+    /// panel of `tail` rows (0: none), scattering to `output`.
+    fn compile(
+        block: BlockShape,
+        k_blocks: usize,
+        tail: usize,
+        output: JitOutput,
+    ) -> Result<JitKernels, JitError> {
+        let BlockShape { n_blk, c_blk, cp_blk } = block;
+        // The last reduction block always runs a scatter kernel, so the
+        // block kernels cover only the k-blocks before it.
+        let plain = |beta| JitKernel::compile(n_blk, c_blk, cp_blk, beta);
+        let scatter = |rows| JitKernel::compile_with_output(rows, c_blk, cp_blk, k_blocks > 1, output);
+        Ok(JitKernels {
+            block0: (k_blocks > 1).then(|| plain(false)).transpose()?,
+            block1: (k_blocks > 2).then(|| plain(true)).transpose()?,
+            full: scatter(n_blk)?,
+            tail: (tail != 0).then(|| scatter(tail)).transpose()?,
+        })
+    }
+}
+
+impl std::fmt::Debug for Gemm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let engine = if self.jit.is_some() { Stage2Backend::Jit } else { Stage2Backend::Mono };
+        write!(f, "Gemm {{ {:?}, {engine:?}, streaming: {} }}", self.block, self.streaming)
     }
 }
 
@@ -224,7 +236,8 @@ pub fn multiply_with(
 }
 
 /// The fork–join of [`multiply`] / [`multiply_with`] on checked,
-/// allocated buffers.
+/// allocated buffers: one task per panel `(t, j, i)`, its full reduction
+/// over the `k` blocks, the last of which scatters its rows into `y`.
 fn multiply_into(
     layer: &WinogradLayer,
     u: &BlockedMatrices,
@@ -233,23 +246,46 @@ fn multiply_into(
     y: &mut TileMajor,
     exec: &dyn Executor,
 ) -> Result<(), WinoError> {
-    let t_vol = layer.t_vol();
-    let row_blocks = u.row_blocks();
-    let col_blocks = v.col_blocks();
-
-    let dims = [t_vol, col_blocks, row_blocks];
-    let (x_ptr, y_ptr) = (x.as_mut_ptr(), y.as_mut_ptr());
-    let ctx = Stage2Ctx::new(layer, u, v, x_ptr, x, y_ptr, y);
+    let (row_blocks, col_blocks) = (u.row_blocks(), v.col_blocks());
+    let (rows, n_tiles, n_blk) = (layer.rows(), layer.n_tiles(), layer.block.n_blk);
+    let k_blocks = layer.shape.in_channels / layer.block.c_blk;
+    let (x_ptr, y_ptr) = (MutPtr(x.as_mut_ptr()), MutPtr(y.as_mut_ptr()));
+    let (x, y_meta) = (&*x, &*y);
     let probe = exec.probe();
     let stage_start = span_start(probe);
 
-    exec.run_grid(&dims, &|_slot, flat| {
+    exec.run_grid(&[layer.t_vol(), col_blocks, row_blocks], &|_slot, flat| {
         let i = flat % row_blocks;
         let j = (flat / row_blocks) % col_blocks;
         let t = flat / (row_blocks * col_blocks);
-        // SAFETY: the grid enumerates each (t, j, i) exactly once, so
-        // tasks own disjoint panels.
-        unsafe { ctx.panel(t, j, i) };
+        let (row0, og0) = (i * n_blk, j * layer.block.cp_blk / S);
+        let panel_rows = n_blk.min(rows - row0);
+        let mut row_ptrs = [std::ptr::null_mut::<f32>(); MAX_N_BLK];
+        for r in 0..panel_rows {
+            let (b, n) = ((row0 + r) / n_tiles, (row0 + r) % n_tiles);
+            // SAFETY: position `t` of tile (b, og0, n), inside `y`.
+            row_ptrs[r] = unsafe { y_ptr.get().add(y_meta.vec_offset(b, og0, n, t)) };
+        }
+        for k in 0..k_blocks {
+            let next = if i + 1 < row_blocks {
+                let next_x = x_ptr.get().wrapping_add(x.block_offset(i + 1, j, t));
+                (u.as_ptr().wrapping_add(u.block_offset(i + 1, k, t)), next_x as *const f32)
+            } else {
+                NO_PREFETCH
+            };
+            // SAFETY: the grid enumerates each (t, j, i) exactly once, so
+            // tasks own disjoint panels of `x` and disjoint tile rows of
+            // `y`; block offsets are in bounds by construction of the
+            // blocked metadata, and the scatter rows are 64-byte aligned.
+            unsafe {
+                let blocks = (
+                    u.as_ptr().add(u.block_offset(i, k, t)),
+                    v.as_ptr().add(v.block_offset(k, j, t)),
+                    x_ptr.get().add(x.block_offset(i, j, t)),
+                );
+                layer.gemm.block(panel_rows, k, blocks, &row_ptrs, next);
+            }
+        }
     })?;
     // SAFETY: the coordinator thread, after the join.
     unsafe { record_coord(probe, wino_probe::SpanCategory::ElementwiseGemm, stage_start) };

@@ -373,7 +373,7 @@ mod tests {
         let host = Host::test(Pin::Staged, false);
         let staged = WinogradLayer::new_on(gshape, &[4, 4], ConvOptions::default(), host).unwrap();
         assert_eq!(staged.block, dual.block);
-        assert_ne!(dual.dual_block(), dual.block);
+        assert_ne!(dual.ring_gemm().shape(), dual.block);
         let input = BlockedImage::from_simple(&gy).unwrap();
         let kernels = BlockedKernels::from_simple(&flip_transpose_kernels(&w)).unwrap();
         let mut out = staged.new_output().unwrap();

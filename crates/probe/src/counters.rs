@@ -45,32 +45,6 @@ const N: usize = 8;
 static COUNTERS: [AtomicU64; N] = [const { AtomicU64::new(0) }; N];
 
 impl Counter {
-    /// All counters, in reporting order.
-    pub const ALL: [Counter; N] = [
-        Counter::SentinelTilesChecked,
-        Counter::SentinelTrips,
-        Counter::SentinelDemotions,
-        Counter::SentinelRescues,
-        Counter::AllocBytesPeak,
-        Counter::AllocCalls,
-        Counter::MemoryDemotions,
-        Counter::MemoryRescues,
-    ];
-
-    /// Stable kebab-case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::SentinelTilesChecked => "sentinel-tiles-checked",
-            Counter::SentinelTrips => "sentinel-trips",
-            Counter::SentinelDemotions => "sentinel-demotions",
-            Counter::SentinelRescues => "sentinel-rescues",
-            Counter::AllocBytesPeak => "alloc-bytes-peak",
-            Counter::AllocCalls => "alloc-calls",
-            Counter::MemoryDemotions => "memory-demotions",
-            Counter::MemoryRescues => "memory-rescues",
-        }
-    }
-
     fn cell(self) -> &'static AtomicU64 {
         &COUNTERS[self as usize]
     }
@@ -97,6 +71,34 @@ impl Counter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Counter {
+        /// All counters.
+        const ALL: [Counter; N] = [
+            Counter::SentinelTilesChecked,
+            Counter::SentinelTrips,
+            Counter::SentinelDemotions,
+            Counter::SentinelRescues,
+            Counter::AllocBytesPeak,
+            Counter::AllocCalls,
+            Counter::MemoryDemotions,
+            Counter::MemoryRescues,
+        ];
+
+        /// Stable kebab-case name.
+        fn name(self) -> &'static str {
+            match self {
+                Counter::SentinelTilesChecked => "sentinel-tiles-checked",
+                Counter::SentinelTrips => "sentinel-trips",
+                Counter::SentinelDemotions => "sentinel-demotions",
+                Counter::SentinelRescues => "sentinel-rescues",
+                Counter::AllocBytesPeak => "alloc-bytes-peak",
+                Counter::AllocCalls => "alloc-calls",
+                Counter::MemoryDemotions => "memory-demotions",
+                Counter::MemoryRescues => "memory-rescues",
+            }
+        }
+    }
 
     /// Zero every counter.
     fn reset_all() {

@@ -87,6 +87,8 @@ impl std::error::Error for AllocError {}
 pub struct AlignedVec {
     ptr: *mut f32,
     len: usize,
+    /// The allocation `ptr` was aligned inside ([`AlignedVec::layout`]).
+    base: *mut u8,
 }
 
 // SAFETY: `AlignedVec` owns its allocation exclusively; sharing &AlignedVec
@@ -110,12 +112,20 @@ fn account(bytes: usize) {
 /// One fallible, zero-filled allocation. `injectable` is true only for
 /// `try_zeroed`: the infallible wrappers skip the fault injector so arming
 /// a fault can never abort the process through them.
+///
+/// The allocation is a cache line longer than the buffer and only as
+/// aligned as `malloc`'s own, the buffer placed at its first 64-byte
+/// boundary. `alloc_zeroed` is then glibc's `calloc`, which skips the
+/// memset on fresh pages, instead of `posix_memalign` plus a memset, whose
+/// split-off remainders fragment the heap: peak RSS then depended on the
+/// heap's layout (EXPERIMENTS.md, "Peak RSS and the allocator").
+/// Accounting counts the buffer, `len·4` bytes.
 fn try_alloc(len: usize, injectable: bool) -> Result<AlignedVec, AllocError> {
     if len == 0 {
-        return Ok(AlignedVec { ptr: std::ptr::NonNull::<f32>::dangling().as_ptr(), len: 0 });
+        let ptr = std::ptr::NonNull::<f32>::dangling().as_ptr();
+        return Ok(AlignedVec { ptr, len: 0, base: ptr as *mut u8 });
     }
-    let layout = AlignedVec::layout(len);
-    let bytes = layout.size();
+    let bytes = len * std::mem::size_of::<f32>();
     #[cfg(feature = "fault-inject")]
     if injectable && crate::fault::should_fail() {
         return Err(AllocError { len, bytes, injected: true });
@@ -123,12 +133,15 @@ fn try_alloc(len: usize, injectable: bool) -> Result<AlignedVec, AllocError> {
     #[cfg(not(feature = "fault-inject"))]
     let _ = injectable;
     // SAFETY: layout has non-zero size here.
-    let ptr = unsafe { alloc_zeroed(layout) } as *mut f32;
-    if ptr.is_null() {
+    let base = unsafe { alloc_zeroed(AlignedVec::layout(len)) };
+    if base.is_null() {
         return Err(AllocError { len, bytes, injected: false });
     }
     account(bytes);
-    Ok(AlignedVec { ptr, len })
+    // SAFETY: at most `CACHE_LINE - 1` bytes in, leaving `bytes` of the
+    // allocation's `bytes + CACHE_LINE` past the pointer.
+    let ptr = unsafe { base.add(base.align_offset(CACHE_LINE)) } as *mut f32;
+    Ok(AlignedVec { ptr, len, base })
 }
 
 impl AlignedVec {
@@ -155,9 +168,10 @@ impl AlignedVec {
         v
     }
 
+    /// The allocation behind a buffer of `len` floats ([`try_alloc`]).
     fn layout(len: usize) -> Layout {
-        Layout::from_size_align(len * std::mem::size_of::<f32>(), CACHE_LINE)
-            .expect("buffer too large")
+        let bytes = len.checked_mul(std::mem::size_of::<f32>()).and_then(|b| b.checked_add(CACHE_LINE));
+        Layout::from_size_align(bytes.expect("buffer too large"), 16).expect("buffer too large")
     }
 
     /// Size of the backing allocation in bytes.
@@ -202,8 +216,8 @@ impl Drop for AlignedVec {
         if self.len != 0 {
             // ORDERING: Relaxed — statistics gauge decrement, as in `account`.
             LIVE_BYTES.fetch_sub(self.bytes() as u64, Ordering::Relaxed);
-            // SAFETY: allocated with the identical layout in `try_alloc`.
-            unsafe { dealloc(self.ptr as *mut u8, Self::layout(self.len)) };
+            // SAFETY: `base` was allocated with this layout in `try_alloc`.
+            unsafe { dealloc(self.base, Self::layout(self.len)) };
         }
     }
 }

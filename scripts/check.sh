@@ -118,7 +118,9 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # `conv::tests::both_store_flavours_…` plans each layer of the schedule
 # gate on a host that streams everything and on one that streams nothing
 # — pinned staged, ring and dual (`plan::Host::test`), Mono and JIT, every
-# executor — and asserts one set of output bits.
+# executor — and asserts one set of output bits. Beside it, the two direct
+# JIT == Mono checks on whole layers (`conv::tests::jit_backend_…`; below
+# avx512 they skip themselves and pass).
 #
 # Micro-kernel gate: the register-tiled stage-2 kernels must equal their
 # own 1 × 1-tile walk bit for bit on every backend up to the pinned one
@@ -157,7 +159,8 @@ for isa in "${isas[@]}"; do
         codelet:: vecprog:: stage1:: stage3:: select:: \
         dispatch::tests::strided_output_is_the_subsampled_stride1_output
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
-        cargo test --offline -q -p wino-conv --lib -- conv::tests::both_store_flavours
+        cargo test --offline -q -p wino-conv --lib -- conv::tests::both_store_flavours \
+        conv::tests::jit_backend_matches_mono_backend conv::tests::jit_backend_parallel_and_fx
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-gemm -p wino-jit --lib
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
