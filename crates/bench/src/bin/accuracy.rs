@@ -62,9 +62,8 @@ fn measure(
 /// `--sentinel-smoke`: the end-to-end half of the CI accuracy gate. Each
 /// pinned smoke layer (the same trio `scripts/bench.sh --smoke` times) is
 /// planned at the largest tile its accuracy budget admits — the last
-/// [`candidate_tiles`] entry the planner accepts under
-/// [`Purpose::Inference`]'s budget, so the cap comes from the exact
-/// conditioning, not a table — run once,
+/// [`candidate_tiles`] entry that plans under [`Purpose::Inference`],
+/// whose cap comes from the exact conditioning, not a table — run once,
 /// and a pinned-seed sample of its output tiles is re-verified against
 /// the f64 oracle. A clean build must produce zero trips; any trip —
 /// i.e. an error above the plan's a-priori bound — exits non-zero.
@@ -75,12 +74,10 @@ fn sentinel_smoke(exec: &dyn Executor) -> ! {
     for layer in scaled_catalog().into_iter().filter(|l| SMOKE_LAYERS.contains(&l.id().as_str()))
     {
         let shape = &layer.shape;
-        let purpose = Purpose::Inference;
-        let opts = ConvOptions { budget: Some(purpose.budget()), ..Default::default() };
-        let plan = candidate_tiles(shape, purpose)
+        let plan = candidate_tiles(shape, Purpose::Inference)
             .iter()
             .rev()
-            .find_map(|m| WinogradLayer::new(shape.clone(), m, opts).ok())
+            .find_map(|m| WinogradLayer::new(shape.clone(), m, ConvOptions::default()).ok())
             .expect("smoke layers must plan");
         let img = uniform_input(shape, 42);
         let ker = xavier_kernels(shape, 42 ^ 0xabcd);

@@ -62,7 +62,9 @@ impl WinogradLayer {
     }
 
     /// Transform kernels once for repeated inference (§4.2 "Inference
-    /// only").
+    /// only"). The transforms are made in `scratch`, which then gives its
+    /// `V̂` up to the result: a later training-mode call on it transforms
+    /// into a freshly grown one, as on a dual plan's scratch.
     pub fn prepare_kernels(
         &self,
         kernels: &BlockedKernels,
@@ -70,7 +72,8 @@ impl WinogradLayer {
         exec: &dyn Executor,
     ) -> Result<TransformedKernels, WinoError> {
         stage1::transform_kernels(self, kernels, scratch, exec)?;
-        Ok(TransformedKernels { v: scratch.v.clone() })
+        let v = std::mem::replace(&mut scratch.v, BlockedMatrices::placeholder());
+        Ok(TransformedKernels { v })
     }
 
     /// Inference-mode convolution using memoised kernel transforms — the

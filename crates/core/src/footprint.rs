@@ -5,13 +5,15 @@
 //! scratch ([`Scratch`](crate::Scratch) — four layer-sized buffers for a
 //! staged plan, the kernel transforms plus one ring per thread slot for a
 //! ring plan, the input transforms plus one ring per thread slot for a
-//! dual plan), the per-thread codelet buffers, the memoised
-//! kernel-transform clone
-//! ([`TransformedKernels`](crate::TransformedKernels)) and the output
-//! image. Each component reuses the container's own `bytes_for` helper
-//! with the same parameters the real constructor receives, so the model
-//! cannot drift from the allocation code — a property the footprint unit
-//! tests pin by comparing predictions against observed allocation tallies
+//! dual plan), the per-thread codelet buffers, the kernel transforms
+//! `prepare_kernels` allocates beyond the scratch (a dual plan's `V̂`; any
+//! other plan's scratch gives its own up to
+//! [`TransformedKernels`](crate::TransformedKernels)) and the output
+//! image. Each buffer is counted once, and each component reuses the
+//! container's own `bytes_for` helper with the same parameters the real
+//! constructor receives, so the model cannot drift from the allocation
+//! code — a property the footprint unit tests pin by comparing
+//! predictions against observed allocation tallies
 //! ([`wino_simd::thread_alloc_bytes`]).
 //!
 //! Consumers:
@@ -47,7 +49,9 @@ pub(crate) struct BufferBytes {
     /// Transformed kernels `V̂` in the scratch: 0 for a dual plan, whose
     /// ring holds one block of them at a time.
     pub v: usize,
-    /// Transformed kernels `V̂` as `prepare_kernels` memoises them.
+    /// Transformed kernels `V̂` that `prepare_kernels` allocates beyond
+    /// the scratch: a dual plan's; 0 for any other, whose scratch gives
+    /// its own up.
     pub memo: usize,
     /// One thread slot's ring; 0 for a staged plan.
     pub ring: usize,
@@ -62,15 +66,15 @@ impl BufferBytes {
         let (batch, c, cp) = (shape.batch, shape.in_channels, shape.out_channels);
         let staged = layer.schedule == Schedule::Staged;
         let held = |held: bool, bytes: usize| if held { bytes } else { 0 };
-        let memo = BlockedMatrices::bytes_for(t, c, cp, blk.c_blk, blk.cp_blk);
+        let v = BlockedMatrices::bytes_for(t, c, cp, blk.c_blk, blk.cp_blk);
         BufferBytes {
             input: BlockedImage::bytes_for(batch, c, &shape.image_dims),
             kernels: c * cp * shape.kernel_dims.iter().product::<usize>() * 4,
             u: held(!layer.is_fused(), BlockedMatrices::bytes_for(t, rows, c, blk.n_blk, blk.c_blk)),
             x: held(staged, BlockedMatrices::bytes_for(t, rows, cp, blk.n_blk, blk.cp_blk)),
             y: held(staged, TileMajor::bytes_for(batch, cp, layer.n_tiles(), t)),
-            v: held(!layer.is_dual(), memo),
-            memo,
+            v: held(!layer.is_dual(), v),
+            memo: held(layer.is_dual(), v),
             ring: layer.ring_floats() * 4,
             output: BlockedImage::bytes_for(batch, cp, &shape.out_dims()),
         }
@@ -90,12 +94,9 @@ pub struct MemoryFootprint {
     /// chunks, `T·cols·(C_blk + 2·rows)` floats each (rows padded for the
     /// accumulator).
     pub scratch_bytes: usize,
-    /// The tile-major transformed-output buffer `y` alone (also counted
-    /// in `scratch_bytes`; broken out because serving sizes it per batch).
-    /// 0 for a fused plan.
-    pub tile_major_bytes: usize,
-    /// The memoised kernel-transform clone (`TransformedKernels`) — the
-    /// shape of a staged plan's scratch `v`.
+    /// What `prepare_kernels` allocates beyond the scratch: a dual plan's
+    /// `V̂`, which its scratch does not hold; 0 for a staged or ring plan,
+    /// whose scratch gives its `V̂` up to the `TransformedKernels`.
     pub transformed_kernel_bytes: usize,
     /// Per-thread codelet buffers, totalled across all `threads` slots:
     /// two `T·S` ping-pong tile buffers each.
@@ -112,7 +113,6 @@ impl MemoryFootprint {
     pub fn empty(threads: usize) -> MemoryFootprint {
         MemoryFootprint {
             scratch_bytes: 0,
-            tile_major_bytes: 0,
             transformed_kernel_bytes: 0,
             per_thread_bytes: 0,
             output_bytes: 0,
@@ -120,15 +120,13 @@ impl MemoryFootprint {
         }
     }
 
-    /// Fold `other` into `self` component by component (`+` aggregates
-    /// buffers that are live together, `max` ones that take turns).
-    pub fn fold(&mut self, other: &MemoryFootprint, f: fn(usize, usize) -> usize) {
-        self.scratch_bytes = f(self.scratch_bytes, other.scratch_bytes);
-        self.tile_major_bytes = f(self.tile_major_bytes, other.tile_major_bytes);
-        self.transformed_kernel_bytes =
-            f(self.transformed_kernel_bytes, other.transformed_kernel_bytes);
-        self.per_thread_bytes = f(self.per_thread_bytes, other.per_thread_bytes);
-        self.output_bytes = f(self.output_bytes, other.output_bytes);
+    /// Add `other`'s buffers, which are live beside these, component by
+    /// component.
+    pub fn add(&mut self, other: &MemoryFootprint) {
+        self.scratch_bytes += other.scratch_bytes;
+        self.transformed_kernel_bytes += other.transformed_kernel_bytes;
+        self.per_thread_bytes += other.per_thread_bytes;
+        self.output_bytes += other.output_bytes;
     }
 
     /// Footprint of `layer` executed with `threads` thread slots.
@@ -140,7 +138,6 @@ impl MemoryFootprint {
         let b = BufferBytes::of(layer);
         MemoryFootprint {
             scratch_bytes: b.u + b.v + b.x + b.y + slots * b.ring,
-            tile_major_bytes: b.y,
             transformed_kernel_bytes: b.memo,
             per_thread_bytes: slots * 2 * layer.t_vol() * S * 4,
             output_bytes: b.output,
@@ -148,9 +145,9 @@ impl MemoryFootprint {
         }
     }
 
-    /// All components summed — what a fresh `prepare_kernels` + forward pass asks
-    /// the allocator for (scratch, memoised kernels, per-thread buffers,
-    /// output).
+    /// All components summed — what a fresh scratch, `prepare_kernels` and
+    /// forward pass ask the allocator for (scratch, the kernel transforms
+    /// beyond it, per-thread buffers, output).
     pub fn total(&self) -> usize {
         self.scratch_bytes
             + self.transformed_kernel_bytes
@@ -163,38 +160,38 @@ impl MemoryFootprint {
 mod tests {
     use super::*;
     use crate::plan::{split_reduction, ConvOptions, Host, Pin, Scratch};
-    use wino_tensor::ConvShape;
+    use wino_sched::SerialExecutor;
+    use wino_tensor::{BlockedKernels, ConvShape};
 
     fn layer(batch: usize, c: usize, cp: usize, dims: &[usize]) -> WinogradLayer {
         let shape = ConvShape::new(batch, c, cp, dims, &[3, 3], &[1, 1]).unwrap();
         WinogradLayer::new(shape, &[2, 2], ConvOptions::default()).unwrap()
     }
 
+    /// A ring, a staged and a dual plan of one layer.
+    fn one_of_each_schedule() -> [WinogradLayer; 3] {
+        let shape = ConvShape::new(1, 32, 16, &[8, 8], &[3, 3], &[1, 1]).unwrap();
+        let plan = |pin, opts| {
+            WinogradLayer::new_on(shape.clone(), &[2, 2], opts, Host::test(pin, false)).unwrap()
+        };
+        let ring = plan(Pin::Ring, ConvOptions::default());
+        [ring, plan(Pin::Staged, split_reduction()), plan(Pin::Dual, split_reduction())]
+    }
+
     #[test]
     fn scratch_component_matches_observed_allocation() {
         let fused = layer(1, 16, 16, &[8, 8]);
-        let shape = ConvShape::new(1, 32, 16, &[8, 8], &[3, 3], &[1, 1]).unwrap();
-        let pinned = |pin| {
-            let host = Host::test(pin, false);
-            WinogradLayer::new_on(shape.clone(), &[2, 2], split_reduction(), host).unwrap()
-        };
-        let (staged, dual) = (pinned(Pin::Staged), pinned(Pin::Dual));
-        assert!(fused.is_fused() && dual.is_dual() && !staged.is_fused() && !staged.is_dual());
-        for l in [&fused, &staged, &dual] {
+        let [ring, staged, dual] = one_of_each_schedule();
+        assert!(ring.is_fused() && dual.is_dual() && !staged.is_fused() && !staged.is_dual());
+        for l in [&fused, &ring, &staged, &dual] {
             for threads in [1usize, 4] {
                 let fp = l.footprint(threads);
                 let before = wino_simd::thread_alloc_bytes();
-                let mut s = Scratch::new(l, threads);
+                let s = Scratch::new(l, threads);
                 let observed = wino_simd::thread_alloc_bytes() - before;
                 let case = format!("{:?} threads={threads}", l.schedule);
                 assert_eq!(fp.scratch_bytes + fp.per_thread_bytes, observed as usize, "{case}");
-                assert_eq!(fp.tile_major_bytes, s.y.bytes(), "{case}");
                 assert_eq!(fp.scratch_bytes, s.bytes(), "{case}");
-                // The memo has the shape of a staged scratch's `v`, which a
-                // dual scratch grows only for a kernel transform.
-                assert_eq!(s.v.bytes() == 0, l.is_dual(), "{case}");
-                s.materialise_v().unwrap();
-                assert_eq!(fp.transformed_kernel_bytes, s.v.bytes(), "{case}");
             }
         }
         // A ring per slot is all that grows with the thread count, and
@@ -202,13 +199,32 @@ mod tests {
         // plan's scratch grows with the image or the batch.
         let ring = fused.ring_floats() * 4;
         assert_eq!(fused.footprint(4).scratch_bytes - fused.footprint(1).scratch_bytes, 3 * ring);
-        assert_eq!(fused.footprint(1).tile_major_bytes, 0);
         let (small, large) = (layer(1, 16, 16, &[32, 32]), layer(4, 16, 16, &[64, 64]));
         assert_eq!(small.footprint(1).scratch_bytes, large.footprint(1).scratch_bytes);
         // A dual plan's scratch is `Û` and its rings: no `V̂`, `X̂` or `Y`.
         let b = BufferBytes::of(&dual);
         assert_eq!((b.v, b.x, b.y), (0, 0, 0));
         assert_eq!(dual.footprint(2).scratch_bytes, b.u + 2 * dual.ring_floats() * 4);
+    }
+
+    /// `prepare_kernels` allocates what the model prices beyond the
+    /// scratch — nothing on a staged or ring plan, whose scratch gives its
+    /// `V̂` up, the whole `V̂` on a dual plan — and leaves no `V̂` behind.
+    #[test]
+    fn prepare_kernels_allocates_what_the_model_says() {
+        for l in &one_of_each_schedule() {
+            let (c, cp, dims) = (l.shape.in_channels, l.shape.out_channels, &l.shape.kernel_dims);
+            let kernels = BlockedKernels::zeros(c, cp, dims).unwrap();
+            let (fp, mut s) = (l.footprint(1), Scratch::new(l, 1));
+            let before = wino_simd::thread_alloc_bytes();
+            let memo = l.prepare_kernels(&kernels, &mut s, &SerialExecutor).unwrap();
+            let observed = (wino_simd::thread_alloc_bytes() - before) as usize;
+            let case = format!("{:?}", l.schedule);
+            assert_eq!(observed, fp.transformed_kernel_bytes, "{case}");
+            assert_eq!(observed == 0, !l.is_dual(), "{case}");
+            assert_eq!(s.v.bytes(), 0, "{case}");
+            assert_eq!(memo.bytes(), l.t_vol() * c * cp * 4, "{case}");
+        }
     }
 
     #[test]

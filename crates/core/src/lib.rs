@@ -76,8 +76,6 @@ pub use net::{
     Activation, ExecutionReport, FallbackReason, LayerBackend, LayerSpec, NetLayer,
     Network,
 };
-pub use plan::{
-    AccuracyBudget, ConvOptions, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK,
-};
+pub use plan::{ConvOptions, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK};
 pub use select::{candidate_tiles, plan_with_fallback, FallbackPolicy, Purpose};
 pub use sentinel::{sample_units, verify_sample, SentinelConfig, SentinelError};

@@ -302,7 +302,7 @@ impl Network {
     pub fn footprint(&self, threads: usize) -> crate::MemoryFootprint {
         let mut acc = crate::MemoryFootprint::empty(threads);
         for l in &self.layers {
-            acc.fold(&l.plan.footprint(threads), |a, b| a + b);
+            acc.add(&l.plan.footprint(threads));
         }
         acc
     }
@@ -322,7 +322,9 @@ impl Network {
     }
 
     /// Memoise all kernel transforms for inference (§4.2 "Inference
-    /// only"); pass the result to [`Self::forward_fx`]. Only dense
+    /// only"); pass the result to [`Self::forward_fx`]. Each layer's
+    /// scratch gives its `V̂` up to the result
+    /// ([`crate::WinogradLayer::prepare_kernels`]). Only dense
     /// stride-1 Winograd layers ([`DispatchPlan::winograd`]) have a
     /// memoised kernel transform; any other makes this an
     /// [`WinoError::Unsupported`] error.

@@ -12,9 +12,9 @@
 //! buffer (§4.4 "Memory overhead"), reused across layers. For a staged
 //! plan it holds `I` (transformed inputs), `W` (transformed kernels),
 //! `I'_tmp` and tile-major `I'`; for a ring plan `W` and one ring per
-//! thread slot; for a dual plan `I` and one ring per thread slot. What a
-//! plan's scratch starts without appears only if a staged function is
-//! ever called on it.
+//! thread slot; for a dual plan `I` and one ring per thread slot.
+//! `prepare_kernels` takes the scratch's `W`. What a plan's scratch starts
+//! without, or has given up, appears only if a call needs it.
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -33,38 +33,6 @@ use crate::stage2::Gemm;
 /// Maximum supported spatial rank (the stages use fixed-size index
 /// buffers; 6 covers any practical ConvNet with room to spare).
 pub const MAX_RANK: usize = 6;
-
-/// A target on the numerical quality of a plan: the worst relative
-/// error the caller is willing to accept from the Winograd evaluation,
-/// enforced a priori from the exact-rational conditioning of the
-/// transforms ([`wino_transforms::Conditioning`]).
-///
-/// The check is per dimension: a plan is admitted only if every
-/// dimension's amplification factor satisfies `γ(m_d, r_d) · ε ≤
-/// max_rel_error` (ε = [`f32::EPSILON`]). Because γ is strictly
-/// increasing over the practical even tile sizes, a budget induces a
-/// per-(r, point-schedule) *derived* maximum tile size — this is what
-/// replaced the old hard-coded `Purpose::max_m` table (the presets in
-/// [`crate::select::Purpose::budget`] reproduce it exactly for r = 3).
-#[derive(Clone, Copy, Debug, PartialEq, PartialOrd)]
-pub struct AccuracyBudget {
-    /// Target worst-case relative error (> 0).
-    pub max_rel_error: f64,
-}
-
-impl AccuracyBudget {
-    /// Budget admitting tiles whose per-dimension amplification fits
-    /// `max_rel_error`.
-    pub fn new(max_rel_error: f64) -> AccuracyBudget {
-        AccuracyBudget { max_rel_error }
-    }
-
-    /// Whether a 1-D transform with amplification factor `gamma`
-    /// fits this budget.
-    pub fn admits_gamma(self, gamma: f64) -> bool {
-        gamma * f64::from(f32::EPSILON) <= self.max_rel_error
-    }
-}
 
 /// Which engine executes stage 2's micro-kernels.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -88,10 +56,6 @@ pub struct ConvOptions {
     pub block: Option<BlockShape>,
     /// Stage-2 kernel engine.
     pub stage2: Stage2Backend,
-    /// A-priori accuracy budget. `None` (the default) admits any tile;
-    /// `Some(b)` makes planning fail with [`PlanError::AccuracyBudget`]
-    /// when a dimension's predicted amplification exceeds the budget.
-    pub budget: Option<AccuracyBudget>,
     /// Output sampling step per spatial dimension (entries beyond the
     /// layer's rank are ignored; all 1s by default). A strided layer
     /// still runs Winograd: [`crate::dispatch`] executes its stride-1
@@ -187,7 +151,6 @@ impl Default for ConvOptions {
         ConvOptions {
             block: None,
             stage2: Stage2Backend::default(),
-            budget: None,
             stride: [1; MAX_RANK],
             dilation: [1; MAX_RANK],
             groups: 1,
@@ -215,10 +178,6 @@ pub enum PlanError {
     /// JIT stage-2 backend requested but unavailable (no AVX-512F, or
     /// code emission failed).
     Jit { reason: &'static str },
-    /// The requested tile's a-priori error bound exceeds the plan's
-    /// [`AccuracyBudget`] in dimension `dim` — demote `m` (the planner's
-    /// `candidate_tiles` does this automatically).
-    AccuracyBudget { dim: usize, m: usize },
     /// The options carry a non-identity stride/dilation/groups geometry,
     /// which the monolithic planner does not execute — route the layer
     /// through [`crate::dispatch`] instead.
@@ -237,10 +196,6 @@ impl std::fmt::Display for PlanError {
             }
             PlanError::BadBlocking { reason } => write!(f, "bad blocking: {reason}"),
             PlanError::Jit { reason } => write!(f, "jit backend unavailable: {reason}"),
-            PlanError::AccuracyBudget { dim, m } => write!(
-                f,
-                "tile size m={m} for dimension {dim} exceeds the accuracy budget"
-            ),
             PlanError::Geometry { reason } => {
                 write!(f, "non-identity conv geometry: {reason}")
             }
@@ -350,13 +305,7 @@ impl WinogradLayer {
             if !crate::codelet::in_table(m[d], shape.kernel_dims[d]) {
                 return Err(PlanError::BadTileSize { dim: d, m: m[d] });
             }
-            let plan = FmrPlan::new(m[d], shape.kernel_dims[d]);
-            if let Some(budget) = opts.budget {
-                if !budget.admits_gamma(plan.conditioning().gamma) {
-                    return Err(PlanError::AccuracyBudget { dim: d, m: m[d] });
-                }
-            }
-            plans.push(plan);
+            plans.push(FmrPlan::new(m[d], shape.kernel_dims[d]));
         }
         let rows = grid.total_tiles() * shape.batch;
         let block = match opts.block {
@@ -667,13 +616,15 @@ impl Seam {
 /// dual plan ([`WinogradLayer::is_dual`]) `u` and one ring per thread slot.
 ///
 /// What a plan's scratch starts without — a ring plan's `u`, `x` and `y`,
-/// a dual plan's `v`, `x` and `y` — the first call that needs it
-/// allocates, fallibly, at the shapes a staged plan's have: a staged
-/// function ([`crate::stage1::transform_inputs`],
+/// a dual plan's `v`, `x` and `y` — and the `v` that `prepare_kernels`
+/// takes from any scratch, the first call that needs it allocates,
+/// fallibly, at the shapes a staged plan's have: a staged function
+/// ([`crate::stage1::transform_inputs`],
 /// [`crate::stage1::transform_kernels`], [`crate::stage2::multiply`],
 /// [`crate::stage3::inverse_transform`]), `prepare_kernels`, a dual plan's
-/// `forward_fx`, or a forward on an executor with more threads than the
-/// plan has ring panels or column groups.
+/// `forward_fx`, a ring plan's training-mode `forward`, or a forward on an
+/// executor with more threads than the plan has ring panels or column
+/// groups.
 ///
 /// `u` is laid out at the plan's blocking. A dual forward pass lays the
 /// same bytes out at the dual ring's `C_blk` instead — the row blocks, and
@@ -754,7 +705,8 @@ impl Scratch {
     }
 
     /// Make sure the layer-sized kernel transforms `v` exist — a dual
-    /// plan's scratch starts without them.
+    /// plan's scratch starts without them, and `prepare_kernels` takes
+    /// them from any scratch.
     pub(crate) fn materialise_v(&mut self) -> Result<(), wino_simd::AllocError> {
         if self.v.t_count() == 0 {
             self.v = Seam { fallible: true }.matrices(self.shape.v())?;
@@ -1008,24 +960,6 @@ mod tests {
         let layer = WinogradLayer::new(s, &[2, 4, 4], ConvOptions::default()).unwrap();
         assert_eq!(layer.t_vol(), 4 * 6 * 6);
         assert_eq!(layer.grid.counts, vec![3, 2, 2]);
-    }
-
-    #[test]
-    fn budget_admits_and_rejects_by_conditioning() {
-        // γ(4,3)·ε ≈ 5.72e-6, γ(6,3)·ε ≈ 8.07e-6, γ(8,3)·ε ≈ 1.07e-4
-        // (mixed points). A 6e-6 budget sits between m=4 and m=5.
-        let tight = ConvOptions {
-            budget: Some(AccuracyBudget::new(6e-6)),
-            ..Default::default()
-        };
-        let s = ConvShape::new(1, 32, 32, &[20, 20], &[3, 3], &[1, 1]).unwrap();
-        assert!(WinogradLayer::new(s.clone(), &[4, 4], tight).is_ok());
-        assert!(matches!(
-            WinogradLayer::new(s.clone(), &[8, 8], tight),
-            Err(PlanError::AccuracyBudget { dim: 0, m: 8 })
-        ));
-        // No budget (the default): any structurally valid tile plans.
-        assert!(WinogradLayer::new(s, &[8, 8], ConvOptions::default()).is_ok());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use wino_tensor::ConvShape;
 use wino_transforms::{Conditioning, PointSchedule};
 
-use crate::plan::{AccuracyBudget, ConvOptions, PlanError, Stage2Backend, WinogradLayer};
+use crate::plan::{ConvOptions, PlanError, Stage2Backend, WinogradLayer};
 use crate::sentinel::SentinelConfig;
 
 /// How the execution layer meets a failure: with the next row of the
@@ -224,9 +224,10 @@ pub fn plan_with_fallback(
     })
 }
 
-/// What the selected plan will be used for — a preset over
-/// [`AccuracyBudget`]s. The largest admissible tile per dimension is no
-/// longer a hard-coded table: it is *derived* from the exact transform
+/// What the selected plan will be used for — a preset over accuracy
+/// budgets, the worst relative error the caller accepts from the Winograd
+/// evaluation. The largest admissible tile per dimension is not a
+/// hard-coded table: it is *derived* from the exact transform
 /// conditioning (`γ(m, r) · ε ≤ budget`, see
 /// [`wino_transforms::Conditioning`]), which reproduces Table 3's f32
 /// limits (`m ≤ 6` for training, `m ≤ 8` for inference, at `r = 3`) and
@@ -254,22 +255,20 @@ fn gamma(m: usize, r: usize) -> f64 {
 pub(crate) const SEARCH_MAX_M: usize = crate::codelet::TABLE_MAX_M;
 
 impl Purpose {
-    /// The accuracy budget this preset stands for.
-    pub fn budget(self) -> AccuracyBudget {
-        match self {
-            Purpose::Training => AccuracyBudget::new(1e-5),
-            Purpose::Inference => AccuracyBudget::new(2e-4),
-        }
+    /// Whether a 1-D transform with amplification factor `gamma` fits the
+    /// accuracy budget this preset stands for.
+    fn admits(self, gamma: f64) -> bool {
+        let max_rel_error = match self {
+            Purpose::Training => 1e-5,
+            Purpose::Inference => 2e-4,
+        };
+        gamma * f64::from(f32::EPSILON) <= max_rel_error
     }
 
     /// Largest `m ≤` [`SEARCH_MAX_M`] whose `F(m, r)` conditioning fits
     /// the budget (0 if even `m = 2` does not fit).
     fn max_m(self, r: usize) -> usize {
-        let budget = self.budget();
-        (2..=SEARCH_MAX_M)
-            .rev()
-            .find(|&m| budget.admits_gamma(gamma(m, r)))
-            .unwrap_or(0)
+        (2..=SEARCH_MAX_M).rev().find(|&m| self.admits(gamma(m, r))).unwrap_or(0)
     }
 }
 
@@ -389,19 +388,28 @@ mod tests {
         assert!(!train5.is_empty());
     }
 
+    /// The conditioning cap is the whole accuracy rule: every tile
+    /// `candidate_tiles` offers — extent-clipped ones included — fits its
+    /// purpose's budget in every dimension, as its plan computes it.
     #[test]
-    fn tight_budget_rejects_m8_and_plans_m4() {
-        // γ(4,3)·ε ≈ 5.7e-6 fits a 6e-6 budget; γ(6,3)·ε ≈ 8.1e-6 does
-        // not — so the planner rejects F(8×8, 3×3) and plans F(4×4, 3×3).
-        let s = ConvShape::new(1, 16, 16, &[20, 20], &[3, 3], &[1, 1]).unwrap();
+    fn every_candidate_fits_its_purposes_budget() {
         let opts = ConvOptions::default();
-        let tight = AccuracyBudget::new(6e-6);
-        let tight_opts = ConvOptions { budget: Some(tight), ..opts };
-        assert!(matches!(
-            WinogradLayer::new(s.clone(), &[8, 8], tight_opts),
-            Err(PlanError::AccuracyBudget { dim: 0, m: 8 })
-        ));
-        assert!(WinogradLayer::new(s, &[4, 4], tight_opts).is_ok());
+        let shapes: [&[usize]; 4] = [&[40], &[20, 20], &[5, 5], &[1, 9, 30]];
+        for r in 1..=crate::codelet::TABLE_MAX_R {
+            for img in shapes {
+                let rank = img.len();
+                let s = ConvShape::new(1, 16, 16, img, &vec![r; rank], &vec![r / 2; rank]).unwrap();
+                for purpose in [Purpose::Training, Purpose::Inference] {
+                    for m in candidate_tiles(&s, purpose) {
+                        let layer = WinogradLayer::new(s.clone(), &m, opts).unwrap();
+                        for gamma in layer.plans.iter().map(|p| p.conditioning().gamma) {
+                            let case = format!("r={r} {img:?} {purpose:?} {m:?}: γ={gamma}");
+                            assert!(purpose.admits(gamma), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

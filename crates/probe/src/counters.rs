@@ -9,9 +9,10 @@
 //! tiles checked"), so unlike spans they count on every run:
 //! one relaxed atomic add per *sampled tile*, nothing per output element.
 //!
-//! Counters are process-global and monotonic. Beside the sentinel family sit the
-//! allocator tallies and the memory ladder's outcomes. (The serving
-//! layer keeps its tallies per server, in `wino_serve::ServeStats`.)
+//! Counters are process-global and monotonic. Beside the sentinel family
+//! sit the memory ladder's outcomes. (Allocations are tallied per thread,
+//! by `wino_simd::thread_alloc_{calls,bytes}`; the serving layer keeps
+//! its tallies per server, in `wino_serve::ServeStats`.)
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -26,12 +27,6 @@ pub enum Counter {
     SentinelDemotions,
     /// Layers rescued by the im2col baseline after demotion also failed.
     SentinelRescues,
-    /// High-water mark of live `AlignedVec` bytes (recorded with
-    /// [`Counter::record_max`] by `wino-simd` at every allocation).
-    AllocBytesPeak,
-    /// Aligned-buffer allocations performed (every `AlignedVec`
-    /// constructed, fallible or not; zero-length buffers excluded).
-    AllocCalls,
     /// Layers re-tiled to a smaller footprint because an allocation was
     /// refused.
     MemoryDemotions,
@@ -40,7 +35,7 @@ pub enum Counter {
     MemoryRescues,
 }
 
-const N: usize = 8;
+const N: usize = 6;
 
 static COUNTERS: [AtomicU64; N] = [const { AtomicU64::new(0) }; N];
 
@@ -53,13 +48,6 @@ impl Counter {
     pub fn add(self, n: u64) {
         // Monotonic tally: no ordering requirement beyond atomicity.
         self.cell().fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Raise the counter to `v` if it is currently lower (high-water
-    /// marks such as [`Counter::AllocBytesPeak`]).
-    pub fn record_max(self, v: u64) {
-        // Monotonic high-water mark: atomicity is all that matters.
-        self.cell().fetch_max(v, Ordering::Relaxed);
     }
 
     /// Current value.
@@ -79,8 +67,6 @@ mod tests {
             Counter::SentinelTrips,
             Counter::SentinelDemotions,
             Counter::SentinelRescues,
-            Counter::AllocBytesPeak,
-            Counter::AllocCalls,
             Counter::MemoryDemotions,
             Counter::MemoryRescues,
         ];
@@ -92,8 +78,6 @@ mod tests {
                 Counter::SentinelTrips => "sentinel-trips",
                 Counter::SentinelDemotions => "sentinel-demotions",
                 Counter::SentinelRescues => "sentinel-rescues",
-                Counter::AllocBytesPeak => "alloc-bytes-peak",
-                Counter::AllocCalls => "alloc-calls",
                 Counter::MemoryDemotions => "memory-demotions",
                 Counter::MemoryRescues => "memory-rescues",
             }
@@ -107,16 +91,9 @@ mod tests {
         }
     }
 
-    // Counters are process-global; tests that write them must not
-    // interleave (reset_all would erase a sibling's tallies mid-assert).
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
+    // Counters are process-global: this is the one test that writes them.
     #[test]
     fn counters_tally_and_reset() {
-        let _g = lock();
         reset_all();
         Counter::SentinelTilesChecked.add(3);
         Counter::SentinelTilesChecked.add(2);
@@ -128,18 +105,6 @@ mod tests {
         for c in Counter::ALL {
             assert_eq!(c.get(), 0, "{} not reset", c.name());
         }
-    }
-
-    #[test]
-    fn record_max_keeps_high_water() {
-        let _g = lock();
-        reset_all();
-        Counter::AllocBytesPeak.record_max(5);
-        Counter::AllocBytesPeak.record_max(3);
-        assert_eq!(Counter::AllocBytesPeak.get(), 5, "lower value must not shrink the mark");
-        Counter::AllocBytesPeak.record_max(9);
-        assert_eq!(Counter::AllocBytesPeak.get(), 9);
-        reset_all();
     }
 
     #[test]

@@ -217,7 +217,8 @@ pub struct Server {
 impl Server {
     /// Validate the spec (a batch-1 plan must exist under
     /// [`FallbackPolicy::default`], the policy the server runs), then
-    /// spawn the batcher thread.
+    /// spawn the batcher thread, whose plan cache starts with the plans
+    /// made here.
     pub fn start(
         spec: ModelSpec,
         kernels: Vec<BlockedKernels>,
@@ -237,26 +238,29 @@ impl Server {
         };
         // Fail fast on ill-formed geometry: if no batch-1 plan exists
         // even under the fallback policy, serving can never succeed.
-        let probe_net = plan_model(&spec, 1, threads, DegradeLevel::Full)?;
+        let net1 = plan_model(&spec, 1, threads, DegradeLevel::Full)?;
+        let (full, mut plans) = (DegradeLevel::Full as u8, HashMap::new());
         // Fit the linear byte-pricing model for memory admission: the
         // analytic footprint of the batch-1 plan anchors the line, and
         // a batch-2 plan gives the marginal per-image slope. If no
         // batch-2 plan exists the whole batch-1 footprint is charged
         // per image — the conservative direction for admission.
         let memory = opts.memory_ceiling.map(|ceiling_bytes| {
-            let fp1 = probe_net.footprint(threads).total();
-            let per_image_bytes = plan_model(&spec, 2, threads, DegradeLevel::Full)
-                .ok()
+            let fp1 = net1.footprint(threads).total();
+            let net2 = plan_model(&spec, 2, threads, DegradeLevel::Full).ok();
+            let per_image_bytes = net2
+                .as_ref()
                 .map(|net2| net2.footprint(threads).total().saturating_sub(fp1))
                 .filter(|&d| d > 0)
                 .unwrap_or(fp1);
+            plans.extend(net2.map(|net2| ((2, full), net2)));
             MemoryAdmission {
                 ceiling_bytes,
                 base_bytes: fp1.saturating_sub(per_image_bytes),
                 per_image_bytes,
             }
         });
-        drop(probe_net);
+        plans.insert((1, full), net1);
 
         let shared = Arc::new(Shared {
             queue: DeadlineQueue::new(opts.queue_capacity),
@@ -268,7 +272,7 @@ impl Server {
         let image_dims = spec.image_dims.clone();
         let worker = {
             let shared = Arc::clone(&shared);
-            let engine = Engine::new(spec, kernels, threads);
+            let engine = Engine { spec, kernels, threads, plans };
             let (breaker, age) = (opts.breaker, opts.max_batch_age);
             let watchdog = opts.watchdog.unwrap_or_else(default_deadline);
             std::thread::Builder::new()
@@ -540,10 +544,6 @@ struct Engine {
 }
 
 impl Engine {
-    fn new(spec: ModelSpec, kernels: Vec<BlockedKernels>, threads: usize) -> Engine {
-        Engine { spec, kernels, threads, plans: HashMap::new() }
-    }
-
     /// Run one batch on the network planned for the breaker's `level` —
     /// all three rungs are the same run loop.
     fn run(
@@ -799,7 +799,7 @@ mod tests {
     fn im2col_rung_matches_winograd_rung() {
         let spec = spec_1layer();
         let kernels = kernels_for(&spec);
-        let mut engine = Engine::new(spec, kernels, 1);
+        let mut engine = Engine { spec, kernels, threads: 1, plans: HashMap::new() };
         let img = input();
         let (full, _) = engine.run(&img, DegradeLevel::Full, &SerialExecutor).unwrap();
         let (base, reports) = engine.run(&img, DegradeLevel::Im2col, &SerialExecutor).unwrap();
@@ -821,7 +821,7 @@ mod tests {
         let mut spec = spec_1layer();
         spec.opts = spec.opts.with_stride(&[2, 2]);
         let kernels = kernels_for(&spec);
-        let mut engine = Engine::new(spec, kernels, 1);
+        let mut engine = Engine { spec, kernels, threads: 1, plans: HashMap::new() };
         let img = input();
         let (full, reports_full) = engine.run(&img, DegradeLevel::Full, &SerialExecutor).unwrap();
         assert_eq!(full.dims, vec![3, 3]); // (6 + 2 − 3)/2 + 1
@@ -897,9 +897,9 @@ mod tests {
         let spec = spec_1layer();
         let kernels = kernels_for(&spec);
         let server = Server::start(spec, kernels, ServeOptions::default()).unwrap();
-        // Warm-up: the first request plans the network, allocates its
-        // scratch arena, memoises the kernel transforms and builds the
-        // assembly buffer.
+        // Warm-up: the first request allocates the network's resident
+        // activations and builds the assembly buffer (`Server::start`
+        // planned the network and seeded its scratch).
         // One request, then the batcher's tally once it has moved past
         // `prev`: the batcher republishes it after it has resolved the
         // batch, so wait for the new value instead of racing the store.

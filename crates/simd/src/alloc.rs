@@ -10,9 +10,8 @@
 //! * [`AlignedVec::try_zeroed`] returns a typed [`AllocError`] instead of
 //!   aborting, so planners and the serving layer can degrade (smaller
 //!   tiles, im2col, shedding) instead of dying;
-//! * every allocation is tallied — a process-global live-byte gauge feeds
-//!   the `alloc-bytes-peak` probe counter and `alloc-calls` counts every
-//!   buffer ever created, so footprint models can be validated against
+//! * every allocation is tallied per thread ([`thread_alloc_calls`],
+//!   [`thread_alloc_bytes`]), so footprint models can be validated against
 //!   what was actually allocated;
 //! * under the `fault-inject` feature `try_zeroed` consults the
 //!   [`crate::fault`] injector, which can deterministically fail every
@@ -22,26 +21,20 @@
 
 use std::alloc::{alloc_zeroed, dealloc, handle_alloc_error, Layout};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use wino_probe::Counter;
 
 use crate::CACHE_LINE;
 
-/// Bytes of [`AlignedVec`] storage currently live, process-wide.
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-
 thread_local! {
     // Per-thread allocation tallies: deterministic even while unrelated
-    // test threads allocate, which the process-global counters are not.
+    // test threads allocate.
     static THREAD_ALLOC_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     static THREAD_ALLOC_BYTES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// [`AlignedVec`] allocations made *by the calling thread* since it
 /// started. Monotonic; diff two readings to count allocations in a
-/// region. Unlike the process-global `alloc-calls` counter this is
-/// immune to concurrent threads, so tests can assert exact deltas.
+/// region — other threads' allocations never show, so tests can assert
+/// exact deltas.
 pub fn thread_alloc_calls() -> u64 {
     THREAD_ALLOC_CALLS.with(|c| c.get())
 }
@@ -97,14 +90,8 @@ unsafe impl Send for AlignedVec {}
 // SAFETY: as above — mutation requires &mut, so shared access is read-only.
 unsafe impl Sync for AlignedVec {}
 
-/// Record a successful allocation of `bytes` in the process gauge, the
-/// probe counters and the per-thread tallies.
+/// Record a successful allocation of `bytes` in the per-thread tallies.
 fn account(bytes: usize) {
-    Counter::AllocCalls.add(1);
-    // ORDERING: Relaxed — a statistics gauge; each RMW is atomic and the
-    // peak estimate needs no cross-variable ordering.
-    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    Counter::AllocBytesPeak.record_max(live);
     THREAD_ALLOC_CALLS.with(|c| c.set(c.get() + 1));
     THREAD_ALLOC_BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
@@ -214,8 +201,6 @@ impl AlignedVec {
 impl Drop for AlignedVec {
     fn drop(&mut self) {
         if self.len != 0 {
-            // ORDERING: Relaxed — statistics gauge decrement, as in `account`.
-            LIVE_BYTES.fetch_sub(self.bytes() as u64, Ordering::Relaxed);
             // SAFETY: `base` was allocated with this layout in `try_alloc`.
             unsafe { dealloc(self.base, Self::layout(self.len)) };
         }
@@ -313,15 +298,9 @@ mod tests {
         let v = AlignedVec::try_zeroed(1024); // 4096 bytes
         assert_eq!(thread_alloc_calls(), calls0 + 1);
         assert_eq!(thread_alloc_bytes(), bytes0 + 4096);
-        // The process-wide gauge counts our buffer (plus whatever sibling
-        // test threads hold — it can only be checked as a lower bound).
-        // ORDERING: Relaxed — a statistics gauge, read for a lower bound.
-        assert!(LIVE_BYTES.load(Ordering::Relaxed) >= 4096);
         drop(v);
         // Zero-length buffers are free and uncounted.
         let _e = AlignedVec::try_zeroed(0).unwrap();
         assert_eq!(thread_alloc_calls(), calls0 + 1);
-        // The process-global counter moved too (≥, because of siblings).
-        assert!(wino_probe::Counter::AllocCalls.get() >= 1);
     }
 }

@@ -31,8 +31,8 @@
 //! The factors compose multiplicatively across dimensions and feed two
 //! consumers in `wino-conv`:
 //!
-//! * **planning**: an `AccuracyBudget` caps the per-dimension γ(m, r)·ε
-//!   a plan may take on, demoting the tile size until it fits, and
+//! * **tile selection**: a `Purpose`'s accuracy budget caps the
+//!   per-dimension γ(m, r)·ε of the tiles `candidate_tiles` offers, and
 //! * **runtime sentinels**: a layer-level predicted bound (γ product ×
 //!   accumulation length × ε) is the trip threshold for sampled output
 //!   verification against the f64 oracle.

@@ -247,12 +247,17 @@ scripts/bench.sh --scaling-smoke
 # Memory-accounting gate: the analytic `MemoryFootprint` model must
 # price the allocator's real traffic within 10% — the per-component
 # exact-match unit tests (a ring, a dual and a staged plan's scratch:
-# `footprint::tests::scratch_component_matches_observed_allocation`) plus
-# the end-to-end cold-start prediction test (plan + kernel memoisation +
-# forward) in wino-conv. The model prices
-# what the allocator will hand out and feeds serve admission (the rlimit
-# soak below); it is not a plan-time admission test.
+# `footprint::tests::scratch_component_matches_observed_allocation`; what
+# kernel memoisation allocates beyond it — no second `V̂`, since the
+# scratch gives its own up, except on a dual plan, whose scratch holds
+# none: `footprint::tests::prepare_kernels_allocates_what_the_model_says`,
+# named so a rename cannot drop it) plus the end-to-end cold-start
+# prediction test (plan + kernel memoisation + forward) in wino-conv. The
+# model prices what the allocator will hand out and feeds serve admission
+# (the rlimit soak below); it is not a plan-time admission test.
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv footprint
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv --lib -- --exact \
+    footprint::tests::prepare_kernels_allocates_what_the_model_says
 
 # Serving gate: a fault-injected overload soak — ≥10k requests fired at
 # ~2× the measured sustainable rate, with worker panics, barrier stalls

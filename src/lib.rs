@@ -23,8 +23,8 @@
 //!   generators and metrics;
 //! * [`rng`] (`wino-rng`) — seeded PRNG for data generation and
 //!   property-style tests (no registry access required);
-//! * [`probe`] (`wino-probe`) — stage-level observability: spans,
-//!   counters, perf-report schema;
+//! * [`probe`] (`wino-probe`) — stage-level observability: spans and
+//!   event counters;
 //! * [`serve`] (`wino-serve`) — overload-safe inference serving:
 //!   deadline-aware batching, admission control, circuit-breaker
 //!   degradation.

@@ -144,15 +144,13 @@ fn every_scaled_layer_plans_and_runs() {
 fn tile_selection_picks_a_valid_plan() {
     use winograd_nd_repro::conv::select::{candidate_tiles, Purpose};
     let shape = ConvShape::new(1, 16, 16, &[18, 18], &[3, 3], &[1, 1]).unwrap();
-    // The largest tile the planner accepts under the purpose's budget.
-    let purpose = Purpose::Training;
-    let opts = ConvOptions { budget: Some(purpose.budget()), ..Default::default() };
-    let candidates = candidate_tiles(&shape, purpose);
+    // The largest tile the purpose's budget admits that plans.
+    let candidates = candidate_tiles(&shape, Purpose::Training);
     assert_eq!(candidates.len(), 5);
     let plan = candidates
         .iter()
         .rev()
-        .find_map(|m| WinogradLayer::new(shape.clone(), m, opts).ok())
+        .find_map(|m| WinogradLayer::new(shape.clone(), m, ConvOptions::default()).ok())
         .unwrap();
     assert!(plan.grid.m.iter().all(|&m| (2..=6).contains(&m)));
     // The selected plan actually convolves correctly.
