@@ -66,7 +66,8 @@ fn request_image(i: usize) -> BlockedImage {
 
 /// Measure the real batch-1 service time of the workload (the offered
 /// load is scaled from *measured* capacity, so the overload factor stays
-/// honest even where the roofline estimate is off).
+/// honest even where the roofline estimate is off) on the path the server
+/// runs: FX on kernels prepared once, beside the raw ones.
 fn measure_per_image_ms(spec: &ModelSpec, kernels: &[BlockedKernels], threads: usize) -> f64 {
     let policy = FallbackPolicy::default();
     let mut net = Network::with_policy(
@@ -87,12 +88,15 @@ fn measure_per_image_ms(spec: &ModelSpec, kernels: &[BlockedKernels], threads: u
     } else {
         Box::new(wino_sched::StaticExecutor::new(threads))
     };
+    let prepared = net.prepare_kernels(kernels, exec.as_ref()).expect("workload kernels prepare");
     let input = request_image(0);
     // One warmup, then best-of-5.
     let mut best = f64::INFINITY;
     for _ in 0..6 {
         let t = Instant::now();
-        let out = net.run_net(&input, kernels, exec.as_ref(), &policy).expect("warmup run failed");
+        let out = net
+            .run_net_fx(&input, kernels, &prepared, exec.as_ref(), &policy)
+            .expect("warmup run failed");
         std::hint::black_box(out.0.as_slice().first());
         best = best.min(t.elapsed().as_secs_f64() * 1e3);
     }

@@ -20,16 +20,30 @@ use crate::{fused, stage1, stage2, stage3};
 
 /// Memoised kernel transforms (`W` of Table 1) for inference-only use —
 /// the paper's "FX" columns in Fig. 5. Bound to the layer plan that
-/// produced them (same tile size and blocking).
+/// produced them (same tile size and blocking) and to every plan of the
+/// same channel counts and tile size, whose blocking Eq. 11 picks alike.
+/// A [`crate::Network`] layer whose route reads raw kernels (im2col,
+/// grouped) keeps a copy of them here instead.
 #[derive(Debug)]
 pub struct TransformedKernels {
+    /// `V̂`; empty when the layer keeps its raw kernels.
     pub(crate) v: BlockedMatrices,
+    pub(crate) raw: Option<BlockedKernels>,
 }
 
 impl TransformedKernels {
-    /// Bytes held by the memoised transforms.
+    /// Bytes held by the memoised transforms (or the kept raw kernels).
     pub fn bytes(&self) -> usize {
-        self.v.bytes()
+        self.v.bytes() + self.raw.as_ref().map_or(0, |k| std::mem::size_of_val(k.as_slice()))
+    }
+
+    /// A layer's raw kernels as its prepared form, copied through the
+    /// fallible allocation seam.
+    pub(crate) fn of_raw(kernels: &BlockedKernels) -> Result<TransformedKernels, WinoError> {
+        let (c, cp) = (kernels.in_channels, kernels.out_channels);
+        let mut copy = BlockedKernels::try_zeros(c, cp, &kernels.dims)?;
+        copy.as_mut_slice().copy_from_slice(kernels.as_slice());
+        Ok(TransformedKernels { v: BlockedMatrices::placeholder(), raw: Some(copy) })
     }
 }
 
@@ -62,9 +76,9 @@ impl WinogradLayer {
     }
 
     /// Transform kernels once for repeated inference (§4.2 "Inference
-    /// only"). The transforms are made in `scratch`, which then gives its
-    /// `V̂` up to the result: a later training-mode call on it transforms
-    /// into a freshly grown one, as on a dual plan's scratch.
+    /// only"). The transforms are made in `scratch`, which grows a `V̂` for
+    /// them and gives it up to the result: a scratch holds a `V̂` only
+    /// after a training-mode call, which grows its own.
     pub fn prepare_kernels(
         &self,
         kernels: &BlockedKernels,
@@ -73,7 +87,7 @@ impl WinogradLayer {
     ) -> Result<TransformedKernels, WinoError> {
         stage1::transform_kernels(self, kernels, scratch, exec)?;
         let v = std::mem::replace(&mut scratch.v, BlockedMatrices::placeholder());
-        Ok(TransformedKernels { v })
+        Ok(TransformedKernels { v, raw: None })
     }
 
     /// Inference-mode convolution using memoised kernel transforms — the

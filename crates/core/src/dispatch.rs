@@ -41,6 +41,7 @@ use crate::error::{ensure_dims_eq, ensure_eq, WinoError};
 use crate::net::{FallbackReason, LayerBackend};
 use crate::plan::{ConvOptions, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK};
 use crate::select::{degrade, plan_walk, Candidate, Cause, FallbackPolicy};
+use crate::stage2::check_kernel_transforms;
 
 /// Which engine a dispatched layer runs on.
 #[derive(Debug)]
@@ -57,20 +58,47 @@ pub enum Route {
     Im2col,
 }
 
-/// The kernels one layer execution runs on.
+/// The kernels one layer execution runs on: the raw kernels, the layer's
+/// prepared set (§4.2 "Inference only"), or both.
 #[derive(Clone, Copy)]
-pub(crate) enum Kernels<'a> {
-    /// Raw kernels: every route, and every rescue, can use them.
-    Raw(&'a BlockedKernels),
-    /// Memoised transforms (§4.2 "Inference only"): a layer with a
-    /// [`DispatchPlan::winograd`] plan only.
-    Memo(&'a TransformedKernels),
+pub(crate) struct Kernels<'a> {
+    /// Every route, every candidate the run-time walk re-plans and the
+    /// sentinels' oracle can run on them.
+    pub raw: Option<&'a BlockedKernels>,
+    /// A dense route runs FX on its `V̂` when the plan accepts it.
+    pub prepared: Option<&'a TransformedKernels>,
 }
 
-/// Why a layer without a [`DispatchPlan::winograd`] plan declines
-/// [`Kernels::Memo`].
-pub(crate) const NO_MEMO: &str =
-    "only dense stride-1 Winograd layers have a memoised kernel transform";
+impl<'a> Kernels<'a> {
+    pub fn raw(kernels: &'a BlockedKernels) -> Kernels<'a> {
+        Kernels { raw: Some(kernels), prepared: None }
+    }
+
+    /// A prepared set alone (strict FX mode): a layer that kept its raw
+    /// kernels reads those.
+    pub fn prepared(prepared: &'a TransformedKernels) -> Kernels<'a> {
+        Kernels { raw: prepared.raw.as_ref(), prepared: Some(prepared) }
+    }
+
+    pub fn both(raw: &'a BlockedKernels, prepared: &'a TransformedKernels) -> Kernels<'a> {
+        Kernels { raw: Some(raw), prepared: Some(prepared) }
+    }
+
+    /// The prepared set `plan` runs FX on: the one there is when there
+    /// are no raw kernels (`forward_fx` types a mismatch), else one whose
+    /// `V̂` has `plan`'s tile count, channels and blocking.
+    fn fx(&self, plan: &WinogradLayer) -> Option<&'a TransformedKernels> {
+        let tk = self.prepared?;
+        (self.raw.is_none() || check_kernel_transforms(plan, &tk.v).is_ok()).then_some(tk)
+    }
+
+    /// The raw kernels an im2col, grouped or un-prepared dense route reads.
+    fn read_raw(&self) -> Result<&'a BlockedKernels, WinoError> {
+        self.raw.ok_or(WinoError::Unsupported(
+            "this layer's route reads raw kernels, and its prepared set holds a kernel transform",
+        ))
+    }
+}
 
 /// What one layer keeps between forwards — a [`crate::Network`] layer's
 /// resident state. A slot serves one layer, whose every candidate shares
@@ -243,7 +271,7 @@ impl DispatchPlan {
     }
 
     /// The dense Winograd plan of an identity-geometry layer — the one
-    /// kind with memoisable kernel transforms and accuracy sentinels.
+    /// kind with accuracy sentinels.
     pub fn winograd(&self) -> Option<&WinogradLayer> {
         match &self.route {
             Route::Direct(p) if !self.strided() => Some(p),
@@ -292,15 +320,22 @@ impl DispatchPlan {
     ///   [`Self::im2col_work_model`] are reported as scratch, plus the
     ///   output.
     ///
-    /// Only a [`Self::winograd`] layer prices a memoised kernel transform.
+    /// Every route prices its prepared kernels as transformed-kernel
+    /// bytes: a dense route's `V̂` (strided or not, its stride-1 plan's);
+    /// on a route that reads raw kernels, the copy
+    /// [`crate::Network::prepare_kernels`] keeps — plus, grouped, the
+    /// per-group `V̂` its scratch grows.
     pub fn footprint(&self, threads: usize) -> crate::MemoryFootprint {
         let (batch, cp) = (self.shape.batch, self.shape.out_channels);
         let out_bytes = BlockedImage::bytes_for(batch, cp, &self.out_dims);
+        let ker_vol: usize = self.shape.kernel_dims.iter().product();
+        let raw_copy = self.kernel_in_channels() * cp * ker_vol * std::mem::size_of::<f32>();
         let mut fp = match &self.route {
             Route::Direct(p) => p.footprint(threads),
             Route::Grouped { plan } => {
                 let mut fp = plan.footprint(threads);
                 fp.output_bytes += BlockedImage::bytes_for(batch, cp, &self.shape.out_dims());
+                fp.transformed_kernel_bytes += raw_copy;
                 fp
             }
             Route::Im2col => {
@@ -308,15 +343,13 @@ impl DispatchPlan {
                 let mut fp = crate::MemoryFootprint::empty(threads);
                 fp.scratch_bytes =
                     wm.get(SpanCategory::ElementwiseGemm).map_or(0, |w| w.bytes as usize);
+                fp.transformed_kernel_bytes = raw_copy;
                 fp.output_bytes = out_bytes;
                 return fp;
             }
         };
         if self.strided() {
             fp.output_bytes += out_bytes;
-        }
-        if self.winograd().is_none() {
-            fp.transformed_kernel_bytes = 0;
         }
         fp
     }
@@ -387,7 +420,28 @@ impl DispatchPlan {
         output: &mut BlockedImage,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
-        self.forward_in(&mut Slot::default(), input, Kernels::Raw(kernels), output, exec)
+        self.forward_in(&mut Slot::default(), input, Kernels::raw(kernels), output, exec)
+    }
+
+    /// The layer's prepared kernels (§4.2 "Inference only"): a dense
+    /// route's `V̂`, made on its stride-1 plan — strided or not — in
+    /// `slot`'s scratch, which gives it up; on a route that reads raw
+    /// kernels (im2col, grouped), a copy of them.
+    pub(crate) fn prepare_in(
+        &self,
+        slot: &mut Slot,
+        kernels: &BlockedKernels,
+        exec: &dyn Executor,
+    ) -> Result<TransformedKernels, WinoError> {
+        ensure_eq("kernel in_channels (C / groups)", self.kernel_in_channels(), kernels.in_channels)?;
+        ensure_eq("kernel out_channels", self.shape.out_channels, kernels.out_channels)?;
+        match &self.route {
+            Route::Direct(plan) => {
+                let sc = ensure_scratch(&mut slot.scratch, plan, exec.threads())?;
+                plan.prepare_kernels(kernels, sc, exec)
+            }
+            Route::Grouped { .. } | Route::Im2col => TransformedKernels::of_raw(kernels),
+        }
     }
 
     /// [`Self::forward`] through a caller-owned `slot` — a
@@ -408,7 +462,7 @@ impl DispatchPlan {
         ensure_eq("output batch", s.batch, output.batch)?;
         ensure_eq("output channels", s.out_channels, output.channels)?;
         ensure_dims_eq("output extent", &self.out_dims, &output.dims)?;
-        if let Kernels::Raw(k) = kernels {
+        if let Some(k) = kernels.raw {
             ensure_eq("kernel in_channels (C / groups)", self.kernel_in_channels(), k.in_channels)?;
             ensure_eq("kernel out_channels", s.out_channels, k.out_channels)?;
         }
@@ -438,19 +492,16 @@ impl DispatchPlan {
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
         let threads = exec.threads();
-        let kernels = match (kernels, self.winograd()) {
-            (Kernels::Raw(k), _) => k,
-            (Kernels::Memo(tk), Some(plan)) => {
-                let sc = ensure_scratch(slot, plan, threads)?;
-                return plan.forward_fx(input, tk, out, sc, exec);
-            }
-            (Kernels::Memo(_), None) => return Err(WinoError::Unsupported(NO_MEMO)),
-        };
         match &self.route {
             Route::Direct(plan) => {
-                plan.forward(input, kernels, out, ensure_scratch(slot, plan, threads)?, exec)
+                let sc = ensure_scratch(slot, plan, threads)?;
+                match kernels.fx(plan) {
+                    Some(tk) => plan.forward_fx(input, tk, out, sc, exec),
+                    None => plan.forward(input, kernels.read_raw()?, out, sc, exec),
+                }
             }
             Route::Grouped { plan } => {
+                let kernels = kernels.read_raw()?;
                 let sc = ensure_scratch(slot, plan, threads)?;
                 let (c_pg, k_pg) = (plan.shape.in_channels, plan.shape.out_channels);
                 for g in 0..self.geo.groups {
@@ -463,6 +514,7 @@ impl DispatchPlan {
                 Ok(())
             }
             Route::Im2col => {
+                let kernels = kernels.read_raw()?;
                 out.fill_zero();
                 let (padding, geo) = (&self.shape.padding, &self.geo);
                 Ok(wino_baseline::im2col_conv_geo(input, kernels, padding, geo, out, exec)?)

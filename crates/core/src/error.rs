@@ -73,8 +73,8 @@ pub enum WinoError {
     Alloc(AllocError),
     /// Kernel list length does not match the network's layer count.
     LayerCount { expected: usize, got: usize },
-    /// The requested operation is not available for this plan (e.g.
-    /// memoised kernel transforms for an im2col-planned layer).
+    /// The requested operation is not available for this plan (e.g. an
+    /// im2col layer handed a kernel transform instead of raw kernels).
     Unsupported(&'static str),
 }
 

@@ -2,14 +2,14 @@
 //!
 //! A [`MemoryFootprint`] states, without allocating anything, exactly how
 //! many bytes of buffers a plan will allocate: the transformed-data
-//! scratch ([`Scratch`](crate::Scratch) — four layer-sized buffers for a
-//! staged plan, the kernel transforms plus one ring per thread slot for a
-//! ring plan, the input transforms plus one ring per thread slot for a
-//! dual plan), the per-thread codelet buffers, the kernel transforms
-//! `prepare_kernels` allocates beyond the scratch (a dual plan's `V̂`; any
-//! other plan's scratch gives its own up to
-//! [`TransformedKernels`](crate::TransformedKernels)) and the output
-//! image. Each buffer is counted once, and each component reuses the
+//! scratch ([`Scratch`](crate::Scratch) — three layer-sized buffers for a
+//! staged plan, one ring per thread slot for a ring plan, the input
+//! transforms plus one ring per thread slot for a dual plan), the
+//! per-thread codelet buffers, the kernel transforms `V̂` — on every
+//! schedule once: what `prepare_kernels` hands to
+//! [`TransformedKernels`](crate::TransformedKernels), or what the first
+//! training-mode call grows in the scratch — and the output image. Each
+//! buffer is counted once, and each component reuses the
 //! container's own `bytes_for` helper with the same parameters the real
 //! constructor receives, so the model cannot drift from the allocation
 //! code — a property the footprint unit tests pin by comparing
@@ -46,13 +46,10 @@ pub(crate) struct BufferBytes {
     pub u: usize,
     pub x: usize,
     pub y: usize,
-    /// Transformed kernels `V̂` in the scratch: 0 for a dual plan, whose
-    /// ring holds one block of them at a time.
+    /// Transformed kernels `V̂`, layer-sized on every schedule: memoised,
+    /// or grown by a training-mode call (a dual ring holds one block of
+    /// them at a time instead, and a dual forward pass moves none).
     pub v: usize,
-    /// Transformed kernels `V̂` that `prepare_kernels` allocates beyond
-    /// the scratch: a dual plan's; 0 for any other, whose scratch gives
-    /// its own up.
-    pub memo: usize,
     /// One thread slot's ring; 0 for a staged plan.
     pub ring: usize,
     /// The output image.
@@ -66,15 +63,13 @@ impl BufferBytes {
         let (batch, c, cp) = (shape.batch, shape.in_channels, shape.out_channels);
         let staged = layer.schedule == Schedule::Staged;
         let held = |held: bool, bytes: usize| if held { bytes } else { 0 };
-        let v = BlockedMatrices::bytes_for(t, c, cp, blk.c_blk, blk.cp_blk);
         BufferBytes {
             input: BlockedImage::bytes_for(batch, c, &shape.image_dims),
             kernels: c * cp * shape.kernel_dims.iter().product::<usize>() * 4,
             u: held(!layer.is_fused(), BlockedMatrices::bytes_for(t, rows, c, blk.n_blk, blk.c_blk)),
             x: held(staged, BlockedMatrices::bytes_for(t, rows, cp, blk.n_blk, blk.cp_blk)),
             y: held(staged, TileMajor::bytes_for(batch, cp, layer.n_tiles(), t)),
-            v: held(!layer.is_dual(), v),
-            memo: held(layer.is_dual(), v),
+            v: BlockedMatrices::bytes_for(t, c, cp, blk.c_blk, blk.cp_blk),
             ring: layer.ring_floats() * 4,
             output: BlockedImage::bytes_for(batch, cp, &shape.out_dims()),
         }
@@ -85,18 +80,18 @@ impl BufferBytes {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryFootprint {
     /// What [`Scratch::new`](crate::Scratch::new) holds besides the
-    /// codelet buffers. A staged plan: `u` + `v` + `x`
-    /// ([`BlockedMatrices`]) and `y` ([`TileMajor`]). A ring plan
-    /// ([`WinogradLayer::is_fused`]): `v` and one ring per thread slot —
-    /// `T·n_blk·(C + C')` floats each, independent of the layer's extent.
-    /// A dual plan ([`WinogradLayer::is_dual`]): `u` and one ring per
-    /// thread slot — a block of `V̂`, an accumulator and a column group's
-    /// chunks, `T·cols·(C_blk + 2·rows)` floats each (rows padded for the
+    /// codelet buffers. A staged plan: `u` + `x` ([`BlockedMatrices`])
+    /// and `y` ([`TileMajor`]). A ring plan ([`WinogradLayer::is_fused`]):
+    /// one ring per thread slot — `T·n_blk·(C + C')` floats each,
+    /// independent of the layer's extent. A dual plan
+    /// ([`WinogradLayer::is_dual`]): `u` and one ring per thread slot — a
+    /// block of `V̂`, an accumulator and a column group's chunks,
+    /// `T·cols·(C_blk + 2·rows)` floats each (rows padded for the
     /// accumulator).
     pub scratch_bytes: usize,
-    /// What `prepare_kernels` allocates beyond the scratch: a dual plan's
-    /// `V̂`, which its scratch does not hold; 0 for a staged or ring plan,
-    /// whose scratch gives its `V̂` up to the `TransformedKernels`.
+    /// The transformed kernels `V̂`, on every schedule: what
+    /// `prepare_kernels` allocates and hands to the `TransformedKernels`,
+    /// or what the first training-mode call grows in the scratch.
     pub transformed_kernel_bytes: usize,
     /// Per-thread codelet buffers, totalled across all `threads` slots:
     /// two `T·S` ping-pong tile buffers each.
@@ -137,17 +132,17 @@ impl MemoryFootprint {
         let slots = threads.max(1);
         let b = BufferBytes::of(layer);
         MemoryFootprint {
-            scratch_bytes: b.u + b.v + b.x + b.y + slots * b.ring,
-            transformed_kernel_bytes: b.memo,
+            scratch_bytes: b.u + b.x + b.y + slots * b.ring,
+            transformed_kernel_bytes: b.v,
             per_thread_bytes: slots * 2 * layer.t_vol() * S * 4,
             output_bytes: b.output,
             threads,
         }
     }
 
-    /// All components summed — what a fresh scratch, `prepare_kernels` and
-    /// forward pass ask the allocator for (scratch, the kernel transforms
-    /// beyond it, per-thread buffers, output).
+    /// All components summed — what a fresh scratch, `prepare_kernels` (or
+    /// a first training-mode call) and a forward pass ask the allocator
+    /// for (scratch, kernel transforms, per-thread buffers, output).
     pub fn total(&self) -> usize {
         self.scratch_bytes
             + self.transformed_kernel_bytes
@@ -192,6 +187,7 @@ mod tests {
                 let case = format!("{:?} threads={threads}", l.schedule);
                 assert_eq!(fp.scratch_bytes + fp.per_thread_bytes, observed as usize, "{case}");
                 assert_eq!(fp.scratch_bytes, s.bytes(), "{case}");
+                assert_eq!(s.v.bytes(), 0, "{case}: no scratch starts with `V̂`");
             }
         }
         // A ring per slot is all that grows with the thread count, and
@@ -201,15 +197,15 @@ mod tests {
         assert_eq!(fused.footprint(4).scratch_bytes - fused.footprint(1).scratch_bytes, 3 * ring);
         let (small, large) = (layer(1, 16, 16, &[32, 32]), layer(4, 16, 16, &[64, 64]));
         assert_eq!(small.footprint(1).scratch_bytes, large.footprint(1).scratch_bytes);
-        // A dual plan's scratch is `Û` and its rings: no `V̂`, `X̂` or `Y`.
+        // A dual plan's scratch is `Û` and its rings: no `X̂` or `Y`.
         let b = BufferBytes::of(&dual);
-        assert_eq!((b.v, b.x, b.y), (0, 0, 0));
+        assert_eq!((b.x, b.y), (0, 0));
         assert_eq!(dual.footprint(2).scratch_bytes, b.u + 2 * dual.ring_floats() * 4);
     }
 
-    /// `prepare_kernels` allocates what the model prices beyond the
-    /// scratch — nothing on a staged or ring plan, whose scratch gives its
-    /// `V̂` up, the whole `V̂` on a dual plan — and leaves no `V̂` behind.
+    /// `prepare_kernels` allocates what the model prices as transformed
+    /// kernels — the whole `V̂`, on every schedule — and leaves no `V̂`
+    /// behind in the scratch.
     #[test]
     fn prepare_kernels_allocates_what_the_model_says() {
         for l in &one_of_each_schedule() {
@@ -221,7 +217,7 @@ mod tests {
             let observed = (wino_simd::thread_alloc_bytes() - before) as usize;
             let case = format!("{:?}", l.schedule);
             assert_eq!(observed, fp.transformed_kernel_bytes, "{case}");
-            assert_eq!(observed == 0, !l.is_dual(), "{case}");
+            assert_eq!(observed, memo.bytes(), "{case}");
             assert_eq!(s.v.bytes(), 0, "{case}");
             assert_eq!(memo.bytes(), l.t_vol() * c * cp * 4, "{case}");
         }

@@ -213,16 +213,18 @@ const LLC_SHARE: usize = 5;
 
 /// Whether a plan stores what it hands from one fork–join to the next —
 /// `Û`, `V̂`, the tile-major `X̂`, the output image — with non-temporal
-/// stores, given its `footprint` and the host's last-level cache.
+/// stores, given its hand-off `footprint` (the plan's scratch, with `V̂`
+/// unless a dual ring carries it, and its output) and the host's
+/// last-level cache.
 ///
 /// Streams iff scratch plus output exceed the cache's [`LLC_SHARE`]-th.
 /// Under that the consumer finds the producer's lines cached, and a store
 /// past the cache turns each of those hits into a DRAM read; over it the
 /// lines are evicted before they are read, and a plain store's
 /// read-for-ownership and the eviction of `V̂` are pure loss (the paper's
-/// case, §4.2.1: a KNL has no L3). A ring plan's scratch is `V̂` and its
-/// rings, so only a large output image streams it; a dual plan's is `Û`
-/// and its rings. Whatever a ring holds is stored plainly.
+/// case, §4.2.1: a KNL has no L3). A ring plan hands on `V̂` and its
+/// rings, so only a large output image streams it; a dual plan `Û` and
+/// its rings. Whatever a ring holds is stored plainly.
 pub(crate) fn streams(footprint: &MemoryFootprint, llc_bytes: usize) -> bool {
     footprint.scratch_bytes + footprint.output_bytes > llc_bytes / LLC_SHARE
 }
@@ -785,8 +787,8 @@ mod tests {
 
     /// The two layers of EXPERIMENTS.md's sweep on the measured host (2 MiB
     /// of L2, 260 MiB of L3). The staged one hands `Û`, `V̂`, `X̂`, `Y` and
-    /// its output on, ≈ 24 MiB an image beside 9 MiB of `V̂`; the fused one's
-    /// scratch is `V̂` and a ring — about an L2 whatever the batch — so only
+    /// its output on, ≈ 24 MiB an image beside 9 MiB of `V̂`; the fused one
+    /// hands on `V̂` and a ring — about an L2 whatever the batch — so only
     /// its output image, 12.25 MiB an image, can stream it.
     #[test]
     fn the_sweep_layers_stream_from_the_batch_that_outgrows_their_share_of_the_llc() {
@@ -800,7 +802,8 @@ mod tests {
             let staged = plan(batch, 256, 56);
             let fp = staged.footprint(1);
             assert!(!staged.is_fused());
-            assert_eq!(staged.streams, fp.scratch_bytes + fp.output_bytes > 52 * MIB, "B = {batch}");
+            let hand_off = fp.scratch_bytes + fp.transformed_kernel_bytes + fp.output_bytes;
+            assert_eq!(staged.streams, hand_off > 52 * MIB, "B = {batch}");
             assert_eq!(staged.streams, streaming, "staged, B = {batch}");
         }
         for (batch, streaming) in [(1, false), (4, false), (5, true), (32, true)] {

@@ -17,7 +17,8 @@
 //! allocation is refused or a guard trips, re-plans the layer on whichever
 //! candidate the table offers next — a re-tiled Winograd plan or the
 //! im2col rescue — until one stands or the policy allows no further row.
-//! Every [`Network::run_layer`] / [`Network::run_net`] call reports which
+//! Every [`Network::run_layer`] / [`Network::run_net`] /
+//! [`Network::run_net_fx`] call reports which
 //! backend actually ran and why via [`ExecutionReport`].
 
 use wino_sched::probed::{record_coord, span_start};
@@ -25,7 +26,7 @@ use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, ConvShape, ShapeError};
 
 use crate::conv::TransformedKernels;
-use crate::dispatch::{ensure_scratch, plan_at_rung, DispatchPlan, Kernels, Slot, NO_MEMO};
+use crate::dispatch::{plan_at_rung, DispatchPlan, Kernels, Slot};
 use crate::error::{check_finite, NumericError, WinoError};
 use crate::plan::{ConvOptions, PlanError, Scratch};
 use crate::select::{degrade, Candidate, Cause, FallbackPolicy};
@@ -322,12 +323,14 @@ impl Network {
     }
 
     /// Memoise all kernel transforms for inference (§4.2 "Inference
-    /// only"); pass the result to [`Self::forward_fx`]. Each layer's
-    /// scratch gives its `V̂` up to the result
-    /// ([`crate::WinogradLayer::prepare_kernels`]). Only dense
-    /// stride-1 Winograd layers ([`DispatchPlan::winograd`]) have a
-    /// memoised kernel transform; any other makes this an
-    /// [`WinoError::Unsupported`] error.
+    /// only"); pass the result to [`Self::forward_fx`] or, beside the raw
+    /// kernels, to [`Self::run_net_fx`]. A dense layer's `V̂` is made on
+    /// its stride-1 plan, strided or not, in its scratch, which gives it
+    /// up to the result ([`crate::WinogradLayer::prepare_kernels`]); an
+    /// im2col or grouped layer keeps a copy of its raw kernels. The
+    /// result serves every plan of the same layer specs at any batch size
+    /// and on the Mono rung: `V̂`'s blocking comes from the channel counts
+    /// alone (Eq. 11).
     pub fn prepare_kernels(
         &mut self,
         kernels: &[BlockedKernels],
@@ -336,13 +339,8 @@ impl Network {
         if kernels.len() != self.layers.len() {
             return Err(WinoError::LayerCount { expected: self.layers.len(), got: kernels.len() });
         }
-        let mut out = Vec::with_capacity(kernels.len());
-        for ((layer, slot), kernel) in self.layers.iter().zip(&mut self.slots).zip(kernels) {
-            let plan = layer.plan.winograd().ok_or(WinoError::Unsupported(NO_MEMO))?;
-            let sc = ensure_scratch(&mut slot.scratch, plan, exec.threads())?;
-            out.push(plan.prepare_kernels(kernel, sc, exec)?);
-        }
-        Ok(out)
+        let layers = self.layers.iter().zip(&mut self.slots).zip(kernels);
+        layers.map(|((layer, slot), kernel)| layer.plan.prepare_in(slot, kernel, exec)).collect()
     }
 
     /// Execute one layer: the planned route plus, under
@@ -366,7 +364,7 @@ impl Network {
             .get(index)
             .ok_or(WinoError::Unsupported("layer index out of range"))?;
         let slot = &mut self.slots[index];
-        exec_layer(slot, layer, index, input, Kernels::Raw(kernels), exec, policy, None)
+        exec_layer(slot, layer, index, input, Kernels::raw(kernels), exec, policy, None)
     }
 
     /// The one layer loop: chain `exec_layer` over the network. Each
@@ -409,7 +407,28 @@ impl Network {
         exec: &dyn Executor,
         policy: &FallbackPolicy,
     ) -> Result<(BlockedImage, Vec<ExecutionReport>), WinoError> {
-        self.run(input, kernels.iter().map(Kernels::Raw), exec, policy)
+        self.run(input, kernels.iter().map(Kernels::raw), exec, policy)
+    }
+
+    /// [`Self::run_net`] in inference mode: each dense layer runs FX on its
+    /// entry of `prepared` ([`Self::prepare_kernels`], made on this or any
+    /// plan of the same layer specs) when the plan accepts its `V̂`, and
+    /// transforms its raw kernels otherwise. The numeric guard, the
+    /// sentinels and the degradation walk run as in `run_net`; every
+    /// other route, and every re-planned candidate, reads the raw kernels.
+    pub fn run_net_fx(
+        &mut self,
+        input: &BlockedImage,
+        kernels: &[BlockedKernels],
+        prepared: &[TransformedKernels],
+        exec: &dyn Executor,
+        policy: &FallbackPolicy,
+    ) -> Result<(BlockedImage, Vec<ExecutionReport>), WinoError> {
+        if prepared.len() != self.layers.len() {
+            return Err(WinoError::LayerCount { expected: self.layers.len(), got: prepared.len() });
+        }
+        let both = kernels.iter().zip(prepared).map(|(k, tk)| Kernels::both(k, tk));
+        self.run(input, both, exec, policy)
     }
 
     /// Run the network strictly (training mode; no degradation, no
@@ -431,7 +450,7 @@ impl Network {
         kernels: &[TransformedKernels],
         exec: &dyn Executor,
     ) -> Result<BlockedImage, WinoError> {
-        self.run(input, kernels.iter().map(Kernels::Memo), exec, &FallbackPolicy::strict())
+        self.run(input, kernels.iter().map(Kernels::prepared), exec, &FallbackPolicy::strict())
             .map(|(out, _)| out)
     }
 }
@@ -473,7 +492,7 @@ fn attempt(
     }
     // Disabled sentinels do no work at all: no RNG, no oracle, no counters.
     let sampled = policy.sentinel.samples > 0;
-    if let (Some(w), Kernels::Raw(k), true) = (plan.winograd(), kernels, sampled) {
+    if let (Some(w), Some(k), true) = (plan.winograd(), kernels.raw, sampled) {
         let t0 = span_start(probe);
         let verdict = verify_sample(w, input, k, &out, &policy.sentinel, index);
         // SAFETY: the coordinator thread, between fork–joins.
@@ -484,10 +503,10 @@ fn attempt(
     Ok(out)
 }
 
-/// Execute one layer — shared by every route, by [`Network::run_net`] and
-/// by [`Network::forward_fx`]: attempt the planned candidate, and while
-/// the attempt fails for a cause the degradation table covers, re-plan
-/// the layer on the next candidate and attempt that. The guard runs
+/// Execute one layer — shared by every route and by every `Network`
+/// entry point: attempt the planned candidate, and while the attempt
+/// fails for a cause the degradation table covers, re-plan the layer on
+/// the next candidate and attempt that on the raw kernels. The guard runs
 /// BEFORE the activation: ReLU computes `f32::max(x, 0.0)`, which maps
 /// NaN to 0.0 and would hide the corruption.
 #[allow(clippy::too_many_arguments)] // the layer, its two resident buffers, and the call's context
@@ -496,7 +515,7 @@ fn exec_layer(
     layer: &NetLayer,
     index: usize,
     input: &BlockedImage,
-    kernels: Kernels<'_>,
+    mut kernels: Kernels<'_>,
     exec: &dyn Executor,
     policy: &FallbackPolicy,
     mut parked: Option<BlockedImage>,
@@ -554,6 +573,7 @@ fn exec_layer(
         }
         report.backend = next.backend();
         replanned = Some(next);
+        kernels.prepared = None; // a re-planned candidate reads the raw kernels
     }
 }
 
@@ -656,7 +676,9 @@ mod tests {
                 assert!(cold > 3 + 3, "a cold strided pass builds every slot ({cold})");
                 assert_eq!(first.dims, [2, 2]); // 12 → 6 → 3 → 2
             } else {
-                assert_eq!(cold, 3, "a cold pass builds every output");
+                // Every output, and the `V̂` each layer's first
+                // training-mode pass grows in its scratch.
+                assert_eq!(cold, 3 + 3, "a cold pass builds every output and every `V̂`");
             }
             let resident = net.scratch_bytes();
             for round in 0..3 {
@@ -693,8 +715,8 @@ mod tests {
         // is exact and immune to concurrent tests.
         // Once on fused plans (rings, no layer-sized scratch), once on staged
         // ones (two reduction blocks over ≥ 32 channels, and at least 32
-        // rows, which the dual ring turns down), once strided (no memoised
-        // kernels; a stride-1 image beside every scratch).
+        // rows, which the dual ring turns down), once strided (`V̂` made on
+        // the stride-1 plans; a stride-1 image beside every scratch).
         let strided = ConvOptions::default().with_stride(&[2, 2]);
         for (opts, c_in, side, fused) in [
             (ConvOptions::default(), 16, 12, true),
@@ -713,12 +735,8 @@ mod tests {
             assert!(net.layers().iter().all(|l| !engine_plan(l).is_dual()));
             let kernels = kernels_for(&net, 3);
             let kernel_bytes: usize = kernels.iter().map(|k| k.as_slice().len() * 4).sum();
-            let _out = if opts.has_identity_geometry(2) {
-                let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
-                net.forward_fx(&input, &fx, &SerialExecutor).unwrap()
-            } else {
-                net.forward(&input, &kernels, &SerialExecutor).unwrap()
-            };
+            let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+            let _out = net.forward_fx(&input, &fx, &SerialExecutor).unwrap();
             // The raw kernel tensors are inputs, not part of the plan's
             // footprint — subtract them from the observation.
             let observed = (wino_simd::thread_alloc_bytes() - before) as usize - kernel_bytes;
@@ -964,29 +982,72 @@ mod tests {
     }
 
     #[test]
-    fn im2col_layer_rejects_kernel_memoisation() {
-        let specs = vec![LayerSpec {
-            out_channels: 16,
-            kernel: vec![3, 3],
-            padding: vec![1, 1],
-            m: vec![40, 40],
-            activation: Activation::None,
-        }];
-        let mut net = Network::with_policy(
-            1,
-            16,
-            &[10, 10],
-            &specs,
-            ConvOptions::default(),
-            1,
-            &FallbackPolicy::default(),
-        )
-        .unwrap();
-        let kernels = kernels_for(&net, 1);
-        assert!(matches!(
-            net.prepare_kernels(&kernels, &SerialExecutor),
-            Err(WinoError::Unsupported(_))
-        ));
+    fn strided_and_im2col_layers_prepare_their_kernels() {
+        // A strided layer's `V̂` is its stride-1 plan's; an im2col-planned
+        // layer (m = 40 on a 10×10 output) keeps its raw kernels. FX mode
+        // computes run_net's bits on both without transforming a kernel,
+        // and the raw kernels beside the prepared set change nothing.
+        let im2col = LayerSpec { m: vec![40, 40], ..LayerSpec::same(16, 2, 3, 2) };
+        let strided = ConvOptions::default().with_stride(&[2, 2]);
+        let policy = FallbackPolicy::default();
+        for (specs, opts) in [
+            (vec![LayerSpec::same(16, 2, 3, 2), LayerSpec::same(16, 2, 3, 4)], strided),
+            (vec![im2col, LayerSpec::same(16, 2, 3, 2)], ConvOptions::default()),
+        ] {
+            let mut net = Network::with_policy(1, 16, &[10, 10], &specs, opts, 1, &policy).unwrap();
+            let routes: Vec<_> = net.layers().iter().map(|l| l.plan.winograd().is_some()).collect();
+            assert!(routes.contains(&false), "{opts:?}: a layer outside identity-geometry Winograd");
+            let img = SimpleImage::from_fn(1, 16, &[10, 10], |_, c, xy| {
+                ((c + xy[0] * 2 + xy[1]) % 9) as f32 * 0.07 - 0.3
+            });
+            let input = BlockedImage::from_simple(&img).unwrap();
+            let kernels = kernels_for(&net, 1);
+            let (want, _) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+            let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+            let mut probed = wino_sched::ProbedExecutor::new(SerialExecutor);
+            let out = net.forward_fx(&input, &fx, &probed).unwrap();
+            assert_eq!(out.as_slice(), want.as_slice(), "{opts:?}: forward_fx");
+            let events = probed.take_events();
+            let transforms =
+                events.iter().filter(|e| e.category == wino_probe::SpanCategory::KernelTransform);
+            assert_eq!(transforms.count(), 0, "{opts:?}: a Winograd layer transformed kernels");
+            let (out, _) = net.run_net_fx(&input, &kernels, &fx, &SerialExecutor, &policy).unwrap();
+            assert_eq!(out.as_slice(), want.as_slice(), "{opts:?}: run_net_fx");
+        }
+    }
+
+    #[test]
+    fn run_net_fx_keeps_every_rescue() {
+        let specs = vec![LayerSpec::same(16, 2, 3, 2)];
+        let mut net = Network::new(1, 16, &[10, 10], &specs, ConvOptions::default(), 1).unwrap();
+        let kernels = kernels_for(&net, 4);
+        let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+        let img = SimpleImage::from_fn(1, 16, &[10, 10], |_, c, xy| (c + xy[0]) as f32 * 0.02);
+        let input = BlockedImage::from_simple(&img).unwrap();
+
+        // A NaN input trips the guard on the FX output and again on the
+        // im2col rescue, which re-plans onto the raw kernels.
+        let mut bad = input.clone();
+        bad.as_mut_slice()[3 * 10 + 5] = f32::NAN;
+        let policy = FallbackPolicy::default();
+        match net.run_net_fx(&bad, &kernels, &fx, &SerialExecutor, &policy) {
+            Err(WinoError::Numeric(e)) => assert_eq!(e.stage, "im2col rescue output"),
+            other => panic!("expected Numeric, got {:?}", other.map(|(o, _)| o.dims)),
+        }
+
+        // The sentinels check FX tiles against the raw kernels.
+        let checked = wino_probe::Counter::SentinelTilesChecked.get();
+        let sampled = FallbackPolicy::with_sentinel(4, 7);
+        let (out, reports) =
+            net.run_net_fx(&input, &kernels, &fx, &SerialExecutor, &sampled).unwrap();
+        assert!(wino_probe::Counter::SentinelTilesChecked.get() > checked);
+        assert!(reports[0].fallback.is_none());
+        let want = net.forward(&input, &kernels, &SerialExecutor).unwrap();
+        assert_eq!(out.as_slice(), want.as_slice());
+
+        // A prepared set of the wrong length is a typed error.
+        let err = net.run_net_fx(&input, &kernels, &[], &SerialExecutor, &policy).unwrap_err();
+        assert!(matches!(err, WinoError::LayerCount { expected: 1, got: 0 }));
     }
 
     #[test]
@@ -1099,12 +1160,10 @@ mod tests {
         let want = oracle_layer(&img, &kernels[0], &[1, 1], &opts.geometry(2), true);
         assert_close(&out, &want, 1e-3, "grouped net");
 
-        // Memoised kernel transforms are a dense-Winograd feature; a
-        // dispatch-planned layer declines them with a typed error.
-        assert!(matches!(
-            net.prepare_kernels(&kernels, &SerialExecutor),
-            Err(WinoError::Unsupported(_))
-        ));
+        // The grouped route reads raw kernels: its prepared form is a copy
+        // of them, and FX mode computes the same bits.
+        let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+        assert_eq!(net.forward_fx(&input, &fx, &SerialExecutor).unwrap().as_slice(), out.as_slice());
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! ([`WinogradLayer::is_dual`]) — and whether its stores bypass the cache
 //! ([`WinogradLayer::streams`]). A [`Scratch`] is the paper's auxiliary
 //! buffer (§4.4 "Memory overhead"), reused across layers. For a staged
-//! plan it holds `I` (transformed inputs), `W` (transformed kernels),
-//! `I'_tmp` and tile-major `I'`; for a ring plan `W` and one ring per
-//! thread slot; for a dual plan `I` and one ring per thread slot.
-//! `prepare_kernels` takes the scratch's `W`. What a plan's scratch starts
-//! without, or has given up, appears only if a call needs it.
+//! plan it holds `I` (transformed inputs), `I'_tmp` and tile-major `I'`;
+//! for a ring plan one ring per thread slot; for a dual plan `I` and one
+//! ring per thread slot. No scratch starts with `W` (transformed
+//! kernels): the first training-mode call grows it, `prepare_kernels`
+//! takes it. What a plan's scratch starts without, or has given up,
+//! appears only if a call needs it.
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -346,7 +347,13 @@ impl WinogradLayer {
         let mut layer = WinogradLayer {
             shape, grid, plans, block, opts, schedule, streams: false, gemm: mono, ring_gemm: None,
         };
-        layer.streams = crate::fused::streams(&layer.footprint(1), host.llc_bytes);
+        // The stages hand `V̂` on through memory too, unless a dual ring
+        // carries it a block at a time.
+        let mut hand_off = layer.footprint(1);
+        if !layer.is_dual() {
+            hand_off.scratch_bytes += hand_off.transformed_kernel_bytes;
+        }
+        layer.streams = crate::fused::streams(&hand_off, host.llc_bytes);
         // Tile-major group stride (floats): see `TileMajor::group_stride`.
         let group_stride = layer.n_tiles() * t_vol * S;
         layer.gemm = gemm(block, group_stride, layer.streams)?;
@@ -610,21 +617,23 @@ impl Seam {
 /// The paper's auxiliary memory, sized once at construction and reused
 /// across invocations (and across layers of the same plan): per-thread
 /// codelet buffers always; for a staged plan transformed inputs `I` (`u`),
-/// transformed kernels `W` (`v`), the blocked intermediate `I'_tmp` (`x`)
-/// and the tile-major transformed outputs `I'` (`y`); for a ring plan
-/// ([`WinogradLayer::is_fused`]) `v` and one ring per thread slot; for a
-/// dual plan ([`WinogradLayer::is_dual`]) `u` and one ring per thread slot.
+/// the blocked intermediate `I'_tmp` (`x`) and the tile-major transformed
+/// outputs `I'` (`y`); for a ring plan ([`WinogradLayer::is_fused`]) one
+/// ring per thread slot; for a dual plan ([`WinogradLayer::is_dual`]) `u`
+/// and one ring per thread slot.
 ///
-/// What a plan's scratch starts without — a ring plan's `u`, `x` and `y`,
-/// a dual plan's `v`, `x` and `y` — and the `v` that `prepare_kernels`
-/// takes from any scratch, the first call that needs it allocates,
-/// fallibly, at the shapes a staged plan's have: a staged function
+/// No scratch starts with the transformed kernels `W` (`v`): an FX
+/// forward reads memoised ones, so only a training-mode call grows them.
+/// What a plan's scratch starts without — `v`, a ring plan's `u`, `x` and
+/// `y`, a dual plan's `x` and `y` — or has given up to `prepare_kernels`,
+/// the first call that needs it allocates, fallibly, at the shapes a
+/// staged plan's have: a staged function
 /// ([`crate::stage1::transform_inputs`],
 /// [`crate::stage1::transform_kernels`], [`crate::stage2::multiply`],
-/// [`crate::stage3::inverse_transform`]), `prepare_kernels`, a dual plan's
-/// `forward_fx`, a ring plan's training-mode `forward`, or a forward on an
-/// executor with more threads than the plan has ring panels or column
-/// groups.
+/// [`crate::stage3::inverse_transform`]), `prepare_kernels`, a
+/// training-mode `forward` on a staged or ring plan, a dual plan's
+/// `forward_fx`, or a forward on an executor with more threads than the
+/// plan has ring panels or column groups.
 ///
 /// `u` is laid out at the plan's blocking. A dual forward pass lays the
 /// same bytes out at the dual ring's `C_blk` instead — the row blocks, and
@@ -666,7 +675,7 @@ impl Scratch {
         let held =
             |held: bool, dims| if held { seam.matrices(dims) } else { Ok(BlockedMatrices::placeholder()) };
         let u = held(!layer.is_fused(), shape.u())?;
-        let v = held(!layer.is_dual(), shape.v())?;
+        let v = BlockedMatrices::placeholder();
         let x = held(staged, shape.x())?;
         let y = if staged { seam.tile_major(&shape)? } else { TileMajor::placeholder() };
         let mut bufs = Vec::with_capacity(threads.max(1));
@@ -704,9 +713,8 @@ impl Scratch {
         Ok(())
     }
 
-    /// Make sure the layer-sized kernel transforms `v` exist — a dual
-    /// plan's scratch starts without them, and `prepare_kernels` takes
-    /// them from any scratch.
+    /// Make sure the layer-sized kernel transforms `v` exist — no scratch
+    /// starts with them, and `prepare_kernels` takes them.
     pub(crate) fn materialise_v(&mut self) -> Result<(), wino_simd::AllocError> {
         if self.v.t_count() == 0 {
             self.v = Seam { fallible: true }.matrices(self.shape.v())?;
@@ -876,28 +884,30 @@ mod tests {
 
     #[test]
     fn scratch_sizes() {
-        // A staged plan holds the four layer-sized buffers and no ring.
+        // A staged plan holds three layer-sized buffers and no ring; no
+        // plan's scratch starts with `v`, which a kernel transform grows.
         let host = Host::test(Pin::Staged, false);
         let staged = WinogradLayer::new_on(shape2d(), &[4, 4], split_reduction(), host).unwrap();
         assert!(!staged.is_fused() && !staged.is_dual());
-        let scratch = Scratch::new(&staged, 4);
+        let mut scratch = Scratch::new(&staged, 4);
         assert_staged_shapes(&scratch);
-        assert_eq!(scratch.v.rows(), 32);
-        assert_eq!(scratch.v.cols(), 32);
+        assert_eq!(scratch.v.bytes(), 0);
         assert_eq!(scratch.thread_slots(), 4);
-        let four = scratch.u.bytes() + scratch.v.bytes() + scratch.x.bytes() + scratch.y.bytes();
-        assert_eq!(scratch.bytes(), four);
+        let three = scratch.u.bytes() + scratch.x.bytes() + scratch.y.bytes();
+        assert_eq!(scratch.bytes(), three);
+        scratch.materialise_v().unwrap();
+        assert_eq!((scratch.v.rows(), scratch.v.cols()), (32, 32));
+        assert_eq!(scratch.bytes(), three + scratch.v.bytes());
 
-        // A fused plan holds `v` and one ring per slot…
+        // A fused plan holds one ring per slot…
         let fused = WinogradLayer::new(shape2d(), &[4, 4], ConvOptions::default()).unwrap();
         assert!(fused.is_fused());
         let mut scratch = Scratch::new(&fused, 4);
-        assert_eq!((scratch.v.rows(), scratch.v.cols()), (32, 32));
         let ring = fused.ring_floats();
         let Schedule::Ring { rows } = fused.schedule else { unreachable!() };
         assert_eq!(ring, 36 * rows * (32 + 32));
-        assert_eq!(scratch.bytes(), scratch.v.bytes() + 4 * ring * 4);
-        assert_eq!(scratch.u.bytes() + scratch.x.bytes() + scratch.y.bytes(), 0);
+        assert_eq!(scratch.bytes(), 4 * ring * 4);
+        assert_eq!(scratch.u.bytes() + scratch.v.bytes() + scratch.x.bytes() + scratch.y.bytes(), 0);
         // …and grows the other three, at a staged plan's shapes, the first
         // time a stage asks for them.
         let resident = scratch.bytes();

@@ -83,10 +83,11 @@ impl WinogradLayer {
 
         let b = BufferBytes::of(self);
         let bytes = |moved: &[usize]| moved.iter().map(|&n| n as u128).sum::<u128>();
-        // A dual plan's column groups each read all of `U`.
-        let u_reads = match self.schedule {
-            Schedule::Dual { cols, .. } => self.shape.out_channels / cols,
-            _ => 1,
+        // A dual plan's column groups each read all of `U`, and its ring
+        // holds one block of `V̂` at a time: none of `V̂` crosses memory.
+        let (u_reads, v) = match self.schedule {
+            Schedule::Dual { cols, .. } => (self.shape.out_channels / cols, 0),
+            _ => (1, b.v),
         };
 
         let mut model = WorkModel::new();
@@ -101,14 +102,14 @@ impl WinogradLayer {
             SpanCategory::KernelTransform,
             StageWork {
                 flops: c * cp * g_ops,
-                bytes: bytes(&[b.kernels, b.v]),
+                bytes: bytes(&[b.kernels, v]),
             },
         );
         model.set(
             SpanCategory::ElementwiseGemm,
             StageWork {
                 flops: 2 * t_vol * rows * c * cp,
-                bytes: bytes(&[u_reads * b.u, b.v, b.y]),
+                bytes: bytes(&[u_reads * b.u, v, b.y]),
             },
         );
         model.set(

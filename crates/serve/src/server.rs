@@ -29,7 +29,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wino_conv::{ExecutionReport, FallbackPolicy, Network, WinoError};
+use wino_conv::{ExecutionReport, FallbackPolicy, Network, TransformedKernels, WinoError};
 use wino_sched::{default_deadline, Executor, PoolError, SerialExecutor, StaticExecutor};
 use wino_tensor::{BlockedImage, BlockedKernels, ShapeError};
 
@@ -216,9 +216,10 @@ pub struct Server {
 
 impl Server {
     /// Validate the spec (a batch-1 plan must exist under
-    /// [`FallbackPolicy::default`], the policy the server runs), then
-    /// spawn the batcher thread, whose plan cache starts with the plans
-    /// made here.
+    /// [`FallbackPolicy::default`], the policy the server runs), transform
+    /// every layer's kernels once on that plan, then spawn the batcher
+    /// thread, whose plan cache starts with the plans made here and whose
+    /// every batch runs in FX mode on those transforms.
     pub fn start(
         spec: ModelSpec,
         kernels: Vec<BlockedKernels>,
@@ -236,31 +237,28 @@ impl Server {
         } else {
             opts.max_batch
         };
-        // Fail fast on ill-formed geometry: if no batch-1 plan exists
-        // even under the fallback policy, serving can never succeed.
-        let net1 = plan_model(&spec, 1, threads, DegradeLevel::Full)?;
-        let (full, mut plans) = (DegradeLevel::Full as u8, HashMap::new());
+        let mut engine = Engine::new(spec, kernels, threads)?;
+        let full = DegradeLevel::Full as u8;
         // Fit the linear byte-pricing model for memory admission: the
         // analytic footprint of the batch-1 plan anchors the line, and
         // a batch-2 plan gives the marginal per-image slope. If no
         // batch-2 plan exists the whole batch-1 footprint is charged
         // per image — the conservative direction for admission.
         let memory = opts.memory_ceiling.map(|ceiling_bytes| {
-            let fp1 = net1.footprint(threads).total();
-            let net2 = plan_model(&spec, 2, threads, DegradeLevel::Full).ok();
+            let fp1 = engine.plans[&(1, full)].footprint(threads).total();
+            let net2 = plan_model(&engine.spec, 2, threads, DegradeLevel::Full).ok();
             let per_image_bytes = net2
                 .as_ref()
                 .map(|net2| net2.footprint(threads).total().saturating_sub(fp1))
                 .filter(|&d| d > 0)
                 .unwrap_or(fp1);
-            plans.extend(net2.map(|net2| ((2, full), net2)));
+            engine.plans.extend(net2.map(|net2| ((2, full), net2)));
             MemoryAdmission {
                 ceiling_bytes,
                 base_bytes: fp1.saturating_sub(per_image_bytes),
                 per_image_bytes,
             }
         });
-        plans.insert((1, full), net1);
 
         let shared = Arc::new(Shared {
             queue: DeadlineQueue::new(opts.queue_capacity),
@@ -268,11 +266,10 @@ impl Server {
             breaker: CircuitBreaker::new(opts.breaker),
             stats: Stats::default(),
         });
-        let in_channels = spec.in_channels;
-        let image_dims = spec.image_dims.clone();
+        let in_channels = engine.spec.in_channels;
+        let image_dims = engine.spec.image_dims.clone();
         let worker = {
             let shared = Arc::clone(&shared);
-            let engine = Engine { spec, kernels, threads, plans };
             let (breaker, age) = (opts.breaker, opts.max_batch_age);
             let watchdog = opts.watchdog.unwrap_or_else(default_deadline);
             std::thread::Builder::new()
@@ -538,14 +535,35 @@ fn plan_model(
 struct Engine {
     spec: ModelSpec,
     kernels: Vec<BlockedKernels>,
+    /// Every layer's kernels, transformed once for the server's life:
+    /// `V̂`'s blocking comes from the channel counts alone (Eq. 11), so
+    /// one set serves every cached plan, at every batch size and on the
+    /// Mono rung.
+    prepared: Vec<TransformedKernels>,
     threads: usize,
     /// Cached network plans keyed by `(batch, ladder rung)`.
     plans: HashMap<(usize, u8), Network>,
 }
 
 impl Engine {
+    /// Plan the batch-1 network and prepare every layer's kernels on it.
+    /// Fails fast on ill-formed geometry: if no batch-1 plan exists even
+    /// under the fallback policy, serving can never succeed.
+    fn new(
+        spec: ModelSpec,
+        kernels: Vec<BlockedKernels>,
+        threads: usize,
+    ) -> Result<Engine, WinoError> {
+        let mut net1 = plan_model(&spec, 1, threads, DegradeLevel::Full)?;
+        let prepared = net1.prepare_kernels(&kernels, &SerialExecutor)?;
+        let plans = HashMap::from([((1, DegradeLevel::Full as u8), net1)]);
+        Ok(Engine { spec, kernels, prepared, threads, plans })
+    }
+
     /// Run one batch on the network planned for the breaker's `level` —
-    /// all three rungs are the same run loop.
+    /// all three rungs are the same run loop: FX on the prepared kernels
+    /// wherever the plan accepts them, the raw kernels on the im2col rung
+    /// and for every re-planned layer.
     fn run(
         &mut self,
         input: &BlockedImage,
@@ -558,7 +576,7 @@ impl Engine {
                 v.insert(plan_model(&self.spec, input.batch, self.threads, level)?)
             }
         };
-        net.run_net(input, &self.kernels, exec, &FallbackPolicy::default())
+        net.run_net_fx(input, &self.kernels, &self.prepared, exec, &FallbackPolicy::default())
     }
 }
 
@@ -799,7 +817,7 @@ mod tests {
     fn im2col_rung_matches_winograd_rung() {
         let spec = spec_1layer();
         let kernels = kernels_for(&spec);
-        let mut engine = Engine { spec, kernels, threads: 1, plans: HashMap::new() };
+        let mut engine = Engine::new(spec, kernels, 1).unwrap();
         let img = input();
         let (full, _) = engine.run(&img, DegradeLevel::Full, &SerialExecutor).unwrap();
         let (base, reports) = engine.run(&img, DegradeLevel::Im2col, &SerialExecutor).unwrap();
@@ -821,7 +839,7 @@ mod tests {
         let mut spec = spec_1layer();
         spec.opts = spec.opts.with_stride(&[2, 2]);
         let kernels = kernels_for(&spec);
-        let mut engine = Engine { spec, kernels, threads: 1, plans: HashMap::new() };
+        let mut engine = Engine::new(spec, kernels, 1).unwrap();
         let img = input();
         let (full, reports_full) = engine.run(&img, DegradeLevel::Full, &SerialExecutor).unwrap();
         assert_eq!(full.dims, vec![3, 3]); // (6 + 2 − 3)/2 + 1
@@ -836,6 +854,54 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
         assert!(max_err < 1e-3, "strided ladder rungs disagree: max abs err {max_err}");
+    }
+
+    #[test]
+    fn one_prepared_set_serves_every_cached_plan() {
+        // The kernels `Engine::new` transforms once, on the batch-1 JIT
+        // plan, serve every `(batch, rung)` plan the batcher caches: bit
+        // for bit a raw `run_net` on the Winograd rungs, with no kernel
+        // transform in the batch; the same convolution on the im2col rung,
+        // which reads the raw kernels.
+        let mut spec = ModelSpec::new(
+            16,
+            vec![6, 6],
+            vec![LayerSpec::same(32, 2, 3, 2), LayerSpec::same(16, 2, 3, 4)],
+        );
+        spec.opts.stage2 = wino_conv::Stage2Backend::Jit;
+        let kernels = kernels_for(&spec);
+        let mut engine = Engine::new(spec.clone(), kernels.clone(), 1).unwrap();
+        let policy = FallbackPolicy::default();
+        for batch in 1..=4 {
+            let mut img = BlockedImage::zeros(batch, 16, &[6, 6]).unwrap();
+            for (i, v) in img.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i % 23) as f32 - 11.0) * 0.05;
+            }
+            let raw = |level| {
+                let mut net = plan_model(&spec, batch, 1, level).unwrap();
+                net.run_net(&img, &kernels, &SerialExecutor, &policy).unwrap().0
+            };
+            let full = raw(DegradeLevel::Full);
+            for level in [DegradeLevel::Full, DegradeLevel::Mono, DegradeLevel::Im2col] {
+                let mut exec = wino_sched::ProbedExecutor::new(SerialExecutor);
+                let (out, reports) = engine.run(&img, level, &exec).unwrap();
+                let transforms = exec
+                    .take_events()
+                    .iter()
+                    .filter(|e| e.category == wino_probe::SpanCategory::KernelTransform)
+                    .count();
+                let case = format!("batch {batch}, {level:?}");
+                if level == DegradeLevel::Im2col {
+                    assert!(reports.iter().all(|r| r.backend == LayerBackend::Im2col), "{case}");
+                    let err = full.as_slice().iter().zip(out.as_slice()).map(|(a, b)| (a - b).abs());
+                    let max_err = err.fold(0.0f32, f32::max);
+                    assert!(max_err < 1e-3, "{case}: max abs err {max_err}");
+                } else {
+                    assert_eq!(out.as_slice(), raw(level).as_slice(), "{case}");
+                    assert_eq!(transforms, 0, "{case}: a cached plan transformed kernels");
+                }
+            }
+        }
     }
 
     #[test]
@@ -899,7 +965,8 @@ mod tests {
         let server = Server::start(spec, kernels, ServeOptions::default()).unwrap();
         // Warm-up: the first request allocates the network's resident
         // activations and builds the assembly buffer (`Server::start`
-        // planned the network and seeded its scratch).
+        // planned the network, seeded its scratch and prepared the
+        // kernels every batch runs FX on).
         // One request, then the batcher's tally once it has moved past
         // `prev`: the batcher republishes it after it has resolved the
         // batch, so wait for the new value instead of racing the store.

@@ -246,11 +246,12 @@ scripts/bench.sh --scaling-smoke
 
 # Memory-accounting gate: the analytic `MemoryFootprint` model must
 # price the allocator's real traffic within 10% — the per-component
-# exact-match unit tests (a ring, a dual and a staged plan's scratch:
-# `footprint::tests::scratch_component_matches_observed_allocation`; what
-# kernel memoisation allocates beyond it — no second `V̂`, since the
-# scratch gives its own up, except on a dual plan, whose scratch holds
-# none: `footprint::tests::prepare_kernels_allocates_what_the_model_says`,
+# exact-match unit tests (a ring, a dual and a staged plan's scratch, none
+# of which starts with a `V̂`:
+# `footprint::tests::scratch_component_matches_observed_allocation`; `V̂`,
+# priced once, as kernel memoisation, on every schedule — what
+# `prepare_kernels` allocates:
+# `footprint::tests::prepare_kernels_allocates_what_the_model_says`,
 # named so a rename cannot drop it) plus the end-to-end cold-start
 # prediction test (plan + kernel memoisation + forward) in wino-conv. The
 # model prices what the allocator will hand out and feeds serve admission
@@ -258,6 +259,19 @@ scripts/bench.sh --scaling-smoke
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv footprint
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv --lib -- --exact \
     footprint::tests::prepare_kernels_allocates_what_the_model_says
+
+# Prepared-kernel gate: `Server::start` transforms each layer's kernels
+# once and every cached `(batch, rung)` plan runs FX on that one set — bit
+# for bit a raw `run_net`, no kernel transform in a batch, two allocations
+# a steady round — while the FX entry point keeps the numeric guard, the
+# sentinels and the rescues, and strided and im2col layers prepare too.
+# Named, so a rename cannot drop them.
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-serve --lib -- \
+    server::tests::one_prepared_set_serves_every_cached_plan \
+    server::tests::steady_state_hot_path_allocates_outputs_only
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv --lib -- \
+    net::tests::run_net_fx_keeps_every_rescue \
+    net::tests::strided_and_im2col_layers_prepare_their_kernels
 
 # Serving gate: a fault-injected overload soak — ≥10k requests fired at
 # ~2× the measured sustainable rate, with worker panics, barrier stalls

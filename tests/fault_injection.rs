@@ -725,9 +725,10 @@ fn oom_during_a_strided_layer_is_rescued_or_typed() {
     assert_eq!((rescued, typed), (2, 11));
 
     // Cold, a strided layer builds its whole slot in the forward: #1 the
-    // output, #2 the stride-1 image, #3–#6 the scratch of a fused plan
-    // (`v`, the two codelet buffers, the ring). A single refusal on any of
-    // them drops the slot, re-tiles and stands — and there is no #7.
+    // output, #2 the stride-1 image, #3–#5 the scratch of a fused plan
+    // (the two codelet buffers, the ring), #6 the `V̂` its kernel transform
+    // grows there. A single refusal on any of them drops the slot,
+    // re-tiles and stands — and there is no #7.
     let policy = FallbackPolicy::default();
     let (mut reference_net, input, kernels) = geo_net(opts, &policy);
     let (reference, _) =
@@ -768,11 +769,12 @@ fn oom_during_a_sentinel_demotion_is_rescued_or_typed() {
 
     let reference = clean_reference(&[4, 4]);
     let policy = sentinel_all();
-    // Allocation #1 is the planned attempt's output (its scratch is
-    // resident); #2–#6 are the demotion's: its output, then the scratch of
-    // a fused plan — `v`, the two codelet buffers and the ring.
+    // Allocation #1 is the planned attempt's output and #2 the `V̂` its
+    // first training-mode pass grows in its resident scratch; #3–#7 are
+    // the demotion's: its output, then the scratch of a fused plan — the
+    // two codelet buffers and the ring — and the `V̂` its pass grows.
     let mut rescued = 0;
-    for (k, shots) in [(2, 1), (3, 1), (4, 1), (5, 1), (6, 1), (2, 2), (2, u32::MAX)] {
+    for (k, shots) in [(3, 1), (4, 1), (5, 1), (6, 1), (7, 1), (3, 2), (3, u32::MAX)] {
         fault::reset();
         mem_fault::reset();
         let mut net = test_net(&[4, 4], &policy);
@@ -800,13 +802,13 @@ fn oom_during_a_sentinel_demotion_is_rescued_or_typed() {
     }
     assert!(rescued >= 5, "a single refused demotion buffer must be rescued ({rescued} of 7)");
 
-    // …and there is no #7: a shot aimed past the demotion's five buffers
+    // …and there is no #8: a shot aimed past the demotion's five buffers
     // finds nothing to refuse, and the demoted re-run stands.
     fault::reset();
     let mut net = test_net(&[4, 4], &policy);
     let (input, kernels) = test_data();
     fault::arm_corrupt(2, CorruptKind::SilentBias, 1);
-    mem_fault::arm_fail_every(7, 1);
+    mem_fault::arm_fail_every(8, 1);
     let (_, report) = net.run_layer(0, &input, &kernels, &SerialExecutor, &policy).unwrap();
     assert_eq!(mem_fault::injected_failures(), 0, "the demotion allocates five buffers");
     assert_eq!(report.backend, LayerBackend::WinogradDemoted);
