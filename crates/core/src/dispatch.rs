@@ -39,7 +39,7 @@ use wino_tensor::{BlockedImage, BlockedKernels, ConvGeometry, ConvShape, TensorE
 use crate::conv::TransformedKernels;
 use crate::error::{ensure_dims_eq, ensure_eq, WinoError};
 use crate::net::{FallbackReason, LayerBackend};
-use crate::plan::{ConvOptions, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK};
+use crate::plan::{ConvOptions, Host, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK};
 use crate::select::{degrade, plan_walk, Candidate, Cause, FallbackPolicy};
 use crate::stage2::check_kernel_transforms;
 
@@ -138,6 +138,9 @@ pub struct DispatchPlan {
     /// route realises — where a run-time re-plan starts from.
     opts: ConvOptions,
     pub(crate) cand: Candidate,
+    /// The host the layer was planned on — with, in a network, the
+    /// network's hand-off — which every re-plan keeps.
+    host: Host,
 }
 
 /// Plan a route for `shape` under the geometry carried by `opts`
@@ -156,29 +159,25 @@ pub fn plan_dispatch(
     opts: ConvOptions,
     policy: &FallbackPolicy,
 ) -> Result<(DispatchPlan, Option<FallbackReason>), PlanError> {
-    plan_at_rung(shape, m, opts, policy, 0)
+    plan_at_rung(shape, m, opts, policy, 0, Host::detected())
 }
 
-/// [`plan_dispatch`] starting from the candidate the serve breaker's
-/// `rung` selects (0 = as configured).
+/// [`plan_dispatch`] on `host`, starting from the candidate the serve
+/// breaker's `rung` selects (0 = as configured).
 pub(crate) fn plan_at_rung(
     shape: &ConvShape,
     m: &[usize],
     opts: ConvOptions,
     policy: &FallbackPolicy,
     rung: u8,
+    host: Host,
 ) -> Result<(DispatchPlan, Option<FallbackReason>), PlanError> {
-    let rank = shape.rank();
-    if rank > MAX_RANK {
-        return Err(PlanError::RankTooHigh { rank });
-    }
-    let geo = opts.geometry(rank);
-    geo.validate(shape)?; // unrepresentable layers are hard errors
-    let out_dims = geo.out_dims(shape)?;
+    let out_dims = out_dims(shape, opts)?;
+    let geo = opts.geometry(shape.rank());
     let asked = Candidate::Winograd { m: m.to_vec(), stage2: opts.stage2, retile: 0 };
     let start = degrade(&asked, Cause::BreakerRung(rung), &out_dims, policy).unwrap_or(asked);
     let ((mut plan, designed), absorbed) =
-        plan_walk(start, &out_dims, policy, |c| build(shape, &geo, &out_dims, opts, c))?;
+        plan_walk(start, &out_dims, policy, |c| build(shape, &geo, &out_dims, opts, c, host))?;
     if let Candidate::Winograd { retile, .. } = &mut plan.cand {
         *retile = 0; // the planned tile is the run-time walk's point of reference
     }
@@ -188,44 +187,81 @@ pub(crate) fn plan_at_rung(
     Ok((plan, reason))
 }
 
-/// Plan exactly `cand` for the layer — no fallback; errors go back to the
-/// table walk. The second value is the designed-route provenance (an
-/// im2col route, designed or not, realises the im2col candidate whatever
-/// was asked).
+/// The output extents of a layer under the geometry `opts` carry, or
+/// the error that makes the layer unrepresentable.
+pub(crate) fn out_dims(shape: &ConvShape, opts: ConvOptions) -> Result<Vec<usize>, PlanError> {
+    let rank = shape.rank();
+    if rank > MAX_RANK {
+        return Err(PlanError::RankTooHigh { rank });
+    }
+    let geo = opts.geometry(rank);
+    geo.validate(shape)?; // unrepresentable layers are hard errors
+    Ok(geo.out_dims(shape)?)
+}
+
+/// What the Winograd plan of a layer — `m` on `host`, its stride-1,
+/// per-group plan — hands from one fork–join to the next as planned alone
+/// ([`WinogradLayer::hand_off_on`]), without building its kernels: 0 on a
+/// designed im2col route or a tile that does not plan.
+pub(crate) fn hand_off(shape: &ConvShape, m: &[usize], opts: ConvOptions, host: Host) -> usize {
+    let geo = opts.geometry(shape.rank());
+    if designed_im2col(shape, &geo).is_some() {
+        return 0;
+    }
+    let dense = opts.with_identity_geometry();
+    let sub = dense_shape(shape, &geo).map_err(PlanError::from);
+    sub.and_then(|sub| WinogradLayer::hand_off_on(sub, m, dense, host)).unwrap_or(0)
+}
+
+/// Why a layer's route is a designed im2col one whatever the candidate,
+/// or `None`.
+fn designed_im2col(shape: &ConvShape, geo: &ConvGeometry) -> Option<FallbackReason> {
+    // Dilation is outside what the Winograd transform stencils express:
+    // a designed im2col route, not a failure.
+    if geo.dilation.iter().any(|&d| d > 1) {
+        return Some(FallbackReason::Dilated);
+    }
+    // Narrow groups (depthwise included) cannot fill the S-wide channel
+    // vectors of the blocked layout: designed im2col route.
+    let c_per_group = shape.in_channels / geo.groups;
+    let k_per_group = shape.out_channels / geo.groups;
+    let narrow = geo.groups > 1 && (!c_per_group.is_multiple_of(S) || !k_per_group.is_multiple_of(S));
+    narrow.then_some(FallbackReason::GroupTooNarrow { c_per_group })
+}
+
+/// The shape of a layer's Winograd plan: stride-1 whatever `geo.stride`
+/// is — the stride is `forward_in`'s epilogue — over the per-group channel
+/// counts (== the global ones when groups == 1).
+fn dense_shape(shape: &ConvShape, geo: &ConvGeometry) -> Result<ConvShape, wino_tensor::ShapeError> {
+    let (c, cp) = (shape.in_channels / geo.groups, shape.out_channels / geo.groups);
+    ConvShape::new(shape.batch, c, cp, &shape.image_dims, &shape.kernel_dims, &shape.padding)
+}
+
+/// Plan exactly `cand` for the layer on `host` — no fallback; errors go
+/// back to the table walk. The second value is the designed-route
+/// provenance (an im2col route, designed or not, realises the im2col
+/// candidate whatever was asked).
 fn build(
     shape: &ConvShape,
     geo: &ConvGeometry,
     out_dims: &[usize],
     opts: ConvOptions,
     cand: &Candidate,
+    host: Host,
 ) -> Result<(DispatchPlan, Option<FallbackReason>), PlanError> {
     let done = |route, designed| {
         let cand = if matches!(route, Route::Im2col) { Candidate::Im2col } else { cand.clone() };
         let (shape, geo, out_dims) = (shape.clone(), geo.clone(), out_dims.to_vec());
-        Ok((DispatchPlan { shape, geo, out_dims, route, opts, cand }, designed))
+        Ok((DispatchPlan { shape, geo, out_dims, route, opts, cand, host }, designed))
     };
-    // Dilation is outside what the Winograd transform stencils express:
-    // a designed im2col route, not a failure.
-    if geo.dilation.iter().any(|&d| d > 1) {
-        return done(Route::Im2col, Some(FallbackReason::Dilated));
-    }
-    // Narrow groups (depthwise included) cannot fill the S-wide channel
-    // vectors of the blocked layout: designed im2col route.
-    let c_per_group = shape.in_channels / geo.groups;
-    let k_per_group = shape.out_channels / geo.groups;
-    if geo.groups > 1 && (!c_per_group.is_multiple_of(S) || !k_per_group.is_multiple_of(S)) {
-        return done(Route::Im2col, Some(FallbackReason::GroupTooNarrow { c_per_group }));
+    if let Some(reason) = designed_im2col(shape, geo) {
+        return done(Route::Im2col, Some(reason));
     }
     let Candidate::Winograd { m, stage2, .. } = cand else {
         return done(Route::Im2col, None);
     };
-    // A plain stride-1 Winograd plan whatever `geo.stride` is — the
-    // stride is `forward_in`'s epilogue — over the per-group channel
-    // counts (== the global ones when groups == 1).
     let sub_opts = ConvOptions { stage2: *stage2, ..opts.with_identity_geometry() };
-    let (dims, kernel, padding) = (&shape.image_dims, &shape.kernel_dims, &shape.padding);
-    let sub = ConvShape::new(shape.batch, c_per_group, k_per_group, dims, kernel, padding)?;
-    let plan = Box::new(WinogradLayer::new(sub, m, sub_opts)?);
+    let plan = Box::new(WinogradLayer::new_on(dense_shape(shape, geo)?, m, sub_opts, host)?);
     done(if geo.groups == 1 { Route::Direct(plan) } else { Route::Grouped { plan } }, None)
 }
 
@@ -304,7 +340,7 @@ impl DispatchPlan {
     /// This layer on another row of the degradation table (the run-time
     /// walk's re-plan).
     pub(crate) fn replan(&self, cand: &Candidate) -> Result<DispatchPlan, PlanError> {
-        Ok(build(&self.shape, &self.geo, &self.out_dims, self.opts, cand)?.0)
+        Ok(build(&self.shape, &self.geo, &self.out_dims, self.opts, cand, self.host)?.0)
     }
 
     /// Analytic memory footprint of executing this route at `threads`

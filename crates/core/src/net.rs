@@ -26,9 +26,9 @@ use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, ConvShape, ShapeError};
 
 use crate::conv::TransformedKernels;
-use crate::dispatch::{plan_at_rung, DispatchPlan, Kernels, Slot};
+use crate::dispatch::{hand_off, out_dims, plan_at_rung, DispatchPlan, Kernels, Slot};
 use crate::error::{check_finite, NumericError, WinoError};
-use crate::plan::{ConvOptions, PlanError, Scratch};
+use crate::plan::{ConvOptions, Host, PlanError, Scratch};
 use crate::select::{degrade, Candidate, Cause, FallbackPolicy};
 use crate::sentinel::{verify_sample, SentinelError};
 
@@ -188,7 +188,11 @@ pub struct Network {
     /// reused on every pass. Per-layer slots (rather than one shared arena
     /// rebuilt per transition) keep repeat forwards allocation-free — the
     /// serving hot path's invariant — at the cost of summing, not maxing,
-    /// the scratch footprint. A slot is empty for an im2col layer, before
+    /// the scratch footprint. That cost is mostly per-thread rings: where
+    /// the layers' hand-offs together would overflow the LLC, a one-block
+    /// layer whose own would not plans the ring ([`Network::at_rung`]),
+    /// whose scratch is a ring per thread slot, not layer-sized. A slot is
+    /// empty for an im2col layer, before
     /// the first forward of a grouped or strided one, or when its seeding
     /// allocation was refused (the run-time walk then deals with it when
     /// the layer runs).
@@ -258,6 +262,12 @@ impl Network {
     /// [`FallbackPolicy::default`]; [`FallbackPolicy::strict`] plans every
     /// rung as configured. A strided or grouped layer stands on the same
     /// rungs as a dense one: its route is built from the same candidate.
+    ///
+    /// Every layer is planned for the cache the layers share: where their
+    /// hand-offs together would overflow the last-level cache's share and a
+    /// layer's own would not, that layer — if it has one reduction block —
+    /// runs the ring ([`crate::WinogradLayer::is_fused`]) even if, planned
+    /// alone, it would run the three stages.
     #[allow(clippy::too_many_arguments)] // with_policy's seven plus the rung
     pub fn at_rung(
         batch: usize,
@@ -269,19 +279,46 @@ impl Network {
         policy: &FallbackPolicy,
         rung: u8,
     ) -> Result<Network, PlanError> {
+        let host = Host::detected();
+        Self::on_host(batch, in_channels, image_dims, specs, opts, threads, policy, rung, host)
+    }
+
+    /// [`Network::at_rung`] on `host`. Every layer is planned knowing what
+    /// the whole network hands from one fork–join to the next: the layers
+    /// take turns in one last-level cache, so a staged hand-off that would
+    /// stay there alone may not in the network (`fused::schedule`). The
+    /// hand-offs are added up before any stage-2 kernel is built.
+    #[allow(clippy::too_many_arguments)] // at_rung's eight plus the host
+    pub(crate) fn on_host(
+        batch: usize,
+        in_channels: usize,
+        image_dims: &[usize],
+        specs: &[LayerSpec],
+        opts: ConvOptions,
+        threads: usize,
+        policy: &FallbackPolicy,
+        rung: u8,
+        host: Host,
+    ) -> Result<Network, PlanError> {
         if specs.is_empty() {
             return Err(ShapeError::ZeroDim.into());
         }
-        let mut layers = Vec::with_capacity(specs.len());
+        let mut shapes = Vec::with_capacity(specs.len());
         let mut c = in_channels;
         let mut dims = image_dims.to_vec();
         for spec in specs {
             let shape =
                 ConvShape::new(batch, c, spec.out_channels, &dims, &spec.kernel, &spec.padding)?;
-            let (plan, planned_fallback) = plan_at_rung(&shape, &spec.m, opts, policy, rung)?;
             c = spec.out_channels;
             // Chaining uses the geometry's output extents.
-            dims = plan.out_dims().to_vec();
+            dims = out_dims(&shape, opts)?;
+            shapes.push(shape);
+        }
+        let hand_offs = shapes.iter().zip(specs).map(|(s, spec)| hand_off(s, &spec.m, opts, host));
+        let host = Host { network_hand_off: Some(hand_offs.sum()), ..host };
+        let mut layers = Vec::with_capacity(specs.len());
+        for (shape, spec) in shapes.iter().zip(specs) {
+            let (plan, planned_fallback) = plan_at_rung(shape, &spec.m, opts, policy, rung, host)?;
             layers.push(NetLayer { plan, activation: spec.activation, planned_fallback });
         }
         // One resident slot per layer, so repeat passes never rebuild.
@@ -616,6 +653,7 @@ impl LayerSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fused::Schedule;
     use crate::WinogradLayer;
     use wino_sched::SerialExecutor;
     use wino_tensor::{SimpleImage, SimpleKernels};
@@ -716,21 +754,26 @@ mod tests {
         // Once on fused plans (rings, no layer-sized scratch), once on staged
         // ones (two reduction blocks over ≥ 32 channels, and at least 32
         // rows, which the dual ring turns down), once strided (`V̂` made on
-        // the stride-1 plans; a stride-1 image beside every scratch).
+        // the stride-1 plans; a stride-1 image beside every scratch), once
+        // on rings a network's cold hand-off chose ([`cold_host`]).
         let strided = ConvOptions::default().with_stride(&[2, 2]);
-        for (opts, c_in, side, fused) in [
-            (ConvOptions::default(), 16, 12, true),
-            (crate::plan::split_reduction(), 32, 24, false),
-            (strided, 16, 12, true),
+        let (detected, cold) = (Host::detected(), cold_host());
+        for (opts, c_in, side, host, fused) in [
+            (ConvOptions::default(), 16, 12, detected, true),
+            (crate::plan::split_reduction(), 32, 24, detected, false),
+            (strided, 16, 12, detected, true),
+            (ConvOptions::default(), 16, 24, cold, true),
         ] {
-            let specs = vec![LayerSpec::same(32, 2, 3, 2), LayerSpec::same(16, 2, 3, 4)];
+            let specs = two_layers();
             let img = SimpleImage::from_fn(1, c_in, &[side, side], |_, c, xy| {
                 ((c + xy[0] * 3 + xy[1]) % 11) as f32 * 0.1 - 0.5
             });
             let input = BlockedImage::from_simple(&img).unwrap();
 
             let before = wino_simd::thread_alloc_bytes();
-            let mut net = Network::new(1, c_in, &[side, side], &specs, opts, 1).unwrap();
+            let policy = FallbackPolicy::strict();
+            let net = Network::on_host(1, c_in, &[side, side], &specs, opts, 1, &policy, 0, host);
+            let mut net = net.unwrap();
             assert!(net.layers().iter().all(|l| engine_plan(l).is_fused() == fused));
             assert!(net.layers().iter().all(|l| !engine_plan(l).is_dual()));
             let kernels = kernels_for(&net, 3);
@@ -748,6 +791,185 @@ mod tests {
                 "{opts:?}: modeled {modeled} vs observed {observed} bytes (ratio {ratio:.3})"
             );
         }
+    }
+
+    /// Two layers: 16 → 32 at F(2²), 32 → 16 at F(4²).
+    fn two_layers() -> Vec<LayerSpec> {
+        vec![LayerSpec::same(32, 2, 3, 2), LayerSpec::same(16, 2, 3, 4)]
+    }
+
+    /// [`two_layers`] over a 16-channel 24² input, each planned alone on
+    /// `host`.
+    fn lone_plans(host: Host) -> Vec<WinogradLayer> {
+        let mut c = 16;
+        two_layers()
+            .iter()
+            .map(|spec| {
+                let shape = ConvShape::new(1, c, spec.out_channels, &[24, 24], &spec.kernel, &spec.padding);
+                c = spec.out_channels;
+                WinogradLayer::new_on(shape.unwrap(), &spec.m, ConvOptions::default(), host).unwrap()
+            })
+            .collect()
+    }
+
+    /// A host on which [`two_layers`] over a 16-channel 24² input hand off
+    /// more together than a fifth of the LLC holds, but each less alone.
+    /// Each layer has one reduction block and 36 rows or more — too many
+    /// for the dual ring — and a `V̂` that, beside one strip of ring,
+    /// overflows ¾ of the 64 KiB L2: alone, each is staged.
+    fn cold_host() -> Host {
+        let host = |llc_bytes| Host { l2_bytes: 64 << 10, llc_bytes, network_hand_off: None, pin: None };
+        let largest = lone_plans(host(usize::MAX)).iter().map(WinogradLayer::hand_off_bytes).max();
+        host(5 * largest.unwrap())
+    }
+
+    fn network_on(host: Host, policy: &FallbackPolicy) -> Network {
+        Network::on_host(1, 16, &[24, 24], &two_layers(), ConvOptions::default(), 1, policy, 0, host).unwrap()
+    }
+
+    #[test]
+    fn a_network_whose_hand_offs_leave_the_llc_together_runs_rings() {
+        let host = cold_host();
+        let alone = lone_plans(host);
+        let summed: usize = alone.iter().map(WinogradLayer::hand_off_bytes).sum();
+        assert!(summed * 5 > host.llc_bytes);
+        assert!(alone.iter().all(|p| p.hand_off_bytes() * 5 <= host.llc_bytes));
+        assert!(alone.iter().all(|p| !p.is_fused() && !p.is_dual() && p.block.c_blk == p.shape.in_channels));
+
+        let mut net = network_on(host, &FallbackPolicy::strict());
+        assert!(net.layers().iter().all(|l| engine_plan(l).is_fused()));
+        // The rings and the three stages agree bit for bit, in training
+        // and in FX mode.
+        let img = SimpleImage::from_fn(1, 16, &[24, 24], |_, c, xy| {
+            ((c * 3 + xy[0] + xy[1] * 5) % 13) as f32 * 0.08 - 0.4
+        });
+        let input = BlockedImage::from_simple(&img).unwrap();
+        let kernels = kernels_for(&net, 7);
+        let mut chained = input.clone();
+        for (plan, k) in alone.iter().zip(&kernels) {
+            let mut out = plan.new_output().unwrap();
+            plan.forward(&chained, k, &mut out, &mut Scratch::new(plan, 1), &SerialExecutor).unwrap();
+            Activation::Relu.apply(&mut out);
+            chained = out;
+        }
+        let (train, _) = net.run_net(&input, &kernels, &SerialExecutor, &FallbackPolicy::default()).unwrap();
+        let prepared = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+        let fx = net.forward_fx(&input, &prepared, &SerialExecutor).unwrap();
+        assert_eq!(train.as_slice(), chained.as_slice());
+        assert_eq!(fx.as_slice(), chained.as_slice());
+    }
+
+    /// A demoted or re-tiled candidate of a layer whose network's hand-off
+    /// is cold runs the ring too — a rescue must not allocate the
+    /// layer-sized `Û` / `X̂` / `Y` the memory ladder is getting away from
+    /// — while the same candidate of a layer planned alone is staged.
+    #[test]
+    fn a_replanned_candidate_of_a_cold_ring_layer_is_a_ring() {
+        let (host, policy) = (cold_host(), FallbackPolicy::with_sentinel(4, 1));
+        let net = network_on(host, &policy);
+        let mut replanned = 0;
+        for (l, spec) in net.layers().iter().zip(two_layers()) {
+            let alone = plan_at_rung(&l.plan.shape, &spec.m, ConvOptions::default(), &policy, 0, host);
+            let alone = alone.unwrap().0;
+            for cause in [Cause::Memory, Cause::Sentinel] {
+                // F(2²) has no smaller tile: its sentinel row is im2col.
+                let next = degrade(&l.plan.cand, cause, l.plan.out_dims(), &policy).unwrap();
+                if next == Candidate::Im2col {
+                    continue;
+                }
+                let fused = |p: &DispatchPlan| p.replan(&next).unwrap().winograd().unwrap().is_fused();
+                assert!(fused(&l.plan), "{cause:?}: {next:?}");
+                assert!(!fused(&alone), "{cause:?}: {next:?}");
+                replanned += 1;
+            }
+        }
+        assert_eq!(replanned, 3);
+    }
+
+    /// The layer specs of a workload: `(out_channels, padding, m)` per
+    /// layer, 3-wide kernels in `rank` dimensions.
+    fn specs_of(rank: usize, layers: &[(usize, usize, usize)]) -> Vec<LayerSpec> {
+        let spec = |&(out_channels, pad, m): &(usize, usize, usize)| LayerSpec {
+            out_channels,
+            kernel: vec![3; rank],
+            padding: vec![pad; rank],
+            m: vec![m; rank],
+            activation: Activation::Relu,
+        };
+        layers.iter().map(spec).collect()
+    }
+
+    /// On a 2 MiB L2 with a 105 MiB or a 260 MiB LLC, every benchmark
+    /// workload plans the schedules it planned before a network's
+    /// hand-off entered the rule — those of a host whose LLC never goes
+    /// cold — but `net3d_fx` on the 105 MiB one: its three layers hand
+    /// off 1.99 + 12.75 + 16.03 MiB against a 21 MiB share, and its L2
+    /// and L3 run 6-row rings. A layer whose own hand-off streams stays
+    /// staged, alone or among other layers.
+    #[test]
+    fn the_benchmark_workloads_plan_as_before_but_net3d_fx_on_a_105_mib_llc() {
+        const MIB: usize = 1 << 20;
+        let at = |llc_bytes| Host { l2_bytes: 2 * MIB, llc_bytes, network_hand_off: None, pin: None };
+        let lone = |host, c, dims: &[usize], pad, m| {
+            let shape = ConvShape::new(1, c, c, dims, &vec![3; dims.len()], &vec![pad; dims.len()]).unwrap();
+            WinogradLayer::new_on(shape, &vec![m; dims.len()], ConvOptions::default(), host).unwrap().schedule
+        };
+        let schedules = |host, batch, c_in, dims: &[usize], specs: &[LayerSpec]| -> Vec<Schedule> {
+            let policy = FallbackPolicy::default();
+            let net = Network::on_host(batch, c_in, dims, specs, ConvOptions::default(), 1, &policy, 0, host);
+            net.unwrap().layers().iter().map(|l| engine_plan(l).schedule).collect()
+        };
+        let serve = specs_of(2, &[(64, 1, 4), (64, 1, 4), (32, 1, 4)]);
+        let net3d = specs_of(3, &[(32, 0, 4), (64, 0, 4), (64, 0, 4)]);
+        let (warm, ring) = (at(usize::MAX), |rows| Schedule::Ring { rows });
+        let dual = Schedule::Dual { c_blk: 16, cols: 16 };
+        for llc in [105 * MIB, 260 * MIB] {
+            let host = at(llc);
+            // gemm2d_mono, xform2d_jit and train3d_jit are lone layers.
+            for (c, dims, pad, m, want) in [
+                (128, &[56, 56][..], 1, 4, Schedule::Staged),
+                (64, &[160, 160], 0, 6, ring(12)),
+                (128, &[4, 14, 14], 1, 4, dual),
+            ] {
+                let planned = (lone(host, c, dims, pad, m), lone(warm, c, dims, pad, m));
+                assert_eq!(planned, (want, want), "{dims:?}");
+            }
+            // serve_steady and serve_surge: the serve model at every batch
+            // size the server caches a plan for.
+            for batch in 1..=8 {
+                let planned = schedules(host, batch, 32, &[28, 28], &serve);
+                assert_eq!(planned, schedules(warm, batch, 32, &[28, 28], &serve), "B = {batch}");
+                assert!(planned.iter().all(|s| matches!(s, Schedule::Ring { .. })), "B = {batch}");
+            }
+            let planned = schedules(host, 1, 32, &[16, 24, 24], &net3d);
+            let before = schedules(warm, 1, 32, &[16, 24, 24], &net3d);
+            assert_eq!(before[1..], [Schedule::Staged, Schedule::Staged]);
+            let want = if llc == 105 * MIB { vec![before[0], ring(6), ring(6)] } else { before };
+            assert_eq!(planned, want, "{llc}");
+        }
+        // The hand-offs behind it, as planned alone.
+        let mut c = 32;
+        let mut dims = vec![16, 24, 24];
+        let kib: Vec<usize> = net3d
+            .iter()
+            .map(|spec| {
+                let shape = ConvShape::new(1, c, spec.out_channels, &dims, &spec.kernel, &spec.padding);
+                let shape = shape.unwrap();
+                (c, dims) = (spec.out_channels, shape.out_dims());
+                let plan = WinogradLayer::new_on(shape, &spec.m, ConvOptions::default(), warm).unwrap();
+                plan.hand_off_bytes() >> 10
+            })
+            .collect();
+        assert_eq!(kib, [2035, 13053, 16416]);
+        // gemm2d_mono's layer at batch 2 hands off 26 MiB: past the share on
+        // its own, it streams its stores, alone or among other layers.
+        let shape = ConvShape::new(2, 128, 128, &[56, 56], &[3, 3], &[1, 1]).unwrap();
+        let alone = WinogradLayer::new_on(shape.clone(), &[4, 4], ConvOptions::default(), at(105 * MIB));
+        let alone = alone.unwrap();
+        assert_eq!((alone.schedule, alone.streams), (Schedule::Staged, true));
+        let shared = Host { network_hand_off: Some(4 * alone.hand_off_bytes()), ..at(105 * MIB) };
+        let amid = WinogradLayer::new_on(shape, &[4, 4], ConvOptions::default(), shared).unwrap();
+        assert_eq!((amid.schedule, amid.streams), (Schedule::Staged, true));
     }
 
     #[test]

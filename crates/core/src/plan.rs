@@ -7,7 +7,9 @@
 //! plus a per-thread ring fit the L2, the ring-fused driver of `fused.rs`
 //! ([`WinogradLayer::is_fused`]); when rows are few and a block of `V̂`
 //! plus a slice of `Û` fit it instead, the dual ring of the same file
-//! ([`WinogradLayer::is_dual`]) — and whether its stores bypass the cache
+//! ([`WinogradLayer::is_dual`]); when neither fits but the layers of its
+//! network push the staged hand-off out of the last-level cache, the ring
+//! again — and whether its stores bypass the cache
 //! ([`WinogradLayer::streams`]). A [`Scratch`] is the paper's auxiliary
 //! buffer (§4.4 "Memory overhead"), reused across layers. For a staged
 //! plan it holds `I` (transformed inputs), `I'_tmp` and tile-major `I'`;
@@ -240,14 +242,20 @@ pub struct WinogradLayer {
     pub(crate) ring_gemm: Option<Gemm>,
 }
 
-/// The two cache sizes a plan's schedule and store flavour are decided
-/// from.
+/// What a plan's schedule and store flavour are decided from besides the
+/// layer: the host's two cache sizes and, for one layer of a network,
+/// what the whole network hands on.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Host {
     /// L2 one thread can count on ([`wino_sched::l2_bytes_per_thread`]).
     pub l2_bytes: usize,
     /// Last-level cache ([`wino_sched::llc_bytes`]).
     pub llc_bytes: usize,
+    /// For a layer of a `Network`: the bytes every layer of it hands from
+    /// one fork–join to the next, added together, each as planned alone
+    /// ([`WinogradLayer::hand_off_bytes`]) — the layers take turns in one
+    /// last-level cache (`fused::cold`). `None` for a plan made alone.
+    pub network_hand_off: Option<usize>,
     /// The schedule kind a test plans whatever the caches say
     /// ([`Host::test`]).
     #[cfg(test)]
@@ -256,10 +264,11 @@ pub(crate) struct Host {
 
 impl Host {
     /// The caches of the machine this process runs on.
-    fn detected() -> Host {
+    pub(crate) fn detected() -> Host {
         Host {
             l2_bytes: wino_sched::l2_bytes_per_thread(),
             llc_bytes: wino_sched::llc_bytes(),
+            network_hand_off: None,
             #[cfg(test)]
             pin: None,
         }
@@ -272,8 +281,60 @@ impl WinogradLayer {
         WinogradLayer::new_on(shape, m, opts, Host::detected())
     }
 
-    /// [`WinogradLayer::new`] for a host with the given caches.
+    /// [`WinogradLayer::new`] on `host`.
     pub(crate) fn new_on(
+        shape: ConvShape,
+        m: &[usize],
+        opts: ConvOptions,
+        host: Host,
+    ) -> Result<WinogradLayer, PlanError> {
+        let mut layer = WinogradLayer::sketch(shape, m, opts, host)?;
+        // A staged hand-off that the network's layers push out of the
+        // last-level cache may make the ring the better schedule after all.
+        if crate::fused::cold(layer.hand_off_bytes(), host.network_hand_off, host.llc_bytes) {
+            layer.schedule = layer.schedule_on(host, true);
+        }
+        layer.plans = (0..layer.rank()).map(|d| FmrPlan::new(m[d], layer.shape.kernel_dims[d])).collect();
+        layer.streams = crate::fused::streams(layer.hand_off_bytes(), host.llc_bytes);
+        // Tile-major group stride (floats): see `TileMajor::group_stride`.
+        let (t_vol, c, rows) = (layer.t_vol(), layer.shape.in_channels, layer.rows());
+        let group_stride = layer.n_tiles() * t_vol * S;
+        let (engine, block) = (opts.stage2, layer.block);
+        let gemm = |block, stride, streaming| Gemm::new(engine, block, c, rows, stride, streaming);
+        layer.gemm = gemm(block, group_stride, layer.streams)?;
+        // What a ring scatters stays in the core's own cache: plain stores —
+        // a ring panel's `X̂` chunks at the ring's group stride, or a dual
+        // column group's tile-major chunks at the staged one.
+        layer.ring_gemm = match layer.schedule {
+            Schedule::Staged => None,
+            Schedule::Ring { rows: n } => Some(gemm(BlockShape { n_blk: n, ..block }, n * t_vol * S, false)?),
+            Schedule::Dual { c_blk, cols } => {
+                let dual = BlockShape { c_blk, cp_blk: cols, ..block };
+                (dual != block || layer.streams).then(|| gemm(dual, group_stride, false)).transpose()?
+            }
+        };
+        Ok(layer)
+    }
+
+    /// What a plan of the given layer on `host` would hand from one
+    /// fork–join to the next ([`WinogradLayer::hand_off_bytes`]) on the
+    /// schedule its caches alone decide, without building its transform
+    /// programs or its stage-2 kernels.
+    pub(crate) fn hand_off_on(
+        shape: ConvShape,
+        m: &[usize],
+        opts: ConvOptions,
+        host: Host,
+    ) -> Result<usize, PlanError> {
+        Ok(WinogradLayer::sketch(shape, m, opts, host)?.hand_off_bytes())
+    }
+
+    /// The plan of the given layer on `host` short of its transform
+    /// programs and its stage-2 kernels — stand-in Mono kernels, which
+    /// compile nothing — on the schedule its caches alone decide: what
+    /// [`WinogradLayer::new_on`] completes and
+    /// [`WinogradLayer::hand_off_on`] measures.
+    fn sketch(
         shape: ConvShape,
         m: &[usize],
         opts: ConvOptions,
@@ -299,14 +360,12 @@ impl WinogradLayer {
             );
         }
         let grid = TileGrid::new(&shape, m)?;
-        let mut plans = Vec::with_capacity(rank);
         for d in 0..rank {
             // The transform stages run generated codelets and nothing
             // else: a dimension without a table row does not plan.
             if !crate::codelet::in_table(m[d], shape.kernel_dims[d]) {
                 return Err(PlanError::BadTileSize { dim: d, m: m[d] });
             }
-            plans.push(FmrPlan::new(m[d], shape.kernel_dims[d]));
         }
         let rows = grid.total_tiles() * shape.batch;
         let block = match opts.block {
@@ -333,42 +392,34 @@ impl WinogradLayer {
             }
             None => default_shape(shape.in_channels, shape.out_channels, rows),
         };
-        let (t_vol, c, cp) = (grid.tile_volume(), shape.in_channels, shape.out_channels);
-        let explicit = opts.block.is_some();
-        let schedule = crate::fused::schedule(t_vol, c, cp, rows, host.l2_bytes, block, explicit);
-        #[cfg(test)]
-        let schedule = host.pin.map_or(schedule, |pin| pin.schedule(t_vol, c, cp, rows, block, explicit));
-        // The store flavour comes from the footprint, which the kernels do
-        // not change: plan it on Rust kernels, which compile nothing, then
-        // build the plan's own — each JIT kernel is compiled once.
-        let engine = opts.stage2;
-        let gemm = |block, stride, streaming| Gemm::new(engine, block, c, rows, stride, streaming);
-        let mono = Gemm::new(Stage2Backend::Mono, block, c, rows, 0, false)?;
+        let mono = Gemm::new(Stage2Backend::Mono, block, shape.in_channels, rows, 0, false)?;
+        let (plans, schedule) = (Vec::new(), Schedule::Staged);
         let mut layer = WinogradLayer {
             shape, grid, plans, block, opts, schedule, streams: false, gemm: mono, ring_gemm: None,
         };
-        // The stages hand `V̂` on through memory too, unless a dual ring
-        // carries it a block at a time.
-        let mut hand_off = layer.footprint(1);
-        if !layer.is_dual() {
-            hand_off.scratch_bytes += hand_off.transformed_kernel_bytes;
-        }
-        layer.streams = crate::fused::streams(&hand_off, host.llc_bytes);
-        // Tile-major group stride (floats): see `TileMajor::group_stride`.
-        let group_stride = layer.n_tiles() * t_vol * S;
-        layer.gemm = gemm(block, group_stride, layer.streams)?;
-        // What a ring scatters stays in the core's own cache: plain stores —
-        // a ring panel's `X̂` chunks at the ring's group stride, or a dual
-        // column group's tile-major chunks at the staged one.
-        layer.ring_gemm = match schedule {
-            Schedule::Staged => None,
-            Schedule::Ring { rows: n } => Some(gemm(BlockShape { n_blk: n, ..block }, n * t_vol * S, false)?),
-            Schedule::Dual { c_blk, cols } => {
-                let dual = BlockShape { c_blk, cp_blk: cols, ..block };
-                (dual != block || layer.streams).then(|| gemm(dual, group_stride, false)).transpose()?
-            }
-        };
+        layer.schedule = layer.schedule_on(host, false);
         Ok(layer)
+    }
+
+    /// The schedule [`crate::fused::schedule`] gives this plan on `host`,
+    /// `cold` or not (under test, the schedule `host` pins).
+    fn schedule_on(&self, host: Host, cold: bool) -> Schedule {
+        let (t_vol, rows, block) = (self.t_vol(), self.rows(), self.block);
+        let (c, cp) = (self.shape.in_channels, self.shape.out_channels);
+        let (caches, explicit) = ((host.l2_bytes, host.llc_bytes), self.opts.block.is_some());
+        let schedule = crate::fused::schedule(t_vol, c, cp, rows, caches, block, explicit, cold);
+        #[cfg(test)]
+        let schedule = host.pin.map_or(schedule, |pin| pin.schedule(t_vol, c, cp, rows, block, explicit));
+        schedule
+    }
+
+    /// Bytes a forward pass of this plan hands from one fork–join to the
+    /// next, at one thread slot: its scratch and its output image, and
+    /// `V̂` unless a dual ring carries it a block at a time.
+    pub(crate) fn hand_off_bytes(&self) -> usize {
+        let fp = self.footprint(1);
+        let v = if self.is_dual() { 0 } else { fp.transformed_kernel_bytes };
+        fp.scratch_bytes + fp.output_bytes + v
     }
 
     /// Number of spatial dimensions.
@@ -402,7 +453,11 @@ impl WinogradLayer {
     /// transform per row panel through a per-thread, cache-resident ring,
     /// in one fork–join) instead of the three stages. Decided at plan time
     /// from the sizes of `V̂` and of a per-thread ring against the detected
-    /// L2 ([`wino_sched::l2_bytes_per_thread`]). A call whose executor has
+    /// L2 ([`wino_sched::l2_bytes_per_thread`]) — or, on a layer with one
+    /// reduction block that the dual ring turns down, against the last-level
+    /// cache ([`wino_sched::llc_bytes`]) when the staged hand-off would stay
+    /// there alone but not beside the other layers of its
+    /// [`crate::Network`]. A call whose executor has
     /// more threads than the plan has ring panels runs the three stages
     /// all the same; results are bit-identical either way.
     pub fn is_fused(&self) -> bool {
@@ -801,7 +856,8 @@ impl Host {
     /// A host on which every plan runs the `pin`ned schedule kind and
     /// every plan `streams` its stores (else none).
     pub(crate) fn test(pin: Pin, streams: bool) -> Host {
-        Host { l2_bytes: 0, llc_bytes: if streams { 0 } else { usize::MAX }, pin: Some(pin) }
+        let llc_bytes = if streams { 0 } else { usize::MAX };
+        Host { l2_bytes: 0, llc_bytes, network_hand_off: None, pin: Some(pin) }
     }
 }
 
