@@ -928,12 +928,7 @@ pub static RULES: &[Rule] = &[
         // The callers may live in any workspace source; the check itself
         // only looks for definitions in `crates/*/src`.
         scope: Scope::All,
-        allow: &[AllowEntry {
-            path: "crates/core/src/training.rs",
-            reason: "the training gradients (input and kernel gradient as Winograd convolutions, \
-                     DESIGN.md §1 row 7) are API for a training loop this workspace does not \
-                     contain; their callers are the gradient tests",
-        }],
+        allow: &[],
         check: Check::Corpus(check_pub_needs_caller),
     },
 ];
@@ -1219,9 +1214,8 @@ mod tests {
         assert_eq!(corpus(&[(lib_path, lib), ("crates/x/tests/t.rs", caller)]), [
             ("pub-needs-caller", 2)
         ]);
-        // Only `crates/*/src` is public surface; the allowlist holds.
+        // Only `crates/*/src` is public surface.
         assert_eq!(corpus(&[("crates/x/tests/t.rs", lib)]), []);
-        assert_eq!(corpus(&[("crates/core/src/training.rs", lib)]), []);
     }
 
     #[test]

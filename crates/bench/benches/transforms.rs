@@ -1,15 +1,14 @@
 //! Transform-codelet cost per tile: the generated straight-line codelets
 //! the stages run, for `Bᵀ`, `G` and `Aᵀ` of F(2|4|6, 3), F(3, 4) and
-//! F(2, 5) on one L1-resident 2-D tile — and, on the reference
-//! interpreter (`vecprog`), the Fig. 2 pairing optimisation against the
-//! unpaired program.
+//! F(2, 5) on one L1-resident 2-D tile — and, on `wino-transforms`' scalar
+//! interpreter (`PairedProgram::apply`), the Fig. 2 pairing optimisation
+//! against the unpaired program.
 //!
 //! Plain `harness = false` benchmark: no registry dependencies, timing via
 //! `wino_workloads::time_best`. Run with
 //! `cargo bench -p wino-bench --bench transforms`.
 
 use wino_conv::codelet::{transform_tile, Matrix};
-use wino_conv::vecprog::transform_all_dims;
 use wino_simd::{AlignedVec, Kernel, Simd16, S};
 use wino_transforms::{FmrPlan, MatrixProgram, PairNode, PairedProgram};
 use wino_workloads::time_best;
@@ -35,7 +34,7 @@ fn unpaired(p: &PairedProgram, dense: &wino_transforms::F32Matrix) -> PairedProg
 /// one dispatch per tile, the granularity the stages use.
 struct StageTile<'a> {
     which: Matrix,
-    plans: &'a [FmrPlan],
+    rows: &'a [(usize, usize)],
     input: &'a [f32],
     output: &'a mut [f32],
     tmp_a: &'a mut [f32],
@@ -49,7 +48,7 @@ impl Kernel for StageTile<'_> {
     fn run<V: Simd16>(self) {
         transform_tile::<V>(
             self.which,
-            self.plans,
+            self.rows,
             self.input,
             self.output,
             self.tmp_a,
@@ -58,23 +57,27 @@ impl Kernel for StageTile<'_> {
     }
 }
 
-/// One `Bᵀ`-transformed 2-D tile straight on the interpreter, for the
-/// Fig. 2 rows (an unpaired program has no generated form).
-struct InterpretedTile<'a> {
-    bt: &'a PairedProgram,
-    input: &'a [f32],
-    buf_a: &'a mut [f32],
-    buf_b: &'a mut [f32],
-}
-
-impl Kernel for InterpretedTile<'_> {
-    type Output = ();
-
-    #[inline(always)]
-    fn run<V: Simd16>(self) {
-        self.buf_a.copy_from_slice(self.input);
-        let mut dims = [self.bt.n_in; 2];
-        transform_all_dims::<V>(&[self.bt, self.bt], self.buf_a, self.buf_b, &mut dims);
+/// `Bᵀ` along both dimensions of the `S` scalar `α × α` tiles in `tile`
+/// (`[lane][i][j]`), on the scalar interpreter: each line is copied into
+/// `line`, transformed into `out` and copied back — the same moves for
+/// the paired and the unpaired program.
+fn interpret_tile(bt: &PairedProgram, tile: &mut [f32], line: &mut [f32], out: &mut [f32]) {
+    let alpha = bt.n_in;
+    for lane in tile.chunks_exact_mut(alpha * alpha) {
+        for (stride, count) in [(1, alpha), (alpha, 1)] {
+            // Lines along j (stride 1) start at every row, lines along i
+            // (stride α) at every column.
+            for k in 0..alpha {
+                let base = k * count;
+                for i in 0..alpha {
+                    line[i] = lane[base + i * stride];
+                }
+                bt.apply(&line[..alpha], &mut out[..alpha]);
+                for i in 0..alpha {
+                    lane[base + i * stride] = out[i];
+                }
+            }
+        }
     }
 }
 
@@ -89,8 +92,9 @@ fn main() {
         );
     };
     for (m, r) in [(2usize, 3usize), (4, 3), (6, 3), (3, 4), (2, 5)] {
-        let plans = [FmrPlan::new(m, r), FmrPlan::new(m, r)];
-        let alpha = plans[0].alpha();
+        let plan = FmrPlan::new(m, r);
+        let rows = [(m, r), (m, r)];
+        let alpha = plan.alpha();
         let t_vol = alpha * alpha;
         let source: Vec<f32> = (0..t_vol * S).map(|i| (i % 97) as f32 * 0.01).collect();
         let mut output = vec![0.0f32; t_vol * S];
@@ -107,7 +111,7 @@ fn main() {
                 for _ in 0..TILES_PER_REP {
                     wino_simd::dispatch(StageTile {
                         which,
-                        plans: &plans,
+                        rows: &rows,
                         input: std::hint::black_box(input),
                         output: &mut output,
                         tmp_a: tmp_a.as_mut_slice(),
@@ -119,22 +123,21 @@ fn main() {
             row(&format!("{name}_generated"), m, r, t.best_ms, elems);
         }
 
-        // Fig. 2: paired vs unpaired program, both on the interpreter.
+        // Fig. 2: paired vs unpaired program, both on the scalar
+        // interpreter (an unpaired program has no generated form).
         let elems = (t_vol * S * TILES_PER_REP) as f64;
-        let bt = &plans[0].bt;
-        let bt_unpaired = unpaired(bt, &plans[0].transform.bt.to_f32());
+        let bt = &plan.bt;
+        let bt_unpaired = unpaired(bt, &plan.transform.bt.to_f32());
+        let (mut line, mut out) = (vec![0.0f32; alpha], vec![0.0f32; alpha]);
+        let mut tile = source.clone();
         for (name, prog) in [("bt_paired", bt), ("bt_unpaired", &bt_unpaired)] {
             let t = time_best(REPS, || {
                 for _ in 0..TILES_PER_REP {
-                    wino_simd::dispatch(InterpretedTile {
-                        bt: prog,
-                        input: &source,
-                        buf_a: tmp_a.as_mut_slice(),
-                        buf_b: tmp_b.as_mut_slice(),
-                    });
+                    tile.copy_from_slice(std::hint::black_box(&source));
+                    interpret_tile(prog, &mut tile, &mut line, &mut out);
                 }
             });
-            std::hint::black_box(tmp_b.as_slice().first());
+            std::hint::black_box(tile.first());
             row(name, m, r, t.best_ms, elems);
         }
     }

@@ -4,17 +4,22 @@
 //! for arbitrary kernel and tile sizes. Ours are printed at build time:
 //! `build.rs` lowers the Fig. 2 pair programs of `Bᵀ`, `G` and `Aᵀ` for
 //! every `F(m, r)`, `m ∈ 1..=`[`TABLE_MAX_M`], `r ∈ 1..=`[`TABLE_MAX_R`]
-//! (`PointSchedule::Mixed`) through [`wino_transforms::emit`] into one
+//! (`PointSchedule::Mixed`) through `wino-transforms`' `emit` into one
 //! `unsafe fn …<V: Simd16, const NT: bool>(inp, in_stride, out,
 //! out_stride)` per matrix — inputs loaded once, coefficients as
 //! literals, `±1` as add/sub — and this module includes the result.
+//! Beside the codelets it prints one `Row` per `F(m, r)`: the scalar op
+//! counts of the three programs and γ, computed from the exact matrices
+//! when the table was generated (`row(m, r)`). Nothing at run time knows there
+//! was a matrix: `wino-transforms` is a build (and test) dependency only.
+//!
 //! That rectangle is everything the engine plans: `WinogradLayer::new`
 //! rejects a dimension outside it ([`in_table`]) with
-//! `PlanError::BadTileSize`, so [`resolve`] is total over planned layers
-//! and the stages have one transform route. The [`crate::vecprog`]
-//! interpreter performs the same arithmetic in the same order over the
-//! same programs and is what the tests hold every row equal to (f32
-//! `==`); no engine path calls it.
+//! `PlanError::BadTileSize`, so every planned dimension has a row and the
+//! stages have one transform route. The tests hold every row equal (f32
+//! `==`) to the `vecprog` interpreter, which performs the same arithmetic
+//! in the same order over the same programs, and its op counts and γ
+//! equal to the exact computation.
 //!
 //! A table row is *one compiled function per backend and store flavour*:
 //! the generated dispatcher hands a pass to `V::enter`
@@ -40,7 +45,6 @@
 use std::marker::PhantomData;
 
 use wino_simd::{Simd16, S};
-use wino_transforms::{FmrPlan, PairedProgram, PointSchedule};
 
 pub use generated::{TABLE_MAX_M, TABLE_MAX_R};
 
@@ -170,31 +174,31 @@ macro_rules! for_each_line {
 /// out-of-line call into `$V`'s arm. Expands inside [`Family::pass`].
 macro_rules! table_row {
     ($V:ident, $NT:ident, $pass:expr, $codelet:ident) => {{
-        struct Row<'a, const NT: bool>(&'a $crate::codelet::Pass);
-        impl<const NT: bool> wino_simd::Kernel for Row<'_, NT> {
+        struct Sweep<'a, const NT: bool>(&'a $crate::codelet::Pass);
+        impl<const NT: bool> wino_simd::Kernel for Sweep<'_, NT> {
             type Output = ();
             #[inline(always)]
             fn run<V: wino_simd::Simd16>(self) {
-                // SAFETY: a `Row` is built only by the expansion below,
+                // SAFETY: a `Sweep` is built only by the expansion below,
                 // under `Family::pass`'s contract: every line the pass
                 // visits is valid for this row's codelet.
                 unsafe { for_each_line!(self.0, $codelet::<V, NT>) }
             }
         }
-        $V::enter(Row::<$NT>($pass))
+        $V::enter(Sweep::<$NT>($pass))
     }};
 }
 
 /// One of the three transform matrices, as a type: the stage bodies are
 /// monomorphised per matrix, so each dispatches only over its own rows.
 pub(crate) trait Family {
-    /// This family's program of a dimension's plan.
-    fn program(plan: &FmrPlan) -> &PairedProgram;
+    /// Vectors a line of this family's `F(m, r)` reads and writes.
+    fn extents(m: usize, r: usize) -> (usize, usize);
 
     /// Sweep this family's generated `F(m, r)` codelet over `pass`.
     ///
     /// # Safety
-    /// `row = (m, r)` must be a table row ([`resolve`]), and for every
+    /// `row = (m, r)` must be a table row ([`in_table`]), and for every
     /// multi-index the pass visits, the line at that offset must satisfy
     /// the codelet's contract: `n_in` readable vectors `in_stride` apart,
     /// `n_out` writable ones `out_stride` apart (64-byte aligned when
@@ -210,8 +214,7 @@ pub(crate) struct G;
 pub(crate) struct At;
 
 mod generated {
-    use super::{At, Bt, Family, Pass, G};
-    use wino_transforms::{FmrPlan, PairedProgram};
+    use super::{At, Bt, Family, Pass, Row, G};
 
     include!(concat!(env!("OUT_DIR"), "/codelets.rs"));
 }
@@ -225,20 +228,24 @@ pub fn in_table(m: usize, r: usize) -> bool {
     (1..=TABLE_MAX_M).contains(&m) && (1..=TABLE_MAX_R).contains(&r)
 }
 
-/// The table row `(m, r)` of one dimension's plan.
-///
-/// # Panics
-/// If the plan is outside the table or was not generated under
-/// `PointSchedule::Mixed` (the codelets' coefficients are that
-/// schedule's). `WinogradLayer::new` produces neither.
-pub fn resolve(plan: &FmrPlan) -> (usize, usize) {
-    let (m, r) = (plan.m(), plan.r());
-    assert!(
-        plan.schedule == PointSchedule::Mixed && in_table(m, r),
-        "no generated codelets for F({m}, {r}) under {:?} points",
-        plan.schedule
-    );
-    (m, r)
+/// One `F(m, r)` of the table, as `build.rs` computed it from the exact
+/// matrices: what a line of each of its transforms costs and how much
+/// they amplify rounding error.
+#[derive(Debug)]
+pub(crate) struct Row {
+    pub(crate) m: usize,
+    pub(crate) r: usize,
+    /// Scalar ops of one line of `Bᵀ`, `G` and `Aᵀ` (FMA = 2 ops).
+    pub(crate) bt_ops: usize,
+    pub(crate) g_ops: usize,
+    pub(crate) at_ops: usize,
+    /// The worst row-wise error amplification γ(m, r) of the triple.
+    pub(crate) gamma: f64,
+}
+
+/// The table row of `F(m, r)`, or `None` outside the table.
+pub(crate) fn row(m: usize, r: usize) -> Option<&'static Row> {
+    in_table(m, r).then(|| &generated::ROWS[(r - 1) * TABLE_MAX_M + m - 1])
 }
 
 /// A destination view: output vector `(j₀, …)` goes to
@@ -259,8 +266,8 @@ pub(crate) enum Sink {
 }
 
 /// One matrix family applied along every dimension of a tile: a layer's
-/// resolved table rows and tile extents. Built per stage call from the
-/// plan; holds no heap memory.
+/// table rows and tile extents. Built per stage call from the plan; holds
+/// no heap memory.
 pub(crate) struct TileTransform<F> {
     rank: usize,
     rows: [(usize, usize); MAX_RANK],
@@ -274,16 +281,16 @@ pub(crate) struct TileTransform<F> {
 }
 
 impl<F: Family> TileTransform<F> {
-    /// `plans` are the layer's per-dimension plans (rank ≥ 1), each of
-    /// which must [`resolve`].
-    pub(crate) fn new(plans: &[FmrPlan]) -> Self {
-        let rank = plans.len();
-        let mut rows = [(0usize, 0usize); MAX_RANK];
+    /// `rows` are the table rows of the layer's dimensions, in order (at
+    /// least one, at most [`MAX_RANK`]).
+    pub(crate) fn new(rows: impl IntoIterator<Item = &'static Row>) -> Self {
+        let mut rank = 0;
+        let mut mr = [(0usize, 0usize); MAX_RANK];
         let (mut in_dims, mut out_dims) = ([1usize; MAX_RANK], [1usize; MAX_RANK]);
-        for d in 0..rank {
-            rows[d] = resolve(&plans[d]);
-            let prog = F::program(&plans[d]);
-            (in_dims[d], out_dims[d]) = (prog.n_in, prog.n_out);
+        for row in rows {
+            mr[rank] = (row.m, row.r);
+            (in_dims[rank], out_dims[rank]) = F::extents(row.m, row.r);
+            rank += 1;
         }
         let mut dims = in_dims;
         let mut tmp_vectors: usize = dims[..rank].iter().product();
@@ -291,7 +298,7 @@ impl<F: Family> TileTransform<F> {
             dims[d] = out_dims[d];
             tmp_vectors = tmp_vectors.max(dims[..rank].iter().product());
         }
-        TileTransform { rank, rows, in_dims, out_dims, tmp_vectors, family: PhantomData }
+        TileTransform { rank, rows: mr, in_dims, out_dims, tmp_vectors, family: PhantomData }
     }
 
     /// Transform one tile: read input vector `(i₀, …)` at
@@ -340,7 +347,7 @@ impl<F: Family> TileTransform<F> {
             let (out, out_strides) =
                 if last { (dst.ptr, dst.strides) } else { (tmp[(d + 1) % 2], row_major(&dims[..rank], S)) };
             let pass = Pass::new((inp, in_strides), (out, out_strides), rank, d, dims);
-            // SAFETY: `rows[d]` is the table row of dimension `d`'s plan,
+            // SAFETY: `rows[d]` is the table row of dimension `d`,
             // whose codelet reads `in_dims[d]` and writes `out_dims[d]`
             // vectors per line; the views cover exactly those extents
             // (caller's contract for source and sink, `tmp_vectors` for
@@ -402,21 +409,24 @@ pub enum Matrix {
 }
 
 /// Transform one row-major tile of vectors along every dimension with
-/// `which` matrix of `plans`, through the generated codelets.
+/// `which` matrix of the `F(m, r)` in `rows` (one per dimension), through
+/// the generated codelets.
 ///
 /// This is the safe, contiguous-to-contiguous face of the stages' tile
-/// driver, for benchmarks and differential tests. `input` holds
-/// `∏ n_in` vectors, `output` receives `∏ n_out`; `tmp_a` and `tmp_b`
-/// (64-byte aligned) each hold the largest intermediate tile — `T·S`
-/// floats always suffices.
+/// driver, for benchmarks and differential tests. `input` holds the
+/// matrix's `∏ n_in` vectors — `α` per dimension for `Bᵀ` and `Aᵀ`, `r`
+/// for `G` — and `output` receives `∏ n_out` (`α`, or `m` for `Aᵀ`);
+/// `tmp_a` and `tmp_b` (64-byte aligned) each hold the largest
+/// intermediate tile — `∏ α · S` floats always suffices.
 ///
 /// # Panics
-/// If a plan does not [`resolve`], a slice is too short or a temporary is
-/// not 64-byte aligned.
+/// If a row is outside the table ([`in_table`]), the rank is not
+/// `1..=MAX_RANK`, a slice is too short or a temporary is not 64-byte
+/// aligned.
 #[inline(always)]
 pub fn transform_tile<V: Simd16>(
     which: Matrix,
-    plans: &[FmrPlan],
+    rows: &[(usize, usize)],
     input: &[f32],
     output: &mut [f32],
     tmp_a: &mut [f32],
@@ -424,14 +434,17 @@ pub fn transform_tile<V: Simd16>(
 ) {
     #[inline(always)]
     fn go<V: Simd16, F: Family>(
-        plans: &[FmrPlan],
+        rows: &[(usize, usize)],
         input: &[f32],
         output: &mut [f32],
         tmp_a: &mut [f32],
         tmp_b: &mut [f32],
     ) {
-        let xf = TileTransform::<F>::new(plans);
-        let rank = plans.len();
+        let table = |&(m, r): &(usize, usize)| {
+            row(m, r).unwrap_or_else(|| panic!("no generated codelets for F({m}, {r})"))
+        };
+        let xf = TileTransform::<F>::new(rows.iter().map(table));
+        let rank = rows.len();
         let (in_dims, out_dims) = (xf.in_dims, xf.out_dims);
         let need = xf.tmp_vectors * S;
         let aligned = |s: &[f32]| (s.as_ptr() as usize).is_multiple_of(64);
@@ -456,24 +469,24 @@ pub fn transform_tile<V: Simd16>(
             );
         }
     }
-    assert!((1..=MAX_RANK).contains(&plans.len()), "rank must be 1..={MAX_RANK}");
+    assert!((1..=MAX_RANK).contains(&rows.len()), "rank must be 1..={MAX_RANK}");
     match which {
-        Matrix::Bt => go::<V, Bt>(plans, input, output, tmp_a, tmp_b),
-        Matrix::G => go::<V, G>(plans, input, output, tmp_a, tmp_b),
-        Matrix::At => go::<V, At>(plans, input, output, tmp_a, tmp_b),
+        Matrix::Bt => go::<V, Bt>(rows, input, output, tmp_a, tmp_b),
+        Matrix::G => go::<V, G>(rows, input, output, tmp_a, tmp_b),
+        Matrix::At => go::<V, At>(rows, input, output, tmp_a, tmp_b),
     }
 }
 
 /// Test seam: sweep the generated `F(m, r)` codelet of `which` matrix
 /// along dimension `d` of a row-major tile — the generated twin of
-/// [`crate::vecprog::transform_dim`], with the same buffer conventions.
-/// `nt` selects the streaming-store instantiation (`output` must then be
+/// `vecprog::transform_dim`, with the same buffer conventions. `nt`
+/// selects the streaming-store instantiation (`output` must then be
 /// 64-byte aligned).
 #[cfg(test)]
 #[inline(always)]
 pub(crate) fn transform_dim_generated<V: Simd16>(
     which: Matrix,
-    plan: &FmrPlan,
+    (m, r): (usize, usize),
     input: &[f32],
     in_dims: &[usize],
     d: usize,
@@ -482,41 +495,41 @@ pub(crate) fn transform_dim_generated<V: Simd16>(
 ) {
     #[inline(always)]
     fn go<V: Simd16, F: Family>(
-        plan: &FmrPlan,
+        (m, r): (usize, usize),
         input: &[f32],
         in_dims: &[usize],
         d: usize,
         output: &mut [f32],
         nt: bool,
     ) {
-        let row = resolve(plan);
-        let prog = F::program(plan);
+        assert!(in_table(m, r), "F({m}, {r})");
+        let (n_in, n_out) = F::extents(m, r);
         let rank = in_dims.len();
-        assert_eq!(in_dims[d], prog.n_in);
+        assert_eq!(in_dims[d], n_in);
         let mut dims = [1usize; MAX_RANK];
         dims[..rank].copy_from_slice(in_dims);
         let in_strides = row_major(&dims[..rank], S);
         assert!(input.len() >= dims[..rank].iter().product::<usize>() * S);
-        dims[d] = prog.n_out;
+        dims[d] = n_out;
         let out_strides = row_major(&dims[..rank], S);
         assert!(output.len() >= dims[..rank].iter().product::<usize>() * S);
         assert!(!nt || (output.as_ptr() as usize).is_multiple_of(64));
         let pass =
             Pass::new((input.as_ptr(), in_strides), (output.as_mut_ptr(), out_strides), rank, d, dims);
         // SAFETY: both row-major views were length-checked above, and
-        // `row` is the table row whose codelet has `prog`'s extents.
+        // `(m, r)` is a table row whose codelet has these extents.
         unsafe {
             if nt {
-                F::pass::<V, true>(row, &pass);
+                F::pass::<V, true>((m, r), &pass);
             } else {
-                F::pass::<V, false>(row, &pass);
+                F::pass::<V, false>((m, r), &pass);
             }
         }
     }
     match which {
-        Matrix::Bt => go::<V, Bt>(plan, input, in_dims, d, output, nt),
-        Matrix::G => go::<V, G>(plan, input, in_dims, d, output, nt),
-        Matrix::At => go::<V, At>(plan, input, in_dims, d, output, nt),
+        Matrix::Bt => go::<V, Bt>((m, r), input, in_dims, d, output, nt),
+        Matrix::G => go::<V, G>((m, r), input, in_dims, d, output, nt),
+        Matrix::At => go::<V, At>((m, r), input, in_dims, d, output, nt),
     }
 }
 
@@ -530,6 +543,7 @@ pub(crate) fn table_rows() -> impl Iterator<Item = (usize, usize)> {
 mod tests {
     use super::*;
     use wino_simd::{AlignedVec, Backend, Kernel};
+    use wino_transforms::{FmrPlan, PairedProgram};
 
     fn filled(n: usize) -> Vec<f32> {
         (0..n).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.01).collect()
@@ -540,25 +554,42 @@ mod tests {
         assert_eq!(table_rows().count(), 40);
         for (m, r) in table_rows() {
             assert!(in_table(m, r), "F({m}, {r})");
-            assert_eq!(resolve(&FmrPlan::new(m, r)), (m, r));
+            let row = row(m, r).unwrap_or_else(|| panic!("F({m}, {r}) has no row"));
+            assert_eq!((row.m, row.r), (m, r));
         }
         for (m, r) in [(0, 3), (9, 3), (4, 6), (4, 0), (9, 6)] {
-            assert!(!in_table(m, r), "F({m}, {r})");
+            assert!(!in_table(m, r) && row(m, r).is_none(), "F({m}, {r})");
+        }
+    }
+
+    /// What `build.rs` printed is what the exact-rational construction
+    /// computes at run time: every row's op counts, its γ bit for bit, and
+    /// the extents the tile driver derives for each family are the
+    /// programs' own.
+    #[test]
+    fn generated_rows_equal_the_exact_computation() {
+        for (m, r) in table_rows() {
+            let plan = FmrPlan::new(m, r);
+            let row = row(m, r).unwrap();
+            let ops = |p: &PairedProgram| p.op_count().total();
+            let counts = (row.bt_ops, row.g_ops, row.at_ops);
+            assert_eq!(counts, (ops(&plan.bt), ops(&plan.g), ops(&plan.at)), "F({m}, {r})");
+            let gamma = plan.conditioning().gamma;
+            assert_eq!(row.gamma.to_bits(), gamma.to_bits(), "F({m}, {r}): {} vs {gamma}", row.gamma);
+            let io = |p: &PairedProgram| (p.n_in, p.n_out);
+            assert_eq!(Bt::extents(m, r), io(&plan.bt), "Bᵀ of F({m}, {r})");
+            assert_eq!(G::extents(m, r), io(&plan.g), "G of F({m}, {r})");
+            assert_eq!(At::extents(m, r), io(&plan.at), "Aᵀ of F({m}, {r})");
         }
     }
 
     #[test]
     #[should_panic(expected = "no generated codelets for F(9, 3)")]
-    fn a_plan_outside_the_table_does_not_resolve() {
-        resolve(&FmrPlan::new(9, 3));
-    }
-
-    /// The integer schedule's matrices differ from the codelets' even
-    /// where the shape has a row.
-    #[test]
-    #[should_panic(expected = "under Integer points")]
-    fn an_integer_point_plan_does_not_resolve() {
-        resolve(&FmrPlan::with_schedule(4, 3, PointSchedule::Integer));
+    fn a_row_outside_the_table_does_not_transform() {
+        let mut tmp = [0, 1].map(|_| AlignedVec::try_zeroed(11 * 11 * S).unwrap());
+        let (input, mut output) = (vec![0.0; 11 * S], vec![0.0; 11 * S]);
+        let rows = &[(9, 3)];
+        wino_simd::dispatch(WholeTile { which: Matrix::Bt, rows, input: &input, output: &mut output, tmp: &mut tmp });
     }
 
     fn program(which: Matrix, plan: &FmrPlan) -> &PairedProgram {
@@ -572,7 +603,7 @@ mod tests {
     /// One whole-tile transform through [`transform_tile`].
     struct WholeTile<'a> {
         which: Matrix,
-        plans: &'a [FmrPlan],
+        rows: &'a [(usize, usize)],
         input: &'a [f32],
         output: &'a mut [f32],
         tmp: &'a mut [AlignedVec; 2],
@@ -585,7 +616,7 @@ mod tests {
             let [a, b] = self.tmp;
             transform_tile::<V>(
                 self.which,
-                self.plans,
+                self.rows,
                 self.input,
                 self.output,
                 a.as_mut_slice(),
@@ -654,7 +685,7 @@ mod tests {
                     let mut got = vec![f32::NAN; want.len()];
                     backend.run(WholeTile {
                         which,
-                        plans: &plans,
+                        rows: shape,
                         input: &input,
                         output: &mut got,
                         tmp: &mut tmp,
@@ -667,7 +698,7 @@ mod tests {
 
     /// One [`TileTransform::run`] of `Bᵀ` over caller-built views.
     struct StridedRun<'a> {
-        plans: &'a [FmrPlan],
+        rows: &'a [(usize, usize)],
         src: *const f32,
         src_strides: Strides,
         /// The streaming direct sink, or `None` for a staged one.
@@ -679,7 +710,7 @@ mod tests {
         type Output = *const f32;
         #[inline(always)]
         fn run<V: Simd16>(self) -> *const f32 {
-            let xf = TileTransform::<Bt>::new(self.plans);
+            let xf = TileTransform::<Bt>::new(self.rows.iter().map(|&(m, r)| row(m, r).unwrap()));
             let sink = match self.direct {
                 Some((ptr, strides)) => Sink::Direct(Dest { ptr, strides, nt: true }),
                 None => Sink::Staged,
@@ -728,7 +759,7 @@ mod tests {
                 let [a, b] = &mut tmp;
                 let raw = [a.as_mut_ptr(), b.as_mut_ptr()];
                 backend.run(StridedRun {
-                    plans: &plans,
+                    rows: shape,
                     // SAFETY: `origin` is inside `image`.
                     src: unsafe { image.as_ptr().add(origin) },
                     src_strides: image_strides,
@@ -748,7 +779,7 @@ mod tests {
                 // Staged, from a source gathered into `tmp[0]` itself.
                 a.as_mut_slice()[..t_vol * S].copy_from_slice(&tile);
                 let staged = backend.run(StridedRun {
-                    plans: &plans,
+                    rows: shape,
                     src: raw[0].cast_const(),
                     src_strides: row_major(&dims, S),
                     direct: None,

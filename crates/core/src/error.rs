@@ -63,8 +63,8 @@ pub enum WinoError {
     /// The numeric guard found NaN/Inf in a transformed output.
     Numeric(NumericError),
     /// An accuracy sentinel found a finite-but-wrong output (relative
-    /// error above the plan's a-priori bound) in a context with no
-    /// degradation ladder to absorb it (e.g. a guarded training step).
+    /// error above the plan's a-priori bound) and the degradation table
+    /// had no row left to absorb it.
     Sentinel(SentinelError),
     /// The allocator (or the fault injector) refused a buffer — the
     /// run-time memory cause of the degradation table: a `Network` layer

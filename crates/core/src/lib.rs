@@ -36,8 +36,12 @@
 //! build time for every `F(m, r)` with `m ≤ 8` and `r ≤ 5` ([`codelet`]),
 //! which is everything [`WinogradLayer::new`] plans — a larger tile or a
 //! wider kernel is `PlanError::BadTileSize`, which [`dispatch`] turns
-//! into the im2col route. The interpreter over the same programs
-//! ([`vecprog`]) is the reference they are tested against.
+//! into the im2col route. So are the op counts and the conditioning γ of
+//! each `F(m, r)`, which the work model and the error bound read: the
+//! exact transform matrices (`wino-transforms`) exist at build time and
+//! in the tests only. An interpreter over the same programs, the
+//! test-only `vecprog` module, is the reference the codelets are tested
+//! against.
 //!
 //! ```
 //! use wino_tensor::{SimpleImage, SimpleKernels};
@@ -60,11 +64,11 @@ pub mod net;
 pub mod plan;
 pub mod select;
 pub mod sentinel;
-pub mod training;
 pub mod stage1;
 pub mod stage2;
 pub mod stage3;
-pub mod vecprog;
+#[cfg(test)]
+mod vecprog;
 pub mod work;
 
 pub use conv::{convolve_simple, TransformedKernels};

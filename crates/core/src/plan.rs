@@ -1,16 +1,16 @@
 //! Layer plans and scratch buffers.
 //!
 //! A [`WinogradLayer`] fixes everything known at "instantiation time" in
-//! the paper's C++ artifact: the layer shape, the `F(m, r)` transform
-//! programs per dimension, the stage-2 blocking parameters, which of
-//! three schedules runs the layer — the paper's three stages; when `V̂`
-//! plus a per-thread ring fit the L2, the ring-fused driver of `fused.rs`
-//! ([`WinogradLayer::is_fused`]); when rows are few and a block of `V̂`
-//! plus a slice of `Û` fit it instead, the dual ring of the same file
-//! ([`WinogradLayer::is_dual`]); when neither fits but the layers of its
-//! network push the staged hand-off out of the last-level cache, the ring
-//! again — and whether its stores bypass the cache
-//! ([`WinogradLayer::streams`]). A [`Scratch`] is the paper's auxiliary
+//! the paper's C++ artifact: the layer shape, the `F(m, r)` of each
+//! dimension (its row of the generated codelet table), the stage-2
+//! blocking parameters, which of three schedules runs the layer — the
+//! paper's three stages; when `V̂` plus a per-thread ring fit the L2, the
+//! ring-fused driver of `fused.rs` ([`WinogradLayer::is_fused`]); when
+//! rows are few and a block of `V̂` plus a slice of `Û` fit it instead, the
+//! dual ring of the same file ([`WinogradLayer::is_dual`]); when neither
+//! fits but the layers of its network push the staged hand-off out of
+//! the last-level cache, the ring again — and whether its stores bypass
+//! the cache ([`WinogradLayer::streams`]). A [`Scratch`] is the paper's auxiliary
 //! buffer (§4.4 "Memory overhead"), reused across layers. For a staged
 //! plan it holds `I` (transformed inputs), `I'_tmp` and tile-major `I'`;
 //! for a ring plan one ring per thread slot; for a dual plan `I` and one
@@ -27,8 +27,8 @@ use std::cell::UnsafeCell;
 use wino_gemm::{default_shape, BlockShape};
 use wino_simd::{AlignedVec, S};
 use wino_tensor::{BlockedMatrices, ConvShape, ShapeError, TileGrid};
-use wino_transforms::FmrPlan;
 
+use crate::codelet::Row;
 use crate::fused::Schedule;
 use crate::layout::TileMajor;
 use crate::stage2::Gemm;
@@ -172,10 +172,10 @@ pub enum PlanError {
     Shape(ShapeError),
     /// Rank exceeds [`MAX_RANK`].
     RankTooHigh { rank: usize },
-    /// `F(m, r)` of dimension `dim` has no transform codelets: `m` is
-    /// outside `1..=8` or the dimension's kernel is wider than 5
+    /// `F(m, r)` of dimension `dim` has no transform codelets: the tile
+    /// `m` is outside `1..=8` or the kernel width `r` outside `1..=5`
     /// ([`crate::codelet::in_table`]).
-    BadTileSize { dim: usize, m: usize },
+    BadTileSize { dim: usize, m: usize, r: usize },
     /// Blocking parameters incompatible with the channel counts.
     BadBlocking { reason: &'static str },
     /// JIT stage-2 backend requested but unavailable (no AVX-512F, or
@@ -194,8 +194,8 @@ impl std::fmt::Display for PlanError {
             PlanError::RankTooHigh { rank } => {
                 write!(f, "rank {rank} exceeds supported maximum {MAX_RANK}")
             }
-            PlanError::BadTileSize { dim, m } => {
-                write!(f, "no transform codelets for tile size m={m} in dimension {dim}")
+            PlanError::BadTileSize { dim, m, r } => {
+                write!(f, "no transform codelets for F({m}, {r}) in dimension {dim}")
             }
             PlanError::BadBlocking { reason } => write!(f, "bad blocking: {reason}"),
             PlanError::Jit { reason } => write!(f, "jit backend unavailable: {reason}"),
@@ -215,13 +215,11 @@ impl From<ShapeError> for PlanError {
 }
 
 /// A fully planned N-D Winograd convolution for one layer shape and one
-/// choice of `F(m, r)`.
+/// choice of `F(m, r)`: `F(grid.m[d], grid.r[d])` per dimension `d`.
 #[derive(Debug)]
 pub struct WinogradLayer {
     pub shape: ConvShape,
     pub grid: TileGrid,
-    /// Per-dimension transform plans `F(m_d, r_d)`.
-    pub plans: Vec<FmrPlan>,
     /// Stage-2 blocking `(n_blk, C_blk, C'_blk)`.
     pub block: BlockShape,
     pub opts: ConvOptions,
@@ -294,7 +292,6 @@ impl WinogradLayer {
         if crate::fused::cold(layer.hand_off_bytes(), host.network_hand_off, host.llc_bytes) {
             layer.schedule = layer.schedule_on(host, true);
         }
-        layer.plans = (0..layer.rank()).map(|d| FmrPlan::new(m[d], layer.shape.kernel_dims[d])).collect();
         layer.streams = crate::fused::streams(layer.hand_off_bytes(), host.llc_bytes);
         // Tile-major group stride (floats): see `TileMajor::group_stride`.
         let (t_vol, c, rows) = (layer.t_vol(), layer.shape.in_channels, layer.rows());
@@ -318,8 +315,8 @@ impl WinogradLayer {
 
     /// What a plan of the given layer on `host` would hand from one
     /// fork–join to the next ([`WinogradLayer::hand_off_bytes`]) on the
-    /// schedule its caches alone decide, without building its transform
-    /// programs or its stage-2 kernels.
+    /// schedule its caches alone decide, without building its stage-2
+    /// kernels.
     pub(crate) fn hand_off_on(
         shape: ConvShape,
         m: &[usize],
@@ -329,11 +326,10 @@ impl WinogradLayer {
         Ok(WinogradLayer::sketch(shape, m, opts, host)?.hand_off_bytes())
     }
 
-    /// The plan of the given layer on `host` short of its transform
-    /// programs and its stage-2 kernels — stand-in Mono kernels, which
-    /// compile nothing — on the schedule its caches alone decide: what
-    /// [`WinogradLayer::new_on`] completes and
-    /// [`WinogradLayer::hand_off_on`] measures.
+    /// The plan of the given layer on `host` short of its stage-2 kernels
+    /// — stand-in Mono kernels, which compile nothing — on the schedule
+    /// its caches alone decide: what [`WinogradLayer::new_on`] completes
+    /// and [`WinogradLayer::hand_off_on`] measures.
     fn sketch(
         shape: ConvShape,
         m: &[usize],
@@ -363,8 +359,9 @@ impl WinogradLayer {
         for d in 0..rank {
             // The transform stages run generated codelets and nothing
             // else: a dimension without a table row does not plan.
-            if !crate::codelet::in_table(m[d], shape.kernel_dims[d]) {
-                return Err(PlanError::BadTileSize { dim: d, m: m[d] });
+            let r = shape.kernel_dims[d];
+            if !crate::codelet::in_table(m[d], r) {
+                return Err(PlanError::BadTileSize { dim: d, m: m[d], r });
             }
         }
         let rows = grid.total_tiles() * shape.batch;
@@ -393,10 +390,9 @@ impl WinogradLayer {
             None => default_shape(shape.in_channels, shape.out_channels, rows),
         };
         let mono = Gemm::new(Stage2Backend::Mono, block, shape.in_channels, rows, 0, false)?;
-        let (plans, schedule) = (Vec::new(), Schedule::Staged);
-        let mut layer = WinogradLayer {
-            shape, grid, plans, block, opts, schedule, streams: false, gemm: mono, ring_gemm: None,
-        };
+        let schedule = Schedule::Staged;
+        let mut layer =
+            WinogradLayer { shape, grid, block, opts, schedule, streams: false, gemm: mono, ring_gemm: None };
         layer.schedule = layer.schedule_on(host, false);
         Ok(layer)
     }
@@ -425,6 +421,14 @@ impl WinogradLayer {
     /// Number of spatial dimensions.
     pub fn rank(&self) -> usize {
         self.shape.rank()
+    }
+
+    /// Each dimension's row of the generated codelet table, in order.
+    pub(crate) fn table_rows(&self) -> impl Iterator<Item = &'static Row> + '_ {
+        let (m, r) = (&self.grid.m, &self.grid.r);
+        m.iter().zip(r).map(|(&m, &r)| {
+            crate::codelet::row(m, r).expect("`WinogradLayer::new` plans table rows only")
+        })
     }
 
     /// Tile volume `T = ∏(m_d + r_d − 1)` — the number of batched matrix
@@ -548,15 +552,16 @@ impl WinogradLayer {
     /// bound = ε · (∏_d γ(m_d, r_d)) · C · ∏_d r_d
     /// ```
     ///
-    /// where γ is the exact-rational amplification factor of each
-    /// dimension's transforms ([`wino_transforms::Conditioning`]) and
+    /// where γ is the amplification factor of each dimension's transforms,
+    /// computed from the exact rational matrices when the codelet table
+    /// was generated (`Conditioning` of `wino-transforms`), and
     /// `C · ∏ r` counts the accumulation length of the channel/tap
     /// reduction. Deliberately conservative (a guaranteed no-false-trip
     /// threshold for the runtime accuracy sentinels, often orders of
     /// magnitude above typical error) but strictly monotone in every
     /// `m_d`, which is what bound-driven tile demotion needs.
     pub fn predicted_bound(&self) -> f64 {
-        let gamma: f64 = self.plans.iter().map(|p| p.conditioning().gamma).product();
+        let gamma: f64 = self.table_rows().map(|row| row.gamma).product();
         let taps: usize = self.shape.kernel_dims.iter().product();
         let terms = (self.shape.in_channels * taps) as f64;
         f64::from(f32::EPSILON) * gamma * terms
@@ -876,6 +881,15 @@ pub(crate) fn split_reduction() -> ConvOptions {
 mod tests {
     use super::*;
 
+    impl WinogradLayer {
+        /// The exact-rational plan of each dimension's `F(m, r)`: what the
+        /// tests hold the generated rows and codelets to.
+        pub(crate) fn fmr_plans(&self) -> Vec<wino_transforms::FmrPlan> {
+            let (m, r) = (&self.grid.m, &self.grid.r);
+            m.iter().zip(r).map(|(&m, &r)| wino_transforms::FmrPlan::new(m, r)).collect()
+        }
+    }
+
     fn shape2d() -> ConvShape {
         ConvShape::new(2, 32, 32, &[12, 12], &[3, 3], &[1, 1]).unwrap()
     }
@@ -926,7 +940,7 @@ mod tests {
     fn plan_rejects_huge_tiles() {
         assert!(matches!(
             WinogradLayer::new(shape2d(), &[40, 4], ConvOptions::default()),
-            Err(PlanError::BadTileSize { dim: 0, .. })
+            Err(PlanError::BadTileSize { dim: 0, m: 40, r: 3 })
         ));
     }
 
@@ -1046,8 +1060,9 @@ mod tests {
         // F(6×8, 3×3)-style and arbitrary kernel 4×2.
         let s = ConvShape::new(1, 16, 16, &[20, 20], &[4, 2], &[0, 0]).unwrap();
         let layer = WinogradLayer::new(s, &[3, 5], ConvOptions::default()).unwrap();
-        assert_eq!(layer.plans[0].alpha(), 6);
-        assert_eq!(layer.plans[1].alpha(), 6);
+        assert_eq!(layer.grid.tile_dims, vec![6, 6]);
+        let rows: Vec<(usize, usize)> = layer.table_rows().map(|row| (row.m, row.r)).collect();
+        assert_eq!(rows, [(3, 4), (5, 2)]);
         assert_eq!(layer.grid.out_dims, vec![17, 19]);
     }
 }

@@ -17,7 +17,6 @@
 //! execution.
 
 use wino_tensor::ConvShape;
-use wino_transforms::{Conditioning, PointSchedule};
 
 use crate::plan::{ConvOptions, PlanError, Stage2Backend, WinogradLayer};
 use crate::sentinel::SentinelConfig;
@@ -228,10 +227,11 @@ pub fn plan_with_fallback(
 /// budgets, the worst relative error the caller accepts from the Winograd
 /// evaluation. The largest admissible tile per dimension is not a
 /// hard-coded table: it is *derived* from the exact transform
-/// conditioning (`γ(m, r) · ε ≤ budget`, see
-/// [`wino_transforms::Conditioning`]), which reproduces Table 3's f32
-/// limits (`m ≤ 6` for training, `m ≤ 8` for inference, at `r = 3`) and
-/// generalises them to every kernel size instead of assuming 3×3.
+/// conditioning (`γ(m, r) · ε ≤ budget`, γ from the exact rational
+/// matrices — the codelet table row's, computed by `wino-transforms` at
+/// build time), which reproduces Table 3's f32 limits (`m ≤ 6` for
+/// training, `m ≤ 8` for inference, at `r = 3`) and generalises them to
+/// every kernel size instead of assuming 3×3.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Purpose {
     /// Error feeds back through gradients, so amplification must stay
@@ -241,11 +241,6 @@ pub enum Purpose {
     /// A forward-only pass tolerates an order of magnitude more: budget
     /// 2e-4 (`m ≤ 8` for `r = 3`).
     Inference,
-}
-
-/// The exact amplification factor of the `F(m, r)` the engine would plan.
-fn gamma(m: usize, r: usize) -> f64 {
-    Conditioning::for_schedule(m, r, PointSchedule::Mixed).gamma
 }
 
 /// The largest tile the search may try per dimension, whatever the
@@ -265,10 +260,12 @@ impl Purpose {
         gamma * f64::from(f32::EPSILON) <= max_rel_error
     }
 
-    /// Largest `m ≤` [`SEARCH_MAX_M`] whose `F(m, r)` conditioning fits
-    /// the budget (0 if even `m = 2` does not fit).
+    /// Largest `m ≤` [`SEARCH_MAX_M`] whose `F(m, r)` has a codelet table
+    /// row and whose γ (the row's) fits the budget — 0 if no `m ≥ 2` does,
+    /// as for every kernel wider than the table.
     fn max_m(self, r: usize) -> usize {
-        (2..=SEARCH_MAX_M).rev().find(|&m| self.admits(gamma(m, r))).unwrap_or(0)
+        let admitted = |m| crate::codelet::row(m, r).is_some_and(|row| self.admits(row.gamma));
+        (2..=SEARCH_MAX_M).rev().find(|&m| admitted(m)).unwrap_or(0)
     }
 }
 
@@ -314,6 +311,13 @@ mod tests {
         let c = candidate_tiles(&tiny, Purpose::Inference);
         assert!(c.iter().all(|m| m.iter().all(|&x| x <= 3)));
         assert_eq!(c.len(), 2); // [2,2] and [3,3]
+
+        // A kernel wider than the codelet table plans no tile at all, so
+        // the search offers none rather than tiles that are `BadTileSize`.
+        let wide = ConvShape::new(1, 16, 16, &[20, 20], &[3, 6], &[1, 2]).unwrap();
+        for purpose in [Purpose::Training, Purpose::Inference] {
+            assert_eq!(candidate_tiles(&wide, purpose), Vec::<Vec<usize>>::new(), "{purpose:?}");
+        }
     }
 
     /// Every tile the search can propose, for every kernel width of the
@@ -323,7 +327,7 @@ mod tests {
     /// outside the table.
     #[test]
     fn every_candidate_and_every_ladder_step_stays_inside_the_table() {
-        use crate::codelet::{in_table, resolve, TABLE_MAX_R};
+        use crate::codelet::{in_table, TABLE_MAX_R};
         let opts = ConvOptions::default();
         let shapes: [&[usize]; 5] = [&[40], &[20, 20], &[5, 5], &[1, 9, 30], &[3, 8, 8]];
         let mut seen = std::collections::BTreeSet::new();
@@ -337,7 +341,7 @@ mod tests {
                     for m in tiles {
                         let layer = WinogradLayer::new(s.clone(), &m, opts)
                             .unwrap_or_else(|e| panic!("r={r} {img:?}: candidate {m:?}: {e}"));
-                        seen.extend(layer.plans.iter().map(resolve));
+                        seen.extend(layer.table_rows().map(|row| (row.m, row.r)));
                     }
                 }
             }
@@ -369,8 +373,11 @@ mod tests {
         };
         assert_eq!(plan(&[20, 20], &[5, 5], &[8, 8]).unwrap(), vec![12, 12]);
         assert_eq!(plan(&[20, 20], &[3, 2], &[4, 3]).unwrap(), vec![6, 4]);
-        assert_eq!(plan(&[20, 20], &[3, 3], &[9, 4]).unwrap_err(), PlanError::BadTileSize { dim: 0, m: 9 });
-        assert_eq!(plan(&[20, 20], &[3, 6], &[4, 4]).unwrap_err(), PlanError::BadTileSize { dim: 1, m: 4 });
+        let wide = PlanError::BadTileSize { dim: 1, m: 4, r: 6 };
+        assert_eq!(plan(&[20, 20], &[3, 3], &[9, 4]).unwrap_err(), PlanError::BadTileSize { dim: 0, m: 9, r: 3 });
+        assert_eq!(plan(&[20, 20], &[3, 6], &[4, 4]).unwrap_err(), wide);
+        // The message names the `F(m, r)` at fault, kernel width included.
+        assert_eq!(wide.to_string(), "no transform codelets for F(4, 6) in dimension 1");
     }
 
     #[test]
@@ -390,7 +397,7 @@ mod tests {
 
     /// The conditioning cap is the whole accuracy rule: every tile
     /// `candidate_tiles` offers — extent-clipped ones included — fits its
-    /// purpose's budget in every dimension, as its plan computes it.
+    /// purpose's budget in every dimension, by the exact computation.
     #[test]
     fn every_candidate_fits_its_purposes_budget() {
         let opts = ConvOptions::default();
@@ -402,7 +409,8 @@ mod tests {
                 for purpose in [Purpose::Training, Purpose::Inference] {
                     for m in candidate_tiles(&s, purpose) {
                         let layer = WinogradLayer::new(s.clone(), &m, opts).unwrap();
-                        for gamma in layer.plans.iter().map(|p| p.conditioning().gamma) {
+                        for (&md, &rd) in layer.grid.m.iter().zip(&layer.grid.r) {
+                            let gamma = wino_transforms::FmrPlan::new(md, rd).conditioning().gamma;
                             let case = format!("r={r} {img:?} {purpose:?} {m:?}: γ={gamma}");
                             assert!(purpose.admits(gamma), "{case}");
                         }

@@ -160,7 +160,7 @@ impl<'a> InputTransformCtx<'a> {
         InputTransformCtx {
             layer,
             input,
-            xf: TileTransform::new(&layer.plans),
+            xf: TileTransform::new(layer.table_rows()),
             image_strides: row_major(&input.dims, S),
             gathered_strides: row_major(&layer.grid.tile_dims, S),
             u_strides: row_major(&layer.grid.tile_dims, t_stride),
@@ -425,7 +425,7 @@ impl<'a> KernelTransformCtx<'a> {
     ) -> KernelTransformCtx<'a> {
         KernelTransformCtx {
             kernels,
-            xf: TileTransform::new(&layer.plans),
+            xf: TileTransform::new(layer.table_rows()),
             kernel_strides: row_major(&layer.shape.kernel_dims, S),
             v_strides: row_major(&layer.grid.tile_dims, c_blk * cp_blk),
             t_vol: layer.t_vol(),
@@ -537,8 +537,8 @@ mod tests {
             }
         }
         // Bᵀ · tile · B via dense mats.
-        let bt0 = layer.plans[0].transform.bt.to_f32();
-        let bt1 = layer.plans[1].transform.bt.to_f32();
+        let plans = layer.fmr_plans();
+        let (bt0, bt1) = (plans[0].transform.bt.to_f32(), plans[1].transform.bt.to_f32());
         let mut acc = 0.0f64;
         for i in 0..td[0] {
             for j in 0..td[1] {
@@ -589,8 +589,8 @@ mod tests {
         let mut scratch = Scratch::new(&layer, 1);
         transform_kernels(&layer, &blocked, &mut scratch, &SerialExecutor).unwrap();
 
-        let g0 = layer.plans[0].transform.g.to_f32();
-        let g1 = layer.plans[1].transform.g.to_f32();
+        let plans = layer.fmr_plans();
+        let (g0, g1) = (plans[0].transform.g.to_f32(), plans[1].transform.g.to_f32());
         let td = &layer.grid.tile_dims;
         for c in [0usize, 9, 31] {
             for co in [0usize, 16, 31] {
@@ -621,6 +621,8 @@ mod tests {
     /// `out`. Shares nothing with `codelet::TileTransform`.
     struct ReferenceTile<'a> {
         layer: &'a WinogradLayer,
+        /// `Bᵀ` of each dimension.
+        progs: &'a [&'a wino_transforms::PairedProgram],
         input: &'a BlockedImage,
         b: usize,
         cg: usize,
@@ -642,10 +644,9 @@ mod tests {
             unsafe {
                 gather_tile::<V>(self.input, self.b, self.cg, &origin, &grid.tile_dims, a.as_mut_ptr())
             };
-            let progs: Vec<_> = self.layer.plans.iter().map(|p| &p.bt).collect();
             let mut dims = grid.tile_dims.clone();
             let in_a = crate::vecprog::transform_all_dims::<V>(
-                &progs,
+                self.progs,
                 a.as_mut_slice(),
                 b.as_mut_slice(),
                 &mut dims[..rank],
@@ -682,12 +683,15 @@ mod tests {
         transform_inputs(&layer, &blocked, &mut scratch, &StaticExecutor::new(2)).unwrap();
 
         let (t_vol, n_tiles) = (layer.t_vol(), layer.n_tiles());
+        let plans = layer.fmr_plans();
+        let progs: Vec<_> = plans.iter().map(|p| &p.bt).collect();
         let mut want = Vec::new();
         let mut interior = 0usize;
         for b in 0..batch {
             for cg in 0..c / S {
                 for n in 0..n_tiles {
-                    let tile = ReferenceTile { layer: &layer, input: &blocked, b, cg, n, out: &mut want };
+                    let (layer, input) = (&layer, &blocked);
+                    let tile = ReferenceTile { layer, progs: &progs, input, b, cg, n, out: &mut want };
                     wino_simd::dispatch(tile);
                     let origin = layer.grid.input_origin(&layer.grid.tile_coords(n));
                     interior += (0..rank).all(|d| {

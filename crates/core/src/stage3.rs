@@ -55,7 +55,7 @@ impl<'a> Stage3Ctx<'a> {
         Stage3Ctx {
             layer,
             out: MutPtr(out),
-            xf: TileTransform::new(&layer.plans),
+            xf: TileTransform::new(layer.table_rows()),
             y_strides: row_major(&layer.grid.tile_dims, S),
             out_strides: row_major(out_dims, S),
             out_channel_groups: layer.shape.out_channels / S,
@@ -250,8 +250,8 @@ mod tests {
         let mut out = layer.new_output().unwrap();
         inverse_transform(&layer, &mut scratch, &mut out, &SerialExecutor).unwrap();
 
-        let at0 = layer.plans[0].transform.at.to_f32();
-        let at1 = layer.plans[1].transform.at.to_f32();
+        let plans = layer.fmr_plans();
+        let (at0, at1) = (plans[0].transform.at.to_f32(), plans[1].transform.at.to_f32());
         let td = &layer.grid.tile_dims;
         for b in 0..2 {
             for c in [0usize, 7, 15] {
@@ -304,6 +304,8 @@ mod tests {
     /// `codelet::TileTransform`.
     struct ReferenceTile<'a> {
         layer: &'a WinogradLayer,
+        /// `Aᵀ` of each dimension.
+        progs: &'a [&'a wino_transforms::PairedProgram],
         chunk: &'a [f32],
         out: &'a mut Vec<f32>,
     }
@@ -316,10 +318,9 @@ mod tests {
             let mut a = wino_simd::AlignedVec::try_zeroed(t_vol * S).unwrap();
             let mut b = wino_simd::AlignedVec::try_zeroed(t_vol * S).unwrap();
             a.as_mut_slice().copy_from_slice(self.chunk);
-            let progs: Vec<_> = self.layer.plans.iter().map(|p| &p.at).collect();
             let mut dims = self.layer.grid.tile_dims.clone();
             let in_a = crate::vecprog::transform_all_dims::<V>(
-                &progs,
+                self.progs,
                 a.as_mut_slice(),
                 b.as_mut_slice(),
                 &mut dims,
@@ -353,13 +354,15 @@ mod tests {
         inverse_transform(&layer, &mut scratch, &mut out, &StaticExecutor::new(2)).unwrap();
 
         let grid = &layer.grid;
+        let plans = layer.fmr_plans();
+        let progs: Vec<_> = plans.iter().map(|p| &p.at).collect();
         let mut want = Vec::new();
         let (mut full, mut ragged) = (0usize, 0usize);
         for b in 0..2 {
             for og in 0..2 {
                 for n in 0..layer.n_tiles() {
                     let chunk = scratch.y.tile(b, og, n);
-                    wino_simd::dispatch(ReferenceTile { layer: &layer, chunk, out: &mut want });
+                    wino_simd::dispatch(ReferenceTile { layer: &layer, progs: &progs, chunk, out: &mut want });
                     let tc = grid.tile_coords(n);
                     let (origin, ext) = (grid.output_origin(&tc), grid.output_extent(&tc));
                     if ext == grid.m {

@@ -10,12 +10,10 @@
 //! it along every dimension in turn realises the tensor–matrix mode-n
 //! products of Eqn. 8.
 //!
-//! No engine path comes here: every layer that plans runs the generated
-//! straight-line form of the same programs ([`crate::codelet`]). This
-//! module is what the differential tests hold that generated code equal
-//! to, element for element and row for row of the table, and it runs
-//! programs the table does not hold — `PointSchedule::Integer`, the
-//! unpaired form of the Fig. 2 ablation (`benches/transforms.rs`).
+//! Test code only (`#[cfg(test)]`): every layer that plans runs the
+//! generated straight-line form of the same programs ([`crate::codelet`]).
+//! This module is what the differential tests hold that generated code
+//! equal to, element for element and row for row of the table.
 //!
 //! Everything here is generic over the vector backend `V` and
 //! `#[inline(always)]`: it is compiled into the [`wino_simd::Kernel`]
@@ -50,7 +48,7 @@ unsafe fn dot_line<V: Simd16>(terms: &[Term], input: *const f32, base: usize, st
 /// If the rank exceeds 8, `in_dims[d] != prog.n_in`, or a slice is
 /// shorter than its tile.
 #[inline(always)]
-pub fn transform_dim<V: Simd16>(
+pub(crate) fn transform_dim<V: Simd16>(
     prog: &PairedProgram,
     input: &[f32],
     in_dims: &[usize],
@@ -121,7 +119,7 @@ pub fn transform_dim<V: Simd16>(
 /// # Panics
 /// As [`transform_dim`], per dimension.
 #[inline(always)]
-pub fn transform_all_dims<V: Simd16>(
+pub(crate) fn transform_all_dims<V: Simd16>(
     progs: &[&PairedProgram],
     buf_a: &mut [f32],
     buf_b: &mut [f32],
@@ -347,7 +345,7 @@ mod tests {
     /// backend runs it.
     struct OneDimGenerated<'a> {
         which: crate::codelet::Matrix,
-        plan: &'a FmrPlan,
+        row: (usize, usize),
         input: &'a [f32],
         in_dims: &'a [usize],
         d: usize,
@@ -361,7 +359,7 @@ mod tests {
         fn run<V: Simd16>(self) {
             crate::codelet::transform_dim_generated::<V>(
                 self.which,
-                self.plan,
+                self.row,
                 self.input,
                 self.in_dims,
                 self.d,
@@ -425,7 +423,7 @@ mod tests {
                                 let mut generated = AlignedVec::try_zeroed(want.len()).unwrap();
                                 backend.run(OneDimGenerated {
                                     which: *which,
-                                    plan: &plan,
+                                    row: (m, r),
                                     input: &input,
                                     in_dims: &dims,
                                     d,

@@ -11,8 +11,9 @@
 //! ## Formulas
 //!
 //! With `ρ = B·N` panel rows, `T = ∏α_d` the tile volume, and
-//! `O(P)` the scalar op count of a compiled 1-D transform program `P`
-//! ([`wino_transforms::PairedProgram::op_count`], FMA = 2 ops):
+//! `O(P)` the scalar op count of one line of a generated 1-D transform
+//! codelet `P` (FMA = 2 ops; the table row's count, which `build.rs`
+//! takes from the paired program it prints):
 //!
 //! * **input-transform** — `Bᵀ` is square (`α_d → α_d`), applied along
 //!   every dimension of every tile line: `ρ · C · Σ_d (T/α_d) · O(Bᵀ_d)`.
@@ -61,10 +62,8 @@ impl WinogradLayer {
         let mut bt_ops = 0u128;
         let mut g_ops = 0u128;
         let mut at_ops = 0u128;
-        for d in 0..rank {
-            let o_bt = self.plans[d].bt.op_count().total() as u128;
-            let o_g = self.plans[d].g.op_count().total() as u128;
-            let o_at = self.plans[d].at.op_count().total() as u128;
+        for (d, row) in self.table_rows().enumerate() {
+            let (o_bt, o_g, o_at) = (row.bt_ops as u128, row.g_ops as u128, row.at_ops as u128);
             bt_ops += (t_vol / alpha[d] as u128) * o_bt;
             let mut g_apps = 1u128;
             let mut at_apps = 1u128;
@@ -151,7 +150,7 @@ mod tests {
         let w = l.work_model();
         // F(2,3): Bᵀ is 4×4 with 4 adds per line; T/α = 4 lines per dim,
         // two dims → 32 ops per (tile, channel).
-        let o_bt = l.plans[0].bt.op_count().total() as u128;
+        let o_bt = wino_transforms::FmrPlan::new(2, 3).bt.op_count().total() as u128;
         let expect = l.rows() as u128 * 32 * 2 * (16 / 4) * o_bt;
         assert_eq!(w.get(SpanCategory::InputTransform).unwrap().flops, expect);
     }

@@ -33,6 +33,15 @@ run_filtered() {
 
 run "$BUILD_TIMEOUT" cargo build --workspace --offline --release
 run "$BUILD_TIMEOUT" cargo build --workspace --offline --all-targets
+
+# Build-time-only gate: the exact transform matrices are `build.rs`'s and
+# the tests' business. The engine's normal dependency tree must not hold
+# `wino-transforms` — the op counts and γ it needs are generated table rows.
+echo "==> cargo tree --offline -p wino-conv -e normal (no wino-transforms)"
+if cargo tree --offline -p wino-conv -e normal | grep -q wino-transforms; then
+    echo "error: wino-conv depends on wino-transforms at run time" >&2
+    exit 1
+fi
 # Feature matrix: default × fault-inject. Instrumentation is not a build
 # configuration — the span tests run in both (a run is instrumented iff
 # its executor carries a collector).
@@ -90,11 +99,13 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # nothing else, so (named below — a rename must touch this script) every
 # row of the table, F(1..=8, 1..=5), must equal the reference interpreter
 # element for element (× Bᵀ/G/Aᵀ × rank 1–3 × every dimension, mixed
-# kernel widths per dimension, plain and streaming stores), every tile the
-# search or a re-tiling ladder can reach for every kernel width of the
-# table must plan, and the table's edge is the planner's edge: F(8, 5)
-# plans, F(9, 3) and r = 6 are `BadTileSize`, and an r = 7 layer runs
-# im2col with `plan-failed` through the dispatcher and `Network`. Beside
+# kernel widths per dimension, plain and streaming stores), every row's
+# generated op counts, γ and extents must equal the exact-rational
+# computation, every tile the search or a re-tiling ladder can reach for
+# every kernel width of the table must plan, and the table's edge is the
+# planner's edge: F(8, 5) plans, F(9, 3) and r = 6 are `BadTileSize`,
+# and an r = 7 layer runs im2col with `plan-failed` through the
+# dispatcher and `Network`. Beside
 # them (by module): the N-D driver on strided views, and stage 1 / stage 3
 # writing exactly what gather + interpreter + clipped copy produce on
 # interior *and* edge tiles (pad 0, pad 1, the ragged 158 = 26·6 + 2
@@ -164,6 +175,7 @@ for isa in "${isas[@]}"; do
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
         codelet::tests::whole_tiles_equal_the_interpreter_exactly \
+        codelet::tests::generated_rows_equal_the_exact_computation \
         vecprog::tests::every_backend_matches_dense_oracle \
         select::tests::every_candidate_and_every_ladder_step_stays_inside_the_table \
         select::tests::plans_end_where_the_table_ends

@@ -263,7 +263,7 @@ fn a_kernel_wider_than_the_codelet_table_runs_im2col_with_provenance() {
     let opts = ConvOptions::default();
     assert!(matches!(
         plan_dispatch(&shape, &[2, 2], opts, &FallbackPolicy::strict()),
-        Err(PlanError::BadTileSize { dim: 0, m: 2 })
+        Err(PlanError::BadTileSize { dim: 0, m: 2, r: 7 })
     ));
     let (dp, fb) = plan_dispatch(&shape, &[2, 2], opts, &FallbackPolicy::default()).unwrap();
     assert!(matches!(dp.route, Route::Im2col));

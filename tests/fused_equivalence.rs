@@ -266,6 +266,9 @@ fn dual_cases() -> Vec<Case> {
         // 50 rows (more than MAX_N_BLK) in 24-row blocks: a 2-row tail.
         blocked((24, 16, 32), case("rows past MAX_N_BLK", 2, (32, 64), &[10, 10], 1, &[2, 2])),
         case("train3d_jit's layer", 1, (128, 128), &[4, 14, 14], 1, &[4, 4, 4]),
+        // A deep 2-D layer's few rows against 4.7 MiB of `V̂`: the shape of
+        // the data gradient of a 256 → 128 layer at 16².
+        case("16 rows, 128 -> 256", 1, (128, 256), &[16, 16], 1, &[4, 4]),
     ]
 }
 
