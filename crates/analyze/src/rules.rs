@@ -728,16 +728,19 @@ impl FileCtx<'_> {
             let end = if is(w, &["mod", "tests", "{"]) {
                 self.close_brace(w[2])
             } else if is(w, &["#", "[", "cfg", "(", "test", ")", "]"]) {
-                // The item ends at its first `;` or braced body outside
-                // any `(…)` / `[…]`, past further attributes.
+                // The item ends at its first `;`, `,` or braced body
+                // outside any `(…)` / `[…]`, past further attributes — or,
+                // a field or struct-literal entry without a trailing `,`,
+                // just before the `}` that closes the enclosing braces.
                 let mut depth = 0i32;
                 let mut end = self.toks.len();
                 for &k in &w[7..] {
                     match self.text(k) {
                         "(" | "[" => depth += 1,
                         ")" | "]" => depth -= 1,
-                        ";" if depth == 0 => end = k,
+                        ";" | "," if depth == 0 => end = k,
                         "{" if depth == 0 => end = self.close_brace(k),
+                        "}" if depth == 0 => end = k - 1,
                         _ => continue,
                     }
                     if end < self.toks.len() {
@@ -1216,6 +1219,19 @@ mod tests {
         ]);
         // Only `crates/*/src` is public surface.
         assert_eq!(corpus(&[("crates/x/tests/t.rs", lib)]), []);
+    }
+
+    #[test]
+    fn a_cfg_test_field_masks_only_itself() {
+        // A `#[cfg(test)]` field (with and without a trailing `,`) and
+        // struct-literal entry end at their own `,` / closing brace: the
+        // `impl` after them is not test code, so its uncalled `pub fn` is
+        // flagged and the calls inside it count.
+        let lib = "pub struct Host {\n    a: u8,\n    #[cfg(test)]\n    pin: Option<u8>,\n}\npub struct Pair {\n    #[cfg(test)]\n    b: u8\n}\nfn host() -> Host {\n    Host {\n        a: 0,\n        #[cfg(test)]\n        pin: None,\n    }\n}\nimpl Host {\n    pub fn uncalled(&self) {}\n    pub fn called(&self) { helper(); }\n}\npub fn helper() {}\n";
+        let caller = "fn main() { let p: wino_x::Pair; wino_x::host().called(); }\n";
+        let ctxs = [FileCtx::new("crates/x/src/lib.rs", lib), FileCtx::new("crates/x/tests/t.rs", caller)];
+        let found: Vec<_> = lint_corpus(&ctxs).into_iter().map(|v| (v.rule, v.line)).collect();
+        assert_eq!(found, [("pub-needs-caller", 18)]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ use wino_bench::scaling::{
 };
 use wino_bench::{run_winograd, Args, Rows};
 use wino_conv::ConvOptions;
-use wino_probe::{fold, MachineModel, WorkModel};
+use wino_probe::barrier_stats;
 use wino_sched::{configured_threads, Executor, ProbedExecutor};
 use wino_tensor::ConvShape;
 use wino_workloads::{scaled_catalog, Layer};
@@ -45,8 +45,7 @@ const EFFICIENCY_FLOOR: f64 = 0.6;
 const SKEW_BUDGET_US: f64 = 25_000.0;
 
 /// One instrumented pass: (max_skew_us, mean_skew_us) across its
-/// fork–joins. `None` when the plan/forward fails. Only the barrier
-/// statistics of the fold are read, so it needs no work model.
+/// fork–joins. `None` when the plan/forward fails.
 fn barrier_skew(layer: &Layer, m: &[usize], exec: &dyn Executor) -> Option<(f64, f64)> {
     let plan = wino_conv::WinogradLayer::new(layer.shape.clone(), m, ConvOptions::default()).ok()?;
     let (input, kernels) = wino_bench::layer_data(layer, 42);
@@ -55,8 +54,8 @@ fn barrier_skew(layer: &Layer, m: &[usize], exec: &dyn Executor) -> Option<(f64,
     let mut scratch = wino_conv::Scratch::new(&plan, probed.threads());
     plan.forward(&input, &kernels, &mut output, &mut scratch, &probed).ok()?;
     std::hint::black_box(output.as_slice().first());
-    let report = fold(&probed.take_events(), &WorkModel::new(), &MachineModel::assumed());
-    Some((report.barrier.max_skew_us, report.barrier.mean_skew_us))
+    let barrier = barrier_stats(&probed.take_events());
+    Some((barrier.max_skew_us, barrier.mean_skew_us))
 }
 
 /// The layer with its batch grown to `factor ×` for a weak-scaling point.

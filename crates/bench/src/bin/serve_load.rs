@@ -24,7 +24,6 @@
 
 use std::time::{Duration, Instant};
 
-use wino_bench::perf::calibrate;
 use wino_bench::{make_executor, Args};
 use wino_conv::{FallbackPolicy, LayerSpec, Network};
 use wino_serve::{
@@ -64,10 +63,9 @@ fn request_image(i: usize) -> BlockedImage {
     img
 }
 
-/// Measure the real batch-1 service time of the workload (the offered
-/// load is scaled from *measured* capacity, so the overload factor stays
-/// honest even where the roofline estimate is off) on the path the server
-/// runs: FX on kernels prepared once, beside the raw ones.
+/// Measure the real batch-1 service time of the workload — admission
+/// prices with it and the offered load is scaled from it — on the path
+/// the server runs: FX on kernels prepared once, beside the raw ones.
 fn measure_per_image_ms(spec: &ModelSpec, kernels: &[BlockedKernels], threads: usize) -> f64 {
     let policy = FallbackPolicy::default();
     let mut net = Network::with_policy(
@@ -226,26 +224,15 @@ fn main() {
     let spec = model_spec();
     let kernels = model_kernels(&spec);
 
-    eprintln!("# calibrating machine model ({threads} threads)…");
-    let cal_exec = make_executor(&args);
-    let machine = calibrate(cal_exec.as_ref());
-    drop(cal_exec);
-    let roofline = ServiceModel::from_roofline(&machine, &spec, 0.5).expect("workload geometry");
+    // Admission prices from the measured per-image time alone: at this
+    // layer size fork–join launch overhead dominates, and no estimate
+    // from operation counts sees it.
     let per_image_ms = measure_per_image_ms(&spec, &kernels, threads);
-    // Admission oracle: the calibrated roofline, floored by the measured
-    // service time — at this layer size fork–join launch overhead (which
-    // no roofline sees) dominates, and an optimistic oracle admits
-    // requests that then time out in the queue.
-    let admission = ServiceModel {
-        per_image_ms: roofline.per_image_ms.max(per_image_ms),
-        batch_overhead_ms: roofline.batch_overhead_ms,
-    };
-    let sustainable_rps = 1e3 / per_image_ms;
-    let offered_rps = load_factor * sustainable_rps;
+    let capacity_rps = 1e3 / per_image_ms;
+    let offered_rps = load_factor * capacity_rps;
     eprintln!(
-        "# per-image {per_image_ms:.3} ms measured ({:.3} ms roofline), sustainable ≈ \
-         {sustainable_rps:.0} rps, offering {offered_rps:.0} rps",
-        roofline.per_image_ms
+        "# per-image {per_image_ms:.3} ms measured ({threads} threads), sustainable ≈ \
+         {capacity_rps:.0} rps, offering {offered_rps:.0} rps"
     );
 
     let opts = ServeOptions {
@@ -253,7 +240,7 @@ fn main() {
         max_batch: args.usize_or("--max-batch", 0),
         threads,
         watchdog: soak.then(|| Duration::from_millis(watchdog_ms)),
-        service: Some(admission),
+        service: Some(ServiceModel::from_measurement(per_image_ms, 0.0)),
         // The injector arms one fault at a time and the in-batch retry
         // clears it, so consecutive-failure streaks never form: the soak
         // trips on every failure to exercise the full ladder walk.
@@ -311,7 +298,7 @@ fn main() {
     // back to `full` before the run is judged.
     if soak {
         let tail = 40 * max_batch.max(1);
-        let tail_interval = Duration::from_secs_f64(2.0 / sustainable_rps);
+        let tail_interval = Duration::from_secs_f64(2.0 / capacity_rps);
         let tail_start = Instant::now();
         for i in 0..tail {
             pace_until(tail_start + tail_interval * i as u32);

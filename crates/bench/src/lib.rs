@@ -6,7 +6,8 @@
 //! * timed runners ([`run_winograd`], [`run_direct`], [`run_baseline_im2col`])
 //!   producing [`Measurement`] rows with the Fig. 5 direct-FLOPs
 //!   effective-GFLOP/s normaliser,
-//! * the [`perf`] module: machine calibration,
+//! * the [`perf`] module: the FMA-issue peak the `gemm` bench reports
+//!   kernels against,
 //! * the [`scaling`] module: the strong/weak thread sweep's accounting,
 //! * a tiny flag parser ([`Args`]) and executor factory
 //!   ([`make_executor`]) shared by every binary.

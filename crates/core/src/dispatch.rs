@@ -399,8 +399,8 @@ impl DispatchPlan {
 
     /// The im2col lowering+GEMM model for this plan's geometry,
     /// regardless of route — also the model of the geometry-aware
-    /// im2col baseline run on the same layer (the bench probes fold
-    /// comparison rows against it).
+    /// im2col baseline run on the same layer. The im2col route's
+    /// [`Self::footprint`] prices its lowering matrices from it.
     pub fn im2col_work_model(&self) -> WorkModel {
         const F32_BYTES: u128 = 4;
         let g = self.geo.groups as u128;

@@ -4,9 +4,9 @@
 //! [`WinogradLayer::work_model`] predicts, per pipeline stage, how many
 //! floating-point operations one forward pass performs and how many bytes
 //! it moves under an ideal-cache model (each logical buffer read or
-//! written exactly once). `wino-probe` divides measured wall time into
-//! these to report per-stage GFLOP/s, arithmetic intensity and a roofline
-//! bound.
+//! written exactly once). The benchmark's traced report divides them by
+//! each stage's measured span time for its per-stage `gflops` and
+//! `computed_gbps`.
 //!
 //! ## Formulas
 //!
@@ -36,8 +36,8 @@
 //! and the image out; a dual plan ([`WinogradLayer::is_dual`]) keeps `V`
 //! and `Y` in its rings, so its kernel transform moves only the raw
 //! kernels and its elementwise-gemm reads `U` once per `cols`-wide column
-//! group. Real caches re-read evicted panels, so measured intensity is an
-//! upper bound — which is the correct direction for a roofline.
+//! group. Real caches re-read evicted panels, so the modelled bytes are a
+//! lower bound on the real traffic.
 
 use wino_probe::{SpanCategory, StageWork, WorkModel};
 

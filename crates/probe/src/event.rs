@@ -44,22 +44,6 @@ pub enum SpanCategory {
     Other,
 }
 
-/// All categories, in the order stage reports list them.
-pub const ALL_CATEGORIES: [SpanCategory; 12] = [
-    SpanCategory::InputTransform,
-    SpanCategory::KernelTransform,
-    SpanCategory::ElementwiseGemm,
-    SpanCategory::OutputTransform,
-    SpanCategory::TileExtract,
-    SpanCategory::BarrierWait,
-    SpanCategory::ForkJoin,
-    SpanCategory::FallbackRescue,
-    SpanCategory::SentinelVerify,
-    SpanCategory::Im2colLower,
-    SpanCategory::DirectKernel,
-    SpanCategory::Other,
-];
-
 impl SpanCategory {
     /// Stable kebab-case name.
     pub fn name(self) -> &'static str {

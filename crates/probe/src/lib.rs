@@ -17,10 +17,9 @@
 //!   instrumented is decided at run time, by whether its executor carries
 //!   a collector (`wino_sched::Executor::probe`) — code handed none reads
 //!   no clock and writes no buffer.
-//! * **Analysis** ([`fold`], [`StageReport`], [`WorkModel`],
-//!   [`MachineModel`]): folds events into per-stage wall/CPU time,
-//!   effective GFLOP/s, arithmetic intensity, bytes moved, a software
-//!   roofline estimate, and barrier-imbalance statistics.
+//! * **Analysis** ([`WorkModel`], [`barrier_stats`]): the per-stage
+//!   operation and byte counts a traced report divides span time by, and
+//!   barrier-imbalance statistics over the recorded fork–joins.
 //!
 //! [`Json`] / [`parse_json`] are the dependency-free JSON reader and
 //! writer the benchmark's flat report is built with.
@@ -30,24 +29,22 @@
 //! whoever understands the algorithm supplies the [`WorkModel`].
 //!
 //! ```
-//! use wino_probe::{fold, Collector, MachineModel, SpanCategory, StageWork, WorkModel,
-//!                  COORDINATOR};
+//! use wino_probe::{barrier_stats, Collector, SpanCategory, COORDINATOR};
 //!
-//! let collector = Collector::new(1);
+//! let collector = Collector::new(2);
 //! // SAFETY: single-threaded example — buffer access is trivially exclusive.
-//! unsafe { collector.record(COORDINATOR, SpanCategory::ElementwiseGemm, 0, 2_000_000) };
+//! unsafe {
+//!     collector.record(COORDINATOR, SpanCategory::ForkJoin, 0, 1_000);
+//!     // Slot 0 reached the end barrier at 400 ns, slot 1 at 900 ns.
+//!     collector.record(0, SpanCategory::BarrierWait, 400, 1_000);
+//!     collector.record(1, SpanCategory::BarrierWait, 900, 1_000);
+//! }
 //! // SAFETY: nothing is recording concurrently.
 //! let events = unsafe { collector.drain() };
 //!
-//! let mut work = WorkModel::new();
-//! work.set(SpanCategory::ElementwiseGemm,
-//!          StageWork { flops: 4_000_000_000, bytes: 1_000_000_000 });
-//! let machine = MachineModel { peak_gflops: 100.0, mem_bw_gbps: 50.0, threads: 4 };
-//! let report = fold(&events, &work, &machine);
-//!
-//! // 4 GFLOP in 2 ms → 2000 GFLOP/s, arithmetic intensity 4 FLOP/byte.
-//! let gemm = &report.stages[0];
-//! assert_eq!(gemm.arith_intensity, Some(4.0));
+//! let barrier = barrier_stats(&events);
+//! assert_eq!(barrier.fork_joins, 1);
+//! assert_eq!(barrier.max_skew_us, 0.5);
 //! ```
 
 pub mod clock;
@@ -60,6 +57,6 @@ pub mod report;
 pub use clock::now_ns;
 pub use collector::Collector;
 pub use counters::Counter;
-pub use event::{SpanCategory, SpanEvent, ALL_CATEGORIES, COORDINATOR};
+pub use event::{SpanCategory, SpanEvent, COORDINATOR};
 pub use json::{parse as parse_json, Json, ParseError};
-pub use report::{fold, BarrierStats, MachineModel, StageReport, StageRow, StageWork, WorkModel};
+pub use report::{barrier_stats, BarrierStats, StageWork, WorkModel};

@@ -1,10 +1,11 @@
 //! The recording API end to end from outside the crate: every entry point
-//! an instrumented hot path uses, then the fold a bench binary applies.
+//! an instrumented hot path uses, then the barrier statistics a bench
+//! binary reads.
 
-use wino_probe::{fold, Collector, MachineModel, SpanCategory, WorkModel, COORDINATOR};
+use wino_probe::{barrier_stats, Collector, SpanCategory, COORDINATOR};
 
 #[test]
-fn recorded_spans_drain_and_fold() {
+fn recorded_spans_drain_and_pair_into_fork_joins() {
     let c = Collector::new(8);
     assert_eq!(c.slots(), 8);
 
@@ -20,6 +21,5 @@ fn recorded_spans_drain_and_fold() {
     let events = unsafe { c.drain() };
     assert_eq!(events.len(), 3, "every span is kept");
 
-    let report = fold(&events, &WorkModel::new(), &MachineModel::assumed());
-    assert_eq!(report.barrier.fork_joins, 1);
+    assert_eq!(barrier_stats(&events).fork_joins, 1);
 }

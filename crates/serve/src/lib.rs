@@ -1,8 +1,8 @@
 //! # wino-serve
 //!
 //! Overload-safe inference serving on top of the Winograd engine: a
-//! bounded, deadline-aware request queue, a dynamic batcher, roofline
-//! admission control and a circuit breaker that walks the engine's
+//! bounded, deadline-aware request queue, a dynamic batcher, admission
+//! control priced from a measured service time and a circuit breaker that walks the engine's
 //! degradation ladder (configured backend → monomorphised kernels →
 //! im2col) instead of failing open.
 //!
@@ -17,7 +17,7 @@
 //! mid-batch.
 //!
 //! Pipeline: [`Server::submit`] validates the request shape, sheds it if
-//! the deadline is already unmeetable (queue-depth × calibrated
+//! the deadline is already unmeetable (queue-depth × measured
 //! [`ServiceModel`]), and enqueues it; a single batcher thread coalesces
 //! queued requests into batches (closing on size or age), executes them
 //! through a cached [`wino_conv::Network`] plan, and resolves each
@@ -82,7 +82,7 @@ pub enum ServeError {
         /// How late the request was when it was shed, in milliseconds.
         missed_by_ms: f64,
     },
-    /// Admission control predicted a deadline miss from the calibrated
+    /// Admission control predicted a deadline miss from the measured
     /// service model and current queue depth, and shed the request
     /// immediately rather than letting it time out in the queue.
     PredictedMiss {

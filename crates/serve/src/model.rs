@@ -1,19 +1,17 @@
-//! The served model's specification and its calibrated service-time
+//! The served model's specification and its measured service-time
 //! model.
 //!
 //! Admission control needs an a-priori answer to "can this request
-//! still meet its deadline from the back of the queue?". The estimate
-//! reuses the repo's roofline machinery: a calibrated
-//! [`MachineModel`] (attainable GFLOP/s and memory bandwidth, e.g. from
-//! `wino_bench::perf::calibrate`) plus the network's direct-convolution
-//! FLOP count gives a per-image service time the same way the perf
-//! reports bound attainable throughput. The estimate is deliberately
-//! conservative — shedding a request that would *just* have made it is a
-//! policy cost; admitting one that cannot make it wastes machine time
-//! twice (on the doomed request and on everyone queued behind it).
+//! still meet its deadline from the back of the queue?". The answer is
+//! priced from a *measured* per-image service time
+//! ([`ServiceModel::from_measurement`]): at serving-size layers the
+//! fork–join launch overhead no operation count sees dominates, so an
+//! estimate from FLOPs alone admits requests that then time out in the
+//! queue. Shedding a request that would *just* have made it is a policy
+//! cost; admitting one that cannot make it wastes machine time twice (on
+//! the doomed request and on everyone queued behind it).
 
 use wino_conv::{ConvOptions, LayerSpec};
-use wino_probe::MachineModel;
 use wino_tensor::{ConvShape, ShapeError};
 
 /// The network a [`crate::Server`] serves: fixed input geometry plus the
@@ -68,20 +66,6 @@ impl ModelSpec {
         let (last, dims) = chained.last().expect("Server::start rejects empty layer stacks");
         Ok((last.out_channels, dims.clone()))
     }
-
-    /// Direct-convolution FLOPs for one batch of `batch` images — the
-    /// roofline work estimate (an upper bound on Winograd's arithmetic,
-    /// which is the conservative direction for admission control).
-    /// Geometry-aware: a stride-2 layer does a quarter of the stride-1
-    /// work, and grouping divides the channel product by `G`.
-    pub fn direct_flops(&self, batch: usize) -> Result<u128, ShapeError> {
-        let geo = self.opts.geometry(self.image_dims.len());
-        let mut total = 0u128;
-        for (s, _) in self.chained_shapes(batch)? {
-            total += 2 * geo.direct_macs(&s)?;
-        }
-        Ok(total)
-    }
 }
 
 /// Suggested batch ceiling from the blocking model: the smallest batch
@@ -103,7 +87,7 @@ pub fn suggested_max_batch(spec: &ModelSpec, threads: usize) -> Result<usize, Sh
     Ok(want.div_ceil(min_tiles).clamp(1, 16))
 }
 
-/// Calibrated per-image service time, the admission-control oracle.
+/// Measured per-image service time, the admission-control oracle.
 #[derive(Clone, Copy, Debug)]
 pub struct ServiceModel {
     /// Marginal cost of one image in a batch, milliseconds.
@@ -114,43 +98,9 @@ pub struct ServiceModel {
 }
 
 impl ServiceModel {
-    /// Derive the model from a calibrated machine roofline. `efficiency`
-    /// (in `(0, 1]`) discounts the attainable peak to what the pipeline
-    /// realistically sustains; 0.5 is a sensible default for admission
-    /// purposes.
-    pub fn from_roofline(
-        machine: &MachineModel,
-        spec: &ModelSpec,
-        efficiency: f64,
-    ) -> Result<ServiceModel, ShapeError> {
-        let eff = if efficiency > 0.0 && efficiency <= 1.0 { efficiency } else { 0.5 };
-        let flops = spec.direct_flops(1)? as f64;
-        let compute_s = flops / (machine.peak_gflops.max(1e-3) * 1e9 * eff);
-        // Memory floor: every layer streams its input and output at
-        // least once.
-        let mut bytes = 0u128;
-        for (s, out) in spec.chained_shapes(1)? {
-            let in_vol: usize = s.image_dims.iter().product();
-            let out_vol: usize = out.iter().product();
-            bytes += 4 * (s.in_channels * in_vol + s.out_channels * out_vol) as u128;
-        }
-        let mem_s = bytes as f64 / (machine.mem_bw_gbps.max(1e-3) * 1e9);
-        let per_image_ms = compute_s.max(mem_s) * 1e3;
-        // Fork–join launch + barrier cost, per layer per batch — a
-        // coarse constant; the admission estimate only needs the right
-        // order of magnitude.
-        let batch_overhead_ms = 0.05 * spec.layers.len() as f64;
-        Ok(ServiceModel { per_image_ms, batch_overhead_ms })
-    }
-
-    /// A model from a measured per-image latency (no roofline needed).
+    /// A model from a measured per-image latency and per-batch overhead.
     pub fn from_measurement(per_image_ms: f64, batch_overhead_ms: f64) -> ServiceModel {
         ServiceModel { per_image_ms, batch_overhead_ms }
-    }
-
-    /// Estimated service time of one `n`-image batch, milliseconds.
-    pub fn batch_ms(&self, n: usize) -> f64 {
-        self.batch_overhead_ms + self.per_image_ms * n as f64
     }
 
     /// Estimated time to drain `queued` waiting images plus one new
@@ -159,13 +109,6 @@ impl ServiceModel {
         let images = queued + 1;
         let batches = images.div_ceil(max_batch.max(1));
         self.per_image_ms * images as f64 + self.batch_overhead_ms * batches as f64
-    }
-
-    /// Throughput ceiling at a given batch size, requests per second —
-    /// the "sustainable load" reference for the load generator.
-    pub fn sustainable_rps(&self, batch: usize) -> f64 {
-        let b = batch.max(1);
-        b as f64 / (self.batch_ms(b) / 1e3)
     }
 }
 
@@ -192,17 +135,20 @@ mod tests {
     }
 
     #[test]
-    fn roofline_model_is_positive_and_monotonic() {
-        let machine = MachineModel { peak_gflops: 100.0, mem_bw_gbps: 50.0, threads: 4 };
-        let m = ServiceModel::from_roofline(&machine, &spec(), 0.5).unwrap();
-        assert!(m.per_image_ms > 0.0);
-        assert!(m.batch_ms(4) > m.batch_ms(1));
-        assert!(m.drain_ms(8, 4) > m.drain_ms(0, 4));
-        assert!(m.sustainable_rps(4) > 0.0);
-        // Slower machine → slower model.
-        let slow = MachineModel { peak_gflops: 1.0, mem_bw_gbps: 1.0, threads: 1 };
-        let ms = ServiceModel::from_roofline(&slow, &spec(), 0.5).unwrap();
-        assert!(ms.per_image_ms > m.per_image_ms);
+    fn drain_charges_every_image_and_one_overhead_per_batch() {
+        let (p, o) = (0.5, 0.25);
+        let m = ServiceModel::from_measurement(p, o);
+        // 7 queued + the new request = 8 images in two batches of 4.
+        assert_eq!(m.drain_ms(7, 4), 8.0 * p + 2.0 * o);
+        // A ninth image opens a third batch.
+        assert_eq!(m.drain_ms(8, 4), 9.0 * p + 3.0 * o);
+        // An empty queue is one image in one batch; a zero batch cap
+        // still dispatches one image per batch.
+        assert_eq!(m.drain_ms(0, 4), p + o);
+        assert_eq!(m.drain_ms(2, 0), 3.0 * (p + o));
+        for q in 0..32 {
+            assert!(m.drain_ms(q + 1, 4) > m.drain_ms(q, 4), "monotone at depth {q}");
+        }
     }
 
     #[test]
@@ -216,11 +162,6 @@ mod tests {
         assert_eq!(chained[1].0.image_dims, vec![4, 4]);
         assert_eq!(chained[1].1, vec![2, 2]);
         assert_eq!(sp.output_geometry().unwrap(), (16, vec![2, 2]));
-        // Stride-2 work is far below the stride-1 estimate; admission
-        // control must not over-charge strided models 4× per layer.
-        let dense = spec().direct_flops(1).unwrap();
-        let strided = sp.direct_flops(1).unwrap();
-        assert!(strided < dense / 3, "strided {strided} vs dense {dense}");
         // Fewer tiles per layer → larger batches needed to saturate.
         assert!(
             suggested_max_batch(&sp, 16).unwrap() > suggested_max_batch(&spec(), 16).unwrap()

@@ -42,6 +42,14 @@ if cargo tree --offline -p wino-conv -e normal | grep -q wino-transforms; then
     echo "error: wino-conv depends on wino-transforms at run time" >&2
     exit 1
 fi
+# Likewise the server prices admission from a measured service time and
+# reads no span or work model itself: `wino-probe` is a dependency of its
+# tests only (the engine crates below it still record spans with it).
+echo "==> cargo tree --offline -p wino-serve -e normal --depth 1 (no wino-probe)"
+if cargo tree --offline -p wino-serve -e normal --depth 1 | grep -q wino-probe; then
+    echo "error: wino-serve depends on wino-probe directly" >&2
+    exit 1
+fi
 # Feature matrix: default × fault-inject. Instrumentation is not a build
 # configuration — the span tests run in both (a run is instrumented iff
 # its executor carries a collector).
@@ -55,7 +63,8 @@ run "$BUILD_TIMEOUT" cargo clippy --workspace --offline --all-targets --features
 # (three back to back under the ring's one fork–join, and under the dual
 # ring's second, after its input transform's), a plain executor records
 # nothing and reads no clock, the `ProbedExecutor` wrapper records, and
-# the bench-level fold sees every stage. Named, so a rename cannot empty it.
+# a bench-level pass records every stage its work model covers, with
+# deterministic span counts. Named, so a rename cannot empty it.
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv --lib -- \
     conv::tests::forward_is_four_fork_joins \
     conv::tests::a_fused_pass_reports_three_stage_spans \
@@ -240,7 +249,6 @@ RUSTDOCFLAGS="-D warnings" run "$BUILD_TIMEOUT" cargo doc --workspace --offline 
 # verdict, a re-injected bug goes uncaught, or DPOR explores more
 # interleavings than DFS on any scenario.
 run "$ANALYZE_TIMEOUT" cargo run --offline --release -q -p wino-analyze --bin wino-lint
-run "$TEST_TIMEOUT" cargo test --offline -q -p wino-analyze
 # Named, so a rename cannot drop them: the workspace lints clean under
 # every rule — the cross-file `pub-needs-caller` (no public item whose only
 # callers are its own tests) included — and the seeded fixture trips every

@@ -295,7 +295,7 @@ fn every_submission_resolves_to_exactly_one_outcome() {
     assert_eq!(stats.submitted, ok + shed);
     assert_eq!(stats.completed, ok);
     assert_eq!(
-        stats.shed_overload + stats.shed_deadline + stats.shed_predicted,
+        stats.shed_overload + stats.shed_deadline + stats.shed_predicted + stats.shed_memory,
         shed,
         "client and server shed tallies must reconcile"
     );
