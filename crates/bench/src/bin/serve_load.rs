@@ -65,7 +65,7 @@ fn request_image(i: usize) -> BlockedImage {
 
 /// Measure the real batch-1 service time of the workload — admission
 /// prices with it and the offered load is scaled from it — on the path
-/// the server runs: FX on kernels prepared once, beside the raw ones.
+/// the server runs: FX on one set of kernels prepared once.
 fn measure_per_image_ms(spec: &ModelSpec, kernels: &[BlockedKernels], threads: usize) -> f64 {
     let policy = FallbackPolicy::default();
     let mut net = Network::with_policy(
@@ -93,7 +93,7 @@ fn measure_per_image_ms(spec: &ModelSpec, kernels: &[BlockedKernels], threads: u
     for _ in 0..6 {
         let t = Instant::now();
         let out = net
-            .run_net_fx(&input, kernels, &prepared, exec.as_ref(), &policy)
+            .run_net_fx(&input, &prepared, exec.as_ref(), &policy)
             .expect("warmup run failed");
         std::hint::black_box(out.0.as_slice().first());
         best = best.min(t.elapsed().as_secs_f64() * 1e3);

@@ -22,28 +22,23 @@ use crate::{fused, stage1, stage2, stage3};
 /// the paper's "FX" columns in Fig. 5. Bound to the layer plan that
 /// produced them (same tile size and blocking) and to every plan of the
 /// same channel counts and tile size, whose blocking Eq. 11 picks alike.
-/// A [`crate::Network`] layer whose route reads raw kernels (im2col,
-/// grouped) keeps a copy of them here instead.
+/// A set [`crate::Network::prepare_kernels`] makes also carries a copy of
+/// the layer's raw kernels, on every route: the one kernel argument of a
+/// network's FX entry points, read by im2col and grouped routes, re-planned
+/// candidates and the sentinels. [`WinogradLayer::prepare_kernels`] makes
+/// a `V̂`-only set, which only [`WinogradLayer::forward_fx`] reads.
 #[derive(Debug)]
 pub struct TransformedKernels {
-    /// `V̂`; empty when the layer keeps its raw kernels.
+    /// `V̂`; empty on a route that reads raw kernels (im2col, grouped).
     pub(crate) v: BlockedMatrices,
+    /// The layer's raw kernels; `None` in a layer-level set.
     pub(crate) raw: Option<BlockedKernels>,
 }
 
 impl TransformedKernels {
-    /// Bytes held by the memoised transforms (or the kept raw kernels).
+    /// Bytes held by the memoised transforms and the kept raw kernels.
     pub fn bytes(&self) -> usize {
         self.v.bytes() + self.raw.as_ref().map_or(0, |k| std::mem::size_of_val(k.as_slice()))
-    }
-
-    /// A layer's raw kernels as its prepared form, copied through the
-    /// fallible allocation seam.
-    pub(crate) fn of_raw(kernels: &BlockedKernels) -> Result<TransformedKernels, WinoError> {
-        let (c, cp) = (kernels.in_channels, kernels.out_channels);
-        let mut copy = BlockedKernels::try_zeros(c, cp, &kernels.dims)?;
-        copy.as_mut_slice().copy_from_slice(kernels.as_slice());
-        Ok(TransformedKernels { v: BlockedMatrices::placeholder(), raw: Some(copy) })
     }
 }
 

@@ -34,7 +34,7 @@
 use wino_probe::{SpanCategory, StageWork, WorkModel};
 use wino_sched::Executor;
 use wino_simd::S;
-use wino_tensor::{BlockedImage, BlockedKernels, ConvGeometry, ConvShape, TensorError};
+use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices, ConvGeometry, ConvShape, TensorError};
 
 use crate::conv::TransformedKernels;
 use crate::error::{ensure_dims_eq, ensure_eq, WinoError};
@@ -58,45 +58,34 @@ pub enum Route {
     Im2col,
 }
 
-/// The kernels one layer execution runs on: the raw kernels, the layer's
-/// prepared set (§4.2 "Inference only"), or both.
+/// The kernels one layer execution runs on: the raw kernels and, in FX
+/// mode, the layer's prepared set (§4.2 "Inference only").
 #[derive(Clone, Copy)]
 pub(crate) struct Kernels<'a> {
     /// Every route, every candidate the run-time walk re-plans and the
     /// sentinels' oracle can run on them.
-    pub raw: Option<&'a BlockedKernels>,
+    pub raw: &'a BlockedKernels,
     /// A dense route runs FX on its `V̂` when the plan accepts it.
     pub prepared: Option<&'a TransformedKernels>,
 }
 
 impl<'a> Kernels<'a> {
     pub fn raw(kernels: &'a BlockedKernels) -> Kernels<'a> {
-        Kernels { raw: Some(kernels), prepared: None }
+        Kernels { raw: kernels, prepared: None }
     }
 
-    /// A prepared set alone (strict FX mode): a layer that kept its raw
-    /// kernels reads those.
+    /// A prepared set and the raw kernels it carries — every set
+    /// [`crate::Network::prepare_kernels`] makes; [`crate::Network::run_net_fx`]
+    /// refuses a layer-level one before it gets here.
     pub fn prepared(prepared: &'a TransformedKernels) -> Kernels<'a> {
-        Kernels { raw: prepared.raw.as_ref(), prepared: Some(prepared) }
+        let raw = prepared.raw.as_ref().expect("a network's prepared set carries its raw kernels");
+        Kernels { raw, prepared: Some(prepared) }
     }
 
-    pub fn both(raw: &'a BlockedKernels, prepared: &'a TransformedKernels) -> Kernels<'a> {
-        Kernels { raw: Some(raw), prepared: Some(prepared) }
-    }
-
-    /// The prepared set `plan` runs FX on: the one there is when there
-    /// are no raw kernels (`forward_fx` types a mismatch), else one whose
-    /// `V̂` has `plan`'s tile count, channels and blocking.
+    /// The prepared set `plan` runs FX on: one whose `V̂` has `plan`'s
+    /// tile count, channels and blocking.
     fn fx(&self, plan: &WinogradLayer) -> Option<&'a TransformedKernels> {
-        let tk = self.prepared?;
-        (self.raw.is_none() || check_kernel_transforms(plan, &tk.v).is_ok()).then_some(tk)
-    }
-
-    /// The raw kernels an im2col, grouped or un-prepared dense route reads.
-    fn read_raw(&self) -> Result<&'a BlockedKernels, WinoError> {
-        self.raw.ok_or(WinoError::Unsupported(
-            "this layer's route reads raw kernels, and its prepared set holds a kernel transform",
-        ))
+        self.prepared.filter(|tk| check_kernel_transforms(plan, &tk.v).is_ok())
     }
 }
 
@@ -357,10 +346,9 @@ impl DispatchPlan {
     ///   output.
     ///
     /// Every route prices its prepared kernels as transformed-kernel
-    /// bytes: a dense route's `V̂` (strided or not, its stride-1 plan's);
-    /// on a route that reads raw kernels, the copy
-    /// [`crate::Network::prepare_kernels`] keeps — plus, grouped, the
-    /// per-group `V̂` its scratch grows.
+    /// bytes: the raw copy [`crate::Network::prepare_kernels`] keeps on
+    /// every route, plus a dense route's `V̂` (strided or not, its
+    /// stride-1 plan's) or, grouped, the per-group `V̂` its scratch grows.
     pub fn footprint(&self, threads: usize) -> crate::MemoryFootprint {
         let (batch, cp) = (self.shape.batch, self.shape.out_channels);
         let out_bytes = BlockedImage::bytes_for(batch, cp, &self.out_dims);
@@ -371,7 +359,6 @@ impl DispatchPlan {
             Route::Grouped { plan } => {
                 let mut fp = plan.footprint(threads);
                 fp.output_bytes += BlockedImage::bytes_for(batch, cp, &self.shape.out_dims());
-                fp.transformed_kernel_bytes += raw_copy;
                 fp
             }
             Route::Im2col => {
@@ -379,11 +366,11 @@ impl DispatchPlan {
                 let mut fp = crate::MemoryFootprint::empty(threads);
                 fp.scratch_bytes =
                     wm.get(SpanCategory::ElementwiseGemm).map_or(0, |w| w.bytes as usize);
-                fp.transformed_kernel_bytes = raw_copy;
                 fp.output_bytes = out_bytes;
-                return fp;
+                fp
             }
         };
+        fp.transformed_kernel_bytes += raw_copy;
         if self.strided() {
             fp.output_bytes += out_bytes;
         }
@@ -459,10 +446,10 @@ impl DispatchPlan {
         self.forward_in(&mut Slot::default(), input, Kernels::raw(kernels), output, exec)
     }
 
-    /// The layer's prepared kernels (§4.2 "Inference only"): a dense
-    /// route's `V̂`, made on its stride-1 plan — strided or not — in
-    /// `slot`'s scratch, which gives it up; on a route that reads raw
-    /// kernels (im2col, grouped), a copy of them.
+    /// The layer's prepared kernels (§4.2 "Inference only"): a copy of
+    /// the raw kernels, which every route reads, plus a dense route's
+    /// `V̂`, made on its stride-1 plan — strided or not — in `slot`'s
+    /// scratch, which gives it up.
     pub(crate) fn prepare_in(
         &self,
         slot: &mut Slot,
@@ -471,13 +458,16 @@ impl DispatchPlan {
     ) -> Result<TransformedKernels, WinoError> {
         ensure_eq("kernel in_channels (C / groups)", self.kernel_in_channels(), kernels.in_channels)?;
         ensure_eq("kernel out_channels", self.shape.out_channels, kernels.out_channels)?;
-        match &self.route {
+        let mut raw = BlockedKernels::try_zeros(kernels.in_channels, kernels.out_channels, &kernels.dims)?;
+        raw.as_mut_slice().copy_from_slice(kernels.as_slice());
+        let v = match &self.route {
             Route::Direct(plan) => {
                 let sc = ensure_scratch(&mut slot.scratch, plan, exec.threads())?;
-                plan.prepare_kernels(kernels, sc, exec)
+                plan.prepare_kernels(kernels, sc, exec)?.v
             }
-            Route::Grouped { .. } | Route::Im2col => TransformedKernels::of_raw(kernels),
-        }
+            Route::Grouped { .. } | Route::Im2col => BlockedMatrices::placeholder(),
+        };
+        Ok(TransformedKernels { v, raw: Some(raw) })
     }
 
     /// [`Self::forward`] through a caller-owned `slot` — a
@@ -498,10 +488,8 @@ impl DispatchPlan {
         ensure_eq("output batch", s.batch, output.batch)?;
         ensure_eq("output channels", s.out_channels, output.channels)?;
         ensure_dims_eq("output extent", &self.out_dims, &output.dims)?;
-        if let Some(k) = kernels.raw {
-            ensure_eq("kernel in_channels (C / groups)", self.kernel_in_channels(), k.in_channels)?;
-            ensure_eq("kernel out_channels", s.out_channels, k.out_channels)?;
-        }
+        ensure_eq("kernel in_channels (C / groups)", self.kernel_in_channels(), kernels.raw.in_channels)?;
+        ensure_eq("kernel out_channels", s.out_channels, kernels.raw.out_channels)?;
         if !self.strided() {
             return self.run_route(&mut slot.scratch, input, kernels, output, exec);
         }
@@ -533,16 +521,15 @@ impl DispatchPlan {
                 let sc = ensure_scratch(slot, plan, threads)?;
                 match kernels.fx(plan) {
                     Some(tk) => plan.forward_fx(input, tk, out, sc, exec),
-                    None => plan.forward(input, kernels.read_raw()?, out, sc, exec),
+                    None => plan.forward(input, kernels.raw, out, sc, exec),
                 }
             }
             Route::Grouped { plan } => {
-                let kernels = kernels.read_raw()?;
                 let sc = ensure_scratch(slot, plan, threads)?;
                 let (c_pg, k_pg) = (plan.shape.in_channels, plan.shape.out_channels);
                 for g in 0..self.geo.groups {
                     let in_g = input.channel_block(g * c_pg, c_pg)?;
-                    let k_g = kernels.group_block(0, c_pg, g * k_pg, k_pg)?;
+                    let k_g = kernels.raw.group_block(0, c_pg, g * k_pg, k_pg)?;
                     let mut out_g = plan.try_new_output()?;
                     plan.forward(&in_g, &k_g, &mut out_g, sc, exec)?;
                     out.write_channel_block(g * k_pg, &out_g)?;
@@ -550,10 +537,9 @@ impl DispatchPlan {
                 Ok(())
             }
             Route::Im2col => {
-                let kernels = kernels.read_raw()?;
                 out.fill_zero();
                 let (padding, geo) = (&self.shape.padding, &self.geo);
-                Ok(wino_baseline::im2col_conv_geo(input, kernels, padding, geo, out, exec)?)
+                Ok(wino_baseline::im2col_conv_geo(input, kernels.raw, padding, geo, out, exec)?)
             }
         }
     }

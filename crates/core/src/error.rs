@@ -73,8 +73,9 @@ pub enum WinoError {
     Alloc(AllocError),
     /// Kernel list length does not match the network's layer count.
     LayerCount { expected: usize, got: usize },
-    /// The requested operation is not available for this plan (e.g. an
-    /// im2col layer handed a kernel transform instead of raw kernels).
+    /// The requested operation is not available (e.g. a layer index past
+    /// the network, or a network handed a layer-level prepared set, which
+    /// carries no raw kernels).
     Unsupported(&'static str),
 }
 

@@ -360,14 +360,14 @@ impl Network {
     }
 
     /// Memoise all kernel transforms for inference (§4.2 "Inference
-    /// only"); pass the result to [`Self::forward_fx`] or, beside the raw
-    /// kernels, to [`Self::run_net_fx`]. A dense layer's `V̂` is made on
-    /// its stride-1 plan, strided or not, in its scratch, which gives it
-    /// up to the result ([`crate::WinogradLayer::prepare_kernels`]); an
-    /// im2col or grouped layer keeps a copy of its raw kernels. The
-    /// result serves every plan of the same layer specs at any batch size
-    /// and on the Mono rung: `V̂`'s blocking comes from the channel counts
-    /// alone (Eq. 11).
+    /// only"): the one kernel argument of [`Self::forward_fx`] and
+    /// [`Self::run_net_fx`]. Each layer's set carries a copy of its raw
+    /// kernels, which every route, re-planned candidate and sentinel can
+    /// read, plus — dense — the `V̂` made on its stride-1 plan, strided or
+    /// not, in its scratch, which gives it up to the result
+    /// ([`crate::WinogradLayer::prepare_kernels`]). The result serves every
+    /// plan of the same layer specs at any batch size and on every rung:
+    /// `V̂`'s blocking comes from the channel counts alone (Eq. 11).
     pub fn prepare_kernels(
         &mut self,
         kernels: &[BlockedKernels],
@@ -447,25 +447,28 @@ impl Network {
         self.run(input, kernels.iter().map(Kernels::raw), exec, policy)
     }
 
-    /// [`Self::run_net`] in inference mode: each dense layer runs FX on its
-    /// entry of `prepared` ([`Self::prepare_kernels`], made on this or any
-    /// plan of the same layer specs) when the plan accepts its `V̂`, and
-    /// transforms its raw kernels otherwise. The numeric guard, the
-    /// sentinels and the degradation walk run as in `run_net`; every
-    /// other route, and every re-planned candidate, reads the raw kernels.
+    /// [`Self::run_net`] in inference mode on one prepared set
+    /// ([`Self::prepare_kernels`], made on this or any plan of the same
+    /// layer specs): each dense layer runs FX on its `V̂` when the plan
+    /// accepts it, and transforms the set's raw kernels otherwise. The
+    /// numeric guard, the sentinels and the degradation walk run as in
+    /// `run_net`; every other route, and every re-planned candidate, reads
+    /// the set's raw kernels. A set without them
+    /// ([`crate::WinogradLayer::prepare_kernels`]) is
+    /// [`WinoError::Unsupported`] before any layer runs.
     pub fn run_net_fx(
         &mut self,
         input: &BlockedImage,
-        kernels: &[BlockedKernels],
         prepared: &[TransformedKernels],
         exec: &dyn Executor,
         policy: &FallbackPolicy,
     ) -> Result<(BlockedImage, Vec<ExecutionReport>), WinoError> {
-        if prepared.len() != self.layers.len() {
-            return Err(WinoError::LayerCount { expected: self.layers.len(), got: prepared.len() });
+        if prepared.iter().any(|tk| tk.raw.is_none()) {
+            return Err(WinoError::Unsupported(
+                "a network runs on the sets Network::prepare_kernels makes; a layer's set has no raw kernels",
+            ));
         }
-        let both = kernels.iter().zip(prepared).map(|(k, tk)| Kernels::both(k, tk));
-        self.run(input, both, exec, policy)
+        self.run(input, prepared.iter().map(Kernels::prepared), exec, policy)
     }
 
     /// Run the network strictly (training mode; no degradation, no
@@ -479,16 +482,15 @@ impl Network {
         self.run_net(input, kernels, exec, &FallbackPolicy::strict()).map(|(out, _)| out)
     }
 
-    /// Run the network strictly in inference mode with memoised kernel
-    /// transforms.
+    /// Run the network strictly in inference mode on one prepared set:
+    /// [`Self::run_net_fx`] under [`FallbackPolicy::strict`].
     pub fn forward_fx(
         &mut self,
         input: &BlockedImage,
-        kernels: &[TransformedKernels],
+        prepared: &[TransformedKernels],
         exec: &dyn Executor,
     ) -> Result<BlockedImage, WinoError> {
-        self.run(input, kernels.iter().map(Kernels::prepared), exec, &FallbackPolicy::strict())
-            .map(|(out, _)| out)
+        self.run_net_fx(input, prepared, exec, &FallbackPolicy::strict()).map(|(out, _)| out)
     }
 }
 
@@ -529,9 +531,9 @@ fn attempt(
     }
     // Disabled sentinels do no work at all: no RNG, no oracle, no counters.
     let sampled = policy.sentinel.samples > 0;
-    if let (Some(w), Some(k), true) = (plan.winograd(), kernels.raw, sampled) {
+    if let (Some(w), true) = (plan.winograd(), sampled) {
         let t0 = span_start(probe);
-        let verdict = verify_sample(w, input, k, &out, &policy.sentinel, index);
+        let verdict = verify_sample(w, input, kernels.raw, &out, &policy.sentinel, index);
         // SAFETY: the coordinator thread, between fork–joins.
         unsafe { record_coord(probe, wino_probe::SpanCategory::SentinelVerify, t0) };
         let checked = verdict.inspect_err(|_| wino_probe::Counter::SentinelTrips.add(1))?;
@@ -1206,9 +1208,9 @@ mod tests {
     #[test]
     fn strided_and_im2col_layers_prepare_their_kernels() {
         // A strided layer's `V̂` is its stride-1 plan's; an im2col-planned
-        // layer (m = 40 on a 10×10 output) keeps its raw kernels. FX mode
-        // computes run_net's bits on both without transforming a kernel,
-        // and the raw kernels beside the prepared set change nothing.
+        // layer (m = 40 on a 10×10 output) reads the raw kernels its set
+        // carries. FX mode computes run_net's bits on both without
+        // transforming a kernel, strict or under the default policy.
         let im2col = LayerSpec { m: vec![40, 40], ..LayerSpec::same(16, 2, 3, 2) };
         let strided = ConvOptions::default().with_stride(&[2, 2]);
         let policy = FallbackPolicy::default();
@@ -1233,7 +1235,7 @@ mod tests {
             let transforms =
                 events.iter().filter(|e| e.category == wino_probe::SpanCategory::KernelTransform);
             assert_eq!(transforms.count(), 0, "{opts:?}: a Winograd layer transformed kernels");
-            let (out, _) = net.run_net_fx(&input, &kernels, &fx, &SerialExecutor, &policy).unwrap();
+            let (out, _) = net.run_net_fx(&input, &fx, &SerialExecutor, &policy).unwrap();
             assert_eq!(out.as_slice(), want.as_slice(), "{opts:?}: run_net_fx");
         }
     }
@@ -1243,33 +1245,87 @@ mod tests {
         let specs = vec![LayerSpec::same(16, 2, 3, 2)];
         let mut net = Network::new(1, 16, &[10, 10], &specs, ConvOptions::default(), 1).unwrap();
         let kernels = kernels_for(&net, 4);
-        let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
         let img = SimpleImage::from_fn(1, 16, &[10, 10], |_, c, xy| (c + xy[0]) as f32 * 0.02);
         let input = BlockedImage::from_simple(&img).unwrap();
+        let want = net.forward(&input, &kernels, &SerialExecutor).unwrap();
+        // The set is the only kernel argument: the caller's kernels are gone.
+        let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+        let layer_set = {
+            let plan = engine_plan(&net.layers()[0]);
+            plan.prepare_kernels(&kernels[0], &mut Scratch::new(plan, 1), &SerialExecutor).unwrap()
+        };
+        drop(kernels);
 
         // A NaN input trips the guard on the FX output and again on the
-        // im2col rescue, which re-plans onto the raw kernels.
+        // im2col rescue, which re-plans onto the set's raw kernels.
         let mut bad = input.clone();
         bad.as_mut_slice()[3 * 10 + 5] = f32::NAN;
         let policy = FallbackPolicy::default();
-        match net.run_net_fx(&bad, &kernels, &fx, &SerialExecutor, &policy) {
+        match net.run_net_fx(&bad, &fx, &SerialExecutor, &policy) {
             Err(WinoError::Numeric(e)) => assert_eq!(e.stage, "im2col rescue output"),
             other => panic!("expected Numeric, got {:?}", other.map(|(o, _)| o.dims)),
         }
 
-        // The sentinels check FX tiles against the raw kernels.
+        // The sentinels check FX tiles against the set's raw kernels.
         let checked = wino_probe::Counter::SentinelTilesChecked.get();
         let sampled = FallbackPolicy::with_sentinel(4, 7);
-        let (out, reports) =
-            net.run_net_fx(&input, &kernels, &fx, &SerialExecutor, &sampled).unwrap();
+        let (out, reports) = net.run_net_fx(&input, &fx, &SerialExecutor, &sampled).unwrap();
         assert!(wino_probe::Counter::SentinelTilesChecked.get() > checked);
         assert!(reports[0].fallback.is_none());
-        let want = net.forward(&input, &kernels, &SerialExecutor).unwrap();
         assert_eq!(out.as_slice(), want.as_slice());
 
         // A prepared set of the wrong length is a typed error.
-        let err = net.run_net_fx(&input, &kernels, &[], &SerialExecutor, &policy).unwrap_err();
+        let err = net.run_net_fx(&input, &[], &SerialExecutor, &policy).unwrap_err();
         assert!(matches!(err, WinoError::LayerCount { expected: 1, got: 0 }));
+
+        // A layer-level set carries no raw kernels: both network entry
+        // points refuse it, typed, before any layer runs — also when only
+        // a later layer's entry is one.
+        let layer_only = [layer_set];
+        let mut probed = wino_sched::ProbedExecutor::new(SerialExecutor);
+        let err = net.forward_fx(&input, &layer_only, &probed).map(|o| o.dims).unwrap_err();
+        assert!(matches!(err, WinoError::Unsupported(_)), "{err:?}");
+        let err = net.run_net_fx(&input, &layer_only, &probed, &policy).map(|(o, _)| o.dims).unwrap_err();
+        assert!(matches!(err, WinoError::Unsupported(_)), "{err:?}");
+        let specs = vec![LayerSpec::same(16, 2, 3, 2); 2];
+        let mut two = Network::new(1, 16, &[10, 10], &specs, ConvOptions::default(), 1).unwrap();
+        let mut mixed = two.prepare_kernels(&kernels_for(&two, 4), &SerialExecutor).unwrap();
+        mixed[1] = layer_only.into_iter().next().unwrap();
+        let err = two.run_net_fx(&input, &mixed, &probed, &policy).map(|(o, _)| o.dims).unwrap_err();
+        assert!(matches!(err, WinoError::Unsupported(_)), "{err:?}");
+        assert!(probed.take_events().is_empty(), "a layer ran before the refusal");
+    }
+
+    #[test]
+    fn prepared_sets_allocate_exactly_their_modelled_bytes() {
+        // `prepare_kernels` hands its sets exactly what
+        // `DispatchPlan::footprint` prices as transformed kernels and what
+        // the sets report holding: on every route the raw copy, on a dense
+        // one (strided or not) also `V̂`. A missed or doubled term
+        // shows here, where the 10 % end-to-end gate would absorb it.
+        let im2col = LayerSpec { m: vec![40, 40], ..LayerSpec::same(32, 2, 3, 2) };
+        let specs = vec![LayerSpec::same(16, 2, 3, 2), im2col, LayerSpec::same(16, 2, 3, 4)];
+        let strided = ConvOptions::default().with_stride(&[2, 2]);
+        let policy = FallbackPolicy::default();
+        for opts in [ConvOptions::default(), strided] {
+            let mut net = Network::with_policy(1, 16, &[10, 10], &specs, opts, 1, &policy).unwrap();
+            let routes: Vec<_> = net.layers().iter().map(|l| l.plan.backend()).collect();
+            assert_eq!(routes.iter().filter(|b| **b == LayerBackend::Im2col).count(), 1, "{routes:?}");
+            let kernels = kernels_for(&net, 2);
+            // A training-mode pass first builds every slot, each `V̂` in its
+            // scratch: `prepare_kernels` then allocates the raw copies and
+            // takes the `V̂`s, which leave the scratch for the sets.
+            let input = BlockedImage::zeros(1, 16, &[10, 10]).unwrap();
+            net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
+            let (bytes, scratch) = (wino_simd::thread_alloc_bytes(), net.scratch_bytes());
+            let fx = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+            let allocated = (wino_simd::thread_alloc_bytes() - bytes) as usize;
+            let held = allocated + (scratch - net.scratch_bytes());
+            let modelled: usize =
+                net.layers().iter().map(|l| l.plan.footprint(1).transformed_kernel_bytes).sum();
+            assert_eq!(held, modelled, "{opts:?}: footprint");
+            assert_eq!(held, fx.iter().map(TransformedKernels::bytes).sum::<usize>(), "{opts:?}: sets");
+        }
     }
 
     #[test]

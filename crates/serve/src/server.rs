@@ -216,10 +216,10 @@ pub struct Server {
 
 impl Server {
     /// Validate the spec (a batch-1 plan must exist under
-    /// [`FallbackPolicy::default`], the policy the server runs), transform
+    /// [`FallbackPolicy::default`], the policy the server runs), prepare
     /// every layer's kernels once on that plan, then spawn the batcher
     /// thread, whose plan cache starts with the plans made here and whose
-    /// every batch runs in FX mode on those transforms.
+    /// every batch runs in FX mode on that one set.
     pub fn start(
         spec: ModelSpec,
         kernels: Vec<BlockedKernels>,
@@ -534,11 +534,10 @@ fn plan_model(
 /// [`FallbackPolicy::default`]. Owned by the batcher thread.
 struct Engine {
     spec: ModelSpec,
-    kernels: Vec<BlockedKernels>,
-    /// Every layer's kernels, transformed once for the server's life:
-    /// `V̂`'s blocking comes from the channel counts alone (Eq. 11), so
-    /// one set serves every cached plan, at every batch size and on the
-    /// Mono rung.
+    /// Every layer's kernels, prepared once for the server's life: the raw
+    /// kernels plus, dense, `V̂`, whose blocking comes from the channel
+    /// counts alone (Eq. 11), so one set serves every cached plan, at
+    /// every batch size and on every rung.
     prepared: Vec<TransformedKernels>,
     threads: usize,
     /// Cached network plans keyed by `(batch, ladder rung)`.
@@ -546,9 +545,10 @@ struct Engine {
 }
 
 impl Engine {
-    /// Plan the batch-1 network and prepare every layer's kernels on it.
-    /// Fails fast on ill-formed geometry: if no batch-1 plan exists even
-    /// under the fallback policy, serving can never succeed.
+    /// Plan the batch-1 network and prepare every layer's kernels on it;
+    /// the set keeps its own copy, and `kernels` are dropped. Fails fast
+    /// on ill-formed geometry: if no batch-1 plan exists even under the
+    /// fallback policy, serving can never succeed.
     fn new(
         spec: ModelSpec,
         kernels: Vec<BlockedKernels>,
@@ -557,13 +557,13 @@ impl Engine {
         let mut net1 = plan_model(&spec, 1, threads, DegradeLevel::Full)?;
         let prepared = net1.prepare_kernels(&kernels, &SerialExecutor)?;
         let plans = HashMap::from([((1, DegradeLevel::Full as u8), net1)]);
-        Ok(Engine { spec, kernels, prepared, threads, plans })
+        Ok(Engine { spec, prepared, threads, plans })
     }
 
     /// Run one batch on the network planned for the breaker's `level` —
-    /// all three rungs are the same run loop: FX on the prepared kernels
-    /// wherever the plan accepts them, the raw kernels on the im2col rung
-    /// and for every re-planned layer.
+    /// all three rungs are the same run loop on the one prepared set: FX
+    /// wherever the plan accepts its `V̂`, the set's raw kernels on the
+    /// im2col rung and for every re-planned layer.
     fn run(
         &mut self,
         input: &BlockedImage,
@@ -576,7 +576,7 @@ impl Engine {
                 v.insert(plan_model(&self.spec, input.batch, self.threads, level)?)
             }
         };
-        net.run_net_fx(input, &self.kernels, &self.prepared, exec, &FallbackPolicy::default())
+        net.run_net_fx(input, &self.prepared, exec, &FallbackPolicy::default())
     }
 }
 
@@ -604,27 +604,30 @@ fn fill_batch(img: &mut BlockedImage, batch: &[Pending], channels: usize) {
 /// The batcher's per-batch-size assembly buffers: allocated once per
 /// batch size ever seen (bounded by `max_batch`), reused for every
 /// subsequent batch of that size so steady-state assembly allocates
-/// nothing.
+/// nothing. A refused buffer is a typed error, which fails the batch.
 fn assemble_cached<'a>(
     cache: &'a mut HashMap<usize, BlockedImage>,
     batch: &[Pending],
     channels: usize,
     dims: &[usize],
-) -> &'a BlockedImage {
-    let img = cache.entry(batch.len()).or_insert_with(|| {
-        BlockedImage::zeros(batch.len(), channels, dims).expect("geometry validated at submit")
-    });
+) -> Result<&'a BlockedImage, WinoError> {
+    let img = match cache.entry(batch.len()) {
+        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
+        std::collections::hash_map::Entry::Vacant(v) => {
+            v.insert(BlockedImage::try_zeros(batch.len(), channels, dims)?)
+        }
+    };
     fill_batch(img, batch, channels);
-    img
+    Ok(img)
 }
 
-/// Slice image `i` back out of a batched output.
-fn split_one(out: &BlockedImage, i: usize) -> BlockedImage {
-    let mut img = BlockedImage::zeros(1, out.channels, &out.dims)
-        .expect("output geometry is valid by construction");
+/// Slice image `i` back out of a batched output; a refused buffer is a
+/// typed error, which fails that request alone.
+fn split_one(out: &BlockedImage, i: usize) -> Result<BlockedImage, WinoError> {
+    let mut img = BlockedImage::try_zeros(1, out.channels, &out.dims)?;
     let chunk = out.channels * out.spatial_volume();
     img.as_mut_slice().copy_from_slice(&out.as_slice()[i * chunk..(i + 1) * chunk]);
-    img
+    Ok(img)
 }
 
 fn ms(d: Duration) -> f64 {
@@ -673,44 +676,47 @@ fn batcher_main(
         let assembled = assemble_cached(&mut assembly, &live, channels, &dims);
         let dispatch = Instant::now();
         let mut retries: u32 = 0;
-        let outcome = loop {
-            let level = breaker.level();
-            Stats::bump(&stats.batches);
-            // The pool already converts worker panics into typed
-            // errors; this catch_unwind is the coordinator-side belt to
-            // that suspender — a panic on the batcher thread itself
-            // (e.g. from injected coordinator faults) must degrade into
-            // a typed batch failure, not an abandoned queue.
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                engine.run(assembled, level, exec.executor())
-            }))
-            .unwrap_or_else(|_| {
-                Err(WinoError::Pool(PoolError::Panicked {
-                    panics: vec![(0, "serve batcher panicked".into())],
+        let outcome = match assembled {
+            Err(e) => Err((e, breaker.level())),
+            Ok(assembled) => loop {
+                let level = breaker.level();
+                Stats::bump(&stats.batches);
+                // The pool already converts worker panics into typed
+                // errors; this catch_unwind is the coordinator-side belt to
+                // that suspender — a panic on the batcher thread itself
+                // (e.g. from injected coordinator faults) must degrade into
+                // a typed batch failure, not an abandoned queue.
+                let attempt = catch_unwind(AssertUnwindSafe(|| {
+                    engine.run(assembled, level, exec.executor())
                 }))
-            });
-            match attempt {
-                Ok((out, reports)) => {
-                    if breaker.on_success() {
-                        Stats::bump(&stats.breaker_recoveries);
+                .unwrap_or_else(|_| {
+                    Err(WinoError::Pool(PoolError::Panicked {
+                        panics: vec![(0, "serve batcher panicked".into())],
+                    }))
+                });
+                match attempt {
+                    Ok((out, reports)) => {
+                        if breaker.on_success() {
+                            Stats::bump(&stats.breaker_recoveries);
+                        }
+                        break Ok((out, reports, level));
                     }
-                    break Ok((out, reports, level));
+                    Err(e) => {
+                        Stats::bump(&stats.batch_failures);
+                        if breaker.on_failure() {
+                            Stats::bump(&stats.breaker_trips);
+                        }
+                        if exec.heal() {
+                            Stats::bump(&stats.pool_rebuilds);
+                        }
+                        if retries >= breaker_cfg.max_retries {
+                            break Err((e, level));
+                        }
+                        retries += 1;
+                        std::thread::sleep(breaker_cfg.backoff * retries);
+                    }
                 }
-                Err(e) => {
-                    Stats::bump(&stats.batch_failures);
-                    if breaker.on_failure() {
-                        Stats::bump(&stats.breaker_trips);
-                    }
-                    if exec.heal() {
-                        Stats::bump(&stats.pool_rebuilds);
-                    }
-                    if retries >= breaker_cfg.max_retries {
-                        break Err((e, level));
-                    }
-                    retries += 1;
-                    std::thread::sleep(breaker_cfg.backoff * retries);
-                }
-            }
+            },
         };
         let service_ms = ms(dispatch.elapsed());
 
@@ -732,12 +738,13 @@ fn batcher_main(
         match outcome {
             Ok((out, reports, level)) => {
                 for (i, p) in live.iter().enumerate() {
+                    let (output, tally, layers) = match split_one(&out, i) {
+                        Ok(img) => (Ok(img), &stats.completed, reports.clone()),
+                        Err(e) => (Err(ServeError::Failed(Arc::new(e))), &stats.failed, Vec::new()),
+                    };
                     // ORDERING: Relaxed — monotonic tally, no ordering contract.
-                    stats.completed.fetch_add(1, Ordering::Relaxed);
-                    p.resolve(ServeResponse {
-                        output: Ok(split_one(&out, i)),
-                        report: make_report(p, level, reports.clone()),
-                    });
+                    tally.fetch_add(1, Ordering::Relaxed);
+                    p.resolve(ServeResponse { output, report: make_report(p, level, layers) });
                 }
             }
             Err((e, level)) => {
@@ -921,8 +928,8 @@ mod tests {
         let batch = vec![mk(a, 1), mk(b, 2)];
         let asm = assemble(&batch, 16, &[2, 2]);
         assert_eq!(asm.batch, 2);
-        let back0 = split_one(&asm, 0);
-        let back1 = split_one(&asm, 1);
+        let back0 = split_one(&asm, 0).unwrap();
+        let back1 = split_one(&asm, 1).unwrap();
         assert!(back0.as_slice().iter().all(|&v| v == 1.0));
         assert!(back1.as_slice().iter().all(|&v| v == 2.0));
     }

@@ -431,6 +431,48 @@ mod faults {
         fault::reset();
     }
 
+    /// The batcher's own buffers are allocated fallibly too. A refused
+    /// assembly buffer fails its batch; a refused response copy fails its
+    /// request alone, typed, and the next request is served. Neither
+    /// aborts the process or moves the breaker, and the tallies reconcile.
+    #[test]
+    fn refused_batcher_buffers_fail_their_requests_typed() {
+        use winograd_nd_repro::conv::WinoError;
+        use winograd_nd_repro::simd::fault as mem_fault;
+
+        let _guard = fault::test_lock();
+        fault::reset();
+        mem_fault::reset();
+        let serve = |server: &Server| server.submit(request(), Duration::from_secs(30)).unwrap().wait();
+        let refused = |r: Result<BlockedImage, ServeError>| {
+            matches!(r, Err(ServeError::Failed(e)) if matches!(*e, WinoError::Alloc(_)))
+        };
+
+        let (spec, kernels) = model();
+        let server = Server::start(spec, kernels, ServeOptions::default()).unwrap();
+        // A fresh batcher's first allocation is the batch's assembly buffer.
+        mem_fault::arm_fail_every(1, 1);
+        assert!(refused(serve(&server).output), "a refused assembly buffer fails the batch");
+        assert_eq!(mem_fault::injected_failures(), 1);
+        // Warm, a round allocates the engine output, then the response copy.
+        for _ in 0..2 {
+            assert!(serve(&server).output.is_ok());
+        }
+        mem_fault::arm_fail_every(2, 1);
+        let resp = serve(&server);
+        assert!(resp.report.layers.is_empty() && !resp.report.deadline_met);
+        assert!(refused(resp.output), "a refused response copy fails its request");
+        assert!(serve(&server).output.is_ok(), "the next request is served");
+        assert_eq!(mem_fault::injected_failures(), 1, "re-arming restarts the tally");
+        mem_fault::reset();
+        let stats = server.shutdown();
+        assert_eq!((stats.submitted, stats.admitted), (5, 5));
+        assert_eq!((stats.completed, stats.failed), (3, 2));
+        assert_eq!(stats.level, DegradeLevel::Full, "neither refusal is an engine failure");
+
+        fault::reset();
+    }
+
     /// An injected worker panic fails one batch attempt; the bounded
     /// in-batch retry serves the request anyway. The caller sees a clean
     /// result — the fault is visible only in the failure tallies.
