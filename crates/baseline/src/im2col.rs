@@ -13,8 +13,8 @@
 //! small GEMMs), not the kernel quality.
 
 use wino_sched::probed::{record_coord, span_start};
-use wino_sched::Executor;
-use wino_simd::S;
+use wino_sched::{Executor, PoolError};
+use wino_simd::{AllocError, S};
 use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices, ConvGeometry};
 
 use crate::MAX_RANK;
@@ -24,6 +24,39 @@ fn decompose(mut flat: usize, dims: &[usize], out: &mut [usize]) {
     for i in (0..dims.len()).rev() {
         out[i] = flat % dims[i];
         flat /= dims[i];
+    }
+}
+
+/// Why an im2col convolution failed: the allocator refused one of its
+/// lowering matrices, or the GEMM's fork–join failed.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Im2colError {
+    /// The lowered input, the lowered kernels or the product was refused.
+    Alloc(AllocError),
+    /// A participant of the GEMM's fork–join failed.
+    Pool(PoolError),
+}
+
+impl std::fmt::Display for Im2colError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Im2colError::Alloc(e) => write!(f, "im2col lowering: {e}"),
+            Im2colError::Pool(e) => write!(f, "im2col GEMM: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for Im2colError {}
+
+impl From<AllocError> for Im2colError {
+    fn from(e: AllocError) -> Self {
+        Im2colError::Alloc(e)
+    }
+}
+
+impl From<PoolError> for Im2colError {
+    fn from(e: PoolError) -> Self {
+        Im2colError::Pool(e)
     }
 }
 
@@ -48,7 +81,7 @@ pub fn im2col_conv(
     padding: &[usize],
     output: &mut BlockedImage,
     exec: &dyn Executor,
-) -> Result<(), wino_sched::PoolError> {
+) -> Result<(), Im2colError> {
     let geo = ConvGeometry::identity(input.dims.len());
     im2col_conv_geo(input, kernels, padding, &geo, output, exec)
 }
@@ -66,7 +99,7 @@ pub fn im2col_conv_geo(
     geo: &ConvGeometry,
     output: &mut BlockedImage,
     exec: &dyn Executor,
-) -> Result<(), wino_sched::PoolError> {
+) -> Result<(), Im2colError> {
     let rank = input.dims.len();
     assert!(rank <= MAX_RANK);
     assert!(input.channels.is_multiple_of(geo.groups), "groups must divide C");
@@ -111,7 +144,7 @@ pub fn im2col_conv_geo(
     for g in 0..geo.groups {
         // Lower the group's input slice. Column index = cl·ker_vol + k.
         let lower_start = span_start(probe);
-        let mut a = BlockedMatrices::new(1, rows, inner, n_blk, cb);
+        let mut a = BlockedMatrices::try_new(1, rows, inner, n_blk, cb)?;
         {
             let mut oc = [0usize; MAX_RANK];
             let mut kc = [0usize; MAX_RANK];
@@ -148,7 +181,7 @@ pub fn im2col_conv_geo(
         }
 
         // Lower the group's kernels: rows follow the same (cl, k) order.
-        let mut w = BlockedMatrices::new(1, inner, cp, cb, cpb);
+        let mut w = BlockedMatrices::try_new(1, inner, cp, cb, cpb)?;
         for col in 0..k_per_group {
             let co = g * k_per_group + col;
             for cl in 0..c_per_group {
@@ -164,7 +197,7 @@ pub fn im2col_conv_geo(
 
         // One GEMM per group.
         let gemm_start = span_start(probe);
-        let mut x = BlockedMatrices::new(1, rows, cp, n_blk, cpb);
+        let mut x = BlockedMatrices::try_new(1, rows, cp, n_blk, cpb)?;
         wino_gemm::batched_gemm_parallel(&a, &w, &mut x, exec)?;
         // SAFETY: the coordinator thread, after the GEMM's join.
         unsafe { record_coord(probe, wino_probe::SpanCategory::ElementwiseGemm, gemm_start) };

@@ -14,7 +14,7 @@ pub mod im2col;
 pub mod reference;
 
 pub use direct::direct_conv;
-pub use im2col::{im2col_conv, im2col_conv_geo};
+pub use im2col::{im2col_conv, im2col_conv_geo, Im2colError};
 pub use reference::{direct_f64, direct_f64_geo, element_errors};
 
 /// Maximum supported spatial rank (mirrors `wino_conv::MAX_RANK`).

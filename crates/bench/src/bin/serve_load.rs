@@ -3,32 +3,33 @@
 //!
 //! Open-loop means arrivals follow a fixed schedule regardless of
 //! completions (the standard way to expose coordinated omission): the
-//! generator fires `--requests` single-image requests at `--load` times
-//! the measured sustainable rate, each with a `--deadline-ms` deadline,
-//! and tallies the typed outcome of every one. Nothing is allowed to
-//! disappear: every request either completes or carries a
-//! `ServeError`.
+//! generator fires `--requests` single-image requests at a fixed `--rps`
+//! (default 2 000, past what the 2-thread pool serves), each with a
+//! `--deadline-ms` deadline, and tallies the typed outcome of every one.
+//! Nothing is allowed to disappear: every request either completes or
+//! carries a `ServeError`. The server runs without a service-time model, so
+//! admission sheds on queue capacity, deadline and, with
+//! `--memory-ceiling-mib`, byte budget.
 //!
 //! ```text
 //! cargo run -p wino-bench --release --bin serve_load -- \
-//!     [--requests N] [--threads N] [--deadline-ms D] [--load F] \
+//!     [--requests N] [--threads N] [--deadline-ms D] [--rps N] \
 //!     [--queue N] [--max-batch N] [--watchdog-ms W] [--memory-ceiling-mib M] [--soak]
 //! ```
 //!
 //! `--soak` (requires the `fault-inject` feature) arms worker panics,
 //! barrier stalls and stage poisoning on a fixed cadence through the
-//! first half of the run, then drives a fault-free recovery tail and
-//! asserts: no escaped panic, all shed/failed requests carry typed
-//! errors, the breaker tripped and recovered to `full`, the pool was
-//! rebuilt, and the admitted p99 stayed within the deadline.
+//! first half of the run, then drives a fault-free recovery tail at half
+//! the rate and asserts: no escaped panic, all shed/failed requests carry
+//! typed errors, the breaker tripped at least once per armed panic and
+//! stall and recovered to `full`, the pool was rebuilt at least once per
+//! armed stall, and the admitted p99 stayed within the deadline.
 
 use std::time::{Duration, Instant};
 
 use wino_bench::{make_executor, Args};
 use wino_conv::{FallbackPolicy, LayerSpec, Network};
-use wino_serve::{
-    BreakerConfig, DegradeLevel, ModelSpec, ServeError, ServeOptions, Server, ServiceModel, Ticket,
-};
+use wino_serve::{BreakerConfig, DegradeLevel, ModelSpec, ServeError, ServeOptions, Server, Ticket};
 use wino_tensor::{BlockedImage, BlockedKernels, SimpleKernels};
 
 /// The served workload: two 3×3 "same" layers on 16-channel 12×12
@@ -63,44 +64,6 @@ fn request_image(i: usize) -> BlockedImage {
     img
 }
 
-/// Measure the real batch-1 service time of the workload — admission
-/// prices with it and the offered load is scaled from it — on the path
-/// the server runs: FX on one set of kernels prepared once.
-fn measure_per_image_ms(spec: &ModelSpec, kernels: &[BlockedKernels], threads: usize) -> f64 {
-    let policy = FallbackPolicy::default();
-    let mut net = Network::with_policy(
-        1,
-        spec.in_channels,
-        &spec.image_dims,
-        &spec.layers,
-        spec.opts,
-        threads,
-        &policy,
-    )
-    .expect("workload must plan");
-    // Measure with the same executor shape the server will use — the
-    // fork–join launch cost dominates at this layer size, so a serial
-    // measurement would overstate sustainable throughput badly.
-    let exec: Box<dyn wino_sched::Executor> = if threads <= 1 {
-        Box::new(wino_sched::SerialExecutor)
-    } else {
-        Box::new(wino_sched::StaticExecutor::new(threads))
-    };
-    let prepared = net.prepare_kernels(kernels, exec.as_ref()).expect("workload kernels prepare");
-    let input = request_image(0);
-    // One warmup, then best-of-5.
-    let mut best = f64::INFINITY;
-    for _ in 0..6 {
-        let t = Instant::now();
-        let out = net
-            .run_net_fx(&input, &prepared, exec.as_ref(), &policy)
-            .expect("warmup run failed");
-        std::hint::black_box(out.0.as_slice().first());
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best.max(1e-3)
-}
-
 /// Pace the open loop: wait until `at`, sleeping coarsely and spinning
 /// the final stretch (sleep granularity is far above sub-ms
 /// inter-arrival gaps).
@@ -119,12 +82,26 @@ fn pace_until(at: Instant) {
     }
 }
 
+/// How many faults of each kind the soak armed; the gate requires a
+/// breaker trip per panic and stall, and a pool rebuild per stall.
+#[derive(Default)]
+struct Armed {
+    panics: u64,
+    stalls: u64,
+}
+
 #[cfg(feature = "fault-inject")]
-fn arm_fault(round: usize, threads: usize, stall: Duration) {
+fn arm_fault(round: usize, threads: usize, stall: Duration, armed: &mut Armed) {
     use wino_sched::fault;
     match round % 3 {
-        0 => fault::arm_panic(1 % threads.max(1), fault::When::Next),
-        1 => fault::arm_stall(1 % threads.max(1), fault::When::Next, stall),
+        0 => {
+            fault::arm_panic(1 % threads.max(1), fault::When::Next);
+            armed.panics += 1;
+        }
+        1 => {
+            fault::arm_stall(1 % threads.max(1), fault::When::Next, stall);
+            armed.stalls += 1;
+        }
         _ => fault::arm_poison_stage(2),
     }
 }
@@ -193,8 +170,7 @@ fn main() {
     // The soak's deadline budgets for a full queue drain *plus* an
     // injected stall riding the queue wait of everyone behind it.
     let deadline_ms = args.usize_or("--deadline-ms", if soak { 1000 } else { 500 }) as f64;
-    let load_factor: f64 =
-        args.value("--load").and_then(|v| v.parse().ok()).filter(|f: &f64| *f > 0.0).unwrap_or(2.0);
+    let offered_rps = args.usize_or("--rps", 2000).max(1) as f64;
     let queue_capacity = args.usize_or("--queue", 64);
     let watchdog_ms = args.usize_or("--watchdog-ms", 150) as u64;
     // Byte-budget admission: 0 (the default) leaves admission off.
@@ -224,23 +200,11 @@ fn main() {
     let spec = model_spec();
     let kernels = model_kernels(&spec);
 
-    // Admission prices from the measured per-image time alone: at this
-    // layer size fork–join launch overhead dominates, and no estimate
-    // from operation counts sees it.
-    let per_image_ms = measure_per_image_ms(&spec, &kernels, threads);
-    let capacity_rps = 1e3 / per_image_ms;
-    let offered_rps = load_factor * capacity_rps;
-    eprintln!(
-        "# per-image {per_image_ms:.3} ms measured ({threads} threads), sustainable ≈ \
-         {capacity_rps:.0} rps, offering {offered_rps:.0} rps"
-    );
-
     let opts = ServeOptions {
         queue_capacity,
         max_batch: args.usize_or("--max-batch", 0),
         threads,
         watchdog: soak.then(|| Duration::from_millis(watchdog_ms)),
-        service: Some(ServiceModel::from_measurement(per_image_ms, 0.0)),
         // The injector arms one fault at a time and the in-batch retry
         // clears it, so consecutive-failure streaks never form: the soak
         // trips on every failure to exercise the full ladder walk.
@@ -269,19 +233,24 @@ fn main() {
     .map(|net| net.footprint(threads).total())
     .unwrap_or(0);
     eprintln!("# modeled_footprint_bytes {modeled_bytes}");
-    eprintln!("# queue {queue_capacity}, max batch {max_batch}, deadline {deadline_ms} ms");
+    eprintln!(
+        "# queue {queue_capacity}, max batch {max_batch}, deadline {deadline_ms} ms, offering \
+         {offered_rps:.0} rps on {threads} threads"
+    );
 
     let interval = Duration::from_secs_f64(1.0 / offered_rps);
     let deadline = Duration::from_secs_f64(deadline_ms / 1e3);
     let mut tally = Tally::default();
     let mut tickets: Vec<Ticket> = Vec::with_capacity(requests);
     let fault_every = (requests / 20).clamp(1, 500);
+    #[cfg_attr(not(feature = "fault-inject"), allow(unused_mut))]
+    let mut armed = Armed::default();
     let start = Instant::now();
     for i in 0..requests {
         pace_until(start + interval * i as u32);
         #[cfg(feature = "fault-inject")]
         if soak && i < requests / 2 && i % fault_every == fault_every - 1 {
-            arm_fault(i / fault_every, threads, Duration::from_millis(watchdog_ms * 3));
+            arm_fault(i / fault_every, threads, Duration::from_millis(watchdog_ms * 3), &mut armed);
         }
         match server.submit(request_image(i), deadline) {
             Ok(t) => tickets.push(t),
@@ -298,7 +267,7 @@ fn main() {
     // back to `full` before the run is judged.
     if soak {
         let tail = 40 * max_batch.max(1);
-        let tail_interval = Duration::from_secs_f64(2.0 / capacity_rps);
+        let tail_interval = interval * 2;
         let tail_start = Instant::now();
         for i in 0..tail {
             pace_until(tail_start + tail_interval * i as u32);
@@ -391,8 +360,11 @@ fn main() {
         if stats.completed == 0 {
             failures.push("no request completed under fault injection".into());
         }
-        if stats.breaker_trips == 0 {
-            failures.push("fault injection never tripped the breaker".into());
+        if stats.breaker_trips < armed.panics + armed.stalls {
+            failures.push(format!(
+                "{} breaker trips for {} armed panics + {} armed stalls",
+                stats.breaker_trips, armed.panics, armed.stalls
+            ));
         }
         if stats.breaker_recoveries == 0 || level != DegradeLevel::Full {
             failures.push(format!(
@@ -401,8 +373,11 @@ fn main() {
                 stats.breaker_recoveries
             ));
         }
-        if stats.pool_rebuilds == 0 {
-            failures.push("stall injection never forced a pool rebuild".into());
+        if stats.pool_rebuilds < armed.stalls {
+            failures.push(format!(
+                "{} pool rebuilds for {} armed stalls",
+                stats.pool_rebuilds, armed.stalls
+            ));
         }
         let p99 = tally.percentile(0.99);
         if p99 > deadline_ms {

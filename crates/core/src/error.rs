@@ -6,6 +6,7 @@
 //! `run_layer` / `run_net` (and everything underneath) can thread one
 //! `Result` end-to-end instead of panicking inside worker threads.
 
+use wino_baseline::Im2colError;
 use wino_sched::PoolError;
 use wino_simd::AllocError;
 use wino_tensor::{ShapeError, TensorError};
@@ -143,6 +144,15 @@ impl From<SentinelError> for WinoError {
 impl From<AllocError> for WinoError {
     fn from(e: AllocError) -> Self {
         WinoError::Alloc(e)
+    }
+}
+
+impl From<Im2colError> for WinoError {
+    fn from(e: Im2colError) -> Self {
+        match e {
+            Im2colError::Alloc(a) => WinoError::Alloc(a),
+            Im2colError::Pool(p) => WinoError::Pool(p),
+        }
     }
 }
 

@@ -39,8 +39,8 @@ pub fn parse_cpulist(s: &str) -> Option<Vec<usize>> {
 /// The process-wide thread-count policy — the one replacement for every
 /// ad-hoc `available_parallelism()` call site. `WINO_THREADS` (a positive
 /// integer) wins when set and parseable; otherwise every online CPU that
-/// sysfs lists, otherwise `available_parallelism`. Read on every call,
-/// like [`crate::pool::default_deadline`], so overrides stay testable.
+/// sysfs lists, otherwise `available_parallelism`. Read on every call, so
+/// overrides stay testable.
 pub fn configured_threads() -> usize {
     if let Ok(v) = std::env::var("WINO_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {

@@ -42,5 +42,5 @@ pub use probed::ProbedExecutor;
 pub use barrier::{BarrierError, SpinBarrier, SpinBarrierIn};
 pub use grid::{GridPartition, TaskBox};
 pub use handoff::JobExitLatch;
-pub use pool::{default_deadline, PoolError, ThreadPool, DEFAULT_DEADLINE};
+pub use pool::{PoolError, ThreadPool, DEFAULT_DEADLINE};
 pub use host::{configured_threads, l2_bytes_per_thread, llc_bytes, parse_cpulist};

@@ -42,23 +42,6 @@ use crate::handoff::JobExitLatch;
 /// noise on an oversubscribed machine.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
 
-/// The process-wide default watchdog deadline: `WINO_WATCHDOG_MS`
-/// (a positive integer, milliseconds) when set and parseable, otherwise
-/// [`DEFAULT_DEADLINE`]. Read on every call — pool construction is rare,
-/// and not caching keeps the override testable — and used by
-/// [`ThreadPool::new`] so long soaks on contended CI machines can widen
-/// the watchdog without code changes. An explicit
-/// [`ThreadPool::with_deadline`] always wins over the environment.
-pub fn default_deadline() -> Duration {
-    match std::env::var("WINO_WATCHDOG_MS") {
-        Ok(ms) => match ms.trim().parse::<u64>() {
-            Ok(ms) if ms > 0 => Duration::from_millis(ms),
-            _ => DEFAULT_DEADLINE,
-        },
-        Err(_) => DEFAULT_DEADLINE,
-    }
-}
-
 /// Why a fork–join failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PoolError {
@@ -181,13 +164,12 @@ pub struct ThreadPool {
 impl ThreadPool {
     /// Create a pool of `n_threads` total participants (including the
     /// calling thread), so `n_threads - 1` OS threads are spawned, with
-    /// the default watchdog deadline ([`default_deadline`] — the
-    /// `WINO_WATCHDOG_MS` environment override, or [`DEFAULT_DEADLINE`]).
+    /// the default watchdog deadline, [`DEFAULT_DEADLINE`].
     ///
     /// # Panics
     /// Panics if `n_threads == 0`.
     pub fn new(n_threads: usize) -> ThreadPool {
-        ThreadPool::with_deadline(n_threads, default_deadline())
+        ThreadPool::with_deadline(n_threads, DEFAULT_DEADLINE)
     }
 
     /// As [`ThreadPool::new`] with an explicit barrier watchdog deadline.
@@ -216,11 +198,6 @@ impl ThreadPool {
 
     pub fn n_threads(&self) -> usize {
         self.n_threads
-    }
-
-    /// The configured barrier watchdog deadline.
-    pub fn deadline(&self) -> Duration {
-        self.deadline
     }
 
     /// Whether the pool has been disabled by a barrier failure.
@@ -255,7 +232,7 @@ impl ThreadPool {
     /// still reaches the end barrier, and the panics are reported as
     /// [`PoolError::Panicked`] — the pool stays usable. A participant that
     /// never reaches a barrier (killed or stalled thread) trips the
-    /// watchdog within [`Self::deadline`]; the pool is then permanently
+    /// watchdog within its deadline; the pool is then permanently
     /// [`PoolError::Unusable`]. In that case the error is not returned
     /// until every participant has exited `f` (so the borrow of `f` and
     /// anything it captures is dead); a participant wedged inside `f`
@@ -685,29 +662,6 @@ mod tests {
         // A dead pool fails the probe with the typed unusable error.
         pool.mark_dead();
         assert_eq!(pool.health_check(), Err(PoolError::Unusable));
-    }
-
-    #[test]
-    fn watchdog_env_override_and_default() {
-        // Serialised against other env-sensitive logic by using a value
-        // far above every deadline used in this suite: a concurrently
-        // constructed pool only ever gets a *longer* watchdog.
-        std::env::set_var("WINO_WATCHDOG_MS", "120000");
-        assert_eq!(default_deadline(), Duration::from_millis(120_000));
-        let pool = ThreadPool::new(2);
-        assert_eq!(pool.deadline(), Duration::from_millis(120_000));
-        pool.run(|_| {}).unwrap();
-        drop(pool);
-        // Unparseable and non-positive values fall back to the default.
-        std::env::set_var("WINO_WATCHDOG_MS", "not-a-number");
-        assert_eq!(default_deadline(), DEFAULT_DEADLINE);
-        std::env::set_var("WINO_WATCHDOG_MS", "0");
-        assert_eq!(default_deadline(), DEFAULT_DEADLINE);
-        // Unset: the default path (also what every other test exercises).
-        std::env::remove_var("WINO_WATCHDOG_MS");
-        assert_eq!(default_deadline(), DEFAULT_DEADLINE);
-        let pool = ThreadPool::new(2);
-        assert_eq!(pool.deadline(), DEFAULT_DEADLINE);
     }
 
     #[test]

@@ -29,8 +29,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use wino_conv::{ExecutionReport, FallbackPolicy, Network, TransformedKernels, WinoError};
-use wino_sched::{default_deadline, Executor, PoolError, SerialExecutor, StaticExecutor};
+use wino_conv::{ExecutionReport, FallbackPolicy, Network, Stage2Backend, TransformedKernels, WinoError};
+use wino_sched::{Executor, PoolError, SerialExecutor, StaticExecutor, DEFAULT_DEADLINE};
 use wino_tensor::{BlockedImage, BlockedKernels, ShapeError};
 
 use crate::breaker::{BreakerConfig, CircuitBreaker};
@@ -53,10 +53,8 @@ pub struct ServeOptions {
     /// Worker threads (1 ⇒ serial executor, no pool to poison).
     pub threads: usize,
     /// Barrier watchdog deadline of the worker pool (and of every pool
-    /// rebuilt after a fault). `None` defers to
-    /// [`wino_sched::default_deadline`] — the `WINO_WATCHDOG_MS`
-    /// environment override, or the built-in 30 s — so soak tests on
-    /// contended CI machines can widen it without spurious timeouts.
+    /// rebuilt after a fault). `None` is [`wino_sched::DEFAULT_DEADLINE`],
+    /// 30 s.
     pub watchdog: Option<Duration>,
     /// Admission-control oracle; `None` disables predictive shedding
     /// (capacity and deadline shedding remain).
@@ -271,7 +269,7 @@ impl Server {
         let worker = {
             let shared = Arc::clone(&shared);
             let (breaker, age) = (opts.breaker, opts.max_batch_age);
-            let watchdog = opts.watchdog.unwrap_or_else(default_deadline);
+            let watchdog = opts.watchdog.unwrap_or(DEFAULT_DEADLINE);
             std::thread::Builder::new()
                 .name("wino-serve-batcher".into())
                 .spawn(move || batcher_main(shared, engine, breaker, max_batch, age, watchdog))
@@ -563,13 +561,18 @@ impl Engine {
     /// Run one batch on the network planned for the breaker's `level` —
     /// all three rungs are the same run loop on the one prepared set: FX
     /// wherever the plan accepts its `V̂`, the set's raw kernels on the
-    /// im2col rung and for every re-planned layer.
+    /// im2col rung and for every re-planned layer. On a Mono model the
+    /// `Mono` rung plans what `Full` does, so it shares `Full`'s plan.
     fn run(
         &mut self,
         input: &BlockedImage,
         level: DegradeLevel,
         exec: &dyn Executor,
     ) -> Result<(BlockedImage, Vec<ExecutionReport>), WinoError> {
+        let level = match level {
+            DegradeLevel::Mono if self.spec.opts.stage2 == Stage2Backend::Mono => DegradeLevel::Full,
+            other => other,
+        };
         let net = match self.plans.entry((input.batch, level as u8)) {
             std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
@@ -818,6 +821,19 @@ mod tests {
         let stats = server.shutdown();
         assert_eq!(stats.completed, 1);
         assert_eq!(stats.failed, 0);
+    }
+
+    #[test]
+    fn mono_model_shares_one_plan_between_full_and_mono_rungs() {
+        let spec = spec_1layer();
+        assert_eq!(spec.opts.stage2, Stage2Backend::Mono);
+        let kernels = kernels_for(&spec);
+        let mut engine = Engine::new(spec, kernels, 1).unwrap();
+        let img = input();
+        let (full, _) = engine.run(&img, DegradeLevel::Full, &SerialExecutor).unwrap();
+        let (mono, _) = engine.run(&img, DegradeLevel::Mono, &SerialExecutor).unwrap();
+        assert_eq!(full.as_slice(), mono.as_slice());
+        assert_eq!(engine.plans.len(), 1, "a Mono model cached a second, identical plan");
     }
 
     #[test]

@@ -815,6 +815,34 @@ fn oom_during_a_sentinel_demotion_is_rescued_or_typed() {
     fault::reset();
 }
 
+/// The im2col route's lowering matrices go through the fallible seam: on
+/// a dilated layer (designed to run im2col) a refused lowered input fails
+/// the layer typed instead of aborting.
+#[test]
+fn oom_in_the_im2col_lowering_fails_typed() {
+    let _guard = fault::test_lock();
+    fault::reset();
+    mem_fault::reset();
+
+    let policy = FallbackPolicy::default();
+    let (mut net, input, kernels) = geo_net(ConvOptions::default().with_dilation(&[2, 2]), &policy);
+    let (_, report) = net
+        .run_layer(0, &input, &kernels, &SerialExecutor, &policy)
+        .expect("clean warm-up run");
+    assert_eq!(report.backend, LayerBackend::Im2col);
+
+    // Warm, allocation #1 is the output and #2 the lowered input `A`.
+    mem_fault::arm_fail_every(2, 1);
+    let outcome = net.run_layer(0, &input, &kernels, &SerialExecutor, &policy);
+    let landed = mem_fault::injected_failures();
+    mem_fault::reset();
+    match outcome {
+        Err(WinoError::Alloc(cause)) => assert!(cause.injected, "the refusal is the injected one"),
+        other => panic!("expected a typed Alloc, got {:?}", other.map(|(_, r)| r.backend)),
+    }
+    assert_eq!(landed, 1);
+}
+
 /// Grouped layers hold a resident scratch: a repeat `run_net` allocates
 /// the per-group operand copies and the outputs — and no scratch arena.
 #[test]
