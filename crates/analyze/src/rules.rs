@@ -900,9 +900,9 @@ pub static RULES: &[Rule] = &[
                   `// ALLOC:`",
         // The crates whose buffers the memory-footprint model accounts
         // for: an unannotated infallible allocation there can abort the
-        // process under memory pressure, bypassing the degradation
-        // ladder and the byte-budget admission that the serving layer
-        // relies on.
+        // process under memory pressure instead of returning the typed
+        // refusal the degradation ladder and the serving layer's
+        // per-batch failure handling rely on.
         scope: Scope::Only(&["crates/core", "crates/serve", "crates/tensor"]),
         allow: &[],
         check: Check::File(check_alloc_needs_accounting),

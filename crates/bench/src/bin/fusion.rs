@@ -122,11 +122,12 @@ fn main() {
         let mut ring_scratch = Scratch::new(&plan, exec.threads());
         let mut staged_scratch = Scratch::new(&plan, exec.threads());
         // What a ring or dual plan's scratch holds beside its `v` or `u` is
-        // one ring per slot — read before `prepare_kernels` grows a dual
-        // plan's `v`.
+        // one ring and two codelet buffers per slot — read before
+        // `prepare_kernels` grows a dual plan's `v`.
         let s = &ring_scratch;
         let layer_sized = s.u.bytes() + s.v.bytes() + s.x.bytes() + s.y.bytes();
-        let ring_bytes = (s.bytes() - layer_sized) / exec.threads();
+        let codelets = plan.footprint(exec.threads()).per_thread_bytes;
+        let ring_bytes = (s.bytes() - layer_sized - codelets) / exec.threads();
         let ring_rows = ring_bytes / (plan.t_vol() * (r.c + r.cp) * 4);
         let schedule = match (plan.is_fused(), plan.is_dual()) {
             (true, _) => "ring",

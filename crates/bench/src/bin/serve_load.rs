@@ -8,13 +8,12 @@
 //! `--deadline-ms` deadline, and tallies the typed outcome of every one.
 //! Nothing is allowed to disappear: every request either completes or
 //! carries a `ServeError`. The server runs without a service-time model, so
-//! admission sheds on queue capacity, deadline and, with
-//! `--memory-ceiling-mib`, byte budget.
+//! admission sheds on queue capacity and deadline.
 //!
 //! ```text
 //! cargo run -p wino-bench --release --bin serve_load -- \
 //!     [--requests N] [--threads N] [--deadline-ms D] [--rps N] \
-//!     [--queue N] [--max-batch N] [--watchdog-ms W] [--memory-ceiling-mib M] [--soak]
+//!     [--queue N] [--max-batch N] [--watchdog-ms W] [--soak]
 //! ```
 //!
 //! `--soak` (requires the `fault-inject` feature) arms worker panics,
@@ -23,12 +22,13 @@
 //! the rate and asserts: no escaped panic, all shed/failed requests carry
 //! typed errors, the breaker tripped at least once per armed panic and
 //! stall and recovered to `full`, the pool was rebuilt at least once per
-//! armed stall, and the admitted p99 stayed within the deadline.
+//! armed stall, some completed request rode a batch of more than one, and
+//! the admitted p99 stayed within the deadline.
 
 use std::time::{Duration, Instant};
 
 use wino_bench::{make_executor, Args};
-use wino_conv::{FallbackPolicy, LayerSpec, Network};
+use wino_conv::LayerSpec;
 use wino_serve::{BreakerConfig, DegradeLevel, ModelSpec, ServeError, ServeOptions, Server, Ticket};
 use wino_tensor::{BlockedImage, BlockedKernels, SimpleKernels};
 
@@ -114,9 +114,10 @@ struct Tally {
     shed_overload: u64,
     shed_deadline: u64,
     shed_predicted: u64,
-    shed_memory: u64,
     shut_down: u64,
     latencies_ms: Vec<f64>,
+    /// Largest `ServeReport::batch_size` among completed requests.
+    largest_batch: usize,
 }
 
 impl Tally {
@@ -125,7 +126,6 @@ impl Tally {
             ServeError::Overloaded { .. } => self.shed_overload += 1,
             ServeError::DeadlineExceeded { .. } => self.shed_deadline += 1,
             ServeError::PredictedMiss { .. } => self.shed_predicted += 1,
-            ServeError::MemoryPressure { .. } => self.shed_memory += 1,
             ServeError::ShutDown => self.shut_down += 1,
             ServeError::Failed(_) => self.failed += 1,
         }
@@ -139,6 +139,7 @@ impl Tally {
                     self.completed_in_deadline += 1;
                 }
                 self.latencies_ms.push(resp.report.total_ms);
+                self.largest_batch = self.largest_batch.max(resp.report.batch_size);
             }
             Err(e) => self.record_rejection(e),
         }
@@ -173,9 +174,6 @@ fn main() {
     let offered_rps = args.usize_or("--rps", 2000).max(1) as f64;
     let queue_capacity = args.usize_or("--queue", 64);
     let watchdog_ms = args.usize_or("--watchdog-ms", 150) as u64;
-    // Byte-budget admission: 0 (the default) leaves admission off.
-    let memory_ceiling_mib = args.usize_or("--memory-ceiling-mib", 0);
-    let memory_ceiling = (memory_ceiling_mib > 0).then_some(memory_ceiling_mib << 20);
     // Pool faults need a pool: the soak forces at least two workers.
     let requested_threads = make_executor(&args).threads();
     let threads = if soak { requested_threads.max(2) } else { requested_threads };
@@ -213,26 +211,10 @@ fn main() {
             recovery_threshold: if soak { 8 } else { 16 },
             ..Default::default()
         },
-        memory_ceiling,
         ..Default::default()
     };
-    let fp_spec = spec.clone();
     let server = Server::start(spec, kernels, opts).expect("server must start");
     let max_batch = server.max_batch();
-    // The analytic footprint of the largest batch the server will build —
-    // `check.sh` parses this line to size its address-space rlimit.
-    let modeled_bytes = Network::with_policy(
-        max_batch.max(1),
-        fp_spec.in_channels,
-        &fp_spec.image_dims,
-        &fp_spec.layers,
-        fp_spec.opts,
-        threads,
-        &FallbackPolicy::default(),
-    )
-    .map(|net| net.footprint(threads).total())
-    .unwrap_or(0);
-    eprintln!("# modeled_footprint_bytes {modeled_bytes}");
     eprintln!(
         "# queue {queue_capacity}, max batch {max_batch}, deadline {deadline_ms} ms, offering \
          {offered_rps:.0} rps on {threads} threads"
@@ -288,7 +270,7 @@ fn main() {
 
     eprintln!(
         "# {} submitted / {} admitted / {} completed / {} failed; shed {} overload + {} deadline \
-         + {} predicted + {} memory; {} breaker trips, {} recoveries, {} pool rebuilds; final \
+         + {} predicted; {} breaker trips, {} recoveries, {} pool rebuilds; final \
          level {}",
         stats.submitted,
         stats.admitted,
@@ -297,7 +279,6 @@ fn main() {
         stats.shed_overload,
         stats.shed_deadline,
         stats.shed_predicted,
-        stats.shed_memory,
         stats.breaker_trips,
         stats.breaker_recoveries,
         stats.pool_rebuilds,
@@ -305,11 +286,12 @@ fn main() {
     );
     eprintln!(
         "# latency p50 {:.2} / p95 {:.2} / p99 {:.2} ms (deadline {deadline_ms} ms); goodput \
-         {:.0} rps in deadline over {duration_s:.2} s",
+         {:.0} rps in deadline over {duration_s:.2} s; largest batch {}",
         tally.percentile(0.50),
         tally.percentile(0.95),
         tally.percentile(0.99),
-        tally.completed_in_deadline as f64 / duration_s
+        tally.completed_in_deadline as f64 / duration_s,
+        tally.largest_batch
     );
 
     if soak {
@@ -325,7 +307,6 @@ fn main() {
             + tally.shed_overload
             + tally.shed_deadline
             + tally.shed_predicted
-            + tally.shed_memory
             + tally.shut_down;
         if outcomes != stats.submitted {
             failures.push(format!(
@@ -339,7 +320,6 @@ fn main() {
             ("shed_overload", tally.shed_overload, stats.shed_overload),
             ("shed_deadline", tally.shed_deadline, stats.shed_deadline),
             ("shed_predicted", tally.shed_predicted, stats.shed_predicted),
-            ("shed_memory", tally.shed_memory, stats.shed_memory),
         ] {
             if client != server_side {
                 failures.push(format!("{what}: client saw {client}, server tallied {server_side}"));
@@ -377,6 +357,14 @@ fn main() {
             failures.push(format!(
                 "{} pool rebuilds for {} armed stalls",
                 stats.pool_rebuilds, armed.stalls
+            ));
+        }
+        // A batch of one never drives a failed batch resolving several
+        // tickets, or a retry of more than one.
+        if tally.largest_batch < 2 {
+            failures.push(format!(
+                "no completed request rode a batch of more than one (largest {}, ceiling {max_batch})",
+                tally.largest_batch
             ));
         }
         let p99 = tally.percentile(0.99);

@@ -332,19 +332,6 @@ impl Network {
         Ok(Network { layers, slots, acts })
     }
 
-    /// The network's analytic memory footprint at `threads` thread slots:
-    /// every component is a *sum* over the layers' route models
-    /// ([`DispatchPlan::footprint`]) — each layer holds its own resident
-    /// slot and its own resident output (the price of allocation-free
-    /// repeat forwards) and its own memoised kernels.
-    pub fn footprint(&self, threads: usize) -> crate::MemoryFootprint {
-        let mut acc = crate::MemoryFootprint::empty(threads);
-        for l in &self.layers {
-            acc.add(&l.plan.footprint(threads));
-        }
-        acc
-    }
-
     pub fn num_layers(&self) -> usize {
         self.layers.len()
     }
@@ -786,7 +773,9 @@ mod tests {
             // footprint — subtract them from the observation.
             let observed = (wino_simd::thread_alloc_bytes() - before) as usize - kernel_bytes;
 
-            let modeled = net.footprint(1).total();
+            // Each layer holds its own resident slot, output and memoised
+            // kernels: the network's footprint is the sum of its routes'.
+            let modeled: usize = net.layers().iter().map(|l| l.plan.footprint(1).total()).sum();
             let ratio = observed as f64 / modeled as f64;
             assert!(
                 (0.9..=1.1).contains(&ratio),

@@ -789,13 +789,15 @@ impl Scratch {
     }
 
     /// Total auxiliary bytes held right now (the paper's memory-overhead
-    /// number): the transformed-data buffers present plus the rings.
+    /// number): the transformed-data buffers present plus every thread
+    /// slot's two `T·S` codelet buffers and ring.
     pub fn bytes(&self) -> usize {
+        let slot = 2 * self.shape.t_vol * S + self.shape.ring_floats;
         self.u.bytes()
             + self.v.bytes()
             + self.x.bytes()
             + self.y.bytes()
-            + self.bufs.len() * self.shape.ring_floats * std::mem::size_of::<f32>()
+            + self.bufs.len() * slot * std::mem::size_of::<f32>()
     }
 
     pub(crate) fn thread_slots(&self) -> usize {
@@ -963,7 +965,9 @@ mod tests {
         assert_staged_shapes(&scratch);
         assert_eq!(scratch.v.bytes(), 0);
         assert_eq!(scratch.thread_slots(), 4);
-        let three = scratch.u.bytes() + scratch.x.bytes() + scratch.y.bytes();
+        // Each of the four slots also holds two `T·S` codelet buffers.
+        let codelets = 4 * 2 * 36 * S * 4;
+        let three = scratch.u.bytes() + scratch.x.bytes() + scratch.y.bytes() + codelets;
         assert_eq!(scratch.bytes(), three);
         scratch.materialise_v().unwrap();
         assert_eq!((scratch.v.rows(), scratch.v.cols()), (32, 32));
@@ -976,7 +980,7 @@ mod tests {
         let ring = fused.ring_floats();
         let Schedule::Ring { rows } = fused.schedule else { unreachable!() };
         assert_eq!(ring, 36 * rows * (32 + 32));
-        assert_eq!(scratch.bytes(), 4 * ring * 4);
+        assert_eq!(scratch.bytes(), 4 * ring * 4 + codelets);
         assert_eq!(scratch.u.bytes() + scratch.v.bytes() + scratch.x.bytes() + scratch.y.bytes(), 0);
         // …and grows the other three, at a staged plan's shapes, the first
         // time a stage asks for them.
@@ -997,7 +1001,7 @@ mod tests {
         assert_eq!(dual.schedule, Schedule::Dual { c_blk: 16, cols: 16 });
         let mut scratch = Scratch::new(&dual, 4);
         assert_eq!(dual.ring_floats(), 36 * 16 * (16 + 18 + 18));
-        assert_eq!(scratch.bytes(), scratch.u.bytes() + 4 * dual.ring_floats() * 4);
+        assert_eq!(scratch.bytes(), scratch.u.bytes() + 4 * dual.ring_floats() * 4 + codelets);
         assert_eq!(scratch.v.bytes() + scratch.x.bytes() + scratch.y.bytes(), 0);
         let held = scratch.u.as_ptr();
         scratch.materialise().unwrap();

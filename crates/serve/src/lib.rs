@@ -60,7 +60,7 @@ pub mod server;
 pub use breaker::{BreakerConfig, CircuitBreaker, CircuitBreakerIn};
 pub use model::{suggested_max_batch, ModelSpec, ServiceModel};
 pub use queue::{DeadlineQueueIn, DropOutcome, PendingIn, PushReject, SlotIn, Ticket, TicketIn};
-pub use server::{MemoryAdmission, ServeOptions, ServeStats, Server};
+pub use server::{ServeOptions, ServeStats, Server};
 
 /// Why a request was rejected or failed. Every variant is a *terminal*
 /// per-request outcome: the server never retries on the caller's behalf
@@ -91,18 +91,6 @@ pub enum ServeError {
         /// The request's remaining deadline budget, in milliseconds.
         budget_ms: f64,
     },
-    /// Byte-budget admission control: admitting this request would push
-    /// the modeled concurrent footprint (plans + scratch + one output
-    /// per queued and in-flight image) past the configured memory
-    /// ceiling. The request is shed *before* anything is allocated on
-    /// its behalf — degrading into load-shedding instead of letting the
-    /// allocator fail mid-batch.
-    MemoryPressure {
-        /// Modeled bytes the server would need with this request queued.
-        need_bytes: usize,
-        /// The configured [`server::ServeOptions::memory_ceiling`].
-        ceiling_bytes: usize,
-    },
     /// The batch this request rode in failed after the breaker's bounded
     /// retries. The underlying engine error is shared by every request
     /// of the batch ([`WinoError`] is not `Clone`, hence the [`Arc`]).
@@ -120,7 +108,6 @@ impl ServeError {
             ServeError::Overloaded { .. }
                 | ServeError::DeadlineExceeded { .. }
                 | ServeError::PredictedMiss { .. }
-                | ServeError::MemoryPressure { .. }
         )
     }
 }
@@ -138,11 +125,6 @@ impl std::fmt::Display for ServeError {
                 f,
                 "admission control: estimated {estimated_ms:.2} ms exceeds the \
                  {budget_ms:.2} ms deadline budget"
-            ),
-            ServeError::MemoryPressure { need_bytes, ceiling_bytes } => write!(
-                f,
-                "memory admission: {need_bytes} B concurrent footprint exceeds the \
-                 {ceiling_bytes} B ceiling"
             ),
             ServeError::Failed(e) => write!(f, "batch execution failed: {e}"),
             ServeError::ShutDown => write!(f, "server shut down"),

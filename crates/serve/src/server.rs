@@ -59,13 +59,6 @@ pub struct ServeOptions {
     /// Admission-control oracle; `None` disables predictive shedding
     /// (capacity and deadline shedding remain).
     pub service: Option<ServiceModel>,
-    /// Byte ceiling for the server's modeled concurrent footprint
-    /// (plans + scratch + one output per queued and in-flight image,
-    /// priced by the analytic [`wino_conv::MemoryFootprint`] at start).
-    /// `None` disables byte-budget admission. A ceiling below the
-    /// resident base sheds every request — like `queue_capacity: 0`, a
-    /// legal drain configuration, not a start-time error.
-    pub memory_ceiling: Option<usize>,
     /// Breaker and retry tunables.
     pub breaker: BreakerConfig,
 }
@@ -79,35 +72,8 @@ impl Default for ServeOptions {
             threads: 1,
             watchdog: None,
             service: None,
-            memory_ceiling: None,
             breaker: BreakerConfig::default(),
         }
-    }
-}
-
-/// The linear byte-pricing model behind [`ServeOptions::memory_ceiling`],
-/// fitted at [`Server::start`] from the analytic footprint of batch-1
-/// and batch-2 plans: admitting `n` concurrent images is priced at
-/// `base_bytes + n · per_image_bytes`.
-#[derive(Clone, Copy, Debug)]
-pub struct MemoryAdmission {
-    /// The configured ceiling the model is compared against.
-    pub ceiling_bytes: usize,
-    /// Batch-independent resident bytes (plans, kernels, scratch).
-    pub base_bytes: usize,
-    /// Marginal bytes per queued or in-flight image.
-    pub per_image_bytes: usize,
-}
-
-impl MemoryAdmission {
-    /// Modeled footprint with `images` concurrent requests.
-    pub fn need_bytes(&self, images: usize) -> usize {
-        self.base_bytes.saturating_add(self.per_image_bytes.saturating_mul(images))
-    }
-
-    /// Whether `images` concurrent requests fit under the ceiling.
-    pub fn admits(&self, images: usize) -> bool {
-        self.need_bytes(images) <= self.ceiling_bytes
     }
 }
 
@@ -121,7 +87,6 @@ struct Stats {
     shed_overload: AtomicU64,
     shed_deadline: AtomicU64,
     shed_predicted: AtomicU64,
-    shed_memory: AtomicU64,
     batches: AtomicU64,
     batch_failures: AtomicU64,
     breaker_trips: AtomicU64,
@@ -159,8 +124,6 @@ pub struct ServeStats {
     pub shed_deadline: u64,
     /// Shed by predictive admission control.
     pub shed_predicted: u64,
-    /// Shed by byte-budget admission control.
-    pub shed_memory: u64,
     /// Batch execution attempts dispatched.
     pub batches: u64,
     /// Batch attempts that failed (before retry accounting).
@@ -205,7 +168,6 @@ pub struct Server {
     worker: Option<JoinHandle<()>>,
     next_id: AtomicU64,
     service: Option<ServiceModel>,
-    memory: Option<MemoryAdmission>,
     max_batch: usize,
     max_batch_age: Duration,
     in_channels: usize,
@@ -235,28 +197,7 @@ impl Server {
         } else {
             opts.max_batch
         };
-        let mut engine = Engine::new(spec, kernels, threads)?;
-        let full = DegradeLevel::Full as u8;
-        // Fit the linear byte-pricing model for memory admission: the
-        // analytic footprint of the batch-1 plan anchors the line, and
-        // a batch-2 plan gives the marginal per-image slope. If no
-        // batch-2 plan exists the whole batch-1 footprint is charged
-        // per image — the conservative direction for admission.
-        let memory = opts.memory_ceiling.map(|ceiling_bytes| {
-            let fp1 = engine.plans[&(1, full)].footprint(threads).total();
-            let net2 = plan_model(&engine.spec, 2, threads, DegradeLevel::Full).ok();
-            let per_image_bytes = net2
-                .as_ref()
-                .map(|net2| net2.footprint(threads).total().saturating_sub(fp1))
-                .filter(|&d| d > 0)
-                .unwrap_or(fp1);
-            engine.plans.extend(net2.map(|net2| ((2, full), net2)));
-            MemoryAdmission {
-                ceiling_bytes,
-                base_bytes: fp1.saturating_sub(per_image_bytes),
-                per_image_bytes,
-            }
-        });
+        let engine = Engine::new(spec, kernels, threads)?;
 
         let shared = Arc::new(Shared {
             queue: DeadlineQueue::new(opts.queue_capacity),
@@ -280,7 +221,6 @@ impl Server {
             worker: Some(worker),
             next_id: AtomicU64::new(1),
             service: opts.service,
-            memory,
             max_batch,
             max_batch_age: opts.max_batch_age,
             in_channels,
@@ -323,21 +263,6 @@ impl Server {
             if estimated_ms > budget_ms {
                 Stats::bump(&stats.shed_predicted);
                 return Err(ServeError::PredictedMiss { estimated_ms, budget_ms });
-            }
-        }
-        if let Some(mem) = &self.memory {
-            // ORDERING: Relaxed — advisory load-estimate input, exactly
-            // like the deadline oracle above; a stale depth only skews
-            // the byte estimate, never correctness.
-            let images = self.shared.queue.depth()
-                + self.shared.in_flight.load(Ordering::Relaxed)
-                + 1;
-            if !mem.admits(images) {
-                Stats::bump(&stats.shed_memory);
-                return Err(ServeError::MemoryPressure {
-                    need_bytes: mem.need_bytes(images),
-                    ceiling_bytes: mem.ceiling_bytes,
-                });
             }
         }
         // ORDERING: Relaxed — uniqueness needs atomicity only; ids carry
@@ -410,12 +335,6 @@ impl Server {
         self.max_batch
     }
 
-    /// The fitted byte-pricing model, when a
-    /// [`ServeOptions::memory_ceiling`] is configured.
-    pub fn memory_model(&self) -> Option<MemoryAdmission> {
-        self.memory
-    }
-
     /// Snapshot the tallies.
     pub fn stats(&self) -> ServeStats {
         let s = &self.shared.stats;
@@ -430,7 +349,6 @@ impl Server {
             shed_overload: get(&s.shed_overload),
             shed_deadline: get(&s.shed_deadline),
             shed_predicted: get(&s.shed_predicted),
-            shed_memory: get(&s.shed_memory),
             batches: get(&s.batches),
             batch_failures: get(&s.batch_failures),
             breaker_trips: get(&s.breaker_trips),
@@ -948,37 +866,6 @@ mod tests {
         let back1 = split_one(&asm, 1).unwrap();
         assert!(back0.as_slice().iter().all(|&v| v == 1.0));
         assert!(back1.as_slice().iter().all(|&v| v == 2.0));
-    }
-
-    #[test]
-    fn memory_ceiling_sheds_with_typed_pressure() {
-        let spec = spec_1layer();
-        let kernels = kernels_for(&spec);
-        // A 1-byte ceiling sheds every request before it is enqueued.
-        let opts = ServeOptions { memory_ceiling: Some(1), ..ServeOptions::default() };
-        let server = Server::start(spec.clone(), kernels.clone(), opts).unwrap();
-        let mem = server.memory_model().expect("ceiling configured");
-        assert!(mem.per_image_bytes > 0);
-        assert!(!mem.admits(1));
-        match server.submit(input(), Duration::from_secs(30)) {
-            Err(e @ ServeError::MemoryPressure { .. }) => {
-                assert!(e.is_shed(), "memory pressure is load shedding, not failure")
-            }
-            other => panic!("expected MemoryPressure, got {other:?}", other = other.err()),
-        }
-        let stats = server.shutdown();
-        assert_eq!(stats.shed_memory, 1);
-        assert_eq!(stats.admitted, 0);
-
-        // A generous ceiling admits and serves normally.
-        let opts =
-            ServeOptions { memory_ceiling: Some(usize::MAX), ..ServeOptions::default() };
-        let server = Server::start(spec, kernels, opts).unwrap();
-        let resp = server.submit(input(), Duration::from_secs(30)).unwrap().wait();
-        assert!(resp.output.is_ok());
-        let stats = server.shutdown();
-        assert_eq!(stats.shed_memory, 0);
-        assert_eq!(stats.completed, 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use winograd_nd_repro::baseline::direct_f64_geo;
 use winograd_nd_repro::conv::{ConvOptions, LayerBackend, LayerSpec};
-use winograd_nd_repro::serve::{ModelSpec, ServeError, ServeOptions, Server, ServiceModel};
+use winograd_nd_repro::serve::{ModelSpec, ServeError, ServeOptions, Server, ServiceModel, Ticket};
 use winograd_nd_repro::tensor::{BlockedImage, BlockedKernels, SimpleImage, SimpleKernels};
 
 /// With `fault-inject` compiled in, every forward consults the
@@ -252,54 +252,64 @@ fn strided_model_serves_batched_requests() {
 
 /// Conservation under concurrent producers and a tight queue: every
 /// submission resolves to exactly one typed outcome, and the client-side
-/// tallies reconcile with the server's.
+/// tallies reconcile with the server's — once with producers that wait on
+/// each ticket before the next submission, once with producers that hoard
+/// tickets (submit the whole burst before waiting), which keeps the queue
+/// full and the shedding paths busy while admitted work drains.
 #[test]
 fn every_submission_resolves_to_exactly_one_outcome() {
     let _engine = engine_lock();
-    let (spec, kernels) = model();
-    let opts = ServeOptions { queue_capacity: 4, ..Default::default() };
-    let server = std::sync::Arc::new(Server::start(spec, kernels, opts).unwrap());
+    for hoard in [false, true] {
+        let (spec, kernels) = model();
+        let opts = ServeOptions { queue_capacity: 4, ..Default::default() };
+        let server = std::sync::Arc::new(Server::start(spec, kernels, opts).unwrap());
 
-    const PRODUCERS: usize = 4;
-    const PER_PRODUCER: usize = 32;
-    let mut handles = Vec::new();
-    for _ in 0..PRODUCERS {
-        let server = std::sync::Arc::clone(&server);
-        handles.push(std::thread::spawn(move || {
-            let (mut ok, mut shed) = (0u64, 0u64);
-            for _ in 0..PER_PRODUCER {
-                match server.submit(request(), Duration::from_secs(30)) {
-                    Ok(t) => {
-                        let resp = t.wait();
-                        assert!(resp.output.is_ok(), "healthy server: {:?}", resp.output.err());
-                        ok += 1;
-                    }
-                    Err(e) => {
-                        assert!(e.is_shed(), "only load shedding is acceptable: {e}");
-                        shed += 1;
+        const PRODUCERS: usize = 4;
+        const PER_PRODUCER: usize = 32;
+        let mut handles = Vec::new();
+        for _ in 0..PRODUCERS {
+            let server = std::sync::Arc::clone(&server);
+            handles.push(std::thread::spawn(move || {
+                let (mut tickets, mut ok, mut shed) = (Vec::new(), 0u64, 0u64);
+                let mut serve = |t: Ticket| {
+                    let resp = t.wait();
+                    assert!(resp.output.is_ok(), "healthy server: {:?}", resp.output.err());
+                    ok += 1;
+                };
+                for _ in 0..PER_PRODUCER {
+                    match server.submit(request(), Duration::from_secs(30)) {
+                        Ok(t) if hoard => tickets.push(t),
+                        Ok(t) => serve(t),
+                        Err(e) => {
+                            assert!(e.is_shed(), "only load shedding is acceptable: {e}");
+                            shed += 1;
+                        }
                     }
                 }
-            }
-            (ok, shed)
-        }));
+                tickets.into_iter().for_each(serve);
+                (ok, shed)
+            }));
+        }
+        let (mut ok, mut shed) = (0u64, 0u64);
+        for h in handles {
+            let (o, s) = h.join().unwrap();
+            ok += o;
+            shed += s;
+        }
+        let server = std::sync::Arc::into_inner(server).expect("all producers joined");
+        let stats = server.shutdown();
+        let case = format!("hoard={hoard}");
+        assert_eq!(ok + shed, (PRODUCERS * PER_PRODUCER) as u64, "{case}");
+        assert_eq!(stats.submitted, ok + shed, "{case}");
+        assert_eq!(stats.completed, ok, "{case}");
+        assert_eq!(
+            stats.shed_overload + stats.shed_deadline + stats.shed_predicted,
+            shed,
+            "{case}: client and server shed tallies must reconcile"
+        );
+        assert_eq!(stats.failed, 0, "{case}");
+        assert!(ok > 0, "{case}: shedding must not wedge the server");
     }
-    let (mut ok, mut shed) = (0u64, 0u64);
-    for h in handles {
-        let (o, s) = h.join().unwrap();
-        ok += o;
-        shed += s;
-    }
-    let server = std::sync::Arc::into_inner(server).expect("all producers joined");
-    let stats = server.shutdown();
-    assert_eq!(ok + shed, (PRODUCERS * PER_PRODUCER) as u64);
-    assert_eq!(stats.submitted, ok + shed);
-    assert_eq!(stats.completed, ok);
-    assert_eq!(
-        stats.shed_overload + stats.shed_deadline + stats.shed_predicted + stats.shed_memory,
-        shed,
-        "client and server shed tallies must reconcile"
-    );
-    assert_eq!(stats.failed, 0);
 }
 
 /// Fault-injected serving scenarios. The armed fault is process-global,
@@ -315,79 +325,6 @@ mod faults {
 
     fn pooled_opts() -> ServeOptions {
         ServeOptions { threads: THREADS, ..Default::default() }
-    }
-
-    /// Multi-producer conservation under byte-budget pressure: a ceiling
-    /// admitting only a few concurrent images, four producers hoarding
-    /// tickets. Every submission still resolves to exactly one typed
-    /// outcome, the client-side `MemoryPressure` tally reconciles with
-    /// the server's `shed_memory`, and the server keeps completing work
-    /// throughout — pressure sheds load, it never wedges the pipeline.
-    #[test]
-    fn memory_pressure_conserves_outcomes_across_producers() {
-        let _guard = fault::test_lock();
-        fault::reset();
-        winograd_nd_repro::simd::fault::reset();
-
-        // Fit the byte-pricing model once (uncapped throwaway server),
-        // then cap the real server at three concurrent images.
-        let (spec, kernels) = model();
-        let probe_opts =
-            ServeOptions { memory_ceiling: Some(usize::MAX), ..ServeOptions::default() };
-        let probe = Server::start(spec.clone(), kernels.clone(), probe_opts).unwrap();
-        let ceiling = probe.memory_model().expect("model fitted").need_bytes(3);
-        probe.shutdown();
-
-        let opts = ServeOptions { memory_ceiling: Some(ceiling), ..ServeOptions::default() };
-        let server = std::sync::Arc::new(Server::start(spec, kernels, opts).unwrap());
-
-        const PRODUCERS: usize = 4;
-        const PER_PRODUCER: usize = 64;
-        let mut handles = Vec::new();
-        for _ in 0..PRODUCERS {
-            let server = std::sync::Arc::clone(&server);
-            handles.push(std::thread::spawn(move || {
-                // Hoard tickets: submit the whole burst before waiting, so
-                // queued work keeps the modeled footprint above the line.
-                let (mut tickets, mut mem_shed, mut other_shed) = (Vec::new(), 0u64, 0u64);
-                for _ in 0..PER_PRODUCER {
-                    match server.submit(request(), Duration::from_secs(30)) {
-                        Ok(t) => tickets.push(t),
-                        Err(ServeError::MemoryPressure { need_bytes, ceiling_bytes }) => {
-                            assert!(need_bytes > ceiling_bytes);
-                            mem_shed += 1;
-                        }
-                        Err(e) => {
-                            assert!(e.is_shed(), "only load shedding is acceptable: {e}");
-                            other_shed += 1;
-                        }
-                    }
-                }
-                let mut ok = 0u64;
-                for t in tickets {
-                    let resp = t.wait();
-                    assert!(resp.output.is_ok(), "admitted ⇒ served: {:?}", resp.output.err());
-                    ok += 1;
-                }
-                (ok, mem_shed, other_shed)
-            }));
-        }
-        let (mut ok, mut mem_shed, mut other_shed) = (0u64, 0u64, 0u64);
-        for h in handles {
-            let (o, m, s) = h.join().unwrap();
-            ok += o;
-            mem_shed += m;
-            other_shed += s;
-        }
-        let server = std::sync::Arc::into_inner(server).expect("all producers joined");
-        let stats = server.shutdown();
-        assert_eq!(ok + mem_shed + other_shed, (PRODUCERS * PER_PRODUCER) as u64);
-        assert_eq!(stats.submitted, ok + mem_shed + other_shed);
-        assert_eq!(stats.completed, ok);
-        assert_eq!(stats.failed, 0);
-        assert_eq!(stats.shed_memory, mem_shed, "client and server tallies must reconcile");
-        assert!(mem_shed > 0, "a 3-image ceiling under a 256-request burst must shed");
-        assert!(ok > 0, "pressure must shed load, not wedge the server");
     }
 
     /// Allocation refusals injected into the live batcher thread: the
