@@ -19,7 +19,9 @@
 //! (the panel-height sweep, `N` in 1..=30 or the binary exits 2); a height
 //! whose ring does not fit stages the plan. `--threads` (default 2)
 //! applies to the rows the table runs on the pool; the serve layers run on
-//! one thread, as the server runs them.
+//! one thread, as the server runs them. Each layer is planned alone, and a
+//! `Network` plans its layers as they plan alone, so the `net3d_fx` and
+//! serve rows run the schedules their workloads run.
 
 use std::time::Instant;
 

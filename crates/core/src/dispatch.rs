@@ -127,8 +127,7 @@ pub struct DispatchPlan {
     /// route realises — where a run-time re-plan starts from.
     opts: ConvOptions,
     pub(crate) cand: Candidate,
-    /// The host the layer was planned on — with, in a network, the
-    /// network's hand-off — which every re-plan keeps.
+    /// The host the layer was planned on, which every re-plan keeps.
     host: Host,
 }
 
@@ -178,7 +177,7 @@ pub(crate) fn plan_at_rung(
 
 /// The output extents of a layer under the geometry `opts` carry, or
 /// the error that makes the layer unrepresentable.
-pub(crate) fn out_dims(shape: &ConvShape, opts: ConvOptions) -> Result<Vec<usize>, PlanError> {
+fn out_dims(shape: &ConvShape, opts: ConvOptions) -> Result<Vec<usize>, PlanError> {
     let rank = shape.rank();
     if rank > MAX_RANK {
         return Err(PlanError::RankTooHigh { rank });
@@ -186,20 +185,6 @@ pub(crate) fn out_dims(shape: &ConvShape, opts: ConvOptions) -> Result<Vec<usize
     let geo = opts.geometry(rank);
     geo.validate(shape)?; // unrepresentable layers are hard errors
     Ok(geo.out_dims(shape)?)
-}
-
-/// What the Winograd plan of a layer — `m` on `host`, its stride-1,
-/// per-group plan — hands from one fork–join to the next as planned alone
-/// ([`WinogradLayer::hand_off_on`]), without building its kernels: 0 on a
-/// designed im2col route or a tile that does not plan.
-pub(crate) fn hand_off(shape: &ConvShape, m: &[usize], opts: ConvOptions, host: Host) -> usize {
-    let geo = opts.geometry(shape.rank());
-    if designed_im2col(shape, &geo).is_some() {
-        return 0;
-    }
-    let dense = opts.with_identity_geometry();
-    let sub = dense_shape(shape, &geo).map_err(PlanError::from);
-    sub.and_then(|sub| WinogradLayer::hand_off_on(sub, m, dense, host)).unwrap_or(0)
 }
 
 /// Why a layer's route is a designed im2col one whatever the candidate,

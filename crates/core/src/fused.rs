@@ -6,16 +6,12 @@
 //! when they are too large to stay in it ([`streams`]) — and read back by
 //! the next, a barrier later. On a core whose FMA ports outrun its memory
 //! system that round trip, not arithmetic, is what the transform stages
-//! cost. [`schedule`] decides at plan time, from the layer's sizes, the
-//! detected caches and what the plan's network hands on, which of three
-//! schedules a plan runs:
+//! cost. [`schedule`] decides at plan time, from the layer's sizes and
+//! the detected L2 alone, which of three schedules a plan runs — the same
+//! for a layer planned alone and for one of a `Network`:
 //!
 //! * **the ring** ([`forward`], training and FX mode) when `V̂` stays in the
-//!   L2 — or, on a layer of one reduction block that the dual ring turns
-//!   down too, when its staged hand-off would not stay in the last-level
-//!   cache because it shares that cache with the other layers of its
-//!   network ([`cold`], [`cold_ring_rows`]). A task takes one `n_blk`-row
-//!   panel all the way through:
+//!   L2. A task takes one `n_blk`-row panel all the way through:
 //!   1. operation ①②: `InputTransformCtx::tile` for the panel's tiles ×
 //!      `C/S` channel groups, into the calling thread's *ring* — one
 //!      `n_blk`-row block of `Û`, `[t][n_blk][C]`, plain stores;
@@ -31,9 +27,7 @@
 //!   and `X̂` never leave the core's cache. `V̂` is read once per panel
 //!   instead of once per layer, which is free while it stays in the L2
 //!   beside the ring (EXPERIMENTS.md, "§4.3 extension — ring-fused
-//!   forward"): [`ring_rows`]; and cheaper than the staged round trip of
-//!   `Û` and `Y` through DRAM while it stays in the LLC (EXPERIMENTS.md,
-//!   "In a network the hand-offs are cold").
+//!   forward"): [`ring_rows`].
 //! * **the dual ring** ([`forward_dual`], training mode only) when rows are
 //!   few and `V̂` is the large operand. It has a stage-2 blocking of its
 //!   own, `(n_blk, C_blk, cols)` — one vector each way by default — beside
@@ -116,9 +110,7 @@ const MIN_PANELS: usize = 8;
 /// `T·n_blk·(C + C')·4` B is then as many whole strips as stay within ¼ of
 /// the L2 and beside `V̂` — at least one, at most [`MAX_N_BLK`] rows or a
 /// [`MIN_PANELS`]-th of the layer's; an `explicit` panel height from
-/// `ConvOptions::block` is taken as is, if it fits. A layer this turns
-/// down may still run the ring where its network makes its staged
-/// hand-off cold ([`cold_ring_rows`]).
+/// `ConvOptions::block` is taken as is, if it fits.
 pub(crate) fn ring_rows(
     t_vol: usize,
     c: usize,
@@ -135,84 +127,36 @@ pub(crate) fn ring_rows(
     let row_bytes = t_vol * (c + cp) * f32_bytes;
     // Ring rows that fit beside V̂.
     let fit = (l2_bytes / 4 * 3).checked_sub(t_vol * c * cp * f32_bytes)? / row_bytes;
-    let n_blk = explicit.unwrap_or_else(|| strips(row_bytes, rows, l2_bytes, fit));
+    let most = (l2_bytes / 4 / row_bytes).min(fit).min(MAX_N_BLK);
+    let strips = most.min(rows / MIN_PANELS).max(STRIP_ROWS) / STRIP_ROWS * STRIP_ROWS;
+    let n_blk = explicit.unwrap_or(strips);
     (n_blk <= fit).then_some(n_blk)
-}
-
-/// Panel height of the ring on a layer whose staged hand-off would leave
-/// the last-level cache (`llc_bytes`, [`cold`]), where [`ring_rows`]
-/// turned it down — or `None` when it runs the three stages there too.
-///
-/// Fused iff the reduction is one block and `V̂` plus one thread's ring
-/// fit the cache's [`LLC_SHARE`]-th: `V̂` then stays in the LLC, where
-/// every panel re-reads it, while the staged `Û` and `Y` would round-trip
-/// through DRAM (EXPERIMENTS.md, "In a network the hand-offs are cold").
-/// The ring is as many whole strips as fit ¼ of the L2 — at least one, at
-/// most a [`MIN_PANELS`]-th of the layer's rows; an `explicit` panel
-/// height is taken as is.
-pub(crate) fn cold_ring_rows(
-    t_vol: usize,
-    c: usize,
-    cp: usize,
-    k_blocks: usize,
-    rows: usize,
-    (l2_bytes, llc_bytes): (usize, usize),
-    explicit: Option<usize>,
-) -> Option<usize> {
-    if k_blocks != 1 {
-        return None;
-    }
-    let f32_bytes = std::mem::size_of::<f32>();
-    let row_bytes = t_vol * (c + cp) * f32_bytes;
-    let n_blk = explicit.unwrap_or_else(|| strips(row_bytes, rows, l2_bytes, MAX_N_BLK));
-    let v_bytes = t_vol * c * cp * f32_bytes;
-    (v_bytes + n_blk * row_bytes <= llc_bytes / LLC_SHARE).then_some(n_blk)
-}
-
-/// A ring's panel height in rows of `row_bytes`: as many whole strips as
-/// fit ¼ of the L2 and `most` rows, at most [`MAX_N_BLK`] rows or a
-/// [`MIN_PANELS`]-th of the layer's `rows` — but never less than one strip.
-fn strips(row_bytes: usize, rows: usize, l2_bytes: usize, most: usize) -> usize {
-    let most = (l2_bytes / 4 / row_bytes).min(most).min(MAX_N_BLK);
-    most.min(rows / MIN_PANELS).max(STRIP_ROWS) / STRIP_ROWS * STRIP_ROWS
 }
 
 /// The schedule of a layer of tile volume `t_vol`, `c → cp` channels and
 /// `rows` panel rows with stage-2 blocking `block` (`explicit` when it
-/// came from `ConvOptions::block`) on a core with `l2_bytes` of L2 and a
-/// last-level cache of `llc_bytes`; `cold` when a staged plan's hand-off
-/// would not stay in that cache because its network's layers share it
-/// ([`cold`]).
+/// came from `ConvOptions::block`) on a core with `l2_bytes` of L2.
 ///
 /// In this order: the ring when [`ring_rows`] takes the layer; the dual
-/// ring when [`dual_fits`] takes its [`dual_blocking`]; the ring when the
-/// hand-off is `cold` and [`cold_ring_rows`] takes the layer; the three
-/// stages.
-#[allow(clippy::too_many_arguments)] // the layer's four sizes, its blocking and the host's three facts
+/// ring when [`dual_fits`] takes its [`dual_blocking`]; the three stages.
 pub(crate) fn schedule(
     t_vol: usize,
     c: usize,
     cp: usize,
     rows: usize,
-    (l2_bytes, llc_bytes): (usize, usize),
+    l2_bytes: usize,
     block: BlockShape,
     explicit: bool,
-    cold: bool,
 ) -> Schedule {
-    let k_blocks = c / block.c_blk;
     let n_blk = explicit.then_some(block.n_blk);
-    if let Some(rows) = ring_rows(t_vol, c, cp, k_blocks, rows, l2_bytes, n_blk) {
+    if let Some(rows) = ring_rows(t_vol, c, cp, c / block.c_blk, rows, l2_bytes, n_blk) {
         return Schedule::Ring { rows };
     }
     let (c_blk, cols) = dual_blocking(block, explicit);
     if dual_fits(t_vol, c, cp, rows, l2_bytes, c_blk, cols) {
         return Schedule::Dual { c_blk, cols };
     }
-    let caches = (l2_bytes, llc_bytes);
-    match cold.then(|| cold_ring_rows(t_vol, c, cp, k_blocks, rows, caches, n_blk)).flatten() {
-        Some(rows) => Schedule::Ring { rows },
-        None => Schedule::Staged,
-    }
+    Schedule::Staged
 }
 
 /// The `(C_blk, cols)` the dual ring runs a plan of stage-2 blocking
@@ -280,19 +224,6 @@ const LLC_SHARE: usize = 5;
 /// its rings. Whatever a ring holds is stored plainly.
 pub(crate) fn streams(hand_off_bytes: usize, llc_bytes: usize) -> bool {
     hand_off_bytes > llc_bytes / LLC_SHARE
-}
-
-/// Whether a plan's staged hand-off of `own` bytes is *cold* for
-/// [`schedule`]: it would stay in the last-level cache alone — plain
-/// stores, [`streams`] — but the hand-offs of every layer of its network,
-/// added together (`network`), would not. The layers take turns in the
-/// one cache, so each layer's `Û` and `Y` meet the others' on their round
-/// trip and go to DRAM. A plan made alone (`network` is `None`) is never
-/// cold, nor is one whose own hand-off streams: there the staged plan's
-/// non-temporal stores beat the ring (EXPERIMENTS.md, "In a network the
-/// hand-offs are cold").
-pub(crate) fn cold(own: usize, network: Option<usize>, llc_bytes: usize) -> bool {
-    !streams(own, llc_bytes) && network.is_some_and(|all| streams(all, llc_bytes))
 }
 
 impl WinogradLayer {
@@ -780,14 +711,13 @@ mod tests {
         ("VGG 5.x-class 28²", 36, 512, 512, 49),
     ];
 
-    /// One letter per layer: Ring, Dual or Staged at the planner's blocking
-    /// with a 105 MiB LLC, the hand-off `cold` or not.
-    fn schedules_at(l2: usize, cold: bool) -> String {
+    /// One letter per layer: Ring, Dual or Staged at the planner's blocking.
+    fn schedules_at(l2: usize) -> String {
         SCHEDULED
             .iter()
             .map(|&(_, t, c, cp, rows)| {
                 let block = wino_gemm::default_shape(c, cp, rows);
-                match schedule(t, c, cp, rows, (l2, 105 * MIB), block, false, cold) {
+                match schedule(t, c, cp, rows, l2, block, false) {
                     Schedule::Ring { .. } => 'R',
                     Schedule::Dual { c_blk, cols } => {
                         assert_eq!((c_blk, cols), (S, S));
@@ -807,11 +737,11 @@ mod tests {
     /// `V̂`'s round trip.
     #[test]
     fn the_dual_ring_takes_few_rows_and_a_large_kernel_transform() {
-        assert_eq!(schedules_at(2 * MIB, false), "RRRRRRSSSSDDS");
+        assert_eq!(schedules_at(2 * MIB), "RRRRRRSSSSDDS");
         // At the 1 MiB fallback `train3d_jit`'s working set — a 16-channel
         // slice of `Û`, a 16 × 16 block of `V̂`, the accumulator and the
         // chunks, 864 KiB — no longer fits ¾ of the L2.
-        assert_eq!(schedules_at(MIB, false), "RRRRSSSSSSSDS");
+        assert_eq!(schedules_at(MIB), "RRRRSSSSSSSDS");
         assert!(dual_fits(216, 128, 128, 16, 2 * MIB, S, S) && !dual_fits(216, 128, 128, 16, MIB, S, S));
     }
 
@@ -829,75 +759,8 @@ mod tests {
         // An explicit blocking is taken as is, or the plan is staged.
         let block = |c_blk, cp_blk| BlockShape { n_blk: 6, c_blk, cp_blk };
         let dual = Schedule::Dual { c_blk: 32, cols: 32 };
-        let caches = (2 * MIB, 105 * MIB);
-        assert_eq!(schedule(36, 64, 64, 20, caches, block(32, 32), true, false), dual);
-        assert_eq!(schedule(36, 64, 64, 20, (0, 0), block(32, 32), true, false), Schedule::Staged);
-    }
-
-    /// Host-independent: where a staged hand-off would leave the LLC, every
-    /// one-block layer the ring and the dual ring turn down runs the ring —
-    /// `net3d_fx` L2, `gemm2d_mono`, `net3d_fx` L3 and the C3D layer. The
-    /// dual ring keeps `train3d_jit` and the 14² VGG layer, being checked
-    /// first; the 28² VGG layer stays staged: four reduction blocks.
-    #[test]
-    fn a_cold_hand_off_turns_one_block_layers_to_the_ring() {
-        assert_eq!(schedules_at(2 * MIB, true), "RRRRRRRRRRDDS");
-        assert_eq!(wino_gemm::default_shape(512, 512, 49).c_blk, 128);
-        // The rings the warm rule plans are the cold rule's too.
-        for l2 in [MIB, 2 * MIB] {
-            let (warm, cold) = (schedules_at(l2, false), schedules_at(l2, true));
-            assert!(warm.chars().zip(cold.chars()).all(|(w, c)| w == 'S' || w == c), "{warm} {cold}");
-        }
-    }
-
-    /// `net3d_fx`'s L2 and L3 take one 6-row strip: a quarter of the L2
-    /// holds six rows of L2's ring and fewer than six of L3's, and 75 rows
-    /// allow nine a panel.
-    #[test]
-    fn the_cold_ring_on_net3d_fx_is_one_strip_high() {
-        let caches = (2 * MIB, 105 * MIB);
-        for (c, cp) in [(32, 64), (64, 64)] {
-            let on = |cold| schedule(216, c, cp, 75, caches, wino_gemm::default_shape(c, cp, 75), false, cold);
-            assert_eq!((on(true), on(false)), (Schedule::Ring { rows: 6 }, Schedule::Staged), "{c}→{cp}");
-        }
-        // Never past a MIN_PANELS-th of the rows, MAX_N_BLK or ¼ of the L2 —
-        // nor below a strip — and an explicit height is taken as is.
-        assert_eq!(cold_ring_rows(36, 128, 128, 1, 196, caches, None), Some(12));
-        assert_eq!(cold_ring_rows(36, 32, 32, 1, 100_000, caches, None), Some(30));
-        assert_eq!(cold_ring_rows(36, 32, 32, 1, 160, caches, None), Some(18));
-        assert_eq!(cold_ring_rows(36, 128, 128, 1, 8, caches, None), Some(6));
-        assert_eq!(cold_ring_rows(36, 128, 128, 1, 196, caches, Some(5)), Some(5));
-        assert_eq!(cold_ring_rows(36, 128, 128, 2, 196, caches, None), None);
-    }
-
-    /// `V̂` and one thread's ring must fit the LLC share, or the ring
-    /// would re-read `V̂` from DRAM panel after panel.
-    #[test]
-    fn a_kernel_transform_past_the_llc_share_stays_staged() {
-        // net3d_fx L3: V̂ 3 375 KiB plus a 6-row ring of 648 KiB.
-        let fits = (216 * 64 * 64 + 216 * 6 * 128) * 4;
-        let block = wino_gemm::default_shape(64, 64, 75);
-        let on = |llc| schedule(216, 64, 64, 75, (2 * MIB, llc), block, false, true);
-        assert_eq!(on(5 * fits), Schedule::Ring { rows: 6 });
-        assert_eq!(on(5 * fits - 5), Schedule::Staged);
-        // The VGG 5.x-class layer at batch 8 in one reduction block: 36 MiB of
-        // V̂ against a 21 MiB share.
-        let one_block = BlockShape { n_blk: 6, c_blk: 512, cp_blk: 512 };
-        let on = |llc| schedule(36, 512, 512, 392, (2 * MIB, llc), one_block, true, true);
-        assert_eq!((on(105 * MIB), on(260 * MIB)), (Schedule::Staged, Schedule::Ring { rows: 6 }));
-    }
-
-    /// Cold: a hand-off that stays in the LLC's share alone, in a network
-    /// whose summed hand-offs do not. Alone, or streaming on its own, never.
-    #[test]
-    fn a_hand_off_is_cold_only_when_the_network_pushes_it_out() {
-        let llc = 105 * MIB;
-        assert!(cold(13 * MIB, Some(31 * MIB), llc));
-        assert!(!cold(13 * MIB, Some(21 * MIB), llc));
-        assert!(!cold(13 * MIB, None, llc));
-        assert!(!cold(26 * MIB, None, llc));
-        assert!(!cold(26 * MIB, Some(52 * MIB), llc));
-        assert!(cold(21 * MIB, Some(21 * MIB + 1), llc));
+        assert_eq!(schedule(36, 64, 64, 20, 2 * MIB, block(32, 32), true), dual);
+        assert_eq!(schedule(36, 64, 64, 20, 0, block(32, 32), true), Schedule::Staged);
     }
 
     /// At a fifth of the cache the hand-off still counts as resident; one
@@ -920,7 +783,7 @@ mod tests {
     #[test]
     fn the_sweep_layers_stream_from_the_batch_that_outgrows_their_share_of_the_llc() {
         use crate::plan::{ConvOptions, Host};
-        let host = Host { l2_bytes: 2 * MIB, llc_bytes: 260 * MIB, network_hand_off: None, pin: None };
+        let host = Host { l2_bytes: 2 * MIB, llc_bytes: 260 * MIB, pin: None };
         let plan = |batch, c, side: usize| {
             let shape = wino_tensor::ConvShape::new(batch, c, c, &[side, side], &[3, 3], &[1, 1]).unwrap();
             WinogradLayer::new_on(shape, &[4, 4], ConvOptions::default(), host).unwrap()

@@ -30,7 +30,8 @@
 //! one block of kernels at a time into a per-thread ring and multiply it
 //! there, so `V̂` is never materialised. Results are bit-identical on all
 //! three; [`WinogradLayer::is_fused`] and [`WinogradLayer::is_dual`] say
-//! which schedule a plan got, from its sizes and the detected L2 alone.
+//! which schedule a plan got, from its sizes and the detected L2 alone —
+//! the same for a layer of a [`Network`] as for the layer planned alone.
 //!
 //! The codelets of stages 1 and 3 are straight-line code generated at
 //! build time for every `F(m, r)` with `m ≤ 8` and `r ≤ 5` ([`codelet`]),

@@ -26,7 +26,7 @@ use wino_sched::Executor;
 use wino_tensor::{BlockedImage, BlockedKernels, ConvShape, ShapeError};
 
 use crate::conv::TransformedKernels;
-use crate::dispatch::{hand_off, out_dims, plan_at_rung, DispatchPlan, Kernels, Slot};
+use crate::dispatch::{plan_at_rung, DispatchPlan, Kernels, Slot};
 use crate::error::{check_finite, NumericError, WinoError};
 use crate::plan::{ConvOptions, Host, PlanError, Scratch};
 use crate::select::{degrade, Candidate, Cause, FallbackPolicy};
@@ -262,12 +262,7 @@ impl Network {
     /// [`FallbackPolicy::default`]; [`FallbackPolicy::strict`] plans every
     /// rung as configured. A strided or grouped layer stands on the same
     /// rungs as a dense one: its route is built from the same candidate.
-    ///
-    /// Every layer is planned for the cache the layers share: where their
-    /// hand-offs together would overflow the last-level cache's share and a
-    /// layer's own would not, that layer — if it has one reduction block —
-    /// runs the ring ([`crate::WinogradLayer::is_fused`]) even if, planned
-    /// alone, it would run the three stages.
+    /// Each layer is planned as [`crate::plan_dispatch`] plans it alone.
     #[allow(clippy::too_many_arguments)] // with_policy's seven plus the rung
     pub fn at_rung(
         batch: usize,
@@ -283,11 +278,7 @@ impl Network {
         Self::on_host(batch, in_channels, image_dims, specs, opts, threads, policy, rung, host)
     }
 
-    /// [`Network::at_rung`] on `host`. Every layer is planned knowing what
-    /// the whole network hands from one fork–join to the next: the layers
-    /// take turns in one last-level cache, so a staged hand-off that would
-    /// stay there alone may not in the network (`fused::schedule`). The
-    /// hand-offs are added up before any stage-2 kernel is built.
+    /// [`Network::at_rung`] on `host`.
     #[allow(clippy::too_many_arguments)] // at_rung's eight plus the host
     pub(crate) fn on_host(
         batch: usize,
@@ -303,22 +294,15 @@ impl Network {
         if specs.is_empty() {
             return Err(ShapeError::ZeroDim.into());
         }
-        let mut shapes = Vec::with_capacity(specs.len());
+        let mut layers = Vec::with_capacity(specs.len());
         let mut c = in_channels;
         let mut dims = image_dims.to_vec();
         for spec in specs {
             let shape =
                 ConvShape::new(batch, c, spec.out_channels, &dims, &spec.kernel, &spec.padding)?;
-            c = spec.out_channels;
+            let (plan, planned_fallback) = plan_at_rung(&shape, &spec.m, opts, policy, rung, host)?;
             // Chaining uses the geometry's output extents.
-            dims = out_dims(&shape, opts)?;
-            shapes.push(shape);
-        }
-        let hand_offs = shapes.iter().zip(specs).map(|(s, spec)| hand_off(s, &spec.m, opts, host));
-        let host = Host { network_hand_off: Some(hand_offs.sum()), ..host };
-        let mut layers = Vec::with_capacity(specs.len());
-        for (shape, spec) in shapes.iter().zip(specs) {
-            let (plan, planned_fallback) = plan_at_rung(shape, &spec.m, opts, policy, rung, host)?;
+            (c, dims) = (spec.out_channels, plan.out_dims().to_vec());
             layers.push(NetLayer { plan, activation: spec.activation, planned_fallback });
         }
         // One resident slot per layer, so repeat passes never rebuild.
@@ -743,15 +727,12 @@ mod tests {
         // Once on fused plans (rings, no layer-sized scratch), once on staged
         // ones (two reduction blocks over ≥ 32 channels, and at least 32
         // rows, which the dual ring turns down), once strided (`V̂` made on
-        // the stride-1 plans; a stride-1 image beside every scratch), once
-        // on rings a network's cold hand-off chose ([`cold_host`]).
+        // the stride-1 plans; a stride-1 image beside every scratch).
         let strided = ConvOptions::default().with_stride(&[2, 2]);
-        let (detected, cold) = (Host::detected(), cold_host());
-        for (opts, c_in, side, host, fused) in [
-            (ConvOptions::default(), 16, 12, detected, true),
-            (crate::plan::split_reduction(), 32, 24, detected, false),
-            (strided, 16, 12, detected, true),
-            (ConvOptions::default(), 16, 24, cold, true),
+        for (opts, c_in, side, fused) in [
+            (ConvOptions::default(), 16, 12, true),
+            (crate::plan::split_reduction(), 32, 24, false),
+            (strided, 16, 12, true),
         ] {
             let specs = two_layers();
             let img = SimpleImage::from_fn(1, c_in, &[side, side], |_, c, xy| {
@@ -761,8 +742,7 @@ mod tests {
 
             let before = wino_simd::thread_alloc_bytes();
             let policy = FallbackPolicy::strict();
-            let net = Network::on_host(1, c_in, &[side, side], &specs, opts, 1, &policy, 0, host);
-            let mut net = net.unwrap();
+            let mut net = Network::with_policy(1, c_in, &[side, side], &specs, opts, 1, &policy).unwrap();
             assert!(net.layers().iter().all(|l| engine_plan(l).is_fused() == fused));
             assert!(net.layers().iter().all(|l| !engine_plan(l).is_dual()));
             let kernels = kernels_for(&net, 3);
@@ -803,78 +783,54 @@ mod tests {
             .collect()
     }
 
-    /// A host on which [`two_layers`] over a 16-channel 24² input hand off
-    /// more together than a fifth of the LLC holds, but each less alone.
-    /// Each layer has one reduction block and 36 rows or more — too many
-    /// for the dual ring — and a `V̂` that, beside one strip of ring,
-    /// overflows ¾ of the 64 KiB L2: alone, each is staged.
-    fn cold_host() -> Host {
-        let host = |llc_bytes| Host { l2_bytes: 64 << 10, llc_bytes, network_hand_off: None, pin: None };
+    /// Hosts of a 64 KiB L2, on which each of [`two_layers`] over a
+    /// 16-channel 24² input is staged — one reduction block, 36 rows or
+    /// more (too many for the dual ring) and a `V̂` that, beside one strip
+    /// of ring, overflows ¾ of the L2 — with LLCs of `usize::MAX`, 5× and
+    /// 1× the largest lone hand-off: none streams, none streams alone but
+    /// the two together overflow a fifth of the LLC, the largest streams.
+    fn small_l2_hosts() -> [Host; 3] {
+        let host = |llc_bytes| Host { l2_bytes: 64 << 10, llc_bytes, pin: None };
         let largest = lone_plans(host(usize::MAX)).iter().map(WinogradLayer::hand_off_bytes).max();
-        host(5 * largest.unwrap())
+        let largest = largest.unwrap();
+        [host(usize::MAX), host(5 * largest), host(largest)]
     }
 
-    fn network_on(host: Host, policy: &FallbackPolicy) -> Network {
-        Network::on_host(1, 16, &[24, 24], &two_layers(), ConvOptions::default(), 1, policy, 0, host).unwrap()
-    }
-
+    /// A network plans each layer as it plans alone — schedule, store
+    /// flavour and blocking — whatever its layers hand off together, and
+    /// runs bit for bit as the lone plans chained by hand, in training
+    /// and in FX mode.
     #[test]
-    fn a_network_whose_hand_offs_leave_the_llc_together_runs_rings() {
-        let host = cold_host();
-        let alone = lone_plans(host);
-        let summed: usize = alone.iter().map(WinogradLayer::hand_off_bytes).sum();
-        assert!(summed * 5 > host.llc_bytes);
-        assert!(alone.iter().all(|p| p.hand_off_bytes() * 5 <= host.llc_bytes));
-        assert!(alone.iter().all(|p| !p.is_fused() && !p.is_dual() && p.block.c_blk == p.shape.in_channels));
-
-        let mut net = network_on(host, &FallbackPolicy::strict());
-        assert!(net.layers().iter().all(|l| engine_plan(l).is_fused()));
-        // The rings and the three stages agree bit for bit, in training
-        // and in FX mode.
+    fn a_network_plans_every_layer_as_it_plans_alone() {
         let img = SimpleImage::from_fn(1, 16, &[24, 24], |_, c, xy| {
             ((c * 3 + xy[0] + xy[1] * 5) % 13) as f32 * 0.08 - 0.4
         });
         let input = BlockedImage::from_simple(&img).unwrap();
-        let kernels = kernels_for(&net, 7);
-        let mut chained = input.clone();
-        for (plan, k) in alone.iter().zip(&kernels) {
-            let mut out = plan.new_output().unwrap();
-            plan.forward(&chained, k, &mut out, &mut Scratch::new(plan, 1), &SerialExecutor).unwrap();
-            Activation::Relu.apply(&mut out);
-            chained = out;
-        }
-        let (train, _) = net.run_net(&input, &kernels, &SerialExecutor, &FallbackPolicy::default()).unwrap();
-        let prepared = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
-        let fx = net.forward_fx(&input, &prepared, &SerialExecutor).unwrap();
-        assert_eq!(train.as_slice(), chained.as_slice());
-        assert_eq!(fx.as_slice(), chained.as_slice());
-    }
-
-    /// A demoted or re-tiled candidate of a layer whose network's hand-off
-    /// is cold runs the ring too — a rescue must not allocate the
-    /// layer-sized `Û` / `X̂` / `Y` the memory ladder is getting away from
-    /// — while the same candidate of a layer planned alone is staged.
-    #[test]
-    fn a_replanned_candidate_of_a_cold_ring_layer_is_a_ring() {
-        let (host, policy) = (cold_host(), FallbackPolicy::with_sentinel(4, 1));
-        let net = network_on(host, &policy);
-        let mut replanned = 0;
-        for (l, spec) in net.layers().iter().zip(two_layers()) {
-            let alone = plan_at_rung(&l.plan.shape, &spec.m, ConvOptions::default(), &policy, 0, host);
-            let alone = alone.unwrap().0;
-            for cause in [Cause::Memory, Cause::Sentinel] {
-                // F(2²) has no smaller tile: its sentinel row is im2col.
-                let next = degrade(&l.plan.cand, cause, l.plan.out_dims(), &policy).unwrap();
-                if next == Candidate::Im2col {
-                    continue;
-                }
-                let fused = |p: &DispatchPlan| p.replan(&next).unwrap().winograd().unwrap().is_fused();
-                assert!(fused(&l.plan), "{cause:?}: {next:?}");
-                assert!(!fused(&alone), "{cause:?}: {next:?}");
-                replanned += 1;
+        for host in small_l2_hosts() {
+            let llc = host.llc_bytes;
+            let alone = lone_plans(host);
+            assert!(alone.iter().all(|p| !p.is_fused() && !p.is_dual() && p.block.c_blk == p.shape.in_channels));
+            let policy = FallbackPolicy::strict();
+            let net = Network::on_host(1, 16, &[24, 24], &two_layers(), ConvOptions::default(), 1, &policy, 0, host);
+            let mut net = net.unwrap();
+            for (l, lone) in net.layers().iter().zip(&alone) {
+                let plan = engine_plan(l);
+                assert_eq!((plan.schedule, plan.streams, plan.block), (lone.schedule, lone.streams, lone.block), "{llc}");
             }
+            let kernels = kernels_for(&net, 7);
+            let mut chained = input.clone();
+            for (plan, k) in alone.iter().zip(&kernels) {
+                let mut out = plan.new_output().unwrap();
+                plan.forward(&chained, k, &mut out, &mut Scratch::new(plan, 1), &SerialExecutor).unwrap();
+                Activation::Relu.apply(&mut out);
+                chained = out;
+            }
+            let (train, _) = net.run_net(&input, &kernels, &SerialExecutor, &FallbackPolicy::default()).unwrap();
+            let prepared = net.prepare_kernels(&kernels, &SerialExecutor).unwrap();
+            let fx = net.forward_fx(&input, &prepared, &SerialExecutor).unwrap();
+            assert_eq!(train.as_slice(), chained.as_slice(), "{llc}");
+            assert_eq!(fx.as_slice(), chained.as_slice(), "{llc}");
         }
-        assert_eq!(replanned, 3);
     }
 
     /// The layer specs of a workload: `(out_channels, padding, m)` per
@@ -890,17 +846,14 @@ mod tests {
         layers.iter().map(spec).collect()
     }
 
-    /// On a 2 MiB L2 with a 105 MiB or a 260 MiB LLC, every benchmark
-    /// workload plans the schedules it planned before a network's
-    /// hand-off entered the rule — those of a host whose LLC never goes
-    /// cold — but `net3d_fx` on the 105 MiB one: its three layers hand
-    /// off 1.99 + 12.75 + 16.03 MiB against a 21 MiB share, and its L2
-    /// and L3 run 6-row rings. A layer whose own hand-off streams stays
-    /// staged, alone or among other layers.
+    /// On a 2 MiB L2 every benchmark workload plans the same schedules
+    /// whatever the LLC reads — 105, 260 or 300 MiB, figures the measuring
+    /// host has reported on different sittings: only the store flavour
+    /// reads the LLC.
     #[test]
-    fn the_benchmark_workloads_plan_as_before_but_net3d_fx_on_a_105_mib_llc() {
+    fn the_benchmark_workloads_plan_the_same_on_every_llc() {
         const MIB: usize = 1 << 20;
-        let at = |llc_bytes| Host { l2_bytes: 2 * MIB, llc_bytes, network_hand_off: None, pin: None };
+        let at = |llc_bytes| Host { l2_bytes: 2 * MIB, llc_bytes, pin: None };
         let lone = |host, c, dims: &[usize], pad, m| {
             let shape = ConvShape::new(1, c, c, dims, &vec![3; dims.len()], &vec![pad; dims.len()]).unwrap();
             WinogradLayer::new_on(shape, &vec![m; dims.len()], ConvOptions::default(), host).unwrap().schedule
@@ -912,9 +865,9 @@ mod tests {
         };
         let serve = specs_of(2, &[(64, 1, 4), (64, 1, 4), (32, 1, 4)]);
         let net3d = specs_of(3, &[(32, 0, 4), (64, 0, 4), (64, 0, 4)]);
-        let (warm, ring) = (at(usize::MAX), |rows| Schedule::Ring { rows });
+        let ring = |rows| Schedule::Ring { rows };
         let dual = Schedule::Dual { c_blk: 16, cols: 16 };
-        for llc in [105 * MIB, 260 * MIB] {
+        for llc in [105 * MIB, 260 * MIB, 300 * MIB] {
             let host = at(llc);
             // gemm2d_mono, xform2d_jit and train3d_jit are lone layers.
             for (c, dims, pad, m, want) in [
@@ -922,21 +875,16 @@ mod tests {
                 (64, &[160, 160], 0, 6, ring(12)),
                 (128, &[4, 14, 14], 1, 4, dual),
             ] {
-                let planned = (lone(host, c, dims, pad, m), lone(warm, c, dims, pad, m));
-                assert_eq!(planned, (want, want), "{dims:?}");
+                assert_eq!(lone(host, c, dims, pad, m), want, "{dims:?} on {llc}");
             }
             // serve_steady and serve_surge: the serve model at every batch
             // size the server caches a plan for.
             for batch in 1..=8 {
                 let planned = schedules(host, batch, 32, &[28, 28], &serve);
-                assert_eq!(planned, schedules(warm, batch, 32, &[28, 28], &serve), "B = {batch}");
-                assert!(planned.iter().all(|s| matches!(s, Schedule::Ring { .. })), "B = {batch}");
+                assert!(planned.iter().all(|s| matches!(s, Schedule::Ring { .. })), "B = {batch} on {llc}");
             }
             let planned = schedules(host, 1, 32, &[16, 24, 24], &net3d);
-            let before = schedules(warm, 1, 32, &[16, 24, 24], &net3d);
-            assert_eq!(before[1..], [Schedule::Staged, Schedule::Staged]);
-            let want = if llc == 105 * MIB { vec![before[0], ring(6), ring(6)] } else { before };
-            assert_eq!(planned, want, "{llc}");
+            assert_eq!(planned, [ring(6), Schedule::Staged, Schedule::Staged], "{llc}");
         }
         // The hand-offs behind it, as planned alone.
         let mut c = 32;
@@ -947,20 +895,16 @@ mod tests {
                 let shape = ConvShape::new(1, c, spec.out_channels, &dims, &spec.kernel, &spec.padding);
                 let shape = shape.unwrap();
                 (c, dims) = (spec.out_channels, shape.out_dims());
-                let plan = WinogradLayer::new_on(shape, &spec.m, ConvOptions::default(), warm).unwrap();
+                let plan = WinogradLayer::new_on(shape, &spec.m, ConvOptions::default(), at(usize::MAX)).unwrap();
                 plan.hand_off_bytes() >> 10
             })
             .collect();
         assert_eq!(kib, [2035, 13053, 16416]);
-        // gemm2d_mono's layer at batch 2 hands off 26 MiB: past the share on
-        // its own, it streams its stores, alone or among other layers.
+        // gemm2d_mono's layer at batch 2 hands off 26 MiB: past a 105 MiB
+        // LLC's share, it streams its stores.
         let shape = ConvShape::new(2, 128, 128, &[56, 56], &[3, 3], &[1, 1]).unwrap();
-        let alone = WinogradLayer::new_on(shape.clone(), &[4, 4], ConvOptions::default(), at(105 * MIB));
-        let alone = alone.unwrap();
-        assert_eq!((alone.schedule, alone.streams), (Schedule::Staged, true));
-        let shared = Host { network_hand_off: Some(4 * alone.hand_off_bytes()), ..at(105 * MIB) };
-        let amid = WinogradLayer::new_on(shape, &[4, 4], ConvOptions::default(), shared).unwrap();
-        assert_eq!((amid.schedule, amid.streams), (Schedule::Staged, true));
+        let plan = WinogradLayer::new_on(shape, &[4, 4], ConvOptions::default(), at(105 * MIB)).unwrap();
+        assert_eq!((plan.schedule, plan.streams), (Schedule::Staged, true));
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! paper's three stages; when `V̂` plus a per-thread ring fit the L2, the
 //! ring-fused driver of `fused.rs` ([`WinogradLayer::is_fused`]); when
 //! rows are few and a block of `V̂` plus a slice of `Û` fit it instead, the
-//! dual ring of the same file ([`WinogradLayer::is_dual`]); when neither
-//! fits but the layers of its network push the staged hand-off out of
-//! the last-level cache, the ring again — and whether its stores bypass
-//! the cache ([`WinogradLayer::streams`]). A [`Scratch`] is the paper's auxiliary
+//! dual ring of the same file ([`WinogradLayer::is_dual`]) — and whether
+//! its stores bypass the cache ([`WinogradLayer::streams`]). The schedule
+//! is the layer's sizes against the L2, the store flavour its hand-off
+//! against the last-level cache: a layer of a `Network` plans as it plans
+//! alone. A [`Scratch`] is the paper's auxiliary
 //! buffer (§4.4 "Memory overhead"), reused across layers. For a staged
 //! plan it holds `I` (transformed inputs), `I'_tmp` and tile-major `I'`;
 //! for a ring plan one ring per thread slot; for a dual plan `I` and one
@@ -241,19 +242,15 @@ pub struct WinogradLayer {
 }
 
 /// What a plan's schedule and store flavour are decided from besides the
-/// layer: the host's two cache sizes and, for one layer of a network,
-/// what the whole network hands on.
+/// layer: the host's two cache sizes.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Host {
-    /// L2 one thread can count on ([`wino_sched::l2_bytes_per_thread`]).
+    /// L2 one thread can count on ([`wino_sched::l2_bytes_per_thread`]):
+    /// what the schedule reads (`fused::schedule`).
     pub l2_bytes: usize,
-    /// Last-level cache ([`wino_sched::llc_bytes`]).
+    /// Last-level cache ([`wino_sched::llc_bytes`]): what the store
+    /// flavour reads (`fused::streams`).
     pub llc_bytes: usize,
-    /// For a layer of a `Network`: the bytes every layer of it hands from
-    /// one fork–join to the next, added together, each as planned alone
-    /// ([`WinogradLayer::hand_off_bytes`]) — the layers take turns in one
-    /// last-level cache (`fused::cold`). `None` for a plan made alone.
-    pub network_hand_off: Option<usize>,
     /// The schedule kind a test plans whatever the caches say
     /// ([`Host::test`]).
     #[cfg(test)]
@@ -266,7 +263,6 @@ impl Host {
         Host {
             l2_bytes: wino_sched::l2_bytes_per_thread(),
             llc_bytes: wino_sched::llc_bytes(),
-            network_hand_off: None,
             #[cfg(test)]
             pin: None,
         }
@@ -281,56 +277,6 @@ impl WinogradLayer {
 
     /// [`WinogradLayer::new`] on `host`.
     pub(crate) fn new_on(
-        shape: ConvShape,
-        m: &[usize],
-        opts: ConvOptions,
-        host: Host,
-    ) -> Result<WinogradLayer, PlanError> {
-        let mut layer = WinogradLayer::sketch(shape, m, opts, host)?;
-        // A staged hand-off that the network's layers push out of the
-        // last-level cache may make the ring the better schedule after all.
-        if crate::fused::cold(layer.hand_off_bytes(), host.network_hand_off, host.llc_bytes) {
-            layer.schedule = layer.schedule_on(host, true);
-        }
-        layer.streams = crate::fused::streams(layer.hand_off_bytes(), host.llc_bytes);
-        // Tile-major group stride (floats): see `TileMajor::group_stride`.
-        let (t_vol, c, rows) = (layer.t_vol(), layer.shape.in_channels, layer.rows());
-        let group_stride = layer.n_tiles() * t_vol * S;
-        let (engine, block) = (opts.stage2, layer.block);
-        let gemm = |block, stride, streaming| Gemm::new(engine, block, c, rows, stride, streaming);
-        layer.gemm = gemm(block, group_stride, layer.streams)?;
-        // What a ring scatters stays in the core's own cache: plain stores —
-        // a ring panel's `X̂` chunks at the ring's group stride, or a dual
-        // column group's tile-major chunks at the staged one.
-        layer.ring_gemm = match layer.schedule {
-            Schedule::Staged => None,
-            Schedule::Ring { rows: n } => Some(gemm(BlockShape { n_blk: n, ..block }, n * t_vol * S, false)?),
-            Schedule::Dual { c_blk, cols } => {
-                let dual = BlockShape { c_blk, cp_blk: cols, ..block };
-                (dual != block || layer.streams).then(|| gemm(dual, group_stride, false)).transpose()?
-            }
-        };
-        Ok(layer)
-    }
-
-    /// What a plan of the given layer on `host` would hand from one
-    /// fork–join to the next ([`WinogradLayer::hand_off_bytes`]) on the
-    /// schedule its caches alone decide, without building its stage-2
-    /// kernels.
-    pub(crate) fn hand_off_on(
-        shape: ConvShape,
-        m: &[usize],
-        opts: ConvOptions,
-        host: Host,
-    ) -> Result<usize, PlanError> {
-        Ok(WinogradLayer::sketch(shape, m, opts, host)?.hand_off_bytes())
-    }
-
-    /// The plan of the given layer on `host` short of its stage-2 kernels
-    /// — stand-in Mono kernels, which compile nothing — on the schedule
-    /// its caches alone decide: what [`WinogradLayer::new_on`] completes
-    /// and [`WinogradLayer::hand_off_on`] measures.
-    fn sketch(
         shape: ConvShape,
         m: &[usize],
         opts: ConvOptions,
@@ -389,24 +335,33 @@ impl WinogradLayer {
             }
             None => default_shape(shape.in_channels, shape.out_channels, rows),
         };
-        let mono = Gemm::new(Stage2Backend::Mono, block, shape.in_channels, rows, 0, false)?;
-        let schedule = Schedule::Staged;
-        let mut layer =
-            WinogradLayer { shape, grid, block, opts, schedule, streams: false, gemm: mono, ring_gemm: None };
-        layer.schedule = layer.schedule_on(host, false);
-        Ok(layer)
-    }
-
-    /// The schedule [`crate::fused::schedule`] gives this plan on `host`,
-    /// `cold` or not (under test, the schedule `host` pins).
-    fn schedule_on(&self, host: Host, cold: bool) -> Schedule {
-        let (t_vol, rows, block) = (self.t_vol(), self.rows(), self.block);
-        let (c, cp) = (self.shape.in_channels, self.shape.out_channels);
-        let (caches, explicit) = ((host.l2_bytes, host.llc_bytes), self.opts.block.is_some());
-        let schedule = crate::fused::schedule(t_vol, c, cp, rows, caches, block, explicit, cold);
+        let (t_vol, c, cp) = (grid.tile_volume(), shape.in_channels, shape.out_channels);
+        let explicit = opts.block.is_some();
+        let schedule = crate::fused::schedule(t_vol, c, cp, rows, host.l2_bytes, block, explicit);
         #[cfg(test)]
         let schedule = host.pin.map_or(schedule, |pin| pin.schedule(t_vol, c, cp, rows, block, explicit));
-        schedule
+        // Stand-in Mono kernels, which compile nothing, until the store
+        // flavour — read off the plan's footprint — is known.
+        let mono = Gemm::new(Stage2Backend::Mono, block, c, rows, 0, false)?;
+        let mut layer =
+            WinogradLayer { shape, grid, block, opts, schedule, streams: false, gemm: mono, ring_gemm: None };
+        layer.streams = crate::fused::streams(layer.hand_off_bytes(), host.llc_bytes);
+        // Tile-major group stride (floats): see `TileMajor::group_stride`.
+        let group_stride = layer.n_tiles() * t_vol * S;
+        let gemm = |block, stride, streaming| Gemm::new(opts.stage2, block, c, rows, stride, streaming);
+        layer.gemm = gemm(block, group_stride, layer.streams)?;
+        // What a ring scatters stays in the core's own cache: plain stores —
+        // a ring panel's `X̂` chunks at the ring's group stride, or a dual
+        // column group's tile-major chunks at the staged one.
+        layer.ring_gemm = match layer.schedule {
+            Schedule::Staged => None,
+            Schedule::Ring { rows: n } => Some(gemm(BlockShape { n_blk: n, ..block }, n * t_vol * S, false)?),
+            Schedule::Dual { c_blk, cols } => {
+                let dual = BlockShape { c_blk, cp_blk: cols, ..block };
+                (dual != block || layer.streams).then(|| gemm(dual, group_stride, false)).transpose()?
+            }
+        };
+        Ok(layer)
     }
 
     /// Bytes a forward pass of this plan hands from one fork–join to the
@@ -457,10 +412,7 @@ impl WinogradLayer {
     /// transform per row panel through a per-thread, cache-resident ring,
     /// in one fork–join) instead of the three stages. Decided at plan time
     /// from the sizes of `V̂` and of a per-thread ring against the detected
-    /// L2 ([`wino_sched::l2_bytes_per_thread`]) — or, on a layer with one
-    /// reduction block that the dual ring turns down, against the last-level
-    /// cache ([`wino_sched::llc_bytes`]) when the staged hand-off would stay
-    /// there alone but not beside the other layers of its
+    /// L2 ([`wino_sched::l2_bytes_per_thread`]), alone or in a
     /// [`crate::Network`]. A call whose executor has
     /// more threads than the plan has ring panels runs the three stages
     /// all the same; results are bit-identical either way.
@@ -864,7 +816,7 @@ impl Host {
     /// every plan `streams` its stores (else none).
     pub(crate) fn test(pin: Pin, streams: bool) -> Host {
         let llc_bytes = if streams { 0 } else { usize::MAX };
-        Host { l2_bytes: 0, llc_bytes, network_hand_off: None, pin: Some(pin) }
+        Host { l2_bytes: 0, llc_bytes, pin: Some(pin) }
     }
 }
 

@@ -1,5 +1,6 @@
 //! What the workspace reads of the host: how many threads a pool gets ([`configured_threads`]) and the two cache figures the
-//! planner's rules read ([`l2_bytes_per_thread`], [`llc_bytes`]).
+//! planner's rules read ([`l2_bytes_per_thread`], which decides a plan's
+//! schedule, and [`llc_bytes`], which decides only its store flavour).
 //!
 //! All three come from Linux sysfs (`/sys/devices/system/cpu`); the same
 //! readers run against pinned fixture trees in tests, since they take any
@@ -94,7 +95,7 @@ pub fn l2_bytes_per_thread() -> usize {
 /// of one fork–join share it, and so do the buffers they hand from one
 /// fork–join to the next — or, on a host without one (a KNL), the figure
 /// of [`l2_bytes_per_thread`]. Read once per process. `wino-conv` decides
-/// from it whether a plan's stores bypass the cache.
+/// from it whether a plan's stores bypass the cache, and nothing else.
 pub fn llc_bytes() -> usize {
     static LLC: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *LLC.get_or_init(|| llc_of(detected_cache).unwrap_or(FALLBACK_L2_BYTES))

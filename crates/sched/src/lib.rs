@@ -11,7 +11,8 @@
 //! [`configured_threads`] is the single sanctioned thread-count source
 //! (`WINO_THREADS` override, else every online CPU) — no caller should
 //! read `available_parallelism` directly — and [`l2_bytes_per_thread`] /
-//! [`llc_bytes`] are the two cache figures the planner's rules read. See
+//! [`llc_bytes`] are the two cache figures the planner's rules read: the
+//! L2 decides a plan's schedule, the LLC only its store flavour. See
 //! `DESIGN.md` §11 and `docs/scaling.md`.
 //!
 //! ## Failure model

@@ -137,14 +137,11 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # avx512, JIT, every executor incl. the more-threads-than-panels and
 # more-threads-than-column-groups fallbacks. The dual tests are named
 # below as well, so a rename cannot empty that half. So is the rule's
-# cache input: where a staged hand-off would leave the LLC — a network's,
-# all its layers' added together — a one-block layer plans the ring
-# (`fused::schedule`'s table, the 6-row cold ring of `net3d_fx`, a `V̂`
-# past the LLC share staying staged); such a network's rings equal its
-# layers planned alone and chained by hand, bit for bit, in training and
-# FX mode; a re-tiled candidate of a cold ring layer plans a ring too;
-# and every other benchmark workload plans as before on a 105 and a
-# 260 MiB LLC.
+# one cache input, the L2: a network plans each layer — schedule, store
+# flavour, blocking — as that layer plans alone, whatever the LLC reads,
+# and runs bit for bit as the lone plans chained by hand, in training and
+# FX mode; and every benchmark workload plans the same schedules on a
+# 105, a 260 and a 300 MiB LLC.
 #
 # Store-flavour gate: which stores bypass the cache is the plan's decision
 # (`WinogradLayer::streams`), so both flavours are reachable only in-crate:
@@ -180,12 +177,8 @@ for isa in "${isas[@]}"; do
         fewer_column_groups_than_threads_runs_the_three_stages
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
-        fused::tests::a_cold_hand_off_turns_one_block_layers_to_the_ring \
-        fused::tests::the_cold_ring_on_net3d_fx_is_one_strip_high \
-        fused::tests::a_kernel_transform_past_the_llc_share_stays_staged \
-        net::tests::a_network_whose_hand_offs_leave_the_llc_together_runs_rings \
-        net::tests::a_replanned_candidate_of_a_cold_ring_layer_is_a_ring \
-        net::tests::the_benchmark_workloads_plan_as_before_but_net3d_fx_on_a_105_mib_llc
+        net::tests::a_network_plans_every_layer_as_it_plans_alone \
+        net::tests::the_benchmark_workloads_plan_the_same_on_every_llc
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
         codelet::tests::whole_tiles_equal_the_interpreter_exactly \
@@ -295,8 +288,7 @@ scripts/bench.sh --scaling-smoke
 # `footprint::tests::prepare_kernels_allocates_what_the_model_says`,
 # named so a rename cannot drop it) plus the end-to-end cold-start
 # prediction test (plan + kernel memoisation + forward) in wino-conv, on
-# fused, staged and strided networks and on one whose rings a cold
-# network hand-off chose — named too. The
+# fused, staged and strided networks — named too. The
 # model prices what the allocator will hand out; nothing admits or sheds
 # on it.
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv footprint
