@@ -76,7 +76,11 @@ impl AtomicUsizeOps for std::sync::atomic::AtomicUsize {
 /// The `deadline` passed to [`Atomics::spin`] is interpreted in the
 /// implementation's own timebase: wall-clock for [`StdAtomics`], *virtual
 /// time* (one nanosecond per spin step) for the model checker's
-/// `ModelAtomics`. Algorithms must treat it as opaque.
+/// `ModelAtomics`. Algorithms must treat it as opaque. Both timebases
+/// count it from the start of the wait (the model from its first spin,
+/// `StdAtomics` from its 64th at the latest): a wait told to give up
+/// after `d` gives up after `d`, however the implementation backs off
+/// meanwhile.
 pub trait Atomics: 'static {
     type AtomicUsize: AtomicUsizeOps;
     /// Per-wait-loop backoff state; fresh (`Default`) at the start of each
@@ -85,8 +89,9 @@ pub trait Atomics: 'static {
 
     /// One iteration of a busy-wait loop: backoff (spin hint, OS yield, or
     /// model-scheduler yield point) and watchdog check. Returns
-    /// `Some(waited)` once `deadline` has expired, `None` while the caller
-    /// should keep waiting.
+    /// `Some(waited)` once `deadline`, counted from the start of the wait
+    /// on this `state`, has expired, `None` while the caller should keep
+    /// waiting.
     fn spin(state: &mut Self::SpinState, deadline: Option<Duration>) -> Option<Duration>;
 }
 
@@ -137,16 +142,21 @@ impl Clock for StdClock {
 
 /// Pure spins before falling back to `yield_now` (tuned conservatively:
 /// real barrier crossings complete within tens of spins when cores are
-/// dedicated). Deadline checks also start only after this threshold, so
-/// the fast path performs no clock reads at all.
+/// dedicated).
 const SPINS_BEFORE_YIELD: u32 = 1 << 14;
+
+/// Pause spins between clock reads of a deadline-bearing wait. The clock
+/// starts at the wait's `CLOCK_EVERY`-th spin, so a crossing that
+/// completes sooner reads no clock at all; the pauses before it (a few
+/// microseconds) are the only part of a wait its deadline does not count.
+const CLOCK_EVERY: u32 = 64;
 
 /// Backoff state for [`StdAtomics`]: spin counter plus the lazily-started
 /// watchdog clock.
 #[derive(Default)]
 pub struct StdSpinState {
     spins: u32,
-    yielding_since: Option<Instant>,
+    waiting_since: Option<Instant>,
 }
 
 /// The production environment: real atomics, `spin_loop`/`yield_now`
@@ -160,11 +170,18 @@ impl Atomics for StdAtomics {
     #[inline]
     fn spin(state: &mut StdSpinState, deadline: Option<Duration>) -> Option<Duration> {
         std::hint::spin_loop();
-        state.spins += 1;
-        if state.spins >= SPINS_BEFORE_YIELD {
+        // Saturating: a `None` wait may outlast 2³² spins (an idle
+        // batcher), and a saturated count stays in the yield phase.
+        state.spins = state.spins.saturating_add(1);
+        let yielding = state.spins >= SPINS_BEFORE_YIELD;
+        if yielding {
             std::thread::yield_now();
-            if let Some(limit) = deadline {
-                let t0 = *state.yielding_since.get_or_insert_with(Instant::now);
+        }
+        if let Some(limit) = deadline {
+            // Every `CLOCK_EVERY` pauses, and after every yield (one
+            // syscall, which may give the core away for long).
+            if yielding || state.spins.is_multiple_of(CLOCK_EVERY) {
+                let t0 = *state.waiting_since.get_or_insert_with(Instant::now);
                 let waited = t0.elapsed();
                 if waited >= limit {
                     return Some(waited);
@@ -180,24 +197,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn std_spin_expires_deadline() {
+    fn a_deadline_runs_from_the_start_of_the_wait() {
+        // A zero deadline expires at the first clock read, long before
+        // the pause → yield backoff.
         let mut st = StdSpinState::default();
-        let limit = Duration::from_millis(5);
-        let t0 = Instant::now();
-        loop {
-            if let Some(waited) = StdAtomics::spin(&mut st, Some(limit)) {
-                assert!(waited >= limit);
-                break;
-            }
-            assert!(t0.elapsed() < Duration::from_secs(30), "watchdog never fired");
+        let expired_at =
+            (1..=CLOCK_EVERY).find(|_| StdAtomics::spin(&mut st, Some(Duration::ZERO)).is_some());
+        assert_eq!(expired_at, Some(CLOCK_EVERY));
+        // A wait without a deadline never expires (and reads no clock).
+        let mut st = StdSpinState::default();
+        for _ in 0..(2 * SPINS_BEFORE_YIELD) {
+            assert!(StdAtomics::spin(&mut st, None).is_none());
         }
+        assert!(st.waiting_since.is_none());
+        // A 2-ms wait never expires early.
+        let limit = Duration::from_millis(2);
+        let mut st = StdSpinState::default();
+        let t0 = Instant::now();
+        let waited = loop {
+            if let Some(waited) = StdAtomics::spin(&mut st, Some(limit)) {
+                break waited;
+            }
+            assert!(
+                t0.elapsed() < Duration::from_secs(30),
+                "watchdog never fired"
+            );
+        };
+        assert!(waited >= limit, "expired after {waited:?} of {limit:?}");
     }
 
     #[test]
-    fn std_spin_without_deadline_never_expires_quickly() {
-        let mut st = StdSpinState::default();
-        for _ in 0..(SPINS_BEFORE_YIELD + 64) {
+    fn a_wait_past_u32_max_spins_keeps_its_deadline() {
+        let mut st = StdSpinState {
+            spins: u32::MAX - 1,
+            waiting_since: None,
+        };
+        for _ in 0..3 {
             assert!(StdAtomics::spin(&mut st, None).is_none());
         }
+        assert_eq!(st.spins, u32::MAX);
+        assert!(StdAtomics::spin(&mut st, Some(Duration::ZERO)).is_some());
     }
 }

@@ -354,11 +354,12 @@ impl<A: Atomics, C: Clock, Req, Resp: DropOutcome> DeadlineQueueIn<A, C, Req, Re
     }
 
     /// Collect the next batch: blocks until at least one request is
-    /// queued, then keeps the batch open for at most `max_age` (measured
-    /// from pickup, in the [`Atomics`] timebase — wall-clock in
-    /// production, virtual spin steps under the model) or until
-    /// `max_batch` requests have been coalesced. Returns `None` only at
-    /// shutdown with an empty queue. Single consumer.
+    /// queued, then keeps the batch open until `max_batch` requests have
+    /// been coalesced or `max_age` after pickup, whichever comes first —
+    /// in the [`Atomics`] timebase, which counts from the start of the
+    /// wait: wall-clock in production, virtual spin steps under the
+    /// model. Returns `None` only at shutdown with an empty queue. Single
+    /// consumer.
     pub fn pop_batch(
         &self,
         max_batch: usize,

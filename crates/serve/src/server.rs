@@ -48,7 +48,9 @@ pub struct ServeOptions {
     /// Batch ceiling; `0` derives it from the blocking model
     /// ([`suggested_max_batch`]).
     pub max_batch: usize,
-    /// How long the batcher holds an open batch waiting for co-riders.
+    /// How long the batcher holds an open batch waiting for co-riders: a
+    /// batch that has not filled closes `max_batch_age` after its pickup,
+    /// on the wall clock.
     pub max_batch_age: Duration,
     /// Worker threads (1 ⇒ serial executor, no pool to poison).
     pub threads: usize,

@@ -270,6 +270,14 @@ run "$ANALYZE_TIMEOUT" cargo run --offline --release -q -p wino-analyze --bin wi
 # `wino_sched::host` runs and a renamed test cannot empty the gate.
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-sched host::
 
+# Spin-deadline gate: `StdAtomics::spin` counts a deadline from the
+# start of the wait, as the model checker's `ModelAtomics` does — a
+# zero deadline expires by the 64th spin, not after the pause → yield
+# backoff; a `None` wait never expires; a 2 ms wait reports ≥ 2 ms. The
+# batcher's hold, the pool's barrier watchdog and the hand-off grace
+# rest on it. Module filter, so a renamed test cannot empty the gate.
+run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-sched atomics::
+
 # Bench smoke gates: the GEMM cliff gate and the `fusion` shape gate.
 scripts/bench.sh --smoke
 
