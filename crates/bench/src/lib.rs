@@ -154,7 +154,7 @@ pub fn geo_layer_data(layer: &Layer, groups: usize, seed: u64) -> (BlockedImage,
 /// [`run_winograd`]'s `Scratch` does and as `wino-serve` holds them;
 /// each rep allocates the output it returns. The row is labelled by the
 /// route's reported backend plus the geometry suffix
-/// (`"winograd-mono F(4x4) s2x2"`); GFLOP/s use the geometry's own
+/// (`"winograd-jit F(4x4) s2x2"` on AVX-512); GFLOP/s use the geometry's own
 /// direct-FLOP normaliser. `None` if the layer is unrepresentable under
 /// `opts`.
 pub fn run_dispatch(

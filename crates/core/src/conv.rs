@@ -73,15 +73,15 @@ impl WinogradLayer {
     /// Transform kernels once for repeated inference (§4.2 "Inference
     /// only"). The transforms are made in `scratch`, which grows a `V̂` for
     /// them and gives it up to the result: a scratch holds a `V̂` only
-    /// after a training-mode call, which grows its own.
+    /// after a training-mode call, which grows its own — one larger than
+    /// this plan's (a network's, grown by a larger layer) stays with it.
     pub fn prepare_kernels(
         &self,
         kernels: &BlockedKernels,
         scratch: &mut Scratch,
         exec: &dyn Executor,
     ) -> Result<TransformedKernels, WinoError> {
-        stage1::transform_kernels(self, kernels, scratch, exec)?;
-        let v = std::mem::replace(&mut scratch.v, BlockedMatrices::placeholder());
+        let v = scratch.take_v(|sc| stage1::transform_kernels(self, kernels, sc, exec))?;
         Ok(TransformedKernels { v, raw: None })
     }
 

@@ -39,7 +39,7 @@ use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices, ConvGeometry, C
 use crate::conv::TransformedKernels;
 use crate::error::{ensure_dims_eq, ensure_eq, WinoError};
 use crate::net::{FallbackReason, LayerBackend};
-use crate::plan::{ConvOptions, Host, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK};
+use crate::plan::{keep_larger, ConvOptions, Host, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK};
 use crate::select::{degrade, plan_walk, Candidate, Cause, FallbackPolicy};
 use crate::stage2::check_kernel_transforms;
 
@@ -89,12 +89,13 @@ impl<'a> Kernels<'a> {
     }
 }
 
-/// What one layer keeps between forwards — a [`crate::Network`] layer's
-/// resident state. A slot serves one layer, whose every candidate shares
-/// the stride-1 output shape.
+/// What a layer's execution runs in besides its output — a
+/// [`crate::Network`]'s, kept between forwards and shared by its layers,
+/// which run one after another: each re-views the buffers for itself and
+/// grows only the ones too small for it.
 #[derive(Default)]
 pub(crate) struct Slot {
-    /// The Winograd routes' scratch ([`ensure_scratch`] re-shapes it).
+    /// The Winograd routes' scratch ([`ensure_scratch`] re-views it).
     pub scratch: Option<Scratch>,
     /// A strided layer's stride-1 result. Never cleared: the route
     /// overwrites every element of it.
@@ -104,8 +105,16 @@ pub(crate) struct Slot {
 impl Slot {
     /// Bytes currently held.
     pub fn bytes(&self) -> usize {
-        let dense = |d: &BlockedImage| BlockedImage::bytes_for(d.batch, d.channels, &d.dims);
-        self.scratch.as_ref().map_or(0, Scratch::bytes) + self.dense.as_ref().map_or(0, dense)
+        self.scratch.as_ref().map_or(0, Scratch::bytes) + self.dense.as_ref().map_or(0, BlockedImage::bytes)
+    }
+
+    /// Keep, of this slot and `other`, the larger of each buffer.
+    pub fn absorb(&mut self, other: Slot) {
+        match (&mut self.scratch, other.scratch) {
+            (Some(mine), Some(theirs)) => mine.absorb(theirs),
+            (mine, theirs) => keep_larger(mine, theirs, |s| s.as_ref().map_or(0, Scratch::bytes)),
+        }
+        keep_larger(&mut self.dense, other.dense, |d| d.as_ref().map_or(0, BlockedImage::bytes));
     }
 }
 
@@ -239,21 +248,19 @@ fn build(
     done(if geo.groups == 1 { Route::Direct(plan) } else { Route::Grouped { plan } }, None)
 }
 
-/// Make `slot` hold a scratch shaped for `p` with at least `threads`
-/// thread slots, through the fallible allocation seam: a refused buffer is
-/// [`WinoError::Alloc`] (and enters the degradation table), never an abort.
+/// Make `slot` hold a scratch viewed for `p` with at least `threads`
+/// thread slots — the one it holds, re-viewed, with any buffer too small
+/// for `p` grown — through the fallible allocation seam: a refused buffer
+/// is [`WinoError::Alloc`] (and enters the degradation table), never an
+/// abort.
 pub(crate) fn ensure_scratch<'s>(
     slot: &'s mut Option<Scratch>,
     p: &WinogradLayer,
     threads: usize,
 ) -> Result<&'s mut Scratch, WinoError> {
-    let fits = slot.as_ref().is_some_and(|sc| sc.fits(p, threads));
-    if !fits {
-        // Release the mismatched scratch before allocating the new one:
-        // under memory pressure holding both arenas at once is exactly
-        // what pushes the allocator over the edge.
-        *slot = None;
-        *slot = Some(Scratch::try_new(p, threads)?);
+    match slot {
+        Some(sc) => sc.fit(p, threads)?,
+        None => *slot = Some(Scratch::try_new(p, threads)?),
     }
     Ok(slot.as_mut().expect("scratch ensured above"))
 }
@@ -278,6 +285,15 @@ impl DispatchPlan {
     /// Kernel input-channel count under the grouped convention: `C / G`.
     pub fn kernel_in_channels(&self) -> usize {
         self.shape.in_channels / self.geo.groups
+    }
+
+    /// The stride-1 Winograd plan a Winograd route runs, strided, grouped
+    /// or neither.
+    pub(crate) fn engine(&self) -> Option<&WinogradLayer> {
+        match &self.route {
+            Route::Direct(p) | Route::Grouped { plan: p } => Some(p),
+            Route::Im2col => None,
+        }
     }
 
     /// The dense Winograd plan of an identity-geometry layer — the one
@@ -413,7 +429,7 @@ impl DispatchPlan {
 
     /// Execute the route with a slot of its own — scratch and, strided,
     /// stride-1 image are built and dropped inside the call; a
-    /// [`crate::Network`] keeps them. `kernels` follow the
+    /// [`crate::Network`] keeps one for all its layers. `kernels` follow the
     /// grouped convention (`in_channels == C / groups`, global output
     /// channels); `output` must be pre-sized to
     /// [`DispatchPlan::out_dims`] — a mismatched operand is a typed
@@ -456,8 +472,8 @@ impl DispatchPlan {
     }
 
     /// [`Self::forward`] through a caller-owned `slot` — a
-    /// [`crate::Network`] layer's resident one. Every buffer the route
-    /// needs beyond `output` is allocated fallibly.
+    /// [`crate::Network`]'s resident one. Every buffer the route needs
+    /// beyond `output` is re-viewed from the slot or allocated fallibly.
     pub(crate) fn forward_in(
         &self,
         slot: &mut Slot,
@@ -480,8 +496,10 @@ impl DispatchPlan {
         }
         // Stride as an epilogue: the route's stride-1 result, resident
         // with the scratch, then every `s`-th site of it.
-        if slot.dense.is_none() {
-            slot.dense = Some(BlockedImage::try_zeros(s.batch, s.out_channels, &s.out_dims())?);
+        let dims = s.out_dims();
+        match &mut slot.dense {
+            Some(dense) => dense.try_reshape(s.batch, s.out_channels, &dims)?,
+            None => slot.dense = Some(BlockedImage::try_zeros(s.batch, s.out_channels, &dims)?),
         }
         let dense = slot.dense.as_mut().expect("dense image ensured above");
         self.run_route(&mut slot.scratch, input, kernels, dense, exec)?;
@@ -522,7 +540,6 @@ impl DispatchPlan {
                 Ok(())
             }
             Route::Im2col => {
-                out.fill_zero();
                 let (padding, geo) = (&self.shape.padding, &self.geo);
                 Ok(wino_baseline::im2col_conv_geo(input, kernels.raw, padding, geo, out, exec)?)
             }
@@ -551,6 +568,15 @@ fn subsample(dense: &BlockedImage, stride: &[usize], out: &mut BlockedImage) {
         for (x, site) in dst_row.chunks_exact_mut(S).enumerate() {
             site.copy_from_slice(&src_row[x * step..][..S]);
         }
+    }
+}
+
+/// What a dense route on the default stage-2 engine reports.
+#[cfg(test)]
+pub(crate) fn default_backend() -> LayerBackend {
+    match Stage2Backend::default() {
+        Stage2Backend::Jit => LayerBackend::WinogradJit,
+        Stage2Backend::Mono => LayerBackend::WinogradMono,
     }
 }
 
@@ -611,7 +637,7 @@ mod tests {
     fn identity_routes_direct() {
         let s = ConvShape::new(1, 16, 16, &[10, 10], &[3, 3], &[1, 1]).unwrap();
         let (backend, fb) = check(&s, &[2, 2], ConvOptions::default(), 1e-3);
-        assert_eq!(backend, LayerBackend::WinogradMono);
+        assert_eq!(backend, default_backend());
         assert!(fb.is_none());
     }
 
@@ -620,7 +646,7 @@ mod tests {
         let s = ConvShape::new(2, 16, 32, &[13, 13], &[3, 3], &[1, 1]).unwrap();
         let opts = ConvOptions::default().with_stride(&[2, 2]);
         let (backend, fb) = check(&s, &[4, 4], opts, 1e-3);
-        assert_eq!(backend, LayerBackend::WinogradMono);
+        assert_eq!(backend, default_backend());
         assert!(fb.is_none());
     }
 
@@ -630,7 +656,7 @@ mod tests {
         let s = ConvShape::new(1, 16, 16, &[12, 12], &[2, 2], &[0, 0]).unwrap();
         let opts = ConvOptions::default().with_stride(&[2, 2]);
         let (backend, _) = check(&s, &[4, 4], opts, 1e-3);
-        assert_eq!(backend, LayerBackend::WinogradMono);
+        assert_eq!(backend, default_backend());
     }
 
     #[test]
@@ -638,7 +664,7 @@ mod tests {
         let s = ConvShape::new(1, 16, 16, &[7, 9, 8], &[3, 3, 3], &[1, 1, 1]).unwrap();
         let opts = ConvOptions::default().with_stride(&[2, 1, 2]);
         let (backend, _) = check(&s, &[2, 2, 2], opts, 1e-3);
-        assert_eq!(backend, LayerBackend::WinogradMono);
+        assert_eq!(backend, default_backend());
     }
 
     #[test]
@@ -708,7 +734,7 @@ mod tests {
         assert!(fb.is_none());
         assert_eq!(dp.out_dims(), &[2, 2]);
         let (backend, _) = check(&s, &[2, 2], opts, 1e-3);
-        assert_eq!(backend, LayerBackend::WinogradMono);
+        assert_eq!(backend, default_backend());
     }
 
     #[test]

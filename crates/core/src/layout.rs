@@ -8,7 +8,9 @@
 
 use wino_simd::{AlignedVec, S};
 
-/// Transformed outputs in tile-major order: `[B][C'/S][N][T][S]`.
+/// Transformed outputs in tile-major order: `[B][C'/S][N][T][S]` — a view
+/// of the first floats of a buffer that may hold more (a `Network`'s
+/// scratch re-views it for each layer).
 #[derive(Debug)]
 pub struct TileMajor {
     batch: usize,
@@ -45,6 +47,32 @@ impl TileMajor {
         // ALLOC: zero-length — a dangling aligned pointer, no allocator
         // call, nothing to account.
         Self::assemble(0, 0, 0, 0, AlignedVec::zeroed(0))
+    }
+
+    /// Re-view these bytes as `new(batch, out_channels, n_tiles, t_vol)`
+    /// lays them out, when they are enough — what they held is not
+    /// cleared — else in a fresh zero-filled buffer, asked for after the
+    /// old one is released; a refusal leaves no bytes. A `t_vol` of 0
+    /// views nothing, as [`Self::placeholder`] does, and keeps the bytes.
+    pub(crate) fn try_reshape(
+        &mut self,
+        batch: usize,
+        out_channels: usize,
+        n_tiles: usize,
+        t_vol: usize,
+    ) -> Result<(), wino_simd::AllocError> {
+        let len = Self::elems(batch, out_channels, n_tiles, t_vol);
+        if len > self.data.len() {
+            *self = Self::placeholder(); // release the old bytes first
+            self.data = AlignedVec::try_zeroed(len)?;
+        }
+        (self.batch, self.channel_groups, self.n_tiles, self.t_vol) = (batch, out_channels / S, n_tiles, t_vol);
+        Ok(())
+    }
+
+    /// Floats of the view.
+    fn len(&self) -> usize {
+        self.batch * self.channel_groups * self.n_tiles * self.t_vol * S
     }
 
     /// Bytes a `new(batch, out_channels, n_tiles, t_vol)` instance
@@ -84,6 +112,7 @@ impl TileMajor {
         self.t_vol
     }
 
+    /// Bytes of the buffer behind the view — at least the view's.
     pub fn bytes(&self) -> usize {
         self.data.len() * 4
     }
@@ -119,11 +148,12 @@ impl TileMajor {
     }
 
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        &self.data[..self.len()]
     }
 
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        let len = self.len();
+        &mut self.data[..len]
     }
 }
 

@@ -4,11 +4,14 @@
 //! than the memory required for storing the computed images, the same
 //! memory buffer can be reused for the computation of each layer." —
 //! [`Network`] plans a sequence of convolutional layers (each with its
-//! own `F(m, r)`) and reuses the auxiliary memory *across passes*: one
-//! resident slot per layer (its [`Scratch`] and, strided, its stride-1
-//! image) and one resident image per intermediate activation, so a repeat
-//! forward allocates nothing but the output it returns. Layer outputs stay
-//! in the blocked layout, so no reshuffling happens between layers (§4.1).
+//! own `F(m, r)`) and reuses one auxiliary arena *across layers and
+//! passes*: one [`Scratch`], sized at plan time to the largest layer's
+//! need, one stride-1 image for strided layers, and two ping-pong images
+//! for the intermediate activations — each buffer re-viewed for the layer
+//! at hand and grown only when a layer needs more — so the arena is the
+//! largest layer's, and a repeat forward allocates nothing but the output
+//! it returns. Layer outputs stay in the blocked layout, so no reshuffling
+//! happens between layers (§4.1).
 //!
 //! Every layer is a [`DispatchPlan`], and the module owns the *run-time*
 //! walk over the degradation table of [`crate::select`] (DESIGN.md §5):
@@ -28,7 +31,7 @@ use wino_tensor::{BlockedImage, BlockedKernels, ConvShape, ShapeError};
 use crate::conv::TransformedKernels;
 use crate::dispatch::{plan_at_rung, DispatchPlan, Kernels, Slot};
 use crate::error::{check_finite, NumericError, WinoError};
-use crate::plan::{ConvOptions, Host, PlanError, Scratch};
+use crate::plan::{keep_larger, ConvOptions, Host, PlanError, Scratch, WinogradLayer};
 use crate::select::{degrade, Candidate, Cause, FallbackPolicy};
 use crate::sentinel::{verify_sample, SentinelError};
 
@@ -179,32 +182,50 @@ pub struct NetLayer {
     pub planned_fallback: Option<FallbackReason>,
 }
 
-/// A sequential stack of convolution layers with per-layer resident
-/// scratch.
+/// A sequential stack of convolution layers sharing one auxiliary arena.
 pub struct Network {
     layers: Vec<NetLayer>,
-    /// One slot per layer — its scratch, seeded at plan time, and (a
-    /// strided layer) the stride-1 image its first forward builds —
-    /// reused on every pass. Per-layer slots (rather than one shared arena
-    /// rebuilt per transition) keep repeat forwards allocation-free — the
-    /// serving hot path's invariant — at the cost of summing, not maxing,
-    /// the scratch footprint. That cost is mostly per-thread rings: where
-    /// the layers' hand-offs together would overflow the LLC, a one-block
-    /// layer whose own would not plans the ring ([`Network::at_rung`]),
-    /// whose scratch is a ring per thread slot, not layer-sized. A slot is
-    /// empty for an im2col layer, before
-    /// the first forward of a grouped or strided one, or when its seeding
-    /// allocation was refused (the run-time walk then deals with it when
-    /// the layer runs).
-    slots: Vec<Slot>,
-    /// The intermediate activations (every layer's output but the last,
-    /// which the caller receives), parked here between passes: a batch-8
+    /// What every layer runs in, one layer after another, reused on every
+    /// pass.
+    arena: Arena,
+}
+
+/// A network's auxiliary memory (§4.4): one scratch and one stride-1 image
+/// that every layer re-views for itself, and the intermediate activations
+/// as two ping-pong images. A buffer grows — fallibly, after its old bytes
+/// are released — only when a layer needs more than it holds, so after the
+/// first pass the arena is as large as the largest layer needs of each
+/// buffer, and a repeat pass allocates nothing in it.
+#[derive(Default)]
+struct Arena {
+    /// The scratch — seeded at plan time for every Winograd layer at once;
+    /// empty for a network of im2col layers, or when the seeding
+    /// allocation was refused (the run-time walk then deals with it when a
+    /// layer runs) — and the stride-1 image the first strided layer builds.
+    slot: Slot,
+    /// The intermediate activations, parked between passes: layer `i`
+    /// (all but the last, whose output the caller receives) writes into
+    /// `acts[i % 2]` and the next layer reads it there. A batch-8
     /// activation is megabytes, which the allocator hands out as a fresh
     /// mapping — zero-filled and page-faulted in again on every forward.
-    /// A slot is `None` until the first pass has produced it and after a
-    /// pass that failed at or past its layer; every route overwrites the
-    /// whole image it is handed, so a parked one is never cleared.
-    acts: Vec<Option<BlockedImage>>,
+    /// An image is `None` until a pass has produced it and after a pass
+    /// that failed while it held it; every route overwrites the whole view
+    /// it is handed, so a parked one is never cleared.
+    acts: [Option<BlockedImage>; 2],
+}
+
+impl Arena {
+    fn bytes(&self) -> usize {
+        self.slot.bytes() + self.acts.iter().flatten().map(BlockedImage::bytes).sum::<usize>()
+    }
+
+    /// Keep, of this arena and `other`, the larger of each buffer.
+    fn absorb(&mut self, other: Arena) {
+        self.slot.absorb(other.slot);
+        for (mine, theirs) in self.acts.iter_mut().zip(other.acts) {
+            keep_larger(mine, theirs, |a| a.as_ref().map_or(0, BlockedImage::bytes));
+        }
+    }
 }
 
 impl Network {
@@ -305,15 +326,15 @@ impl Network {
             (c, dims) = (spec.out_channels, plan.out_dims().to_vec());
             layers.push(NetLayer { plan, activation: spec.activation, planned_fallback });
         }
-        // One resident slot per layer, so repeat passes never rebuild.
-        // Pre-seeding (of the dense stride-1 layers; any other fills its
-        // slot on first use) is an optimisation, not a requirement: a
-        // refused allocation leaves the slot empty and the run-time walk
-        // deals with memory pressure when the layer actually runs.
-        let seed = |l: &NetLayer| l.plan.winograd().and_then(|p| Scratch::try_new(p, threads).ok());
-        let slots = layers.iter().map(|l| Slot { scratch: seed(l), dense: None }).collect();
-        let acts = layers.iter().map(|_| None).collect();
-        Ok(Network { layers, slots, acts })
+        // One scratch for every Winograd layer, each buffer allocated once
+        // at the largest layer's need, so repeat passes never rebuild.
+        // Seeding is an optimisation, not a requirement: a refused
+        // allocation leaves the arena empty and the run-time walk deals
+        // with memory pressure when a layer actually runs.
+        let plans: Vec<&WinogradLayer> = layers.iter().filter_map(|l| l.plan.engine()).collect();
+        let scratch = if plans.is_empty() { None } else { Scratch::try_for(&plans, threads).ok() };
+        let arena = Arena { slot: Slot { scratch, dense: None }, acts: [None, None] };
+        Ok(Network { layers, arena })
     }
 
     pub fn num_layers(&self) -> usize {
@@ -324,10 +345,20 @@ impl Network {
         &self.layers
     }
 
-    /// Auxiliary bytes currently held across all layer slots: every
-    /// scratch plus every strided layer's stride-1 image.
+    /// Auxiliary bytes the network's arena holds right now: its scratch,
+    /// its stride-1 image and its two parked activations.
     pub fn scratch_bytes(&self) -> usize {
-        self.slots.iter().map(Slot::bytes).sum()
+        self.arena.bytes()
+    }
+
+    /// Hand this network's arena to `to`, which keeps, buffer by buffer,
+    /// the larger of its own and this one's, and runs in them from then on;
+    /// this network keeps none, and grows what it needs if it runs again.
+    /// Networks that run one after another — a server's cached
+    /// `(batch, rung)` plans — pass one arena between them, as large as the
+    /// largest of them needs.
+    pub fn lend_arena(&mut self, to: &mut Network) {
+        to.arena.absorb(std::mem::take(&mut self.arena));
     }
 
     /// Memoise all kernel transforms for inference (§4.2 "Inference
@@ -335,7 +366,7 @@ impl Network {
     /// [`Self::run_net_fx`]. Each layer's set carries a copy of its raw
     /// kernels, which every route, re-planned candidate and sentinel can
     /// read, plus — dense — the `V̂` made on its stride-1 plan, strided or
-    /// not, in its scratch, which gives it up to the result
+    /// not, in the arena's scratch, which gives it up to the result
     /// ([`crate::WinogradLayer::prepare_kernels`]). The result serves every
     /// plan of the same layer specs at any batch size and on every rung:
     /// `V̂`'s blocking comes from the channel counts alone (Eq. 11).
@@ -347,8 +378,8 @@ impl Network {
         if kernels.len() != self.layers.len() {
             return Err(WinoError::LayerCount { expected: self.layers.len(), got: kernels.len() });
         }
-        let layers = self.layers.iter().zip(&mut self.slots).zip(kernels);
-        layers.map(|((layer, slot), kernel)| layer.plan.prepare_in(slot, kernel, exec)).collect()
+        let slot = &mut self.arena.slot;
+        self.layers.iter().zip(kernels).map(|(layer, kernel)| layer.plan.prepare_in(slot, kernel, exec)).collect()
     }
 
     /// Execute one layer: the planned route plus, under
@@ -371,13 +402,12 @@ impl Network {
             .layers
             .get(index)
             .ok_or(WinoError::Unsupported("layer index out of range"))?;
-        let slot = &mut self.slots[index];
-        exec_layer(slot, layer, index, input, Kernels::raw(kernels), exec, policy, None)
+        exec_layer(&mut self.arena.slot, layer, index, input, Kernels::raw(kernels), exec, policy, None)
     }
 
     /// The one layer loop: chain `exec_layer` over the network. Each
-    /// intermediate layer writes into its parked activation, which goes
-    /// back to its slot once the next layer has consumed it.
+    /// intermediate layer writes into a parked activation, which goes back
+    /// to the arena once the next layer has consumed it.
     fn run<'k>(
         &mut self,
         input: &BlockedImage,
@@ -391,15 +421,14 @@ impl Network {
         let mut reports = Vec::with_capacity(self.layers.len());
         let last = self.layers.len() - 1;
         let mut current: Option<BlockedImage> = None;
-        for (i, ((layer, slot), kernel)) in
-            self.layers.iter().zip(&mut self.slots).zip(kernels).enumerate()
-        {
+        let arena = &mut self.arena;
+        for (i, (layer, kernel)) in self.layers.iter().zip(kernels).enumerate() {
             let inp = current.as_ref().unwrap_or(input);
-            let parked = if i < last { self.acts[i].take() } else { None };
-            let (out, report) = exec_layer(slot, layer, i, inp, kernel, exec, policy, parked)?;
+            let parked = if i < last { arena.acts[i % 2].take() } else { None };
+            let (out, report) = exec_layer(&mut arena.slot, layer, i, inp, kernel, exec, policy, parked)?;
             reports.push(report);
             if let Some(consumed) = current.replace(out) {
-                self.acts[i - 1] = Some(consumed);
+                arena.acts[(i - 1) % 2] = Some(consumed);
             }
         }
         Ok((current.expect("at least one layer"), reports))
@@ -471,9 +500,10 @@ impl Network {
 /// layer input), then the accuracy sentinels (finite but wrong). A refused allocation, a guard
 /// trip and a sentinel trip come back as the typed [`WinoError`] the
 /// run-time walk maps to its [`Cause`]. The output is written into
-/// `parked` when the caller has one (a `Network`'s resident intermediate
-/// activation of this layer, so of every candidate's output shape; taken,
-/// so a failed attempt releases it), else into a fresh allocation.
+/// `parked` when the caller has one (a `Network`'s parked intermediate
+/// activation, re-viewed for the layer's output shape — every candidate's
+/// — and grown if it is too small; taken, so a failed attempt releases
+/// it), else into a fresh allocation.
 #[allow(clippy::too_many_arguments)] // exec_layer's context plus the candidate under test
 fn attempt(
     plan: &DispatchPlan,
@@ -487,7 +517,10 @@ fn attempt(
     parked: &mut Option<BlockedImage>,
 ) -> Result<BlockedImage, WinoError> {
     let mut out = match parked.take() {
-        Some(img) => img,
+        Some(mut img) => {
+            img.try_reshape(plan.shape.batch, plan.shape.out_channels, plan.out_dims())?;
+            img
+        }
         None => plan.try_new_output()?,
     };
     let probe = exec.probe();
@@ -519,7 +552,7 @@ fn attempt(
 /// the next candidate and attempt that on the raw kernels. The guard runs
 /// BEFORE the activation: ReLU computes `f32::max(x, 0.0)`, which maps
 /// NaN to 0.0 and would hide the corruption.
-#[allow(clippy::too_many_arguments)] // the layer, its two resident buffers, and the call's context
+#[allow(clippy::too_many_arguments)] // the layer, the arena's two buffers, and the call's context
 fn exec_layer(
     slot: &mut Slot,
     layer: &NetLayer,
@@ -542,8 +575,8 @@ fn exec_layer(
     // `wino_simd::denormals` for the model).
     let _ftz = wino_simd::FlushDenormals::engage();
     // A degraded execution's re-planned candidate. It runs through the
-    // same slot (never two arenas at once); `ensure_scratch` re-shapes its
-    // scratch, and again for the planned candidate on the next forward.
+    // same slot (never two arenas at once); `ensure_scratch` re-views its
+    // scratch, growing what is too small, and again for the next layer.
     let mut replanned: Option<DispatchPlan> = None;
     loop {
         let plan = replanned.as_ref().unwrap_or(&layer.plan);
@@ -682,14 +715,20 @@ mod tests {
             let (first, _) = net.run_net(&input, &kernels, &SerialExecutor, &policy).unwrap();
             let cold = wino_simd::thread_alloc_calls() - before;
             if strided {
-                // Nothing of a strided layer is seeded at plan time: its
-                // scratch and its stride-1 image are built here.
-                assert!(cold > 3 + 3, "a cold strided pass builds every slot ({cold})");
-                assert_eq!(first.dims, [2, 2]); // 12 → 6 → 3 → 2
+                // The stride-1 image is built here, once, at the first
+                // layer's size — the largest (12 → 6 → 3 → 2) — beside the
+                // outputs and `V̂`s below; the scratch was seeded at plan
+                // time for the strided layers too.
+                assert_eq!(cold, 3 + 1 + 2, "a cold strided pass builds one stride-1 image");
+                assert_eq!(first.dims, [2, 2]);
             } else {
-                // Every output, and the `V̂` each layer's first
-                // training-mode pass grows in its scratch.
-                assert_eq!(cold, 3 + 3, "a cold pass builds every output and every `V̂`");
+                // Every output, and the one `V̂` of the arena's scratch each
+                // time a layer's training-mode pass needs a larger one than
+                // any layer before it: 8 Ki floats at F(2²) (twice), then
+                // 9 Ki at F(4²).
+                let v: Vec<usize> = net.layers().iter().map(|l| engine_plan(l).footprint(1).transformed_kernel_bytes).collect();
+                assert_eq!(v, [32768, 32768, 36864]);
+                assert_eq!(cold, 3 + 2, "a cold pass builds every output and grows `V̂` twice");
             }
             let resident = net.scratch_bytes();
             for round in 0..3 {
@@ -753,9 +792,12 @@ mod tests {
             // footprint — subtract them from the observation.
             let observed = (wino_simd::thread_alloc_bytes() - before) as usize - kernel_bytes;
 
-            // Each layer holds its own resident slot, output and memoised
-            // kernels: the network's footprint is the sum of its routes'.
-            let modeled: usize = net.layers().iter().map(|l| l.plan.footprint(1).total()).sum();
+            // The layers run in one arena, as large as the largest layer's
+            // scratch; each has its own output and memoised kernels.
+            let fps: Vec<_> = net.layers().iter().map(|l| l.plan.footprint(1)).collect();
+            let scratch = fps.iter().map(|fp| fp.scratch_bytes + fp.per_thread_bytes).max().unwrap();
+            let own: usize = fps.iter().map(|fp| fp.transformed_kernel_bytes + fp.output_bytes).sum();
+            let modeled = scratch + own;
             let ratio = observed as f64 / modeled as f64;
             assert!(
                 (0.9..=1.1).contains(&ratio),
@@ -1055,7 +1097,7 @@ mod tests {
         assert_eq!(reports.len(), 2);
         for (i, r) in reports.iter().enumerate() {
             assert_eq!(r.layer, i);
-            assert_eq!(r.backend, LayerBackend::WinogradMono);
+            assert_eq!(r.backend, crate::dispatch::default_backend());
             assert!(r.fallback.is_none());
         }
     }
@@ -1328,7 +1370,7 @@ mod tests {
         let (out, reports) =
             net.run_net(&input, &kernels, &SerialExecutor, &FallbackPolicy::default()).unwrap();
         for r in &reports {
-            assert_eq!(r.backend, LayerBackend::WinogradMono);
+            assert_eq!(r.backend, crate::dispatch::default_backend());
             assert!(r.fallback.is_none(), "stride is an epilogue, not a fallback");
         }
         assert_eq!(out.dims, vec![3, 3]);
@@ -1508,5 +1550,177 @@ mod tests {
 
         let want = oracle_layer(&img, &kernels[0], &[1, 1], &opts.geometry(2), true);
         assert_close(&out, &want, 1e-4, "depthwise net");
+    }
+}
+
+/// The stale-arena battery: a layer re-views bytes an earlier, larger one
+/// left behind, so no stage may rely on zero-filled scratch or on padding
+/// that is never read. Each case sizes an arena on a large run, fills every
+/// float of it with NaN, and runs again in it — the same network, whose
+/// smaller layers re-view the larger ones' bytes, and the same model at a
+/// smaller batch, which borrows the arena — on every schedule and route,
+/// in training and FX mode: the outputs must be `==` a fresh network's,
+/// and the numeric guard must stay silent.
+#[cfg(test)]
+mod arena_tests {
+    use super::*;
+    use crate::plan::Pin;
+    use wino_sched::{SerialExecutor, StaticExecutor};
+    use wino_simd::S;
+    use wino_tensor::{SimpleImage, SimpleKernels};
+
+    /// Fill every float the arena holds with NaN, past the views too.
+    fn poison(net: &mut Network) {
+        let Arena { slot, acts } = &mut net.arena;
+        if let Some(scratch) = &mut slot.scratch {
+            scratch.fill(f32::NAN);
+        }
+        for img in acts.iter_mut().chain([&mut slot.dense]).flatten() {
+            let floats = img.bytes() / std::mem::size_of::<f32>();
+            img.try_reshape(1, S, &[floats / S]).unwrap();
+            img.as_mut_slice().fill(f32::NAN);
+        }
+    }
+
+    fn image(batch: usize, c: usize, dims: &[usize]) -> BlockedImage {
+        let img = SimpleImage::from_fn(batch, c, dims, |b, c, xy| {
+            ((b * 17 + c * 3 + xy[0] * 5 + xy[1]) % 19) as f32 * 0.05 - 0.45
+        });
+        BlockedImage::from_simple(&img).unwrap()
+    }
+
+    /// Kernels of every layer, in the grouped convention.
+    fn kernels(net: &Network) -> Vec<BlockedKernels> {
+        let layer = |l: &NetLayer| {
+            let (cp, c, dims) = (l.plan.shape.out_channels, l.plan.kernel_in_channels(), &l.plan.shape.kernel_dims);
+            let k = SimpleKernels::from_fn(cp, c, dims, |co, ci, xy| {
+                ((co * 7 + ci * 11 + xy.iter().sum::<usize>()) % 13) as f32 * 0.04 - 0.25
+            });
+            BlockedKernels::from_simple(&k).unwrap()
+        };
+        net.layers().iter().map(layer).collect()
+    }
+
+    /// `got == want`, naming the first element that differs.
+    fn assert_same(got: &BlockedImage, want: &BlockedImage, what: &str) {
+        assert_eq!(got.as_slice().len(), want.as_slice().len(), "{what}: length");
+        let diff = got.as_slice().iter().zip(want.as_slice()).position(|(a, b)| a.to_bits() != b.to_bits());
+        if let Some(i) = diff {
+            panic!("{what}: element {i} is {} in stale bytes, {} in fresh ones", got.as_slice()[i], want.as_slice()[i]);
+        }
+    }
+
+    struct Case {
+        label: &'static str,
+        c_in: usize,
+        specs: Vec<LayerSpec>,
+        opts: ConvOptions,
+        host: Host,
+    }
+
+    /// Every layer's output and report of one pass — in FX mode on the
+    /// prepared set, else in training mode on the raw kernels.
+    fn run(net: &mut Network, input: &BlockedImage, raw: &[BlockedKernels], fx: Option<&[TransformedKernels]>, exec: &dyn Executor) -> (BlockedImage, Vec<ExecutionReport>) {
+        let policy = FallbackPolicy::default();
+        match fx {
+            Some(set) => net.run_net_fx(input, set, exec, &policy),
+            None => net.run_net(input, raw, exec, &policy),
+        }
+        .unwrap()
+    }
+
+    fn check(case: &Case) {
+        let (large, small, dims) = (3, 1, [10, 10]);
+        let execs: [Box<dyn Executor>; 2] = [Box::new(SerialExecutor), Box::new(StaticExecutor::new(2))];
+        let policy = FallbackPolicy::default();
+        let plan = |batch| {
+            Network::on_host(batch, case.c_in, &dims, &case.specs, case.opts, 2, &policy, 0, case.host).unwrap()
+        };
+        let planned: Vec<_> = plan(1).layers().iter().map(|l| l.planned_fallback).collect();
+        for fx_mode in [false, true] {
+            for exec in &execs {
+                let what = format!("{} {} on {}", case.label, if fx_mode { "fx" } else { "train" }, exec.name());
+                let mut net = plan(large);
+                let raw = kernels(&net);
+                let set = fx_mode.then(|| net.prepare_kernels(&raw, exec.as_ref()).unwrap());
+                let fx = set.as_deref();
+                let input = image(large, case.c_in, &dims);
+                let fresh = |batch, input| run(&mut plan(batch), input, &raw, fx, exec.as_ref());
+
+                // A warm run sizes the arena; the poisoned one re-views it.
+                run(&mut net, &input, &raw, fx, exec.as_ref());
+                poison(&mut net);
+                let (out, reports) = run(&mut net, &input, &raw, fx, exec.as_ref());
+                let (want, _) = fresh(large, &input);
+                assert_same(&out, &want, &format!("{what}: batch {large}"));
+                let fallbacks: Vec<_> = reports.iter().map(|r| r.fallback).collect();
+                assert_eq!(fallbacks, planned, "{what}: the guard tripped at batch {large}");
+
+                // The same model at a smaller batch, in the borrowed arena.
+                let mut smaller = plan(small);
+                net.lend_arena(&mut smaller);
+                poison(&mut smaller);
+                let input = image(small, case.c_in, &dims);
+                let (out, reports) = run(&mut smaller, &input, &raw, fx, exec.as_ref());
+                let (want, _) = fresh(small, &input);
+                assert_same(&out, &want, &format!("{what}: batch {small}"));
+                let fallbacks: Vec<_> = reports.iter().map(|r| r.fallback).collect();
+                assert_eq!(fallbacks, planned, "{what}: the guard tripped at batch {small}");
+            }
+        }
+    }
+
+    /// Three layers, each smaller than the one before in one buffer or
+    /// another: 32 → 64 at F(4²), 64 → 32 at F(2²), 32 → 32 at F(4²).
+    fn shrinking(c: usize) -> Vec<LayerSpec> {
+        vec![LayerSpec::same(2 * c, 2, 3, 4), LayerSpec::same(c, 2, 3, 2), LayerSpec::same(c, 2, 3, 4)]
+    }
+
+    fn pinned(pin: Pin) -> Host {
+        Host::test(pin, false)
+    }
+
+    #[test]
+    fn a_staged_network_runs_the_same_in_stale_bytes() {
+        let host = pinned(Pin::Staged);
+        check(&Case { label: "staged", c_in: 32, specs: shrinking(32), opts: ConvOptions::default(), host });
+        let opts = crate::plan::split_reduction();
+        check(&Case { label: "staged, two reduction blocks", c_in: 32, specs: shrinking(32), opts, host });
+    }
+
+    #[test]
+    fn a_ring_network_runs_the_same_in_stale_bytes() {
+        let host = pinned(Pin::Ring);
+        check(&Case { label: "ring", c_in: 32, specs: shrinking(32), opts: ConvOptions::default(), host });
+    }
+
+    #[test]
+    fn a_dual_network_runs_the_same_in_stale_bytes() {
+        let host = pinned(Pin::Dual);
+        check(&Case { label: "dual", c_in: 32, specs: shrinking(32), opts: ConvOptions::default(), host });
+        let opts = crate::plan::split_reduction();
+        check(&Case { label: "dual, two reduction blocks", c_in: 32, specs: shrinking(32), opts, host });
+    }
+
+    #[test]
+    fn strided_and_grouped_networks_run_the_same_in_stale_bytes() {
+        let host = Host::detected();
+        let strided = ConvOptions::default().with_stride(&[2, 2]);
+        check(&Case { label: "strided", c_in: 32, specs: shrinking(32), opts: strided, host });
+        let grouped = ConvOptions::default().with_groups(2);
+        check(&Case { label: "grouped", c_in: 32, specs: shrinking(32), opts: grouped, host });
+        let both = grouped.with_stride(&[2, 1]);
+        check(&Case { label: "strided and grouped", c_in: 32, specs: shrinking(32), opts: both, host });
+    }
+
+    #[test]
+    fn an_im2col_layer_runs_the_same_in_stale_bytes() {
+        // F(40²) plans no Winograd route: the middle layer is im2col's, its
+        // output written into a parked, NaN-filled activation.
+        let mut specs = shrinking(32);
+        specs[1].m = vec![40, 40];
+        for pin in [Pin::Staged, Pin::Ring] {
+            check(&Case { label: "im2col", c_in: 32, specs: specs.clone(), opts: ConvOptions::default(), host: pinned(pin) });
+        }
     }
 }

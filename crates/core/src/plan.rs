@@ -38,16 +38,31 @@ use crate::stage2::Gemm;
 /// buffers; 6 covers any practical ConvNet with room to spare).
 pub const MAX_RANK: usize = 6;
 
-/// Which engine executes stage 2's micro-kernels.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// Which engine executes stage 2's micro-kernels. The default follows the
+/// host: [`Stage2Backend::Jit`] when the active vector backend
+/// ([`wino_simd::try_backend`]) is AVX-512, [`Stage2Backend::Mono`]
+/// otherwise — below AVX-512, or when `WINO_SIMD` cannot be honoured. On
+/// AVX-512 the two walk the same register tiles and FMA chains: results
+/// are bit-identical.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage2Backend {
-    /// Const-generic monomorphised Rust kernels (`wino-gemm`). Default.
-    #[default]
+    /// Const-generic monomorphised Rust kernels (`wino-gemm`): the engine
+    /// below AVX-512, the `jit → mono` degradation row and the JIT's `==`
+    /// reference.
     Mono,
     /// Run-time generated machine code (`wino-jit`) — the paper's JIT,
     /// including the in-kernel streaming scatter. Requires AVX-512F at
     /// runtime; planning fails with [`PlanError::Jit`] otherwise.
     Jit,
+}
+
+impl Default for Stage2Backend {
+    fn default() -> Self {
+        match wino_simd::try_backend() {
+            Ok(backend) if backend.name() == "avx512" => Stage2Backend::Jit,
+            _ => Stage2Backend::Mono,
+        }
+    }
 }
 
 /// Tuning and ablation switches.
@@ -547,7 +562,7 @@ impl ThreadBuf {
 }
 
 /// Everything the shapes of a [`Scratch`]'s buffers derive from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug)]
 struct ScratchShape {
     t_vol: usize,
     batch: usize,
@@ -587,6 +602,47 @@ impl ScratchShape {
     fn x(&self) -> [usize; 5] {
         [self.t_vol, self.batch * self.n_tiles, self.cp, self.block.n_blk, self.block.cp_blk]
     }
+
+    /// `(batch, C', N, T)` of the tile-major `y`.
+    fn y(&self) -> [usize; 4] {
+        [self.batch, self.cp, self.n_tiles, self.t_vol]
+    }
+
+    /// Whether a plan of this shape starts with a `u` (all but a ring
+    /// plan) and with `x` and `y` (a staged plan).
+    fn holds_u(&self) -> bool {
+        !matches!(self.schedule, Schedule::Ring { .. })
+    }
+
+    fn holds_xy(&self) -> bool {
+        self.schedule == Schedule::Staged
+    }
+}
+
+fn matrix_floats([t, rows, cols, rb, cb]: [usize; 5]) -> usize {
+    BlockedMatrices::bytes_for(t, rows, cols, rb, cb) / std::mem::size_of::<f32>()
+}
+
+/// Re-view `m` as `dims`, growing it only when it is too small.
+fn view(m: &mut BlockedMatrices, [t, rows, cols, rb, cb]: [usize; 5]) -> Result<(), wino_simd::AllocError> {
+    m.try_reshape(t, rows, cols, rb, cb)
+}
+
+/// View nothing of `m`, keeping its bytes.
+fn hide(m: &mut BlockedMatrices) {
+    m.try_reshape(0, 0, 0, 1, S).expect("a view of nothing allocates nothing");
+}
+
+/// Make `buf` hold at least `len` floats: kept when it does, else
+/// released before a fallible, zero-filled request.
+fn grow(buf: &mut AlignedVec, len: usize) -> Result<(), wino_simd::AllocError> {
+    if buf.len() < len {
+        // ALLOC: zero-length — a dangling aligned pointer, no allocator
+        // call; it releases the old bytes before the fallible request.
+        *buf = AlignedVec::zeroed(0);
+        *buf = AlignedVec::try_zeroed(len)?;
+    }
+    Ok(())
 }
 
 /// How a [`Scratch`] buffer is allocated: aborting on a refusal, or with a
@@ -607,8 +663,7 @@ impl Seam {
         Ok(BlockedMatrices::new(t, rows, cols, rb, cb))
     }
 
-    fn tile_major(self, s: &ScratchShape) -> Result<TileMajor, wino_simd::AllocError> {
-        let (b, cp, n, t) = (s.batch, s.cp, s.n_tiles, s.t_vol);
+    fn tile_major(self, [b, cp, n, t]: [usize; 4]) -> Result<TileMajor, wino_simd::AllocError> {
         if self.fallible {
             return TileMajor::try_new(b, cp, n, t);
         }
@@ -624,15 +679,21 @@ impl Seam {
         // by contract; `try_new` is the accounted path.
         Ok(AlignedVec::zeroed(len))
     }
+
+    /// One thread slot's buffers: two `tile`-float codelet buffers and a
+    /// `ring`-float ring.
+    fn slot(self, tile: usize, ring: usize) -> Result<UnsafeCell<ThreadBuf>, wino_simd::AllocError> {
+        let (a, b, ring) = (self.zeroed(tile)?, self.zeroed(tile)?, self.zeroed(ring)?);
+        Ok(UnsafeCell::new(ThreadBuf { a, b, ring, phase_ns: [0; 3] }))
+    }
 }
 
-/// The paper's auxiliary memory, sized once at construction and reused
-/// across invocations (and across layers of the same plan): per-thread
-/// codelet buffers always; for a staged plan transformed inputs `I` (`u`),
-/// the blocked intermediate `I'_tmp` (`x`) and the tile-major transformed
-/// outputs `I'` (`y`); for a ring plan ([`WinogradLayer::is_fused`]) one
-/// ring per thread slot; for a dual plan ([`WinogradLayer::is_dual`]) `u`
-/// and one ring per thread slot.
+/// The paper's auxiliary memory (§4.4 "Memory overhead"), reused across
+/// invocations and across layers: per-thread codelet buffers always; for a
+/// staged plan transformed inputs `I` (`u`), the blocked intermediate
+/// `I'_tmp` (`x`) and the tile-major transformed outputs `I'` (`y`); for a
+/// ring plan ([`WinogradLayer::is_fused`]) one ring per thread slot; for a
+/// dual plan ([`WinogradLayer::is_dual`]) `u` and one ring per thread slot.
 ///
 /// No scratch starts with the transformed kernels `W` (`v`): an FX
 /// forward reads memoised ones, so only a training-mode call grows them.
@@ -647,6 +708,12 @@ impl Seam {
 /// `forward_fx`, or a forward on an executor with more threads than the
 /// plan has ring panels or column groups.
 ///
+/// Each buffer is a view of bytes that may be more than the view needs: a
+/// [`crate::Network`]'s one scratch serves every layer, re-viewed for each
+/// in the bytes the largest asked for, and grown — fallibly, one buffer
+/// at a time — only where a layer needs more. Nothing is cleared between
+/// views: every stage writes what it reads.
+///
 /// `u` is laid out at the plan's blocking. A dual forward pass lays the
 /// same bytes out at the dual ring's `C_blk` instead — the row blocks, and
 /// so the size, are the same — and reads only what it wrote itself.
@@ -656,6 +723,7 @@ pub struct Scratch {
     pub x: BlockedMatrices,
     pub y: TileMajor,
     bufs: Vec<UnsafeCell<ThreadBuf>>,
+    /// The plan the buffers are viewed for.
     shape: ScratchShape,
 }
 
@@ -668,59 +736,121 @@ impl Scratch {
     /// Allocate scratch for `layer`, usable with executors of up to
     /// `threads` thread slots.
     pub fn new(layer: &WinogradLayer, threads: usize) -> Scratch {
-        Scratch::build(layer, threads, Seam { fallible: false })
+        Scratch::build(&[layer], threads, Seam { fallible: false })
             .expect("the infallible seam aborts instead of returning a refusal")
     }
 
     /// Fallible [`Scratch::new`]: a typed [`wino_simd::AllocError`]
     /// instead of an abort when any of the scratch buffers is refused.
-    /// Every `Network` layer's resident scratch slot, and every retry of
-    /// the run-time degradation walk, allocates through this seam.
+    /// A `Network`'s scratch, and every retry of the run-time degradation
+    /// walk, allocates through this seam.
     pub fn try_new(layer: &WinogradLayer, threads: usize) -> Result<Scratch, wino_simd::AllocError> {
-        Scratch::build(layer, threads, Seam { fallible: true })
+        Scratch::build(&[layer], threads, Seam { fallible: true })
     }
 
-    fn build(layer: &WinogradLayer, threads: usize, seam: Seam) -> Result<Scratch, wino_simd::AllocError> {
-        let shape = ScratchShape::of(layer);
-        let t = shape.t_vol;
-        let staged = layer.schedule == Schedule::Staged;
-        let held =
-            |held: bool, dims| if held { seam.matrices(dims) } else { Ok(BlockedMatrices::placeholder()) };
-        let u = held(!layer.is_fused(), shape.u())?;
+    /// One scratch for `layers`, which run one after another: each buffer
+    /// sized once, to the largest need of any layer, and viewed for the
+    /// first layer. A network's plan-time seed.
+    pub(crate) fn try_for(layers: &[&WinogradLayer], threads: usize) -> Result<Scratch, wino_simd::AllocError> {
+        Scratch::build(layers, threads, Seam { fallible: true })
+    }
+
+    fn build(layers: &[&WinogradLayer], threads: usize, seam: Seam) -> Result<Scratch, wino_simd::AllocError> {
+        let shapes: Vec<ScratchShape> = layers.iter().map(|l| ScratchShape::of(l)).collect();
+        // Each buffer at the largest need of the layers that hold it.
+        let most = |holds: fn(&ScratchShape) -> bool, floats: fn(&ScratchShape) -> usize| {
+            shapes.iter().filter(|s| holds(s)).max_by_key(|s| floats(s))
+        };
+        let u = match most(ScratchShape::holds_u, |s| matrix_floats(s.u())) {
+            Some(s) => seam.matrices(s.u())?,
+            None => BlockedMatrices::placeholder(),
+        };
+        let x = match most(ScratchShape::holds_xy, |s| matrix_floats(s.x())) {
+            Some(s) => seam.matrices(s.x())?,
+            None => BlockedMatrices::placeholder(),
+        };
+        let y = match most(ScratchShape::holds_xy, |s| s.y().iter().product()) {
+            Some(s) => seam.tile_major(s.y())?,
+            None => TileMajor::placeholder(),
+        };
+        let tile = shapes.iter().map(|s| s.t_vol * S).max().unwrap_or(0);
+        let ring = shapes.iter().map(|s| s.ring_floats).max().unwrap_or(0);
+        let bufs = (0..threads.max(1)).map(|_| seam.slot(tile, ring)).collect::<Result<_, _>>()?;
         let v = BlockedMatrices::placeholder();
-        let x = held(staged, shape.x())?;
-        let y = if staged { seam.tile_major(&shape)? } else { TileMajor::placeholder() };
-        let mut bufs = Vec::with_capacity(threads.max(1));
-        for _ in 0..threads.max(1) {
-            bufs.push(UnsafeCell::new(ThreadBuf {
-                a: seam.zeroed(t * S)?,
-                b: seam.zeroed(t * S)?,
-                ring: seam.zeroed(shape.ring_floats)?,
-                phase_ns: [0; 3],
-            }));
+        let mut scratch = Scratch { u, v, x, y, bufs, shape: shapes[0] };
+        scratch.fit(layers[0], threads)?; // views only: every buffer is large enough
+        Ok(scratch)
+    }
+
+    /// Re-view this scratch for `layer` at `threads` thread slots, as
+    /// [`Scratch::try_new`] would build one: in the bytes it holds, growing
+    /// — fallibly, after releasing the old bytes — only a buffer too small
+    /// for it (or adding the slots it lacks). `v` views nothing: its bytes
+    /// wait for a training-mode call. A refusal leaves the buffer it could
+    /// not grow empty.
+    pub(crate) fn fit(&mut self, layer: &WinogradLayer, threads: usize) -> Result<(), wino_simd::AllocError> {
+        let s = ScratchShape::of(layer);
+        self.shape = s;
+        hide(&mut self.v);
+        if s.holds_u() {
+            view(&mut self.u, s.u())?;
+        } else {
+            hide(&mut self.u);
         }
-        Ok(Scratch { u, v, x, y, bufs, shape })
+        if s.holds_xy() {
+            view(&mut self.x, s.x())?;
+            let [b, cp, n, t] = s.y();
+            self.y.try_reshape(b, cp, n, t)?;
+        } else {
+            hide(&mut self.x);
+            self.y.try_reshape(0, 0, 0, 0)?;
+        }
+        for slot in &mut self.bufs {
+            let tb = slot.get_mut();
+            grow(&mut tb.a, s.t_vol * S)?;
+            grow(&mut tb.b, s.t_vol * S)?;
+            grow(&mut tb.ring, s.ring_floats)?;
+        }
+        while self.bufs.len() < threads.max(1) {
+            self.bufs.push(Seam { fallible: true }.slot(s.t_vol * S, s.ring_floats)?);
+        }
+        Ok(())
+    }
+
+    /// Keep, of this scratch and `other`, the larger of each buffer (and
+    /// every thread slot either has); the views are stale until the next
+    /// [`Scratch::fit`].
+    pub(crate) fn absorb(&mut self, other: Scratch) {
+        let Scratch { u, v, x, y, bufs, .. } = other;
+        keep_larger(&mut self.u, u, BlockedMatrices::bytes);
+        keep_larger(&mut self.v, v, BlockedMatrices::bytes);
+        keep_larger(&mut self.x, x, BlockedMatrices::bytes);
+        keep_larger(&mut self.y, y, TileMajor::bytes);
+        let mut theirs = bufs.into_iter();
+        for (mine, theirs) in self.bufs.iter_mut().zip(theirs.by_ref()) {
+            let (mine, theirs) = (mine.get_mut(), theirs.into_inner());
+            keep_larger(&mut mine.a, theirs.a, AlignedVec::bytes);
+            keep_larger(&mut mine.b, theirs.b, AlignedVec::bytes);
+            keep_larger(&mut mine.ring, theirs.ring, AlignedVec::bytes);
+        }
+        self.bufs.extend(theirs);
     }
 
     /// Make sure the layer-sized `u`, `x` and `y` the stages hand on
-    /// exist — a ring or dual plan's scratch starts without some of them.
-    /// All that are missing or none: a refusal leaves the scratch as it
-    /// was.
+    /// exist — a ring or dual plan's scratch starts without some of them —
+    /// re-viewing the bytes a buffer holds, or growing it. A refusal
+    /// leaves the buffer it could not grow empty.
     pub(crate) fn materialise(&mut self) -> Result<(), wino_simd::AllocError> {
-        let seam = Seam { fallible: true };
-        let missing =
-            |m: &BlockedMatrices, dims| (m.t_count() == 0).then(|| seam.matrices(dims)).transpose();
-        let u = missing(&self.u, self.shape.u())?;
-        let x = missing(&self.x, self.shape.x())?;
-        let y = (self.y.t_vol() == 0).then(|| seam.tile_major(&self.shape)).transpose()?;
-        if let Some(u) = u {
-            self.u = u;
+        let s = self.shape;
+        if self.u.t_count() == 0 {
+            view(&mut self.u, s.u())?;
         }
-        if let Some(x) = x {
-            self.x = x;
+        if self.x.t_count() == 0 {
+            view(&mut self.x, s.x())?;
         }
-        if let Some(y) = y {
-            self.y = y;
+        if self.y.t_vol() == 0 {
+            let [b, cp, n, t] = s.y();
+            self.y.try_reshape(b, cp, n, t)?;
         }
         Ok(())
     }
@@ -729,27 +859,43 @@ impl Scratch {
     /// starts with them, and `prepare_kernels` takes them.
     pub(crate) fn materialise_v(&mut self) -> Result<(), wino_simd::AllocError> {
         if self.v.t_count() == 0 {
-            self.v = Seam { fallible: true }.matrices(self.shape.v())?;
+            view(&mut self.v, self.shape.v())?;
         }
         Ok(())
     }
 
-    /// Whether this scratch was built for a plan shaped like `layer` and
-    /// has at least `threads` thread slots.
-    pub(crate) fn fits(&self, layer: &WinogradLayer, threads: usize) -> bool {
-        self.shape == ScratchShape::of(layer) && self.bufs.len() >= threads
+    /// `make` the kernel transforms in a `v` of exactly the plan's size
+    /// and take it: a larger `v` the scratch holds — grown by a larger
+    /// layer of the same network — stays, viewing nothing.
+    pub(crate) fn take_v<E>(
+        &mut self,
+        make: impl FnOnce(&mut Scratch) -> Result<(), E>,
+    ) -> Result<BlockedMatrices, E> {
+        let larger = self.v.bytes() > matrix_floats(self.shape.v()) * std::mem::size_of::<f32>();
+        let mut held = BlockedMatrices::placeholder();
+        if larger {
+            std::mem::swap(&mut held, &mut self.v);
+        }
+        let made = make(self);
+        hide(&mut held);
+        let v = std::mem::replace(&mut self.v, held);
+        made.map(|()| v)
     }
 
     /// Total auxiliary bytes held right now (the paper's memory-overhead
     /// number): the transformed-data buffers present plus every thread
-    /// slot's two `T·S` codelet buffers and ring.
+    /// slot's two codelet buffers and ring — what each holds, which may be
+    /// more than the plan it is viewed for needs.
     pub fn bytes(&self) -> usize {
-        let slot = 2 * self.shape.t_vol * S + self.shape.ring_floats;
-        self.u.bytes()
-            + self.v.bytes()
-            + self.x.bytes()
-            + self.y.bytes()
-            + self.bufs.len() * slot * std::mem::size_of::<f32>()
+        let slots: usize = self
+            .bufs
+            .iter()
+            // SAFETY: `&self` with no fork–join in flight: the public
+            // entry points hold the scratch `&mut` while one runs.
+            .map(|tb| unsafe { &*tb.get() })
+            .map(|tb| tb.a.bytes() + tb.b.bytes() + tb.ring.bytes())
+            .sum();
+        self.u.bytes() + self.v.bytes() + self.x.bytes() + self.y.bytes() + slots
     }
 
     pub(crate) fn thread_slots(&self) -> usize {
@@ -768,6 +914,13 @@ impl Scratch {
     #[allow(clippy::mut_from_ref)]
     pub(crate) unsafe fn thread_buf(&self, slot: usize) -> &mut ThreadBuf {
         &mut *self.bufs[slot].get()
+    }
+}
+
+/// Replace `mine` with `theirs` if `theirs` holds more bytes.
+pub(crate) fn keep_larger<T>(mine: &mut T, theirs: T, bytes: impl Fn(&T) -> usize) {
+    if bytes(&theirs) > bytes(mine) {
+        *mine = theirs;
     }
 }
 
@@ -834,6 +987,32 @@ pub(crate) fn split_reduction() -> ConvOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Scratch {
+        /// Fill every float this scratch holds — past its views too — with
+        /// `value`, and view nothing: what a later layer finds in the bytes an
+        /// earlier one left.
+        pub(crate) fn fill(&mut self, value: f32) {
+            for m in [&mut self.u, &mut self.v, &mut self.x] {
+                let floats = m.bytes() / std::mem::size_of::<f32>();
+                if floats > 0 {
+                    view(m, [1, floats / S, S, 1, S]).unwrap();
+                    m.as_mut_slice().fill(value);
+                }
+                hide(m);
+            }
+            let floats = self.y.bytes() / std::mem::size_of::<f32>();
+            self.y.try_reshape(1, S, floats / S, 1).unwrap();
+            self.y.as_mut_slice().fill(value);
+            self.y.try_reshape(0, 0, 0, 0).unwrap();
+            for tb in &mut self.bufs {
+                let tb = tb.get_mut();
+                for buf in [&mut tb.a, &mut tb.b, &mut tb.ring] {
+                    buf.as_mut_slice().fill(value);
+                }
+            }
+        }
+    }
 
     impl WinogradLayer {
         /// The exact-rational plan of each dimension's `F(m, r)`: what the
@@ -973,21 +1152,50 @@ mod tests {
     }
 
     #[test]
-    fn a_scratch_fits_plans_of_its_own_shape_only() {
-        let fused = WinogradLayer::new(shape2d(), &[4, 4], ConvOptions::default()).unwrap();
-        let staged = WinogradLayer::new(shape2d(), &[4, 4], split_reduction()).unwrap();
-        let other_tile = WinogradLayer::new(shape2d(), &[2, 2], ConvOptions::default()).unwrap();
-        let scratch = Scratch::new(&fused, 2);
-        assert!(scratch.fits(&fused, 2) && scratch.fits(&fused, 1));
-        assert!(!scratch.fits(&fused, 3), "too few thread slots");
-        assert!(!scratch.fits(&staged, 1) && !scratch.fits(&other_tile, 1));
-        // The same blocking on another schedule is another scratch.
-        let opts = split_reduction();
-        let pinned = |pin| {
-            WinogradLayer::new_on(shape2d(), &[4, 4], opts, Host::test(pin, false)).unwrap()
+    fn a_scratch_re_views_its_bytes_and_grows_only_what_is_too_small() {
+        let host = |pin| Host::test(pin, false);
+        let plan = |side, pin| {
+            let shape = ConvShape::new(2, 32, 32, &[side, side], &[3, 3], &[1, 1]).unwrap();
+            WinogradLayer::new_on(shape, &[4, 4], split_reduction(), host(pin)).unwrap()
         };
-        let (dual, staged) = (pinned(Pin::Dual), pinned(Pin::Staged));
-        assert!(!Scratch::new(&dual, 1).fits(&staged, 1) && !Scratch::new(&staged, 1).fits(&dual, 1));
+        let (large, small) = (plan(24, Pin::Staged), plan(12, Pin::Staged));
+        let ring = WinogradLayer::new_on(shape2d(), &[4, 4], ConvOptions::default(), host(Pin::Ring)).unwrap();
+        assert!(ring.is_fused() && !large.is_fused() && !large.is_dual());
+        let allocs = |scratch: &mut Scratch, layer: &WinogradLayer, threads| {
+            let before = wino_simd::thread_alloc_calls();
+            scratch.fit(layer, threads).unwrap();
+            wino_simd::thread_alloc_calls() - before
+        };
+
+        // A smaller plan re-views the bytes the larger one asked for.
+        let mut scratch = Scratch::new(&large, 2);
+        let (bytes, u) = (scratch.bytes(), scratch.u.as_ptr());
+        assert_eq!(allocs(&mut scratch, &small, 2), 0);
+        assert_staged_shapes(&scratch);
+        assert_eq!((scratch.bytes(), scratch.u.as_ptr()), (bytes, u));
+
+        // A ring plan views no layer-sized buffer and keeps their bytes; it
+        // grows the rings, one per slot, which a staged plan has none of.
+        assert_eq!(allocs(&mut scratch, &ring, 2), 2);
+        assert_eq!(scratch.u.t_count() + scratch.x.t_count() + scratch.y.t_vol(), 0);
+        assert_eq!(scratch.bytes(), bytes + 2 * ring.ring_floats() * 4);
+        // A stage re-views them at the ring plan's staged shapes.
+        let before = wino_simd::thread_alloc_calls();
+        scratch.materialise().unwrap();
+        assert_eq!(wino_simd::thread_alloc_calls(), before);
+        assert_staged_shapes(&scratch);
+
+        // Back to the large plan: nothing to grow. A third thread slot is
+        // a staged plan's two codelet buffers (and an empty ring).
+        assert_eq!(allocs(&mut scratch, &large, 2), 0);
+        assert_eq!(allocs(&mut scratch, &large, 3), 2);
+        assert_eq!(scratch.thread_slots(), 3);
+
+        // The other way round, the layer-sized buffers grow, each once.
+        let mut scratch = Scratch::new(&small, 1);
+        assert_eq!(allocs(&mut scratch, &large, 1), 3);
+        assert_eq!(scratch.bytes(), Scratch::new(&large, 1).bytes());
+        assert_eq!(allocs(&mut scratch, &large, 1), 0);
     }
 
     #[test]

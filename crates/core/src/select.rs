@@ -648,9 +648,8 @@ i       -      -      -      -      -      -      -      -
     #[test]
     fn plan_fallback_passes_through_clean_plans() {
         let s = ConvShape::new(1, 16, 16, &[10, 10], &[3, 3], &[1, 1]).unwrap();
-        let (plan, fb) =
-            plan_with_fallback(&s, &[2, 2], ConvOptions::default(), &FallbackPolicy::default())
-                .unwrap();
+        let mono = ConvOptions { stage2: Stage2Backend::Mono, ..Default::default() };
+        let (plan, fb) = plan_with_fallback(&s, &[2, 2], mono, &FallbackPolicy::default()).unwrap();
         assert!(fb.is_none());
         assert_eq!(plan.opts.stage2, Stage2Backend::Mono);
     }

@@ -460,6 +460,11 @@ struct Engine {
     threads: usize,
     /// Cached network plans keyed by `(batch, ladder rung)`.
     plans: HashMap<(usize, u8), Network>,
+    /// The cached plan that holds the one arena every cached plan runs in
+    /// ([`Network::lend_arena`]): it passes to whichever plan runs next, so
+    /// the arena is as large as the largest batch needs, not the sum over
+    /// batch sizes.
+    holder: (usize, u8),
 }
 
 impl Engine {
@@ -474,8 +479,9 @@ impl Engine {
     ) -> Result<Engine, WinoError> {
         let mut net1 = plan_model(&spec, 1, threads, DegradeLevel::Full)?;
         let prepared = net1.prepare_kernels(&kernels, &SerialExecutor)?;
-        let plans = HashMap::from([((1, DegradeLevel::Full as u8), net1)]);
-        Ok(Engine { spec, prepared, threads, plans })
+        let holder = (1, DegradeLevel::Full as u8);
+        let plans = HashMap::from([(holder, net1)]);
+        Ok(Engine { spec, prepared, threads, plans, holder })
     }
 
     /// Run one batch on the network planned for the breaker's `level` —
@@ -493,12 +499,18 @@ impl Engine {
             DegradeLevel::Mono if self.spec.opts.stage2 == Stage2Backend::Mono => DegradeLevel::Full,
             other => other,
         };
-        let net = match self.plans.entry((input.batch, level as u8)) {
-            std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(plan_model(&self.spec, input.batch, self.threads, level)?)
-            }
-        };
+        let key = (input.batch, level as u8);
+        if let std::collections::hash_map::Entry::Vacant(v) = self.plans.entry(key) {
+            v.insert(plan_model(&self.spec, input.batch, self.threads, level)?);
+        }
+        if key != self.holder {
+            let [Some(net), Some(held)] = self.plans.get_disjoint_mut([&key, &self.holder]) else {
+                unreachable!("both plans are cached, under distinct keys")
+            };
+            held.lend_arena(net);
+            self.holder = key;
+        }
+        let net = self.plans.get_mut(&key).expect("planned above");
         net.run_net_fx(input, &self.prepared, exec, &FallbackPolicy::default())
     }
 }
@@ -524,22 +536,21 @@ fn fill_batch(img: &mut BlockedImage, batch: &[Pending], channels: usize) {
     }
 }
 
-/// The batcher's per-batch-size assembly buffers: allocated once per
-/// batch size ever seen (bounded by `max_batch`), reused for every
-/// subsequent batch of that size so steady-state assembly allocates
-/// nothing. A refused buffer is a typed error, which fails the batch.
+/// The batcher's one assembly buffer: re-viewed for every batch, grown
+/// only by a batch larger than any before it (so at most to `max_batch`
+/// images), so steady-state assembly allocates nothing. A refused buffer
+/// is a typed error, which fails the batch.
 fn assemble_cached<'a>(
-    cache: &'a mut HashMap<usize, BlockedImage>,
+    held: &'a mut Option<BlockedImage>,
     batch: &[Pending],
     channels: usize,
     dims: &[usize],
 ) -> Result<&'a BlockedImage, WinoError> {
-    let img = match cache.entry(batch.len()) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(v) => {
-            v.insert(BlockedImage::try_zeros(batch.len(), channels, dims)?)
-        }
-    };
+    match held {
+        Some(img) => img.try_reshape(batch.len(), channels, dims)?,
+        None => *held = Some(BlockedImage::try_zeros(batch.len(), channels, dims)?),
+    }
+    let img = held.as_mut().expect("assembly buffer ensured above");
     fill_batch(img, batch, channels);
     Ok(img)
 }
@@ -571,7 +582,7 @@ fn batcher_main(
     let breaker = &shared.breaker;
     let mut batch_id: u64 = 0;
     let stats = &shared.stats;
-    let mut assembly: HashMap<usize, BlockedImage> = HashMap::new();
+    let mut assembly: Option<BlockedImage> = None;
 
     while let Some(batch) = shared.queue.pop_batch(max_batch, max_age) {
         // Shed requests whose deadline expired while they queued.
@@ -745,8 +756,8 @@ mod tests {
 
     #[test]
     fn mono_model_shares_one_plan_between_full_and_mono_rungs() {
-        let spec = spec_1layer();
-        assert_eq!(spec.opts.stage2, Stage2Backend::Mono);
+        let mut spec = spec_1layer();
+        spec.opts.stage2 = Stage2Backend::Mono;
         let kernels = kernels_for(&spec);
         let mut engine = Engine::new(spec, kernels, 1).unwrap();
         let img = input();
@@ -786,7 +797,11 @@ mod tests {
         let img = input();
         let (full, reports_full) = engine.run(&img, DegradeLevel::Full, &SerialExecutor).unwrap();
         assert_eq!(full.dims, vec![3, 3]); // (6 + 2 − 3)/2 + 1
-        assert_eq!(reports_full[0].backend, LayerBackend::WinogradMono);
+        let engine_backend = match Stage2Backend::default() {
+            Stage2Backend::Jit => LayerBackend::WinogradJit,
+            Stage2Backend::Mono => LayerBackend::WinogradMono,
+        };
+        assert_eq!(reports_full[0].backend, engine_backend);
         let (base, reports) = engine.run(&img, DegradeLevel::Im2col, &SerialExecutor).unwrap();
         assert_eq!(base.dims, vec![3, 3]);
         assert_eq!(reports[0].backend, LayerBackend::Im2col);
@@ -905,6 +920,93 @@ mod tests {
             last = now;
         }
         server.shutdown();
+    }
+
+    /// Two layers, so one activation is parked between them.
+    fn spec_2layer() -> ModelSpec {
+        ModelSpec::new(16, vec![6, 6], vec![LayerSpec::same(32, 2, 3, 2), LayerSpec::same(16, 2, 3, 4)])
+    }
+
+    /// The batch sizes the alternation tests prime, then alternate.
+    const PRIME: [usize; 4] = [1, 2, 3, 4];
+    const ALTERNATE: [usize; 5] = [1, 4, 2, 4, 1];
+
+    #[test]
+    fn alternating_batch_sizes_allocate_outputs_only() {
+        let spec = spec_2layer();
+        let kernels = kernels_for(&spec);
+        // A batch closes when four requests are in or 200 ms after pickup:
+        // a burst of `b` submissions rides as one batch of `b`.
+        let opts =
+            ServeOptions { max_batch: 4, max_batch_age: Duration::from_millis(200), ..Default::default() };
+        let server = Server::start(spec, kernels, opts).unwrap();
+        let round = |b: usize, prev: u64| {
+            let tickets: Vec<_> =
+                (0..b).map(|_| server.submit(input(), Duration::from_secs(30)).unwrap()).collect();
+            for t in tickets {
+                let resp = t.wait();
+                assert_eq!(resp.report.batch_size, b, "a burst of {b} rode as one batch");
+                resp.output.unwrap();
+            }
+            let waited = Instant::now();
+            loop {
+                let now = server.stats().batcher_alloc_calls;
+                if now != prev || waited.elapsed() > Duration::from_secs(5) {
+                    return now;
+                }
+                std::thread::yield_now();
+            }
+        };
+        let mut last = 0;
+        for b in PRIME {
+            last = round(b, last);
+        }
+        // Every batch size has run: the arena and the assembly buffer are
+        // as large as batch 4 needs, and a round of any size allocates the
+        // engine output and one split per request — nothing else.
+        for b in ALTERNATE {
+            let now = round(b, last);
+            assert_eq!(now - last, 1 + b as u64, "a batch of {b} allocated more than its outputs");
+            last = now;
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn cached_plans_share_one_arena_as_large_as_the_largest_batch_needs() {
+        let spec = spec_2layer();
+        let kernels = kernels_for(&spec);
+        let mut engine = Engine::new(spec.clone(), kernels, 1).unwrap();
+        let batch = |b| {
+            let mut img = BlockedImage::zeros(b, 16, &[6, 6]).unwrap();
+            for (i, v) in img.as_mut_slice().iter_mut().enumerate() {
+                *v = ((i % 19) as f32 - 9.0) * 0.05;
+            }
+            img
+        };
+        let arena = |engine: &Engine| engine.plans[&engine.holder].scratch_bytes();
+        for b in PRIME {
+            engine.run(&batch(b), DegradeLevel::Full, &SerialExecutor).unwrap();
+        }
+        // Each batch size's own arena, as a network planned and run alone
+        // holds it.
+        let alone: Vec<usize> = PRIME
+            .iter()
+            .map(|&b| {
+                let mut net = plan_model(&spec, b, 1, DegradeLevel::Full).unwrap();
+                net.run_net_fx(&batch(b), &engine.prepared, &SerialExecutor, &FallbackPolicy::default()).unwrap();
+                net.scratch_bytes()
+            })
+            .collect();
+        let primed = arena(&engine);
+        assert_eq!(primed, *alone.iter().max().unwrap(), "the largest batch's arena");
+        assert!(primed < alone.iter().sum::<usize>());
+        let held: usize = engine.plans.values().map(Network::scratch_bytes).sum();
+        assert_eq!(held, primed, "the other cached plans hold nothing");
+        for b in ALTERNATE {
+            engine.run(&batch(b), DegradeLevel::Full, &SerialExecutor).unwrap();
+            assert_eq!((engine.holder, arena(&engine)), ((b, DegradeLevel::Full as u8), primed));
+        }
     }
 
     #[test]

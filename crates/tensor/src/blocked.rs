@@ -20,11 +20,17 @@ use wino_simd::{AlignedVec, S};
 use crate::{flat_index, volume, ShapeError, SimpleImage, SimpleKernels, TensorError};
 
 /// A batch of images in blocked layout `[B][C/S][spatial…][S]`.
+///
+/// The image is a view of the first `B·C·∏dims` floats of its buffer,
+/// which may hold more: [`Self::try_reshape`] re-views the bytes of a
+/// larger image it held before.
 #[derive(Clone, Debug)]
 pub struct BlockedImage {
     pub batch: usize,
     pub channels: usize,
     pub dims: Vec<usize>,
+    /// Floats of the view: `batch · channels · volume(dims)`.
+    len: usize,
     data: AlignedVec,
 }
 
@@ -67,7 +73,32 @@ impl BlockedImage {
     }
 
     fn assemble(batch: usize, channels: usize, dims: &[usize], data: AlignedVec) -> Self {
-        BlockedImage { batch, channels, dims: dims.to_vec(), data }
+        BlockedImage { batch, channels, dims: dims.to_vec(), len: data.len(), data }
+    }
+
+    /// Re-view this image as `zeros(batch, channels, dims)` shapes one, in
+    /// the bytes it holds when they are enough — what they held is not
+    /// cleared — else in a fresh zero-filled buffer, asked for after the
+    /// old one is released; a refusal is [`TensorError::Alloc`] and leaves
+    /// the image holding no bytes.
+    pub fn try_reshape(&mut self, batch: usize, channels: usize, dims: &[usize]) -> Result<(), TensorError> {
+        let len = Self::validate(batch, channels, dims)?;
+        if len > self.data.len() {
+            // ALLOC: zero-length — a dangling aligned pointer, no allocator
+            // call; it releases the old bytes before the fallible request.
+            self.data = AlignedVec::zeroed(0);
+            self.len = 0;
+            self.data = AlignedVec::try_zeroed(len)?;
+        }
+        (self.batch, self.channels, self.len) = (batch, channels, len);
+        self.dims.clear();
+        self.dims.extend_from_slice(dims);
+        Ok(())
+    }
+
+    /// Bytes of the buffer behind the view — at least the view's.
+    pub fn bytes(&self) -> usize {
+        self.data.bytes()
     }
 
     #[inline]
@@ -109,11 +140,11 @@ impl BlockedImage {
     }
 
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        &self.data[..self.len]
     }
 
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        &mut self.data[..self.len]
     }
 
     pub fn as_ptr(&self) -> *const f32 {
@@ -125,7 +156,7 @@ impl BlockedImage {
     }
 
     pub fn fill_zero(&mut self) {
-        self.data.fill_zero();
+        self.as_mut_slice().fill(0.0);
     }
 
     /// Copy out the channel block `[c0, c0 + count)` as its own image —
@@ -397,6 +428,22 @@ impl BlockedKernels {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_reshape_re_views_its_bytes_and_grows_only_when_too_small() {
+        let mut img = BlockedImage::zeros(2, 32, &[4, 5]).unwrap();
+        let (ptr, bytes) = (img.as_ptr(), img.bytes());
+        img.as_mut_slice().fill(3.0);
+        img.try_reshape(1, 16, &[3, 3, 2]).unwrap();
+        assert_eq!((img.batch, img.channels, img.dims.as_slice()), (1, 16, &[3, 3, 2][..]));
+        assert_eq!((img.as_ptr(), img.bytes(), img.as_slice().len()), (ptr, bytes, 16 * 18));
+        assert!(img.as_slice().iter().all(|&x| x == 3.0), "nothing is cleared");
+        img.fill_zero();
+        assert_eq!(img.to_simple().data, vec![0.0; 16 * 18]);
+        img.try_reshape(4, 32, &[4, 5]).unwrap();
+        assert_eq!(img.bytes(), BlockedImage::bytes_for(4, 32, &[4, 5]), "grown to the need");
+        assert!(img.try_reshape(1, 20, &[2]).is_err(), "a shape error stays one");
+    }
 
     #[test]
     fn channels_must_be_vector_multiple() {

@@ -18,14 +18,18 @@
 //!    region — the paper's "scattering range" that keeps TLB misses low.
 //!
 //! Rows are padded up to a multiple of `rb` (the paper pads the last
-//! sub-matrix of U when `NB` is not divisible by `n_blk`); padded rows read
-//! as zeros and multiply harmlessly.
+//! sub-matrix of U when `NB` is not divisible by `n_blk`); a padded row
+//! multiplies into its own row of the product only, which no consumer
+//! reads, so what it holds is harmless — zeros in a fresh buffer, stale
+//! values in a re-viewed one ([`BlockedMatrices::try_reshape`]).
 
 use wino_simd::{AlignedVec, S};
 
 use crate::div_ceil;
 
-/// `T` matrices of `rows × cols` in block-panel layout (see module docs).
+/// `T` matrices of `rows × cols` in block-panel layout (see module docs):
+/// a view of the first floats of a buffer that may hold more
+/// ([`Self::try_reshape`]).
 #[derive(Clone, Debug)]
 pub struct BlockedMatrices {
     t_count: usize,
@@ -35,6 +39,8 @@ pub struct BlockedMatrices {
     cb: usize,
     row_blocks: usize,
     col_blocks: usize,
+    /// Floats of the view, padding included.
+    len: usize,
     data: AlignedVec,
 }
 
@@ -70,7 +76,7 @@ impl BlockedMatrices {
     pub fn placeholder() -> Self {
         // ALLOC: zero-length — a dangling aligned pointer, no allocator
         // call, nothing to account.
-        Self::assemble(0, 0, 0, 1, 16, AlignedVec::zeroed(0))
+        Self::assemble(0, 0, 0, 1, S, AlignedVec::zeroed(0))
     }
 
     /// Bytes a `new(t_count, rows, cols, rb, cb)` instance allocates —
@@ -94,16 +100,42 @@ impl BlockedMatrices {
         cb: usize,
         data: AlignedVec,
     ) -> Self {
-        BlockedMatrices {
-            t_count,
-            rows,
-            cols,
-            rb,
-            cb,
-            row_blocks: div_ceil(rows, rb),
-            col_blocks: cols / cb,
-            data,
+        let mut m = BlockedMatrices { t_count, rows, cols, rb, cb, row_blocks: 0, col_blocks: 0, len: 0, data };
+        m.view(t_count, rows, cols, rb, cb);
+        m
+    }
+
+    fn view(&mut self, t_count: usize, rows: usize, cols: usize, rb: usize, cb: usize) {
+        (self.t_count, self.rows, self.cols, self.rb, self.cb) = (t_count, rows, cols, rb, cb);
+        (self.row_blocks, self.col_blocks) = (div_ceil(rows, rb), cols / cb);
+        self.len = self.row_blocks * self.col_blocks * t_count * rb * cb;
+    }
+
+    /// Re-view these matrices as [`Self::new`]`(t_count, rows, cols, rb,
+    /// cb)` lays them out, in the bytes they hold when those are enough —
+    /// what the bytes held is not cleared — else in a fresh zero-filled
+    /// buffer, asked for after the old one is released; a refusal leaves
+    /// no bytes. A `t_count` of 0 views no matrix, as
+    /// [`Self::placeholder`] does, and keeps the bytes for a later view.
+    pub fn try_reshape(
+        &mut self,
+        t_count: usize,
+        rows: usize,
+        cols: usize,
+        rb: usize,
+        cb: usize,
+    ) -> Result<(), wino_simd::AllocError> {
+        if t_count == 0 {
+            self.view(0, 0, 0, 1, S);
+            return Ok(());
         }
+        let len = Self::validate(t_count, rows, cols, rb, cb);
+        if len > self.data.len() {
+            *self = Self::placeholder(); // release the old bytes first
+            self.data = AlignedVec::try_zeroed(len)?;
+        }
+        self.view(t_count, rows, cols, rb, cb);
+        Ok(())
     }
 
     pub fn t_count(&self) -> usize {
@@ -139,7 +171,8 @@ impl BlockedMatrices {
         self.col_blocks
     }
 
-    /// Bytes of backing storage (for the paper's memory-overhead accounting).
+    /// Bytes of backing storage (for the paper's memory-overhead
+    /// accounting) — at least the view's.
     pub fn bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<f32>()
     }
@@ -179,11 +212,11 @@ impl BlockedMatrices {
     }
 
     pub fn as_slice(&self) -> &[f32] {
-        &self.data
+        &self.data[..self.len]
     }
 
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
+        &mut self.data[..self.len]
     }
 
     pub fn as_ptr(&self) -> *const f32 {
@@ -201,7 +234,7 @@ impl BlockedMatrices {
     }
 
     pub fn fill_zero(&mut self) {
-        self.data.fill_zero();
+        self.as_mut_slice().fill(0.0);
     }
 
     /// Extract matrix `t` as a dense row-major `rows × cols` matrix
@@ -310,6 +343,23 @@ mod tests {
     #[should_panic(expected = "divisible by cb")]
     fn cols_must_divide() {
         let _ = BlockedMatrices::new(1, 4, 30, 2, 16);
+    }
+
+    #[test]
+    fn a_reshape_re_views_its_bytes_and_grows_only_when_too_small() {
+        let mut m = BlockedMatrices::new(4, 10, 32, 3, 16);
+        let (ptr, bytes) = (m.as_ptr(), m.bytes());
+        m.as_mut_slice().fill(7.0);
+        m.try_reshape(2, 5, 16, 4, 16).unwrap();
+        assert_eq!((m.t_count(), m.rows(), m.cols(), m.rb(), m.row_blocks()), (2, 5, 16, 4, 2));
+        assert_eq!((m.as_ptr(), m.bytes()), (ptr, bytes), "the bytes are kept");
+        assert_eq!(m.as_slice().len(), 2 * 4 * 2 * 16, "the view is the new shape's");
+        assert!(m.as_slice().iter().all(|&x| x == 7.0), "and nothing is cleared");
+        m.try_reshape(0, 0, 0, 1, 16).unwrap();
+        assert_eq!((m.t_count(), m.as_slice().len(), m.bytes()), (0, 0, bytes), "no view, same bytes");
+        m.try_reshape(8, 10, 32, 3, 16).unwrap();
+        assert_eq!(m.bytes(), BlockedMatrices::bytes_for(8, 10, 32, 3, 16), "grown to the need");
+        assert!(m.as_slice().iter().all(|&x| x == 0.0), "a grown buffer is fresh");
     }
 
     #[test]

@@ -158,6 +158,15 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # the JIT's machine code must equal the Rust kernel bit for bit (the JIT
 # tests skip themselves below it).
 #
+# Stale-arena gate: a network's layers — and a server's cached batch
+# sizes — run in one arena whose bytes a smaller layer re-views, so no
+# stage may rely on zero-filled scratch or on padding that is never read.
+# `net::arena_tests` fills the arena with NaN between a large run and a
+# smaller one on the staged, ring, dual, strided, grouped and im2col
+# routes, in training and FX mode, and holds the outputs `==` a fresh
+# network's with the numeric guard silent. Module filter, so a renamed
+# test cannot empty the gate.
+#
 # Figure gate: `fig6` on a small panel (its `jit` rows only under avx512)
 # must exit 0 on every backend.
 isas=(scalar)
@@ -196,6 +205,8 @@ for isa in "${isas[@]}"; do
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- conv::tests::both_store_flavours \
         conv::tests::jit_backend_matches_mono_backend conv::tests::jit_backend_parallel_and_fx
+    run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+        cargo test --offline -q -p wino-conv --lib -- net::arena_tests::
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-gemm -p wino-jit --lib
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
@@ -309,10 +320,14 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv --lib -- --exa
 # for bit a raw `run_net`, no kernel transform in a batch, two allocations
 # a steady round — while the FX entry point keeps the numeric guard, the
 # sentinels and the rescues, and strided and im2col layers prepare too.
-# Named, so a rename cannot drop them.
+# The cached plans run in one arena, as large as the largest batch needs,
+# and once every batch size has run a round of any size allocates its
+# output and one split per request. Named, so a rename cannot drop them.
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-serve --lib -- \
     server::tests::one_prepared_set_serves_every_cached_plan \
-    server::tests::steady_state_hot_path_allocates_outputs_only
+    server::tests::steady_state_hot_path_allocates_outputs_only \
+    server::tests::alternating_batch_sizes_allocate_outputs_only \
+    server::tests::cached_plans_share_one_arena_as_large_as_the_largest_batch_needs
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-conv --lib -- \
     net::tests::run_net_fx_keeps_every_rescue \
     net::tests::strided_and_im2col_layers_prepare_their_kernels

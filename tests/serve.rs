@@ -8,7 +8,7 @@
 use std::time::Duration;
 
 use winograd_nd_repro::baseline::direct_f64_geo;
-use winograd_nd_repro::conv::{ConvOptions, LayerBackend, LayerSpec};
+use winograd_nd_repro::conv::{ConvOptions, LayerBackend, LayerSpec, Stage2Backend};
 use winograd_nd_repro::serve::{ModelSpec, ServeError, ServeOptions, Server, ServiceModel, Ticket};
 use winograd_nd_repro::tensor::{BlockedImage, BlockedKernels, SimpleImage, SimpleKernels};
 
@@ -226,11 +226,11 @@ fn strided_model_serves_batched_requests() {
         let out = resp.output.as_ref().expect("healthy server must serve strided layers");
         assert_eq!((out.batch, out.channels, out.dims.as_slice()), (1, 16, &[4, 4][..]));
         assert_eq!(resp.report.layers.len(), 1);
-        assert_eq!(
-            resp.report.layers[0].backend,
-            LayerBackend::WinogradMono,
-            "full rung must execute the Winograd engine"
-        );
+        let engine = match Stage2Backend::default() {
+            Stage2Backend::Jit => LayerBackend::WinogradJit,
+            Stage2Backend::Mono => LayerBackend::WinogradMono,
+        };
+        assert_eq!(resp.report.layers[0].backend, engine, "full rung must execute the Winograd engine");
         // De-batched output vs the f64 oracle (ReLU applied, as the
         // layer spec asks for).
         let mut truth = direct_f64_geo(img, &ker_simple, &[1, 1], &geo);
