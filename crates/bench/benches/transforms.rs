@@ -1,6 +1,9 @@
 //! Transform-codelet cost per tile: the generated straight-line codelets
 //! the stages run, for `Bᵀ`, `G` and `Aᵀ` of F(2|4|6, 3), F(3, 4) and
-//! F(2, 5) on one L1-resident 2-D tile — and, on `wino-transforms`' scalar
+//! F(2, 5) on one L1-resident 2-D tile — `*_generated` with one
+//! `wino_simd::dispatch` per tile, as the stages run them, `*_batched`
+//! with one dispatch around all the tiles, so the difference is the
+//! per-tile dispatch — and, on `wino-transforms`' scalar
 //! interpreter (`PairedProgram::apply`), the Fig. 2 pairing optimisation
 //! against the unpaired program.
 //!
@@ -30,9 +33,10 @@ fn unpaired(p: &PairedProgram, dense: &wino_transforms::F32Matrix) -> PairedProg
     }
 }
 
-/// One 2-D tile through the stages' tile driver on the active backend —
-/// one dispatch per tile, the granularity the stages use.
+/// `tiles` 2-D tiles through the stages' tile driver on the active
+/// backend, in one dispatch — one tile is the granularity the stages use.
 struct StageTile<'a> {
+    tiles: usize,
     which: Matrix,
     rows: &'a [(usize, usize)],
     input: &'a [f32],
@@ -46,14 +50,16 @@ impl Kernel for StageTile<'_> {
 
     #[inline(always)]
     fn run<V: Simd16>(self) {
-        transform_tile::<V>(
-            self.which,
-            self.rows,
-            self.input,
-            self.output,
-            self.tmp_a,
-            self.tmp_b,
-        )
+        for _ in 0..self.tiles {
+            transform_tile::<V>(
+                self.which,
+                self.rows,
+                std::hint::black_box(self.input),
+                self.output,
+                self.tmp_a,
+                self.tmp_b,
+            )
+        }
     }
 }
 
@@ -107,20 +113,23 @@ fn main() {
         {
             let input = &source[..in_vol * S];
             let elems = (in_vol * S * TILES_PER_REP) as f64;
-            let t = time_best(REPS, || {
-                for _ in 0..TILES_PER_REP {
-                    wino_simd::dispatch(StageTile {
-                        which,
-                        rows: &rows,
-                        input: std::hint::black_box(input),
-                        output: &mut output,
-                        tmp_a: tmp_a.as_mut_slice(),
-                        tmp_b: tmp_b.as_mut_slice(),
-                    });
-                }
-            });
-            std::hint::black_box(output.first());
-            row(&format!("{name}_generated"), m, r, t.best_ms, elems);
+            for (suffix, tiles) in [("generated", 1), ("batched", TILES_PER_REP)] {
+                let t = time_best(REPS, || {
+                    for _ in 0..TILES_PER_REP / tiles {
+                        wino_simd::dispatch(StageTile {
+                            tiles,
+                            which,
+                            rows: &rows,
+                            input,
+                            output: &mut output,
+                            tmp_a: tmp_a.as_mut_slice(),
+                            tmp_b: tmp_b.as_mut_slice(),
+                        });
+                    }
+                });
+                std::hint::black_box(output.first());
+                row(&format!("{name}_{suffix}"), m, r, t.best_ms, elems);
+            }
         }
 
         // Fig. 2: paired vs unpaired program, both on the scalar

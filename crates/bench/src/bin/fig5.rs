@@ -8,9 +8,14 @@
 //! the best non-Winograd baseline. The paper's FFT rows on the 3-D layers
 //! are not measured (EXPERIMENTS.md, Fig. 5).
 //!
+//! Every Winograd row runs the host's default engine
+//! (`Stage2Backend::default()`: the JIT stage 2 on AVX-512, Mono below
+//! it), named on the `# fig5` header line; `fig6` is the Mono-vs-JIT
+//! comparison.
+//!
 //! ```text
 //! cargo run -p wino-bench --release --bin fig5 -- [--full] [--threads N]
-//!     [--reps N] [--net VGG|FusionNet|C3D|3DUNet] [--jit] [--list]
+//!     [--reps N] [--net VGG|FusionNet|C3D|3DUNet] [--list]
 //! ```
 //!
 //! Defaults to the scaled catalogue (see `wino_workloads::scaled_catalog`);
@@ -52,11 +57,12 @@ fn main() {
     }
 
     eprintln!(
-        "# fig5: {} layers, {} threads, {} reps, backend {}",
+        "# fig5: {} layers, {} threads, {} reps, backend {}, stage 2 {:?}",
         layers.len(),
         exec.threads(),
         reps,
-        wino_simd::backend_name()
+        wino_simd::backend_name(),
+        wino_conv::Stage2Backend::default()
     );
     let mut out =
         Rows::new(&["layer", "impl", "best_ms", "mean_ms", "effective_gflops", "speedup_vs_best_baseline"]);
@@ -87,16 +93,6 @@ fn main() {
             if let Some(meas) =
                 run_winograd(layer, &m, true, ConvOptions::default(), exec.as_ref(), reps)
             {
-                rows.push(meas);
-            }
-        }
-
-        // Optional: the machine-code (JIT) stage-2 backend on F(4ᵈ).
-        if args.flag("--jit") && wino_simd::cpu_has_avx512f() {
-            let opts = ConvOptions { stage2: wino_conv::Stage2Backend::Jit, ..Default::default() };
-            let m = vec![4usize; layer.rank()];
-            if let Some(mut meas) = run_winograd(layer, &m, false, opts, exec.as_ref(), reps) {
-                meas.implementation = format!("{} [jit]", meas.implementation);
                 rows.push(meas);
             }
         }

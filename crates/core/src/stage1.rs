@@ -1,13 +1,16 @@
 //! Stage 1 — input and kernel transforms (§4.2, operations ①–④).
 //!
-//! * **Input transform**: over the grid `B × C/S × N_D × … × N_W`, each
-//!   task takes one tile of `S` adjacent channels, applies `Bᵀ` along
-//!   every dimension, and scatters the `T` resulting vectors into the
-//!   block-panel matrices `U` — a write range of only `T·n_blk·C_blk`
-//!   floats ("scattering range of ②"). A tile wholly inside the image is
-//!   read in place; one that reaches into the padding or the
-//!   ceil-division overhang is first gathered, zero-filled, into a thread
-//!   buffer.
+//! * **Input transform**: over the grid
+//!   `B × C/C_blk × N_D × … × N_W × C_blk/S`, each task takes one tile of
+//!   `S` adjacent channels, applies `Bᵀ` along every dimension, and
+//!   scatters the `T` resulting vectors into the block-panel matrices `U`
+//!   — a write range of only `T·n_blk·C_blk` floats ("scattering range of
+//!   ②"). The channel groups of one column block are innermost, so `U` is
+//!   written in the order it is laid out: one tile's groups fill `C_blk`
+//!   contiguous floats of each `t`-block, the next tile's continue them.
+//!   A tile wholly inside the image is read in place; one that reaches
+//!   into the padding or the ceil-division overhang is first gathered,
+//!   zero-filled, into a thread buffer.
 //! * **Kernel transform**: over `C × C'/S`, each task reads the contiguous
 //!   kernel vectors, applies `G` (an expanding transform `r_d → α_d`), and
 //!   scatters into `V`.
@@ -317,12 +320,20 @@ pub(crate) fn input_transform_pass(
     let rank = layer.rank();
     let n_tiles = layer.n_tiles();
 
-    // Grid: B × C/S × N_D × … × N_W (§4.5).
-    let mut dims = [0usize; MAX_RANK + 2];
+    // Grid: B × C/C_blk × N_D × … × N_W × C_blk/S (§4.2, §4.5). A column
+    // block's channel groups are innermost: together one tile's groups
+    // write `C_blk` contiguous floats of each `t`-block of `U`, and the
+    // next tile's row continues those runs, so each `t`-block fills as one
+    // ascending stream. Only within the column block: at `C_blk = S` (the
+    // dual ring's pass) every group is its own block and the tiles stay
+    // innermost, which keeps that pass's runs.
+    let groups = u_block.1 / S;
+    let mut dims = [0usize; MAX_RANK + 3];
     dims[0] = layer.shape.batch;
-    dims[1] = layer.shape.in_channels / S;
+    dims[1] = layer.shape.in_channels / u_block.1;
     dims[2..2 + rank].copy_from_slice(&layer.grid.counts);
-    let dims = &dims[..2 + rank];
+    dims[2 + rank] = groups;
+    let dims = &dims[..3 + rank];
 
     let probe = exec.probe();
     // Only the column blocks may differ from `u`'s: the bytes are the same.
@@ -333,9 +344,9 @@ pub(crate) fn input_transform_pass(
     let stage_start = span_start(probe);
 
     exec.run_grid(dims, &|slot, flat| {
-        let mut coords = [0usize; MAX_RANK + 2];
+        let mut coords = [0usize; MAX_RANK + 3];
         decompose(flat, dims, &mut coords[..dims.len()]);
-        let (b, cg) = (coords[0], coords[1]);
+        let (b, cg) = (coords[0], coords[1] * groups + coords[2 + rank]);
         let mut n = 0usize; // flat tile index
         for d in 0..rank {
             n = n * layer.grid.counts[d] + coords[2 + d];
@@ -506,8 +517,9 @@ impl Kernel for KernelGroup<'_, '_> {
 mod tests {
     use super::*;
     use crate::plan::{ConvOptions, Host, Pin};
+    use wino_gemm::BlockShape;
     use wino_sched::{SerialExecutor, StaticExecutor};
-    use wino_tensor::{ConvShape, SimpleImage, SimpleKernels};
+    use wino_tensor::{BlockedMatrices, ConvShape, SimpleImage, SimpleKernels};
 
     fn make_layer(pad: usize, m: &[usize]) -> WinogradLayer {
         let s = ConvShape::new(2, 32, 32, &[10, 10], &[3, 3], &[pad, pad]).unwrap();
@@ -656,6 +668,53 @@ mod tests {
         }
     }
 
+    /// A `batch × c` image of extent `img` with values in `[-1, 1)`.
+    fn test_image(batch: usize, c: usize, img: &[usize]) -> BlockedImage {
+        let simple = SimpleImage::from_fn(batch, c, img, |b, ch, x| {
+            let h = x.iter().fold(b * 31 + ch * 7, |h, &v| h * 13 + v);
+            (h % 201) as f32 * 0.01 - 1.0
+        });
+        BlockedImage::from_simple(&simple).unwrap()
+    }
+
+    /// Assert that `u` holds exactly what gather + the interpreter produce
+    /// from `input`, tile by tile; returns how many tiles lie wholly inside
+    /// the image (read in place by the stage, the rest gathered).
+    fn assert_u_is_the_reference(
+        layer: &WinogradLayer,
+        input: &BlockedImage,
+        u: &BlockedMatrices,
+        what: &str,
+    ) -> usize {
+        let (t_vol, n_tiles, rank) = (layer.t_vol(), layer.n_tiles(), layer.rank());
+        let plans = layer.fmr_plans();
+        let progs: Vec<_> = plans.iter().map(|p| &p.bt).collect();
+        let mut want = Vec::new();
+        let mut interior = 0usize;
+        for b in 0..input.batch {
+            for cg in 0..input.channels / S {
+                for n in 0..n_tiles {
+                    let tile = ReferenceTile { layer, progs: &progs, input, b, cg, n, out: &mut want };
+                    wino_simd::dispatch(tile);
+                    let origin = layer.grid.input_origin(&layer.grid.tile_coords(n));
+                    interior += (0..rank).all(|d| {
+                        origin[d] >= 0 && origin[d] as usize + layer.grid.tile_dims[d] <= input.dims[d]
+                    }) as usize;
+                    for t in 0..t_vol {
+                        for lane in 0..S {
+                            assert_eq!(
+                                u.get(t, b * n_tiles + n, cg * S + lane),
+                                want[t * S + lane],
+                                "{what}: b={b} cg={cg} n={n} t={t} lane={lane}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        interior
+    }
+
     /// `transform_inputs` must leave in `U` exactly what gather + the
     /// interpreter produce, tile by tile: the in-place read of interior
     /// tiles, the gathered edge tiles and the direct (streaming or plain)
@@ -674,46 +733,79 @@ mod tests {
         let host = Host::test(Pin::Ring, streams);
         let layer = WinogradLayer::new_on(s, m, ConvOptions::default(), host).unwrap();
         assert_eq!(layer.streams, streams);
-        let simple = SimpleImage::from_fn(batch, c, img, |b, ch, x| {
-            let h = x.iter().fold(b * 31 + ch * 7, |h, &v| h * 13 + v);
-            (h % 201) as f32 * 0.01 - 1.0
-        });
-        let blocked = BlockedImage::from_simple(&simple).unwrap();
+        let blocked = test_image(batch, c, img);
         let mut scratch = Scratch::new(&layer, 2);
         transform_inputs(&layer, &blocked, &mut scratch, &StaticExecutor::new(2)).unwrap();
+        let what = format!("img {img:?} pad {pad} m {m:?}");
+        let interior = assert_u_is_the_reference(&layer, &blocked, &scratch.u, &what);
+        // Each shape exercises both routes.
+        let tiles = batch * (c / S) * layer.n_tiles();
+        assert!(interior > 0 && interior < tiles, "{interior} interior of {tiles} tiles");
+    }
 
-        let (t_vol, n_tiles) = (layer.t_vol(), layer.n_tiles());
-        let plans = layer.fmr_plans();
-        let progs: Vec<_> = plans.iter().map(|p| &p.bt).collect();
-        let mut want = Vec::new();
-        let mut interior = 0usize;
-        for b in 0..batch {
-            for cg in 0..c / S {
-                for n in 0..n_tiles {
-                    let (layer, input) = (&layer, &blocked);
-                    let tile = ReferenceTile { layer, progs: &progs, input, b, cg, n, out: &mut want };
-                    wino_simd::dispatch(tile);
-                    let origin = layer.grid.input_origin(&layer.grid.tile_coords(n));
-                    interior += (0..rank).all(|d| {
-                        origin[d] >= 0
-                            && origin[d] as usize + layer.grid.tile_dims[d] <= img[d]
-                    }) as usize;
-                    for t in 0..t_vol {
-                        for lane in 0..S {
-                            let got = scratch.u.get(t, b * n_tiles + n, cg * S + lane);
-                            assert_eq!(
-                                got,
-                                want[t * S + lane],
-                                "img {img:?} pad {pad} m {m:?}: b={b} cg={cg} n={n} t={t} lane={lane}"
-                            );
-                        }
+    /// The task grid of [`input_transform_pass`] — `B × C/C_blk × N_D × …
+    /// × N_W × C_blk/S` — leaves `U` equal to the reference however it is
+    /// cut: `C_blk/S` of 1, 2 and 4, below `C` and equal to it, at batch 1
+    /// and 2, rank 2 and 3, serial and on 2 and 3 threads, with tile
+    /// counts chosen so that some partitions split the innermost,
+    /// channel-group dimension; and on the dual ring's pass at `C_blk = S`.
+    #[test]
+    fn u_is_the_reference_however_the_grid_is_cut() {
+        let (two, three) = (StaticExecutor::new(2), StaticExecutor::new(3));
+        let execs: [&dyn Executor; 3] = [&SerialExecutor, &two, &three];
+        // Tile counts: 3 × 3 (odd), 2 × 1 (all below the 4 groups of a
+        // 64-wide block) and 3 × 3 × 3.
+        let shapes: [(&[usize], &[usize], &[usize]); 3] =
+            [(&[9, 13], &[3, 3], &[4, 6]), (&[6, 3], &[3, 3], &[4, 4]), (&[5, 5, 5], &[3, 3, 3], &[2, 2, 2])];
+        let mut splits_groups = [false; 4];
+        for (img, ker, m) in shapes {
+            let rank = img.len();
+            for batch in [1, 2] {
+                for (c, c_blk) in [(32, 16), (64, 32), (128, 64), (16, 16), (32, 32), (64, 64)] {
+                    let s = ConvShape::new(batch, c, 16, img, ker, &vec![1; rank]).unwrap();
+                    let block = BlockShape { n_blk: 6, c_blk, cp_blk: 16 };
+                    let opts = ConvOptions { block: Some(block), ..Default::default() };
+                    let layer = WinogradLayer::new_on(s, m, opts, Host::test(Pin::Staged, false)).unwrap();
+                    let input = test_image(batch, c, img);
+                    let mut dims = vec![batch, c / c_blk];
+                    dims.extend(&layer.grid.counts);
+                    dims.push(c_blk / S);
+                    for exec in execs {
+                        let threads = exec.threads();
+                        let inner = dims.len() - 1;
+                        let partition = wino_sched::GridPartition::new(&dims, threads);
+                        splits_groups[threads] |=
+                            partition.boxes.iter().any(|b| b.end[inner] - b.start[inner] < dims[inner]);
+                        let mut scratch = Scratch::new(&layer, threads);
+                        scratch.u.as_mut_slice().fill(f32::NAN);
+                        transform_inputs(&layer, &input, &mut scratch, exec).unwrap();
+                        let what =
+                            format!("img {img:?} batch {batch} C {c} C_blk {c_blk} on {threads} threads");
+                        assert_u_is_the_reference(&layer, &input, &scratch.u, &what);
                     }
                 }
             }
         }
-        // Each shape exercises both routes.
-        let tiles = batch * (c / S) * n_tiles;
-        assert!(interior > 0 && interior < tiles, "{interior} interior of {tiles} tiles");
+        assert_eq!(splits_groups[2..], [true, true], "2 and 3 threads must each split the groups");
+
+        // The dual ring's pass, into `u`'s bytes at its own `C_blk = S`.
+        for (img, ker, m) in shapes {
+            let rank = img.len();
+            let s = ConvShape::new(2, 64, 16, img, ker, &vec![1; rank]).unwrap();
+            let host = Host::test(Pin::Dual, false);
+            let layer = WinogradLayer::new_on(s, m, ConvOptions::default(), host).unwrap();
+            let BlockShape { n_blk, c_blk, .. } = layer.ring_gemm().shape();
+            assert!(layer.is_dual() && c_blk == S && layer.block.c_blk > S, "{img:?}: {:?}", layer.block);
+            let input = test_image(2, 64, img);
+            for exec in execs {
+                let mut scratch = Scratch::new(&layer, exec.threads());
+                scratch.u.as_mut_slice().fill(f32::NAN);
+                input_transform_pass(&layer, &input, (n_blk, c_blk), &mut scratch, exec).unwrap();
+                scratch.u.try_reshape(layer.t_vol(), layer.rows(), 64, n_blk, c_blk).unwrap();
+                let what = format!("dual pass, img {img:?} on {} threads", exec.threads());
+                assert_u_is_the_reference(&layer, &input, &scratch.u, &what);
+            }
+        }
     }
 
     #[test]

@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn power_of_two_grids_split_evenly() {
-        // Stage-1 style grid: B × C/S × N_D × N_H × N_W.
+        // A stage-style grid: batch × channel groups × tiles.
         let p = check_exact_cover(&[64, 8, 4, 28, 28], 64);
         assert_eq!(p.max_load(), p.min_load(), "power-of-two split must be perfectly even");
         assert_eq!(p.max_load(), p.total() / 64);

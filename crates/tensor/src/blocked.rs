@@ -163,18 +163,20 @@ impl BlockedImage {
     /// the C-loop blocking of grouped convolution. Both bounds must be
     /// multiples of `S` so the slice is whole channel groups: per batch
     /// item the block is then one contiguous run of the backing buffer.
-    pub fn channel_block(&self, c0: usize, count: usize) -> Result<BlockedImage, ShapeError> {
+    /// A refused copy is [`TensorError::Alloc`].
+    pub fn channel_block(&self, c0: usize, count: usize) -> Result<BlockedImage, TensorError> {
         if !c0.is_multiple_of(S) || count == 0 || !count.is_multiple_of(S) {
-            return Err(ShapeError::ChannelsNotVectorMultiple { channels: count.max(c0) });
+            return Err(ShapeError::ChannelsNotVectorMultiple { channels: count.max(c0) }.into());
         }
         if c0 + count > self.channels {
             return Err(ShapeError::Mismatch {
                 what: "channel block end",
                 expected: self.channels,
                 got: c0 + count,
-            });
+            }
+            .into());
         }
-        let mut out = BlockedImage::zeros(self.batch, count, &self.dims)?;
+        let mut out = BlockedImage::try_zeros(self.batch, count, &self.dims)?;
         let vol = self.spatial_volume();
         let run = (count / S) * vol * S;
         for b in 0..self.batch {
@@ -364,25 +366,27 @@ impl BlockedKernels {
     /// `[ci0, ci0 + ci_count)` and output channels `[co0, co0 + co_count)`
     /// — the C/C' blocking of grouped convolution. `co0` and `co_count`
     /// must be multiples of `S` (the vector runs over output channels);
-    /// input channels are the outer dimension and slice freely.
+    /// input channels are the outer dimension and slice freely. A refused
+    /// copy is [`TensorError::Alloc`].
     pub fn group_block(
         &self,
         ci0: usize,
         ci_count: usize,
         co0: usize,
         co_count: usize,
-    ) -> Result<BlockedKernels, ShapeError> {
+    ) -> Result<BlockedKernels, TensorError> {
         if !co0.is_multiple_of(S) || co_count == 0 || !co_count.is_multiple_of(S) {
-            return Err(ShapeError::ChannelsNotVectorMultiple { channels: co_count.max(co0) });
+            return Err(ShapeError::ChannelsNotVectorMultiple { channels: co_count.max(co0) }.into());
         }
         if ci0 + ci_count > self.in_channels || co0 + co_count > self.out_channels {
             return Err(ShapeError::Mismatch {
                 what: "kernel group block end",
                 expected: self.in_channels.max(self.out_channels),
                 got: (ci0 + ci_count).max(co0 + co_count),
-            });
+            }
+            .into());
         }
-        let mut out = BlockedKernels::zeros(ci_count, co_count, &self.dims)?;
+        let mut out = BlockedKernels::try_zeros(ci_count, co_count, &self.dims)?;
         let vol = self.spatial_volume();
         let run = (co_count / S) * vol * S;
         for ci in 0..ci_count {

@@ -26,7 +26,7 @@ cargo test --workspace 2>&1 | grep -E "test result" | tail -40
 
 mkdir -p results
 echo "== Figure 5 (layer runtimes; ~minutes) =="
-target/release/fig5 --reps 2 --jit --threads "$THREADS" $FULL > results/fig5_results.csv
+target/release/fig5 --reps 2 --threads "$THREADS" $FULL > results/fig5_results.csv
 echo "   -> results/fig5_results.csv"
 
 echo "== Figure 6 (batched GEMM throughput per V-hat size) =="

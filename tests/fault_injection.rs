@@ -718,6 +718,32 @@ fn oom_during_a_grouped_layer_is_rescued_or_typed() {
     let (rescued, typed) = oom_sweep_over_route(opts, LayerBackend::WinogradGrouped);
     assert!(rescued > 0, "light pressure on a grouped layer must be absorbed");
     assert!(typed > 0, "total pressure must fail typed, not abort");
+
+    // One refusal at each allocation of a warm forward in turn: #1 the
+    // layer's output, then per group #2 its input copy, #3 its kernel copy
+    // and #4 its output. Each lands — the copies too — and is rescued.
+    let policy = FallbackPolicy::default();
+    let (mut net, input, kernels) = geo_net(opts, &policy);
+    let (reference, _) = net.run_layer(0, &input, &kernels, &SerialExecutor, &policy).unwrap();
+    let allocs = 1 + 3 * opts.groups as u64;
+    for k in 1..=allocs + 1 {
+        mem_fault::reset();
+        mem_fault::arm_fail_every(k, 1);
+        let outcome = net.run_layer(0, &input, &kernels, &SerialExecutor, &policy);
+        let landed = mem_fault::injected_failures();
+        mem_fault::reset();
+        let (out, report) =
+            outcome.unwrap_or_else(|e| panic!("k={k}: one refusal must be absorbed, got {e:?}"));
+        if k > allocs {
+            assert_eq!(landed, 0, "a warm grouped forward allocates {allocs} buffers");
+            assert_eq!((report.backend, report.fallback), (LayerBackend::WinogradGrouped, None));
+            assert_eq!(out.as_slice(), reference.as_slice());
+            continue;
+        }
+        assert_eq!(landed, 1, "k={k}: the refusal must reach the allocator");
+        assert!(matches!(report.fallback, Some(FallbackReason::Memory { .. })), "k={k}");
+        assert_close(&out, &reference, 1e-2, &format!("grouped, refusal #{k}"));
+    }
 }
 
 #[test]
