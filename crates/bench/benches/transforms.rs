@@ -1,11 +1,14 @@
 //! Transform-codelet cost per tile: the generated straight-line codelets
 //! the stages run, for `Bᵀ`, `G` and `Aᵀ` of F(2|4|6, 3), F(3, 4) and
-//! F(2, 5) on one L1-resident 2-D tile — `*_generated` with one
-//! `wino_simd::dispatch` per tile, as the stages run them, `*_batched`
-//! with one dispatch around all the tiles, so the difference is the
-//! per-tile dispatch — and, on `wino-transforms`' scalar
-//! interpreter (`PairedProgram::apply`), the Fig. 2 pairing optimisation
-//! against the unpaired program.
+//! F(2, 5) on 2-D tiles — `*_generated` one L1-resident tile per
+//! `wino_simd::dispatch` and per `transform_tile` call, so each tile also
+//! pays the call's set-up (the table lookups and strides a stage builds
+//! once per fork–join); `*_batched` one dispatch around calls of
+//! `BATCH` tiles each, so the set-up is paid once per call, as the
+//! stages pay it, and the difference is the per-tile dispatch and set-up
+//! — and, on `wino-transforms`' scalar interpreter
+//! (`PairedProgram::apply`), the Fig. 2 pairing optimisation against the
+//! unpaired program.
 //!
 //! Plain `harness = false` benchmark: no registry dependencies, timing via
 //! `wino_workloads::time_best`. Run with
@@ -18,6 +21,10 @@ use wino_workloads::time_best;
 
 const REPS: usize = 20;
 const TILES_PER_REP: usize = 2_000;
+/// Tiles per `transform_tile` call in the `*_batched` rows: enough to
+/// amortise the set-up, few enough that input and output stay in the L2
+/// (200 KiB at F(6, 3)).
+const BATCH: usize = 25;
 
 fn unpaired(p: &PairedProgram, dense: &wino_transforms::F32Matrix) -> PairedProgram {
     let mp = MatrixProgram::compile(dense);
@@ -33,10 +40,10 @@ fn unpaired(p: &PairedProgram, dense: &wino_transforms::F32Matrix) -> PairedProg
     }
 }
 
-/// `tiles` 2-D tiles through the stages' tile driver on the active
-/// backend, in one dispatch — one tile is the granularity the stages use.
+/// `calls` calls of the stages' tile driver on the active backend, each
+/// over every tile of `input`, in one dispatch.
 struct StageTile<'a> {
-    tiles: usize,
+    calls: usize,
     which: Matrix,
     rows: &'a [(usize, usize)],
     input: &'a [f32],
@@ -50,7 +57,7 @@ impl Kernel for StageTile<'_> {
 
     #[inline(always)]
     fn run<V: Simd16>(self) {
-        for _ in 0..self.tiles {
+        for _ in 0..self.calls {
             transform_tile::<V>(
                 self.which,
                 self.rows,
@@ -102,8 +109,8 @@ fn main() {
         let rows = [(m, r), (m, r)];
         let alpha = plan.alpha();
         let t_vol = alpha * alpha;
-        let source: Vec<f32> = (0..t_vol * S).map(|i| (i % 97) as f32 * 0.01).collect();
-        let mut output = vec![0.0f32; t_vol * S];
+        let source: Vec<f32> = (0..BATCH * t_vol * S).map(|i| (i % 97) as f32 * 0.01).collect();
+        let mut output = vec![0.0f32; BATCH * t_vol * S];
         let mut tmp_a = AlignedVec::zeroed(t_vol * S);
         let mut tmp_b = AlignedVec::zeroed(t_vol * S);
 
@@ -111,13 +118,14 @@ fn main() {
         for (name, which, in_vol) in
             [("bt", Matrix::Bt, t_vol), ("g", Matrix::G, r * r), ("at", Matrix::At, t_vol)]
         {
-            let input = &source[..in_vol * S];
             let elems = (in_vol * S * TILES_PER_REP) as f64;
-            for (suffix, tiles) in [("generated", 1), ("batched", TILES_PER_REP)] {
+            // (tiles per call, calls per dispatch)
+            for (suffix, tiles, calls) in [("generated", 1, 1), ("batched", BATCH, TILES_PER_REP / BATCH)] {
+                let input = &source[..tiles * in_vol * S];
                 let t = time_best(REPS, || {
-                    for _ in 0..TILES_PER_REP / tiles {
+                    for _ in 0..TILES_PER_REP / (tiles * calls) {
                         wino_simd::dispatch(StageTile {
-                            tiles,
+                            calls,
                             which,
                             rows: &rows,
                             input,
@@ -138,11 +146,12 @@ fn main() {
         let bt = &plan.bt;
         let bt_unpaired = unpaired(bt, &plan.transform.bt.to_f32());
         let (mut line, mut out) = (vec![0.0f32; alpha], vec![0.0f32; alpha]);
-        let mut tile = source.clone();
+        let source = &source[..t_vol * S];
+        let mut tile = source.to_vec();
         for (name, prog) in [("bt_paired", bt), ("bt_unpaired", &bt_unpaired)] {
             let t = time_best(REPS, || {
                 for _ in 0..TILES_PER_REP {
-                    tile.copy_from_slice(std::hint::black_box(&source));
+                    tile.copy_from_slice(std::hint::black_box(source));
                     interpret_tile(prog, &mut tile, &mut line, &mut out);
                 }
             });

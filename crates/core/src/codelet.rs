@@ -367,34 +367,32 @@ impl<F: Family> TileTransform<F> {
     }
 }
 
-/// Copy a tile of `dims` vectors between two strided views.
+/// Copy a tile of `dims` vectors between two strided views, passing each
+/// vector through `f` on the way (the identity for a plain copy). The
+/// views may be one and the same (`f` in place), but must not otherwise
+/// overlap.
 ///
 /// # Safety
 /// Every vector of the source view must be valid for 16 reads, every
 /// vector of the destination view for 16 writes (64-byte aligned when
-/// `NT`); the views must not overlap.
+/// `NT`).
 #[inline(always)]
 pub(crate) unsafe fn copy_tile<V: Simd16, const NT: bool>(
     rank: usize,
     dims: &[usize; MAX_RANK],
-    src: *const f32,
-    src_strides: &Strides,
-    dst: *mut f32,
-    dst_strides: &Strides,
+    (src, src_strides): (*const f32, &Strides),
+    (dst, dst_strides): (*mut f32, &Strides),
+    mut f: impl FnMut(V) -> V,
 ) {
-    /// The one-vector "codelet" of a copy pass.
-    ///
-    /// # Safety
-    /// `inp` valid for 16 reads, `out` for 16 writes (aligned when `NT`).
-    #[inline(always)]
-    unsafe fn copy_vec<V: Simd16, const NT: bool>(inp: *const f32, _: usize, out: *mut f32, _: usize) {
-        // SAFETY: the caller's contract.
-        unsafe { generated::put::<V, NT>(V::load(inp), out) }
-    }
+    // The one-vector "codelet" of a copy pass.
+    let mut copy_vec = |inp: *const f32, _: usize, out: *mut f32, _: usize| {
+        // SAFETY: the pass visits only vectors of the caller's views.
+        unsafe { generated::put::<V, NT>(f(V::load(inp)), out) }
+    };
     let pass = Pass::new((src, *src_strides), (dst, *dst_strides), rank, rank, *dims);
     // SAFETY: with `d = rank` the pass visits every multi-index of
     // `dims`, each of which the caller's contract covers in both views.
-    unsafe { for_each_line!(&pass, copy_vec::<V, NT>) }
+    unsafe { for_each_line!(&pass, copy_vec) }
 }
 
 /// Which matrix of the `F(m, r)` triple [`transform_tile`] applies.
@@ -408,21 +406,24 @@ pub enum Matrix {
     At,
 }
 
-/// Transform one row-major tile of vectors along every dimension with
+/// Transform row-major tiles of vectors along every dimension with
 /// `which` matrix of the `F(m, r)` in `rows` (one per dimension), through
 /// the generated codelets.
 ///
 /// This is the safe, contiguous-to-contiguous face of the stages' tile
-/// driver, for benchmarks and differential tests. `input` holds the
-/// matrix's `∏ n_in` vectors — `α` per dimension for `Bᵀ` and `Aᵀ`, `r`
-/// for `G` — and `output` receives `∏ n_out` (`α`, or `m` for `Aᵀ`);
-/// `tmp_a` and `tmp_b` (64-byte aligned) each hold the largest
-/// intermediate tile — `∏ α · S` floats always suffices.
+/// driver, for benchmarks and differential tests. `input` holds one or
+/// more whole tiles back to back, each the matrix's `∏ n_in` vectors — `α`
+/// per dimension for `Bᵀ` and `Aᵀ`, `r` for `G` — and `output` receives
+/// as many tiles of `∏ n_out` (`α`, or `m` for `Aᵀ`). The transform is
+/// built once per call, as a stage builds it once per fork–join, so a
+/// multi-tile call times what the stages pay per tile. `tmp_a` and `tmp_b`
+/// (64-byte aligned) each hold the largest intermediate tile — `∏ α · S`
+/// floats always suffices.
 ///
 /// # Panics
 /// If a row is outside the table ([`in_table`]), the rank is not
-/// `1..=MAX_RANK`, a slice is too short or a temporary is not 64-byte
-/// aligned.
+/// `1..=MAX_RANK`, `input` is not a positive number of whole tiles, a
+/// slice is too short or a temporary is not 64-byte aligned.
 #[inline(always)]
 pub fn transform_tile<V: Simd16>(
     which: Matrix,
@@ -446,27 +447,23 @@ pub fn transform_tile<V: Simd16>(
         let xf = TileTransform::<F>::new(rows.iter().map(table));
         let rank = rows.len();
         let (in_dims, out_dims) = (xf.in_dims, xf.out_dims);
+        let in_tile = in_dims[..rank].iter().product::<usize>() * S;
+        let out_tile = out_dims[..rank].iter().product::<usize>() * S;
+        let tiles = input.len() / in_tile;
         let need = xf.tmp_vectors * S;
         let aligned = |s: &[f32]| (s.as_ptr() as usize).is_multiple_of(64);
-        assert!(input.len() >= in_dims[..rank].iter().product::<usize>() * S, "input too short");
-        assert!(output.len() >= out_dims[..rank].iter().product::<usize>() * S, "output too short");
+        assert!(tiles > 0 && input.len() == tiles * in_tile, "input is not a whole number of tiles");
+        assert!(output.len() >= tiles * out_tile, "output too short");
         assert!(tmp_a.len() >= need && tmp_b.len() >= need, "temporaries too short");
         assert!(aligned(tmp_a) && aligned(tmp_b), "temporaries must be 64-byte aligned");
-        let sink = Sink::Direct(Dest {
-            ptr: output.as_mut_ptr(),
-            strides: row_major(&out_dims[..rank], S),
-            nt: false,
-        });
-        // SAFETY: the lengths asserted above cover the row-major source
-        // and destination views and both temporaries; the four slices
-        // are distinct borrows.
-        unsafe {
-            xf.run::<V>(
-                input.as_ptr(),
-                &row_major(&in_dims[..rank], S),
-                sink,
-                [tmp_a.as_mut_ptr(), tmp_b.as_mut_ptr()],
-            );
+        let (in_strides, out_strides) = (row_major(&in_dims[..rank], S), row_major(&out_dims[..rank], S));
+        let tmp = [tmp_a.as_mut_ptr(), tmp_b.as_mut_ptr()];
+        for (src, dst) in input.chunks_exact(in_tile).zip(output.chunks_exact_mut(out_tile)) {
+            let sink = Sink::Direct(Dest { ptr: dst.as_mut_ptr(), strides: out_strides, nt: false });
+            // SAFETY: the lengths asserted above cover each tile's
+            // row-major source and destination view and both temporaries;
+            // the four slices are distinct borrows.
+            unsafe { xf.run::<V>(src.as_ptr(), &in_strides, sink, tmp) };
         }
     }
     assert!((1..=MAX_RANK).contains(&rows.len()), "rank must be 1..={MAX_RANK}");
@@ -691,6 +688,32 @@ mod tests {
                         tmp: &mut tmp,
                     });
                     assert_eq!(got, want, "{} {which:?} of F{shape:?}", backend.name());
+                }
+            }
+        }
+    }
+
+    /// One [`transform_tile`] call over a slice of several tiles writes
+    /// what one call per tile writes, on every matrix and backend.
+    #[test]
+    fn a_multi_tile_slice_equals_one_call_per_tile() {
+        const TILES: usize = 3;
+        let shape = [(4, 3), (2, 5)];
+        for backend in Backend::available() {
+            for which in [Matrix::Bt, Matrix::G, Matrix::At] {
+                let plans: Vec<FmrPlan> = shape.iter().map(|&(m, r)| FmrPlan::new(m, r)).collect();
+                let in_vol: usize = plans.iter().map(|p| program(which, p).n_in).product();
+                let out_vol: usize = plans.iter().map(|p| program(which, p).n_out).product();
+                let t_vol: usize = plans.iter().map(FmrPlan::alpha).product();
+                let input = filled(TILES * in_vol * S);
+                let mut tmp = [0, 1].map(|_| AlignedVec::try_zeroed(t_vol * S).unwrap());
+                let mut all = vec![f32::NAN; TILES * out_vol * S];
+                backend.run(WholeTile { which, rows: &shape, input: &input, output: &mut all, tmp: &mut tmp });
+                for (k, got) in all.chunks_exact(out_vol * S).enumerate() {
+                    let mut one = vec![f32::NAN; out_vol * S];
+                    let input = &input[k * in_vol * S..][..in_vol * S];
+                    backend.run(WholeTile { which, rows: &shape, input, output: &mut one, tmp: &mut tmp });
+                    assert_eq!(got, &one[..], "{} {which:?} tile {k}", backend.name());
                 }
             }
         }

@@ -16,6 +16,7 @@ use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices, ConvShape, Simp
 
 use crate::error::WinoError;
 use crate::plan::{ConvOptions, Scratch, WinogradLayer};
+use crate::stage3::Epilogue;
 use crate::{fused, stage1, stage2, stage3};
 
 /// Memoised kernel transforms (`W` of Table 1) for inference-only use —
@@ -57,17 +58,30 @@ impl WinogradLayer {
         scratch: &mut Scratch,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
+        self.forward_with(input, kernels, output, scratch, exec, Epilogue::NONE)
+    }
+
+    /// [`Self::forward`], applying `epilogue` in stage 3's store.
+    pub(crate) fn forward_with(
+        &self,
+        input: &BlockedImage,
+        kernels: &BlockedKernels,
+        output: &mut BlockedImage,
+        scratch: &mut Scratch,
+        exec: &dyn Executor,
+        epilogue: Epilogue,
+    ) -> Result<(), WinoError> {
         if self.runs_dual(exec) {
-            return fused::forward_dual(self, input, kernels, output, scratch, exec);
+            return fused::forward_dual(self, input, kernels, output, scratch, exec, epilogue);
         }
         if self.runs_fused(exec) {
             stage1::transform_kernels(self, kernels, scratch, exec)?;
-            return fused::forward(self, input, &scratch.v, output, scratch, exec);
+            return fused::forward(self, input, &scratch.v, output, scratch, exec, epilogue);
         }
         stage1::transform_inputs(self, input, scratch, exec)?;
         stage1::transform_kernels(self, kernels, scratch, exec)?;
         stage2::multiply(self, scratch, exec)?;
-        stage3::inverse_transform(self, scratch, output, exec)
+        stage3::inverse_transform_with(self, scratch, output, exec, epilogue)
     }
 
     /// Transform kernels once for repeated inference (§4.2 "Inference
@@ -97,12 +111,25 @@ impl WinogradLayer {
         scratch: &mut Scratch,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
+        self.forward_fx_with(input, kernels, output, scratch, exec, Epilogue::NONE)
+    }
+
+    /// [`Self::forward_fx`], applying `epilogue` in stage 3's store.
+    pub(crate) fn forward_fx_with(
+        &self,
+        input: &BlockedImage,
+        kernels: &TransformedKernels,
+        output: &mut BlockedImage,
+        scratch: &mut Scratch,
+        exec: &dyn Executor,
+        epilogue: Epilogue,
+    ) -> Result<(), WinoError> {
         if self.runs_fused(exec) {
-            return fused::forward(self, input, &kernels.v, output, scratch, exec);
+            return fused::forward(self, input, &kernels.v, output, scratch, exec, epilogue);
         }
         stage1::transform_inputs(self, input, scratch, exec)?;
         stage2::multiply_with(self, scratch, &kernels.v, exec)?;
-        stage3::inverse_transform(self, scratch, output, exec)
+        stage3::inverse_transform_with(self, scratch, output, exec, epilogue)
     }
 }
 

@@ -42,6 +42,7 @@ use crate::net::{FallbackReason, LayerBackend};
 use crate::plan::{keep_larger, ConvOptions, Host, PlanError, Scratch, Stage2Backend, WinogradLayer, MAX_RANK};
 use crate::select::{degrade, plan_walk, Candidate, Cause, FallbackPolicy};
 use crate::stage2::check_kernel_transforms;
+use crate::stage3::Epilogue;
 
 /// Which engine a dispatched layer runs on.
 #[derive(Debug)]
@@ -444,7 +445,7 @@ impl DispatchPlan {
         output: &mut BlockedImage,
         exec: &dyn Executor,
     ) -> Result<(), WinoError> {
-        self.forward_in(&mut Slot::default(), input, Kernels::raw(kernels), output, exec)
+        self.forward_in(&mut Slot::default(), input, Kernels::raw(kernels), output, exec, Epilogue::NONE)
     }
 
     /// The layer's prepared kernels (§4.2 "Inference only"): a copy of
@@ -474,6 +475,10 @@ impl DispatchPlan {
     /// [`Self::forward`] through a caller-owned `slot` — a
     /// [`crate::Network`]'s resident one. Every buffer the route needs
     /// beyond `output` is re-viewed from the slot or allocated fallibly.
+    /// `epilogue` rides stage 3's store where stage 3 writes `output` — a
+    /// dense stride-1 route, the one [`Self::winograd`] returns; every other
+    /// route applies it in one pass over `output` after it
+    /// ([`Epilogue::image`]).
     pub(crate) fn forward_in(
         &self,
         slot: &mut Slot,
@@ -481,6 +486,7 @@ impl DispatchPlan {
         kernels: Kernels<'_>,
         output: &mut BlockedImage,
         exec: &dyn Executor,
+        epilogue: Epilogue,
     ) -> Result<(), WinoError> {
         let s = &self.shape;
         ensure_eq("input batch", s.batch, input.batch)?;
@@ -491,25 +497,30 @@ impl DispatchPlan {
         ensure_dims_eq("output extent", &self.out_dims, &output.dims)?;
         ensure_eq("kernel in_channels (C / groups)", self.kernel_in_channels(), kernels.raw.in_channels)?;
         ensure_eq("kernel out_channels", s.out_channels, kernels.raw.out_channels)?;
-        if !self.strided() {
-            return self.run_route(&mut slot.scratch, input, kernels, output, exec);
+        if self.winograd().is_some() {
+            return self.run_route(&mut slot.scratch, input, kernels, output, exec, epilogue);
         }
-        // Stride as an epilogue: the route's stride-1 result, resident
-        // with the scratch, then every `s`-th site of it.
-        let dims = s.out_dims();
-        match &mut slot.dense {
-            Some(dense) => dense.try_reshape(s.batch, s.out_channels, &dims)?,
-            None => slot.dense = Some(BlockedImage::try_zeros(s.batch, s.out_channels, &dims)?),
+        if self.strided() {
+            // Stride as an epilogue: the route's stride-1 result, resident
+            // with the scratch, then every `s`-th site of it.
+            let dims = s.out_dims();
+            match &mut slot.dense {
+                Some(dense) => dense.try_reshape(s.batch, s.out_channels, &dims)?,
+                None => slot.dense = Some(BlockedImage::try_zeros(s.batch, s.out_channels, &dims)?),
+            }
+            let dense = slot.dense.as_mut().expect("dense image ensured above");
+            self.run_route(&mut slot.scratch, input, kernels, dense, exec, Epilogue::NONE)?;
+            subsample(dense, &self.geo.stride, output);
+        } else {
+            self.run_route(&mut slot.scratch, input, kernels, output, exec, Epilogue::NONE)?;
         }
-        let dense = slot.dense.as_mut().expect("dense image ensured above");
-        self.run_route(&mut slot.scratch, input, kernels, dense, exec)?;
-        subsample(dense, &self.geo.stride, output);
-        Ok(())
+        Ok(epilogue.image(output)?)
     }
 
     /// Run the route into `out`, overwriting every element of it: the
     /// layer's output, or (Winograd routes of a strided layer) its
-    /// stride-1 image.
+    /// stride-1 image. A dense route applies `epilogue` in stage 3's store;
+    /// the others ignore it.
     fn run_route(
         &self,
         slot: &mut Option<Scratch>,
@@ -517,14 +528,15 @@ impl DispatchPlan {
         kernels: Kernels<'_>,
         out: &mut BlockedImage,
         exec: &dyn Executor,
+        epilogue: Epilogue,
     ) -> Result<(), WinoError> {
         let threads = exec.threads();
         match &self.route {
             Route::Direct(plan) => {
                 let sc = ensure_scratch(slot, plan, threads)?;
                 match kernels.fx(plan) {
-                    Some(tk) => plan.forward_fx(input, tk, out, sc, exec),
-                    None => plan.forward(input, kernels.raw, out, sc, exec),
+                    Some(tk) => plan.forward_fx_with(input, tk, out, sc, exec, epilogue),
+                    None => plan.forward_with(input, kernels.raw, out, sc, exec, epilogue),
                 }
             }
             Route::Grouped { plan } => {

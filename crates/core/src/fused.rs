@@ -70,7 +70,7 @@ use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices};
 use crate::error::{ensure_at_least, WinoError};
 use crate::plan::{Scratch, ThreadBuf, WinogradLayer};
 use crate::stage1::{InputTransformCtx, KernelTransformCtx};
-use crate::stage3::Stage3Ctx;
+use crate::stage3::{Epilogue, Stage3Ctx};
 use crate::{stage1, stage2, stage3};
 
 /// Which driver runs a plan's forward pass, decided at plan time by
@@ -255,7 +255,6 @@ impl WinogradLayer {
 struct Faults {
     poison_u: bool,
     poison_x: bool,
-    poison_output: bool,
     corrupt_x: Option<wino_sched::fault::CorruptKind>,
 }
 
@@ -266,14 +265,14 @@ impl Faults {
         Faults {
             poison_u: take_poison_stage(1),
             poison_x: take_poison_stage(2),
-            poison_output: take_poison_stage(3),
             corrupt_x: take_corruption(2),
         }
     }
 }
 
 /// Convolve `input` with the kernel transforms `v` into `output` through
-/// the per-thread rings of `scratch`. `layer` must be a ring plan.
+/// the per-thread rings of `scratch`, applying `epilogue` as each output
+/// tile is written. `layer` must be a ring plan.
 pub(crate) fn forward(
     layer: &WinogradLayer,
     input: &BlockedImage,
@@ -281,6 +280,7 @@ pub(crate) fn forward(
     output: &mut BlockedImage,
     scratch: &Scratch,
     exec: &dyn Executor,
+    epilogue: Epilogue,
 ) -> Result<(), WinoError> {
     let Schedule::Ring { rows: n_blk } = layer.schedule else {
         unreachable!("the ring-fused driver runs ring plans only")
@@ -297,7 +297,7 @@ pub(crate) fn forward(
     let chunk = layer.t_vol() * S;
     let probe = exec.probe();
     let input_ctx = InputTransformCtx::new(layer, input, (n_blk, layer.block.c_blk), false, probe);
-    let output_ctx = Stage3Ctx::new(layer, output.as_mut_ptr());
+    let output_ctx = Stage3Ctx::new(layer, output.as_mut_ptr(), epilogue);
     #[cfg(feature = "fault-inject")]
     let faults = Faults::take();
     let start = span_start(probe);
@@ -363,12 +363,7 @@ pub(crate) fn forward(
     const PHASES: [SpanCategory; 3] =
         [SpanCategory::InputTransform, SpanCategory::ElementwiseGemm, SpanCategory::OutputTransform];
     collect_phases(probe, scratch, start, joined.is_ok(), PHASES);
-    joined?;
-    #[cfg(feature = "fault-inject")]
-    if faults.poison_output {
-        output.as_mut_slice()[0] = f32::NAN;
-    }
-    Ok(())
+    stage3::judge(scratch, output, epilogue, joined)
 }
 
 /// Operation ⑤⑥ for one ring panel: `X̂_t = Û_t · V̂_t` for every `t` and
@@ -414,7 +409,8 @@ unsafe fn multiply_panel(
 /// Convolve `input` with the raw `kernels` into `output` through the
 /// dual ring: the input transform into `scratch.u`, then one fork–join
 /// over the `C'/cols` column groups, each transforming its blocks of `V̂`
-/// into the calling thread's ring. `layer` must be a dual plan.
+/// into the calling thread's ring and applying `epilogue` as it writes
+/// its output tiles. `layer` must be a dual plan.
 pub(crate) fn forward_dual(
     layer: &WinogradLayer,
     input: &BlockedImage,
@@ -422,6 +418,7 @@ pub(crate) fn forward_dual(
     output: &mut BlockedImage,
     scratch: &mut Scratch,
     exec: &dyn Executor,
+    epilogue: Epilogue,
 ) -> Result<(), WinoError> {
     let BlockShape { n_blk, c_blk, cp_blk: cols } = layer.ring_gemm().shape();
     ensure_at_least("scratch thread slots", exec.threads(), scratch.thread_slots())?;
@@ -439,7 +436,7 @@ pub(crate) fn forward_dual(
     let chunk_offset = acc_offset + layer.row_blocks() * t_vol * n_blk * cols;
     let probe = exec.probe();
     let kernel_ctx = KernelTransformCtx::new(layer, kernels, (c_blk, cols), false);
-    let output_ctx = Stage3Ctx::new(layer, output.as_mut_ptr());
+    let output_ctx = Stage3Ctx::new(layer, output.as_mut_ptr(), epilogue);
     let scratch: &Scratch = scratch;
     #[cfg(feature = "fault-inject")]
     let faults = Faults::take();
@@ -507,12 +504,7 @@ pub(crate) fn forward_dual(
     const PHASES: [SpanCategory; 3] =
         [SpanCategory::KernelTransform, SpanCategory::ElementwiseGemm, SpanCategory::OutputTransform];
     collect_phases(probe, scratch, start, joined.is_ok(), PHASES);
-    joined?;
-    #[cfg(feature = "fault-inject")]
-    if faults.poison_output {
-        output.as_mut_slice()[0] = f32::NAN;
-    }
-    Ok(())
+    stage3::judge(scratch, output, epilogue, joined)
 }
 
 /// Operation ⑤ — and on the last reduction block ⑥ — of one dual column

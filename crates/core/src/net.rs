@@ -16,7 +16,9 @@
 //! Every layer is a [`DispatchPlan`], and the module owns the *run-time*
 //! walk over the degradation table of [`crate::select`] (DESIGN.md §5):
 //! one per-layer function executes the planned candidate, guards its
-//! output (numeric guard, then accuracy sentinels) and, when an
+//! output (numeric guard, then accuracy sentinels), activates it — guard
+//! and ReLU riding stage 3's store wherever stage 3 writes the output
+//! (`stage3::Epilogue`) — and, when an
 //! allocation is refused or a guard trips, re-plans the layer on whichever
 //! candidate the table offers next — a re-tiled Winograd plan or the
 //! im2col rescue — until one stands or the policy allows no further row.
@@ -30,10 +32,11 @@ use wino_tensor::{BlockedImage, BlockedKernels, ConvShape, ShapeError};
 
 use crate::conv::TransformedKernels;
 use crate::dispatch::{plan_at_rung, DispatchPlan, Kernels, Slot};
-use crate::error::{check_finite, NumericError, WinoError};
+use crate::error::{NumericError, WinoError};
 use crate::plan::{keep_larger, ConvOptions, Host, PlanError, Scratch, WinogradLayer};
 use crate::select::{degrade, Candidate, Cause, FallbackPolicy};
 use crate::sentinel::{verify_sample, SentinelError};
+use crate::stage3::Epilogue;
 
 /// Pointwise activation applied between layers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -41,16 +44,6 @@ pub enum Activation {
     #[default]
     None,
     Relu,
-}
-
-impl Activation {
-    fn apply(self, img: &mut BlockedImage) {
-        if self == Activation::Relu {
-            for v in img.as_mut_slice() {
-                *v = v.max(0.0);
-            }
-        }
-    }
 }
 
 /// Which implementation computed a layer's output. A strided layer
@@ -494,12 +487,21 @@ impl Network {
     }
 }
 
-/// Run `plan` once and judge what it produced: the numeric guard (NaN/Inf
-/// — on iff `policy.degrade`, and always for a rescue, whose second trip
-/// proves the corruption is not Winograd-specific, e.g. a non-finite
-/// layer input), then the accuracy sentinels (finite but wrong). A refused allocation, a guard
+/// Run `plan` once, judge what it produced and activate it: the numeric
+/// guard (NaN/Inf — on iff `policy.degrade`, and always for a rescue, whose
+/// second trip proves the corruption is not Winograd-specific, e.g. a
+/// non-finite layer input), then the accuracy sentinels (finite but
+/// wrong), then the ReLU when `relu`. A refused allocation, a guard
 /// trip and a sentinel trip come back as the typed [`WinoError`] the
-/// run-time walk maps to its [`Cause`]. The output is written into
+/// run-time walk maps to its [`Cause`].
+///
+/// Guard and ReLU are one [`Epilogue`], which the route applies: in stage
+/// 3's store where stage 3 writes the output, else in one pass over it
+/// ([`DispatchPlan::forward_in`]). With sentinels to run, the ReLU waits
+/// for their verdict, in a pass of its own: they verify the values before
+/// it.
+///
+/// The output is written into
 /// `parked` when the caller has one (a `Network`'s parked intermediate
 /// activation, re-viewed for the layer's output shape — every candidate's
 /// — and grown if it is too small; taken, so a failed attempt releases
@@ -513,6 +515,7 @@ fn attempt(
     kernels: Kernels<'_>,
     exec: &dyn Executor,
     policy: &FallbackPolicy,
+    relu: bool,
     rescue: bool,
     parked: &mut Option<BlockedImage>,
 ) -> Result<BlockedImage, WinoError> {
@@ -523,25 +526,24 @@ fn attempt(
         }
         None => plan.try_new_output()?,
     };
+    // Disabled sentinels do no work at all: no RNG, no oracle, no counters.
+    let verified = plan.winograd().filter(|_| policy.sentinel.samples > 0);
+    let guard = (rescue || policy.degrade).then_some(if rescue { "im2col rescue output" } else { "output" });
     let probe = exec.probe();
     let t0 = span_start(probe);
-    plan.forward_in(slot, input, kernels, &mut out, exec)?;
+    plan.forward_in(slot, input, kernels, &mut out, exec, Epilogue { relu: relu && verified.is_none(), guard })?;
     if rescue {
         // SAFETY: the coordinator thread, between fork–joins.
         unsafe { record_coord(probe, wino_probe::SpanCategory::FallbackRescue, t0) };
-        check_finite("im2col rescue output", out.as_slice())?;
-    } else if policy.degrade {
-        check_finite("output", out.as_slice())?;
     }
-    // Disabled sentinels do no work at all: no RNG, no oracle, no counters.
-    let sampled = policy.sentinel.samples > 0;
-    if let (Some(w), true) = (plan.winograd(), sampled) {
+    if let Some(w) = verified {
         let t0 = span_start(probe);
         let verdict = verify_sample(w, input, kernels.raw, &out, &policy.sentinel, index);
         // SAFETY: the coordinator thread, between fork–joins.
         unsafe { record_coord(probe, wino_probe::SpanCategory::SentinelVerify, t0) };
         let checked = verdict.inspect_err(|_| wino_probe::Counter::SentinelTrips.add(1))?;
         wino_probe::Counter::SentinelTilesChecked.add(checked as u64);
+        Epilogue { relu, guard: None }.image(&mut out)?;
     }
     Ok(out)
 }
@@ -549,9 +551,10 @@ fn attempt(
 /// Execute one layer — shared by every route and by every `Network`
 /// entry point: attempt the planned candidate, and while the attempt
 /// fails for a cause the degradation table covers, re-plan the layer on
-/// the next candidate and attempt that on the raw kernels. The guard runs
-/// BEFORE the activation: ReLU computes `f32::max(x, 0.0)`, which maps
-/// NaN to 0.0 and would hide the corruption.
+/// the next candidate and attempt that on the raw kernels. Each attempt
+/// applies the layer's activation, where stage 3 writes the output in its
+/// store; the guard judges the values BEFORE it: ReLU computes
+/// `max(x, 0)`, which maps NaN to 0 and would hide the corruption.
 #[allow(clippy::too_many_arguments)] // the layer, the arena's two buffers, and the call's context
 fn exec_layer(
     slot: &mut Slot,
@@ -581,12 +584,12 @@ fn exec_layer(
     loop {
         let plan = replanned.as_ref().unwrap_or(&layer.plan);
         let rescue = replanned.is_some() && plan.cand == Candidate::Im2col;
-        let failure = match attempt(plan, slot, index, input, kernels, exec, policy, rescue, &mut parked) {
-            Ok(mut out) => {
+        let relu = layer.activation == Activation::Relu;
+        let failure = match attempt(plan, slot, index, input, kernels, exec, policy, relu, rescue, &mut parked) {
+            Ok(out) => {
                 if replanned.is_some() {
                     tally(&report, rescue);
                 }
-                layer.activation.apply(&mut out);
                 return Ok((out, report));
             }
             Err(e) => e,
@@ -864,7 +867,7 @@ mod tests {
             for (plan, k) in alone.iter().zip(&kernels) {
                 let mut out = plan.new_output().unwrap();
                 plan.forward(&chained, k, &mut out, &mut Scratch::new(plan, 1), &SerialExecutor).unwrap();
-                Activation::Relu.apply(&mut out);
+                out.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
                 chained = out;
             }
             let (train, _) = net.run_net(&input, &kernels, &SerialExecutor, &FallbackPolicy::default()).unwrap();
@@ -1721,6 +1724,227 @@ mod arena_tests {
         specs[1].m = vec![40, 40];
         for pin in [Pin::Staged, Pin::Ring] {
             check(&Case { label: "im2col", c_in: 32, specs: specs.clone(), opts: ConvOptions::default(), host: pinned(pin) });
+        }
+    }
+}
+
+/// The epilogue battery: a layer's numeric guard and ReLU ride stage 3's
+/// store where stage 3 writes the output — staged, ring and dual, plain
+/// and streaming, full and ragged tiles — and one pass over the output on
+/// every other route. Either way a network's outputs are `==` its layers
+/// run alone through the public entry point (no epilogue) with a ReLU of
+/// the test's own, its reports are the planned ones, and a non-finite
+/// value fails exactly as a separate scan of the output fails it.
+#[cfg(test)]
+mod epilogue_tests {
+    use super::*;
+    use crate::plan::Pin;
+    use wino_sched::{SerialExecutor, StaticExecutor};
+    use wino_tensor::{SimpleImage, SimpleKernels};
+
+    /// Inputs and kernels of both signs, so that many pre-activations are
+    /// negative.
+    fn image(batch: usize, c: usize, dims: &[usize]) -> BlockedImage {
+        let img = SimpleImage::from_fn(batch, c, dims, |b, c, xy| {
+            ((b * 13 + c * 5 + xy[0] * 7 + xy[1] * 3) % 23) as f32 * 0.04 - 0.44
+        });
+        BlockedImage::from_simple(&img).unwrap()
+    }
+
+    fn kernels(net: &Network) -> Vec<BlockedKernels> {
+        let layer = |l: &NetLayer| {
+            let (cp, c, dims) = (l.plan.shape.out_channels, l.plan.kernel_in_channels(), &l.plan.shape.kernel_dims);
+            let k = SimpleKernels::from_fn(cp, c, dims, |co, ci, xy| {
+                ((co * 3 + ci * 7 + xy.iter().sum::<usize>() * 5) % 17) as f32 * 0.03 - 0.25
+            });
+            BlockedKernels::from_simple(&k).unwrap()
+        };
+        net.layers().iter().map(layer).collect()
+    }
+
+    /// The network's layers, each run alone through `DispatchPlan::forward`
+    /// and followed by a ReLU of its own: the final output, and how many
+    /// negative pre-activations the ReLUs clamped.
+    fn chained_by_hand(net: &Network, input: &BlockedImage, raw: &[BlockedKernels], exec: &dyn Executor) -> (BlockedImage, usize) {
+        let mut chained = input.clone();
+        let mut clamped = 0;
+        for (l, k) in net.layers().iter().zip(raw) {
+            let mut out = l.plan.new_output().unwrap();
+            l.plan.forward(&chained, k, &mut out, exec).unwrap();
+            if l.activation == Activation::Relu {
+                for v in out.as_mut_slice() {
+                    clamped += usize::from(*v < 0.0);
+                    *v = v.max(0.0);
+                }
+            }
+            chained = out;
+        }
+        (chained, clamped)
+    }
+
+    struct Case {
+        label: &'static str,
+        c_in: usize,
+        specs: Vec<LayerSpec>,
+        opts: ConvOptions,
+        host: Host,
+    }
+
+    /// Batch 2 over an 11 × 10 image: every F(2²) and F(4²) layer has
+    /// ragged tiles in its first dimension, the F(4²) ones in both.
+    const BATCH: usize = 2;
+    const DIMS: [usize; 2] = [11, 10];
+
+    /// Three 32-channel layers (a dual plan has two column groups, one per
+    /// thread), the middle one without an activation.
+    fn specs() -> Vec<LayerSpec> {
+        let mut specs = vec![LayerSpec::same(32, 2, 3, 4), LayerSpec::same(32, 2, 3, 2), LayerSpec::same(32, 2, 3, 4)];
+        specs[1].activation = Activation::None;
+        specs
+    }
+
+    fn check(case: &Case) {
+        let execs: [Box<dyn Executor>; 2] = [Box::new(SerialExecutor), Box::new(StaticExecutor::new(2))];
+        let policies = [FallbackPolicy::strict(), FallbackPolicy::default(), FallbackPolicy::with_sentinel(8, 0xe9)];
+        let mut net = Network::on_host(BATCH, case.c_in, &DIMS, &case.specs, case.opts, 2, &policies[1], 0, case.host).unwrap();
+        let raw = kernels(&net);
+        let input = image(BATCH, case.c_in, &DIMS);
+        let planned: Vec<_> = net.layers().iter().map(|l| (l.plan.backend(), l.planned_fallback)).collect();
+        for exec in &execs {
+            let (want, clamped) = chained_by_hand(&net, &input, &raw, exec.as_ref());
+            assert!(clamped > 0, "{}: no pre-activation was negative", case.label);
+            let set = net.prepare_kernels(&raw, exec.as_ref()).unwrap();
+            for policy in &policies {
+                let what = format!("{} on {} under {policy:?}", case.label, exec.name());
+                let (train, reports) = net.run_net(&input, &raw, exec.as_ref(), policy).unwrap();
+                assert_eq!(train.as_slice(), want.as_slice(), "{what}: training mode");
+                let got: Vec<_> = reports.iter().map(|r| (r.backend, r.fallback)).collect();
+                assert_eq!(got, planned, "{what}: training-mode reports");
+                let (fx, reports) = net.run_net_fx(&input, &set, exec.as_ref(), policy).unwrap();
+                assert_eq!(fx.as_slice(), want.as_slice(), "{what}: FX mode");
+                let got: Vec<_> = reports.iter().map(|r| (r.backend, r.fallback)).collect();
+                assert_eq!(got, planned, "{what}: FX-mode reports");
+            }
+        }
+    }
+
+    #[test]
+    fn every_schedule_and_store_flavour_equals_the_lone_plans_and_a_separate_relu() {
+        for (label, pin, streams) in [
+            ("staged", Pin::Staged, false),
+            ("staged, streaming", Pin::Staged, true),
+            ("ring", Pin::Ring, false),
+            ("ring, streaming", Pin::Ring, true),
+            ("dual", Pin::Dual, false),
+            ("dual, streaming", Pin::Dual, true),
+        ] {
+            let host = Host::test(pin, streams);
+            let net = Network::on_host(BATCH, 32, &DIMS, &specs(), ConvOptions::default(), 2, &FallbackPolicy::default(), 0, host);
+            for l in net.unwrap().layers() {
+                let plan = l.plan.winograd().expect("a dense stride-1 route");
+                assert_eq!(plan.streams, streams, "{label}");
+                let want = match pin {
+                    Pin::Staged => !plan.is_fused() && !plan.is_dual(),
+                    Pin::Ring => plan.is_fused(),
+                    Pin::Dual => plan.is_dual(),
+                };
+                assert!(want, "{label}: {:?}", plan.schedule);
+            }
+            check(&Case { label, c_in: 32, specs: specs(), opts: ConvOptions::default(), host });
+        }
+    }
+
+    #[test]
+    fn grouped_strided_and_im2col_layers_keep_their_outputs() {
+        let host = Host::detected();
+        let strided = ConvOptions::default().with_stride(&[2, 2]);
+        check(&Case { label: "strided", c_in: 32, specs: specs(), opts: strided, host });
+        let grouped = ConvOptions::default().with_groups(2);
+        check(&Case { label: "grouped", c_in: 32, specs: specs(), opts: grouped, host });
+        check(&Case { label: "strided and grouped", c_in: 32, specs: specs(), opts: grouped.with_stride(&[2, 1]), host });
+        // F(40²) plans no Winograd route: the last layer runs im2col.
+        let mut specs = specs();
+        specs[2].m = vec![40, 40];
+        check(&Case { label: "im2col", c_in: 32, specs, opts: ConvOptions::default(), host });
+    }
+
+    /// A guarded store reports the first non-finite element of the output,
+    /// as a scan of the unclamped output does, on every schedule and store
+    /// flavour, with and without the ReLU — and with the guard off, writes
+    /// what the unguarded pass and a separate ReLU write, NaN clamped to 0.
+    #[test]
+    fn a_guarded_store_trips_where_a_separate_scan_trips() {
+        for pin in [Pin::Staged, Pin::Ring, Pin::Dual] {
+            for streams in [false, true] {
+                let shape = ConvShape::new(BATCH, 32, 32, &DIMS, &[3, 3], &[1, 1]).unwrap();
+                let policy = FallbackPolicy::default();
+                let (plan, _) = plan_at_rung(&shape, &[4, 4], ConvOptions::default(), &policy, 0, Host::test(pin, streams)).unwrap();
+                let mut net = Network { layers: vec![], arena: Arena::default() };
+                net.layers.push(NetLayer { plan, activation: Activation::Relu, planned_fallback: None });
+                let plan = &net.layers[0].plan;
+                let raw = kernels(&net);
+                for (at, bad) in [(0, f32::NAN), (5 * 16 + 3, f32::INFINITY), (130 * 16 + 7, f32::NEG_INFINITY)] {
+                    let mut input = image(BATCH, 32, &DIMS);
+                    input.as_mut_slice()[at] = bad;
+                    for exec in [&SerialExecutor as &dyn Executor, &StaticExecutor::new(2)] {
+                        let what = format!("{pin:?}, streams {streams}, {bad} at {at}, {}", exec.name());
+                        let mut want = plan.new_output().unwrap();
+                        plan.forward(&input, &raw[0], &mut want, exec).unwrap();
+                        let trip = check_finite_of(&want).expect("a non-finite input reaches the output");
+                        for relu in [false, true] {
+                            let mut out = plan.new_output().unwrap();
+                            let epilogue = Epilogue { relu, guard: Some("output") };
+                            let got = plan.forward_in(&mut Slot::default(), &input, Kernels::raw(&raw[0]), &mut out, exec, epilogue);
+                            match got {
+                                Err(WinoError::Numeric(e)) => assert_eq!(e, trip, "{what}, relu {relu}"),
+                                other => panic!("{what}, relu {relu}: {other:?}"),
+                            }
+                        }
+                        let mut out = plan.new_output().unwrap();
+                        let epilogue = Epilogue { relu: true, guard: None };
+                        plan.forward_in(&mut Slot::default(), &input, Kernels::raw(&raw[0]), &mut out, exec, epilogue).unwrap();
+                        want.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
+                        assert_eq!(out.as_slice(), want.as_slice(), "{what}: unguarded");
+                        assert!(out.as_slice().iter().all(|v| v.is_finite() || *v == f32::INFINITY), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    fn check_finite_of(img: &BlockedImage) -> Option<NumericError> {
+        crate::error::check_finite("output", img.as_slice()).err()
+    }
+
+    /// A non-finite network input: strict, the layers run and the ReLUs
+    /// clamp what it spoiled, as the lone plans and a separate ReLU do;
+    /// under the default policy the first layer's guard trips, its im2col
+    /// rescue trips too, and that is the error, at the element a scan of
+    /// the rescue's output names.
+    #[test]
+    fn a_non_finite_input_fails_or_passes_as_the_separate_passes_did() {
+        for (label, pin) in [("staged", Pin::Staged), ("ring", Pin::Ring), ("dual", Pin::Dual)] {
+            let host = Host::test(pin, false);
+            let mut net = Network::on_host(BATCH, 32, &DIMS, &specs(), ConvOptions::default(), 2, &FallbackPolicy::default(), 0, host).unwrap();
+            let raw = kernels(&net);
+            let mut input = image(BATCH, 32, &DIMS);
+            input.as_mut_slice()[40 * 16 + 9] = f32::NAN;
+            for exec in [&SerialExecutor as &dyn Executor, &StaticExecutor::new(2)] {
+                let what = format!("{label} on {}", exec.name());
+                let (want, _) = chained_by_hand(&net, &input, &raw, exec);
+                let (out, reports) = net.run_net(&input, &raw, exec, &FallbackPolicy::strict()).unwrap();
+                assert_eq!(out.as_slice(), want.as_slice(), "{what}: strict");
+                assert!(reports.iter().all(|r| r.fallback.is_none()), "{what}: {reports:?}");
+
+                let rescue = net.layers[0].plan.replan(&Candidate::Im2col).unwrap();
+                let mut rescued = rescue.new_output().unwrap();
+                rescue.forward(&input, &raw[0], &mut rescued, exec).unwrap();
+                let trip = crate::error::check_finite("im2col rescue output", rescued.as_slice()).unwrap_err();
+                match net.run_net(&input, &raw, exec, &FallbackPolicy::default()) {
+                    Err(WinoError::Numeric(e)) => assert_eq!(e, trip, "{what}"),
+                    other => panic!("{what}: {:?}", other.map(|(_, r)| r)),
+                }
+            }
         }
     }
 }

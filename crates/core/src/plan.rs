@@ -552,6 +552,10 @@ pub(crate) struct ThreadBuf {
     /// Nanoseconds this slot spent in the three phases of the ring or dual
     /// fork–join in flight (written only while a probe collects spans).
     pub phase_ns: [u64; 3],
+    /// Whether the numeric guard saw a non-finite value in an output tile
+    /// this slot wrote in the fork–join in flight (`stage3::Epilogue`);
+    /// cleared by the coordinator after every fork–join (`stage3::judge`).
+    pub nonfinite: bool,
 }
 
 impl ThreadBuf {
@@ -684,7 +688,7 @@ impl Seam {
     /// `ring`-float ring.
     fn slot(self, tile: usize, ring: usize) -> Result<UnsafeCell<ThreadBuf>, wino_simd::AllocError> {
         let (a, b, ring) = (self.zeroed(tile)?, self.zeroed(tile)?, self.zeroed(ring)?);
-        Ok(UnsafeCell::new(ThreadBuf { a, b, ring, phase_ns: [0; 3] }))
+        Ok(UnsafeCell::new(ThreadBuf { a, b, ring, phase_ns: [0; 3], nonfinite: false }))
     }
 }
 

@@ -9,6 +9,16 @@
 //! into the image; a boundary tile with ceil-division overhang is staged
 //! in a thread buffer and clipped from there.
 //!
+//! The layer's `Epilogue` rides that write, while the `m`-tile is still
+//! in L1: the numeric guard folds a non-finite test of every written value
+//! into its thread slot's flag, then the ReLU clamps it — in place after a
+//! plain direct write, in the staged buffer before a streaming plan's (or a
+//! ragged tile's) copy, and only on the positions that are copied. The
+//! coordinator ORs the flags after the fork–join (`judge`) and, if one is
+//! set, finds the first offender in the output, so a `Network` makes no
+//! pass of its own over an image stage 3 wrote. The public entry point
+//! ([`inverse_transform`]) runs with no epilogue.
+//!
 //! Note the key algebraic property (Eqn. 7/8): `Aᵀ` is applied *after* the
 //! channel reduction of stage 2 — `BNC'/S` inverse transforms total,
 //! independent of `C`.
@@ -19,15 +29,147 @@
 //! column group in flight.
 
 use wino_sched::probed::{record_coord, span_start};
-use wino_sched::Executor;
+use wino_sched::{Executor, PoolError};
 use wino_simd::{Kernel, Simd16, S};
 use wino_tensor::BlockedImage;
 
 use crate::codelet::{copy_tile, row_major, At, Dest, Sink, Strides, TileTransform};
-use crate::error::{ensure_at_least, ensure_dims_eq, ensure_eq, WinoError};
+use crate::error::{check_finite, ensure_at_least, ensure_dims_eq, ensure_eq, NumericError, WinoError};
 use crate::layout::TileMajor;
 use crate::plan::{Scratch, ThreadBuf, WinogradLayer, MAX_RANK};
 use crate::stage1::{decompose, MutPtr};
+
+/// What a layer does to its output as it is written: the numeric guard,
+/// then the ReLU. The guard judges the values before the clamp, which maps
+/// NaN to 0 and would hide it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Epilogue {
+    /// Clamp every value at 0 (`Activation::Relu`).
+    pub(crate) relu: bool,
+    /// Flag a non-finite value (`FallbackPolicy::degrade`, or a rescue),
+    /// naming the image in the guard's error.
+    pub(crate) guard: Option<&'static str>,
+}
+
+impl Epilogue {
+    /// Write the output as it comes.
+    pub(crate) const NONE: Epilogue = Epilogue { relu: false, guard: None };
+
+    /// The epilogue as one pass over a whole image — for the routes whose
+    /// output stage 3 does not write: im2col, a strided layer's subsample,
+    /// a grouped layer's channel copies. The guard's error reports the
+    /// first non-finite element.
+    pub(crate) fn image(self, out: &mut BlockedImage) -> Result<(), NumericError> {
+        if self == Epilogue::NONE {
+            return Ok(());
+        }
+        let data = out.as_mut_slice();
+        let (mut dims, mut strides) = ([1usize; MAX_RANK], [0usize; MAX_RANK]);
+        (dims[0], strides[0]) = (data.len() / S, S);
+        let ptr = data.as_mut_ptr();
+        // The image as `len / S` consecutive vectors, rewritten in place.
+        let pass = EpilogueCopy::<false> { epilogue: self, rank: 1, dims: &dims, src: (ptr, &strides), dst: (ptr, &strides) };
+        let tripped = wino_simd::dispatch(pass);
+        match self.guard {
+            Some(stage) if tripped => check_finite(stage, out.as_slice()),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// Copy a strided view of `dims` vectors from `src` to `dst` — with
+/// streaming stores when `NT` — applying the epilogue on the way; the
+/// result is whether the guard saw a non-finite value. The two views may
+/// be one (in place). `x·0 + flag` is NaN exactly when `x` is not finite,
+/// so the test costs one FMA a vector. Under the guard the clamp keeps a
+/// non-finite value non-finite (NaN), so the scan that finds it (`judge`)
+/// finds the index it had.
+///
+/// One call on whichever backend runs it: dispatched for a whole image, and
+/// entered out of line from the tile body (`Simd16::enter`), which so
+/// carries a call rather than every monomorphic copy loop.
+///
+/// Built only where its views satisfy [`copy_tile`]'s contract.
+struct EpilogueCopy<'a, const NT: bool> {
+    epilogue: Epilogue,
+    rank: usize,
+    dims: &'a [usize; MAX_RANK],
+    src: (*mut f32, &'a Strides),
+    dst: (*mut f32, &'a Strides),
+}
+
+impl<const NT: bool> Kernel for EpilogueCopy<'_, NT> {
+    type Output = bool;
+
+    #[inline(always)]
+    fn run<V: Simd16>(self) -> bool {
+        let Self { epilogue, rank, dims, src, dst } = self;
+        let src = (src.0.cast_const(), src.1);
+        // SAFETY: `Epilogue::image` and `Stage3Ctx::finish`, the only
+        // constructors, hand it views that satisfy `copy_tile`'s contract.
+        unsafe {
+            match (epilogue.relu, epilogue.guard.is_some()) {
+                (false, false) => copy_as::<V, NT, false, false>(rank, dims, src, dst),
+                (true, false) => copy_as::<V, NT, true, false>(rank, dims, src, dst),
+                (false, true) => copy_as::<V, NT, false, true>(rank, dims, src, dst),
+                (true, true) => copy_as::<V, NT, true, true>(rank, dims, src, dst),
+            }
+        }
+    }
+}
+
+/// [`EpilogueCopy`]'s body for one `(relu, guard)`.
+///
+/// # Safety
+/// As [`copy_tile`].
+#[inline(always)]
+unsafe fn copy_as<V: Simd16, const NT: bool, const RELU: bool, const GUARD: bool>(
+    rank: usize,
+    dims: &[usize; MAX_RANK],
+    src: (*const f32, &Strides),
+    dst: (*mut f32, &Strides),
+) -> bool {
+    let zero = V::zero();
+    let mut judged = zero;
+    // SAFETY: the caller's views.
+    unsafe {
+        copy_tile::<V, NT>(rank, dims, src, dst, |x| {
+            if GUARD {
+                judged = x.mul_add(zero, judged);
+            }
+            match (RELU, GUARD) {
+                (false, _) => x,
+                (true, false) => x.max(zero),
+                (true, true) => x.mul_add(zero, x.max(zero)),
+            }
+        })
+    };
+    GUARD && judged.to_array().iter().any(|v| v.is_nan())
+}
+
+/// The coordinator's half of the guard, after a fork–join whose tasks
+/// wrote `output` through [`Stage3Ctx`]s applying `epilogue`: OR and clear
+/// every slot's flag — whether or not the join came through, so the next
+/// pass starts clean — then, if one was set, return the first non-finite
+/// element of `output` as the guard's error.
+pub(crate) fn judge(
+    scratch: &Scratch,
+    output: &BlockedImage,
+    epilogue: Epilogue,
+    joined: Result<(), PoolError>,
+) -> Result<(), WinoError> {
+    let mut tripped = false;
+    for slot in 0..scratch.thread_slots() {
+        // SAFETY: the fork–join has returned and the entry points hold the
+        // scratch `&mut`, so every slot is the coordinator's.
+        tripped |= std::mem::take(&mut unsafe { scratch.thread_buf(slot) }.nonfinite);
+    }
+    joined?;
+    match epilogue.guard {
+        Some(stage) if tripped => Ok(check_finite(stage, output.as_slice())?),
+        _ => Ok(()),
+    }
+}
 
 /// The per-tile body of the inverse transform — read one tile's `T`
 /// vectors, apply `Aᵀ` along every dimension, write the clipped `m`-tile
@@ -45,12 +187,18 @@ pub(crate) struct Stage3Ctx<'a> {
     out_channel_groups: usize,
     out_vol: usize,
     streaming: bool,
+    epilogue: Epilogue,
+    /// Fault injection: plant a NaN in output element 0 (stage 3's poison).
+    #[cfg(feature = "fault-inject")]
+    poison: bool,
 }
 
 impl<'a> Stage3Ctx<'a> {
     /// Build the shared state; the output write uses NT stores when the
-    /// plan streams ([`WinogradLayer::streams`]).
-    pub(crate) fn new(layer: &'a WinogradLayer, out: *mut f32) -> Stage3Ctx<'a> {
+    /// plan streams ([`WinogradLayer::streams`]) and applies `epilogue`.
+    /// Built by the coordinator once per fork–join, which is when an armed
+    /// stage-3 poison is taken.
+    pub(crate) fn new(layer: &'a WinogradLayer, out: *mut f32, epilogue: Epilogue) -> Stage3Ctx<'a> {
         let out_dims = &layer.grid.out_dims;
         Stage3Ctx {
             layer,
@@ -61,6 +209,9 @@ impl<'a> Stage3Ctx<'a> {
             out_channel_groups: layer.shape.out_channels / S,
             out_vol: out_dims.iter().product(),
             streaming: layer.streams,
+            epilogue,
+            #[cfg(feature = "fault-inject")]
+            poison: wino_sched::fault::take_poison_stage(3),
         }
     }
 
@@ -116,8 +267,17 @@ impl<'a> Stage3Ctx<'a> {
         // SAFETY: disjoint output tiles per the caller's contract; the
         // tile's first point is inside channel group `(b, og)`.
         let dst = self.out.get().add(origin);
+        #[cfg(feature = "fault-inject")]
+        let poison = self.poison && (b, og, n) == (0, 0, 0);
+        #[cfg(not(feature = "fault-inject"))]
+        let poison = false;
 
-        if full {
+        let out = (dst, &self.out_strides);
+        // A full tile on plain stores is written straight into the image
+        // and finished there while it is still in L1. A streaming store
+        // leaves nothing in L1 to finish, so with an epilogue (or the
+        // poison) such a tile is staged like a boundary one.
+        if full && !(self.streaming && (self.epilogue != Epilogue::NONE || poison)) {
             // SAFETY: `src` is the T·S-float `y` chunk; every point of a
             // full m-tile is an image point; `tb` holds T·S floats per
             // buffer.
@@ -127,20 +287,58 @@ impl<'a> Stage3Ctx<'a> {
                 Sink::Direct(Dest { ptr: dst, strides: self.out_strides, nt: self.streaming }),
                 tb.ptrs(),
             );
+            // SAFETY: the m-tile just written, this task's.
+            self.finish::<V, false>(tb, &extent, out, out, poison);
             return;
         }
 
-        // A boundary tile: stage the m-tile row-major, then copy the part
-        // inside the output extent.
+        // A boundary tile, or a streaming one with an epilogue: stage the
+        // m-tile row-major, then copy the part inside the output extent,
+        // applying the epilogue to exactly what is copied.
         // SAFETY: as above, with the result left in a thread buffer.
         let result = self.xf.run::<V>(src, &self.y_strides, Sink::Staged, tb.ptrs());
-        let staged = row_major(&grid.m, S);
-        // SAFETY: every point of `extent` is inside both the staged
-        // m-tile and the output image.
+        let staged = (result.cast_mut(), &row_major(&grid.m, S));
+        // SAFETY: `result` is one of `tb`'s buffers and holds the staged
+        // m-tile; every point of `extent` is inside it and the image.
         if self.streaming {
-            copy_tile::<V, true>(rank, &extent, result, &staged, dst, &self.out_strides);
+            self.finish::<V, true>(tb, &extent, staged, out, poison);
         } else {
-            copy_tile::<V, false>(rank, &extent, result, &staged, dst, &self.out_strides);
+            self.finish::<V, false>(tb, &extent, staged, out, poison);
+        }
+    }
+
+    /// Finish an `extent`-sized tile: plant the stage-3 poison in its first
+    /// float when `poison` (fault injection; output element 0 of tile
+    /// `(0, 0, 0)`), then copy it from `tile` to the image view `out` with
+    /// the epilogue applied — in place when the two are one, which without
+    /// an epilogue is nothing to do — folding the guard's verdict into the
+    /// slot's flag.
+    ///
+    /// # Safety
+    /// Every vector of both views must be valid for 16 reads and writes,
+    /// `out`'s 64-byte aligned when `NT`, and the caller's alone.
+    #[inline(always)]
+    unsafe fn finish<V: Simd16, const NT: bool>(
+        &self,
+        tb: &mut ThreadBuf,
+        extent: &[usize; MAX_RANK],
+        tile: (*mut f32, &Strides),
+        out: (*mut f32, &Strides),
+        poison: bool,
+    ) {
+        if poison {
+            // SAFETY: the tile's first float, the caller's.
+            unsafe { *tile.0 = f32::NAN };
+        }
+        if tile.0 == out.0 && self.epilogue == Epilogue::NONE {
+            return;
+        }
+        // The caller's views, which satisfy `copy_tile`'s contract.
+        let copy = EpilogueCopy::<NT> { epilogue: self.epilogue, rank: self.layer.rank(), dims: extent, src: tile, dst: out };
+        // Stored only when set: the slots' bufs share cache lines, and a
+        // store every tile would bounce them between the threads.
+        if V::enter(copy) {
+            tb.nonfinite = true;
         }
     }
 }
@@ -181,6 +379,17 @@ pub fn inverse_transform(
     output: &mut BlockedImage,
     exec: &dyn Executor,
 ) -> Result<(), WinoError> {
+    inverse_transform_with(layer, scratch, output, exec, Epilogue::NONE)
+}
+
+/// [`inverse_transform`], applying `epilogue` as each tile is written.
+pub(crate) fn inverse_transform_with(
+    layer: &WinogradLayer,
+    scratch: &mut Scratch,
+    output: &mut BlockedImage,
+    exec: &dyn Executor,
+    epilogue: Epilogue,
+) -> Result<(), WinoError> {
     ensure_at_least("scratch thread slots", exec.threads(), scratch.thread_slots())?;
     check_output(layer, output)?;
     scratch.materialise()?;
@@ -188,13 +397,13 @@ pub fn inverse_transform(
     let n_tiles = layer.n_tiles();
     let out_channel_groups = layer.shape.out_channels / S;
     let dims = [layer.shape.batch, out_channel_groups, n_tiles];
-    let ctx = Stage3Ctx::new(layer, output.as_mut_ptr());
+    let ctx = Stage3Ctx::new(layer, output.as_mut_ptr(), epilogue);
     let scratch_ref: &Scratch = scratch;
     let y: &TileMajor = &scratch_ref.y;
     let probe = exec.probe();
     let stage_start = span_start(probe);
 
-    exec.run_grid(&dims, &|slot, flat| {
+    let joined = exec.run_grid(&dims, &|slot, flat| {
         let n = flat % n_tiles;
         let og = (flat / n_tiles) % out_channel_groups;
         let b = flat / (n_tiles * out_channel_groups);
@@ -212,14 +421,12 @@ pub fn inverse_transform(
         // enumerates each (b, og, n) exactly once, so tasks own disjoint
         // output tiles.
         unsafe { ctx.tile(tb, y.tile(b, og, n).as_ptr(), b, og, n) };
-    })?;
-    // SAFETY: the coordinator thread, after the join.
-    unsafe { record_coord(probe, wino_probe::SpanCategory::OutputTransform, stage_start) };
-    #[cfg(feature = "fault-inject")]
-    if wino_sched::fault::take_poison_stage(3) {
-        output.as_mut_slice()[0] = f32::NAN;
+    });
+    if joined.is_ok() {
+        // SAFETY: the coordinator thread, after the join.
+        unsafe { record_coord(probe, wino_probe::SpanCategory::OutputTransform, stage_start) };
     }
-    Ok(())
+    judge(scratch_ref, output, epilogue, joined)
 }
 
 #[cfg(test)]

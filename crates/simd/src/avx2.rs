@@ -94,6 +94,12 @@ impl Simd16 for F32x16 {
     }
 
     #[inline(always)]
+    fn max(self, b: Self) -> Self {
+        // SAFETY: avx2 proven (type docs); register-only.
+        unsafe { F32x16(_mm256_max_ps(self.0, b.0), _mm256_max_ps(self.1, b.1)) }
+    }
+
+    #[inline(always)]
     fn enter<K: Kernel>(k: K) -> K::Output {
         // SAFETY: avx2 and fma proven (type docs): this `V` exists only
         // inside `arm`, which only a detected token enters.

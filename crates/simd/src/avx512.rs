@@ -82,6 +82,12 @@ impl Simd16 for F32x16 {
     }
 
     #[inline(always)]
+    fn max(self, b: Self) -> Self {
+        // SAFETY: avx512f proven (type docs); register-only.
+        unsafe { F32x16(_mm512_max_ps(self.0, b.0)) }
+    }
+
+    #[inline(always)]
     fn enter<K: Kernel>(k: K) -> K::Output {
         // SAFETY: avx512f proven (type docs): this `V` exists only
         // inside `arm`, which only a detected token enters.

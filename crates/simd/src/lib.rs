@@ -135,6 +135,12 @@ pub trait Simd16:
     /// backends (FMA), two on `scalar`.
     fn mul_add(self, b: Self, c: Self) -> Self;
 
+    /// Lane-wise maximum, `vmaxps` semantics: a lane where either operand
+    /// is NaN, or where both are zeros, takes `b`'s value. With a `b` that
+    /// is not NaN that is `f32::max(self, b)` up to the sign of a zero —
+    /// `max(x, 0)` is a ReLU that maps NaN to 0.
+    fn max(self, b: Self) -> Self;
+
     /// Copy lanes out into an array.
     fn to_array(self) -> [f32; 16];
 

@@ -51,6 +51,12 @@ impl Simd16 for F32x16 {
         F32x16(std::array::from_fn(|i| self.0[i] * b.0[i] + c.0[i]))
     }
 
+    /// As `vmaxps`: `b` unless `self` is greater (so NaN in either gives `b`).
+    #[inline(always)]
+    fn max(self, b: Self) -> Self {
+        F32x16(std::array::from_fn(|i| if self.0[i] > b.0[i] { self.0[i] } else { b.0[i] }))
+    }
+
     #[inline(never)]
     fn enter<K: Kernel>(k: K) -> K::Output {
         k.run::<F32x16>()

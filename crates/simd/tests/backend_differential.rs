@@ -113,3 +113,34 @@ fn every_op_matches_per_lane_arithmetic_on_every_backend() {
         }
     }
 }
+
+/// `x.max(zero)` over one vector of lanes.
+struct Relu<'a>(&'a [f32; 16]);
+
+impl Kernel for Relu<'_> {
+    type Output = [f32; 16];
+
+    #[inline(always)]
+    fn run<V: Simd16>(self) -> [f32; 16] {
+        V::from_slice(self.0).max(V::zero()).to_array()
+    }
+}
+
+/// `Simd16::max` against zero is the ReLU `f32::max(x, 0.0)` on every
+/// backend, lane for lane under `==` — NaN included, which gives 0 — over
+/// finite values, signed zeros, infinities and subnormals.
+#[test]
+fn max_against_zero_is_f32_max_on_every_backend() {
+    let sub = f32::from_bits(1);
+    let x: [f32; 16] = [
+        1.5, -1.5, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -f32::NAN,
+        sub, -sub, f32::MIN_POSITIVE / 2.0, -f32::MIN_POSITIVE, f32::MAX, f32::MIN, 3e-39, -7.25,
+    ];
+    for backend in Backend::available() {
+        let got = backend.run(Relu(&x));
+        for (i, (&g, &v)) in got.iter().zip(&x).enumerate() {
+            assert_eq!(g, v.max(0.0), "{} max lane {i}: max({v}, 0) = {g}", backend.name());
+            assert!(!g.is_nan(), "{} max lane {i}: NaN must give 0", backend.name());
+        }
+    }
+}

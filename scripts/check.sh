@@ -167,6 +167,16 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # network's with the numeric guard silent. Module filter, so a renamed
 # test cannot empty the gate.
 #
+# Epilogue gate: a layer's numeric guard and ReLU ride stage 3's store
+# (staged, ring and dual; plain and streaming; full and ragged tiles) and
+# are one pass over the output on every other route. `net::epilogue_tests`
+# holds a network's outputs and reports `==` its layers run alone with a
+# separate ReLU (training and FX, batch 2, serial and two threads, every
+# policy, grouped / strided / im2col layers too) and a guarded store's
+# error equal to a separate scan's; beside it the `Simd16::max` that
+# clamps, against `f32::max(x, 0.0)` on every backend the leg allows.
+# Module and test filters, so a rename cannot empty the gate.
+#
 # Figure gate: `fig6` on a small panel (its `jit` rows only under avx512)
 # must exit 0 on every backend.
 isas=(scalar)
@@ -206,7 +216,10 @@ for isa in "${isas[@]}"; do
         cargo test --offline -q -p wino-conv --lib -- conv::tests::both_store_flavours \
         conv::tests::jit_backend_matches_mono_backend conv::tests::jit_backend_parallel_and_fx
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
-        cargo test --offline -q -p wino-conv --lib -- net::arena_tests::
+        cargo test --offline -q -p wino-conv --lib -- net::arena_tests:: net::epilogue_tests::
+    run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
+        cargo test --offline -q -p wino-simd --test backend_differential -- \
+        max_against_zero_is_f32_max_on_every_backend
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-gemm -p wino-jit --lib
     run "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
@@ -231,7 +244,9 @@ run_filtered "$TEST_TIMEOUT" env -u WINO_SIMD cargo test --offline -q -p wino-si
 # sentinel-sampled forward with zero trips; (c) the sentinel sample and
 # verdicts must be executor-deterministic under the pinned CI seed;
 # (d) the denormal-storm and silent-corruption regressions must be
-# caught and rescued under fault injection, and (e) injected allocation
+# caught and rescued under fault injection, as must a NaN planted in any
+# stage — stage 3's in the store's epilogue, where the guard's flag sees
+# it — on a dense, a dual, a grouped and a strided layer, and (e) injected allocation
 # refusals must be re-tiled, rescued or typed on every route — the `oom_*`
 # tests are the only drivers of the degradation table's memory rows (there
 # is no plan-time budget), so they are named here.
@@ -242,6 +257,8 @@ run "$TEST_TIMEOUT" env WINO_SWEEP_SEED=3523158054 \
     cargo test --offline -q --test sentinel
 run_filtered "$TEST_TIMEOUT" cargo test --offline -q --features fault-inject \
     --test fault_injection -- denormal_storm silent_corruption \
+    poisoned_stage_degrades_to_im2col poisoned_grouped_and_strided_layers_degrade_to_im2col \
+    the_dual_ring_honours_every_stage_hook \
     oom_during_plan_seeding_is_deferred_not_fatal oom_ladder_depth_tracks_shot_count \
     oom_injection_disarmed_is_a_clean_run oom_during_a_grouped_layer_is_rescued_or_typed \
     oom_during_a_strided_layer_is_rescued_or_typed oom_during_a_sentinel_demotion_is_rescued_or_typed

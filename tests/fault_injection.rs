@@ -187,6 +187,36 @@ fn poisoned_stage_degrades_to_im2col() {
     fault::reset();
 }
 
+/// The same on the routes whose output stage 3 does not write itself — a
+/// grouped layer's channel copies and a strided layer's subsample — under
+/// a ReLU: the guard's one pass over the output sees the NaN before the
+/// ReLU could hide it.
+#[test]
+fn poisoned_grouped_and_strided_layers_degrade_to_im2col() {
+    let _guard = fault::test_lock();
+    let policy = FallbackPolicy::default();
+    for opts in [ConvOptions::default().with_groups(2), ConvOptions::default().with_stride(&[2, 2])] {
+        let (_, input, kernels) = geo_net(opts, &policy);
+        let spec = LayerSpec { out_channels: WIDE, activation: Activation::Relu, ..spec(&[2, 2]) };
+        let net = || Network::with_policy(1, WIDE, &[8, 8], std::slice::from_ref(&spec), opts, THREADS, &policy);
+        fault::reset();
+        let exec = StaticExecutor::new(THREADS);
+        let (reference, _) = net().unwrap().run_layer(0, &input, &kernels, &exec, &policy).expect("clean run");
+        for stage in 1u8..=3 {
+            fault::reset();
+            fault::arm_poison_stage(stage);
+            let (out, report) = net()
+                .unwrap()
+                .run_layer(0, &input, &kernels, &exec, &policy)
+                .unwrap_or_else(|e| panic!("{opts:?} stage {stage} poison must be rescued: {e}"));
+            assert_eq!(report.backend, LayerBackend::Im2col, "{opts:?} stage {stage}");
+            assert!(matches!(report.fallback, Some(FallbackReason::NumericGuard(_))), "{opts:?} stage {stage}");
+            assert_close(&out, &reference, 1e-4, &format!("{opts:?} stage {stage} im2col rescue"));
+        }
+    }
+    fault::reset();
+}
+
 /// A layer with no valid Winograd plan (tile far larger than the image)
 /// is planned and executed via im2col under the permissive policy, with
 /// the plan failure visible in the report — and the output still matches
