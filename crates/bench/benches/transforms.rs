@@ -1,6 +1,9 @@
 //! Transform-codelet cost per tile: the generated straight-line codelets
 //! the stages run, for `Bᵀ`, `G` and `Aᵀ` of F(2|4|6, 3), F(3, 4) and
-//! F(2, 5) on 2-D tiles — `*_generated` one L1-resident tile per
+//! F(2, 5) on 2-D tiles and of F(4, 3) on 3-D ones (`F(4.3)^3`, the
+//! `train3d_jit` and `net3d_fx` tile: 216 vectors, 13.5 KiB a tile, whose
+//! two ping-pong buffers beside source and sink outgrow a 48 KiB L1) —
+//! `*_generated` one L1-resident tile per
 //! `wino_simd::dispatch` and per `transform_tile` call, so each tile also
 //! pays the call's set-up (the table lookups and strides a stage builds
 //! once per fork–join); `*_batched` one dispatch around calls of
@@ -94,51 +97,60 @@ fn interpret_tile(bt: &PairedProgram, tile: &mut [f32], line: &mut [f32], out: &
     }
 }
 
+/// One CSV row: `best_ms` for `TILES_PER_REP` tiles of `elems` elements.
+fn row(bench: &str, fmr: &str, best_ms: f64, elems: f64) {
+    println!(
+        "{bench},{fmr},{best_ms:.3},{:.1},{:.1}",
+        best_ms * 1e6 / TILES_PER_REP as f64,
+        elems / best_ms / 1e3
+    );
+}
+
+/// The `*_generated` and `*_batched` rows of `Bᵀ`, `G` and `Aᵀ` of
+/// `F(m, r)` in every one of `rank` dimensions, through the stages'
+/// driver.
+fn codelet_rows(m: usize, r: usize, rank: usize, fmr: &str) {
+    let rows = vec![(m, r); rank];
+    let t_vol = (m + r - 1).pow(rank as u32);
+    let source: Vec<f32> = (0..BATCH * t_vol * S).map(|i| (i % 97) as f32 * 0.01).collect();
+    let mut output = vec![0.0f32; BATCH * t_vol * S];
+    let mut tmp_a = AlignedVec::zeroed(t_vol * S);
+    let mut tmp_b = AlignedVec::zeroed(t_vol * S);
+    for (name, which, in_vol) in
+        [("bt", Matrix::Bt, t_vol), ("g", Matrix::G, r.pow(rank as u32)), ("at", Matrix::At, t_vol)]
+    {
+        let elems = (in_vol * S * TILES_PER_REP) as f64;
+        // (tiles per call, calls per dispatch)
+        for (suffix, tiles, calls) in [("generated", 1, 1), ("batched", BATCH, TILES_PER_REP / BATCH)] {
+            let input = &source[..tiles * in_vol * S];
+            let t = time_best(REPS, || {
+                for _ in 0..TILES_PER_REP / (tiles * calls) {
+                    wino_simd::dispatch(StageTile {
+                        calls,
+                        which,
+                        rows: &rows,
+                        input,
+                        output: &mut output,
+                        tmp_a: tmp_a.as_mut_slice(),
+                        tmp_b: tmp_b.as_mut_slice(),
+                    });
+                }
+            });
+            std::hint::black_box(output.first());
+            row(&format!("{name}_{suffix}"), fmr, t.best_ms, elems);
+        }
+    }
+}
+
 fn main() {
     println!("# simd backend: {}", wino_simd::backend_name());
     println!("bench,fmr,best_ms,ns_per_tile,melem_per_s");
-    let row = |bench: &str, m: usize, r: usize, best_ms: f64, elems: f64| {
-        println!(
-            "{bench},F({m}.{r}),{best_ms:.3},{:.1},{:.1}",
-            best_ms * 1e6 / TILES_PER_REP as f64,
-            elems / best_ms / 1e3
-        );
-    };
     for (m, r) in [(2usize, 3usize), (4, 3), (6, 3), (3, 4), (2, 5)] {
         let plan = FmrPlan::new(m, r);
-        let rows = [(m, r), (m, r)];
         let alpha = plan.alpha();
         let t_vol = alpha * alpha;
-        let source: Vec<f32> = (0..BATCH * t_vol * S).map(|i| (i % 97) as f32 * 0.01).collect();
-        let mut output = vec![0.0f32; BATCH * t_vol * S];
-        let mut tmp_a = AlignedVec::zeroed(t_vol * S);
-        let mut tmp_b = AlignedVec::zeroed(t_vol * S);
-
-        // The generated codelets, through the stages' driver.
-        for (name, which, in_vol) in
-            [("bt", Matrix::Bt, t_vol), ("g", Matrix::G, r * r), ("at", Matrix::At, t_vol)]
-        {
-            let elems = (in_vol * S * TILES_PER_REP) as f64;
-            // (tiles per call, calls per dispatch)
-            for (suffix, tiles, calls) in [("generated", 1, 1), ("batched", BATCH, TILES_PER_REP / BATCH)] {
-                let input = &source[..tiles * in_vol * S];
-                let t = time_best(REPS, || {
-                    for _ in 0..TILES_PER_REP / (tiles * calls) {
-                        wino_simd::dispatch(StageTile {
-                            calls,
-                            which,
-                            rows: &rows,
-                            input,
-                            output: &mut output,
-                            tmp_a: tmp_a.as_mut_slice(),
-                            tmp_b: tmp_b.as_mut_slice(),
-                        });
-                    }
-                });
-                std::hint::black_box(output.first());
-                row(&format!("{name}_{suffix}"), m, r, t.best_ms, elems);
-            }
-        }
+        let fmr = format!("F({m}.{r})");
+        codelet_rows(m, r, 2, &fmr);
 
         // Fig. 2: paired vs unpaired program, both on the scalar
         // interpreter (an unpaired program has no generated form).
@@ -146,7 +158,8 @@ fn main() {
         let bt = &plan.bt;
         let bt_unpaired = unpaired(bt, &plan.transform.bt.to_f32());
         let (mut line, mut out) = (vec![0.0f32; alpha], vec![0.0f32; alpha]);
-        let source = &source[..t_vol * S];
+        let source: Vec<f32> = (0..t_vol * S).map(|i| (i % 97) as f32 * 0.01).collect();
+        let source = &source[..];
         let mut tile = source.to_vec();
         for (name, prog) in [("bt_paired", bt), ("bt_unpaired", &bt_unpaired)] {
             let t = time_best(REPS, || {
@@ -156,7 +169,8 @@ fn main() {
                 }
             });
             std::hint::black_box(tile.first());
-            row(name, m, r, t.best_ms, elems);
+            row(name, &fmr, t.best_ms, elems);
         }
     }
+    codelet_rows(4, 3, 3, "F(4.3)^3");
 }

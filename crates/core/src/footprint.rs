@@ -63,11 +63,11 @@ impl BufferBytes {
         BufferBytes {
             input: BlockedImage::bytes_for(batch, c, &shape.image_dims),
             kernels: c * cp * shape.kernel_dims.iter().product::<usize>() * 4,
-            u: held(!layer.is_fused(), BlockedMatrices::bytes_for(t, rows, c, blk.n_blk, blk.c_blk)),
+            u: held(!layer.is_fused(), layer.u_bytes()),
             x: held(staged, BlockedMatrices::bytes_for(t, rows, cp, blk.n_blk, blk.cp_blk)),
             y: held(staged, TileMajor::bytes_for(batch, cp, layer.n_tiles(), t)),
             v: BlockedMatrices::bytes_for(t, c, cp, blk.c_blk, blk.cp_blk),
-            ring: layer.ring_floats() * 4,
+            ring: layer.ring().floats * 4,
             output: BlockedImage::bytes_for(batch, cp, &shape.out_dims()),
         }
     }
@@ -79,12 +79,14 @@ pub struct MemoryFootprint {
     /// What [`Scratch::new`](crate::Scratch::new) holds besides the
     /// codelet buffers. A staged plan: `u` + `x` ([`BlockedMatrices`])
     /// and `y` ([`TileMajor`]). A ring plan ([`WinogradLayer::is_fused`]):
-    /// one ring per thread slot — `T·n_blk·(C + C')` floats each,
+    /// one ring per thread slot — about `T·n_blk·(C + C')` floats each,
     /// independent of the layer's extent. A dual plan
-    /// ([`WinogradLayer::is_dual`]): `u` and one ring per thread slot — a
-    /// block of `V̂`, an accumulator and a column group's chunks,
+    /// ([`WinogradLayer::is_dual`]): `u` — sized for the larger of its two
+    /// layouts — and one ring per thread slot — a block of `V̂`, an
+    /// accumulator and a column group's chunks, about
     /// `T·cols·(C_blk + 2·rows)` floats each (rows padded for the
-    /// accumulator).
+    /// accumulator). Every block and chunk counts its pad to an odd number
+    /// of lines (`wino_tensor::scatter_pitch`).
     pub scratch_bytes: usize,
     /// The transformed kernels `V̂`, on every schedule: what
     /// `prepare_kernels` allocates and hands to the `TransformedKernels`,
@@ -181,14 +183,14 @@ mod tests {
         // A ring per slot is all that grows with the thread count, and
         // once the ring is as tall as the L2 allows nothing of a fused
         // plan's scratch grows with the image or the batch.
-        let ring = fused.ring_floats() * 4;
+        let ring = fused.ring().floats * 4;
         assert_eq!(fused.footprint(4).scratch_bytes - fused.footprint(1).scratch_bytes, 3 * ring);
         let (small, large) = (layer(1, 16, 16, &[32, 32]), layer(4, 16, 16, &[64, 64]));
         assert_eq!(small.footprint(1).scratch_bytes, large.footprint(1).scratch_bytes);
         // A dual plan's scratch is `Û` and its rings: no `X̂` or `Y`.
         let b = BufferBytes::of(&dual);
         assert_eq!((b.x, b.y), (0, 0));
-        assert_eq!(dual.footprint(2).scratch_bytes, b.u + 2 * dual.ring_floats() * 4);
+        assert_eq!(dual.footprint(2).scratch_bytes, b.u + 2 * dual.ring().floats * 4);
     }
 
     /// `prepare_kernels` allocates what the model prices as transformed
@@ -207,7 +209,10 @@ mod tests {
             assert_eq!(observed, fp.transformed_kernel_bytes, "{case}");
             assert_eq!(observed, memo.bytes(), "{case}");
             assert_eq!(s.v.bytes(), 0, "{case}");
-            assert_eq!(memo.bytes(), l.t_vol() * c * cp * 4, "{case}");
+            // Every block is an even number of lines here, so each is padded
+            // by one line.
+            let blocks = (c / l.block.c_blk) * (cp / l.block.cp_blk);
+            assert_eq!(memo.bytes(), l.t_vol() * (c * cp + blocks * S) * 4, "{case}");
         }
     }
 

@@ -49,6 +49,12 @@
 //! * **the three stages** for every other plan, and for any call with more
 //!   executor threads than ring panels or dual column groups.
 //!
+//! In a ring, as in the layer-sized buffers, the blocks a tile's `T`
+//! vectors scatter into — a ring's `[n_blk][C]` blocks of `Û`, a dual
+//! ring's `[C_blk][cols]` blocks of `V̂`, both rings' `[T][S]` chunks — are
+//! contiguous and one pitch apart, an odd number of lines
+//! ([`wino_tensor::scatter_pitch`]; [`RingLayout`]).
+//!
 //! Both rings multiply through the kernels the plan built once beside the
 //! staged ones ([`WinogradLayer::ring_gemm`]). Tiles, codelets and every
 //! element's FMA chain — one FMA per input channel, in ascending order,
@@ -65,9 +71,10 @@ use wino_probe::{Collector, SpanCategory};
 use wino_sched::probed::{record_coord_span, span_start};
 use wino_sched::Executor;
 use wino_simd::S;
-use wino_tensor::{BlockedImage, BlockedKernels, BlockedMatrices};
+use wino_tensor::{scatter_pitch, BlockedImage, BlockedKernels, BlockedMatrices};
 
 use crate::error::{ensure_at_least, WinoError};
+use crate::layout::TileMajor;
 use crate::plan::{Scratch, ThreadBuf, WinogradLayer};
 use crate::stage1::{InputTransformCtx, KernelTransformCtx};
 use crate::stage3::{Epilogue, Stage3Ctx};
@@ -226,7 +233,57 @@ pub(crate) fn streams(hand_off_bytes: usize, llc_bytes: usize) -> bool {
     hand_off_bytes > llc_bytes / LLC_SHARE
 }
 
+/// Where one thread slot's ring keeps what, in floats from its start.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RingLayout {
+    /// From one `t` block to the next of the ring's first part — a ring's
+    /// `n_blk × C` block of `Û`, a dual ring's `C_blk × cols` block of
+    /// `V̂`: the block's [`scatter_pitch`].
+    pub t_pitch: usize,
+    /// Start of a dual ring's accumulator, `[row block][t][n_blk][cols]`
+    /// (a ring has none: its chunks start here).
+    pub acc: usize,
+    /// Start of the tile-major chunks, one `chunk` apart.
+    pub chunks: usize,
+    /// [`TileMajor::chunk_pitch`]: from one chunk to the next.
+    pub chunk: usize,
+    /// Floats of the whole ring; 0 for a staged plan.
+    pub floats: usize,
+}
+
+impl RingLayout {
+    /// The ring of a plan of `schedule` on a layer of tile volume `t_vol`,
+    /// `c → cp` channels, `rows` panel rows and a staged panel height of
+    /// `n_blk`. A ring plan's: `T` blocks of `Û`, then `C'/S · n_blk`
+    /// chunks (`[C'/S][n_blk][T][S]`). A dual plan's: `T` blocks of `V̂`,
+    /// the accumulator over every row block, then `B · cols/S · N` chunks
+    /// (`[B][cols/S][N][T][S]`).
+    pub(crate) fn of(schedule: Schedule, t_vol: usize, (c, cp): (usize, usize), rows: usize, n_blk: usize) -> RingLayout {
+        let chunk = TileMajor::chunk_pitch(t_vol);
+        match schedule {
+            Schedule::Staged => RingLayout { t_pitch: 0, acc: 0, chunks: 0, chunk, floats: 0 },
+            Schedule::Ring { rows: n } => {
+                let t_pitch = scatter_pitch(n * c);
+                let chunks = t_vol * t_pitch;
+                RingLayout { t_pitch, acc: chunks, chunks, chunk, floats: chunks + cp / S * n * chunk }
+            }
+            Schedule::Dual { c_blk, cols } => {
+                let t_pitch = scatter_pitch(c_blk * cols);
+                let acc = t_vol * t_pitch;
+                let chunks = acc + rows.div_ceil(n_blk) * t_vol * n_blk * cols;
+                RingLayout { t_pitch, acc, chunks, chunk, floats: chunks + rows * cols / S * chunk }
+            }
+        }
+    }
+}
+
 impl WinogradLayer {
+    /// This plan's [`RingLayout`].
+    pub(crate) fn ring(&self) -> RingLayout {
+        let channels = (self.shape.in_channels, self.shape.out_channels);
+        RingLayout::of(self.schedule, self.t_vol(), channels, self.rows(), self.block.n_blk)
+    }
+
     /// Whether a forward pass on `exec` takes the ring-fused driver: the
     /// plan is a ring plan and has a panel for every thread.
     pub(crate) fn runs_fused(&self, exec: &dyn Executor) -> bool {
@@ -293,8 +350,7 @@ pub(crate) fn forward(
     let (rows, n_tiles) = (layer.rows(), layer.n_tiles());
     let (in_groups, out_groups) = (layer.shape.in_channels / S, layer.shape.out_channels / S);
     // The ring: an n_blk-row block of Û, then the rows' X̂ chunks.
-    let u_floats = layer.t_vol() * n_blk * layer.shape.in_channels;
-    let chunk = layer.t_vol() * S;
+    let RingLayout { chunks, chunk, .. } = layer.ring();
     let probe = exec.probe();
     let input_ctx = InputTransformCtx::new(layer, input, (n_blk, layer.block.c_blk), false, probe);
     let output_ctx = Stage3Ctx::new(layer, output.as_mut_ptr(), epilogue);
@@ -306,9 +362,9 @@ pub(crate) fn forward(
         // SAFETY: slot exclusivity per the Executor contract.
         let tb = unsafe { scratch.thread_buf(slot) };
         let ring_u = tb.ring.as_mut_ptr();
-        // SAFETY: the ring holds `WinogradLayer::ring_floats`:
-        // `u_floats` of Û, then `C'/S · n_blk` chunks.
-        let ring_x = unsafe { ring_u.add(u_floats) };
+        // SAFETY: the ring holds the plan's `RingLayout`: `T` blocks of Û,
+        // then `C'/S · n_blk` chunks from `chunks`.
+        let ring_x = unsafe { ring_u.add(chunks) };
         let row0 = i * n_blk;
         let panel_rows = n_blk.min(rows - row0);
         let t0 = span_start(probe);
@@ -371,10 +427,11 @@ pub(crate) fn forward(
 /// reduction block, so every call is a β = 0 scatter.
 ///
 /// # Safety
-/// `ring_u` must hold an `n_blk`-row block of `Û` (`[t][n_blk][C]`) whose
-/// first `panel_rows` rows are written, `ring_x` must be valid for
-/// `C'/S · n_blk` chunks of `T·S` floats, 64-byte aligned, and `v` must
-/// be kernel transforms of `layer`; the caller owns both halves.
+/// `ring_u` must hold an `n_blk`-row block of `Û` (`[t][n_blk][C]`, the
+/// `t` blocks one [`RingLayout::t_pitch`] apart) whose first `panel_rows`
+/// rows are written, `ring_x` must be valid for `C'/S · n_blk` chunks one
+/// [`RingLayout::chunk`] apart, 64-byte aligned, and `v` must be kernel
+/// transforms of `layer`; the caller owns both halves.
 unsafe fn multiply_panel(
     layer: &WinogradLayer,
     v: &BlockedMatrices,
@@ -383,8 +440,8 @@ unsafe fn multiply_panel(
     n_blk: usize,
     panel_rows: usize,
 ) {
-    let (t_vol, c, cp_blk) = (layer.t_vol(), layer.shape.in_channels, layer.block.cp_blk);
-    let chunk = t_vol * S;
+    let (t_vol, cp_blk) = (layer.t_vol(), layer.block.cp_blk);
+    let RingLayout { t_pitch, chunk, .. } = layer.ring();
     let mut row_ptrs = [std::ptr::null_mut::<f32>(); MAX_N_BLK];
     // Column blocks outermost: within one, V̂'s `t` blocks are contiguous
     // and Û's too, so both stream.
@@ -400,7 +457,7 @@ unsafe fn multiply_panel(
             // `row_ptrs[..panel_rows]` are aligned rows of `ring_x`. With
             // β = 0 the scatter never dereferences its `x`: the ring is
             // merely a valid address to hand it.
-            let blocks = (ring_u.add(t * n_blk * c), v.as_ptr().add(v.block_offset(0, j, t)), ring_x);
+            let blocks = (ring_u.add(t * t_pitch), v.as_ptr().add(v.block_offset(0, j, t)), ring_x);
             layer.ring_gemm().block(panel_rows, 0, blocks, &row_ptrs, stage2::NO_PREFETCH);
         }
     }
@@ -428,12 +485,10 @@ pub(crate) fn forward_dual(
     // `Û` in `u`'s bytes, at the dual ring's `C_blk`.
     stage1::input_transform_pass(layer, input, (n_blk, c_blk), scratch, exec)?;
 
-    let (rows, n_tiles, t_vol) = (layer.rows(), layer.n_tiles(), layer.t_vol());
+    let (rows, n_tiles) = (layer.rows(), layer.n_tiles());
     let vecs_per_group = cols / S;
-    let chunk = t_vol * S;
     // The ring: the kernel block, then the accumulator, then the chunks.
-    let acc_offset = t_vol * c_blk * cols;
-    let chunk_offset = acc_offset + layer.row_blocks() * t_vol * n_blk * cols;
+    let RingLayout { acc: acc_offset, chunks: chunk_offset, chunk, .. } = layer.ring();
     let probe = exec.probe();
     let kernel_ctx = KernelTransformCtx::new(layer, kernels, (c_blk, cols), false);
     let output_ctx = Stage3Ctx::new(layer, output.as_mut_ptr(), epilogue);
@@ -446,7 +501,7 @@ pub(crate) fn forward_dual(
         // SAFETY: slot exclusivity per the Executor contract.
         let tb = unsafe { scratch.thread_buf(slot) };
         let ring_v = tb.ring.as_mut_ptr();
-        // SAFETY: the ring holds `WinogradLayer::ring_floats`: the kernel
+        // SAFETY: the ring holds the plan's `RingLayout`: the kernel
         // block, the accumulator, then `B · cols/S · N` chunks.
         let (acc, chunks) = unsafe { (ring_v.add(acc_offset), ring_v.add(chunk_offset)) };
         let og0 = j * vecs_per_group;
@@ -515,10 +570,11 @@ pub(crate) fn forward_dual(
 ///
 /// # Safety
 /// `ring_v` must hold the `[t][C_blk][cols]` kernel block of reduction
-/// block `k`, `acc` must be valid for `row blocks · T · n_blk · cols`
-/// floats and `chunks` for `B · cols/S · N · T · S`, both 64-byte aligned
-/// and the caller's alone, and `u` must hold transformed inputs of
-/// `layer` laid out at the dual ring's `C_blk`.
+/// block `k` (the `t` blocks one [`RingLayout::t_pitch`] apart), `acc`
+/// must be valid for `row blocks · T · n_blk · cols` floats and `chunks`
+/// for `B · cols/S · N` chunks one [`RingLayout::chunk`] apart, both
+/// 64-byte aligned and the caller's alone, and `u`'s bytes must hold
+/// transformed inputs of `layer` laid out at the dual ring's `C_blk`.
 unsafe fn multiply_block(
     layer: &WinogradLayer,
     u: &BlockedMatrices,
@@ -531,20 +587,24 @@ unsafe fn multiply_block(
     let BlockShape { n_blk, c_blk, cp_blk: cols } = gemm.shape();
     let (rows, n_tiles, t_vol) = (layer.rows(), layer.n_tiles(), layer.t_vol());
     let k_blocks = layer.shape.in_channels / c_blk;
+    let RingLayout { t_pitch, chunk, .. } = layer.ring();
+    // The pitch of `Û`'s `n_blk × C_blk` blocks, as `input_transform_pass`
+    // laid them out.
+    let u_pitch = scatter_pitch(n_blk * c_blk);
     let mut row_ptrs = [std::ptr::null_mut::<f32>(); MAX_N_BLK];
     for t in 0..t_vol {
-        let v_blk = ring_v.add(t * c_blk * cols);
-        for i in 0..u.row_blocks() {
+        let v_blk = ring_v.add(t * t_pitch);
+        for i in 0..rows.div_ceil(n_blk) {
             let panel_rows = n_blk.min(rows - i * n_blk);
             if k + 1 == k_blocks {
                 for r in 0..panel_rows {
                     let (b, n) = ((i * n_blk + r) / n_tiles, (i * n_blk + r) % n_tiles);
                     // SAFETY: position `t` of chunk (b, 0, n).
-                    row_ptrs[r] = chunks.add((b * (cols / S) * n_tiles + n) * t_vol * S + t * S);
+                    row_ptrs[r] = chunks.add((b * (cols / S) * n_tiles + n) * chunk + t * S);
                 }
             }
             // Block (i, k, t) of a `BlockedMatrices` of `C_blk`-wide blocks.
-            let u_blk = u.as_ptr().add(((i * k_blocks + k) * t_vol + t) * n_blk * c_blk);
+            let u_blk = u.as_ptr().add(((i * k_blocks + k) * t_vol + t) * u_pitch);
             let x_blk = acc.add((i * t_vol + t) * n_blk * cols);
             // SAFETY: the dual ring's kernels, scattering at the chunks'
             // group stride — they are a `TileMajor` of `cols` channels —
@@ -735,6 +795,45 @@ mod tests {
         // chunks, 864 KiB — no longer fits ¾ of the L2.
         assert_eq!(schedules_at(MIB), "RRRRSSSSSSSDS");
         assert!(dual_fits(216, 128, 128, 16, 2 * MIB, S, S) && !dual_fits(216, 128, 128, 16, MIB, S, S));
+    }
+
+    /// At every `SCHEDULED` layer's planned blocking and schedule on a
+    /// 2 MiB L2 — the benchmark's layers among them — every block a tile's
+    /// `T` vectors scatter into is an odd number of 64-byte lines from the
+    /// next: `Û`, `V̂` and `X̂`'s blocks, the tile-major chunks, a ring's
+    /// `Û` blocks, a dual ring's `V̂` blocks, chunks and 16-wide `Û`. So one
+    /// tile's `T` positions, any 64 of them, take 64 sets of a 64-set L1.
+    #[test]
+    fn every_scatter_pitch_is_an_odd_number_of_lines() {
+        let line = 64 / std::mem::size_of::<f32>();
+        for &(name, t, c, cp, rows) in &SCHEDULED {
+            let block = wino_gemm::default_shape(c, cp, rows);
+            let BlockShape { n_blk, c_blk, cp_blk } = block;
+            let blocks = |rb, cb| BlockedMatrices::new(2, rb, cb, rb, cb);
+            let chunks = TileMajor::new(1, S, 2, t);
+            let mut pitches = vec![
+                ("Û", blocks(n_blk, c_blk).t_stride()),
+                ("V̂", blocks(c_blk, cp_blk).block_offset(0, 0, 1)),
+                ("X̂", blocks(n_blk, cp_blk).t_stride()),
+                ("Y", chunks.vec_offset(0, 0, 1, 0) - chunks.vec_offset(0, 0, 0, 0)),
+            ];
+            let sched = schedule(t, c, cp, rows, 2 * MIB, block, false);
+            let ring = RingLayout::of(sched, t, (c, cp), rows, n_blk);
+            match sched {
+                Schedule::Ring { .. } => pitches.extend([("ring Û", ring.t_pitch), ("ring X̂", ring.chunk)]),
+                Schedule::Dual { c_blk, .. } => pitches.extend([
+                    ("dual V̂", ring.t_pitch),
+                    ("dual chunks", ring.chunk),
+                    ("dual Û", blocks(n_blk, c_blk).t_stride()),
+                ]),
+                Schedule::Staged => {}
+            }
+            for (what, pitch) in pitches {
+                assert_eq!((pitch % line, pitch / line % 2), (0, 1), "{name}: {what} pitch {pitch}");
+                let sets: std::collections::HashSet<_> = (0..t.min(64)).map(|k| k * pitch / line % 64).collect();
+                assert_eq!(sets.len(), t.min(64), "{name}: {what}");
+            }
+        }
     }
 
     #[test]

@@ -4,11 +4,17 @@
 //! Stage 2's fused scatter (operation ⑥) writes here so that stage 3 reads
 //! each tile's `T` transform values as one contiguous `T·S`-float chunk —
 //! "the previous stage has ensured that each transformed output occupies a
-//! contiguous chunk of memory" (§4.4).
+//! contiguous chunk of memory" (§4.4). Consecutive chunks start one pitch
+//! apart, [`wino_tensor::scatter_pitch`]`(T·S)` — the chunk plus one line
+//! when `T` is even — so the rows of a register tile, one chunk apart, fall
+//! in different L1 sets: at `T·S` floats, F(6²)'s 64 lines, all six rows of
+//! a 6 × 4 tile would share one.
 
 use wino_simd::{AlignedVec, S};
+use wino_tensor::scatter_pitch;
 
-/// Transformed outputs in tile-major order: `[B][C'/S][N][T][S]` — a view
+/// Transformed outputs in tile-major order: `[B][C'/S][N][T][S]`, each
+/// `[T][S]` chunk one [`TileMajor::chunk_pitch`] from the next — a view
 /// of the first floats of a buffer that may hold more (a `Network`'s
 /// scratch re-views it for each layer).
 #[derive(Debug)]
@@ -72,7 +78,13 @@ impl TileMajor {
 
     /// Floats of the view.
     fn len(&self) -> usize {
-        self.batch * self.channel_groups * self.n_tiles * self.t_vol * S
+        self.batch * self.channel_groups * self.n_tiles * Self::chunk_pitch(self.t_vol)
+    }
+
+    /// Floats from one tile's chunk to the next, for tiles of `t_vol`
+    /// positions: [`scatter_pitch`]`(T·S)`.
+    pub fn chunk_pitch(t_vol: usize) -> usize {
+        scatter_pitch(t_vol * S)
     }
 
     /// Bytes a `new(batch, out_channels, n_tiles, t_vol)` instance
@@ -83,7 +95,7 @@ impl TileMajor {
 
     fn elems(batch: usize, out_channels: usize, n_tiles: usize, t_vol: usize) -> usize {
         assert!(out_channels.is_multiple_of(S));
-        batch * (out_channels / S) * n_tiles * t_vol * S
+        batch * (out_channels / S) * n_tiles * Self::chunk_pitch(t_vol)
     }
 
     fn assemble(
@@ -123,14 +135,14 @@ impl TileMajor {
         debug_assert!(
             b < self.batch && og < self.channel_groups && n < self.n_tiles && t < self.t_vol
         );
-        (((b * self.channel_groups + og) * self.n_tiles + n) * self.t_vol + t) * S
+        ((b * self.channel_groups + og) * self.n_tiles + n) * Self::chunk_pitch(self.t_vol) + t * S
     }
 
     /// Distance (in floats) between channel-group `og` and `og + 1` at the
     /// same `(b, n, t)` — the scatter `group_stride` of the micro-kernel.
     #[inline]
     pub fn group_stride(&self) -> usize {
-        self.n_tiles * self.t_vol * S
+        self.n_tiles * Self::chunk_pitch(self.t_vol)
     }
 
     /// The contiguous `T·S` floats of one tile (stage-3 gather source).
@@ -176,11 +188,26 @@ mod tests {
     #[test]
     fn group_stride_matches_layout() {
         let tm = TileMajor::new(3, 48, 7, 16);
-        assert_eq!(
-            tm.vec_offset(0, 1, 0, 0) - tm.vec_offset(0, 0, 0, 0),
-            tm.group_stride()
-        );
-        assert_eq!(tm.group_stride(), 7 * 16 * S);
+        assert_eq!(tm.vec_offset(0, 1, 0, 0) - tm.vec_offset(0, 0, 0, 0), tm.group_stride());
+        assert_eq!(tm.vec_offset(2, 1, 3, 5) - tm.vec_offset(2, 0, 3, 5), tm.group_stride());
+        // 16 positions are 16 lines a chunk: one more makes the pitch odd.
+        assert_eq!(tm.group_stride(), 7 * 17 * S);
+        assert_eq!(tm.vec_offset(0, 0, 1, 0) - tm.vec_offset(0, 0, 0, 0), TileMajor::chunk_pitch(16));
+        // 9 positions are 9 lines already.
+        assert_eq!(TileMajor::new(1, 16, 2, 9).group_stride(), 2 * 9 * S);
+    }
+
+    #[test]
+    fn the_rows_of_a_register_tile_fall_in_distinct_l1_sets() {
+        // F(6²): 64 positions, 64 lines a chunk. Six rows one chunk apart
+        // and four column groups one group apart, as the 6 × 4 scatter
+        // stores them, take 24 sets of a 64-set L1 instead of one.
+        let tm = TileMajor::new(1, 64, 12, 64);
+        let sets: std::collections::HashSet<_> = (0..6)
+            .flat_map(|n| (0..4).map(move |og| (n, og)))
+            .map(|(n, og)| tm.vec_offset(0, og, n, 7) / S % 64)
+            .collect();
+        assert_eq!(sets.len(), 24);
     }
 
     #[test]
@@ -197,6 +224,7 @@ mod tests {
     #[test]
     fn size_accounting() {
         let tm = TileMajor::new(2, 32, 10, 36);
-        assert_eq!(tm.bytes(), 2 * 2 * 10 * 36 * 16 * 4);
+        assert_eq!(tm.bytes(), 2 * 2 * 10 * 37 * S * 4);
+        assert_eq!(tm.bytes(), TileMajor::bytes_for(2, 32, 10, 36));
     }
 }

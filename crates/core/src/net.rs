@@ -681,7 +681,7 @@ mod tests {
     }
 
     /// The stride-1 plan a Winograd-routed layer executes.
-    fn engine_plan(l: &NetLayer) -> &WinogradLayer {
+    pub(super) fn engine_plan(l: &NetLayer) -> &WinogradLayer {
         match &l.plan.route {
             crate::Route::Direct(p) | crate::Route::Grouped { plan: p } => p,
             crate::Route::Im2col => panic!("an im2col layer has no Winograd plan"),
@@ -727,10 +727,10 @@ mod tests {
             } else {
                 // Every output, and the one `V̂` of the arena's scratch each
                 // time a layer's training-mode pass needs a larger one than
-                // any layer before it: 8 Ki floats at F(2²) (twice), then
-                // 9 Ki at F(4²).
+                // any layer before it: T blocks of 32 lines and a line's pad
+                // at F(2²) (twice), then of 16 lines and a pad at F(4²).
                 let v: Vec<usize> = net.layers().iter().map(|l| engine_plan(l).footprint(1).transformed_kernel_bytes).collect();
-                assert_eq!(v, [32768, 32768, 36864]);
+                assert_eq!(v, [16 * 33 * 64, 16 * 33 * 64, 36 * 17 * 64]);
                 assert_eq!(cold, 3 + 2, "a cold pass builds every output and grows `V̂` twice");
             }
             let resident = net.scratch_bytes();
@@ -944,7 +944,7 @@ mod tests {
                 plan.hand_off_bytes() >> 10
             })
             .collect();
-        assert_eq!(kib, [2035, 13053, 16416]);
+        assert_eq!(kib, [2062, 13166, 16529]);
         // gemm2d_mono's layer at batch 2 hands off 26 MiB: past a 105 MiB
         // LLC's share, it streams its stores.
         let shape = ConvShape::new(2, 128, 128, &[56, 56], &[3, 3], &[1, 1]).unwrap();
@@ -1570,7 +1570,7 @@ mod arena_tests {
     use crate::plan::Pin;
     use wino_sched::{SerialExecutor, StaticExecutor};
     use wino_simd::S;
-    use wino_tensor::{SimpleImage, SimpleKernels};
+    use wino_tensor::{BlockedMatrices, SimpleImage, SimpleKernels};
 
     /// Fill every float the arena holds with NaN, past the views too.
     fn poison(net: &mut Network) {
@@ -1703,6 +1703,26 @@ mod arena_tests {
         check(&Case { label: "dual", c_in: 32, specs: shrinking(32), opts: ConvOptions::default(), host });
         let opts = crate::plan::split_reduction();
         check(&Case { label: "dual, two reduction blocks", c_in: 32, specs: shrinking(32), opts, host });
+    }
+
+    /// A dual layer lays `Û` out at the dual ring's `C_blk`, whose padded
+    /// blocks take more bytes than its plan's blocking; after a staged
+    /// layer it finds that layer's stale `Û` in them.
+    #[test]
+    fn a_dual_layer_after_a_staged_one_runs_the_same_in_stale_bytes() {
+        let host = pinned(Pin::DualOnFewRows);
+        // 16 → 32 at F(2²) on 10²: 25 tiles an image, staged at batch 3;
+        // 32 → 32 at F(6²): 4, dual, in panels of an even number of rows —
+        // and the larger `Û`, so the arena's `u` is the dual layer's.
+        let specs = vec![LayerSpec::same(32, 2, 3, 2), LayerSpec::same(32, 2, 3, 6)];
+        let policy = FallbackPolicy::default();
+        let net = Network::on_host(3, 16, &[10, 10], &specs, ConvOptions::default(), 2, &policy, 0, host).unwrap();
+        let [staged, dual] = [0, 1].map(|i| super::tests::engine_plan(&net.layers()[i]));
+        assert!(!staged.is_dual() && !staged.is_fused() && dual.is_dual());
+        let u_at = |c_blk| BlockedMatrices::bytes_for(dual.t_vol(), dual.rows(), 32, dual.block.n_blk, c_blk);
+        assert!(u_at(S) > u_at(dual.block.c_blk), "the dual ring's layout of `Û` is the larger");
+        assert!(u_at(dual.block.c_blk) > staged.u_bytes(), "and the plan's layout is larger than the staged layer's");
+        check(&Case { label: "staged then dual", c_in: 16, specs, opts: ConvOptions::default(), host });
     }
 
     #[test]
@@ -1847,6 +1867,7 @@ mod epilogue_tests {
                     Pin::Staged => !plan.is_fused() && !plan.is_dual(),
                     Pin::Ring => plan.is_fused(),
                     Pin::Dual => plan.is_dual(),
+                    Pin::DualOnFewRows => plan.is_dual() == (plan.rows() < 2 * wino_simd::S),
                 };
                 assert!(want, "{label}: {:?}", plan.schedule);
             }

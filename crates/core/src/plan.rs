@@ -362,7 +362,8 @@ impl WinogradLayer {
             WinogradLayer { shape, grid, block, opts, schedule, streams: false, gemm: mono, ring_gemm: None };
         layer.streams = crate::fused::streams(layer.hand_off_bytes(), host.llc_bytes);
         // Tile-major group stride (floats): see `TileMajor::group_stride`.
-        let group_stride = layer.n_tiles() * t_vol * S;
+        let chunk = TileMajor::chunk_pitch(t_vol);
+        let group_stride = layer.n_tiles() * chunk;
         let gemm = |block, stride, streaming| Gemm::new(opts.stage2, block, c, rows, stride, streaming);
         layer.gemm = gemm(block, group_stride, layer.streams)?;
         // What a ring scatters stays in the core's own cache: plain stores —
@@ -370,7 +371,7 @@ impl WinogradLayer {
         // column group's tile-major chunks at the staged one.
         layer.ring_gemm = match layer.schedule {
             Schedule::Staged => None,
-            Schedule::Ring { rows: n } => Some(gemm(BlockShape { n_blk: n, ..block }, n * t_vol * S, false)?),
+            Schedule::Ring { rows: n } => Some(gemm(BlockShape { n_blk: n, ..block }, n * chunk, false)?),
             Schedule::Dual { c_blk, cols } => {
                 let dual = BlockShape { c_blk, cp_blk: cols, ..block };
                 (dual != block || layer.streams).then(|| gemm(dual, group_stride, false)).transpose()?
@@ -467,20 +468,12 @@ impl WinogradLayer {
         self.streams
     }
 
-    /// Floats of one thread slot's ring. A ring plan's: an `n_blk`-row
-    /// block of `Û` plus the same rows' tile-major `X̂` chunks. A dual
-    /// plan's: a `C_blk × cols` block of `V̂`, the `cols`-wide accumulator
-    /// (every row block, padding included) and the rows' tile-major chunks.
-    /// 0 for a staged plan.
-    pub(crate) fn ring_floats(&self) -> usize {
-        let (c, cp, t_vol) = (self.shape.in_channels, self.shape.out_channels, self.t_vol());
-        match self.schedule {
-            Schedule::Staged => 0,
-            Schedule::Ring { rows: n } => t_vol * n * (c + cp),
-            Schedule::Dual { c_blk, cols } => {
-                t_vol * cols * (c_blk + self.row_blocks() * self.block.n_blk + self.rows())
-            }
-        }
+    /// Bytes of the transformed inputs `u` this plan's scratch holds
+    /// (a ring plan's only once a stage asks for them): at the plan's
+    /// blocking, or — a dual plan — at the dual ring's `C_blk` when that
+    /// layout is the larger ([`Scratch`]).
+    pub(crate) fn u_bytes(&self) -> usize {
+        matrix_floats(ScratchShape::of(self).u_held()) * std::mem::size_of::<f32>()
     }
 
     /// Allocate the output image for this layer.
@@ -535,19 +528,26 @@ impl WinogradLayer {
     }
 }
 
-/// One executor thread slot's private working memory.
+/// One executor thread slot's private working memory, on cache lines of
+/// its own: the slots sit side by side in [`Scratch`], and a slot's
+/// `phase_ns` and `nonfinite` are written while its neighbour's thread
+/// reads its own buffer pointers. 128 B — the adjacent-line prefetcher
+/// pairs lines — and a slot is ≈ 100 B.
+#[repr(align(128))]
 pub(crate) struct ThreadBuf {
     /// Ping-pong tile buffers (each `T·S` floats).
     pub a: AlignedVec,
     pub b: AlignedVec,
-    /// A ring or dual plan's ring ([`WinogradLayer::ring_floats`]). A ring
-    /// plan's: one `n_blk`-row block of `Û` (`[t][n_blk][C]`), then the
-    /// same rows' tile-major `X̂` chunks (`[C'/S][n_blk][T][S]`). A dual
-    /// plan's: one block of `V̂` (`[t][C_blk][cols]`), the accumulator
-    /// (`[row block][t][n_blk][cols]`), then the tile-major chunks of one
-    /// column group (`[B][cols/S][N][T][S]`). Every panel or column group
-    /// the slot processes goes through these same addresses. Empty for a
-    /// staged plan.
+    /// A ring or dual plan's ring, laid out as [`WinogradLayer::ring`]
+    /// says. A ring plan's: one `n_blk`-row block of `Û` (`[t][n_blk][C]`),
+    /// then the same rows' tile-major `X̂` chunks (`[C'/S][n_blk][T][S]`).
+    /// A dual plan's: one block of `V̂` (`[t][C_blk][cols]`), the
+    /// accumulator (`[row block][t][n_blk][cols]`), then the tile-major
+    /// chunks of one column group (`[B][cols/S][N][T][S]`). The `t` blocks
+    /// and the chunks are each one pitch apart, an odd number of lines
+    /// (`wino_tensor::scatter_pitch`). Every panel or column group the slot
+    /// processes goes through these same addresses. Empty for a staged
+    /// plan.
     pub ring: AlignedVec,
     /// Nanoseconds this slot spent in the three phases of the ring or dual
     /// fork–join in flight (written only while a probe collects spans).
@@ -588,13 +588,27 @@ impl ScratchShape {
             cp: layer.shape.out_channels,
             block: layer.block,
             schedule: layer.schedule,
-            ring_floats: layer.ring_floats(),
+            ring_floats: layer.ring().floats,
         }
     }
 
     /// `(t, rows, cols, rb, cb)` of the transformed inputs `u`.
     fn u(&self) -> [usize; 5] {
         [self.t_vol, self.batch * self.n_tiles, self.c, self.block.n_blk, self.block.c_blk]
+    }
+
+    /// … of `u` sized for both of its layouts: the plan's, and a dual
+    /// plan's at the dual ring's `C_blk` — whose blocks, each padded to an
+    /// odd number of lines, may take more bytes than the plan's.
+    fn u_held(&self) -> [usize; 5] {
+        let plan = self.u();
+        match self.schedule {
+            Schedule::Dual { c_blk, .. } => {
+                let dual = [self.t_vol, self.batch * self.n_tiles, self.c, self.block.n_blk, c_blk];
+                if matrix_floats(dual) > matrix_floats(plan) { dual } else { plan }
+            }
+            _ => plan,
+        }
     }
 
     /// … of the transformed kernels `v`.
@@ -718,9 +732,10 @@ impl Seam {
 /// at a time — only where a layer needs more. Nothing is cleared between
 /// views: every stage writes what it reads.
 ///
-/// `u` is laid out at the plan's blocking. A dual forward pass lays the
-/// same bytes out at the dual ring's `C_blk` instead — the row blocks, and
-/// so the size, are the same — and reads only what it wrote itself.
+/// `u` is viewed at the plan's blocking. A dual forward pass lays its
+/// bytes out at the dual ring's `C_blk` instead and reads only what it
+/// wrote itself; a dual plan's `u` holds bytes for the larger of the two
+/// layouts, as each pads every block to an odd number of lines.
 pub struct Scratch {
     pub u: BlockedMatrices,
     pub v: BlockedMatrices,
@@ -765,15 +780,18 @@ impl Scratch {
         let most = |holds: fn(&ScratchShape) -> bool, floats: fn(&ScratchShape) -> usize| {
             shapes.iter().filter(|s| holds(s)).max_by_key(|s| floats(s))
         };
-        let u = match most(ScratchShape::holds_u, |s| matrix_floats(s.u())) {
-            Some(s) => seam.matrices(s.u())?,
+        let u = match most(ScratchShape::holds_u, |s| matrix_floats(s.u_held())) {
+            Some(s) => seam.matrices(s.u_held())?,
             None => BlockedMatrices::placeholder(),
         };
         let x = match most(ScratchShape::holds_xy, |s| matrix_floats(s.x())) {
             Some(s) => seam.matrices(s.x())?,
             None => BlockedMatrices::placeholder(),
         };
-        let y = match most(ScratchShape::holds_xy, |s| s.y().iter().product()) {
+        let y = match most(ScratchShape::holds_xy, |s| {
+            let [b, cp, n, t] = s.y();
+            TileMajor::bytes_for(b, cp, n, t)
+        }) {
             Some(s) => seam.tile_major(s.y())?,
             None => TileMajor::placeholder(),
         };
@@ -797,6 +815,8 @@ impl Scratch {
         self.shape = s;
         hide(&mut self.v);
         if s.holds_u() {
+            // Bytes for both of `u`'s layouts, viewed at the plan's.
+            view(&mut self.u, s.u_held())?;
             view(&mut self.u, s.u())?;
         } else {
             hide(&mut self.u);
@@ -938,6 +958,10 @@ pub(crate) enum Pin {
     /// The dual ring at the `(C_blk, cols)` the rule would pick, on every
     /// layer.
     Dual,
+    /// The dual ring, as [`Pin::Dual`], on fewer rows than twice its
+    /// columns — `fused::dual_fits`' row inequality without the L2 — and
+    /// the three stages on more.
+    DualOnFewRows,
 }
 
 #[cfg(test)]
@@ -963,6 +987,10 @@ impl Pin {
                 let (c_blk, cols) = crate::fused::dual_blocking(block, explicit);
                 Schedule::Dual { c_blk, cols }
             }
+            Pin::DualOnFewRows => match Pin::Dual.schedule(t_vol, c, cp, rows, block, explicit) {
+                Schedule::Dual { cols, .. } if rows >= 2 * cols => Schedule::Staged,
+                dual => dual,
+            },
         }
     }
 }
@@ -1112,9 +1140,12 @@ mod tests {
         let fused = WinogradLayer::new(shape2d(), &[4, 4], ConvOptions::default()).unwrap();
         assert!(fused.is_fused());
         let mut scratch = Scratch::new(&fused, 4);
-        let ring = fused.ring_floats();
+        let ring = fused.ring().floats;
         let Schedule::Ring { rows } = fused.schedule else { unreachable!() };
-        assert_eq!(ring, 36 * rows * (32 + 32));
+        // 36 blocks of 6 × 32 floats (12 lines, padded to 13), then 2 × 6
+        // chunks of 36 lines (padded to 37).
+        assert_eq!(rows, 6);
+        assert_eq!(ring, 36 * 13 * S + 2 * rows * 37 * S);
         assert_eq!(scratch.bytes(), 4 * ring * 4 + codelets);
         assert_eq!(scratch.u.bytes() + scratch.v.bytes() + scratch.x.bytes() + scratch.y.bytes(), 0);
         // …and grows the other three, at a staged plan's shapes, the first
@@ -1128,15 +1159,15 @@ mod tests {
         assert_eq!(scratch.u.as_ptr(), held, "a second call allocates nothing");
 
         // A dual plan holds `u` and one ring per slot — a 16 × 16 block of
-        // V̂, the accumulator over three 6-row blocks and 18 rows of
-        // chunks — and grows `x` and `y` for a stage, `v` for a kernel
-        // transform.
+        // V̂ (16 lines a `t`, padded to 17), the accumulator over three
+        // 6-row blocks and 18 rows of chunks (36 lines, padded to 37) — and
+        // grows `x` and `y` for a stage, `v` for a kernel transform.
         let host = Host::test(Pin::Dual, false);
         let dual = WinogradLayer::new_on(shape2d(), &[4, 4], split_reduction(), host).unwrap();
         assert_eq!(dual.schedule, Schedule::Dual { c_blk: 16, cols: 16 });
         let mut scratch = Scratch::new(&dual, 4);
-        assert_eq!(dual.ring_floats(), 36 * 16 * (16 + 18 + 18));
-        assert_eq!(scratch.bytes(), scratch.u.bytes() + 4 * dual.ring_floats() * 4 + codelets);
+        assert_eq!(dual.ring().floats, 36 * 17 * S + 36 * 16 * 18 + 18 * 37 * S);
+        assert_eq!(scratch.bytes(), scratch.u.bytes() + 4 * dual.ring().floats * 4 + codelets);
         assert_eq!(scratch.v.bytes() + scratch.x.bytes() + scratch.y.bytes(), 0);
         let held = scratch.u.as_ptr();
         scratch.materialise().unwrap();
@@ -1153,6 +1184,22 @@ mod tests {
         let scratch = Scratch::new(&dual, 1);
         assert_eq!((scratch.u.rb(), scratch.u.cb()), (eq11.n_blk, eq11.c_blk));
         assert_ne!(eq11.c_blk, S);
+        // Its `u` holds the bytes of the larger of `Û`'s two layouts: the
+        // plan's, and the dual ring's 16 wide, whose blocks are padded more
+        // often — and the model prices the same.
+        let layouts = [eq11.c_blk, S].map(|cb| BlockedMatrices::bytes_for(36, 18, 32, eq11.n_blk, cb));
+        assert_eq!(scratch.u.bytes(), layouts[0].max(layouts[1]));
+        assert_eq!(dual.footprint(1).scratch_bytes, scratch.u.bytes() + dual.ring().floats * 4);
+    }
+
+    #[test]
+    fn thread_slots_sit_on_cache_lines_of_their_own() {
+        assert_eq!(std::mem::align_of::<ThreadBuf>(), 128);
+        let layer = WinogradLayer::new(shape2d(), &[4, 4], ConvOptions::default()).unwrap();
+        let scratch = Scratch::new(&layer, 4);
+        let at: Vec<usize> = scratch.bufs.iter().map(|slot| slot.get() as usize).collect();
+        assert!(at.iter().all(|a| a % 128 == 0), "{at:x?}");
+        assert!(at.windows(2).all(|w| w[1] - w[0] >= 128), "{at:x?}");
     }
 
     #[test]
@@ -1182,7 +1229,7 @@ mod tests {
         // grows the rings, one per slot, which a staged plan has none of.
         assert_eq!(allocs(&mut scratch, &ring, 2), 2);
         assert_eq!(scratch.u.t_count() + scratch.x.t_count() + scratch.y.t_vol(), 0);
-        assert_eq!(scratch.bytes(), bytes + 2 * ring.ring_floats() * 4);
+        assert_eq!(scratch.bytes(), bytes + 2 * ring.ring().floats * 4);
         // A stage re-views them at the ring plan's staged shapes.
         let before = wino_simd::thread_alloc_calls();
         scratch.materialise().unwrap();

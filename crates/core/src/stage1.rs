@@ -4,10 +4,12 @@
 //!   `B × C/C_blk × N_D × … × N_W × C_blk/S`, each task takes one tile of
 //!   `S` adjacent channels, applies `Bᵀ` along every dimension, and
 //!   scatters the `T` resulting vectors into the block-panel matrices `U`
-//!   — a write range of only `T·n_blk·C_blk` floats ("scattering range of
-//!   ②"). The channel groups of one column block are innermost, so `U` is
-//!   written in the order it is laid out: one tile's groups fill `C_blk`
-//!   contiguous floats of each `t`-block, the next tile's continue them.
+//!   — a write range of only `T` blocks of `n_blk·C_blk` floats ("scattering
+//!   range of ②"), one pitch apart: an odd number of lines, so the `T`
+//!   stores of one tile fall in different L1 sets. The channel groups of
+//!   one column block are innermost, so `U` is written in the order it is
+//!   laid out: one tile's groups fill `C_blk` contiguous floats of each
+//!   `t`-block, the next tile's continue them.
 //!   A tile wholly inside the image is read in place; one that reaches
 //!   into the padding or the ceil-division overhang is first gathered,
 //!   zero-filled, into a thread buffer.
@@ -37,8 +39,7 @@
 use wino_sched::probed::{record_coord, record_slot, span_start};
 use wino_sched::Executor;
 use wino_simd::{Kernel, Simd16, S};
-use wino_tensor::BlockedImage;
-use wino_tensor::BlockedKernels;
+use wino_tensor::{scatter_pitch, BlockedImage, BlockedKernels, BlockedMatrices};
 
 use crate::codelet::{row_major, Bt, Dest, Sink, Strides, TileTransform, G};
 use crate::error::{ensure_at_least, ensure_dims_eq, ensure_eq, WinoError};
@@ -138,7 +139,8 @@ pub(crate) struct InputTransformCtx<'a> {
     image_strides: Strides,
     /// Strides of a tile gathered row-major into a thread buffer.
     gathered_strides: Strides,
-    /// Strides of the `T` transform vectors in `U`: `t_stride` apart.
+    /// Strides of the `T` transform vectors in `U`: `t_stride` apart, the
+    /// block pitch of a `BlockedMatrices` of `n_blk × c_blk` blocks.
     u_strides: Strides,
     t_vol: usize,
     n_blk: usize,
@@ -159,7 +161,7 @@ impl<'a> InputTransformCtx<'a> {
         streaming: bool,
         probe: Option<&'a wino_probe::Collector>,
     ) -> InputTransformCtx<'a> {
-        let t_stride = n_blk * c_blk;
+        let t_stride = scatter_pitch(n_blk * c_blk);
         InputTransformCtx {
             layer,
             input,
@@ -336,8 +338,11 @@ pub(crate) fn input_transform_pass(
     let dims = &dims[..3 + rank];
 
     let probe = exec.probe();
-    // Only the column blocks may differ from `u`'s: the bytes are the same.
-    debug_assert_eq!(u_block.0, scratch.u.rb(), "U's row blocks");
+    // `u`'s bytes, not its view: the dual ring lays them out at its own
+    // `C_blk`, which may need more of them than the plan's blocking.
+    let (t_vol, rows, c) = (layer.t_vol(), layer.rows(), layer.shape.in_channels);
+    let need = BlockedMatrices::bytes_for(t_vol, rows, c, u_block.0, u_block.1);
+    ensure_at_least("transformed-input bytes", need, scratch.u.bytes())?;
     let ctx = InputTransformCtx::new(layer, input, u_block, layer.streams, probe);
     let u = MutPtr(scratch.u.as_mut_ptr());
     let scratch_ref: &Scratch = scratch;
@@ -414,7 +419,8 @@ pub(crate) struct KernelTransformCtx<'a> {
     xf: TileTransform<G>,
     /// Strides of the `r_vol` contiguous kernel vectors.
     kernel_strides: Strides,
-    /// Strides of the `T` transform vectors in `V`: `t_stride` apart.
+    /// Strides of the `T` transform vectors in `V`: `t_stride` apart, the
+    /// block pitch of a `BlockedMatrices` of `c_blk × cp_blk` blocks.
     v_strides: Strides,
     t_vol: usize,
     r_vol: usize,
@@ -434,17 +440,18 @@ impl<'a> KernelTransformCtx<'a> {
         (c_blk, cp_blk): (usize, usize),
         streaming: bool,
     ) -> KernelTransformCtx<'a> {
+        let t_stride = scatter_pitch(c_blk * cp_blk);
         KernelTransformCtx {
             kernels,
             xf: TileTransform::new(layer.table_rows()),
             kernel_strides: row_major(&layer.shape.kernel_dims, S),
-            v_strides: row_major(&layer.grid.tile_dims, c_blk * cp_blk),
+            v_strides: row_major(&layer.grid.tile_dims, t_stride),
             t_vol: layer.t_vol(),
             r_vol: layer.shape.kernel_dims.iter().product(),
             c_blk,
             cp_blk,
             col_blocks: layer.shape.out_channels / cp_blk,
-            t_stride: c_blk * cp_blk,
+            t_stride,
             streaming,
         }
     }

@@ -161,13 +161,19 @@ mod tests {
     /// rows) moves `U` and `Y` between its stages; a fused one only the
     /// images and `V`; a dual one (the same blocking, pinned) the images,
     /// the raw kernels and `U` — written once, read once per 16-wide column
-    /// group.
+    /// group. Every block and chunk is padded to an odd number of 64-byte
+    /// lines (`wino_tensor::scatter_pitch`).
     #[test]
     fn fused_and_staged_byte_totals_by_hand_count() {
         let image = 2 * 32 * 10 * 10 * 4; // in = out: 32 channels, 10² both
         let raw_kernels = 32 * 32 * 9 * 4;
-        let v = 16 * 32 * 32 * 4;
-        let (u, y) = (16 * 54 * 32 * 4, 16 * 50 * 32 * 4);
+        let line = 16 * 4;
+        // 2 × 2 blocks of 16 × 16 (16 lines, padded to 17) per `t`; the
+        // fused plan's one 32 × 32 block (64 lines, padded to 65).
+        let (v, fused_v) = (16 * 2 * 2 * 17 * line, 16 * 65 * line);
+        // 9 × 2 blocks of 6 × 16 (6 lines, padded to 7) per `t`; 50 rows ×
+        // 2 channel groups of 16-position chunks (16 lines, padded to 17).
+        let (u, y) = (16 * 9 * 2 * 7 * line, 50 * 2 * 17 * line);
         let bytes = |l: &WinogradLayer| {
             let w = l.work_model();
             [
@@ -182,7 +188,7 @@ mod tests {
         let staged = WinogradLayer::new(s.clone(), &[2, 2], crate::plan::split_reduction()).unwrap();
         assert!(!staged.is_fused() && !staged.is_dual() && layer_2d().is_fused());
         assert_eq!(bytes(&staged), [image + u, raw_kernels + v, u + v + y, y + image]);
-        assert_eq!(bytes(&layer_2d()), [image, raw_kernels + v, v, image]);
+        assert_eq!(bytes(&layer_2d()), [image, raw_kernels + fused_v, fused_v, image]);
         assert_eq!(staged.work_model().total_flops(), layer_2d().work_model().total_flops());
         let host = crate::plan::Host::test(crate::plan::Pin::Dual, false);
         let dual = WinogradLayer::new_on(s, &[2, 2], crate::plan::split_reduction(), host).unwrap();

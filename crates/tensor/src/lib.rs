@@ -157,6 +157,23 @@ pub fn unflatten(mut idx: usize, dims: &[usize]) -> Vec<usize> {
     coords
 }
 
+/// Floats from the start of one block to the next where the stages
+/// scatter into `floats`-float blocks laid end to end: the block, plus one
+/// vector — one 64-byte line — when its line count is even. A tile's `T`
+/// transform vectors land one block apart; at an odd number of lines any
+/// 64 consecutive of them fall in 64 different sets of a 64-set L1, where
+/// block sizes rich in powers of two put them all into a few.
+/// `floats` must be a whole number of vectors.
+#[inline]
+pub fn scatter_pitch(floats: usize) -> usize {
+    debug_assert!(floats.is_multiple_of(S), "{floats} floats are not whole vectors");
+    if (floats / S).is_multiple_of(2) {
+        floats + S
+    } else {
+        floats
+    }
+}
+
 /// `ceil(a / b)`.
 #[inline]
 pub fn div_ceil(a: usize, b: usize) -> usize {
@@ -180,6 +197,17 @@ mod tests {
     fn flat_index_is_row_major() {
         // Matches Table 1's t = t_d·T_h·T_w + t_h·T_w + t_w.
         assert_eq!(flat_index(&[1, 2, 3], &[4, 5, 6]), 30 + 2 * 6 + 3);
+    }
+
+    #[test]
+    fn a_scatter_pitch_is_an_odd_number_of_lines() {
+        assert_eq!(scatter_pitch(S), S);
+        assert_eq!(scatter_pitch(2 * S), 3 * S);
+        assert_eq!(scatter_pitch(16 * 16), 17 * S);
+        assert_eq!(scatter_pitch(215 * S), 215 * S);
+        for lines in 1..200 {
+            assert_eq!(scatter_pitch(lines * S) / S % 2, 1, "{lines} lines");
+        }
     }
 
     #[test]

@@ -8,24 +8,33 @@
 //! M[row/rb][col/cb][t][row mod rb][col mod cb]
 //! ```
 //!
+//! where each `[row mod rb][col mod cb]` block is `rb·cb` contiguous floats
+//! and consecutive blocks start one *pitch* apart:
+//! [`scatter_pitch`]`(rb·cb)`, the block plus one 64-byte line when its
+//! line count is even, so that a pitch is an odd number of lines.
+//!
 //! Two properties make this the right layout for the paper's pipeline:
 //!
 //! 1. **Stage 2 (GEMM)**: every `rb × cb` sub-matrix of every one of the `T`
 //!    matrices is one contiguous chunk, so the JIT micro-kernel streams
 //!    through it with aligned vector loads and unit stride.
 //! 2. **Stages 1/3 (transforms)**: for a fixed (row, col-group) the `T`
-//!    values live `rb·cb` floats apart inside a single `T·rb·cb`-float
-//!    region — the paper's "scattering range" that keeps TLB misses low.
+//!    values live one pitch apart inside a single `T`-pitch region — the
+//!    paper's "scattering range" that keeps TLB misses low. The pitch
+//!    being an odd number of lines puts any 64 of them in 64 different
+//!    sets of the L1; at the bare `rb·cb` floats — a multiple of 1 KiB or
+//!    more at every planned blocking — they would share one to four.
 //!
 //! Rows are padded up to a multiple of `rb` (the paper pads the last
 //! sub-matrix of U when `NB` is not divisible by `n_blk`); a padded row
 //! multiplies into its own row of the product only, which no consumer
 //! reads, so what it holds is harmless — zeros in a fresh buffer, stale
-//! values in a re-viewed one ([`BlockedMatrices::try_reshape`]).
+//! values in a re-viewed one ([`BlockedMatrices::try_reshape`]). So is the
+//! line between two blocks, which nothing reads or writes.
 
 use wino_simd::{AlignedVec, S};
 
-use crate::div_ceil;
+use crate::{div_ceil, scatter_pitch};
 
 /// `T` matrices of `rows × cols` in block-panel layout (see module docs):
 /// a view of the first floats of a buffer that may hold more
@@ -39,6 +48,8 @@ pub struct BlockedMatrices {
     cb: usize,
     row_blocks: usize,
     col_blocks: usize,
+    /// Floats from one block to the next: [`scatter_pitch`]`(rb·cb)`.
+    pitch: usize,
     /// Floats of the view, padding included.
     len: usize,
     data: AlignedVec,
@@ -82,14 +93,19 @@ impl BlockedMatrices {
     /// Bytes a `new(t_count, rows, cols, rb, cb)` instance allocates —
     /// the analytic side of the memory-footprint model.
     pub fn bytes_for(t_count: usize, rows: usize, cols: usize, rb: usize, cb: usize) -> usize {
-        div_ceil(rows, rb) * (cols / cb) * t_count * rb * cb * std::mem::size_of::<f32>()
+        Self::floats(t_count, rows, cols, rb, cb) * std::mem::size_of::<f32>()
+    }
+
+    /// Floats of a `(t_count, rows, cols, rb, cb)` view.
+    fn floats(t_count: usize, rows: usize, cols: usize, rb: usize, cb: usize) -> usize {
+        div_ceil(rows, rb) * (cols / cb) * t_count * scatter_pitch(rb * cb)
     }
 
     fn validate(t_count: usize, rows: usize, cols: usize, rb: usize, cb: usize) -> usize {
         assert!(rb > 0 && cb > 0 && t_count > 0 && rows > 0 && cols > 0);
         assert_eq!(cols % cb, 0, "cols ({cols}) must be divisible by cb ({cb})");
         assert_eq!(cb % S, 0, "cb ({cb}) must be divisible by the vector width {S}");
-        div_ceil(rows, rb) * (cols / cb) * t_count * rb * cb
+        Self::floats(t_count, rows, cols, rb, cb)
     }
 
     fn assemble(
@@ -100,7 +116,8 @@ impl BlockedMatrices {
         cb: usize,
         data: AlignedVec,
     ) -> Self {
-        let mut m = BlockedMatrices { t_count, rows, cols, rb, cb, row_blocks: 0, col_blocks: 0, len: 0, data };
+        let mut m =
+            BlockedMatrices { t_count, rows, cols, rb, cb, row_blocks: 0, col_blocks: 0, pitch: 0, len: 0, data };
         m.view(t_count, rows, cols, rb, cb);
         m
     }
@@ -108,7 +125,8 @@ impl BlockedMatrices {
     fn view(&mut self, t_count: usize, rows: usize, cols: usize, rb: usize, cb: usize) {
         (self.t_count, self.rows, self.cols, self.rb, self.cb) = (t_count, rows, cols, rb, cb);
         (self.row_blocks, self.col_blocks) = (div_ceil(rows, rb), cols / cb);
-        self.len = self.row_blocks * self.col_blocks * t_count * rb * cb;
+        self.pitch = scatter_pitch(rb * cb);
+        self.len = Self::floats(t_count, rows, cols, rb, cb);
     }
 
     /// Re-view these matrices as [`Self::new`]`(t_count, rows, cols, rb,
@@ -182,14 +200,14 @@ impl BlockedMatrices {
     #[inline]
     pub fn block_offset(&self, rb_i: usize, cb_i: usize, t: usize) -> usize {
         debug_assert!(rb_i < self.row_blocks && cb_i < self.col_blocks && t < self.t_count);
-        (((rb_i * self.col_blocks + cb_i) * self.t_count) + t) * self.rb * self.cb
+        (((rb_i * self.col_blocks + cb_i) * self.t_count) + t) * self.pitch
     }
 
     /// Distance (in floats) between the same block position of matrices
-    /// `t` and `t + 1` — the stage-1/3 scatter stride.
+    /// `t` and `t + 1` — the stage-1/3 scatter stride, the block pitch.
     #[inline]
     pub fn t_stride(&self) -> usize {
-        self.rb * self.cb
+        self.pitch
     }
 
     #[inline]
@@ -292,11 +310,27 @@ mod tests {
     }
 
     #[test]
-    fn t_stride_is_block_size() {
+    fn t_stride_is_the_block_pitch() {
+        // A 4 × 16 block is 4 lines: one more makes the pitch odd.
         let m = BlockedMatrices::new(3, 8, 16, 4, 16);
-        assert_eq!(m.t_stride(), 64);
-        assert_eq!(m.block_offset(0, 0, 1) - m.block_offset(0, 0, 0), 64);
-        assert_eq!(m.block_offset(1, 0, 0), 3 * 64);
+        assert_eq!(m.t_stride(), 5 * S);
+        assert_eq!(m.block_offset(0, 0, 1) - m.block_offset(0, 0, 0), m.t_stride());
+        assert_eq!(m.block_offset(1, 0, 0), 3 * m.t_stride());
+        // A 3 × 16 block is 3 lines already.
+        let m = BlockedMatrices::new(2, 6, 32, 3, 16);
+        assert_eq!(m.t_stride(), 3 * S);
+        assert_eq!(m.block_offset(1, 1, 1) - m.block_offset(1, 1, 0), m.t_stride());
+        assert_eq!(m.block_offset(1, 0, 0) - m.block_offset(0, 1, 0), 2 * m.t_stride());
+    }
+
+    #[test]
+    fn one_block_positions_of_t_matrices_fall_in_distinct_l1_sets() {
+        // 8 × 128 floats is 64 lines a block: unpadded, all 36 `t` would
+        // share one set of a 64-set L1.
+        let m = BlockedMatrices::new(36, 8, 128, 8, 128);
+        let sets: std::collections::HashSet<_> =
+            (0..36).map(|t| m.block_offset(0, 0, t) / S % 64).collect();
+        assert_eq!(sets.len(), 36);
     }
 
     #[test]
@@ -353,7 +387,7 @@ mod tests {
         m.try_reshape(2, 5, 16, 4, 16).unwrap();
         assert_eq!((m.t_count(), m.rows(), m.cols(), m.rb(), m.row_blocks()), (2, 5, 16, 4, 2));
         assert_eq!((m.as_ptr(), m.bytes()), (ptr, bytes), "the bytes are kept");
-        assert_eq!(m.as_slice().len(), 2 * 4 * 2 * 16, "the view is the new shape's");
+        assert_eq!(m.as_slice().len(), 2 * 2 * 5 * S, "the view is the new shape's: 4 + 1 lines a block");
         assert!(m.as_slice().iter().all(|&x| x == 7.0), "and nothing is cleared");
         m.try_reshape(0, 0, 0, 1, 16).unwrap();
         assert_eq!((m.t_count(), m.as_slice().len(), m.bytes()), (0, 0, bytes), "no view, same bytes");
@@ -365,7 +399,9 @@ mod tests {
     #[test]
     fn memory_accounting() {
         let m = BlockedMatrices::new(36, 100, 64, 8, 32);
-        // ceil(100/8)=13 row blocks, 2 col blocks, 36 t, 8*32 block.
-        assert_eq!(m.bytes(), 13 * 2 * 36 * 8 * 32 * 4);
+        // ceil(100/8)=13 row blocks, 2 col blocks, 36 t, an 8 × 32 block
+        // (16 lines) one line apart.
+        assert_eq!(m.bytes(), 13 * 2 * 36 * (8 * 32 + S) * 4);
+        assert_eq!(m.bytes(), BlockedMatrices::bytes_for(36, 100, 64, 8, 32));
     }
 }

@@ -177,6 +177,13 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # clamps, against `f32::max(x, 0.0)` on every backend the leg allows.
 # Module and test filters, so a rename cannot empty the gate.
 #
+# Pitch gate: every block the stages scatter into — `Û`, `V̂`, `X̂`, the
+# tile-major chunks, a ring's `Û`, a dual ring's `V̂` — is an odd number of
+# 64-byte lines from the next at the planned blockings, and a dual layer,
+# whose 16-wide `Û` may need more bytes than its plan's, runs `==` a fresh
+# network after a staged one in a NaN-filled arena. Named in the planning
+# filter of every leg.
+#
 # Figure gate: `fig6` on a small panel (its `jit` rows only under avx512)
 # must exit 0 on every backend.
 isas=(scalar)
@@ -197,7 +204,9 @@ for isa in "${isas[@]}"; do
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
         net::tests::a_network_plans_every_layer_as_it_plans_alone \
-        net::tests::the_benchmark_workloads_plan_the_same_on_every_llc
+        net::tests::the_benchmark_workloads_plan_the_same_on_every_llc \
+        fused::tests::every_scatter_pitch_is_an_odd_number_of_lines \
+        net::arena_tests::a_dual_layer_after_a_staged_one_runs_the_same_in_stale_bytes
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
         codelet::tests::whole_tiles_equal_the_interpreter_exactly \
