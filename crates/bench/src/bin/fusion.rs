@@ -11,10 +11,11 @@
 //!
 //! Which schedule a plan runs is the plan's decision (`schedule`: `ring`
 //! — `WinogradLayer::is_fused`, from the sizes of `V̂` and a ring against
-//! the detected L2 —, `dual` — `WinogradLayer::is_dual`, training mode
-//! only — or `staged`), never this binary's: where a pass runs the three
-//! stages both of its columns time them and its ratio reads 1 within
-//! noise — a dual plan's `ratio` among them, its FX mode being staged.
+//! the detected L2 —, `dual CxW` — `WinogradLayer::is_dual`, training
+//! mode only, at its `dual_blocking` `(C_blk, cols)` — or `staged`), never
+//! this binary's: where a pass runs the three stages both of its columns
+//! time them and its ratio reads 1 within noise — a dual plan's `ratio`
+//! among them, its FX mode being staged.
 //! `--n-blk N` asks for `N`-row panels through `ConvOptions::block`
 //! (the panel-height sweep, `N` in 1..=30 or the binary exits 2); a height
 //! whose ring does not fit stages the plan. `--threads` (default 2)
@@ -57,9 +58,9 @@ const fn row(
     Row { name, batch, c, cp, dims, pad, m, jit: true, pooled: true }
 }
 
-/// The benchmark's layers (`benchmark/src/workloads.rs`) and the two
-/// catalogue-class ones the issue measured beside them, smallest `V̂` first.
-const ROWS: [Row; 13] = [
+/// The benchmark's layers (`benchmark/src/workloads.rs`) and the
+/// catalogue-class ones measured beside them, smallest `V̂` first.
+const ROWS: [Row; 15] = [
     Row { pooled: false, ..row("serve 32>64 B8", 8, (32, 64), &[28, 28], 1, 4) },
     Row { pooled: false, ..row("serve 64>32 B8", 8, (64, 32), &[28, 28], 1, 4) },
     Row { pooled: false, ..row("serve 64>64 B8", 8, (64, 64), &[28, 28], 1, 4) },
@@ -73,6 +74,8 @@ const ROWS: [Row; 13] = [
     row("net3d_fx L3 64>64", 1, (64, 64), &[12, 20, 20], 0, 4),
     row("C3D C3b-class 64>64 8x28x28", 1, (64, 64), &[8, 28, 28], 1, 4),
     row("train3d_jit 128>128 4x14x14", 1, (128, 128), &[4, 14, 14], 1, 4),
+    row("VGG 5.x-class 512>512 14^2", 1, (512, 512), &[14, 14], 1, 4),
+    row("VGG 5.x-class 512>512 28^2", 1, (512, 512), &[28, 28], 1, 4),
 ];
 
 fn median(ms: &mut [f64]) -> f64 {
@@ -131,10 +134,10 @@ fn main() {
         let codelets = plan.footprint(exec.threads()).per_thread_bytes;
         let ring_bytes = (s.bytes() - layer_sized - codelets) / exec.threads();
         let ring_rows = ring_bytes / (plan.t_vol() * (r.c + r.cp) * 4);
-        let schedule = match (plan.is_fused(), plan.is_dual()) {
-            (true, _) => "ring",
-            (_, true) => "dual",
-            _ => "staged",
+        let schedule = match (plan.is_fused(), plan.dual_blocking()) {
+            (true, _) => "ring".to_string(),
+            (_, Some((c_blk, cols))) => format!("dual {c_blk}x{cols}"),
+            _ => "staged".to_string(),
         };
         let memo = plan.prepare_kernels(&kernels, &mut ring_scratch, exec).unwrap();
         stage1::transform_kernels(&plan, &kernels, &mut staged_scratch, exec).unwrap();
@@ -200,7 +203,7 @@ fn main() {
             ring_bytes.to_string(),
             l2_bytes.to_string(),
             if plan.is_fused() { ring_rows } else { plan.block.n_blk }.to_string(),
-            schedule.to_string(),
+            schedule,
             format!("{staged:.3}"),
             format!("{fused:.3}"),
             format!("{:.3}", fused / staged),

@@ -38,8 +38,8 @@ pub(crate) struct BufferBytes {
     pub kernels: usize,
     /// Transformed inputs `Û`, blocked intermediate `X̂` and its tile-major
     /// form `Y`: layer-sized in a staged plan's scratch; a ring plan's ring
-    /// takes the place of all three, a dual plan's of `X̂` and `Y` — a
-    /// ring never leaves the core.
+    /// takes the place of all three, a dual plan's — whose accumulator is
+    /// read in place — of `X̂` and `Y`: a ring never leaves the core.
     pub u: usize,
     pub x: usize,
     pub y: usize,
@@ -82,11 +82,10 @@ pub struct MemoryFootprint {
     /// one ring per thread slot — about `T·n_blk·(C + C')` floats each,
     /// independent of the layer's extent. A dual plan
     /// ([`WinogradLayer::is_dual`]): `u` — sized for the larger of its two
-    /// layouts — and one ring per thread slot — a block of `V̂`, an
-    /// accumulator and a column group's chunks, about
-    /// `T·cols·(C_blk + 2·rows)` floats each (rows padded for the
-    /// accumulator). Every block and chunk counts its pad to an odd number
-    /// of lines (`wino_tensor::scatter_pitch`).
+    /// layouts — and one ring per thread slot — a block of `V̂` and the
+    /// accumulator stage 3 reads, about `T·cols·(C_blk + rows)` floats
+    /// each (rows padded to whole row blocks). Every block and chunk counts
+    /// its pad to an odd number of lines (`wino_tensor::scatter_pitch`).
     pub scratch_bytes: usize,
     /// The transformed kernels `V̂`, on every schedule: what
     /// `prepare_kernels` allocates and hands to the `TransformedKernels`,

@@ -30,9 +30,10 @@
 //!   forward"): [`ring_rows`].
 //! * **the dual ring** ([`forward_dual`], training mode only) when rows are
 //!   few and `V̂` is the large operand. It has a stage-2 blocking of its
-//!   own, `(n_blk, C_blk, cols)` — one vector each way by default — beside
-//!   the plan's, which the three stages keep. The input transform writes
-//!   `Û` as the staged path does, at that `C_blk`; then a task takes one
+//!   own, `(n_blk, C_blk, cols)` — one vector deep and as wide as the
+//!   register tile allows by default ([`dual_blocking`]) — beside the
+//!   plan's, which the three stages keep. The input transform writes `Û`
+//!   as the staged path does, at that `C_blk`; then a task takes one
 //!   `cols`-wide column group through every reduction block `k`:
 //!   1. operation ③④: `KernelTransformCtx::group` for the block's `C_blk`
 //!      input channels × `cols/S` output groups, into the calling thread's
@@ -40,22 +41,24 @@
 //!      stores to the same addresses every block;
 //!   2. operation ⑤: `Gemm::block` at that blocking on `Û`'s `C_blk` slice
 //!      against that block, into an accumulator `[row block][t][n_blk][cols]`
-//!      that stays in the ring; on the last block operation ⑥ scatters it,
-//!      plain, into the ring's tile-major chunks `[B][cols/S][N][T][S]`;
+//!      that stays in the ring — the plain block kernels on every block,
+//!      the last one too: there is no operation ⑥;
 //!
-//!   and then `Stage3Ctx::tile` for the group's tiles straight into the
-//!   output image. `V̂` is never materialised; `Û` is read once per column
-//!   group instead of once per layer ([`dual_fits`]).
+//!   and then `Stage3Ctx::tile` for the group's tiles straight from the
+//!   accumulator — a tile's `T` vectors one accumulator block apart — into
+//!   the output image. `V̂` is never materialised; `Û` is read once per
+//!   column group instead of once per layer ([`dual_fits`]).
 //! * **the three stages** for every other plan, and for any call with more
 //!   executor threads than ring panels or dual column groups.
 //!
 //! In a ring, as in the layer-sized buffers, the blocks a tile's `T`
-//! vectors scatter into — a ring's `[n_blk][C]` blocks of `Û`, a dual
-//! ring's `[C_blk][cols]` blocks of `V̂`, both rings' `[T][S]` chunks — are
-//! contiguous and one pitch apart, an odd number of lines
-//! ([`wino_tensor::scatter_pitch`]; [`RingLayout`]).
+//! vectors scatter into or are read from — a ring's `[n_blk][C]` blocks of
+//! `Û` and `[T][S]` chunks, a dual ring's `[C_blk][cols]` blocks of `V̂`
+//! and `[n_blk][cols]` blocks of its accumulator — are contiguous and one
+//! pitch apart, an odd number of lines ([`wino_tensor::scatter_pitch`];
+//! [`RingLayout`]).
 //!
-//! Both rings multiply through the kernels the plan built once beside the
+//! Both rings multiply through kernels the plan built once beside the
 //! staged ones ([`WinogradLayer::ring_gemm`]). Tiles, codelets and every
 //! element's FMA chain — one FMA per input channel, in ascending order,
 //! partial sums stored and reloaded exactly at each reduction-block
@@ -142,16 +145,18 @@ pub(crate) fn ring_rows(
 
 /// The schedule of a layer of tile volume `t_vol`, `c → cp` channels and
 /// `rows` panel rows with stage-2 blocking `block` (`explicit` when it
-/// came from `ConvOptions::block`) on a core with `l2_bytes` of L2.
+/// came from `ConvOptions::block`) on a host of `threads` threads, each
+/// with `l2_bytes` of L2.
 ///
 /// In this order: the ring when [`ring_rows`] takes the layer; the dual
-/// ring when [`dual_fits`] takes its [`dual_blocking`]; the three stages.
+/// ring when [`dual_blocking`] finds a blocking [`dual_fits`] takes; the
+/// three stages.
 pub(crate) fn schedule(
     t_vol: usize,
-    c: usize,
-    cp: usize,
+    (c, cp): (usize, usize),
     rows: usize,
     l2_bytes: usize,
+    threads: usize,
     block: BlockShape,
     explicit: bool,
 ) -> Schedule {
@@ -159,23 +164,36 @@ pub(crate) fn schedule(
     if let Some(rows) = ring_rows(t_vol, c, cp, c / block.c_blk, rows, l2_bytes, n_blk) {
         return Schedule::Ring { rows };
     }
-    let (c_blk, cols) = dual_blocking(block, explicit);
-    if dual_fits(t_vol, c, cp, rows, l2_bytes, c_blk, cols) {
-        return Schedule::Dual { c_blk, cols };
+    let fits = |c_blk, cols| dual_fits(t_vol, c, cp, rows, l2_bytes, c_blk, cols);
+    match dual_blocking(block, explicit, cp, threads, fits) {
+        Some((c_blk, cols)) => Schedule::Dual { c_blk, cols },
+        None => Schedule::Staged,
     }
-    Schedule::Staged
 }
 
 /// The `(C_blk, cols)` the dual ring runs a plan of stage-2 blocking
-/// `block` at: an explicit blocking's `(C_blk, C'_blk)`, else one vector
-/// each way, `(S, S)` — the smallest ring and the most column groups,
-/// measured fastest (EXPERIMENTS.md, "§4.3 extension — the dual ring").
-pub(crate) fn dual_blocking(block: BlockShape, explicit: bool) -> (usize, usize) {
+/// `block` and `cp` output channels at on a host of `threads` threads, if
+/// `fits` takes it: an explicit blocking's `(C_blk, C'_blk)`, else
+/// `C_blk = S` and the widest `cols` of `2·S` and `S` that divides `C'`
+/// into at least `threads` column groups.
+///
+/// Two vectors wide, the register tile reuses each broadcast of `Û` twice
+/// and the column groups re-read `Û` half as often; one vector deep keeps
+/// the ring small (EXPERIMENTS.md, "§4.3 extension — the dual ring at the
+/// register tile's width"). A column group per thread, or the executor
+/// would run the three stages instead.
+pub(crate) fn dual_blocking(
+    block: BlockShape,
+    explicit: bool,
+    cp: usize,
+    threads: usize,
+    fits: impl Fn(usize, usize) -> bool,
+) -> Option<(usize, usize)> {
     if explicit {
-        (block.c_blk, block.cp_blk)
-    } else {
-        (S, S)
+        return Some((block.c_blk, block.cp_blk)).filter(|&(c_blk, cols)| fits(c_blk, cols));
     }
+    let fits = |cols: usize| cp.is_multiple_of(cols) && cp / cols >= threads && fits(S, cols);
+    [2 * S, S].into_iter().find(|&cols| fits(cols)).map(|cols| (S, cols))
 }
 
 /// Whether the dual ring in `cols`-wide column groups over `c_blk`-deep
@@ -184,9 +202,9 @@ pub(crate) fn dual_blocking(block: BlockShape, explicit: bool) -> (usize, usize)
 ///
 /// Both must hold:
 /// * the per-thread working set fits ¾ of the L2 — one `C_blk` slice of
-///   `Û` (`[T][rows][C_blk]`), the kernel block (`[T][C_blk][cols]`), the
-///   partial-sum accumulator and the chunks its last block scatters to
-///   (`[T][rows][cols]` each);
+///   `Û` (`[T][rows][C_blk]`), the kernel block (`[T][C_blk][cols]`) and
+///   the accumulator stage 3 reads the group's tiles from
+///   (`[T][rows][cols]`);
 /// * re-reading `Û` once per column group moves fewer bytes than writing
 ///   and reading back `V̂`: `C'/cols · |Û| < 2·|V̂|`, i.e. fewer rows than
 ///   `2·cols`.
@@ -200,7 +218,7 @@ pub(crate) fn dual_fits(
     cols: usize,
 ) -> bool {
     let f32_bytes = std::mem::size_of::<f32>();
-    let working_set = t_vol * (rows * c_blk + c_blk * cols + 2 * rows * cols) * f32_bytes;
+    let working_set = t_vol * (rows * c_blk + c_blk * cols + rows * cols) * f32_bytes;
     let (u, v) = (t_vol * rows * c, t_vol * c * cp);
     working_set <= l2_bytes / 4 * 3 && cp / cols * u < 2 * v
 }
@@ -240,13 +258,13 @@ pub(crate) struct RingLayout {
     /// `n_blk × C` block of `Û`, a dual ring's `C_blk × cols` block of
     /// `V̂`: the block's [`scatter_pitch`].
     pub t_pitch: usize,
-    /// Start of a dual ring's accumulator, `[row block][t][n_blk][cols]`
-    /// (a ring has none: its chunks start here).
-    pub acc: usize,
-    /// Start of the tile-major chunks, one `chunk` apart.
-    pub chunks: usize,
-    /// [`TileMajor::chunk_pitch`]: from one chunk to the next.
-    pub chunk: usize,
+    /// Start of the ring's second part, the products stage 3 reads: a
+    /// ring's tile-major chunks, a dual ring's accumulator.
+    pub x: usize,
+    /// From one block of the second part to the next: a ring's chunk
+    /// ([`TileMajor::chunk_pitch`]), a dual ring's `(row block, t)` block
+    /// of `n_blk × cols` floats (its [`scatter_pitch`]).
+    pub x_pitch: usize,
     /// Floats of the whole ring; 0 for a staged plan.
     pub floats: usize,
 }
@@ -256,24 +274,18 @@ impl RingLayout {
     /// `c → cp` channels, `rows` panel rows and a staged panel height of
     /// `n_blk`. A ring plan's: `T` blocks of `Û`, then `C'/S · n_blk`
     /// chunks (`[C'/S][n_blk][T][S]`). A dual plan's: `T` blocks of `V̂`,
-    /// the accumulator over every row block, then `B · cols/S · N` chunks
-    /// (`[B][cols/S][N][T][S]`).
+    /// then the accumulator over every row block
+    /// (`[row block][t][n_blk][cols]`).
     pub(crate) fn of(schedule: Schedule, t_vol: usize, (c, cp): (usize, usize), rows: usize, n_blk: usize) -> RingLayout {
-        let chunk = TileMajor::chunk_pitch(t_vol);
-        match schedule {
-            Schedule::Staged => RingLayout { t_pitch: 0, acc: 0, chunks: 0, chunk, floats: 0 },
-            Schedule::Ring { rows: n } => {
-                let t_pitch = scatter_pitch(n * c);
-                let chunks = t_vol * t_pitch;
-                RingLayout { t_pitch, acc: chunks, chunks, chunk, floats: chunks + cp / S * n * chunk }
-            }
+        let (t_pitch, x_pitch, x_blocks) = match schedule {
+            Schedule::Staged => return RingLayout { t_pitch: 0, x: 0, x_pitch: 0, floats: 0 },
+            Schedule::Ring { rows: n } => (scatter_pitch(n * c), TileMajor::chunk_pitch(t_vol), cp / S * n),
             Schedule::Dual { c_blk, cols } => {
-                let t_pitch = scatter_pitch(c_blk * cols);
-                let acc = t_vol * t_pitch;
-                let chunks = acc + rows.div_ceil(n_blk) * t_vol * n_blk * cols;
-                RingLayout { t_pitch, acc, chunks, chunk, floats: chunks + rows * cols / S * chunk }
+                (scatter_pitch(c_blk * cols), scatter_pitch(n_blk * cols), rows.div_ceil(n_blk) * t_vol)
             }
-        }
+        };
+        let x = t_vol * t_pitch;
+        RingLayout { t_pitch, x, x_pitch, floats: x + x_blocks * x_pitch }
     }
 }
 
@@ -297,12 +309,20 @@ impl WinogradLayer {
         matches!(self.schedule, Schedule::Dual { cols, .. } if exec.threads() <= groups(cols))
     }
 
-    /// The stage-2 kernels of a ring or dual plan's ring, at the ring's
-    /// panel height or the dual ring's `(n_blk, C_blk, cols)`: its own, or —
-    /// a dual plan at the staged blocking and store flavour — the staged
-    /// ones.
+    /// The `(C_blk, cols)` a dual plan's ring multiplies at
+    /// (`fused::dual_blocking`); `None` for any other plan.
+    pub fn dual_blocking(&self) -> Option<(usize, usize)> {
+        match self.schedule {
+            Schedule::Dual { c_blk, cols } => Some((c_blk, cols)),
+            _ => None,
+        }
+    }
+
+    /// The stage-2 kernels of a ring or dual plan's ring: a ring's scatter
+    /// kernels at its panel height, a dual ring's block kernels at its
+    /// `(n_blk, C_blk, cols)`.
     pub(crate) fn ring_gemm(&self) -> &stage2::Gemm {
-        self.ring_gemm.as_ref().unwrap_or(&self.gemm)
+        self.ring_gemm.as_ref().expect("a ring or dual plan builds its ring kernels")
     }
 }
 
@@ -350,10 +370,10 @@ pub(crate) fn forward(
     let (rows, n_tiles) = (layer.rows(), layer.n_tiles());
     let (in_groups, out_groups) = (layer.shape.in_channels / S, layer.shape.out_channels / S);
     // The ring: an n_blk-row block of Û, then the rows' X̂ chunks.
-    let RingLayout { chunks, chunk, .. } = layer.ring();
+    let RingLayout { x: chunks, x_pitch: chunk, .. } = layer.ring();
     let probe = exec.probe();
     let input_ctx = InputTransformCtx::new(layer, input, (n_blk, layer.block.c_blk), false, probe);
-    let output_ctx = Stage3Ctx::new(layer, output.as_mut_ptr(), epilogue);
+    let output_ctx = Stage3Ctx::new(layer, output.as_mut_ptr(), S, epilogue);
     #[cfg(feature = "fault-inject")]
     let faults = Faults::take();
     let start = span_start(probe);
@@ -430,7 +450,7 @@ pub(crate) fn forward(
 /// `ring_u` must hold an `n_blk`-row block of `Û` (`[t][n_blk][C]`, the
 /// `t` blocks one [`RingLayout::t_pitch`] apart) whose first `panel_rows`
 /// rows are written, `ring_x` must be valid for `C'/S · n_blk` chunks one
-/// [`RingLayout::chunk`] apart, 64-byte aligned, and `v` must be kernel
+/// [`RingLayout::x_pitch`] apart, 64-byte aligned, and `v` must be kernel
 /// transforms of `layer`; the caller owns both halves.
 unsafe fn multiply_panel(
     layer: &WinogradLayer,
@@ -441,7 +461,7 @@ unsafe fn multiply_panel(
     panel_rows: usize,
 ) {
     let (t_vol, cp_blk) = (layer.t_vol(), layer.block.cp_blk);
-    let RingLayout { t_pitch, chunk, .. } = layer.ring();
+    let RingLayout { t_pitch, x_pitch: chunk, .. } = layer.ring();
     let mut row_ptrs = [std::ptr::null_mut::<f32>(); MAX_N_BLK];
     // Column blocks outermost: within one, V̂'s `t` blocks are contiguous
     // and Û's too, so both stream.
@@ -485,13 +505,14 @@ pub(crate) fn forward_dual(
     // `Û` in `u`'s bytes, at the dual ring's `C_blk`.
     stage1::input_transform_pass(layer, input, (n_blk, c_blk), scratch, exec)?;
 
-    let (rows, n_tiles) = (layer.rows(), layer.n_tiles());
+    let (rows, n_tiles, t_vol) = (layer.rows(), layer.n_tiles(), layer.t_vol());
     let vecs_per_group = cols / S;
-    // The ring: the kernel block, then the accumulator, then the chunks.
-    let RingLayout { acc: acc_offset, chunks: chunk_offset, chunk, .. } = layer.ring();
+    // The ring: the kernel block, then the accumulator.
+    let RingLayout { x: acc_offset, x_pitch: acc_pitch, .. } = layer.ring();
     let probe = exec.probe();
     let kernel_ctx = KernelTransformCtx::new(layer, kernels, (c_blk, cols), false);
-    let output_ctx = Stage3Ctx::new(layer, output.as_mut_ptr(), epilogue);
+    // Stage 3 reads a tile's `T` vectors one accumulator block apart.
+    let output_ctx = Stage3Ctx::new(layer, output.as_mut_ptr(), acc_pitch, epilogue);
     let scratch: &Scratch = scratch;
     #[cfg(feature = "fault-inject")]
     let faults = Faults::take();
@@ -502,8 +523,8 @@ pub(crate) fn forward_dual(
         let tb = unsafe { scratch.thread_buf(slot) };
         let ring_v = tb.ring.as_mut_ptr();
         // SAFETY: the ring holds the plan's `RingLayout`: the kernel
-        // block, the accumulator, then `B · cols/S · N` chunks.
-        let (acc, chunks) = unsafe { (ring_v.add(acc_offset), ring_v.add(chunk_offset)) };
+        // block, then the accumulator.
+        let acc = unsafe { ring_v.add(acc_offset) };
         let og0 = j * vecs_per_group;
         let mut spent = [0u64; 3];
 
@@ -518,23 +539,30 @@ pub(crate) fn forward_dual(
                 }
             }
             let t1 = span_start(probe);
-            // SAFETY: the kernel block is written, the accumulator and the
-            // chunks are this slot's, `u` holds the layer's Û.
-            unsafe { multiply_block(layer, &scratch.u, ring_v, acc, chunks, k) };
+            // SAFETY: the kernel block is written, the accumulator is this
+            // slot's, `u` holds the layer's Û.
+            unsafe { multiply_block(layer, &scratch.u, ring_v, acc, k) };
             spent[0] += t1 - t0;
             spent[1] += span_start(probe) - t1;
         }
         #[cfg(feature = "fault-inject")]
         {
             if faults.poison_x && j == 0 {
-                // SAFETY: the first float of the ring's chunks.
-                unsafe { *chunks = f32::NAN };
+                // SAFETY: the accumulator's first float: row 0's, which
+                // output tile (0, 0, 0) reads.
+                unsafe { *acc = f32::NAN };
             }
             if let Some(kind) = faults.corrupt_x {
-                // Every group, so that no sampled tile escapes.
-                // SAFETY: the ring's chunks, `rows · cols/S` of them.
-                let x = unsafe { std::slice::from_raw_parts_mut(chunks, rows * vecs_per_group * chunk) };
-                stage2::corrupt_y(x, kind);
+                // Every group and every block's real rows, so that no
+                // sampled tile escapes.
+                for i in 0..rows.div_ceil(n_blk) {
+                    let real = n_blk.min(rows - i * n_blk) * cols;
+                    for t in 0..t_vol {
+                        // SAFETY: the real rows of accumulator block (i, t).
+                        let x = unsafe { std::slice::from_raw_parts_mut(acc.add((i * t_vol + t) * acc_pitch), real) };
+                        stage2::corrupt_y(x, kind);
+                    }
+                }
             }
         }
         let t2 = span_start(probe);
@@ -542,10 +570,12 @@ pub(crate) fn forward_dual(
         for q in 0..vecs_per_group {
             for row in 0..rows {
                 let (b, n) = (row / n_tiles, row % n_tiles);
-                // SAFETY: chunk (b, q, n) of the ring, scattered by the last
-                // `multiply_block` above; groups cover disjoint output
-                // channels, so output tile (b, og0 + q, n) is this task's.
-                let src = unsafe { chunks.add(((b * vecs_per_group + q) * n_tiles + n) * chunk) };
+                let (i, r) = (row / n_blk, row % n_blk);
+                // SAFETY: row `r` of row block `i` at vector `q`, in the
+                // accumulator the last `multiply_block` above completed;
+                // groups cover disjoint output channels, so output tile
+                // (b, og0 + q, n) is this task's.
+                let src = unsafe { acc.add(i * t_vol * acc_pitch + r * cols + q * S) };
                 // SAFETY: as above.
                 unsafe { output_ctx.tile(tb, src, b, og0 + q, n) };
             }
@@ -562,54 +592,37 @@ pub(crate) fn forward_dual(
     stage3::judge(scratch, output, epilogue, joined)
 }
 
-/// Operation ⑤ — and on the last reduction block ⑥ — of one dual column
-/// group: `X̂_t (+)= Û_t[:, k] · ring_t` for every `t` and row block, into
-/// the accumulator, the last block scattered to the group's tile-major
-/// chunks instead — the staged path's kernels and β, at the dual ring's
-/// blocking, so every element's FMA chain is the staged path's too.
+/// Operation ⑤ of one dual column group's reduction block `k`:
+/// `X̂_t (+)= Û_t[:, k] · ring_t` for every `t` and row block, into the
+/// accumulator — the plain block kernels, β = 0 on the first block and
+/// β = 1 after it, each on all `n_blk` rows (the tail block's padding rows
+/// are computed and never read), so every element's FMA chain is the
+/// staged path's.
 ///
 /// # Safety
 /// `ring_v` must hold the `[t][C_blk][cols]` kernel block of reduction
 /// block `k` (the `t` blocks one [`RingLayout::t_pitch`] apart), `acc`
-/// must be valid for `row blocks · T · n_blk · cols` floats and `chunks`
-/// for `B · cols/S · N` chunks one [`RingLayout::chunk`] apart, both
-/// 64-byte aligned and the caller's alone, and `u`'s bytes must hold
-/// transformed inputs of `layer` laid out at the dual ring's `C_blk`.
-unsafe fn multiply_block(
-    layer: &WinogradLayer,
-    u: &BlockedMatrices,
-    ring_v: *const f32,
-    acc: *mut f32,
-    chunks: *mut f32,
-    k: usize,
-) {
+/// must be valid for `row blocks · T` blocks one [`RingLayout::x_pitch`]
+/// apart, 64-byte aligned and the caller's alone, and `u`'s bytes must
+/// hold transformed inputs of `layer` laid out at the dual ring's `C_blk`.
+unsafe fn multiply_block(layer: &WinogradLayer, u: &BlockedMatrices, ring_v: *const f32, acc: *mut f32, k: usize) {
     let gemm = layer.ring_gemm();
-    let BlockShape { n_blk, c_blk, cp_blk: cols } = gemm.shape();
-    let (rows, n_tiles, t_vol) = (layer.rows(), layer.n_tiles(), layer.t_vol());
-    let k_blocks = layer.shape.in_channels / c_blk;
-    let RingLayout { t_pitch, chunk, .. } = layer.ring();
+    let BlockShape { n_blk, c_blk, .. } = gemm.shape();
+    let (t_vol, k_blocks) = (layer.t_vol(), layer.shape.in_channels / c_blk);
+    let RingLayout { t_pitch, x_pitch, .. } = layer.ring();
     // The pitch of `Û`'s `n_blk × C_blk` blocks, as `input_transform_pass`
     // laid them out.
     let u_pitch = scatter_pitch(n_blk * c_blk);
-    let mut row_ptrs = [std::ptr::null_mut::<f32>(); MAX_N_BLK];
+    let no_rows = [std::ptr::null_mut::<f32>(); MAX_N_BLK];
     for t in 0..t_vol {
         let v_blk = ring_v.add(t * t_pitch);
-        for i in 0..rows.div_ceil(n_blk) {
-            let panel_rows = n_blk.min(rows - i * n_blk);
-            if k + 1 == k_blocks {
-                for r in 0..panel_rows {
-                    let (b, n) = ((i * n_blk + r) / n_tiles, (i * n_blk + r) % n_tiles);
-                    // SAFETY: position `t` of chunk (b, 0, n).
-                    row_ptrs[r] = chunks.add((b * (cols / S) * n_tiles + n) * chunk + t * S);
-                }
-            }
+        for i in 0..layer.rows().div_ceil(n_blk) {
             // Block (i, k, t) of a `BlockedMatrices` of `C_blk`-wide blocks.
             let u_blk = u.as_ptr().add(((i * k_blocks + k) * t_vol + t) * u_pitch);
-            let x_blk = acc.add((i * t_vol + t) * n_blk * cols);
-            // SAFETY: the dual ring's kernels, scattering at the chunks'
-            // group stride — they are a `TileMajor` of `cols` channels —
-            // with plain stores; the blocks and the rows are the caller's.
-            gemm.block(panel_rows, k, (u_blk, v_blk, x_blk), &row_ptrs, stage2::NO_PREFETCH);
+            let x_blk = acc.add((i * t_vol + t) * x_pitch);
+            // SAFETY: the dual ring's block kernels, which scatter nothing;
+            // the blocks are the caller's.
+            gemm.block(n_blk, k, (u_blk, v_blk, x_blk), &no_rows, stage2::NO_PREFETCH);
         }
     }
 }
@@ -763,16 +776,17 @@ mod tests {
         ("VGG 5.x-class 28²", 36, 512, 512, 49),
     ];
 
-    /// One letter per layer: Ring, Dual or Staged at the planner's blocking.
+    /// One letter per layer: Ring, Dual or Staged at the planner's blocking
+    /// on a two-thread host.
     fn schedules_at(l2: usize) -> String {
         SCHEDULED
             .iter()
             .map(|&(_, t, c, cp, rows)| {
                 let block = wino_gemm::default_shape(c, cp, rows);
-                match schedule(t, c, cp, rows, l2, block, false) {
+                match schedule(t, (c, cp), rows, l2, 2, block, false) {
                     Schedule::Ring { .. } => 'R',
-                    Schedule::Dual { c_blk, cols } => {
-                        assert_eq!((c_blk, cols), (S, S));
+                    Schedule::Dual { c_blk, .. } => {
+                        assert_eq!(c_blk, S);
                         'D'
                     }
                     Schedule::Staged => 'S',
@@ -782,27 +796,61 @@ mod tests {
     }
 
     /// Host-independent: at 2 MiB the ring keeps the layers it measured
-    /// faster on, and the dual ring takes the two with 16 rows and a `V̂`
-    /// the ring turns down — `train3d_jit` (13.5 MiB) and a VGG 5.x-class
-    /// layer at 14² (36 MiB). Every layer of 49 rows or more is staged or
-    /// a ring: re-reading `Û` per 16-column group would cost more than
-    /// `V̂`'s round trip.
+    /// faster on, and the dual ring, two vectors wide, takes the three with
+    /// fewer than 64 rows and a `V̂` the ring turns down — `train3d_jit`
+    /// (13.5 MiB) and a VGG 5.x-class layer at 14² and at 28² (36 MiB).
+    /// Every layer of 64 rows or more is staged or a ring: re-reading `Û`
+    /// per 32-column group would cost more than `V̂`'s round trip.
     #[test]
     fn the_dual_ring_takes_few_rows_and_a_large_kernel_transform() {
-        assert_eq!(schedules_at(2 * MIB), "RRRRRRSSSSDDS");
-        // At the 1 MiB fallback `train3d_jit`'s working set — a 16-channel
-        // slice of `Û`, a 16 × 16 block of `V̂`, the accumulator and the
-        // chunks, 864 KiB — no longer fits ¾ of the L2.
-        assert_eq!(schedules_at(MIB), "RRRRSSSSSSSDS");
-        assert!(dual_fits(216, 128, 128, 16, 2 * MIB, S, S) && !dual_fits(216, 128, 128, 16, MIB, S, S));
+        assert_eq!(schedules_at(2 * MIB), "RRRRRRSSSSDDD");
+        // At the 1 MiB fallback `train3d_jit`'s working set two vectors
+        // wide — a 16-channel slice of `Û`, a 16 × 32 block of `V̂` and the
+        // accumulator, 1080 KiB — no longer fits ¾ of the L2; one vector
+        // wide, 648 KiB, it does.
+        assert_eq!(schedules_at(MIB), "RRRRSSSSSSDDD");
+        let train3d = |l2, cols| dual_fits(216, 128, 128, 16, l2, S, cols);
+        assert!(train3d(2 * MIB, 2 * S) && !train3d(MIB, 2 * S) && train3d(MIB, S));
+        let block = wino_gemm::default_shape(128, 128, 16);
+        let at = |l2| schedule(216, (128, 128), 16, l2, 2, block, false);
+        assert_eq!((at(2 * MIB), at(MIB)), (Schedule::Dual { c_blk: S, cols: 2 * S }, Schedule::Dual { c_blk: S, cols: S }));
+    }
+
+    /// The width rule on `train3d_jit`'s layer at 2 MiB: two vectors wide
+    /// while that leaves a column group per thread, then one, then the
+    /// three stages; and no host's dual plan of a `SCHEDULED` layer has
+    /// fewer column groups than the host has threads.
+    #[test]
+    fn a_dual_plan_has_a_column_group_per_thread() {
+        use crate::plan::{ConvOptions, Host};
+        let host = |threads| Host { l2_bytes: 2 * MIB, threads, llc_bytes: 260 * MIB, pin: None };
+        let shape = wino_tensor::ConvShape::new(1, 128, 128, &[4, 14, 14], &[3, 3, 3], &[1, 1, 1]).unwrap();
+        let plan = |threads| WinogradLayer::new_on(shape.clone(), &[4, 4, 4], ConvOptions::default(), host(threads));
+        let dual = |cols| Schedule::Dual { c_blk: 16, cols };
+        let want = [(1, dual(32)), (2, dual(32)), (4, dual(32)), (5, dual(16)), (8, dual(16)), (9, Schedule::Staged)];
+        for (threads, want) in want {
+            assert_eq!(plan(threads).unwrap().schedule, want, "{threads} threads");
+        }
+        for threads in 1..=16 {
+            for &(name, t, c, cp, rows) in &SCHEDULED {
+                let block = wino_gemm::default_shape(c, cp, rows);
+                if let Schedule::Dual { cols, .. } = schedule(t, (c, cp), rows, 2 * MIB, threads, block, false) {
+                    assert!(cp / cols >= threads, "{name} on {threads} threads: {cols} wide");
+                }
+            }
+        }
+        // A width that does not divide `C'` is not taken.
+        let block = wino_gemm::default_shape(128, 144, 16);
+        assert_eq!(schedule(216, (128, 144), 16, 2 * MIB, 1, block, false), dual(16));
     }
 
     /// At every `SCHEDULED` layer's planned blocking and schedule on a
     /// 2 MiB L2 — the benchmark's layers among them — every block a tile's
-    /// `T` vectors scatter into is an odd number of 64-byte lines from the
-    /// next: `Û`, `V̂` and `X̂`'s blocks, the tile-major chunks, a ring's
-    /// `Û` blocks, a dual ring's `V̂` blocks, chunks and 16-wide `Û`. So one
-    /// tile's `T` positions, any 64 of them, take 64 sets of a 64-set L1.
+    /// `T` vectors scatter into or are read from is an odd number of 64-byte
+    /// lines from the next: `Û`, `V̂` and `X̂`'s blocks, the tile-major
+    /// chunks, a ring's `Û` blocks, a dual ring's `V̂` blocks, accumulator
+    /// blocks and 16-wide `Û`. So one tile's `T` positions, any 64 of them,
+    /// take 64 sets of a 64-set L1.
     #[test]
     fn every_scatter_pitch_is_an_odd_number_of_lines() {
         let line = 64 / std::mem::size_of::<f32>();
@@ -817,13 +865,13 @@ mod tests {
                 ("X̂", blocks(n_blk, cp_blk).t_stride()),
                 ("Y", chunks.vec_offset(0, 0, 1, 0) - chunks.vec_offset(0, 0, 0, 0)),
             ];
-            let sched = schedule(t, c, cp, rows, 2 * MIB, block, false);
+            let sched = schedule(t, (c, cp), rows, 2 * MIB, 2, block, false);
             let ring = RingLayout::of(sched, t, (c, cp), rows, n_blk);
             match sched {
-                Schedule::Ring { .. } => pitches.extend([("ring Û", ring.t_pitch), ("ring X̂", ring.chunk)]),
+                Schedule::Ring { .. } => pitches.extend([("ring Û", ring.t_pitch), ("ring X̂", ring.x_pitch)]),
                 Schedule::Dual { c_blk, .. } => pitches.extend([
                     ("dual V̂", ring.t_pitch),
-                    ("dual chunks", ring.chunk),
+                    ("dual accumulator", ring.x_pitch),
                     ("dual Û", blocks(n_blk, c_blk).t_stride()),
                 ]),
                 Schedule::Staged => {}
@@ -842,16 +890,39 @@ mod tests {
         assert!(dual_fits(36, 64, 64, 31, 2 * MIB, 16, 16));
         assert!(!dual_fits(36, 64, 64, 32, 2 * MIB, 16, 16));
         assert!(dual_fits(36, 64, 64, 63, 2 * MIB, 16, 32));
-        // The working set T·(rows·C_blk + C_blk·cols + 2·rows·cols) floats
-        // against ¾ of the L2: 216·(16·16 + 16·16 + 2·16·16)·4 B = 864 KiB.
+        assert!(!dual_fits(36, 64, 64, 64, 2 * MIB, 16, 32));
+        // The working set T·(rows·C_blk + C_blk·cols + rows·cols) floats
+        // against ¾ of the L2: 216·(16·16 + 16·32 + 16·32)·4 B = 1080 KiB.
         let l2_for = |bytes: usize| bytes / 3 * 4;
-        assert!(dual_fits(216, 128, 128, 16, l2_for(864 << 10), 16, 16));
-        assert!(!dual_fits(216, 128, 128, 16, l2_for(864 << 10) - 4, 16, 16));
+        assert!(dual_fits(216, 128, 128, 16, l2_for(1080 << 10), 16, 32));
+        assert!(!dual_fits(216, 128, 128, 16, l2_for(1080 << 10) - 4, 16, 32));
         // An explicit blocking is taken as is, or the plan is staged.
         let block = |c_blk, cp_blk| BlockShape { n_blk: 6, c_blk, cp_blk };
         let dual = Schedule::Dual { c_blk: 32, cols: 32 };
-        assert_eq!(schedule(36, 64, 64, 20, 2 * MIB, block(32, 32), true), dual);
-        assert_eq!(schedule(36, 64, 64, 20, 0, block(32, 32), true), Schedule::Staged);
+        assert_eq!(schedule(36, (64, 64), 20, 2 * MIB, 2, block(32, 32), true), dual);
+        assert_eq!(schedule(36, (64, 64), 20, 2 * MIB, 4, block(32, 32), true), dual);
+        assert_eq!(schedule(36, (64, 64), 20, 0, 2, block(32, 32), true), Schedule::Staged);
+    }
+
+    /// A dual plan's ring kernels are block kernels alone — β = 0, and
+    /// β = 1 past one reduction block — and its staged ones scatter; a ring
+    /// plan's scatter.
+    #[test]
+    fn a_dual_plan_compiles_no_scatter_kernel() {
+        use crate::plan::{ConvOptions, Host, Pin, Stage2Backend};
+        if !wino_simd::cpu_has_avx512f() {
+            return;
+        }
+        let opts = ConvOptions { stage2: Stage2Backend::Jit, ..Default::default() };
+        let plan = |c, pin| {
+            let shape = wino_tensor::ConvShape::new(1, c, 32, &[10, 10], &[3, 3], &[1, 1]).unwrap();
+            WinogradLayer::new_on(shape, &[4, 4], opts, Host::test(pin, false)).unwrap()
+        };
+        // (block0, block1, full scatter, tail scatter).
+        assert_eq!(plan(16, Pin::Dual).ring_gemm().jit_kernels(), [true, false, false, false]);
+        assert_eq!(plan(48, Pin::Dual).ring_gemm().jit_kernels(), [true, true, false, false]);
+        assert!(plan(16, Pin::Dual).gemm.jit_kernels()[2]);
+        assert!(plan(16, Pin::Ring).ring_gemm().jit_kernels()[2]);
     }
 
     /// At a fifth of the cache the hand-off still counts as resident; one
@@ -874,7 +945,7 @@ mod tests {
     #[test]
     fn the_sweep_layers_stream_from_the_batch_that_outgrows_their_share_of_the_llc() {
         use crate::plan::{ConvOptions, Host};
-        let host = Host { l2_bytes: 2 * MIB, llc_bytes: 260 * MIB, pin: None };
+        let host = Host { l2_bytes: 2 * MIB, threads: 2, llc_bytes: 260 * MIB, pin: None };
         let plan = |batch, c, side: usize| {
             let shape = wino_tensor::ConvShape::new(batch, c, c, &[side, side], &[3, 3], &[1, 1]).unwrap();
             WinogradLayer::new_on(shape, &[4, 4], ConvOptions::default(), host).unwrap()

@@ -26,6 +26,7 @@
 use std::cell::UnsafeCell;
 
 use wino_gemm::{default_shape, BlockShape};
+use wino_jit::JitOutput;
 use wino_simd::{AlignedVec, S};
 use wino_tensor::{BlockedMatrices, ConvShape, ShapeError, TileGrid};
 
@@ -248,21 +249,23 @@ pub struct WinogradLayer {
     /// Stage 2 at [`WinogradLayer::block`] on `opts.stage2`, scattering
     /// into the tile-major `Y`, streaming when the plan streams.
     pub(crate) gemm: Gemm,
-    /// A ring or dual plan's stage 2, scattering plainly into a thread's
-    /// ring: a ring plan's at the ring's panel height, a dual plan's at
-    /// the dual ring's blocking — `None` when that and the store flavour
-    /// are `gemm`'s own, which then serves it
-    /// ([`WinogradLayer::ring_gemm`]).
+    /// A ring or dual plan's stage 2 into a thread's ring: a ring plan's
+    /// at the ring's panel height, scattering plainly; a dual plan's at the
+    /// dual ring's blocking, block kernels only
+    /// ([`WinogradLayer::ring_gemm`]). `None` for a staged plan.
     pub(crate) ring_gemm: Option<Gemm>,
 }
 
 /// What a plan's schedule and store flavour are decided from besides the
-/// layer: the host's two cache sizes.
+/// layer: the host's two cache sizes and its thread count.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Host {
     /// L2 one thread can count on ([`wino_sched::l2_bytes_per_thread`]):
     /// what the schedule reads (`fused::schedule`).
     pub l2_bytes: usize,
+    /// Threads the process runs ([`wino_sched::configured_threads`]): a
+    /// dual plan leaves a column group for each (`fused::dual_blocking`).
+    pub threads: usize,
     /// Last-level cache ([`wino_sched::llc_bytes`]): what the store
     /// flavour reads (`fused::streams`).
     pub llc_bytes: usize,
@@ -273,10 +276,11 @@ pub(crate) struct Host {
 }
 
 impl Host {
-    /// The caches of the machine this process runs on.
+    /// The caches and thread count of the machine this process runs on.
     pub(crate) fn detected() -> Host {
         Host {
             l2_bytes: wino_sched::l2_bytes_per_thread(),
+            threads: wino_sched::configured_threads(),
             llc_bytes: wino_sched::llc_bytes(),
             #[cfg(test)]
             pin: None,
@@ -352,30 +356,29 @@ impl WinogradLayer {
         };
         let (t_vol, c, cp) = (grid.tile_volume(), shape.in_channels, shape.out_channels);
         let explicit = opts.block.is_some();
-        let schedule = crate::fused::schedule(t_vol, c, cp, rows, host.l2_bytes, block, explicit);
+        let schedule = crate::fused::schedule(t_vol, (c, cp), rows, host.l2_bytes, host.threads, block, explicit);
         #[cfg(test)]
-        let schedule = host.pin.map_or(schedule, |pin| pin.schedule(t_vol, c, cp, rows, block, explicit));
+        let schedule =
+            host.pin.map_or(schedule, |pin| pin.schedule(t_vol, (c, cp), rows, host.threads, block, explicit));
         // Stand-in Mono kernels, which compile nothing, until the store
         // flavour — read off the plan's footprint — is known.
-        let mono = Gemm::new(Stage2Backend::Mono, block, c, rows, 0, false)?;
+        let mono = Gemm::new(Stage2Backend::Mono, block, c, rows, JitOutput::Block)?;
         let mut layer =
             WinogradLayer { shape, grid, block, opts, schedule, streams: false, gemm: mono, ring_gemm: None };
         layer.streams = crate::fused::streams(layer.hand_off_bytes(), host.llc_bytes);
         // Tile-major group stride (floats): see `TileMajor::group_stride`.
         let chunk = TileMajor::chunk_pitch(t_vol);
         let group_stride = layer.n_tiles() * chunk;
-        let gemm = |block, stride, streaming| Gemm::new(opts.stage2, block, c, rows, stride, streaming);
-        layer.gemm = gemm(block, group_stride, layer.streams)?;
-        // What a ring scatters stays in the core's own cache: plain stores —
-        // a ring panel's `X̂` chunks at the ring's group stride, or a dual
-        // column group's tile-major chunks at the staged one.
+        let gemm = |block, output| Gemm::new(opts.stage2, block, c, rows, output);
+        let scatter = |group_stride, streaming| JitOutput::Scatter { group_stride, streaming };
+        layer.gemm = gemm(block, scatter(group_stride, layer.streams))?;
+        // What a ring holds stays in the core's own cache: a ring panel's
+        // `X̂` chunks are scattered with plain stores at the ring's group
+        // stride; a dual column group's accumulator is never scattered.
         layer.ring_gemm = match layer.schedule {
             Schedule::Staged => None,
-            Schedule::Ring { rows: n } => Some(gemm(BlockShape { n_blk: n, ..block }, n * chunk, false)?),
-            Schedule::Dual { c_blk, cols } => {
-                let dual = BlockShape { c_blk, cp_blk: cols, ..block };
-                (dual != block || layer.streams).then(|| gemm(dual, group_stride, false)).transpose()?
-            }
+            Schedule::Ring { rows: n } => Some(gemm(BlockShape { n_blk: n, ..block }, scatter(n * chunk, false))?),
+            Schedule::Dual { c_blk, cols } => Some(gemm(BlockShape { c_blk, cp_blk: cols, ..block }, JitOutput::Block)?),
         };
         Ok(layer)
     }
@@ -440,13 +443,15 @@ impl WinogradLayer {
     /// the input transform, then one fork–join in which each task
     /// transforms `C_blk × cols` blocks of `V̂` into a per-thread ring,
     /// multiplies `Û`'s slices against them into a cache-resident
-    /// accumulator and inverse-transforms its column group) instead of the
-    /// three stages — `V̂` is never materialised. Decided at plan time:
-    /// the ring turned the plan down, a slice of `Û`, a block of `V̂` and
-    /// the accumulator fit ¾ of the detected L2, and re-reading `Û` once
-    /// per column group moves fewer bytes than `V̂`'s round trip. The dual
-    /// ring multiplies at its own `(C_blk, cols)` — one vector each way
-    /// unless `ConvOptions::block` says otherwise — while
+    /// accumulator and inverse-transforms its column group from there)
+    /// instead of the three stages — `V̂` is never materialised. Decided at
+    /// plan time: the ring turned the plan down, a slice of `Û`, a block of
+    /// `V̂` and the accumulator fit ¾ of the detected L2, re-reading `Û`
+    /// once per column group moves fewer bytes than `V̂`'s round trip, and
+    /// the plan has a column group for each of the host's threads
+    /// ([`wino_sched::configured_threads`]). The dual ring multiplies at its
+    /// own `(C_blk, cols)` — one vector deep and two wide, or one where two
+    /// leave too few groups, unless `ConvOptions::block` says otherwise — while
     /// [`WinogradLayer::block`] stays the three stages': `forward_fx`
     /// (whose `V̂` is memoised), the public stage functions and a call whose
     /// executor has more threads than the plan has column groups run them
@@ -541,13 +546,12 @@ pub(crate) struct ThreadBuf {
     /// A ring or dual plan's ring, laid out as [`WinogradLayer::ring`]
     /// says. A ring plan's: one `n_blk`-row block of `Û` (`[t][n_blk][C]`),
     /// then the same rows' tile-major `X̂` chunks (`[C'/S][n_blk][T][S]`).
-    /// A dual plan's: one block of `V̂` (`[t][C_blk][cols]`), the
-    /// accumulator (`[row block][t][n_blk][cols]`), then the tile-major
-    /// chunks of one column group (`[B][cols/S][N][T][S]`). The `t` blocks
-    /// and the chunks are each one pitch apart, an odd number of lines
-    /// (`wino_tensor::scatter_pitch`). Every panel or column group the slot
-    /// processes goes through these same addresses. Empty for a staged
-    /// plan.
+    /// A dual plan's: one block of `V̂` (`[t][C_blk][cols]`), then the
+    /// accumulator stage 3 reads (`[row block][t][n_blk][cols]`). The
+    /// blocks and the chunks are each one pitch apart, an odd number of
+    /// lines (`wino_tensor::scatter_pitch`). Every panel or column group
+    /// the slot processes goes through these same addresses. Empty for a
+    /// staged plan.
     pub ring: AlignedVec,
     /// Nanoseconds this slot spent in the three phases of the ring or dual
     /// fork–join in flight (written only while a probe collects spans).
@@ -955,8 +959,9 @@ pub(crate) enum Pin {
     Staged,
     /// The ring, on every layer with one reduction block (else staged).
     Ring,
-    /// The dual ring at the `(C_blk, cols)` the rule would pick, on every
-    /// layer.
+    /// The dual ring at the `(C_blk, cols)` the rule would pick without
+    /// the L2 — one vector each way where no width leaves a column group
+    /// per thread — on every layer.
     Dual,
     /// The dual ring, as [`Pin::Dual`], on fewer rows than twice its
     /// columns — `fused::dual_fits`' row inequality without the L2 — and
@@ -970,9 +975,9 @@ impl Pin {
     fn schedule(
         self,
         t_vol: usize,
-        c: usize,
-        cp: usize,
+        (c, cp): (usize, usize),
         rows: usize,
+        threads: usize,
         block: BlockShape,
         explicit: bool,
     ) -> Schedule {
@@ -984,10 +989,11 @@ impl Pin {
                     .map_or(Schedule::Staged, |rows| Schedule::Ring { rows })
             }
             Pin::Dual => {
-                let (c_blk, cols) = crate::fused::dual_blocking(block, explicit);
+                let rule = crate::fused::dual_blocking(block, explicit, cp, threads, |_, _| true);
+                let (c_blk, cols) = rule.unwrap_or((S, S));
                 Schedule::Dual { c_blk, cols }
             }
-            Pin::DualOnFewRows => match Pin::Dual.schedule(t_vol, c, cp, rows, block, explicit) {
+            Pin::DualOnFewRows => match Pin::Dual.schedule(t_vol, (c, cp), rows, threads, block, explicit) {
                 Schedule::Dual { cols, .. } if rows >= 2 * cols => Schedule::Staged,
                 dual => dual,
             },
@@ -997,11 +1003,12 @@ impl Pin {
 
 #[cfg(test)]
 impl Host {
-    /// A host on which every plan runs the `pin`ned schedule kind and
-    /// every plan `streams` its stores (else none).
+    /// A host of two threads — the most the batteries' executors need a
+    /// dual column group each for — on which every plan runs the `pin`ned
+    /// schedule kind and every plan `streams` its stores (else none).
     pub(crate) fn test(pin: Pin, streams: bool) -> Host {
         let llc_bytes = if streams { 0 } else { usize::MAX };
-        Host { l2_bytes: 0, llc_bytes, pin: Some(pin) }
+        Host { l2_bytes: 0, threads: 2, llc_bytes, pin: Some(pin) }
     }
 }
 
@@ -1159,14 +1166,15 @@ mod tests {
         assert_eq!(scratch.u.as_ptr(), held, "a second call allocates nothing");
 
         // A dual plan holds `u` and one ring per slot — a 16 × 16 block of
-        // V̂ (16 lines a `t`, padded to 17), the accumulator over three
-        // 6-row blocks and 18 rows of chunks (36 lines, padded to 37) — and
-        // grows `x` and `y` for a stage, `v` for a kernel transform.
+        // V̂ (16 lines a `t`, padded to 17) and the accumulator, three
+        // 6-row blocks a `t` (6 lines each, padded to 7), which stage 3
+        // reads in place — and grows `x` and `y` for a stage, `v` for a
+        // kernel transform.
         let host = Host::test(Pin::Dual, false);
         let dual = WinogradLayer::new_on(shape2d(), &[4, 4], split_reduction(), host).unwrap();
         assert_eq!(dual.schedule, Schedule::Dual { c_blk: 16, cols: 16 });
         let mut scratch = Scratch::new(&dual, 4);
-        assert_eq!(dual.ring().floats, 36 * 17 * S + 36 * 16 * 18 + 18 * 37 * S);
+        assert_eq!(dual.ring().floats, 36 * 17 * S + 3 * 36 * 7 * S);
         assert_eq!(scratch.bytes(), scratch.u.bytes() + 4 * dual.ring().floats * 4 + codelets);
         assert_eq!(scratch.v.bytes() + scratch.x.bytes() + scratch.y.bytes(), 0);
         let held = scratch.u.as_ptr();
@@ -1176,8 +1184,10 @@ mod tests {
         scratch.materialise_v().unwrap();
         assert_eq!((scratch.v.rows(), scratch.v.cols()), (32, 32));
 
-        // The dual ring's blocking is its own; the plan's stays the three
-        // stages', which a dual scratch's buffers are shaped by.
+        // The dual ring's blocking is its own — one vector wide, as two
+        // would leave the two-thread host one column group — while the
+        // plan's stays the three stages', which a dual scratch's buffers
+        // are shaped by.
         let dual = WinogradLayer::new_on(shape2d(), &[4, 4], ConvOptions::default(), host).unwrap();
         let eq11 = default_shape(32, 32, 18);
         assert_eq!((dual.schedule, dual.block), (Schedule::Dual { c_blk: S, cols: S }, eq11));

@@ -17,9 +17,10 @@
 //! reduction block of one panel at a time through `Gemm::block`. Every
 //! schedule multiplies through it: the three stages here, at the plan's
 //! blocking into `Y`; the ring of `fused.rs` one `n_blk`-row panel at a
-//! time and the dual ring one `C_blk × C'_blk` block of `V̂` at a time,
-//! each scattering into its thread's ring. The three stages are the
-//! reference both rings are tested `==` against.
+//! time, scattering into its thread's ring; and the dual ring one
+//! `C_blk × C'_blk` block of `V̂` at a time, through block kernels alone,
+//! into an accumulator in its thread's ring that stage 3 reads in place.
+//! The three stages are the reference both rings are tested `==` against.
 
 // Index-based loops are the idiom throughout: most walk several
 // arrays with derived offsets, where iterator rewrites obscure the math.
@@ -40,48 +41,50 @@ use crate::stage1::MutPtr;
 /// No next panel to prefetch.
 pub(crate) const NO_PREFETCH: (*const f32, *const f32) = (std::ptr::null(), std::ptr::null());
 
-/// The stage-2 kernels of one blocking on one engine, whose last
-/// reduction block scatters each row's `C'_blk` columns to `C'_blk/S`
-/// vectors `group_stride` floats apart.
+/// The stage-2 kernels of one blocking on one engine. Each reduction
+/// block but the last stores its partial sums into the `X̂` block; the
+/// last either does too ([`JitOutput::Block`]: the dual ring, which reads
+/// its accumulator in place) or scatters each row's `C'_blk` columns to
+/// `C'_blk/S` vectors `group_stride` floats apart
+/// ([`JitOutput::Scatter`]).
 pub(crate) struct Gemm {
     block: BlockShape,
     k_blocks: usize,
-    group_stride: usize,
-    /// NT stores for the scatter ([`WinogradLayer::streams`]).
-    streaming: bool,
+    /// Where the last reduction block goes; a scatter streams when the
+    /// plan streams ([`WinogradLayer::streams`]).
+    output: JitOutput,
     /// [`Stage2Backend::Jit`]'s machine code; `None` runs the Rust
     /// micro-kernel.
     jit: Option<JitKernels>,
 }
 
 /// The machine code of one blocking: the β = 0 / β = 1 block kernels of
-/// the reduction blocks before the last, and the scatter kernels of the
-/// last — full-height panels and the tail panel.
+/// the reduction blocks that store into `X̂`, and the scatter kernels of a
+/// scattering last block — full-height panels and the tail panel.
 struct JitKernels {
     block0: Option<JitKernel>,
     block1: Option<JitKernel>,
-    full: JitKernel,
+    full: Option<JitKernel>,
     tail: Option<JitKernel>,
 }
 
 impl Gemm {
     /// The kernels of `block` on `engine`, for a layer of `c` input
-    /// channels and `rows` panel rows. The JIT compiles them here, once —
-    /// the paper generates them "on demand, … compiled to a shared library,
-    /// and loaded"; here they are emitted straight into executable pages.
+    /// channels and `rows` panel rows, its last reduction block written to
+    /// `output`. The JIT compiles them here, once — the paper generates
+    /// them "on demand, … compiled to a shared library, and loaded"; here
+    /// they are emitted straight into executable pages.
     pub(crate) fn new(
         engine: Stage2Backend,
         block: BlockShape,
         c: usize,
         rows: usize,
-        group_stride: usize,
-        streaming: bool,
+        output: JitOutput,
     ) -> Result<Gemm, PlanError> {
         let k_blocks = c / block.c_blk;
         let jit = match engine {
             Stage2Backend::Mono => None,
             Stage2Backend::Jit => {
-                let output = JitOutput::Scatter { group_stride, streaming };
                 let compiled = JitKernels::compile(block, k_blocks, rows % block.n_blk, output);
                 Some(compiled.map_err(|e| PlanError::Jit {
                     reason: match e {
@@ -92,7 +95,7 @@ impl Gemm {
                 })?)
             }
         };
-        Ok(Gemm { block, k_blocks, group_stride, streaming, jit })
+        Ok(Gemm { block, k_blocks, output, jit })
     }
 
     /// The blocking these kernels multiply at.
@@ -102,18 +105,20 @@ impl Gemm {
 
     /// Reduction block `k` of one panel with `rows` real rows (fewer than
     /// `n_blk` only in the tail panel): `x = u·v`, or `x += u·v` past the
-    /// first block; the last block instead scatters each row `r` to
-    /// `row_ptrs[r]` (see [`Gemm`]). The Rust kernel prefetches the `next`
-    /// panel's `u` and `x` ([`NO_PREFETCH`]: none), and multiplies only
-    /// the real rows on the last block — tiling never changes an element's
-    /// FMA chain, so that is the JIT's tail kernel bit for bit.
+    /// first block; a scattering last block instead scatters each row `r`
+    /// to `row_ptrs[r]` (see [`Gemm`]). A block kernel multiplies all
+    /// `n_blk` rows, the tail panel's padding rows too. The Rust kernel
+    /// prefetches the `next` panel's `u` and `x` ([`NO_PREFETCH`]: none),
+    /// and multiplies only the real rows of a scatter — tiling never
+    /// changes an element's FMA chain, so that is the JIT's tail kernel
+    /// bit for bit.
     ///
     /// # Safety
     /// `u`, `v` and `x` must be valid `n_blk × C_blk`, `C_blk × C'_blk` and
     /// `n_blk × C'_blk` blocks (`x` is not dereferenced by a β = 0
-    /// scatter); on the last block `row_ptrs[..rows]` must be 64-byte
-    /// aligned and valid for the scatter, and disjoint from `u`, `v`, `x`.
-    /// The caller owns what is written.
+    /// scatter); on a scattering last block `row_ptrs[..rows]` must be
+    /// 64-byte aligned and valid for the scatter, and disjoint from `u`,
+    /// `v`, `x`. The caller owns what is written.
     pub(crate) unsafe fn block(
         &self,
         rows: usize,
@@ -123,14 +128,18 @@ impl Gemm {
         next: (*const f32, *const f32),
     ) {
         let BlockShape { n_blk, c_blk, cp_blk } = self.block;
-        let last = k + 1 == self.k_blocks;
+        let scatter = match self.output {
+            JitOutput::Scatter { group_stride, streaming } if k + 1 == self.k_blocks => {
+                Some(Output::Scatter { row_ptrs: row_ptrs.as_ptr(), group_stride, streaming })
+            }
+            _ => None,
+        };
         match &self.jit {
-            Some(jk) if last => {
-                let tail = || jk.tail.as_ref().expect("tail kernel compiled");
-                let kernel = if rows < n_blk { tail() } else { &jk.full };
+            Some(jk) if scatter.is_some() => {
+                let kernel = if rows < n_blk { jk.tail.as_ref() } else { jk.full.as_ref() };
                 // SAFETY: compiled for (rows, C_blk, C'_blk, β = k > 0) at this
                 // group stride and store flavour; the caller's contract.
-                kernel.call_scatter(u, v, x, row_ptrs.as_ptr());
+                kernel.expect("scatter kernel compiled").call_scatter(u, v, x, row_ptrs.as_ptr());
             }
             // SAFETY: compiled for (n_blk, C_blk, C'_blk, β = 0); the caller's contract.
             Some(jk) if k == 0 => jk.block0.as_ref().expect("block0 compiled").call(u, v, x),
@@ -138,7 +147,7 @@ impl Gemm {
             Some(jk) => jk.block1.as_ref().expect("block1 compiled").call(u, v, x),
             // SAFETY: the caller's contract is the micro-kernel's.
             None => microkernel(
-                if last { rows } else { n_blk },
+                if scatter.is_some() { rows } else { n_blk },
                 &MicroArgs {
                     u,
                     v,
@@ -148,15 +157,7 @@ impl Gemm {
                     beta: k > 0,
                     next_u: next.0,
                     next_x: next.1,
-                    output: if last {
-                        Output::Scatter {
-                            row_ptrs: row_ptrs.as_ptr(),
-                            group_stride: self.group_stride,
-                            streaming: self.streaming,
-                        }
-                    } else {
-                        Output::Block
-                    },
+                    output: scatter.unwrap_or(Output::Block),
                 },
             ),
         }
@@ -165,7 +166,7 @@ impl Gemm {
 
 impl JitKernels {
     /// Compile `block`'s kernels for `k_blocks` reduction blocks and a tail
-    /// panel of `tail` rows (0: none), scattering to `output`.
+    /// panel of `tail` rows (0: none), the last block written to `output`.
     fn compile(
         block: BlockShape,
         k_blocks: usize,
@@ -173,15 +174,17 @@ impl JitKernels {
         output: JitOutput,
     ) -> Result<JitKernels, JitError> {
         let BlockShape { n_blk, c_blk, cp_blk } = block;
-        // The last reduction block always runs a scatter kernel, so the
-        // block kernels cover only the k-blocks before it.
+        // A scattering last block runs a scatter kernel, so the block
+        // kernels cover only the k-blocks before it; otherwise all of them.
+        let scatters = output != JitOutput::Block;
+        let blocks = if scatters { k_blocks - 1 } else { k_blocks };
         let plain = |beta| JitKernel::compile(n_blk, c_blk, cp_blk, beta);
         let scatter = |rows| JitKernel::compile_with_output(rows, c_blk, cp_blk, k_blocks > 1, output);
         Ok(JitKernels {
-            block0: (k_blocks > 1).then(|| plain(false)).transpose()?,
-            block1: (k_blocks > 2).then(|| plain(true)).transpose()?,
-            full: scatter(n_blk)?,
-            tail: (tail != 0).then(|| scatter(tail)).transpose()?,
+            block0: (blocks > 0).then(|| plain(false)).transpose()?,
+            block1: (blocks > 1).then(|| plain(true)).transpose()?,
+            full: scatters.then(|| scatter(n_blk)).transpose()?,
+            tail: (scatters && tail != 0).then(|| scatter(tail)).transpose()?,
         })
     }
 }
@@ -189,7 +192,7 @@ impl JitKernels {
 impl std::fmt::Debug for Gemm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let engine = if self.jit.is_some() { Stage2Backend::Jit } else { Stage2Backend::Mono };
-        write!(f, "Gemm {{ {:?}, {engine:?}, streaming: {} }}", self.block, self.streaming)
+        write!(f, "Gemm {{ {:?}, {engine:?}, {:?} }}", self.block, self.output)
     }
 }
 
@@ -343,6 +346,15 @@ mod tests {
     use crate::plan::{ConvOptions, WinogradLayer};
     use wino_sched::{SerialExecutor, StaticExecutor};
     use wino_tensor::ConvShape;
+
+    impl Gemm {
+        /// Which of the JIT's `(block0, block1, full, tail)` kernels these
+        /// kernels compiled.
+        pub(crate) fn jit_kernels(&self) -> [bool; 4] {
+            let jk = self.jit.as_ref().expect("JIT kernels");
+            [jk.block0.is_some(), jk.block1.is_some(), jk.full.is_some(), jk.tail.is_some()]
+        }
+    }
 
     fn make(c: usize, cp: usize) -> (WinogradLayer, Scratch) {
         let s = ConvShape::new(2, c, cp, &[10, 10], &[3, 3], &[1, 1]).unwrap();

@@ -179,8 +179,8 @@ pub(crate) struct Stage3Ctx<'a> {
     layer: &'a WinogradLayer,
     out: MutPtr,
     xf: TileTransform<At>,
-    /// Strides of a tile read in place from its `T·S`-float chunk
-    /// (row-major, `S` apart).
+    /// Strides of a tile read in place: row-major, its `T` vectors one
+    /// `t` pitch apart.
     y_strides: Strides,
     /// Strides of output points in the image, in floats.
     out_strides: Strides,
@@ -194,17 +194,24 @@ pub(crate) struct Stage3Ctx<'a> {
 }
 
 impl<'a> Stage3Ctx<'a> {
-    /// Build the shared state; the output write uses NT stores when the
+    /// Build the shared state for tiles whose `T` vectors lie `t_pitch`
+    /// floats apart — `S` in a tile-major chunk, a row block's pitch in the
+    /// dual ring's accumulator; the output write uses NT stores when the
     /// plan streams ([`WinogradLayer::streams`]) and applies `epilogue`.
     /// Built by the coordinator once per fork–join, which is when an armed
     /// stage-3 poison is taken.
-    pub(crate) fn new(layer: &'a WinogradLayer, out: *mut f32, epilogue: Epilogue) -> Stage3Ctx<'a> {
+    pub(crate) fn new(
+        layer: &'a WinogradLayer,
+        out: *mut f32,
+        t_pitch: usize,
+        epilogue: Epilogue,
+    ) -> Stage3Ctx<'a> {
         let out_dims = &layer.grid.out_dims;
         Stage3Ctx {
             layer,
             out: MutPtr(out),
             xf: TileTransform::new(layer.table_rows()),
-            y_strides: row_major(&layer.grid.tile_dims, S),
+            y_strides: row_major(&layer.grid.tile_dims, t_pitch),
             out_strides: row_major(out_dims, S),
             out_channel_groups: layer.shape.out_channels / S,
             out_vol: out_dims.iter().product(),
@@ -215,15 +222,16 @@ impl<'a> Stage3Ctx<'a> {
         }
     }
 
-    /// Inverse-transform tile `(b, og, n)` from the `T·S` floats at `src`
-    /// — a contiguous read (§4.4: "fast memory access and as few TLB
-    /// misses as possible") — and write its clipped output.
+    /// Inverse-transform tile `(b, og, n)` from the `T` vectors at `src`,
+    /// one `t` pitch apart — in a chunk a contiguous read (§4.4: "fast
+    /// memory access and as few TLB misses as possible") — and write its
+    /// clipped output.
     ///
     /// # Safety
     /// The caller must hold `tb` exclusively (Executor slot contract),
-    /// `src` must be valid for `T·S` reads and 64-byte aligned, and the
-    /// caller must own output tile `(b, og, n)` — concurrent tasks must
-    /// cover disjoint `(b, og, n)` triples.
+    /// `src` must be valid for those `T` vector reads and 64-byte aligned,
+    /// and the caller must own output tile `(b, og, n)` — concurrent tasks
+    /// must cover disjoint `(b, og, n)` triples.
     pub(crate) unsafe fn tile(
         &self,
         tb: &mut ThreadBuf,
@@ -278,7 +286,7 @@ impl<'a> Stage3Ctx<'a> {
         // leaves nothing in L1 to finish, so with an epilogue (or the
         // poison) such a tile is staged like a boundary one.
         if full && !(self.streaming && (self.epilogue != Epilogue::NONE || poison)) {
-            // SAFETY: `src` is the T·S-float `y` chunk; every point of a
+            // SAFETY: `src` holds the tile's T vectors; every point of a
             // full m-tile is an image point; `tb` holds T·S floats per
             // buffer.
             self.xf.run::<V>(
@@ -397,7 +405,7 @@ pub(crate) fn inverse_transform_with(
     let n_tiles = layer.n_tiles();
     let out_channel_groups = layer.shape.out_channels / S;
     let dims = [layer.shape.batch, out_channel_groups, n_tiles];
-    let ctx = Stage3Ctx::new(layer, output.as_mut_ptr(), epilogue);
+    let ctx = Stage3Ctx::new(layer, output.as_mut_ptr(), S, epilogue);
     let scratch_ref: &Scratch = scratch;
     let y: &TileMajor = &scratch_ref.y;
     let probe = exec.probe();

@@ -34,7 +34,7 @@
 //! and `V` and writes `Y`; a ring plan ([`WinogradLayer::is_fused`]) keeps
 //! `U` and `Y` in its rings, so its three phases move the image in, `V`,
 //! and the image out; a dual plan ([`WinogradLayer::is_dual`]) keeps `V`
-//! and `Y` in its rings, so its kernel transform moves only the raw
+//! and `X` in its rings, so its kernel transform moves only the raw
 //! kernels and its elementwise-gemm reads `U` once per `cols`-wide column
 //! group. Real caches re-read evicted panels, so the modelled bytes are a
 //! lower bound on the real traffic.

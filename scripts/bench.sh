@@ -57,13 +57,14 @@ run cargo bench --offline -q -p wino-bench --bench gemm -- --check
 # ring-fused forward_fx and the dual ring's forward equal the staged calls
 # (the binary panics otherwise). The rule must put layers on both sides of
 # the L2, and `train3d_jit`'s layer on the dual ring wherever the L2 holds
-# its working set (the table's `l2_bytes` column: 2 MiB or more).
+# its working set (the table's `l2_bytes` column: 2 MiB or more; a dual
+# row's `schedule` reads `dual CxW`, its `(C_blk, cols)`).
 run target/release/fusion --reps 3 | tee target/fusion_smoke.csv
 grep -q ',ring,' target/fusion_smoke.csv && grep -q ',staged,' target/fusion_smoke.csv || {
     echo "error: fusion table lacks a ring or a staged row" >&2
     exit 1
 }
-grep -q ',dual,' target/fusion_smoke.csv \
+grep -q ',dual [0-9]*x[0-9]*,' target/fusion_smoke.csv \
     || awk -F, '$6 ~ /^[0-9]+$/ && $6 >= 2097152 { big = 1 } END { exit big }' target/fusion_smoke.csv || {
     echo "error: fusion table lacks a dual row on a 2 MiB L2" >&2
     exit 1

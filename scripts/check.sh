@@ -128,16 +128,21 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 #
 # Schedule gate: on every backend the ring-fused driver and the dual ring
 # (`fused::forward_dual`: the input transform, then one fork–join whose
-# tasks transform a block of kernels into their ring and multiply it
-# there) must equal the public stage calls bit for bit — the ring on rank
-# 1–3, ragged and straddling panels and tail panels; the dual on one and
-# two reduction blocks, rank 2 and 3, column groups not a multiple of the
-# thread count, rows past MAX_N_BLK and `train3d_jit`'s layer (the dual
-# at one vector each way, the three stages at Eq. 11's) — Mono and, under
-# avx512, JIT, every executor incl. the more-threads-than-panels and
+# tasks transform a block of kernels into their ring, multiply it into an
+# accumulator there and inverse-transform from it) must equal the public
+# stage calls bit for bit — the ring on rank 1–3, ragged and straddling
+# panels and tail panels; the dual on one and two reduction blocks, rank
+# 2 and 3, column groups not a multiple of the thread count, rows past
+# MAX_N_BLK, `train3d_jit`'s layer (the dual at its width rule's blocking,
+# the three stages at Eq. 11's) and, at the default two-vector width, a
+# β = 0-only plan and a row count no panel height divides — Mono and,
+# under avx512, JIT, every executor incl. the more-threads-than-panels and
 # more-threads-than-column-groups fallbacks. The dual tests are named
-# below as well, so a rename cannot empty that half. So is the rule's
-# one cache input, the L2: a network plans each layer — schedule, store
+# below as well, so a rename cannot empty that half. So are the width
+# rule's thread input (`train3d_jit` plans two vectors wide at 2 threads,
+# one at 8; no dual plan has fewer column groups than the host's threads),
+# a dual plan's kernels (block kernels only, no scatter kernel) and the
+# rule's one cache input, the L2: a network plans each layer — schedule, store
 # flavour, blocking — as that layer plans alone, whatever the LLC reads,
 # and runs bit for bit as the lone plans chained by hand, in training and
 # FX mode; and every benchmark workload plans the same schedules on a
@@ -178,7 +183,8 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # Module and test filters, so a rename cannot empty the gate.
 #
 # Pitch gate: every block the stages scatter into — `Û`, `V̂`, `X̂`, the
-# tile-major chunks, a ring's `Û`, a dual ring's `V̂` — is an odd number of
+# tile-major chunks, a ring's `Û`, a dual ring's `V̂` and accumulator
+# blocks — is an odd number of
 # 64-byte lines from the next at the planned blockings, and a dual layer,
 # whose 16-wide `Û` may need more bytes than its plan's, runs `==` a fresh
 # network after a staged one in a NaN-filled arena. Named in the planning
@@ -200,12 +206,15 @@ for isa in "${isas[@]}"; do
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q --test fused_equivalence -- \
         dual_forward_equals_the_three_stages_bit_for_bit \
+        dual_forward_at_the_default_width_equals_the_three_stages_bit_for_bit \
         fewer_column_groups_than_threads_runs_the_three_stages
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \
         net::tests::a_network_plans_every_layer_as_it_plans_alone \
         net::tests::the_benchmark_workloads_plan_the_same_on_every_llc \
         fused::tests::every_scatter_pitch_is_an_odd_number_of_lines \
+        fused::tests::a_dual_plan_has_a_column_group_per_thread \
+        fused::tests::a_dual_plan_compiles_no_scatter_kernel \
         net::arena_tests::a_dual_layer_after_a_staged_one_runs_the_same_in_stale_bytes
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \
         cargo test --offline -q -p wino-conv --lib -- \

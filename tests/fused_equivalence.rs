@@ -250,7 +250,7 @@ fn a_staged_plan_runs_the_three_stages() {
 /// The dual battery: blockings that make the ring turn a layer down and
 /// the dual ring take it on any L2 of 1 MiB or more, plus the benchmark's
 /// `train3d_jit` layer at the planner's own blockings — Eq. 11's for the
-/// three stages, one vector each way for the dual ring.
+/// three stages, the dual ring's width rule for the dual ring.
 fn dual_cases() -> Vec<Case> {
     let blocked =
         |(n_blk, c_blk, cp_blk), case: Case| Case { block: Some(BlockShape { n_blk, c_blk, cp_blk }), ..case };
@@ -272,8 +272,21 @@ fn dual_cases() -> Vec<Case> {
     ]
 }
 
-#[test]
-fn dual_forward_equals_the_three_stages_bit_for_bit() {
+/// Dual plans at the default width, two vectors: 16 input channels — one
+/// reduction block, so only the β = 0 block kernel — against 4 MiB of
+/// `V̂`; and 43 rows, which no panel height divides, so the accumulator's
+/// last row block has padding rows that are computed and never read.
+fn default_width_cases() -> Vec<Case> {
+    vec![
+        case("k_blocks 1 at the default width", 1, (16, 1024), &[24, 24], 1, &[6, 6]),
+        case("43 rows at the default width", 1, (256, 512), &[172], 1, &[4]),
+    ]
+}
+
+/// Run every case's dual plan on every executor and engine against the
+/// three stages; the runs per executor that took the dual ring, and the
+/// runs that fell back to the stages.
+fn dual_runs(cases: Vec<Case>) -> ([usize; 4], usize) {
     let executors: [Box<dyn Executor>; 4] = [
         Box::new(SerialExecutor),
         Box::new(StaticExecutor::new(2)),
@@ -287,10 +300,12 @@ fn dual_forward_equals_the_three_stages_bit_for_bit() {
         eprintln!("skipping the JIT half: no AVX-512F");
     }
     // The benchmark's host has a 2 MiB L2; the 1 MiB assumed when none is
-    // detected is too small for train3d_jit's ring.
+    // detected is too small for train3d_jit's ring. A planner's width
+    // leaves a column group per host thread, or plans the three stages.
     let l2_holds_train3d = winograd_nd_repro::sched::l2_bytes_per_thread() >= 2 << 20;
+    let host_threads = winograd_nd_repro::sched::configured_threads();
     let (mut dual_runs, mut fallback_runs) = ([0usize; 4], 0usize);
-    for case in dual_cases() {
+    for case in cases {
         let rank = case.dims.len();
         let shape = ConvShape::new(
             case.batch,
@@ -310,12 +325,20 @@ fn dual_forward_equals_the_three_stages_bit_for_bit() {
                 eprintln!("{what}: skipped, the detected L2 is under 2 MiB");
                 continue;
             }
+            if case.block.is_none() && case.cp / 16 < host_threads {
+                eprintln!("{what}: skipped, fewer column groups than the host's {host_threads} threads");
+                continue;
+            }
             assert!(plan.is_dual() && !plan.is_fused(), "{what}: a dual plan is what this test is about");
             if case.block.is_none() {
-                // The dual ring multiplies one vector each way; the plan's
-                // own blocking — the three stages', `want`'s — stays Eq. 11's.
+                // The dual ring multiplies at its own width, two vectors
+                // while that leaves a column group per host thread; the
+                // plan's own blocking — the three stages', `want`'s — stays
+                // Eq. 11's.
+                let cols = if case.cp / 32 >= host_threads { 32 } else { 16 };
+                assert_eq!(plan.dual_blocking(), Some((16, cols)), "{what}");
                 let eq11 = winograd_nd_repro::gemm::default_shape(case.c, case.cp, plan.rows());
-                assert!(plan.block == eq11 && eq11.c_blk > 16, "{what}: {:?}", plan.block);
+                assert!(plan.block == eq11 && (eq11.c_blk > 16 || case.c == 16), "{what}: {:?}", plan.block);
             }
             let want = staged(&plan, &input, &kernels);
             for (e, exec) in executors.iter().enumerate() {
@@ -331,11 +354,32 @@ fn dual_forward_equals_the_three_stages_bit_for_bit() {
             }
         }
     }
+    (dual_runs, fallback_runs)
+}
+
+#[test]
+fn dual_forward_equals_the_three_stages_bit_for_bit() {
+    let engines = 1 + usize::from(winograd_nd_repro::simd::cpu_has_avx512f());
+    let (dual_runs, fallback_runs) = dual_runs(dual_cases());
     // Every executor drove the dual ring (the serial one on every plan),
     // and some plan had fewer column groups than threads.
-    assert!(dual_runs[0] >= 4 * backends.len(), "{dual_runs:?}");
-    assert!(dual_runs.iter().all(|&runs| runs >= backends.len()), "{dual_runs:?}");
+    assert!(dual_runs[0] >= 4 * engines, "{dual_runs:?}");
+    assert!(dual_runs.iter().all(|&runs| runs >= engines), "{dual_runs:?}");
     assert!(fallback_runs > 0, "no case had fewer column groups than threads");
+}
+
+#[test]
+fn dual_forward_at_the_default_width_equals_the_three_stages_bit_for_bit() {
+    let engines = 1 + usize::from(winograd_nd_repro::simd::cpu_has_avx512f());
+    let (dual_runs, fallback_runs) = dual_runs(default_width_cases());
+    // Each plan has 16 column groups or more: every executor drove the
+    // dual ring on every plan the host did not skip — on a two-thread host
+    // with a 2 MiB L2, on both.
+    assert_eq!((dual_runs, fallback_runs), ([dual_runs[0]; 4], 0));
+    let l2_holds_them = winograd_nd_repro::sched::l2_bytes_per_thread() >= 2 << 20;
+    if l2_holds_them && winograd_nd_repro::sched::configured_threads() <= 2 {
+        assert_eq!(dual_runs[0], 2 * engines);
+    }
 }
 
 /// The two sides of the thread-count rule on one dual plan: three column
