@@ -145,8 +145,7 @@ pub(crate) fn ring_rows(
 
 /// The schedule of a layer of tile volume `t_vol`, `c → cp` channels and
 /// `rows` panel rows with stage-2 blocking `block` (`explicit` when it
-/// came from `ConvOptions::block`) on a host of `threads` threads, each
-/// with `l2_bytes` of L2.
+/// came from `ConvOptions::block`) on a core with `l2_bytes` of L2.
 ///
 /// In this order: the ring when [`ring_rows`] takes the layer; the dual
 /// ring when [`dual_blocking`] finds a blocking [`dual_fits`] takes; the
@@ -156,7 +155,6 @@ pub(crate) fn schedule(
     (c, cp): (usize, usize),
     rows: usize,
     l2_bytes: usize,
-    threads: usize,
     block: BlockShape,
     explicit: bool,
 ) -> Schedule {
@@ -165,35 +163,42 @@ pub(crate) fn schedule(
         return Schedule::Ring { rows };
     }
     let fits = |c_blk, cols| dual_fits(t_vol, c, cp, rows, l2_bytes, c_blk, cols);
-    match dual_blocking(block, explicit, cp, threads, fits) {
+    match dual_blocking(block, explicit, cp, fits) {
         Some((c_blk, cols)) => Schedule::Dual { c_blk, cols },
         None => Schedule::Staged,
     }
 }
 
 /// The `(C_blk, cols)` the dual ring runs a plan of stage-2 blocking
-/// `block` and `cp` output channels at on a host of `threads` threads, if
-/// `fits` takes it: an explicit blocking's `(C_blk, C'_blk)`, else
-/// `C_blk = S` and the widest `cols` of `2·S` and `S` that divides `C'`
-/// into at least `threads` column groups.
+/// `block` and `cp` output channels at, if `fits` takes it: an explicit
+/// blocking's `(C_blk, C'_blk)`; else, if `fits` takes one vector each
+/// way, `C_blk = S` and the wider `cols` of `2·S` and `S` that divides
+/// `C'` and `fits` takes.
 ///
 /// Two vectors wide, the register tile reuses each broadcast of `Û` twice
 /// and the column groups re-read `Û` half as often; one vector deep keeps
 /// the ring small (EXPERIMENTS.md, "§4.3 extension — the dual ring at the
-/// register tile's width"). A column group per thread, or the executor
-/// would run the three stages instead.
+/// register tile's width"). Which layers take the dual ring at all is
+/// decided one vector wide: a layer of `2·S` to `4·S` rows, which two
+/// vectors' byte inequality alone would take, keeps the three stages,
+/// because a dual plan's staged paths store `V̂` without counting it
+/// ([`WinogradLayer::hand_off_bytes`]). An executor with more threads
+/// than the plan has column groups runs the three stages
+/// ([`WinogradLayer::runs_dual`]).
 pub(crate) fn dual_blocking(
     block: BlockShape,
     explicit: bool,
     cp: usize,
-    threads: usize,
     fits: impl Fn(usize, usize) -> bool,
 ) -> Option<(usize, usize)> {
     if explicit {
         return Some((block.c_blk, block.cp_blk)).filter(|&(c_blk, cols)| fits(c_blk, cols));
     }
-    let fits = |cols: usize| cp.is_multiple_of(cols) && cp / cols >= threads && fits(S, cols);
-    [2 * S, S].into_iter().find(|&cols| fits(cols)).map(|cols| (S, cols))
+    if !fits(S, S) {
+        return None;
+    }
+    let wide = cp.is_multiple_of(2 * S) && fits(S, 2 * S);
+    Some((S, if wide { 2 * S } else { S }))
 }
 
 /// Whether the dual ring in `cols`-wide column groups over `c_blk`-deep
@@ -776,14 +781,13 @@ mod tests {
         ("VGG 5.x-class 28²", 36, 512, 512, 49),
     ];
 
-    /// One letter per layer: Ring, Dual or Staged at the planner's blocking
-    /// on a two-thread host.
+    /// One letter per layer: Ring, Dual or Staged at the planner's blocking.
     fn schedules_at(l2: usize) -> String {
         SCHEDULED
             .iter()
             .map(|&(_, t, c, cp, rows)| {
                 let block = wino_gemm::default_shape(c, cp, rows);
-                match schedule(t, (c, cp), rows, l2, 2, block, false) {
+                match schedule(t, (c, cp), rows, l2, block, false) {
                     Schedule::Ring { .. } => 'R',
                     Schedule::Dual { c_blk, .. } => {
                         assert_eq!(c_blk, S);
@@ -796,52 +800,50 @@ mod tests {
     }
 
     /// Host-independent: at 2 MiB the ring keeps the layers it measured
-    /// faster on, and the dual ring, two vectors wide, takes the three with
-    /// fewer than 64 rows and a `V̂` the ring turns down — `train3d_jit`
-    /// (13.5 MiB) and a VGG 5.x-class layer at 14² and at 28² (36 MiB).
-    /// Every layer of 64 rows or more is staged or a ring: re-reading `Û`
-    /// per 32-column group would cost more than `V̂`'s round trip.
+    /// faster on, and the dual ring takes the two with 16 rows and a `V̂`
+    /// the ring turns down — `train3d_jit` (13.5 MiB) and a VGG 5.x-class
+    /// layer at 14² (36 MiB) — two vectors wide. Every layer of 32 rows or
+    /// more is staged or a ring: re-reading `Û` per 16-column group would
+    /// cost more than `V̂`'s round trip, and a VGG 5.x-class layer at 28²
+    /// (49 rows), which 32-column groups would take, keeps the three
+    /// stages' streaming stores.
     #[test]
     fn the_dual_ring_takes_few_rows_and_a_large_kernel_transform() {
-        assert_eq!(schedules_at(2 * MIB), "RRRRRRSSSSDDD");
+        assert_eq!(schedules_at(2 * MIB), "RRRRRRSSSSDDS");
         // At the 1 MiB fallback `train3d_jit`'s working set two vectors
         // wide — a 16-channel slice of `Û`, a 16 × 32 block of `V̂` and the
         // accumulator, 1080 KiB — no longer fits ¾ of the L2; one vector
         // wide, 648 KiB, it does.
-        assert_eq!(schedules_at(MIB), "RRRRSSSSSSDDD");
+        assert_eq!(schedules_at(MIB), "RRRRSSSSSSDDS");
         let train3d = |l2, cols| dual_fits(216, 128, 128, 16, l2, S, cols);
         assert!(train3d(2 * MIB, 2 * S) && !train3d(MIB, 2 * S) && train3d(MIB, S));
         let block = wino_gemm::default_shape(128, 128, 16);
-        let at = |l2| schedule(216, (128, 128), 16, l2, 2, block, false);
+        let at = |l2| schedule(216, (128, 128), 16, l2, block, false);
         assert_eq!((at(2 * MIB), at(MIB)), (Schedule::Dual { c_blk: S, cols: 2 * S }, Schedule::Dual { c_blk: S, cols: S }));
+        // The VGG 28² layer passes the byte inequality 32 wide, not 16.
+        let vgg28 = |cols| dual_fits(36, 512, 512, 49, 2 * MIB, S, cols);
+        assert!(vgg28(2 * S) && !vgg28(S));
     }
 
-    /// The width rule on `train3d_jit`'s layer at 2 MiB: two vectors wide
-    /// while that leaves a column group per thread, then one, then the
-    /// three stages; and no host's dual plan of a `SCHEDULED` layer has
-    /// fewer column groups than the host has threads.
+    /// The width rule: two vectors wide where that divides `C'` and fits
+    /// (the 1 MiB case above), else one — whatever the host's thread
+    /// count. `train3d_jit`'s layer plans `(16, 32)`: four column groups,
+    /// which an executor of up to four threads runs in the dual ring and a
+    /// wider one in the three stages.
     #[test]
-    fn a_dual_plan_has_a_column_group_per_thread() {
+    fn a_dual_plan_is_as_wide_as_divides_c_prime_and_fits() {
         use crate::plan::{ConvOptions, Host};
-        let host = |threads| Host { l2_bytes: 2 * MIB, threads, llc_bytes: 260 * MIB, pin: None };
+        use wino_sched::{SerialExecutor, StaticExecutor};
+        let host = Host { l2_bytes: 2 * MIB, llc_bytes: 260 * MIB, pin: None };
         let shape = wino_tensor::ConvShape::new(1, 128, 128, &[4, 14, 14], &[3, 3, 3], &[1, 1, 1]).unwrap();
-        let plan = |threads| WinogradLayer::new_on(shape.clone(), &[4, 4, 4], ConvOptions::default(), host(threads));
-        let dual = |cols| Schedule::Dual { c_blk: 16, cols };
-        let want = [(1, dual(32)), (2, dual(32)), (4, dual(32)), (5, dual(16)), (8, dual(16)), (9, Schedule::Staged)];
-        for (threads, want) in want {
-            assert_eq!(plan(threads).unwrap().schedule, want, "{threads} threads");
-        }
-        for threads in 1..=16 {
-            for &(name, t, c, cp, rows) in &SCHEDULED {
-                let block = wino_gemm::default_shape(c, cp, rows);
-                if let Schedule::Dual { cols, .. } = schedule(t, (c, cp), rows, 2 * MIB, threads, block, false) {
-                    assert!(cp / cols >= threads, "{name} on {threads} threads: {cols} wide");
-                }
-            }
-        }
+        let plan = WinogradLayer::new_on(shape, &[4, 4, 4], ConvOptions::default(), host).unwrap();
+        assert_eq!(plan.schedule, Schedule::Dual { c_blk: 16, cols: 32 });
+        assert!(plan.runs_dual(&SerialExecutor) && plan.runs_dual(&StaticExecutor::new(4)));
+        assert!(!plan.runs_dual(&StaticExecutor::new(5)));
         // A width that does not divide `C'` is not taken.
+        let dual = |cols| Schedule::Dual { c_blk: 16, cols };
         let block = wino_gemm::default_shape(128, 144, 16);
-        assert_eq!(schedule(216, (128, 144), 16, 2 * MIB, 1, block, false), dual(16));
+        assert_eq!(schedule(216, (128, 144), 16, 2 * MIB, block, false), dual(16));
     }
 
     /// At every `SCHEDULED` layer's planned blocking and schedule on a
@@ -865,7 +867,7 @@ mod tests {
                 ("X̂", blocks(n_blk, cp_blk).t_stride()),
                 ("Y", chunks.vec_offset(0, 0, 1, 0) - chunks.vec_offset(0, 0, 0, 0)),
             ];
-            let sched = schedule(t, (c, cp), rows, 2 * MIB, 2, block, false);
+            let sched = schedule(t, (c, cp), rows, 2 * MIB, block, false);
             let ring = RingLayout::of(sched, t, (c, cp), rows, n_blk);
             match sched {
                 Schedule::Ring { .. } => pitches.extend([("ring Û", ring.t_pitch), ("ring X̂", ring.x_pitch)]),
@@ -899,9 +901,8 @@ mod tests {
         // An explicit blocking is taken as is, or the plan is staged.
         let block = |c_blk, cp_blk| BlockShape { n_blk: 6, c_blk, cp_blk };
         let dual = Schedule::Dual { c_blk: 32, cols: 32 };
-        assert_eq!(schedule(36, (64, 64), 20, 2 * MIB, 2, block(32, 32), true), dual);
-        assert_eq!(schedule(36, (64, 64), 20, 2 * MIB, 4, block(32, 32), true), dual);
-        assert_eq!(schedule(36, (64, 64), 20, 0, 2, block(32, 32), true), Schedule::Staged);
+        assert_eq!(schedule(36, (64, 64), 20, 2 * MIB, block(32, 32), true), dual);
+        assert_eq!(schedule(36, (64, 64), 20, 0, block(32, 32), true), Schedule::Staged);
     }
 
     /// A dual plan's ring kernels are block kernels alone — β = 0, and
@@ -945,7 +946,7 @@ mod tests {
     #[test]
     fn the_sweep_layers_stream_from_the_batch_that_outgrows_their_share_of_the_llc() {
         use crate::plan::{ConvOptions, Host};
-        let host = Host { l2_bytes: 2 * MIB, threads: 2, llc_bytes: 260 * MIB, pin: None };
+        let host = Host { l2_bytes: 2 * MIB, llc_bytes: 260 * MIB, pin: None };
         let plan = |batch, c, side: usize| {
             let shape = wino_tensor::ConvShape::new(batch, c, c, &[side, side], &[3, 3], &[1, 1]).unwrap();
             WinogradLayer::new_on(shape, &[4, 4], ConvOptions::default(), host).unwrap()

@@ -835,7 +835,7 @@ mod tests {
     /// 1× the largest lone hand-off: none streams, none streams alone but
     /// the two together overflow a fifth of the LLC, the largest streams.
     fn small_l2_hosts() -> [Host; 3] {
-        let host = |llc_bytes| Host { l2_bytes: 64 << 10, threads: 2, llc_bytes, pin: None };
+        let host = |llc_bytes| Host { l2_bytes: 64 << 10, llc_bytes, pin: None };
         let largest = lone_plans(host(usize::MAX)).iter().map(WinogradLayer::hand_off_bytes).max();
         let largest = largest.unwrap();
         [host(usize::MAX), host(5 * largest), host(largest)]
@@ -898,7 +898,7 @@ mod tests {
     #[test]
     fn the_benchmark_workloads_plan_the_same_on_every_llc() {
         const MIB: usize = 1 << 20;
-        let at = |llc_bytes| Host { l2_bytes: 2 * MIB, threads: 2, llc_bytes, pin: None };
+        let at = |llc_bytes| Host { l2_bytes: 2 * MIB, llc_bytes, pin: None };
         let lone = |host, c, dims: &[usize], pad, m| {
             let shape = ConvShape::new(1, c, c, dims, &vec![3; dims.len()], &vec![pad; dims.len()]).unwrap();
             WinogradLayer::new_on(shape, &vec![m; dims.len()], ConvOptions::default(), host).unwrap().schedule

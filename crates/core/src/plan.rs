@@ -257,15 +257,12 @@ pub struct WinogradLayer {
 }
 
 /// What a plan's schedule and store flavour are decided from besides the
-/// layer: the host's two cache sizes and its thread count.
+/// layer: the host's two cache sizes.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Host {
     /// L2 one thread can count on ([`wino_sched::l2_bytes_per_thread`]):
     /// what the schedule reads (`fused::schedule`).
     pub l2_bytes: usize,
-    /// Threads the process runs ([`wino_sched::configured_threads`]): a
-    /// dual plan leaves a column group for each (`fused::dual_blocking`).
-    pub threads: usize,
     /// Last-level cache ([`wino_sched::llc_bytes`]): what the store
     /// flavour reads (`fused::streams`).
     pub llc_bytes: usize,
@@ -276,11 +273,10 @@ pub(crate) struct Host {
 }
 
 impl Host {
-    /// The caches and thread count of the machine this process runs on.
+    /// The caches of the machine this process runs on.
     pub(crate) fn detected() -> Host {
         Host {
             l2_bytes: wino_sched::l2_bytes_per_thread(),
-            threads: wino_sched::configured_threads(),
             llc_bytes: wino_sched::llc_bytes(),
             #[cfg(test)]
             pin: None,
@@ -356,10 +352,9 @@ impl WinogradLayer {
         };
         let (t_vol, c, cp) = (grid.tile_volume(), shape.in_channels, shape.out_channels);
         let explicit = opts.block.is_some();
-        let schedule = crate::fused::schedule(t_vol, (c, cp), rows, host.l2_bytes, host.threads, block, explicit);
+        let schedule = crate::fused::schedule(t_vol, (c, cp), rows, host.l2_bytes, block, explicit);
         #[cfg(test)]
-        let schedule =
-            host.pin.map_or(schedule, |pin| pin.schedule(t_vol, (c, cp), rows, host.threads, block, explicit));
+        let schedule = host.pin.map_or(schedule, |pin| pin.schedule(t_vol, (c, cp), rows, block, explicit));
         // Stand-in Mono kernels, which compile nothing, until the store
         // flavour — read off the plan's footprint — is known.
         let mono = Gemm::new(Stage2Backend::Mono, block, c, rows, JitOutput::Block)?;
@@ -446,12 +441,12 @@ impl WinogradLayer {
     /// accumulator and inverse-transforms its column group from there)
     /// instead of the three stages — `V̂` is never materialised. Decided at
     /// plan time: the ring turned the plan down, a slice of `Û`, a block of
-    /// `V̂` and the accumulator fit ¾ of the detected L2, re-reading `Û`
-    /// once per column group moves fewer bytes than `V̂`'s round trip, and
-    /// the plan has a column group for each of the host's threads
-    /// ([`wino_sched::configured_threads`]). The dual ring multiplies at its
-    /// own `(C_blk, cols)` — one vector deep and two wide, or one where two
-    /// leave too few groups, unless `ConvOptions::block` says otherwise — while
+    /// `V̂` and the accumulator fit ¾ of the detected L2, and re-reading `Û`
+    /// once per column group — one vector wide, for the default blocking —
+    /// moves fewer bytes than `V̂`'s round trip. The dual ring multiplies at
+    /// its own `(C_blk, cols)` — one vector deep and two wide where two
+    /// divide `C'` and fit, else one, unless `ConvOptions::block` says
+    /// otherwise — while
     /// [`WinogradLayer::block`] stays the three stages': `forward_fx`
     /// (whose `V̂` is memoised), the public stage functions and a call whose
     /// executor has more threads than the plan has column groups run them
@@ -959,13 +954,15 @@ pub(crate) enum Pin {
     Staged,
     /// The ring, on every layer with one reduction block (else staged).
     Ring,
-    /// The dual ring at the `(C_blk, cols)` the rule would pick without
-    /// the L2 — one vector each way where no width leaves a column group
-    /// per thread — on every layer.
+    /// The dual ring on every layer, at the `(C_blk, cols)` the rule would
+    /// pick if only the two threads of the batteries' widest executors
+    /// each needed a column group — one vector each way where no width
+    /// leaves two.
     Dual,
-    /// The dual ring, as [`Pin::Dual`], on fewer rows than twice its
-    /// columns — `fused::dual_fits`' row inequality without the L2 — and
-    /// the three stages on more.
+    /// The dual ring, as [`Pin::Dual`], on fewer rows than twice the
+    /// columns the rule decides at — `S`, or an explicit `C'_blk`:
+    /// `fused::dual_fits`' row inequality without the L2 — and the three
+    /// stages on more.
     DualOnFewRows,
 }
 
@@ -977,7 +974,6 @@ impl Pin {
         t_vol: usize,
         (c, cp): (usize, usize),
         rows: usize,
-        threads: usize,
         block: BlockShape,
         explicit: bool,
     ) -> Schedule {
@@ -988,27 +984,31 @@ impl Pin {
                 crate::fused::ring_rows(t_vol, c, cp, c / block.c_blk, rows, usize::MAX, n_blk)
                     .map_or(Schedule::Staged, |rows| Schedule::Ring { rows })
             }
+            Pin::Dual if explicit => Schedule::Dual { c_blk: block.c_blk, cols: block.cp_blk },
             Pin::Dual => {
-                let rule = crate::fused::dual_blocking(block, explicit, cp, threads, |_, _| true);
+                let rule = crate::fused::dual_blocking(block, false, cp, |_, cols| cp / cols >= 2);
                 let (c_blk, cols) = rule.unwrap_or((S, S));
                 Schedule::Dual { c_blk, cols }
             }
-            Pin::DualOnFewRows => match Pin::Dual.schedule(t_vol, (c, cp), rows, threads, block, explicit) {
-                Schedule::Dual { cols, .. } if rows >= 2 * cols => Schedule::Staged,
-                dual => dual,
-            },
+            Pin::DualOnFewRows => {
+                let cols = if explicit { block.cp_blk } else { S };
+                if rows < 2 * cols {
+                    Pin::Dual.schedule(t_vol, (c, cp), rows, block, explicit)
+                } else {
+                    Schedule::Staged
+                }
+            }
         }
     }
 }
 
 #[cfg(test)]
 impl Host {
-    /// A host of two threads — the most the batteries' executors need a
-    /// dual column group each for — on which every plan runs the `pin`ned
-    /// schedule kind and every plan `streams` its stores (else none).
+    /// A host on which every plan runs the `pin`ned schedule kind and
+    /// every plan `streams` its stores (else none).
     pub(crate) fn test(pin: Pin, streams: bool) -> Host {
         let llc_bytes = if streams { 0 } else { usize::MAX };
-        Host { l2_bytes: 0, threads: 2, llc_bytes, pin: Some(pin) }
+        Host { l2_bytes: 0, llc_bytes, pin: Some(pin) }
     }
 }
 
@@ -1185,9 +1185,8 @@ mod tests {
         assert_eq!((scratch.v.rows(), scratch.v.cols()), (32, 32));
 
         // The dual ring's blocking is its own — one vector wide, as two
-        // would leave the two-thread host one column group — while the
-        // plan's stays the three stages', which a dual scratch's buffers
-        // are shaped by.
+        // would leave one column group — while the plan's stays the three
+        // stages', which a dual scratch's buffers are shaped by.
         let dual = WinogradLayer::new_on(shape2d(), &[4, 4], ConvOptions::default(), host).unwrap();
         let eq11 = default_shape(32, 32, 18);
         assert_eq!((dual.schedule, dual.block), (Schedule::Dual { c_blk: S, cols: S }, eq11));

@@ -139,9 +139,10 @@ run_filtered "$TEST_TIMEOUT" cargo test --offline -q -p wino-bench --test probe
 # under avx512, JIT, every executor incl. the more-threads-than-panels and
 # more-threads-than-column-groups fallbacks. The dual tests are named
 # below as well, so a rename cannot empty that half. So are the width
-# rule's thread input (`train3d_jit` plans two vectors wide at 2 threads,
-# one at 8; no dual plan has fewer column groups than the host's threads),
-# a dual plan's kernels (block kernels only, no scatter kernel) and the
+# rule (`train3d_jit` plans two vectors wide on any host thread count, a
+# width that does not divide `C'` or fit the L2 is not taken, and an
+# executor wider than the column groups runs the three stages), a dual
+# plan's kernels (block kernels only, no scatter kernel) and the
 # rule's one cache input, the L2: a network plans each layer — schedule, store
 # flavour, blocking — as that layer plans alone, whatever the LLC reads,
 # and runs bit for bit as the lone plans chained by hand, in training and
@@ -213,7 +214,7 @@ for isa in "${isas[@]}"; do
         net::tests::a_network_plans_every_layer_as_it_plans_alone \
         net::tests::the_benchmark_workloads_plan_the_same_on_every_llc \
         fused::tests::every_scatter_pitch_is_an_odd_number_of_lines \
-        fused::tests::a_dual_plan_has_a_column_group_per_thread \
+        fused::tests::a_dual_plan_is_as_wide_as_divides_c_prime_and_fits \
         fused::tests::a_dual_plan_compiles_no_scatter_kernel \
         net::arena_tests::a_dual_layer_after_a_staged_one_runs_the_same_in_stale_bytes
     run_filtered "$TEST_TIMEOUT" env WINO_SIMD="$isa" \

@@ -274,12 +274,12 @@ fn dual_cases() -> Vec<Case> {
 
 /// Dual plans at the default width, two vectors: 16 input channels — one
 /// reduction block, so only the β = 0 block kernel — against 4 MiB of
-/// `V̂`; and 43 rows, which no panel height divides, so the accumulator's
+/// `V̂`; and 31 rows, which no panel height divides, so the accumulator's
 /// last row block has padding rows that are computed and never read.
 fn default_width_cases() -> Vec<Case> {
     vec![
         case("k_blocks 1 at the default width", 1, (16, 1024), &[24, 24], 1, &[6, 6]),
-        case("43 rows at the default width", 1, (256, 512), &[172], 1, &[4]),
+        case("31 rows at the default width", 1, (256, 512), &[124], 1, &[4]),
     ]
 }
 
@@ -300,10 +300,8 @@ fn dual_runs(cases: Vec<Case>) -> ([usize; 4], usize) {
         eprintln!("skipping the JIT half: no AVX-512F");
     }
     // The benchmark's host has a 2 MiB L2; the 1 MiB assumed when none is
-    // detected is too small for train3d_jit's ring. A planner's width
-    // leaves a column group per host thread, or plans the three stages.
+    // detected is too small for train3d_jit's ring.
     let l2_holds_train3d = winograd_nd_repro::sched::l2_bytes_per_thread() >= 2 << 20;
-    let host_threads = winograd_nd_repro::sched::configured_threads();
     let (mut dual_runs, mut fallback_runs) = ([0usize; 4], 0usize);
     for case in cases {
         let rank = case.dims.len();
@@ -325,18 +323,13 @@ fn dual_runs(cases: Vec<Case>) -> ([usize; 4], usize) {
                 eprintln!("{what}: skipped, the detected L2 is under 2 MiB");
                 continue;
             }
-            if case.block.is_none() && case.cp / 16 < host_threads {
-                eprintln!("{what}: skipped, fewer column groups than the host's {host_threads} threads");
-                continue;
-            }
             assert!(plan.is_dual() && !plan.is_fused(), "{what}: a dual plan is what this test is about");
             if case.block.is_none() {
-                // The dual ring multiplies at its own width, two vectors
-                // while that leaves a column group per host thread; the
-                // plan's own blocking — the three stages', `want`'s — stays
-                // Eq. 11's.
-                let cols = if case.cp / 32 >= host_threads { 32 } else { 16 };
-                assert_eq!(plan.dual_blocking(), Some((16, cols)), "{what}");
+                // The dual ring multiplies at its own width, two vectors:
+                // every default case's `C'` is a multiple of 32 and its
+                // working set fits a 2 MiB L2 that wide. The plan's own
+                // blocking — the three stages', `want`'s — stays Eq. 11's.
+                assert_eq!(plan.dual_blocking(), Some((16, 32)), "{what}");
                 let eq11 = winograd_nd_repro::gemm::default_shape(case.c, case.cp, plan.rows());
                 assert!(plan.block == eq11 && (eq11.c_blk > 16 || case.c == 16), "{what}: {:?}", plan.block);
             }
@@ -373,11 +366,10 @@ fn dual_forward_at_the_default_width_equals_the_three_stages_bit_for_bit() {
     let engines = 1 + usize::from(winograd_nd_repro::simd::cpu_has_avx512f());
     let (dual_runs, fallback_runs) = dual_runs(default_width_cases());
     // Each plan has 16 column groups or more: every executor drove the
-    // dual ring on every plan the host did not skip — on a two-thread host
-    // with a 2 MiB L2, on both.
+    // dual ring on every plan the host did not skip — with a 2 MiB L2, on
+    // both.
     assert_eq!((dual_runs, fallback_runs), ([dual_runs[0]; 4], 0));
-    let l2_holds_them = winograd_nd_repro::sched::l2_bytes_per_thread() >= 2 << 20;
-    if l2_holds_them && winograd_nd_repro::sched::configured_threads() <= 2 {
+    if winograd_nd_repro::sched::l2_bytes_per_thread() >= 2 << 20 {
         assert_eq!(dual_runs[0], 2 * engines);
     }
 }
